@@ -7,7 +7,6 @@
 package atlahs
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -20,92 +19,16 @@ import (
 	"atlahs/sim"
 )
 
-// perfWorkload is the shared large schedule plus its binary encoding,
-// built once (80k messages -> 240k ops over 64 ranks, chain-heavy like
-// trace-converted GOAL).
+// perfWorkload is the shared large schedule, built once (80k messages ->
+// 240k ops over 64 ranks, chain-heavy like trace-converted GOAL).
 var perfWorkload = sync.OnceValue(func() (w struct {
 	s   *goal.Schedule
 	ops int64
-	enc []byte
 }) {
 	w.s = micro.UniformRandom(64, 80_000, 4096, 7)
 	w.ops = w.s.ComputeStats().Ops
-	var buf bytes.Buffer
-	if err := goal.WriteBinary(&buf, w.s); err != nil {
-		panic(err)
-	}
-	w.enc = buf.Bytes()
 	return w
 })
-
-// BenchmarkAdaptiveVsFixedWindow pairs the two ParEngine windowing modes
-// (plus the serial baseline) on the shared schedule: same events, same
-// results — adaptive should spend fewer barriers on the sparse stretches
-// seeded point-to-point traffic produces.
-func BenchmarkAdaptiveVsFixedWindow(b *testing.B) {
-	w := perfWorkload()
-	run := func(b *testing.B, mk func(be *backend.LGS) engine.Sim) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			be := backend.NewLGS(backend.AIParams())
-			res, err := sched.Run(mk(be), w.s, be, sched.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Ops != w.ops {
-				b.Fatal("incomplete run")
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, func(be *backend.LGS) engine.Sim { return engine.New() })
-	})
-	b.Run("fixed-w4", func(b *testing.B) {
-		run(b, func(be *backend.LGS) engine.Sim {
-			eng := engine.NewParallel(w.s.NumRanks(), 4, be.Lookahead())
-			eng.SetAdaptive(false)
-			return eng
-		})
-	})
-	b.Run("adaptive-w4", func(b *testing.B) {
-		run(b, func(be *backend.LGS) engine.Sim {
-			return engine.NewParallel(w.s.NumRanks(), 4, be.Lookahead())
-		})
-	})
-}
-
-// BenchmarkGoalDecodeReaderVsZeroCopy pairs the two binary-GOAL decoders
-// on the same encoded bytes: the buffered streaming reader versus the
-// zero-copy in-memory parse (exact-sized ops and dependency arenas).
-func BenchmarkGoalDecodeReaderVsZeroCopy(b *testing.B) {
-	w := perfWorkload()
-	b.Run("reader", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(w.enc)))
-		for i := 0; i < b.N; i++ {
-			s, err := goal.ReadBinary(bytes.NewReader(w.enc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if int64(s.ComputeStats().Ops) != w.ops {
-				b.Fatal("short decode")
-			}
-		}
-	})
-	b.Run("zerocopy", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(w.enc)))
-		for i := 0; i < b.N; i++ {
-			s, err := goal.ParseBinary(w.enc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if int64(s.ComputeStats().Ops) != w.ops {
-				b.Fatal("short decode")
-			}
-		}
-	})
-}
 
 // scatterLayout deep-copies a schedule into the pre-arena dependency
 // layout: one heap allocation per non-empty dependency list, the way

@@ -220,9 +220,9 @@ func BenchmarkParEngineVsSerial(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			workers := workers
 			b.Run(fmt.Sprintf("%s/workers-%d", wl.name, workers), func(b *testing.B) {
-				// Construct the parallel engine directly: RunParallel would
-				// route workers=1 to the serial engine, and this pairing is
-				// about ParEngine behaviour at every worker count.
+				// Construct the parallel engine directly: sim.Run routes
+				// workers=1 to the serial engine, and this pairing is about
+				// ParEngine behaviour at every worker count.
 				run(b, func() (*sched.Result, error) {
 					be := backend.NewLGS(backend.AIParams())
 					eng := engine.NewParallel(s.NumRanks(), workers, be.Lookahead())

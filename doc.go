@@ -20,9 +20,14 @@
 //     compute streams, the lookahead declaration.
 //   - internal/engine: the discrete-event cores — the serial Engine and
 //     the windowed, lane-sharded parallel ParEngine with its persistent
-//     worker pool.
+//     worker pool. Both stay: the serial engine is the only one the pkt
+//     and fluid backends can run on and the reference the equivalence
+//     tests compare against, and the performance ledger shows no winner
+//     between them (engine.par_speedup 0.65–0.82 at 2 workers on 2 cores).
 //
-// Around that spine sit the GOAL format (internal/goal), the three
+// Around that spine sit the GOAL format (internal/goal: one binary
+// decoder, one format sniff), the one registry implementation the backend,
+// frontend and generator registries share (internal/registry), the three
 // backend implementations (internal/backend over internal/pktnet and
 // internal/fluid), trace ingestion (internal/trace/...), workload
 // generators (internal/workload/...), and the experiment harness that

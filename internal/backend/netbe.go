@@ -65,7 +65,7 @@ func (b *NetBackend) Name() string { return b.name }
 func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error {
 	serial, ok := eng.(*engine.Engine)
 	if !ok {
-		return fmt.Errorf("%s backend: shared network state requires the serial engine (no lookahead bound); use sched.RunParallel for automatic fallback", b.name)
+		return fmt.Errorf("%s backend: shared network state requires the serial engine (no lookahead bound); run it with one worker", b.name)
 	}
 	net, err := b.mkNet(serial, nranks)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // TestParallelSynth1024RanksMatchesSerial pins the adaptive-window engine
 // at scale: a statistical model mined from a small seeded workload is
 // regenerated at 1024 ranks (the PR 8 synthesis path), then simulated
-// serially and in parallel at 1, 2, 4 and 8 workers, in both windowing
-// modes — every run must be bit-identical.
+// serially and in parallel at 1, 2, 4 and 8 workers — every run must be
+// bit-identical.
 func TestParallelSynth1024RanksMatchesSerial(t *testing.T) {
 	model, err := synth.Mine(micro.UniformRandom(8, 24, 2048, 5), "par-equivalence seed")
 	if err != nil {
@@ -33,46 +33,15 @@ func TestParallelSynth1024RanksMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, adaptive := range []bool{true, false} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			eng := engine.NewParallel(s.NumRanks(), workers, NewLGS(AIParams()).Lookahead())
-			eng.SetAdaptive(adaptive)
-			par, err := sched.Run(eng, s, NewLGS(AIParams()), sched.Options{})
-			if err != nil {
-				t.Fatalf("adaptive=%v workers=%d: %v", adaptive, workers, err)
-			}
-			sameResult(t, fmt.Sprintf("adaptive=%v workers=%d", adaptive, workers), par, serial)
-			if par.Events != serial.Events {
-				t.Fatalf("adaptive=%v workers=%d: %d events, serial %d", adaptive, workers, par.Events, serial.Events)
-			}
+	for _, workers := range []int{1, 2, 4, 8} {
+		eng := engine.NewParallel(s.NumRanks(), workers, NewLGS(AIParams()).Lookahead())
+		par, err := sched.Run(eng, s, NewLGS(AIParams()), sched.Options{})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-	}
-}
-
-// TestParallelAdaptiveMatchesFixedOnLGS runs the full seeded workload
-// suite once more with fixed windows, pinning adaptive == fixed == serial
-// on real backend traffic (the lattice tests in internal/engine cover the
-// raw engine).
-func TestParallelAdaptiveMatchesFixedOnLGS(t *testing.T) {
-	for _, wl := range parWorkloads() {
-		wl := wl
-		t.Run(wl.name, func(t *testing.T) {
-			serial, err := sched.Run(engine.New(), wl.s, NewLGS(wl.params), sched.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 8} {
-				fixed := engine.NewParallel(wl.s.NumRanks(), workers, NewLGS(wl.params).Lookahead())
-				fixed.SetAdaptive(false)
-				res, err := sched.Run(fixed, wl.s, NewLGS(wl.params), sched.Options{})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				sameResult(t, fmt.Sprintf("fixed workers=%d", workers), res, serial)
-				if res.Events != serial.Events {
-					t.Fatalf("fixed workers=%d: %d events, serial %d", workers, res.Events, serial.Events)
-				}
-			}
-		})
+		sameResult(t, fmt.Sprintf("workers=%d", workers), par, serial)
+		if par.Events != serial.Events {
+			t.Fatalf("workers=%d: %d events, serial %d", workers, par.Events, serial.Events)
+		}
 	}
 }

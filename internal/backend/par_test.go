@@ -88,24 +88,6 @@ func TestParallelLGSMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunParallelAutoSelection: RunParallel must give identical results to
-// the serial path whatever the requested worker count, including the
-// GOMAXPROCS default (workers <= 0).
-func TestRunParallelAutoSelection(t *testing.T) {
-	s := micro.BulkSynchronous(10, 4, 16384, 1500)
-	serial, err := sched.Run(engine.New(), s, NewLGS(AIParams()), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{-1, 0, 1, 3, 8} {
-		par, err := sched.RunParallel(workers, s, NewLGS(AIParams()), sched.Options{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sameResult(t, fmt.Sprintf("workers=%d", workers), par, serial)
-	}
-}
-
 // TestParallelCalcScaleMatchesSerial: the hardware adaptation factor must
 // behave identically on both engines.
 func TestParallelCalcScaleMatchesSerial(t *testing.T) {
@@ -115,74 +97,30 @@ func TestParallelCalcScaleMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sched.RunParallel(4, s, NewLGS(AIParams()), opts)
+	lgs := NewLGS(AIParams())
+	par, err := sched.Run(engine.NewParallel(s.NumRanks(), 4, lgs.Lookahead()), s, lgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "calc-scale", par, serial)
 }
 
-// TestZeroLatencyLGSFallsBackToSerial: LogGOPS with L = 0 has no lookahead
-// window, so RunParallel must route to the serial engine rather than
-// construct an invalid parallel one.
-func TestZeroLatencyLGSFallsBackToSerial(t *testing.T) {
-	p := AIParams()
-	p.L = 0
-	if la := NewLGS(p).Lookahead(); la != 0 {
-		t.Fatalf("Lookahead = %v, want 0", la)
-	}
-	s := micro.Ring(8, 1024)
-	res, err := sched.RunParallel(4, s, NewLGS(p), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := sched.Run(engine.New(), s, NewLGS(p), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "zero-latency", res, serial)
-}
-
-// TestCrossBackendParallelFallback: the congestion-aware backends share
-// fabric state and must (a) reject a parallel engine outright and (b) run
-// serially — with identical results — when requested through RunParallel.
-func TestCrossBackendParallelFallback(t *testing.T) {
+// TestSharedFabricBackendRejectsParallelEngine: the congestion-aware
+// backends share fabric state, so handing one a parallel engine is an
+// error at Setup, not a race later. (Engine selection itself lives in
+// sim.Run, which refuses the worker request before it gets this far.)
+func TestSharedFabricBackendRejectsParallelEngine(t *testing.T) {
 	s := micro.Ring(8, 4096)
-	dom := func() (PktConfig, error) {
-		tp, err := FatTreeFor(8, 4, 1, topo.DefaultLinkSpec())
-		if err != nil {
-			return PktConfig{}, err
-		}
-		return PktConfig{
-			Net:    pktnet.Config{Topo: tp, CC: "mprdma", Seed: 3},
-			Params: DefaultNetParams(),
-		}, nil
-	}
-
-	cfg, err := dom()
+	tp, err := FatTreeFor(8, 4, 1, topo.DefaultLinkSpec())
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg := PktConfig{
+		Net:    pktnet.Config{Topo: tp, CC: "mprdma", Seed: 3},
+		Params: DefaultNetParams(),
 	}
 	pe := engine.NewParallel(8, 4, simtime.Microsecond)
 	if _, err := sched.Run(pe, s, NewPkt(cfg), sched.Options{}); err == nil {
 		t.Fatal("pkt backend accepted a parallel engine")
 	}
-
-	cfgA, err := dom()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := sched.Run(engine.New(), s, NewPkt(cfgA), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgB, err := dom()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaParallel, err := sched.RunParallel(4, s, NewPkt(cfgB), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "pkt-fallback", viaParallel, serial)
 }

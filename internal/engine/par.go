@@ -19,8 +19,8 @@ import (
 // concurrently; cross-lane events produced during a window are buffered
 // per source lane and delivered at the window barrier.
 //
-// Adaptive windowing (the default; see SetAdaptive) widens each lane's
-// window to its individually provable bound instead of the uniform
+// Adaptive windowing is the one window rule: each lane's window is
+// widened to its individually provable bound instead of a uniform
 // T+lookahead. With h_i the lanes' earliest pending event times, la the
 // lookahead, and minOther_i the smallest head among the *other* non-empty
 // lanes, lane i may safely run to
@@ -38,18 +38,22 @@ import (
 // strides instead of la, halving the number of barriers on sparse phases.
 // The bound never changes *which* events a lane executes before any event
 // it could receive, only how many barriers separate them, so results are
-// bit-identical to fixed windows. Low-occupancy windows are additionally
-// batched onto fewer workers (and run inline on the coordinator when only
-// a handful of lanes are active) to keep the wakeup/barrier cost
-// proportional to the work available.
+// bit-identical to the serial engine's (uniform windows, which this rule
+// replaced, measured the same within noise: 145.9 vs 147.3 ms on the
+// 240k-op ledger schedule). The argument is also executed: the barrier
+// in Run panics if a delivered event is stamped before its destination
+// lane's clock, which is exactly the conclusion above failing.
+// Low-occupancy windows are additionally batched onto fewer workers (and
+// run inline on the coordinator when only a handful of lanes are active)
+// to keep the wakeup/barrier cost proportional to the work available.
 //
 // Determinism: every event carries the key (at, schedAt, schedLane,
 // schedSeq), assigned at scheduling time from the scheduling lane's own
 // clock and counter. The key is a function of each lane's deterministic
 // execution history only — never of cross-lane goroutine interleaving or
 // window placement — and each lane executes its events in key order. The
-// simulation therefore evolves identically for any worker count and for
-// either windowing mode; workers change wall-clock time, nothing else.
+// simulation therefore evolves identically for any worker count; workers
+// change wall-clock time, nothing else.
 //
 // Relative to the serial Engine, which breaks same-timestamp ties by
 // global insertion order, execution is identical except in one corner:
@@ -60,12 +64,20 @@ import (
 // internal/backend/par_test.go pins serial == parallel on the LGS
 // workloads; within the parallel engine, results never depend on the
 // worker count.
+//
+// Why the serial Engine stays beside this one: it is the only engine the
+// congestion-aware backends (pkt, fluid) can run on — they share fabric
+// state and declare no lookahead — it is the reference the equivalence
+// suite compares every ParEngine run against, and the performance ledger
+// shows no winner between the two (engine.par_speedup 0.65–0.82 at 2
+// workers on 2 cores, while ParEngine at 1 worker beats Engine on some
+// schedules). Each engine also keeps its own typed heap: nothing yet
+// measures a shared generic heap holding engine.events_per_s.
 type ParEngine struct {
 	workers   int
 	lookahead simtime.Duration
 	lanes     []*lane
 	running   bool
-	adaptive  bool
 	stop      atomic.Bool
 	now       simtime.Time
 	// stats accumulates the coordinator-side window counters (see
@@ -174,7 +186,7 @@ type lane struct {
 	// across all windows of a run.
 	out []outEvent
 	// end is this window's per-lane execution bound, set by the
-	// coordinator before dispatch (see Run for the adaptive bound).
+	// coordinator before dispatch (see Run for the bound).
 	end simtime.Time
 	// openAt/openDone snapshot the lane's head time and processed count
 	// at window open; only written when a Tracer is attached, so traced
@@ -198,26 +210,12 @@ func NewParallel(lanes, workers int, lookahead simtime.Duration) *ParEngine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &ParEngine{workers: workers, lookahead: lookahead, adaptive: true, lanes: make([]*lane, lanes)}
+	p := &ParEngine{workers: workers, lookahead: lookahead, lanes: make([]*lane, lanes)}
 	for i := range p.lanes {
 		p.lanes[i] = &lane{id: i, eng: p}
 	}
 	return p
 }
-
-// SetAdaptive switches between adaptive per-lane windows (the default)
-// and classic uniform T+lookahead windows. Both modes produce
-// bit-identical results; fixed windows exist for paired benchmarking and
-// as a belt-and-braces escape hatch. Only valid outside Run.
-func (p *ParEngine) SetAdaptive(on bool) {
-	if p.running {
-		panic("engine: SetAdaptive during Run")
-	}
-	p.adaptive = on
-}
-
-// Adaptive reports whether adaptive windowing is enabled.
-func (p *ParEngine) Adaptive() bool { return p.adaptive }
 
 // ReserveLane pre-sizes one lane's event heap for at least n pending
 // events (see Engine.Reserve). Only valid outside Run.
@@ -349,18 +347,15 @@ func (p *ParEngine) Run() simtime.Time {
 		// Adaptive bound for lanes at the minimum head: min(minOther +
 		// la, m1 + 2·la), where minOther is m2, or absent entirely when
 		// this is the only non-empty lane. With several lanes tied at the
-		// minimum, m2 == m1 and the bound collapses to the fixed window —
-		// no special casing needed. See the type comment for the
+		// minimum, m2 == m1 and the bound collapses to the uniform window
+		// — no special casing needed. See the type comment for the
 		// soundness argument.
-		minEnd := windowEnd
-		if p.adaptive {
-			minEnd = m1.Add(2 * p.lookahead)
-			if nheads > 1 && m2.Add(p.lookahead) < minEnd {
-				minEnd = m2.Add(p.lookahead)
-			}
-			if minEnd > windowEnd {
-				p.stats.WidenedWindows++
-			}
+		minEnd := m1.Add(2 * p.lookahead)
+		if nheads > 1 && m2.Add(p.lookahead) < minEnd {
+			minEnd = m2.Add(p.lookahead)
+		}
+		if minEnd > windowEnd {
+			p.stats.WidenedWindows++
 		}
 		active = active[:0]
 		for _, l := range p.lanes {
@@ -399,9 +394,21 @@ func (p *ParEngine) Run() simtime.Time {
 		}
 		// Barrier: deliver buffered cross-lane events. Heap order is fully
 		// determined by the per-event keys, so delivery order is irrelevant.
+		// An event stamped before its destination's clock means that lane
+		// already ran past it: the window rule's soundness argument (type
+		// comment) says this cannot happen while every cross-lane send
+		// honours the lookahead against its own lane's clock, so it is a
+		// model bug — a handler scheduling through another lane's view
+		// under-states its clock and slips past ScheduleOn's check — or an
+		// engine bug, and either would silently reorder the simulation.
 		for _, l := range p.lanes {
 			for _, oe := range l.out {
-				p.lanes[oe.dst].queue.push(oe.ev)
+				dst := p.lanes[oe.dst]
+				if oe.ev.at < dst.now {
+					panic(fmt.Sprintf("engine: lane %d -> %d event at %v arrives in the destination's past (its clock is %v); the sender's lookahead %v did not hold",
+						l.id, oe.dst, oe.ev.at, dst.now, p.lookahead))
+				}
+				dst.queue.push(oe.ev)
 			}
 			l.out = l.out[:0]
 		}
@@ -430,10 +437,8 @@ func (p *ParEngine) runWindow(pool *winPool, active []*lane) {
 	if nw > len(active) {
 		nw = len(active)
 	}
-	if p.adaptive {
-		if batched := (len(active) + batchLanes - 1) / batchLanes; nw > batched {
-			nw = batched
-		}
+	if batched := (len(active) + batchLanes - 1) / batchLanes; nw > batched {
+		nw = batched
 	}
 	if pool == nil || nw <= 1 {
 		p.stats.InlineWindows++

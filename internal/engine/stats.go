@@ -31,7 +31,7 @@ type RunStats struct {
 	// engine only).
 	Windows uint64
 	// WidenedWindows counts windows whose minimum-lane bound the adaptive
-	// mode widened past the fixed m1+lookahead window.
+	// rule widened past the uniform m1+lookahead window.
 	WidenedWindows uint64
 	// InlineWindows counts windows run inline on the coordinator (low
 	// occupancy or a serial worker budget) with no barrier hand-off.

@@ -36,43 +36,3 @@ func packDeps(deps [][]int32) [][]int32 {
 	}
 	return out
 }
-
-// depArena accumulates dependency lists in decode order when per-op
-// counts are not known up front (the streaming decoders). Values append
-// to one growing buffer; endList marks list boundaries; views slices the
-// final buffer into the public [][]int32 shape.
-type depArena struct {
-	buf  []int32
-	ends []int
-}
-
-// reserve pre-sizes the arena for nops lists of about total values. Both
-// are hints; the arena grows past them transparently.
-func (a *depArena) reserve(nops, total int) {
-	if cap(a.ends) < nops {
-		a.ends = make([]int, 0, nops)
-	}
-	if cap(a.buf) < total {
-		a.buf = make([]int32, 0, total)
-	}
-}
-
-// push appends one value to the list currently being built.
-func (a *depArena) push(v int32) { a.buf = append(a.buf, v) }
-
-// endList closes the current list (possibly empty) and starts the next.
-func (a *depArena) endList() { a.ends = append(a.ends, len(a.buf)) }
-
-// views returns the per-op lists as capped views into the shared buffer,
-// nil for empty lists. The arena must not be reused afterwards.
-func (a *depArena) views() [][]int32 {
-	out := make([][]int32, len(a.ends))
-	start := 0
-	for i, end := range a.ends {
-		if end > start {
-			out[i] = a.buf[start:end:end]
-		}
-		start = end
-	}
-	return out
-}

@@ -2,9 +2,13 @@ package goal
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // arenaFixture builds a small schedule exercising every op attribute and
@@ -56,45 +60,38 @@ func TestPackDepsEmpty(t *testing.T) {
 	}
 }
 
-func TestDepArenaViews(t *testing.T) {
-	var a depArena
-	a.reserve(3, 4)
-	a.push(1)
-	a.push(2)
-	a.endList()
-	a.endList() // empty list
-	a.push(3)
-	a.endList()
-	got := a.views()
-	want := [][]int32{{1, 2}, nil, {3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("views = %v, want %v", got, want)
-	}
-}
-
-func TestParseBinaryMatchesReadBinary(t *testing.T) {
+// TestParseBinaryRoundTrip: encode → decode reproduces the builder's
+// arena-backed schedule exactly, through the byte-slice entry point and
+// the reader one (which drains into it).
+func TestParseBinaryRoundTrip(t *testing.T) {
 	s := arenaFixture()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	fromReader, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
 		t.Fatal(err)
 	}
 	fromBytes, err := ParseBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromReader, fromBytes) {
-		t.Fatalf("decoders disagree:\nReadBinary:  %+v\nParseBinary: %+v", fromReader, fromBytes)
-	}
 	if !reflect.DeepEqual(fromBytes.Ranks, s.Ranks) {
 		t.Fatalf("ParseBinary round trip changed the schedule:\nin:  %+v\nout: %+v", s.Ranks, fromBytes.Ranks)
 	}
+	fromReader, err := ReadBinary(iotest.OneByteReader(bytes.NewReader(buf.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromReader, fromBytes) {
+		t.Fatalf("ReadBinary over a one-byte reader decoded differently:\nReadBinary:  %+v\nParseBinary: %+v", fromReader, fromBytes)
+	}
 }
 
-func TestParseBinaryErrors(t *testing.T) {
+// magic builds a binary-GOAL input: the header followed by tail.
+func magic(tail ...byte) []byte { return append([]byte(binaryMagic), tail...) }
+
+// TestBinaryDecodeErrors feeds corrupt input through every entry point of
+// the one decoder — ParseBinary, ReadBinary, and Decode for inputs that
+// carry the magic — and wants the same goal:-prefixed rejection from each.
+func TestBinaryDecodeErrors(t *testing.T) {
 	s := arenaFixture()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, s); err != nil {
@@ -108,22 +105,97 @@ func TestParseBinaryErrors(t *testing.T) {
 	}{
 		{"empty", nil, "bad magic"},
 		{"text", []byte("num_ranks 1\n"), "bad magic"},
-		{"magic only", []byte("GOALB1\n"), "rank count"},
-		{"zero ranks", append([]byte("GOALB1\n"), 0), "implausible rank count"},
-		{"hostile rank count", append([]byte("GOALB1\n"), 0xe8, 0x07), "exceeds remaining input"}, // 1000 ranks, 0 bytes left
-		{"hostile op count", append([]byte("GOALB1\n"), 1, 0xff, 0xff, 0x7f), "exceeds remaining input"},
+		{"magic only", magic(), "rank count"},
+		{"zero ranks", magic(0), "implausible rank count"},
+		{"hostile rank count", magic(0xe8, 0x07), "exceeds remaining input"}, // 1000 ranks, 0 bytes left
+		{"hostile op count", magic(1, 0xff, 0xff, 0x7f), "exceeds remaining input"},
+		// one rank, one calc of size 0, then a requires count far past the input
+		{"hostile dep count", magic(1, 1, 0, 0, 0xff, 0xff, 0xff, 0x7f), "exceeds remaining input"},
 		{"truncated", enc[:len(enc)-3], ""}, // any error is fine, must not panic
 	}
+	decoders := []struct {
+		name   string
+		decode func([]byte) (*Schedule, error)
+	}{
+		{"ParseBinary", ParseBinary},
+		{"ReadBinary", func(b []byte) (*Schedule, error) { return ReadBinary(bytes.NewReader(b)) }},
+		{"Decode", Decode},
+	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseBinary(tc.data)
-			if err == nil {
-				t.Fatal("ParseBinary accepted corrupt input")
+		for _, d := range decoders {
+			if d.name == "Decode" && !IsBinary(tc.data) {
+				continue // Decode hands magic-less input to the text parser
 			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			t.Run(tc.name+"/"+d.name, func(t *testing.T) {
+				_, err := d.decode(tc.data)
+				if err == nil {
+					t.Fatal("corrupt input accepted")
+				}
+				if !strings.HasPrefix(err.Error(), "goal: ") {
+					t.Fatalf("error %q is not goal:-prefixed", err)
+				}
+				if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %q does not mention %q", err, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestHostileHeadersRejectedBeforeAllocating: a header may declare up to
+// 2^24 ranks, 2^62 ops or dependencies; each count must be refused from
+// the bytes that remain, not discovered after allocating for it. Trusting
+// any of these three would allocate hundreds of megabytes.
+func TestHostileHeadersRejectedBeforeAllocating(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // 2^32-1
+	inputs := map[string][]byte{
+		"ranks": magic(0xff, 0xff, 0xff, 0x07), // 2^24-1 ranks
+		"ops":   magic(append([]byte{1}, huge...)...),
+		"deps":  magic(append([]byte{1, 1, 0, 0}, huge...)...),
+	}
+	for name, data := range inputs {
+		for _, decode := range []func([]byte) (*Schedule, error){
+			Decode,
+			func(b []byte) (*Schedule, error) { return ReadBinary(bytes.NewReader(b)) },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decode(data)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "exceeds remaining input") {
+				t.Fatalf("%s: hostile count not rejected: %v", name, err)
 			}
-		})
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("%s: decoder allocated %d bytes before rejecting a %d-byte input", name, grew, len(data))
+			}
+		}
+	}
+}
+
+// TestReadBinaryReaderErrors: a failing or truncating reader surfaces as
+// a goal:-prefixed error, never a partial schedule.
+func TestReadBinaryReaderErrors(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, arenaFixture()); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	boom := errors.New("disk on fire")
+	for name, r := range map[string]io.Reader{
+		"failing":            iotest.ErrReader(boom),
+		"failing mid-stream": io.MultiReader(bytes.NewReader(enc[:len(enc)/2]), iotest.ErrReader(boom)),
+		"truncating":         io.LimitReader(bytes.NewReader(enc), int64(len(enc)-3)),
+	} {
+		s, err := ReadBinary(r)
+		if err == nil || s != nil {
+			t.Fatalf("%s: ReadBinary = (%v, %v), want an error and no schedule", name, s, err)
+		}
+		if !strings.HasPrefix(err.Error(), "goal: ") {
+			t.Fatalf("%s: error %q is not goal:-prefixed", name, err)
+		}
+		if strings.HasPrefix(name, "failing") && !errors.Is(err, boom) {
+			t.Fatalf("%s: error %q does not wrap the reader's", name, err)
+		}
 	}
 }
 

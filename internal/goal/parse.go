@@ -1,20 +1,21 @@
 package goal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
 
-// Zero-copy binary decode. ParseBinary walks one in-memory buffer with a
+// The binary decoder. ParseBinary walks one in-memory buffer with a
 // cursor — no io.Reader round trips, no intermediate buffering — and
-// sizes every allocation exactly: declared counts are admitted only after
-// checking they fit in the bytes that remain (every op costs at least two
-// encoded bytes, every dependency at least one), so a hostile header
-// cannot claim gigabytes, and a truthful one lets ops and dependency
-// arenas be allocated once at final size. This is the hot ingestion path
-// for sim.ResolveSpec, the frontend registry, and atlahsd's workload
-// resolution, all of which hold the full file in memory anyway.
+// sizes every allocation exactly. Declared counts are attacker-controlled
+// in a malformed (or hostile) file, so each is admitted only after
+// checking it fits in the bytes that remain (every op costs at least two
+// encoded bytes, every dependency at least one): a hostile header cannot
+// claim gigabytes up front (found by FuzzBinaryRoundTrip), and a truthful
+// one lets ops and dependency arenas be allocated once at final size.
+// Every ingestion path ends here — sim.ResolveSpec, the frontend
+// registry, atlahsd's workload resolution and ReadBinary — because all of
+// them hold the full file in memory anyway.
 
 // byteCursor decodes varints from a byte slice in place.
 type byteCursor struct {
@@ -58,11 +59,10 @@ func (c *byteCursor) byte() (byte, error) {
 }
 
 // ParseBinary decodes a schedule from an in-memory compact binary buffer
-// and validates it. It produces schedules reflect.DeepEqual to
-// ReadBinary's (the fuzzer pins this) but allocates each rank's ops and
-// dependency arena exactly once.
+// and validates it, allocating each rank's ops and dependency arena
+// exactly once. data is read in place and not retained.
 func ParseBinary(data []byte) (*Schedule, error) {
-	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
+	if !IsBinary(data) {
 		n := len(data)
 		if n > len(binaryMagic) {
 			n = len(binaryMagic)

@@ -13,7 +13,6 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
@@ -306,25 +305,4 @@ func (r *runner) doneOps() int64 {
 		n += d
 	}
 	return n
-}
-
-// RunParallel simulates s on be using up to `workers` goroutines
-// (workers <= 0 means GOMAXPROCS). It shards ranks across the parallel
-// engine's lanes when the backend declares a positive lookahead (the LGS
-// backend's wire latency L), and falls back to the proven serial engine
-// otherwise — congestion-aware backends (pkt, fluid) share fabric state and
-// have no safe lookahead. Results are independent of the worker count by
-// construction, and bit-identical to Run on the serial engine up to
-// same-timestamp cross-rank tie-breaking (see the ParEngine determinism
-// notes); the equivalence tests in internal/backend pin both properties
-// on LGS workloads.
-func RunParallel(workers int, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	la := core.LookaheadOf(be)
-	if workers > 1 && la > 0 && s.NumRanks() > 1 {
-		return Run(engine.NewParallel(s.NumRanks(), workers, la), s, be, opts)
-	}
-	return Run(engine.New(), s, be, opts)
 }

@@ -163,24 +163,6 @@ func TestRunDeadlockReported(t *testing.T) {
 	}
 }
 
-// TestRunParallelFallsBackToSerial: a backend without a lookahead must run
-// on the serial engine even when workers are requested (the stub does not
-// implement core.LookaheadProvider).
-func TestRunParallelFallsBackToSerial(t *testing.T) {
-	b := goal.NewBuilder(2)
-	b.Rank(0).Calc(100)
-	b.Rank(1).Calc(100)
-	s := b.MustBuild()
-
-	res, err := RunParallel(4, s, newStub(0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 2 {
-		t.Fatalf("Ops = %d, want 2", res.Ops)
-	}
-}
-
 // TestRunRejectsUndersizedParEngine: handing sched a parallel engine with
 // fewer lanes than ranks is a caller bug surfaced as an error.
 func TestRunRejectsUndersizedParEngine(t *testing.T) {

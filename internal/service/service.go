@@ -256,7 +256,8 @@ func (s *Service) Submit(spec sim.Spec) (Snapshot, error) {
 // SubmitIn is Submit with an explicit admission class. Executor slots are
 // shared round-robin across classes with pending work (FIFO within one),
 // so submissions in one class — a submitter, a batch sweep — cannot
-// starve the others. An empty class means DefaultClass.
+// starve the others. An empty class means DefaultClass. A run is admitted
+// as a sweep of one: the same admit call, the same rules.
 func (s *Service) SubmitIn(class string, spec sim.Spec) (Snapshot, error) {
 	if class == "" {
 		class = DefaultClass
@@ -264,79 +265,142 @@ func (s *Service) SubmitIn(class string, spec sim.Spec) (Snapshot, error) {
 	if spec.Observer != nil {
 		return Snapshot{}, fmt.Errorf("service: specs may not carry an Observer; use Subscribe on the returned run id")
 	}
-	// Fast path: a self-contained re-submission is recognised by its
-	// canonical wire bytes alone, without regenerating and digesting the
-	// workload. Failed runs fall through to the full path, which retries
-	// them.
-	lookKey := s.lookasideKey(spec)
-	if lookKey != "" {
-		s.mu.Lock()
-		if id, ok := s.lookaside[lookKey]; ok {
-			if r, ok := s.runs[id]; ok {
-				snap := r.snapshot()
-				if snap.Status != StatusFailed {
-					s.mu.Unlock()
-					s.metrics.cacheRequests.With("lookaside").Inc()
-					if !snap.Status.Terminal() {
-						s.metrics.singleflight.Inc()
-					}
-					snap.Cached = true
-					return snap, nil
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	// Resolve the workload once, under the admission bound: the pinned
-	// spec carries its resolved schedule into the executor, so a cold run
-	// converts its traces exactly once.
-	s.resolveSem <- struct{}{}
-	pinned, fp, err := sim.ResolveSpec(spec)
-	<-s.resolveSem
+	adm, _, err := s.admit(class, []sim.Spec{spec})
 	if err != nil {
 		return Snapshot{}, err
 	}
-	id := "r_" + fp[:16]
+	return adm[0].snap, nil
+}
+
+// admitted is one unique run behind an admitted set of specs, with the
+// submission's view of it (Cached set when an existing run answered).
+type admitted struct {
+	run  *run
+	snap Snapshot
+}
+
+// admit is the one admission path: Submit hands it one spec, SubmitSweep
+// N. It returns the unique runs behind the specs in first-appearance
+// order (duplicates collapse — against each other and against the cache).
+// Admission is all or none: on any error nothing was enqueued or counted;
+// when one spec is to blame (it does not resolve) its index comes back,
+// otherwise -1. An empty class queues the cold runs under a class of the
+// set's own, derived from its content like the sweep id.
+func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error) {
+	type member struct {
+		admitted
+		id, fp, lookKey string
+		pinned          sim.Spec
+		verdict         string // the cache verdict counted for this member
+	}
+	var members []*member
+	byID := make(map[string]*member, len(specs))
+	// Phase 1, without holding the service lock across resolution: find
+	// every spec's run id, collapsing duplicates as they surface.
+	for i := range specs {
+		m := &member{lookKey: s.lookasideKey(specs[i])}
+		if m.lookKey != "" {
+			// Fast path: a self-contained re-submission is recognised by its
+			// canonical wire bytes alone, without regenerating and digesting
+			// the workload. The member keeps the *run the probe found and is
+			// joined to it whatever the cache does to its address while the
+			// rest of the set resolves — eviction in between cannot leave a
+			// sweep with a member it knows only by name. Failed runs fall
+			// through to the full path, which retries them.
+			s.mu.Lock()
+			if r, ok := s.runs[s.lookaside[m.lookKey]]; ok {
+				if snap := r.snapshot(); snap.Status != StatusFailed {
+					m.id, m.run, m.snap, m.verdict = r.id, r, snap, "lookaside"
+				}
+			}
+			s.mu.Unlock()
+		}
+		if m.run == nil {
+			// Resolve the workload once, under the admission bound: the
+			// pinned spec carries its resolved schedule into the executor,
+			// so a cold run converts its traces exactly once.
+			s.resolveSem <- struct{}{}
+			pinned, fp, err := sim.ResolveSpec(specs[i])
+			<-s.resolveSem
+			if err != nil {
+				return nil, i, err
+			}
+			m.id, m.fp, m.pinned = "r_"+fp[:16], fp, pinned
+		}
+		if _, dup := byID[m.id]; !dup {
+			byID[m.id] = m
+			members = append(members, m)
+		}
+	}
+	if class == "" {
+		ids := make([]string, len(members))
+		for i, m := range members {
+			ids[i] = m.id
+		}
+		class = "sweep:" + sweepID(ids)
+	}
+	// Phase 2, one critical section: join the live run at each resolved
+	// member's content address, retry failed ones, and enqueue every cold
+	// member atomically.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return Snapshot{}, ErrClosed
+		return nil, -1, ErrClosed
 	}
-	if r, ok := s.runs[id]; ok {
-		snap := r.snapshot()
-		if snap.Status != StatusFailed {
-			if lookKey != "" {
-				s.lookaside[lookKey] = id
-				r.lookKeys = append(r.lookKeys, lookKey)
-			}
-			s.mu.Unlock()
-			s.metrics.cacheRequests.With("hit").Inc()
-			if !snap.Status.Terminal() {
-				s.metrics.singleflight.Inc()
-			}
-			snap.Cached = true
-			return snap, nil
+	var cold []*run
+	for _, m := range members {
+		if m.run != nil {
+			continue // joined at the probe
 		}
-		// A failure is not a result: drop the terminal failed run and
-		// retry, so a transient cause (full disk, a racing file write)
-		// does not poison the content address forever.
-		s.dropLocked(id)
+		if r, ok := s.runs[m.id]; ok {
+			if snap := r.snapshot(); snap.Status != StatusFailed {
+				m.run, m.snap, m.verdict = r, snap, "hit"
+				s.indexLocked(m.lookKey, r)
+				continue
+			}
+			// A failure is not a result: drop the terminal failed run and
+			// retry, so a transient cause (full disk, a racing file write)
+			// does not poison the content address forever.
+			s.dropLocked(m.id)
+		}
+		m.run, m.verdict = newRun(m.id, m.fp, m.pinned), "miss"
+		m.run.class = class
+		m.run.mx = s.metrics
+		m.snap = m.run.snapshot()
+		cold = append(cold, m.run)
 	}
-	r := newRun(id, fp, pinned)
-	r.class = class
-	r.mx = s.metrics
-	if err := s.sched.push(class, r); err != nil {
+	if err := s.sched.push(class, cold...); err != nil {
 		s.mu.Unlock()
-		return Snapshot{}, err
+		return nil, -1, err
 	}
-	s.runs[id] = r
-	if lookKey != "" {
-		s.lookaside[lookKey] = id
-		r.lookKeys = append(r.lookKeys, lookKey)
+	for _, m := range members {
+		if m.verdict == "miss" {
+			s.runs[m.id] = m.run
+			s.indexLocked(m.lookKey, m.run)
+		}
 	}
 	s.mu.Unlock()
-	s.metrics.cacheRequests.With("miss").Inc()
-	return r.snapshot(), nil
+	out := make([]admitted, len(members))
+	for i, m := range members {
+		s.metrics.cacheRequests.With(m.verdict).Inc()
+		if m.verdict != "miss" {
+			m.snap.Cached = true
+			if !m.snap.Status.Terminal() {
+				s.metrics.singleflight.Inc()
+			}
+		}
+		out[i] = m.admitted
+	}
+	return out, -1, nil
+}
+
+// indexLocked files a run under a lookaside key (no-op for the empty key
+// of a file-backed spec). The caller holds s.mu.
+func (s *Service) indexLocked(key string, r *run) {
+	if key != "" {
+		s.lookaside[key] = r.id
+		r.lookKeys = append(r.lookKeys, key)
+	}
 }
 
 // dropLocked forgets a terminal run: its address, lookaside keys and
@@ -435,11 +499,7 @@ func (s *Service) Close() {
 // worker budget. Backends that cannot shard always run serially (their
 // specs were validated to ask for at most one worker).
 func (s *Service) shareWorkers(spec sim.Spec) int {
-	name := spec.Backend
-	if name == "" {
-		name = "lgs"
-	}
-	def, ok := sim.Lookup(name)
+	def, ok := sim.Lookup(spec.BackendName())
 	if !ok || !def.Parallel {
 		return spec.Workers
 	}
@@ -479,26 +539,26 @@ func (s *Service) execute(r *run) {
 	wall := time.Since(start)
 	s.metrics.runWall.Observe(wall.Seconds())
 	if err != nil {
-		s.finishRun(r, StatusFailed, wall, err)
+		s.finishRun(r, wall, nil, nil, err)
 		return
 	}
 	s.metrics.foldRun(res.Metrics)
 	sweep := runSweep(r.id, &r.spec, res)
 	var buf bytes.Buffer
 	if err := results.EncodeJSON(&buf, sweep); err != nil {
-		s.finishRun(r, StatusFailed, wall, fmt.Errorf("service: encoding run artifact: %w", err))
+		s.finishRun(r, wall, nil, nil, fmt.Errorf("service: encoding run artifact: %w", err))
 		return
 	}
 	if s.store != nil {
 		if err := s.store.Save(sweep); err != nil {
-			s.finishRun(r, StatusFailed, wall, err)
+			s.finishRun(r, wall, nil, nil, err)
 			return
 		}
 		// The sidecar makes the artifact trustworthy again after a restart;
 		// a run whose sidecar cannot be written is failed like one whose
 		// artifact cannot, so "done with a store" always means "restorable".
 		if err := s.saveMeta(r, res); err != nil {
-			s.finishRun(r, StatusFailed, wall, err)
+			s.finishRun(r, wall, nil, nil, err)
 			return
 		}
 		// A trace is observability, not a result: failing to persist one
@@ -509,24 +569,29 @@ func (s *Service) execute(r *run) {
 			}
 		}
 	}
-	r.complete(res, buf.Bytes())
-	s.finishRun(r, StatusDone, wall, nil)
+	s.finishRun(r, wall, res, buf.Bytes(), nil)
 }
 
-// finishRun records a terminal run everywhere it must land: the failure
-// state (done runs were completed by the caller), the outcome counter,
-// the structured log, and the eviction order.
-func (s *Service) finishRun(r *run, st Status, wall time.Duration, err error) {
+// finishRun records a terminal run everywhere it must land — the outcome
+// counter, the structured log, the eviction order — and only then makes
+// it terminal (done with its result and artifact, or failed with err),
+// which releases its waiters: whoever sees the run finished also sees the
+// bookkeeping, and a failed run is always in the eviction order by the
+// time a re-submission drops it to retry.
+func (s *Service) finishRun(r *run, wall time.Duration, res *sim.Result, artifact []byte, err error) {
 	if err != nil {
-		r.fail(err)
-	}
-	s.metrics.runs.With(string(st)).Inc()
-	if err != nil {
+		s.metrics.runs.With(string(StatusFailed)).Inc()
 		s.log.Warn("service: run failed", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "err", err)
 	} else {
+		s.metrics.runs.With(string(StatusDone)).Inc()
 		s.log.Info("service: run finished", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "dropped_events", r.drops.Load())
 	}
 	s.noteDone(r.id)
+	if err != nil {
+		r.fail(err)
+	} else {
+		r.complete(res, artifact)
+	}
 }
 
 // noteDone records a terminal run (done or failed — both stay
@@ -546,7 +611,7 @@ func (s *Service) noteDone(id string) {
 			delete(s.runs, evict)
 		}
 	}
-	// Retried failures re-enter doneOrder; the dropLocked in Submit keeps
+	// Retried failures re-enter doneOrder; the dropLocked in admit keeps
 	// at most one entry per id, so no double-eviction bookkeeping is
 	// needed here.
 }

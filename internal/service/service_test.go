@@ -201,17 +201,7 @@ func TestQueueBound(t *testing.T) {
 	}
 	// The executor slot is busy (blocked in the factory); wait until the
 	// job has actually left the queue so the next submission occupies it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, _ := svc.Get(first.ID)
-		if snap.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, svc, first.ID)
 	second := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: 8192}},
 		Backend: "blocksim"}
 	if _, err := svc.Submit(second); err != nil {
@@ -695,17 +685,7 @@ func TestFairShareAcrossClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, _ := svc.Get(hold.ID)
-		if snap.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("holding job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, svc, hold.ID)
 	oseed := func(seed uint64) sim.Spec {
 		return sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 4, Bytes: 512, Phases: 2}},
 			Backend: "ordersim",
@@ -800,17 +780,7 @@ func TestSubmitSweepQueueFullAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, _ := svc.Get(hold.ID)
-		if snap.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("holding job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, svc, hold.ID)
 	specs := []sim.Spec{countSpec(7501), countSpec(7502)}
 	if _, err := svc.SubmitSweep("", specs); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("two-spec sweep into a one-slot queue: %v, want ErrQueueFull", err)

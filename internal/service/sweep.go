@@ -50,11 +50,12 @@ func (b BatchSnapshot) Total() int { return len(b.Runs) }
 // Terminal reports whether every member run reached a terminal state.
 func (b BatchSnapshot) Terminal() bool { return b.Done+b.Failed == len(b.Runs) }
 
-// SubmitSweep admits one batch of specs as a unit: every spec is
-// fingerprinted, duplicates collapse — against each other and against the
-// content-addressed cache — and the remaining cold runs are enqueued
-// atomically (all or none, so a sweep is never half-admitted; a queue
-// without room for all of them fails with ErrQueueFull). The batch stays
+// SubmitSweep admits one batch of specs as a unit, through the same admit
+// call as a single Submit: every spec is fingerprinted, duplicates
+// collapse — against each other and against the content-addressed cache —
+// and the remaining cold runs are enqueued atomically (all or none, so a
+// sweep is never half-admitted; a queue without room for all of them
+// fails with ErrQueueFull). The batch stays
 // addressable by its content-derived id for combined status and artifact
 // views. An empty class queues the sweep under its own per-batch fairness
 // class, so one giant sweep cannot starve interactive submissions.
@@ -65,133 +66,35 @@ func (s *Service) SubmitSweep(class string, specs []sim.Spec) (BatchSnapshot, er
 	if len(specs) > maxSweepSpecs {
 		return BatchSnapshot{}, fmt.Errorf("service: sweep has %d specs, the limit is %d", len(specs), maxSweepSpecs)
 	}
-	// Phase 1, without the service lock: resolve every spec to its content
-	// address, collapsing duplicates as they surface. A spec that fails to
-	// resolve rejects the whole batch before anything is admitted.
-	type member struct {
-		id      string
-		lookKey string
-		pinned  sim.Spec
-		fp      string
-	}
-	var order []string
-	members := map[string]*member{}
 	for i := range specs {
-		spec := specs[i]
-		if spec.Observer != nil {
+		if specs[i].Observer != nil {
 			return BatchSnapshot{}, fmt.Errorf("service: sweep spec %d: specs may not carry an Observer; use Subscribe on the returned run ids", i)
 		}
-		lookKey := s.lookasideKey(spec)
-		if lookKey != "" {
-			// The fast path spares resolving workloads for specs the cache
-			// already knows by their wire bytes. Failed runs fall through to
-			// the full path, which retries them (as in Submit).
-			s.mu.Lock()
-			id, ok := s.lookaside[lookKey]
-			if ok {
-				r, exists := s.runs[id]
-				ok = exists && r.snapshot().Status != StatusFailed
-			}
-			s.mu.Unlock()
-			if ok {
-				if _, dup := members[id]; !dup {
-					members[id] = &member{id: id, lookKey: lookKey}
-					order = append(order, id)
-				}
-				continue
-			}
-		}
-		s.resolveSem <- struct{}{}
-		pinned, fp, err := sim.ResolveSpec(spec)
-		<-s.resolveSem
-		if err != nil {
-			return BatchSnapshot{}, fmt.Errorf("service: sweep spec %d: %w", i, err)
-		}
-		id := "r_" + fp[:16]
-		if _, dup := members[id]; !dup {
-			members[id] = &member{id: id, lookKey: lookKey, pinned: pinned, fp: fp}
-			order = append(order, id)
-		}
 	}
-	batchID := sweepID(order)
-	if class == "" {
-		class = "sweep:" + batchID
-	}
-	// Phase 2, one critical section: join existing runs, retry failed
-	// ones, and enqueue every cold member atomically.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return BatchSnapshot{}, ErrClosed
-	}
-	snap := BatchSnapshot{ID: batchID, Specs: len(specs)}
-	var cold []*run
-	var coldMembers []*member
-	runs := make([]*run, 0, len(order))
-	for _, id := range order {
-		m := members[id]
-		if r, ok := s.runs[id]; ok {
-			rs := r.snapshot()
-			if rs.Status != StatusFailed {
-				rs.Cached = true
-				snap.Runs = append(snap.Runs, rs)
-				runs = append(runs, r)
-				if m.lookKey != "" {
-					s.lookaside[m.lookKey] = id
-					r.lookKeys = append(r.lookKeys, m.lookKey)
-				}
-				continue
-			}
-			// A failure is not a result: drop and retry, as Submit does.
-			s.dropLocked(id)
+	adm, at, err := s.admit(class, specs)
+	if err != nil {
+		if at >= 0 {
+			err = fmt.Errorf("service: sweep spec %d: %w", at, err)
 		}
-		if m.fp == "" {
-			// The member was admitted via the lookaside fast path but its
-			// run vanished in between (evicted, or failed and dropped).
-			// Fall back to a full resolve outside the next lock cycle is
-			// not worth the complexity — resolve here is impossible without
-			// the workload, so reject the race loudly; the client retries.
-			s.mu.Unlock()
-			return BatchSnapshot{}, fmt.Errorf("service: sweep member %s was evicted during admission; retry the sweep", id)
-		}
-		r := newRun(id, m.fp, m.pinned)
-		r.class = class
-		r.mx = s.metrics
-		cold = append(cold, r)
-		coldMembers = append(coldMembers, m)
-		runs = append(runs, r)
-		snap.Runs = append(snap.Runs, r.snapshot())
-	}
-	if err := s.sched.push(class, cold...); err != nil {
-		s.mu.Unlock()
 		return BatchSnapshot{}, err
 	}
-	for i, r := range cold {
-		s.runs[r.id] = r
-		if key := coldMembers[i].lookKey; key != "" {
-			s.lookaside[key] = r.id
-			r.lookKeys = append(r.lookKeys, key)
-		}
-	}
-	s.noteBatchLocked(&batch{id: batchID, specs: len(specs), runs: runs})
-	s.mu.Unlock()
-	for _, rs := range snap.Runs {
-		switch {
-		case rs.Status == StatusDone:
+	b := &batch{specs: len(specs), runs: make([]*run, len(adm))}
+	snap := BatchSnapshot{Specs: len(specs), Runs: make([]Snapshot, len(adm))}
+	ids := make([]string, len(adm))
+	for i, a := range adm {
+		b.runs[i], snap.Runs[i], ids[i] = a.run, a.snap, a.run.id
+		if a.snap.Status == StatusDone {
 			snap.Done++
-		case rs.Status == StatusFailed:
-			snap.Failed++
 		}
-		if rs.Cached {
+		if a.snap.Cached {
 			snap.Cached++
-			s.metrics.cacheRequests.With("hit").Inc()
-			if !rs.Status.Terminal() {
-				s.metrics.singleflight.Inc()
-			}
-		} else {
-			s.metrics.cacheRequests.With("miss").Inc()
 		}
 	}
+	b.id = sweepID(ids)
+	snap.ID = b.id
+	s.mu.Lock()
+	s.noteBatchLocked(b)
+	s.mu.Unlock()
 	return snap, nil
 }
 

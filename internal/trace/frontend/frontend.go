@@ -15,16 +15,14 @@
 package frontend
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 
 	"atlahs/internal/goal"
+	"atlahs/internal/registry"
 )
 
 // Definition describes one registered workload frontend: a trace format
@@ -48,9 +46,9 @@ type Definition struct {
 	// reader positioned at the start of the trace.
 	Convert func(r io.Reader, cfg any) (*goal.Schedule, error)
 	// ConvertBytes, when non-nil, converts a trace already held in memory
-	// without the reader indirection — the fast path for formats with a
-	// zero-copy decoder (the "goal" frontend routes binary schedules
-	// through goal.ParseBinary here). It must accept exactly the inputs
+	// without the reader indirection — the path that keeps a GOAL schedule
+	// carried in Spec.Trace copy-free (the "goal" frontend hands the
+	// caller's slice to goal.Decode here). It must accept exactly the inputs
 	// Convert accepts and produce identical schedules; callers fall back
 	// to Convert when it is nil.
 	ConvertBytes func(b []byte, cfg any) (*goal.Schedule, error)
@@ -66,10 +64,7 @@ type Definition struct {
 // SniffLen is how many leading bytes detection hands to Sniff.
 const SniffLen = 4096
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]Definition
-}{m: map[string]Definition{}}
+var frontends = registry.New[Definition]("frontend:")
 
 // Register adds a frontend to the registry. The built-in frontends
 // self-register at init; third parties register theirs the same way.
@@ -77,60 +72,36 @@ var registry = struct {
 // taken panics: those are programming errors at wiring time, not runtime
 // conditions.
 func Register(def Definition) {
-	if def.Name == "" {
-		panic("frontend: Register with empty frontend name")
-	}
 	if def.Convert == nil {
 		panic(fmt.Sprintf("frontend: Register(%q) with nil converter", def.Name))
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[def.Name]; dup {
-		panic(fmt.Sprintf("frontend: %q registered twice", def.Name))
-	}
-	registry.m[def.Name] = def
+	frontends.Register(def.Name, def)
 }
 
 // Lookup returns the named frontend's definition.
-func Lookup(name string) (Definition, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	def, ok := registry.m[name]
-	return def, ok
-}
+func Lookup(name string) (Definition, bool) { return frontends.Lookup(name) }
 
 // Names lists the registered frontend names, sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return frontends.Names() }
 
 // Detect resolves which frontend owns a trace: content sniffing on the
 // prefix first (exactly one sniffer may claim it), the path's extension
 // as the fallback. path may be empty for in-memory traces.
 func Detect(prefix []byte, path string) (Definition, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		names = append(names, name)
+	names := Names()
+	def := func(name string) Definition {
+		d, _ := Lookup(name) // names only grow: a listed name resolves
+		return d
 	}
-	sort.Strings(names)
 
 	var matches []string
 	for _, name := range names {
-		if s := registry.m[name].Sniff; s != nil && s(prefix) {
+		if s := def(name).Sniff; s != nil && s(prefix) {
 			matches = append(matches, name)
 		}
 	}
 	if len(matches) == 1 {
-		return registry.m[matches[0]], nil
+		return def(matches[0]), nil
 	}
 	if len(matches) > 1 {
 		return Definition{}, fmt.Errorf("frontend: trace matches %d formats (%s); name one explicitly",
@@ -141,14 +112,14 @@ func Detect(prefix []byte, path string) (Definition, error) {
 		// error, not an alphabetical pick.
 		var claims []string
 		for _, name := range names {
-			for _, e := range registry.m[name].Extensions {
+			for _, e := range def(name).Extensions {
 				if e == ext {
 					claims = append(claims, name)
 				}
 			}
 		}
 		if len(claims) == 1 {
-			return registry.m[claims[0]], nil
+			return def(claims[0]), nil
 		}
 		if len(claims) > 1 {
 			return Definition{}, fmt.Errorf("frontend: extension %q is claimed by %d frontends (%s); name one explicitly",
@@ -165,19 +136,7 @@ func Detect(prefix []byte, path string) (Definition, error) {
 // Frontend converters — including third-party ones — are expected to
 // route their cfg through this so mismatch errors read uniformly.
 func ConfigAs[T any](frontendName string, cfg any) (T, error) {
-	var zero T
-	switch v := cfg.(type) {
-	case nil:
-		return zero, nil
-	case T:
-		return v, nil
-	case *T:
-		if v == nil {
-			return zero, nil
-		}
-		return *v, nil
-	}
-	return zero, fmt.Errorf("frontend: %q wants a %T config, got %T", frontendName, zero, cfg)
+	return registry.ConfigAs[T]("frontend:", frontendName, cfg)
 }
 
 // FirstLine returns the first line of prefix that is neither blank nor a
@@ -209,39 +168,31 @@ func FirstLine(prefix []byte, commentPrefixes ...string) []byte {
 	return nil
 }
 
-// goalBinaryMagic mirrors internal/goal's binary header.
-const goalBinaryMagic = "GOALB1\n"
-
 func init() {
 	// The GOAL codecs themselves are the pass-through frontend: a "trace"
-	// that is already a schedule, textual or binary.
+	// that is already a schedule, textual or binary. ConvertBytes is the
+	// path in-memory traces (Spec.Trace, the service's wire specs) take:
+	// goal.Decode walks the caller's slice in place, so a binary schedule
+	// is never copied on its way to the decoder.
+	decode := func(b []byte, cfg any) (*goal.Schedule, error) {
+		if cfg != nil {
+			return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
+		}
+		return goal.Decode(b)
+	}
 	Register(Definition{
 		Name:       "goal",
 		Extensions: []string{".goal", ".bin"},
 		Sniff: func(prefix []byte) bool {
-			if bytes.HasPrefix(prefix, []byte(goalBinaryMagic)) {
-				return true
-			}
-			return bytes.HasPrefix(FirstLine(prefix, "//"), []byte("num_ranks "))
+			return goal.IsBinary(prefix) || bytes.HasPrefix(FirstLine(prefix, "//"), []byte("num_ranks "))
 		},
 		Convert: func(r io.Reader, cfg any) (*goal.Schedule, error) {
-			if cfg != nil {
-				return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
+			b, err := io.ReadAll(r)
+			if err != nil {
+				return nil, err
 			}
-			br := bufio.NewReaderSize(r, 1<<16)
-			if magic, err := br.Peek(len(goalBinaryMagic)); err == nil && string(magic) == goalBinaryMagic {
-				return goal.ReadBinary(br)
-			}
-			return goal.ParseText(br)
+			return decode(b, cfg)
 		},
-		ConvertBytes: func(b []byte, cfg any) (*goal.Schedule, error) {
-			if cfg != nil {
-				return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
-			}
-			if bytes.HasPrefix(b, []byte(goalBinaryMagic)) {
-				return goal.ParseBinary(b)
-			}
-			return goal.ParseText(bytes.NewReader(b))
-		},
+		ConvertBytes: decode,
 	})
 }

@@ -137,7 +137,7 @@ func MarshalSpec(sp Spec) ([]byte, error) {
 		}
 		ws.Jobs = append(ws.Jobs, *j)
 	}
-	name := sp.backendName()
+	name := sp.BackendName()
 	def, _ := Lookup(name)
 	if ws.Config, err = encodePayload("backend", name, def.NewConfig, sp.Config); err != nil {
 		return nil, err
@@ -241,7 +241,7 @@ func UnmarshalSpec(b []byte) (Spec, error) {
 		}
 		sp.Jobs = append(sp.Jobs, JobSpec{Workload: *j})
 	}
-	name := sp.backendName()
+	name := sp.BackendName()
 	def, ok := Lookup(name)
 	if !ok {
 		return Spec{}, fmt.Errorf("sim: unknown backend %q (registered: %s)", name, strings.Join(Backends(), ", "))
@@ -270,8 +270,8 @@ func decodeWorkload(w *wireJob) (*Workload, error) {
 		j.Model = &ModelGen{Ranks: w.Model.Ranks, Seed: w.Model.Seed, Doc: nilIfEmpty(w.Model.Doc)}
 	}
 	if len(w.Schedule) > 0 {
-		if !bytes.HasPrefix(w.Schedule, []byte(goalMagic)) {
-			return nil, fmt.Errorf("sim: wire schedule payload must be binary GOAL (%s...); ship textual GOAL via goal_bytes", goalMagic)
+		if !goal.IsBinary(w.Schedule) {
+			return nil, fmt.Errorf("sim: wire schedule payload must be binary GOAL; ship textual GOAL via goal_bytes")
 		}
 		s, err := goal.ParseBinary(w.Schedule)
 		if err != nil {
@@ -467,7 +467,7 @@ func ResolveSpec(sp Spec) (Spec, string, error) {
 	if err != nil {
 		return Spec{}, "", err
 	}
-	name := sp.backendName()
+	name := sp.BackendName()
 	def, _ := Lookup(name)
 	cfgRaw, err := encodePayload("backend", name, def.NewConfig, sp.Config)
 	if err != nil {

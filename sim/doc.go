@@ -35,7 +35,9 @@
 // "model" generator behind the model workload source — so third-party
 // traffic patterns plug in exactly like third-party frontends. On the
 // backend side, the registry built in PR 2 resolves Spec.Backend ("lgs",
-// "pkt", "fluid", or third-party).
+// "pkt", "fluid", or third-party). The three registries are one
+// implementation (internal/registry) behind three sets of exported names,
+// and all three may be registered into while runs resolve names.
 //
 // Workload synthesis closes the loop between ingestion and generation:
 // MineModel walks any resolved schedule — a converted trace, a loaded
@@ -87,7 +89,11 @@
 // the trace converters self-register into) and internal/sched (the GOAL
 // dependency scheduler), which drives any internal/core.Backend, which
 // schedules its events on internal/engine (the serial and parallel
-// discrete-event cores). Commands and examples program exclusively
+// discrete-event cores — Run owns the one rule that picks between them:
+// the lane engine when more than one worker is asked of a backend with a
+// positive lookahead on more than one rank, the serial engine otherwise,
+// and an error when workers are asked of a backend that cannot shard).
+// Commands and examples program exclusively
 // against sim (or internal/service above it); nothing above this package
 // touches the scheduler, the engines, or the trace converters directly
 // (CI enforces both boundaries).

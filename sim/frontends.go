@@ -173,8 +173,8 @@ func DetectFrontend(path string) (Frontend, error) {
 
 // ConvertTrace converts an in-memory serialised trace into a GOAL
 // schedule through the frontend registry; see ConvertTraceFile. Frontends
-// with a zero-copy byte decoder (Frontend.ConvertBytes — the "goal"
-// frontend's binary path) convert without the reader indirection.
+// that decode from bytes (Frontend.ConvertBytes — the "goal" frontend)
+// are handed b itself, so a binary schedule is never copied.
 func ConvertTrace(b []byte, frontendName string, cfg any) (*Schedule, error) {
 	prefix := b
 	if len(prefix) > frontend.SniffLen {

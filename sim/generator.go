@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"atlahs/internal/registry"
 	"atlahs/internal/workload/micro"
 	"atlahs/internal/workload/synth"
 )
@@ -41,50 +41,33 @@ type GeneratorDef struct {
 	New func(GenRequest) (*Schedule, error)
 }
 
-var generators = map[string]GeneratorDef{}
+var generators = registry.New[GeneratorDef]("sim: generator")
 
 // RegisterGenerator adds a workload generator to the registry. It panics
 // on an empty name, a nil constructor, or a duplicate registration —
 // generator names are a global namespace like backends and frontends.
 func RegisterGenerator(def GeneratorDef) {
-	if def.Name == "" {
-		panic("sim: RegisterGenerator with empty name")
-	}
 	if def.New == nil {
 		panic(fmt.Sprintf("sim: RegisterGenerator(%q) with nil constructor", def.Name))
 	}
-	if _, dup := generators[def.Name]; dup {
-		panic(fmt.Sprintf("sim: generator %q registered twice", def.Name))
-	}
-	generators[def.Name] = def
+	generators.Register(def.Name, def)
 }
 
 // LookupGenerator returns the registered generator definition.
-func LookupGenerator(name string) (GeneratorDef, bool) {
-	def, ok := generators[name]
-	return def, ok
-}
+func LookupGenerator(name string) (GeneratorDef, bool) { return generators.Lookup(name) }
 
 // Generators lists every registered generator name, sorted.
-func Generators() []string {
-	names := make([]string, 0, len(generators))
-	for name := range generators {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Generators() []string { return generators.Names() }
 
 // SyntheticPatterns lists the generator names Synthetic understands
 // (every registered generator that is not model-backed), sorted.
 func SyntheticPatterns() []string {
-	names := make([]string, 0, len(generators))
-	for name, def := range generators {
-		if !def.FromModel {
+	var names []string
+	for _, name := range Generators() {
+		if def, ok := LookupGenerator(name); ok && !def.FromModel {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -73,12 +73,13 @@ func TestGoldenLGSSerial(t *testing.T) {
 	}
 }
 
-// TestGoldenLGSParallel: sim.Run with Workers=4 must match the old
-// sched.RunParallel path bit for bit (which in turn matches serial — the
+// TestGoldenLGSParallel: sim.Run with Workers=4 must match hand-wiring
+// the 4-worker lane engine bit for bit (which in turn matches serial — the
 // engine equivalence suite in internal/backend pins that).
 func TestGoldenLGSParallel(t *testing.T) {
 	for name, s := range goldenWorkloads() {
-		want, err := sched.RunParallel(4, s, backend.NewLGS(AIParams()), sched.Options{})
+		lgs := backend.NewLGS(AIParams())
+		want, err := sched.Run(engine.NewParallel(s.NumRanks(), 4, lgs.Lookahead()), s, lgs, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

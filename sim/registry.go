@@ -2,10 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"atlahs/internal/core"
+	"atlahs/internal/registry"
 )
 
 // Env is the per-run context handed to a backend factory: everything a
@@ -45,10 +44,7 @@ type Definition struct {
 	NewConfig func() any
 }
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]Definition
-}{m: map[string]Definition{}}
+var backends = registry.New[Definition]("sim: backend")
 
 // Register adds a backend to the registry. The built-in backends ("lgs",
 // "pkt", "fluid") self-register at init; third parties register theirs the
@@ -56,39 +52,17 @@ var registry = struct {
 // already taken panics: those are programming errors at wiring time, not
 // runtime conditions.
 func Register(def Definition) {
-	if def.Name == "" {
-		panic("sim: Register with empty backend name")
-	}
 	if def.New == nil {
 		panic(fmt.Sprintf("sim: Register(%q) with nil factory", def.Name))
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[def.Name]; dup {
-		panic(fmt.Sprintf("sim: backend %q registered twice", def.Name))
-	}
-	registry.m[def.Name] = def
+	backends.Register(def.Name, def)
 }
 
 // Lookup returns the named backend's definition.
-func Lookup(name string) (Definition, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	def, ok := registry.m[name]
-	return def, ok
-}
+func Lookup(name string) (Definition, bool) { return backends.Lookup(name) }
 
 // Backends lists the registered backend names, sorted.
-func Backends() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Backends() []string { return backends.Names() }
 
 // ConfigAs coerces a Spec.Config value to the backend's config type T:
 // nil and a nil *T select the zero value (defaults), T and *T pass
@@ -96,17 +70,5 @@ func Backends() []string {
 // Backend factories — including third-party ones — are expected to route
 // their cfg through this so mismatch errors read uniformly.
 func ConfigAs[T any](backendName string, cfg any) (T, error) {
-	var zero T
-	switch v := cfg.(type) {
-	case nil:
-		return zero, nil
-	case T:
-		return v, nil
-	case *T:
-		if v == nil {
-			return zero, nil
-		}
-		return *v, nil
-	}
-	return zero, fmt.Errorf("sim: backend %q wants a %T config, got %T", backendName, zero, cfg)
+	return registry.ConfigAs[T]("sim: backend", backendName, cfg)
 }

@@ -2,11 +2,15 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
+	"atlahs/internal/goal"
 	"atlahs/internal/workload/micro"
 )
 
@@ -175,4 +179,56 @@ func (b *instantBackend) Recv(ev core.RecvEvent) {
 func (b *instantBackend) Calc(ev core.CalcEvent) {
 	h := ev.Handle
 	b.eng.Schedule(b.eng.Now(), func() { b.over(h, b.eng.Now()) })
+}
+
+// TestRegistriesConcurrentUse: third parties may register while runs are
+// already resolving names, on any of the three registries (backends,
+// frontends, generators — one implementation). Run under -race. The
+// registrations outlive the test, so they are well-behaved: other tests
+// range over SyntheticPatterns and run what they find.
+func TestRegistriesConcurrentUse(t *testing.T) {
+	const writers, perWriter = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				name := fmt.Sprintf("concurrent-%d-%d", w, i)
+				Register(Definition{Name: name, New: func(any, Env) (core.Backend, error) {
+					return &fakeBackend{name: name}, nil
+				}})
+				RegisterFrontend(Frontend{Name: name, Convert: func(r io.Reader, _ any) (*Schedule, error) {
+					return goal.ParseText(r)
+				}})
+				RegisterGenerator(GeneratorDef{Name: name, New: func(req GenRequest) (*Schedule, error) {
+					return micro.Ring(req.Ranks, 64), nil
+				}})
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				_, be := Lookup("lgs")
+				_, fe := LookupFrontend("goal")
+				_, gen := LookupGenerator("ring")
+				if !be || !fe || !gen {
+					t.Errorf("built-ins during concurrent registration: backend lgs %v, frontend goal %v, generator ring %v", be, fe, gen)
+				}
+				_, _, _, _ = Backends(), Frontends(), Generators(), SyntheticPatterns()
+			}
+		}()
+	}
+	wg.Wait()
+	for kind, names := range map[string][]string{"backends": Backends(), "frontends": Frontends(), "generators": Generators()} {
+		found := 0
+		for _, n := range names {
+			if strings.HasPrefix(n, "concurrent-") {
+				found++
+			}
+		}
+		if found != writers*perWriter {
+			t.Fatalf("%s: %d of %d concurrent registrations listed", kind, found, writers*perWriter)
+		}
+	}
 }

@@ -106,7 +106,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := spec.backendName()
+	name := spec.BackendName()
 	def, _ := Lookup(name)
 	be, err := def.New(spec.Config, Env{Ranks: sch.NumRanks(), Seed: spec.Seed})
 	if err != nil {

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +76,57 @@ func TestSyntheticPatterns(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Spec{Workload: Workload{Synthetic: &Synthetic{Pattern: "nope", Ranks: 4}}}); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("unknown pattern: %v", err)
+	}
+}
+
+// TestRunEngineSelection pins the one engine-selection rule, which lives
+// in Run: whatever the worker request — GOMAXPROCS (-1), serial (0, 1) or
+// a pool — the result is bit-identical to the serial run; the lane engine
+// is used exactly when more than one worker is asked of a backend with a
+// positive lookahead on more than one rank; and a request it cannot honour
+// for want of a lookahead window (LogGOPS with L = 0) or of ranks runs
+// serially and says so in the Result.
+func TestRunEngineSelection(t *testing.T) {
+	same := func(label string, got, want *Result) {
+		t.Helper()
+		if got.Runtime != want.Runtime || got.Ops != want.Ops || got.Events != want.Events ||
+			!reflect.DeepEqual(got.RankEnd, want.RankEnd) {
+			t.Fatalf("%s: (%v, %d ops, %d events) differs from serial (%v, %d ops, %d events)",
+				label, got.Runtime, got.Ops, got.Events, want.Runtime, want.Ops, want.Events)
+		}
+	}
+	zeroL := AIParams()
+	zeroL.L = 0
+	for _, tc := range []struct {
+		name     string
+		spec     Spec
+		sharding bool // may this spec run on the lane engine at all
+	}{
+		{"lgs", Spec{Workload: Workload{Schedule: micro.BulkSynchronous(10, 4, 16384, 1500)}}, true},
+		{"zero-lookahead", Spec{Workload: Workload{Schedule: micro.Ring(8, 1024)}, Config: LGSConfig{Params: zeroL}}, false},
+		{"one-rank", Spec{Workload: Workload{Synthetic: &Synthetic{Pattern: "bsp", Ranks: 1, Bytes: 64}}}, false},
+	} {
+		serial, err := Run(context.Background(), tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, workers := range []int{-1, 0, 1, 3, 8} {
+			spec := tc.spec
+			spec.Workers = workers
+			got, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			same(fmt.Sprintf("%s workers=%d", tc.name, workers), got, serial)
+			wantWorkers := 1
+			if tc.sharding {
+				wantWorkers = resolveWorkers(workers)
+			}
+			if got.Workers != wantWorkers || got.Parallel != (wantWorkers > 1) {
+				t.Fatalf("%s workers=%d: ran with workers=%d parallel=%v, want workers=%d",
+					tc.name, workers, got.Workers, got.Parallel, wantWorkers)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -170,7 +167,7 @@ func (sp *Spec) Validate() error {
 			}
 		}
 	}
-	name := sp.backendName()
+	name := sp.BackendName()
 	def, ok := Lookup(name)
 	if !ok {
 		return fmt.Errorf("sim: unknown backend %q (registered: %s)", name, strings.Join(Backends(), ", "))
@@ -181,8 +178,8 @@ func (sp *Spec) Validate() error {
 	return nil
 }
 
-// backendName resolves the spec's backend field ("" means "lgs").
-func (sp *Spec) backendName() string {
+// BackendName resolves the spec's backend field ("" means "lgs").
+func (sp *Spec) BackendName() string {
 	if sp.Backend == "" {
 		return "lgs"
 	}
@@ -232,33 +229,15 @@ func placementPolicy(name string) (goal.Placement, error) {
 }
 
 // LoadGOAL reads a GOAL schedule file, textual or binary (auto-detected by
-// the GOALB1 magic). Binary files load whole and decode through the
-// zero-copy goal.ParseBinary path.
+// the binary magic; see DecodeGOAL).
 func LoadGOAL(path string) (*Schedule, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(len(goalMagic)); err == nil && string(magic) == goalMagic {
-		b, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		return goal.ParseBinary(b)
-	}
-	return goal.ParseText(br)
+	return goal.Decode(b)
 }
 
 // DecodeGOAL parses a serialised GOAL schedule, textual or binary
-// (auto-detected). Binary input decodes zero-copy via goal.ParseBinary.
-func DecodeGOAL(b []byte) (*Schedule, error) {
-	if bytes.HasPrefix(b, []byte(goalMagic)) {
-		return goal.ParseBinary(b)
-	}
-	return goal.ParseText(bytes.NewReader(b))
-}
-
-// goalMagic is the binary GOAL header (see internal/goal/binary.go).
-const goalMagic = "GOALB1"
+// (auto-detected). Binary input is decoded in place: b is not copied.
+func DecodeGOAL(b []byte) (*Schedule, error) { return goal.Decode(b) }

@@ -16,7 +16,7 @@ import (
 // path; exactly one source must be set.
 type Workload struct {
 	// GoalPath names a GOAL schedule file, textual or binary (auto-detected
-	// by the GOALB1 magic).
+	// by the binary magic).
 	GoalPath string
 	// GoalBytes holds a serialised GOAL schedule, textual or binary
 	// (auto-detected).
