@@ -1,9 +1,8 @@
-// Paired perf benchmarks for the allocation-lean hot path work: each
-// benchmark pins one before/after pair (PR 5 cold-vs-hit style) so
-// BENCH_ci.json records both sides of the trade and the analyze gate can
-// watch them drift. The shared workload is a 64-rank, multi-hundred-
-// thousand-op seeded schedule — big enough that allocation and barrier
-// behaviour dominate, small enough for bench-smoke's -benchtime 3x.
+// Paired perf benchmarks: each pins one off/on pair (PR 5 cold-vs-hit
+// style) so BENCH_ci.json records both sides of the trade and the analyze
+// gate can watch them drift. The shared workload is a 64-rank, multi-
+// hundred-thousand-op seeded schedule — big enough that allocation and
+// barrier behaviour dominate, small enough for bench-smoke's -benchtime 3x.
 package atlahs
 
 import (
@@ -11,10 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"atlahs/internal/backend"
-	"atlahs/internal/engine"
 	"atlahs/internal/goal"
-	"atlahs/internal/sched"
 	"atlahs/internal/workload/micro"
 	"atlahs/sim"
 )
@@ -29,56 +25,6 @@ var perfWorkload = sync.OnceValue(func() (w struct {
 	w.ops = w.s.ComputeStats().Ops
 	return w
 })
-
-// scatterLayout deep-copies a schedule into the pre-arena dependency
-// layout: one heap allocation per non-empty dependency list, the way
-// every decoder and builder produced schedules before the shared-arena
-// refactor.
-func scatterLayout(s *goal.Schedule) *goal.Schedule {
-	out := &goal.Schedule{Comment: s.Comment, Ranks: make([]goal.RankProgram, len(s.Ranks))}
-	scatter := func(deps [][]int32) [][]int32 {
-		c := make([][]int32, len(deps))
-		for i, d := range deps {
-			if len(d) > 0 {
-				c[i] = append([]int32(nil), d...)
-			}
-		}
-		return c
-	}
-	for r := range s.Ranks {
-		rp := &s.Ranks[r]
-		o := &out.Ranks[r]
-		o.Ops = append([]goal.Op(nil), rp.Ops...)
-		o.Requires = scatter(rp.Requires)
-		o.IRequires = scatter(rp.IRequires)
-	}
-	return out
-}
-
-// BenchmarkDepLayoutScatteredVsArena pairs the two dependency-storage
-// layouts through a full scheduler run: the same schedule once with
-// per-op dependency slices (the old layout) and once arena-backed. The
-// simulation itself is identical; the delta is allocation count, GC scan
-// work and dependency-walk locality.
-func BenchmarkDepLayoutScatteredVsArena(b *testing.B) {
-	w := perfWorkload()
-	scattered := scatterLayout(w.s)
-	run := func(b *testing.B, s *goal.Schedule) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			be := backend.NewLGS(backend.AIParams())
-			res, err := sched.Run(engine.New(), s, be, sched.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Ops != w.ops {
-				b.Fatal("incomplete run")
-			}
-		}
-	}
-	b.Run("scattered", func(b *testing.B) { run(b, scattered) })
-	b.Run("arena", func(b *testing.B) { run(b, w.s) })
-}
 
 // BenchmarkTelemetryOffVsOn pairs the observability tax: the shared
 // schedule through the sim facade with telemetry off (the default — the

@@ -70,10 +70,10 @@ func WriteBinary(w io.Writer, s *Schedule) error {
 				putU(uint64(op.CPU))
 			}
 		}
-		writeDeps := func(deps [][]int32) {
-			for i := range deps {
-				putU(uint64(len(deps[i])))
-				for _, d := range deps[i] {
+		writeDeps := func(deps Deps) {
+			for i := 0; i < deps.Len(); i++ {
+				putU(uint64(len(deps.Of(i))))
+				for _, d := range deps.Of(i) {
 					putS(int64(int32(i) - d))
 				}
 			}

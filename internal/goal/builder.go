@@ -9,22 +9,23 @@ type OpID int32
 // trace converter (Schedgen, the NCCL 4-stage pipeline, Direct Drive) and
 // workload generator. Builders are not safe for concurrent use.
 type Builder struct {
-	ranks   []rankBuilder
+	ranks   []RankBuilder
 	comment string
 }
 
-type rankBuilder struct {
-	ops       []Op
-	requires  [][]int32
-	irequires [][]int32
-}
+// depEdge is one logged dependency: op depends on dep.
+type depEdge struct{ op, dep int32 }
 
 // NewBuilder creates a builder for a schedule with nranks ranks.
 func NewBuilder(nranks int) *Builder {
 	if nranks <= 0 {
 		panic("goal: NewBuilder with non-positive rank count")
 	}
-	return &Builder{ranks: make([]rankBuilder, nranks)}
+	b := &Builder{ranks: make([]RankBuilder, nranks)}
+	for r := range b.ranks {
+		b.ranks[r].r = r
+	}
+	return b
 }
 
 // SetComment attaches a free-form comment stored with the schedule.
@@ -33,32 +34,35 @@ func (b *Builder) SetComment(c string) { b.comment = c }
 // NumRanks returns the schedule's rank count.
 func (b *Builder) NumRanks() int { return len(b.ranks) }
 
-// Rank returns the per-rank builder handle for rank r.
+// Rank returns the per-rank builder handle for rank r. Handles live in the
+// builder, so converters that ask for one per emitted op allocate nothing.
 func (b *Builder) Rank(r int) *RankBuilder {
 	if r < 0 || r >= len(b.ranks) {
 		panic(fmt.Sprintf("goal: rank %d out of range [0,%d)", r, len(b.ranks)))
 	}
-	return &RankBuilder{b: b, r: r}
+	return &b.ranks[r]
 }
 
-// RankBuilder adds ops and dependencies to one rank.
+// RankBuilder adds ops and dependencies to one rank. Ops go to one slice
+// and dependencies to one (op, dep) log per kind, in call order; Build
+// sorts the logs into tables. An op costs its 24 bytes and an edge 8 while
+// building, with nothing per op for dependencies it does not have.
 type RankBuilder struct {
-	b *Builder
-	r int
+	r         int
+	ops       []Op
+	requires  []depEdge
+	irequires []depEdge
 }
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
 
 // NumOps returns the number of ops added to this rank so far.
-func (rb *RankBuilder) NumOps() int { return len(rb.b.ranks[rb.r].ops) }
+func (rb *RankBuilder) NumOps() int { return len(rb.ops) }
 
 func (rb *RankBuilder) add(op Op) OpID {
-	rk := &rb.b.ranks[rb.r]
-	rk.ops = append(rk.ops, op)
-	rk.requires = append(rk.requires, nil)
-	rk.irequires = append(rk.irequires, nil)
-	return OpID(len(rk.ops) - 1)
+	rb.ops = append(rb.ops, op)
+	return OpID(len(rb.ops) - 1)
 }
 
 // Calc appends a computation of the given nanoseconds on stream 0.
@@ -94,19 +98,23 @@ func (rb *RankBuilder) RecvOn(size int64, src int, tag int32, cpu int32) OpID {
 // Requires adds completion dependencies: op starts only after each dep has
 // completed.
 func (rb *RankBuilder) Requires(op OpID, deps ...OpID) {
-	rk := &rb.b.ranks[rb.r]
-	for _, d := range deps {
-		rk.requires[op] = append(rk.requires[op], int32(d))
-	}
+	rb.requires = rb.log(rb.requires, op, deps)
 }
 
 // IRequires adds start dependencies: op starts only after each dep has
 // started.
 func (rb *RankBuilder) IRequires(op OpID, deps ...OpID) {
-	rk := &rb.b.ranks[rb.r]
-	for _, d := range deps {
-		rk.irequires[op] = append(rk.irequires[op], int32(d))
+	rb.irequires = rb.log(rb.irequires, op, deps)
+}
+
+func (rb *RankBuilder) log(edges []depEdge, op OpID, deps []OpID) []depEdge {
+	if op < 0 || int(op) >= len(rb.ops) {
+		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.ops)))
 	}
+	for _, d := range deps {
+		edges = append(edges, depEdge{int32(op), int32(d)})
+	}
+	return edges
 }
 
 // Chain links ops into a sequential requires chain (each op requires its
@@ -121,21 +129,39 @@ func (rb *RankBuilder) Chain(ops ...OpID) OpID {
 	return ops[len(ops)-1]
 }
 
-// Build assembles the final Schedule. The builder remains usable (the
-// schedule shares no mutable state with it after Build copies slices).
-// Dependency tables are packed into per-rank arenas (see arena.go) so the
-// built schedule costs a constant number of allocations per rank, not per
-// op.
+// Build assembles the final Schedule. The builder remains usable: the
+// schedule shares no memory with it.
 func (b *Builder) Build() *Schedule {
 	s := &Schedule{Comment: b.comment, Ranks: make([]RankProgram, len(b.ranks))}
 	for r := range b.ranks {
-		rk := &b.ranks[r]
+		rb := &b.ranks[r]
 		rp := &s.Ranks[r]
-		rp.Ops = append([]Op(nil), rk.ops...)
-		rp.Requires = packDeps(rk.requires)
-		rp.IRequires = packDeps(rk.irequires)
+		rp.Ops = append([]Op(nil), rb.ops...)
+		rp.Requires = tableOf(len(rb.ops), rb.requires)
+		rp.IRequires = tableOf(len(rb.ops), rb.irequires)
 	}
 	return s
+}
+
+// tableOf counting-sorts an edge log by op into a table of n lists (the
+// shifted-count fill is explained in Invert). The sort is stable, so each
+// op's list holds its dependencies in the order they were added — the
+// order the binary encoding, and with it every schedule fingerprint,
+// depends on.
+func tableOf(n int, log []depEdge) Deps {
+	d := newDeps(n, len(log))
+	off := d.off[:n+2]
+	for _, e := range log {
+		off[e.op+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for _, e := range log {
+		d.edges[off[e.op+1]] = e.dep
+		off[e.op+1]++
+	}
+	return d
 }
 
 // MustBuild assembles the Schedule and panics if validation fails. Intended

@@ -76,8 +76,8 @@ func Compose(policy Placement, jobs ...*Schedule) (*Schedule, [][]int, error) {
 					dst.Ops[i].Peer = int32(nodes[j][dst.Ops[i].Peer])
 				}
 			}
-			dst.Requires = copyDeps(rp.Requires)
-			dst.IRequires = copyDeps(rp.IRequires)
+			dst.Requires.AppendShifted(rp.Requires, 0)
+			dst.IRequires.AppendShifted(rp.IRequires, 0)
 		}
 	}
 	if err := out.Validate(); err != nil {
@@ -113,11 +113,4 @@ func placeJobs(policy Placement, sizes []int, total int) ([][]int, error) {
 		return nil, fmt.Errorf("goal: unknown placement %v", policy)
 	}
 	return nodes, nil
-}
-
-// copyDeps deep-copies a dependency table, packing it into a fresh arena
-// (arena.go) so the composed schedule keeps the one-allocation-per-table
-// layout regardless of how the source job was built.
-func copyDeps(deps [][]int32) [][]int32 {
-	return packDeps(deps)
 }

@@ -102,9 +102,12 @@ func TestComposeDoesNotAliasInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged.Ranks[0].Ops[0].Size = 999999
-	merged.Ranks[0].Requires[1][0] = 0
+	merged.Ranks[0].Requires.Of(1)[0] = 1
 	if a.Ranks[0].Ops[0].Size == 999999 {
 		t.Fatal("merged ops alias the input schedule")
+	}
+	if a.Ranks[0].Requires.Of(1)[0] != 0 {
+		t.Fatal("merged dependency table aliases the input schedule")
 	}
 }
 
@@ -114,12 +117,10 @@ func TestComposeErrors(t *testing.T) {
 	}
 	// A never-validated job with an out-of-range peer must come back as
 	// an error, not a panic in the peer rewrite.
-	bad := &Schedule{Ranks: []RankProgram{{
-		Ops:       []Op{{Kind: KindSend, Peer: 5, Size: 1}},
-		Requires:  make([][]int32, 1),
-		IRequires: make([][]int32, 1),
-	}, {}}}
-	bad.Ranks[1] = RankProgram{Ops: []Op{{Kind: KindCalc, Peer: -1}}, Requires: make([][]int32, 1), IRequires: make([][]int32, 1)}
+	b := NewBuilder(2)
+	b.Rank(0).Send(1, 5, 0)
+	b.Rank(1).Calc(0)
+	bad := b.Build()
 	if _, _, err := Compose(PlacePacked, bad); err == nil {
 		t.Fatal("invalid peer should error before merging")
 	}

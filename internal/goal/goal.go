@@ -20,6 +20,13 @@
 // trace converters and workload generators, a parser and printer for the
 // textual format (paper Fig 3), and a compact binary codec used for
 // storage-efficiency comparisons against Chakra (paper Fig 9).
+//
+// Dependency edges have one in-memory layout, Deps: a flat offset array
+// plus a flat edge array per table, both pointer-free. The builder, both
+// decoders, Compose and placement.Merge produce it; Validate, the codecs,
+// the scheduler and the synthesis miner read it through Deps.Of, and
+// Deps.Invert is the one routine that turns dependencies into successors.
+// The Deps doc comment has the byte accounting behind that choice.
 package goal
 
 import (
@@ -80,8 +87,8 @@ func (o Op) CalcDuration(scale float64) simtime.Duration {
 // emerges from send/recv matching during simulation).
 type RankProgram struct {
 	Ops       []Op
-	Requires  [][]int32 // Requires[i]: ops that must complete before op i starts
-	IRequires [][]int32 // IRequires[i]: ops that must have started before op i starts
+	Requires  Deps // Requires.Of(i): ops that must complete before op i starts
+	IRequires Deps // IRequires.Of(i): ops that must have started before op i starts
 }
 
 // NumOps returns the number of tasks in the rank program.
@@ -131,12 +138,7 @@ func (s *Schedule) ComputeStats() Stats {
 				st.CalcNanos += op.Size
 			}
 		}
-		for i := range rp.Requires {
-			st.DepEdges += int64(len(rp.Requires[i]))
-		}
-		for i := range rp.IRequires {
-			st.DepEdges += int64(len(rp.IRequires[i]))
-		}
+		st.DepEdges += int64(rp.Requires.NumEdges() + rp.IRequires.NumEdges())
 		if len(streams) > st.MaxStreams {
 			st.MaxStreams = len(streams)
 		}
@@ -145,18 +147,22 @@ func (s *Schedule) ComputeStats() Stats {
 }
 
 // Validate checks structural invariants: peer ranks in range, non-negative
-// sizes, dependency indices in range, and per-rank acyclicity (Kahn's
-// algorithm over requires+irequires edges). It returns the first violation
-// found.
+// sizes, dependency indices in range, and per-rank acyclicity over
+// requires+irequires edges. It returns the first violation found.
 func (s *Schedule) Validate() error {
 	n := int32(s.NumRanks())
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		nops := int32(len(rp.Ops))
-		if len(rp.Requires) != int(nops) || len(rp.IRequires) != int(nops) {
+		if rp.Requires.Len() != int(nops) || rp.IRequires.Len() != int(nops) {
 			return fmt.Errorf("goal: rank %d: dependency table length mismatch (%d ops, %d requires, %d irequires)",
-				r, nops, len(rp.Requires), len(rp.IRequires))
+				r, nops, rp.Requires.Len(), rp.IRequires.Len())
 		}
+		// ordered: every edge points at an earlier op, which is how
+		// builders and most trace converters emit them. Index order is
+		// then a topological order and the rank is acyclic without
+		// looking further.
+		ordered := true
 		for i := range rp.Ops {
 			op := &rp.Ops[i]
 			if op.Size < 0 {
@@ -174,73 +180,58 @@ func (s *Schedule) Validate() error {
 			default:
 				return fmt.Errorf("goal: rank %d op %d: unknown kind %d", r, i, op.Kind)
 			}
-			for _, d := range rp.Requires[i] {
+			for _, d := range rp.Requires.Of(i) {
 				if d < 0 || d >= nops {
 					return fmt.Errorf("goal: rank %d op %d: requires index %d out of range", r, i, d)
 				}
+				ordered = ordered && d < int32(i)
 			}
-			for _, d := range rp.IRequires[i] {
+			for _, d := range rp.IRequires.Of(i) {
 				if d < 0 || d >= nops {
 					return fmt.Errorf("goal: rank %d op %d: irequires index %d out of range", r, i, d)
 				}
+				ordered = ordered && d < int32(i)
 			}
 		}
-		if err := checkAcyclic(rp); err != nil {
-			return fmt.Errorf("goal: rank %d: %w", r, err)
+		if !ordered {
+			if err := checkAcyclic(rp); err != nil {
+				return fmt.Errorf("goal: rank %d: %w", r, err)
+			}
 		}
 	}
 	return nil
 }
 
+// checkAcyclic runs Kahn's algorithm on the transposed graph: it peels ops
+// that no unpeeled op depends on, walking the dependency lists themselves,
+// so it needs no successor table. A graph has a cycle exactly when its
+// transpose does.
 func checkAcyclic(rp *RankProgram) error {
 	n := len(rp.Ops)
-	// Successor adjacency from both edge kinds in CSR form — count,
-	// prefix-sum, fill — so validating a rank costs a fixed handful of
-	// allocations instead of one slice grow per op with successors.
-	total := 0
-	indeg := make([]int32, n)
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		for _, d := range rp.Requires[i] {
-			off[d+1]++
-			indeg[i]++
-		}
-		for _, d := range rp.IRequires[i] {
-			off[d+1]++
-			indeg[i]++
-		}
-		total += len(rp.Requires[i]) + len(rp.IRequires[i])
+	dependents := make([]int32, n) // unpeeled ops that depend on op i
+	for _, d := range rp.Requires.edges {
+		dependents[d]++
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	succ := make([]int32, total)
-	cur := append([]int32(nil), off[:n]...)
-	for i := 0; i < n; i++ {
-		for _, d := range rp.Requires[i] {
-			succ[cur[d]] = int32(i)
-			cur[d]++
-		}
-		for _, d := range rp.IRequires[i] {
-			succ[cur[d]] = int32(i)
-			cur[d]++
-		}
+	for _, d := range rp.IRequires.edges {
+		dependents[d]++
 	}
 	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
+	for i, c := range dependents {
+		if c == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
 	seen := 0
 	for len(queue) > 0 {
-		v := queue[len(queue)-1]
+		v := int(queue[len(queue)-1])
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, w := range succ[off[v]:off[v+1]] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+		for _, deps := range [2][]int32{rp.Requires.Of(v), rp.IRequires.Of(v)} {
+			for _, d := range deps {
+				dependents[d]--
+				if dependents[d] == 0 {
+					queue = append(queue, d)
+				}
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestBuilderPaperExample(t *testing.T) {
 	if rp.Ops[2].CPU != 1 {
 		t.Fatalf("l3 cpu=%d, want 1", rp.Ops[2].CPU)
 	}
-	if got := rp.Requires[3]; len(got) != 2 {
+	if got := rp.Requires.Of(3); len(got) != 2 {
 		t.Fatalf("l4 deps=%v", got)
 	}
 	st := s.ComputeStats()
@@ -112,7 +112,7 @@ func TestChain(t *testing.T) {
 		t.Fatalf("Chain returned %d, want %d", last, d)
 	}
 	s := b.MustBuild()
-	if !reflect.DeepEqual(s.Ranks[0].Requires[int(c)], []int32{int32(a)}) {
+	if !reflect.DeepEqual(s.Ranks[0].Requires.Of(int(c)), []int32{int32(a)}) {
 		t.Fatalf("chain deps wrong: %v", s.Ranks[0].Requires)
 	}
 }
@@ -161,7 +161,7 @@ r: recv 10b from 0
 	if s.Ranks[0].Ops[2].CPU != 1 {
 		t.Fatal("cpu attribute lost")
 	}
-	if len(s.Ranks[0].Requires[3]) != 2 {
+	if len(s.Ranks[0].Requires.Of(3)) != 2 {
 		t.Fatal("multi requires lost")
 	}
 }
@@ -181,7 +181,7 @@ b: calc 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Ranks[0].Requires[0]) != 1 {
+	if len(s.Ranks[0].Requires.Of(0)) != 1 {
 		t.Fatal("forward dependency lost")
 	}
 }
@@ -293,7 +293,7 @@ func schedulesEqual(a, b *Schedule) bool {
 			}
 		}
 		for i := range x.Ops {
-			if !sameList(x.Requires[i], y.Requires[i]) || !sameList(x.IRequires[i], y.IRequires[i]) {
+			if !sameList(x.Requires.Of(i), y.Requires.Of(i)) || !sameList(x.IRequires.Of(i), y.IRequires.Of(i)) {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package goal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // The binary decoder. ParseBinary walks one in-memory buffer with a
@@ -12,7 +13,7 @@ import (
 // checking it fits in the bytes that remain (every op costs at least two
 // encoded bytes, every dependency at least one): a hostile header cannot
 // claim gigabytes up front (found by FuzzBinaryRoundTrip), and a truthful
-// one lets ops and dependency arenas be allocated once at final size.
+// one lets ops and dependency tables be allocated once at final size.
 // Every ingestion path ends here — sim.ResolveSpec, the frontend
 // registry, atlahsd's workload resolution and ReadBinary — because all of
 // them hold the full file in memory anyway.
@@ -59,7 +60,7 @@ func (c *byteCursor) byte() (byte, error) {
 }
 
 // ParseBinary decodes a schedule from an in-memory compact binary buffer
-// and validates it, allocating each rank's ops and dependency arena
+// and validates it, allocating each rank's ops and dependency tables
 // exactly once. data is read in place and not retained.
 func ParseBinary(data []byte) (*Schedule, error) {
 	if !IsBinary(data) {
@@ -145,47 +146,40 @@ func ParseBinary(data []byte) (*Schedule, error) {
 
 // parseDeps decodes one dependency table in two passes over the same
 // bytes: the first sizes (and bounds-checks) the table, the second fills
-// a single exactly-sized arena. Varint scanning is cheap enough that the
-// extra pass costs less than even one slice grow-and-copy.
-func parseDeps(c *byteCursor, nops int) ([][]int32, error) {
+// it. Varint scanning is cheap enough that the extra pass costs less than
+// even one slice grow-and-copy.
+func parseDeps(c *byteCursor, nops int) (Deps, error) {
 	mark := c.off
 	total := 0
 	for i := 0; i < nops; i++ {
 		n, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return Deps{}, err
 		}
 		if n > uint64(c.remaining()) {
-			return nil, fmt.Errorf("op %d: dependency count %d exceeds remaining input (%d bytes)", i, n, c.remaining())
+			return Deps{}, fmt.Errorf("op %d: dependency count %d exceeds remaining input (%d bytes)", i, n, c.remaining())
 		}
 		total += int(n)
 		for j := uint64(0); j < n; j++ {
 			if _, err := c.varint(); err != nil {
-				return nil, err
+				return Deps{}, err
 			}
 		}
 	}
-	out := make([][]int32, nops)
-	c.off = mark
-	if total == 0 {
-		// Lists are all empty; just re-consume the zero counts.
-		for i := 0; i < nops; i++ {
-			c.uvarint()
-		}
-		return out, nil
+	if total > math.MaxInt32 {
+		return Deps{}, fmt.Errorf("%d dependencies exceed the table's 32-bit offsets", total)
 	}
-	arena := make([]int32, 0, total)
+	d := newDeps(nops, total)
+	c.off = mark
+	at := int32(0)
 	for i := 0; i < nops; i++ {
 		n, _ := c.uvarint() // validated by the sizing pass
-		if n == 0 {
-			continue
-		}
-		start := len(arena)
-		for j := uint64(0); j < n; j++ {
+		for ; n > 0; n-- {
 			delta, _ := c.varint()
-			arena = append(arena, int32(i)-int32(delta))
+			d.edges[at] = int32(i) - int32(delta)
+			at++
 		}
-		out[i] = arena[start:len(arena):len(arena)]
+		d.off[i+1] = at
 	}
-	return out, nil
+	return d, nil
 }

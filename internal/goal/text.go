@@ -58,10 +58,10 @@ func WriteText(w io.Writer, s *Schedule) error {
 			bw.WriteByte('\n')
 		}
 		for i := range rp.Ops {
-			for _, d := range rp.Requires[i] {
+			for _, d := range rp.Requires.Of(i) {
 				fmt.Fprintf(bw, "l%d requires l%d\n", i+1, d+1)
 			}
-			for _, d := range rp.IRequires[i] {
+			for _, d := range rp.IRequires.Of(i) {
 				fmt.Fprintf(bw, "l%d irequires l%d\n", i+1, d+1)
 			}
 		}

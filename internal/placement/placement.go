@@ -163,9 +163,9 @@ func Merge(nnodes int, jobs ...Job) (*goal.Schedule, error) {
 					}
 				}
 				dst.Ops = append(dst.Ops, op)
-				dst.Requires = append(dst.Requires, shift(rp.Requires[i], base))
-				dst.IRequires = append(dst.IRequires, shift(rp.IRequires[i], base))
 			}
+			dst.Requires.AppendShifted(rp.Requires, base)
+			dst.IRequires.AppendShifted(rp.IRequires, base)
 		}
 		streamBase += jobMaxStream + 1
 	}
@@ -173,17 +173,6 @@ func Merge(nnodes int, jobs ...Job) (*goal.Schedule, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func shift(deps []int32, base int32) []int32 {
-	if len(deps) == 0 {
-		return nil
-	}
-	out := make([]int32, len(deps))
-	for i, d := range deps {
-		out[i] = d + base
-	}
-	return out
 }
 
 // Remap returns a copy of s with rank i moved to node mapping[i] on a

@@ -47,10 +47,10 @@ type Result struct {
 }
 
 type rankState struct {
-	needComplete []int32 // outstanding `requires` per op
-	needStart    []int32 // outstanding `irequires` per op
-	reqSucc      [][]int32
-	ireqSucc     [][]int32
+	needComplete []int32   // outstanding `requires` per op
+	needStart    []int32   // outstanding `irequires` per op
+	reqSucc      goal.Deps // ops whose `requires` name this op
+	ireqSucc     goal.Deps // ops whose `irequires` name this op
 	issued       []bool
 	completed    []bool
 	// outstanding/peakOut track issued-but-incomplete ops. Like the other
@@ -73,8 +73,9 @@ type runner struct {
 }
 
 // Run simulates schedule s on backend be using eng. It returns an error if
-// the schedule deadlocks (events drained with ops still pending), which
-// indicates an invalid schedule (e.g. unmatched sends/recvs).
+// s is structurally invalid (whatever Schedule.Validate rejects), or if it
+// deadlocks (events drained with ops still pending), which indicates
+// unmatched sends/recvs.
 func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -103,20 +104,19 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		st := &r.ranks[rank]
 		n := len(rp.Ops)
 		// Fused allocations: both counter slices share one backing array,
-		// as do both flag slices, and the successor tables are CSR views
-		// into one arena each — constant allocations per rank instead of
-		// O(ops) ones on dependency-heavy schedules.
+		// as do both flag slices — with the two CSR successor tables, a
+		// constant number of allocations per rank however many ops it has.
 		counters := make([]int32, 2*n)
 		st.needComplete = counters[:n:n]
 		st.needStart = counters[n:]
 		flags := make([]bool, 2*n)
 		st.issued = flags[:n:n]
 		st.completed = flags[n:]
-		st.reqSucc = invertDeps(rp.Requires)
-		st.ireqSucc = invertDeps(rp.IRequires)
+		st.reqSucc = rp.Requires.Invert()
+		st.ireqSucc = rp.IRequires.Invert()
 		for i := 0; i < n; i++ {
-			st.needComplete[i] = int32(len(rp.Requires[i]))
-			st.needStart[i] = int32(len(rp.IRequires[i]))
+			st.needComplete[i] = int32(len(rp.Requires.Of(i)))
+			st.needStart[i] = int32(len(rp.IRequires.Of(i)))
 		}
 		r.total += int64(n)
 	}
@@ -148,50 +148,6 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		}
 	}
 	return res, nil
-}
-
-// invertDeps builds per-op successor lists from per-op dependency lists
-// in CSR form: two passes — count successors per op, then fill one shared
-// arena — producing the same lists, in the same order, as the old
-// append-per-edge construction but with three allocations total instead
-// of one per op with successors.
-func invertDeps(deps [][]int32) [][]int32 {
-	n := len(deps)
-	out := make([][]int32, n)
-	total := 0
-	counts := make([]int32, n)
-	for i := range deps {
-		for _, d := range deps[i] {
-			counts[d]++
-		}
-		total += len(deps[i])
-	}
-	if total == 0 {
-		return out
-	}
-	arena := make([]int32, total)
-	// counts doubles as the running fill cursor (offset of the next free
-	// slot for each op's list) during the fill pass.
-	off := int32(0)
-	for i, c := range counts {
-		counts[i] = off
-		off += c
-	}
-	for i := range deps {
-		for _, d := range deps[i] {
-			arena[counts[d]] = int32(i)
-			counts[d]++
-		}
-	}
-	start := int32(0)
-	for i := range out {
-		end := counts[i]
-		if end > start {
-			out[i] = arena[start:end:end]
-		}
-		start = end
-	}
-	return out
 }
 
 // reserveHeaps pre-sizes the engine's event heaps from the schedule's op
@@ -235,7 +191,7 @@ func (r *runner) issue(rank int, op int32) {
 		st.peakOut = st.outstanding
 	}
 	// notify irequires successors: the op has started
-	for _, succ := range st.ireqSucc[op] {
+	for _, succ := range st.ireqSucc.Of(int(op)) {
 		st.needStart[succ]--
 		if st.needStart[succ] == 0 && st.needComplete[succ] == 0 && !st.issued[succ] {
 			r.issue(rank, succ)
@@ -266,7 +222,7 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	if at > r.end[rank] {
 		r.end[rank] = at
 	}
-	for _, succ := range st.reqSucc[op] {
+	for _, succ := range st.reqSucc.Of(int(op)) {
 		st.needComplete[succ]--
 		if st.needComplete[succ] == 0 && st.needStart[succ] == 0 && !st.issued[succ] {
 			r.issue(rank, succ)

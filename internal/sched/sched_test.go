@@ -1,13 +1,17 @@
 package sched
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
+	"atlahs/internal/backend"
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
 	"atlahs/internal/goal"
 	"atlahs/internal/simtime"
+	"atlahs/internal/workload/micro"
 )
 
 // stubBackend is a minimal deterministic core.Backend: every operation
@@ -174,5 +178,143 @@ func TestRunRejectsUndersizedParEngine(t *testing.T) {
 	eng := engine.NewParallel(2, 2, simtime.Microsecond)
 	if _, err := Run(eng, s, newStub(0), Options{}); err == nil {
 		t.Fatal("expected lane-count error")
+	}
+}
+
+// TestRunRejectsInvalidSchedules: Run inverts the dependency tables, which
+// indexes by edge value, so it must not trust its caller to have validated:
+// each class of invalid schedule comes back as Run's own error, before the
+// backend is even set up.
+func TestRunRejectsInvalidSchedules(t *testing.T) {
+	build := func(edit func(r0 *goal.RankBuilder)) *goal.Schedule {
+		b := goal.NewBuilder(2)
+		r0 := b.Rank(0)
+		first := r0.Calc(1)
+		r0.Requires(r0.Calc(2), first) // op 1 requires op 0
+		b.Rank(1).Calc(1)
+		edit(r0)
+		return b.Build()
+	}
+	truncated := build(func(*goal.RankBuilder) {})
+	truncated.Ranks[0].IRequires = goal.Deps{}
+	for _, tc := range []struct {
+		name, want string
+		s          *goal.Schedule
+	}{
+		{"cycle", "dependency cycle", build(func(r0 *goal.RankBuilder) { r0.IRequires(0, 1) })},
+		{"self edge", "dependency cycle", build(func(r0 *goal.RankBuilder) { r0.Requires(1, 1) })},
+		{"requires out of range", "requires index 7 out of range", build(func(r0 *goal.RankBuilder) { r0.Requires(0, 7) })},
+		{"irequires negative", "irequires index -1 out of range", build(func(r0 *goal.RankBuilder) { r0.IRequires(1, -1) })},
+		{"bad peer", "peer 2 out of range", build(func(r0 *goal.RankBuilder) { r0.Send(8, 2, 0) })},
+		{"self send", "self-send", build(func(r0 *goal.RankBuilder) { r0.Send(8, 0, 0) })},
+		{"negative size", "negative size", build(func(r0 *goal.RankBuilder) { r0.Calc(-5) })},
+		{"table length", "dependency table length mismatch", truncated},
+	} {
+		be := newStub(0)
+		_, err := Run(engine.New(), tc.s, be, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		if verr := tc.s.Validate(); verr == nil || err == nil || verr.Error() != err.Error() {
+			t.Errorf("%s: Run said %v, Validate said %v", tc.name, err, verr)
+		}
+		if be.eng != nil {
+			t.Errorf("%s: backend was set up for an invalid schedule", tc.name)
+		}
+	}
+	// A forward edge alone is legal: op 0 waits for op 1.
+	forward := goal.NewBuilder(1)
+	f0 := forward.Rank(0)
+	f0.Requires(f0.Calc(1), 1)
+	f0.Calc(2)
+	be := newStub(0)
+	if _, err := Run(engine.New(), forward.Build(), be, Options{}); err != nil {
+		t.Fatalf("forward dependency rejected: %v", err)
+	}
+	if got := strings.Join(be.issued, ", "); got != "calc r0.1, calc r0.0" {
+		t.Fatalf("dispatch order %q", got)
+	}
+}
+
+// chains builds nranks independent chains of nops calcs each: every op
+// but the first has one dependency, like trace-converted GOAL.
+func chains(nranks, nops int) *goal.Schedule {
+	b := goal.NewBuilder(nranks)
+	for r := 0; r < nranks; r++ {
+		rb := b.Rank(r)
+		prev := rb.Calc(1)
+		for i := 1; i < nops; i++ {
+			cur := rb.Calc(1)
+			rb.Requires(cur, prev)
+			prev = cur
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestSchedSetupAllocsPerRank: what Run allocates before the first event
+// is a constant number of objects per rank — two successor tables of two
+// arrays each (one, when a table has no edges), one counter array, one
+// flag array — whatever the op count. quietBackend never completes an op,
+// so the run ends in the deadlock report straight after set-up and
+// seeding. Growing the ranks tenfold in ops must add nothing; the slack of
+// four is for the report's fmt call, whose sync.Pool drops buffers at
+// random under -race.
+func TestSchedSetupAllocsPerRank(t *testing.T) {
+	const nranks = 8
+	setup := func(nops int) float64 {
+		s := chains(nranks, nops)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(engine.New(), s, quietBackend{}, Options{}); err == nil {
+				t.Fatal("quietBackend completed a run")
+			}
+		})
+	}
+	small, large := setup(100), setup(1000)
+	if large > small+4 {
+		t.Fatalf("set-up allocations grew with op count: %.0f for 100 ops/rank, %.0f for 1000", small, large)
+	}
+	if perRank := small / nranks; perRank > 8 {
+		t.Fatalf("set-up allocated %.1f times per rank, want at most 8", perRank)
+	}
+}
+
+// quietBackend accepts every op and completes none.
+type quietBackend struct{}
+
+func (quietBackend) Name() string                                     { return "quiet" }
+func (quietBackend) Setup(int, engine.Sim, core.CompletionFunc) error { return nil }
+func (quietBackend) Send(core.SendEvent)                              {}
+func (quietBackend) Recv(core.RecvEvent)                              {}
+func (quietBackend) Calc(core.CalcEvent)                              {}
+
+// TestDecodeAndRunBytesPerOp is the tier-1 guard on the flat dependency
+// layout: the bytes allocated to decode a binary schedule and run it, per
+// GOAL op, on a fixed 64-rank chain-heavy schedule. The count is exact
+// for a given toolchain (one goroutine, no maps on the path); the ceiling
+// sits about 10% above it: 185.8 B/op measured, against 319.5 with
+// [][]int32 tables and a second inversion inside Validate.
+func TestDecodeAndRunBytesPerOp(t *testing.T) {
+	s := micro.UniformRandom(64, 20_000, 4096, 7)
+	var bin bytes.Buffer
+	if err := goal.WriteBinary(&bin, s); err != nil {
+		t.Fatal(err)
+	}
+	ops := s.ComputeStats().Ops
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	parsed, err := goal.ParseBinary(bin.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(engine.New(), parsed, backend.NewLGS(backend.AIParams()), Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Ops != ops {
+		t.Fatalf("run failed: %v", err)
+	}
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+	t.Logf("%.1f B/op over %d ops", perOp, ops)
+	if perOp > 205 {
+		t.Fatalf("decode + run allocated %.1f B per op, ceiling 205", perOp)
 	}
 }

@@ -106,10 +106,10 @@ func GroupGPUs(gpuSched *goal.Schedule, gpusPerNode int, intraNsPerByte float64)
 		rb := b.Rank(node)
 		rp := &gpuSched.Ranks[g]
 		for i := range rp.Ops {
-			for _, d := range rp.Requires[i] {
+			for _, d := range rp.Requires.Of(i) {
 				rb.Requires(opMap[g][i], opMap[g][d])
 			}
-			for _, d := range rp.IRequires[i] {
+			for _, d := range rp.IRequires.Of(i) {
 				rb.IRequires(opMap[g][i], opMap[g][d])
 			}
 		}

@@ -80,7 +80,7 @@ func Generate(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 // pendingOp is an NCCL record awaiting stage-3 decomposition, bracketed by
 // its entry and exit dummies in the owning stream chain.
 type pendingOp struct {
-	rec   nsys.Record
+	rec   *nsys.Record
 	entry goal.OpID
 	exit  goal.OpID
 }
@@ -109,11 +109,10 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	// own compute stream per GPU (NCCL runs on its own SM, paper Fig 4),
 	// so comm never falsely serialises with compute kernels. With
 	// ChannelStreams each channel gets ncclCPU + channel.
+	streams := rep.ByStream()
 	maxStreams := 0
-	for gpu := 0; gpu < rep.NGPUs; gpu++ {
-		if n := len(rep.Streams(gpu)); n > maxStreams {
-			maxStreams = n
-		}
+	for _, st := range streams {
+		maxStreams = max(maxStreams, len(st))
 	}
 	ncclCPU := int32(maxStreams)
 
@@ -121,9 +120,8 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	perComm := map[string][]pendingOp{} // appended in (gpu, stream, time) order
 	for gpu := 0; gpu < rep.NGPUs; gpu++ {
 		rb := b.Rank(gpu)
-		for li, stream := range rep.Streams(gpu) {
+		for li, stream := range streams[gpu] {
 			cpu := int32(li)
-			recs := rep.StreamRecords(gpu, stream)
 			var head goal.OpID = -1
 			lastEnd := t0
 			chain := func(id goal.OpID) {
@@ -132,7 +130,8 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 				}
 				head = id
 			}
-			for _, rec := range recs {
+			for _, ri := range stream.Records {
+				rec := &rep.Records[ri]
 				if gap := rec.StartNs - lastEnd; gap > 0 {
 					chain(rb.CalcOn(gap, cpu))
 				}

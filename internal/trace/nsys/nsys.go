@@ -13,10 +13,11 @@ package nsys
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Record kinds.
@@ -132,32 +133,35 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// StreamRecords returns the records of one (gpu, stream) sorted by start
-// time (stage 1 of the GOAL pipeline).
-func (r *Report) StreamRecords(gpu, stream int) []Record {
-	var out []Record
-	for i := range r.Records {
-		if r.Records[i].GPU == gpu && r.Records[i].Stream == stream {
-			out = append(out, r.Records[i])
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNs < out[j].StartNs })
-	return out
+// Stream is one CUDA stream of one GPU: the positions in Report.Records
+// of its records, sorted by start time (launch order on ties).
+type Stream struct {
+	ID      int
+	Records []int
 }
 
-// Streams returns the sorted stream ids present for a GPU.
-func (r *Report) Streams(gpu int) []int {
-	set := map[int]bool{}
-	for i := range r.Records {
-		if r.Records[i].GPU == gpu {
-			set[r.Records[i].Stream] = true
+// ByStream indexes the records by (gpu, stream) with one sort over all of
+// them (stage 1 of the GOAL pipeline): element g lists GPU g's streams by
+// ascending id. The report must be valid (GPU ids in range).
+func (r *Report) ByStream() [][]Stream {
+	order := make([]int, len(r.Records))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		x, y := &r.Records[a], &r.Records[b]
+		return cmp.Or(cmp.Compare(x.GPU, y.GPU), cmp.Compare(x.Stream, y.Stream), cmp.Compare(x.StartNs, y.StartNs))
+	})
+	out := make([][]Stream, r.NGPUs)
+	for lo := 0; lo < len(order); {
+		first := &r.Records[order[lo]]
+		hi := lo + 1
+		for hi < len(order) && r.Records[order[hi]].GPU == first.GPU && r.Records[order[hi]].Stream == first.Stream {
+			hi++
 		}
+		out[first.GPU] = append(out[first.GPU], Stream{ID: first.Stream, Records: order[lo:hi:hi]})
+		lo = hi
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
 	return out
 }
 

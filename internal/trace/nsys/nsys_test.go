@@ -71,18 +71,41 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestStreamHelpers(t *testing.T) {
+func TestByStream(t *testing.T) {
 	r := sampleReport()
-	if got := r.Streams(0); len(got) != 2 || got[0] != 7 || got[1] != 9 {
-		t.Fatalf("Streams(0)=%v", got)
+	// a late-filed record that starts before everything else on its stream
+	r.Records = append(r.Records, Record{GPU: 0, Stream: 7, Kind: KindKernel, StartNs: -1, EndNs: 0})
+	idx := r.ByStream()
+	if len(idx) != r.NGPUs {
+		t.Fatalf("%d GPUs indexed, want %d", len(idx), r.NGPUs)
 	}
-	recs := r.StreamRecords(0, 7)
-	if len(recs) != 2 || recs[0].Kind != KindKernel || recs[1].Coll != CollAllReduce {
-		t.Fatalf("StreamRecords(0,7)=%+v", recs)
+	if got := idx[0]; len(got) != 2 || got[0].ID != 7 || got[1].ID != 9 {
+		t.Fatalf("GPU 0 streams = %+v, want ids 7 and 9", got)
 	}
-	// sorted by start
-	if recs[0].StartNs > recs[1].StartNs {
-		t.Fatal("not sorted")
+	seen := 0
+	for gpu, streams := range idx {
+		for _, st := range streams {
+			for k, ri := range st.Records {
+				rec := r.Records[ri]
+				if rec.GPU != gpu || rec.Stream != st.ID {
+					t.Fatalf("record %d filed under gpu %d stream %d", ri, gpu, st.ID)
+				}
+				if k > 0 {
+					prev := r.Records[st.Records[k-1]]
+					if prev.StartNs > rec.StartNs || (prev.StartNs == rec.StartNs && st.Records[k-1] > ri) {
+						t.Fatalf("gpu %d stream %d not in (start, file) order: %v", gpu, st.ID, st.Records)
+					}
+				}
+				seen++
+			}
+		}
+	}
+	if seen != len(r.Records) {
+		t.Fatalf("index covers %d of %d records", seen, len(r.Records))
+	}
+	recs := idx[0][0].Records
+	if len(recs) != 3 || recs[0] != len(r.Records)-1 || r.Records[recs[1]].Kind != KindKernel || r.Records[recs[2]].Coll != CollAllReduce {
+		t.Fatalf("gpu 0 stream 7 = %v", recs)
 	}
 }
 

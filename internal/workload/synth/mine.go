@@ -196,21 +196,12 @@ func rankDepth(rp *goal.RankProgram) int {
 	if n == 0 {
 		return 0
 	}
+	reqSucc, ireqSucc := rp.Requires.Invert(), rp.IRequires.Invert()
 	indeg := make([]int32, n)
-	succ := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		for _, d := range rp.Requires[i] {
-			succ[d] = append(succ[d], int32(i))
-			indeg[i]++
-		}
-		for _, d := range rp.IRequires[i] {
-			succ[d] = append(succ[d], int32(i))
-			indeg[i]++
-		}
-	}
 	depth := make([]int32, n)
 	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
+		indeg[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
 		if indeg[i] == 0 {
 			depth[i] = 1
 			queue = append(queue, int32(i))
@@ -223,13 +214,15 @@ func rankDepth(rp *goal.RankProgram) int {
 		if depth[v] > best {
 			best = depth[v]
 		}
-		for _, w := range succ[v] {
-			if d := depth[v] + 1; d > depth[w] {
-				depth[w] = d
-			}
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+		for _, succ := range [2][]int32{reqSucc.Of(int(v)), ireqSucc.Of(int(v))} {
+			for _, w := range succ {
+				if d := depth[v] + 1; d > depth[w] {
+					depth[w] = d
+				}
+				indeg[w]--
+				if indeg[w] == 0 {
+					queue = append(queue, w)
+				}
 			}
 		}
 	}
