@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"testing"
 
 	"atlahs/internal/astra"
@@ -259,6 +260,10 @@ func BenchmarkExperimentSweepVsSerial(b *testing.B) {
 func BenchmarkServiceColdVsCacheHit(b *testing.B) {
 	spec := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "alltoall", Ranks: 32, Bytes: 65536}},
 		Backend: "lgs"}
+	// The service logs each run's lifecycle; `go test` merges stderr into
+	// stdout, where a log line lands in the middle of the benchmark's result
+	// line and benchjson -require then reports the benchmark missing.
+	cfg := service.Config{Jobs: 1, Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 	wait := func(b *testing.B, svc *service.Service, snap service.Snapshot) service.Snapshot {
 		done, err := svc.Wait(context.Background(), snap.ID)
 		if err != nil {
@@ -271,7 +276,7 @@ func BenchmarkServiceColdVsCacheHit(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			svc, err := service.New(service.Config{Jobs: 1, Workers: 1})
+			svc, err := service.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -284,7 +289,7 @@ func BenchmarkServiceColdVsCacheHit(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		svc, err := service.New(service.Config{Jobs: 1, Workers: 1})
+		svc, err := service.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

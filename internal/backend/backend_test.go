@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"atlahs/internal/core"
 	"atlahs/internal/engine"
 	"atlahs/internal/fluid"
 	"atlahs/internal/goal"
@@ -291,5 +292,41 @@ func TestLGSvsPktCloseOnProvisionedFatTree(t *testing.T) {
 	lo, hi := float64(resLGS.Runtime)*0.6, float64(resLGS.Runtime)*1.6
 	if f := float64(resPkt.Runtime); f < lo || f > hi {
 		t.Fatalf("pkt %v vs lgs %v diverge too much", resPkt.Runtime, resLGS.Runtime)
+	}
+}
+
+// TestNetBackendSteadyStateAllocs is the allocation gate for the packet
+// backend end to end: once warm, a one-packet message — send issued,
+// overhead paid, packets and ACK across the fabric, delivered, matched,
+// receive completed — costs at most 2 heap objects (amortised growth of
+// the matcher's queues; the packet path itself allocates nothing).
+func TestNetBackendSteadyStateAllocs(t *testing.T) {
+	for _, cc := range []string{"mprdma", "ndp"} {
+		b := NewPkt(PktConfig{Net: pktnet.Config{Topo: mkTopo(t, 8), CC: cc}, Params: DefaultNetParams()})
+		eng := engine.New()
+		completed := 0
+		if err := b.Setup(8, eng, func(core.Handle, simtime.Time) { completed++ }); err != nil {
+			t.Fatal(err)
+		}
+		message := func() {
+			b.Send(core.SendEvent{Handle: core.MakeHandle(1, 0), Src: 1, Dst: 6, Size: 870, Tag: 5})
+			b.Recv(core.RecvEvent{Handle: core.MakeHandle(6, 0), Src: 1, Dst: 6, Size: 870, Tag: 5})
+			b.Calc(core.CalcEvent{Handle: core.MakeHandle(6, 1), Rank: 6, Duration: simtime.Microsecond})
+			eng.Run()
+		}
+		for i := 0; i < 8; i++ {
+			message()
+		}
+		got := testing.AllocsPerRun(50, message)
+		t.Logf("%s: %v allocations per message", cc, got)
+		if got > 2 {
+			t.Errorf("%s: %v allocations per message in steady state, want <= 2", cc, got)
+		}
+		if want := 3 * (8 + 51); completed != want {
+			t.Fatalf("%s: %d completions, want %d", cc, completed, want)
+		}
+		if st := b.NetStats(); st.MsgsCompleted != 8+51 || st.Drops+st.Trims != 0 {
+			t.Fatalf("%s: %+v", cc, st)
+		}
 	}
 }

@@ -43,6 +43,10 @@ type netRecv struct {
 // and message matching are handled here, transfers are delegated to the
 // network. All sends are eager (transfers start as soon as the send
 // overhead is paid).
+//
+// Nothing is allocated per operation in steady state: what an event has to
+// remember lives in a pooled record whose handlers were bound when the
+// record was made, so scheduling it creates no closure.
 type NetBackend struct {
 	name   string
 	params NetParams
@@ -53,6 +57,9 @@ type NetBackend struct {
 	over    core.CompletionFunc
 	streams *core.StreamTable
 	match   *core.Matcher[netMsg, netRecv]
+
+	freeDone  []*netDone
+	freeSends []*netSend
 }
 
 // Name implements core.Backend.
@@ -79,26 +86,79 @@ func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc)
 	return nil
 }
 
+// netDone is one scheduled completion: operation h is over at time at.
+type netDone struct {
+	b    *NetBackend
+	h    core.Handle
+	at   simtime.Time
+	fire engine.Handler // d.run
+}
+
+// complete schedules the completion callback for h at time at.
+func (b *NetBackend) complete(h core.Handle, at simtime.Time) {
+	var d *netDone
+	if k := len(b.freeDone); k > 0 {
+		d = b.freeDone[k-1]
+		b.freeDone = b.freeDone[:k-1]
+	} else {
+		d = &netDone{b: b}
+		d.fire = d.run
+	}
+	d.h, d.at = h, at
+	b.eng.Schedule(at, d.fire)
+}
+
+func (d *netDone) run() {
+	h, at := d.h, d.at
+	d.b.freeDone = append(d.b.freeDone, d) // before over: it may schedule the next completion
+	d.b.over(h, at)
+}
+
+// netSend is one message from the moment its send is issued until the
+// network delivers it.
+type netSend struct {
+	b         *NetBackend
+	ev        core.SendEvent
+	cpuEnd    simtime.Time
+	issue     engine.Handler     // s.issued: the send overhead is paid
+	delivered func(simtime.Time) // s.arrived: the last byte reached ev.Dst
+}
+
+func (s *netSend) issued() {
+	s.b.over(s.ev.Handle, s.cpuEnd)
+	s.b.net.Send(s.ev.Src, s.ev.Dst, s.ev.Size, s.delivered)
+}
+
+// arrived runs exactly once per message (the MessageNet contract), which
+// is what makes it the place to recycle the record.
+func (s *netSend) arrived(at simtime.Time) {
+	b, ev := s.b, s.ev
+	b.freeSends = append(b.freeSends, s)
+	if rv, ok := b.match.Arrive(ev.Dst, ev.Src, ev.Tag, netMsg{arrival: at}); ok {
+		b.completeRecv(rv, at)
+	}
+}
+
 // Calc implements core.Backend.
 func (b *NetBackend) Calc(ev core.CalcEvent) {
 	_, end := b.streams.Acquire(ev.Rank, ev.CPU, b.eng.Now(), ev.Duration)
-	h := ev.Handle
-	b.eng.Schedule(end, func() { b.over(h, end) })
+	b.complete(ev.Handle, end)
 }
 
 // Send implements core.Backend: pay the send overhead on the issuing
 // stream, then hand the message to the network.
 func (b *NetBackend) Send(ev core.SendEvent) {
-	_, cpuEnd := b.streams.Acquire(ev.Src, ev.CPU, b.eng.Now(), b.params.SendOverhead)
-	h := ev.Handle
-	b.eng.Schedule(cpuEnd, func() {
-		b.over(h, cpuEnd)
-		b.net.Send(ev.Src, ev.Dst, ev.Size, func(at simtime.Time) {
-			if rv, ok := b.match.Arrive(ev.Dst, ev.Src, ev.Tag, netMsg{arrival: at}); ok {
-				b.completeRecv(rv, at)
-			}
-		})
-	})
+	var s *netSend
+	if k := len(b.freeSends); k > 0 {
+		s = b.freeSends[k-1]
+		b.freeSends = b.freeSends[:k-1]
+	} else {
+		s = &netSend{b: b}
+		s.issue, s.delivered = s.issued, s.arrived
+	}
+	s.ev = ev
+	_, s.cpuEnd = b.streams.Acquire(ev.Src, ev.CPU, b.eng.Now(), b.params.SendOverhead)
+	b.eng.Schedule(s.cpuEnd, s.issue)
 }
 
 // Recv implements core.Backend.
@@ -112,8 +172,7 @@ func (b *NetBackend) Recv(ev core.RecvEvent) {
 func (b *NetBackend) completeRecv(rv netRecv, arrival simtime.Time) {
 	from := simtime.Max(arrival, b.eng.Now())
 	_, end := b.streams.Acquire(rv.ev.Dst, rv.ev.CPU, from, b.params.RecvOverhead)
-	h := rv.ev.Handle
-	b.eng.Schedule(end, func() { b.over(h, end) })
+	b.complete(rv.ev.Handle, end)
 }
 
 // --- packet-level backend ---------------------------------------------------

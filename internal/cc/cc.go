@@ -51,6 +51,9 @@ type Controller interface {
 	OnAck(now simtime.Time, fb Feedback)
 	// OnTimeout reacts to a retransmission timeout.
 	OnTimeout(now simtime.Time)
+	// Reset returns the controller to the state New gives it for p, so one
+	// controller can serve a sequence of flows without reallocation.
+	Reset(p Params)
 }
 
 // Params configures a window controller.
@@ -59,6 +62,15 @@ type Params struct {
 	BaseRTT simtime.Duration // unloaded round-trip time of the path
 	BDP     int64            // bandwidth-delay product in bytes
 	MaxWin  int64            // window cap; 0 means 4*BDP
+}
+
+// startPkts is the initial window in packets: one BDP, at least one packet.
+func (p Params) startPkts() float64 {
+	start := float64(p.BDP) / float64(p.MTU)
+	if start < 1 {
+		start = 1
+	}
+	return start
 }
 
 func (p Params) maxWin() int64 {
@@ -78,18 +90,21 @@ func New(name string, p Params) (Controller, error) {
 	if p.MTU <= 0 {
 		return nil, fmt.Errorf("cc: MTU must be positive")
 	}
+	var c Controller
 	switch strings.ToLower(name) {
 	case "mprdma":
-		return newMPRDMA(p), nil
+		c = &mprdma{}
 	case "swift":
-		return newSwift(p), nil
+		c = &swift{}
 	case "dctcp":
-		return newDCTCP(p), nil
+		c = &dctcp{}
 	case "ndp":
 		return nil, fmt.Errorf("cc: ndp is receiver-driven; use the pktnet NDP transport")
 	default:
 		return nil, fmt.Errorf("cc: unknown algorithm %q", name)
 	}
+	c.Reset(p)
+	return c, nil
 }
 
 // IsReceiverDriven reports whether the named algorithm runs as a
@@ -107,13 +122,7 @@ type mprdma struct {
 	cwndPkts float64
 }
 
-func newMPRDMA(p Params) *mprdma {
-	start := float64(p.BDP) / float64(p.MTU)
-	if start < 1 {
-		start = 1
-	}
-	return &mprdma{p: p, cwndPkts: start}
-}
+func (m *mprdma) Reset(p Params) { *m = mprdma{p: p, cwndPkts: p.startPkts()} }
 
 func (m *mprdma) Name() string { return "mprdma" }
 
@@ -173,14 +182,10 @@ type swift struct {
 	lastDecease simtime.Time
 }
 
-func newSwift(p Params) *swift {
-	start := float64(p.BDP) / float64(p.MTU)
-	if start < 1 {
-		start = 1
-	}
-	return &swift{
+func (s *swift) Reset(p Params) {
+	*s = swift{
 		p:        p,
-		cwndPkts: start,
+		cwndPkts: p.startPkts(),
 		target:   simtime.Duration(float64(p.BaseRTT) * swiftTgtMul),
 	}
 }
@@ -250,14 +255,9 @@ type dctcp struct {
 	windowEnd  int64 // acked-byte count at which the current window closes
 }
 
-func newDCTCP(p Params) *dctcp {
-	start := float64(p.BDP) / float64(p.MTU)
-	if start < 1 {
-		start = 1
-	}
-	d := &dctcp{p: p, cwndPkts: start}
+func (d *dctcp) Reset(p Params) {
+	*d = dctcp{p: p, cwndPkts: p.startPkts()}
 	d.windowEnd = d.Window()
-	return d
 }
 
 func (d *dctcp) Name() string { return "dctcp" }

@@ -191,3 +191,39 @@ func TestControllerNames(t *testing.T) {
 		}
 	}
 }
+
+// A Reset controller must be indistinguishable from a new one: pktnet
+// reuses one controller for every message a flow record carries.
+func TestResetEqualsNew(t *testing.T) {
+	drive := func(c Controller, rng *xrand.RNG, steps int, check func(int64)) {
+		for i := 0; i < steps; i++ {
+			now := simtime.Time(i) * simtime.Time(simtime.Microsecond)
+			if rng.Intn(16) == 0 {
+				c.OnTimeout(now)
+			} else {
+				c.OnAck(now, Feedback{AckedBytes: 4096, ECNMarked: rng.Intn(3) == 0,
+					RTT: simtime.Duration(4+rng.Intn(40)) * simtime.Microsecond})
+			}
+			check(c.Window())
+		}
+	}
+	next := Params{MTU: 1500, BaseRTT: 3 * simtime.Microsecond, BDP: 90 * 1024}
+	for _, name := range []string{"mprdma", "swift", "dctcp"} {
+		used, _ := New(name, params())
+		drive(used, xrand.New(1), 500, func(int64) {})
+		used.Reset(next)
+		fresh, _ := New(name, next)
+		if used.Window() != fresh.Window() {
+			t.Fatalf("%s: window %d after Reset, %d when new", name, used.Window(), fresh.Window())
+		}
+		var want []int64
+		drive(fresh, xrand.New(2), 500, func(w int64) { want = append(want, w) })
+		i := 0
+		drive(used, xrand.New(2), 500, func(w int64) {
+			if w != want[i] {
+				t.Fatalf("%s: step %d: window %d after Reset, %d when new", name, i, w, want[i])
+			}
+			i++
+		})
+	}
+}

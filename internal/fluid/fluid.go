@@ -48,6 +48,7 @@ type Network struct {
 	eng    *engine.Engine
 	cfg    Config
 	topo   *topo.Topology
+	paths  [][][][]int // [src][dst] -> shortest paths; rows and entries filled on first use
 	active []*flow
 	epoch  uint64 // invalidates stale wake events
 	last   simtime.Time
@@ -73,11 +74,27 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("fluid: nil topology")
 	}
 	return &Network{
-		eng:  eng,
-		cfg:  cfg,
-		topo: cfg.Topo,
-		rng:  xrand.New(cfg.Seed ^ 0x464c554944), // "FLUID"
+		eng:   eng,
+		cfg:   cfg,
+		topo:  cfg.Topo,
+		paths: make([][][][]int, cfg.Topo.NumHosts()),
+		rng:   xrand.New(cfg.Seed ^ 0x464c554944), // "FLUID"
 	}, nil
+}
+
+// pathsOf returns the shortest paths src->dst from the network's own
+// table. The Topology may be shared with concurrent runs and is never
+// written; what this run has computed lives here.
+func (n *Network) pathsOf(src, dst int) [][]int {
+	row := n.paths[src]
+	if row == nil {
+		row = make([][][]int, len(n.paths))
+		n.paths[src] = row
+	}
+	if row[dst] == nil {
+		row[dst] = n.topo.Paths(src, dst)
+	}
+	return row[dst]
 }
 
 // Engine returns the event engine the network runs on.
@@ -92,7 +109,7 @@ func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time))
 	if size <= 0 {
 		size = 1
 	}
-	paths := n.topo.Paths(src, dst)
+	paths := n.pathsOf(src, dst)
 	if len(paths) == 0 {
 		panic(fmt.Sprintf("fluid: no path %d->%d", src, dst))
 	}

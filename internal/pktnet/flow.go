@@ -2,34 +2,68 @@ package pktnet
 
 import (
 	"atlahs/internal/cc"
+	"atlahs/internal/engine"
 	"atlahs/internal/simtime"
 )
 
-// flow is one message in flight: sender-side transport state plus identity.
-// Window-based algorithms (MPRDMA, Swift, DCTCP) pace sends against a
-// congestion window; NDP blasts an initial window and then sends one packet
-// per receiver pull, retransmitting trimmed packets on NACK.
+// pktState is the per-packet state of a message, sender and receiver side
+// in one record.
+type pktState struct {
+	epoch    uint16 // incremented per (re)transmission; stale RTOs ignored
+	acked    bool
+	inRtx    bool
+	received bool
+}
+
+// inlinePkts is how many packets a message may have and still keep its
+// per-packet state inside the flow record. Storage traffic is almost all
+// one-packet messages.
+const inlinePkts = 4
+
+// rtoEntry is one armed retransmission timer.
+type rtoEntry struct {
+	seq   int
+	epoch uint16
+}
+
+// flow is one message in flight: identity, sender-side transport state and
+// the receiver's reassembly state. Window-based algorithms (MPRDMA, Swift,
+// DCTCP) pace sends against a congestion window; NDP blasts an initial
+// window and then sends one packet per receiver pull, retransmitting
+// trimmed packets on NACK.
+//
+// Records are recycled. refs counts everything that names the flow: each
+// of its packets in the fabric, each armed RTO, each pull token queued at
+// the receiver, and the Send call that is starting it. The flow returns
+// to the free list when it is delivered and refs reaches zero (see the
+// package doc).
 type flow struct {
 	net    *Network
 	id     uint64
-	src    int
 	dst    int
 	size   int64
 	npkts  int
 	onDone func(simtime.Time)
+	born   simtime.Time
 
-	baseRTT simtime.Duration
-	rto     simtime.Duration
-	born    simtime.Time
+	pair *pair   // src->dst: data paths, baseRTT, BDP, RTO
+	rev  [][]int // dst->src paths for ACKs, NACKs and pulls
+	refs int
+
+	pk  []pktState // per-packet flags; aliases pk0 for short messages
+	pk0 [inlinePkts]pktState
+
+	// receiver state
+	rcount    int // distinct packets received
+	delivered bool
 
 	// window transport state
 	ctrl     cc.Controller
 	nextSeq  int
 	inflight int64
-	acked    []bool
-	epoch    []uint16 // incremented per (re)transmission; stale RTOs ignored
-	rtx      []int
-	inRtx    []bool
+	rtx      fifo[int]
+	rtoQ     fifo[rtoEntry] // armed timers in firing order: the RTO is a constant
+	rtoFn    engine.Handler // f.onRTO
 
 	// NDP transport state
 	grants int
@@ -37,18 +71,50 @@ type flow struct {
 	pathCounter uint64
 }
 
-func newFlow(n *Network, id uint64, src, dst int, size int64, onDone func(simtime.Time)) *flow {
-	npkts := int((size + n.cfg.MTU - 1) / n.cfg.MTU)
-	f := &flow{
-		net: n, id: id, src: src, dst: dst, size: size, npkts: npkts,
-		onDone:  onDone,
-		baseRTT: n.baseRTT(src, dst),
-		acked:   make([]bool, npkts),
-		epoch:   make([]uint16, npkts),
-		inRtx:   make([]bool, npkts),
+// newFlow takes a record from the free list and initialises it for one
+// message. The caller owns one reference.
+func (n *Network) newFlow(id uint64, src, dst int, size int64, onDone func(simtime.Time)) *flow {
+	var f *flow
+	if k := len(n.freeFlows); k > 0 {
+		f = n.freeFlows[k-1]
+		n.freeFlows = n.freeFlows[:k-1]
+	} else {
+		f = &flow{net: n}
+		f.pk = f.pk0[:0]
+		f.rtoFn = f.onRTO
+		n.flowsMade++
 	}
-	f.rto = n.rto(f.baseRTT)
+	f.id, f.dst, f.size, f.onDone = id, dst, size, onDone
+	f.born = n.eng.Now()
+	f.pair, f.rev = n.flowPair(src, dst)
+	f.refs = 1
+	f.npkts = int((size + n.cfg.MTU - 1) / n.cfg.MTU)
+	if cap(f.pk) < f.npkts {
+		f.pk = make([]pktState, f.npkts)
+	} else {
+		f.pk = f.pk[:f.npkts]
+		clear(f.pk)
+	}
+	f.rcount, f.nextSeq, f.inflight, f.grants, f.pathCounter = 0, 0, 0, 0, 0
+	f.rtx.clear() // NDP may leave retransmissions it was never granted
 	return f
+}
+
+// unref drops one reference and recycles the record when it was the last
+// and the message is delivered. The record is cleared so that a stale
+// holder panics (nil paths, empty flag slice) instead of corrupting the
+// next message.
+func (f *flow) unref() {
+	f.refs--
+	if f.refs < 0 {
+		panic("pktnet: flow released twice")
+	}
+	if f.refs > 0 || !f.delivered {
+		return
+	}
+	f.id, f.onDone, f.pair, f.rev, f.delivered = 0, nil, nil, nil, false
+	f.pk = f.pk[:0]
+	f.net.freeFlows = append(f.net.freeFlows, f)
 }
 
 func (f *flow) payloadOf(seq int) int64 {
@@ -62,36 +128,30 @@ func (f *flow) payloadOf(seq int) int64 {
 
 func (f *flow) start() {
 	if f.net.ndp {
-		bdp := int64(f.baseRTT) / int64(f.net.bottleneckPsPerByte(f.src, f.dst))
-		iw := int(bdp / f.net.cfg.MTU)
-		if iw < 1 {
-			iw = 1
-		}
-		f.grants = iw
+		f.grants = max(int(f.pair.bdp/f.net.cfg.MTU), 1)
 		f.pumpNDP()
 		return
 	}
-	bdp := int64(f.baseRTT) / int64(f.net.bottleneckPsPerByte(f.src, f.dst))
-	ctrl, err := cc.New(f.net.cfg.CC, cc.Params{
-		MTU:     f.net.cfg.MTU,
-		BaseRTT: f.baseRTT,
-		BDP:     bdp,
-	})
-	if err != nil {
-		panic(err) // validated at Network construction
+	params := cc.Params{MTU: f.net.cfg.MTU, BaseRTT: f.pair.baseRTT, BDP: f.pair.bdp}
+	if f.ctrl == nil {
+		ctrl, err := cc.New(f.net.cfg.CC, params)
+		if err != nil {
+			panic(err) // validated at Network construction
+		}
+		f.ctrl = ctrl
+	} else {
+		f.ctrl.Reset(params)
 	}
-	f.ctrl = ctrl
 	f.pumpWindow()
 }
 
 // nextWork pops the next sequence number to transmit: retransmissions
 // first, then fresh data. Returns -1 when nothing is pending.
 func (f *flow) nextWork() int {
-	for len(f.rtx) > 0 {
-		seq := f.rtx[0]
-		f.rtx = f.rtx[1:]
-		f.inRtx[seq] = false
-		if !f.acked[seq] {
+	for f.rtx.len() > 0 {
+		seq := f.rtx.pop()
+		f.pk[seq].inRtx = false
+		if !f.pk[seq].acked {
 			f.net.Stats.Retransmits++
 			return seq
 		}
@@ -105,16 +165,12 @@ func (f *flow) nextWork() int {
 }
 
 func (f *flow) sendData(seq int) {
-	f.epoch[seq]++
-	p := &packet{
-		flow:    f,
-		kind:    pktData,
-		seq:     seq,
-		payload: f.payloadOf(seq),
-		sent:    f.net.eng.Now(),
-	}
-	p.wire = p.payload + f.net.cfg.Header
-	f.net.inject(f.src, f.dst, p, f.pathCounter)
+	f.pk[seq].epoch++
+	payload := f.payloadOf(seq)
+	p := f.net.newPacket(f, pktData, seq, payload+f.net.cfg.Header)
+	p.payload = payload
+	p.sent = f.net.eng.Now()
+	f.net.inject(f.pair.paths, p, f.pathCounter)
 	f.pathCounter++
 }
 
@@ -128,30 +184,37 @@ func (f *flow) pumpWindow() {
 		}
 		f.inflight += f.payloadOf(seq)
 		f.sendData(seq)
-		f.armRTO(seq, f.epoch[seq])
+		f.armRTO(seq)
 	}
 }
 
-func (f *flow) armRTO(seq int, epoch uint16) {
-	f.net.eng.After(f.rto, func() {
-		if f.acked[seq] || f.epoch[seq] != epoch || f.inRtx[seq] {
-			return
-		}
+func (f *flow) armRTO(seq int) {
+	f.rtoQ.push(rtoEntry{seq: seq, epoch: f.pk[seq].epoch})
+	f.refs++
+	f.net.eng.After(f.pair.rto, f.rtoFn)
+}
+
+// onRTO fires once per armed timer. All of a flow's timers run for the
+// same duration, so they fire in the order they were armed.
+func (f *flow) onRTO() {
+	e := f.rtoQ.pop()
+	if st := &f.pk[e.seq]; !st.acked && st.epoch == e.epoch && !st.inRtx {
 		// Packet (or its ACK) was lost: release window and requeue.
-		f.inflight -= f.payloadOf(seq)
-		f.inRtx[seq] = true
-		f.rtx = append(f.rtx, seq)
+		f.inflight -= f.payloadOf(e.seq)
+		st.inRtx = true
+		f.rtx.push(e.seq)
 		f.ctrl.OnTimeout(f.net.eng.Now())
 		f.pumpWindow()
-	})
+	}
+	f.unref()
 }
 
 // onAck processes an acknowledgement (window transports only).
 func (f *flow) onAck(p *packet) {
-	if f.acked[p.seq] {
+	if f.pk[p.seq].acked {
 		return
 	}
-	f.acked[p.seq] = true
+	f.pk[p.seq].acked = true
 	f.inflight -= f.payloadOf(p.seq)
 	if f.inflight < 0 {
 		f.inflight = 0
@@ -180,11 +243,11 @@ func (f *flow) pumpNDP() {
 
 // onNack queues a trimmed packet for retransmission (sent on next pull).
 func (f *flow) onNack(p *packet) {
-	if f.acked[p.seq] || f.inRtx[p.seq] {
+	if f.pk[p.seq].acked || f.pk[p.seq].inRtx {
 		return
 	}
-	f.inRtx[p.seq] = true
-	f.rtx = append(f.rtx, p.seq)
+	f.pk[p.seq].inRtx = true
+	f.rtx.push(p.seq)
 	f.pumpNDP()
 }
 
@@ -196,110 +259,94 @@ func (f *flow) onPull() {
 
 // --- receiver ----------------------------------------------------------------
 
-// rxFlow is the per-flow receive state held by the destination host.
-type rxFlow struct {
-	received []bool
-	count    int
-	done     bool
-}
-
-// hostRx is the per-host receive side: flow reassembly plus the NDP pull
-// pacer. All flows destined to one host share the pull pacer, which is what
-// lets NDP share the access link fairly under incast.
+// hostRx is the per-host receive side: the NDP pull pacer. (Reassembly
+// state lives in the flow record.) All flows destined to one host share
+// the pull pacer, which is what lets NDP share the access link fairly
+// under incast.
 type hostRx struct {
 	net     *Network
-	host    int
-	flows   map[uint64]*rxFlow
-	pullQ   []*flow
+	pullQ   fifo[*flow]
 	pacing  bool
 	spacing simtime.Duration
+	paceFn  engine.Handler // h.paceDone
 }
 
-func newHostRx(n *Network, host int) *hostRx {
-	h := &hostRx{net: n, host: host, flows: map[uint64]*rxFlow{}}
+func (h *hostRx) init(n *Network, host int) {
+	h.net = n
+	h.paceFn = h.paceDone
 	// Pull spacing = serialisation time of a full MTU on the host access
 	// link, so granted packets arrive at most at link rate.
-	dev := n.topo.HostDevice(host)
-	spacing := simtime.Duration(n.cfg.MTU+n.cfg.Header) * 40
-	if out := n.topo.OutLinks(dev); len(out) > 0 {
-		spacing = simtime.Duration(n.cfg.MTU+n.cfg.Header) * n.topo.Links[out[0]].PsPerByte
+	h.spacing = simtime.Duration(n.cfg.MTU+n.cfg.Header) * 40
+	if out := n.topo.OutLinks(n.topo.HostDevice(host)); len(out) > 0 {
+		h.spacing = simtime.Duration(n.cfg.MTU+n.cfg.Header) * n.topo.Links[out[0]].PsPerByte
 	}
-	h.spacing = spacing
-	return h
-}
-
-func (h *hostRx) stateOf(f *flow) *rxFlow {
-	rxf, ok := h.flows[f.id]
-	if !ok {
-		rxf = &rxFlow{received: make([]bool, f.npkts)}
-		h.flows[f.id] = rxf
-	}
-	return rxf
 }
 
 // onData handles a data packet (possibly trimmed to a header) arriving at
 // its destination host.
 func (h *hostRx) onData(p *packet) {
-	f := p.flow
-	rxf := h.stateOf(f)
+	n, f := h.net, p.flow
 	if p.trimmed {
 		// NDP: payload was trimmed in the fabric; NACK it and request more.
-		nack := &packet{flow: f, kind: pktNack, seq: p.seq, wire: h.net.cfg.Header}
-		h.net.inject(h.host, f.src, nack, f.pathCounter)
+		n.inject(f.rev, n.newPacket(f, pktNack, p.seq, n.cfg.Header), f.pathCounter)
 		f.pathCounter++
-		if !rxf.done {
+		if !f.delivered {
 			h.requestPull(f)
 		}
 		return
 	}
-	first := !rxf.received[p.seq]
+	st := &f.pk[p.seq]
+	first := !st.received
 	if first {
-		rxf.received[p.seq] = true
-		rxf.count++
-		h.net.Stats.PktsDelivered++
+		st.received = true
+		f.rcount++
+		n.Stats.PktsDelivered++
 	}
-	if h.net.ndp {
-		if !rxf.done && rxf.count < f.npkts {
+	if n.ndp {
+		if f.rcount < f.npkts {
 			h.requestPull(f)
 		}
 	} else {
 		// ACK every arrival (duplicates included) so spurious
 		// retransmissions still converge; sender dedups.
-		ack := &packet{flow: f, kind: pktAck, seq: p.seq, wire: h.net.cfg.Header, ecn: p.ecn, sent: p.sent}
-		h.net.inject(h.host, f.src, ack, f.pathCounter)
+		ack := n.newPacket(f, pktAck, p.seq, n.cfg.Header)
+		ack.ecn, ack.sent = p.ecn, p.sent
+		n.inject(f.rev, ack, f.pathCounter)
 		f.pathCounter++
 	}
-	if first && rxf.count == f.npkts && !rxf.done {
-		rxf.done = true
-		h.net.Stats.MsgsCompleted++
-		if h.net.MCT != nil {
-			h.net.MCT.AddDuration(h.net.eng.Now().Sub(f.born))
+	if first && f.rcount == f.npkts {
+		f.delivered = true
+		n.Stats.MsgsCompleted++
+		now := n.eng.Now()
+		if n.MCT != nil {
+			n.MCT.AddDuration(now.Sub(f.born))
 		}
 		if f.onDone != nil {
-			f.onDone(h.net.eng.Now())
+			f.onDone(now)
 		}
 	}
 }
 
 // requestPull enqueues a pull token for f on this host's paced pull queue.
 func (h *hostRx) requestPull(f *flow) {
-	h.pullQ = append(h.pullQ, f)
+	f.refs++
+	h.pullQ.push(f)
 	h.pump()
 }
 
 func (h *hostRx) pump() {
-	if h.pacing || len(h.pullQ) == 0 {
+	if h.pacing || h.pullQ.len() == 0 {
 		return
 	}
-	f := h.pullQ[0]
-	copy(h.pullQ, h.pullQ[1:])
-	h.pullQ = h.pullQ[:len(h.pullQ)-1]
-	pull := &packet{flow: f, kind: pktPull, wire: h.net.cfg.Header}
-	h.net.inject(h.host, f.src, pull, f.pathCounter)
+	f := h.pullQ.pop()
+	h.net.inject(f.rev, h.net.newPacket(f, pktPull, 0, h.net.cfg.Header), f.pathCounter)
 	f.pathCounter++
+	f.unref() // the token; the pull packet holds its own reference
 	h.pacing = true
-	h.net.eng.After(h.spacing, func() {
-		h.pacing = false
-		h.pump()
-	})
+	h.net.eng.After(h.spacing, h.paceFn)
+}
+
+func (h *hostRx) paceDone() {
+	h.pacing = false
+	h.pump()
 }

@@ -11,6 +11,48 @@
 // simulated time the last payload byte reaches the destination. Per-message
 // completion times drive the storage case study (paper Fig 11); global
 // drop/trim counters drive the packet-level statistics of Fig 12.
+//
+// # Event sources
+//
+// Like htsim's queues and pipes, the things that schedule events are
+// long-lived objects, not closures made per hop. A port has two handlers
+// bound once in New: txDone (the packet in port.cur has been serialised)
+// and pipeOut (the oldest packet in port.pipe has crossed the link). A
+// host's pull pacer has one (paceDone), a flow record one (onRTO, over
+// flow.rtoQ). What a handler needs to know is in a FIFO rather than in a
+// captured variable, and that is sound because FIFO order is firing order:
+// a link's latency, a host's pull spacing and a flow's RTO are constants,
+// simulated time never decreases, and the engine breaks timestamp ties by
+// insertion order — so of two events pushed by the same source, the one
+// pushed first fires first. Every eng.After call sits where the closure it
+// replaced sat, so every event keeps its (time, sequence) key: results are
+// bit-identical to the closure-per-hop simulator (TestPktOutcomesPinned),
+// and steady state allocates nothing (TestPktSteadyStateAllocs).
+//
+// # Ownership of recycled records
+//
+// Packets and flow records come from per-Network free lists.
+//
+// A *packet is held by exactly one place at a time: a port queue (q, hq),
+// port.cur, port.pipe, or the handler running on it. Whoever consumes it
+// releases it: arrive, after the endpoint handler (onData, onAck, onNack,
+// onPull) returns, and port.enqueue when it drops. Nothing keeps a packet
+// after passing it to inject, which may drop it. freePacket zeroes the
+// record, so a stale holder dereferences a nil flow and panics instead of
+// corrupting another message; releasing twice panics.
+//
+// A *flow (one message: sender window state, per-packet flags, receiver
+// reassembly state and the congestion controller) is named by its packets
+// in the fabric, its armed RTO timers, its pull tokens in a hostRx.pullQ
+// and the Send call starting it. flow.refs counts exactly those; every
+// entry into flow code holds one of them until it returns. The record is
+// recycled by unref when the message is delivered and refs reaches zero.
+// For the window transports that also means fully acknowledged: control
+// packets are never dropped, so every delivered data packet's ACK reaches
+// the sender, and while one is in flight it holds a reference. A recycled
+// record has nil paths and an empty flag slice, so stale use panics.
+// TestLossyDeliveryAndRecycling checks, under drops and trims, that every
+// record is back on its free list exactly once when the engine drains.
 package pktnet
 
 import (
@@ -79,10 +121,18 @@ type Network struct {
 	eng    *engine.Engine
 	cfg    Config
 	topo   *topo.Topology
-	ports  []*port
-	hosts  []*hostRx // per host receiver state, indexed by host rank
+	ports  []port
+	hosts  []hostRx // per host receiver state, indexed by host rank
+	pairs  [][]pair // [src][dst]; rows and entries are filled on first use
 	nextID uint64
 	ndp    bool
+
+	// Free lists of recycled records, and how many of each kind were ever
+	// allocated: once the engine drains, every record is back on its list.
+	freePkts  []*packet
+	freeFlows []*flow
+	pktsMade  int
+	flowsMade int
 
 	Stats Stats
 
@@ -99,34 +149,37 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("pktnet: nil topology")
 	}
-	if !cc.IsReceiverDriven(cfg.CC) {
-		// validate algorithm name early
-		if _, err := cc.New(cfg.CC, cc.Params{MTU: cfg.MTU, BaseRTT: simtime.Microsecond, BDP: cfg.MTU}); err != nil {
-			return nil, err
-		}
-	}
 	n := &Network{
 		eng:  eng,
 		cfg:  cfg,
 		topo: cfg.Topo,
 		ndp:  cc.IsReceiverDriven(cfg.CC),
 	}
+	if !n.ndp {
+		// validate the algorithm name here: flows may then ignore the error
+		if _, err := cc.New(cfg.CC, cc.Params{MTU: cfg.MTU}); err != nil {
+			return nil, err
+		}
+	}
 	rng := xrand.New(cfg.Seed ^ 0x41544c414853) // "ATLAHS"
-	n.ports = make([]*port, len(cfg.Topo.Links))
+	n.ports = make([]port, len(cfg.Topo.Links))
 	for i := range n.ports {
+		pt := &n.ports[i]
 		link := cfg.Topo.Links[i]
-		n.ports[i] = &port{
+		*pt = port{
 			net:  n,
 			link: link,
 			kmin: int64(cfg.KminFrac * float64(link.BufBytes)),
 			kmax: int64(cfg.KmaxFrac * float64(link.BufBytes)),
 			rng:  rng.Split(),
 		}
+		pt.txDoneFn, pt.pipeOutFn = pt.txDone, pt.pipeOut
 	}
-	n.hosts = make([]*hostRx, cfg.Topo.NumHosts())
+	n.hosts = make([]hostRx, cfg.Topo.NumHosts())
 	for h := range n.hosts {
-		n.hosts[h] = newHostRx(n, h)
+		n.hosts[h].init(n, h)
 	}
+	n.pairs = make([][]pair, cfg.Topo.NumHosts())
 	return n, nil
 }
 
@@ -147,61 +200,72 @@ func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time))
 		size = 1
 	}
 	n.nextID++
-	f := newFlow(n, n.nextID, src, dst, size, onDelivered)
-	f.born = n.eng.Now()
+	id := n.nextID
+	f := n.newFlow(id, src, dst, size, onDelivered) // holds one reference for this call
 	f.start()
-	return f.id
+	f.unref()
+	return id
 }
 
-// baseRTT returns the unloaded round-trip time for the first path of the
-// pair: per hop serialisation of one MTU plus propagation, both ways, plus
-// ack serialisation.
-func (n *Network) baseRTT(src, dst int) simtime.Duration {
-	fwd := n.topo.Paths(src, dst)
-	var d simtime.Duration
-	if len(fwd) == 0 {
-		return simtime.Microsecond
-	}
-	for _, lid := range fwd[0] {
-		l := &n.topo.Links[lid]
-		d += l.Latency + simtime.Duration(n.cfg.MTU+n.cfg.Header)*l.PsPerByte
-	}
-	rev := n.topo.Paths(dst, src)
-	for _, lid := range rev[0] {
-		l := &n.topo.Links[lid]
-		d += l.Latency + simtime.Duration(n.cfg.Header)*l.PsPerByte
-	}
-	return d
+// pair is what the network keeps per ordered host pair: the shortest paths
+// (the shared Topology computes them but stores nothing) and, once a
+// message has used the pair, the constants every later message reuses.
+type pair struct {
+	paths   [][]int
+	baseRTT simtime.Duration // 0 until the first message src->dst
+	rto     simtime.Duration
+	bdp     int64 // bandwidth-delay product of the first path, bytes
 }
 
-// bottleneckPsPerByte returns the slowest per-byte rate along the first
-// forward path (used for BDP estimation).
-func (n *Network) bottleneckPsPerByte(src, dst int) simtime.Duration {
-	paths := n.topo.Paths(src, dst)
-	if len(paths) == 0 {
-		return 40
+func (n *Network) pairOf(src, dst int) *pair {
+	row := n.pairs[src]
+	if row == nil {
+		row = make([]pair, len(n.pairs))
+		n.pairs[src] = row
 	}
-	var worst simtime.Duration
-	for _, lid := range paths[0] {
-		if g := n.topo.Links[lid].PsPerByte; g > worst {
-			worst = g
+	pr := &row[dst]
+	if pr.paths == nil {
+		pr.paths = n.topo.Paths(src, dst)
+		if len(pr.paths) == 0 {
+			panic(fmt.Sprintf("pktnet: no path %d->%d", src, dst))
 		}
 	}
-	if worst == 0 {
-		worst = 1
-	}
-	return worst
+	return pr
 }
 
-func (n *Network) rto(base simtime.Duration) simtime.Duration {
-	if n.cfg.RTO > 0 {
-		return n.cfg.RTO
+// flowPair returns the pair record a message src->dst runs on, with its
+// timing constants filled, and the reverse paths its ACKs, NACKs and pulls
+// take. The unloaded round-trip time is per hop serialisation of one MTU
+// plus propagation on the first forward path, and header serialisation
+// plus propagation back; the BDP divides it by the slowest forward link.
+func (n *Network) flowPair(src, dst int) (fwd *pair, rev [][]int) {
+	fwd = n.pairOf(src, dst)
+	rev = n.pairOf(dst, src).paths
+	if fwd.baseRTT != 0 {
+		return fwd, rev
 	}
-	r := 4 * base
-	if min := 20 * simtime.Microsecond; r < min {
-		r = min
+	var rtt, slowest simtime.Duration
+	for _, lid := range fwd.paths[0] {
+		l := &n.topo.Links[lid]
+		rtt += l.Latency + simtime.Duration(n.cfg.MTU+n.cfg.Header)*l.PsPerByte
+		if l.PsPerByte > slowest {
+			slowest = l.PsPerByte
+		}
 	}
-	return r
+	for _, lid := range rev[0] {
+		l := &n.topo.Links[lid]
+		rtt += l.Latency + simtime.Duration(n.cfg.Header)*l.PsPerByte
+	}
+	if slowest == 0 {
+		slowest = 1
+	}
+	fwd.baseRTT = rtt
+	fwd.bdp = int64(rtt) / int64(slowest)
+	fwd.rto = n.cfg.RTO
+	if fwd.rto <= 0 {
+		fwd.rto = max(4*rtt, 20*simtime.Microsecond)
+	}
+	return fwd, rev
 }
 
 // pktKind discriminates wire packet types.
@@ -230,24 +294,57 @@ type packet struct {
 	sent    simtime.Time // data: transmit time (echoed by ack for RTT)
 }
 
-// port is the egress queue of one unidirectional link.
+// newPacket takes a packet from the free list; it holds a reference to f
+// until freePacket.
+func (n *Network) newPacket(f *flow, kind pktKind, seq int, wire int64) *packet {
+	var p *packet
+	if k := len(n.freePkts); k > 0 {
+		p = n.freePkts[k-1]
+		n.freePkts = n.freePkts[:k-1]
+	} else {
+		p = new(packet)
+		n.pktsMade++
+	}
+	p.flow, p.kind, p.seq, p.wire = f, kind, seq, wire
+	f.refs++
+	return p
+}
+
+// freePacket recycles p where it is consumed. The record is zeroed, so a
+// holder that uses it afterwards dereferences a nil flow and panics.
+func (n *Network) freePacket(p *packet) {
+	f := p.flow
+	if f == nil {
+		panic("pktnet: packet released twice")
+	}
+	*p = packet{}
+	n.freePkts = append(n.freePkts, p)
+	f.unref()
+}
+
+// port is the egress queue of one unidirectional link and the link itself:
+// a long-lived event source with two handlers bound once in New.
 type port struct {
 	net   *Network
 	link  topo.Link
-	q     []*packet // data FIFO
-	hq    []*packet // priority queue: control + trimmed headers
-	bytes int64     // queued data bytes (for capacity & ECN)
-	busy  bool
+	q     fifo[*packet] // data FIFO
+	hq    fifo[*packet] // priority queue: control + trimmed headers
+	bytes int64         // queued data bytes (for capacity & ECN)
+	cur   *packet       // being serialised; nil when the line is idle
+	pipe  fifo[*packet] // propagating on the link, oldest first
 	kmin  int64
 	kmax  int64
 	rng   *xrand.RNG
+
+	txDoneFn  engine.Handler // pt.txDone
+	pipeOutFn engine.Handler // pt.pipeOut
 }
 
 // enqueue places p on the port, applying capacity, trimming and ECN rules.
 func (pt *port) enqueue(p *packet) {
 	if p.kind != pktData || p.trimmed {
 		// control and already-trimmed packets are never dropped
-		pt.hq = append(pt.hq, p)
+		pt.hq.push(p)
 		pt.kick()
 		return
 	}
@@ -258,11 +355,12 @@ func (pt *port) enqueue(p *packet) {
 			p.wire = pt.net.cfg.Header
 			p.payload = 0
 			pt.net.Stats.Trims++
-			pt.hq = append(pt.hq, p)
+			pt.hq.push(p)
 			pt.kick()
 			return
 		}
 		pt.net.Stats.Drops++
+		pt.net.freePacket(p)
 		return
 	}
 	// RED-style ECN marking between kmin and kmax
@@ -277,42 +375,43 @@ func (pt *port) enqueue(p *packet) {
 		}
 	}
 	pt.bytes += p.wire
-	pt.q = append(pt.q, p)
+	pt.q.push(p)
 	pt.kick()
 }
 
 // kick starts transmitting the next packet if the line is idle.
 func (pt *port) kick() {
-	if pt.busy {
+	if pt.cur != nil {
 		return
 	}
-	var p *packet
-	if len(pt.hq) > 0 {
-		p = pt.hq[0]
-		copy(pt.hq, pt.hq[1:])
-		pt.hq = pt.hq[:len(pt.hq)-1]
-	} else if len(pt.q) > 0 {
-		p = pt.q[0]
-		copy(pt.q, pt.q[1:])
-		pt.q = pt.q[:len(pt.q)-1]
-		pt.bytes -= p.wire
-	} else {
+	switch {
+	case pt.hq.len() > 0:
+		pt.cur = pt.hq.pop()
+	case pt.q.len() > 0:
+		pt.cur = pt.q.pop()
+		pt.bytes -= pt.cur.wire
+	default:
 		return
 	}
-	pt.busy = true
-	ser := simtime.Duration(p.wire) * pt.link.PsPerByte
-	pt.net.eng.After(ser, func() {
-		pt.busy = false
-		// propagation to the next device
-		pt.net.eng.After(pt.link.Latency, func() {
-			pt.net.arrive(p)
-		})
-		pt.kick()
-	})
+	pt.net.eng.After(simtime.Duration(pt.cur.wire)*pt.link.PsPerByte, pt.txDoneFn)
 }
 
+// txDone fires when the last bit of pt.cur has left the port: the packet
+// starts propagating and the line takes the next one.
+func (pt *port) txDone() {
+	pt.pipe.push(pt.cur)
+	pt.cur = nil
+	pt.net.eng.After(pt.link.Latency, pt.pipeOutFn)
+	pt.kick()
+}
+
+// pipeOut fires once per propagating packet. The link latency is a
+// constant, so packets leave the pipe in the order they entered it.
+func (pt *port) pipeOut() { pt.net.arrive(pt.pipe.pop()) }
+
 // arrive handles a packet reaching the device at the end of its current
-// link: forward to the next hop or deliver to the endpoint.
+// link: forward to the next hop, or hand it to the endpoint, which
+// consumes it.
 func (n *Network) arrive(p *packet) {
 	if p.hop < len(p.path) {
 		next := p.path[p.hop]
@@ -320,27 +419,25 @@ func (n *Network) arrive(p *packet) {
 		n.ports[next].enqueue(p)
 		return
 	}
+	f := p.flow
 	switch p.kind {
 	case pktData:
-		n.hosts[p.flow.dst].onData(p)
+		n.hosts[f.dst].onData(p)
 	case pktAck:
-		p.flow.onAck(p)
+		f.onAck(p)
 	case pktNack:
-		p.flow.onNack(p)
+		f.onNack(p)
 	case pktPull:
-		p.flow.onPull()
+		f.onPull()
 	}
+	n.freePacket(p)
 }
 
-// inject starts a packet from a host along a freshly selected path.
-// fromHost is the host rank the packet leaves.
-func (n *Network) inject(fromHost, toHost int, p *packet, pathChoice uint64) {
-	paths := n.topo.Paths(fromHost, toHost)
-	if len(paths) == 0 {
-		panic(fmt.Sprintf("pktnet: no path %d->%d", fromHost, toHost))
-	}
-	idx := n.cfg.Selector.Pick(len(paths), p.flow.id, pathChoice)
-	p.path = paths[idx]
+// inject starts a packet from a host along one of paths, picked by the
+// selector. The first port may drop (and recycle) p: callers do not touch
+// it afterwards.
+func (n *Network) inject(paths [][]int, p *packet, pathChoice uint64) {
+	p.path = paths[n.cfg.Selector.Pick(len(paths), p.flow.id, pathChoice)]
 	p.hop = 1
 	if p.kind == pktData {
 		n.Stats.PktsSent++

@@ -153,23 +153,29 @@ func TestDropsUnderPressureAndNDPTrims(t *testing.T) {
 }
 
 func TestRTORecovery(t *testing.T) {
-	// Extremely small buffers and aggressive incast: drops are certain;
-	// all messages must still complete via RTO retransmission.
-	tp := testTopo(t, 16, 8, 1, 8*1024)
-	eng, n := newNet(t, tp, "swift")
-	ok := 0
-	for src := 1; src < 16; src++ {
-		n.Send(src, 0, 64*1024, func(simtime.Time) { ok++ })
-	}
-	eng.Run()
-	if ok != 15 {
-		t.Fatalf("delivered %d/15 with drops", ok)
-	}
-	if n.Stats.Drops == 0 {
-		t.Skip("no drops triggered; RTO path not exercised in this configuration")
-	}
-	if n.Stats.Retransmits == 0 {
-		t.Fatal("drops occurred but no retransmissions")
+	// Extremely small buffers and aggressive incast: drops are certain (the
+	// configuration is deterministic); all messages must still complete
+	// via RTO retransmission.
+	for _, alg := range []string{"mprdma", "swift", "dctcp"} {
+		t.Run(alg, func(t *testing.T) {
+			tp := testTopo(t, 16, 8, 1, 8*1024)
+			eng, n := newNet(t, tp, alg)
+			ok := 0
+			for src := 1; src < 16; src++ {
+				n.Send(src, 0, 64*1024, func(simtime.Time) { ok++ })
+			}
+			eng.Run()
+			if ok != 15 {
+				t.Fatalf("delivered %d/15 with drops", ok)
+			}
+			if n.Stats.Drops == 0 {
+				t.Fatal("no drops triggered: the RTO path is not exercised")
+			}
+			if n.Stats.Retransmits < n.Stats.Drops {
+				t.Fatalf("%d drops but only %d retransmissions", n.Stats.Drops, n.Stats.Retransmits)
+			}
+			checkDrained(t, n)
+		})
 	}
 }
 
@@ -284,17 +290,43 @@ func TestOversubscriptionHurtsCrossTorTraffic(t *testing.T) {
 	}
 }
 
+// BenchmarkPacketForwarding measures the per-packet host cost of the packet
+// path on a warmed Network, a fixed batch per iteration so that a
+// -benchtime 3x CI run means something: "elephant" is one 1 MiB message
+// across the core (256 data packets + 256 ACKs over 4 hops each way);
+// "small-flows" is shaped like the storage traffic — 2048 messages of
+// about 870 B between 16 hosts, one packet each, where per-message state
+// dominates.
 func BenchmarkPacketForwarding(b *testing.B) {
-	tp := testTopo(b, 16, 4, 4, 0)
-	eng := engine.New()
-	n, err := New(eng, Config{Topo: tp, CC: "mprdma", Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name  string
+		batch func(n *Network)
+	}{
+		{"elephant", func(n *Network) { n.Send(0, 15, 1<<20, nil) }},
+		{"small-flows", func(n *Network) {
+			for i := 0; i < 2048; i++ {
+				src := i % 16
+				n.Send(src, (src+1+i/16%15)%16, 870+int64(i%64), nil)
+			}
+		}},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	// b.N KiB of traffic across the core per iteration batch
-	n.Send(0, 15, int64(b.N)*1024, nil)
-	eng.Run()
-	b.ReportMetric(float64(n.Stats.PktsSent)/float64(b.N), "pkts/op")
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			eng := engine.New()
+			n, err := New(eng, Config{Topo: testTopo(b, 16, 4, 4, 0), CC: "mprdma", Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.batch(n)
+			eng.Run()
+			warm := n.Stats.PktsSent
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.batch(n)
+				eng.Run()
+			}
+			b.ReportMetric(float64(n.Stats.PktsSent-warm)/float64(b.N), "pkts/op")
+		})
+	}
 }

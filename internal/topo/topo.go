@@ -5,10 +5,12 @@
 // dragonfly for the Alps-cluster flavour.
 //
 // A topology is a directed graph of devices (hosts and switches) connected
-// by unidirectional links; every full-duplex cable is two Links. Routing is
-// precomputed: Paths(src, dst) enumerates all shortest paths as link-index
-// sequences, and an ECMP selector picks among them by flow hash or
-// per-packet spraying.
+// by unidirectional links; every full-duplex cable is two Links.
+// Paths(src, dst) enumerates all shortest paths as link-index sequences,
+// and an ECMP selector picks among them by flow hash or per-packet
+// spraying. A Topology is read-only once its constructor returns, so any
+// number of concurrent simulations may share one; each network keeps the
+// paths it has asked for in a table of its own.
 package topo
 
 import (
@@ -52,15 +54,14 @@ type LinkSpec struct {
 	BufBytes  int64
 }
 
-// Topology is an immutable network graph with precomputed shortest paths
-// between all host pairs.
+// Topology is an immutable network graph: no field is written after the
+// constructor returns.
 type Topology struct {
-	Name     string
-	Devices  []Device
-	Links    []Link
-	HostIDs  []int // device IDs of hosts, indexed by host rank
-	adjOut   [][]int
-	pathsMem map[[2]int][][]int
+	Name    string
+	Devices []Device
+	Links   []Link
+	HostIDs []int // device IDs of hosts, indexed by host rank
+	adjOut  [][]int
 }
 
 // NumHosts returns the number of host endpoints.
@@ -96,22 +97,14 @@ func (t *Topology) addLink(from, to int, spec LinkSpec) {
 // OutLinks returns the IDs of links leaving device d.
 func (t *Topology) OutLinks(d int) []int { return t.adjOut[d] }
 
-// Paths returns every shortest path from host src to host dst as a slice
-// of link IDs. Results are memoised. src == dst yields nil.
+// Paths computes every shortest path from host src to host dst as a slice
+// of link IDs (a BFS per call: callers on a hot path keep the result).
+// src == dst yields nil.
 func (t *Topology) Paths(src, dst int) [][]int {
 	if src == dst {
 		return nil
 	}
-	key := [2]int{src, dst}
-	if p, ok := t.pathsMem[key]; ok {
-		return p
-	}
-	if t.pathsMem == nil {
-		t.pathsMem = map[[2]int][][]int{}
-	}
-	p := t.computePaths(t.HostIDs[src], t.HostIDs[dst])
-	t.pathsMem[key] = p
-	return p
+	return t.computePaths(t.HostIDs[src], t.HostIDs[dst])
 }
 
 // computePaths runs BFS from srcDev and enumerates all shortest link paths

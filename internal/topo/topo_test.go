@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -88,16 +90,35 @@ func TestPathContinuity(t *testing.T) {
 	}
 }
 
-func TestPathsMemoised(t *testing.T) {
+// A Topology is shared by concurrent simulations, so Paths must not store
+// anything in it: equal results, distinct storage, and no race when called
+// from several goroutines at once (CI runs this under -race).
+func TestPathsComputesWithoutStoring(t *testing.T) {
 	tp := mkFatTree(t, 16, 4, 4)
 	a := tp.Paths(0, 5)
 	b := tp.Paths(0, 5)
-	if &a[0] != &b[0] {
-		t.Fatal("paths not memoised")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("Paths not deterministic: %v vs %v", a, b)
+	}
+	if &a[0] == &b[0] {
+		t.Fatal("Paths returned shared storage: the topology memoises")
 	}
 	if tp.Paths(3, 3) != nil {
 		t.Fatal("self path should be nil")
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for dst := 1; dst < 16; dst++ {
+				if len(tp.Paths(0, dst)) == 0 {
+					t.Errorf("no path 0->%d", dst)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestOversubscriptionRatio(t *testing.T) {

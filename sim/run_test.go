@@ -287,3 +287,41 @@ func TestRunCancelsMidSimulation(t *testing.T) {
 		t.Fatalf("mid-run cancel: %v, want context.Canceled", err)
 	}
 }
+
+// TestConcurrentRunsShareOneTopology: PktConfig.Topo and FluidConfig.Topo
+// let callers (atlahsd jobs, sweep workers) hand one *Topology to several
+// runs at once, so a run may read it but never write it — routing state a
+// run computes lives in that run's network. CI runs this under -race; the
+// runs must also agree, since they are the same simulation.
+func TestConcurrentRunsShareOneTopology(t *testing.T) {
+	tp, err := FatTree(16, 4, 1, 0, LinkSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]any{"pkt": PktConfig{Topo: tp}, "fluid": FluidConfig{Topo: tp}} {
+		spec := Spec{Workload: Workload{Synthetic: &Synthetic{Pattern: "alltoall", Ranks: 16, Bytes: 8192}},
+			Backend: name, Config: cfg, Seed: 3}
+		var wg sync.WaitGroup
+		got := make([]*Result, 4)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := Run(context.Background(), spec)
+				if err != nil {
+					t.Errorf("%s run %d: %v", name, g, err)
+				}
+				got[g] = res
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for g, res := range got[1:] {
+			if res.Runtime != got[0].Runtime || res.Events != got[0].Events {
+				t.Errorf("%s run %d: (%v, %d events), run 0: (%v, %d events)", name, g+1, res.Runtime, res.Events, got[0].Runtime, got[0].Events)
+			}
+		}
+	}
+}

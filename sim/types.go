@@ -28,7 +28,8 @@ type (
 	NetParams = backend.NetParams
 	// LinkSpec parameterises one link of a fabric topology.
 	LinkSpec = topo.LinkSpec
-	// Topology is an immutable fabric graph with precomputed paths.
+	// Topology is an immutable fabric graph: read-only once built, so
+	// concurrent runs may share one through PktConfig.Topo / FluidConfig.Topo.
 	Topology = topo.Topology
 	// Sample accumulates a metric distribution (e.g. message completion times).
 	Sample = stats.Sample
