@@ -203,6 +203,9 @@ func Decompose(b *goal.Builder, kind Kind, algo Algo, ranks []int, root int, byt
 	if bytes < 0 {
 		return nil, fmt.Errorf("collective: negative size %d", bytes)
 	}
+	if opt.channels() > TagSpan {
+		return nil, fmt.Errorf("collective: %d channels exceed the %d tags one collective may use", opt.channels(), TagSpan)
+	}
 	if root < 0 || root >= len(ranks) {
 		root = 0
 	}

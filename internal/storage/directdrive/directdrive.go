@@ -90,6 +90,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// checkSize bounds what Generate allocates before it has read a single I/O
+// command — one rank per component, one chain head per (host, stream) — by
+// the rank limit of textual GOAL. A Config can arrive in a wire spec.
+func (c Config) checkSize() error {
+	for _, n := range []int{c.Hosts, c.CCS, c.BSS, c.StreamsPerHost} {
+		if n > goal.MaxTextRanks {
+			return fmt.Errorf("directdrive: component count %d exceeds the limit %d", n, goal.MaxTextRanks)
+		}
+	}
+	if ranks := NewLayout(c).NumRanks(); ranks > goal.MaxTextRanks {
+		return fmt.Errorf("directdrive: %d ranks exceed the limit %d", ranks, goal.MaxTextRanks)
+	}
+	if n := c.Hosts * c.StreamsPerHost; n > goal.MaxTextRanks {
+		return fmt.Errorf("directdrive: %d host streams exceed the limit %d", n, goal.MaxTextRanks)
+	}
+	return nil
+}
+
 // Layout maps Direct Drive components to GOAL ranks (= cluster nodes).
 type Layout struct {
 	Hosts    int
@@ -148,6 +166,9 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 		return nil, nil, err
 	}
 	cfg = cfg.withDefaults()
+	if err := cfg.checkSize(); err != nil {
+		return nil, nil, err
+	}
 	l := NewLayout(cfg)
 	b := goal.NewBuilder(l.NumRanks())
 

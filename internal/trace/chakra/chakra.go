@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"atlahs/internal/goal"
 )
 
 // Node types.
@@ -161,6 +163,9 @@ func Parse(r io.Reader) (*Trace, error) {
 	}
 	if hdr.NRanks <= 0 {
 		return nil, fmt.Errorf("chakra: bad rank count %d", hdr.NRanks)
+	}
+	if hdr.NRanks > goal.MaxTextRanks {
+		return nil, fmt.Errorf("chakra: rank count %d exceeds the limit %d", hdr.NRanks, goal.MaxTextRanks)
 	}
 	t := &Trace{Ranks: make([][]Node, hdr.NRanks)}
 	for {

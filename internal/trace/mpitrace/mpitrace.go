@@ -28,6 +28,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"atlahs/internal/goal"
 )
 
 // OpType enumerates traced MPI calls.
@@ -210,6 +212,9 @@ func Parse(r io.Reader) (*Trace, error) {
 			n, err := strconv.Atoi(fields[2])
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("mpitrace: line %d: bad rank count", lineno)
+			}
+			if n > goal.MaxTextRanks {
+				return nil, fmt.Errorf("mpitrace: line %d: rank count %d exceeds the limit %d", lineno, n, goal.MaxTextRanks)
 			}
 			t = New(n)
 		case fields[0] == "rank":

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+
+	"atlahs/internal/goal"
 )
 
 // Record kinds.
@@ -76,6 +78,9 @@ const formatName = "atlahs-nsys-v1"
 func (r *Report) Validate() error {
 	if r.NGPUs <= 0 {
 		return fmt.Errorf("nsys: non-positive GPU count %d", r.NGPUs)
+	}
+	if r.NGPUs > goal.MaxTextRanks {
+		return fmt.Errorf("nsys: GPU count %d exceeds the limit %d", r.NGPUs, goal.MaxTextRanks)
 	}
 	for name, members := range r.Comms {
 		seen := map[int]bool{}

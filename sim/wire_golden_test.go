@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"strings"
 	"testing"
 
 	"atlahs/internal/goal"
@@ -13,54 +14,257 @@ import (
 	"atlahs/internal/workload/oltp"
 )
 
-// TestConvertedSchedulesEncodeAsBefore pins the binary GOAL encoding of
-// the three schedules the repo benchmark converts (bench/replay.go, full
-// scale, seed 1) to SHA-256 digests recorded at commit 65f5b2e, the last
-// one with per-op [][]int32 dependency lists. The encoding writes every
-// op's dependencies in list order, so the digests move if a builder or
-// decoder change reorders, drops or duplicates a single edge — which is
-// also what would move every spec fingerprint and goal_bytes_per_op.
+// convertCase is one named input of a trace frontend. pinnedAt315b2a9 holds
+// what the parent of the parser and builder rewrite made of it.
+type convertCase struct {
+	name, frontend string
+	raw            []byte
+	cfg            any
+}
+
+func traceBytes(t testing.TB, w io.WriterTo, err error) []byte {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Small generated fixtures of the four trace formats (what cmd/tracegen
+// writes), shared by the pinned table and the convert fuzzers' corpora.
+func nsysFixture(t testing.TB, seed uint64) []byte {
+	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 2, EP: 1, GlobalBatch: 8}, Scale: 1e-4, Seed: seed})
+	return traceBytes(t, rep, err)
+}
+
+func mpiFixture(t testing.TB, seed uint64) []byte {
+	tr, err := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 8, Steps: 2, Seed: seed})
+	return traceBytes(t, tr, err)
+}
+
+func spcFixture(t testing.TB, seed uint64) []byte {
+	return traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 80, Seed: seed}), nil)
+}
+
+func chakraLLMFixture(t testing.TB, seed uint64) []byte {
+	tr, err := llm.GenerateChakra(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 1, PP: 1, DP: 4, EP: 1, GlobalBatch: 8}, Scale: 1e-4, Seed: seed})
+	return traceBytes(t, tr, err)
+}
+
+const (
+	nsysHdr   = `{"format":"atlahs-nsys-v1","ngpus":2,"comms":{"c":[0,1]}}` + "\n"
+	nsysK0    = `{"gpu":0,"stream":0,"kind":"kernel","name":"k","start_ns":0,"end_ns":10}` + "\n"
+	nsysAR0   = `{"gpu":0,"stream":1,"kind":"nccl","start_ns":10,"end_ns":20,"coll":"allreduce","bytes":4096,"comm":"c"}` + "\n"
+	nsysAR1   = `{"gpu":1,"stream":1,"kind":"nccl","start_ns":12,"end_ns":22,"coll":"allreduce","bytes":4096,"comm":"c"}` + "\n"
+	mpiHdr    = "mpitrace nranks 2\n"
+	mpiR0     = "rank 0 {\nMPI_Init t=0:10\nMPI_Send dst=1 bytes=64 tag=3 t=20:30\nMPI_Allreduce bytes=128 t=40:50\n}\n"
+	mpiR1     = "rank 1 {\nMPI_Init t=0:10\nMPI_Recv src=0 bytes=64 tag=3 t=20:35\nMPI_Allreduce bytes=128 t=40:50\n}\n"
+	chakraHdr = `{"format":"atlahs-chakra-et-v1","nranks":2}` + "\n"
+	chakraR0  = `{"rank":0,"nodes":[{"id":0,"name":"f","type":"COMP_NODE","ctrl_deps":null,"data_deps":null,"attrs":[{"name":"runtime","int64_val":100}]},{"id":1,"name":"ALL_REDUCE","type":"COMM_COLL_NODE","ctrl_deps":[0],"data_deps":null,"attrs":[{"name":"comm_type","string_val":"ALL_REDUCE"},{"name":"comm_size","int64_val":4096}]}]}` + "\n"
+	chakraR1  = `{"rank":1,"nodes":[{"id":0,"name":"f","type":"COMP_NODE","ctrl_deps":null,"data_deps":null,"attrs":[{"name":"runtime","int64_val":200}]},{"id":1,"name":"ALL_REDUCE","type":"COMM_COLL_NODE","ctrl_deps":[0],"data_deps":null,"attrs":[{"name":"comm_type","string_val":"ALL_REDUCE"},{"name":"comm_size","int64_val":4096}]}]}` + "\n"
+)
+
+// handWrittenCases is the malformed-and-odd input list: one property of
+// the accepted language per entry. The fuzzers seed their corpora from it.
+func handWrittenCases() []convertCase {
+	crlf := func(s string) string { return strings.ReplaceAll(s, "\n", "\r\n") }
+	return []convertCase{
+		// nsys: a JSON value stream (not strictly one record per line)
+		{name: "nsys/minimal", frontend: "nsys", raw: []byte(nsysHdr + nsysK0 + nsysAR0 + nsysAR1)},
+		{name: "nsys/header-only", frontend: "nsys", raw: []byte(nsysHdr)},
+		{name: "nsys/empty", frontend: "nsys", raw: nil},
+		{name: "nsys/crlf-blank-indent", frontend: "nsys", raw: []byte(crlf(nsysHdr + "\n  " + nsysK0 + "\n\t" + nsysAR0 + nsysAR1 + "\n"))},
+		{name: "nsys/two-records-one-line", frontend: "nsys", raw: []byte(nsysHdr + strings.TrimSuffix(nsysAR0, "\n") + " " + nsysAR1)},
+		{name: "nsys/record-over-two-lines", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `,"kind"`, ",\n\"kind\"", 1))},
+		{name: "nsys/no-final-newline", frontend: "nsys", raw: []byte(nsysHdr + strings.TrimSuffix(nsysK0, "\n"))},
+		{name: "nsys/missing-kind", frontend: "nsys", raw: []byte(nsysHdr + `{"gpu":0,"stream":0,"start_ns":0,"end_ns":10}` + "\n")},
+		{name: "nsys/missing-end", frontend: "nsys", raw: []byte(nsysHdr + `{"gpu":0,"stream":0,"kind":"kernel","start_ns":5}` + "\n")},
+		{name: "nsys/missing-optional", frontend: "nsys", raw: []byte(nsysHdr + `{"kind":"kernel","end_ns":7}` + "\n")},
+		{name: "nsys/string-for-int", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":"0"`, 1))},
+		{name: "nsys/fraction-for-int", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":0.5`, 1))},
+		{name: "nsys/exponent-for-int", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"end_ns":10`, `"end_ns":1e3`, 1))},
+		{name: "nsys/int-for-string", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"kind":"kernel"`, `"kind":7`, 1))},
+		{name: "nsys/uppercase-keys", frontend: "nsys", raw: []byte(nsysHdr + `{"GPU":1,"Stream":0,"KIND":"kernel","START_NS":3,"End_Ns":9}` + "\n")},
+		{name: "nsys/uppercase-kind", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"kernel"`, `"KERNEL"`, 1))},
+		{name: "nsys/uppercase-coll", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysAR0, `"allreduce"`, `"AllReduce"`, 1) + nsysAR1)},
+		{name: "nsys/escaped-strings", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(strings.Replace(nsysAR0, `"nccl"`, `"ncc\u006c"`, 1), `"comm":"c"`, `"comm":"\u0063"`, 1) + nsysAR1)},
+		{name: "nsys/null-fields", frontend: "nsys", raw: []byte(nsysHdr + `{"gpu":null,"stream":0,"kind":"kernel","name":null,"start_ns":0,"end_ns":10,"comm":null}` + "\n")},
+		{name: "nsys/duplicate-key-last-wins", frontend: "nsys", raw: []byte(nsysHdr + `{"gpu":0,"kind":"nccl","kind":"kernel","start_ns":0,"end_ns":4,"end_ns":10}` + "\n")},
+		{name: "nsys/null-after-value-keeps-it", frontend: "nsys", raw: []byte(nsysHdr + `{"gpu":0,"kind":"kernel","kind":null,"start_ns":0,"end_ns":10}` + "\n")},
+		{name: "nsys/unknown-field", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":0,"sm":[1,{"x":2}]`, 1))},
+		{name: "nsys/trailing-comma", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `}`, `,}`, 1))},
+		{name: "nsys/trailing-garbage", frontend: "nsys", raw: []byte(nsysHdr + strings.TrimSuffix(nsysK0, "\n") + " xyz\n")},
+		{name: "nsys/null-record", frontend: "nsys", raw: []byte(nsysHdr + "null\n")},
+		{name: "nsys/array-record", frontend: "nsys", raw: []byte(nsysHdr + "[1,2]\n")},
+		{name: "nsys/truncated-record", frontend: "nsys", raw: []byte(nsysHdr + nsysK0[:30])},
+		{name: "nsys/invalid-utf8-name", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"name":"k"`, "\"name\":\"k\xff\"", 1))},
+		{name: "nsys/unknown-comm", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysAR0, `"comm":"c"`, `"comm":"d"`, 1))},
+		{name: "nsys/gpu-not-in-comm", frontend: "nsys", raw: []byte(strings.Replace(nsysHdr, `[0,1]`, `[1]`, 1) + nsysAR0)},
+		{name: "nsys/repeated-comm-member", frontend: "nsys", raw: []byte(strings.Replace(nsysHdr, `[0,1]`, `[1,1]`, 1) + nsysK0)},
+		{name: "nsys/missing-collective-on-gpu1", frontend: "nsys", raw: []byte(nsysHdr + nsysAR0)},
+		{name: "nsys/send-recv", frontend: "nsys", raw: []byte(nsysHdr +
+			`{"gpu":0,"stream":0,"kind":"nccl","start_ns":1,"end_ns":2,"coll":"send","bytes":512,"comm":"c","peer":1}` + "\n" +
+			`{"gpu":1,"stream":0,"kind":"nccl","start_ns":1,"end_ns":2,"coll":"recv","bytes":512,"comm":"c","peer":0}` + "\n")},
+		{name: "nsys/wrong-format", frontend: "nsys", raw: []byte(strings.Replace(nsysHdr, "v1", "v2", 1) + nsysK0)},
+		{name: "nsys/zero-gpus", frontend: "nsys", raw: []byte(strings.Replace(nsysHdr, `"ngpus":2`, `"ngpus":0`, 1))},
+
+		// mpi: line-oriented text
+		{name: "mpi/minimal", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + mpiR1)},
+		{name: "mpi/crlf-blank-comment-indent", frontend: "mpi", raw: []byte(crlf("# liballprof\n\n" + mpiHdr + "  " + strings.ReplaceAll(mpiR0, "\nMPI", "\n\t MPI") + "\n# mid\n" + mpiR1))},
+		{name: "mpi/unicode-space-separators", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "MPI_Send dst=1 bytes=64", "\u00a0MPI_Send\u2003dst=1\u00a0bytes=64", 1) + mpiR1)},
+		{name: "mpi/no-final-newline", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + strings.TrimSuffix(mpiR1, "\n"))},
+		{name: "mpi/unterminated-last-block", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + strings.TrimSuffix(mpiR1, "}\n"))},
+		{name: "mpi/rank-in-two-blocks", frontend: "mpi", raw: []byte(mpiHdr + "rank 0 {\nMPI_Init t=0:10\n}\n" + mpiR1 + "rank 0 {\nMPI_Send dst=1 bytes=64 tag=3 t=20:30\nMPI_Allreduce bytes=128 t=40:50\n}\n")},
+		{name: "mpi/blocks-out-of-order", frontend: "mpi", raw: []byte(mpiHdr + mpiR1 + mpiR0)},
+		{name: "mpi/header-twice-resets", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + mpiHdr + mpiR0 + mpiR1)},
+		{name: "mpi/missing-header", frontend: "mpi", raw: []byte(mpiR0 + mpiR1)},
+		{name: "mpi/empty", frontend: "mpi", raw: nil},
+		{name: "mpi/header-extra-field", frontend: "mpi", raw: []byte("mpitrace nranks 2 x\n" + mpiR0 + mpiR1)},
+		{name: "mpi/header-zero-ranks", frontend: "mpi", raw: []byte("mpitrace nranks 0\n")},
+		{name: "mpi/event-outside-block", frontend: "mpi", raw: []byte(mpiHdr + "MPI_Init t=0:10\n" + mpiR0 + mpiR1)},
+		{name: "mpi/event-after-close", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + "MPI_Finalize t=60:70\n" + mpiR1)},
+		{name: "mpi/close-with-trailing-words", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "}\n", "} end of rank\n", 1) + mpiR1)},
+		{name: "mpi/double-close-token", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "}\n", "}}\n", 1) + mpiR1)},
+		{name: "mpi/rank-out-of-range", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + strings.Replace(mpiR1, "rank 1 {", "rank 2 {", 1))},
+		{name: "mpi/rank-brace-glued", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "rank 0 {", "rank 0{", 1) + mpiR1)},
+		{name: "mpi/rank-plus-sign", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "rank 0 {", "rank +0 {", 1) + mpiR1)},
+		{name: "mpi/missing-tag", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, " tag=3", "", 1) + strings.Replace(mpiR1, " tag=3", "", 1))},
+		{name: "mpi/missing-peer", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, " dst=1", "", 1) + mpiR1)},
+		{name: "mpi/missing-timestamps", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, " t=20:30", "", 1) + mpiR1)},
+		{name: "mpi/bad-bytes-suffix", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=4k", 1) + mpiR1)},
+		{name: "mpi/bytes-hex", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=0x40", 1) + mpiR1)},
+		{name: "mpi/bytes-underscore", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=6_4", 1) + mpiR1)},
+		{name: "mpi/bytes-plus-sign", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=+64", 1) + mpiR1)},
+		{name: "mpi/bytes-negative", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=-64", 1) + mpiR1)},
+		{name: "mpi/tag-overflows-int32", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "tag=3", "tag=99999999999", 1) + mpiR1)},
+		{name: "mpi/bytes-overflows-int64", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=99999999999999999999", 1) + mpiR1)},
+		{name: "mpi/timestamp-no-colon", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "t=20:30", "t=20", 1) + mpiR1)},
+		{name: "mpi/timestamp-empty-end", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "t=20:30", "t=20:", 1) + mpiR1)},
+		{name: "mpi/timestamp-two-colons", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "t=20:30", "t=20:30:40", 1) + mpiR1)},
+		{name: "mpi/end-before-start", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "t=20:30", "t=30:20", 1) + mpiR1)},
+		{name: "mpi/trailing-comma", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "dst=1", "dst=1,", 1) + mpiR1)},
+		{name: "mpi/lowercase-call", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "MPI_Send", "mpi_send", 1) + mpiR1)},
+		{name: "mpi/uppercase-attribute", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "dst=1", "DST=1", 1) + mpiR1)},
+		{name: "mpi/unknown-call", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "MPI_Send", "MPI_Ssend", 1) + mpiR1)},
+		{name: "mpi/unknown-attribute", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "tag=3", "tag=3 comm=0", 1) + mpiR1)},
+		{name: "mpi/attribute-without-equals", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "tag=3", "tag", 1) + mpiR1)},
+		{name: "mpi/attribute-empty-value", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "tag=3", "tag=", 1) + mpiR1)},
+		{name: "mpi/value-with-equals", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "tag=3", "tag=3=4", 1) + mpiR1)},
+		{name: "mpi/duplicate-attribute-last-wins", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "bytes=64", "bytes=32 bytes=64", 1) + mpiR1)},
+		{name: "mpi/src-on-a-send", frontend: "mpi", raw: []byte(mpiHdr + strings.Replace(mpiR0, "dst=1", "src=1", 1) + mpiR1)},
+		{name: "mpi/nonblocking-and-wait", frontend: "mpi", raw: []byte(mpiHdr +
+			"rank 0 {\nMPI_Isend dst=1 bytes=64 tag=3 req=7 t=20:21\nMPI_Wait req=7 t=25:30\n}\n" +
+			"rank 1 {\nMPI_Irecv src=0 bytes=64 tag=3 req=9 t=20:21\nMPI_Wait req=9 t=25:35\n}\n")},
+		{name: "mpi/wait-for-unknown-request", frontend: "mpi", raw: []byte(mpiHdr + "rank 0 {\nMPI_Wait req=7 t=25:30\n}\nrank 1 {\n}\n")},
+		{name: "mpi/collective-count-mismatch", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + "rank 1 {\nMPI_Init t=0:10\n}\n")},
+		{name: "mpi/rooted-collectives", frontend: "mpi", raw: []byte(mpiHdr +
+			"rank 0 {\nMPI_Bcast bytes=4096 root=1 t=0:10\nMPI_Barrier t=20:30\nMPI_Reduce bytes=64 root=0 t=40:50\n}\n" +
+			"rank 1 {\nMPI_Bcast bytes=4096 root=1 t=0:12\nMPI_Barrier t=20:31\nMPI_Reduce bytes=64 root=0 t=40:52\n}\n")},
+
+		// spc: CSV
+		{name: "spc/minimal", frontend: "spc", raw: []byte("0,100,4096,R,0.000000\n1,208,8192,W,0.001500\n")},
+		{name: "spc/lowercase-opcodes", frontend: "spc", raw: []byte("0,100,4096,r,0.000000\n1,208,8192,w,0.001500\n")},
+		{name: "spc/crlf-blank-comment", frontend: "spc", raw: []byte("0,100,4096,R,0.0\r\n\r\n# note, with, commas\r\n   \r\n1,208,8192,W,0.0015\r\n")},
+		{name: "spc/spaces-around-fields", frontend: "spc", raw: []byte(" 0 ,\t100 , 4096 , W , 0.5 \n")},
+		{name: "spc/unicode-space-around-fields", frontend: "spc", raw: []byte("\u00a00,100\u2003,4096,R,0.5\n")},
+		{name: "spc/no-final-newline", frontend: "spc", raw: []byte("0,100,4096,R,0.5")},
+		{name: "spc/extra-fields-ignored", frontend: "spc", raw: []byte("0,100,4096,R,0.5,x,y\n")},
+		{name: "spc/trailing-comma", frontend: "spc", raw: []byte("0,100,4096,R,0.5,\n")},
+		{name: "spc/four-fields", frontend: "spc", raw: []byte("0,100,4096,R\n")},
+		{name: "spc/empty-timestamp", frontend: "spc", raw: []byte("0,100,4096,R,\n")},
+		{name: "spc/empty", frontend: "spc", raw: nil},
+		{name: "spc/comment-only", frontend: "spc", raw: []byte("# nothing\n")},
+		{name: "spc/indented-comment", frontend: "spc", raw: []byte("0,100,4096,R,0.5\n   # indented\n")},
+		{name: "spc/bad-opcode", frontend: "spc", raw: []byte("0,100,4096,X,0.5\n")},
+		{name: "spc/two-letter-opcode", frontend: "spc", raw: []byte("0,100,4096,RW,0.5\n")},
+		{name: "spc/fraction-for-int", frontend: "spc", raw: []byte("0,100.0,4096,R,0.5\n")},
+		{name: "spc/hex-int", frontend: "spc", raw: []byte("0,0x64,4096,R,0.5\n")},
+		{name: "spc/plus-sign-int", frontend: "spc", raw: []byte("+0,+100,+4096,R,+0.5\n")},
+		{name: "spc/underscore-int", frontend: "spc", raw: []byte("0,1_00,4096,R,0.5\n")},
+		{name: "spc/int-overflow", frontend: "spc", raw: []byte("0,99999999999999999999,4096,R,0.5\n")},
+		{name: "spc/exponent-timestamp", frontend: "spc", raw: []byte("0,100,4096,R,5e-1\n1,100,4096,R,1E0\n")},
+		{name: "spc/hex-float-timestamp", frontend: "spc", raw: []byte("0,100,4096,R,0x1p-1\n")},
+		{name: "spc/bad-timestamp", frontend: "spc", raw: []byte("0,100,4096,R,1.2.3\n")},
+		{name: "spc/zero-size", frontend: "spc", raw: []byte("0,100,0,R,0.5\n")},
+		{name: "spc/negative-lba", frontend: "spc", raw: []byte("0,-1,4096,R,0.5\n")},
+		{name: "spc/time-goes-back", frontend: "spc", raw: []byte("0,100,4096,R,0.5\n0,100,4096,R,0.4\n")},
+		{name: "spc/many-asus-and-gaps", frontend: "spc", raw: []byte("0,8,512,W,0.1\n4,16,512,R,0.2\n0,24,1024,W,0.3\n9,32,512,R,0.3\n4,40,512,W,0.7\n")},
+
+		// chakra: a JSON value stream of rank documents
+		{name: "chakra/minimal", frontend: "chakra", raw: []byte(chakraHdr + chakraR0 + chakraR1)},
+		{name: "chakra/header-only", frontend: "chakra", raw: []byte(chakraHdr)},
+		{name: "chakra/crlf-blank", frontend: "chakra", raw: []byte(crlf(chakraHdr + "\n" + chakraR0 + "\n" + chakraR1))},
+		{name: "chakra/rank-out-of-range", frontend: "chakra", raw: []byte(chakraHdr + chakraR0 + strings.Replace(chakraR1, `"rank":1`, `"rank":2`, 1))},
+		{name: "chakra/rank-twice-last-wins", frontend: "chakra", raw: []byte(chakraHdr + chakraR0 + chakraR0 + chakraR1)},
+		{name: "chakra/zero-ranks", frontend: "chakra", raw: []byte(strings.Replace(chakraHdr, `"nranks":2`, `"nranks":0`, 1))},
+		{name: "chakra/unknown-field", frontend: "chakra", raw: []byte(chakraHdr + strings.Replace(chakraR0, `"rank":0`, `"rank":0,"pid":17`, 1) + chakraR1)},
+		{name: "chakra/trailing-comma", frontend: "chakra", raw: []byte(chakraHdr + strings.Replace(chakraR0, `]}`+"\n", `],}`+"\n", 1) + chakraR1)},
+		{name: "chakra/trailing-garbage", frontend: "chakra", raw: []byte(chakraHdr + chakraR0 + chakraR1 + "xyz\n")},
+		{name: "chakra/dependency-not-found", frontend: "chakra", raw: []byte(chakraHdr + strings.Replace(chakraR0, `"ctrl_deps":[0]`, `"ctrl_deps":[5]`, 1) + chakraR1)},
+		{name: "chakra/unknown-node-type", frontend: "chakra", raw: []byte(chakraHdr + strings.Replace(chakraR0, "COMP_NODE", "comp_node", 1) + chakraR1)},
+		{name: "chakra/missing-collective-on-rank1", frontend: "chakra", raw: []byte(chakraHdr + chakraR0)},
+	}
+}
+
+// TestConvertedSchedulesEncodeAsBefore pins what every trace frontend
+// makes of its input — accepted or rejected and, when accepted, the binary
+// GOAL encoding — to what commit 315b2a9 made of it. The first three rows
+// are the schedules the repo benchmark converts (bench/replay.go, full
+// scale, seed 1), whose digests go back to commit 65f5b2e, the last one
+// with per-op [][]int32 dependency lists; then two seeds of a generated
+// fixture per format, then the hand-written list. The encoding writes
+// every op's dependencies in list order, so a digest moves if a parser, a
+// converter or the builder reorders, drops or duplicates a single edge —
+// which is also what would move every spec fingerprint and
+// goal_bytes_per_op.
 func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
-	raw := func(w io.WriterTo) []byte {
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 8, EP: 1, GlobalBatch: 32}, Scale: 1e-3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 128, Steps: 9, Seed: 1})
+	cases := []convertCase{
+		{"bench/llm", "nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}},
+		{"bench/hpcapps", "mpi", traceBytes(t, tr, err2), nil},
+		{"bench/oltp", "spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 3400, Seed: 1}), nil), nil},
+		{"fixture/nsys-1", "nsys", nsysFixture(t, 1), nil},
+		{"fixture/nsys-2", "nsys", nsysFixture(t, 2), NsysConfig{GPUsPerNode: 2}},
+		{"fixture/mpi-1", "mpi", mpiFixture(t, 1), nil},
+		{"fixture/mpi-2", "mpi", mpiFixture(t, 2), nil},
+		{"fixture/spc-1", "spc", spcFixture(t, 1), nil},
+		{"fixture/spc-2", "spc", spcFixture(t, 2), SPCConfig{Hosts: 3, CCS: 1, BSS: 4, Replicas: 2}},
+		{"fixture/chakra-1", "chakra", chakraLLMFixture(t, 1), nil},
+		{"fixture/chakra-2", "chakra", chakraLLMFixture(t, 2), nil},
 	}
-	tr, err := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 128, Steps: 9, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name, frontend string
-		raw            []byte
-		cfg            any
-		size           int
-		sha256         string
-	}{
-		{"llm", "nsys", raw(rep), NsysConfig{GPUsPerNode: 2},
-			404564, "e69645122b4f182cc2ff3b8828e1b7c76e2891e4b38b30e11086937b434be33e"},
-		{"hpcapps", "mpi", raw(tr), nil,
-			1110921, "cb99ab2fae34855e01efa1d7197cf58adac7eeec86a7593b67769731892086a2"},
-		{"oltp", "spc", raw(oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 3400, Seed: 1})), nil,
-			638760, "1b1cec590e4ca3a0246b34a0aea4c033f7333cb02e06cf8f60992f55bc40e3d8"},
-	} {
-		s, err := ConvertTrace(c.raw, c.frontend, c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+	cases = append(cases, handWrittenCases()...)
+	seen := map[string]bool{}
+	for _, c := range cases {
+		if seen[c.name] {
+			t.Fatalf("duplicate case name %q", c.name)
 		}
-		var bin bytes.Buffer
-		if err := goal.WriteBinary(&bin, s); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		sum := sha256.Sum256(bin.Bytes())
-		if got := hex.EncodeToString(sum[:]); bin.Len() != c.size || got != c.sha256 {
-			t.Errorf("%s via %s: %d bytes, sha256 %s; recorded %d bytes, %s", c.name, c.frontend, bin.Len(), got, c.size, c.sha256)
-		}
+		seen[c.name] = true
+		want := pinnedAt315b2a9[c.name]
+		t.Run(c.name, func(t *testing.T) {
+			got := ""
+			s, err := ConvertTrace(c.raw, c.frontend, c.cfg)
+			if err == nil {
+				var bin bytes.Buffer
+				if err := goal.WriteBinary(&bin, s); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(bin.Bytes())
+				got = hex.EncodeToString(sum[:])
+			}
+			switch {
+			case got == want:
+			case want == "":
+				t.Errorf("accepted (sha256 %s); 315b2a9 rejected it", got)
+			case got == "":
+				t.Errorf("rejected (%v); 315b2a9 accepted it as %s", err, want)
+			default:
+				t.Errorf("sha256 %s; recorded %s", got, want)
+			}
+		})
 	}
 }
