@@ -43,14 +43,14 @@ func ringAllreduce(b *goal.Builder, ranks []int, bytes int64, opt Options, entry
 		cpu := opt.cpuFor(c)
 		order, origPos := channelOrder(ranks, c)
 		block := splitAcross(chanBytes[c], n) // per-step block sizes
-		// prevRecv[i]: the recv op of order position i from the previous step
-		prevRecv := make([]goal.OpID, n)
+		// prevRecv[i]: the recv op of order position i from the previous
+		// step; newRecv collects this step's and the two swap
+		prevRecv, newRecv := make([]goal.OpID, n), make([]goal.OpID, n)
 		for i := range prevRecv {
 			prevRecv[i] = entryOf(entry, origPos[i])
 		}
 		for step := 0; step < 2*(n-1); step++ {
 			reducing := step < n-1
-			newRecv := make([]goal.OpID, n)
 			for i := 0; i < n; i++ {
 				rb := b.Rank(order[i])
 				next := order[(i+1)%n]
@@ -70,7 +70,7 @@ func ringAllreduce(b *goal.Builder, ranks []int, bytes int64, opt Options, entry
 				}
 				newRecv[i] = last
 			}
-			prevRecv = newRecv
+			prevRecv, newRecv = newRecv, prevRecv
 		}
 		for i := 0; i < n; i++ {
 			exits[origPos[i]] = append(exits[origPos[i]], prevRecv[i])
@@ -167,12 +167,11 @@ func ringAllgather(b *goal.Builder, ranks []int, bytes int64, opt Options, entry
 		tag := opt.TagBase + int32(c)
 		cpu := opt.cpuFor(c)
 		w := WireBytes(opt.Protocol, chanBytes[c])
-		prevRecv := make([]goal.OpID, n)
+		prevRecv, newRecv := make([]goal.OpID, n), make([]goal.OpID, n)
 		for i := range prevRecv {
 			prevRecv[i] = entryOf(entry, i)
 		}
 		for step := 0; step < n-1; step++ {
-			newRecv := make([]goal.OpID, n)
 			for i := 0; i < n; i++ {
 				rb := b.Rank(ranks[i])
 				s := rb.SendOn(w, ranks[(i+1)%n], tag, cpu)
@@ -181,7 +180,7 @@ func ringAllgather(b *goal.Builder, ranks []int, bytes int64, opt Options, entry
 				requireEntry(rb, r, entryOf(entry, i))
 				newRecv[i] = r
 			}
-			prevRecv = newRecv
+			prevRecv, newRecv = newRecv, prevRecv
 		}
 		for i := 0; i < n; i++ {
 			exits[i] = append(exits[i], prevRecv[i])
@@ -205,12 +204,11 @@ func ringReduceScatter(b *goal.Builder, ranks []int, bytes int64, opt Options, e
 		tag := opt.TagBase + int32(c)
 		cpu := opt.cpuFor(c)
 		block := splitAcross(chanBytes[c], n)
-		prevRecv := make([]goal.OpID, n)
+		prevRecv, newRecv := make([]goal.OpID, n), make([]goal.OpID, n)
 		for i := range prevRecv {
 			prevRecv[i] = entryOf(entry, i)
 		}
 		for step := 0; step < n-1; step++ {
-			newRecv := make([]goal.OpID, n)
 			for i := 0; i < n; i++ {
 				rb := b.Rank(ranks[i])
 				outBlock := block[(i-step%n+2*n)%n]
@@ -227,7 +225,7 @@ func ringReduceScatter(b *goal.Builder, ranks []int, bytes int64, opt Options, e
 				}
 				newRecv[i] = last
 			}
-			prevRecv = newRecv
+			prevRecv, newRecv = newRecv, prevRecv
 		}
 		for i := 0; i < n; i++ {
 			exits[i] = append(exits[i], prevRecv[i])

@@ -8,13 +8,36 @@ type OpID int32
 // Builder incrementally constructs a Schedule. It is the API used by every
 // trace converter (Schedgen, the NCCL 4-stage pipeline, Direct Drive) and
 // workload generator. Builders are not safe for concurrent use.
+//
+// The contract, in four parts:
+//
+//   - Counted or grown. A producer that knows how many ops and edges a rank
+//     gets says so with RankBuilder.Grow, and that rank's arrays are
+//     allocated once, at exactly that size. A producer that does not know
+//     just adds: the same arrays grow the way append grows them. A count
+//     that turns out too small is not an error, only a regrowth.
+//   - In order or spilled. Each of a rank's two dependency tables is
+//     written directly in its final CSR form (Deps: 4 B per op, 4 B per
+//     edge) for as long as successive Requires / IRequires calls name
+//     non-decreasing ops — which is what a producer does that wires each
+//     op up right after adding it. The first call that names an op older
+//     than the last one named spills that table of that rank to an
+//     (op, dep) log (8 B per edge) that Build counting-sorts into CSR.
+//     Both paths give an op its dependencies in the order they were added,
+//     so they produce identical schedules; which one runs is decided by
+//     the order the producer's calls arrive in, per rank and per table.
+//   - One Build. Build hands the op arrays and the in-order tables to the
+//     Schedule instead of copying them, so it may be called once, last:
+//     the builder and its RankBuilder handles are spent afterwards and any
+//     further use panics.
+//   - What is handed over: every rank's Ops, and the offset and edge
+//     arrays of every table that stayed in order, with whatever spare
+//     capacity growth left (none after an exact Grow). Spilled tables are
+//     freshly allocated at their exact size.
 type Builder struct {
 	ranks   []RankBuilder
 	comment string
 }
-
-// depEdge is one logged dependency: op depends on dep.
-type depEdge struct{ op, dep int32 }
 
 // NewBuilder creates a builder for a schedule with nranks ranks.
 func NewBuilder(nranks int) *Builder {
@@ -38,21 +61,46 @@ func (b *Builder) NumRanks() int { return len(b.ranks) }
 // builder, so converters that ask for one per emitted op allocate nothing.
 func (b *Builder) Rank(r int) *RankBuilder {
 	if r < 0 || r >= len(b.ranks) {
+		if b.ranks == nil {
+			panic(spentMsg)
+		}
 		panic(fmt.Sprintf("goal: rank %d out of range [0,%d)", r, len(b.ranks)))
 	}
 	return &b.ranks[r]
 }
 
-// RankBuilder adds ops and dependencies to one rank. Ops go to one slice
-// and dependencies to one (op, dep) log per kind, in call order; Build
-// sorts the logs into tables. An op costs its 24 bytes and an edge 8 while
-// building, with nothing per op for dependencies it does not have.
+const spentMsg = "goal: Builder used after Build"
+
+// RankBuilder adds ops and dependencies to one rank: ops to one array,
+// dependencies to one depTable per kind. An op costs its 24 bytes and an
+// edge 4 (8 once its table has spilled) while building, plus 4 bytes per
+// op for each table that has any edges.
 type RankBuilder struct {
 	r         int
+	spent     bool
 	ops       []Op
-	requires  []depEdge
-	irequires []depEdge
+	requires  depTable
+	irequires depTable
 }
+
+// depTable is one dependency table under construction (see Builder for
+// the two states).
+type depTable struct {
+	// In order: off[i] is where op i's list starts in edges, for every op
+	// up to the last one a call has named (op len(off)-1, whose list runs
+	// to the end of edges). Build pads off to the op count and these two
+	// arrays are the table.
+	off   []int32
+	edges []int32
+	// Spilled (log is non-nil): every edge in call order, the in-order
+	// ones first.
+	log []depEdge
+}
+
+func (t *depTable) spilled() bool { return t.log != nil }
+
+// depEdge is one logged dependency: op depends on dep.
+type depEdge struct{ op, dep int32 }
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
@@ -60,7 +108,49 @@ func (rb *RankBuilder) Rank() int { return rb.r }
 // NumOps returns the number of ops added to this rank so far.
 func (rb *RankBuilder) NumOps() int { return len(rb.ops) }
 
+// Grow reserves room for exactly ops more ops and requires / irequires
+// more dependency edges on this rank. Callers count first and Grow once;
+// adding more than was reserved grows the arrays as if Grow had not been
+// called.
+func (rb *RankBuilder) Grow(ops, requires, irequires int) {
+	if rb.spent {
+		panic(spentMsg)
+	}
+	if ops < 0 || requires < 0 || irequires < 0 {
+		panic("goal: Grow with a negative count")
+	}
+	rb.ops = reserve(rb.ops, ops)
+	rb.requires.grow(len(rb.ops)+ops, requires)
+	rb.irequires.grow(len(rb.ops)+ops, irequires)
+}
+
+// reserve returns s with room for exactly n more elements when it has
+// less (slices.Grow would round the capacity up).
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// grow reserves for a rank that will have nops ops and edges more edges
+// in this table. A table that is to stay empty reserves nothing: Build
+// makes its offset array.
+func (t *depTable) grow(nops, edges int) {
+	switch {
+	case edges == 0:
+	case t.spilled():
+		t.log = reserve(t.log, edges)
+	default:
+		t.off = reserve(t.off, nops+1-len(t.off))
+		t.edges = reserve(t.edges, edges)
+	}
+}
+
 func (rb *RankBuilder) add(op Op) OpID {
+	if rb.spent {
+		panic(spentMsg)
+	}
 	rb.ops = append(rb.ops, op)
 	return OpID(len(rb.ops) - 1)
 }
@@ -98,23 +188,56 @@ func (rb *RankBuilder) RecvOn(size int64, src int, tag int32, cpu int32) OpID {
 // Requires adds completion dependencies: op starts only after each dep has
 // completed.
 func (rb *RankBuilder) Requires(op OpID, deps ...OpID) {
-	rb.requires = rb.log(rb.requires, op, deps)
+	rb.depend(&rb.requires, op, deps)
 }
 
 // IRequires adds start dependencies: op starts only after each dep has
 // started.
 func (rb *RankBuilder) IRequires(op OpID, deps ...OpID) {
-	rb.irequires = rb.log(rb.irequires, op, deps)
+	rb.depend(&rb.irequires, op, deps)
 }
 
-func (rb *RankBuilder) log(edges []depEdge, op OpID, deps []OpID) []depEdge {
+func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
+	if rb.spent {
+		panic(spentMsg)
+	}
 	if op < 0 || int(op) >= len(rb.ops) {
 		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.ops)))
 	}
-	for _, d := range deps {
-		edges = append(edges, depEdge{int32(op), int32(d)})
+	if len(deps) == 0 {
+		return
 	}
-	return edges
+	if !t.spilled() && int(op) < len(t.off)-1 {
+		t.spill()
+	}
+	if t.spilled() {
+		for _, d := range deps {
+			t.log = append(t.log, depEdge{int32(op), int32(d)})
+		}
+		return
+	}
+	for len(t.off) <= int(op) {
+		t.off = append(t.off, int32(len(t.edges)))
+	}
+	for _, d := range deps {
+		t.edges = append(t.edges, int32(d))
+	}
+}
+
+// spill rewrites the in-order arrays as the head of the log, which takes
+// over whatever edge capacity Grow reserved.
+func (t *depTable) spill() {
+	t.log = make([]depEdge, 0, max(cap(t.edges), 2*len(t.edges)))
+	for i := range t.off {
+		hi := len(t.edges)
+		if i+1 < len(t.off) {
+			hi = int(t.off[i+1])
+		}
+		for _, d := range t.edges[t.off[i]:hi] {
+			t.log = append(t.log, depEdge{int32(i), d})
+		}
+	}
+	t.off, t.edges = nil, nil
 }
 
 // Chain links ops into a sequential requires chain (each op requires its
@@ -129,18 +252,40 @@ func (rb *RankBuilder) Chain(ops ...OpID) OpID {
 	return ops[len(ops)-1]
 }
 
-// Build assembles the final Schedule. The builder remains usable: the
-// schedule shares no memory with it.
+// Build assembles the final Schedule and leaves the builder spent: the
+// schedule owns the arrays the builder filled (see Builder).
 func (b *Builder) Build() *Schedule {
+	if b.ranks == nil {
+		panic(spentMsg)
+	}
 	s := &Schedule{Comment: b.comment, Ranks: make([]RankProgram, len(b.ranks))}
 	for r := range b.ranks {
 		rb := &b.ranks[r]
-		rp := &s.Ranks[r]
-		rp.Ops = append([]Op(nil), rb.ops...)
-		rp.Requires = tableOf(len(rb.ops), rb.requires)
-		rp.IRequires = tableOf(len(rb.ops), rb.irequires)
+		n := len(rb.ops)
+		if n == 0 {
+			rb.ops = nil // as the tables' edges: nil when empty, Grow or not
+		}
+		s.Ranks[r] = RankProgram{Ops: rb.ops, Requires: rb.requires.build(n), IRequires: rb.irequires.build(n)}
+		*rb = RankBuilder{r: r, spent: true}
 	}
+	b.ranks = nil
 	return s
+}
+
+// build finishes the table for a rank of n ops, keeping what newDeps
+// promises: off is never nil and has n+1 entries, edges is nil when empty.
+func (t *depTable) build(n int) Deps {
+	if t.spilled() {
+		return tableOf(n, t.log)
+	}
+	d := Deps{off: reserve(t.off, n+1-len(t.off))}
+	for len(d.off) <= n {
+		d.off = append(d.off, int32(len(t.edges)))
+	}
+	if len(t.edges) > 0 {
+		d.edges = t.edges
+	}
+	return d
 }
 
 // tableOf counting-sorts an edge log by op into a table of n lists (the

@@ -345,23 +345,28 @@ func TestReadBinaryReaderErrors(t *testing.T) {
 	}
 }
 
-// TestBuildAllocsPerRank pins the flat layout: Build costs a constant
-// number of allocations per rank regardless of op count — the schedule,
-// its ranks, the ops, two offset arrays and one edge array (IRequires has
-// no edges). Handles come out of the builder, so Rank allocates nothing.
+// TestBuildAllocsPerRank pins the flat layout and the hand-over: a counted
+// rank costs a constant number of allocations from NewBuilder to Build
+// regardless of op count — the builder and its ranks, the ops, the
+// Requires offset and edge arrays (Grow), the schedule, its ranks and the
+// IRequires offset array (Build; IRequires has no edges) — and Build copies
+// none of them. Handles come out of the builder, so Rank allocates nothing.
 func TestBuildAllocsPerRank(t *testing.T) {
-	b := NewBuilder(1)
-	rb := b.Rank(0)
-	prev := rb.Calc(1)
-	for i := 0; i < 999; i++ {
-		cur := rb.Calc(1)
-		rb.Requires(cur, prev)
-		prev = cur
-	}
-	if allocs := testing.AllocsPerRun(10, func() { _ = b.Build() }); allocs > 6 {
-		t.Fatalf("Build allocated %.0f times for a 1000-op rank; the CSR layout needs 6", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { _ = b.Rank(0).NumOps() }); allocs != 0 {
-		t.Fatalf("Builder.Rank allocated %.0f times per call", allocs)
+	for _, n := range []int{1000, 20000} {
+		allocs := testing.AllocsPerRun(10, func() {
+			b := NewBuilder(1)
+			rb := b.Rank(0)
+			rb.Grow(n, n-1, 0)
+			prev := rb.Calc(1)
+			for i := 1; i < n; i++ {
+				cur := b.Rank(0).Calc(1)
+				rb.Requires(cur, prev)
+				prev = cur
+			}
+			_ = b.Build()
+		})
+		if allocs > 8 {
+			t.Fatalf("building a counted %d-op rank allocated %.0f times; the CSR layout needs 8", n, allocs)
+		}
 	}
 }

@@ -12,13 +12,17 @@ import (
 // schedule it accepts must survive a WriteText/ParseText round trip with
 // identical shape. The seed corpus mirrors the goal_test.go fixtures:
 // paper syntax, dependencies, comments, every op attribute, and the common
-// malformations the error tests cover.
+// malformations the error tests cover. Text orders dependency lines any
+// way it likes, so this is also the fuzzer of the builder's spill path.
 func FuzzParseText(f *testing.F) {
 	seeds := []string{
 		// paper Fig 3 syntax (mirrors TestParseTextPaperSyntax)
 		"num_ranks 2\nrank 0 {\nl1: calc 100\nl2: calc 200 cpu 1\nl3: send 10b to 1 tag 42\nl4: recv 10b from 1 tag 42 cpu 1\nl3 requires l1\nl4 irequires l2\n}\nrank 1 {\nl1: recv 10b from 0 tag 42\nl2: send 10b to 0 tag 42\nl2 requires l1\n}\n",
 		// comments, blank lines, forward labels
 		"// a comment\nnum_ranks 1\nrank 0 {\n\nl2 requires l1\nl1: calc 5\nl2: calc 7\n}\n",
+		// dependency lines that name an older op after a newer one: the
+		// builder writes l3's list in place, then has to spill the table
+		"num_ranks 1\nrank 0 {\nl1: calc 1\nl2: calc 2\nl3: calc 3\nl3 requires l1\nl2 requires l1\nl3 requires l2\nl2 irequires l1\n}\n",
 		// rendezvous-sized sends, wildcard-ish tags, nic attribute
 		"num_ranks 2\nrank 0 {\nl1: send 300000b to 1 tag 0 nic 1\n}\nrank 1 {\nl1: recv 300000b from 0 tag 0\n}\n",
 		// malformed inputs from TestParseTextErrors territory

@@ -20,6 +20,14 @@
 // Session setup (once per host) traverses SLB -> GS. Direct Drive is
 // proprietary; like the paper, the model follows Microsoft's public
 // description, and every assumption is a configurable parameter.
+//
+// Generate builds the schedule on goal.Builder's counted, in-order path
+// (goal.Builder states the contract). A command's choreography is a fixed
+// number of ops and edges per component, so one pass over the trace that
+// only routes commands counts every rank's ops and edges exactly, and
+// every Requires call follows the add of the op it names, so every table
+// is written in its final form: a rank's arrays are allocated once, at
+// their final size, and Build hands them over.
 package directdrive
 
 import (
@@ -171,6 +179,10 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 	}
 	l := NewLayout(cfg)
 	b := goal.NewBuilder(l.NumRanks())
+	ops, edges := count(tr, cfg, l)
+	for r := range ops {
+		b.Rank(r).Grow(ops[r], edges[r], 0)
+	}
 
 	// per-host session setup through SLB and GS (once per host)
 	sessionDone := make([]goal.OpID, cfg.Hosts)
@@ -220,7 +232,7 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 	// per (host, stream) chains with traced think time
 	type streamState struct {
 		head     goal.OpID
-		lastTime float64
+		lastTime float64 // of the stream's previous command; 0: none yet
 	}
 	streams := make([][]streamState, cfg.Hosts)
 	for h := range streams {
@@ -239,15 +251,10 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 		tag := opTag(opIdx)
 
 		// traced inter-arrival gap becomes host-side computation
-		if st.lastTime > 0 && op.Time > st.lastTime {
-			gapNs := int64((op.Time - st.lastTime) * 1e9)
-			if gapNs > 0 {
-				c := host.CalcOn(gapNs, cpu)
-				if st.head >= 0 {
-					host.Requires(c, st.head)
-				}
-				st.head = c
-			}
+		if gap := gapNs(st.lastTime, op.Time); gap > 0 {
+			c := host.CalcOn(gap, cpu)
+			host.Requires(c, st.head)
+			st.head = c
 		}
 		st.lastTime = op.Time
 
@@ -256,11 +263,10 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 		ccs := b.Rank(l.CCSRank(ccsIdx))
 		ccsRank := l.CCSRank(ccsIdx)
 
-		// 1. host asks the CCS which BSS owns the block
+		// 1. host asks the CCS which BSS owns the block (st.head is at
+		// least the host's session ack)
 		req := host.SendOn(cfg.CtrlBytes, ccsRank, tag, cpu)
-		if st.head >= 0 {
-			host.Requires(req, st.head)
-		}
+		host.Requires(req, st.head)
 		crecv := ccs.Recv(cfg.CtrlBytes, l.Host(h), tag)
 		if ccsChain[ccsIdx] >= 0 {
 			ccs.Requires(crecv, ccsChain[ccsIdx])
@@ -299,6 +305,68 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 		return nil, nil, err
 	}
 	return s, &l, nil
+}
+
+// gapNs is the traced think time, in nanoseconds, before a command issued
+// at t seconds on a stream whose previous command was issued at last.
+func gapNs(last, t float64) int64 {
+	if last > 0 && t > last {
+		return int64((t - last) * 1e9)
+	}
+	return 0
+}
+
+// count returns how many ops and requires edges Generate emits on every
+// rank, so each rank's arrays are allocated once at their final size. The
+// choreography's per-command counts are constants (read them off the
+// session loop, the command loop, genRead and genWrite); the only things
+// that depend on the trace are where a command is routed, whether it is
+// preceded by a think-time gap, and that the first request a service
+// instance handles has no predecessor to chain to.
+func count(tr *spc.Trace, cfg Config, l Layout) (ops, edges []int) {
+	ops, edges = make([]int, l.NumRanks()), make([]int, l.NumRanks())
+	// emit books n ops and their edges on a rank. A service's edge counts
+	// include the chain edge to its previous request; see the end.
+	emit := func(rank, n, e int) {
+		ops[rank] += n
+		edges[rank] += e
+	}
+	for h := 0; h < cfg.Hosts; h++ {
+		emit(l.Host(h), 2, 1) // syn; ack <- syn
+		emit(l.SLB(), 2, 2)   // recv <- chain; fwd <- recv
+		emit(l.GS(), 3, 3)    // recv <- chain; calc <- recv; resp <- calc
+	}
+	lastTime := make([]float64, cfg.Hosts*cfg.StreamsPerHost)
+	for _, op := range tr.Ops {
+		h := op.ASU % cfg.Hosts
+		last := &lastTime[h*cfg.StreamsPerHost+(op.ASU/cfg.Hosts)%cfg.StreamsPerHost]
+		if gapNs(*last, op.Time) > 0 {
+			emit(l.Host(h), 1, 1)
+		}
+		*last = op.Time
+		emit(l.Host(h), 5, 5) // CCS request and reply, BSS request/data and reply/ack, think
+		ccs := l.CCSRank(int(op.LBA>>3) % cfg.CCS)
+		emit(ccs, 3, 3) // recv <- chain; lookup <- recv; resp <- lookup
+		primary := int(op.LBA) % cfg.BSS
+		if !op.Write {
+			emit(l.BSSRank(primary), 3, 3) // recv <- chain; read <- recv; data <- read
+			continue
+		}
+		emit(ccs, 1, 1)     // note <- lookup
+		emit(l.MDS(), 2, 2) // recv <- chain; update <- recv
+		// primary: recv <- chain; write <- recv; per secondary fw <- recv
+		// and pack <- recv; ack <- write and every pack
+		emit(l.BSSRank(primary), 3+2*(cfg.Replicas-1), 3+3*(cfg.Replicas-1))
+		for r := 1; r < cfg.Replicas; r++ {
+			emit(l.BSSRank((primary+r)%cfg.BSS), 3, 3) // recv <- chain; write <- recv; ack <- write
+		}
+	}
+	for r := cfg.Hosts; r < len(ops); r++ {
+		if ops[r] > 0 {
+			edges[r]-- // a service's first request chains to nothing
+		}
+	}
+	return ops, edges
 }
 
 // genRead: host -> BSS request, BSS media read, BSS -> host data.

@@ -1,7 +1,6 @@
 package directdrive
 
 import (
-	"io"
 	"regexp"
 
 	"atlahs/internal/goal"
@@ -12,6 +11,19 @@ import (
 // spcLineRE matches one SPC CSV record: ASU,LBA,Size,Opcode,Timestamp.
 var spcLineRE = regexp.MustCompile(`^\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*[RrWw]\s*,\s*\d+(\.\d+)?\s*$`)
 
+func convert(b []byte, cfg any) (*goal.Schedule, error) {
+	c, err := frontend.ConfigAs[Config]("spc", cfg)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := spc.ParseBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	s, _, err := Generate(tr, c)
+	return s, err
+}
+
 func init() {
 	frontend.Register(frontend.Definition{
 		Name:       "spc",
@@ -19,18 +31,7 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return spcLineRE.Match(frontend.FirstLine(prefix, "#"))
 		},
-		Convert: func(r io.Reader, cfg any) (*goal.Schedule, error) {
-			c, err := frontend.ConfigAs[Config]("spc", cfg)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := spc.Parse(r)
-			if err != nil {
-				return nil, err
-			}
-			s, _, err := Generate(tr, c)
-			return s, err
-		},
-		NewConfig: func() any { return new(Config) },
+		ConvertBytes: convert,
+		NewConfig:    func() any { return new(Config) },
 	})
 }

@@ -42,15 +42,18 @@ type Definition struct {
 	Sniff func(prefix []byte) bool
 	// Convert parses one trace from r and converts it to a GOAL schedule.
 	// cfg is the frontend's typed configuration (see ConfigAs); nil
-	// selects defaults. Conversion streams from r: callers hand over the
-	// reader positioned at the start of the trace.
+	// selects defaults. Callers hand over the reader positioned at the
+	// start of the trace. A frontend that sets only ConvertBytes gets a
+	// Convert that drains r and calls it.
 	Convert func(r io.Reader, cfg any) (*goal.Schedule, error)
 	// ConvertBytes, when non-nil, converts a trace already held in memory
-	// without the reader indirection — the path that keeps a GOAL schedule
-	// carried in Spec.Trace copy-free (the "goal" frontend hands the
-	// caller's slice to goal.Decode here). It must accept exactly the inputs
-	// Convert accepts and produce identical schedules; callers fall back
-	// to Convert when it is nil.
+	// without the reader indirection: the parser sees the whole input, so
+	// it can size what it builds from a count and tokenise in place, and a
+	// GOAL schedule carried in Spec.Trace is never copied (the "goal"
+	// frontend hands the caller's slice to goal.Decode here). Every
+	// built-in frontend but chakra parses this way. It must accept exactly
+	// the inputs Convert accepts and produce identical schedules; callers
+	// fall back to Convert when it is nil.
 	ConvertBytes func(b []byte, cfg any) (*goal.Schedule, error)
 	// NewConfig, when non-nil, returns a pointer to a fresh zero value of
 	// the frontend's config type — the hook the sim spec codec uses to
@@ -72,6 +75,15 @@ var frontends = registry.New[Definition]("frontend:")
 // taken panics: those are programming errors at wiring time, not runtime
 // conditions.
 func Register(def Definition) {
+	if convertBytes := def.ConvertBytes; def.Convert == nil && convertBytes != nil {
+		def.Convert = func(r io.Reader, cfg any) (*goal.Schedule, error) {
+			b, err := io.ReadAll(r)
+			if err != nil {
+				return nil, err
+			}
+			return convertBytes(b, cfg)
+		}
+	}
 	if def.Convert == nil {
 		panic(fmt.Sprintf("frontend: Register(%q) with nil converter", def.Name))
 	}
@@ -185,13 +197,6 @@ func init() {
 		Extensions: []string{".goal", ".bin"},
 		Sniff: func(prefix []byte) bool {
 			return goal.IsBinary(prefix) || bytes.HasPrefix(FirstLine(prefix, "//"), []byte("num_ranks "))
-		},
-		Convert: func(r io.Reader, cfg any) (*goal.Schedule, error) {
-			b, err := io.ReadAll(r)
-			if err != nil {
-				return nil, err
-			}
-			return decode(b, cfg)
 		},
 		ConvertBytes: decode,
 	})

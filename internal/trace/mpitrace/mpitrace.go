@@ -24,10 +24,12 @@ package mpitrace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"atlahs/internal/goal"
 )
@@ -190,26 +192,52 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads a text-form trace.
+// Parse reads a text-form trace; see ParseBytes.
 func Parse(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("mpitrace: %w", err)
+	}
+	return ParseBytes(b)
+}
+
+// nextField splits off the first white-space-separated field of b, the way
+// strings.Fields would (Unicode white space, invalid UTF-8 is not space).
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
+}
+
+// ParseBytes parses a text-form trace held in memory. Lines are tokenised
+// in place, and all events go into one array sized from the line count:
+// a rank's events are a window of it for as long as the rank's block is
+// contiguous (a rank that is reopened later continues in an array of its
+// own), so parsing allocates the events and nothing per line.
+func ParseBytes(b []byte) (*Trace, error) {
+	// The shortest event line, "MPI_Wait", has eight bytes and a newline.
+	const minEvent = 9
+	all := make([]Event, 0, min(bytes.Count(b, []byte{'\n'})+1, len(b)/minEvent+1))
 	var t *Trace
-	cur := -1
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	cur := -1     // rank whose block is open
+	blockAt := -1 // where cur's window of all starts; -1: cur has an array of its own
+	for lineno := 1; len(b) > 0; lineno++ {
+		var line []byte
+		line, b, _ = bytes.Cut(b, []byte{'\n'})
+		first, rest := nextField(line)
+		if len(first) == 0 || first[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch {
-		case fields[0] == "mpitrace":
-			if len(fields) != 3 || fields[1] != "nranks" {
+		switch string(first) {
+		case "mpitrace":
+			kw, rest := nextField(rest)
+			count, rest := nextField(rest)
+			if extra, _ := nextField(rest); string(kw) != "nranks" || len(count) == 0 || len(extra) != 0 {
 				return nil, fmt.Errorf("mpitrace: line %d: bad header", lineno)
 			}
-			n, err := strconv.Atoi(fields[2])
+			n, err := strconv.Atoi(string(count))
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("mpitrace: line %d: bad rank count", lineno)
 			}
@@ -217,33 +245,41 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("mpitrace: line %d: rank count %d exceeds the limit %d", lineno, n, goal.MaxTextRanks)
 			}
 			t = New(n)
-		case fields[0] == "rank":
+		case "rank":
 			if t == nil {
 				return nil, fmt.Errorf("mpitrace: line %d: rank before header", lineno)
 			}
-			if len(fields) != 3 || fields[2] != "{" {
+			num, rest := nextField(rest)
+			brace, rest := nextField(rest)
+			if extra, _ := nextField(rest); string(brace) != "{" || len(extra) != 0 {
 				return nil, fmt.Errorf("mpitrace: line %d: bad rank block", lineno)
 			}
-			rk, err := strconv.Atoi(fields[1])
+			rk, err := strconv.Atoi(string(num))
 			if err != nil || rk < 0 || rk >= t.NumRanks() {
-				return nil, fmt.Errorf("mpitrace: line %d: bad rank %q", lineno, fields[1])
+				return nil, fmt.Errorf("mpitrace: line %d: bad rank %q", lineno, num)
 			}
-			cur = rk
-		case fields[0] == "}":
+			cur, blockAt = rk, -1
+			if len(t.Events[rk]) == 0 {
+				blockAt = len(all)
+			}
+		case "}":
 			cur = -1
 		default:
 			if t == nil || cur < 0 {
 				return nil, fmt.Errorf("mpitrace: line %d: event outside rank block", lineno)
 			}
-			ev, err := parseEvent(fields)
+			ev, err := parseEvent(first, rest)
 			if err != nil {
 				return nil, fmt.Errorf("mpitrace: line %d: %w", lineno, err)
 			}
-			t.Events[cur] = append(t.Events[cur], ev)
+			if blockAt < 0 {
+				t.Events[cur] = append(t.Events[cur], ev)
+				continue
+			}
+			all = append(all, ev)
+			// capped, so that appending to one rank cannot reach the next
+			t.Events[cur] = all[blockAt:len(all):len(all)]
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if t == nil {
 		return nil, fmt.Errorf("mpitrace: missing header")
@@ -254,64 +290,69 @@ func Parse(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-func parseEvent(fields []string) (Event, error) {
+// parseEvent parses one event line, given as its first field (the MPI
+// call) and what follows it.
+func parseEvent(call, attrs []byte) (Event, error) {
 	ev := Event{Peer: -1, Root: -1}
-	op, ok := opByName[fields[0]]
+	op, ok := opByName[string(call)]
 	if !ok {
-		return ev, fmt.Errorf("unknown MPI call %q", fields[0])
+		return ev, fmt.Errorf("unknown MPI call %q", call)
 	}
 	ev.Type = op
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
+	for {
+		var f []byte
+		if f, attrs = nextField(attrs); len(f) == 0 {
+			return ev, nil
+		}
+		k, v, ok := bytes.Cut(f, []byte{'='})
 		if !ok {
 			return ev, fmt.Errorf("malformed attribute %q", f)
 		}
-		switch k {
+		switch string(k) {
 		case "dst", "src":
-			p, err := strconv.Atoi(v)
+			p, err := strconv.Atoi(string(v))
 			if err != nil {
 				return ev, fmt.Errorf("bad %s %q", k, v)
 			}
 			ev.Peer = p
 		case "bytes":
-			b, err := strconv.ParseInt(v, 10, 64)
+			b, err := strconv.ParseInt(string(v), 10, 64)
 			if err != nil {
 				return ev, fmt.Errorf("bad bytes %q", v)
 			}
 			ev.Bytes = b
 		case "tag":
-			tg, err := strconv.ParseInt(v, 10, 32)
+			tg, err := strconv.ParseInt(string(v), 10, 32)
 			if err != nil {
 				return ev, fmt.Errorf("bad tag %q", v)
 			}
 			ev.Tag = int32(tg)
 		case "root":
-			rt, err := strconv.Atoi(v)
+			rt, err := strconv.Atoi(string(v))
 			if err != nil {
 				return ev, fmt.Errorf("bad root %q", v)
 			}
 			ev.Root = rt
 		case "req":
-			rq, err := strconv.ParseInt(v, 10, 64)
+			rq, err := strconv.ParseInt(string(v), 10, 64)
 			if err != nil {
 				return ev, fmt.Errorf("bad req %q", v)
 			}
 			ev.Req = rq
 		case "t":
-			s, e, ok := strings.Cut(v, ":")
+			s, e, ok := bytes.Cut(v, []byte{':'})
 			if !ok {
 				return ev, fmt.Errorf("bad timestamps %q", v)
 			}
 			var err error
-			if ev.Start, err = strconv.ParseInt(s, 10, 64); err != nil {
+			if ev.Start, err = strconv.ParseInt(string(s), 10, 64); err != nil {
 				return ev, fmt.Errorf("bad start %q", s)
 			}
-			if ev.End, err = strconv.ParseInt(e, 10, 64); err != nil {
+			if ev.End, err = strconv.ParseInt(string(e), 10, 64); err != nil {
 				return ev, fmt.Errorf("bad end %q", e)
 			}
 		default:
 			return ev, fmt.Errorf("unknown attribute %q", k)
 		}
 	}
-	return ev, nil
 }

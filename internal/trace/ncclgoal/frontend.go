@@ -2,12 +2,23 @@ package ncclgoal
 
 import (
 	"bytes"
-	"io"
 
 	"atlahs/internal/goal"
 	"atlahs/internal/trace/frontend"
 	"atlahs/internal/trace/nsys"
 )
+
+func convert(b []byte, cfg any) (*goal.Schedule, error) {
+	c, err := frontend.ConfigAs[Config]("nsys", cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := nsys.ParseBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(rep, c)
+}
 
 func init() {
 	frontend.Register(frontend.Definition{
@@ -16,17 +27,7 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return bytes.HasPrefix(prefix, []byte(`{"format":"atlahs-nsys-v1"`))
 		},
-		Convert: func(r io.Reader, cfg any) (*goal.Schedule, error) {
-			c, err := frontend.ConfigAs[Config]("nsys", cfg)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := nsys.Parse(r)
-			if err != nil {
-				return nil, err
-			}
-			return Generate(rep, c)
-		},
-		NewConfig: func() any { return new(Config) },
+		ConvertBytes: convert,
+		NewConfig:    func() any { return new(Config) },
 	})
 }

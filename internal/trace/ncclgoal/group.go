@@ -1,10 +1,25 @@
 package ncclgoal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"atlahs/internal/goal"
 )
+
+// xfer is one intra-node send or receive awaiting its partner: the k-th
+// receive of a (src GPU, dst GPU, tag) stream pairs with its k-th send.
+// id is the send's op on the node rank, or the receive's position among
+// the node schedule's intra-node receives in op order.
+type xfer struct {
+	src, dst, tag int32
+	id            int32
+}
+
+func (x xfer) compare(y xfer) int {
+	return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.dst, y.dst), cmp.Compare(x.tag, y.tag))
+}
 
 // GroupGPUs is stage 4 of the pipeline: it folds a GPU-level schedule
 // (one rank per GPU) into a node-level schedule (one rank per node,
@@ -16,6 +31,13 @@ import (
 // cross-GPU synchronisation is preserved. Cross-node messages keep their
 // semantics, with tags densified per (srcGPU, dstGPU, tag) so distinct GPU
 // pairs sharing a node pair can never cross-match.
+//
+// Every GPU op becomes exactly one node op, GPU after GPU, so op i of GPU
+// g is op base[g]+i of its node and every count is known from the GPU
+// schedule: the builder is grown once, exactly. Intra-node transfers are
+// paired before any edge is emitted, so each node op's copied
+// dependencies and then its pair edge arrive in op order and the builder
+// writes the tables in place (see goal.Builder).
 func GroupGPUs(gpuSched *goal.Schedule, gpusPerNode int, intraNsPerByte float64) (*goal.Schedule, error) {
 	if gpusPerNode <= 0 {
 		return nil, fmt.Errorf("ncclgoal: non-positive gpusPerNode")
@@ -26,112 +48,123 @@ func GroupGPUs(gpuSched *goal.Schedule, gpusPerNode int, intraNsPerByte float64)
 	ngpus := gpuSched.NumRanks()
 	nnodes := (ngpus + gpusPerNode - 1) / gpusPerNode
 	nodeOf := func(g int) int { return g / gpusPerNode }
+	intra := func(g int, op *goal.Op) bool { return op.Kind != goal.KindCalc && nodeOf(int(op.Peer)) == nodeOf(g) }
 
-	// stream range per GPU within its node
+	// count: stream range per GPU within its node, each GPU's first op on
+	// its node, each node's edges, and the intra-node transfers
 	streamsPerGPU := int32(1)
+	base := make([]goal.OpID, ngpus)
+	nodeOps, nodeReq, nodeIReq := make([]int, nnodes), make([]int, nnodes), make([]int, nnodes)
+	nsends, nrecvs := 0, 0
 	for g := range gpuSched.Ranks {
-		for i := range gpuSched.Ranks[g].Ops {
-			if c := gpuSched.Ranks[g].Ops[i].CPU + 1; c > streamsPerGPU {
-				streamsPerGPU = c
+		rp, node := &gpuSched.Ranks[g], nodeOf(g)
+		base[g] = goal.OpID(nodeOps[node])
+		nodeOps[node] += len(rp.Ops)
+		nodeReq[node] += rp.Requires.NumEdges()
+		nodeIReq[node] += rp.IRequires.NumEdges()
+		for i := range rp.Ops {
+			op := &rp.Ops[i]
+			streamsPerGPU = max(streamsPerGPU, op.CPU+1)
+			if intra(g, op) {
+				if op.Kind == goal.KindSend {
+					nsends++
+				} else {
+					nrecvs++
+					nodeReq[node]++ // the pair edge
+				}
 			}
 		}
 	}
-
 	b := goal.NewBuilder(nnodes)
-	opMap := make([][]goal.OpID, ngpus)
+	for node := range nodeOps {
+		b.Rank(node).Grow(nodeOps[node], nodeReq[node], nodeIReq[node])
+	}
 
 	type pairKey struct {
 		src, dst int
 		tag      int32
 	}
 	denseTags := map[pairKey]int32{}
-	nextTag := int32(0)
 	tagFor := func(k pairKey) int32 {
-		if t, ok := denseTags[k]; ok {
-			return t
+		t, ok := denseTags[k]
+		if !ok {
+			t = int32(len(denseTags))
+			denseTags[k] = t
 		}
-		denseTags[k] = nextTag
-		nextTag++
-		return denseTags[k]
+		return t
 	}
-	intraSends := map[pairKey][]goal.OpID{}
-	intraRecvs := map[pairKey][]goal.OpID{}
-	intraRecvNode := map[pairKey]int{}
 
 	// pass 1: create ops
+	sends, recvs := make([]xfer, 0, nsends), make([]xfer, 0, nrecvs)
 	for g := 0; g < ngpus; g++ {
 		node := nodeOf(g)
 		local := int32(g % gpusPerNode)
 		rb := b.Rank(node)
 		rp := &gpuSched.Ranks[g]
-		opMap[g] = make([]goal.OpID, len(rp.Ops))
 		for i := range rp.Ops {
 			op := &rp.Ops[i]
 			cpu := local*streamsPerGPU + op.CPU
-			switch op.Kind {
-			case goal.KindCalc:
-				opMap[g][i] = rb.CalcOn(op.Size, cpu)
-			case goal.KindSend:
-				h := int(op.Peer)
-				key := pairKey{g, h, op.Tag}
-				if nodeOf(h) == node {
-					id := rb.CalcOn(int64(float64(op.Size)*intraNsPerByte), cpu)
-					opMap[g][i] = id
-					intraSends[key] = append(intraSends[key], id)
-				} else {
-					opMap[g][i] = rb.SendOn(op.Size, nodeOf(h), tagFor(key), cpu)
+			h := int(op.Peer)
+			switch {
+			case op.Kind == goal.KindCalc:
+				rb.CalcOn(op.Size, cpu)
+			case op.Kind == goal.KindSend && intra(g, op):
+				id := rb.CalcOn(int64(float64(op.Size)*intraNsPerByte), cpu)
+				sends = append(sends, xfer{int32(g), op.Peer, op.Tag, int32(id)})
+			case op.Kind == goal.KindSend:
+				rb.SendOn(op.Size, nodeOf(h), tagFor(pairKey{g, h, op.Tag}), cpu)
+			case intra(g, op):
+				rb.CalcOn(0, cpu)
+				recvs = append(recvs, xfer{op.Peer, int32(g), op.Tag, int32(len(recvs))})
+			default:
+				tag := op.Tag
+				if tag != goal.AnyTag {
+					tag = tagFor(pairKey{h, g, op.Tag})
 				}
-			case goal.KindRecv:
-				h := int(op.Peer)
-				key := pairKey{h, g, op.Tag}
-				if nodeOf(h) == node {
-					id := rb.CalcOn(0, cpu)
-					opMap[g][i] = id
-					intraRecvs[key] = append(intraRecvs[key], id)
-					intraRecvNode[key] = node
-				} else {
-					tag := op.Tag
-					if tag != goal.AnyTag {
-						tag = tagFor(key)
-					}
-					opMap[g][i] = rb.RecvOn(op.Size, nodeOf(h), tag, cpu)
-				}
+				rb.RecvOn(op.Size, nodeOf(h), tag, cpu)
 			}
 		}
 	}
 
-	// pass 2: copy dependencies (always GPU-local, hence node-local)
+	// pair intra-node transfers: sorted stably by stream, the k-th receive
+	// of the whole list meets the k-th send when every stream has as many
+	// of one as of the other
+	slices.SortStableFunc(sends, xfer.compare)
+	slices.SortStableFunc(recvs, xfer.compare)
+	sendOf := make([]goal.OpID, len(recvs)) // by the receive's position in op order
+	for k := 0; k < max(len(sends), len(recvs)); k++ {
+		if k < len(sends) && k < len(recvs) && sends[k].compare(recvs[k]) == 0 {
+			sendOf[recvs[k].id] = goal.OpID(sends[k].id)
+			continue
+		}
+		// the lists part at the first stream with more of one than of the other
+		var odd xfer
+		if k >= len(recvs) || (k < len(sends) && sends[k].compare(recvs[k]) < 0) {
+			odd = sends[k]
+		} else {
+			odd = recvs[k]
+		}
+		return nil, fmt.Errorf("ncclgoal: intra-node pair %d->%d tag %d has different numbers of sends and recvs", odd.src, odd.dst, odd.tag)
+	}
+
+	// pass 2: copy dependencies (always GPU-local, hence node-local), each
+	// intra-node receive's pair edge after its own
+	nextRecv := 0
 	for g := 0; g < ngpus; g++ {
-		node := nodeOf(g)
-		rb := b.Rank(node)
+		rb := b.Rank(nodeOf(g))
 		rp := &gpuSched.Ranks[g]
 		for i := range rp.Ops {
+			id := base[g] + goal.OpID(i)
 			for _, d := range rp.Requires.Of(i) {
-				rb.Requires(opMap[g][i], opMap[g][d])
+				rb.Requires(id, base[g]+goal.OpID(d))
 			}
 			for _, d := range rp.IRequires.Of(i) {
-				rb.IRequires(opMap[g][i], opMap[g][d])
+				rb.IRequires(id, base[g]+goal.OpID(d))
 			}
-		}
-	}
-
-	// pass 3: pair intra-node transfers — the k-th receive depends on the
-	// k-th send of its (srcGPU, dstGPU, tag) stream
-	for key, recvs := range intraRecvs {
-		sends := intraSends[key]
-		if len(sends) != len(recvs) {
-			return nil, fmt.Errorf("ncclgoal: intra-node pair %d->%d tag %d has %d sends but %d recvs",
-				key.src, key.dst, key.tag, len(sends), len(recvs))
-		}
-		rb := b.Rank(intraRecvNode[key])
-		for k := range recvs {
-			rb.Requires(recvs[k], sends[k])
-		}
-	}
-	for key, sends := range intraSends {
-		if len(intraRecvs[key]) != len(sends) {
-			return nil, fmt.Errorf("ncclgoal: intra-node pair %d->%d tag %d has %d sends but %d recvs",
-				key.src, key.dst, key.tag, len(sends), len(intraRecvs[key]))
+			if op := &rp.Ops[i]; op.Kind == goal.KindRecv && intra(g, op) {
+				rb.Requires(id, sendOf[nextRecv])
+				nextRecv++
+			}
 		}
 	}
 

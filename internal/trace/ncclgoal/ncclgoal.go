@@ -15,10 +15,28 @@
 //	          node for "what-if" restructuring), replacing intra-node
 //	          sends/receives with calc vertices costed at the intra-node
 //	          interconnect bandwidth.
+//
+// How the two schedules are built (goal.Builder states the contract).
+// Stage 4's node-level schedule, the one that is kept, is counted exactly
+// and written in order: every GPU op becomes one node op at a known
+// position, every edge is a copied edge or the pair edge of an intra-node
+// receive, and GroupGPUs pairs the transfers before it emits any edge — so
+// each rank's arrays are allocated once at their final size and the
+// tables are CSR from the first edge on. The GPU-level schedule of stages
+// 1-3 is a temporary and cannot be: what a collective decomposes into is
+// known only by decomposing it, so stage 2 reserves a bound taken from
+// the stream index and stage 3 grows from there; and stage 3 wires every
+// decomposed op to the exit dummy stage 2 created (exit requires op),
+// which names an op older than the ones it has just added, so each GPU's
+// Requires table spills to the builder's log at its first collective.
+// Reordering that would renumber ops, and with them the bytes of every
+// schedule this pipeline has ever produced.
 package ncclgoal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"atlahs/internal/collective"
@@ -120,6 +138,15 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	perComm := map[string][]pendingOp{} // appended in (gpu, stream, time) order
 	for gpu := 0; gpu < rep.NGPUs; gpu++ {
 		rb := b.Rank(gpu)
+		// A record becomes at most three ops here (a gap, then a kernel or
+		// an entry/exit pair), each with one edge. Stage 3 cannot be
+		// counted without running it: it starts in what this bound leaves
+		// over and grows from there.
+		nrec := 0
+		for _, stream := range streams[gpu] {
+			nrec += len(stream.Records)
+		}
+		rb.Grow(3*nrec, 3*nrec, 0)
 		for li, stream := range streams[gpu] {
 			cpu := int32(li)
 			var head goal.OpID = -1
@@ -163,9 +190,10 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	}
 	sort.Strings(commNames)
 	collInstance := 0
+	pos := make([]int32, rep.NGPUs) // GPU -> communicator-relative rank + 1, shared by all communicators
 	for ci, name := range commNames {
 		members := rep.Comms[name]
-		if err := decomposeComm(b, name, int32(ci), members, perComm[name], cfg, ncclCPU, &collInstance); err != nil {
+		if err := decomposeComm(b, name, int32(ci), members, pos, perComm[name], cfg, ncclCPU, &collInstance); err != nil {
 			return nil, err
 		}
 	}
@@ -181,26 +209,38 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 // lockstep across members, P2P sends/recvs paired FIFO. All generated
 // communication ops run on the dedicated NCCL stream(s) starting at
 // ncclCPU.
-func decomposeComm(b *goal.Builder, name string, commIdx int32, members []int, ops []pendingOp, cfg Config, ncclCPU int32, collInstance *int) error {
-	pos := map[int]int{} // gpu -> communicator-relative rank
+//
+// pos is all zeros on entry and on return; in between pos[g]-1 is GPU g's
+// rank in this communicator.
+func decomposeComm(b *goal.Builder, name string, commIdx int32, members []int, pos []int32, ops []pendingOp, cfg Config, ncclCPU int32, collInstance *int) error {
 	for i, g := range members {
-		pos[g] = i
+		pos[g] = int32(i) + 1
 	}
-	// per-member queues of pending ops, in launch order (ops slice is
-	// already ordered per gpu because streams were walked in order; for
-	// multi-stream comms order by record start time)
-	perMember := make([][]pendingOp, len(members))
+	defer func() {
+		for _, g := range members {
+			pos[g] = 0
+		}
+	}()
+	// per-member queues of pending ops, in launch order: ops is ordered by
+	// (gpu, stream, time), so one stable sort by gpu makes each member's
+	// ops contiguous, and one by record start time within each orders
+	// multi-stream communicators
 	for _, p := range ops {
-		i, ok := pos[p.rec.GPU]
-		if !ok {
+		if pos[p.rec.GPU] == 0 {
 			return fmt.Errorf("ncclgoal: comm %q used by non-member GPU %d", name, p.rec.GPU)
 		}
-		perMember[i] = append(perMember[i], p)
 	}
-	for i := range perMember {
-		sort.SliceStable(perMember[i], func(a, c int) bool {
-			return perMember[i][a].rec.StartNs < perMember[i][c].rec.StartNs
-		})
+	slices.SortStableFunc(ops, func(a, c pendingOp) int {
+		return cmp.Or(cmp.Compare(pos[a.rec.GPU], pos[c.rec.GPU]), cmp.Compare(a.rec.StartNs, c.rec.StartNs))
+	})
+	perMember := make([][]pendingOp, len(members))
+	for lo := 0; lo < len(ops); {
+		hi := lo + 1
+		for hi < len(ops) && ops[hi].rec.GPU == ops[lo].rec.GPU {
+			hi++
+		}
+		perMember[pos[ops[lo].rec.GPU]-1] = ops[lo:hi]
+		lo = hi
 	}
 	idx := make([]int, len(members))
 	p2pTag := p2pTagBase + commIdx

@@ -275,7 +275,24 @@ func TestGroupGPUsErrors(t *testing.T) {
 	b2.Rank(0).Send(64, 1, 0)
 	b2.Rank(1).Recv(64, 0, 0)
 	b2.Rank(0).Send(64, 1, 0) // second send, no matching recv
-	if _, err := GroupGPUs(b2.Build(), 2, 1); err == nil {
-		t.Fatal("unpaired intra-node transfer accepted")
+	if _, err := GroupGPUs(b2.Build(), 2, 1); err == nil || !strings.Contains(err.Error(), "0->1 tag 0") {
+		t.Fatalf("unpaired intra-node transfer: %v", err)
+	}
+	// only one side at all, and a stream of receives that sorts before the
+	// only stream of sends
+	for name, build := range map[string]func(b *goal.Builder){
+		"send only": func(b *goal.Builder) { b.Rank(1).Send(64, 0, 3) },
+		"recv only": func(b *goal.Builder) { b.Rank(1).Recv(64, 0, 3) },
+		"recv sorts first": func(b *goal.Builder) {
+			b.Rank(1).Send(64, 0, 3)
+			b.Rank(0).Recv(64, 1, 3)
+			b.Rank(1).Recv(64, 0, 9)
+		},
+	} {
+		b := goal.NewBuilder(2)
+		build(b)
+		if _, err := GroupGPUs(b.Build(), 2, 1); err == nil || !strings.Contains(err.Error(), "different numbers") {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -13,10 +13,12 @@ package nsys
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 
 	"atlahs/internal/goal"
@@ -82,17 +84,23 @@ func (r *Report) Validate() error {
 	if r.NGPUs > goal.MaxTextRanks {
 		return fmt.Errorf("nsys: GPU count %d exceeds the limit %d", r.NGPUs, goal.MaxTextRanks)
 	}
+	// Every communicator's members sorted once: a repeat shows as equal
+	// neighbours, and each NCCL record's membership test is a binary
+	// search instead of a scan of the communicator. (Sorted lists rather
+	// than one bitmap of NGPUs bits per communicator: a header can name
+	// thousands of one-member communicators among a million GPUs.)
+	sorted := make(map[string][]int, len(r.Comms))
 	for name, members := range r.Comms {
-		seen := map[int]bool{}
-		for _, g := range members {
+		m := slices.Sorted(slices.Values(members))
+		for i, g := range m {
 			if g < 0 || g >= r.NGPUs {
 				return fmt.Errorf("nsys: comm %q member %d out of range", name, g)
 			}
-			if seen[g] {
+			if i > 0 && g == m[i-1] {
 				return fmt.Errorf("nsys: comm %q repeats GPU %d", name, g)
 			}
-			seen[g] = true
 		}
+		sorted[name] = m
 	}
 	for i := range r.Records {
 		rec := &r.Records[i]
@@ -105,18 +113,11 @@ func (r *Report) Validate() error {
 		switch rec.Kind {
 		case KindKernel:
 		case KindNCCL:
-			comm, ok := r.Comms[rec.Comm]
+			comm, ok := sorted[rec.Comm]
 			if !ok {
 				return fmt.Errorf("nsys: record %d: unknown communicator %q", i, rec.Comm)
 			}
-			found := false
-			for _, g := range comm {
-				if g == rec.GPU {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if _, found := slices.BinarySearch(comm, rec.GPU); !found {
 				return fmt.Errorf("nsys: record %d: GPU %d not in communicator %q", i, rec.GPU, rec.Comm)
 			}
 			switch rec.Coll {
@@ -196,8 +197,22 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 
 // Parse reads a JSON-lines report.
 func Parse(rd io.Reader) (*Report, error) {
-	br := bufio.NewReaderSize(rd, 1<<16)
-	dec := json.NewDecoder(br)
+	b, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("nsys: %w", err)
+	}
+	return ParseBytes(b)
+}
+
+// ParseBytes parses a JSON-lines report held in memory. Records is sized
+// once from the line count, every record is decoded in place, and the
+// record strings — a handful of distinct kinds, collectives, communicators
+// and kernel names — are interned, so a report of N lines costs its N
+// Records and a constant number of allocations more. Like the encoding/json
+// decoder it runs on, it takes any stream of JSON values, not only one per
+// line; what is not one per line merely regrows Records.
+func ParseBytes(b []byte) (*Report, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	var hdr header
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("nsys: reading header: %w", err)
@@ -205,18 +220,75 @@ func Parse(rd io.Reader) (*Report, error) {
 	if hdr.Format != formatName {
 		return nil, fmt.Errorf("nsys: unknown format %q", hdr.Format)
 	}
-	rep := &Report{NGPUs: hdr.NGPUs, Comms: hdr.Comms}
+	// A record that names its kind is longer than minRecord bytes, which
+	// keeps an input of nothing but newlines from reserving 120 bytes each.
+	const minRecord = 16
+	lines := min(bytes.Count(b, []byte{'\n'}), len(b)/minRecord)
+	rep := &Report{NGPUs: hdr.NGPUs, Comms: hdr.Comms, Records: make([]Record, 0, lines)}
+	var w wireRecord
+	strs := interned{}
 	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
+		n := len(rep.Records)
+		rep.Records = append(rep.Records, Record{})
+		rec := &rep.Records[n]
+		w = wireRecord{Record: rec, Kind: w.Kind[:0], Name: w.Name[:0], Coll: w.Coll[:0], Comm: w.Comm[:0]}
+		if err := dec.Decode(&w); err == io.EOF {
+			rep.Records = rep.Records[:n]
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("nsys: reading record %d: %w", len(rep.Records), err)
+			return nil, fmt.Errorf("nsys: reading record %d: %w", n, err)
 		}
-		rep.Records = append(rep.Records, rec)
+		rec.Kind, rec.Name, rec.Coll, rec.Comm = strs.of(w.Kind), strs.of(w.Name), strs.of(w.Coll), strs.of(w.Comm)
 	}
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// wireRecord decodes one record in place. The numeric fields go straight
+// into the embedded Record; its four string fields are shadowed by the
+// ones declared here (encoding/json prefers the shallower of two fields
+// with one name), which keep the raw JSON in buffers reused from record to
+// record for interned to turn into shared strings.
+type wireRecord struct {
+	*Record
+	Kind rawString `json:"kind"`
+	Name rawString `json:"name"`
+	Coll rawString `json:"coll"`
+	Comm rawString `json:"comm"`
+}
+
+// rawString is a JSON string token, quotes and escapes included, decoded
+// the way encoding/json decodes into a string field: null leaves it as it
+// is, any other JSON type is an error.
+type rawString []byte
+
+func (r *rawString) UnmarshalJSON(b []byte) error {
+	switch b[0] {
+	case 'n':
+	case '"':
+		*r = append((*r)[:0], b...)
+	default:
+		return &json.UnmarshalTypeError{Value: "non-string", Type: reflect.TypeFor[string]()}
+	}
+	return nil
+}
+
+// interned maps JSON string tokens to their decoded strings, so every
+// record that spells a string the same way shares one copy of it.
+type interned map[string]string
+
+func (in interned) of(raw []byte) string {
+	if len(raw) == 0 {
+		return "" // field absent or null
+	}
+	if s, ok := in[string(raw)]; ok {
+		return s
+	}
+	var s string
+	// raw is a string token the decoder has already accepted.
+	_ = json.Unmarshal(raw, &s)
+	in[string(raw)] = s
+	return s
 }

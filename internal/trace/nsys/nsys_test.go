@@ -139,3 +139,34 @@ func TestParseErrors(t *testing.T) {
 		t.Fatal("garbage record accepted")
 	}
 }
+
+// TestParseSizesRecordsOnce: Records is allocated once, from the line
+// count, and records are decoded in place with their strings interned —
+// so parsing an N-line report allocates a constant number of times, not
+// once (or five times) per line.
+func TestParseSizesRecordsOnce(t *testing.T) {
+	report := func(n int) []byte {
+		r := sampleReport()
+		for i := len(r.Records); i < n; i++ {
+			start := int64(4000 + 10*i)
+			r.Records = append(r.Records, Record{GPU: i % 4, Stream: 7, Kind: KindKernel, Name: "gemm", StartNs: start, EndNs: start + 5})
+		}
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	allocs := func(n int) float64 {
+		b := report(n)
+		rep, err := ParseBytes(b)
+		if err != nil || len(rep.Records) != n || cap(rep.Records) > n+1 {
+			t.Fatalf("%d-record report parsed to %d records (cap %d): %v", n, len(rep.Records), cap(rep.Records), err)
+		}
+		return testing.AllocsPerRun(5, func() { _, _ = ParseBytes(b) })
+	}
+	small, large := allocs(500), allocs(8000)
+	if large > small+2 || large > 100 {
+		t.Fatalf("parsing allocated %.0f times for 500 records and %.0f for 8000; want a constant", small, large)
+	}
+}

@@ -2,12 +2,23 @@ package schedgen
 
 import (
 	"bytes"
-	"io"
 
 	"atlahs/internal/goal"
 	"atlahs/internal/trace/frontend"
 	"atlahs/internal/trace/mpitrace"
 )
+
+func convert(b []byte, cfg any) (*goal.Schedule, error) {
+	opt, err := frontend.ConfigAs[Options]("mpi", cfg)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := mpitrace.ParseBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(tr, opt)
+}
 
 func init() {
 	frontend.Register(frontend.Definition{
@@ -16,17 +27,7 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return bytes.HasPrefix(frontend.FirstLine(prefix, "#"), []byte("mpitrace "))
 		},
-		Convert: func(r io.Reader, cfg any) (*goal.Schedule, error) {
-			opt, err := frontend.ConfigAs[Options]("mpi", cfg)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := mpitrace.Parse(r)
-			if err != nil {
-				return nil, err
-			}
-			return Generate(tr, opt)
-		},
-		NewConfig: func() any { return new(Options) },
+		ConvertBytes: convert,
+		NewConfig:    func() any { return new(Options) },
 	})
 }

@@ -55,23 +55,27 @@ func Generate(t *mpitrace.Trace, opt Options) (*goal.Schedule, error) {
 	// MPI requires every rank to call collectives in the same order, which
 	// is what lets us emit them in lockstep.
 	type segment struct {
-		events []mpitrace.Event // p2p/local events before the collective
+		events []mpitrace.Event // p2p/local events before the collective: a window of the trace
 		coll   *mpitrace.Event  // nil for the trailing segment
 	}
 	segs := make([][]segment, n)
 	for r := 0; r < n; r++ {
-		cur := segment{}
-		for _, ev := range t.Events[r] {
-			if ev.Type.IsCollective() {
-				evCopy := ev
-				cur.coll = &evCopy
-				segs[r] = append(segs[r], cur)
-				cur = segment{}
-				continue
+		evs := t.Events[r]
+		ncoll := 0
+		for i := range evs {
+			if evs[i].Type.IsCollective() {
+				ncoll++
 			}
-			cur.events = append(cur.events, ev)
 		}
-		segs[r] = append(segs[r], cur)
+		segs[r] = make([]segment, 0, ncoll+1)
+		lo := 0
+		for i := range evs {
+			if evs[i].Type.IsCollective() {
+				segs[r] = append(segs[r], segment{events: evs[lo:i], coll: &evs[i]})
+				lo = i + 1
+			}
+		}
+		segs[r] = append(segs[r], segment{events: evs[lo:]})
 	}
 	nseg := len(segs[0])
 	for r := 1; r < n; r++ {

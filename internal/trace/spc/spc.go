@@ -15,10 +15,10 @@ package spc
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // Op is one traced block-I/O command.
@@ -71,51 +71,65 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads an SPC CSV trace. Opcode matching is case-insensitive;
-// blank lines and lines starting with '#' are skipped.
+// Parse reads an SPC CSV trace; see ParseBytes.
 func Parse(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	t := &Trace{}
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("spc: %w", err)
+	}
+	return ParseBytes(b)
+}
+
+// ParseBytes parses an SPC CSV trace held in memory. Opcode matching is
+// case-insensitive; blank lines and lines starting with '#' are skipped,
+// as are fields after the fifth. Lines are tokenised in place and Ops is
+// sized once from the line count, so parsing allocates the commands and
+// nothing per line.
+func ParseBytes(b []byte) (*Trace, error) {
+	// The shortest record, "0,0,1,R,0", has nine bytes and a newline.
+	const minRecord = 10
+	t := &Trace{Ops: make([]Op, 0, min(bytes.Count(b, []byte{'\n'})+1, len(b)/minRecord+1))}
+	for lineno := 1; len(b) > 0; lineno++ {
+		var line []byte
+		line, b, _ = bytes.Cut(b, []byte{'\n'})
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		parts := strings.Split(line, ",")
-		if len(parts) < 5 {
-			return nil, fmt.Errorf("spc: line %d: want 5 fields, got %d", lineno, len(parts))
+		var f [5][]byte
+		n := 0
+		for more := true; more && n < len(f); n++ {
+			f[n], line, more = bytes.Cut(line, []byte{','})
+			f[n] = bytes.TrimSpace(f[n])
 		}
-		asu, err := strconv.Atoi(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad ASU %q", lineno, parts[0])
+		if n < len(f) {
+			return nil, fmt.Errorf("spc: line %d: want 5 fields, got %d", lineno, n)
 		}
-		lba, err := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
+		asu, err := strconv.Atoi(string(f[0]))
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad LBA %q", lineno, parts[1])
+			return nil, fmt.Errorf("spc: line %d: bad ASU %q", lineno, f[0])
 		}
-		size, err := strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64)
+		lba, err := strconv.ParseInt(string(f[1]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad size %q", lineno, parts[2])
+			return nil, fmt.Errorf("spc: line %d: bad LBA %q", lineno, f[1])
+		}
+		size, err := strconv.ParseInt(string(f[2]), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("spc: line %d: bad size %q", lineno, f[2])
 		}
 		var write bool
-		switch strings.ToUpper(strings.TrimSpace(parts[3])) {
-		case "W":
+		switch string(f[3]) {
+		case "W", "w":
 			write = true
-		case "R":
+		case "R", "r":
 		default:
-			return nil, fmt.Errorf("spc: line %d: bad opcode %q", lineno, parts[3])
+			return nil, fmt.Errorf("spc: line %d: bad opcode %q", lineno, f[3])
 		}
-		ts, err := strconv.ParseFloat(strings.TrimSpace(parts[4]), 64)
+		ts, err := strconv.ParseFloat(string(f[4]), 64)
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad timestamp %q", lineno, parts[4])
+			return nil, fmt.Errorf("spc: line %d: bad timestamp %q", lineno, f[4])
 		}
 		t.Ops = append(t.Ops, Op{ASU: asu, LBA: lba, Bytes: size, Write: write, Time: ts})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -1,0 +1,86 @@
+package sim
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"atlahs/internal/goal"
+	"atlahs/internal/workload/hpcapps"
+	"atlahs/internal/workload/llm"
+	"atlahs/internal/workload/oltp"
+)
+
+// allocatedBy returns the bytes f allocates (runtime.MemStats.TotalAlloc,
+// which only grows, so a collection in the middle does not matter).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// spare returns how many elements of capacity beyond their length a
+// schedule's arrays hold, over all ranks: ops, and the offset and edge
+// arrays of both dependency tables. Zero means every array was allocated
+// once at its final size — the producer's count was right, nothing regrew
+// and no table went through the spill path's sort (whose offset arrays
+// carry a spare slot).
+func spare(s *goal.Schedule) (n int) {
+	for r := range s.Ranks {
+		rp := &s.Ranks[r]
+		n += cap(rp.Ops) - len(rp.Ops)
+		for _, d := range []goal.Deps{rp.Requires, rp.IRequires} {
+			v := reflect.ValueOf(d)
+			for _, f := range []string{"off", "edges"} {
+				n += v.FieldByName(f).Cap() - v.FieldByName(f).Len()
+			}
+		}
+	}
+	return n
+}
+
+// TestConvertAllocation gates what trace → GOAL conversion allocates per
+// GOAL op it produces, for the three frontends whose producers were
+// rewritten to count first: spc → Direct Drive, mpi → Schedgen, nsys → the
+// NCCL pipeline. Ceilings are about 1.3 times what the code achieved when
+// they were set (40.2, 164.7 and 224.2 B/op; the parsers and builder they
+// replaced: 164.1, 646.5 and 624.6). A schedule is 24 B per op plus about
+// 12 B of tables, which is where Direct Drive now is; Schedgen's figure
+// is mostly the parsed trace, whose 64-byte events outnumber the ops here,
+// and the NCCL pipeline's the GPU-level schedule of stages 1-3, which
+// cannot be counted ahead. Direct Drive and stage 4 count exactly, which
+// the spare-capacity check proves.
+func TestConvertAllocation(t *testing.T) {
+	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
+	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 32, Steps: 4, Seed: 3})
+	for _, c := range []struct {
+		frontend  string
+		raw       []byte
+		cfg       any
+		ceiling   float64 // bytes allocated per GOAL op
+		wantExact bool
+	}{
+		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 52, true},
+		{"mpi", traceBytes(t, tr, err2), nil, 215, false},
+		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 290, true},
+	} {
+		var s *Schedule
+		bytes := allocatedBy(func() {
+			var err error
+			if s, err = ConvertTrace(c.raw, c.frontend, c.cfg); err != nil {
+				t.Fatalf("%s: %v", c.frontend, err)
+			}
+		})
+		ops := s.ComputeStats().Ops
+		perOp := float64(bytes) / float64(ops)
+		t.Logf("%s: %d trace bytes -> %d ops, %d bytes allocated, %.1f B/op", c.frontend, len(c.raw), ops, bytes, perOp)
+		if perOp > c.ceiling {
+			t.Errorf("%s: conversion allocated %.1f bytes per GOAL op, ceiling %.0f", c.frontend, perOp, c.ceiling)
+		}
+		if n := spare(s); c.wantExact && n != 0 {
+			t.Errorf("%s: the schedule's arrays hold %d elements of spare capacity; a counted producer leaves none", c.frontend, n)
+		}
+	}
+}
