@@ -377,7 +377,7 @@ func BenchmarkSimRuntimeLGSvsAstra(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			loaded, err := chakra.Parse(bytes.NewReader(bin.Bytes()))
+			loaded, err := chakra.ParseBytes(bin.Bytes())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -91,13 +91,21 @@ func mine(args []string) error {
 		return err
 	}
 	defer stop()
-	sched, used, err := sim.ConvertTraceFileVia(*in, *frontend, nil)
+	b, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
+	def, err := sim.ResolveFrontend(*frontend, b, *in)
+	if err != nil {
+		return err
+	}
+	sched, err := sim.ConvertTrace(b, def.Name, nil)
+	if err != nil {
+		return fmt.Errorf("%s: %w", *in, err)
+	}
 	cmt := *comment
 	if cmt == "" {
-		cmt = fmt.Sprintf("mined from %s (frontend %s)", *in, used)
+		cmt = fmt.Sprintf("mined from %s (frontend %s)", *in, def.Name)
 	}
 	model, err := sim.MineModel(sched, cmt)
 	if err != nil {

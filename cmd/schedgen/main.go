@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,35 +24,51 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "input trace file")
-	out := flag.String("out", "", "output GOAL file")
-	frontendName := flag.String("frontend", "", "workload frontend: "+strings.Join(sim.Frontends(), ", ")+" (default: auto-detect)")
-	text := flag.Bool("text", false, "write textual GOAL instead of binary")
-	gpusPerNode := flag.Int("gpus-per-node", 4, "nsys: GPUs grouped per node")
-	channels := flag.Int("channels", 1, "nsys: NCCL channels")
-	hosts := flag.Int("hosts", 4, "spc: Direct Drive client hosts")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "schedgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run converts one trace as args say and reports what it wrote on stderr.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("schedgen", flag.ExitOnError)
+	in := fs.String("in", "", "input trace file")
+	out := fs.String("out", "", "output GOAL file")
+	frontendName := fs.String("frontend", "", "workload frontend: "+strings.Join(sim.Frontends(), ", ")+" (default: auto-detect)")
+	text := fs.Bool("text", false, "write textual GOAL instead of binary")
+	gpusPerNode := fs.Int("gpus-per-node", 4, "nsys: GPUs grouped per node")
+	channels := fs.Int("channels", 1, "nsys: NCCL channels")
+	hosts := fs.Int("hosts", 4, "spc: Direct Drive client hosts")
+	fs.Parse(args)
 	if *in == "" || *out == "" {
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
 
-	// The conversion knobs are per-frontend; hand each frontend its own
-	// config and let the registry resolve the converter — one open, one
-	// read, so piped inputs work too.
-	s, name, err := sim.ConvertTraceFileVia(*in, *frontendName, map[string]any{
+	// The conversion knobs are per-frontend: read the trace once, resolve
+	// which frontend owns it, and hand that frontend its own config.
+	b, err := os.ReadFile(*in)
+	if err != nil {
+		return err
+	}
+	def, err := sim.ResolveFrontend(*frontendName, b, *in)
+	if err != nil {
+		return err
+	}
+	s, err := sim.ConvertTrace(b, def.Name, map[string]any{
 		"nsys": sim.NsysConfig{GPUsPerNode: *gpusPerNode, Channels: *channels},
 		"spc":  sim.SPCConfig{Hosts: *hosts},
-	})
+	}[def.Name])
 	if err != nil {
-		fail(err)
+		return fmt.Errorf("%s: %w", *in, err)
 	}
-
 	if err := write(*out, s, *text); err != nil {
-		fail(err)
+		return err
 	}
 	st := s.ComputeStats()
-	fmt.Fprintf(os.Stderr, "schedgen: %s frontend: wrote %d ranks, %d ops to %s\n", name, st.Ranks, st.Ops, *out)
+	fmt.Fprintf(stderr, "schedgen: %s frontend: wrote %d ranks, %d ops to %s\n", def.Name, st.Ranks, st.Ops, *out)
+	return nil
 }
 
 // write emits the schedule, propagating the close error (a full disk
@@ -71,9 +88,4 @@ func write(path string, s *sim.Schedule, text bool) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "schedgen:", err)
-	os.Exit(1)
 }

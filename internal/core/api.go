@@ -82,8 +82,10 @@ type Backend interface {
 	Name() string
 	// Setup binds the backend to the engine and registers the completion
 	// callback. nranks is the number of GOAL ranks (= simulated nodes).
-	// Backends that cannot run on a parallel engine (shared network state,
-	// no lookahead) must reject anything but *engine.Engine here.
+	// sim.Run hands a parallel engine only to a backend that declares a
+	// positive lookahead (LookaheadProvider); one whose state is shared
+	// across ranks still asserts *engine.Engine here and returns an error
+	// otherwise, since sched.Run's callers pick their own engine.
 	Setup(nranks int, eng engine.Sim, over CompletionFunc) error
 	// Send, Recv and Calc issue operations; completions arrive via the
 	// callback registered in Setup, at simulated times >= the issue time.
@@ -139,9 +141,4 @@ func (st *StreamTable) Acquire(rank int, cpu int32, from simtime.Time, dur simti
 	end = start.Add(dur)
 	st.free[rank][cpu] = end
 	return start, end
-}
-
-// FreeAt returns when stream cpu of rank next becomes available.
-func (st *StreamTable) FreeAt(rank int, cpu int32) simtime.Time {
-	return st.free[rank][cpu]
 }

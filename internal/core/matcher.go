@@ -73,22 +73,3 @@ func (m *Matcher[M, R]) Post(dst, src int, tag int32, recv R) (msg M, ok bool) {
 	var zero M
 	return zero, false
 }
-
-// PendingArrived returns the number of unmatched arrived messages at dst
-// (diagnostics for deadlock reports).
-func (m *Matcher[M, R]) PendingArrived(dst int) int {
-	n := 0
-	for _, q := range m.dsts[dst].arrived {
-		n += len(q)
-	}
-	return n
-}
-
-// PendingPosted returns the number of unmatched posted receives at dst.
-func (m *Matcher[M, R]) PendingPosted(dst int) int {
-	n := 0
-	for _, q := range m.dsts[dst].posted {
-		n += len(q)
-	}
-	return n
-}

@@ -99,13 +99,13 @@ func TestBarrierRejectsEventInDestinationPast(t *testing.T) {
 }
 
 // TestEngineAllocsPerEvent is the allocation-regression gate on the
-// per-event hot path: with the typed 4-ary heaps and a pre-sized queue, a
-// steady-state event (pop, run, push a successor) must not allocate.
+// per-event hot path: with the typed 4-ary heaps and a queue already grown
+// (AllocsPerRun's warm-up run; Reset keeps the capacity), a steady-state
+// event (pop, run, push a successor) must not allocate.
 func TestEngineAllocsPerEvent(t *testing.T) {
 	const events = 1000
 	t.Run("serial", func(t *testing.T) {
 		e := New()
-		e.Reserve(16)
 		count := 0
 		var fn Handler
 		fn = func() {
@@ -130,7 +130,6 @@ func TestEngineAllocsPerEvent(t *testing.T) {
 		// allocating concurrently); the lane push/pop path is identical
 		// under more workers.
 		p := NewParallel(2, 1, simtime.Microsecond)
-		p.ReserveLane(0, 16)
 		count := 0
 		var fn Handler
 		fn = func() {

@@ -147,9 +147,6 @@ func New() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() simtime.Time { return e.now }
 
-// Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule enqueues fn to run at absolute time at. Scheduling in the past
 // panics: that is always a simulator bug, never a recoverable condition.
 func (e *Engine) Schedule(at simtime.Time, fn Handler) {
@@ -160,16 +157,13 @@ func (e *Engine) Schedule(at simtime.Time, fn Handler) {
 	e.queue.push(event{at: at, seq: e.seq, fn: fn})
 }
 
-// Reserve pre-sizes the event queue for at least n pending events, saving
-// the incremental grow-and-copy cycles on schedules whose op count is
-// known up front. It never shrinks and is safe with events queued.
+// Reserve makes room for n pending events ahead of a burst of Schedule
+// calls whose size the caller knows (the scheduler's seeding pass), in
+// one allocation instead of append's dozen regrowths.
 func (e *Engine) Reserve(n int) {
-	if cap(e.queue) >= n {
-		return
+	if cap(e.queue) < n {
+		e.queue = append(make(eventHeap, 0, n), e.queue...)
 	}
-	q := make(eventHeap, len(e.queue), n)
-	copy(q, e.queue)
-	e.queue = q
 }
 
 // ScheduleOn implements Sim. The serial engine has a single event queue, so
@@ -204,25 +198,6 @@ func (e *Engine) Run() simtime.Time {
 		e.now = ev.at
 		e.Processed++
 		ev.fn()
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline and returns the
-// current time afterwards. Events beyond the deadline stay queued.
-func (e *Engine) RunUntil(deadline simtime.Time) simtime.Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= deadline {
-		if n := len(e.queue); n > e.peak {
-			e.peak = n
-		}
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.Processed++
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 	return e.now
 }

@@ -78,44 +78,44 @@ func TestStop(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 after Stop", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	// The event Stop cut off stays queued: the next Run executes it.
+	e.Run()
+	if ran != 2 {
+		t.Fatalf("ran = %d, want 2 after resuming", ran)
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+// TestReserveKeepsQueuedEvents: Reserve after events were scheduled (a
+// backend's Setup may have) moves them to the larger queue in order.
+func TestReserveKeepsQueuedEvents(t *testing.T) {
 	e := New()
 	var fired []simtime.Time
-	for _, at := range []simtime.Time{5, 10, 15, 20} {
+	for _, at := range []simtime.Time{7, 3, 5} {
 		at := at
 		e.Schedule(at, func() { fired = append(fired, at) })
 	}
-	now := e.RunUntil(12)
-	if now != 12 {
-		t.Fatalf("now = %v, want 12", now)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 5 and 10 only", fired)
-	}
+	e.Reserve(64)
 	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("fired %v after Run", fired)
+	if len(fired) != 3 || fired[0] != 3 || fired[1] != 5 || fired[2] != 7 {
+		t.Fatalf("fired %v, want [3 5 7]", fired)
 	}
 }
 
 func TestReset(t *testing.T) {
 	e := New()
-	e.Schedule(5, func() {})
+	stale := false
+	e.Schedule(5, e.Stop)
+	e.Schedule(6, func() { stale = true })
 	e.Run()
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Processed != 0 {
+	if e.Now() != 0 || e.Processed != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	ran := false
 	e.Schedule(1, func() { ran = true })
 	e.Run()
-	if !ran {
-		t.Fatal("engine unusable after Reset")
+	if !ran || stale {
+		t.Fatalf("after Reset: new event ran = %v, discarded event ran = %v", ran, stale)
 	}
 }
 

@@ -217,26 +217,8 @@ func NewParallel(lanes, workers int, lookahead simtime.Duration) *ParEngine {
 	return p
 }
 
-// ReserveLane pre-sizes one lane's event heap for at least n pending
-// events (see Engine.Reserve). Only valid outside Run.
-func (p *ParEngine) ReserveLane(ln, n int) {
-	l := p.lanes[ln]
-	if cap(l.queue) >= n {
-		return
-	}
-	q := make(peventHeap, len(l.queue), n)
-	copy(q, l.queue)
-	l.queue = q
-}
-
 // Lanes reports the number of lanes.
 func (p *ParEngine) Lanes() int { return len(p.lanes) }
-
-// Workers reports the worker-goroutine budget.
-func (p *ParEngine) Workers() int { return p.workers }
-
-// Lookahead reports the conservative window width.
-func (p *ParEngine) Lookahead() simtime.Duration { return p.lookahead }
 
 // Now implements Sim. On the root engine it is the time of the last
 // executed event (lanes carry their own clocks while running).
@@ -267,15 +249,6 @@ func (p *ParEngine) EventsProcessed() uint64 {
 	var n uint64
 	for _, l := range p.lanes {
 		n += l.processed
-	}
-	return n
-}
-
-// Pending reports the number of queued events across all lanes.
-func (p *ParEngine) Pending() int {
-	n := 0
-	for _, l := range p.lanes {
-		n += len(l.queue) + len(l.out)
 	}
 	return n
 }

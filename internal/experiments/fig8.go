@@ -152,7 +152,7 @@ func ComputeFig8(mode Mode, workers int) (*Fig8Result, error) {
 			return err
 		}
 		aStart := time.Now()
-		ctrLoaded, aerr := chakra.Parse(bytes.NewReader(chakraBin.Bytes()))
+		ctrLoaded, aerr := chakra.ParseBytes(chakraBin.Bytes())
 		var ares *astra.Result
 		if aerr == nil {
 			ares, aerr = astra.Simulate(ctrLoaded, astra.Config{})

@@ -41,9 +41,6 @@ type Result struct {
 	// (issued but not completed) ops on any single rank — the scheduler's
 	// ready-queue depth high-water mark.
 	PeakOutstanding int
-	// HeapReserved is the total event-heap capacity pre-sized from the
-	// schedule's op counts before the run.
-	HeapReserved int
 }
 
 type rankState struct {
@@ -99,6 +96,7 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	if err := be.Setup(s.NumRanks(), eng, r.over); err != nil {
 		return nil, err
 	}
+	seeds := 0 // ops with no dependencies
 	for rank := range s.Ranks {
 		rp := &s.Ranks[rank]
 		st := &r.ranks[rank]
@@ -117,10 +115,24 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		for i := 0; i < n; i++ {
 			st.needComplete[i] = int32(len(rp.Requires.Of(i)))
 			st.needStart[i] = int32(len(rp.IRequires.Of(i)))
+			if st.needComplete[i] == 0 && st.needStart[i] == 0 {
+				seeds++
+			}
 		}
 		r.total += int64(n)
 	}
-	reserved := reserveHeaps(eng, s)
+	// The seeding loop below issues every dependency-free op back to back,
+	// before the first event runs, and a send or calc schedules one or two:
+	// the size of that burst is the one thing about queue depth the
+	// scheduler knows rather than guesses. Room for it keeps a
+	// burst-seeded schedule (an all-to-all: every op at t = 0) from
+	// regrowing the heap a dozen times (alloc_mb_per_op +9% on
+	// svc-mixed-http without) and costs a chain-heavy one next to nothing.
+	// ParEngine lanes grow by append: no ledger workload shows a lane
+	// reservation paying.
+	if e, ok := eng.(*engine.Engine); ok {
+		e.Reserve(seeds)
+	}
 	// seed: issue all ops with no dependencies
 	for rank := range s.Ranks {
 		st := &r.ranks[rank]
@@ -136,7 +148,7 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	if r.doneOps() != r.total {
 		return nil, r.deadlockError()
 	}
-	res := &Result{RankEnd: r.end, Ops: r.doneOps(), Events: eng.EventsProcessed(), HeapReserved: reserved}
+	res := &Result{RankEnd: r.end, Ops: r.doneOps(), Events: eng.EventsProcessed()}
 	for _, t := range r.end {
 		if d := simtime.Duration(t); d > res.Runtime {
 			res.Runtime = d
@@ -148,36 +160,6 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		}
 	}
 	return res, nil
-}
-
-// reserveHeaps pre-sizes the engine's event heaps from the schedule's op
-// counts (capped — chain-heavy programs never hold anywhere near one
-// event per op at once, and seeding is what drives the early peak). It
-// returns the total capacity reserved (0 for unknown engine types).
-func reserveHeaps(eng engine.Sim, s *goal.Schedule) int {
-	const perLaneCap = 4096
-	total := 0
-	switch e := eng.(type) {
-	case *engine.Engine:
-		for r := range s.Ranks {
-			n := len(s.Ranks[r].Ops)
-			if n > perLaneCap {
-				n = perLaneCap
-			}
-			total += n
-		}
-		e.Reserve(total)
-	case *engine.ParEngine:
-		for r := range s.Ranks {
-			n := len(s.Ranks[r].Ops)
-			if n > perLaneCap {
-				n = perLaneCap
-			}
-			e.ReserveLane(r, n)
-			total += n
-		}
-	}
-	return total
 }
 
 func (r *runner) issue(rank int, op int32) {

@@ -31,7 +31,7 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return spcLineRE.Match(frontend.FirstLine(prefix, "#"))
 		},
-		ConvertBytes: convert,
-		NewConfig:    func() any { return new(Config) },
+		Convert:   convert,
+		NewConfig: func() any { return new(Config) },
 	})
 }

@@ -11,6 +11,7 @@ package chakra
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -151,9 +152,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads a JSON-lines trace.
-func Parse(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
+// ParseBytes parses a JSON-lines trace held in memory.
+func ParseBytes(b []byte) (*Trace, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	var hdr header
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("chakra: reading header: %w", err)

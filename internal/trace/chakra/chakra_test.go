@@ -3,7 +3,6 @@ package chakra
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -63,7 +62,7 @@ func TestRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo count %d != %d", n, buf.Len())
 	}
-	got, err := Parse(&buf)
+	got, err := ParseBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +88,13 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := Parse(strings.NewReader("")); err == nil {
+	if _, err := ParseBytes([]byte("")); err == nil {
 		t.Fatal("empty accepted")
 	}
-	if _, err := Parse(strings.NewReader(`{"format":"wrong","nranks":1}`)); err == nil {
+	if _, err := ParseBytes([]byte(`{"format":"wrong","nranks":1}`)); err == nil {
 		t.Fatal("wrong format accepted")
 	}
-	if _, err := Parse(strings.NewReader(`{"format":"atlahs-chakra-et-v1","nranks":1}` + "\n" + `{"rank":5,"nodes":[]}`)); err == nil {
+	if _, err := ParseBytes([]byte(`{"format":"atlahs-chakra-et-v1","nranks":1}` + "\n" + `{"rank":5,"nodes":[]}`)); err == nil {
 		t.Fatal("rank out of range accepted")
 	}
 }

@@ -2,7 +2,6 @@ package chakra
 
 import (
 	"bytes"
-	"io"
 
 	"atlahs/internal/goal"
 	"atlahs/internal/trace/frontend"
@@ -15,12 +14,12 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return bytes.HasPrefix(prefix, []byte(`{"format":"`+formatName+`"`))
 		},
-		Convert: func(r io.Reader, cfg any) (*goal.Schedule, error) {
+		Convert: func(b []byte, cfg any) (*goal.Schedule, error) {
 			c, err := frontend.ConfigAs[ConvertConfig]("chakra", cfg)
 			if err != nil {
 				return nil, err
 			}
-			t, err := Parse(r)
+			t, err := ParseBytes(b)
 			if err != nil {
 				return nil, err
 			}

@@ -2,8 +2,8 @@
 // toolchain: the one place where application trace formats meet the GOAL
 // intermediate representation (paper Fig 2, green path). A Definition
 // names one trace format, knows how to recognise it (content sniffing on
-// a file prefix, extension fallback), and converts a raw trace stream
-// into a GOAL schedule.
+// the first bytes, extension fallback), and converts a raw trace held in
+// memory into a GOAL schedule.
 //
 // The registry mirrors the backend registry on the other side of the
 // toolchain: converters self-register at init (the nsys/NCCL pipeline,
@@ -17,7 +17,6 @@ package frontend
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 
@@ -40,21 +39,13 @@ type Definition struct {
 	// frontends — detection errors out on ambiguity rather than picking
 	// one.
 	Sniff func(prefix []byte) bool
-	// Convert parses one trace from r and converts it to a GOAL schedule.
-	// cfg is the frontend's typed configuration (see ConfigAs); nil
-	// selects defaults. Callers hand over the reader positioned at the
-	// start of the trace. A frontend that sets only ConvertBytes gets a
-	// Convert that drains r and calls it.
-	Convert func(r io.Reader, cfg any) (*goal.Schedule, error)
-	// ConvertBytes, when non-nil, converts a trace already held in memory
-	// without the reader indirection: the parser sees the whole input, so
-	// it can size what it builds from a count and tokenise in place, and a
-	// GOAL schedule carried in Spec.Trace is never copied (the "goal"
-	// frontend hands the caller's slice to goal.Decode here). Every
-	// built-in frontend but chakra parses this way. It must accept exactly
-	// the inputs Convert accepts and produce identical schedules; callers
-	// fall back to Convert when it is nil.
-	ConvertBytes func(b []byte, cfg any) (*goal.Schedule, error)
+	// Convert converts one whole trace, held in b, to a GOAL schedule. cfg
+	// is the frontend's typed configuration (see ConfigAs); nil selects
+	// defaults. A trace is bytes because every parser wants to see all of
+	// it: it sizes what it builds from a count and tokenises in place, and
+	// a GOAL schedule carried in Spec.Trace reaches goal.Decode as the
+	// caller's slice, never a copy.
+	Convert func(b []byte, cfg any) (*goal.Schedule, error)
 	// NewConfig, when non-nil, returns a pointer to a fresh zero value of
 	// the frontend's config type — the hook the sim spec codec uses to
 	// resolve "frontend_config" wire payloads by frontend name. Frontends
@@ -75,15 +66,6 @@ var frontends = registry.New[Definition]("frontend:")
 // taken panics: those are programming errors at wiring time, not runtime
 // conditions.
 func Register(def Definition) {
-	if convertBytes := def.ConvertBytes; def.Convert == nil && convertBytes != nil {
-		def.Convert = func(r io.Reader, cfg any) (*goal.Schedule, error) {
-			b, err := io.ReadAll(r)
-			if err != nil {
-				return nil, err
-			}
-			return convertBytes(b, cfg)
-		}
-	}
 	if def.Convert == nil {
 		panic(fmt.Sprintf("frontend: Register(%q) with nil converter", def.Name))
 	}
@@ -182,22 +164,20 @@ func FirstLine(prefix []byte, commentPrefixes ...string) []byte {
 
 func init() {
 	// The GOAL codecs themselves are the pass-through frontend: a "trace"
-	// that is already a schedule, textual or binary. ConvertBytes is the
-	// path in-memory traces (Spec.Trace, the service's wire specs) take:
-	// goal.Decode walks the caller's slice in place, so a binary schedule
-	// is never copied on its way to the decoder.
-	decode := func(b []byte, cfg any) (*goal.Schedule, error) {
-		if cfg != nil {
-			return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
-		}
-		return goal.Decode(b)
-	}
+	// that is already a schedule, textual or binary. goal.Decode walks the
+	// caller's slice in place, so a binary schedule is never copied on its
+	// way to the decoder.
 	Register(Definition{
 		Name:       "goal",
 		Extensions: []string{".goal", ".bin"},
 		Sniff: func(prefix []byte) bool {
 			return goal.IsBinary(prefix) || bytes.HasPrefix(FirstLine(prefix, "//"), []byte("num_ranks "))
 		},
-		ConvertBytes: decode,
+		Convert: func(b []byte, cfg any) (*goal.Schedule, error) {
+			if cfg != nil {
+				return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
+			}
+			return goal.Decode(b)
+		},
 	})
 }

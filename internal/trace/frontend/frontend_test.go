@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // fakeConvert is a converter stub for registry tests.
-func fakeConvert(io.Reader, any) (*goal.Schedule, error) { return nil, nil }
+func fakeConvert([]byte, any) (*goal.Schedule, error) { return nil, nil }
 
 func TestRegisterPanics(t *testing.T) {
 	expectPanic := func(label string, f func()) {
@@ -96,7 +95,7 @@ func TestGoalFrontend(t *testing.T) {
 		if !def.Sniff(raw) {
 			t.Fatalf("%s GOAL not sniffed", label)
 		}
-		got, err := def.Convert(bytes.NewReader(raw), nil)
+		got, err := def.Convert(raw, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -104,7 +103,7 @@ func TestGoalFrontend(t *testing.T) {
 			t.Fatalf("%s: round trip changed stats", label)
 		}
 	}
-	if _, err := def.Convert(bytes.NewReader(bin.Bytes()), struct{}{}); err == nil {
+	if _, err := def.Convert(bin.Bytes(), struct{}{}); err == nil {
 		t.Fatal("goal frontend should reject configs")
 	}
 }

@@ -192,15 +192,6 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads a text-form trace; see ParseBytes.
-func Parse(r io.Reader) (*Trace, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("mpitrace: %w", err)
-	}
-	return ParseBytes(b)
-}
-
 // nextField splits off the first white-space-separated field of b, the way
 // strings.Fields would (Unicode white space, invalid UTF-8 is not space).
 func nextField(b []byte) (field, rest []byte) {

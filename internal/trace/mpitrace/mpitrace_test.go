@@ -3,7 +3,6 @@ package mpitrace
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -57,7 +56,7 @@ func TestRoundTrip(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(&buf)
+	got, err := ParseBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestParseErrors(t *testing.T) {
 		"mpitrace nranks 2\nrank 0 {\nMPI_Send dst=9 bytes=1 tag=0 t=0:1\n}",
 	}
 	for _, src := range cases {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
+		if _, err := ParseBytes([]byte(src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
@@ -144,7 +143,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if _, err := tr.WriteTo(&buf); err != nil {
 			return false
 		}
-		got, err := Parse(&buf)
+		got, err := ParseBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}

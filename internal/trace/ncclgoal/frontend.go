@@ -27,7 +27,7 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return bytes.HasPrefix(prefix, []byte(`{"format":"atlahs-nsys-v1"`))
 		},
-		ConvertBytes: convert,
-		NewConfig:    func() any { return new(Config) },
+		Convert:   convert,
+		NewConfig: func() any { return new(Config) },
 	})
 }

@@ -195,15 +195,6 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads a JSON-lines report.
-func Parse(rd io.Reader) (*Report, error) {
-	b, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("nsys: %w", err)
-	}
-	return ParseBytes(b)
-}
-
 // ParseBytes parses a JSON-lines report held in memory. Records is sized
 // once from the line count, every record is decoded in place, and the
 // record strings — a handful of distinct kinds, collectives, communicators

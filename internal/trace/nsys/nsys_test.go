@@ -3,7 +3,6 @@ package nsys
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -119,7 +118,7 @@ func TestRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo returned %d, buffer has %d", n, buf.Len())
 	}
-	got, err := Parse(&buf)
+	got, err := ParseBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +128,13 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := Parse(strings.NewReader("")); err == nil {
+	if _, err := ParseBytes([]byte("")); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := Parse(strings.NewReader(`{"format":"other","ngpus":1}`)); err == nil {
+	if _, err := ParseBytes([]byte(`{"format":"other","ngpus":1}`)); err == nil {
 		t.Fatal("wrong format accepted")
 	}
-	if _, err := Parse(strings.NewReader(`{"format":"atlahs-nsys-v1","ngpus":1}` + "\nnot json")); err == nil {
+	if _, err := ParseBytes([]byte(`{"format":"atlahs-nsys-v1","ngpus":1}` + "\nnot json")); err == nil {
 		t.Fatal("garbage record accepted")
 	}
 }

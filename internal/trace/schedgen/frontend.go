@@ -27,7 +27,7 @@ func init() {
 		Sniff: func(prefix []byte) bool {
 			return bytes.HasPrefix(frontend.FirstLine(prefix, "#"), []byte("mpitrace "))
 		},
-		ConvertBytes: convert,
-		NewConfig:    func() any { return new(Options) },
+		Convert:   convert,
+		NewConfig: func() any { return new(Options) },
 	})
 }

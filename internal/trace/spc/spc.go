@@ -71,15 +71,6 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads an SPC CSV trace; see ParseBytes.
-func Parse(r io.Reader) (*Trace, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("spc: %w", err)
-	}
-	return ParseBytes(b)
-}
-
 // ParseBytes parses an SPC CSV trace held in memory. Opcode matching is
 // case-insensitive; blank lines and lines starting with '#' are skipped,
 // as are fields after the fifth. Lines are tokenised in place and Ops is

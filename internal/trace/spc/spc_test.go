@@ -3,7 +3,6 @@ package spc
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -17,7 +16,7 @@ func TestRoundTrip(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(&buf)
+	got, err := ParseBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestParseRealWorldFormat(t *testing.T) {
 0,303567,3584,w,0.000000
 1,55590,3072,r,0.010518
 `
-	tr, err := Parse(strings.NewReader(src))
+	tr, err := ParseBytes([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestParseErrors(t *testing.T) {
 		"1,2,3,w,1\n1,2,3,w,0.5", // time goes backwards
 	}
 	for _, src := range cases {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
+		if _, err := ParseBytes([]byte(src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}

@@ -73,7 +73,7 @@ func TestFinancialRoundTripProperty(t *testing.T) {
 		if _, err := tr.WriteTo(&buf); err != nil {
 			return false
 		}
-		got, err := spc.Parse(&buf)
+		got, err := spc.ParseBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -57,22 +58,33 @@ func (st *Store) Save(s *Sweep) error {
 	if err := st.checkName(s.Name); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(st.dir, "."+s.Name+".tmp-*")
+	return writeAtomic(st.dir, s.Name, "sweep", func(w io.Writer) error { return EncodeJSON(w, s) })
+}
+
+// writeAtomic writes <dir>/<name>.json through a temp file in dir and a
+// rename, removing the temp file on any failure. write's own error is
+// returned as is; the file operations around it are labelled.
+func writeAtomic(dir, name, label string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("results: saving sweep %q: %w", s.Name, err)
+		return saveErr(label, name, err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := EncodeJSON(tmp, s); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("results: saving sweep %q: %w", s.Name, err)
+		return saveErr(label, name, err)
 	}
-	if err := os.Rename(tmp.Name(), st.Path(s.Name)); err != nil {
-		return fmt.Errorf("results: saving sweep %q: %w", s.Name, err)
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name+".json")); err != nil {
+		return saveErr(label, name, err)
 	}
 	return nil
+}
+
+func saveErr(label, name string, err error) error {
+	return fmt.Errorf("results: saving %s %q: %w", label, name, err)
 }
 
 // Load reads and validates the named sweep, rejecting an artifact whose
@@ -170,22 +182,12 @@ func (st *Store) SaveMeta(name string, v any) error {
 	if err != nil {
 		return fmt.Errorf("results: encoding meta for %q: %w", name, err)
 	}
-	tmp, err := os.CreateTemp(st.metaDir(), "."+name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("results: saving meta for %q: %w", name, err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("results: saving meta for %q: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("results: saving meta for %q: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), st.MetaPath(name)); err != nil {
-		return fmt.Errorf("results: saving meta for %q: %w", name, err)
-	}
-	return nil
+	return writeAtomic(st.metaDir(), name, "meta for", func(w io.Writer) error {
+		if _, err := w.Write(append(b, '\n')); err != nil {
+			return saveErr("meta for", name, err)
+		}
+		return nil
+	})
 }
 
 // tracesDir is where per-run timeline traces live. Like meta, the
@@ -208,22 +210,12 @@ func (st *Store) SaveTrace(name string, write func(io.Writer) error) error {
 	if err := os.MkdirAll(st.tracesDir(), 0o755); err != nil {
 		return fmt.Errorf("results: creating traces directory: %w", err)
 	}
-	tmp, err := os.CreateTemp(st.tracesDir(), "."+name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("results: saving trace for %q: %w", name, err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("results: saving trace for %q: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("results: saving trace for %q: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), st.TracePath(name)); err != nil {
-		return fmt.Errorf("results: saving trace for %q: %w", name, err)
-	}
-	return nil
+	return writeAtomic(st.tracesDir(), name, "trace for", func(w io.Writer) error {
+		if err := write(w); err != nil {
+			return saveErr("trace for", name, err)
+		}
+		return nil
+	})
 }
 
 // LoadTrace reads the named run's timeline trace. The bytes are returned
@@ -247,7 +239,7 @@ func (st *Store) LoadMeta(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("results: loading meta for %q: %w", name, err)

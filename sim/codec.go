@@ -25,29 +25,22 @@ const SpecSchema = "atlahs.spec/v1"
 // fields travel as raw JSON objects whose concrete type is resolved by
 // backend/frontend name through the two registries at decode time.
 type wireSpec struct {
-	Schema         string          `json:"schema"`
-	GoalPath       string          `json:"goal_path,omitempty"`
-	GoalBytes      []byte          `json:"goal_bytes,omitempty"`
-	Schedule       []byte          `json:"schedule,omitempty"`
-	Synthetic      *wireSynthetic  `json:"synthetic,omitempty"`
-	TracePath      string          `json:"trace_path,omitempty"`
-	Trace          []byte          `json:"trace,omitempty"`
-	Frontend       string          `json:"frontend,omitempty"`
-	FrontendConfig json.RawMessage `json:"frontend_config,omitempty"`
-	Model          *wireModelGen   `json:"model,omitempty"`
-	ModelPath      string          `json:"model_path,omitempty"`
-	Jobs           []wireJob       `json:"jobs,omitempty"`
-	Placement      string          `json:"placement,omitempty"`
-	Backend        string          `json:"backend,omitempty"`
-	Config         json.RawMessage `json:"config,omitempty"`
-	Workers        int             `json:"workers,omitempty"`
-	CalcScale      float64         `json:"calc_scale,omitempty"`
-	Seed           uint64          `json:"seed,omitempty"`
-	ProgressEvery  int64           `json:"progress_every,omitempty"`
+	Schema string `json:"schema"`
+	// The top-level workload: encoding/json promotes the embedded fields,
+	// so they sit between "schema" and "jobs" on the wire.
+	wireJob
+	Jobs          []wireJob       `json:"jobs,omitempty"`
+	Placement     string          `json:"placement,omitempty"`
+	Backend       string          `json:"backend,omitempty"`
+	Config        json.RawMessage `json:"config,omitempty"`
+	Workers       int             `json:"workers,omitempty"`
+	CalcScale     float64         `json:"calc_scale,omitempty"`
+	Seed          uint64          `json:"seed,omitempty"`
+	ProgressEvery int64           `json:"progress_every,omitempty"`
 }
 
-// wireJob mirrors one Workload declaration: the same fields as the top
-// level.
+// wireJob mirrors one Workload declaration: the top level of a spec and
+// each of its jobs.
 type wireJob struct {
 	GoalPath       string          `json:"goal_path,omitempty"`
 	GoalBytes      []byte          `json:"goal_bytes,omitempty"`
@@ -112,23 +105,14 @@ func MarshalSpec(sp Spec) ([]byte, error) {
 		return nil, err
 	}
 	ws := wireSpec{
-		Schema:         SpecSchema,
-		GoalPath:       wj.GoalPath,
-		GoalBytes:      wj.GoalBytes,
-		Schedule:       wj.Schedule,
-		Synthetic:      wj.Synthetic,
-		TracePath:      wj.TracePath,
-		Trace:          wj.Trace,
-		Frontend:       wj.Frontend,
-		FrontendConfig: wj.FrontendConfig,
-		Model:          wj.Model,
-		ModelPath:      wj.ModelPath,
-		Placement:      sp.Placement,
-		Backend:        sp.Backend,
-		Workers:        sp.Workers,
-		CalcScale:      sp.CalcScale,
-		Seed:           sp.Seed,
-		ProgressEvery:  sp.ProgressEvery,
+		Schema:        SpecSchema,
+		wireJob:       *wj,
+		Placement:     sp.Placement,
+		Backend:       sp.Backend,
+		Workers:       sp.Workers,
+		CalcScale:     sp.CalcScale,
+		Seed:          sp.Seed,
+		ProgressEvery: sp.ProgressEvery,
 	}
 	for i := range sp.Jobs {
 		j, err := encodeWorkload(&sp.Jobs[i].Workload)
@@ -212,16 +196,7 @@ func UnmarshalSpec(b []byte) (Spec, error) {
 	if ws.Schema != SpecSchema {
 		return Spec{}, fmt.Errorf("sim: unknown spec schema %q (want %q)", ws.Schema, SpecSchema)
 	}
-	single, err := decodeWorkload(&wireJob{
-		GoalPath:  ws.GoalPath,
-		GoalBytes: ws.GoalBytes,
-		Schedule:  ws.Schedule,
-		Synthetic: ws.Synthetic,
-		TracePath: ws.TracePath,
-		Trace:     ws.Trace,
-		Frontend:  ws.Frontend, FrontendConfig: ws.FrontendConfig,
-		Model: ws.Model, ModelPath: ws.ModelPath,
-	})
+	single, err := decodeWorkload(&ws.wireJob)
 	if err != nil {
 		return Spec{}, err
 	}
@@ -291,9 +266,9 @@ func decodeWorkload(w *wireJob) (*Workload, error) {
 		if w.Frontend == "" {
 			return nil, fmt.Errorf("sim: a wire spec needs Frontend named explicitly to carry a FrontendConfig; content sniffing cannot resolve the config type")
 		}
-		def, ok := frontend.Lookup(w.Frontend)
-		if !ok {
-			return nil, fmt.Errorf("sim: unknown frontend %q (registered: %s)", w.Frontend, strings.Join(frontend.Names(), ", "))
+		def, err := ResolveFrontend(w.Frontend, nil, "")
+		if err != nil {
+			return nil, err
 		}
 		cfg, err := decodePayload("frontend", w.Frontend, def.NewConfig, w.FrontendConfig)
 		if err != nil {

@@ -26,10 +26,13 @@
 // through the 4-stage NCCL pipeline), "mpi" (liballprof-style traces
 // through Schedgen), "spc" (block-I/O traces through the Direct Drive
 // model), "chakra" (AstraSim's execution traces), and "goal" (the GOAL
-// codecs themselves). The format is sniffed from the content with the
-// file extension as fallback, or named explicitly via Spec.Frontend;
-// per-frontend conversion knobs ride in Spec.FrontendConfig. On the
-// generation side, the generator registry (RegisterGenerator) resolves
+// codecs themselves). A trace is bytes: a TracePath is read whole and
+// then takes the conversion a Trace takes (ConvertTrace), and a frontend's
+// Convert is func(b []byte, cfg any) (*Schedule, error). The format is
+// sniffed from the content with the file extension as fallback, or named
+// explicitly via Spec.Frontend (ResolveFrontend reports which frontend
+// that is); per-frontend conversion knobs ride in Spec.FrontendConfig.
+// On the generation side, the generator registry (RegisterGenerator) resolves
 // Synthetic.Pattern by name — the built-in patterns ("ring", "alltoall",
 // "incast", "permutation", "uniform", "bsp") self-register, as does the
 // "model" generator behind the model workload source — so third-party

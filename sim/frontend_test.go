@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"atlahs/internal/goal"
 	"atlahs/internal/storage/directdrive"
 	"atlahs/internal/trace/chakra"
+	"atlahs/internal/trace/frontend"
 	"atlahs/internal/trace/ncclgoal"
 	"atlahs/internal/trace/schedgen"
 	"atlahs/internal/trace/spc"
@@ -91,7 +93,7 @@ func frontendCases(t *testing.T) []frontendCase {
 	if _, err := oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 60, Seed: 5}).WriteTo(&spcBuf); err != nil {
 		t.Fatal(err)
 	}
-	spcTrace, err := spc.Parse(bytes.NewReader(spcBuf.Bytes()))
+	spcTrace, err := spc.ParseBytes(spcBuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,54 @@ func TestFrontendExtensionFallback(t *testing.T) {
 	got := runResult(t, Spec{Workload: Workload{TracePath: path}})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("extension-resolved run diverged")
+	}
+}
+
+// TestConvertTraceFileEqualsConvertTrace: reading the file is all that
+// ConvertTraceFile adds to ConvertTrace. For every frontend — the whole
+// trace, a trace cut short inside the sniff window, and an empty file;
+// sniffed and named — both accept or both reject, with the same message
+// up to the path, and what they accept encodes to the same bytes. The
+// file names carry no extension, which is the one thing a path adds to
+// detection (TestFrontendExtensionFallback).
+func TestConvertTraceFileEqualsConvertTrace(t *testing.T) {
+	dir := t.TempDir()
+	encode := func(s *Schedule) []byte {
+		var buf bytes.Buffer
+		if err := WriteGOALBinary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var below, above bool // accepted traces on both sides of SniffLen
+	for i, c := range frontendCases(t) {
+		for label, raw := range map[string][]byte{"whole": c.raw, "cut": c.raw[:min(len(c.raw), 100)], "empty": nil} {
+			path := filepath.Join(dir, fmt.Sprintf("trace-%d-%s", i, label))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"", c.frontend} {
+				id := fmt.Sprintf("%s/%s/named=%q", c.frontend, label, name)
+				fromFile, fileErr := ConvertTraceFile(path, name, nil)
+				fromBytes, bytesErr := ConvertTrace(raw, name, nil)
+				switch {
+				case fileErr != nil && bytesErr != nil:
+					if got := strings.ReplaceAll(fileErr.Error(), path, "trace"); got != bytesErr.Error() {
+						t.Errorf("%s: errors differ beyond the path:\nfile  %v\nbytes %v", id, fileErr, bytesErr)
+					}
+				case fileErr != nil || bytesErr != nil:
+					t.Errorf("%s: one side failed: file %v, bytes %v", id, fileErr, bytesErr)
+				case !bytes.Equal(encode(fromFile), encode(fromBytes)):
+					t.Errorf("%s: schedules encode differently", id)
+				default:
+					below = below || len(raw) < frontend.SniffLen
+					above = above || len(raw) > frontend.SniffLen
+				}
+			}
+		}
+	}
+	if !below || !above {
+		t.Fatalf("fixtures must include accepted traces shorter (%v) and longer (%v) than the sniff window", below, above)
 	}
 }
 

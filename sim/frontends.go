@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -18,8 +16,9 @@ import (
 )
 
 // Frontend describes one registered workload frontend: a trace format
-// (name, content sniffer, extension fallback) and its streaming
-// trace-to-GOAL conversion. The built-in frontends self-register at init:
+// (name, content sniffer, extension fallback) and its trace-to-GOAL
+// conversion over the whole trace in memory. The built-in frontends
+// self-register at init:
 //
 //	goal    GOAL schedules themselves, textual or binary (pass-through)
 //	nsys    nsys-like GPU reports via the 4-stage NCCL pipeline (§3.1.2)
@@ -28,8 +27,8 @@ import (
 //	chakra  Chakra-like execution traces (the AstraSim input format)
 //
 // Third-party ingestion registers the same way; a frontend's Convert may
-// name the contract through this package's aliases: func(r io.Reader,
-// cfg any) (*sim.Schedule, error).
+// name the contract through this package's aliases: func(b []byte, cfg
+// any) (*sim.Schedule, error).
 type Frontend = frontend.Definition
 
 // Per-frontend configuration types, passed as Spec.FrontendConfig (or
@@ -100,104 +99,49 @@ func FrontendConfigAs[T any](frontendName string, cfg any) (T, error) {
 	return frontend.ConfigAs[T](frontendName, cfg)
 }
 
-// openTrace opens a trace file and resolves its frontend (named, or
-// detected from the sniffed prefix / extension), leaving the returned
-// reader positioned at the start of the trace. The caller closes f.
-func openTrace(path, frontendName string) (Frontend, *bufio.Reader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Frontend{}, nil, nil, err
-	}
-	br := bufio.NewReaderSize(f, frontend.SniffLen)
-	prefix, err := br.Peek(frontend.SniffLen)
-	if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
-		f.Close()
-		return Frontend{}, nil, nil, fmt.Errorf("sim: reading %s: %w", path, err)
-	}
-	def, err := resolveFrontend(frontendName, prefix, path)
-	if err != nil {
-		f.Close()
-		return Frontend{}, nil, nil, err
-	}
-	return def, br, f, nil
-}
-
-// ConvertTraceFile converts a trace file into a GOAL schedule through the
-// frontend registry. frontendName == "" auto-detects the format (content
-// sniffing on the file's first bytes, extension fallback); cfg is the
-// frontend's typed configuration (nil = defaults). Conversion streams
-// from the file.
+// ConvertTraceFile reads a trace file and converts it like ConvertTrace;
+// detection additionally falls back to the file's extension when no
+// sniffer claims the content.
 func ConvertTraceFile(path, frontendName string, cfg any) (*Schedule, error) {
-	def, br, f, err := openTrace(path, frontendName)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := def.Convert(br, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: converting %s via %q frontend: %w", path, def.Name, err)
-	}
-	return s, nil
+	return convertTrace(b, path, frontendName, cfg)
 }
 
-// ConvertTraceFileVia converts like ConvertTraceFile, but resolves the
-// frontend first and then looks its configuration up in configs by name
-// (a missing entry selects that frontend's defaults). It returns the
-// resolved name alongside the schedule, and reads the input exactly once
-// — callers that would otherwise detect-then-convert in two passes (the
-// schedgen CLI, non-seekable inputs) use this.
-func ConvertTraceFileVia(path, frontendName string, configs map[string]any) (*Schedule, string, error) {
-	def, br, f, err := openTrace(path, frontendName)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	s, err := def.Convert(br, configs[def.Name])
-	if err != nil {
-		return nil, def.Name, fmt.Errorf("sim: converting %s via %q frontend: %w", path, def.Name, err)
-	}
-	return s, def.Name, nil
-}
-
-// DetectFrontend reports which registered frontend owns the trace file at
-// path, by content sniffing on its first bytes with the file's extension
-// as fallback — detection only, no conversion.
-func DetectFrontend(path string) (Frontend, error) {
-	def, _, f, err := openTrace(path, "")
-	if err != nil {
-		return Frontend{}, err
-	}
-	f.Close()
-	return def, nil
-}
-
-// ConvertTrace converts an in-memory serialised trace into a GOAL
-// schedule through the frontend registry; see ConvertTraceFile. Frontends
-// that decode from bytes (Frontend.ConvertBytes — the "goal" frontend)
-// are handed b itself, so a binary schedule is never copied.
+// ConvertTrace converts a serialised trace held in memory into a GOAL
+// schedule through the frontend registry — the one conversion every trace
+// workload takes. frontendName == "" auto-detects the format by content
+// sniffing on b's first bytes; cfg is the frontend's typed configuration
+// (nil = defaults). The frontend is handed b itself, so a binary GOAL
+// schedule is never copied.
 func ConvertTrace(b []byte, frontendName string, cfg any) (*Schedule, error) {
-	prefix := b
-	if len(prefix) > frontend.SniffLen {
-		prefix = prefix[:frontend.SniffLen]
-	}
-	def, err := resolveFrontend(frontendName, prefix, "")
+	return convertTrace(b, "", frontendName, cfg)
+}
+
+func convertTrace(b []byte, path, frontendName string, cfg any) (*Schedule, error) {
+	def, err := ResolveFrontend(frontendName, b, path)
 	if err != nil {
 		return nil, err
 	}
-	var s *Schedule
-	if def.ConvertBytes != nil {
-		s, err = def.ConvertBytes(b, cfg)
-	} else {
-		s, err = def.Convert(bytes.NewReader(b), cfg)
-	}
+	s, err := def.Convert(b, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sim: converting trace via %q frontend: %w", def.Name, err)
+		what := "trace"
+		if path != "" {
+			what = path
+		}
+		return nil, fmt.Errorf("sim: converting %s via %q frontend: %w", what, def.Name, err)
 	}
 	return s, nil
 }
 
-// resolveFrontend picks the frontend: the named one, or format detection.
-func resolveFrontend(name string, prefix []byte, path string) (Frontend, error) {
+// ResolveFrontend reports which frontend converts the trace b: the named
+// one, or — name == "" — the one that detects it, by content sniffing on
+// b's first bytes with path's extension as the fallback (path may be
+// empty). Callers that pick a per-frontend configuration (the schedgen
+// CLI) resolve first, then pass the resolved name to ConvertTrace.
+func ResolveFrontend(name string, b []byte, path string) (Frontend, error) {
 	if name != "" {
 		def, ok := frontend.Lookup(name)
 		if !ok {
@@ -205,7 +149,10 @@ func resolveFrontend(name string, prefix []byte, path string) (Frontend, error) 
 		}
 		return def, nil
 	}
-	def, err := frontend.Detect(prefix, path)
+	if len(b) > frontend.SniffLen {
+		b = b[:frontend.SniffLen]
+	}
+	def, err := frontend.Detect(b, path)
 	if err != nil {
 		return Frontend{}, fmt.Errorf("sim: %w", err)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -198,8 +197,8 @@ func TestRegistriesConcurrentUse(t *testing.T) {
 				Register(Definition{Name: name, New: func(any, Env) (core.Backend, error) {
 					return &fakeBackend{name: name}, nil
 				}})
-				RegisterFrontend(Frontend{Name: name, Convert: func(r io.Reader, _ any) (*Schedule, error) {
-					return goal.ParseText(r)
+				RegisterFrontend(Frontend{Name: name, Convert: func(b []byte, _ any) (*Schedule, error) {
+					return goal.Decode(b)
 				}})
 				RegisterGenerator(GeneratorDef{Name: name, New: func(req GenRequest) (*Schedule, error) {
 					return micro.Ring(req.Ranks, 64), nil

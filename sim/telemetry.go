@@ -45,6 +45,5 @@ func runMetrics(eng engine.Sim, res *sched.Result) *results.MetricsSnapshot {
 	reg.Counter("atlahs_engine_active_lanes_total", "active-lane count summed over windows").Add(st.ActiveLanes)
 	reg.Gauge("atlahs_engine_active_lanes_max", "largest single-window active-lane count").Set(int64(st.MaxActiveLanes))
 	reg.Gauge("atlahs_sched_peak_outstanding", "peak simultaneously in-flight ops on any single rank").Set(int64(res.PeakOutstanding))
-	reg.Gauge("atlahs_sched_heap_reserved", "event-heap capacity pre-sized from the schedule").Set(int64(res.HeapReserved))
 	return results.MetricsFromPoints(reg.Snapshot())
 }

@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"atlahs/internal/goal"
-	"atlahs/internal/trace/frontend"
 	"atlahs/results"
 )
 
@@ -120,8 +118,8 @@ func (w *Workload) validate() error {
 		return fmt.Errorf("sim: Frontend/FrontendConfig are only meaningful with a TracePath or Trace workload")
 	}
 	if w.Frontend != "" {
-		if _, ok := frontend.Lookup(w.Frontend); !ok {
-			return fmt.Errorf("sim: unknown frontend %q (registered: %s)", w.Frontend, strings.Join(frontend.Names(), ", "))
+		if _, err := ResolveFrontend(w.Frontend, nil, ""); err != nil {
+			return err
 		}
 	}
 	if w.Synthetic != nil {
