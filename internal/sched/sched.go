@@ -43,6 +43,54 @@ type Result struct {
 	PeakOutstanding int
 }
 
+// The simulated clock is an int64 count of picoseconds, about 106 days.
+// Run refuses, before any event is scheduled, a schedule that could carry
+// a backend's arithmetic past it: one op alone (a 2^55-byte send times a
+// per-byte gap, a 2^63-1 ns calc times 1000 ps) or the sum of all of them
+// down one dependency chain. Backends therefore only ever see non-negative
+// durations and times that add without wrapping — which the FIFO order of
+// their completion queues relies on — and a hostile GOAL file is an error
+// from Run, not a panic out of Engine.Schedule or a wrapped-around runtime.
+const (
+	// maxMessageBytes bounds one send or receive (1 TiB).
+	maxMessageBytes = 1 << 40
+	// horizon bounds the simulated time a schedule may ask for (about 53
+	// days): every scaled calc duration plus every message byte at
+	// nominalPsPerByte. It is half the clock's range; the other half is
+	// head-room for what the sum leaves out (per-message latencies and
+	// overheads, retransmissions).
+	horizon = simtime.Duration(1) << 62
+	// nominalPsPerByte is what the budget charges a byte of a send or a
+	// receive: more than any built-in model does, summed over everything
+	// it bills per byte (LGS 2·G + 2·O: 360 ps at the HPC parameters; the
+	// default 200 Gb/s fabric 40 ps a hop). A model configured slower
+	// than ~8 Gb/s has proportionally less head-room.
+	nominalPsPerByte = 1024
+)
+
+// charge adds op's demand on the simulated clock to *budget and reports an
+// error if the op alone or the running sum is out of range.
+func charge(budget *simtime.Duration, rank, i int, op *goal.Op, scale float64) error {
+	var d simtime.Duration
+	if op.Kind == goal.KindCalc {
+		// Compared as float64 nanoseconds: CalcDuration's own ns -> ps
+		// conversion is what overflows.
+		if ns := float64(op.Size) * scale; !(ns <= horizon.Nanoseconds()) {
+			return fmt.Errorf("sched: rank %d op %d: calc of %d ns (scale %g) is beyond the simulated clock's range (%v)", rank, i, op.Size, scale, horizon)
+		}
+		d = op.CalcDuration(scale)
+	} else {
+		if op.Size > maxMessageBytes {
+			return fmt.Errorf("sched: rank %d op %d: %s of %d bytes exceeds the %d-byte message bound", rank, i, op.Kind, op.Size, int64(maxMessageBytes))
+		}
+		d = simtime.Duration(op.Size) * nominalPsPerByte
+	}
+	if *budget += d; *budget > horizon {
+		return fmt.Errorf("sched: schedule asks for more simulated time than the clock holds (%v of calcs and message bytes by rank %d op %d)", horizon, rank, i)
+	}
+	return nil
+}
+
 type rankState struct {
 	needComplete []int32   // outstanding `requires` per op
 	needStart    []int32   // outstanding `irequires` per op
@@ -84,6 +132,9 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	if scale == 0 {
 		scale = 1
 	}
+	if !(scale > 0) {
+		return nil, fmt.Errorf("sched: CalcScale %g is not a positive factor", scale)
+	}
 	r := &runner{
 		eng:   eng,
 		s:     s,
@@ -97,6 +148,7 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		return nil, err
 	}
 	seeds := 0 // ops with no dependencies
+	var budget simtime.Duration
 	for rank := range s.Ranks {
 		rp := &s.Ranks[rank]
 		st := &r.ranks[rank]
@@ -113,6 +165,9 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		st.reqSucc = rp.Requires.Invert()
 		st.ireqSucc = rp.IRequires.Invert()
 		for i := 0; i < n; i++ {
+			if err := charge(&budget, rank, i, &rp.Ops[i], scale); err != nil {
+				return nil, err
+			}
 			st.needComplete[i] = int32(len(rp.Requires.Of(i)))
 			st.needStart[i] = int32(len(rp.IRequires.Of(i)))
 			if st.needComplete[i] == 0 && st.needStart[i] == 0 {

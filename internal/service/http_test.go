@@ -577,3 +577,34 @@ func TestHTTPSweeps(t *testing.T) {
 		})
 	}
 }
+
+// TestHTTPOutOfRangeGoalFailsTheRunNotTheDaemon: a ~100-byte GOAL spec
+// whose one op overflows the simulated clock used to panic inside the
+// engine, and nothing on the run path recovers — one request ended the
+// process. It must come back as a failed run, on every backend, and the
+// next request must be served.
+func TestHTTPOutOfRangeGoalFailsTheRunNotTheDaemon(t *testing.T) {
+	_, ts := testServer(t, Config{Jobs: 1})
+	for _, text := range []string{
+		"num_ranks 2\nrank 0 {\nl1: send 51240955760304320b to 1 tag 0\n}\nrank 1 {\nl1: recv 51240955760304320b from 0 tag 0\n}\n",
+		"num_ranks 1\nrank 0 {\nl1: calc 9223372036854775807\n}\n",
+	} {
+		for _, be := range []string{"lgs", "pkt", "fluid"} {
+			spec := sim.Spec{Workload: sim.Workload{GoalBytes: []byte(text)}, Backend: be}
+			if be == "lgs" {
+				spec.Config = sim.LGSConfig{Params: sim.HPCParams()}
+			}
+			body, err := sim.MarshalSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rr := postSpec(t, ts.URL, body)
+			if rr.Status != StatusFailed || !strings.Contains(rr.Error, "sched: ") {
+				t.Fatalf("%s: out-of-range op answered %+v, want a failed run carrying the scheduler's error", be, rr)
+			}
+		}
+	}
+	if resp, rr := postSpec(t, ts.URL, wireSpec(t, 7)); resp.StatusCode != http.StatusOK || rr.Status != StatusDone {
+		t.Fatalf("request after the failed runs: %d %+v", resp.StatusCode, rr)
+	}
+}

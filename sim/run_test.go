@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"atlahs/internal/goal"
+	"atlahs/internal/simtime"
 	"atlahs/internal/workload/micro"
 )
 
@@ -323,5 +324,56 @@ func TestConcurrentRunsShareOneTopology(t *testing.T) {
 				t.Errorf("%s run %d: (%v, %d events), run 0: (%v, %d events)", name, g+1, res.Runtime, res.Events, got[0].Runtime, got[0].Events)
 			}
 		}
+	}
+}
+
+// TestOutOfRangeOpsAreErrorsNotPanics: a GOAL file whose one op alone
+// carries a backend's picosecond arithmetic past int64 — a send whose size
+// times the per-byte gap goes negative, one that wraps to zero and
+// "completes" 4 EiB in microseconds, a calc whose ns → ps conversion wraps —
+// or whose ops do so summed down one chain, is refused with an error on
+// every backend: never a panic out of Engine.Schedule, never a wrapped
+// runtime.
+func TestOutOfRangeOpsAreErrorsNotPanics(t *testing.T) {
+	ping := func(size string) string {
+		return "num_ranks 2\nrank 0 {\nl1: send " + size + "b to 1 tag 0\n}\nrank 1 {\nl1: recv " + size + "b from 0 tag 0\n}\n"
+	}
+	chain := "num_ranks 1\nrank 0 {\nl1: calc 4000000000000000\n"
+	for i := 2; i <= 4; i++ {
+		chain += fmt.Sprintf("l%d: calc 4000000000000000\nl%d requires l%d\n", i, i, i-1)
+	}
+	chain += "}\n"
+	for name, text := range map[string]string{
+		"send-overflows-negative": ping("51240955760304320"),
+		"send-wraps-to-zero":      ping("4611686018427387904"),
+		"calc-overflows-ns-to-ps": "num_ranks 1\nrank 0 {\nl1: calc 9223372036854775807\n}\n",
+		"calc-chain-sums-past":    chain,
+	} {
+		for _, be := range []string{"lgs", "pkt", "fluid"} {
+			spec := Spec{Workload: Workload{GoalBytes: []byte(text)}, Backend: be}
+			if be == "lgs" {
+				spec.Config = LGSConfig{Params: HPCParams()}
+			}
+			res, err := Run(context.Background(), spec)
+			if err == nil {
+				t.Errorf("%s on %s: ran to %v, want an error", name, be, res.Runtime)
+			} else if !strings.Contains(err.Error(), "sched: ") {
+				t.Errorf("%s on %s: %v, want the scheduler's range error", name, be, err)
+			}
+		}
+	}
+	// The largest op each bound admits still runs, to the right answer.
+	res, err := Run(context.Background(), Spec{Workload: Workload{GoalBytes: []byte("num_ranks 1\nrank 0 {\nl1: calc 4000000000000000\n}\n")}})
+	if err != nil || res.Runtime != 4_000_000_000_000_000*simtime.Nanosecond {
+		t.Fatalf("46-day calc: %v, %v", res, err)
+	}
+	res, err = Run(context.Background(), Spec{Workload: Workload{GoalBytes: []byte(ping("1099511627776"))},
+		Config: LGSConfig{Params: HPCParams()}})
+	// rendezvous: o + L (RTS) + L (CTS) + size·G + L + o
+	if want := (6000+3*3000+6000)*simtime.Nanosecond + 1099511627776*180*simtime.Picosecond; err != nil || res.Runtime != want {
+		t.Fatalf("1 TiB send: %v, %v, want %v", res, err, want)
+	}
+	if _, err := Run(context.Background(), Spec{Workload: Workload{Schedule: micro.Ring(2, 64)}, CalcScale: -1}); err == nil {
+		t.Fatal("negative CalcScale accepted")
 	}
 }
