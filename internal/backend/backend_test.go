@@ -264,10 +264,12 @@ func TestLGSCompletesRandomSchedulesProperty(t *testing.T) {
 		}
 		// fix recv sizes to match send sizes (peer's send)
 		sch := b.MustBuild()
-		res, err := sched.Run(engine.New(), sch, NewLGS(AIParams()), sched.Options{})
+		lgs := NewLGS(AIParams())
+		res, err := sched.Run(engine.New(), sch, lgs, sched.Options{})
 		if err != nil {
 			return false
 		}
+		checkLGSDrained(t, lgs)
 		return res.Ops == int64(sch.ComputeStats().Ops)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

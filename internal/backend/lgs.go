@@ -10,6 +10,7 @@ package backend
 
 import (
 	"fmt"
+	"unsafe"
 
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
@@ -53,18 +54,6 @@ func HPCParams() LogGOPS {
 	}
 }
 
-// lgsMsg is the matcher payload for an in-flight message.
-type lgsMsg struct {
-	rendezvous bool
-	arrival    simtime.Time   // eager: data arrival; rendezvous: RTS arrival
-	send       core.SendEvent // original send (rendezvous continuation)
-}
-
-// lgsRecv is the matcher payload for a posted receive.
-type lgsRecv struct {
-	ev core.RecvEvent
-}
-
 // LGS is the LogGOPSim-style message-level backend. It models per-rank
 // compute streams (o and O overheads), a single NIC per rank (g and G
 // gaps), constant wire latency L, and eager/rendezvous protocols switched
@@ -72,18 +61,93 @@ type lgsRecv struct {
 // invisible to it, which is exactly the limitation paper Fig 12
 // demonstrates on oversubscribed topologies.
 //
-// All of its state is per-rank (streams, NIC, matcher queues) and every
-// cross-rank effect travels at least the wire latency L, so the backend
-// can run on the parallel engine: each rank's events execute on that
-// rank's lane and L is the declared lookahead.
+// All of its state is per-rank (streams, NIC, matcher queues, free list)
+// and every cross-rank effect travels at least the wire latency L, so the
+// backend can run on the parallel engine: each rank's events execute on
+// that rank's lane and L is the declared lookahead.
+//
+// # Event sources, not closures
+//
+// Nothing is allocated per operation in steady state. Every event LGS
+// schedules fires a handler that was bound when a long-lived object was
+// made (htsim's shape, as in internal/pktnet), and the object holds what
+// the handler needs.
+//
+// Completions have no record at all. Each one LGS reports comes off one of
+// three chains that only move forward, so the completions pending on a
+// chain are due in the order they were reported and a core.Stream — a free
+// time, a ring of handles, one handler — carries them:
+//
+//   - a compute stream's occupancy (Stream.Acquire): a calc completes when
+//     its reservation ends, an eager send when its overhead o + size·O
+//     ends, a receive when the overhead charged at (or after) the payload's
+//     arrival ends. All three are the end of the reservation just placed.
+//   - the rank's NIC (a Stream of its own): a rendezvous send completes at
+//     wireDone = inject + size·G, inside its reservation [inject, inject +
+//     g + size·G), and the next injection starts no earlier than that
+//     reservation's end. Eager sends reserve the NIC too and report
+//     nothing on it.
+//
+// A message is one lgsMsg record from Send until its receive overhead has
+// been charged. Its steps are strictly sequential — an eager message
+// arrives and is matched; a rendezvous message's RTS arrives and is
+// matched, its CTS travels back, its payload arrives — so one time field
+// and one handler serve all of them. The record is taken from the free
+// list of the lane that issues the send and returned to the list of the
+// lane it dies on, the receiver's (both while running on that lane:
+// ParEngine workers never share a list, and the hand-over between lanes is
+// the engine's own cross-lane event delivery). A rank that sends about as
+// much as it receives therefore stops allocating once its list holds its
+// working depth.
+//
+// The Schedule/ScheduleOn calls, their order and their times are those of
+// the closure-per-event code this replaced, so every event keeps its
+// (at, seq) / (at, schedAt, schedLane, schedSeq) key: TestLGSOutcomesPinned
+// holds Runtime, Events and RankEnd to the values recorded before.
 type LGS struct {
 	P LogGOPS
 
-	over    core.CompletionFunc
-	lanes   []engine.Sim
-	streams *core.StreamTable
-	nicFree []simtime.Time
-	match   *core.Matcher[lgsMsg, lgsRecv]
+	ranks []lgsRank
+	match *core.Matcher[*lgsMsg, core.RecvEvent]
+}
+
+// lgsLane is everything one rank's lane owns.
+type lgsLane struct {
+	sim  engine.Sim
+	cpus core.Streams
+	nic  *core.Stream
+	free []*lgsMsg // recycled records; only this lane pushes and pops
+	made int       // records this lane allocated
+}
+
+// lgsRank pads a lane's state to whole cache lines so that neighbouring
+// ranks on different workers do not false-share.
+type lgsRank struct {
+	lgsLane
+	_ [64 - unsafe.Sizeof(lgsLane{})%64]byte
+}
+
+// lgsStep says what the event in flight for a message will find.
+type lgsStep uint8
+
+const (
+	msgFree  lgsStep = iota // on a free list: no event may name the record
+	msgEager                // the payload reaches the receiver at m.at
+	msgRTS                  // rendezvous: the RTS reaches the receiver at m.at
+	msgCTS                  // the CTS reaches the sender at m.at
+	msgData                 // the payload reaches the receiver at m.at
+)
+
+// lgsMsg is one message, from its send until its receive overhead is
+// charged. Between an arrival that found no receive and the Recv that
+// takes it, the matcher holds the record (step msgEager or msgRTS).
+type lgsMsg struct {
+	b    *LGS
+	send core.SendEvent
+	at   simtime.Time   // when the step in flight lands (see lgsStep)
+	recv core.RecvEvent // rendezvous: the matched receive, from CTS on
+	step lgsStep
+	fire engine.Handler // m.run
 }
 
 // NewLGS creates an LGS backend with the given model parameters.
@@ -101,96 +165,138 @@ func (b *LGS) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error 
 	if nranks <= 0 {
 		return fmt.Errorf("lgs: non-positive rank count %d", nranks)
 	}
-	b.over = over
-	b.lanes = make([]engine.Sim, nranks)
-	for i := range b.lanes {
-		b.lanes[i] = eng.Lane(i)
+	if p := b.P; p.L < 0 || p.O < 0 || p.G < 0 || p.GB < 0 || p.OB < 0 || p.S < 0 {
+		// Every chain above moves forward because every cost is >= 0.
+		return fmt.Errorf("lgs: negative LogGOPS parameter in %+v", p)
 	}
-	b.streams = core.NewStreamTable(nranks)
-	b.nicFree = make([]simtime.Time, nranks)
-	b.match = core.NewMatcher[lgsMsg, lgsRecv](nranks)
+	b.ranks = make([]lgsRank, nranks)
+	for i := range b.ranks {
+		ln := eng.Lane(i)
+		b.ranks[i].lgsLane = lgsLane{sim: ln, cpus: core.NewStreams(ln, over), nic: core.NewStream(ln, over)}
+	}
+	b.match = core.NewMatcher[*lgsMsg, core.RecvEvent](nranks)
 	return nil
+}
+
+// newMsg takes a record off rank's free list. Runs on rank's lane.
+func (b *LGS) newMsg(rank int) *lgsMsg {
+	r := &b.ranks[rank]
+	if k := len(r.free); k > 0 {
+		m := r.free[k-1]
+		r.free = r.free[:k-1]
+		return m
+	}
+	r.made++
+	m := &lgsMsg{b: b}
+	m.fire = m.run
+	return m
+}
+
+// release returns a record to the free list of the lane it died on, the
+// receiver's. Runs on that lane.
+func (m *lgsMsg) release() {
+	if m.step == msgFree {
+		panic("lgs: message record released twice")
+	}
+	m.step = msgFree
+	r := &m.b.ranks[m.send.Dst]
+	r.free = append(r.free, m)
 }
 
 // Calc implements core.Backend: occupy the stream, complete at the end.
 func (b *LGS) Calc(ev core.CalcEvent) {
-	ln := b.lanes[ev.Rank]
-	_, end := b.streams.Acquire(ev.Rank, ev.CPU, ln.Now(), ev.Duration)
-	h := ev.Handle
-	ln.Schedule(end, func() { b.over(h, end) })
+	r := &b.ranks[ev.Rank]
+	st := r.cpus.On(ev.CPU)
+	_, end := st.Acquire(r.sim.Now(), ev.Duration)
+	st.Complete(ev.Handle, end)
 }
 
 // Send implements core.Backend. Runs on the source rank's lane.
 func (b *LGS) Send(ev core.SendEvent) {
-	ln := b.lanes[ev.Src]
-	now := ln.Now()
-	cpu := b.P.O + simtime.Duration(ev.Size)*b.P.OB
-	_, cpuEnd := b.streams.Acquire(ev.Src, ev.CPU, now, cpu)
+	r := &b.ranks[ev.Src]
+	st := r.cpus.On(ev.CPU)
+	_, cpuEnd := st.Acquire(r.sim.Now(), b.P.O+simtime.Duration(ev.Size)*b.P.OB)
+	m := b.newMsg(ev.Src)
+	m.send = ev
 	if b.P.S > 0 && ev.Size >= b.P.S {
 		// Rendezvous: RTS after the CPU overhead; data moves once the
 		// receive is posted. The send op completes when the payload has
-		// been handed to the wire.
-		rtsArrival := cpuEnd.Add(b.P.L)
-		ln.ScheduleOn(ev.Dst, rtsArrival, func() {
-			if rv, ok := b.match.Arrive(ev.Dst, ev.Src, ev.Tag, lgsMsg{rendezvous: true, arrival: rtsArrival, send: ev}); ok {
-				b.rendezvousTransfer(ev, rv)
-			}
-		})
+		// been handed to the wire (see rendezvousData).
+		m.step, m.at = msgRTS, cpuEnd.Add(b.P.L)
+		r.sim.ScheduleOn(ev.Dst, m.at, m.fire)
 		return
 	}
 	// Eager: op completes at CPU overhead end; payload is injected through
 	// the NIC (g + size*G) and arrives L after the last byte leaves.
-	inject := simtime.Max(cpuEnd, b.nicFree[ev.Src])
-	b.nicFree[ev.Src] = inject.Add(b.P.G + simtime.Duration(ev.Size)*b.P.GB)
-	arrival := inject.Add(simtime.Duration(ev.Size)*b.P.GB + b.P.L)
-	h := ev.Handle
-	ln.Schedule(cpuEnd, func() { b.over(h, cpuEnd) })
-	ln.ScheduleOn(ev.Dst, arrival, func() {
-		if rv, ok := b.match.Arrive(ev.Dst, ev.Src, ev.Tag, lgsMsg{arrival: arrival}); ok {
-			b.completeRecv(rv, arrival)
-		}
-	})
+	wire := simtime.Duration(ev.Size) * b.P.GB
+	inject, _ := r.nic.Acquire(cpuEnd, b.P.G+wire)
+	m.step, m.at = msgEager, inject.Add(wire+b.P.L)
+	st.Complete(ev.Handle, cpuEnd)
+	r.sim.ScheduleOn(ev.Dst, m.at, m.fire)
 }
 
 // Recv implements core.Backend. Runs on the destination rank's lane.
 func (b *LGS) Recv(ev core.RecvEvent) {
-	rv := lgsRecv{ev: ev}
-	if msg, ok := b.match.Post(ev.Dst, ev.Src, ev.Tag, rv); ok {
-		if msg.rendezvous {
-			b.rendezvousTransfer(msg.send, rv)
-		} else {
-			b.completeRecv(rv, msg.arrival)
-		}
+	if m, ok := b.match.Post(ev.Dst, ev.Src, ev.Tag, ev); ok {
+		m.matched(ev)
 	}
 }
 
-// rendezvousTransfer runs the CTS + data phase after an RTS matched a
-// posted receive. Called at the match time (max of RTS arrival and post)
-// on the receiver's lane; the CTS hop moves execution back to the sender's
+// run is the one handler of a message's events: the step says which hop
+// has just landed, and on whose lane.
+func (m *lgsMsg) run() {
+	switch m.step {
+	case msgEager, msgRTS: // at the receiver
+		if rv, ok := m.b.match.Arrive(m.send.Dst, m.send.Src, m.send.Tag, m); ok {
+			m.matched(rv)
+		}
+	case msgCTS: // back at the sender
+		m.rendezvousData()
+	case msgData: // at the receiver
+		m.b.completeRecv(m.recv, m.at)
+		m.release()
+	default:
+		panic("lgs: event fired on a recycled message record")
+	}
+}
+
+// matched runs on the receiver's lane at the match time — the later of the
+// message's (or RTS's) arrival and the receive's post. An eager payload is
+// already here; a rendezvous message sends its CTS back to the sender's
 // lane, where the NIC state lives.
-func (b *LGS) rendezvousTransfer(send core.SendEvent, rv lgsRecv) {
-	dl := b.lanes[rv.ev.Dst]
-	ctsAtSender := dl.Now().Add(b.P.L)
-	dl.ScheduleOn(send.Src, ctsAtSender, func() {
-		sl := b.lanes[send.Src]
-		inject := simtime.Max(ctsAtSender, b.nicFree[send.Src])
-		b.nicFree[send.Src] = inject.Add(b.P.G + simtime.Duration(send.Size)*b.P.GB)
-		wireDone := inject.Add(simtime.Duration(send.Size) * b.P.GB)
-		arrival := wireDone.Add(b.P.L)
-		sh := send.Handle
-		sl.Schedule(wireDone, func() { b.over(sh, wireDone) })
-		sl.ScheduleOn(rv.ev.Dst, arrival, func() { b.completeRecv(rv, arrival) })
-	})
+func (m *lgsMsg) matched(rv core.RecvEvent) {
+	b := m.b
+	if m.step == msgEager {
+		b.completeRecv(rv, m.at)
+		m.release()
+		return
+	}
+	dl := b.ranks[rv.Dst].sim
+	m.recv = rv
+	m.step, m.at = msgCTS, dl.Now().Add(b.P.L)
+	dl.ScheduleOn(m.send.Src, m.at, m.fire)
+}
+
+// rendezvousData runs on the sender's lane when the CTS lands: the payload
+// goes through the NIC, the send completes once the last byte is on the
+// wire, and the data reaches the receiver L later.
+func (m *lgsMsg) rendezvousData() {
+	b := m.b
+	r := &b.ranks[m.send.Src]
+	wire := simtime.Duration(m.send.Size) * b.P.GB
+	inject, _ := r.nic.Acquire(m.at, b.P.G+wire)
+	wireDone := inject.Add(wire)
+	m.step, m.at = msgData, wireDone.Add(b.P.L)
+	r.nic.Complete(m.send.Handle, wireDone)
+	r.sim.ScheduleOn(m.send.Dst, m.at, m.fire)
 }
 
 // completeRecv charges the receive overhead on the receive's stream
 // starting at the data arrival (or post time, whichever is later — we are
 // called at that instant, on the receiver's lane) and reports completion.
-func (b *LGS) completeRecv(rv lgsRecv, arrival simtime.Time) {
-	dl := b.lanes[rv.ev.Dst]
-	from := simtime.Max(arrival, dl.Now())
-	cpu := b.P.O + simtime.Duration(rv.ev.Size)*b.P.OB
-	_, end := b.streams.Acquire(rv.ev.Dst, rv.ev.CPU, from, cpu)
-	h := rv.ev.Handle
-	dl.Schedule(end, func() { b.over(h, end) })
+func (b *LGS) completeRecv(rv core.RecvEvent, arrival simtime.Time) {
+	r := &b.ranks[rv.Dst]
+	st := r.cpus.On(rv.CPU)
+	_, end := st.Acquire(simtime.Max(arrival, r.sim.Now()), b.P.O+simtime.Duration(rv.Size)*b.P.OB)
+	st.Complete(rv.Handle, end)
 }

@@ -159,6 +159,7 @@ func TestLGSOutcomesPinned(t *testing.T) {
 				if got := outcomeOf(res); got != c.want {
 					t.Errorf("%s: outcome moved (row %d):\n got  %+v\n want %+v", label, i, got, c.want)
 				}
+				checkLGSDrained(t, b)
 			}
 		})
 	}

@@ -44,21 +44,22 @@ type netRecv struct {
 // network. All sends are eager (transfers start as soon as the send
 // overhead is paid).
 //
-// Nothing is allocated per operation in steady state: what an event has to
-// remember lives in a pooled record whose handlers were bound when the
+// Nothing is allocated per operation in steady state. Completions ride the
+// compute stream they end on (core.Stream: a ring of handles and one bound
+// handler, as in LGS); what a message has to remember between its send and
+// its delivery lives in a pooled record whose handlers were bound when the
 // record was made, so scheduling it creates no closure.
 type NetBackend struct {
 	name   string
 	params NetParams
 	mkNet  func(eng *engine.Engine, nranks int) (MessageNet, error)
 
-	net     MessageNet
-	eng     *engine.Engine
-	over    core.CompletionFunc
-	streams *core.StreamTable
-	match   *core.Matcher[netMsg, netRecv]
+	net   MessageNet
+	eng   *engine.Engine
+	over  core.CompletionFunc
+	cpus  []core.Streams // per rank
+	match *core.Matcher[netMsg, netRecv]
 
-	freeDone  []*netDone
 	freeSends []*netSend
 }
 
@@ -81,37 +82,12 @@ func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc)
 	b.net = net
 	b.eng = serial
 	b.over = over
-	b.streams = core.NewStreamTable(nranks)
+	b.cpus = make([]core.Streams, nranks)
+	for i := range b.cpus {
+		b.cpus[i] = core.NewStreams(serial, over)
+	}
 	b.match = core.NewMatcher[netMsg, netRecv](nranks)
 	return nil
-}
-
-// netDone is one scheduled completion: operation h is over at time at.
-type netDone struct {
-	b    *NetBackend
-	h    core.Handle
-	at   simtime.Time
-	fire engine.Handler // d.run
-}
-
-// complete schedules the completion callback for h at time at.
-func (b *NetBackend) complete(h core.Handle, at simtime.Time) {
-	var d *netDone
-	if k := len(b.freeDone); k > 0 {
-		d = b.freeDone[k-1]
-		b.freeDone = b.freeDone[:k-1]
-	} else {
-		d = &netDone{b: b}
-		d.fire = d.run
-	}
-	d.h, d.at = h, at
-	b.eng.Schedule(at, d.fire)
-}
-
-func (d *netDone) run() {
-	h, at := d.h, d.at
-	d.b.freeDone = append(d.b.freeDone, d) // before over: it may schedule the next completion
-	d.b.over(h, at)
 }
 
 // netSend is one message from the moment its send is issued until the
@@ -141,8 +117,9 @@ func (s *netSend) arrived(at simtime.Time) {
 
 // Calc implements core.Backend.
 func (b *NetBackend) Calc(ev core.CalcEvent) {
-	_, end := b.streams.Acquire(ev.Rank, ev.CPU, b.eng.Now(), ev.Duration)
-	b.complete(ev.Handle, end)
+	st := b.cpus[ev.Rank].On(ev.CPU)
+	_, end := st.Acquire(b.eng.Now(), ev.Duration)
+	st.Complete(ev.Handle, end)
 }
 
 // Send implements core.Backend: pay the send overhead on the issuing
@@ -157,7 +134,7 @@ func (b *NetBackend) Send(ev core.SendEvent) {
 		s.issue, s.delivered = s.issued, s.arrived
 	}
 	s.ev = ev
-	_, s.cpuEnd = b.streams.Acquire(ev.Src, ev.CPU, b.eng.Now(), b.params.SendOverhead)
+	_, s.cpuEnd = b.cpus[ev.Src].On(ev.CPU).Acquire(b.eng.Now(), b.params.SendOverhead)
 	b.eng.Schedule(s.cpuEnd, s.issue)
 }
 
@@ -170,9 +147,9 @@ func (b *NetBackend) Recv(ev core.RecvEvent) {
 }
 
 func (b *NetBackend) completeRecv(rv netRecv, arrival simtime.Time) {
-	from := simtime.Max(arrival, b.eng.Now())
-	_, end := b.streams.Acquire(rv.ev.Dst, rv.ev.CPU, from, b.params.RecvOverhead)
-	b.complete(rv.ev.Handle, end)
+	st := b.cpus[rv.ev.Dst].On(rv.ev.CPU)
+	_, end := st.Acquire(simtime.Max(arrival, b.eng.Now()), b.params.RecvOverhead)
+	st.Complete(rv.ev.Handle, end)
 }
 
 // --- packet-level backend ---------------------------------------------------

@@ -29,16 +29,20 @@ func TestParallelSynth1024RanksMatchesSerial(t *testing.T) {
 	}
 	t.Logf("synth workload: %d ops across %d ranks", s.ComputeStats().Ops, s.NumRanks())
 
-	serial, err := sched.Run(engine.New(), s, NewLGS(AIParams()), sched.Options{})
+	lgs := NewLGS(AIParams())
+	serial, err := sched.Run(engine.New(), s, lgs, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLGSDrained(t, lgs)
 	for _, workers := range []int{1, 2, 4, 8} {
-		eng := engine.NewParallel(s.NumRanks(), workers, NewLGS(AIParams()).Lookahead())
-		par, err := sched.Run(eng, s, NewLGS(AIParams()), sched.Options{})
+		lgs := NewLGS(AIParams())
+		eng := engine.NewParallel(s.NumRanks(), workers, lgs.Lookahead())
+		par, err := sched.Run(eng, s, lgs, sched.Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		checkLGSDrained(t, lgs)
 		sameResult(t, fmt.Sprintf("workers=%d", workers), par, serial)
 		if par.Events != serial.Events {
 			t.Fatalf("workers=%d: %d events, serial %d", workers, par.Events, serial.Events)

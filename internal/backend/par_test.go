@@ -65,17 +65,21 @@ func TestParallelLGSMatchesSerial(t *testing.T) {
 	for _, wl := range parWorkloads() {
 		wl := wl
 		t.Run(wl.name, func(t *testing.T) {
-			serial, err := sched.Run(engine.New(), wl.s, NewLGS(wl.params), sched.Options{})
+			lgs := NewLGS(wl.params)
+			serial, err := sched.Run(engine.New(), wl.s, lgs, sched.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkLGSDrained(t, lgs)
 			for _, workers := range []int{1, 2, 4, 8} {
 				for rep := 0; rep < 2; rep++ {
-					eng := engine.NewParallel(wl.s.NumRanks(), workers, NewLGS(wl.params).Lookahead())
-					par, err := sched.Run(eng, wl.s, NewLGS(wl.params), sched.Options{})
+					lgs := NewLGS(wl.params)
+					eng := engine.NewParallel(wl.s.NumRanks(), workers, lgs.Lookahead())
+					par, err := sched.Run(eng, wl.s, lgs, sched.Options{})
 					if err != nil {
 						t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
 					}
+					checkLGSDrained(t, lgs)
 					sameResult(t, fmt.Sprintf("workers=%d rep=%d", workers, rep), par, serial)
 					// The event count is part of the determinism fingerprint:
 					// both engines must execute exactly the same events.

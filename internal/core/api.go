@@ -112,33 +112,3 @@ func LookaheadOf(be Backend) simtime.Duration {
 	}
 	return 0
 }
-
-// StreamTable tracks per-rank, per-compute-stream availability. GOAL ops
-// assigned to the same stream serialise even when their dependencies would
-// allow overlap; ops on different streams of the same rank proceed in
-// parallel (paper §2.1).
-type StreamTable struct {
-	free []map[int32]simtime.Time
-}
-
-// NewStreamTable creates a table for nranks ranks.
-func NewStreamTable(nranks int) *StreamTable {
-	st := &StreamTable{free: make([]map[int32]simtime.Time, nranks)}
-	for i := range st.free {
-		st.free[i] = map[int32]simtime.Time{}
-	}
-	return st
-}
-
-// Acquire reserves stream cpu of rank from time `from` for dur and returns
-// the actual [start, end) of the reservation (start >= from, delayed if
-// the stream is busy).
-func (st *StreamTable) Acquire(rank int, cpu int32, from simtime.Time, dur simtime.Duration) (start, end simtime.Time) {
-	start = from
-	if f := st.free[rank][cpu]; f > start {
-		start = f
-	}
-	end = start.Add(dur)
-	st.free[rank][cpu] = end
-	return start, end
-}

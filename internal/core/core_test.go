@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"atlahs/internal/engine"
 	"atlahs/internal/simtime"
 )
 
@@ -17,31 +19,84 @@ func TestHandleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamTableSerialises(t *testing.T) {
-	st := NewStreamTable(2)
-	s1, e1 := st.Acquire(0, 0, 100, 50)
+func TestStreamSerialises(t *testing.T) {
+	eng := engine.New()
+	over := func(Handle, simtime.Time) {}
+	rank0, rank1 := NewStreams(eng, over), NewStreams(eng, over)
+	s1, e1 := rank0.On(0).Acquire(100, 50)
 	if s1 != 100 || e1 != 150 {
 		t.Fatalf("first acquire [%v,%v]", s1, e1)
 	}
 	// same stream: must queue behind
-	s2, e2 := st.Acquire(0, 0, 120, 30)
+	s2, e2 := rank0.On(0).Acquire(120, 30)
 	if s2 != 150 || e2 != 180 {
 		t.Fatalf("second acquire [%v,%v], want [150,180]", s2, e2)
 	}
 	// different stream: parallel
-	s3, _ := st.Acquire(0, 1, 120, 30)
+	s3, _ := rank0.On(1).Acquire(120, 30)
 	if s3 != 120 {
 		t.Fatalf("other stream delayed to %v", s3)
 	}
 	// different rank: independent
-	s4, _ := st.Acquire(1, 0, 0, 10)
+	s4, _ := rank1.On(0).Acquire(0, 10)
 	if s4 != 0 {
 		t.Fatalf("other rank delayed to %v", s4)
 	}
 	// the other stream and rank left stream 0 of rank 0 busy until 180
-	if s5, _ := st.Acquire(0, 0, 0, 0); s5 != 180 {
+	if s5, _ := rank0.On(0).Acquire(0, 0); s5 != 180 {
 		t.Fatalf("stream 0 of rank 0 free at %v, want 180", s5)
 	}
+}
+
+// TestStreamCompletesInOrder: completions reported through a stream fire
+// one event each, at their own times, oldest first — across two streams of
+// one rank whose work overlaps, each in its own order — and a completion
+// due before the one reported ahead of it on the same stream panics.
+func TestStreamCompletesInOrder(t *testing.T) {
+	eng := engine.New()
+	type done struct {
+		h  Handle
+		at simtime.Time
+	}
+	var got []done
+	rank := NewStreams(eng, func(h Handle, at simtime.Time) {
+		if at != eng.Now() {
+			t.Errorf("op %d reported over at %v, the clock reads %v", h.Op(), at, eng.Now())
+		}
+		got = append(got, done{h, at})
+	})
+	a, b := rank.On(0), rank.On(7)
+	if rank.On(0) != a || a == b {
+		t.Fatal("On must return one stream per cpu id")
+	}
+	place := func(s *Stream, op int32, from simtime.Time, dur simtime.Duration) {
+		_, end := s.Acquire(from, dur)
+		s.Complete(MakeHandle(3, op), end)
+	}
+	place(a, 0, 0, 100) // a: [0,100)
+	place(b, 1, 0, 30)  // b overlaps a: [0,30)
+	place(a, 2, 10, 50) // a, queued: [100,150)
+	place(b, 3, 30, 70) // b: [30,100) — ends with op 0, reported after it
+	place(a, 4, 0, 0)   // a, zero-length at 150: same instant as op 2
+	if a.Pending() != 3 || b.Pending() != 2 || rank.Pending() != 5 {
+		t.Fatalf("pending %d + %d, %d in all", a.Pending(), b.Pending(), rank.Pending())
+	}
+	eng.Run()
+	want := []done{{MakeHandle(3, 1), 30}, {MakeHandle(3, 0), 100}, {MakeHandle(3, 3), 100}, {MakeHandle(3, 2), 150}, {MakeHandle(3, 4), 150}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("completions %v, want %v", got, want)
+	}
+	if rank.Pending() != 0 || eng.Processed != 5 {
+		t.Fatalf("%d pending after %d events", rank.Pending(), eng.Processed)
+	}
+
+	a.Complete(MakeHandle(3, 5), 400)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a completion due before its predecessor did not panic")
+		}
+	}()
+	a.Complete(MakeHandle(3, 6), 399)
 }
 
 func TestMatcherBasicOrder(t *testing.T) {
@@ -113,20 +168,9 @@ func TestMatcherPerSourceIsolation(t *testing.T) {
 	if _, ok := m.Post(2, 1, 1, "fromOther"); ok {
 		t.Fatal("matched message from different source")
 	}
-	if a, p := pending(m, 2); a != 1 || p != 1 {
+	if a, p := m.Pending(); a != 1 || p != 1 {
 		t.Fatalf("pending counts: arrived=%d posted=%d", a, p)
 	}
-}
-
-// pending counts the unmatched arrived messages and posted receives at dst.
-func pending[M, R any](m *Matcher[M, R], dst int) (arrived, posted int) {
-	for _, q := range m.dsts[dst].arrived {
-		arrived += len(q)
-	}
-	for _, q := range m.dsts[dst].posted {
-		posted += len(q)
-	}
-	return arrived, posted
 }
 
 // Property: arrivals and posts pair up exactly when counts per (src,tag)
@@ -151,11 +195,11 @@ func TestMatcherConservationProperty(t *testing.T) {
 			}
 			// a matched pair consumes one from each queue; queues can never
 			// both be non-empty for the same (src,tag)
-			if a, p := pending(m, 0); a > 0 && p > 0 {
+			if a, p := m.Pending(); a > 0 && p > 0 {
 				return false
 			}
 		}
-		a, _ := pending(m, 0)
+		a, _ := m.Pending()
 		return a == arrived
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -169,4 +213,31 @@ func TestTagAnyMatchesGoal(t *testing.T) {
 	}
 }
 
-var _ = simtime.Time(0) // keep import symmetry with other backends' tests
+// TestMatcherDropsWhatItRemoves: removing a matched entry must not leave
+// its payload in the queue's spare slot, where it would keep a record the
+// backend has recycled reachable (and hide a use after recycling).
+func TestMatcherDropsWhatItRemoves(t *testing.T) {
+	m := NewMatcher[*int, *string](1)
+	a, b := new(int), new(int)
+	m.Arrive(0, 0, 1, a)
+	m.Arrive(0, 0, 2, b)
+	if got, ok := m.Post(0, 0, 1, nil); !ok || got != a {
+		t.Fatal("first message not matched")
+	}
+	q := m.dsts[0].arrived[0]
+	if len(q) != 1 || q[0].msg != b {
+		t.Fatalf("queue after the match: %v", q)
+	}
+	if spare := q[:2][1]; spare.msg != nil || spare.tag != 0 {
+		t.Fatalf("vacated slot still holds %+v", spare)
+	}
+	r1, r2 := new(string), new(string)
+	m.Post(0, 0, 7, r1)
+	m.Post(0, 0, 8, r2)
+	if got, ok := m.Arrive(0, 0, 7, nil); !ok || got != r1 {
+		t.Fatal("first receive not matched")
+	}
+	if spare := m.dsts[0].posted[0][:2][1]; spare.recv != nil || spare.tag != 0 {
+		t.Fatalf("vacated slot still holds %+v", spare)
+	}
+}

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Matcher implements MPI-style receiver-side message matching shared by
 // all backends: messages from a source arrive in order and match posted
 // receives by (source, tag), with TagAny receives matching any tag from
@@ -9,7 +11,10 @@ package core
 // candidates the earliest posted/arrived wins.
 //
 // M and R are backend-specific payload types carried through the match
-// (e.g. arrival times, op handles).
+// (e.g. arrival times, op handles, a pointer to the backend's message
+// record). A matched entry is cleared out of its queue (slices.Delete
+// zeroes the slot it vacates): the matcher never keeps a payload reachable
+// after handing it back, so a backend may recycle what M points to.
 type Matcher[M, R any] struct {
 	dsts []matchRank[M, R]
 }
@@ -48,7 +53,7 @@ func (m *Matcher[M, R]) Arrive(dst, src int, tag int32, msg M) (recv R, ok bool)
 	posted := d.posted[src]
 	for i, pr := range posted {
 		if pr.tag == TagAny || pr.tag == tag {
-			d.posted[src] = append(posted[:i], posted[i+1:]...)
+			d.posted[src] = slices.Delete(posted, i, i+1)
 			return pr.recv, true
 		}
 	}
@@ -65,11 +70,26 @@ func (m *Matcher[M, R]) Post(dst, src int, tag int32, recv R) (msg M, ok bool) {
 	arrived := d.arrived[src]
 	for i, am := range arrived {
 		if tag == TagAny || am.tag == tag {
-			d.arrived[src] = append(arrived[:i], arrived[i+1:]...)
+			d.arrived[src] = slices.Delete(arrived, i, i+1)
 			return am.msg, true
 		}
 	}
 	d.posted[src] = append(d.posted[src], taggedRecv[R]{tag: tag, recv: recv})
 	var zero M
 	return zero, false
+}
+
+// Pending counts, over all destinations, the unexpected messages and the
+// posted receives still waiting for their match. Both are zero after a run
+// that completed: every send met its receive.
+func (m *Matcher[M, R]) Pending() (arrived, posted int) {
+	for i := range m.dsts {
+		for _, q := range m.dsts[i].arrived {
+			arrived += len(q)
+		}
+		for _, q := range m.dsts[i].posted {
+			posted += len(q)
+		}
+	}
+	return arrived, posted
 }

@@ -61,9 +61,9 @@ type flow struct {
 	ctrl     cc.Controller
 	nextSeq  int
 	inflight int64
-	rtx      fifo[int]
-	rtoQ     fifo[rtoEntry] // armed timers in firing order: the RTO is a constant
-	rtoFn    engine.Handler // f.onRTO
+	rtx      engine.FIFO[int]
+	rtoQ     engine.FIFO[rtoEntry] // armed timers in firing order: the RTO is a constant
+	rtoFn    engine.Handler        // f.onRTO
 
 	// NDP transport state
 	grants int
@@ -96,7 +96,7 @@ func (n *Network) newFlow(id uint64, src, dst int, size int64, onDone func(simti
 		clear(f.pk)
 	}
 	f.rcount, f.nextSeq, f.inflight, f.grants, f.pathCounter = 0, 0, 0, 0, 0
-	f.rtx.clear() // NDP may leave retransmissions it was never granted
+	f.rtx.Clear() // NDP may leave retransmissions it was never granted
 	return f
 }
 
@@ -148,8 +148,8 @@ func (f *flow) start() {
 // nextWork pops the next sequence number to transmit: retransmissions
 // first, then fresh data. Returns -1 when nothing is pending.
 func (f *flow) nextWork() int {
-	for f.rtx.len() > 0 {
-		seq := f.rtx.pop()
+	for f.rtx.Len() > 0 {
+		seq := f.rtx.Pop()
 		f.pk[seq].inRtx = false
 		if !f.pk[seq].acked {
 			f.net.Stats.Retransmits++
@@ -189,7 +189,7 @@ func (f *flow) pumpWindow() {
 }
 
 func (f *flow) armRTO(seq int) {
-	f.rtoQ.push(rtoEntry{seq: seq, epoch: f.pk[seq].epoch})
+	f.rtoQ.Push(rtoEntry{seq: seq, epoch: f.pk[seq].epoch})
 	f.refs++
 	f.net.eng.After(f.pair.rto, f.rtoFn)
 }
@@ -197,12 +197,12 @@ func (f *flow) armRTO(seq int) {
 // onRTO fires once per armed timer. All of a flow's timers run for the
 // same duration, so they fire in the order they were armed.
 func (f *flow) onRTO() {
-	e := f.rtoQ.pop()
+	e := f.rtoQ.Pop()
 	if st := &f.pk[e.seq]; !st.acked && st.epoch == e.epoch && !st.inRtx {
 		// Packet (or its ACK) was lost: release window and requeue.
 		f.inflight -= f.payloadOf(e.seq)
 		st.inRtx = true
-		f.rtx.push(e.seq)
+		f.rtx.Push(e.seq)
 		f.ctrl.OnTimeout(f.net.eng.Now())
 		f.pumpWindow()
 	}
@@ -247,7 +247,7 @@ func (f *flow) onNack(p *packet) {
 		return
 	}
 	f.pk[p.seq].inRtx = true
-	f.rtx.push(p.seq)
+	f.rtx.Push(p.seq)
 	f.pumpNDP()
 }
 
@@ -265,7 +265,7 @@ func (f *flow) onPull() {
 // under incast.
 type hostRx struct {
 	net     *Network
-	pullQ   fifo[*flow]
+	pullQ   engine.FIFO[*flow]
 	pacing  bool
 	spacing simtime.Duration
 	paceFn  engine.Handler // h.paceDone
@@ -330,15 +330,15 @@ func (h *hostRx) onData(p *packet) {
 // requestPull enqueues a pull token for f on this host's paced pull queue.
 func (h *hostRx) requestPull(f *flow) {
 	f.refs++
-	h.pullQ.push(f)
+	h.pullQ.Push(f)
 	h.pump()
 }
 
 func (h *hostRx) pump() {
-	if h.pacing || h.pullQ.len() == 0 {
+	if h.pacing || h.pullQ.Len() == 0 {
 		return
 	}
-	f := h.pullQ.pop()
+	f := h.pullQ.Pop()
 	h.net.inject(f.rev, h.net.newPacket(f, pktPull, 0, h.net.cfg.Header), f.pathCounter)
 	f.pathCounter++
 	f.unref() // the token; the pull packet holds its own reference

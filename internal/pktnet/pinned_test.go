@@ -134,17 +134,17 @@ func checkDrained(t testing.TB, n *Network) {
 			t.Fatal("flow record on the free list twice")
 		}
 		flows[f] = true
-		if f.refs != 0 || f.delivered || f.pair != nil || f.onDone != nil || len(f.pk) != 0 || f.rtoQ.len() != 0 {
-			t.Errorf("free flow record not cleared: refs %d delivered %v pk %d rtoQ %d", f.refs, f.delivered, len(f.pk), f.rtoQ.len())
+		if f.refs != 0 || f.delivered || f.pair != nil || f.onDone != nil || len(f.pk) != 0 || f.rtoQ.Len() != 0 {
+			t.Errorf("free flow record not cleared: refs %d delivered %v pk %d rtoQ %d", f.refs, f.delivered, len(f.pk), f.rtoQ.Len())
 		}
 	}
 	for i := range n.ports {
-		if pt := &n.ports[i]; pt.cur != nil || pt.q.len()+pt.hq.len()+pt.pipe.len() != 0 || pt.bytes != 0 {
-			t.Errorf("port %d not idle: cur %v, %d+%d queued, %d in flight, %d bytes", i, pt.cur != nil, pt.q.len(), pt.hq.len(), pt.pipe.len(), pt.bytes)
+		if pt := &n.ports[i]; pt.cur != nil || pt.q.Len()+pt.hq.Len()+pt.pipe.Len() != 0 || pt.bytes != 0 {
+			t.Errorf("port %d not idle: cur %v, %d+%d queued, %d in flight, %d bytes", i, pt.cur != nil, pt.q.Len(), pt.hq.Len(), pt.pipe.Len(), pt.bytes)
 		}
 	}
 	for h := range n.hosts {
-		if n.hosts[h].pullQ.len() != 0 || n.hosts[h].pacing {
+		if n.hosts[h].pullQ.Len() != 0 || n.hosts[h].pacing {
 			t.Errorf("host %d pull pacer not idle", h)
 		}
 	}
@@ -238,57 +238,6 @@ func TestStaleRecordUsePanics(t *testing.T) {
 			stale()
 		}()
 	}
-}
-
-func TestFifoWrapAroundGrowthKeepsOrder(t *testing.T) {
-	var q fifo[int]
-	next, want := 0, 0
-	pop := func(k int) {
-		for ; k > 0; k-- {
-			if got := q.pop(); got != want {
-				t.Fatalf("popped %d, want %d", got, want)
-			}
-			want++
-		}
-	}
-	push := func(k int) {
-		for ; k > 0; k-- {
-			q.push(next)
-			next++
-		}
-	}
-	// Move the head into the middle of the ring, then grow while wrapped,
-	// at every capacity from 4 to 1024.
-	for round := 0; round < 9; round++ {
-		push(len(q.buf)/2 + 3)
-		pop(3)
-		push(len(q.buf) + 1) // forces a grow with head != 0
-		if q.len() != next-want {
-			t.Fatalf("len %d, want %d", q.len(), next-want)
-		}
-		pop(q.len() / 2)
-	}
-	pop(q.len())
-	if len(q.buf) < 1024 {
-		t.Fatalf("ring grew only to %d", len(q.buf))
-	}
-	held := len(q.buf)
-	push(held)
-	pop(held)
-	if len(q.buf) != held {
-		t.Fatalf("a drained ring reallocated: %d -> %d", held, len(q.buf))
-	}
-	q.push(7)
-	q.clear()
-	if q.len() != 0 {
-		t.Fatal("clear left elements")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("pop from an empty fifo did not panic")
-		}
-	}()
-	q.pop()
 }
 
 // TestPktSteadyStateAllocs is the allocation gate: once a Network has

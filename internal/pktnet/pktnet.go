@@ -327,11 +327,11 @@ func (n *Network) freePacket(p *packet) {
 type port struct {
 	net   *Network
 	link  topo.Link
-	q     fifo[*packet] // data FIFO
-	hq    fifo[*packet] // priority queue: control + trimmed headers
-	bytes int64         // queued data bytes (for capacity & ECN)
-	cur   *packet       // being serialised; nil when the line is idle
-	pipe  fifo[*packet] // propagating on the link, oldest first
+	q     engine.FIFO[*packet] // data FIFO
+	hq    engine.FIFO[*packet] // priority queue: control + trimmed headers
+	bytes int64                // queued data bytes (for capacity & ECN)
+	cur   *packet              // being serialised; nil when the line is idle
+	pipe  engine.FIFO[*packet] // propagating on the link, oldest first
 	kmin  int64
 	kmax  int64
 	rng   *xrand.RNG
@@ -344,7 +344,7 @@ type port struct {
 func (pt *port) enqueue(p *packet) {
 	if p.kind != pktData || p.trimmed {
 		// control and already-trimmed packets are never dropped
-		pt.hq.push(p)
+		pt.hq.Push(p)
 		pt.kick()
 		return
 	}
@@ -355,7 +355,7 @@ func (pt *port) enqueue(p *packet) {
 			p.wire = pt.net.cfg.Header
 			p.payload = 0
 			pt.net.Stats.Trims++
-			pt.hq.push(p)
+			pt.hq.Push(p)
 			pt.kick()
 			return
 		}
@@ -375,7 +375,7 @@ func (pt *port) enqueue(p *packet) {
 		}
 	}
 	pt.bytes += p.wire
-	pt.q.push(p)
+	pt.q.Push(p)
 	pt.kick()
 }
 
@@ -385,10 +385,10 @@ func (pt *port) kick() {
 		return
 	}
 	switch {
-	case pt.hq.len() > 0:
-		pt.cur = pt.hq.pop()
-	case pt.q.len() > 0:
-		pt.cur = pt.q.pop()
+	case pt.hq.Len() > 0:
+		pt.cur = pt.hq.Pop()
+	case pt.q.Len() > 0:
+		pt.cur = pt.q.Pop()
 		pt.bytes -= pt.cur.wire
 	default:
 		return
@@ -399,7 +399,7 @@ func (pt *port) kick() {
 // txDone fires when the last bit of pt.cur has left the port: the packet
 // starts propagating and the line takes the next one.
 func (pt *port) txDone() {
-	pt.pipe.push(pt.cur)
+	pt.pipe.Push(pt.cur)
 	pt.cur = nil
 	pt.net.eng.After(pt.link.Latency, pt.pipeOutFn)
 	pt.kick()
@@ -407,7 +407,7 @@ func (pt *port) txDone() {
 
 // pipeOut fires once per propagating packet. The link latency is a
 // constant, so packets leave the pipe in the order they entered it.
-func (pt *port) pipeOut() { pt.net.arrive(pt.pipe.pop()) }
+func (pt *port) pipeOut() { pt.net.arrive(pt.pipe.Pop()) }
 
 // arrive handles a packet reaching the device at the end of its current
 // link: forward to the next hop, or hand it to the endpoint, which

@@ -92,12 +92,14 @@ func charge(budget *simtime.Duration, rank, i int, op *goal.Op, scale float64) e
 }
 
 type rankState struct {
-	needComplete []int32   // outstanding `requires` per op
-	needStart    []int32   // outstanding `irequires` per op
-	reqSucc      goal.Deps // ops whose `requires` name this op
-	ireqSucc     goal.Deps // ops whose `irequires` name this op
-	issued       []bool
-	completed    []bool
+	// pending counts, per op, the dependencies still in its way: `requires`
+	// not yet completed plus `irequires` not yet started. An op is eligible
+	// when the sum reaches zero, whichever side takes it there.
+	pending   []int32
+	reqSucc   goal.Deps // ops whose `requires` name this op
+	ireqSucc  goal.Deps // ops whose `irequires` name this op
+	issued    []bool
+	completed []bool
 	// outstanding/peakOut track issued-but-incomplete ops. Like the other
 	// fields they are only touched from the op's rank lane, so no atomics.
 	outstanding int32
@@ -153,24 +155,22 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		rp := &s.Ranks[rank]
 		st := &r.ranks[rank]
 		n := len(rp.Ops)
-		// Fused allocations: both counter slices share one backing array,
-		// as do both flag slices — with the two CSR successor tables, a
-		// constant number of allocations per rank however many ops it has.
-		counters := make([]int32, 2*n)
-		st.needComplete = counters[:n:n]
-		st.needStart = counters[n:]
+		// A constant number of allocations per rank however many ops it
+		// has: one counter array, one array for both flag slices, and a CSR
+		// successor table for each kind of edge the rank has — a table
+		// without edges (`irequires`, on most schedules) is not inverted.
+		st.pending = make([]int32, n)
 		flags := make([]bool, 2*n)
 		st.issued = flags[:n:n]
 		st.completed = flags[n:]
-		st.reqSucc = rp.Requires.Invert()
-		st.ireqSucc = rp.IRequires.Invert()
+		st.reqSucc = successors(rp.Requires)
+		st.ireqSucc = successors(rp.IRequires)
 		for i := 0; i < n; i++ {
 			if err := charge(&budget, rank, i, &rp.Ops[i], scale); err != nil {
 				return nil, err
 			}
-			st.needComplete[i] = int32(len(rp.Requires.Of(i)))
-			st.needStart[i] = int32(len(rp.IRequires.Of(i)))
-			if st.needComplete[i] == 0 && st.needStart[i] == 0 {
+			st.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
+			if st.pending[i] == 0 {
 				seeds++
 			}
 		}
@@ -194,7 +194,7 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		for i := range s.Ranks[rank].Ops {
 			// an earlier seed issue may have already cascaded here via an
 			// irequires edge
-			if st.needComplete[i] == 0 && st.needStart[i] == 0 && !st.issued[i] {
+			if st.pending[i] == 0 && !st.issued[i] {
 				r.issue(rank, int32(i))
 			}
 		}
@@ -227,13 +227,7 @@ func (r *runner) issue(rank int, op int32) {
 	if st.outstanding > st.peakOut {
 		st.peakOut = st.outstanding
 	}
-	// notify irequires successors: the op has started
-	for _, succ := range st.ireqSucc.Of(int(op)) {
-		st.needStart[succ]--
-		if st.needStart[succ] == 0 && st.needComplete[succ] == 0 && !st.issued[succ] {
-			r.issue(rank, succ)
-		}
-	}
+	r.resolve(rank, st.ireqSucc, op) // irequires successors: the op has started
 	o := &r.s.Ranks[rank].Ops[op]
 	h := core.MakeHandle(rank, op)
 	switch o.Kind {
@@ -259,10 +253,29 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	if at > r.end[rank] {
 		r.end[rank] = at
 	}
-	for _, succ := range st.reqSucc.Of(int(op)) {
-		st.needComplete[succ]--
-		if st.needComplete[succ] == 0 && st.needStart[succ] == 0 && !st.issued[succ] {
-			r.issue(rank, succ)
+	r.resolve(rank, st.reqSucc, op)
+}
+
+// successors inverts a dependency table into the table of each op's
+// successors; a table without edges has none and stays the zero Deps.
+func successors(deps goal.Deps) goal.Deps {
+	if deps.NumEdges() == 0 {
+		return goal.Deps{}
+	}
+	return deps.Invert()
+}
+
+// resolve takes op out of the way of each of its successors in succ and
+// issues those it was the last dependency of.
+func (r *runner) resolve(rank int, succ goal.Deps, op int32) {
+	if succ.Len() == 0 {
+		return
+	}
+	st := &r.ranks[rank]
+	for _, next := range succ.Of(int(op)) {
+		st.pending[next]--
+		if st.pending[next] == 0 {
+			r.issue(rank, next)
 		}
 	}
 }

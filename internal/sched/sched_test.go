@@ -117,6 +117,41 @@ func TestRunIRequiresIssuesOnStart(t *testing.T) {
 	}
 }
 
+// TestRunMixedDependenciesOneCounter: an op with both kinds of dependency
+// is issued exactly when the last of them resolves — its `requires`
+// completing after its `irequires` started, or the other way round. One
+// counter per op holds both kinds.
+func TestRunMixedDependenciesOneCounter(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		first, second int64 // the required op's and the irequired op's predecessor's durations
+	}{
+		// op 3 requires op 0 (done at `first`) and irequires op 2, which
+		// starts when op 1 is done (at `second`) and runs 1 ns; op 3 runs
+		// 5 ns from the later of the two and is the last thing to finish.
+		{"requires resolves last", 100, 10},
+		{"irequires resolves last", 10, 100},
+	} {
+		b := goal.NewBuilder(1)
+		r := b.Rank(0)
+		required := r.Calc(c.first) // op 0
+		gate := r.Calc(c.second)    // op 1
+		started := r.Calc(1)        // op 2: starts after gate
+		both := r.Calc(5)           // op 3
+		r.Requires(started, gate)
+		r.Requires(both, required)
+		r.IRequires(both, started)
+		be := newStub(0)
+		res, err := Run(engine.New(), b.MustBuild(), be, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := 105 * simtime.Nanosecond; res.Ops != 4 || res.Runtime != want {
+			t.Fatalf("%s: %d ops, runtime %v, want 4 ops and %v (dispatch order %v)", c.name, res.Ops, res.Runtime, want, be.issued)
+		}
+	}
+}
+
 // TestRunCompletionCallback: completion times reported by the backend land
 // in RankEnd per rank, and CalcScale stretches calc durations.
 func TestRunCompletionCallback(t *testing.T) {
@@ -253,9 +288,9 @@ func chains(nranks, nops int) *goal.Schedule {
 }
 
 // TestSchedSetupAllocsPerRank: what Run allocates before the first event
-// is a constant number of objects per rank — two successor tables of two
-// arrays each (one, when a table has no edges), one counter array, one
-// flag array — whatever the op count. quietBackend never completes an op,
+// is a constant number of objects per rank — a successor table of two
+// arrays for each kind of edge the rank has (none for a table without
+// edges), one counter array, one flag array — whatever the op count. quietBackend never completes an op,
 // so the run ends in the deadlock report straight after set-up and
 // seeding. Growing the ranks tenfold in ops must add nothing; the slack of
 // four is for the report's fmt call, whose sync.Pool drops buffers at
@@ -291,12 +326,15 @@ func (quietBackend) Calc(core.CalcEvent)                              {}
 // TestDecodeAndRunBytesPerOp is the tier-1 guard on the flat dependency
 // layout: the bytes allocated to decode a binary schedule and run it, per
 // GOAL op, on a fixed 64-rank chain-heavy schedule. The count is exact
-// for a given toolchain (one goroutine, no maps on the path); the ceiling
-// sits about 10% above it: 169.9 B/op measured with the event heap
-// reserved for the seeding burst (this schedule pre-posts its 20 000
-// receives, so that is 20 064 slots for a peak of 181; 162.1 B/op with no
-// reservation at all), against 185.8 with one slot reserved per op and
-// 319.5 with [][]int32 tables and a second inversion inside Validate.
+// for a given toolchain (one goroutine); the ceiling sits about 10% above
+// it: 111.8 B/op measured with LGS's completions on stream rings, one
+// recycled record per message, one dependency counter per op and no
+// successor table for the schedule's empty `irequires` side, against 169.9
+// with a closure per LGS event and two counters per op, 185.8 with one
+// heap slot reserved per op on top of that, and 319.5 with [][]int32
+// tables and a second inversion inside Validate. (The event heap is
+// reserved for the seeding burst: this schedule pre-posts its 20 000
+// receives, so that is 20 064 slots for a peak of 181.)
 func TestDecodeAndRunBytesPerOp(t *testing.T) {
 	s := micro.UniformRandom(64, 20_000, 4096, 7)
 	var bin bytes.Buffer
@@ -317,7 +355,7 @@ func TestDecodeAndRunBytesPerOp(t *testing.T) {
 	}
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 	t.Logf("%.1f B/op over %d ops", perOp, ops)
-	if perOp > 187 {
-		t.Fatalf("decode + run allocated %.1f B per op, ceiling 187", perOp)
+	if perOp > 123 {
+		t.Fatalf("decode + run allocated %.1f B per op, ceiling 123", perOp)
 	}
 }
