@@ -120,3 +120,14 @@ func TestLGSSteadyStateAllocs(t *testing.T) {
 		checkLGSDrained(t, b)
 	}
 }
+
+// The FIFO order of a stream's completions rests on every cost being
+// non-negative; parameters arrive in user specs, so a negative one is an
+// error from Setup, not a panic mid-run.
+func TestLGSRejectsNegativeParams(t *testing.T) {
+	p := AIParams()
+	p.G = -5 * simtime.Nanosecond
+	if err := NewLGS(p).Setup(2, engine.New(), func(core.Handle, simtime.Time) {}); err == nil {
+		t.Fatal("negative g accepted")
+	}
+}

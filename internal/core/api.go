@@ -1,8 +1,12 @@
 // Package core defines the ATLAHS toolchain API (paper Fig 7): the
 // backend interface through which the GOAL scheduler drives any network
 // simulator, the event types for the three core operations (send, recv,
-// calc), and shared building blocks — message matching and compute-stream
-// bookkeeping — used by the backend implementations.
+// calc), and the building blocks the backend implementations share:
+// message matching (Matcher) and the serialising resources of a rank as
+// event sources (Stream, Streams) — a compute stream or a NIC owns the time
+// it is next free and a ring of the completions pending on it, and reports
+// each through one handler bound when it was made, so completing an
+// operation allocates nothing.
 //
 // The contract mirrors the paper's ATLAHS_API class: the scheduler issues
 // operations as their GOAL dependencies resolve; the backend simulates them
@@ -77,6 +81,15 @@ type CalcEvent struct {
 // Backend is the ATLAHS simulator interface. Implementations are
 // single-simulation objects: Setup is called exactly once before any
 // operation is issued.
+//
+// A backend reports each operation over exactly once, from an engine event
+// on the operation's rank lane — never from inside Send, Recv or Calc, which
+// the scheduler calls from its own completion handling. The built-in
+// backends report completions through the Stream the operation ends on
+// (Stream.Complete; the one exception is NetBackend's send, over at the
+// event that hands the message to the network). sched.Run has already
+// refused sizes and durations the simulated clock cannot hold, so a
+// backend sees non-negative durations and times that add without wrapping.
 type Backend interface {
 	// Name identifies the backend ("lgs", "pkt", "fluid", ...).
 	Name() string
