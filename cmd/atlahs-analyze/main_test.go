@@ -1,10 +1,13 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"atlahs/results"
 )
@@ -112,6 +115,72 @@ func TestBenchSubcommand(t *testing.T) {
 	}
 	if got := run([]string{"bench"}); got != 2 {
 		t.Errorf("missing -dir: exit = %d, want 2", got)
+	}
+}
+
+// stdoutOf runs one command line and returns what it printed on stdout.
+func stdoutOf(t *testing.T, args ...string) []byte {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = old
+	if code != 0 {
+		t.Fatalf("run(%v) = %d", args, code)
+	}
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestHistoryJSONPinned: `history -json` and `bench -json` write their
+// atlahs.history/v1 documents byte for byte as pinned.
+func TestHistoryJSONPinned(t *testing.T) {
+	benchDir := t.TempDir()
+	for name, body := range map[string]string{
+		"run_1.json": `{"schema":"atlahs.bench/v1","go":"go1.24.0","benchmarks":{"BenchmarkX":100,"BenchmarkY<&>":2.5}}`,
+		"run_2.json": `{"schema":"atlahs.bench/v1","go":"go1.24.0","benchmarks":{"BenchmarkX":110}}`,
+	} {
+		if err := os.WriteFile(filepath.Join(benchDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	storeDir := t.TempDir()
+	st, err := results.NewStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rt := range []float64{100, 150} {
+		s := results.NewSweep("r_"+strings.Repeat("0", 15)+string(rune('a'+i)), "Run", "service")
+		s.AddColumn("rank", results.Int, "")
+		s.MustAddRow(int64(0))
+		s.SetDerived("runtime_ps", rt)
+		s.SetDerived("ops", 8)
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		at := time.Unix(1700000000+int64(i)*60, 0)
+		if err := os.Chtimes(st.Path(s.Name), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		pin  string
+	}{
+		{[]string{"bench", "-dir", benchDir, "-json", "-gate=false"}, "d6382965475462c1412201594cf38b3bf76170bec2ee214a6db66d782b83095c"},
+		{[]string{"history", "-store", storeDir, "-json", "-gate=false"}, "8874237675b6e2ca1401992eb285dc2225245b5bee80a4140efa1527293cd1f5"},
+	} {
+		if sum := sha256.Sum256(stdoutOf(t, tc.args...)); hex.EncodeToString(sum[:]) != tc.pin {
+			t.Errorf("%s -json: SHA-256 %x, pinned %s", tc.args[0], sum, tc.pin)
+		}
 	}
 }
 

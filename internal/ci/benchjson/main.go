@@ -77,12 +77,17 @@ func main() {
 		}()
 		w = f
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := write(w, rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// write renders the report as indented JSON followed by a newline.
+func write(w io.Writer, rep *report) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }
 
 // parse scans bench output and collects name -> ns/op.

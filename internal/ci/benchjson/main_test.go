@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -36,6 +39,25 @@ ok  	atlahs	12.3s
 	}
 	if rep.Schema != "atlahs.bench/v1" {
 		t.Errorf("schema = %q", rep.Schema)
+	}
+}
+
+// TestReportEncodingPinned: the report is written byte for byte as pinned
+// (with the toolchain version fixed), so a codec rewrite keeps the
+// BENCH_ci.json layout.
+func TestReportEncodingPinned(t *testing.T) {
+	rep, err := parse(strings.NewReader("BenchmarkB/x-8   3   61002988 ns/op\nBenchmarkA<&>-8   1   1.5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Go = "go1.24.0"
+	var buf bytes.Buffer
+	if err := write(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	const pin = "520134ee3de916bbe8117347e0e736c7f658e16404f30c94d4894169d6fbb9ad"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != pin {
+		t.Errorf("report SHA-256 %x, pinned %s", sum, pin)
 	}
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"log/slog"
 	"os"
@@ -582,6 +584,37 @@ func TestRestartSkipsCorruptArtifacts(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "metadata sidecar") {
 		t.Fatalf("skip warning does not name the missing sidecar; log output:\n%s", logs.String())
+	}
+}
+
+// TestSidecarEncodingPinned: the run-index sidecar is written byte for
+// byte as pinned, so a codec rewrite keeps what a restarted service reads.
+func TestSidecarEncodingPinned(t *testing.T) {
+	svc := newService(t, Config{Jobs: 1, ArtifactDir: t.TempDir()})
+	r := &run{id: "r_0123456789abcdef", fp: "0123456789abcdef" + strings.Repeat("e", 48), lookKeys: []string{"k_one", "k_two"}}
+	res := &sim.Result{
+		Runtime: 12345,
+		RankEnd: []sim.Time{12000, 12345},
+		Ops:     8,
+		Events:  21,
+		Backend: "lgs",
+		Ranks:   2,
+		Done:    sim.Tally{Calcs: 2, Sends: 3, Recvs: 3},
+		Workers: 1,
+		Net:     &sim.NetStats{},
+		Metrics: results.NewMetricsSnapshot([]results.Metric{{Name: "atlahs_engine_events_total", Type: "counter", Help: "events <&>", Value: 21}}),
+		Wall:    1500,
+	}
+	if err := svc.saveMeta(r, res); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(svc.Store().MetaPath(r.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pin = "a7225edb1bb86a11800f95be803efeba818d3c0b47ffa21914ba1c02bdc19902"
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != pin {
+		t.Errorf("sidecar SHA-256 %x, pinned %s", sum, pin)
 	}
 }
 

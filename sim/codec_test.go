@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"reflect"
 	"strings"
@@ -136,6 +138,40 @@ func TestSpecCodecPreservesResults(t *testing.T) {
 	if got.Runtime != want.Runtime || got.Ops != want.Ops || got.Events != want.Events {
 		t.Fatalf("wire round trip changed the simulation: (%v, %d, %d) vs (%v, %d, %d)",
 			got.Runtime, got.Ops, got.Events, want.Runtime, want.Ops, want.Events)
+	}
+}
+
+// specPins are the SHA-256 digests of MarshalSpec's output for every
+// codecSpecs entry. A codec rewrite must keep every one.
+var specPins = map[string]string{
+	"lgs":           "e1e7968ccb152d1f88bb6742369a75bbec0d2f3c79c89d057175fadab2ed6b1e",
+	"pkt":           "74f81c2262735f29acb4c9148a14db356e629c1b06e1f4368130b06b14e36fce",
+	"fluid":         "c13740a26e351a1c0fb6c0733bce256e92cec29b4617d2f151eb8f5559e52d57",
+	"goal-frontend": "a36640c136acbf58e439d33cbe002fedbe4d0bb7bc8bcd3743c619ab70f8389f",
+	"nsys":          "537eba28e6f88b6586f5d2b7ff8cfda0c9597422c78cc96b0c88ca480fb6e072",
+	"mpi":           "f067cfb42c53d5f4271046a5a4683f9816ae8560451ae2ac82d2422d6f2ce1d1",
+	"spc":           "02cf21b58151fc08dda6091447ae1547cf3d93cb2f73f9d5a6c10512b9e8174e",
+	"chakra":        "b0ad3e6e98bbc960b9424eacba9e473db34b52076fbc46a49fb020693bcaf213",
+	"model":         "598ae28fd44279ef071fce774186090b48587b5883e8c2b8666d130ef2c542c9",
+	"model-path":    "b8435bc3329c75c2675f0407216fc0a33af68fc6dfc96049a728efa29a9fc80c",
+	"multi-job":     "d8557183df8c2253e0bba9a6a83020e43e415fc16890c90461657f92ec7bc6e2",
+}
+
+// TestSpecEncodingPinned: MarshalSpec writes the pinned bytes.
+func TestSpecEncodingPinned(t *testing.T) {
+	specs := codecSpecs()
+	if len(specs) != len(specPins) {
+		t.Errorf("%d specs, %d pins", len(specs), len(specPins))
+	}
+	for name, spec := range specs {
+		b, err := MarshalSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != specPins[name] {
+			t.Errorf("%s: SHA-256 %s, pinned %s", name, got, specPins[name])
+		}
 	}
 }
 
