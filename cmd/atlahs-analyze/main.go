@@ -29,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -253,12 +252,7 @@ func trajectories(gf *gateFlags, title string, series []results.Series, warnings
 	regs := gate.Series(series)
 	report := &analyze.Report{Title: title, History: series, Regressions: regs, Warnings: warnings}
 	if err := emit(gf, report, func() error {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Schema string           `json:"schema"`
-			Series []results.Series `json:"series"`
-		}{analyze.HistorySchema, series})
+		return results.EncodeDoc(os.Stdout, analyze.History{Schema: analyze.HistorySchema, Series: series, Warnings: warnings})
 	}, func() {
 		for _, s := range series {
 			unit := ""

@@ -182,6 +182,14 @@ func TestHistoryJSONPinned(t *testing.T) {
 			t.Errorf("%s -json: SHA-256 %x, pinned %s", tc.args[0], sum, tc.pin)
 		}
 	}
+	// A run the walk skips is reported in the document, as GET /v1/history
+	// reports it.
+	if err := os.WriteFile(st.Path("r_00000000000000ff"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := stdoutOf(t, "history", "-store", storeDir, "-json", "-gate=false"); !strings.Contains(string(out), `"warnings": [`) {
+		t.Errorf("history -json over a corrupt artifact carries no warnings:\n%s", out)
+	}
 }
 
 func TestHistorySubcommand(t *testing.T) {

@@ -74,6 +74,7 @@ import (
 
 	"atlahs/internal/profiling"
 	"atlahs/internal/service"
+	"atlahs/results"
 	"atlahs/sim"
 )
 
@@ -416,11 +417,7 @@ func serverError(resp *http.Response, body []byte) error {
 // payload and renders the combined view: the server's raw JSON in -json
 // mode, or one line per unique run plus a summary in text mode.
 func submitSweep(baseURL string, files []string, jsonOut bool) error {
-	var payload struct {
-		Schema string            `json:"schema"`
-		Specs  []json.RawMessage `json:"specs"`
-	}
-	payload.Schema = "atlahs.sweep/v1"
+	payload := service.SweepRequest{Schema: service.SweepSchema}
 	for _, file := range files {
 		b, err := os.ReadFile(file)
 		if err != nil {
@@ -438,7 +435,7 @@ func submitSweep(baseURL string, files []string, jsonOut bool) error {
 		}
 		payload.Specs = append(payload.Specs, wire)
 	}
-	wire, err := json.Marshal(payload)
+	wire, err := results.MarshalDoc(payload)
 	if err != nil {
 		return err
 	}

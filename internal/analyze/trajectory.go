@@ -1,7 +1,7 @@
 package analyze
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,8 +12,17 @@ import (
 )
 
 // HistorySchema identifies the per-metric trajectory document served by
-// GET /v1/history and emitted by `atlahs-analyze history -json`.
+// GET /v1/history and emitted by `atlahs-analyze history -json` and
+// `atlahs-analyze bench -json`.
 const HistorySchema = "atlahs.history/v1"
+
+// History is the atlahs.history/v1 document: one Series per metric, plus
+// the warnings of the walk that built them (inputs it skipped).
+type History struct {
+	Schema   string           `json:"schema"`
+	Series   []results.Series `json:"series"`
+	Warnings []string         `json:"warnings,omitempty"`
+}
 
 // runIDRE matches the ids the simulation service files runs under ("r_"
 // plus 16 hex digits of the spec fingerprint — see internal/service).
@@ -107,23 +116,25 @@ func StoreHistory(st *results.Store) (series []results.Series, warnings []string
 	return SeriesFrom(hist), warnings, nil
 }
 
-// benchReport is the BENCH_ci.json layout internal/ci/benchjson writes.
-type benchReport struct {
+// BenchSchema identifies the BENCH_ci.json layout.
+const BenchSchema = "atlahs.bench/v1"
+
+// BenchReport is the atlahs.bench/v1 document internal/ci/benchjson
+// writes: ns/op per benchmark name, and the toolchain that measured it.
+type BenchReport struct {
 	Schema     string             `json:"schema"`
 	Go         string             `json:"go"`
 	Benchmarks map[string]float64 `json:"benchmarks"`
 }
 
-// benchSchema is the schema string those documents carry.
-const benchSchema = "atlahs.bench/v1"
-
 // BenchHistory reads every *.json atlahs.bench/v1 document in dir in
 // lexical file-name order — CI names history files so that order is
 // chronological — and returns one Series per benchmark, in ns/op,
-// labelled by file name. A file that is not a bench report (wrong or
-// missing schema) or fails to parse is skipped with a warning; an empty
-// directory is an error, because a trajectory with nothing in it usually
-// means the history restore step broke.
+// labelled by file name. A file that does not decode as exactly one bench
+// report (wrong or missing schema, a field the layout does not declare,
+// trailing data) is skipped with a warning; an empty directory is an
+// error, because a trajectory with nothing in it usually means the
+// history restore step broke.
 func BenchHistory(dir string) (series []results.Series, warnings []string, err error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -132,18 +143,13 @@ func BenchHistory(dir string) (series []results.Series, warnings []string, err e
 	sort.Strings(paths)
 	var hist []HistoryEntry
 	for _, path := range paths {
+		var rep BenchReport
 		b, err := os.ReadFile(path)
+		if err == nil {
+			err = results.DecodeDoc(bytes.NewReader(b), "bench report", BenchSchema, &rep)
+		}
 		if err != nil {
 			warnings = append(warnings, fmt.Sprintf("skipping %s: %v", path, err))
-			continue
-		}
-		var rep benchReport
-		if err := json.Unmarshal(b, &rep); err != nil {
-			warnings = append(warnings, fmt.Sprintf("skipping %s: %v", path, err))
-			continue
-		}
-		if rep.Schema != benchSchema {
-			warnings = append(warnings, fmt.Sprintf("skipping %s: schema %q is not %q", path, rep.Schema, benchSchema))
 			continue
 		}
 		units := make(map[string]string, len(rep.Benchmarks))
@@ -153,7 +159,7 @@ func BenchHistory(dir string) (series []results.Series, warnings []string, err e
 		hist = append(hist, HistoryEntry{Label: filepath.Base(path), Values: rep.Benchmarks, Units: units})
 	}
 	if len(hist) == 0 {
-		return nil, warnings, fmt.Errorf("analyze: no %s documents in %s", benchSchema, dir)
+		return nil, warnings, fmt.Errorf("analyze: no %s documents in %s", BenchSchema, dir)
 	}
 	return SeriesFrom(hist), warnings, nil
 }

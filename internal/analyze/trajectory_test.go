@@ -129,6 +129,37 @@ func TestBenchHistory(t *testing.T) {
 	}
 }
 
+// TestBenchHistoryRejectsMalformedDocuments: a file that is not exactly
+// one valid atlahs.bench/v1 document is skipped with a warning naming the
+// bench report. (Its only nested value is the benchmarks map, so there is
+// no nested field to get wrong.)
+func TestBenchHistoryRejectsMalformedDocuments(t *testing.T) {
+	good := "{\n  \"schema\": \"atlahs.bench/v1\",\n  \"go\": \"go1.24\",\n  \"benchmarks\": {\n    \"BenchmarkX\": 100\n  }\n}\n"
+	for name, body := range map[string]string{
+		"wrong schema":     strings.Replace(good, `"atlahs.bench/v1"`, `"atlahs.other/v9"`, 1),
+		"missing schema":   strings.Replace(good, `"schema": "atlahs.bench/v1",`, "", 1),
+		"unknown field":    strings.Replace(good, "{", `{"bogus": 1,`, 1),
+		"trailing garbage": good + "garbage",
+		"trailing brace":   good + "}",
+		"two documents":    good + good,
+		"empty input":      "",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if body == good {
+				t.Fatal("the rewrite did not apply")
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "run.json"), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, warnings, err := BenchHistory(dir)
+			if err == nil || len(warnings) != 1 || !strings.Contains(warnings[0], "bench report") {
+				t.Fatalf("err %v, warnings %q: want the file skipped with a warning naming the bench report", err, warnings)
+			}
+		})
+	}
+}
+
 func TestBenchHistoryEmptyDirErrors(t *testing.T) {
 	if _, _, err := BenchHistory(t.TempDir()); err == nil {
 		t.Error("empty directory: want error, got nil")

@@ -26,7 +26,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,18 +35,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"atlahs/internal/analyze"
+	"atlahs/results"
 )
 
 // benchLineRE matches one benchmark result line: name, iteration count,
 // ns/op. Extra metrics after ns/op are ignored.
 var benchLineRE = regexp.MustCompile(`^(Benchmark[^\s]+)\s+(\d+)\s+([0-9.]+) ns/op`)
-
-// report is the BENCH_ci.json layout.
-type report struct {
-	Schema     string             `json:"schema"`
-	Go         string             `json:"go"`
-	Benchmarks map[string]float64 `json:"benchmarks"`
-}
 
 func main() {
 	out := flag.String("out", "", "output path (default stdout)")
@@ -77,22 +72,15 @@ func main() {
 		}()
 		w = f
 	}
-	if err := write(w, rep); err != nil {
+	if err := results.EncodeDoc(w, rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// write renders the report as indented JSON followed by a newline.
-func write(w io.Writer, rep *report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // parse scans bench output and collects name -> ns/op.
-func parse(r io.Reader) (*report, error) {
-	rep := &report{Schema: "atlahs.bench/v1", Go: runtime.Version(), Benchmarks: map[string]float64{}}
+func parse(r io.Reader) (*analyze.BenchReport, error) {
+	rep := &analyze.BenchReport{Schema: analyze.BenchSchema, Go: runtime.Version(), Benchmarks: map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -125,7 +113,7 @@ func parse(r io.Reader) (*report, error) {
 // the name itself or the name followed by a '/' sub-case or '-' suffix
 // (the GOMAXPROCS decoration), so "BenchmarkX" accepts "BenchmarkX-8"
 // and "BenchmarkX/case-8" but not "BenchmarkXL".
-func checkRequired(rep *report, require string) error {
+func checkRequired(rep *analyze.BenchReport, require string) error {
 	if require == "" {
 		return nil
 	}

@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"atlahs/internal/analyze"
+	"atlahs/results"
 )
 
 func TestParseBenchOutput(t *testing.T) {
@@ -52,7 +55,7 @@ func TestReportEncodingPinned(t *testing.T) {
 	}
 	rep.Go = "go1.24.0"
 	var buf bytes.Buffer
-	if err := write(&buf, rep); err != nil {
+	if err := results.EncodeDoc(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	const pin = "520134ee3de916bbe8117347e0e736c7f658e16404f30c94d4894169d6fbb9ad"
@@ -75,7 +78,7 @@ func TestParseRejectsDuplicateNames(t *testing.T) {
 }
 
 func TestCheckRequired(t *testing.T) {
-	rep := &report{Benchmarks: map[string]float64{
+	rep := &analyze.BenchReport{Benchmarks: map[string]float64{
 		"BenchmarkParEngineVsSerial/bsp-128x6/serial-8": 1,
 		"BenchmarkServiceColdVsCacheHit-8":              2,
 		"BenchmarkBare":                                 3,
@@ -108,7 +111,7 @@ func TestCheckRequired(t *testing.T) {
 }
 
 func TestCheckRequiredNamesTheMissing(t *testing.T) {
-	rep := &report{Benchmarks: map[string]float64{"BenchmarkX-8": 1}}
+	rep := &analyze.BenchReport{Benchmarks: map[string]float64{"BenchmarkX-8": 1}}
 	err := checkRequired(rep, "BenchmarkZed,BenchmarkX,BenchmarkAbsent")
 	if err == nil {
 		t.Fatal("want error")

@@ -26,13 +26,6 @@ import (
 // run sweeps are per-rank tables with pinned row order) and ?threshold=F
 // (relative worsening to flag, default 0.1).
 
-// historyResponse is the JSON body of GET /v1/history.
-type historyResponse struct {
-	Schema   string           `json:"schema"`
-	Series   []results.Series `json:"series"`
-	Warnings []string         `json:"warnings,omitempty"`
-}
-
 // analyzeDiffResponse is the JSON body of GET /v1/analyze/diff.
 type analyzeDiffResponse struct {
 	A           string               `json:"a"`
@@ -95,7 +88,7 @@ func (s *Service) handleHistory(w http.ResponseWriter, req *http.Request) {
 		s.writeHTML(w, &analyze.Report{Title: "atlahs service: run history", History: series, Warnings: warnings})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, historyResponse{Schema: analyze.HistorySchema, Series: series, Warnings: warnings})
+	s.writeJSON(w, http.StatusOK, analyze.History{Schema: analyze.HistorySchema, Series: series, Warnings: warnings})
 }
 
 // runSweepByID loads one completed run's artifact back into a sweep.
@@ -157,8 +150,8 @@ func (s *Service) handleAnalyzeDiff(w http.ResponseWriter, req *http.Request) {
 		})
 		return
 	}
-	raw, err := results.MarshalDiff(d)
-	if err != nil {
+	var raw bytes.Buffer
+	if err := results.EncodeDiffJSON(&raw, d); err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -167,7 +160,7 @@ func (s *Service) handleAnalyzeDiff(w http.ResponseWriter, req *http.Request) {
 		B:           bID,
 		Regressed:   len(regs) > 0,
 		Regressions: regs,
-		Diff:        raw,
+		Diff:        raw.Bytes(),
 	})
 }
 

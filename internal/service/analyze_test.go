@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"atlahs/internal/analyze"
 	"atlahs/results"
 )
 
@@ -36,7 +37,7 @@ func TestHTTPHistory(t *testing.T) {
 		t.Fatalf("runs not done: %+v %+v", rr1, rr2)
 	}
 
-	var hist historyResponse
+	var hist analyze.History
 	getJSON(t, ts.URL+"/v1/history", http.StatusOK, &hist)
 	if hist.Schema != "atlahs.history/v1" {
 		t.Errorf("schema = %q", hist.Schema)
@@ -54,7 +55,7 @@ func TestHTTPHistory(t *testing.T) {
 	}
 
 	// ?metric= filters series; a bad pattern is a 400.
-	var filtered historyResponse
+	var filtered analyze.History
 	getJSON(t, ts.URL+"/v1/history?metric=%5Eops%24", http.StatusOK, &filtered)
 	if len(filtered.Series) != 1 || filtered.Series[0].Metric != "ops" {
 		t.Errorf("filtered series = %+v, want just ops", filtered.Series)
@@ -82,7 +83,7 @@ func TestHTTPHistoryFromStore(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1, ArtifactDir: dir})
 	_, rr := postSpec(t, ts.URL, wireSpec(t, 1))
 
-	var hist historyResponse
+	var hist analyze.History
 	getJSON(t, ts.URL+"/v1/history", http.StatusOK, &hist)
 	found := false
 	for _, s := range hist.Series {

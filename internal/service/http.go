@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"atlahs/results"
 	"atlahs/sim"
 )
 
@@ -262,13 +263,6 @@ func (s *Service) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// sweepRequest is the JSON body of POST /v1/sweeps: N atlahs.spec/v1
-// objects submitted as one unit.
-type sweepRequest struct {
-	Schema string            `json:"schema"`
-	Specs  []json.RawMessage `json:"specs"`
-}
-
 // sweepResponse is the JSON body of POST /v1/sweeps and GET
 // /v1/sweeps/{id}: the combined view plus one runResponse per unique run.
 type sweepResponse struct {
@@ -299,15 +293,9 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	var sr sweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep: %w", err))
-		return
-	}
-	if sr.Schema != SweepSchema {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown sweep schema %q (want %q)", sr.Schema, SweepSchema))
+	var sr SweepRequest
+	if err := results.DecodeDoc(bytes.NewReader(body), "sweep", SweepSchema, &sr); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	specs := make([]sim.Spec, len(sr.Specs))

@@ -578,6 +578,51 @@ func TestHTTPSweeps(t *testing.T) {
 	}
 }
 
+// TestHTTPSweepRejectsMalformedDocuments: POST /v1/sweeps answers 400,
+// naming the sweep document, to every body that is not exactly one valid
+// atlahs.sweep/v1 document.
+func TestHTTPSweepRejectsMalformedDocuments(t *testing.T) {
+	_, ts := testServer(t, Config{Jobs: 1})
+	good := "{\n  \"schema\": \"atlahs.sweep/v1\",\n  \"specs\": [" + string(wireSpec(t, 9400)) + "]\n}\n"
+	cases := map[string]string{
+		"wrong schema":         strings.Replace(good, `"atlahs.sweep/v1"`, `"atlahs.other/v9"`, 1),
+		"missing schema":       strings.Replace(good, `"schema": "atlahs.sweep/v1",`, "", 1),
+		"unknown field":        strings.Replace(good, "{", `{"bogus": 1,`, 1),
+		"unknown nested field": strings.Replace(good, `"synthetic": {`, `"synthetic": {"bogus": 1,`, 1),
+		"trailing garbage":     good + "garbage",
+		"trailing brace":       good + "}",
+		"two documents":        good + good,
+		"empty input":          "",
+	}
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			if body == good {
+				t.Fatal("the rewrite did not apply")
+			}
+			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "sweep") {
+				t.Fatalf("%d %q, want 400 naming the sweep", resp.StatusCode, er.Error)
+			}
+		})
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps?wait=1", "application/json", strings.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the valid sweep: %d", resp.StatusCode)
+	}
+}
+
 // TestHTTPOutOfRangeGoalFailsTheRunNotTheDaemon: a ~100-byte GOAL spec
 // whose one op overflows the simulated clock used to panic inside the
 // engine, and nothing on the run path recovers — one request ended the

@@ -11,13 +11,9 @@ import (
 	"atlahs/sim"
 )
 
-// runMetaSchema identifies the per-run metadata sidecar layout. Like the
-// other wire schemas it is append-only: released fields keep their names
-// and types.
-const runMetaSchema = "atlahs.runmeta/v1"
-
-// runMeta is the durable run-index entry persisted next to every
-// completed run's artifact. It carries what the artifact alone cannot:
+// runMeta is the atlahs.runmeta/v1 document (results.MetaSchema): the
+// durable run-index entry persisted next to every completed run's
+// artifact. It carries what the artifact alone cannot:
 // the full fingerprint the run id derives from, the lookaside keys that
 // pointed at the run, and the complete sim.Result (the artifact's sweep
 // only exports the deterministic per-rank table and headline scalars).
@@ -44,7 +40,7 @@ func (s *Service) saveMeta(r *run, res *sim.Result) error {
 	keys := append([]string(nil), r.lookKeys...)
 	s.mu.Unlock()
 	if err := s.store.SaveMeta(r.id, runMeta{
-		Schema:      runMetaSchema,
+		Schema:      results.MetaSchema,
 		ID:          r.id,
 		Fingerprint: r.fp,
 		LookKeys:    keys,
@@ -110,23 +106,28 @@ func (s *Service) rebuild() {
 
 // restoreRun validates one stored run and reconstructs its in-memory
 // entry. Every check errs on the side of re-simulating: an entry is only
-// restored when the sidecar decodes under its schema, names this run, its
-// fingerprint re-derives the run id, the artifact bytes decode as a valid
-// atlahs.results/v1 sweep under the same name, and artifact and sidecar
-// agree on the headline result.
+// restored when the sidecar decodes as exactly one atlahs.runmeta/v1
+// document (a sidecar written by a newer version, with fields this one
+// does not know, is skipped like a corrupt one), names this run, carries
+// a result whose metrics snapshot validates, its fingerprint re-derives
+// the run id, the artifact bytes decode as a valid atlahs.results/v1
+// sweep under the same name, and artifact and sidecar agree on the
+// headline result.
 func (s *Service) restoreRun(id string) (*run, error) {
 	var meta runMeta
 	if err := s.store.LoadMeta(id, &meta); err != nil {
 		return nil, fmt.Errorf("metadata sidecar: %w", err)
-	}
-	if meta.Schema != runMetaSchema {
-		return nil, fmt.Errorf("metadata sidecar has schema %q, want %q", meta.Schema, runMetaSchema)
 	}
 	if meta.ID != id {
 		return nil, fmt.Errorf("metadata sidecar names run %q", meta.ID)
 	}
 	if meta.Result == nil {
 		return nil, fmt.Errorf("metadata sidecar carries no result")
+	}
+	if m := meta.Result.Metrics; m != nil {
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("metadata sidecar: %w", err)
+		}
 	}
 	if len(meta.Fingerprint) < 16 || "r_"+meta.Fingerprint[:16] != id {
 		return nil, fmt.Errorf("fingerprint %q does not derive run id %s", meta.Fingerprint, id)

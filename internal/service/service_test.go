@@ -533,7 +533,7 @@ func TestRestartRebuildsCache(t *testing.T) {
 }
 
 // TestRestartSkipsCorruptArtifacts: a stored artifact that fails
-// validation — corrupt bytes, or a missing metadata sidecar — is skipped
+// validation — corrupt bytes, a corrupt or missing metadata sidecar — is skipped
 // with a logged warning, never trusted: the run is not addressable after
 // the restart and an identical re-submission simulates again.
 func TestRestartSkipsCorruptArtifacts(t *testing.T) {
@@ -572,6 +572,32 @@ func TestRestartSkipsCorruptArtifacts(t *testing.T) {
 		t.Fatalf("re-submission over a corrupt artifact ran %d simulations, want 1", got)
 	}
 	svc2.Close()
+
+	// So is a sidecar that is not exactly one valid atlahs.runmeta/v1
+	// document: restoring it would leave GET /v1/runs/{id}/metrics
+	// answering 200 with an empty body once EncodeMetricsJSON refuses the
+	// snapshot.
+	metaPath := filepath.Join(dir, "meta", snap.ID+".json")
+	good, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"metric of unknown type": bytes.Replace(good, []byte(`"type": "counter"`), []byte(`"type": "bogus"`), 1),
+		"trailing garbage":       append(append([]byte(nil), good...), "garbage"...),
+	} {
+		if bytes.Equal(bad, good) {
+			t.Fatalf("%s: the corruption did not apply", name)
+		}
+		if err := os.WriteFile(metaPath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svcN := newService(t, Config{Jobs: 1, ArtifactDir: dir})
+		if _, ok := svcN.Get(snap.ID); ok {
+			t.Fatalf("%s: the sidecar was restored into the run index", name)
+		}
+		svcN.Close()
+	}
 
 	// An artifact without its sidecar is equally untrusted.
 	if err := os.Remove(filepath.Join(dir, "meta", snap.ID+".json")); err != nil {

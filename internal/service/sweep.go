@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,6 +15,13 @@ import (
 // SweepSchema identifies the wire payload of POST /v1/sweeps: one JSON
 // object holding N atlahs.spec/v1 specs submitted as a unit.
 const SweepSchema = "atlahs.sweep/v1"
+
+// SweepRequest is the atlahs.sweep/v1 document: the body of POST
+// /v1/sweeps, which `atlahs -submit URL -sweep` writes.
+type SweepRequest struct {
+	Schema string            `json:"schema"`
+	Specs  []json.RawMessage `json:"specs"`
+}
 
 // maxSweepSpecs bounds one batch — far above any experiments figure, far
 // below an admission-bookkeeping blowup.

@@ -33,6 +33,11 @@ func FuzzModelRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Empty lists decode to the nil form omitempty writes them from.
+	f.Add([]byte(`{"schema":"atlahs.model/v1","source_ranks":1,"source_ops":1,"depth_mean":0,"depth_max":0,"phases":1,` +
+		`"calc":{"count":0,"mean":0,"std":0,"min":0,"max":0,"hist":[]},"calc_ns_per_rank":{"count":0,"mean":0,"std":0,"min":0,"max":0},` +
+		`"sends_per_rank":{"count":0,"mean":0,"std":0,"min":0,"max":0},"sizes":{"count":0,"mean":0,"std":0,"min":0,"max":0,"hist":[]},` +
+		`"classes":[],"calc_comm_ratio":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := results.DecodeModelBytes(data)
 		if err != nil {

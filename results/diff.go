@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -20,54 +19,54 @@ const DiffSchema = "atlahs.diff/v1"
 type SweepDiff struct {
 	// A and B name the compared sweeps (Sweep.Name), in that order; every
 	// delta is B relative to A ("how did B move away from A").
-	A string
-	B string
+	A string `json:"a"`
+	B string `json:"b"`
 	// Keys are the columns rows were matched on, carried with their kinds
 	// so key cells survive the JSON round trip. Empty means positional
 	// matching: row i of A against row i of B.
-	Keys []Column
+	Keys []Column `json:"keys,omitempty"`
 	// RowsA and RowsB are the compared sweeps' row counts; Matched is how
 	// many rows paired up, and Changed is how many of those differ in at
 	// least one shared field (== len(Rows)).
-	RowsA   int
-	RowsB   int
-	Matched int
-	Changed int
+	RowsA   int `json:"rows_a"`
+	RowsB   int `json:"rows_b"`
+	Matched int `json:"matched"`
+	Changed int `json:"changed"`
 	// ColumnsOnlyA and ColumnsOnlyB list columns present in only one
 	// sweep; their cells are not comparable and appear in no FieldDelta.
-	ColumnsOnlyA []string
-	ColumnsOnlyB []string
+	ColumnsOnlyA []string `json:"columns_only_a,omitempty"`
+	ColumnsOnlyB []string `json:"columns_only_b,omitempty"`
 	// RowsOnlyA and RowsOnlyB reference rows with no partner in the other
 	// sweep.
-	RowsOnlyA []RowRef
-	RowsOnlyB []RowRef
+	RowsOnlyA []RowRef `json:"rows_only_a,omitempty"`
+	RowsOnlyB []RowRef `json:"rows_only_b,omitempty"`
 	// Rows are the matched rows that changed, in A's row order.
-	Rows []RowDiff
+	Rows []RowDiff `json:"rows,omitempty"`
 	// Params are the experiment-level inputs whose values differ (missing
 	// on one side reads as the empty string), sorted by key.
-	Params []ParamDelta
+	Params []ParamDelta `json:"params,omitempty"`
 	// Derived are the cross-row aggregates present in both sweeps with
 	// different values, sorted by key; DerivedOnlyA/B list aggregates
 	// present on one side only.
-	Derived      []ScalarDelta
-	DerivedOnlyA []string
-	DerivedOnlyB []string
+	Derived      []ScalarDelta `json:"derived,omitempty"`
+	DerivedOnlyA []string      `json:"derived_only_a,omitempty"`
+	DerivedOnlyB []string      `json:"derived_only_b,omitempty"`
 }
 
 // RowRef identifies one unmatched row: its index in its own sweep, plus
 // its key cells when key columns were used.
 type RowRef struct {
-	Row int
-	Key map[string]any
+	Row int            `json:"row"`
+	Key map[string]any `json:"key,omitempty"`
 }
 
 // RowDiff is one matched row that changed: its index in sweep A, its key
 // cells (nil under positional matching), and one FieldDelta per shared
 // field whose cells differ.
 type RowDiff struct {
-	Row    int
-	Key    map[string]any
-	Fields []FieldDelta
+	Row    int            `json:"row"`
+	Key    map[string]any `json:"key,omitempty"`
+	Fields []FieldDelta   `json:"fields"`
 }
 
 // FieldDelta is one changed cell: the column it belongs to, both
@@ -75,13 +74,13 @@ type RowDiff struct {
 // B-A and the relative delta (B-A)/|A|. Rel is nil when A is zero (the
 // relative move is undefined) and for string cells.
 type FieldDelta struct {
-	Column string
-	Kind   Kind
-	Unit   string
-	A      any
-	B      any
-	Abs    *float64
-	Rel    *float64
+	Column string   `json:"column"`
+	Kind   Kind     `json:"kind"`
+	Unit   string   `json:"unit,omitempty"`
+	A      any      `json:"a"`
+	B      any      `json:"b"`
+	Abs    *float64 `json:"abs,omitempty"`
+	Rel    *float64 `json:"rel,omitempty"`
 }
 
 // ScalarDelta is one changed derived aggregate.
@@ -101,159 +100,57 @@ type ParamDelta struct {
 	B   string `json:"b"`
 }
 
-// The wire forms. Cells are encoded exactly like sweep rows — strings as
-// JSON strings, int and duration cells as integral numbers, floats as
-// finite numbers — and decoded back through the same kind-aware
+// jsonDiff is the wire form of a SweepDiff: the diff's own json tags plus
+// the schema discriminator. Cells are encoded exactly like sweep rows —
+// strings as JSON strings, int and duration cells as integral numbers,
+// floats as finite numbers — and decoded back through the same kind-aware
 // conversion, so DecodeDiffJSON(EncodeDiffJSON(d)) reproduces d.
 type jsonDiff struct {
-	Schema       string        `json:"schema"`
-	A            string        `json:"a"`
-	B            string        `json:"b"`
-	Keys         []Column      `json:"keys,omitempty"`
-	RowsA        int           `json:"rows_a"`
-	RowsB        int           `json:"rows_b"`
-	Matched      int           `json:"matched"`
-	Changed      int           `json:"changed"`
-	ColumnsOnlyA []string      `json:"columns_only_a,omitempty"`
-	ColumnsOnlyB []string      `json:"columns_only_b,omitempty"`
-	RowsOnlyA    []jsonRowRef  `json:"rows_only_a,omitempty"`
-	RowsOnlyB    []jsonRowRef  `json:"rows_only_b,omitempty"`
-	Rows         []jsonRowDiff `json:"rows,omitempty"`
-	Params       []ParamDelta  `json:"params,omitempty"`
-	Derived      []ScalarDelta `json:"derived,omitempty"`
-	DerivedOnlyA []string      `json:"derived_only_a,omitempty"`
-	DerivedOnlyB []string      `json:"derived_only_b,omitempty"`
+	Schema string `json:"schema"`
+	SweepDiff
 }
 
-type jsonRowRef struct {
-	Row int            `json:"row"`
-	Key map[string]any `json:"key,omitempty"`
-}
-
-type jsonRowDiff struct {
-	Row    int              `json:"row"`
-	Key    map[string]any   `json:"key,omitempty"`
-	Fields []jsonFieldDelta `json:"fields"`
-}
-
-type jsonFieldDelta struct {
-	Column string   `json:"column"`
-	Kind   Kind     `json:"kind"`
-	Unit   string   `json:"unit,omitempty"`
-	A      any      `json:"a"`
-	B      any      `json:"b"`
-	Abs    *float64 `json:"abs,omitempty"`
-	Rel    *float64 `json:"rel,omitempty"`
-}
-
-// EncodeDiffJSON validates d and writes it as one indented JSON object
-// followed by a newline.
+// EncodeDiffJSON validates d and writes it as one atlahs.diff/v1 document.
 func EncodeDiffJSON(w io.Writer, d *SweepDiff) error {
-	b, err := MarshalDiff(d)
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		return err
 	}
-	_, err = w.Write(append(b, '\n'))
-	return err
+	return EncodeDoc(w, jsonDiff{Schema: DiffSchema, SweepDiff: *d})
 }
 
-// MarshalDiff validates d and renders it to indented JSON.
-func MarshalDiff(d *SweepDiff) ([]byte, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
+// DecodeDiffJSON reads one SweepDiff written by EncodeDiffJSON through
+// DecodeDoc, rejecting cells of the wrong type. The returned diff is
+// validated and compares equal (DeepEqual) to the encoded one.
+func DecodeDiffJSON(r io.Reader) (*SweepDiff, error) {
+	var jd jsonDiff
+	if err := DecodeDoc(r, "diff", DiffSchema, &jd); err != nil {
+		return nil, fmt.Errorf("results: %w", err)
 	}
-	jd := jsonDiff{
-		Schema:       DiffSchema,
-		A:            d.A,
-		B:            d.B,
-		Keys:         d.Keys,
-		RowsA:        d.RowsA,
-		RowsB:        d.RowsB,
-		Matched:      d.Matched,
-		Changed:      d.Changed,
-		ColumnsOnlyA: d.ColumnsOnlyA,
-		ColumnsOnlyB: d.ColumnsOnlyB,
-		Params:       d.Params,
-		Derived:      d.Derived,
-		DerivedOnlyA: d.DerivedOnlyA,
-		DerivedOnlyB: d.DerivedOnlyB,
-	}
-	for _, ref := range d.RowsOnlyA {
-		jd.RowsOnlyA = append(jd.RowsOnlyA, jsonRowRef(ref))
-	}
-	for _, ref := range d.RowsOnlyB {
-		jd.RowsOnlyB = append(jd.RowsOnlyB, jsonRowRef(ref))
+	d := &jd.SweepDiff
+	d.Keys, d.Rows, d.Params, d.Derived = orNil(d.Keys), orNil(d.Rows), orNil(d.Params), orNil(d.Derived)
+	d.ColumnsOnlyA, d.ColumnsOnlyB = orNil(d.ColumnsOnlyA), orNil(d.ColumnsOnlyB)
+	d.RowsOnlyA, d.RowsOnlyB = orNil(d.RowsOnlyA), orNil(d.RowsOnlyB)
+	d.DerivedOnlyA, d.DerivedOnlyB = orNil(d.DerivedOnlyA), orNil(d.DerivedOnlyB)
+	for _, ref := range append(append([]RowRef(nil), d.RowsOnlyA...), d.RowsOnlyB...) {
+		if err := keyFromJSON(d.Keys, ref.Key); err != nil {
+			return nil, fmt.Errorf("results: diff %s vs %s: unmatched row %d: %w", d.A, d.B, ref.Row, err)
+		}
 	}
 	for _, row := range d.Rows {
-		jr := jsonRowDiff{Row: row.Row, Key: row.Key}
-		for _, f := range row.Fields {
-			jr.Fields = append(jr.Fields, jsonFieldDelta(f))
+		if err := keyFromJSON(d.Keys, row.Key); err != nil {
+			return nil, fmt.Errorf("results: diff %s vs %s: row %d: %w", d.A, d.B, row.Row, err)
 		}
-		jd.Rows = append(jd.Rows, jr)
-	}
-	return json.MarshalIndent(jd, "", "  ")
-}
-
-// DecodeDiffJSON reads one SweepDiff written by EncodeDiffJSON, rejecting
-// unknown schema versions and cells of the wrong type. The returned diff
-// is validated and compares equal (DeepEqual) to the encoded one.
-func DecodeDiffJSON(r io.Reader) (*SweepDiff, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	var jd jsonDiff
-	if err := dec.Decode(&jd); err != nil {
-		return nil, fmt.Errorf("results: decoding JSON diff: %w", err)
-	}
-	if jd.Schema != DiffSchema {
-		return nil, fmt.Errorf("results: unknown schema %q (want %q)", jd.Schema, DiffSchema)
-	}
-	d := &SweepDiff{
-		A:            jd.A,
-		B:            jd.B,
-		Keys:         jd.Keys,
-		RowsA:        jd.RowsA,
-		RowsB:        jd.RowsB,
-		Matched:      jd.Matched,
-		Changed:      jd.Changed,
-		ColumnsOnlyA: jd.ColumnsOnlyA,
-		ColumnsOnlyB: jd.ColumnsOnlyB,
-		Params:       jd.Params,
-		Derived:      jd.Derived,
-		DerivedOnlyA: jd.DerivedOnlyA,
-		DerivedOnlyB: jd.DerivedOnlyB,
-	}
-	for _, ref := range jd.RowsOnlyA {
-		key, err := keyFromJSON(d.Keys, ref.Key)
-		if err != nil {
-			return nil, fmt.Errorf("results: diff %s vs %s: rows_only_a row %d: %w", d.A, d.B, ref.Row, err)
-		}
-		d.RowsOnlyA = append(d.RowsOnlyA, RowRef{Row: ref.Row, Key: key})
-	}
-	for _, ref := range jd.RowsOnlyB {
-		key, err := keyFromJSON(d.Keys, ref.Key)
-		if err != nil {
-			return nil, fmt.Errorf("results: diff %s vs %s: rows_only_b row %d: %w", d.A, d.B, ref.Row, err)
-		}
-		d.RowsOnlyB = append(d.RowsOnlyB, RowRef{Row: ref.Row, Key: key})
-	}
-	for _, jr := range jd.Rows {
-		key, err := keyFromJSON(d.Keys, jr.Key)
-		if err != nil {
-			return nil, fmt.Errorf("results: diff %s vs %s: row %d: %w", d.A, d.B, jr.Row, err)
-		}
-		row := RowDiff{Row: jr.Row, Key: key}
-		for _, jf := range jr.Fields {
-			f := FieldDelta(jf)
+		for i := range row.Fields {
+			f := &row.Fields[i]
 			col := Column{Name: f.Column, Kind: f.Kind, Unit: f.Unit}
-			if f.A, err = cellFromJSON(col, jf.A); err != nil {
-				return nil, fmt.Errorf("results: diff %s vs %s: row %d: side a: %w", d.A, d.B, jr.Row, err)
+			var err error
+			if f.A, err = cellFromJSON(col, f.A); err != nil {
+				return nil, fmt.Errorf("results: diff %s vs %s: row %d: side a: %w", d.A, d.B, row.Row, err)
 			}
-			if f.B, err = cellFromJSON(col, jf.B); err != nil {
-				return nil, fmt.Errorf("results: diff %s vs %s: row %d: side b: %w", d.A, d.B, jr.Row, err)
+			if f.B, err = cellFromJSON(col, f.B); err != nil {
+				return nil, fmt.Errorf("results: diff %s vs %s: row %d: side b: %w", d.A, d.B, row.Row, err)
 			}
-			row.Fields = append(row.Fields, f)
 		}
-		d.Rows = append(d.Rows, row)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -261,28 +158,22 @@ func DecodeDiffJSON(r io.Reader) (*SweepDiff, error) {
 	return d, nil
 }
 
-// keyFromJSON converts a decoded key-cell map to canonical cell types
-// using the diff's key columns.
-func keyFromJSON(keys []Column, raw map[string]any) (map[string]any, error) {
-	if raw == nil {
-		return nil, nil
-	}
-	key := make(map[string]any, len(raw))
+// keyFromJSON converts, in place, the decoded cells of a row key that
+// name key columns to those columns' canonical cell types. Validate then
+// rejects keys with missing or extra cells.
+func keyFromJSON(keys []Column, key map[string]any) error {
 	for _, c := range keys {
-		v, ok := raw[c.Name]
+		raw, ok := key[c.Name]
 		if !ok {
-			return nil, fmt.Errorf("key misses column %q", c.Name)
+			continue
 		}
-		cell, err := cellFromJSON(c, v)
+		cell, err := cellFromJSON(c, raw)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		key[c.Name] = cell
 	}
-	if len(key) != len(raw) {
-		return nil, fmt.Errorf("key has %d cells, diff has %d key columns", len(raw), len(keys))
-	}
-	return key, nil
+	return nil
 }
 
 // Validate checks the diff against the schema contract: snake_case names,

@@ -123,10 +123,9 @@
 // DecodeModelJSON validates all of this plus finite moments, so a decoded
 // model is always safely samplable.
 //
-// Like the other schemas, atlahs.model/v1 is append-only: released field
-// names keep their meaning and units (durations in integer nanoseconds,
-// sizes in bytes), decoders reject unknown fields of the current version,
-// and renaming or retyping a field requires a new schema version string.
+// Like the other schemas, atlahs.model/v1 is append-only (see the
+// stability guarantee below): released field names keep their meaning and
+// units (durations in integer nanoseconds, sizes in bytes).
 // Generation from a model is deterministic for (model, ranks, seed), so a
 // model document is a content-addressable workload: equal documents plus
 // equal (ranks, seed) yield bit-identical schedules.
@@ -167,13 +166,26 @@
 //
 // # Stability guarantee
 //
-// The "atlahs.results/v1" schema is append-only: released field names,
-// column kinds and cell encodings keep their meaning, and decoders
-// tolerate new optional top-level fields. Renaming or retyping a field, or
-// changing a unit, requires a new schema version string; consumers should
-// reject schemas they do not know. Column sets of individual experiments
-// may grow new columns between releases — CSV/JSON consumers should select
-// columns by name, not by position.
+// One rule covers all ten versioned documents — atlahs.spec/v1,
+// atlahs.results/v1, atlahs.diff/v1, atlahs.metrics/v1, atlahs.model/v1,
+// atlahs.runmeta/v1, atlahs.sweep/v1, atlahs.sweepset/v1,
+// atlahs.history/v1 and atlahs.bench/v1. Append-only is a promise about
+// writers: released field names, column kinds, cell encodings and units
+// keep their meaning, new fields may be added, and renaming or retyping a
+// field or changing a unit requires a new schema version string. Readers
+// are strict: every reader in the toolchain goes through DecodeDoc, which
+// refuses an unknown schema string, any field its version does not
+// declare, and anything after the document but white space; DecodeCSV
+// holds the CSV preamble to the same rule. A reader older than the writer
+// therefore refuses the newer document instead of silently dropping what
+// it cannot see: an atlahsd rolled back to an older release skips the
+// newer runs' sidecars with a logged warning and re-simulates those runs
+// on demand. Column sets of individual experiments may grow new columns
+// between releases — that changes the row schema a sweep carries, not the
+// document layout, so consumers should select columns by name, not by
+// position. Documents written to files and standard output go through
+// EncodeDoc or MarshalDoc, in one canonical form: JSON indented by two
+// spaces, followed by a newline.
 //
 // Encode→decode is lossless for both encodings: DecodeJSON(EncodeJSON(s))
 // and DecodeCSV(EncodeCSV(s)) reproduce the Sweep exactly (the round-trip

@@ -22,24 +22,26 @@ type jsonSweep struct {
 	Notes   []string           `json:"notes,omitempty"`
 }
 
-// EncodeJSON validates s and writes it as one indented JSON object
-// followed by a newline.
+// EncodeJSON validates s and writes it as one atlahs.results/v1 document.
 func EncodeJSON(w io.Writer, s *Sweep) error {
-	b, err := marshalSweep(s)
+	js, err := wireSweep(s)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(append(b, '\n'))
-	return err
+	return EncodeDoc(w, js)
 }
 
-// EncodeJSONList validates every sweep and writes them as one indented
-// JSON array followed by a newline.
+// EncodeJSONList validates every sweep and writes them as one JSON array
+// followed by a newline, each element indented like a document of its own.
 func EncodeJSONList(w io.Writer, sweeps []*Sweep) error {
 	var buf bytes.Buffer
 	buf.WriteString("[")
 	for i, s := range sweeps {
-		b, err := marshalSweep(s)
+		js, err := wireSweep(s)
+		if err != nil {
+			return err
+		}
+		b, err := MarshalDoc(js)
 		if err != nil {
 			return err
 		}
@@ -47,7 +49,7 @@ func EncodeJSONList(w io.Writer, sweeps []*Sweep) error {
 			buf.WriteString(",")
 		}
 		buf.WriteString("\n")
-		buf.Write(b)
+		buf.Write(b[:len(b)-1]) // the element's newline closes the line
 	}
 	if len(sweeps) > 0 {
 		buf.WriteString("\n")
@@ -57,10 +59,10 @@ func EncodeJSONList(w io.Writer, sweeps []*Sweep) error {
 	return err
 }
 
-// marshalSweep validates and renders one sweep to indented JSON.
-func marshalSweep(s *Sweep) ([]byte, error) {
+// wireSweep validates s and builds its wire form.
+func wireSweep(s *Sweep) (jsonSweep, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return jsonSweep{}, err
 	}
 	js := jsonSweep{
 		Schema:  Schema,
@@ -80,31 +82,30 @@ func marshalSweep(s *Sweep) ([]byte, error) {
 		}
 		js.Rows[i] = row
 	}
-	return json.MarshalIndent(js, "", "  ")
+	return js, nil
 }
 
-// DecodeJSON reads one Sweep written by EncodeJSON, rejecting unknown
-// schema versions, rows that miss or add columns, and cells of the wrong
-// type. The returned sweep is validated and compares equal (DeepEqual) to
-// the encoded one.
+// DecodeJSON reads one Sweep written by EncodeJSON through DecodeDoc,
+// rejecting rows that miss or add columns and cells of the wrong type. The
+// returned sweep is validated and compares equal (DeepEqual) to the
+// encoded one.
 func DecodeJSON(r io.Reader) (*Sweep, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
 	var js jsonSweep
-	if err := dec.Decode(&js); err != nil {
-		return nil, fmt.Errorf("results: decoding JSON sweep: %w", err)
-	}
-	if js.Schema != Schema {
-		return nil, fmt.Errorf("results: unknown schema %q (want %q)", js.Schema, Schema)
+	if err := DecodeDoc(r, "sweep", Schema, &js); err != nil {
+		return nil, fmt.Errorf("results: %w", err)
 	}
 	s := &Sweep{
 		Name:    js.Name,
 		Title:   js.Title,
 		Mode:    js.Mode,
-		Params:  js.Params,
 		Columns: js.Columns,
-		Derived: js.Derived,
-		Notes:   js.Notes,
+		Notes:   orNil(js.Notes),
+	}
+	if len(js.Params) > 0 {
+		s.Params = js.Params
+	}
+	if len(js.Derived) > 0 {
+		s.Derived = js.Derived
 	}
 	for i, row := range js.Rows {
 		if len(row) != len(js.Columns) {

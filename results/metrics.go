@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -139,27 +138,21 @@ func (ms *MetricsSnapshot) Validate() error {
 	return nil
 }
 
-// EncodeMetricsJSON validates ms and writes it as one indented JSON
-// object followed by a newline.
+// EncodeMetricsJSON validates ms and writes it as one atlahs.metrics/v1
+// document.
 func EncodeMetricsJSON(w io.Writer, ms *MetricsSnapshot) error {
 	if err := ms.Validate(); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: encoding metrics snapshot: %w", err)
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
+	return EncodeDoc(w, ms)
 }
 
 // DecodeMetricsJSON reads one MetricsSnapshot written by
-// EncodeMetricsJSON, rejecting unknown schema versions and malformed
-// samples.
+// EncodeMetricsJSON through DecodeDoc, rejecting malformed samples.
 func DecodeMetricsJSON(r io.Reader) (*MetricsSnapshot, error) {
 	var ms MetricsSnapshot
-	if err := json.NewDecoder(r).Decode(&ms); err != nil {
-		return nil, fmt.Errorf("results: decoding metrics snapshot: %w", err)
+	if err := DecodeDoc(r, "metrics", MetricsSchema, &ms); err != nil {
+		return nil, fmt.Errorf("results: %w", err)
 	}
 	if err := ms.Validate(); err != nil {
 		return nil, err

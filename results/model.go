@@ -2,7 +2,6 @@ package results
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -217,39 +216,32 @@ func (d *Dist) validate() error {
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// EncodeModelJSON validates m and writes it as one indented
-// atlahs.model/v1 JSON object followed by a newline. The encoding is
-// canonical: encoding the same model always yields identical bytes.
+// EncodeModelJSON validates m and writes it as one atlahs.model/v1
+// document. The encoding is canonical: encoding the same model always
+// yields identical bytes.
 func EncodeModelJSON(w io.Writer, m *WorkloadModel) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(jsonModel{Schema: ModelSchema, WorkloadModel: *m}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: encoding model: %w", err)
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
+	return EncodeDoc(w, jsonModel{Schema: ModelSchema, WorkloadModel: *m})
 }
 
-// DecodeModelJSON reads one WorkloadModel written by EncodeModelJSON,
-// rejecting unknown schema versions, unknown fields, trailing data and any
-// model Validate rejects. The returned model compares equal (DeepEqual) to
-// the encoded one.
+// DecodeModelJSON reads one WorkloadModel written by EncodeModelJSON
+// through DecodeDoc, rejecting any model Validate rejects. The returned
+// model compares equal (DeepEqual) to the encoded one.
 func DecodeModelJSON(r io.Reader) (*WorkloadModel, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var jm jsonModel
-	if err := dec.Decode(&jm); err != nil {
-		return nil, fmt.Errorf("results: decoding model: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("results: trailing data after the model object")
-	}
-	if jm.Schema != ModelSchema {
-		return nil, fmt.Errorf("results: unknown model schema %q (want %q)", jm.Schema, ModelSchema)
+	if err := DecodeDoc(r, "model", ModelSchema, &jm); err != nil {
+		return nil, fmt.Errorf("results: %w", err)
 	}
 	m := jm.WorkloadModel
+	m.Classes = orNil(m.Classes)
+	for _, d := range []*Dist{&m.Calc, &m.CalcNsPerRank, &m.SendsPerRank, &m.Sizes} {
+		d.Hist = orNil(d.Hist)
+	}
+	for i := range m.Classes {
+		m.Classes[i].Sizes.Hist = orNil(m.Classes[i].Sizes.Hist)
+	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

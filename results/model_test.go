@@ -110,14 +110,18 @@ func TestDecodeModelRejects(t *testing.T) {
 	}{
 		{"bad schema", `{"schema":"atlahs.model/v2","source_ranks":1}`, "unknown model schema"},
 		{"unknown field", `{"schema":"atlahs.model/v1","bogus":1}`, "bogus"},
-		{"trailing data", "", "trailing data"},
+		{"trailing data", "{}", "trailing data"},
+		{"trailing brace", "}", "trailing data"},
+		{"trailing bracket", "]", "trailing data"},
 		{"not json", `nope`, "decoding model"},
 	}
 	var buf bytes.Buffer
 	if err := EncodeModelJSON(&buf, testModel()); err != nil {
 		t.Fatal(err)
 	}
-	cases[2].in = buf.String() + "{}"
+	for i := 2; i <= 4; i++ {
+		cases[i].in = buf.String() + cases[i].in
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeModelBytes([]byte(tc.in))

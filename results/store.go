@@ -2,7 +2,6 @@ package results
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -167,6 +166,11 @@ func (st *Store) MetaPath(name string) string {
 	return filepath.Join(st.metaDir(), name+".json")
 }
 
+// MetaSchema identifies the metadata sidecar LoadMeta reads: the
+// simulation service's run-index entry, written next to every completed
+// run's artifact. Like the other schemas it is append-only.
+const MetaSchema = "atlahs.runmeta/v1"
+
 // SaveMeta writes a small JSON metadata document next to (but outside the
 // namespace of) the named artifact, atomically. The sidecar is the
 // service's durable run index entry: whatever a consumer needs to trust a
@@ -178,12 +182,8 @@ func (st *Store) SaveMeta(name string, v any) error {
 	if err := os.MkdirAll(st.metaDir(), 0o755); err != nil {
 		return fmt.Errorf("results: creating meta directory: %w", err)
 	}
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: encoding meta for %q: %w", name, err)
-	}
 	return writeAtomic(st.metaDir(), name, "meta for", func(w io.Writer) error {
-		if _, err := w.Write(append(b, '\n')); err != nil {
+		if err := EncodeDoc(w, v); err != nil {
 			return saveErr("meta for", name, err)
 		}
 		return nil
@@ -228,9 +228,9 @@ func (st *Store) LoadTrace(name string) ([]byte, error) {
 	return os.ReadFile(st.TracePath(name))
 }
 
-// LoadMeta reads the named artifact's metadata sidecar into v, rejecting
-// unknown fields so a corrupted or foreign document fails loudly instead
-// of decoding into a half-empty value.
+// LoadMeta reads the named artifact's atlahs.runmeta/v1 sidecar into v
+// through DecodeDoc, so a corrupted, foreign or newer document fails
+// loudly instead of decoding into a half-empty value.
 func (st *Store) LoadMeta(name string, v any) error {
 	if err := st.checkName(name); err != nil {
 		return err
@@ -239,9 +239,7 @@ func (st *Store) LoadMeta(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeDoc(bytes.NewReader(b), "run metadata", MetaSchema, v); err != nil {
 		return fmt.Errorf("results: loading meta for %q: %w", name, err)
 	}
 	return nil

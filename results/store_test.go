@@ -133,14 +133,14 @@ func TestStoreMeta(t *testing.T) {
 		Schema string `json:"schema"`
 		Count  int    `json:"count"`
 	}
-	if err := st.SaveMeta("run_one", doc{Schema: "test/v1", Count: 7}); err != nil {
+	if err := st.SaveMeta("run_one", doc{Schema: MetaSchema, Count: 7}); err != nil {
 		t.Fatal(err)
 	}
 	var got doc
 	if err := st.LoadMeta("run_one", &got); err != nil {
 		t.Fatal(err)
 	}
-	if got != (doc{Schema: "test/v1", Count: 7}) {
+	if got != (doc{Schema: MetaSchema, Count: 7}) {
 		t.Fatalf("meta round trip changed the document: %+v", got)
 	}
 	names, err := st.Names()
@@ -158,7 +158,7 @@ func TestStoreMeta(t *testing.T) {
 	}
 	// A document with fields the caller's type does not know must fail
 	// loudly, not decode half-empty.
-	if err := os.WriteFile(st.MetaPath("run_one"), []byte(`{"schema":"test/v1","count":1,"extra":true}`), 0o644); err != nil {
+	if err := os.WriteFile(st.MetaPath("run_one"), []byte(`{"schema":"atlahs.runmeta/v1","count":1,"extra":true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.LoadMeta("run_one", &got); err == nil {

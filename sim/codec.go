@@ -12,6 +12,7 @@ import (
 
 	"atlahs/internal/goal"
 	"atlahs/internal/trace/frontend"
+	"atlahs/results"
 )
 
 // SpecSchema identifies the wire layout MarshalSpec writes and
@@ -126,11 +127,7 @@ func MarshalSpec(sp Spec) ([]byte, error) {
 	if ws.Config, err = encodePayload("backend", name, def.NewConfig, sp.Config); err != nil {
 		return nil, err
 	}
-	b, err := json.MarshalIndent(ws, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("sim: encoding spec: %w", err)
-	}
-	return append(b, '\n'), nil
+	return results.MarshalDoc(ws)
 }
 
 // encodeWorkload renders one workload declaration (the top-level fields
@@ -176,25 +173,19 @@ func encodeWorkload(j *Workload) (*wireJob, error) {
 	return w, nil
 }
 
-// UnmarshalSpec decodes one atlahs.spec/v1 JSON object into a validated
-// Spec. Unknown schema versions, unknown top-level or config fields,
-// trailing data, and any spec Spec.Validate rejects are errors, so every
-// spec this returns is runnable as far as its declaration goes. The
-// "schedule" payload must be binary GOAL (it is parsed eagerly into
+// UnmarshalSpec decodes one atlahs.spec/v1 document into a validated Spec
+// through results.DecodeDoc, the reader every versioned document shares:
+// an unknown schema version, a field this version does not declare (at
+// the top level, in a job or in a config payload), anything after the
+// object but white space, and any spec Spec.Validate rejects are errors,
+// so every spec this returns is runnable as far as its declaration goes.
+// The "schedule" payload must be binary GOAL (it is parsed eagerly into
 // Spec.Schedule); GoalBytes/Trace payloads stay raw and are parsed at run
 // time like any other Spec.
 func UnmarshalSpec(b []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var ws wireSpec
-	if err := dec.Decode(&ws); err != nil {
-		return Spec{}, fmt.Errorf("sim: decoding spec: %w", err)
-	}
-	if dec.More() {
-		return Spec{}, fmt.Errorf("sim: trailing data after the spec object")
-	}
-	if ws.Schema != SpecSchema {
-		return Spec{}, fmt.Errorf("sim: unknown spec schema %q (want %q)", ws.Schema, SpecSchema)
+	if err := results.DecodeDoc(bytes.NewReader(b), "spec", SpecSchema, &ws); err != nil {
+		return Spec{}, fmt.Errorf("sim: %w", err)
 	}
 	single, err := decodeWorkload(&ws.wireJob)
 	if err != nil {
@@ -321,9 +312,7 @@ func decodePayload(kind, name string, proto func() any, raw json.RawMessage) (an
 		return nil, fmt.Errorf("sim: %s %q declares no wire config type; drop the config payload", kind, name)
 	}
 	p := proto()
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(p); err != nil {
+	if err := results.DecodeStrict(bytes.NewReader(raw), p); err != nil {
 		return nil, fmt.Errorf("sim: decoding %s %q config: %w", kind, name, err)
 	}
 	cfg := reflect.ValueOf(p).Elem().Interface()

@@ -227,9 +227,17 @@ func TestUnmarshalSpecRejects(t *testing.T) {
 		"no-schema":        {`{"backend":"lgs"}`, "unknown spec schema"},
 		"unknown-field":    {`{"schema":"atlahs.spec/v1","bakend":"lgs"}`, "unknown field"},
 		"trailing-data":    {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}} {}`, "trailing data"},
-		"no-workload":      {`{"schema":"atlahs.spec/v1","backend":"lgs"}`, "no workload"},
-		"unknown-backend":  {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"nosim"}`, "unknown backend"},
-		"unknown-frontend": {`{"schema":"atlahs.spec/v1","trace_path":"x","frontend":"nofmt"}`, "unknown frontend"},
+		"trailing-garbage": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}}x`, "trailing data"},
+		"trailing-brace":   {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}}}`, "trailing data"},
+		"trailing-bracket": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}}]`, "trailing data"},
+		"trailing-closers": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}} ]]]`, "trailing data"},
+		"two-documents": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}}` +
+			`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2}}`, "trailing data"},
+		"unknown-nested-field": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2,"bogus":1}}`, "decoding spec"},
+		"empty":                {"", "decoding spec"},
+		"no-workload":          {`{"schema":"atlahs.spec/v1","backend":"lgs"}`, "no workload"},
+		"unknown-backend":      {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"nosim"}`, "unknown backend"},
+		"unknown-frontend":     {`{"schema":"atlahs.spec/v1","trace_path":"x","frontend":"nofmt"}`, "unknown frontend"},
 		"pkt-workers": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"pkt","workers":4}`,
 			"shares fabric state"},
 		"bad-config-field": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"lgs","config":{"Nope":1}}`,
