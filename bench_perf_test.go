@@ -1,8 +1,8 @@
-// Paired perf benchmarks: each pins one off/on pair (PR 5 cold-vs-hit
-// style) so BENCH_ci.json records both sides of the trade and the analyze
-// gate can watch them drift. The shared workload is a 64-rank, multi-
-// hundred-thousand-op seeded schedule — big enough that allocation and
-// barrier behaviour dominate, small enough for bench-smoke's -benchtime 3x.
+// Paired perf benchmarks: each pins one off/on pair (cold-vs-hit style)
+// so one `go test -bench` run measures both sides of the trade. The shared
+// workload is a 64-rank, multi-hundred-thousand-op seeded schedule — big
+// enough that allocation and barrier behaviour dominate, small enough for
+// CI's -benchtime 3x.
 package atlahs
 
 import (

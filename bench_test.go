@@ -99,7 +99,7 @@ func BenchmarkFig13(b *testing.B) {
 	}
 }
 
-// --- ablations: the design choices DESIGN.md calls out -----------------------
+// --- ablations: design choices measured in isolation -------------------------
 
 // BenchmarkAblationEagerVsRendezvous measures the LGS rendezvous handshake
 // cost at the protocol switch point.
@@ -262,7 +262,7 @@ func BenchmarkServiceColdVsCacheHit(b *testing.B) {
 		Backend: "lgs"}
 	// The service logs each run's lifecycle; `go test` merges stderr into
 	// stdout, where a log line lands in the middle of the benchmark's result
-	// line and benchjson -require then reports the benchmark missing.
+	// line and breaks it for benchstat and every other reader.
 	cfg := service.Config{Jobs: 1, Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 	wait := func(b *testing.B, svc *service.Service, snap service.Snapshot) service.Snapshot {
 		done, err := svc.Wait(context.Background(), snap.ID)

@@ -1,27 +1,23 @@
 // Command atlahs-analyze reads the artifacts the rest of the toolchain
-// writes — atlahs.results/v1 sweeps, the simulation service's run store,
-// BENCH_ci.json perf records — and answers "what changed, and did it get
-// worse?".
+// writes — atlahs.results/v1 sweeps and the simulation service's run
+// store — and answers "what changed, and did it get worse?".
 //
 // Usage:
 //
 //	atlahs-analyze diff [-keys cols] [-threshold F] [-metrics RE]
 //	                    [-gate] [-json] [-html FILE] A.json B.json
-//	atlahs-analyze history [-store DIR] [-threshold F] [-mad K]
-//	                    [-metrics RE] [-gate] [-json] [-html FILE]
-//	atlahs-analyze bench [-dir DIR] [-threshold F] [-mad K]
+//	atlahs-analyze history -store DIR [-threshold F] [-mad K]
 //	                    [-metrics RE] [-gate] [-json] [-html FILE]
 //
 // diff compares two sweep artifacts field by field — B relative to A —
 // matching rows on -keys columns (comma-separated) or by position, and
-// prints the changed records. history walks a service artifact store's
-// runs oldest-first into per-metric trajectories; bench does the same
-// over a directory of BENCH_ci.json documents. All three gate the result
-// (one-sided: higher is worse) and print one "REGRESSION ..." line per
-// flagged metric, naming the regressed record.
+// prints the changed records. history walks an existing service artifact
+// store's runs oldest-first into per-metric trajectories. Both gate the
+// result (one-sided: higher is worse) and print one "REGRESSION ..." line
+// per flagged metric, naming the regressed record.
 //
 // -json emits the machine document instead of text (atlahs.diff/v1 for
-// diff, atlahs.history/v1 for history and bench); -html FILE renders the
+// diff, atlahs.history/v1 for history); -html FILE renders the
 // deterministic HTML report; -gate=false reports without gating.
 //
 // Exit status: 0 clean, 1 when the gate flags a regression, 2 on usage
@@ -54,8 +50,6 @@ func run(args []string) int {
 		return runDiff(args[1:])
 	case "history":
 		return runHistory(args[1:])
-	case "bench":
-		return runBench(args[1:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return 0
@@ -69,12 +63,11 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   atlahs-analyze diff    [flags] A.json B.json   compare two sweep artifacts
   atlahs-analyze history [flags]                 trajectories from a run store
-  atlahs-analyze bench   [flags]                 trajectories from BENCH_ci.json files
 run "atlahs-analyze <subcommand> -h" for flags.
 `)
 }
 
-// gateFlags are the flags every subcommand shares.
+// gateFlags are the flags both subcommands share.
 type gateFlags struct {
 	threshold  float64
 	madK       float64
@@ -207,6 +200,17 @@ func runHistory(args []string) int {
 		return fail(err)
 	}
 	defer stop()
+	gate, err := gf.build()
+	if err != nil {
+		return fail(err)
+	}
+	// history only reads: results.NewStore would create a mistyped
+	// directory and report its empty history as clean.
+	if fi, err := os.Stat(*store); err != nil {
+		return fail(err)
+	} else if !fi.IsDir() {
+		return fail(fmt.Errorf("-store %s is not a directory", *store))
+	}
 	st, err := results.NewStore(*store)
 	if err != nil {
 		return fail(err)
@@ -215,43 +219,12 @@ func runHistory(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	return trajectories(&gf, "atlahs analyze: run history", series, warnings)
-}
-
-func runBench(args []string) int {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	dir := fs.String("dir", "", "directory of BENCH_ci.json history files (required)")
-	var gf gateFlags
-	gf.register(fs, true)
-	fs.Parse(args)
-	if *dir == "" || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "atlahs-analyze bench: want -dir DIR and no positional arguments")
-		return 2
-	}
-	stop, err := gf.profile()
-	if err != nil {
-		return fail(err)
-	}
-	defer stop()
-	series, warnings, err := analyze.BenchHistory(*dir)
-	if err != nil {
-		return fail(err)
-	}
-	return trajectories(&gf, "atlahs analyze: bench history", series, warnings)
-}
-
-// trajectories is the shared back half of history and bench.
-func trajectories(gf *gateFlags, title string, series []results.Series, warnings []string) int {
-	gate, err := gf.build()
-	if err != nil {
-		return fail(err)
-	}
 	for _, w := range warnings {
 		fmt.Fprintln(os.Stderr, "atlahs-analyze: warning:", w)
 	}
 	regs := gate.Series(series)
-	report := &analyze.Report{Title: title, History: series, Regressions: regs, Warnings: warnings}
-	if err := emit(gf, report, func() error {
+	report := &analyze.Report{Title: "atlahs analyze: run history", History: series, Regressions: regs, Warnings: warnings}
+	if err := emit(&gf, report, func() error {
 		return results.EncodeDoc(os.Stdout, analyze.History{Schema: analyze.HistorySchema, Series: series, Warnings: warnings})
 	}, func() {
 		for _, s := range series {
@@ -265,7 +238,7 @@ func trajectories(gf *gateFlags, title string, series []results.Series, warnings
 	}); err != nil {
 		return fail(err)
 	}
-	return verdict(gf, regs)
+	return verdict(&gf, regs)
 }
 
 // emit writes the selected outputs: the machine document or the text

@@ -91,33 +91,6 @@ func TestDiffWritesHTMLReport(t *testing.T) {
 	}
 }
 
-func TestBenchSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("run_1.json", `{"schema":"atlahs.bench/v1","benchmarks":{"BenchmarkX":100}}`)
-	write("run_2.json", `{"schema":"atlahs.bench/v1","benchmarks":{"BenchmarkX":100}}`)
-	write("run_3.json", `{"schema":"atlahs.bench/v1","benchmarks":{"BenchmarkX":100}}`)
-	write("run_4.json", `{"schema":"atlahs.bench/v1","benchmarks":{"BenchmarkX":150}}`)
-
-	if got := run([]string{"bench", "-dir", dir, "-threshold", "0.1"}); got != 1 {
-		t.Errorf("regressed bench history: exit = %d, want 1", got)
-	}
-	if got := run([]string{"bench", "-dir", dir, "-threshold", "0.1", "-gate=false"}); got != 0 {
-		t.Errorf("gate off: exit = %d, want 0", got)
-	}
-	if got := run([]string{"bench", "-dir", t.TempDir()}); got != 2 {
-		t.Errorf("empty dir: exit = %d, want 2", got)
-	}
-	if got := run([]string{"bench"}); got != 2 {
-		t.Errorf("missing -dir: exit = %d, want 2", got)
-	}
-}
-
 // stdoutOf runs one command line and returns what it printed on stdout.
 func stdoutOf(t *testing.T, args ...string) []byte {
 	t.Helper()
@@ -140,18 +113,9 @@ func stdoutOf(t *testing.T, args ...string) []byte {
 	return b
 }
 
-// TestHistoryJSONPinned: `history -json` and `bench -json` write their
-// atlahs.history/v1 documents byte for byte as pinned.
+// TestHistoryJSONPinned: `history -json` writes its atlahs.history/v1
+// document byte for byte as pinned.
 func TestHistoryJSONPinned(t *testing.T) {
-	benchDir := t.TempDir()
-	for name, body := range map[string]string{
-		"run_1.json": `{"schema":"atlahs.bench/v1","go":"go1.24.0","benchmarks":{"BenchmarkX":100,"BenchmarkY<&>":2.5}}`,
-		"run_2.json": `{"schema":"atlahs.bench/v1","go":"go1.24.0","benchmarks":{"BenchmarkX":110}}`,
-	} {
-		if err := os.WriteFile(filepath.Join(benchDir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	storeDir := t.TempDir()
 	st, err := results.NewStore(storeDir)
 	if err != nil {
@@ -171,16 +135,9 @@ func TestHistoryJSONPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range []struct {
-		args []string
-		pin  string
-	}{
-		{[]string{"bench", "-dir", benchDir, "-json", "-gate=false"}, "d6382965475462c1412201594cf38b3bf76170bec2ee214a6db66d782b83095c"},
-		{[]string{"history", "-store", storeDir, "-json", "-gate=false"}, "8874237675b6e2ca1401992eb285dc2225245b5bee80a4140efa1527293cd1f5"},
-	} {
-		if sum := sha256.Sum256(stdoutOf(t, tc.args...)); hex.EncodeToString(sum[:]) != tc.pin {
-			t.Errorf("%s -json: SHA-256 %x, pinned %s", tc.args[0], sum, tc.pin)
-		}
+	const pin = "8874237675b6e2ca1401992eb285dc2225245b5bee80a4140efa1527293cd1f5"
+	if sum := sha256.Sum256(stdoutOf(t, "history", "-store", storeDir, "-json", "-gate=false")); hex.EncodeToString(sum[:]) != pin {
+		t.Errorf("history -json: SHA-256 %x, pinned %s", sum, pin)
 	}
 	// A run the walk skips is reported in the document, as GET /v1/history
 	// reports it.
@@ -214,5 +171,16 @@ func TestHistorySubcommand(t *testing.T) {
 	}
 	if got := run([]string{"history"}); got != 2 {
 		t.Errorf("missing -store: exit = %d, want 2", got)
+	}
+	// A read-only command must not create the directory it was pointed at.
+	typo := filepath.Join(t.TempDir(), "typo_dir")
+	if got := run([]string{"history", "-store", typo}); got != 2 {
+		t.Errorf("nonexistent -store: exit = %d, want 2", got)
+	}
+	if _, err := os.Stat(typo); !os.IsNotExist(err) {
+		t.Errorf("nonexistent -store was created (stat: %v)", err)
+	}
+	if got := run([]string{"history", "-store", st.Path("r_000000000000000a")}); got != 2 {
+		t.Errorf("-store naming a file: exit = %d, want 2", got)
 	}
 }

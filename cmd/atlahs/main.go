@@ -1,6 +1,6 @@
 // Command atlahs runs a workload on a chosen network backend — the
 // toolchain's simulation entry point, a thin shell over the sim facade —
-// and doubles as the simulation service's server and client.
+// and doubles as the client of the simulation server, cmd/atlahsd.
 //
 // Usage:
 //
@@ -8,7 +8,6 @@
 //	atlahs -trace run.nsys [flags]            # direct trace replay
 //	atlahs -trace run.bin -frontend goal      # explicit frontend
 //	atlahs -spec run.json [flags]             # atlahs.spec/v1 wire spec
-//	atlahs -serve :8080 [-jobs 2]             # run as a simulation server
 //	atlahs -submit URL -spec run.json         # submit to a running server
 //	atlahs -submit URL -sweep a.json b.json   # batch-submit specs as one sweep
 //
@@ -40,16 +39,14 @@
 // executed-op tallies, per-job node sets, fabric counters — as one JSON
 // object on stdout.
 //
-// -serve exposes the same runs over HTTP through the simulation service
-// (see cmd/atlahsd for the full-featured server), and -submit sends a
-// spec to such a server, waits, and prints the result exactly like a
-// local -json run — identical submissions are answered from the server's
-// content-addressed run cache without simulating again. -submit with
-// -sweep batch-submits every spec file named as a positional argument as
-// one POST /v1/sweeps payload: the server fingerprints all of them,
-// collapses duplicates against each other and its cache, and answers with
-// the combined view, which is printed per run (or as the raw combined
-// JSON with -json).
+// -submit sends the spec to a running atlahsd server, waits, and prints
+// the result exactly like a local -json run — identical submissions are
+// answered from the server's content-addressed run cache without
+// simulating again. -submit with -sweep batch-submits every spec file
+// named as a positional argument as one POST /v1/sweeps payload: the
+// server fingerprints all of them, collapses duplicates against each
+// other and its cache, and answers with the combined view, which is
+// printed per run (or as the raw combined JSON with -json).
 //
 // The lgs backend is topology-oblivious; pkt and fluid build a two-level
 // fat tree sized to the schedule. -workers > 1 runs the lgs backend on the
@@ -93,9 +90,7 @@ func main() {
 	workers := flag.Int("workers", 1, "worker goroutines for the parallel engine (lgs only; 0 = GOMAXPROCS)")
 	progress := flag.Int64("progress", 0, "print progress every N completed ops (0 = off)")
 	jsonOut := flag.Bool("json", false, "print the result as one JSON object on stdout")
-	serveAddr := flag.String("serve", "", "run as a simulation server on this address instead of simulating")
-	jobs := flag.Int("jobs", 2, "concurrent simulations in -serve mode")
-	submitURL := flag.String("submit", "", "submit the spec to a running atlahsd/-serve server at this base URL")
+	submitURL := flag.String("submit", "", "submit the spec to a running atlahsd server at this base URL")
 	sweepMode := flag.Bool("sweep", false, "with -submit: batch-submit the spec files given as positional arguments as one sweep")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to FILE (go tool pprof format)")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to FILE (go tool pprof format)")
@@ -111,18 +106,6 @@ func main() {
 	}
 	profileStop = stop
 	defer profileStop()
-
-	if *serveAddr != "" {
-		for _, name := range []string{"goal", "trace", "spec", "submit", "sweep", "json", "frontend", "timeline"} {
-			if set[name] {
-				fail(fmt.Errorf("-serve runs a server; -%s does not apply", name))
-			}
-		}
-		if err := serve(*serveAddr, *jobs, *workers); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	if *sweepMode {
 		// A sweep is a batch of authoritative spec files, so the same flags
@@ -287,17 +270,6 @@ func cliWorkers(w int) int {
 		return -1
 	}
 	return w
-}
-
-// serve runs the simulation service on addr until interrupted — the
-// lightweight flavour of cmd/atlahsd (which adds queue/cache/artifact
-// controls).
-func serve(addr string, jobs, workers int) error {
-	svc, err := service.New(service.Config{Jobs: jobs, Workers: workers})
-	if err != nil {
-		return err
-	}
-	return service.ListenAndServe(svc, addr)
 }
 
 // submit sends the spec to a running server, waits for the run to finish,

@@ -39,7 +39,7 @@
 // (X-Submitter header, or one per batch sweep) drains round-robin, FIFO
 // within a class, so a giant sweep cannot starve interactive runs.
 // With -artifacts every completed run's artifact is also persisted to
-// DIR/<run id>.json, the layout internal/ci/validateresults checks, plus
+// DIR/<run id>.json (one atlahs.results/v1 sweep named after the run), plus
 // a metadata sidecar under DIR/meta/ — and the content-addressed run
 // cache becomes durable: on boot the run index is rebuilt from the
 // stored artifacts, so identical re-submissions keep answering

@@ -1,8 +1,8 @@
 // Command tracegen generates synthetic application traces — stand-ins for
-// the instrumented runs of real systems (see DESIGN.md's substitution
-// table). The emitted artifacts are raw traces in the formats the workload
-// frontends ingest, so they can be replayed directly: `atlahs -trace
-// trace.nsys` (or through sim.Spec{TracePath: ...}).
+// the paper's instrumented runs of real systems. The emitted artifacts are
+// raw traces in the formats the workload frontends ingest, so they can be
+// replayed directly: `atlahs -trace trace.nsys` (or through
+// sim.Spec{TracePath: ...}).
 //
 // Usage:
 //

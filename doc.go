@@ -32,7 +32,8 @@
 // internal/fluid), trace ingestion (internal/trace/...), workload
 // generators (internal/workload/...), and the experiment harness that
 // regenerates the paper's evaluation (internal/experiments). See README.md
-// for a map and DESIGN.md for architecture and substitution notes.
+// for a map, its package table for the architecture, and PAPER.md for the
+// paper this reproduces.
 package atlahs
 
 // Version identifies this reproduction.

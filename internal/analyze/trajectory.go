@@ -1,10 +1,7 @@
 package analyze
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 
@@ -12,8 +9,7 @@ import (
 )
 
 // HistorySchema identifies the per-metric trajectory document served by
-// GET /v1/history and emitted by `atlahs-analyze history -json` and
-// `atlahs-analyze bench -json`.
+// GET /v1/history and emitted by `atlahs-analyze history -json`.
 const HistorySchema = "atlahs.history/v1"
 
 // History is the atlahs.history/v1 document: one Series per metric, plus
@@ -31,10 +27,10 @@ type History struct {
 var runIDRE = regexp.MustCompile(`^r_[0-9a-f]{16}$`)
 
 // HistoryEntry is one observation source: a labelled, timestamped bag of
-// metric values. StoreHistory and BenchHistory build them; SeriesFrom
-// pivots them into per-metric series.
+// metric values. StoreHistory and the service's GET /v1/history build
+// them; SeriesFrom pivots them into per-metric series.
 type HistoryEntry struct {
-	// Label identifies the observation (run id, history file name).
+	// Label identifies the observation (a run id).
 	Label string
 	// Unix is the observation time in Unix seconds (0 when unknown).
 	Unix int64
@@ -112,54 +108,6 @@ func StoreHistory(st *results.Store) (series []results.Series, warnings []string
 			Unix:   e.ModTime.Unix(),
 			Values: sweep.Derived,
 		})
-	}
-	return SeriesFrom(hist), warnings, nil
-}
-
-// BenchSchema identifies the BENCH_ci.json layout.
-const BenchSchema = "atlahs.bench/v1"
-
-// BenchReport is the atlahs.bench/v1 document internal/ci/benchjson
-// writes: ns/op per benchmark name, and the toolchain that measured it.
-type BenchReport struct {
-	Schema     string             `json:"schema"`
-	Go         string             `json:"go"`
-	Benchmarks map[string]float64 `json:"benchmarks"`
-}
-
-// BenchHistory reads every *.json atlahs.bench/v1 document in dir in
-// lexical file-name order — CI names history files so that order is
-// chronological — and returns one Series per benchmark, in ns/op,
-// labelled by file name. A file that does not decode as exactly one bench
-// report (wrong or missing schema, a field the layout does not declare,
-// trailing data) is skipped with a warning; an empty directory is an
-// error, because a trajectory with nothing in it usually means the
-// history restore step broke.
-func BenchHistory(dir string) (series []results.Series, warnings []string, err error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Strings(paths)
-	var hist []HistoryEntry
-	for _, path := range paths {
-		var rep BenchReport
-		b, err := os.ReadFile(path)
-		if err == nil {
-			err = results.DecodeDoc(bytes.NewReader(b), "bench report", BenchSchema, &rep)
-		}
-		if err != nil {
-			warnings = append(warnings, fmt.Sprintf("skipping %s: %v", path, err))
-			continue
-		}
-		units := make(map[string]string, len(rep.Benchmarks))
-		for name := range rep.Benchmarks {
-			units[name] = "ns/op"
-		}
-		hist = append(hist, HistoryEntry{Label: filepath.Base(path), Values: rep.Benchmarks, Units: units})
-	}
-	if len(hist) == 0 {
-		return nil, warnings, fmt.Errorf("analyze: no %s documents in %s", BenchSchema, dir)
 	}
 	return SeriesFrom(hist), warnings, nil
 }

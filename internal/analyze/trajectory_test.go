@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -91,77 +90,5 @@ func TestStoreHistory(t *testing.T) {
 	}
 	if pts[0].Value != 100 || pts[2].Value != 300 {
 		t.Errorf("values = %v %v %v, want 100 200 300", pts[0].Value, pts[1].Value, pts[2].Value)
-	}
-}
-
-func TestBenchHistory(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("run_000000001_aaa.json", `{"schema":"atlahs.bench/v1","go":"go1.24","benchmarks":{"BenchmarkParEngineVsSerial/par-8":1000}}`)
-	write("run_000000002_bbb.json", `{"schema":"atlahs.bench/v1","go":"go1.24","benchmarks":{"BenchmarkParEngineVsSerial/par-8":1100,"BenchmarkServiceColdVsCacheHit/hit-8":50}}`)
-	write("foreign.json", `{"schema":"atlahs.results/v1"}`)
-	write("garbage.json", `not json at all`)
-
-	series, warnings, err := BenchHistory(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnings) != 2 {
-		t.Errorf("warnings = %v, want two (foreign schema + parse failure)", warnings)
-	}
-	if len(series) != 2 {
-		t.Fatalf("series = %+v, want two benchmarks", series)
-	}
-	par := series[0]
-	if par.Metric != "BenchmarkParEngineVsSerial/par-8" || par.Unit != "ns/op" {
-		t.Errorf("series[0] = %+v", par)
-	}
-	if len(par.Points) != 2 || par.Points[0].Value != 1000 || par.Points[1].Value != 1100 {
-		t.Errorf("points = %+v, want 1000 then 1100 in file order", par.Points)
-	}
-	if par.Points[0].Label != "run_000000001_aaa.json" {
-		t.Errorf("label = %q, want the file base name", par.Points[0].Label)
-	}
-}
-
-// TestBenchHistoryRejectsMalformedDocuments: a file that is not exactly
-// one valid atlahs.bench/v1 document is skipped with a warning naming the
-// bench report. (Its only nested value is the benchmarks map, so there is
-// no nested field to get wrong.)
-func TestBenchHistoryRejectsMalformedDocuments(t *testing.T) {
-	good := "{\n  \"schema\": \"atlahs.bench/v1\",\n  \"go\": \"go1.24\",\n  \"benchmarks\": {\n    \"BenchmarkX\": 100\n  }\n}\n"
-	for name, body := range map[string]string{
-		"wrong schema":     strings.Replace(good, `"atlahs.bench/v1"`, `"atlahs.other/v9"`, 1),
-		"missing schema":   strings.Replace(good, `"schema": "atlahs.bench/v1",`, "", 1),
-		"unknown field":    strings.Replace(good, "{", `{"bogus": 1,`, 1),
-		"trailing garbage": good + "garbage",
-		"trailing brace":   good + "}",
-		"two documents":    good + good,
-		"empty input":      "",
-	} {
-		t.Run(name, func(t *testing.T) {
-			if body == good {
-				t.Fatal("the rewrite did not apply")
-			}
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "run.json"), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, warnings, err := BenchHistory(dir)
-			if err == nil || len(warnings) != 1 || !strings.Contains(warnings[0], "bench report") {
-				t.Fatalf("err %v, warnings %q: want the file skipped with a warning naming the bench report", err, warnings)
-			}
-		})
-	}
-}
-
-func TestBenchHistoryEmptyDirErrors(t *testing.T) {
-	if _, _, err := BenchHistory(t.TempDir()); err == nil {
-		t.Error("empty directory: want error, got nil")
 	}
 }

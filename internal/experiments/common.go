@@ -4,8 +4,8 @@
 // structured result for tests and benchmarks. Absolute numbers differ from
 // the paper (the testbed is the fluid emulator, not Alps/CSCS hardware, and
 // byte counts are scaled); the shapes — who wins, by what factor, where
-// crossovers fall — are the reproduction targets, recorded side-by-side in
-// EXPERIMENTS.md.
+// crossovers fall — are the reproduction targets, pinned by the golden
+// reports under testdata/golden/.
 package experiments
 
 import (
@@ -146,8 +146,9 @@ func RunPkt(s *goal.Schedule, tp *topo.Topology, ccName string, seed uint64, dom
 }
 
 // RunFluid simulates s on the fluid emulator — the "measured" testbed of
-// the validation experiments (see DESIGN.md substitution table). Jitter
-// and per-message overhead emulate system noise deterministically.
+// the validation experiments, standing in for the paper's clusters (see
+// the package doc). Jitter and per-message overhead emulate system noise
+// deterministically.
 func RunFluid(s *goal.Schedule, tp *topo.Topology, seed uint64, dom Domain) (simtime.Duration, []simtime.Time, error) {
 	res, err := sim.Run(context.Background(), sim.Spec{
 		Workload: sim.Workload{Schedule: s},

@@ -75,7 +75,7 @@ func Fig10(w io.Writer, mode Mode, workers int) (*Fig10Result, error) {
 // predictions against the measured runtime of six scientific applications
 // across weak- and strong-scaling configurations. The paper's testbed is a
 // 188-node CSCS cluster; here the fluid emulator plays that role (see
-// DESIGN.md), with each MPI process on its own simulated endpoint.
+// RunFluid), with each MPI process on its own simulated endpoint.
 // Configuration points fan out across up to `workers` goroutines; rows
 // land at their index, so results are identical for any budget.
 func ComputeFig10(mode Mode, workers int) (*Fig10Result, error) {

@@ -151,7 +151,8 @@ func TestNormalizeWallClock(t *testing.T) {
 
 // TestRunAllPropagatesWriteErrors: a failing sink must fail the run — the
 // historical implementation discarded Fprintf errors and reported success
-// over a truncated report (the exit-0 bug the CI smoke job asserts on).
+// over a truncated report (the exit-0 bug internal/e2e checks against the
+// real binary writing to /dev/full).
 func TestRunAllPropagatesWriteErrors(t *testing.T) {
 	sentinel := errors.New("sink full")
 	err := RunAll(&failingWriter{failAfter: 64, err: sentinel}, Quick, 1, []string{"fig9"})

@@ -17,8 +17,7 @@ import (
 	"atlahs/sim"
 )
 
-// The HTTP surface of the simulation service — what atlahsd and
-// `atlahs -serve` expose:
+// The HTTP surface of the simulation service — what atlahsd exposes:
 //
 //	POST /v1/runs            submit an atlahs.spec/v1 spec; ?wait=1 blocks
 //	                         until the run finishes
@@ -85,8 +84,7 @@ type errorResponse struct {
 // shuts down gracefully: the listener closes, in-flight requests get a
 // 10-second drain window, and the service terminates every admitted run
 // before returning. It owns the service's shutdown — callers hand it a
-// fresh Service and it closes it. Both atlahsd and `atlahs -serve` are
-// thin shells over this.
+// fresh Service and it closes it. atlahsd is a thin shell over this.
 func ListenAndServe(svc *Service, addr string) error {
 	srv := &http.Server{Addr: addr, Handler: NewHandler(svc)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -51,7 +51,8 @@ func postSpec(t *testing.T, url string, body []byte) (*http.Response, runRespons
 	return resp, rr
 }
 
-// TestHTTPSubmitTwice is the service-smoke contract end to end: the first
+// TestHTTPSubmitTwice is the in-process half of the cache contract
+// internal/e2e drives against a real atlahsd, restart included: the first
 // submission misses the cache and simulates; the identical second one is
 // answered `Cache-Status: hit` with the same run id, a done status, and a
 // byte-identical artifact.

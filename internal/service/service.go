@@ -1,5 +1,5 @@
 // Package service turns the sim facade into a resident simulation
-// service: the layer behind atlahsd and `atlahs -serve`.
+// service: the layer behind atlahsd.
 //
 // Three pieces compose. A content-addressed run cache keys every
 // submission by sim.Fingerprint — the canonical result-affecting spec

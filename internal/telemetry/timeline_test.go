@@ -57,8 +57,8 @@ func TestTimelineEncodeDeterministic(t *testing.T) {
 }
 
 // TestTimelineShape checks the document parses as the Chrome
-// trace-event envelope every consumer (Perfetto, jq in obs-smoke)
-// expects.
+// trace-event envelope every consumer (Perfetto, internal/e2e's
+// observability test) expects.
 func TestTimelineShape(t *testing.T) {
 	tl := NewTimeline(0)
 	us := func(n int64) simtime.Time { return simtime.Time(0).Add(simtime.Duration(n) * simtime.Microsecond) }

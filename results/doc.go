@@ -166,10 +166,10 @@
 //
 // # Stability guarantee
 //
-// One rule covers all ten versioned documents — atlahs.spec/v1,
+// One rule covers all nine versioned documents — atlahs.spec/v1,
 // atlahs.results/v1, atlahs.diff/v1, atlahs.metrics/v1, atlahs.model/v1,
-// atlahs.runmeta/v1, atlahs.sweep/v1, atlahs.sweepset/v1,
-// atlahs.history/v1 and atlahs.bench/v1. Append-only is a promise about
+// atlahs.runmeta/v1, atlahs.sweep/v1, atlahs.sweepset/v1 and
+// atlahs.history/v1. Append-only is a promise about
 // writers: released field names, column kinds, cell encodings and units
 // keep their meaning, new fields may be added, and renaming or retyping a
 // field or changing a unit requires a new schema version string. Readers

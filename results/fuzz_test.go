@@ -8,7 +8,7 @@ import (
 
 // FuzzSweepRoundTrip feeds arbitrary bytes to DecodeJSON, the reader of
 // artifacts that arrive from outside (a restarted service's store,
-// `atlahs-analyze diff`, CI's validateresults): nothing panics, and any
+// `atlahs-analyze diff`): nothing panics, and any
 // sweep it accepts re-encodes canonically and decodes back DeepEqual.
 func FuzzSweepRoundTrip(f *testing.F) {
 	bare := NewSweep("bare", "", "")

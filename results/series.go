@@ -2,13 +2,11 @@ package results
 
 // Series is one metric's trajectory across an ordered sequence of runs —
 // the unit of run-history analytics. The analyzer (internal/analyze)
-// builds them from a Store's run artifacts or from CI's BENCH_ci.json
-// documents; the service's GET /v1/history and `atlahs-analyze` render
-// them. Points are chronological: the last point is "now", everything
+// builds them from a Store's run artifacts; the service's GET /v1/history
+// and `atlahs-analyze history` render them. Points are chronological: the last point is "now", everything
 // before it is history.
 type Series struct {
-	// Metric names what is measured: a derived key ("runtime_ps") or a
-	// benchmark name ("BenchmarkParEngineVsSerial-4").
+	// Metric names what is measured: a derived key ("runtime_ps").
 	Metric string `json:"metric"`
 	// Unit optionally names the value's unit ("ps", "ns/op").
 	Unit string `json:"unit,omitempty"`

@@ -13,7 +13,7 @@ import (
 
 // Store is a directory of atlahs.results/v1 JSON artifacts addressed by
 // sweep name: every sweep lives at <dir>/<name>.json, the invariant the
-// CI validator (internal/ci/validateresults) checks. The simulation
+// end-to-end tests (internal/e2e) check. The simulation
 // service persists one artifact per run id through a Store, and
 // consumers (dashboards, regression differs) look runs up by the same
 // name.
@@ -156,8 +156,8 @@ func (st *Store) List() ([]Entry, error) {
 }
 
 // metaDir is where per-artifact metadata sidecars live. A subdirectory
-// keeps them out of the *.json artifact namespace that Names, List and
-// CI's validateresults glob over.
+// keeps them out of the *.json artifact namespace that Names and List
+// glob over.
 func (st *Store) metaDir() string { return filepath.Join(st.dir, "meta") }
 
 // MetaPath returns where the named artifact's metadata sidecar lives,
@@ -192,7 +192,7 @@ func (st *Store) SaveMeta(name string, v any) error {
 
 // tracesDir is where per-run timeline traces live. Like meta, the
 // subdirectory keeps them out of the *.json artifact namespace that
-// Names, List and CI's validateresults glob over.
+// Names and List glob over.
 func (st *Store) tracesDir() string { return filepath.Join(st.dir, "traces") }
 
 // TracePath returns where the named run's timeline trace lives, without
