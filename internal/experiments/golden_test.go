@@ -120,6 +120,39 @@ func TestQuickArtifacts(t *testing.T) {
 	}
 }
 
+// fullGoldens names the experiments whose Full-mode text is pinned too:
+// the ones whose reports print no wall-clock column and compute in well
+// under a second.
+var fullGoldens = []string{"fig1c", "fig11", "fig12", "fig13"}
+
+// TestFullArtifacts pins Render's Full-mode text byte-identical to
+// testdata/golden/<name>.full.txt, so a change to the layers these figures
+// run on is checked at the sizes the paper comparison uses, not only at
+// Quick's.
+func TestFullArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-mode recomputation")
+	}
+	for _, name := range fullGoldens {
+		t.Run(name, func(t *testing.T) {
+			rep, err := computers[name](Full, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			rep.Render(&buf)
+			goldenPath := filepath.Join("testdata", "golden", name+".full.txt")
+			want, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != string(want) {
+				t.Errorf("rendered text diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", goldenPath, got, want)
+			}
+		})
+	}
+}
+
 // TestNormalizeWallClock pins the golden comparison's one escape hatch: it
 // must rewrite only the wall-clock table's duration tokens, leaving the
 // simulated tables alone.
@@ -225,11 +258,19 @@ func TestReportsAndCollect(t *testing.T) {
 }
 
 // TestGoldenFilesPresent guards against golden files going missing
-// silently (TestQuickArtifacts skips under -short, this does not).
+// silently (TestQuickArtifacts and TestFullArtifacts skip under -short,
+// this does not).
 func TestGoldenFilesPresent(t *testing.T) {
+	files := make([]string, 0, len(Names())+len(fullGoldens))
 	for _, name := range Names() {
-		if _, err := os.Stat(filepath.Join("testdata", "golden", name+".quick.txt")); err != nil {
-			t.Errorf("missing golden file for %s: %v", name, err)
+		files = append(files, name+".quick.txt")
+	}
+	for _, name := range fullGoldens {
+		files = append(files, name+".full.txt")
+	}
+	for _, file := range files {
+		if _, err := os.Stat(filepath.Join("testdata", "golden", file)); err != nil {
+			t.Errorf("missing golden file %s: %v", file, err)
 		}
 	}
 }
