@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"atlahs/internal/placement"
+	"atlahs/internal/goal"
 	"atlahs/internal/simtime"
 	"atlahs/internal/trace/ncclgoal"
 	"atlahs/internal/workload/llm"
@@ -73,7 +73,7 @@ func ComputeFig12(mode Mode, workers int) (*Fig12Result, error) {
 		return nil, err
 	}
 	// interleave the job's nodes across ToRs (scheduler-realistic)
-	sch, err = placement.Remap(sch, InterleaveMapping(sch.NumRanks(), hostsPerToR), sch.NumRanks())
+	sch, err = goal.Compose([][]int{InterleaveMapping(sch.NumRanks(), hostsPerToR)}, sch)
 	if err != nil {
 		return nil, err
 	}

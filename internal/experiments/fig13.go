@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"io"
 
-	"atlahs/internal/placement"
+	"atlahs/internal/goal"
 	"atlahs/internal/simtime"
 	"atlahs/internal/trace/ncclgoal"
 	"atlahs/internal/trace/schedgen"
 	"atlahs/internal/workload/hpcapps"
 	"atlahs/internal/workload/llm"
+	"atlahs/internal/xrand"
 	"atlahs/results"
 )
 
@@ -96,21 +97,29 @@ func ComputeFig13(mode Mode, workers int) (*Fig13Result, error) {
 		LULESHNodes:  luleshSched.NumRanks(),
 	}
 
-	// The two allocation strategies are independent packet simulations
-	// over the same (read-only) job schedules; they fan out across the
-	// worker budget and land at their index.
-	strats := []placement.Strategy{placement.Packed, placement.RandomStrat}
-	rows := make([]Fig13Row, len(strats))
-	err = ForEach(workers, len(strats), func(i int) error {
-		strat := strats[i]
-		sets, err := placement.SplitCluster(cluster, []int{llamaSched.NumRanks(), luleshSched.NumRanks()}, strat, 99)
-		if err != nil {
-			return err
-		}
-		merged, err := placement.Merge(cluster,
-			placement.Job{Sched: llamaSched, Nodes: sets[0]},
-			placement.Job{Sched: luleshSched, Nodes: sets[1]},
-		)
+	// Packed is the packed placement policy's node sets; random permutes
+	// the cluster (seed 99) and cuts it into consecutive blocks of the two
+	// job sizes.
+	sizes := []int{res.LlamaNodes, res.LULESHNodes}
+	packed, err := goal.PlacePacked.Nodes(sizes)
+	if err != nil {
+		return nil, err
+	}
+	perm := xrand.New(99).Perm(cluster)
+	allocs := []struct {
+		name  string
+		nodes [][]int
+	}{
+		{"packed", packed},
+		{"random", [][]int{perm[:sizes[0]], perm[sizes[0]:]}},
+	}
+	// The two allocations are independent packet simulations over the
+	// same (read-only) job schedules; they fan out across the worker
+	// budget and land at their index.
+	rows := make([]Fig13Row, len(allocs))
+	err = ForEach(workers, len(allocs), func(i int) error {
+		alloc := allocs[i]
+		merged, err := goal.Compose(alloc.nodes, llamaSched, luleshSched)
 		if err != nil {
 			return err
 		}
@@ -120,7 +129,7 @@ func ComputeFig13(mode Mode, workers int) (*Fig13Result, error) {
 		}
 		run, err := RunPkt(merged, tp, "mprdma", 5, dom)
 		if err != nil {
-			return fmt.Errorf("fig13 %v: %w", strat, err)
+			return fmt.Errorf("fig13 %s: %w", alloc.name, err)
 		}
 		jobEnd := func(nodes []int) simtime.Duration {
 			var max simtime.Time
@@ -131,7 +140,7 @@ func ComputeFig13(mode Mode, workers int) (*Fig13Result, error) {
 			}
 			return simtime.Duration(max)
 		}
-		rows[i] = Fig13Row{Strategy: strat.String(), Llama: jobEnd(sets[0]), LULESH: jobEnd(sets[1])}
+		rows[i] = Fig13Row{Strategy: alloc.name, Llama: jobEnd(alloc.nodes[0]), LULESH: jobEnd(alloc.nodes[1])}
 		return nil
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"atlahs/internal/goal"
-	"atlahs/internal/placement"
 	"atlahs/internal/simtime"
 	"atlahs/internal/trace/ncclgoal"
 	"atlahs/internal/workload/llm"
@@ -78,7 +77,7 @@ func ComputeFig1C(mode Mode, workers int) (*Fig1CResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	llmSched, err = placement.Remap(llmSched, InterleaveMapping(llmSched.NumRanks(), 2), llmSched.NumRanks())
+	llmSched, err = goal.Compose([][]int{InterleaveMapping(llmSched.NumRanks(), 2)}, llmSched)
 	if err != nil {
 		return nil, err
 	}

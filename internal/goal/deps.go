@@ -1,7 +1,5 @@
 package goal
 
-import "slices"
-
 // Deps is one dependency table of a rank program — for every op, the list
 // of ops it depends on — in compressed-sparse-row form: an offset array of
 // Len()+1 entries and one edge array holding every list back to back.
@@ -23,9 +21,9 @@ type Deps struct {
 }
 
 // newDeps allocates a table of n lists over edges edge slots. Every
-// producer goes through it or AppendShifted, so equal tables are also
-// reflect.DeepEqual: off is never nil, edges is nil when there are none.
-// off has one spare slot of capacity for the counting sorts (see Invert).
+// producer goes through it, so equal tables are also reflect.DeepEqual:
+// off is never nil, edges is nil when there are none. off has one spare
+// slot of capacity for the counting sorts (see Invert).
 func newDeps(n, edges int) Deps {
 	d := Deps{off: make([]int32, n+1, n+2)}
 	if edges > 0 {
@@ -52,23 +50,13 @@ func (d Deps) Of(i int) []int32 {
 	return d.edges[lo:hi:hi]
 }
 
-// AppendShifted appends src's lists after d's, adding base to every edge:
-// what a rank program's tables become when its ops are appended base
-// positions into another program (placement.Merge). Into a zero Deps with
-// base 0 it is a deep copy (Compose).
-func (d *Deps) AppendShifted(src Deps, base int32) {
-	d.off = slices.Grow(d.off, src.Len()+1)
-	if len(d.off) == 0 {
-		d.off = append(d.off, 0)
-	}
-	at := int32(len(d.edges))
-	for i := 1; i < len(src.off); i++ {
-		d.off = append(d.off, at+src.off[i])
-	}
-	d.edges = slices.Grow(d.edges, len(src.edges))
-	for _, e := range src.edges {
-		d.edges = append(d.edges, e+base)
-	}
+// Clone returns a deep copy of d, sharing no array with it: what Compose
+// gives each placed rank, so the merged schedule never aliases its inputs.
+func (d Deps) Clone() Deps {
+	c := newDeps(d.Len(), len(d.edges))
+	copy(c.off, d.off)
+	copy(c.edges, d.edges)
+	return c
 }
 
 // Invert returns the transposed table: list j of the result holds, in

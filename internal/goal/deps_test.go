@@ -114,7 +114,7 @@ func TestBuilderMatchesPerOpAppendModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		composed, _, err := Compose(PlacePacked, s)
+		composed, err := Compose([][]int{{0, 1}}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,17 +175,20 @@ func TestDepsViewsAreCapped(t *testing.T) {
 	}
 }
 
-// TestAppendShifted: lists land after the receiver's with every edge moved
-// by base, the way placement.Merge stacks jobs on one node.
-func TestAppendShifted(t *testing.T) {
+// TestDepsClone: a clone equals its source, shares no array with it, and
+// the zero Deps clones to an empty table.
+func TestDepsClone(t *testing.T) {
 	src := depsFixture().Ranks[0].Requires
-	var d Deps
-	d.AppendShifted(src, 0)
-	d.AppendShifted(Deps{}, 7)
-	d.AppendShifted(src, 4)
-	want := [][]int32{{}, {}, {}, {0, 2}, {}, {}, {}, {4, 6}}
-	if got := lists(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("AppendShifted built %v, want %v", got, want)
+	c := src.Clone()
+	if !reflect.DeepEqual(c, src) {
+		t.Fatalf("Clone built %v, want %v", lists(c), lists(src))
+	}
+	c.Of(3)[0] = 1
+	if got := src.Of(3); !reflect.DeepEqual(got, []int32{0, 2}) {
+		t.Fatalf("writing the clone changed the source: %v", got)
+	}
+	if z := (Deps{}).Clone(); z.Len() != 0 || z.NumEdges() != 0 {
+		t.Fatalf("clone of the zero Deps has %d lists, %d edges", z.Len(), z.NumEdges())
 	}
 }
 
@@ -195,7 +198,7 @@ func TestValidateRejectsTableLengthMismatch(t *testing.T) {
 	for name, edit := range map[string]func(*RankProgram){
 		"requires short":  func(rp *RankProgram) { rp.Requires = Deps{} },
 		"irequires short": func(rp *RankProgram) { rp.IRequires = Deps{} },
-		"requires long":   func(rp *RankProgram) { rp.Requires.AppendShifted(rp.Requires, 0) },
+		"requires long":   func(rp *RankProgram) { rp.Requires = newDeps(len(rp.Ops)+1, 0) },
 		"ops short":       func(rp *RankProgram) { rp.Ops = rp.Ops[:1] },
 	} {
 		s := depsFixture()

@@ -22,8 +22,8 @@
 // storage-efficiency comparisons against Chakra (paper Fig 9).
 //
 // Dependency edges have one in-memory layout, Deps: a flat offset array
-// plus a flat edge array per table, both pointer-free. The builder, both
-// decoders, Compose and placement.Merge produce it; Validate, the codecs,
+// plus a flat edge array per table, both pointer-free. The builder and
+// both decoders produce it, Compose copies it; Validate, the codecs,
 // the scheduler and the synthesis miner read it through Deps.Of, and
 // Deps.Invert is the one routine that turns dependencies into successors.
 // The Deps doc comment has the byte accounting behind that choice.

@@ -204,14 +204,23 @@ func (sp *Spec) resolve() (*goal.Schedule, [][]int, error) {
 		return nil, nil, err
 	}
 	scheds := make([]*goal.Schedule, len(sp.Jobs))
+	sizes := make([]int, len(sp.Jobs))
 	for i := range sp.Jobs {
 		s, err := sp.Jobs[i].schedule(sp.Seed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sim: job %d: %w", i, err)
 		}
-		scheds[i] = s
+		scheds[i], sizes[i] = s, s.NumRanks()
 	}
-	return goal.Compose(policy, scheds...)
+	nodes, err := policy.Nodes(sizes)
+	if err != nil {
+		return nil, nil, err
+	}
+	merged, err := goal.Compose(nodes, scheds...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return merged, nodes, nil
 }
 
 // Placements lists the job placement policy names Spec.Placement accepts.
