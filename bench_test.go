@@ -35,69 +35,26 @@ func astraSimulate(tr *chakra.Trace) (*astra.Result, error) {
 
 // --- one benchmark per paper table/figure -----------------------------------
 
-func BenchmarkFig1C(b *testing.B) {
+// benchExperiment computes and renders one quick-sized experiment per
+// iteration, as cmd/experiments does.
+func benchExperiment(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig1C(io.Discard, experiments.Quick, 1); err != nil {
+		reps, err := experiments.Reports(experiments.Quick, 1, []string{name})
+		if err != nil {
 			b.Fatal(err)
 		}
+		reps[0].Render(io.Discard)
 	}
 }
 
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig13(io.Discard, experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig1C(b *testing.B)  { benchExperiment(b, "fig1c") }
+func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
+func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
+func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
+func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
+func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
+func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
+func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
 
 // --- ablations: design choices measured in isolation -------------------------
 

@@ -1,12 +1,13 @@
 // Package cc implements the congestion-control algorithms evaluated in the
 // paper's case studies: MPRDMA (sender-based, per-packet ECN; Lu et al.,
-// NSDI'18), Swift (delay-based; Kumar et al., SIGCOMM'20), DCTCP
-// (ECN-fraction EWMA) and the parameters of NDP (receiver-driven with
-// packet trimming; Handley et al., SIGCOMM'17).
+// NSDI'18), Swift (delay-based; Kumar et al., SIGCOMM'20) and DCTCP
+// (ECN-fraction EWMA), and names NDP (receiver-driven with packet
+// trimming; Handley et al., SIGCOMM'17).
 //
 // MPRDMA, Swift and DCTCP are window controllers plugged into the
 // packet-level sender transport; NDP is receiver-driven and implemented as
-// its own transport mode in internal/pktnet, configured via NDPParams.
+// its own transport mode in internal/pktnet, selected by the name "ndp"
+// (IsReceiverDriven).
 //
 // The models are deliberately compact: they keep the decision structure
 // that produces each algorithm's characteristic behaviour — MPRDMA reacts
@@ -236,10 +237,6 @@ func (s *swift) clamp() {
 	}
 }
 
-// Target returns Swift's end-to-end delay target (exported for tests and
-// experiment reporting).
-func (s *swift) Target() simtime.Duration { return s.target }
-
 // ---------------------------------------------------------------------------
 // DCTCP: per-window ECN fraction with EWMA gain g; decrease once per
 // window by alpha/2, additive increase of one packet per RTT otherwise.
@@ -311,17 +308,4 @@ func (d *dctcp) clamp() {
 	if max := float64(d.p.maxWin()) / float64(d.p.MTU); d.cwndPkts > max {
 		d.cwndPkts = max
 	}
-}
-
-// ---------------------------------------------------------------------------
-
-// NDPParams configures the receiver-driven NDP transport in pktnet.
-type NDPParams struct {
-	// InitialWindowPkts is the number of packets a sender may blast before
-	// the first pull arrives (defaults to the path BDP).
-	InitialWindowPkts int
-	// PullSpacing is the interval between pull tokens issued by a receiver,
-	// normally one MTU serialisation time on its access link so that the
-	// aggregate arrival rate matches the link rate.
-	PullSpacing simtime.Duration
 }

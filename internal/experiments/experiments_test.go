@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
 
 func TestFig1CQuick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Fig1C(&sb, Quick, 1)
+	res, err := ComputeFig1C(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +24,15 @@ func TestFig1CQuick(t *testing.T) {
 			t.Errorf("synthetic workload %q diverges %0.1f%%", r.Workload, d)
 		}
 	}
+	var sb strings.Builder
+	res.Render(&sb)
 	if !strings.Contains(sb.String(), "Swift") {
 		t.Fatal("no output produced")
 	}
 }
 
 func TestTable1Quick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Table1(&sb, Quick, 1)
+	res, err := ComputeTable1(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +47,7 @@ func TestTable1Quick(t *testing.T) {
 }
 
 func TestFig8Quick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Fig8(&sb, Quick, 1)
+	res, err := ComputeFig8(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,7 @@ func TestFig8Quick(t *testing.T) {
 }
 
 func TestFig9Quick(t *testing.T) {
-	res, err := Fig9(io.Discard, Quick, 1)
+	res, err := ComputeFig9(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +93,7 @@ func TestFig9Quick(t *testing.T) {
 }
 
 func TestFig10Quick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Fig10(&sb, Quick, 1)
+	res, err := ComputeFig10(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +106,7 @@ func TestFig10Quick(t *testing.T) {
 }
 
 func TestFig11Quick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Fig11(&sb, Quick, 1)
+	res, err := ComputeFig11(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +121,7 @@ func TestFig11Quick(t *testing.T) {
 }
 
 func TestFig12Quick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Fig12(&sb, Quick, 1)
+	res, err := ComputeFig12(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +142,7 @@ func TestFig12Quick(t *testing.T) {
 }
 
 func TestFig13Quick(t *testing.T) {
-	var sb strings.Builder
-	res, err := Fig13(&sb, Quick, 1)
+	res, err := ComputeFig13(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,17 +60,6 @@ func fig10Cases(mode Mode) []struct {
 	}
 }
 
-// Fig10 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig10 and Render.
-func Fig10(w io.Writer, mode Mode, workers int) (*Fig10Result, error) {
-	res, err := ComputeFig10(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig10 reproduces the HPC validation (paper Fig 10): ATLAHS
 // predictions against the measured runtime of six scientific applications
 // across weak- and strong-scaling configurations. The paper's testbed is a

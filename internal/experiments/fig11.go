@@ -35,17 +35,6 @@ type Fig11Result struct {
 	NDPMeanDeltaPct, NDPP99DeltaPct, NDPMaxDeltaPct float64
 }
 
-// Fig11 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig11 and Render.
-func Fig11(w io.Writer, mode Mode, workers int) (*Fig11Result, error) {
-	res, err := ComputeFig11(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig11 reproduces the storage case study (paper §6.1, Fig 11): 5k
 // operations drawn from the Financial distribution replayed through the
 // Direct Drive model, comparing MPRDMA (sender-based) and NDP

@@ -28,17 +28,6 @@ type Fig12Result struct {
 	Rows []Fig12Row
 }
 
-// Fig12 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig12 and Render.
-func Fig12(w io.Writer, mode Mode, workers int) (*Fig12Result, error) {
-	res, err := ComputeFig12(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig12 reproduces the backend comparison case study (paper §6.2,
 // Fig 12): ATLAHS LGS agrees with the packet backend on a fully
 // provisioned fat tree, but is oblivious to oversubscription — its LogGOPS

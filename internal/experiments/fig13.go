@@ -35,17 +35,6 @@ type Fig13Result struct {
 	LlamaDeltaPct, LULESHDeltaPct float64
 }
 
-// Fig13 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig13 and Render.
-func Fig13(w io.Writer, mode Mode, workers int) (*Fig13Result, error) {
-	res, err := ComputeFig13(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig13 reproduces the job-placement case study (paper §6.3, Fig
 // 13): an AI job (Llama) and an HPC job (LULESH) share an oversubscribed
 // cluster. Packed allocation keeps each job's traffic local to its ToRs;

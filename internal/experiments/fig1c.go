@@ -28,17 +28,6 @@ type Fig1CResult struct {
 	Rows []Fig1CRow
 }
 
-// Fig1C computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig1C and Render.
-func Fig1C(w io.Writer, mode Mode, workers int) (*Fig1CResult, error) {
-	res, err := ComputeFig1C(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig1C reproduces the motivating experiment (paper Fig 1C): Swift
 // and MPRDMA perform comparably on synthetic incast/permutation
 // microbenchmarks, but replayed LLM training traffic — DP ring allreduces

@@ -66,17 +66,6 @@ type Fig8Result struct {
 	Rows []Fig8Row
 }
 
-// Fig8 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig8 and Render.
-func Fig8(w io.Writer, mode Mode, workers int) (*Fig8Result, error) {
-	res, err := ComputeFig8(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig8 reproduces the AI validation (paper Fig 8): measured
 // iteration time versus ATLAHS LGS, ATLAHS packet-level and the
 // AstraSim-lite baseline across six LLM configurations, plus the

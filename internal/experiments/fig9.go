@@ -24,17 +24,6 @@ type Fig9Result struct {
 	Rows []Fig9Row
 }
 
-// Fig9 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeFig9 and Render.
-func Fig9(w io.Writer, mode Mode, workers int) (*Fig9Result, error) {
-	res, err := ComputeFig9(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeFig9 reproduces the trace-size comparison (paper Fig 9): the
 // binary GOAL files ATLAHS simulates from are consistently smaller than
 // the Chakra execution traces AstraSim consumes (1.8x-10.6x in the paper).

@@ -212,47 +212,44 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestReportsAndCollect: the structured counterparts of RunAll must return
-// one report/sweep per requested experiment, in request order, with
-// parallel computation changing nothing.
-func TestReportsAndCollect(t *testing.T) {
+// TestReports: the structured counterpart of RunAll must return one
+// report per requested experiment (every one when names is empty), in
+// request order, with parallel computation changing nothing.
+func TestReports(t *testing.T) {
 	names := []string{"fig9", "fig1c"}
 	reps, err := Reports(Quick, 2, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 2 {
-		t.Fatalf("got %d reports", len(reps))
-	}
-	sweeps, err := Collect(Quick, 1, names)
+	serial, err := Reports(Quick, 1, names)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(reps) != len(names) || len(serial) != len(names) {
+		t.Fatalf("got %d and %d reports, want %d", len(reps), len(serial), len(names))
 	}
 	for i, name := range names {
 		if got := reps[i].Sweep().Name; got != name {
 			t.Errorf("report %d sweep name %q, want %q", i, got, name)
 		}
-		if sweeps[i].Name != name {
-			t.Errorf("collected sweep %d name %q, want %q", i, sweeps[i].Name, name)
-		}
 	}
 	// fig9 is deterministic: the parallel report must equal the serial one.
-	if !reflect.DeepEqual(reps[0].Sweep(), sweeps[0]) {
-		t.Error("fig9 sweep diverged between Reports(workers=2) and Collect(workers=1)")
+	if !reflect.DeepEqual(reps[0].Sweep(), serial[0].Sweep()) {
+		t.Error("fig9 sweep diverged between Reports(workers=2) and Reports(workers=1)")
 	}
-	if _, err := Collect(Quick, 1, []string{"fig99"}); err == nil {
+	if _, err := Reports(Quick, 1, []string{"fig99"}); err == nil {
 		t.Fatal("expected unknown-experiment error")
 	}
-	all, err := Collect(Quick, 1, nil)
-	if err == nil && len(all) != len(Names()) {
-		t.Fatalf("Collect(nil) returned %d sweeps, want %d", len(all), len(Names()))
-	}
+	all, err := Reports(Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(all) != len(Names()) {
+		t.Fatalf("Reports(nil) returned %d reports, want %d", len(all), len(Names()))
+	}
 	for i, name := range Names() {
-		if all[i].Name != name {
-			t.Errorf("Collect(nil)[%d] = %q, want %q", i, all[i].Name, name)
+		if got := all[i].Sweep().Name; got != name {
+			t.Errorf("Reports(nil)[%d] = %q, want %q", i, got, name)
 		}
 	}
 }

@@ -183,20 +183,6 @@ func Reports(mode Mode, workers int, names []string) ([]Report, error) {
 	return reps, nil
 }
 
-// Collect computes the named experiments and returns their structured
-// sweeps in request order — the machine-readable counterpart of RunAll.
-func Collect(mode Mode, workers int, names []string) ([]*results.Sweep, error) {
-	reps, err := Reports(mode, workers, names)
-	if err != nil {
-		return nil, err
-	}
-	sweeps := make([]*results.Sweep, len(reps))
-	for i, rep := range reps {
-		sweeps[i] = rep.Sweep()
-	}
-	return sweeps, nil
-}
-
 // resolve validates names (defaulting to all experiments) and splits the
 // worker budget between the two fan-out levels — experiments at the outer
 // level, configuration points inside each — so total concurrency stays

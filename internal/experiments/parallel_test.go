@@ -79,7 +79,7 @@ func TestFig8ParallelPoints(t *testing.T) {
 	}
 	run := func(workers int) *Fig8Result {
 		t.Helper()
-		res, err := Fig8(io.Discard, Quick, workers)
+		res, err := ComputeFig8(Quick, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +115,12 @@ func TestFig10ParallelPoints(t *testing.T) {
 	}
 	run := func(workers int) (*Fig10Result, string) {
 		t.Helper()
-		var buf bytes.Buffer
-		res, err := Fig10(&buf, Quick, workers)
+		res, err := ComputeFig10(Quick, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		res.Render(&buf)
 		return res, buf.String()
 	}
 	serial, serialOut := run(1)

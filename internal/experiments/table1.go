@@ -35,17 +35,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Table1 computes the experiment and renders its text report — the
-// compute-then-present composition of ComputeTable1 and Render.
-func Table1(w io.Writer, mode Mode, workers int) (*Table1Result, error) {
-	res, err := ComputeTable1(mode, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Render(w)
-	return res, nil
-}
-
 // ComputeTable1 reproduces the released-trace summary (paper Table 1): for
 // every application and configuration, the size of the raw trace artifact
 // (nsys report / MPI trace) versus the generated binary GOAL file. Byte

@@ -61,8 +61,8 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates observations into cumulative buckets with fixed
-// upper bounds, Prometheus-style: bucket i counts observations <=
-// Bounds[i], and the implicit +Inf bucket is the total count. Observe is
+// upper bounds, Prometheus-style: bucket i counts observations <= the
+// i-th bound, and the implicit +Inf bucket is the total count. Observe is
 // lock-free — one atomic add per bucket walk plus a CAS loop for the
 // sum — and safe for concurrent use.
 type Histogram struct {
@@ -109,9 +109,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Bounds returns the histogram's upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // cumulative returns the cumulative per-bound counts (excluding +Inf)
 // plus the total.

@@ -1,8 +1,7 @@
 // Package topo models the physical network topologies used by the
-// packet-level and fluid backends: two- and three-level fat trees with
-// configurable oversubscription (the paper's validation and case studies
-// use two-level fat trees at 1:1, 4:1 and 8:1 ToR:Core ratios) and a
-// dragonfly for the Alps-cluster flavour.
+// packet-level and fluid backends: two-level fat trees with configurable
+// oversubscription (the paper's validation and case studies use them at
+// 1:1, 4:1 and 8:1 ToR:Core ratios).
 //
 // A topology is a directed graph of devices (hosts and switches) connected
 // by unidirectional links; every full-duplex cable is two Links.
@@ -236,67 +235,6 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 	for _, tor := range tors {
 		for _, core := range cores {
 			t.addDuplex(tor, core, cfg.UplinkLink)
-		}
-	}
-	return t, nil
-}
-
-// Oversubscription returns the ToR host:core bandwidth ratio of a fat tree
-// built with NewFatTree (informational).
-func (cfg FatTreeConfig) Oversubscription() float64 {
-	down := float64(cfg.HostsPerToR) / float64(cfg.HostLink.PsPerByte)
-	up := float64(cfg.Cores) / float64(cfg.UplinkLink.PsPerByte)
-	return down / up
-}
-
-// DragonflyConfig describes a canonical dragonfly: G groups of A routers,
-// each router with P hosts; routers within a group are fully connected and
-// each router has H global links. We use the balanced a=2h, g=a*h+1 layout
-// when fields are zero.
-type DragonflyConfig struct {
-	Groups        int
-	RoutersPerGrp int
-	HostsPerRtr   int
-	HostLink      LinkSpec
-	LocalLink     LinkSpec
-	GlobalLink    LinkSpec
-}
-
-// NewDragonfly builds a dragonfly topology. Global links are distributed
-// round-robin: router a in group g connects to groups in a balanced
-// all-to-all pattern so every group pair has at least one global link when
-// RoutersPerGrp*perRtrGlobal >= Groups-1.
-func NewDragonfly(cfg DragonflyConfig) (*Topology, error) {
-	if cfg.Groups < 2 || cfg.RoutersPerGrp < 1 || cfg.HostsPerRtr < 1 {
-		return nil, fmt.Errorf("topo: dragonfly needs >=2 groups, >=1 router/group, >=1 host/router")
-	}
-	t := &Topology{Name: fmt.Sprintf("dragonfly-%dg-%dr-%dh", cfg.Groups, cfg.RoutersPerGrp, cfg.HostsPerRtr)}
-	routers := make([][]int, cfg.Groups)
-	for g := 0; g < cfg.Groups; g++ {
-		routers[g] = make([]int, cfg.RoutersPerGrp)
-		for a := 0; a < cfg.RoutersPerGrp; a++ {
-			routers[g][a] = t.addDevice(Switch, fmt.Sprintf("r%d.%d", g, a))
-		}
-	}
-	for g := 0; g < cfg.Groups; g++ {
-		for a := 0; a < cfg.RoutersPerGrp; a++ {
-			for i := 0; i < cfg.HostsPerRtr; i++ {
-				h := t.addDevice(Host, fmt.Sprintf("h%d.%d.%d", g, a, i))
-				t.addDuplex(h, routers[g][a], cfg.HostLink)
-			}
-			// local all-to-all within group
-			for b := a + 1; b < cfg.RoutersPerGrp; b++ {
-				t.addDuplex(routers[g][a], routers[g][b], cfg.LocalLink)
-			}
-		}
-	}
-	// global links: group pair (g1, g2) connected via router (g2-1) mod A in
-	// g1 and router g1 mod A in g2 — a standard balanced assignment.
-	for g1 := 0; g1 < cfg.Groups; g1++ {
-		for g2 := g1 + 1; g2 < cfg.Groups; g2++ {
-			a1 := (g2 - 1) % cfg.RoutersPerGrp
-			a2 := g1 % cfg.RoutersPerGrp
-			t.addDuplex(routers[g1][a1], routers[g2][a2], cfg.GlobalLink)
 		}
 	}
 	return t, nil

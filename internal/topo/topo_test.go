@@ -121,20 +121,6 @@ func TestPathsComputesWithoutStoring(t *testing.T) {
 	wg.Wait()
 }
 
-func TestOversubscriptionRatio(t *testing.T) {
-	cfg := FatTreeConfig{
-		Hosts: 64, HostsPerToR: 8, Cores: 1,
-		HostLink: DefaultLinkSpec(), UplinkLink: DefaultLinkSpec(),
-	}
-	if got := cfg.Oversubscription(); got != 8 {
-		t.Fatalf("oversub=%v, want 8", got)
-	}
-	cfg.Cores = 8
-	if got := cfg.Oversubscription(); got != 1 {
-		t.Fatalf("oversub=%v, want 1", got)
-	}
-}
-
 func TestECMPSelectors(t *testing.T) {
 	var fh FlowHashECMP
 	// same flow always picks the same path
@@ -167,36 +153,6 @@ func TestSelectorsInRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDragonfly(t *testing.T) {
-	tp, err := NewDragonfly(DragonflyConfig{
-		Groups: 4, RoutersPerGrp: 2, HostsPerRtr: 2,
-		HostLink: DefaultLinkSpec(), LocalLink: DefaultLinkSpec(), GlobalLink: DefaultLinkSpec(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.NumHosts() != 16 {
-		t.Fatalf("hosts=%d", tp.NumHosts())
-	}
-	// every host pair must be connected
-	for src := 0; src < tp.NumHosts(); src++ {
-		for dst := 0; dst < tp.NumHosts(); dst++ {
-			if src == dst {
-				continue
-			}
-			if len(tp.Paths(src, dst)) == 0 {
-				t.Fatalf("no path %d->%d", src, dst)
-			}
-		}
-	}
-}
-
-func TestDragonflyErrors(t *testing.T) {
-	if _, err := NewDragonfly(DragonflyConfig{Groups: 1, RoutersPerGrp: 1, HostsPerRtr: 1}); err == nil {
-		t.Fatal("single group accepted")
 	}
 }
 
