@@ -168,14 +168,11 @@ func RunFluid(s *goal.Schedule, tp *topo.Topology, seed uint64, dom Domain) (sim
 }
 
 // FatTree builds a two-level fat tree with hosts rounded up to fill ToRs
-// and the requested ToR:Core oversubscription ratio (cores =
-// hostsPerToR/oversub, minimum 1).
+// and the requested ToR:Core oversubscription ratio, by sim.FatTree's
+// sizing rule: a ratio above hostsPerToR would need less than one core
+// switch and is an error, not a fabric with a different ratio.
 func FatTree(hosts, hostsPerToR, oversub int, dom Domain) (*topo.Topology, error) {
-	cores := hostsPerToR / oversub
-	if cores < 1 {
-		cores = 1
-	}
-	return backend.FatTreeFor(hosts, hostsPerToR, cores, dom.Link)
+	return sim.FatTree(hosts, hostsPerToR, oversub, 0, dom.Link)
 }
 
 // InterleaveMapping spreads job nodes round-robin across ToRs (node i to

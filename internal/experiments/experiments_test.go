@@ -131,7 +131,7 @@ func TestFig12Quick(t *testing.T) {
 	full, over := res.Rows[0], res.Rows[1]
 	// oversubscription must slow the packet backend while LGS is oblivious
 	if over.Pkt <= full.Pkt {
-		t.Errorf("4:1 pkt (%v) not slower than 1:1 (%v)", over.Pkt, full.Pkt)
+		t.Errorf("oversubscribed pkt (%v) not slower than 1:1 (%v)", over.Pkt, full.Pkt)
 	}
 	if full.LGS != over.LGS {
 		t.Error("LGS should be identical across topologies (topology-oblivious)")

@@ -32,8 +32,9 @@ type Fig12Result struct {
 // Fig 12): ATLAHS LGS agrees with the packet backend on a fully
 // provisioned fat tree, but is oblivious to oversubscription — its LogGOPS
 // G parameter reflects injection bandwidth, not ToR-to-core capacity — so
-// at 4:1 the packet backend (which sees queueing and drops) diverges
-// sharply. The training job's nodes are interleaved across ToRs as real
+// at 4:1 (2:1 in Quick mode, whose ToRs hold 2 hosts) the packet backend
+// (which sees queueing and drops) diverges sharply. The training job's
+// nodes are interleaved across ToRs as real
 // schedulers allocate them, pushing the DP ring through the core. The
 // packet-drop counter is the statistic only packet-level simulation
 // provides. The two topology points fan out across up to `workers`
@@ -42,10 +43,12 @@ func ComputeFig12(mode Mode, workers int) (*Fig12Result, error) {
 	dom := AIDomain()
 	dp := 64
 	hostsPerToR := 4
+	oversub := 4
 	scale := 1e-4
 	if mode == Quick {
 		dp = 16
 		hostsPerToR = 2
+		oversub = 2
 		scale = 1e-4
 	}
 	rep, err := llm.Generate(llm.Config{
@@ -83,7 +86,7 @@ func ComputeFig12(mode Mode, workers int) (*Fig12Result, error) {
 		oversub int
 	}{
 		{"no oversubscription", 1},
-		{"4:1 oversubscription", 4},
+		{fmt.Sprintf("%d:1 oversubscription", oversub), oversub},
 	}
 	rows := make([]Fig12Row, len(cases))
 	err = ForEach(workers, len(cases), func(i int) error {
