@@ -1,11 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5 validation, §6 case studies). Each experiment is a
-// function writing the paper's rows/series to an io.Writer and returning a
-// structured result for tests and benchmarks. Absolute numbers differ from
-// the paper (the testbed is the fluid emulator, not Alps/CSCS hardware, and
-// byte counts are scaled); the shapes — who wins, by what factor, where
-// crossovers fall — are the reproduction targets, pinned by the golden
-// reports under testdata/golden/.
+// ComputeX function returning a typed result, a Report that renders as
+// the paper's text or exports as a results.Sweep. Absolute numbers differ
+// from the paper (the testbed is the fluid emulator, not Alps/CSCS
+// hardware, and byte counts are scaled); the shapes — who wins, by what
+// factor, where crossovers fall — are the reproduction targets, pinned by
+// the golden reports under testdata/golden/.
 package experiments
 
 import (

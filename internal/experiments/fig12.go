@@ -34,11 +34,11 @@ type Fig12Result struct {
 // G parameter reflects injection bandwidth, not ToR-to-core capacity — so
 // at 4:1 (2:1 in Quick mode, whose ToRs hold 2 hosts) the packet backend
 // (which sees queueing and drops) diverges sharply. The training job's
-// nodes are interleaved across ToRs as real
-// schedulers allocate them, pushing the DP ring through the core. The
-// packet-drop counter is the statistic only packet-level simulation
-// provides. The two topology points fan out across up to `workers`
-// goroutines; results are identical for any budget.
+// nodes are interleaved across ToRs as real schedulers allocate them,
+// pushing the DP ring through the core. The packet-drop counter is the
+// statistic only packet-level simulation provides. The two topology
+// points fan out across up to `workers` goroutines; results are identical
+// for any budget.
 func ComputeFig12(mode Mode, workers int) (*Fig12Result, error) {
 	dom := AIDomain()
 	dp := 64
