@@ -232,6 +232,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if ns := res.Net; ns != nil && !*jsonOut {
+		fmt.Printf("packet stats: %d data pkts, %d drops, %d trims, %d retransmits\n",
+			ns.PktsSent, ns.Drops, ns.Trims, ns.Retransmits)
+	}
 	if tl != nil {
 		if err := writeTimeline(*timelinePath, tl); err != nil {
 			fail(err)
@@ -485,11 +489,6 @@ func (consoleObserver) RunStarted(info sim.RunInfo) {
 
 func (consoleObserver) Progress(ev sim.ProgressEvent) {
 	fmt.Printf("progress: %d/%d ops, sim time %v\n", ev.Done, ev.Total, ev.At)
-}
-
-func (consoleObserver) NetStats(ns sim.NetStats) {
-	fmt.Printf("packet stats: %d data pkts, %d drops, %d trims, %d retransmits\n",
-		ns.PktsSent, ns.Drops, ns.Trims, ns.Retransmits)
 }
 
 // profileStop flushes any active profiles; fail() and the end of main

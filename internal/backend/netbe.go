@@ -14,8 +14,7 @@ import (
 
 // MessageNet is the transport contract shared by the congestion-aware
 // networks (packet-level and fluid): inject a message, get a delivery-time
-// callback. Both internal/pktnet and internal/fluid satisfy it through
-// small adapters.
+// callback. *pktnet.Network and *fluid.Network both satisfy it.
 type MessageNet interface {
 	// Send transfers size bytes from host src to host dst and calls
 	// onDelivered at the simulated arrival time of the last byte.
@@ -154,13 +153,6 @@ func (b *NetBackend) completeRecv(rv netRecv, arrival simtime.Time) {
 
 // --- packet-level backend ---------------------------------------------------
 
-// pktAdapter narrows *pktnet.Network to MessageNet.
-type pktAdapter struct{ n *pktnet.Network }
-
-func (a pktAdapter) Send(src, dst int, size int64, onDelivered func(simtime.Time)) {
-	a.n.Send(src, dst, size, onDelivered)
-}
-
 // PktConfig configures the packet-level backend.
 type PktConfig struct {
 	Net    pktnet.Config // Topo must cover the schedule's rank count
@@ -195,7 +187,7 @@ func NewPkt(cfg PktConfig) *Pkt {
 		}
 		n.MCT = b.mct
 		b.pn = n
-		return pktAdapter{n}, nil
+		return n, nil
 	}
 	return b
 }
@@ -224,13 +216,6 @@ func (b *Pkt) NetStats() pktnet.Stats {
 
 // --- fluid backend -----------------------------------------------------------
 
-// fluidAdapter narrows *fluid.Network to MessageNet.
-type fluidAdapter struct{ n *fluid.Network }
-
-func (a fluidAdapter) Send(src, dst int, size int64, onDelivered func(simtime.Time)) {
-	a.n.Send(src, dst, size, onDelivered)
-}
-
 // FluidConfig configures the fluid backend.
 type FluidConfig struct {
 	Net    fluid.Config
@@ -247,11 +232,7 @@ func NewFluid(cfg FluidConfig) *NetBackend {
 		if cfg.Net.Topo.NumHosts() < nranks {
 			return nil, fmt.Errorf("fluid backend: topology has %d hosts for %d ranks", cfg.Net.Topo.NumHosts(), nranks)
 		}
-		n, err := fluid.New(eng, cfg.Net)
-		if err != nil {
-			return nil, err
-		}
-		return fluidAdapter{n}, nil
+		return fluid.New(eng, cfg.Net)
 	}
 	return b
 }

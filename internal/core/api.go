@@ -84,10 +84,13 @@ type CalcEvent struct {
 //
 // A backend reports each operation over exactly once, from an engine event
 // on the operation's rank lane — never from inside Send, Recv or Calc, which
-// the scheduler calls from its own completion handling. The built-in
-// backends report completions through the Stream the operation ends on
-// (Stream.Complete; the one exception is NetBackend's send, over at the
-// event that hands the message to the network). sched.Run has already
+// the scheduler calls from its own completion handling. The callback is the
+// scheduler's own (sched.Run counts every completion and panics on a
+// second one), unless sim.Run wraps the backend to stream completions to
+// someone watching the run; the wrapper forwards every call unchanged. The
+// built-in backends report completions through the Stream the operation
+// ends on (Stream.Complete; the one exception is NetBackend's send, over at
+// the event that hands the message to the network). sched.Run has already
 // refused sizes and durations the simulated clock cannot hold, so a
 // backend sees non-negative durations and times that add without wrapping.
 type Backend interface {

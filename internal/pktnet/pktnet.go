@@ -190,9 +190,8 @@ func (n *Network) Engine() *engine.Engine { return n.eng }
 func (n *Network) MTU() int64 { return n.cfg.MTU }
 
 // Send injects a message from host src to host dst. onDelivered fires once
-// at the simulated time the final payload byte arrives. It returns the
-// flow ID (useful in tests).
-func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time)) uint64 {
+// at the simulated time the final payload byte arrives.
+func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time)) {
 	if src == dst {
 		panic("pktnet: Send to self — intra-host transfers must be handled by the caller")
 	}
@@ -204,7 +203,6 @@ func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time))
 	f := n.newFlow(id, src, dst, size, onDelivered) // holds one reference for this call
 	f.start()
 	f.unref()
-	return id
 }
 
 // pair is what the network keeps per ordered host pair: the shortest paths

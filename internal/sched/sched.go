@@ -37,6 +37,10 @@ type Result struct {
 	Ops int64
 	// Events is the number of engine events processed.
 	Events uint64
+	// Calcs, Sends and Recvs count the executed ops by kind, at completion:
+	// the scheduler is the one place a run counts what its backend
+	// reported over, and it panics on a second completion of one op.
+	Calcs, Sends, Recvs int64
 	// PeakOutstanding is the largest number of simultaneously in-flight
 	// (issued but not completed) ops on any single rank — the scheduler's
 	// ready-queue depth high-water mark.
@@ -100,10 +104,15 @@ type rankState struct {
 	ireqSucc  goal.Deps // ops whose `irequires` name this op
 	issued    []bool
 	completed []bool
-	// outstanding/peakOut track issued-but-incomplete ops. Like the other
-	// fields they are only touched from the op's rank lane, so no atomics.
+	// outstanding/peakOut track issued-but-incomplete ops, done counts
+	// completed ops by goal.Kind and end is the latest completion time.
+	// Like the other fields they are only touched from the op's rank lane,
+	// which may run concurrently with other ranks' lanes on the parallel
+	// engine, so no atomics.
 	outstanding int32
 	peakOut     int32
+	done        [3]int64
+	end         simtime.Time
 }
 
 type runner struct {
@@ -112,11 +121,7 @@ type runner struct {
 	be    core.Backend
 	scale float64
 	ranks []rankState
-	// done is per-rank: completion handlers run on the op's rank lane, which
-	// may execute concurrently with other ranks on the parallel engine.
-	done  []int64
 	total int64
-	end   []simtime.Time
 }
 
 // Run simulates schedule s on backend be using eng. It returns an error if
@@ -143,8 +148,6 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		be:    be,
 		scale: scale,
 		ranks: make([]rankState, s.NumRanks()),
-		done:  make([]int64, s.NumRanks()),
-		end:   make([]simtime.Time, s.NumRanks()),
 	}
 	if err := be.Setup(s.NumRanks(), eng, r.over); err != nil {
 		return nil, err
@@ -200,19 +203,22 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 		}
 	}
 	eng.Run()
-	if r.doneOps() != r.total {
-		return nil, r.deadlockError()
-	}
-	res := &Result{RankEnd: r.end, Ops: r.doneOps(), Events: eng.EventsProcessed()}
-	for _, t := range r.end {
-		if d := simtime.Duration(t); d > res.Runtime {
+	res := &Result{RankEnd: make([]simtime.Time, len(r.ranks)), Events: eng.EventsProcessed()}
+	for i := range r.ranks {
+		st := &r.ranks[i]
+		res.RankEnd[i] = st.end
+		if d := simtime.Duration(st.end); d > res.Runtime {
 			res.Runtime = d
 		}
-	}
-	for i := range r.ranks {
-		if p := int(r.ranks[i].peakOut); p > res.PeakOutstanding {
+		res.Calcs += st.done[goal.KindCalc]
+		res.Sends += st.done[goal.KindSend]
+		res.Recvs += st.done[goal.KindRecv]
+		if p := int(st.peakOut); p > res.PeakOutstanding {
 			res.PeakOutstanding = p
 		}
+	}
+	if res.Ops = res.Calcs + res.Sends + res.Recvs; res.Ops != r.total {
+		return nil, r.deadlockError(res.Ops)
 	}
 	return res, nil
 }
@@ -260,9 +266,9 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	}
 	st.completed[op] = true
 	st.outstanding--
-	r.done[rank]++
-	if at > r.end[rank] {
-		r.end[rank] = at
+	st.done[r.s.Ranks[rank].Ops[op].Kind]++
+	if at > st.end {
+		st.end = at
 	}
 	// ... and completed: likewise for its `requires` successors.
 	if st.reqSucc.Len() > 0 {
@@ -283,7 +289,7 @@ func successors(deps goal.Deps) goal.Deps {
 	return deps.Invert()
 }
 
-func (r *runner) deadlockError() error {
+func (r *runner) deadlockError(done int64) error {
 	var firstRank, issuedNotDone, neverIssued int
 	firstRank = -1
 	for rank := range r.ranks {
@@ -304,14 +310,5 @@ func (r *runner) deadlockError() error {
 		}
 	}
 	return fmt.Errorf("sched: deadlock after %d/%d ops: %d issued-but-incomplete (likely unmatched sends/recvs), %d blocked on dependencies; first stuck rank %d",
-		r.doneOps(), r.total, issuedNotDone, neverIssued, firstRank)
-}
-
-// doneOps sums the per-rank completion counters (call between runs only).
-func (r *runner) doneOps() int64 {
-	var n int64
-	for _, d := range r.done {
-		n += d
-	}
-	return n
+		done, r.total, issuedNotDone, neverIssued, firstRank)
 }

@@ -175,6 +175,41 @@ func TestRunCompletionCallback(t *testing.T) {
 	}
 }
 
+// TestRunTalliesByKind: the per-kind completion counts equal the
+// schedule's op mix for every micro pattern, on the serial engine and on
+// the lane engine at 2 and 4 workers, where the counters are written from
+// concurrent worker lanes (CI runs it under -race).
+func TestRunTalliesByKind(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *goal.Schedule
+	}{
+		{"incast", micro.Incast(8, 7, 4096)},
+		{"permutation", micro.Permutation(8, 4096, 3)},
+		{"ring", micro.Ring(8, 4096)},
+		{"alltoall", micro.AllToAll(8, 4096)},
+		{"uniform", micro.UniformRandom(8, 50, 4096, 5)},
+		{"bsp", micro.BulkSynchronous(8, 3, 4096, 1500)},
+	} {
+		st := c.s.ComputeStats()
+		for _, workers := range []int{1, 2, 4} {
+			be := backend.NewLGS(backend.AIParams())
+			var eng engine.Sim = engine.New()
+			if workers > 1 {
+				eng = engine.NewParallel(c.s.NumRanks(), workers, be.Lookahead())
+			}
+			res, err := Run(eng, c.s, be, Options{})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", c.name, workers, err)
+			}
+			if res.Calcs != st.Calcs || res.Sends != st.Sends || res.Recvs != st.Recvs || res.Ops != st.Ops {
+				t.Errorf("%s, %d workers: completed %d calcs, %d sends, %d recvs (%d ops), schedule has %d, %d, %d (%d)",
+					c.name, workers, res.Calcs, res.Sends, res.Recvs, res.Ops, st.Calcs, st.Sends, st.Recvs, st.Ops)
+			}
+		}
+	}
+}
+
 // deadlockBackend completes calcs but swallows sends/recvs, so any
 // schedule with communication deadlocks.
 type deadlockBackend struct{ stubBackend }

@@ -9,8 +9,9 @@ import (
 )
 
 // Event types, in the order a successful run emits them: one "started",
-// interleaved "op" and "progress" streams, an optional "netstats", and
-// exactly one terminal "done" or "failed".
+// interleaved "op" and "progress" streams, a "netstats" carrying
+// Result.Net when the backend tracks fabric counters, and exactly one
+// terminal "done" or "failed".
 const (
 	EventStarted  = "started"
 	EventOp       = "op"
@@ -20,7 +21,8 @@ const (
 	EventFailed   = "failed"
 )
 
-// Event is one streamed run callback, bridged from sim.Observer. Data
+// Event is one streamed run event, bridged from a sim.Observer callback or,
+// for "netstats" and the terminal event, from the run's outcome. Data
 // holds the per-type payload (StartedData, OpData, ProgressData,
 // NetStatsData, DoneData, FailedData).
 type Event struct {
@@ -155,7 +157,9 @@ type run struct {
 	id string
 	// fp is the full fingerprint the id derives from, persisted in the
 	// run's metadata sidecar so a rebuilt index can re-verify the address.
-	fp   string
+	fp string
+	// spec is the pinned spec, resolved schedule included; execute takes
+	// it and leaves the zero Spec behind.
 	spec sim.Spec
 	done chan struct{}
 	// lookKeys are the fast-path cache keys pointing at this run, owned
@@ -241,8 +245,17 @@ func (r *run) setStatus(st Status) {
 }
 
 // complete finishes the run successfully: record the result and artifact,
-// publish the terminal event, close every subscription, release waiters.
+// publish the fabric counters of a backend that tracks them and then the
+// terminal event, close every subscription, release waiters.
 func (r *run) complete(res *sim.Result, artifact []byte) {
+	if ns := res.Net; ns != nil {
+		r.publish(Event{Type: EventNetStats, Run: r.id, Data: NetStatsData{
+			PktsSent:    ns.PktsSent,
+			Drops:       ns.Drops,
+			Trims:       ns.Trims,
+			Retransmits: ns.Retransmits,
+		}}, false)
+	}
 	r.mu.Lock()
 	r.status = StatusDone
 	r.result = res
@@ -339,16 +352,6 @@ func (r *run) Progress(ev sim.ProgressEvent) {
 		Total: ev.Total,
 		AtPs:  int64(ev.At),
 	}}, true)
-}
-
-// NetStats implements sim.Observer.
-func (r *run) NetStats(ns sim.NetStats) {
-	r.publish(Event{Type: EventNetStats, Run: r.id, Data: NetStatsData{
-		PktsSent:    ns.PktsSent,
-		Drops:       ns.Drops,
-		Trims:       ns.Trims,
-		Retransmits: ns.Retransmits,
-	}}, false)
 }
 
 // Subscribe attaches to a run's event stream. Subscribing to a finished

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -527,7 +528,10 @@ func (s *Service) execute(r *run) {
 	defer s.metrics.execBusy.Dec()
 	r.setStatus(StatusRunning)
 	s.log.Info("service: run started", "run", r.id, "fingerprint", r.fp, "class", r.class, "cache", "miss")
+	// The spec, resolved schedule included, is needed only here: a run
+	// that stays cached holds its result, not its input.
 	spec := r.spec
+	r.spec = sim.Spec{}
 	spec.Workers = s.shareWorkers(spec)
 	spec.Observer = r
 	if s.cfg.Timeline {
@@ -535,7 +539,7 @@ func (s *Service) execute(r *run) {
 		spec.Timeline = r.timeline
 	}
 	start := time.Now()
-	res, err := sim.Run(s.ctx, spec)
+	res, err := s.simulate(spec)
 	wall := time.Since(start)
 	s.metrics.runWall.Observe(wall.Seconds())
 	if err != nil {
@@ -543,7 +547,7 @@ func (s *Service) execute(r *run) {
 		return
 	}
 	s.metrics.foldRun(res.Metrics)
-	sweep := runSweep(r.id, &r.spec, res)
+	sweep := runSweep(r.id, &spec, res)
 	var buf bytes.Buffer
 	if err := results.EncodeJSON(&buf, sweep); err != nil {
 		s.finishRun(r, wall, nil, nil, fmt.Errorf("service: encoding run artifact: %w", err))
@@ -572,6 +576,26 @@ func (s *Service) execute(r *run) {
 	s.finishRun(r, wall, res, buf.Bytes(), nil)
 }
 
+// runPanic is the error of a run that panicked: a model bug, a violated
+// assertion, or a worker-lane panic the parallel engine rethrows.
+type runPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *runPanic) Error() string { return fmt.Sprintf("service: run panicked: %v", p.value) }
+
+// simulate is sim.Run with a panic contained to the run it came from: the
+// run fails with a runPanic and the executor goes on to the next one.
+func (s *Service) simulate(spec sim.Spec) (res *sim.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, &runPanic{value: v, stack: debug.Stack()}
+		}
+	}()
+	return sim.Run(s.ctx, spec)
+}
+
 // finishRun records a terminal run everywhere it must land — the outcome
 // counter, the structured log, the eviction order — and only then makes
 // it terminal (done with its result and artifact, or failed with err),
@@ -581,7 +605,12 @@ func (s *Service) execute(r *run) {
 func (s *Service) finishRun(r *run, wall time.Duration, res *sim.Result, artifact []byte, err error) {
 	if err != nil {
 		s.metrics.runs.With(string(StatusFailed)).Inc()
-		s.log.Warn("service: run failed", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "err", err)
+		attrs := []any{"run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "err", err}
+		var p *runPanic
+		if errors.As(err, &p) {
+			attrs = append(attrs, "stack", string(p.stack))
+		}
+		s.log.Warn("service: run failed", attrs...)
 	} else {
 		s.metrics.runs.With(string(StatusDone)).Inc()
 		s.log.Info("service: run finished", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "dropped_events", r.drops.Load())

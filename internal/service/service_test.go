@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -63,6 +64,21 @@ func init() {
 		},
 	})
 	sim.Register(sim.Definition{
+		Name:     "panicsim",
+		Parallel: true,
+		New: func(cfg any, env sim.Env) (sim.Backend, error) {
+			return &panicBackend{LGS: backend.NewLGS(backend.AIParams()), ranks: int64(env.Ranks)}, nil
+		},
+	})
+	sim.Register(sim.Definition{
+		Name: "blockpkt",
+		New: func(cfg any, env sim.Env) (sim.Backend, error) {
+			<-blockGate
+			pkt, _ := sim.Lookup("pkt")
+			return pkt.New(cfg, env)
+		},
+	})
+	sim.Register(sim.Definition{
 		Name:     "ordersim",
 		Parallel: true,
 		New: func(cfg any, env sim.Env) (sim.Backend, error) {
@@ -72,6 +88,23 @@ func init() {
 			return backend.NewLGS(backend.AIParams()), nil
 		},
 	})
+}
+
+// panicBackend is LGS until the first calc beyond one per rank, which
+// panics. Each rank's first calc is issued while the scheduler seeds the
+// run; later ones come from completion handlers on the engine's lanes, so
+// on the lane engine the panic is raised on a worker goroutine.
+type panicBackend struct {
+	*backend.LGS
+	ranks int64
+	calcs atomic.Int64
+}
+
+func (b *panicBackend) Calc(ev sim.CalcEvent) {
+	if b.calcs.Add(1) > b.ranks {
+		panic(fmt.Sprintf("panicsim: rank %d calc", ev.Rank))
+	}
+	b.LGS.Calc(ev)
 }
 
 // countSpec builds a countsim spec whose fingerprint varies with tag.
@@ -282,6 +315,48 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
+// TestEventStreamNetStats: a packet-level run's stream carries exactly one
+// "netstats" event, immediately before "done", holding Result.Net's
+// counters.
+func TestEventStreamNetStats(t *testing.T) {
+	svc := newService(t, Config{Jobs: 1})
+	snap, err := svc.Submit(sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "alltoall", Ranks: 8, Bytes: 4096}},
+		Backend: "blockpkt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, ok := svc.Subscribe(snap.ID)
+	if !ok {
+		t.Fatal("cannot subscribe to a queued run")
+	}
+	blockGate <- struct{}{}
+	var evs []Event
+	for ev := range sub.C {
+		evs = append(evs, ev)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done, err := svc.Wait(ctx, snap.ID)
+	if err != nil || done.Status != StatusDone || done.Result.Net == nil {
+		t.Fatalf("pkt run: %+v, %v", done, err)
+	}
+	var at []int
+	for i, ev := range evs {
+		if ev.Type == EventNetStats {
+			at = append(at, i)
+		}
+	}
+	n := len(evs)
+	if len(at) != 1 || at[0] != n-2 || evs[n-1].Type != EventDone {
+		t.Fatalf("netstats at %v of %d events (last %q), want exactly one, just before done", at, n, evs[n-1].Type)
+	}
+	ns := done.Result.Net
+	want := NetStatsData{PktsSent: ns.PktsSent, Drops: ns.Drops, Trims: ns.Trims, Retransmits: ns.Retransmits}
+	if got := evs[at[0]].Data; got != want || want.PktsSent == 0 {
+		t.Fatalf("netstats event %+v, want Result.Net's %+v", got, want)
+	}
+}
+
 // TestArtifactStore: with an ArtifactDir the run's sweep is persisted at
 // <dir>/<id>.json, loads back through the store, and matches the
 // in-memory artifact bytes.
@@ -463,6 +538,65 @@ func TestFailedRunReportsError(t *testing.T) {
 	}
 	if again.Status != StatusFailed {
 		t.Fatalf("retried run: %+v", again)
+	}
+}
+
+// TestRunPanicFailsTheRunNotTheDaemon: a backend that panics mid-run fails
+// its run — status failed, the panic value in the error, the stack in the
+// "run failed" log line, counted as a failed run — and the executor serves
+// the next submission. On the lane engine the panic happens on a worker
+// goroutine and reaches the executor through the engine's rethrow.
+func TestRunPanicFailsTheRunNotTheDaemon(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		workers int
+		frame   string // a function the logged stack must name
+	}{
+		{"serial", Config{Jobs: 1}, 0, "panicBackend"},
+		{"lanes", Config{Jobs: 1, Workers: 2}, 2, "winPool"},
+	} {
+		var logs bytes.Buffer
+		c.cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+		svc := newService(t, c.cfg)
+		spec := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 8, Bytes: 1024, Phases: 2}},
+			Backend: "panicsim", Workers: c.workers}
+		if got := svc.shareWorkers(spec); got != c.workers {
+			t.Fatalf("%s: shareWorkers = %d, want %d", c.name, got, c.workers)
+		}
+		done := submitAndWait(t, svc, spec)
+		if done.Status != StatusFailed || !strings.Contains(done.Err, "service: run panicked: panicsim: rank") {
+			t.Fatalf("%s: panicking run ended %+v, want failed with the panic value", c.name, done)
+		}
+		log := logs.String()
+		if !strings.Contains(log, "run failed") || !strings.Contains(log, "stack=") || !strings.Contains(log, c.frame) {
+			t.Fatalf("%s: the run-failed log line carries no stack through %s:\n%s", c.name, c.frame, log)
+		}
+		if got := svc.metrics.runs.With(string(StatusFailed)).Value(); got != 1 {
+			t.Fatalf("%s: %d failed runs counted, want 1", c.name, got)
+		}
+		if next := submitAndWait(t, svc, countSpec(5000)); next.Status != StatusDone {
+			t.Fatalf("%s: the submission after the panic ended %+v", c.name, next)
+		}
+	}
+}
+
+// TestTerminalRunDropsSpec: once a run is terminal it no longer pins its
+// spec (and the resolved schedule in it), whether it finished or failed.
+func TestTerminalRunDropsSpec(t *testing.T) {
+	svc := newService(t, Config{Jobs: 1})
+	for _, spec := range []sim.Spec{
+		countSpec(6000),
+		{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4}},
+			Backend: "pkt", Config: sim.PktConfig{HostsPerToR: 4, Oversub: 8}},
+	} {
+		done := submitAndWait(t, svc, spec)
+		svc.mu.Lock()
+		r := svc.runs[done.ID]
+		svc.mu.Unlock()
+		if !reflect.ValueOf(r.spec).IsZero() {
+			t.Fatalf("%s run %s still holds its spec", done.Status, done.ID)
+		}
 	}
 }
 

@@ -55,12 +55,6 @@ func FromNanos(ns int64) Duration { return Duration(ns) * Nanosecond }
 // nearest picosecond.
 func FromNanosF(ns float64) Duration { return Duration(ns*float64(Nanosecond) + 0.5) }
 
-// FromMicros converts a microsecond count to a Duration.
-func FromMicros(us int64) Duration { return Duration(us) * Microsecond }
-
-// FromSecondsF converts fractional seconds to a Duration.
-func FromSecondsF(s float64) Duration { return Duration(s*float64(Second) + 0.5) }
-
 // String formats a duration with an adaptive unit, e.g. "3.700us".
 func (d Duration) String() string {
 	switch {

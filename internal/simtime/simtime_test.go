@@ -32,12 +32,6 @@ func TestFromNanos(t *testing.T) {
 	if FromNanosF(0.04) != 40*Picosecond {
 		t.Fatalf("FromNanosF(0.04) = %d, want 40", FromNanosF(0.04))
 	}
-	if FromSecondsF(1.5) != 1500*Millisecond {
-		t.Fatalf("FromSecondsF broken")
-	}
-	if FromMicros(7) != 7*Microsecond {
-		t.Fatalf("FromMicros broken")
-	}
 }
 
 func TestPsPerByte(t *testing.T) {

@@ -1,12 +1,11 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harness: streaming accumulators for mean/max, exact quantiles
-// over recorded samples, and fixed-width histograms. Message-completion-time
-// (MCT) statistics for the storage case study (paper Fig 11) are computed
-// with these types.
+// experiment harness: a sample accumulator answering mean, max and exact
+// quantiles, and the paper's percent-error convention.
+// Message-completion-time (MCT) statistics for the storage case study
+// (paper Fig 11) are computed with it.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -57,35 +56,6 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Min returns the minimum observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using
 // nearest-rank on the sorted sample.
 func (s *Sample) Percentile(p float64) float64 {
@@ -112,60 +82,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	return s.xs[rank]
 }
-
-// Summary is a compact snapshot of a sample.
-type Summary struct {
-	N          int
-	Mean, P50  float64
-	P99, Max   float64
-	Min, Stdev float64
-}
-
-// Summarize computes a Summary of the sample.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:     s.N(),
-		Mean:  s.Mean(),
-		P50:   s.Percentile(50),
-		P99:   s.Percentile(99),
-		Max:   s.Max(),
-		Min:   s.Min(),
-		Stdev: s.Stddev(),
-	}
-}
-
-func (sm Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f", sm.N, sm.Mean, sm.P50, sm.P99, sm.Max)
-}
-
-// Histogram is a fixed-width bucket histogram over [0, width*buckets); the
-// final bucket also absorbs overflow.
-type Histogram struct {
-	Width   float64
-	Counts  []uint64
-	samples uint64
-}
-
-// NewHistogram creates a histogram with n buckets of the given width.
-func NewHistogram(n int, width float64) *Histogram {
-	return &Histogram{Width: width, Counts: make([]uint64, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	i := int(x / h.Width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.samples++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() uint64 { return h.samples }
 
 // PercentError returns 100*(predicted-actual)/actual, the error convention
 // used throughout the paper's validation figures.

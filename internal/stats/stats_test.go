@@ -12,7 +12,7 @@ import (
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 || s.Percentile(50) != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }
@@ -28,11 +28,8 @@ func TestBasicMoments(t *testing.T) {
 	if s.Mean() != 3 {
 		t.Fatalf("mean=%v", s.Mean())
 	}
-	if s.Max() != 5 || s.Min() != 1 {
-		t.Fatalf("min/max wrong")
-	}
-	if math.Abs(s.Stddev()-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("stddev=%v", s.Stddev())
+	if s.Max() != 5 {
+		t.Fatalf("max=%v", s.Max())
 	}
 }
 
@@ -73,7 +70,8 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
-// Property: percentile is monotone in p and bounded by min/max.
+// Property: percentile is monotone in p and bounded by the smallest
+// observation and the largest.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		rng := xrand.New(seed)
@@ -82,10 +80,14 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		for i := 0; i < cnt; i++ {
 			s.Add(rng.Float64() * 1000)
 		}
+		lo := math.Inf(1)
+		for _, x := range s.xs {
+			lo = math.Min(lo, x)
+		}
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 5 {
 			v := s.Percentile(p)
-			if v < prev || v < s.Min() || v > s.Max() {
+			if v < prev || v < lo || v > s.Max() {
 				return false
 			}
 			prev = v
@@ -97,7 +99,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: mean within [min, max]; stddev >= 0.
+// Property: mean lies between the smallest and the largest observation.
 func TestMomentBoundsProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		rng := xrand.New(seed)
@@ -106,7 +108,7 @@ func TestMomentBoundsProperty(t *testing.T) {
 		for i := 0; i < cnt; i++ {
 			s.Add(rng.Normal(0, 100))
 		}
-		return s.Mean() >= s.Min()-1e9 && s.Mean() <= s.Max()+1e9 && s.Stddev() >= 0
+		return s.Mean() >= s.Percentile(0)-1e-9 && s.Mean() <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -127,20 +129,6 @@ func TestPercentileMatchesSorted(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 1.0)
-	h.Add(-5)   // clamps to bucket 0
-	h.Add(0.5)  // bucket 0
-	h.Add(5.5)  // bucket 5
-	h.Add(99.0) // clamps to last bucket
-	if h.Total() != 4 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Fatalf("counts=%v", h.Counts)
-	}
-}
-
 func TestPercentError(t *testing.T) {
 	if got := PercentError(95, 100); got != -5 {
 		t.Fatalf("PercentError(95,100)=%v", got)
@@ -150,17 +138,5 @@ func TestPercentError(t *testing.T) {
 	}
 	if got := PercentError(1, 0); got != 0 {
 		t.Fatalf("PercentError(x,0)=%v, want 0", got)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	var s Sample
-	s.Add(1)
-	sum := s.Summarize()
-	if sum.N != 1 || sum.Mean != 1 || sum.Max != 1 {
-		t.Fatalf("summary=%+v", sum)
-	}
-	if sum.String() == "" {
-		t.Fatal("empty summary string")
 	}
 }

@@ -41,38 +41,20 @@ type wireSpec struct {
 }
 
 // wireJob mirrors one Workload declaration: the top level of a spec and
-// each of its jobs.
+// each of its jobs. Synthetic and ModelGen are their own wire shapes (their
+// json tags are the wire keys); the model document travels inline as a
+// standard-base64 JSON string.
 type wireJob struct {
 	GoalPath       string          `json:"goal_path,omitempty"`
 	GoalBytes      []byte          `json:"goal_bytes,omitempty"`
 	Schedule       []byte          `json:"schedule,omitempty"`
-	Synthetic      *wireSynthetic  `json:"synthetic,omitempty"`
+	Synthetic      *Synthetic      `json:"synthetic,omitempty"`
 	TracePath      string          `json:"trace_path,omitempty"`
 	Trace          []byte          `json:"trace,omitempty"`
 	Frontend       string          `json:"frontend,omitempty"`
 	FrontendConfig json.RawMessage `json:"frontend_config,omitempty"`
-	Model          *wireModelGen   `json:"model,omitempty"`
+	Model          *ModelGen       `json:"model,omitempty"`
 	ModelPath      string          `json:"model_path,omitempty"`
-}
-
-// wireModelGen mirrors ModelGen; the model document travels inline as a
-// standard-base64 JSON string.
-type wireModelGen struct {
-	Ranks int    `json:"ranks,omitempty"`
-	Seed  uint64 `json:"seed,omitempty"`
-	Doc   []byte `json:"doc,omitempty"`
-}
-
-// wireSynthetic mirrors Synthetic with stable snake_case keys.
-type wireSynthetic struct {
-	Pattern   string `json:"pattern"`
-	Ranks     int    `json:"ranks"`
-	Bytes     int64  `json:"bytes,omitempty"`
-	Fanin     int    `json:"fanin,omitempty"`
-	Msgs      int    `json:"msgs,omitempty"`
-	Phases    int    `json:"phases,omitempty"`
-	CalcNanos int64  `json:"calc_nanos,omitempty"`
-	Seed      uint64 `json:"seed,omitempty"`
 }
 
 // MarshalSpec encodes a validated Spec as one indented atlahs.spec/v1 JSON
@@ -136,13 +118,12 @@ func encodeWorkload(j *Workload) (*wireJob, error) {
 	w := &wireJob{
 		GoalPath:  j.GoalPath,
 		GoalBytes: j.GoalBytes,
+		Synthetic: j.Synthetic,
 		TracePath: j.TracePath,
 		Trace:     j.Trace,
 		Frontend:  j.Frontend,
+		Model:     j.Model,
 		ModelPath: j.ModelPath,
-	}
-	if j.Model != nil {
-		w.Model = &wireModelGen{Ranks: j.Model.Ranks, Seed: j.Model.Seed, Doc: j.Model.Doc}
 	}
 	if j.Schedule != nil {
 		var buf bytes.Buffer
@@ -150,14 +131,6 @@ func encodeWorkload(j *Workload) (*wireJob, error) {
 			return nil, fmt.Errorf("sim: encoding in-memory schedule: %w", err)
 		}
 		w.Schedule = buf.Bytes()
-	}
-	if j.Synthetic != nil {
-		sy := j.Synthetic
-		w.Synthetic = &wireSynthetic{
-			Pattern: sy.Pattern, Ranks: sy.Ranks, Bytes: sy.Bytes,
-			Fanin: sy.Fanin, Msgs: sy.Msgs, Phases: sy.Phases,
-			CalcNanos: sy.CalcNanos, Seed: sy.Seed,
-		}
 	}
 	if j.FrontendConfig != nil {
 		if j.Frontend == "" {
@@ -227,13 +200,15 @@ func decodeWorkload(w *wireJob) (*Workload, error) {
 	j := &Workload{
 		GoalPath:  w.GoalPath,
 		GoalBytes: nilIfEmpty(w.GoalBytes),
+		Synthetic: w.Synthetic,
 		TracePath: w.TracePath,
 		Trace:     nilIfEmpty(w.Trace),
 		Frontend:  w.Frontend,
+		Model:     w.Model,
 		ModelPath: w.ModelPath,
 	}
-	if w.Model != nil {
-		j.Model = &ModelGen{Ranks: w.Model.Ranks, Seed: w.Model.Seed, Doc: nilIfEmpty(w.Model.Doc)}
+	if j.Model != nil {
+		j.Model.Doc = nilIfEmpty(j.Model.Doc)
 	}
 	if len(w.Schedule) > 0 {
 		if !goal.IsBinary(w.Schedule) {
@@ -244,14 +219,6 @@ func decodeWorkload(w *wireJob) (*Workload, error) {
 			return nil, fmt.Errorf("sim: decoding wire schedule: %w", err)
 		}
 		j.Schedule = s
-	}
-	if w.Synthetic != nil {
-		sy := w.Synthetic
-		j.Synthetic = &Synthetic{
-			Pattern: sy.Pattern, Ranks: sy.Ranks, Bytes: sy.Bytes,
-			Fanin: sy.Fanin, Msgs: sy.Msgs, Phases: sy.Phases,
-			CalcNanos: sy.CalcNanos, Seed: sy.Seed,
-		}
 	}
 	if payloadPresent(w.FrontendConfig) {
 		if w.Frontend == "" {

@@ -3,14 +3,15 @@
 // (resolved through a registry that third-party simulators can join via
 // Register), and the execution knobs (worker budget, calc scaling, seed).
 // Run executes the spec, picking the serial or sharded parallel engine
-// from the backend's declared lookahead, streams op completions, periodic
-// progress and backend network counters to an optional Observer, and
-// returns a typed Result: makespan, per-rank completion times, the
-// schedule's size accounting, executed-op tallies and the backend's fabric
-// counters when it tracks them. Everything in a Result except the Wall
-// measurement is deterministic — independent of worker count and host
-// conditions — so results can be exported (see the results package) and
-// compared across runs.
+// from the backend's declared lookahead, streams op completions and
+// periodic progress to an optional Observer while it runs, and returns a
+// typed Result — the one carrier of what the run measured: makespan,
+// per-rank completion times, the schedule's size accounting, the
+// scheduler's executed-op tallies and the backend's fabric counters when
+// it tracks them. Everything in a Result except the Wall measurement is
+// deterministic — independent of worker count and host conditions — so
+// results can be exported (see the results package) and compared across
+// runs.
 //
 // Workloads enter through three symmetric registries, declared on one
 // shared Workload struct (embedded by Spec and JobSpec, so the fields

@@ -43,13 +43,14 @@ type ProgressEvent struct {
 // the paper's Fig 12 makes.
 type NetStats = pktnet.Stats
 
-// Observer receives streaming callbacks from a run, replacing ad-hoc
-// printing: commands and services render op completions, progress and
-// network counters however they like. With Spec.Workers > 1, OpCompleted
-// and Progress are invoked concurrently from engine worker goroutines;
-// implementations must be safe for concurrent use. All callbacks happen
-// before Run returns. Embed NopObserver to implement only the methods you
-// care about.
+// Observer receives streaming callbacks from a run while it executes,
+// replacing ad-hoc printing: commands and services render the run's start,
+// op completions and progress however they like; what a run measured as a
+// whole (makespan, tallies, fabric counters) is reported once, in the
+// Result. With Spec.Workers > 1, OpCompleted and Progress are invoked
+// concurrently from engine worker goroutines; implementations must be safe
+// for concurrent use. All callbacks happen before Run returns. Embed
+// NopObserver to implement only the methods you care about.
 type Observer interface {
 	// RunStarted fires once, before the first event executes.
 	RunStarted(RunInfo)
@@ -58,8 +59,6 @@ type Observer interface {
 	// Progress fires every Spec.ProgressEvery completed ops (never when
 	// ProgressEvery is 0).
 	Progress(ProgressEvent)
-	// NetStats fires once after the run for backends with fabric counters.
-	NetStats(NetStats)
 }
 
 // NopObserver implements Observer with no-ops, for embedding.
@@ -73,6 +72,3 @@ func (NopObserver) OpCompleted(OpEvent) {}
 
 // Progress implements Observer.
 func (NopObserver) Progress(ProgressEvent) {}
-
-// NetStats implements Observer.
-func (NopObserver) NetStats(NetStats) {}

@@ -13,10 +13,9 @@ import (
 // append holds the mutex — the recorded order is the order callbacks
 // actually happened-before each other.
 type orderingObserver struct {
-	mu       sync.Mutex
-	kinds    []string // "started", "op", "progress" in arrival order
-	tally    Tally
-	netCalls int
+	mu    sync.Mutex
+	kinds []string // "started", "op", "progress" in arrival order
+	tally Tally
 }
 
 func (o *orderingObserver) RunStarted(RunInfo) {
@@ -43,12 +42,6 @@ func (o *orderingObserver) Progress(ProgressEvent) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.kinds = append(o.kinds, "progress")
-}
-
-func (o *orderingObserver) NetStats(NetStats) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.netCalls++
 }
 
 // TestObserverEventOrdering pins the stream contract the service's SSE

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
@@ -19,8 +18,11 @@ import (
 
 // Result summarises a completed run: the simulated outcome (makespan,
 // per-rank completion), the run's resolved metadata (backend, engine,
-// workload accounting) and the executed-op tallies observed through the
-// completion stream. Every field is deterministic except Wall.
+// workload accounting), the scheduler's executed-op tallies and the
+// backend's fabric counters. It is the one carrier of what a run measured:
+// an Observer streams the run while it executes, and everything reported
+// once, after the last event, is here. Every field is deterministic except
+// Wall.
 type Result struct {
 	// Runtime is the simulated completion time of the last op (the
 	// makespan).
@@ -38,11 +40,12 @@ type Result struct {
 	// Sched is the resolved workload's size accounting (ops, bytes on the
 	// wire, dependency edges, ...).
 	Sched ScheduleStats
-	// Done tallies executed ops by kind, counted at completion time as the
-	// Observer sees them. A successful run completes every scheduled op
-	// (the scheduler errors on deadlock instead of returning partial
-	// results), so Done always matches Sched's per-kind counts — for any
-	// worker count.
+	// Done tallies executed ops by kind, counted by the scheduler as the
+	// backend reports each one over (not copied from Sched). A successful
+	// run completes every scheduled op exactly once (the scheduler panics
+	// on a second completion and errors on deadlock instead of returning
+	// partial results), so Done always matches Sched's per-kind counts —
+	// for any worker count.
 	Done Tally
 	// JobNodes maps each composed job (Spec.Jobs order) to the fabric
 	// nodes its ranks landed on: JobNodes[j][r] is the node of job j's
@@ -54,7 +57,7 @@ type Result struct {
 	// simulation.
 	Parallel bool
 	// Net holds the fabric counters for backends that track them (pkt);
-	// nil otherwise.
+	// nil otherwise. It is the one place a run reports them.
 	Net *NetStats
 	// Metrics is the run's atlahs.metrics/v1 snapshot: engine and
 	// scheduler execution counters (windows, adaptive widenings, peak
@@ -94,7 +97,8 @@ func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 //
 // Cancellation is cooperative at op granularity: when ctx is cancellable,
 // the run stops near the next op completion after ctx ends and Run returns
-// ctx's error.
+// ctx's error. A run with no Observer, no Timeline and a ctx that cannot be
+// cancelled hands the registry's backend to the scheduler unwrapped.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -133,25 +137,21 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 	}
 	st := sch.ComputeStats()
-	runBE := &observedBackend{
-		inner:   be,
-		sch:     sch,
-		obs:     spec.Observer,
-		tl:      spec.Timeline,
-		every:   spec.ProgressEvery,
-		total:   st.Ops,
-		ctx:     ctx,
-		stop:    eng.(interface{ Stop() }),
-		track:   spec.Observer != nil || ctx.Done() != nil,
-		perRank: make([]paddedTally, sch.NumRanks()),
+	runBE := be
+	if spec.Observer != nil || spec.Timeline != nil || ctx.Done() != nil {
+		runBE = &streamed{
+			Backend: be,
+			sch:     sch,
+			obs:     spec.Observer,
+			tl:      spec.Timeline,
+			every:   spec.ProgressEvery,
+			total:   st.Ops,
+			ctx:     ctx,
+			stop:    eng.(interface{ Stop() }),
+		}
 	}
 	if spec.Observer != nil {
-		spec.Observer.RunStarted(RunInfo{
-			Backend:  name,
-			Stats:    st,
-			Workers:  workers,
-			Parallel: parallel,
-		})
+		spec.Observer.RunStarted(RunInfo{Backend: name, Stats: st, Workers: workers, Parallel: parallel})
 	}
 
 	start := time.Now()
@@ -172,7 +172,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		Backend:  name,
 		Ranks:    sch.NumRanks(),
 		Sched:    st,
-		Done:     runBE.tally(),
+		Done:     Tally{Calcs: res.Calcs, Sends: res.Sends, Recvs: res.Recvs},
 		JobNodes: jobNodes,
 		Workers:  workers,
 		Parallel: parallel,
@@ -182,29 +182,18 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if sp, ok := be.(interface{ NetStats() pktnet.Stats }); ok {
 		ns := sp.NetStats()
 		out.Net = &ns
-		if spec.Observer != nil {
-			spec.Observer.NetStats(ns)
-		}
 	}
 	return out, nil
 }
 
-// observedBackend decorates every run's backend to intercept the
-// completion callback for observer streaming, per-kind op tallies (the
-// Result.Done accounting) and cooperative cancellation. It adds no engine
-// events and leaves the completion delivery order untouched, so the
-// decoration never changes simulated results.
-//
-// The tally is counted rather than copied from the schedule on purpose:
-// it is the run's evidence that every op completed exactly once, so an
-// engine bug that dropped or double-delivered completions would surface
-// as a Done/Sched mismatch in the result tests. Counters are per rank
-// and non-atomic — completions run on the op's rank lane (the scheduler
-// relies on the same guarantee for its own bookkeeping), and the lanes
-// join before Run reads the sums — so the hot path pays one plain
-// increment, with no cross-worker cache-line contention.
-type observedBackend struct {
-	inner core.Backend
+// streamed wraps a run's backend when someone watches it: the completion
+// callback records a timeline instant, streams OpCompleted and Progress to
+// the Observer, and polls a cancellable ctx. It adds no engine events and
+// leaves the completion delivery order untouched, so the wrapping never
+// changes simulated results. Counting completions is sched.Run's job; the
+// shared atomic here only numbers them for Progress and the ctx poll.
+type streamed struct {
+	core.Backend
 	sch   *goal.Schedule
 	obs   Observer
 	tl    *telemetry.Timeline
@@ -212,82 +201,30 @@ type observedBackend struct {
 	total int64
 	ctx   context.Context
 	stop  interface{ Stop() }
-	// track gates the global completion counter: it only feeds observer
-	// progress events and ctx polling, so untracked runs skip the shared
-	// atomic entirely.
-	track   bool
-	done    atomic.Int64
-	perRank []paddedTally
-}
-
-// paddedTally pads each rank's counters to a cache line so neighbouring
-// ranks on different worker lanes do not false-share.
-type paddedTally struct {
-	Tally
-	_ [64 - unsafe.Sizeof(Tally{})%64]byte
-}
-
-// tally sums the per-rank completion counters; callers may only invoke it
-// after the run has joined its lanes.
-func (o *observedBackend) tally() Tally {
-	var t Tally
-	for i := range o.perRank {
-		t.Calcs += o.perRank[i].Calcs
-		t.Sends += o.perRank[i].Sends
-		t.Recvs += o.perRank[i].Recvs
-	}
-	return t
+	done  atomic.Int64
 }
 
 // ctxCheckMask throttles ctx polling to every 1024 op completions.
 const ctxCheckMask = 1<<10 - 1
 
-// Name implements core.Backend.
-func (o *observedBackend) Name() string { return o.inner.Name() }
-
 // Setup implements core.Backend, wrapping the scheduler's completion
 // callback.
-func (o *observedBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error {
-	return o.inner.Setup(nranks, eng, func(h core.Handle, at simtime.Time) {
-		kind := o.sch.Ranks[h.Rank()].Ops[h.Op()].Kind
-		t := &o.perRank[h.Rank()]
-		switch kind {
-		case goal.KindCalc:
-			t.Calcs++
-		case goal.KindSend:
-			t.Sends++
-		case goal.KindRecv:
-			t.Recvs++
+func (s *streamed) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error {
+	return s.Backend.Setup(nranks, eng, func(h core.Handle, at simtime.Time) {
+		kind := s.sch.Ranks[h.Rank()].Ops[h.Op()].Kind
+		if s.tl != nil {
+			s.tl.Op(h.Rank(), kind.String(), at)
 		}
-		if o.tl != nil {
-			o.tl.Op(h.Rank(), kind.String(), at)
+		n := s.done.Add(1)
+		if s.obs != nil {
+			s.obs.OpCompleted(OpEvent{Rank: h.Rank(), Op: h.Op(), Kind: kind, At: at})
+			if s.every > 0 && n%s.every == 0 {
+				s.obs.Progress(ProgressEvent{Done: n, Total: s.total, At: at})
+			}
 		}
-		if o.track {
-			n := o.done.Add(1)
-			if o.obs != nil {
-				o.obs.OpCompleted(OpEvent{
-					Rank: h.Rank(),
-					Op:   h.Op(),
-					Kind: kind,
-					At:   at,
-				})
-				if o.every > 0 && n%o.every == 0 {
-					o.obs.Progress(ProgressEvent{Done: n, Total: o.total, At: at})
-				}
-			}
-			if o.ctx.Done() != nil && n&ctxCheckMask == 0 && o.ctx.Err() != nil {
-				o.stop.Stop()
-			}
+		if n&ctxCheckMask == 0 && s.ctx.Err() != nil {
+			s.stop.Stop()
 		}
 		over(h, at)
 	})
 }
-
-// Send implements core.Backend.
-func (o *observedBackend) Send(ev core.SendEvent) { o.inner.Send(ev) }
-
-// Recv implements core.Backend.
-func (o *observedBackend) Recv(ev core.RecvEvent) { o.inner.Recv(ev) }
-
-// Calc implements core.Backend.
-func (o *observedBackend) Calc(ev core.CalcEvent) { o.inner.Calc(ev) }

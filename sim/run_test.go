@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"atlahs/internal/core"
 	"atlahs/internal/goal"
 	"atlahs/internal/simtime"
 	"atlahs/internal/workload/micro"
@@ -161,7 +163,6 @@ type recordingObserver struct {
 	started  []RunInfo
 	ops      []OpEvent
 	progress []ProgressEvent
-	net      []NetStats
 }
 
 func (r *recordingObserver) RunStarted(info RunInfo) {
@@ -178,11 +179,6 @@ func (r *recordingObserver) Progress(ev ProgressEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.progress = append(r.progress, ev)
-}
-func (r *recordingObserver) NetStats(ns NetStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.net = append(r.net, ns)
 }
 
 func TestObserverStreamsRun(t *testing.T) {
@@ -209,8 +205,8 @@ func TestObserverStreamsRun(t *testing.T) {
 	if len(obs.progress) != wantProgress {
 		t.Fatalf("observed %d progress events, want %d", len(obs.progress), wantProgress)
 	}
-	if len(obs.net) != 1 || obs.net[0].PktsSent == 0 {
-		t.Fatalf("net stats callbacks %+v", obs.net)
+	if res.Net == nil || res.Net.PktsSent == 0 {
+		t.Fatalf("pkt run reported fabric counters %+v", res.Net)
 	}
 	// Kinds must match the schedule's op mix.
 	var sends, recvs int64
@@ -246,6 +242,50 @@ func TestObserverDoesNotPerturbResult(t *testing.T) {
 	if plain.Runtime != observed.Runtime || plain.Events != observed.Events {
 		t.Fatalf("observer changed the simulation: (%v, %d) vs (%v, %d)",
 			observed.Runtime, observed.Events, plain.Runtime, plain.Events)
+	}
+}
+
+// probed is the backend the "wrap-probe" definition built last.
+var probed *instantBackend
+
+// TestRunWrapsOnlyWhenWatched: Run hands the registry's backend to the
+// scheduler as it is unless an Observer, a Timeline or a cancellable ctx
+// asks for the streaming wrapper, so an unwatched run's completions reach
+// the scheduler's own callback directly. Either way the scheduler counts
+// every op.
+func TestRunWrapsOnlyWhenWatched(t *testing.T) {
+	if _, ok := Lookup("wrap-probe"); !ok {
+		Register(Definition{Name: "wrap-probe", New: func(any, Env) (core.Backend, error) {
+			probed = &instantBackend{}
+			return probed, nil
+		}})
+	}
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		spec    Spec
+		wrapped bool
+	}{
+		{"unwatched", context.Background(), Spec{}, false},
+		{"observer", context.Background(), Spec{Observer: NopObserver{}}, true},
+		{"timeline", context.Background(), Spec{Timeline: NewTimeline(0)}, true},
+		{"cancellable ctx", cancellable, Spec{}, true},
+	} {
+		c.spec.Workload = Workload{Schedule: micro.Ring(4, 1024)}
+		c.spec.Backend = "wrap-probe"
+		res, err := Run(c.ctx, c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		over := runtime.FuncForPC(reflect.ValueOf(probed.over).Pointer()).Name()
+		if wrapped := !strings.HasPrefix(over, "atlahs/internal/sched."); wrapped != c.wrapped {
+			t.Errorf("%s: the backend completes through %s (wrapped %v), want wrapped %v", c.name, over, wrapped, c.wrapped)
+		}
+		if want := (Tally{Calcs: res.Sched.Calcs, Sends: res.Sched.Sends, Recvs: res.Sched.Recvs}); res.Done != want {
+			t.Errorf("%s: Done = %+v, want %+v", c.name, res.Done, want)
+		}
 	}
 }
 

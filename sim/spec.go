@@ -79,25 +79,26 @@ type resolvedWorkload struct {
 
 // Synthetic declares a generated traffic pattern, resolved by name
 // through the generator registry (RegisterGenerator; the built-in
-// patterns live in internal/workload/micro).
+// patterns live in internal/workload/micro). Its json tags are its
+// atlahs.spec/v1 wire keys.
 type Synthetic struct {
 	// Pattern names a registered generator: "ring", "alltoall", "incast",
 	// "permutation", "uniform", "bsp", or a third-party registration.
-	Pattern string
+	Pattern string `json:"pattern"`
 	// Ranks is the number of participating ranks.
-	Ranks int
+	Ranks int `json:"ranks"`
 	// Bytes is the per-message payload size.
-	Bytes int64
+	Bytes int64 `json:"bytes,omitempty"`
 	// Fanin is the incast fan-in (default Ranks-1).
-	Fanin int
+	Fanin int `json:"fanin,omitempty"`
 	// Msgs is the per-rank message count for "uniform" (default 100).
-	Msgs int
+	Msgs int `json:"msgs,omitempty"`
 	// Phases is the superstep count for "bsp" (default 4).
-	Phases int
+	Phases int `json:"phases,omitempty"`
 	// CalcNanos is the per-phase compute for "bsp" (default 1000).
-	CalcNanos int64
+	CalcNanos int64 `json:"calc_nanos,omitempty"`
 	// Seed seeds "permutation" and "uniform"; 0 inherits Spec.Seed.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // validate checks the pattern declaration without generating anything.

@@ -55,18 +55,19 @@ type Workload struct {
 }
 
 // ModelGen declares how a mined workload model is sampled back into a
-// schedule (internal/workload/synth; see MineModel/GenerateFromModel).
+// schedule (internal/workload/synth; see MineModel/GenerateFromModel). Its
+// json tags are its atlahs.spec/v1 wire keys.
 type ModelGen struct {
 	// Ranks is the generated schedule's rank count; 0 means the model's
 	// SourceRanks.
-	Ranks int
+	Ranks int `json:"ranks,omitempty"`
 	// Seed seeds the deterministic sampler; 0 inherits Spec.Seed. The same
 	// (model, ranks, seed) triple always generates a bit-identical
 	// schedule.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Doc is the serialised atlahs.model/v1 document. Leave it empty when
 	// the enclosing Workload names a ModelPath instead.
-	Doc []byte
+	Doc []byte `json:"doc,omitempty"`
 }
 
 // workloadSourceList names every Workload source in declaration order, for
