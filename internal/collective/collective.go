@@ -11,9 +11,18 @@
 // uses smaller chunks) and buffer-limited chunking (paper Fig 4: a 2 MB
 // ring broadcast becomes four pipelined 512 KB sends per hop).
 //
-// All generators append to a goal.Builder and wire dependencies through
-// entry ops (per participating rank) to exit ops, so collectives compose
-// into larger schedules.
+// Decomposition is per position. Decompose emits the ops of one member of
+// the group onto an Emitter — the member's rank builder, or anything that
+// stands in for one — wired from the member's entry op to the exit op it
+// returns, so collectives compose into larger schedules. What one member
+// gets depends only on the collective and the member's position, never on
+// which other members were emitted before it: every op is wired right
+// after it is added, every dependency names an op the member emitted
+// earlier in the same call (or its entry), and no state is kept between
+// calls or allocated during one. A caller emits members in whatever order
+// suits it — Schedgen and the Chakra converter loop over the group, the
+// NCCL pipeline goes GPU by GPU — and a Count in place of a builder
+// yields a member's exact op and edge counts without storing anything.
 package collective
 
 import (
@@ -178,45 +187,79 @@ const TagSpan = 64
 // recursive doubling and ring for allreduce.
 const smallAllreduceBytes = 16 * 1024
 
-// Decompose appends the P2P schedule of the collective to b.
+// Emitter receives one member's ops: it numbers the ops it is given, as a
+// goal.RankBuilder does, and records that op requires dep. Require takes
+// one dependency because a variadic call through an interface allocates
+// its argument slice.
+type Emitter interface {
+	CalcOn(nanos int64, cpu int32) goal.OpID
+	SendOn(size int64, dst int, tag, cpu int32) goal.OpID
+	RecvOn(size int64, src int, tag, cpu int32) goal.OpID
+	Require(op, dep goal.OpID)
+}
+
+// Count is an Emitter that keeps nothing but how many ops and edges were
+// emitted onto it, numbering ops from 0 as a rank builder starting empty
+// would.
+type Count struct {
+	Ops, Edges int
+}
+
+func (c *Count) add() goal.OpID {
+	c.Ops++
+	return goal.OpID(c.Ops - 1)
+}
+
+// CalcOn counts a calc.
+func (c *Count) CalcOn(int64, int32) goal.OpID { return c.add() }
+
+// SendOn counts a send.
+func (c *Count) SendOn(int64, int, int32, int32) goal.OpID { return c.add() }
+
+// RecvOn counts a receive.
+func (c *Count) RecvOn(int64, int, int32, int32) goal.OpID { return c.add() }
+
+// Require counts an edge.
+func (c *Count) Require(goal.OpID, goal.OpID) { c.Edges++ }
+
+// Decompose emits onto e the ops of the member at position pos of the
+// collective and returns the member's exit: the op after which the
+// collective is complete on that rank.
 //
-//   - ranks lists the participating global ranks in communicator order.
+//   - ranks lists the participating global ranks in communicator order;
+//     they must be distinct ranks of the schedule e belongs to (the caller
+//     checks this once per group, not per call).
 //   - root is the communicator-relative root index (bcast/reduce/gather/
 //     scatter); ignored otherwise.
 //   - bytes is the payload size per rank (allreduce/bcast: the full vector;
 //     alltoall/allgather: the per-peer contribution).
-//   - entry[i], when non-nil, is an op the first ops of ranks[i] must
-//     require (-1 for none).
+//   - entry, when not -1, is an op of the member that its first ops must
+//     require.
 //
-// It returns one exit op per rank position: the op after which the
-// collective is complete on that rank.
-func Decompose(b *goal.Builder, kind Kind, algo Algo, ranks []int, root int, bytes int64, opt Options, entry []goal.OpID) ([]goal.OpID, error) {
+// A rejected collective is rejected at every position, before anything is
+// emitted.
+func Decompose(e Emitter, kind Kind, algo Algo, ranks []int, pos, root int, bytes int64, opt Options, entry goal.OpID) (goal.OpID, error) {
 	if len(ranks) == 0 {
-		return nil, fmt.Errorf("collective: empty rank group")
+		return -1, fmt.Errorf("collective: empty rank group")
 	}
-	if err := checkRanks(b, ranks); err != nil {
-		return nil, err
-	}
-	if entry != nil && len(entry) != len(ranks) {
-		return nil, fmt.Errorf("collective: entry length %d != %d ranks", len(entry), len(ranks))
+	if pos < 0 || pos >= len(ranks) {
+		return -1, fmt.Errorf("collective: position %d outside a group of %d", pos, len(ranks))
 	}
 	if bytes < 0 {
-		return nil, fmt.Errorf("collective: negative size %d", bytes)
+		return -1, fmt.Errorf("collective: negative size %d", bytes)
 	}
 	if opt.channels() > TagSpan {
-		return nil, fmt.Errorf("collective: %d channels exceed the %d tags one collective may use", opt.channels(), TagSpan)
+		return -1, fmt.Errorf("collective: %d channels exceed the %d tags one collective may use", opt.channels(), TagSpan)
 	}
 	if root < 0 || root >= len(ranks) {
 		root = 0
 	}
-	if len(ranks) == 1 {
+	m := member{e: e, ranks: ranks, n: len(ranks), pos: pos, root: root, bytes: bytes, opt: opt, entry: entry}
+	if m.n == 1 {
 		// single-rank collectives are no-ops; emit a zero calc for the exit
-		rb := b.Rank(ranks[0])
-		id := rb.CalcOn(0, opt.CPU)
-		if e := entryOf(entry, 0); e >= 0 {
-			rb.Requires(id, e)
-		}
-		return []goal.OpID{id}, nil
+		id := e.CalcOn(0, opt.CPU)
+		m.require(id, entry)
+		return id, nil
 	}
 	switch kind {
 	case Allreduce:
@@ -225,127 +268,111 @@ func Decompose(b *goal.Builder, kind Kind, algo Algo, ranks []int, root int, byt
 			// the conventional MPI switch: latency-optimal recursive
 			// doubling for small payloads, bandwidth-optimal ring above
 			if bytes <= smallAllreduceBytes {
-				return recDoublingAllreduce(b, ranks, bytes, opt, entry), nil
+				return m.recDoublingAllreduce(), nil
 			}
-			return ringAllreduce(b, ranks, bytes, opt, entry), nil
+			return m.ringAllreduce(), nil
 		case Ring:
-			return ringAllreduce(b, ranks, bytes, opt, entry), nil
+			return m.ringAllreduce(), nil
 		case RecDoubling:
-			return recDoublingAllreduce(b, ranks, bytes, opt, entry), nil
+			return m.recDoublingAllreduce(), nil
 		}
 	case Bcast:
 		switch algo {
 		case Ring:
-			return ringBcast(b, ranks, root, bytes, opt, entry), nil
+			return m.ringBcast(), nil
 		case Auto, Binomial:
-			return binomialBcast(b, ranks, root, bytes, opt, entry), nil
+			return m.binomialBcast(), nil
 		}
 	case Allgather:
 		switch algo {
 		case Auto, Ring:
-			return ringAllgather(b, ranks, bytes, opt, entry), nil
+			return m.ringAllgather(), nil
 		}
 	case ReduceScatter:
 		switch algo {
 		case Auto, Ring:
-			return ringReduceScatter(b, ranks, bytes, opt, entry), nil
+			return m.ringReduceScatter(), nil
 		}
 	case Alltoall:
 		switch algo {
 		case Auto, Pairwise:
-			return pairwiseAlltoall(b, ranks, bytes, opt, entry), nil
+			return m.pairwiseAlltoall(), nil
 		}
 	case Barrier:
-		return disseminationBarrier(b, ranks, opt, entry), nil
+		return m.disseminationBarrier(), nil
 	case Reduce:
 		switch algo {
 		case Auto, Binomial:
-			return binomialReduce(b, ranks, root, bytes, opt, entry), nil
+			return m.binomialReduce(), nil
 		}
 	case Gather:
-		return linearGather(b, ranks, root, bytes, opt, entry), nil
+		return m.linearGather(), nil
 	case Scatter:
-		return linearScatter(b, ranks, root, bytes, opt, entry), nil
+		return m.linearScatter(), nil
 	}
-	return nil, fmt.Errorf("collective: %v does not support algorithm %v", kind, algo)
+	return -1, fmt.Errorf("collective: %v does not support algorithm %v", kind, algo)
 }
 
-func checkRanks(b *goal.Builder, ranks []int) error {
-	seen := map[int]bool{}
-	for _, r := range ranks {
-		if r < 0 || r >= b.NumRanks() {
-			return fmt.Errorf("collective: rank %d out of range [0,%d)", r, b.NumRanks())
-		}
-		if seen[r] {
-			return fmt.Errorf("collective: duplicate rank %d in group", r)
-		}
-		seen[r] = true
-	}
-	return nil
+// member is one position's view of a collective: everything its
+// decomposition reads. It lives on Decompose's stack.
+type member struct {
+	e         Emitter
+	ranks     []int
+	n         int
+	pos, root int
+	bytes     int64
+	opt       Options
+	entry     goal.OpID
 }
 
-func entryOf(entry []goal.OpID, i int) goal.OpID {
-	if entry == nil {
-		return -1
-	}
-	return entry[i]
-}
+// rank returns the global rank at group position i, taken modulo the
+// group size.
+func (m *member) rank(i int) int { return m.ranks[(i%m.n+m.n)%m.n] }
 
-// requireEntry wires dep into op if dep is a valid op.
-func requireEntry(rb *goal.RankBuilder, op, dep goal.OpID) {
+// wire returns the bytes serialised for a payload under the protocol.
+func (m *member) wire(payload int64) int64 { return WireBytes(m.opt.Protocol, payload) }
+
+// require wires dep into op if dep is a valid op.
+func (m *member) require(op, dep goal.OpID) {
 	if dep >= 0 {
-		rb.Requires(op, dep)
+		m.e.Require(op, dep)
 	}
 }
 
-// exitOf merges multiple terminal ops into a single zero-cost exit op when
-// needed (the paper's dummy vertices).
-func exitOf(rb *goal.RankBuilder, opt Options, terminals ...goal.OpID) goal.OpID {
-	live := terminals[:0]
+// join returns the single terminal op, or merges several into one
+// zero-cost exit op (the paper's dummy vertices) that requires each in
+// turn.
+func (m *member) join(terminals ...goal.OpID) goal.OpID {
+	if len(terminals) == 1 {
+		return terminals[0]
+	}
+	d := m.e.CalcOn(0, m.opt.CPU)
 	for _, t := range terminals {
-		if t >= 0 {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 1 {
-		return live[0]
-	}
-	d := rb.CalcOn(0, opt.CPU)
-	for _, t := range live {
-		rb.Requires(d, t)
+		m.e.Require(d, t)
 	}
 	return d
 }
 
-// chunksOf splits total into pipelined chunks of at most chunk bytes,
-// returning each chunk's size (at least one chunk, possibly zero-sized).
-func chunksOf(total, chunk int64) []int64 {
-	if total <= 0 {
-		return []int64{0}
+// share returns part k of total divided into parts as evenly as possible
+// (earlier parts get the remainder).
+func share(total int64, parts, k int) int64 {
+	s := total / int64(parts)
+	if int64(k) < total%int64(parts) {
+		s++
 	}
-	var out []int64
-	for total > 0 {
-		c := chunk
-		if total < c {
-			c = total
-		}
-		out = append(out, c)
-		total -= c
-	}
-	return out
+	return s
 }
 
-// splitAcross divides total across n parts as evenly as possible (earlier
-// parts get the remainder).
-func splitAcross(total int64, n int) []int64 {
-	out := make([]int64, n)
-	base := total / int64(n)
-	rem := total % int64(n)
-	for i := range out {
-		out[i] = base
-		if int64(i) < rem {
-			out[i]++
-		}
+// chunks returns how many pipelined chunks of at most chunk bytes total
+// splits into: at least one, possibly zero-sized. Chunk k holds
+// min(chunk, total-k*chunk) bytes.
+func chunks(total, chunk int64) int64 {
+	if total <= 0 {
+		return 1
 	}
-	return out
+	n := total / chunk
+	if total%chunk != 0 {
+		n++
+	}
+	return n
 }

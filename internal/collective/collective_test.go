@@ -25,7 +25,7 @@ func group(n int) []int {
 func buildAndRun(t *testing.T, kind Kind, algo Algo, n int, bytes int64, opt Options) *sched.Result {
 	t.Helper()
 	b := goal.NewBuilder(n)
-	_, err := Decompose(b, kind, algo, group(n), 0, bytes, opt, nil)
+	_, err := decomposeAll(b, kind, algo, group(n), 0, bytes, opt, nil)
 	if err != nil {
 		t.Fatalf("%v/%v: %v", kind, algo, err)
 	}
@@ -60,7 +60,7 @@ func TestAllKindsAllAlgos(t *testing.T) {
 
 func TestSingleRankCollectiveIsNoop(t *testing.T) {
 	b := goal.NewBuilder(1)
-	exits, err := Decompose(b, Allreduce, Ring, []int{0}, 0, 1024, Options{}, nil)
+	exits, err := decomposeAll(b, Allreduce, Ring, []int{0}, 0, 1024, Options{}, nil)
 	if err != nil || len(exits) != 1 {
 		t.Fatalf("exits=%v err=%v", exits, err)
 	}
@@ -72,23 +72,25 @@ func TestSingleRankCollectiveIsNoop(t *testing.T) {
 
 func TestDecomposeErrors(t *testing.T) {
 	b := goal.NewBuilder(4)
-	if _, err := Decompose(b, Allreduce, Ring, nil, 0, 10, Options{}, nil); err == nil {
+	if _, err := Decompose(b.Rank(0), Allreduce, Ring, nil, 0, 0, 10, Options{}, -1); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if _, err := Decompose(b, Allreduce, Ring, []int{0, 9}, 0, 10, Options{}, nil); err == nil {
-		t.Fatal("out-of-range rank accepted")
-	}
-	if _, err := Decompose(b, Allreduce, Ring, []int{0, 0}, 0, 10, Options{}, nil); err == nil {
-		t.Fatal("duplicate rank accepted")
-	}
-	if _, err := Decompose(b, Allreduce, Ring, []int{0, 1}, 0, -5, Options{}, nil); err == nil {
+	if _, err := decomposeAll(b, Allreduce, Ring, []int{0, 1}, 0, -5, Options{}, nil); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	if _, err := Decompose(b, Allreduce, Binomial, []int{0, 1}, 0, 10, Options{}, nil); err == nil {
+	if _, err := decomposeAll(b, Allreduce, Binomial, []int{0, 1}, 0, 10, Options{}, nil); err == nil {
 		t.Fatal("unsupported kind/algo pair accepted")
 	}
-	if _, err := Decompose(b, Allreduce, Ring, []int{0, 1}, 0, 10, Options{}, []goal.OpID{1}); err == nil {
-		t.Fatal("mismatched entry length accepted")
+	if _, err := decomposeAll(b, Allreduce, Ring, []int{0, 1}, 0, 10, Options{Channels: TagSpan + 1}, nil); err == nil {
+		t.Fatal("more channels than tags accepted")
+	}
+	for _, pos := range []int{-1, 2} {
+		if _, err := Decompose(b.Rank(0), Allreduce, Ring, []int{0, 1}, pos, 0, 10, Options{}, -1); err == nil {
+			t.Fatalf("position %d of a 2-member group accepted", pos)
+		}
+	}
+	if b.Rank(0).NumOps() != 0 {
+		t.Fatal("a rejected collective emitted ops")
 	}
 }
 
@@ -96,7 +98,7 @@ func TestRingAllreduceByteVolume(t *testing.T) {
 	// bandwidth-optimal ring: each rank sends 2*(N-1)/N of the payload
 	const n, size = 8, 1 << 20
 	b := goal.NewBuilder(n)
-	if _, err := Decompose(b, Allreduce, Ring, group(n), 0, size, Options{}, nil); err != nil {
+	if _, err := decomposeAll(b, Allreduce, Ring, group(n), 0, size, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := b.MustBuild()
@@ -118,7 +120,7 @@ func TestRingBcastFig4(t *testing.T) {
 	const n = 4
 	const size = 2 << 20
 	b := goal.NewBuilder(n)
-	if _, err := Decompose(b, Bcast, Ring, group(n), 0, size, Options{ChunkBytes: 512 * 1024}, nil); err != nil {
+	if _, err := decomposeAll(b, Bcast, Ring, group(n), 0, size, Options{ChunkBytes: 512 * 1024}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := b.MustBuild()
@@ -161,9 +163,9 @@ func TestLLProtocolDoublesWire(t *testing.T) {
 		t.Fatal("WireBytes wrong")
 	}
 	b1 := goal.NewBuilder(4)
-	Decompose(b1, Allreduce, Ring, group(4), 0, 1<<20, Options{Protocol: Simple}, nil)
+	decomposeAll(b1, Allreduce, Ring, group(4), 0, 1<<20, Options{Protocol: Simple}, nil)
 	b2 := goal.NewBuilder(4)
-	Decompose(b2, Allreduce, Ring, group(4), 0, 1<<20, Options{Protocol: LL}, nil)
+	decomposeAll(b2, Allreduce, Ring, group(4), 0, 1<<20, Options{Protocol: LL}, nil)
 	s1 := b1.MustBuild().ComputeStats().SendBytes
 	s2 := b2.MustBuild().ComputeStats().SendBytes
 	if s2 != 2*s1 {
@@ -173,9 +175,9 @@ func TestLLProtocolDoublesWire(t *testing.T) {
 
 func TestChannelsSplitPayload(t *testing.T) {
 	b1 := goal.NewBuilder(4)
-	Decompose(b1, Allreduce, Ring, group(4), 0, 1<<20, Options{Channels: 1}, nil)
+	decomposeAll(b1, Allreduce, Ring, group(4), 0, 1<<20, Options{Channels: 1}, nil)
 	b4 := goal.NewBuilder(4)
-	Decompose(b4, Allreduce, Ring, group(4), 0, 1<<20, Options{Channels: 4}, nil)
+	decomposeAll(b4, Allreduce, Ring, group(4), 0, 1<<20, Options{Channels: 4}, nil)
 	st1 := b1.MustBuild().ComputeStats()
 	st4 := b4.MustBuild().ComputeStats()
 	if st1.SendBytes != st4.SendBytes {
@@ -209,7 +211,7 @@ func TestBarrierLatencyFloor(t *testing.T) {
 
 func TestReduceCalcInsertion(t *testing.T) {
 	b := goal.NewBuilder(4)
-	Decompose(b, Allreduce, Ring, group(4), 0, 1<<20, Options{ReduceNsPerByte: 0.01}, nil)
+	decomposeAll(b, Allreduce, Ring, group(4), 0, 1<<20, Options{ReduceNsPerByte: 0.01}, nil)
 	s := b.MustBuild()
 	st := s.ComputeStats()
 	if st.Calcs == 0 {
@@ -227,7 +229,7 @@ func TestEntryDependenciesRespected(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		entry[i] = b.Rank(i).Calc(1_000_000) // 1 ms
 	}
-	if _, err := Decompose(b, Allreduce, Ring, group(4), 0, 1024, Options{}, entry); err != nil {
+	if _, err := decomposeAll(b, Allreduce, Ring, group(4), 0, 1024, Options{}, entry); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sched.Run(engine.New(), b.MustBuild(), backend.NewLGS(backend.AIParams()), sched.Options{})
@@ -242,11 +244,11 @@ func TestEntryDependenciesRespected(t *testing.T) {
 func TestCollectiveChaining(t *testing.T) {
 	// reduce-scatter followed by allgather == allreduce volume
 	b := goal.NewBuilder(4)
-	exits, err := Decompose(b, ReduceScatter, Ring, group(4), 0, 1<<20, Options{}, nil)
+	exits, err := decomposeAll(b, ReduceScatter, Ring, group(4), 0, 1<<20, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompose(b, Allgather, Ring, group(4), 0, (1<<20)/4, Options{TagBase: TagSpan}, exits); err != nil {
+	if _, err := decomposeAll(b, Allgather, Ring, group(4), 0, (1<<20)/4, Options{TagBase: TagSpan}, exits); err != nil {
 		t.Fatal(err)
 	}
 	s := b.MustBuild()
@@ -284,7 +286,7 @@ func TestDecomposeProperty(t *testing.T) {
 			opt.Protocol = LL
 		}
 		b := goal.NewBuilder(n)
-		if _, err := Decompose(b, c.kind, c.algo, group(n), root, bytes, opt, nil); err != nil {
+		if _, err := decomposeAll(b, c.kind, c.algo, group(n), root, bytes, opt, nil); err != nil {
 			return false
 		}
 		s := b.Build()
@@ -308,7 +310,7 @@ func TestKindAlgoStrings(t *testing.T) {
 func BenchmarkRingAllreduceDecompose(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bld := goal.NewBuilder(64)
-		if _, err := Decompose(bld, Allreduce, Ring, group(64), 0, 1<<20, Options{Channels: 2}, nil); err != nil {
+		if _, err := decomposeAll(bld, Allreduce, Ring, group(64), 0, 1<<20, Options{Channels: 2}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

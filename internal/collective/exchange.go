@@ -7,80 +7,72 @@ import "atlahs/internal/goal"
 // non-powers of two the standard fold is used: the first `rem` odd ranks
 // fold into their even neighbour before the doubling phase and get the
 // result back afterwards.
-func recDoublingAllreduce(b *goal.Builder, ranks []int, bytes int64, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	w := WireBytes(opt.Protocol, bytes)
-	tag := opt.TagBase
+func (m *member) recDoublingAllreduce() goal.OpID {
+	n, q, w, tag := m.n, m.pos, m.wire(m.bytes), m.opt.TagBase
 	p2 := 1
 	for p2*2 <= n {
 		p2 *= 2
 	}
 	rem := n - p2
+	folded := q < 2*rem && q%2 == 1 // sits the doubling phase out
 
-	last := make([]goal.OpID, n)
-	for i := range last {
-		last[i] = entryOf(entry, i)
-	}
-	reduceCalc := func(pos int, after goal.OpID) goal.OpID {
-		if opt.ReduceNsPerByte <= 0 || bytes == 0 {
+	last := m.entry
+	reduceCalc := func(after goal.OpID) goal.OpID {
+		if m.opt.ReduceNsPerByte <= 0 || m.bytes == 0 {
 			return after
 		}
-		rb := b.Rank(ranks[pos])
-		c := rb.CalcOn(int64(opt.ReduceNsPerByte*float64(bytes)), opt.CPU)
-		rb.Requires(c, after)
+		c := m.e.CalcOn(int64(m.opt.ReduceNsPerByte*float64(m.bytes)), m.opt.CPU)
+		m.e.Require(c, after)
 		return c
 	}
 
 	// fold phase: positions 2i+1 (i < rem) send to 2i
-	for i := 0; i < rem; i++ {
-		odd, even := 2*i+1, 2*i
-		sb := b.Rank(ranks[odd])
-		s := sb.SendOn(w, ranks[even], tag, opt.CPU)
-		requireEntry(sb, s, last[odd])
-		last[odd] = s
-		rb := b.Rank(ranks[even])
-		r := rb.RecvOn(w, ranks[odd], tag, opt.CPU)
-		requireEntry(rb, r, last[even])
-		last[even] = reduceCalc(even, r)
-	}
-
-	// active set: evens of the folded pairs + the tail
-	active := make([]int, 0, p2)
-	for i := 0; i < rem; i++ {
-		active = append(active, 2*i)
-	}
-	for p := 2 * rem; p < n; p++ {
-		active = append(active, p)
-	}
-
-	// doubling phase among active positions
-	for k := 1; k < p2; k <<= 1 {
-		newLast := make([]goal.OpID, len(active))
-		for ai, pos := range active {
-			partner := active[ai^k]
-			rb := b.Rank(ranks[pos])
-			s := rb.SendOn(w, ranks[partner], tag+1, opt.CPU)
-			requireEntry(rb, s, last[pos])
-			r := rb.RecvOn(w, ranks[partner], tag+1, opt.CPU)
-			requireEntry(rb, r, last[pos])
-			newLast[ai] = reduceCalc(pos, exitOf(rb, opt, s, r))
+	if q < 2*rem {
+		if folded {
+			s := m.e.SendOn(w, m.ranks[q-1], tag, m.opt.CPU)
+			m.require(s, last)
+			last = s
+		} else {
+			r := m.e.RecvOn(w, m.ranks[q+1], tag, m.opt.CPU)
+			m.require(r, last)
+			last = reduceCalc(r)
 		}
-		for ai, pos := range active {
-			last[pos] = newLast[ai]
+	}
+
+	// doubling phase among the active positions: the evens of the folded
+	// pairs, then the tail; activePos maps an index in that list back
+	if !folded {
+		activePos := func(a int) int {
+			if a < rem {
+				return 2 * a
+			}
+			return a + rem
+		}
+		a := q - rem
+		if q < 2*rem {
+			a = q / 2
+		}
+		for k := 1; k < p2; k <<= 1 {
+			partner := m.ranks[activePos(a^k)]
+			s := m.e.SendOn(w, partner, tag+1, m.opt.CPU)
+			m.require(s, last)
+			r := m.e.RecvOn(w, partner, tag+1, m.opt.CPU)
+			m.require(r, last)
+			last = reduceCalc(m.join(s, r))
 		}
 	}
 
 	// unfold: evens return the result to their odd partner
-	for i := 0; i < rem; i++ {
-		odd, even := 2*i+1, 2*i
-		sb := b.Rank(ranks[even])
-		s := sb.SendOn(w, ranks[odd], tag+2, opt.CPU)
-		requireEntry(sb, s, last[even])
-		last[even] = s
-		rb := b.Rank(ranks[odd])
-		r := rb.RecvOn(w, ranks[even], tag+2, opt.CPU)
-		requireEntry(rb, r, last[odd])
-		last[odd] = r
+	if q < 2*rem {
+		if folded {
+			r := m.e.RecvOn(w, m.ranks[q-1], tag+2, m.opt.CPU)
+			m.require(r, last)
+			last = r
+		} else {
+			s := m.e.SendOn(w, m.ranks[q+1], tag+2, m.opt.CPU)
+			m.require(s, last)
+			last = s
+		}
 	}
 	return last
 }
@@ -88,111 +80,76 @@ func recDoublingAllreduce(b *goal.Builder, ranks []int, bytes int64, opt Options
 // pairwiseAlltoall: N-1 rounds; in round s, position i exchanges its
 // per-peer block with positions i+s and i-s. Rounds are chained per rank
 // to bound concurrent buffer usage (the conventional MPI implementation).
-func pairwiseAlltoall(b *goal.Builder, ranks []int, bytes int64, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	w := WireBytes(opt.Protocol, bytes)
-	last := make([]goal.OpID, n)
-	for i := range last {
-		last[i] = entryOf(entry, i)
-	}
-	for s := 1; s < n; s++ {
-		tag := opt.TagBase + int32(s%TagSpan)
-		for i := 0; i < n; i++ {
-			rb := b.Rank(ranks[i])
-			to := ranks[(i+s)%n]
-			from := ranks[(i-s+n)%n]
-			snd := rb.SendOn(w, to, tag, opt.CPU)
-			requireEntry(rb, snd, last[i])
-			rcv := rb.RecvOn(w, from, tag, opt.CPU)
-			requireEntry(rb, rcv, last[i])
-			last[i] = exitOf(rb, opt, snd, rcv)
-		}
+func (m *member) pairwiseAlltoall() goal.OpID {
+	w := m.wire(m.bytes)
+	last := m.entry
+	for s := 1; s < m.n; s++ {
+		tag := m.opt.TagBase + int32(s%TagSpan)
+		snd := m.e.SendOn(w, m.rank(m.pos+s), tag, m.opt.CPU)
+		m.require(snd, last)
+		rcv := m.e.RecvOn(w, m.rank(m.pos-s), tag, m.opt.CPU)
+		m.require(rcv, last)
+		last = m.join(snd, rcv)
 	}
 	return last
 }
 
 // disseminationBarrier: ceil(log2 N) rounds of 1-byte tokens to the
 // +2^k neighbour; after the last round every rank knows all arrived.
-func disseminationBarrier(b *goal.Builder, ranks []int, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	last := make([]goal.OpID, n)
-	for i := range last {
-		last[i] = entryOf(entry, i)
-	}
+func (m *member) disseminationBarrier() goal.OpID {
+	last := m.entry
 	round := 0
-	for k := 1; k < n; k <<= 1 {
-		tag := opt.TagBase + int32(round%TagSpan)
+	for k := 1; k < m.n; k <<= 1 {
+		tag := m.opt.TagBase + int32(round%TagSpan)
 		round++
-		newLast := make([]goal.OpID, n)
-		for i := 0; i < n; i++ {
-			rb := b.Rank(ranks[i])
-			snd := rb.SendOn(1, ranks[(i+k)%n], tag, opt.CPU)
-			requireEntry(rb, snd, last[i])
-			rcv := rb.RecvOn(1, ranks[(i-k+n)%n], tag, opt.CPU)
-			requireEntry(rb, rcv, last[i])
-			newLast[i] = exitOf(rb, opt, snd, rcv)
-		}
-		last = newLast
+		snd := m.e.SendOn(1, m.rank(m.pos+k), tag, m.opt.CPU)
+		m.require(snd, last)
+		rcv := m.e.RecvOn(1, m.rank(m.pos-k), tag, m.opt.CPU)
+		m.require(rcv, last)
+		last = m.join(snd, rcv)
 	}
 	return last
 }
 
-// linearGather: every non-root sends its block to the root.
-func linearGather(b *goal.Builder, ranks []int, root int, bytes int64, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	w := WireBytes(opt.Protocol, bytes)
-	tag := opt.TagBase
-	out := make([]goal.OpID, n)
-	rootRB := b.Rank(ranks[root])
-	var rootLast goal.OpID = -1
-	for i := 0; i < n; i++ {
-		if i == root {
+// linearGather: every non-root sends its block to the root, which
+// receives them in position order.
+func (m *member) linearGather() goal.OpID {
+	w, tag := m.wire(m.bytes), m.opt.TagBase
+	if m.pos != m.root {
+		s := m.e.SendOn(w, m.ranks[m.root], tag, m.opt.CPU)
+		m.require(s, m.entry)
+		return s
+	}
+	last := goal.OpID(-1)
+	for i, r := range m.ranks {
+		if i == m.root {
 			continue
 		}
-		rb := b.Rank(ranks[i])
-		s := rb.SendOn(w, ranks[root], tag, opt.CPU)
-		requireEntry(rb, s, entryOf(entry, i))
-		out[i] = s
-		r := rootRB.RecvOn(w, ranks[i], tag, opt.CPU)
-		requireEntry(rootRB, r, entryOf(entry, root))
-		if rootLast >= 0 {
-			rootRB.Requires(r, rootLast)
-		}
-		rootLast = r
+		rcv := m.e.RecvOn(w, r, tag, m.opt.CPU)
+		m.require(rcv, m.entry)
+		m.require(rcv, last)
+		last = rcv
 	}
-	if rootLast < 0 {
-		rootLast = rootRB.CalcOn(0, opt.CPU)
-	}
-	out[root] = rootLast
-	return out
+	return last
 }
 
-// linearScatter: the root sends each rank its block.
-func linearScatter(b *goal.Builder, ranks []int, root int, bytes int64, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	w := WireBytes(opt.Protocol, bytes)
-	tag := opt.TagBase
-	out := make([]goal.OpID, n)
-	rootRB := b.Rank(ranks[root])
-	var rootLast goal.OpID = -1
-	for i := 0; i < n; i++ {
-		if i == root {
+// linearScatter: the root sends each rank its block, in position order.
+func (m *member) linearScatter() goal.OpID {
+	w, tag := m.wire(m.bytes), m.opt.TagBase
+	if m.pos != m.root {
+		r := m.e.RecvOn(w, m.ranks[m.root], tag, m.opt.CPU)
+		m.require(r, m.entry)
+		return r
+	}
+	last := goal.OpID(-1)
+	for i, r := range m.ranks {
+		if i == m.root {
 			continue
 		}
-		s := rootRB.SendOn(w, ranks[i], tag, opt.CPU)
-		requireEntry(rootRB, s, entryOf(entry, root))
-		if rootLast >= 0 {
-			rootRB.Requires(s, rootLast)
-		}
-		rootLast = s
-		rb := b.Rank(ranks[i])
-		r := rb.RecvOn(w, ranks[root], tag, opt.CPU)
-		requireEntry(rb, r, entryOf(entry, i))
-		out[i] = r
+		s := m.e.SendOn(w, r, tag, m.opt.CPU)
+		m.require(s, m.entry)
+		m.require(s, last)
+		last = s
 	}
-	if rootLast < 0 {
-		rootLast = rootRB.CalcOn(0, opt.CPU)
-	}
-	out[root] = rootLast
-	return out
+	return last
 }

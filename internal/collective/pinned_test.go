@@ -9,9 +9,22 @@ import (
 	"atlahs/internal/goal"
 )
 
-// decomposeAll decomposes one collective for every member of the group.
+// decomposeAll decomposes one collective for every member of the group,
+// position after position, and returns each member's exit. entry[i], when
+// entry is not nil, is member i's entry op.
 func decomposeAll(b *goal.Builder, kind Kind, algo Algo, ranks []int, root int, bytes int64, opt Options, entry []goal.OpID) ([]goal.OpID, error) {
-	return Decompose(b, kind, algo, ranks, root, bytes, opt, entry)
+	exits := make([]goal.OpID, len(ranks))
+	for i, r := range ranks {
+		e := goal.OpID(-1)
+		if entry != nil {
+			e = entry[i]
+		}
+		var err error
+		if exits[i], err = Decompose(b.Rank(r), kind, algo, ranks, i, root, bytes, opt, e); err != nil {
+			return nil, err
+		}
+	}
+	return exits, nil
 }
 
 // pinnedAlgos lists every (kind, algorithm) pair Decompose accepts; the

@@ -2,103 +2,61 @@ package collective
 
 import "atlahs/internal/goal"
 
-// binomialBcast: in round k the first 2^k ranks (root-relative) send to
-// their +2^k partner; log2(N) rounds total.
-func binomialBcast(b *goal.Builder, ranks []int, root int, bytes int64, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	w := WireBytes(opt.Protocol, bytes)
-	tag := opt.TagBase
-	// rel position p corresponds to ranks[(root+p)%n]
-	rankAt := func(p int) int { return ranks[(root+p)%n] }
-	posAt := func(p int) int { return (root + p) % n }
-	last := make([]goal.OpID, n) // last op per relative position
-	for i := range last {
-		last[i] = -1
-	}
+// binomialBcast: in round k the first k ranks (root-relative) send to
+// their +k partner, k doubling each round; log2(N) rounds total. A member
+// other than the root receives once, in the round its relative position
+// first falls below 2k, and sends in every later round that has a partner
+// for it; with N >= 2 every member ends on an op of its own.
+func (m *member) binomialBcast() goal.OpID {
+	n, w, tag := m.n, m.wire(m.bytes), m.opt.TagBase
+	q := (m.pos - m.root + n) % n // relative position; q is ranks[(root+q)%n]
+	last := goal.OpID(-1)
 	for k := 1; k < n; k <<= 1 {
-		for p := 0; p < n; p++ {
-			if p < k && p+k < n {
-				// sender
-				sb := b.Rank(rankAt(p))
-				s := sb.SendOn(w, rankAt(p+k), tag, opt.CPU)
-				requireEntry(sb, s, entryOf(entry, posAt(p)))
-				if last[p] >= 0 {
-					sb.Requires(s, last[p])
-				}
-				last[p] = s
-				// receiver
-				rb := b.Rank(rankAt(p + k))
-				r := rb.RecvOn(w, rankAt(p), tag, opt.CPU)
-				requireEntry(rb, r, entryOf(entry, posAt(p+k)))
-				last[p+k] = r
-			}
+		switch {
+		case q < k && q+k < n:
+			s := m.e.SendOn(w, m.rank(m.pos+k), tag, m.opt.CPU)
+			m.require(s, m.entry)
+			m.require(s, last)
+			last = s
+		case q >= k && q < 2*k:
+			r := m.e.RecvOn(w, m.rank(m.pos-k), tag, m.opt.CPU)
+			m.require(r, m.entry)
+			last = r
 		}
 	}
-	out := make([]goal.OpID, n)
-	for p := 0; p < n; p++ {
-		id := last[p]
-		if id < 0 {
-			// only possible for n == 1, handled by the caller; keep safe
-			rb := b.Rank(rankAt(p))
-			id = rb.CalcOn(0, opt.CPU)
-		}
-		out[posAt(p)] = id
-	}
-	return out
+	return last
 }
 
 // binomialReduce mirrors binomialBcast with reversed data flow: leaves
 // send first, the root receives last. A reducing calc may follow each recv.
-func binomialReduce(b *goal.Builder, ranks []int, root int, bytes int64, opt Options, entry []goal.OpID) []goal.OpID {
-	n := len(ranks)
-	w := WireBytes(opt.Protocol, bytes)
-	tag := opt.TagBase
-	rankAt := func(p int) int { return ranks[(root+p)%n] }
-	posAt := func(p int) int { return (root + p) % n }
-	last := make([]goal.OpID, n)
-	for i := range last {
-		last[i] = -1
-	}
-	// largest power of two < 2n
+func (m *member) binomialReduce() goal.OpID {
+	n, w, tag := m.n, m.wire(m.bytes), m.opt.TagBase
+	q := (m.pos - m.root + n) % n
+	last := goal.OpID(-1)
+	// the smallest power of two >= n
 	start := 1
 	for start < n {
 		start <<= 1
 	}
 	for k := start; k >= 1; k >>= 1 {
-		for p := 0; p < n; p++ {
-			if p < k && p+k < n {
-				// p+k sends its (partial) result to p
-				sb := b.Rank(rankAt(p + k))
-				s := sb.SendOn(w, rankAt(p), tag, opt.CPU)
-				requireEntry(sb, s, entryOf(entry, posAt(p+k)))
-				if last[p+k] >= 0 {
-					sb.Requires(s, last[p+k])
-				}
-				last[p+k] = s
-				rb := b.Rank(rankAt(p))
-				r := rb.RecvOn(w, rankAt(p+k), tag, opt.CPU)
-				requireEntry(rb, r, entryOf(entry, posAt(p)))
-				if last[p] >= 0 {
-					rb.Requires(r, last[p])
-				}
-				lastOp := r
-				if opt.ReduceNsPerByte > 0 && bytes > 0 {
-					calc := rb.CalcOn(int64(opt.ReduceNsPerByte*float64(bytes)), opt.CPU)
-					rb.Requires(calc, r)
-					lastOp = calc
-				}
-				last[p] = lastOp
+		switch {
+		case q >= k && q < 2*k:
+			// q sends its (partial) result to q-k
+			s := m.e.SendOn(w, m.rank(m.pos-k), tag, m.opt.CPU)
+			m.require(s, m.entry)
+			m.require(s, last)
+			last = s
+		case q < k && q+k < n:
+			r := m.e.RecvOn(w, m.rank(m.pos+k), tag, m.opt.CPU)
+			m.require(r, m.entry)
+			m.require(r, last)
+			last = r
+			if m.opt.ReduceNsPerByte > 0 && m.bytes > 0 {
+				calc := m.e.CalcOn(int64(m.opt.ReduceNsPerByte*float64(m.bytes)), m.opt.CPU)
+				m.e.Require(calc, r)
+				last = calc
 			}
 		}
 	}
-	out := make([]goal.OpID, n)
-	for p := 0; p < n; p++ {
-		id := last[p]
-		if id < 0 {
-			rb := b.Rank(rankAt(p))
-			id = rb.CalcOn(0, opt.CPU)
-		}
-		out[posAt(p)] = id
-	}
-	return out
+	return last
 }

@@ -191,6 +191,13 @@ func (rb *RankBuilder) Requires(op OpID, deps ...OpID) {
 	rb.depend(&rb.requires, op, deps)
 }
 
+// Require is Requires with one dependency: the form a caller reaching the
+// builder through an interface uses, where the variadic argument slice of
+// Requires would be allocated on every call.
+func (rb *RankBuilder) Require(op, dep OpID) {
+	rb.depend(&rb.requires, op, []OpID{dep})
+}
+
 // IRequires adds start dependencies: op starts only after each dep has
 // started.
 func (rb *RankBuilder) IRequires(op OpID, deps ...OpID) {

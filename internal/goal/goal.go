@@ -151,6 +151,7 @@ func (s *Schedule) ComputeStats() Stats {
 // requires+irequires edges. It returns the first violation found.
 func (s *Schedule) Validate() error {
 	n := int32(s.NumRanks())
+	var scratch []int32 // checkAcyclic's, shared by all ranks
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		nops := int32(len(rp.Ops))
@@ -194,7 +195,7 @@ func (s *Schedule) Validate() error {
 			}
 		}
 		if !ordered {
-			if err := checkAcyclic(rp); err != nil {
+			if err := checkAcyclic(rp, &scratch); err != nil {
 				return fmt.Errorf("goal: rank %d: %w", r, err)
 			}
 		}
@@ -205,17 +206,23 @@ func (s *Schedule) Validate() error {
 // checkAcyclic runs Kahn's algorithm on the transposed graph: it peels ops
 // that no unpeeled op depends on, walking the dependency lists themselves,
 // so it needs no successor table. A graph has a cycle exactly when its
-// transpose does.
-func checkAcyclic(rp *RankProgram) error {
+// transpose does. Its two arrays of one int32 per op live in *scratch,
+// which it grows when the rank needs more, so a Validate call allocates
+// for its largest unordered rank once instead of for every rank.
+func checkAcyclic(rp *RankProgram, scratch *[]int32) error {
 	n := len(rp.Ops)
-	dependents := make([]int32, n) // unpeeled ops that depend on op i
+	if len(*scratch) < 2*n {
+		*scratch = make([]int32, 2*n)
+	}
+	dependents := (*scratch)[:n] // unpeeled ops that depend on op i
+	clear(dependents)
 	for _, d := range rp.Requires.edges {
 		dependents[d]++
 	}
 	for _, d := range rp.IRequires.edges {
 		dependents[d]++
 	}
-	queue := make([]int32, 0, n)
+	queue := (*scratch)[n : n : 2*n] // every op is queued once
 	for i, c := range dependents {
 		if c == 0 {
 			queue = append(queue, int32(i))

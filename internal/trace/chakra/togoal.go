@@ -167,7 +167,6 @@ func ToGOAL(t *Trace, cfg ConvertConfig) (*goal.Schedule, error) {
 			if ref == nil {
 				break
 			}
-			entries := make([]goal.OpID, len(mem))
 			for i := range mem {
 				if ci >= len(perMember[i]) {
 					return nil, fmt.Errorf("chakra: group %q: rank %d missing collective #%d (%s)",
@@ -189,21 +188,24 @@ func ToGOAL(t *Trace, cfg ConvertConfig) (*goal.Schedule, error) {
 					return nil, fmt.Errorf("chakra: group %q collective #%d: rank %d roots at %d while rank %d roots at %d",
 						g, ci, p.rank, pr, ref.rank, rr)
 				}
-				entries[i] = p.entry
 			}
+			// every member has a collective here, so mem names distinct
+			// ranks of the trace: pos took each to its own index
 			root := int(ref.node.IntAttrOr("comm_root", 0))
-			exits, err := collective.Decompose(b, ref.kind, collective.Auto, mem, root,
-				ref.node.IntAttrOr("comm_size", 0), collective.Options{
-					TagBase:         int32(collTagBase + collInstance*collective.TagSpan),
-					ReduceNsPerByte: cfg.ReduceNsPerByte,
-				}, entries)
-			if err != nil {
-				return nil, fmt.Errorf("chakra: group %q collective #%d: %w", g, ci, err)
+			copt := collective.Options{
+				TagBase:         int32(collTagBase + collInstance*collective.TagSpan),
+				ReduceNsPerByte: cfg.ReduceNsPerByte,
+			}
+			for i, r := range mem {
+				p := &perMember[i][ci]
+				rb := b.Rank(r)
+				exit, err := collective.Decompose(rb, ref.kind, collective.Auto, mem, i, root, ref.node.IntAttrOr("comm_size", 0), copt, p.entry)
+				if err != nil {
+					return nil, fmt.Errorf("chakra: group %q collective #%d: %w", g, ci, err)
+				}
+				rb.Requires(p.exit, exit)
 			}
 			collInstance++
-			for i := range mem {
-				b.Rank(mem[i]).Requires(perMember[i][ci].exit, exits[i])
-			}
 		}
 	}
 

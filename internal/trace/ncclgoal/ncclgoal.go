@@ -11,33 +11,43 @@
 //	Stage 3 — decompose every NCCL operation into sends/recvs/calcs using
 //	          the channel-, protocol- and buffer-aware algorithms in
 //	          internal/collective (ring broadcast chunking per Fig 4).
-//	Stage 4 — group GPU DAGs into per-node DAGs (configurable GPUs per
-//	          node for "what-if" restructuring), replacing intra-node
+//	Stage 4 — group GPU DAGs into per-node DAGs (Config.GPUsPerNode GPUs
+//	          per node, for "what-if" restructuring), replacing intra-node
 //	          sends/receives with calc vertices costed at the intra-node
 //	          interconnect bandwidth.
 //
-// How the two schedules are built (goal.Builder states the contract).
-// Stage 4's node-level schedule, the one that is kept, is counted exactly
-// and written in order: every GPU op becomes one node op at a known
-// position, every edge is a copied edge or the pair edge of an intra-node
-// receive, and GroupGPUs pairs the transfers before it emits any edge — so
-// each rank's arrays are allocated once at their final size and the
-// tables are CSR from the first edge on. The GPU-level schedule of stages
-// 1-3 is a temporary and cannot be: what a collective decomposes into is
-// known only by decomposing it, so stage 2 reserves a bound taken from
-// the stream index and stage 3 grows from there; and stage 3 wires every
-// decomposed op to the exit dummy stage 2 created (exit requires op),
-// which names an op older than the ones it has just added, so each GPU's
-// Requires table spills to the builder's log at its first collective.
-// Reordering that would renumber ops, and with them the bytes of every
-// schedule this pipeline has ever produced.
+// The stages run as two passes over the report, and only the node-level
+// schedule is ever built. A GPU's ops are numbered as if it had a rank of
+// its own — its stage-2 chains first, then its stage-3 communication,
+// communicator by communicator — and op i of GPU g is op base[g]+i of its
+// node, the GPUs of a node following each other in ascending order.
+//
+//   - The plan pass runs stages 2-3 through a counting emitter per GPU
+//     and stores no ops. It checks that every communicator's members
+//     launch the same collectives in the same order (decomposing each
+//     collective per member, in lockstep), and yields each GPU's exact op
+//     and edge counts, the GPU op every stage-2 exit waits for (the last
+//     op of the record's stage-3 communication), the intra-node transfers
+//     paired up, and the stage-4 stream stride, which is the maximum over
+//     the whole schedule.
+//   - The emit pass runs stages 2-3 again, GPU by GPU, onto the node
+//     schedule's one goal.Builder, rewriting each op as it is emitted:
+//     the GPU's streams move to its own range of the node's, intra-node
+//     sends and receives become calcs, and cross-node tags are densified
+//     per (source GPU, destination GPU, tag) in order of first use.
+//
+// Every node rank is grown once at its exact size, and every op receives
+// all its dependencies right after it is added, in the order the stages
+// give them: a stage-2 exit requires its entry and then its stage-3 op
+// (a later op, which the plan named), an intra-node receive gets its pair
+// edge after its own dependencies. So the dependency tables are written
+// in place and nothing is sorted or regrown.
 package ncclgoal
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"atlahs/internal/collective"
 	"atlahs/internal/goal"
@@ -85,242 +95,368 @@ const (
 	collTagBase = 1 << 24
 )
 
-// Generate runs the full pipeline: nsys report -> node-level GOAL schedule.
+// Generate runs the pipeline: nsys report -> node-level GOAL schedule.
 func Generate(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
-	gpuSched, err := BuildGPUSchedule(rep, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults(rep.NGPUs)
-	return GroupGPUs(gpuSched, cfg.GPUsPerNode, cfg.IntraNsPerByte)
-}
-
-// pendingOp is an NCCL record awaiting stage-3 decomposition, bracketed by
-// its entry and exit dummies in the owning stream chain.
-type pendingOp struct {
-	rec   *nsys.Record
-	entry goal.OpID
-	exit  goal.OpID
-}
-
-// BuildGPUSchedule runs stages 1-3, producing a GPU-level schedule (one
-// GOAL rank per GPU; CUDA streams become GOAL compute streams).
-func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(rep.NGPUs)
-	b := goal.NewBuilder(rep.NGPUs)
+	p, err := newPlan(rep, cfg.withDefaults(rep.NGPUs))
+	if err != nil {
+		return nil, err
+	}
+	return p.emit()
+}
 
-	// global t0 preserves cross-GPU launch skew as leading computation
-	t0 := int64(0)
+// pendingOp is one NCCL record. Stage 2 brackets it with an entry and an
+// exit dummy in its stream's chain; stage 3 emits its communication in
+// between. Op ids are the GPU's own.
+type pendingOp struct {
+	rec         *nsys.Record
+	entry, exit goal.OpID
+	// What the plan found: last is the stage-3 op the exit waits for;
+	// comm indexes plan.comms; a collective's members all decompose coll,
+	// the record of its first member, as instance inst at position pos.
+	last            goal.OpID
+	comm, pos, inst int32
+	coll            *nsys.Record
+}
+
+// plan is what the plan pass learns about the report, and all the emit
+// pass needs besides it.
+type plan struct {
+	rep     *nsys.Report
+	cfg     Config
+	streams [][]nsys.Stream
+	t0      int64 // the earliest record start: cross-GPU launch skew becomes leading computation
+	ncclCPU int32 // the first of the GPU's NCCL streams (see newPlan)
+	comms   [][]int
+
+	// GPU g's NCCL records are pending[lo[g]:lo[g+1]] in stream order;
+	// order[lo[g]:lo[g+1]] indexes them in stage-3 order.
+	pending []pendingOp
+	lo      []int32
+	order   []int32
+
+	gpus   []planner
+	stride int32 // compute streams per GPU on its node
+
+	// Stage 4: base[g] is the node op of GPU g's op 0, sendOf[k] the node
+	// op of the send the k-th intra-node receive (in emit order) pairs with.
+	base   []goal.OpID
+	sendOf []goal.OpID
+}
+
+func (p *plan) nodeOf(g int) int { return g / p.cfg.GPUsPerNode }
+
+// intra reports whether a transfer between GPUs g and h stays in a node.
+func (p *plan) intra(g, h int) bool { return p.nodeOf(g) == p.nodeOf(h) }
+
+// newPlan runs the plan pass.
+func newPlan(rep *nsys.Report, cfg Config) (*plan, error) {
+	p := &plan{rep: rep, cfg: cfg, streams: rep.ByStream(), stride: 1}
 	if len(rep.Records) > 0 {
-		t0 = rep.Records[0].StartNs
+		p.t0 = rep.Records[0].StartNs
 		for i := range rep.Records {
-			if s := rep.Records[i].StartNs; s < t0 {
-				t0 = s
-			}
+			p.t0 = min(p.t0, rep.Records[i].StartNs)
 		}
 	}
-
 	// the dedicated NCCL stream: decomposed communication ops occupy their
 	// own compute stream per GPU (NCCL runs on its own SM, paper Fig 4),
 	// so comm never falsely serialises with compute kernels. With
 	// ChannelStreams each channel gets ncclCPU + channel.
-	streams := rep.ByStream()
-	maxStreams := 0
-	for _, st := range streams {
-		maxStreams = max(maxStreams, len(st))
-	}
-	ncclCPU := int32(maxStreams)
-
-	// stages 1+2: per-stream chains with dummies around NCCL records
-	perComm := map[string][]pendingOp{} // appended in (gpu, stream, time) order
-	for gpu := 0; gpu < rep.NGPUs; gpu++ {
-		rb := b.Rank(gpu)
-		// A record becomes at most three ops here (a gap, then a kernel or
-		// an entry/exit pair), each with one edge. Stage 3 cannot be
-		// counted without running it: it starts in what this bound leaves
-		// over and grows from there.
-		nrec := 0
-		for _, stream := range streams[gpu] {
-			nrec += len(stream.Records)
-		}
-		rb.Grow(3*nrec, 3*nrec, 0)
-		for li, stream := range streams[gpu] {
-			cpu := int32(li)
-			var head goal.OpID = -1
-			lastEnd := t0
-			chain := func(id goal.OpID) {
-				if head >= 0 {
-					rb.Requires(id, head)
-				}
-				head = id
-			}
-			for _, ri := range stream.Records {
-				rec := &rep.Records[ri]
-				if gap := rec.StartNs - lastEnd; gap > 0 {
-					chain(rb.CalcOn(gap, cpu))
-				}
-				switch rec.Kind {
-				case nsys.KindKernel:
-					// compute kernels are calc vertices with their measured
-					// duration
-					chain(rb.CalcOn(rec.EndNs-rec.StartNs, cpu))
-					lastEnd = rec.EndNs
-				case nsys.KindNCCL:
-					// bracket with dummies; the communication itself is
-					// re-simulated, so its traced duration is discarded
-					entry := rb.CalcOn(0, cpu)
-					chain(entry)
-					exit := rb.CalcOn(0, cpu)
-					rb.Requires(exit, entry)
-					head = exit
-					perComm[rec.Comm] = append(perComm[rec.Comm], pendingOp{rec: rec, entry: entry, exit: exit})
-					lastEnd = rec.EndNs
-				}
-			}
-		}
+	for _, st := range p.streams {
+		p.ncclCPU = max(p.ncclCPU, int32(len(st)))
 	}
 
-	// stage 3: decompose per communicator
-	commNames := make([]string, 0, len(perComm))
-	for name := range perComm {
-		commNames = append(commNames, name)
+	// the communicators NCCL records use, indexed in name order
+	commIdx := make(map[string]int32, len(rep.Comms))
+	p.lo = make([]int32, rep.NGPUs+1)
+	for i := range rep.Records {
+		if rec := &rep.Records[i]; rec.Kind == nsys.KindNCCL {
+			commIdx[rec.Comm] = 0
+			p.lo[rec.GPU+1]++
+		}
 	}
-	sort.Strings(commNames)
-	collInstance := 0
-	pos := make([]int32, rep.NGPUs) // GPU -> communicator-relative rank + 1, shared by all communicators
-	for ci, name := range commNames {
-		members := rep.Comms[name]
-		if err := decomposeComm(b, name, int32(ci), members, pos, perComm[name], cfg, ncclCPU, &collInstance); err != nil {
+	names := make([]string, 0, len(commIdx))
+	for name := range commIdx {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	p.comms = make([][]int, len(names))
+	for i, name := range names {
+		commIdx[name] = int32(i)
+		p.comms[i] = rep.Comms[name]
+	}
+	for g := range rep.NGPUs {
+		p.lo[g+1] += p.lo[g]
+	}
+
+	// stages 1+2
+	p.pending = make([]pendingOp, p.lo[rep.NGPUs])
+	p.gpus = make([]planner, rep.NGPUs)
+	for g := range p.gpus {
+		pg := &p.gpus[g]
+		*pg = planner{pl: p, gpu: int32(g), neg: -1}
+		p.chains(pg, g)
+		pg.stage3 = goal.OpID(pg.Ops)
+	}
+
+	// stage 3, communicator by communicator: each communicator's records
+	// grouped by member, each member's in launch order (start time, then
+	// stream), which a stable sort of the stream-ordered records gives
+	byComm := make([]int32, len(p.pending))
+	commLo := make([]int32, len(names)+1)
+	for k := range p.pending {
+		c := commIdx[p.pending[k].rec.Comm]
+		p.pending[k].comm = c
+		commLo[c+1]++
+	}
+	for c := range names {
+		commLo[c+1] += commLo[c]
+	}
+	fill := slices.Clone(commLo[:len(names)])
+	for k := range p.pending {
+		c := p.pending[k].comm
+		byComm[fill[c]] = int32(k)
+		fill[c]++
+	}
+	p.order = make([]int32, len(p.pending))
+	scratch := make([]int32, 4*rep.NGPUs)
+	st := cursors{pos: scratch[:rep.NGPUs], first: scratch[rep.NGPUs : 2*rep.NGPUs], n: scratch[2*rep.NGPUs : 3*rep.NGPUs], idx: scratch[3*rep.NGPUs:]}
+	for c, name := range names {
+		if err := p.lockstep(&st, name, int32(c), byComm[commLo[c]:commLo[c+1]]); err != nil {
 			return nil, err
 		}
 	}
 
-	sch := b.Build()
-	if err := sch.Validate(); err != nil {
-		return nil, err
+	// what the GPU-level schedule's validation used to reject
+	for g := range p.gpus {
+		if pg := &p.gpus[g]; pg.neg >= 0 {
+			return nil, fmt.Errorf("goal: rank %d op %d: negative size %d", g, pg.neg, pg.negSize)
+		}
 	}
-	return sch, nil
+	return p, p.pair()
 }
 
-// decomposeComm replays one communicator's NCCL operations: collectives in
-// lockstep across members, P2P sends/recvs paired FIFO. All generated
-// communication ops run on the dedicated NCCL stream(s) starting at
-// ncclCPU.
-//
-// pos is all zeros on entry and on return; in between pos[g]-1 is GPU g's
-// rank in this communicator.
-func decomposeComm(b *goal.Builder, name string, commIdx int32, members []int, pos []int32, ops []pendingOp, cfg Config, ncclCPU int32, collInstance *int) error {
+// chains emits GPU g's stages 1-2 onto e: one op chain per CUDA stream, on
+// its own compute stream, with the computation between records inferred
+// from their timestamps and each NCCL record bracketed by an entry and an
+// exit dummy. The exit requires its entry, then the record's last stage-3
+// op — not known yet on the plan pass, whose emitter only counts the edge.
+func (p *plan) chains(e collective.Emitter, g int) {
+	k := p.lo[g]
+	for li, stream := range p.streams[g] {
+		cpu := int32(li)
+		head := goal.OpID(-1)
+		lastEnd := p.t0
+		chain := func(id goal.OpID) {
+			if head >= 0 {
+				e.Require(id, head)
+			}
+			head = id
+		}
+		for _, ri := range stream.Records {
+			rec := &p.rep.Records[ri]
+			if gap := rec.StartNs - lastEnd; gap > 0 {
+				chain(e.CalcOn(gap, cpu))
+			}
+			switch rec.Kind {
+			case nsys.KindKernel:
+				// compute kernels are calc vertices with their measured
+				// duration
+				chain(e.CalcOn(rec.EndNs-rec.StartNs, cpu))
+			case nsys.KindNCCL:
+				// the communication itself is re-simulated, so its traced
+				// duration is discarded
+				po := &p.pending[k]
+				k++
+				po.rec = rec
+				po.entry = e.CalcOn(0, cpu)
+				chain(po.entry)
+				po.exit = e.CalcOn(0, cpu)
+				e.Require(po.exit, po.entry)
+				e.Require(po.exit, po.last)
+				head = po.exit
+			}
+			lastEnd = rec.EndNs
+		}
+	}
+}
+
+// communicate emits po's stage-3 ops onto e and returns the last: a P2P
+// record becomes one send or receive on the NCCL stream, a collective its
+// decomposition at the GPU's position.
+func (p *plan) communicate(e collective.Emitter, po *pendingOp) (goal.OpID, error) {
+	members := p.comms[po.comm]
+	if rec := po.rec; rec.Coll == nsys.CollSend || rec.Coll == nsys.CollRecv {
+		wire, peer, tag := collective.WireBytes(p.cfg.Protocol, rec.Bytes), members[rec.Peer], p2pTagBase+po.comm
+		var op goal.OpID
+		if rec.Coll == nsys.CollSend {
+			op = e.SendOn(wire, peer, tag, p.ncclCPU)
+		} else {
+			op = e.RecvOn(wire, peer, tag, p.ncclCPU)
+		}
+		e.Require(op, po.entry)
+		return op, nil
+	}
+	kind := collToKind[po.coll.Coll]
+	algo := collective.Auto
+	if kind == collective.Bcast {
+		algo = collective.Ring // NCCL broadcasts are ring-pipelined (Fig 4)
+	}
+	return collective.Decompose(e, kind, algo, members, int(po.pos), po.coll.Root, po.coll.Bytes, collective.Options{
+		Channels:       p.cfg.Channels,
+		Protocol:       p.cfg.Protocol,
+		ChunkBytes:     p.cfg.ChunkBytes,
+		CPU:            p.ncclCPU,
+		ChannelStreams: true,
+		TagBase:        int32(collTagBase + int(po.inst)*collective.TagSpan),
+	}, po.entry)
+}
+
+// cursors is the plan pass's scratch for one communicator, indexed by
+// GPU: pos[g]-1 is g's position in it (0: not a member), and g's records
+// in the communicator's list are the n[g] from first[g] on, of which idx[g]
+// are planned. It is allocated once and left zero between communicators.
+type cursors struct {
+	pos, first, n, idx []int32
+	inst               int32 // collectives planned so far, over all communicators
+}
+
+// lockstep plans one communicator's NCCL records (ops, indexes into
+// p.pending): collectives in lockstep across members, P2P sends/recvs
+// paired FIFO. All generated communication ops run on the dedicated NCCL
+// stream(s) starting at ncclCPU.
+func (p *plan) lockstep(st *cursors, name string, comm int32, ops []int32) error {
+	members := p.comms[comm]
 	for i, g := range members {
-		pos[g] = int32(i) + 1
+		st.pos[g] = int32(i) + 1
 	}
 	defer func() {
 		for _, g := range members {
-			pos[g] = 0
+			st.pos[g], st.first[g], st.n[g], st.idx[g] = 0, 0, 0, 0
 		}
 	}()
-	// per-member queues of pending ops, in launch order: ops is ordered by
-	// (gpu, stream, time), so one stable sort by gpu makes each member's
-	// ops contiguous, and one by record start time within each orders
-	// multi-stream communicators
-	for _, p := range ops {
-		if pos[p.rec.GPU] == 0 {
-			return fmt.Errorf("ncclgoal: comm %q used by non-member GPU %d", name, p.rec.GPU)
-		}
-	}
-	slices.SortStableFunc(ops, func(a, c pendingOp) int {
-		return cmp.Or(cmp.Compare(pos[a.rec.GPU], pos[c.rec.GPU]), cmp.Compare(a.rec.StartNs, c.rec.StartNs))
+	// per-member lists in launch order: ops is ordered by (gpu, stream,
+	// time) — Validate made every GPU a member — so one stable sort by
+	// position makes each member's records contiguous, and one by start
+	// time within each orders multi-stream communicators
+	gpu := func(k int32) int { return p.pending[k].rec.GPU }
+	slices.SortStableFunc(ops, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(st.pos[gpu(a)], st.pos[gpu(b)]), cmp.Compare(p.pending[a].rec.StartNs, p.pending[b].rec.StartNs))
 	})
-	perMember := make([][]pendingOp, len(members))
 	for lo := 0; lo < len(ops); {
 		hi := lo + 1
-		for hi < len(ops) && ops[hi].rec.GPU == ops[lo].rec.GPU {
+		for hi < len(ops) && gpu(ops[hi]) == gpu(ops[lo]) {
 			hi++
 		}
-		perMember[pos[ops[lo].rec.GPU]-1] = ops[lo:hi]
+		st.first[gpu(ops[lo])], st.n[gpu(ops[lo])] = int32(lo), int32(hi-lo)
 		lo = hi
 	}
-	idx := make([]int, len(members))
-	p2pTag := p2pTagBase + commIdx
+	peek := func(g int) *pendingOp {
+		if st.idx[g] == st.n[g] {
+			return nil
+		}
+		return &p.pending[ops[st.first[g]+st.idx[g]]]
+	}
+	// take takes GPU g's next record off its list, appends it to the GPU's
+	// stage-3 order and emits it onto the GPU's planner
+	take := func(g int) error {
+		k := ops[st.first[g]+st.idx[g]]
+		st.idx[g]++
+		pg := &p.gpus[g]
+		p.order[p.lo[g]+pg.planned] = k
+		pg.planned++
+		po := &p.pending[k]
+		var err error
+		po.last, err = p.communicate(pg, po)
+		return err
+	}
 	for {
-		// find the next collective for every member, emitting P2P ops that
-		// precede it
-		for i := range members {
-			for idx[i] < len(perMember[i]) {
-				p := perMember[i][idx[i]]
-				if p.rec.Coll != nsys.CollSend && p.rec.Coll != nsys.CollRecv {
-					break
-				}
-				rb := b.Rank(p.rec.GPU)
-				peer := members[p.rec.Peer]
-				cpu := ncclCPU
-				var op goal.OpID
-				if p.rec.Coll == nsys.CollSend {
-					op = rb.SendOn(collective.WireBytes(cfg.Protocol, p.rec.Bytes), peer, p2pTag, cpu)
-				} else {
-					op = rb.RecvOn(collective.WireBytes(cfg.Protocol, p.rec.Bytes), peer, p2pTag, cpu)
-				}
-				rb.Requires(op, p.entry)
-				rb.Requires(p.exit, op)
-				idx[i]++
+		// find the next collective for every member, planning the P2P ops
+		// that precede it
+		for _, g := range members {
+			for po := peek(g); po != nil && (po.rec.Coll == nsys.CollSend || po.rec.Coll == nsys.CollRecv); po = peek(g) {
+				_ = take(g) // a P2P record cannot fail
 			}
 		}
 		// all members must now agree on the next collective (or be done)
 		var ref *pendingOp
-		anyPending := false
-		for i := range members {
-			if idx[i] < len(perMember[i]) {
-				anyPending = true
-				if ref == nil {
-					ref = &perMember[i][idx[i]]
-				}
+		for _, g := range members {
+			if ref = peek(g); ref != nil {
+				break
 			}
 		}
-		if !anyPending {
-			break
+		if ref == nil {
+			return nil
 		}
-		for i := range members {
-			if idx[i] >= len(perMember[i]) {
+		for _, g := range members {
+			po := peek(g)
+			if po == nil {
 				return fmt.Errorf("ncclgoal: comm %q: GPU %d missing collective #%d (%s)",
-					name, members[i], idx[i], ref.rec.Coll)
+					name, g, st.idx[g], ref.rec.Coll)
 			}
-			p := perMember[i][idx[i]]
-			if p.rec.Coll != ref.rec.Coll {
+			if po.rec.Coll != ref.rec.Coll {
 				return fmt.Errorf("ncclgoal: comm %q: GPU %d launches %s while GPU %d launches %s",
-					name, p.rec.GPU, p.rec.Coll, ref.rec.GPU, ref.rec.Coll)
+					name, po.rec.GPU, po.rec.Coll, ref.rec.GPU, ref.rec.Coll)
 			}
 		}
-		kind, ok := collToKind[ref.rec.Coll]
-		if !ok {
+		if _, ok := collToKind[ref.rec.Coll]; !ok {
 			return fmt.Errorf("ncclgoal: unsupported collective %q", ref.rec.Coll)
 		}
-		entries := make([]goal.OpID, len(members))
-		for i := range members {
-			entries[i] = perMember[i][idx[i]].entry
+		coll := ref.rec
+		for i, g := range members {
+			po := peek(g)
+			po.pos, po.inst, po.coll = int32(i), st.inst, coll
+			if err := take(g); err != nil {
+				return fmt.Errorf("ncclgoal: comm %q: %w", name, err)
+			}
 		}
-		algo := collective.Auto
-		if kind == collective.Bcast {
-			algo = collective.Ring // NCCL broadcasts are ring-pipelined (Fig 4)
-		}
-		exits, err := collective.Decompose(b, kind, algo, members, ref.rec.Root, ref.rec.Bytes, collective.Options{
-			Channels:       cfg.Channels,
-			Protocol:       cfg.Protocol,
-			ChunkBytes:     cfg.ChunkBytes,
-			CPU:            ncclCPU,
-			ChannelStreams: true,
-			TagBase:        int32(collTagBase + *collInstance*collective.TagSpan),
-		}, entries)
-		if err != nil {
-			return fmt.Errorf("ncclgoal: comm %q: %w", name, err)
-		}
-		*collInstance++
-		for i := range members {
-			rb := b.Rank(members[i])
-			rb.Requires(perMember[i][idx[i]].exit, exits[i])
-			idx[i]++
-		}
+		st.inst++
 	}
-	return nil
+}
+
+// planner is the plan pass's emitter for one GPU: a collective.Count that
+// also notes what the emit pass needs before its first op — the stream
+// stride, how many transfers stay in the node — and the first op the
+// GPU-level schedule's validation would have rejected.
+type planner struct {
+	collective.Count
+	pl           *plan
+	gpu          int32
+	stage3       goal.OpID // the GPU's first stage-3 op
+	sends, recvs int       // intra-node transfers
+	planned      int32     // NCCL records placed in stage-3 order so far
+	neg          goal.OpID
+	negSize      int64
+}
+
+func (pg *planner) note(id goal.OpID, size int64, cpu int32) goal.OpID {
+	pg.pl.stride = max(pg.pl.stride, cpu+1)
+	if size < 0 && pg.neg < 0 {
+		pg.neg, pg.negSize = id, size
+	}
+	return id
+}
+
+// CalcOn counts a calc.
+func (pg *planner) CalcOn(nanos int64, cpu int32) goal.OpID {
+	return pg.note(pg.Count.CalcOn(nanos, cpu), nanos, cpu)
+}
+
+// SendOn counts a send, and an intra-node one apart.
+func (pg *planner) SendOn(size int64, dst int, tag, cpu int32) goal.OpID {
+	if pg.pl.intra(int(pg.gpu), dst) {
+		pg.sends++
+	}
+	return pg.note(pg.Count.SendOn(size, dst, tag, cpu), size, cpu)
+}
+
+// RecvOn counts a receive, and an intra-node one apart with its pair edge.
+func (pg *planner) RecvOn(size int64, src int, tag, cpu int32) goal.OpID {
+	if pg.pl.intra(int(pg.gpu), src) {
+		pg.recvs++
+		pg.Edges++
+	}
+	return pg.note(pg.Count.RecvOn(size, src, tag, cpu), size, cpu)
 }

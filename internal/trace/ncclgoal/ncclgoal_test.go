@@ -11,6 +11,7 @@ import (
 	"atlahs/internal/sched"
 	"atlahs/internal/simtime"
 	"atlahs/internal/trace/nsys"
+	"atlahs/internal/workload/llm"
 	"atlahs/internal/xrand"
 )
 
@@ -36,8 +37,10 @@ func fourGPUReport() *nsys.Report {
 	return rep
 }
 
-func TestBuildGPUSchedule(t *testing.T) {
-	s, err := BuildGPUSchedule(fourGPUReport(), Config{})
+// TestOneRankPerGPU: with one GPU per node the node schedule is the GPU
+// schedule — every message crosses nodes and keeps its semantics.
+func TestOneRankPerGPU(t *testing.T) {
+	s, err := Generate(fourGPUReport(), Config{GPUsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +96,13 @@ func TestComputeCommOverlapPreserved(t *testing.T) {
 	}
 }
 
-func TestGroupGPUsIntraNode(t *testing.T) {
-	gpuS, err := BuildGPUSchedule(fourGPUReport(), Config{})
+func TestIntraNodeTransfersBecomeCalcs(t *testing.T) {
+	gpuS, err := Generate(fourGPUReport(), Config{GPUsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2 GPUs per node: ring neighbours 0-1 and 2-3 are intra-node
-	nodeS, err := GroupGPUs(gpuS, 2, 1.0/150)
+	nodeS, err := Generate(fourGPUReport(), Config{GPUsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +114,9 @@ func TestGroupGPUsIntraNode(t *testing.T) {
 	}
 	stGPU := gpuS.ComputeStats()
 	stNode := nodeS.ComputeStats()
+	if stNode.Ops != stGPU.Ops {
+		t.Fatalf("regrouping changed the op count: %d -> %d", stGPU.Ops, stNode.Ops)
+	}
 	if stNode.Sends >= stGPU.Sends {
 		t.Fatalf("no sends became intra-node calcs: %d -> %d", stGPU.Sends, stNode.Sends)
 	}
@@ -122,12 +128,8 @@ func TestGroupGPUsIntraNode(t *testing.T) {
 	}
 }
 
-func TestGroupGPUsSingleNode(t *testing.T) {
-	gpuS, err := BuildGPUSchedule(fourGPUReport(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeS, err := GroupGPUs(gpuS, 4, 1.0/150)
+func TestSingleNodeHasNoSends(t *testing.T) {
+	nodeS, err := Generate(fourGPUReport(), Config{GPUsPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +147,8 @@ func TestGroupGPUsSingleNode(t *testing.T) {
 func TestWhatIfRegrouping(t *testing.T) {
 	// paper §3.1.2 stage 4: the same GPU trace regrouped to different node
 	// counts — more nodes means more inter-node traffic and a slower run.
-	gpuS, err := BuildGPUSchedule(fourGPUReport(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(perNode int) simtime.Duration {
-		nodeS, err := GroupGPUs(gpuS, perNode, 1.0/150)
+		nodeS, err := Generate(fourGPUReport(), Config{GPUsPerNode: perNode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,14 +171,14 @@ func TestMismatchedCollectiveDetected(t *testing.T) {
 		nsys.Record{GPU: 0, Stream: 1, Kind: nsys.KindNCCL, Coll: nsys.CollAllReduce, Bytes: 64, Comm: "w", StartNs: 0, EndNs: 1},
 		nsys.Record{GPU: 1, Stream: 1, Kind: nsys.KindNCCL, Coll: nsys.CollBroadcast, Bytes: 64, Comm: "w", StartNs: 0, EndNs: 1},
 	)
-	if _, err := BuildGPUSchedule(rep, Config{}); err == nil || !strings.Contains(err.Error(), "launches") {
+	if _, err := Generate(rep, Config{}); err == nil || !strings.Contains(err.Error(), "launches") {
 		t.Fatalf("collective mismatch not detected: %v", err)
 	}
 	rep2 := &nsys.Report{NGPUs: 2, Comms: map[string][]int{"w": {0, 1}}}
 	rep2.Records = append(rep2.Records,
 		nsys.Record{GPU: 0, Stream: 1, Kind: nsys.KindNCCL, Coll: nsys.CollAllReduce, Bytes: 64, Comm: "w", StartNs: 0, EndNs: 1},
 	)
-	if _, err := BuildGPUSchedule(rep2, Config{}); err == nil || !strings.Contains(err.Error(), "missing collective") {
+	if _, err := Generate(rep2, Config{}); err == nil || !strings.Contains(err.Error(), "missing collective") {
 		t.Fatalf("missing collective not detected: %v", err)
 	}
 }
@@ -262,37 +260,83 @@ func TestPipelineProperty(t *testing.T) {
 	}
 }
 
-func TestGroupGPUsErrors(t *testing.T) {
-	b := goal.NewBuilder(2)
-	b.Rank(0).Send(64, 1, 0)
-	b.Rank(1).Recv(64, 0, 0)
-	s := b.MustBuild()
-	if _, err := GroupGPUs(s, 0, 1); err == nil {
-		t.Fatal("zero gpusPerNode accepted")
+// p2pReport is a 2-GPU report whose only records are P2P ones on a
+// communicator of both GPUs, in the order given.
+func p2pReport(recs ...nsys.Record) *nsys.Report {
+	rep := &nsys.Report{NGPUs: 2, Comms: map[string][]int{"pp": {0, 1}}}
+	for i, r := range recs {
+		r.Kind, r.Comm, r.StartNs, r.EndNs = nsys.KindNCCL, "pp", int64(10*i), int64(10*i+5)
+		rep.Records = append(rep.Records, r)
 	}
-	// unpaired intra-node transfer: send without recv
-	b2 := goal.NewBuilder(2)
-	b2.Rank(0).Send(64, 1, 0)
-	b2.Rank(1).Recv(64, 0, 0)
-	b2.Rank(0).Send(64, 1, 0) // second send, no matching recv
-	if _, err := GroupGPUs(b2.Build(), 2, 1); err == nil || !strings.Contains(err.Error(), "0->1 tag 0") {
-		t.Fatalf("unpaired intra-node transfer: %v", err)
+	return rep
+}
+
+func TestIntraNodePairingErrors(t *testing.T) {
+	send := nsys.Record{GPU: 0, Coll: nsys.CollSend, Peer: 1, Bytes: 64}
+	recv := nsys.Record{GPU: 1, Coll: nsys.CollRecv, Peer: 0, Bytes: 64}
+	// the same transfers are fine across nodes and paired within one
+	for _, perNode := range []int{1, 2} {
+		if _, err := Generate(p2pReport(send, recv, send, recv), Config{GPUsPerNode: perNode}); err != nil {
+			t.Fatalf("%d GPUs per node: %v", perNode, err)
+		}
 	}
-	// only one side at all, and a stream of receives that sorts before the
-	// only stream of sends
-	for name, build := range map[string]func(b *goal.Builder){
-		"send only": func(b *goal.Builder) { b.Rank(1).Send(64, 0, 3) },
-		"recv only": func(b *goal.Builder) { b.Rank(1).Recv(64, 0, 3) },
-		"recv sorts first": func(b *goal.Builder) {
-			b.Rank(1).Send(64, 0, 3)
-			b.Rank(0).Recv(64, 1, 3)
-			b.Rank(1).Recv(64, 0, 9)
-		},
+	for name, rep := range map[string]*nsys.Report{
+		"send without recv": p2pReport(send, recv, send),
+		"send only":         p2pReport(send),
+		"recv only":         p2pReport(recv),
+		// a stream of receives that sorts before the only stream of sends
+		"recv sorts first": p2pReport(nsys.Record{GPU: 1, Coll: nsys.CollSend, Peer: 0}, nsys.Record{GPU: 0, Coll: nsys.CollRecv, Peer: 1}, recv),
 	} {
-		b := goal.NewBuilder(2)
-		build(b)
-		if _, err := GroupGPUs(b.Build(), 2, 1); err == nil || !strings.Contains(err.Error(), "different numbers") {
+		if _, err := Generate(rep, Config{GPUsPerNode: 2}); err == nil || !strings.Contains(err.Error(), "different numbers") {
 			t.Errorf("%s: %v", name, err)
 		}
+		if _, err := Generate(rep, Config{GPUsPerNode: 1}); err != nil {
+			t.Errorf("%s across nodes: %v", name, err)
+		}
+	}
+	if _, err := Generate(p2pReport(send, recv, send), Config{GPUsPerNode: 2}); err == nil || !strings.Contains(err.Error(), "0->1 tag") {
+		t.Errorf("unpaired send: %v", err)
+	}
+}
+
+// TestNegativeWireSizeRejected: an LL transfer whose doubled size
+// overflows is rejected wherever it lands — also when it stays in a node,
+// where it becomes a calc.
+func TestNegativeWireSizeRejected(t *testing.T) {
+	huge := int64(1)<<62 + 1
+	rep := p2pReport(nsys.Record{GPU: 0, Coll: nsys.CollSend, Peer: 1, Bytes: 8}, nsys.Record{GPU: 1, Coll: nsys.CollRecv, Peer: 0, Bytes: huge})
+	for _, perNode := range []int{1, 2} {
+		_, err := Generate(rep, Config{GPUsPerNode: perNode, Protocol: 1 /* LL */})
+		if err == nil || !strings.Contains(err.Error(), "rank 1 op 3: negative size") {
+			t.Errorf("%d GPUs per node: %v", perNode, err)
+		}
+	}
+}
+
+// TestGenerateAllocationsDoNotScale: the pipeline allocates nothing per
+// record, per collective or per op. The DP8 fixture has twice the GPUs,
+// records and ops of the DP4 one, and converting it allocates as often
+// except for the four arrays each of its 8 extra node ranks owns (ops,
+// two offset arrays, edges) and a map doubling or two.
+func TestGenerateAllocationsDoNotScale(t *testing.T) {
+	const perNode = 4
+	allocs := func(dp int) (float64, int) {
+		rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: dp, EP: 1, GlobalBatch: 4 * dp}, Scale: 1e-3, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s *goal.Schedule
+		a := testing.AllocsPerRun(3, func() {
+			if s, err = Generate(rep, Config{GPUsPerNode: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return a, s.NumRanks()
+	}
+	dp4, nodes4 := allocs(4)
+	dp8, nodes8 := allocs(8)
+	t.Logf("allocations per conversion: DP4 %.0f (%d nodes), DP8 %.0f (%d nodes)", dp4, nodes4, dp8, nodes8)
+	if limit := dp4 + float64(perNode*(nodes8-nodes4)+4); dp8 > limit {
+		t.Errorf("DP8 allocated %.0f times, more than DP4's %.0f plus %d per extra node rank: the pipeline allocates per record, collective or op", dp8, dp4, perNode)
 	}
 }

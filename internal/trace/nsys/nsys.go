@@ -90,8 +90,15 @@ func (r *Report) Validate() error {
 	// than one bitmap of NGPUs bits per communicator: a header can name
 	// thousands of one-member communicators among a million GPUs.)
 	sorted := make(map[string][]int, len(r.Comms))
+	nmembers := 0
+	for _, members := range r.Comms {
+		nmembers += len(members)
+	}
+	buf := make([]int, 0, nmembers) // every sorted list, one after the other
 	for name, members := range r.Comms {
-		m := slices.Sorted(slices.Values(members))
+		buf = append(buf, members...)
+		m := buf[len(buf)-len(members):]
+		slices.Sort(m)
 		for i, g := range m {
 			if g < 0 || g >= r.NGPUs {
 				return fmt.Errorf("nsys: comm %q member %d out of range", name, g)
@@ -126,6 +133,9 @@ func (r *Report) Validate() error {
 				if rec.Peer < 0 || rec.Peer >= len(comm) {
 					return fmt.Errorf("nsys: record %d: peer %d out of communicator range", i, rec.Peer)
 				}
+				if r.Comms[rec.Comm][rec.Peer] == rec.GPU {
+					return fmt.Errorf("nsys: record %d: %s with itself (peer %d of communicator %q is GPU %d)", i, rec.Coll, rec.Peer, rec.Comm, rec.GPU)
+				}
 			default:
 				return fmt.Errorf("nsys: record %d: unknown collective %q", i, rec.Coll)
 			}
@@ -158,15 +168,35 @@ func (r *Report) ByStream() [][]Stream {
 		x, y := &r.Records[a], &r.Records[b]
 		return cmp.Or(cmp.Compare(x.GPU, y.GPU), cmp.Compare(x.Stream, y.Stream), cmp.Compare(x.StartNs, y.StartNs))
 	})
+	same := func(a, b int) bool {
+		x, y := &r.Records[order[a]], &r.Records[order[b]]
+		return x.GPU == y.GPU && x.Stream == y.Stream
+	}
+	nstreams := 0
+	for i := range order {
+		if i == 0 || !same(i-1, i) {
+			nstreams++
+		}
+	}
+	// every GPU's streams are a window of one array
+	all := make([]Stream, 0, nstreams)
 	out := make([][]Stream, r.NGPUs)
 	for lo := 0; lo < len(order); {
 		first := &r.Records[order[lo]]
 		hi := lo + 1
-		for hi < len(order) && r.Records[order[hi]].GPU == first.GPU && r.Records[order[hi]].Stream == first.Stream {
+		for hi < len(order) && same(lo, hi) {
 			hi++
 		}
-		out[first.GPU] = append(out[first.GPU], Stream{ID: first.Stream, Records: order[lo:hi:hi]})
+		all = append(all, Stream{ID: first.Stream, Records: order[lo:hi:hi]})
+		if out[first.GPU] == nil {
+			out[first.GPU] = all[len(all)-1:]
+		} else {
+			out[first.GPU] = out[first.GPU][:len(out[first.GPU])+1]
+		}
 		lo = hi
+	}
+	for g := range out {
+		out[g] = slices.Clip(out[g])
 	}
 	return out
 }

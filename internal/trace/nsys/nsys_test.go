@@ -3,6 +3,7 @@ package nsys
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -57,6 +58,14 @@ func TestValidateErrors(t *testing.T) {
 	if r.Validate() == nil {
 		t.Fatal("end<start accepted")
 	}
+	for _, rec := range []int{5, 6} {
+		// a P2P record naming its own GPU's position as the peer
+		r = sampleReport()
+		r.Records[rec].Peer = r.Records[rec].GPU / 2
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "with itself") {
+			t.Fatalf("self-%s accepted: %v", r.Records[rec].Coll, err)
+		}
+	}
 	r = sampleReport()
 	r.Comms["bad"] = []int{0, 0}
 	if r.Validate() == nil {
@@ -83,6 +92,9 @@ func TestByStream(t *testing.T) {
 	}
 	seen := 0
 	for gpu, streams := range idx {
+		if cap(streams) != len(streams) {
+			t.Fatalf("gpu %d: %d streams with capacity for %d: appending would overwrite the next GPU's", gpu, len(streams), cap(streams))
+		}
 		for _, st := range streams {
 			for k, ri := range st.Records {
 				rec := r.Records[ri]

@@ -140,15 +140,17 @@ func Generate(t *mpitrace.Trace, opt Options) (*goal.Schedule, error) {
 		if opt.Algos != nil {
 			algo = opt.Algos[kind]
 		}
-		exits, err := collective.Decompose(b, kind, algo, group, root, ref.Bytes, collective.Options{
+		copt := collective.Options{
 			CPU:             opt.CPU,
 			TagBase:         int32(collTagBase + collIdx*collective.TagSpan),
 			ReduceNsPerByte: opt.ReduceNsPerByte,
-		}, heads)
-		if err != nil {
-			return nil, fmt.Errorf("schedgen: collective %d (%v): %w", collIdx, kind, err)
 		}
-		heads = exits
+		for r := 0; r < n; r++ {
+			var err error
+			if heads[r], err = collective.Decompose(b.Rank(r), kind, algo, group, r, root, ref.Bytes, copt, heads[r]); err != nil {
+				return nil, fmt.Errorf("schedgen: collective %d (%v): %w", collIdx, kind, err)
+			}
+		}
 		collIdx++
 	}
 

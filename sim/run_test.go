@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"atlahs/internal/core"
 	"atlahs/internal/goal"
@@ -326,6 +327,29 @@ func TestRunCancelsMidSimulation(t *testing.T) {
 		Observer: &cancelAfter{n: 100, cancel: cancel}})
 	if err != context.Canceled {
 		t.Fatalf("mid-run cancel: %v, want context.Canceled", err)
+	}
+}
+
+// TestNoGoroutineLeakOnCancelledRun: a run cancelled mid-simulation —
+// serial, and on the lane engine with its worker pool — returns with every
+// goroutine it started gone.
+func TestNoGoroutineLeakOnCancelledRun(t *testing.T) {
+	s := micro.AllToAll(64, 1024)
+	for _, workers := range []int{0, 2} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := Run(ctx, Spec{Workload: Workload{Schedule: s}, Workers: workers,
+			Observer: &cancelAfter{n: 100, cancel: cancel}})
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("workers %d: mid-run cancel: %v, want context.Canceled", workers, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("workers %d: %d goroutines 5 s after the cancelled run, %d before:\n%s", workers, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+		}
 	}
 }
 
