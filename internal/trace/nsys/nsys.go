@@ -180,23 +180,23 @@ func (r *Report) ByStream() [][]Stream {
 	}
 	// every GPU's streams are a window of one array
 	all := make([]Stream, 0, nstreams)
-	out := make([][]Stream, r.NGPUs)
 	for lo := 0; lo < len(order); {
-		first := &r.Records[order[lo]]
 		hi := lo + 1
 		for hi < len(order) && same(lo, hi) {
 			hi++
 		}
-		all = append(all, Stream{ID: first.Stream, Records: order[lo:hi:hi]})
-		if out[first.GPU] == nil {
-			out[first.GPU] = all[len(all)-1:]
-		} else {
-			out[first.GPU] = out[first.GPU][:len(out[first.GPU])+1]
-		}
+		all = append(all, Stream{ID: r.Records[order[lo]].Stream, Records: order[lo:hi:hi]})
 		lo = hi
 	}
-	for g := range out {
-		out[g] = slices.Clip(out[g])
+	gpu := func(st Stream) int { return r.Records[st.Records[0]].GPU }
+	out := make([][]Stream, r.NGPUs)
+	for lo := 0; lo < len(all); {
+		hi := lo + 1
+		for hi < len(all) && gpu(all[hi]) == gpu(all[lo]) {
+			hi++
+		}
+		out[gpu(all[lo])] = all[lo:hi:hi]
+		lo = hi
 	}
 	return out
 }
