@@ -291,6 +291,9 @@ func TestLGSvsPktCloseOnProvisionedFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := pb.Drained(); err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := float64(resLGS.Runtime)*0.6, float64(resLGS.Runtime)*1.6
 	if f := float64(resPkt.Runtime); f < lo || f > hi {
 		t.Fatalf("pkt %v vs lgs %v diverge too much", resPkt.Runtime, resLGS.Runtime)

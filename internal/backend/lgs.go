@@ -100,6 +100,18 @@ func HPCParams() LogGOPS {
 // much as it receives therefore stops allocating once its list holds its
 // working depth.
 //
+// # Across runs
+//
+// Streams, NICs, message records and matcher queues outlive the run that
+// made them. sim.Run hands the backend of a run that succeeded and drained
+// (Drained) to the next run's LGS (Adopt, core.Recycler), and that LGS's
+// Setup rebinds every lane's streams and NIC to its own engine and
+// completion callback, points the free records at itself and gives every
+// lane back as many records as it has made (rebalance). A run like one
+// before it then allocates nothing in LGS, and neither do the matcher's
+// queues, whose storage per (destination, source) pair stays in place. An
+// LGS that adopts nothing makes its state in Setup.
+//
 // The Schedule/ScheduleOn calls, their order and their times are those of
 // the closure-per-event code this replaced, so every event keeps its
 // (at, seq) / (at, schedAt, schedLane, schedSeq) key: TestLGSOutcomesPinned
@@ -160,7 +172,9 @@ func (b *LGS) Name() string { return "lgs" }
 // rank sooner than the wire latency L.
 func (b *LGS) Lookahead() simtime.Duration { return b.P.L }
 
-// Setup implements core.Backend.
+// Setup implements core.Backend. Lanes, streams, record free lists and
+// matcher queues taken over by Adopt are rebound to eng and over; whatever
+// they lack for nranks ranks is made here.
 func (b *LGS) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error {
 	if nranks <= 0 {
 		return fmt.Errorf("lgs: non-positive rank count %d", nranks)
@@ -169,12 +183,105 @@ func (b *LGS) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error 
 		// Every chain above moves forward because every cost is >= 0.
 		return fmt.Errorf("lgs: negative LogGOPS parameter in %+v", p)
 	}
-	b.ranks = make([]lgsRank, nranks)
-	for i := range b.ranks {
-		ln := eng.Lane(i)
-		b.ranks[i].lgsLane = lgsLane{sim: ln, cpus: core.NewStreams(ln, over), nic: core.NewStream(ln, over)}
+	if nranks > cap(b.ranks) {
+		// Lanes past the last run's rank count keep their records and
+		// streams for a later run.
+		grown := make([]lgsRank, nranks)
+		copy(grown, b.ranks[:cap(b.ranks)])
+		b.ranks = grown
 	}
-	b.match = core.NewMatcher[*lgsMsg, core.RecvEvent](nranks)
+	b.rebalance()
+	b.ranks = b.ranks[:nranks]
+	for i := range b.ranks {
+		r := &b.ranks[i]
+		ln := eng.Lane(i)
+		r.sim = ln
+		if r.nic == nil {
+			r.cpus, r.nic = core.NewStreams(ln, over), core.NewStream(ln, over)
+			continue
+		}
+		r.cpus.Rebind(ln, over)
+		r.nic.Rebind(ln, over)
+		for _, m := range r.free {
+			m.b = b
+		}
+	}
+	if b.match == nil {
+		b.match = core.NewMatcher[*lgsMsg, core.RecvEvent](nranks)
+	} else {
+		b.match.Reset(nranks)
+	}
+	return nil
+}
+
+// rebalance hands every lane back as many free records as it has made. A
+// record dies on its receiver's lane, so a run leaves each lane's list
+// longer or shorter by what it received less what it sent; without this a
+// lane that sends more than it receives would make that difference anew on
+// every run its state serves. With it, a lane starts each run with the
+// records its sends have needed so far, and a run like one before makes
+// none. The lists balance exactly when the last run drained.
+func (b *LGS) rebalance() {
+	lanes := b.ranks[:cap(b.ranks)]
+	j := 0 // the next lane that may hold more than it made
+	for i := range lanes {
+		d := &lanes[i]
+		for len(d.free) < d.made {
+			for j < len(lanes) && len(lanes[j].free) <= lanes[j].made {
+				j++
+			}
+			if j == len(lanes) {
+				return
+			}
+			src := &lanes[j]
+			k := len(src.free) - 1
+			d.free = append(d.free, src.free[k])
+			src.free = src.free[:k]
+		}
+	}
+}
+
+// Adopt implements core.Recycler: when prev is an LGS, b takes over its
+// lanes — streams, NIC and record free list per rank — and its matcher
+// queues, and prev is left with none.
+func (b *LGS) Adopt(prev core.Recycler) {
+	p, ok := prev.(*LGS)
+	if !ok || p == b {
+		return
+	}
+	b.ranks, b.match = p.ranks, p.match
+	p.ranks, p.match = nil, nil
+}
+
+// Drained implements core.Drainer: every message record a lane ever made
+// is on a free list and marked free, no stream or NIC still has a
+// completion pending, and the matcher holds neither a message nor a
+// receive. Lanes past the last run's rank count are counted too: a record
+// made on one lane may sit on another's list, whichever run made it.
+func (b *LGS) Drained() error {
+	made, free := 0, 0
+	lanes := b.ranks[:cap(b.ranks)]
+	for i := range lanes {
+		r := &lanes[i]
+		made += r.made
+		free += len(r.free)
+		for _, m := range r.free {
+			if m.step != msgFree {
+				return fmt.Errorf("lgs: rank %d: a record on its free list is at step %d", i, m.step)
+			}
+		}
+		if n := r.cpus.Pending() + r.nic.Pending(); n != 0 {
+			return fmt.Errorf("lgs: rank %d: %d completions still pending on its streams and NIC", i, n)
+		}
+	}
+	if free != made {
+		return fmt.Errorf("lgs: %d of %d message records on the free lists", free, made)
+	}
+	if b.match != nil {
+		if a, p := b.match.Pending(); a != 0 || p != 0 {
+			return fmt.Errorf("lgs: the matcher still holds %d messages and %d receives", a, p)
+		}
+	}
 	return nil
 }
 

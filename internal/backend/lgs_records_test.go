@@ -1,42 +1,33 @@
 package backend
 
 import (
+	"strings"
 	"testing"
 
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
+	"atlahs/internal/goal"
+	"atlahs/internal/sched"
 	"atlahs/internal/simtime"
+	"atlahs/internal/workload/micro"
 )
 
 // checkLGSDrained verifies the ownership rules after a run that completed:
-// every message record ever made is on exactly one free list and marked
-// free, no stream or NIC still has a completion pending, and the matcher
-// holds neither a message nor a receive.
+// Drained, and no record on the free lists twice.
 func checkLGSDrained(t testing.TB, b *LGS) {
 	t.Helper()
-	made := 0
+	if err := b.Drained(); err != nil {
+		t.Fatal(err)
+	}
 	seen := map[*lgsMsg]bool{}
-	for i := range b.ranks {
-		r := &b.ranks[i]
-		made += r.made
-		for _, m := range r.free {
+	lanes := b.ranks[:cap(b.ranks)]
+	for i := range lanes {
+		for _, m := range lanes[i].free {
 			if seen[m] {
 				t.Fatalf("rank %d: message record on a free list twice", i)
 			}
 			seen[m] = true
-			if m.step != msgFree {
-				t.Errorf("rank %d: record on the free list at step %d", i, m.step)
-			}
 		}
-		if n := r.cpus.Pending() + r.nic.Pending(); n != 0 {
-			t.Errorf("rank %d: %d completions still pending on its streams and NIC", i, n)
-		}
-	}
-	if len(seen) != made {
-		t.Errorf("%d of %d message records on the free lists", len(seen), made)
-	}
-	if a, p := b.match.Pending(); a != 0 || p != 0 {
-		t.Errorf("matcher still holds %d messages and %d receives", a, p)
 	}
 }
 
@@ -118,6 +109,59 @@ func TestLGSSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("%s: %d completions, want %d", name, completed, want)
 		}
 		checkLGSDrained(t, b)
+	}
+}
+
+// An adopted state serves the next run as a fresh one would — the same
+// outcome on either engine — and a run that needs no more message records
+// than the last makes none. A state a deadlock left behind is not drained.
+func TestLGSAdoptedStateRunsAsFresh(t *testing.T) {
+	p := HPCParams()
+	s := micro.UniformRandom(16, 300, rendezvousBytes, 4)
+	want := outcomeOf(runLGS(t, s, p))
+	prev := NewLGS(p)
+	if _, err := sched.Run(engine.New(), s, prev, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	made := func(b *LGS) (n int) {
+		for _, r := range b.ranks[:cap(b.ranks)] {
+			n += r.made
+		}
+		return n
+	}
+	for i, eng := range []engine.Sim{engine.New(), engine.NewParallel(16, 2, p.L), engine.New()} {
+		records := made(prev)
+		b := NewLGS(p)
+		b.Adopt(prev)
+		res, err := sched.Run(eng, s, b, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outcomeOf(res); got != want {
+			t.Fatalf("run %d on an adopted state: %+v, fresh %+v", i, got, want)
+		}
+		checkLGSDrained(t, b)
+		if prev.ranks != nil || prev.match != nil {
+			t.Fatalf("run %d: the adopted backend kept its state", i)
+		}
+		// The lane engine hands records between lanes at window edges and
+		// may hold a few more at once; a serial run holds what one did.
+		if _, serial := eng.(*engine.Engine); serial && made(b) != records {
+			t.Fatalf("run %d: %d records made, %d before it", i, made(b), records)
+		}
+		prev = b
+	}
+
+	stuck := goal.NewBuilder(2)
+	stuck.Rank(0).Send(64, 1, 1)
+	stuck.Rank(1).Recv(64, 0, 2)
+	b := NewLGS(p)
+	b.Adopt(prev)
+	if _, err := sched.Run(engine.New(), stuck.MustBuild(), b, sched.Options{}); err == nil {
+		t.Fatal("unmatched send and receive completed")
+	}
+	if err := b.Drained(); err == nil || !strings.Contains(err.Error(), "85 of 86 message records") {
+		t.Fatalf("Drained after a deadlock: %v", err)
 	}
 }
 

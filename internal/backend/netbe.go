@@ -60,6 +60,7 @@ type NetBackend struct {
 	match *core.Matcher[netMsg, netRecv]
 
 	freeSends []*netSend
+	sendsMade int // netSend records ever allocated
 }
 
 // Name implements core.Backend.
@@ -86,6 +87,30 @@ func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc)
 		b.cpus[i] = core.NewStreams(serial, over)
 	}
 	b.match = core.NewMatcher[netMsg, netRecv](nranks)
+	return nil
+}
+
+// Drained implements core.Drainer: no compute stream has a completion
+// pending, the matcher holds neither a message nor a receive, every send
+// record is back on the free list, and the network is drained if it can
+// say so (pktnet's can; the fluid model keeps no records).
+func (b *NetBackend) Drained() error {
+	for i := range b.cpus {
+		if n := b.cpus[i].Pending(); n != 0 {
+			return fmt.Errorf("%s backend: rank %d: %d completions still pending on its streams", b.name, i, n)
+		}
+	}
+	if b.match != nil {
+		if a, p := b.match.Pending(); a != 0 || p != 0 {
+			return fmt.Errorf("%s backend: the matcher still holds %d messages and %d receives", b.name, a, p)
+		}
+	}
+	if len(b.freeSends) != b.sendsMade {
+		return fmt.Errorf("%s backend: %d of %d send records on the free list", b.name, len(b.freeSends), b.sendsMade)
+	}
+	if d, ok := b.net.(core.Drainer); ok {
+		return d.Drained()
+	}
 	return nil
 }
 
@@ -131,6 +156,7 @@ func (b *NetBackend) Send(ev core.SendEvent) {
 	} else {
 		s = &netSend{b: b}
 		s.issue, s.delivered = s.issued, s.arrived
+		b.sendsMade++
 	}
 	s.ev = ev
 	_, s.cpuEnd = b.cpus[ev.Src].On(ev.CPU).Acquire(b.eng.Now(), b.params.SendOverhead)

@@ -110,6 +110,29 @@ type Backend interface {
 	Calc(ev CalcEvent)
 }
 
+// Drainer is implemented by a backend that can prove, after its run, that
+// the run left nothing behind: no completion pending on a stream, no
+// message in flight or waiting in a matcher, every recycled record back on
+// its free list and cleared. Drained reports the first thing it finds
+// still held, and allocates nothing. It is only meaningful once the
+// engine has run dry on a run that completed every op; sim.Run asks it
+// before a backend's state may serve another run.
+type Drainer interface {
+	Drained() error
+}
+
+// Recycler is a Drainer whose working state (streams, matcher queues,
+// record free lists) can serve a later run, so that a warm process
+// allocates for a run only what is new in it. Adopt(prev), called on a
+// fresh backend before its Setup, takes over the state of prev — a backend
+// whose run drained and that will not be used again — when prev is of its
+// own kind, and does nothing otherwise; Setup then rebinds what it took to
+// its own engine and callback.
+type Recycler interface {
+	Drainer
+	Adopt(prev Recycler)
+}
+
 // LookaheadProvider is implemented by backends whose model guarantees a
 // minimum cross-rank delay: no operation issued by rank r at time t can
 // affect another rank before t + Lookahead(). Such backends can run on the

@@ -241,3 +241,55 @@ func TestMatcherDropsWhatItRemoves(t *testing.T) {
 		t.Fatalf("vacated slot still holds %+v", spare)
 	}
 }
+
+// A matcher reset for fewer ranks and then more keeps every queue's
+// storage: matching through it again allocates nothing.
+func TestMatcherResetKeepsQueues(t *testing.T) {
+	m := NewMatcher[int, int](4)
+	traffic := func() {
+		for src := 0; src < 4; src++ {
+			for dst := 0; dst < 4; dst++ {
+				if src != dst {
+					m.Arrive(dst, src, 1, src)
+					m.Arrive(dst, src, 2, src)
+					m.Post(dst, src, TagAny, dst)
+					m.Post(dst, src, 2, dst)
+				}
+			}
+		}
+	}
+	traffic()
+	m.Reset(2)
+	m.Reset(4)
+	if got := testing.AllocsPerRun(10, func() { traffic(); m.Reset(4) }); got != 0 {
+		t.Fatalf("matching through a reset matcher allocated %v times", got)
+	}
+	if a, p := m.Pending(); a != 0 || p != 0 {
+		t.Fatalf("matcher holds %d messages and %d receives", a, p)
+	}
+}
+
+// A rebound stream starts idle on its new lane and callback; rebinding one
+// with a completion pending panics.
+func TestStreamRebind(t *testing.T) {
+	first, second := engine.New(), engine.New()
+	var got []Handle
+	s := NewStream(first, func(h Handle, _ simtime.Time) { t.Fatalf("completion %v reported to the old callback", h) })
+	s.Acquire(0, 5)
+	s.Rebind(second, func(h Handle, at simtime.Time) { got = append(got, h) })
+	if start, end := s.Acquire(2, 3); start != 2 || end != 5 {
+		t.Fatalf("rebound stream reserved [%v, %v), want [2, 5)", start, end)
+	}
+	s.Complete(MakeHandle(0, 7), 5)
+	second.Run()
+	if len(got) != 1 || got[0] != MakeHandle(0, 7) {
+		t.Fatalf("completions %v", got)
+	}
+	s.Complete(MakeHandle(0, 8), 6)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rebinding a stream with a completion pending did not panic")
+		}
+	}()
+	s.Rebind(first, nil)
+}

@@ -37,12 +37,28 @@ type taggedRecv[R any] struct {
 
 // NewMatcher creates a matcher for nranks destination ranks.
 func NewMatcher[M, R any](nranks int) *Matcher[M, R] {
-	m := &Matcher[M, R]{dsts: make([]matchRank[M, R], nranks)}
-	for i := range m.dsts {
-		m.dsts[i].arrived = map[int][]taggedMsg[M]{}
-		m.dsts[i].posted = map[int][]taggedRecv[R]{}
-	}
+	m := &Matcher[M, R]{}
+	m.Reset(nranks)
 	return m
+}
+
+// Reset readies an empty matcher (Pending reports nothing) for a run over
+// nranks destination ranks. The queues of every (destination, source) pair
+// a run has used keep their storage for the next, including those of
+// destinations past nranks.
+func (m *Matcher[M, R]) Reset(nranks int) {
+	if nranks > cap(m.dsts) {
+		grown := make([]matchRank[M, R], nranks)
+		copy(grown, m.dsts[:cap(m.dsts)])
+		m.dsts = grown
+	}
+	m.dsts = m.dsts[:nranks]
+	for i := range m.dsts {
+		if m.dsts[i].arrived == nil {
+			m.dsts[i].arrived = map[int][]taggedMsg[M]{}
+			m.dsts[i].posted = map[int][]taggedRecv[R]{}
+		}
+	}
 }
 
 // Arrive records a message from src to dst with the given tag. If a posted

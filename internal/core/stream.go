@@ -62,6 +62,16 @@ func (s *Stream) Complete(h Handle, at simtime.Time) {
 
 func (s *Stream) complete() { s.over(s.pending.Pop(), s.lane.Now()) }
 
+// Rebind makes an idle stream a new run's: free at time zero, firing on
+// lane and reporting to over, with its ring's storage kept. Rebinding a
+// stream that still has completions pending is a backend bug, and a panic.
+func (s *Stream) Rebind(lane engine.Sim, over CompletionFunc) {
+	if n := s.pending.Len(); n != 0 {
+		panic(fmt.Sprintf("core: rebinding a stream with %d completions pending", n))
+	}
+	s.free, s.last, s.lane, s.over = 0, 0, lane, over
+}
+
 // Pending reports how many completions have been reported and not fired.
 func (s *Stream) Pending() int { return s.pending.Len() }
 
@@ -88,6 +98,15 @@ func (r *Streams) On(cpu int32) *Stream {
 		r.byCPU[cpu] = s
 	}
 	return s
+}
+
+// Rebind rebinds every stream of the rank (Stream.Rebind) and the ones On
+// makes from now on to lane and over.
+func (r *Streams) Rebind(lane engine.Sim, over CompletionFunc) {
+	r.lane, r.over = lane, over
+	for _, s := range r.byCPU {
+		s.Rebind(lane, over)
+	}
 }
 
 // Pending sums Stream.Pending over the rank's streams.

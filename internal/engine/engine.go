@@ -203,10 +203,12 @@ func (e *Engine) Run() simtime.Time {
 }
 
 // Reset discards all pending events and rewinds the clock to zero so the
-// engine can be reused for another simulation.
+// engine can be reused for another simulation. The queue keeps its
+// storage, and no handler stays reachable through it.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
+	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.stopped = false
 	e.peak = 0

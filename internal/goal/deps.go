@@ -59,19 +59,40 @@ func (d Deps) Clone() Deps {
 	return c
 }
 
+// Cleared returns an empty table (Len() 0, like the zero Deps) on d's
+// arrays, for a later InvertInto to reuse.
+func (d Deps) Cleared() Deps { return Deps{off: d.off[:0], edges: d.edges[:0]} }
+
 // Invert returns the transposed table: list j of the result holds, in
 // ascending order, every i whose list in d contains j — the successors of
 // j when d lists dependencies. It is the one inversion in the tree: the
 // scheduler's successor tables and the synthesis miner's depth profile
 // are its results, and Validate needs none. Every edge must lie in
 // [0, Len()), which Validate establishes first.
-func (d Deps) Invert() Deps {
+func (d Deps) Invert() Deps { return d.InvertInto(Deps{}) }
+
+// InvertInto is Invert writing into dst's arrays where they are large
+// enough, so that a caller inverting table after table (the scheduler, run
+// after run) allocates only when a table outgrows the last. dst must not
+// share an array with d, and no view of dst's lists may outlive the call.
+func (d Deps) InvertInto(dst Deps) Deps {
 	n := d.Len()
+	inv := dst
+	if cap(inv.off) < n+2 {
+		inv.off = make([]int32, n+1, n+2)
+	} else {
+		inv.off = inv.off[:n+1]
+		clear(inv.off[:n+2])
+	}
+	if cap(inv.edges) < len(d.edges) {
+		inv.edges = make([]int32, len(d.edges))
+	} else {
+		inv.edges = inv.edges[:len(d.edges)]
+	}
 	// Counting sort with the counts two slots right of their list: after
 	// the prefix sum off[j+1] is the start of list j, so it serves as j's
 	// fill cursor, and once list j is full it has advanced to the start of
 	// list j+1 — the offset array is finished without a cursor array.
-	inv := newDeps(n, len(d.edges))
 	off := inv.off[:n+2]
 	for _, e := range d.edges {
 		off[e+2]++

@@ -183,6 +183,39 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 	return n, nil
 }
 
+// Drained implements core.Drainer once the engine has run dry: every packet
+// and flow record ever allocated is on its free list and cleared, and no
+// port, pipe or pull queue still holds anything.
+func (n *Network) Drained() error {
+	if got := len(n.freePkts); got != n.pktsMade {
+		return fmt.Errorf("pktnet: %d of %d packets on the free list", got, n.pktsMade)
+	}
+	for _, p := range n.freePkts {
+		if p.flow != nil || p.path != nil || p.wire != 0 {
+			return fmt.Errorf("pktnet: free packet not cleared: %+v", *p)
+		}
+	}
+	if got := len(n.freeFlows); got != n.flowsMade {
+		return fmt.Errorf("pktnet: %d of %d flow records on the free list", got, n.flowsMade)
+	}
+	for _, f := range n.freeFlows {
+		if f.refs != 0 || f.delivered || f.pair != nil || f.onDone != nil || len(f.pk) != 0 || f.rtoQ.Len() != 0 {
+			return fmt.Errorf("pktnet: free flow record not cleared: refs %d delivered %v pk %d rtoQ %d", f.refs, f.delivered, len(f.pk), f.rtoQ.Len())
+		}
+	}
+	for i := range n.ports {
+		if pt := &n.ports[i]; pt.cur != nil || pt.q.Len()+pt.hq.Len()+pt.pipe.Len() != 0 || pt.bytes != 0 {
+			return fmt.Errorf("pktnet: port %d not idle: cur %v, %d+%d queued, %d in flight, %d bytes", i, pt.cur != nil, pt.q.Len(), pt.hq.Len(), pt.pipe.Len(), pt.bytes)
+		}
+	}
+	for h := range n.hosts {
+		if n.hosts[h].pullQ.Len() != 0 || n.hosts[h].pacing {
+			return fmt.Errorf("pktnet: host %d pull pacer not idle", h)
+		}
+	}
+	return nil
+}
+
 // Engine returns the event engine the network runs on.
 func (n *Network) Engine() *engine.Engine { return n.eng }
 

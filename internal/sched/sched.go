@@ -9,6 +9,12 @@
 // started (approximated as: have been issued to the backend). Compute
 // stream serialisation is the backend's responsibility, since stream
 // occupancy depends on the backend's cost model.
+//
+// What a run needs per op — a dependency counter, issued and completed
+// flags, the successor tables that Deps.InvertInto fills — lives in a
+// State, which sim.Run keeps from one successful run to the next: a warm
+// process allocates for the scheduler only the Result and its RankEnd.
+// Run itself starts from a new State.
 package sched
 
 import (
@@ -124,11 +130,26 @@ type runner struct {
 	total int64
 }
 
+// State is the scheduler's working state — per rank, the dependency
+// counters, the issued and completed flags and the successor tables — kept
+// from one run to the next. A run sizes it to its schedule, reusing every
+// array that is large enough, so a State that has served a schedule serves
+// the same one again without allocating. A State serves one run at a time;
+// the next run rewrites everything it reads. The zero State is ready.
+type State struct {
+	ranks []rankState
+}
+
 // Run simulates schedule s on backend be using eng. It returns an error if
 // s is structurally invalid (whatever Schedule.Validate rejects), or if it
 // deadlocks (events drained with ops still pending), which indicates
 // unmatched sends/recvs.
 func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
+	return new(State).Run(eng, s, be, opts)
+}
+
+// Run is sched.Run on st's arrays.
+func (st *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,12 +163,18 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	if !(scale > 0) {
 		return nil, fmt.Errorf("sched: CalcScale %g is not a positive factor", scale)
 	}
+	if n := s.NumRanks(); n > cap(st.ranks) {
+		// Ranks past the last run's count keep their arrays for a later one.
+		grown := make([]rankState, n)
+		copy(grown, st.ranks[:cap(st.ranks)])
+		st.ranks = grown
+	}
 	r := &runner{
 		eng:   eng,
 		s:     s,
 		be:    be,
 		scale: scale,
-		ranks: make([]rankState, s.NumRanks()),
+		ranks: st.ranks[:s.NumRanks()],
 	}
 	if err := be.Setup(s.NumRanks(), eng, r.over); err != nil {
 		return nil, err
@@ -156,24 +183,15 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	var budget simtime.Duration
 	for rank := range s.Ranks {
 		rp := &s.Ranks[rank]
-		st := &r.ranks[rank]
+		rs := &r.ranks[rank]
 		n := len(rp.Ops)
-		// A constant number of allocations per rank however many ops it
-		// has: one counter array, one array for both flag slices, and a CSR
-		// successor table for each kind of edge the rank has — a table
-		// without edges (`irequires`, on most schedules) is not inverted.
-		st.pending = make([]int32, n)
-		flags := make([]bool, 2*n)
-		st.issued = flags[:n:n]
-		st.completed = flags[n:]
-		st.reqSucc = successors(rp.Requires)
-		st.ireqSucc = successors(rp.IRequires)
+		rs.reset(rp)
 		for i := 0; i < n; i++ {
 			if err := charge(&budget, rank, i, &rp.Ops[i], scale); err != nil {
 				return nil, err
 			}
-			st.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
-			if st.pending[i] == 0 {
+			rs.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
+			if rs.pending[i] == 0 {
 				seeds++
 			}
 		}
@@ -193,11 +211,11 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	}
 	// seed: issue all ops with no dependencies
 	for rank := range s.Ranks {
-		st := &r.ranks[rank]
+		rs := &r.ranks[rank]
 		for i := range s.Ranks[rank].Ops {
 			// an earlier seed issue may have already cascaded here via an
 			// irequires edge
-			if st.pending[i] == 0 && !st.issued[i] {
+			if rs.pending[i] == 0 && !rs.issued[i] {
 				r.issue(rank, int32(i))
 			}
 		}
@@ -205,15 +223,15 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	eng.Run()
 	res := &Result{RankEnd: make([]simtime.Time, len(r.ranks)), Events: eng.EventsProcessed()}
 	for i := range r.ranks {
-		st := &r.ranks[i]
-		res.RankEnd[i] = st.end
-		if d := simtime.Duration(st.end); d > res.Runtime {
+		rs := &r.ranks[i]
+		res.RankEnd[i] = rs.end
+		if d := simtime.Duration(rs.end); d > res.Runtime {
 			res.Runtime = d
 		}
-		res.Calcs += st.done[goal.KindCalc]
-		res.Sends += st.done[goal.KindSend]
-		res.Recvs += st.done[goal.KindRecv]
-		if p := int(st.peakOut); p > res.PeakOutstanding {
+		res.Calcs += rs.done[goal.KindCalc]
+		res.Sends += rs.done[goal.KindSend]
+		res.Recvs += rs.done[goal.KindRecv]
+		if p := int(rs.peakOut); p > res.PeakOutstanding {
 			res.PeakOutstanding = p
 		}
 	}
@@ -280,13 +298,39 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	}
 }
 
-// successors inverts a dependency table into the table of each op's
-// successors; a table without edges has none and stays the zero Deps.
-func successors(deps goal.Deps) goal.Deps {
-	if deps.NumEdges() == 0 {
-		return goal.Deps{}
+// reset readies the rank's state for program rp: the counters (which the
+// seeding pass then fills), cleared flags, zeroed tallies and both successor
+// tables, each in the last run's arrays where they are large enough.
+func (rs *rankState) reset(rp *goal.RankProgram) {
+	n := len(rp.Ops)
+	if cap(rs.pending) < n {
+		rs.pending = make([]int32, n)
 	}
-	return deps.Invert()
+	rs.pending = rs.pending[:n]
+	// One array for both flag slices; issued keeps its capacity, which is
+	// how the next reset finds the whole array.
+	flags := rs.issued[:cap(rs.issued)]
+	if cap(flags) < 2*n {
+		flags = make([]bool, 2*n)
+	} else {
+		clear(flags[:2*n])
+	}
+	rs.issued = flags[:n]
+	rs.completed = flags[n : 2*n]
+	rs.reqSucc = successors(rs.reqSucc, rp.Requires)
+	rs.ireqSucc = successors(rs.ireqSucc, rp.IRequires)
+	rs.outstanding, rs.peakOut, rs.done, rs.end = 0, 0, [3]int64{}, 0
+}
+
+// successors inverts a dependency table into the table of each op's
+// successors, in dst's arrays. A table without edges (`irequires`, on most
+// schedules) is not inverted: its successor table is empty, and dst's
+// arrays stay with it for a later run.
+func successors(dst, deps goal.Deps) goal.Deps {
+	if deps.NumEdges() == 0 {
+		return dst.Cleared()
+	}
+	return deps.InvertInto(dst)
 }
 
 func (r *runner) deadlockError(done int64) error {

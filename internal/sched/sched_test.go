@@ -322,30 +322,39 @@ func chains(nranks, nops int) *goal.Schedule {
 	return b.MustBuild()
 }
 
-// TestSchedSetupAllocsPerRank: what Run allocates before the first event
-// is a constant number of objects per rank — a successor table of two
+// TestSchedSetupAllocsPerRank: what a first run allocates before its first
+// event is a constant number of objects per rank — a successor table of two
 // arrays for each kind of edge the rank has (none for a table without
-// edges), one counter array, one flag array — whatever the op count. quietBackend never completes an op,
-// so the run ends in the deadlock report straight after set-up and
-// seeding. Growing the ranks tenfold in ops must add nothing; the slack of
-// four is for the report's fmt call, whose sync.Pool drops buffers at
-// random under -race.
+// edges), one counter array, one flag array — whatever the op count, and a
+// State that has served the schedule allocates none of them again.
+// quietBackend never completes an op, so the run ends in the deadlock
+// report straight after set-up and seeding. Growing the ranks tenfold in
+// ops must add nothing; the slack of four is for the report's fmt call,
+// whose sync.Pool drops buffers at random under -race.
 func TestSchedSetupAllocsPerRank(t *testing.T) {
 	const nranks = 8
-	setup := func(nops int) float64 {
+	setup := func(nops int) (first, warm float64) {
 		s := chains(nranks, nops)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(engine.New(), s, quietBackend{}, Options{}); err == nil {
+		run := func(st *State) {
+			if _, err := st.Run(engine.New(), s, quietBackend{}, Options{}); err == nil {
 				t.Fatal("quietBackend completed a run")
 			}
-		})
+		}
+		first = testing.AllocsPerRun(5, func() { run(new(State)) })
+		st := new(State)
+		warm = testing.AllocsPerRun(5, func() { run(st) })
+		return first, warm
 	}
-	small, large := setup(100), setup(1000)
+	small, smallWarm := setup(100)
+	large, largeWarm := setup(1000)
 	if large > small+4 {
 		t.Fatalf("set-up allocations grew with op count: %.0f for 100 ops/rank, %.0f for 1000", small, large)
 	}
 	if perRank := small / nranks; perRank > 8 {
 		t.Fatalf("set-up allocated %.1f times per rank, want at most 8", perRank)
+	}
+	if smallWarm > 12 || largeWarm > 12 {
+		t.Fatalf("set-up on a warm State allocated %.0f (100 ops/rank) and %.0f (1000) times, want at most 12", smallWarm, largeWarm)
 	}
 }
 
@@ -360,7 +369,8 @@ func (quietBackend) Calc(core.CalcEvent)                              {}
 
 // TestDecodeAndRunBytesPerOp is the tier-1 guard on the flat dependency
 // layout: the bytes allocated to decode a binary schedule and run it, per
-// GOAL op, on a fixed 64-rank chain-heavy schedule. The count is exact
+// GOAL op, on a fixed 64-rank chain-heavy schedule, in a first run (a warm
+// process reuses everything but the decode: sim.TestWarmRunAllocs). The count is exact
 // for a given toolchain (one goroutine); the ceiling sits about 10% above
 // it: 111.8 B/op measured with LGS's completions on stream rings, one
 // recycled record per message, one dependency counter per op and no

@@ -25,6 +25,9 @@ type serviceMetrics struct {
 	// singleflight counts submissions that joined an in-flight run of the
 	// same fingerprint instead of simulating again.
 	singleflight *telemetry.Counter
+	// evictions counts entries dropped past the Cache bound: "run" for
+	// the run index, "sweep" for the sweep list.
+	evictions *telemetry.CounterVec
 	// sseSubscribers tracks attached event-stream subscriptions;
 	// sseDropped counts op/progress events discarded to lagging
 	// subscribers.
@@ -63,6 +66,7 @@ func newServiceMetrics() *serviceMetrics {
 		runs:           reg.CounterVec("atlahs_service_runs_total", "terminal runs by outcome", "status"),
 		cacheRequests:  reg.CounterVec("atlahs_service_cache_requests_total", "submissions by cache verdict", "result"),
 		singleflight:   reg.Counter("atlahs_service_singleflight_joins_total", "submissions that joined an in-flight run"),
+		evictions:      reg.CounterVec("atlahs_service_evictions_total", "entries dropped past the cache bound, by kind", "kind"),
 		sseSubscribers: reg.Gauge("atlahs_service_sse_subscribers", "attached event-stream subscriptions"),
 		sseDropped:     reg.Counter("atlahs_service_sse_dropped_events_total", "op/progress events dropped to lagging subscribers"),
 		execBusy:       reg.Gauge("atlahs_service_executors_busy", "executor slots currently simulating"),
@@ -70,6 +74,9 @@ func newServiceMetrics() *serviceMetrics {
 			telemetry.ExpBuckets(0.001, 10, 7)),
 		engineAgg: make(map[string]*telemetry.Counter, len(engineAggregates)),
 	}
+	// Both kinds scrape from the start, at zero.
+	m.evictions.With("run")
+	m.evictions.With("sweep")
 	for _, a := range engineAggregates {
 		m.engineAgg[a.name] = reg.Counter(a.name, a.help)
 	}

@@ -15,9 +15,10 @@ import (
 )
 
 // TestHTTPMetricsScrape pins the /metrics surface: the cache verdict
-// counters move as documented across a miss and a fast-path hit, the text
-// exposition is deterministic across back-to-back idle scrapes, and
-// ?format=json yields a valid atlahs.metrics/v1 document carrying the
+// counters move as documented across a miss and a fast-path hit, the
+// eviction counters across runs and sweeps pushed past the cache bound,
+// the text exposition is deterministic across back-to-back idle scrapes,
+// and ?format=json yields a valid atlahs.metrics/v1 document carrying the
 // same counters.
 func TestHTTPMetricsScrape(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1})
@@ -56,6 +57,8 @@ func TestHTTPMetricsScrape(t *testing.T) {
 		"# TYPE atlahs_service_run_wall_seconds histogram",
 		"atlahs_service_run_wall_seconds_count 1",
 		"atlahs_engine_events_total",
+		`atlahs_service_evictions_total{kind="run"} 0`,
+		`atlahs_service_evictions_total{kind="sweep"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape is missing %q:\n%s", want, text)
@@ -83,6 +86,40 @@ func TestHTTPMetricsScrape(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("JSON scrape is missing the miss counter: %+v", ms.Metrics)
+	}
+
+	// With room for one entry of each kind, a second run evicts the first
+	// and a second sweep the first sweep; each sweep's own run evicts the
+	// run before it.
+	small, ts := testServer(t, Config{Jobs: 1, Cache: 1})
+	for _, tag := range []int64{92, 93} {
+		if _, rr := postSpec(t, ts.URL, wireSpec(t, tag)); rr.Status != StatusDone {
+			t.Fatalf("submission %d: %+v", tag, rr)
+		}
+	}
+	for _, tag := range []int64{94, 95} {
+		b, err := small.SubmitSweep("", []sim.Spec{countSpec(tag)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err = small.Wait(ctx, b.Runs[0].ID)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	text = scrape()
+	for _, want := range []string{
+		`atlahs_service_evictions_total{kind="run"} 3`,
+		`atlahs_service_evictions_total{kind="sweep"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("scrape is missing %q:\n%s", want, text)
+		}
+	}
+	if again := scrape(); again != text {
+		t.Fatalf("idle scrapes differ:\n%s\n---\n%s", text, again)
 	}
 }
 

@@ -96,6 +96,7 @@ func (s *Service) rebuild() {
 				delete(s.lookaside, key)
 			}
 			delete(s.runs, evict)
+			s.metrics.evictions.With("run").Inc()
 		}
 		restored--
 	}

@@ -638,6 +638,7 @@ func (s *Service) noteDone(id string) {
 				delete(s.lookaside, key)
 			}
 			delete(s.runs, evict)
+			s.metrics.evictions.With("run").Inc()
 		}
 	}
 	// Retried failures re-enter doneOrder; the dropLocked in admit keeps

@@ -256,3 +256,43 @@ func TestRecycledRunsMatchFreshConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWarmRunAllocs is the allocation gate for a warm process: a second
+// identical LGS run allocates the same number of objects whatever its op
+// count, because the scheduler's arrays, the engine's heap and LGS's
+// streams, records and matcher queues are the first run's. What is left is
+// the run's own: its Result and RankEnd, the backend object the registry
+// builds, and the metrics snapshot, which is 30 of the 45 (47 under
+// -race).
+func TestWarmRunAllocs(t *testing.T) {
+	const nranks = 8
+	for _, c := range []struct {
+		name   string
+		bytes  int64
+		params LogGOPS
+	}{{"eager", 4096, AIParams()}, {"rendezvous", 300_000, HPCParams()}} {
+		allocs := func(opsPerRank int) float64 {
+			// A message is three ops: the sender's think time and send, the
+			// receiver's receive.
+			spec := Spec{Workload: Workload{Schedule: micro.UniformRandom(nranks, nranks*opsPerRank/3, c.bytes, 1)},
+				Config: LGSConfig{Params: c.params}}
+			run := func() {
+				if _, err := Run(context.Background(), spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			return testing.AllocsPerRun(10, run)
+		}
+		small, large := allocs(100), allocs(1000)
+		t.Logf("%s: %.1f allocations per warm run at 100 ops a rank, %.1f at 1000", c.name, small, large)
+		// The slack of two is for sync.Pool, which drops its items at
+		// random under -race.
+		if large > small+2 {
+			t.Errorf("%s: a warm run allocated %.1f objects at 1000 ops a rank, %.1f at 100", c.name, large, small)
+		}
+		if small > 48 {
+			t.Errorf("%s: a warm run allocated %.1f objects, want at most 48", c.name, small)
+		}
+	}
+}

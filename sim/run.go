@@ -95,6 +95,12 @@ func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 // Observer. Results are deterministic: they never depend on Workers or on
 // wall-clock conditions.
 //
+// A run that succeeds leaves its working state — the scheduler's arrays,
+// the serial engine's heap and, once Drained proves it clean, a recycling
+// backend's state — for a later run (runState), which is why a warm
+// process allocates little beyond a run's input and Result. Nothing
+// carried over can change a result.
+//
 // Cancellation is cooperative at op granularity: when ctx is cancellable,
 // the run stops near the next op completion after ctx ends and Run returns
 // ctx's error. A run with no Observer, no Timeline and a ctx that cannot be
@@ -120,17 +126,32 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	workers := resolveWorkers(spec.Workers)
 	lookahead := core.LookaheadOf(be)
 	parallel := workers > 1 && lookahead > 0 && sch.NumRanks() > 1
+	if !parallel {
+		workers = 1
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// From here the run works in a recycled state, which it gives back for
+	// the next run only if it succeeds; a run that fails, is cancelled or
+	// panics gives back nothing (see recycle.go).
+	rs := takeRunState()
+	if r, ok := be.(core.Recycler); ok && rs.be != nil {
+		r.Adopt(rs.be)
+		rs.be = nil
+	}
 	var eng engine.Sim
 	if parallel {
 		eng = engine.NewParallel(sch.NumRanks(), workers, lookahead)
 	} else {
-		workers = 1
-		eng = engine.New()
+		if rs.eng == nil {
+			rs.eng = engine.New()
+		}
+		rs.eng.Reset()
+		eng = rs.eng
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if spec.Timeline != nil {
 		if pe, ok := eng.(*engine.ParEngine); ok {
 			pe.SetTracer(spec.Timeline)
@@ -155,7 +176,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 
 	start := time.Now()
-	res, err := sched.Run(eng, sch, runBE, sched.Options{CalcScale: spec.CalcScale})
+	res, err := rs.sched.Run(eng, sch, runBE, sched.Options{CalcScale: spec.CalcScale})
 	wall := time.Since(start)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -183,6 +204,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		ns := sp.NetStats()
 		out.Net = &ns
 	}
+	rs.ops = max(rs.ops, st.Ops)
+	if r, ok := be.(core.Recycler); ok && r.Drained() == nil {
+		rs.be = r
+	}
+	returnRunState(rs)
 	return out, nil
 }
 
