@@ -13,7 +13,7 @@ import (
 )
 
 // checkLGSDrained verifies the ownership rules after a run that completed:
-// Drained, and no record on the free lists twice.
+// Drained, and every record on the free lists once and marked free.
 func checkLGSDrained(t testing.TB, b *LGS) {
 	t.Helper()
 	if err := b.Drained(); err != nil {
@@ -27,6 +27,9 @@ func checkLGSDrained(t testing.TB, b *LGS) {
 				t.Fatalf("rank %d: message record on a free list twice", i)
 			}
 			seen[m] = true
+			if m.step != msgFree {
+				t.Errorf("rank %d: record on the free list at step %d", i, m.step)
+			}
 		}
 	}
 }

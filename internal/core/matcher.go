@@ -23,6 +23,8 @@ type matchRank[M, R any] struct {
 	// per source rank
 	arrived map[int][]taggedMsg[M]
 	posted  map[int][]taggedRecv[R]
+	// what the queues above hold, summed over sources
+	narrived, nposted int
 }
 
 type taggedMsg[M any] struct {
@@ -70,10 +72,12 @@ func (m *Matcher[M, R]) Arrive(dst, src int, tag int32, msg M) (recv R, ok bool)
 	for i, pr := range posted {
 		if pr.tag == TagAny || pr.tag == tag {
 			d.posted[src] = slices.Delete(posted, i, i+1)
+			d.nposted--
 			return pr.recv, true
 		}
 	}
 	d.arrived[src] = append(d.arrived[src], taggedMsg[M]{tag: tag, msg: msg})
+	d.narrived++
 	var zero R
 	return zero, false
 }
@@ -87,10 +91,12 @@ func (m *Matcher[M, R]) Post(dst, src int, tag int32, recv R) (msg M, ok bool) {
 	for i, am := range arrived {
 		if tag == TagAny || am.tag == tag {
 			d.arrived[src] = slices.Delete(arrived, i, i+1)
+			d.narrived--
 			return am.msg, true
 		}
 	}
 	d.posted[src] = append(d.posted[src], taggedRecv[R]{tag: tag, recv: recv})
+	d.nposted++
 	var zero M
 	return zero, false
 }
@@ -100,12 +106,8 @@ func (m *Matcher[M, R]) Post(dst, src int, tag int32, recv R) (msg M, ok bool) {
 // that completed: every send met its receive.
 func (m *Matcher[M, R]) Pending() (arrived, posted int) {
 	for i := range m.dsts {
-		for _, q := range m.dsts[i].arrived {
-			arrived += len(q)
-		}
-		for _, q := range m.dsts[i].posted {
-			posted += len(q)
-		}
+		arrived += m.dsts[i].narrived
+		posted += m.dsts[i].nposted
 	}
 	return arrived, posted
 }
