@@ -148,8 +148,8 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 	return new(State).Run(eng, s, be, opts)
 }
 
-// Run is sched.Run on st's arrays.
-func (st *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
+// Run is sched.Run on state's arrays.
+func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,18 +163,18 @@ func (st *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Opt
 	if !(scale > 0) {
 		return nil, fmt.Errorf("sched: CalcScale %g is not a positive factor", scale)
 	}
-	if n := s.NumRanks(); n > cap(st.ranks) {
+	if n := s.NumRanks(); n > cap(state.ranks) {
 		// Ranks past the last run's count keep their arrays for a later one.
 		grown := make([]rankState, n)
-		copy(grown, st.ranks[:cap(st.ranks)])
-		st.ranks = grown
+		copy(grown, state.ranks[:cap(state.ranks)])
+		state.ranks = grown
 	}
 	r := &runner{
 		eng:   eng,
 		s:     s,
 		be:    be,
 		scale: scale,
-		ranks: st.ranks[:s.NumRanks()],
+		ranks: state.ranks[:s.NumRanks()],
 	}
 	if err := be.Setup(s.NumRanks(), eng, r.over); err != nil {
 		return nil, err
@@ -183,15 +183,15 @@ func (st *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Opt
 	var budget simtime.Duration
 	for rank := range s.Ranks {
 		rp := &s.Ranks[rank]
-		rs := &r.ranks[rank]
+		st := &r.ranks[rank]
 		n := len(rp.Ops)
-		rs.reset(rp)
+		st.reset(rp)
 		for i := 0; i < n; i++ {
 			if err := charge(&budget, rank, i, &rp.Ops[i], scale); err != nil {
 				return nil, err
 			}
-			rs.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
-			if rs.pending[i] == 0 {
+			st.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
+			if st.pending[i] == 0 {
 				seeds++
 			}
 		}
@@ -211,11 +211,11 @@ func (st *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Opt
 	}
 	// seed: issue all ops with no dependencies
 	for rank := range s.Ranks {
-		rs := &r.ranks[rank]
+		st := &r.ranks[rank]
 		for i := range s.Ranks[rank].Ops {
 			// an earlier seed issue may have already cascaded here via an
 			// irequires edge
-			if rs.pending[i] == 0 && !rs.issued[i] {
+			if st.pending[i] == 0 && !st.issued[i] {
 				r.issue(rank, int32(i))
 			}
 		}
@@ -223,15 +223,15 @@ func (st *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Opt
 	eng.Run()
 	res := &Result{RankEnd: make([]simtime.Time, len(r.ranks)), Events: eng.EventsProcessed()}
 	for i := range r.ranks {
-		rs := &r.ranks[i]
-		res.RankEnd[i] = rs.end
-		if d := simtime.Duration(rs.end); d > res.Runtime {
+		st := &r.ranks[i]
+		res.RankEnd[i] = st.end
+		if d := simtime.Duration(st.end); d > res.Runtime {
 			res.Runtime = d
 		}
-		res.Calcs += rs.done[goal.KindCalc]
-		res.Sends += rs.done[goal.KindSend]
-		res.Recvs += rs.done[goal.KindRecv]
-		if p := int(rs.peakOut); p > res.PeakOutstanding {
+		res.Calcs += st.done[goal.KindCalc]
+		res.Sends += st.done[goal.KindSend]
+		res.Recvs += st.done[goal.KindRecv]
+		if p := int(st.peakOut); p > res.PeakOutstanding {
 			res.PeakOutstanding = p
 		}
 	}
@@ -301,25 +301,25 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 // reset readies the rank's state for program rp: the counters (which the
 // seeding pass then fills), cleared flags, zeroed tallies and both successor
 // tables, each in the last run's arrays where they are large enough.
-func (rs *rankState) reset(rp *goal.RankProgram) {
+func (st *rankState) reset(rp *goal.RankProgram) {
 	n := len(rp.Ops)
-	if cap(rs.pending) < n {
-		rs.pending = make([]int32, n)
+	if cap(st.pending) < n {
+		st.pending = make([]int32, n)
 	}
-	rs.pending = rs.pending[:n]
+	st.pending = st.pending[:n]
 	// One array for both flag slices; issued keeps its capacity, which is
 	// how the next reset finds the whole array.
-	flags := rs.issued[:cap(rs.issued)]
+	flags := st.issued[:cap(st.issued)]
 	if cap(flags) < 2*n {
 		flags = make([]bool, 2*n)
 	} else {
 		clear(flags[:2*n])
 	}
-	rs.issued = flags[:n]
-	rs.completed = flags[n : 2*n]
-	rs.reqSucc = successors(rs.reqSucc, rp.Requires)
-	rs.ireqSucc = successors(rs.ireqSucc, rp.IRequires)
-	rs.outstanding, rs.peakOut, rs.done, rs.end = 0, 0, [3]int64{}, 0
+	st.issued = flags[:n]
+	st.completed = flags[n : 2*n]
+	st.reqSucc = successors(st.reqSucc, rp.Requires)
+	st.ireqSucc = successors(st.ireqSucc, rp.IRequires)
+	st.outstanding, st.peakOut, st.done, st.end = 0, 0, [3]int64{}, 0
 }
 
 // successors inverts a dependency table into the table of each op's
