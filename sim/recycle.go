@@ -34,8 +34,8 @@ const maxRecycledOps = 1 << 20
 // it once had runs in flight at the same time: executors whose runs
 // overlap each find one, and a sequence of runs shares one. (sync.Pool's
 // per-P slots and victim cache kept several alive for a sequence of runs,
-// which raised the collector's heap target: 93–95 MB of peak RSS against
-// 75–78 with one state on hpc-goal-lgs.)
+// which raised the collector's heap target: 92 MB of peak RSS against 74
+// with this list on the hpc-goal-lgs benchmark workload.)
 var recycled struct {
 	sync.Mutex
 	free []*runState
