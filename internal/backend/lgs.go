@@ -103,14 +103,15 @@ func HPCParams() LogGOPS {
 // # Across runs
 //
 // Streams, NICs, message records and matcher queues outlive the run that
-// made them. sim.Run hands the backend of a run that succeeded and drained
-// (Drained) to the next run's LGS (Adopt, core.Recycler), and that LGS's
-// Setup rebinds every lane's streams and NIC to its own engine and
-// completion callback, points the free records at itself and gives every
-// lane back as many records as it has made (rebalance). A run like one
-// before it then allocates nothing in LGS, and neither do the matcher's
-// queues, whose storage per (destination, source) pair stays in place. An
-// LGS that adopts nothing makes its state in Setup.
+// made them. When a run has succeeded and its LGS has drained (Drained),
+// sim.Run unbinds that LGS from the run's engine and callback (Unbind) and
+// hands it to the next run's LGS (Adopt). That LGS's Setup rebinds every
+// lane's streams and NIC to its own engine and completion callback, points
+// the free records at itself and gives every lane back as many records as
+// it has made (rebalance). A run like one before it then allocates nothing
+// in LGS, and neither do the matcher's queues, whose storage per
+// (destination, source) pair stays in place. An LGS that adopts nothing
+// makes its state in Setup.
 //
 // The Schedule/ScheduleOn calls, their order and their times are those of
 // the closure-per-event code this replaced, so every event keeps its
@@ -241,16 +242,33 @@ func (b *LGS) rebalance() {
 	}
 }
 
-// Adopt implements core.Recycler: when prev is an LGS, b takes over its
-// lanes — streams, NIC and record free list per rank — and its matcher
-// queues, and prev is left with none.
-func (b *LGS) Adopt(prev core.Recycler) {
-	p, ok := prev.(*LGS)
-	if !ok || p == b {
+// Adopt, called before Setup, takes over the lanes — streams, NIC and
+// record free list per rank — and the matcher queues of prev, an LGS whose
+// run drained and that will not be used again; prev is left with none.
+func (b *LGS) Adopt(prev *LGS) {
+	if prev == b {
 		return
 	}
-	b.ranks, b.match = p.ranks, p.match
-	p.ranks, p.match = nil, nil
+	b.ranks, b.match = prev.ranks, prev.match
+	prev.ranks, prev.match = nil, nil
+}
+
+// Unbind drops every lane's engine and completion callback, lanes past the
+// last run's rank count included, so that an LGS kept for a later run holds
+// nothing of the runs before it: not their engines, and not the callbacks
+// that reach their schedules and observers. Setup binds them again. The
+// free records on lanes past the last run's rank count name the LGS that
+// made them, which Adopt has emptied.
+func (b *LGS) Unbind() {
+	lanes := b.ranks[:cap(b.ranks)]
+	for i := range lanes {
+		r := &lanes[i]
+		r.sim = nil
+		if r.nic != nil {
+			r.cpus.Rebind(nil, nil)
+			r.nic.Rebind(nil, nil)
+		}
+	}
 }
 
 // Drained implements core.Drainer: every message record a lane ever made

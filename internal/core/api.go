@@ -121,18 +121,6 @@ type Drainer interface {
 	Drained() error
 }
 
-// Recycler is a Drainer whose working state (streams, matcher queues,
-// record free lists) can serve a later run, so that a warm process
-// allocates for a run only what is new in it. Adopt(prev), called on a
-// fresh backend before its Setup, takes over the state of prev — a backend
-// whose run drained and that will not be used again — when prev is of its
-// own kind, and does nothing otherwise; Setup then rebinds what it took to
-// its own engine and callback.
-type Recycler interface {
-	Drainer
-	Adopt(prev Recycler)
-}
-
 // LookaheadProvider is implemented by backends whose model guarantees a
 // minimum cross-rank delay: no operation issued by rank r at time t can
 // affect another rank before t + Lookahead(). Such backends can run on the

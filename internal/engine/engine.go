@@ -203,12 +203,10 @@ func (e *Engine) Run() simtime.Time {
 }
 
 // Reset discards all pending events and rewinds the clock to zero so the
-// engine can be reused for another simulation. The queue keeps its
-// storage, and no handler stays reachable through it.
+// engine can be reused for another simulation.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
-	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.stopped = false
 	e.peak = 0

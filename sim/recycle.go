@@ -3,43 +3,38 @@ package sim
 import (
 	"sync"
 
-	"atlahs/internal/core"
+	"atlahs/internal/backend"
 	"atlahs/internal/engine"
 	"atlahs/internal/sched"
 )
 
 // runState is what a run that succeeded leaves for a later one: the
-// scheduler's per-rank arrays, the serial engine with its heap, and the
-// backend itself when it is a core.Recycler that has proven itself drained
-// (LGS: streams, NICs, message records and matcher queues). With it, a
-// warm process allocates for a run its input, its Result and little else.
-// Run is the only code that can tell a run succeeded, so it is the only
-// code that returns one; the lane engine and the fabric models are built
-// for every run.
+// scheduler's per-rank arrays, the serial engine with its heap, and, when
+// the run was on LGS and Drained has proven it clean, the LGS with its
+// streams, NICs, message records and matcher queues, unbound from the run.
+// With it, a warm process allocates for a run its input, its Result and
+// little else. None of it names the schedule, the backend's callback or an
+// Observer of the run that left it. Run is the only code that can tell a
+// run succeeded, so it is the only code that returns one; the lane engine
+// and the fabric models are built for every run.
 type runState struct {
 	sched sched.State
 	eng   *engine.Engine // nil until a serial run needs one
-	be    core.Recycler  // nil unless the last recycling backend drained
-	ops   int64          // the largest schedule served, in ops
+	lgs   *backend.LGS   // nil unless the last run was on LGS and drained
 }
-
-// maxRecycledOps bounds the schedules the kept states have served, all of
-// them together: at about 30 bytes an op, the stock never holds much more
-// than 30 MB between runs, and one large run does not pin its arrays for
-// the life of the process.
-const maxRecycledOps = 1 << 20
 
 // recycled is the process's stock of run states. A run takes the state
 // returned last or makes one, so the process never holds more states than
 // it once had runs in flight at the same time: executors whose runs
-// overlap each find one, and a sequence of runs shares one. (sync.Pool's
-// per-P slots and victim cache kept several alive for a sequence of runs,
-// which raised the collector's heap target: 92 MB of peak RSS against 74
-// with this list on the hpc-goal-lgs benchmark workload.)
+// overlap each find one, and a sequence of runs shares one. A state is as
+// large as the largest run it served, which the process held at that run's
+// peak anyway. (sync.Pool's per-P slots and victim cache kept several alive
+// for a sequence of runs, which raised the collector's heap target: 92 MB
+// of peak RSS against 74 with this list on the hpc-goal-lgs benchmark
+// workload.)
 var recycled struct {
 	sync.Mutex
 	free []*runState
-	ops  int64 // summed over free
 }
 
 // takeRunState starts a run on the state returned last, or on a new one.
@@ -53,17 +48,12 @@ func takeRunState() *runState {
 	rs := recycled.free[k-1]
 	recycled.free[k-1] = nil
 	recycled.free = recycled.free[:k-1]
-	recycled.ops -= rs.ops
 	return rs
 }
 
-// returnRunState keeps the state of a run that succeeded if the stock has
-// room for it.
+// returnRunState keeps the state of a run that succeeded.
 func returnRunState(rs *runState) {
 	recycled.Lock()
 	defer recycled.Unlock()
-	if recycled.ops+rs.ops <= maxRecycledOps {
-		recycled.free = append(recycled.free, rs)
-		recycled.ops += rs.ops
-	}
+	recycled.free = append(recycled.free, rs)
 }

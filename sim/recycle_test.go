@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"atlahs/internal/backend"
 	"atlahs/internal/engine"
@@ -294,5 +296,120 @@ func TestWarmRunAllocs(t *testing.T) {
 		if small > 48 {
 			t.Errorf("%s: a warm run allocated %.1f objects, want at most 48", c.name, small)
 		}
+	}
+}
+
+// keptObserver is an Observer with a body of its own, so that the collector
+// can tell when it is gone.
+type keptObserver struct {
+	NopObserver
+	ops atomic.Int64
+}
+
+func (o *keptObserver) OpCompleted(OpEvent) { o.ops.Add(1) }
+
+// TestKeptStateHoldsNoRun: the state a successful LGS run leaves for the
+// next one reaches neither the run's schedule nor its Observer, on the
+// serial engine or the lane engine, so both are collectable once Run has
+// returned.
+func TestKeptStateHoldsNoRun(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		var gone atomic.Int32
+		func() {
+			sch := micro.UniformRandom(16, 300, 300_000, 3)
+			obs := new(keptObserver)
+			runtime.AddCleanup(sch, func(int) { gone.Add(1) }, 0)
+			runtime.AddCleanup(obs, func(int) { gone.Add(1) }, 0)
+			spec := Spec{Workload: Workload{Schedule: sch}, Observer: obs, Workers: workers,
+				Config: LGSConfig{Params: HPCParams()}}
+			if _, err := Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		recycled.Lock()
+		kept := len(recycled.free) > 0 && recycled.free[len(recycled.free)-1].lgs != nil
+		recycled.Unlock()
+		if !kept {
+			t.Fatalf("workers %d: the run kept no LGS state", workers)
+		}
+		// Cleanups run on a goroutine of their own after the cycle that
+		// frees their object.
+		for i := 0; i < 50 && gone.Load() < 2; i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if n := gone.Load(); n != 2 {
+			t.Fatalf("workers %d: %d of the schedule and the Observer collected after Run returned", workers, n)
+		}
+	}
+}
+
+// barrierObserver holds every run it watches at RunStarted until n runs
+// have started, so that n runs are in flight at once.
+type barrierObserver struct {
+	NopObserver
+	started *sync.WaitGroup
+}
+
+func (o barrierObserver) RunStarted(RunInfo) {
+	o.started.Done()
+	o.started.Wait()
+}
+
+// TestRunStateStock holds the retention rule: a sequence of runs shares
+// one kept state, whatever their sizes, so a small run takes the state a
+// large one left; the stock grows only to as many states as there were
+// runs in flight at once, and stays there.
+func TestRunStateStock(t *testing.T) {
+	recycled.Lock()
+	recycled.free = nil
+	recycled.Unlock()
+	stock := func() []*runState {
+		recycled.Lock()
+		defer recycled.Unlock()
+		return append([]*runState(nil), recycled.free...)
+	}
+	run := func(spec Spec) {
+		t.Helper()
+		if _, err := Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := Spec{Workload: Workload{Schedule: micro.UniformRandom(96, 3000, 300_000, 5)}, Config: LGSConfig{Params: HPCParams()}}
+	small := Spec{Workload: Workload{Schedule: micro.Ring(6, 4096)}}
+	run(big)
+	first := stock()
+	if len(first) != 1 || first[0].lgs == nil || first[0].eng == nil {
+		t.Fatalf("after one run the stock is %d states", len(first))
+	}
+	for i, spec := range []Spec{small, big, small} {
+		run(spec)
+		if got := stock(); len(got) != 1 || got[0] != first[0] {
+			t.Fatalf("run %d of a sequence: the stock is %d states, the first one kept: %v", i, len(got), len(got) > 0 && got[0] == first[0])
+		}
+	}
+
+	const inFlight = 3
+	var started, done sync.WaitGroup
+	started.Add(inFlight)
+	for g := 0; g < inFlight; g++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			spec := small
+			spec.Observer = barrierObserver{started: &started}
+			if _, err := Run(context.Background(), spec); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done.Wait()
+	if got := len(stock()); got != inFlight {
+		t.Fatalf("after %d runs in flight at once the stock is %d states", inFlight, got)
+	}
+	run(big)
+	run(small)
+	if got := len(stock()); got != inFlight {
+		t.Fatalf("a sequence after %d runs in flight left %d states", inFlight, got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"atlahs/internal/backend"
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
 	"atlahs/internal/goal"
@@ -96,8 +97,8 @@ func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 // wall-clock conditions.
 //
 // A run that succeeds leaves its working state — the scheduler's arrays,
-// the serial engine's heap and, once Drained proves it clean, a recycling
-// backend's state — for a later run (runState), which is why a warm
+// the serial engine's heap and, once Drained proves it clean, LGS's
+// state — for a later run (runState), which is why a warm
 // process allocates little beyond a run's input and Result. Nothing
 // carried over can change a result.
 //
@@ -137,9 +138,10 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	// the next run only if it succeeds; a run that fails, is cancelled or
 	// panics gives back nothing (see recycle.go).
 	rs := takeRunState()
-	if r, ok := be.(core.Recycler); ok && rs.be != nil {
-		r.Adopt(rs.be)
-		rs.be = nil
+	lgs, _ := be.(*backend.LGS)
+	if lgs != nil && rs.lgs != nil {
+		lgs.Adopt(rs.lgs)
+		rs.lgs = nil
 	}
 	var eng engine.Sim
 	if parallel {
@@ -204,9 +206,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		ns := sp.NetStats()
 		out.Net = &ns
 	}
-	rs.ops = max(rs.ops, st.Ops)
-	if r, ok := be.(core.Recycler); ok && r.Drained() == nil {
-		rs.be = r
+	if lgs != nil && lgs.Drained() == nil {
+		lgs.Unbind()
+		rs.lgs = lgs
 	}
 	returnRunState(rs)
 	return out, nil
