@@ -2,6 +2,8 @@ package analyze
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -58,6 +60,25 @@ func TestRenderHTMLGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("rendered report differs from %s (rerun with -update after reviewing)\ngot:\n%s", path, buf.String())
+	}
+}
+
+// diffOnlyPin is the SHA-256 of the golden report's diff and regressions
+// sections rendered alone.
+const diffOnlyPin = "0f2b6fffe8110cea463937bb2aa06fe5ea59e3f71c2141cbdbb38fc93e1e64d4"
+
+// TestRenderHTMLDiffOnlyPinned: a report of a diff and its regressions
+// renders as the pinned bytes.
+func TestRenderHTMLDiffOnlyPinned(t *testing.T) {
+	r := goldenReport(t)
+	r.History, r.Warnings = nil, nil
+	var buf bytes.Buffer
+	if err := RenderHTML(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != diffOnlyPin {
+		t.Errorf("diff-only report: SHA-256 %s, pinned %s", got, diffOnlyPin)
 	}
 }
 

@@ -138,6 +138,16 @@ func lgsPinnedCases() []Spec {
 	return specs
 }
 
+// recycleSizedSpecs are TestRecycledRunsMatchFresh's other specs: a big
+// run and a small one that follow each other, and a clean run that follows
+// each kind of failed run.
+func recycleSizedSpecs() (big, small, clean Spec) {
+	big = Spec{Workload: Workload{Schedule: micro.UniformRandom(96, 3000, 300_000, 5)}, Config: LGSConfig{Params: HPCParams()}}
+	small = Spec{Workload: Workload{Schedule: micro.Ring(6, 4096)}}
+	clean = Spec{Workload: Workload{Schedule: micro.BulkSynchronous(16, 3, 300_000, 2000)}, Config: LGSConfig{Params: HPCParams()}}
+	return big, small, clean
+}
+
 // recyclePanic is LGS until its run's fourth calc, which panics: after
 // seeding, on the lane engine, from a worker goroutine.
 type recyclePanic struct {
@@ -172,8 +182,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		}
 	}
 
-	big := Spec{Workload: Workload{Schedule: micro.UniformRandom(96, 3000, 300_000, 5)}, Config: LGSConfig{Params: HPCParams()}}
-	small := Spec{Workload: Workload{Schedule: micro.Ring(6, 4096)}}
+	big, small, clean := recycleSizedSpecs()
 	wantBig, wantSmall := freshOutcome(t, big), freshOutcome(t, small)
 	for _, workers := range []int{0, 2} {
 		big.Workers, small.Workers = workers, workers
@@ -191,7 +200,6 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 	deadlock.Rank(2).Send(300_000, 3, 0)
 	deadlock.Rank(3).Calc(100)
 	stuck := deadlock.MustBuild()
-	clean := Spec{Workload: Workload{Schedule: micro.BulkSynchronous(16, 3, 300_000, 2000)}, Config: LGSConfig{Params: HPCParams()}}
 	wantClean := freshOutcome(t, clean)
 	for _, workers := range []int{0, 2} {
 		clean.Workers = workers
