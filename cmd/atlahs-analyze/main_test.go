@@ -1,13 +1,10 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"atlahs/results"
 )
@@ -49,6 +46,9 @@ func TestDiffExitCodes(t *testing.T) {
 		{"identical", []string{"diff", "-keys", "configuration", base, same}, 0},
 		{"regression", []string{"diff", "-keys", "configuration", base, worse}, 1},
 		{"below threshold", []string{"diff", "-keys", "configuration", "-threshold", "0.5", base, worse}, 0},
+		{"NaN threshold", []string{"diff", "-keys", "configuration", "-threshold", "NaN", base, worse}, 2},
+		{"+Inf threshold", []string{"diff", "-keys", "configuration", "-threshold", "+Inf", base, worse}, 2},
+		{"negative threshold", []string{"diff", "-keys", "configuration", "-threshold", "-1", base, worse}, 2},
 		{"gate off", []string{"diff", "-keys", "configuration", "-gate=false", base, worse}, 0},
 		{"positional identical", []string{"diff", base, same}, 0},
 		{"json output", []string{"diff", "-json", "-keys", "configuration", base, worse}, 1},
@@ -88,99 +88,5 @@ func TestDiffWritesHTMLReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
-	}
-}
-
-// stdoutOf runs one command line and returns what it printed on stdout.
-func stdoutOf(t *testing.T, args ...string) []byte {
-	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	old := os.Stdout
-	os.Stdout = f
-	code := run(args)
-	os.Stdout = old
-	if code != 0 {
-		t.Fatalf("run(%v) = %d", args, code)
-	}
-	b, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestHistoryJSONPinned: `history -json` writes its atlahs.history/v1
-// document byte for byte as pinned.
-func TestHistoryJSONPinned(t *testing.T) {
-	storeDir := t.TempDir()
-	st, err := results.NewStore(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rt := range []float64{100, 150} {
-		s := results.NewSweep("r_"+strings.Repeat("0", 15)+string(rune('a'+i)), "Run", "service")
-		s.AddColumn("rank", results.Int, "")
-		s.MustAddRow(int64(0))
-		s.SetDerived("runtime_ps", rt)
-		s.SetDerived("ops", 8)
-		if err := st.Save(s); err != nil {
-			t.Fatal(err)
-		}
-		at := time.Unix(1700000000+int64(i)*60, 0)
-		if err := os.Chtimes(st.Path(s.Name), at, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const pin = "8874237675b6e2ca1401992eb285dc2225245b5bee80a4140efa1527293cd1f5"
-	if sum := sha256.Sum256(stdoutOf(t, "history", "-store", storeDir, "-json", "-gate=false")); hex.EncodeToString(sum[:]) != pin {
-		t.Errorf("history -json: SHA-256 %x, pinned %s", sum, pin)
-	}
-	// A run the walk skips is reported in the document, as GET /v1/history
-	// reports it.
-	if err := os.WriteFile(st.Path("r_00000000000000ff"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out := stdoutOf(t, "history", "-store", storeDir, "-json", "-gate=false"); !strings.Contains(string(out), `"warnings": [`) {
-		t.Errorf("history -json over a corrupt artifact carries no warnings:\n%s", out)
-	}
-}
-
-func TestHistorySubcommand(t *testing.T) {
-	dir := t.TempDir()
-	st, err := results.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rt := range []float64{100, 100, 100, 150} {
-		s := results.NewSweep("r_"+strings.Repeat("0", 15)+string(rune('a'+i)), "Run", "service")
-		s.AddColumn("rank", results.Int, "")
-		s.MustAddRow(int64(0))
-		s.SetDerived("runtime_ps", rt)
-		if err := st.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All four artifacts share an mtime granule; the name tiebreak keeps
-	// them in save order, so the +50% last run trips the gate.
-	if got := run([]string{"history", "-store", dir, "-threshold", "0.1"}); got != 1 {
-		t.Errorf("regressed run history: exit = %d, want 1", got)
-	}
-	if got := run([]string{"history"}); got != 2 {
-		t.Errorf("missing -store: exit = %d, want 2", got)
-	}
-	// A read-only command must not create the directory it was pointed at.
-	typo := filepath.Join(t.TempDir(), "typo_dir")
-	if got := run([]string{"history", "-store", typo}); got != 2 {
-		t.Errorf("nonexistent -store: exit = %d, want 2", got)
-	}
-	if _, err := os.Stat(typo); !os.IsNotExist(err) {
-		t.Errorf("nonexistent -store was created (stat: %v)", err)
-	}
-	if got := run([]string{"history", "-store", st.Path("r_000000000000000a")}); got != 2 {
-		t.Errorf("-store naming a file: exit = %d, want 2", got)
 	}
 }

@@ -18,8 +18,6 @@
 //	POST /v1/sweeps              batch-submit N specs as one sweep
 //	GET  /v1/sweeps/{id}         combined status of a batch
 //	GET  /v1/sweeps/{id}/artifact combined per-run artifact view
-//	GET  /v1/history             per-metric trajectories over completed
-//	                             runs (atlahs.history/v1; ?format=html)
 //	GET  /v1/analyze/diff        diff two runs' artifacts, gated for
 //	                             regressions (?a=RUN&b=RUN[&keys=cols]
 //	                             [&threshold=F][&format=html])

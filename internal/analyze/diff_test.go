@@ -8,7 +8,7 @@ import (
 )
 
 // pairSweep builds a small keyed sweep for diff tests.
-func pairSweep(t *testing.T, name string, measured []int64) *results.Sweep {
+func pairSweep(t testing.TB, name string, measured []int64) *results.Sweep {
 	t.Helper()
 	s := results.NewSweep(name, "Pair", "test")
 	s.AddColumn("configuration", results.String, "")

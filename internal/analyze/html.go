@@ -4,28 +4,22 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"math"
 	"strconv"
-	"strings"
 
 	"atlahs/results"
 )
 
-// Report is what RenderHTML renders: any combination of a sweep diff,
-// per-metric trajectories and gated regressions. Rendering is a pure
-// function of this value — no clocks, no environment — so report bytes
-// are reproducible and golden-testable.
+// Report is what RenderHTML renders: an optional sweep diff and the
+// gate's regressions. Rendering is a pure function of this value — no
+// clocks, no environment — so report bytes are reproducible and
+// golden-testable.
 type Report struct {
 	// Title heads the document.
 	Title string
 	// Diff is an optional sweep comparison section.
 	Diff *results.SweepDiff
-	// History is an optional trajectory section, one sparkline per series.
-	History []results.Series
-	// Regressions is the gate's verdict over the above.
+	// Regressions is the gate's verdict over the diff.
 	Regressions []Regression
-	// Warnings surface skipped inputs (corrupt artifacts, foreign files).
-	Warnings []string
 }
 
 // RenderHTML writes the report as one self-contained HTML document: no
@@ -36,46 +30,8 @@ func RenderHTML(w io.Writer, r *Report) error {
 	return reportTmpl.Execute(w, r)
 }
 
-// sparkline renders one series as an inline SVG polyline, normalised to
-// a fixed viewport. Coordinates round to 1/100 so formatting is
-// deterministic across platforms.
-func sparkline(s results.Series) template.HTML {
-	const width, height, pad = 240.0, 48.0, 4.0
-	n := len(s.Points)
-	if n == 0 {
-		return ""
-	}
-	lo, hi := s.Points[0].Value, s.Points[0].Value
-	for _, p := range s.Points {
-		lo, hi = math.Min(lo, p.Value), math.Max(hi, p.Value)
-	}
-	span := hi - lo
-	if span == 0 {
-		span = 1 // flat line: center it
-	}
-	coord := func(v float64) string {
-		return strconv.FormatFloat(math.Round(v*100)/100, 'f', -1, 64)
-	}
-	pts := make([]string, n)
-	for i, p := range s.Points {
-		x := pad + (width-2*pad)*float64(i)/math.Max(float64(n-1), 1)
-		y := height - pad - (height-2*pad)*(p.Value-lo)/span
-		pts[i] = coord(x) + "," + coord(y)
-	}
-	svg := fmt.Sprintf(
-		`<svg class="spark" width="%d" height="%d" viewBox="0 0 %d %d" role="img" aria-label=%q>`+
-			`<polyline fill="none" stroke="currentColor" stroke-width="1.5" points="%s"/>`+
-			`<circle cx="%s" cy="%s" r="2.5" fill="currentColor"/></svg>`,
-		int(width), int(height), int(width), int(height),
-		s.Metric, strings.Join(pts, " "),
-		pts[n-1][:strings.IndexByte(pts[n-1], ',')], pts[n-1][strings.IndexByte(pts[n-1], ',')+1:],
-	)
-	return template.HTML(svg)
-}
-
 // tmplFuncs are the template helpers; all formatting is deterministic.
 var tmplFuncs = template.FuncMap{
-	"spark": sparkline,
 	"num": func(v float64) string {
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	},
@@ -104,12 +60,6 @@ var tmplFuncs = template.FuncMap{
 			return fmt.Sprintf("row %d", r.Row)
 		}
 		return FormatKey(r.Key)
-	},
-	"last": func(s results.Series) float64 {
-		return s.Points[len(s.Points)-1].Value
-	},
-	"count": func(s results.Series) int {
-		return len(s.Points)
 	},
 	"rel": func(f results.FieldDelta) string {
 		if f.Rel == nil {
@@ -196,23 +146,6 @@ code{background:#f4f4f4;padding:.05rem .3rem;border-radius:3px}
 {{- if or .ColumnsOnlyA .ColumnsOnlyB}}
 <p class="muted">Uncompared columns:{{range .ColumnsOnlyA}} <code>{{.}}</code> (a){{end}}{{range .ColumnsOnlyB}} <code>{{.}}</code> (b){{end}}</p>
 {{- end}}
-{{- end}}
-{{- if .History}}
-<h2>Trajectories</h2>
-<table>
-<tr><th>metric</th><th>trend</th><th>points</th><th>last</th></tr>
-{{- range .History}}
-<tr><td><code>{{.Metric}}</code>{{if .Unit}} <span class="muted">[{{.Unit}}]</span>{{end}}</td><td>{{spark .}}</td><td>{{count .}}</td><td>{{num (last .)}}</td></tr>
-{{- end}}
-</table>
-{{- end}}
-{{- if .Warnings}}
-<h2>Warnings</h2>
-<ul>
-{{- range .Warnings}}
-<li class="muted">{{.}}</li>
-{{- end}}
-</ul>
 {{- end}}
 </body>
 </html>

@@ -11,33 +11,36 @@ import (
 
 // Gate configures regression detection. Every gated metric in this
 // toolchain — simulated runtime, ns/op, executed-op cost — is a cost, so
-// the gates are one-sided: only increases can regress; improvements are
+// the gate is one-sided: only increases can regress; improvements are
 // never flagged.
 type Gate struct {
-	// RelThreshold is the minimum relative worsening (B-A)/A to flag. 0
-	// flags any worsening; < 0 disables the relative gate.
+	// RelThreshold is the minimum relative worsening (B-A)/A to flag; 0
+	// flags any worsening. CheckThreshold says which values are valid.
 	RelThreshold float64
-	// MADK enables the robust gate for series: the last point regresses
-	// when it exceeds the median of the preceding points by more than
-	// MADK times their median absolute deviation. <= 0 disables it. When
-	// the history is perfectly stable (MAD zero — common for
-	// deterministic simulated runtimes), any worsening past the relative
-	// gate is significant.
-	MADK float64
-	// Metrics optionally restricts gating to column, derived and series
-	// names matching this pattern; nil gates every numeric metric.
+	// Metrics optionally restricts gating to column and derived names
+	// matching this pattern; nil gates every numeric metric.
 	Metrics *regexp.Regexp
+}
+
+// CheckThreshold rejects a relative threshold that would turn the gate
+// off without saying so: no worsening reaches NaN or +Inf, and a negative
+// threshold duplicates not gating at all.
+func CheckThreshold(t float64) error {
+	if !(t >= 0) || math.IsInf(t, 1) {
+		return fmt.Errorf("threshold %v: want a finite number >= 0", t)
+	}
+	return nil
 }
 
 // Regression is one flagged metric movement.
 type Regression struct {
-	// Metric is the regressed column, derived key or series metric.
+	// Metric is the regressed column or derived key.
 	Metric string `json:"metric"`
 	// Where locates it: a row's key cells or index for a diff field,
-	// "derived" for an aggregate, the last point's label for a series.
+	// "derived" for an aggregate.
 	Where string `json:"where"`
-	// A is the baseline (cell in sweep A, or the history's median) and B
-	// the regressed observation; Rel is (B-A)/A.
+	// A is the baseline (the value in sweep A) and B the regressed
+	// observation; Rel is (B-A)/A.
 	A   float64 `json:"a"`
 	B   float64 `json:"b"`
 	Rel float64 `json:"rel"`
@@ -56,7 +59,7 @@ func (g Gate) metricAllowed(name string) bool {
 // relative gate. A zero or negative baseline never trips: the relative
 // move is undefined and sign conventions stop meaning "cost grew".
 func (g Gate) relTrips(a, b float64) bool {
-	if g.RelThreshold < 0 || a <= 0 || b <= a {
+	if a <= 0 || b <= a {
 		return false
 	}
 	return (b-a)/a >= g.RelThreshold
@@ -94,59 +97,4 @@ func (g Gate) Diff(d *results.SweepDiff) []Regression {
 	}
 	sort.SliceStable(regs, func(i, j int) bool { return regs[i].Rel > regs[j].Rel })
 	return regs
-}
-
-// Series gates trajectories: for each series with at least three points,
-// the last point is compared against the median of the preceding ones.
-// It regresses when it trips the relative gate AND — when the MAD gate
-// is enabled — exceeds median + MADK*MAD, so a noisy history needs a
-// statistically significant jump while a perfectly flat one (MAD zero)
-// falls back to the relative gate alone. Results sort most severe first.
-func (g Gate) Series(series []results.Series) []Regression {
-	var regs []Regression
-	for _, s := range series {
-		n := len(s.Points)
-		if n < 3 || !g.metricAllowed(s.Metric) {
-			continue
-		}
-		prior := make([]float64, n-1)
-		for i, p := range s.Points[:n-1] {
-			prior[i] = p.Value
-		}
-		med := median(prior)
-		last := s.Points[n-1].Value
-		if !g.relTrips(med, last) {
-			continue
-		}
-		if g.MADK > 0 {
-			dev := make([]float64, len(prior))
-			for i, v := range prior {
-				dev[i] = math.Abs(v - med)
-			}
-			if mad := median(dev); last <= med+g.MADK*mad {
-				continue
-			}
-		}
-		regs = append(regs, Regression{
-			Metric: s.Metric,
-			Where:  s.Points[n-1].Label,
-			A:      med,
-			B:      last,
-			Rel:    (last - med) / med,
-		})
-	}
-	sort.SliceStable(regs, func(i, j int) bool { return regs[i].Rel > regs[j].Rel })
-	return regs
-}
-
-// median returns the middle value (mean of the middle two for even
-// counts) of an unsorted, non-empty slice; it does not mutate its input.
-func median(vs []float64) float64 {
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }

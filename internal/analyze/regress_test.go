@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"math"
 	"regexp"
 	"testing"
 
@@ -45,10 +46,14 @@ func TestGateDiffZeroThresholdFlagsAnyWorsening(t *testing.T) {
 	}
 }
 
-func TestGateDiffNegativeThresholdDisabled(t *testing.T) {
-	d := diffFor(t, []int64{100, 200, 300}, []int64{500, 600, 700})
-	if regs := (Gate{RelThreshold: -1}).Diff(d); len(regs) != 0 {
-		t.Errorf("disabled gate flagged %+v", regs)
+func TestCheckThreshold(t *testing.T) {
+	for _, c := range []struct {
+		t  float64
+		ok bool
+	}{{0, true}, {0.1, true}, {5, true}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false}, {-1, false}} {
+		if err := CheckThreshold(c.t); (err == nil) != c.ok {
+			t.Errorf("CheckThreshold(%v) = %v, want ok %v", c.t, err, c.ok)
+		}
 	}
 }
 
@@ -82,70 +87,5 @@ func TestGateDiffSkipsZeroBaseline(t *testing.T) {
 	}
 	if regs := (Gate{RelThreshold: 0}).Diff(d); len(regs) != 0 {
 		t.Errorf("zero-baseline fields gated: %+v", regs)
-	}
-}
-
-func oneSeries(vals ...float64) []results.Series {
-	s := results.Series{Metric: "runtime_ps", Unit: "ps"}
-	for i, v := range vals {
-		s.Points = append(s.Points, results.Point{Label: label(i), Value: v})
-	}
-	return []results.Series{s}
-}
-
-func label(i int) string {
-	return string(rune('a' + i))
-}
-
-func TestGateSeriesFlatHistory(t *testing.T) {
-	// Deterministic history: MAD is zero, rel gate alone decides.
-	regs := Gate{RelThreshold: 0.1, MADK: 3}.Series(oneSeries(100, 100, 100, 100, 125))
-	if len(regs) != 1 {
-		t.Fatalf("regressions = %+v, want one", regs)
-	}
-	r := regs[0]
-	if r.Metric != "runtime_ps" || r.Where != "e" || r.A != 100 || r.B != 125 || r.Rel != 0.25 {
-		t.Errorf("regression = %+v", r)
-	}
-}
-
-func TestGateSeriesNoisyHistoryNeedsMAD(t *testing.T) {
-	// Median of prior {100,90,110,95,105} = 100, MAD = 5. Last = 112:
-	// +12% trips rel(0.1) but 112 <= 100 + 3*5 = 115, so MAD absorbs it.
-	g := Gate{RelThreshold: 0.1, MADK: 3}
-	if regs := g.Series(oneSeries(100, 90, 110, 95, 105, 112)); len(regs) != 0 {
-		t.Errorf("within-noise jump flagged: %+v", regs)
-	}
-	// Last = 120 clears both gates.
-	regs := g.Series(oneSeries(100, 90, 110, 95, 105, 120))
-	if len(regs) != 1 || regs[0].A != 100 || regs[0].B != 120 {
-		t.Errorf("regressions = %+v, want median 100 -> 120", regs)
-	}
-}
-
-func TestGateSeriesTooShort(t *testing.T) {
-	if regs := (Gate{RelThreshold: 0}).Series(oneSeries(100, 200)); len(regs) != 0 {
-		t.Errorf("two-point series gated: %+v", regs)
-	}
-}
-
-func TestGateSeriesMetricFilter(t *testing.T) {
-	g := Gate{RelThreshold: 0, Metrics: regexp.MustCompile(`^ops$`)}
-	if regs := g.Series(oneSeries(100, 100, 200)); len(regs) != 0 {
-		t.Errorf("filtered-out series gated: %+v", regs)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("median odd = %v, want 2", got)
-	}
-	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("median even = %v, want 2.5", got)
-	}
-	in := []float64{3, 1, 2}
-	median(in)
-	if in[0] != 3 {
-		t.Error("median mutated its input")
 	}
 }

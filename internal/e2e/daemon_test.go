@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"atlahs/internal/analyze"
 	"atlahs/internal/service"
 	"atlahs/results"
 	"atlahs/sim"
@@ -210,7 +209,7 @@ func (d *daemon) submitSweep(t *testing.T, sweep []byte, verdict string) sweepDo
 // TestServiceCacheSurvivesRestart: identical submissions are answered from
 // the content-addressed cache — runs and sweeps, before and after a
 // SIGTERM and a restart over the same artifact directory — with
-// byte-identical artifacts, and the analytics endpoints read the rebuilt
+// byte-identical artifacts, and the diff endpoint reads the rebuilt
 // state.
 func TestServiceCacheSurvivesRestart(t *testing.T) {
 	t.Parallel()
@@ -276,21 +275,17 @@ func TestServiceCacheSurvivesRestart(t *testing.T) {
 		t.Error("post-restart sweep artifact is not byte-identical")
 	}
 
-	var h analyze.History
-	if err := results.DecodeDoc(bytes.NewReader(d.get(t, "/v1/history")), "history", analyze.HistorySchema, &h); err != nil {
+	// Run-history analytics are gone: the endpoint and the subcommand.
+	resp, err := client.Get(d.url + "/v1/history")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var runtime []results.Series
-	for _, s := range h.Series {
-		if s.Metric == "runtime_ps" {
-			runtime = append(runtime, s)
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/history: %s, want 404", resp.Status)
 	}
-	if len(runtime) != 1 || !hasPoint(runtime[0], id) {
-		t.Errorf("/v1/history: runtime_ps series %+v, want one holding run %s", runtime, id)
-	}
-	if html := d.get(t, "/v1/history?format=html"); !bytes.Contains(html, []byte("runtime_ps")) {
-		t.Error("/v1/history?format=html does not render runtime_ps")
+	if _, stderr, code := runStatus(t, "atlahs-analyze", "history", "-store", store); code != 2 || !bytes.Contains(stderr, []byte("unknown subcommand")) {
+		t.Errorf("atlahs-analyze history: exit %d, want 2 with \"unknown subcommand\"\n%s", code, stderr)
 	}
 	var self struct {
 		Regressed bool            `json:"regressed"`
@@ -321,15 +316,6 @@ func lastEvent(stream []byte) string {
 		}
 	}
 	return last
-}
-
-func hasPoint(s results.Series, label string) bool {
-	for _, p := range s.Points {
-		if p.Label == label {
-			return true
-		}
-	}
-	return false
 }
 
 // TestDaemonObservability: under -timeline and -log-format json, the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -13,18 +12,15 @@ import (
 	"atlahs/results"
 )
 
-// The analytics endpoints — the service-side face of internal/analyze:
+// The analytics endpoint — the service-side face of internal/analyze:
 //
-//	GET /v1/history                  per-metric trajectories over the
-//	                                 service's completed runs, oldest first
 //	GET /v1/analyze/diff?a=A&b=B     field-by-field diff of two runs'
 //	                                 artifacts, gated for regressions
 //
-// Both accept ?format=html for the self-contained report; /v1/history
-// accepts ?metric=RE to restrict series, and /v1/analyze/diff accepts
-// ?keys=cols (comma-separated row-match columns, default positional —
-// run sweeps are per-rank tables with pinned row order) and ?threshold=F
-// (relative worsening to flag, default 0.1).
+// It accepts ?format=html for the self-contained report, ?keys=cols
+// (comma-separated row-match columns, default positional — run sweeps are
+// per-rank tables with pinned row order) and ?threshold=F (relative
+// worsening to flag, default 0.1; finite and >= 0).
 
 // analyzeDiffResponse is the JSON body of GET /v1/analyze/diff.
 type analyzeDiffResponse struct {
@@ -33,62 +29,6 @@ type analyzeDiffResponse struct {
 	Regressed   bool                 `json:"regressed"`
 	Regressions []analyze.Regression `json:"regressions,omitempty"`
 	Diff        json.RawMessage      `json:"diff"`
-}
-
-// history builds the service's run trajectories: from the artifact store
-// when one is configured (it survives restarts and evictions), else from
-// the in-memory cache in completion order.
-func (s *Service) history() (series []results.Series, warnings []string, err error) {
-	if s.store != nil {
-		return analyze.StoreHistory(s.store)
-	}
-	s.mu.Lock()
-	ids := append([]string(nil), s.doneOrder...)
-	s.mu.Unlock()
-	var entries []analyze.HistoryEntry
-	for _, id := range ids {
-		snap, ok := s.Get(id)
-		if !ok || snap.Status != StatusDone {
-			continue
-		}
-		sweep, err := results.DecodeJSON(bytes.NewReader(snap.Artifact))
-		if err != nil {
-			warnings = append(warnings, fmt.Sprintf("skipping run %s: %v", id, err))
-			continue
-		}
-		if len(sweep.Derived) == 0 {
-			continue
-		}
-		entries = append(entries, analyze.HistoryEntry{Label: id, Values: sweep.Derived})
-	}
-	return analyze.SeriesFrom(entries), warnings, nil
-}
-
-func (s *Service) handleHistory(w http.ResponseWriter, req *http.Request) {
-	series, warnings, err := s.history()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if pat := req.URL.Query().Get("metric"); pat != "" {
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad metric pattern: %w", err))
-			return
-		}
-		kept := series[:0]
-		for _, sr := range series {
-			if re.MatchString(sr.Metric) {
-				kept = append(kept, sr)
-			}
-		}
-		series = kept
-	}
-	if wantHTML(req) {
-		s.writeHTML(w, &analyze.Report{Title: "atlahs service: run history", History: series, Warnings: warnings})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, analyze.History{Schema: analyze.HistorySchema, Series: series, Warnings: warnings})
 }
 
 // runSweepByID loads one completed run's artifact back into a sweep.
@@ -131,6 +71,9 @@ func (s *Service) handleAnalyzeDiff(w http.ResponseWriter, req *http.Request) {
 	threshold := 0.1
 	if t := q.Get("threshold"); t != "" {
 		threshold, err = strconv.ParseFloat(t, 64)
+		if err == nil {
+			err = analyze.CheckThreshold(threshold)
+		}
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad threshold %q: %w", t, err))
 			return

@@ -82,11 +82,6 @@
 // were matched by position and row diffs carry no "key" object. Like the
 // results schema, atlahs.diff/v1 is append-only.
 //
-// A Series ({"metric", "unit", "points": [{"label", "unix", "value"}]})
-// is one metric's trajectory across an ordered sequence of runs; it has
-// no standalone schema string — it travels inside atlahs.history/v1
-// responses (see internal/analyze and GET /v1/history).
-//
 // # Workload-model schema (atlahs.model/v1)
 //
 // A WorkloadModel is a statistical workload model mined from a resolved
@@ -166,14 +161,13 @@
 //
 // # Stability guarantee
 //
-// One rule covers all nine versioned documents — atlahs.spec/v1,
+// One rule covers all eight versioned documents — atlahs.spec/v1,
 // atlahs.results/v1, atlahs.diff/v1, atlahs.metrics/v1, atlahs.model/v1,
-// atlahs.runmeta/v1, atlahs.sweep/v1, atlahs.sweepset/v1 and
-// atlahs.history/v1. Append-only is a promise about
-// writers: released field names, column kinds, cell encodings and units
-// keep their meaning, new fields may be added, and renaming or retyping a
-// field or changing a unit requires a new schema version string. Readers
-// are strict: every reader in the toolchain goes through DecodeDoc, which
+// atlahs.runmeta/v1, atlahs.sweep/v1 and atlahs.sweepset/v1. Append-only
+// is a promise about writers: released field names, column kinds, cell
+// encodings and units keep their meaning, new fields may be added, and
+// renaming or retyping a field or changing a unit requires a new schema
+// version string. Readers are strict: every reader in the toolchain goes through DecodeDoc, which
 // refuses an unknown schema string, any field its version does not
 // declare, and anything after the document but white space; DecodeCSV
 // holds the CSV preamble to the same rule. A reader older than the writer

@@ -21,11 +21,11 @@ type Timeline = telemetry.Timeline
 func NewTimeline(maxEvents int) *Timeline { return telemetry.NewTimeline(maxEvents) }
 
 // runMetrics folds the engine's and the scheduler's execution counters
-// into the run's atlahs.metrics/v1 snapshot. Window counts and
-// scheduler depths are deterministic for a given spec; the
-// execution-strategy counters (inline vs dispatched windows, worker
-// wakeups) describe how this process ran the windows and follow the
-// worker budget.
+// into the run's atlahs.metrics/v1 snapshot, one sample each in a fixed
+// order. Window counts and scheduler depths are deterministic for a given
+// spec; the execution-strategy counters (inline vs dispatched windows,
+// worker wakeups) describe how this process ran the windows and follow
+// the worker budget.
 func runMetrics(eng engine.Sim, res *sched.Result) *results.MetricsSnapshot {
 	var st engine.RunStats
 	switch e := eng.(type) {
@@ -34,16 +34,16 @@ func runMetrics(eng engine.Sim, res *sched.Result) *results.MetricsSnapshot {
 	case *engine.ParEngine:
 		st = e.Stats()
 	}
-	reg := telemetry.NewRegistry()
-	reg.Counter("atlahs_engine_events_total", "engine events executed").Add(st.Events)
-	reg.Gauge("atlahs_engine_peak_pending", "high-water mark of queued engine events").Set(int64(st.PeakPending))
-	reg.Counter("atlahs_engine_windows_total", "conservative windows executed (parallel engine)").Add(st.Windows)
-	reg.Counter("atlahs_engine_windows_widened_total", "windows the adaptive mode widened past the fixed lookahead bound").Add(st.WidenedWindows)
-	reg.Counter("atlahs_engine_windows_inline_total", "windows run inline on the coordinator").Add(st.InlineWindows)
-	reg.Counter("atlahs_engine_windows_dispatched_total", "windows dispatched to the worker pool").Add(st.DispatchedWindows)
-	reg.Counter("atlahs_engine_worker_wakeups_total", "worker wakeups across dispatched windows").Add(st.WorkerWakeups)
-	reg.Counter("atlahs_engine_active_lanes_total", "active-lane count summed over windows").Add(st.ActiveLanes)
-	reg.Gauge("atlahs_engine_active_lanes_max", "largest single-window active-lane count").Set(int64(st.MaxActiveLanes))
-	reg.Gauge("atlahs_sched_peak_outstanding", "peak simultaneously in-flight ops on any single rank").Set(int64(res.PeakOutstanding))
-	return results.MetricsFromPoints(reg.Snapshot())
+	return results.NewMetricsSnapshot([]results.Metric{
+		{Name: "atlahs_engine_events_total", Type: "counter", Help: "engine events executed", Value: float64(st.Events)},
+		{Name: "atlahs_engine_peak_pending", Type: "gauge", Help: "high-water mark of queued engine events", Value: float64(st.PeakPending)},
+		{Name: "atlahs_engine_windows_total", Type: "counter", Help: "conservative windows executed (parallel engine)", Value: float64(st.Windows)},
+		{Name: "atlahs_engine_windows_widened_total", Type: "counter", Help: "windows the adaptive mode widened past the fixed lookahead bound", Value: float64(st.WidenedWindows)},
+		{Name: "atlahs_engine_windows_inline_total", Type: "counter", Help: "windows run inline on the coordinator", Value: float64(st.InlineWindows)},
+		{Name: "atlahs_engine_windows_dispatched_total", Type: "counter", Help: "windows dispatched to the worker pool", Value: float64(st.DispatchedWindows)},
+		{Name: "atlahs_engine_worker_wakeups_total", Type: "counter", Help: "worker wakeups across dispatched windows", Value: float64(st.WorkerWakeups)},
+		{Name: "atlahs_engine_active_lanes_total", Type: "counter", Help: "active-lane count summed over windows", Value: float64(st.ActiveLanes)},
+		{Name: "atlahs_engine_active_lanes_max", Type: "gauge", Help: "largest single-window active-lane count", Value: float64(st.MaxActiveLanes)},
+		{Name: "atlahs_sched_peak_outstanding", Type: "gauge", Help: "peak simultaneously in-flight ops on any single rank", Value: float64(res.PeakOutstanding)},
+	})
 }
