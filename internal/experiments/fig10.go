@@ -136,6 +136,7 @@ func ComputeFig10(mode Mode, workers int) (*Fig10Result, error) {
 // Render writes the paper-style text report.
 func (r *Fig10Result) Render(w io.Writer) {
 	header(w, "Fig 10 — HPC validation: measured vs predicted application runtime")
+	fmt.Fprintln(w, `"measured" is the fluid-flow testbed (experiments.RunFluid), standing in for the paper's clusters.`)
 	fmt.Fprintf(w, "%-12s %-12s %12s %7s %22s %22s\n",
 		"app", "procs/nodes", "measured", "comp%", "LGS (err%)", "pkt (err%)")
 	for _, row := range r.Rows {

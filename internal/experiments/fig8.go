@@ -168,6 +168,7 @@ func ComputeFig8(mode Mode, workers int) (*Fig8Result, error) {
 // §5.2 wall-clock comparison.
 func (r *Fig8Result) Render(w io.Writer) {
 	header(w, "Fig 8 — AI validation: measured vs predicted training-iteration time")
+	fmt.Fprintln(w, `"measured" is the fluid-flow testbed (experiments.RunFluid), standing in for the paper's clusters.`)
 	fmt.Fprintf(w, "%-38s %12s %7s %22s %22s %s\n",
 		"configuration", "measured", "comp%", "LGS (err%)", "pkt (err%)", "astra (err%)")
 	for _, row := range r.Rows {

@@ -78,11 +78,8 @@ func TestSubmitAndSweepOfOneAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		verdicts := func() [3]uint64 {
-			var v [3]uint64
-			for i, label := range []string{"lookaside", "hit", "miss"} {
-				v[i] = svc.metrics.cacheRequests.With(label).Value()
-			}
-			return v
+			m := svc.metrics
+			return [3]uint64{m.cacheLookaside.Value(), m.cacheHit.Value(), m.cacheMiss.Value()}
 		}
 		var script []string
 		step := func(label string, spec sim.Spec, wait bool) {
@@ -194,7 +191,7 @@ func TestSweepSurvivesEvictionDuringAdmission(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			specs = append(specs, countSpec(int64(10000+16*round+i)))
 		}
-		before := svc.metrics.cacheRequests.With("lookaside").Value()
+		before := svc.metrics.cacheLookaside.Value()
 		batch, err := svc.SubmitSweep("", specs)
 		if err != nil {
 			t.Fatalf("round %d: sweep rejected: %v", round, err)
@@ -202,7 +199,7 @@ func TestSweepSurvivesEvictionDuringAdmission(t *testing.T) {
 		if batch.Total() != len(specs) {
 			t.Fatalf("round %d: sweep admitted %d runs, want %d", round, batch.Total(), len(specs))
 		}
-		probed += svc.metrics.cacheRequests.With("lookaside").Value() - before
+		probed += svc.metrics.cacheLookaside.Value() - before
 	}
 	close(stop)
 	churn.Wait()

@@ -166,7 +166,7 @@ type run struct {
 	// and cleaned up by the Service under its own mutex.
 	lookKeys []string
 	// class is the admission class the run queued in, carried for
-	// structured logs and the queue-depth gauge.
+	// structured logs.
 	class string
 	// mx points at the owning service's metrics; nil on runs built
 	// outside a service (tests).

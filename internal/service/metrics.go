@@ -1,52 +1,49 @@
 package service
 
 import (
+	"maps"
+	"slices"
+
 	"atlahs/internal/telemetry"
 	"atlahs/results"
 )
 
-// serviceMetrics is the service's metrics registry: admission, cache,
-// executor, streaming and run-outcome instruments, plus process-lifetime
+// serviceMetrics holds the service's instruments: admission, cache,
+// executor, streaming and run-outcome counters, plus process-lifetime
 // aggregates of the per-run engine counters. One instance lives for the
-// service's lifetime and is scraped by GET /metrics.
+// service's lifetime; snapshot lists them for GET /metrics.
 type serviceMetrics struct {
-	reg *telemetry.Registry
-
-	// queueDepth tracks submitted-but-not-started runs per admission
-	// class.
-	queueDepth *telemetry.GaugeVec
-	// runs counts terminal runs by outcome ("done" | "failed").
-	runs *telemetry.CounterVec
-	// cacheRequests counts submissions by cache verdict: "lookaside"
-	// (answered by the wire-bytes fast path), "hit" (answered by the
-	// content-addressed index after resolution), "miss" (scheduled a new
-	// simulation).
-	cacheRequests *telemetry.CounterVec
+	// runsDone and runsFailed count terminal runs by outcome.
+	runsDone, runsFailed telemetry.Counter
+	// cacheHit, cacheLookaside and cacheMiss count submissions by cache
+	// verdict: answered by the content-addressed index after resolution,
+	// answered by the wire-bytes fast path, or scheduled a new simulation.
+	cacheHit, cacheLookaside, cacheMiss telemetry.Counter
 	// singleflight counts submissions that joined an in-flight run of the
 	// same fingerprint instead of simulating again.
-	singleflight *telemetry.Counter
-	// evictions counts entries dropped past the Cache bound: "run" for
-	// the run index, "sweep" for the sweep list.
-	evictions *telemetry.CounterVec
+	singleflight telemetry.Counter
+	// evictedRuns and evictedSweeps count entries dropped past the Cache
+	// bound from the run index and from the sweep list.
+	evictedRuns, evictedSweeps telemetry.Counter
 	// sseSubscribers tracks attached event-stream subscriptions;
 	// sseDropped counts op/progress events discarded to lagging
 	// subscribers.
-	sseSubscribers *telemetry.Gauge
-	sseDropped     *telemetry.Counter
+	sseSubscribers telemetry.Gauge
+	sseDropped     telemetry.Counter
 	// execBusy tracks executor slots currently simulating.
-	execBusy *telemetry.Gauge
+	execBusy telemetry.Gauge
 	// runWall observes each executed run's wall clock, in seconds.
 	runWall *telemetry.Histogram
 	// engineAgg folds each completed run's engine counters
-	// (sim.Result.Metrics) into process-lifetime totals, keyed by the
-	// run-level metric name.
-	engineAgg map[string]*telemetry.Counter
+	// (sim.Result.Metrics) into process-lifetime totals, one per
+	// engineAggregates entry.
+	engineAgg [len(engineAggregates)]telemetry.Counter
 }
 
 // engineAggregates lists the per-run engine/scheduler counters the
 // service accumulates across runs. Gauges (peaks, maxima) are per-run
 // readings and do not sum meaningfully, so only the counters aggregate.
-var engineAggregates = []struct{ name, help string }{
+var engineAggregates = [...]struct{ name, help string }{
 	{"atlahs_engine_events_total", "engine events executed across runs"},
 	{"atlahs_engine_windows_total", "conservative windows executed across runs"},
 	{"atlahs_engine_windows_widened_total", "adaptively widened windows across runs"},
@@ -56,31 +53,10 @@ var engineAggregates = []struct{ name, help string }{
 	{"atlahs_engine_active_lanes_total", "active-lane window sum across runs"},
 }
 
-// newServiceMetrics registers every instrument on a fresh registry, in
-// the fixed order the deterministic /metrics scrape exposes.
+// newServiceMetrics returns zeroed instruments, the run-wall histogram
+// over 1 ms to 1 000 s decades.
 func newServiceMetrics() *serviceMetrics {
-	reg := telemetry.NewRegistry()
-	m := &serviceMetrics{
-		reg:            reg,
-		queueDepth:     reg.GaugeVec("atlahs_service_queue_depth", "submitted-but-not-started runs per admission class", "class"),
-		runs:           reg.CounterVec("atlahs_service_runs_total", "terminal runs by outcome", "status"),
-		cacheRequests:  reg.CounterVec("atlahs_service_cache_requests_total", "submissions by cache verdict", "result"),
-		singleflight:   reg.Counter("atlahs_service_singleflight_joins_total", "submissions that joined an in-flight run"),
-		evictions:      reg.CounterVec("atlahs_service_evictions_total", "entries dropped past the cache bound, by kind", "kind"),
-		sseSubscribers: reg.Gauge("atlahs_service_sse_subscribers", "attached event-stream subscriptions"),
-		sseDropped:     reg.Counter("atlahs_service_sse_dropped_events_total", "op/progress events dropped to lagging subscribers"),
-		execBusy:       reg.Gauge("atlahs_service_executors_busy", "executor slots currently simulating"),
-		runWall: reg.Histogram("atlahs_service_run_wall_seconds", "wall clock per executed run",
-			telemetry.ExpBuckets(0.001, 10, 7)),
-		engineAgg: make(map[string]*telemetry.Counter, len(engineAggregates)),
-	}
-	// Both kinds scrape from the start, at zero.
-	m.evictions.With("run")
-	m.evictions.With("sweep")
-	for _, a := range engineAggregates {
-		m.engineAgg[a.name] = reg.Counter(a.name, a.help)
-	}
-	return m
+	return &serviceMetrics{runWall: telemetry.NewHistogram(telemetry.ExpBuckets(0.001, 10, 7))}
 }
 
 // foldRun accumulates one completed run's engine counters into the
@@ -93,8 +69,52 @@ func (m *serviceMetrics) foldRun(ms *results.MetricsSnapshot) {
 		if sample.Type != "counter" {
 			continue
 		}
-		if c, ok := m.engineAgg[sample.Name]; ok {
-			c.Add(uint64(sample.Value))
+		for i, a := range engineAggregates {
+			if a.name == sample.Name {
+				m.engineAgg[i].Add(uint64(sample.Value))
+			}
 		}
 	}
+}
+
+// snapshot lists every family GET /metrics serves, in scrape order: the
+// service's metric catalogue. A family with fixed label values lists
+// each of them, from zero. Queue depth is read from q at scrape time and
+// has one sample per class with queued runs, so a class that drained
+// leaves nothing behind. Each instrument is read once; the list is not
+// an atomic cut across instruments.
+func (m *serviceMetrics) snapshot(q *jobQueue) []results.Metric {
+	const (
+		depth     = "atlahs_service_queue_depth"
+		depthHelp = "submitted-but-not-started runs per admission class"
+		runs      = "atlahs_service_runs_total"
+		runsHelp  = "terminal runs by outcome"
+		cache     = "atlahs_service_cache_requests_total"
+		cacheHelp = "submissions by cache verdict"
+		evict     = "atlahs_service_evictions_total"
+		evictHelp = "entries dropped past the cache bound, by kind"
+	)
+	depths := q.depths()
+	var out []results.Metric
+	for _, class := range slices.Sorted(maps.Keys(depths)) {
+		out = append(out, results.Metric{Name: depth, Type: "gauge", Help: depthHelp, Label: "class", LabelValue: class, Value: float64(depths[class])})
+	}
+	out = append(out,
+		results.Metric{Name: runs, Type: "counter", Help: runsHelp, Label: "status", LabelValue: "done", Value: float64(m.runsDone.Value())},
+		results.Metric{Name: runs, Type: "counter", Help: runsHelp, Label: "status", LabelValue: "failed", Value: float64(m.runsFailed.Value())},
+		results.Metric{Name: cache, Type: "counter", Help: cacheHelp, Label: "result", LabelValue: "hit", Value: float64(m.cacheHit.Value())},
+		results.Metric{Name: cache, Type: "counter", Help: cacheHelp, Label: "result", LabelValue: "lookaside", Value: float64(m.cacheLookaside.Value())},
+		results.Metric{Name: cache, Type: "counter", Help: cacheHelp, Label: "result", LabelValue: "miss", Value: float64(m.cacheMiss.Value())},
+		results.Metric{Name: "atlahs_service_singleflight_joins_total", Type: "counter", Help: "submissions that joined an in-flight run", Value: float64(m.singleflight.Value())},
+		results.Metric{Name: evict, Type: "counter", Help: evictHelp, Label: "kind", LabelValue: "run", Value: float64(m.evictedRuns.Value())},
+		results.Metric{Name: evict, Type: "counter", Help: evictHelp, Label: "kind", LabelValue: "sweep", Value: float64(m.evictedSweeps.Value())},
+		results.Metric{Name: "atlahs_service_sse_subscribers", Type: "gauge", Help: "attached event-stream subscriptions", Value: float64(m.sseSubscribers.Value())},
+		results.Metric{Name: "atlahs_service_sse_dropped_events_total", Type: "counter", Help: "op/progress events dropped to lagging subscribers", Value: float64(m.sseDropped.Value())},
+		results.Metric{Name: "atlahs_service_executors_busy", Type: "gauge", Help: "executor slots currently simulating", Value: float64(m.execBusy.Value())},
+		m.runWall.Sample("atlahs_service_run_wall_seconds", "wall clock per executed run"),
+	)
+	for i, a := range engineAggregates {
+		out = append(out, results.Metric{Name: a.name, Type: "counter", Help: a.help, Value: float64(m.engineAgg[i].Value())})
+	}
+	return out
 }

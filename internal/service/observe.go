@@ -6,25 +6,27 @@ import (
 	"os"
 	"time"
 
+	"atlahs/internal/telemetry"
 	"atlahs/results"
 )
 
 // The observability surface: the service-wide metrics scrape, the per-run
 // engine-counter and timeline documents, and the readiness probe.
 
-// handleMetrics serves the service's metrics registry. The default is the
+// handleMetrics serves the service's metrics snapshot. The default is the
 // Prometheus text exposition format (version 0.0.4); ?format=json renders
-// the same snapshot as an atlahs.metrics/v1 document.
+// the same samples as an atlahs.metrics/v1 document.
 func (s *Service) handleMetrics(w http.ResponseWriter, req *http.Request) {
+	samples := s.metrics.snapshot(s.sched)
 	if req.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
-		if err := results.EncodeMetricsJSON(w, results.MetricsFromPoints(s.metrics.reg.Snapshot())); err != nil {
+		if err := results.EncodeMetricsJSON(w, results.NewMetricsSnapshot(samples)); err != nil {
 			s.log.Warn("service: writing metrics snapshot", "err", err)
 		}
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.reg.WritePrometheus(w); err != nil {
+	if err := telemetry.WritePrometheus(w, samples); err != nil {
 		s.log.Warn("service: writing metrics exposition", "err", err)
 	}
 }

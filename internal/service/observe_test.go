@@ -286,7 +286,7 @@ func TestSSEBackpressureDrops(t *testing.T) {
 }
 
 // TestQueueDepthGauge pins the admission gauge: queued-but-not-started
-// runs appear under their class and drain back to zero.
+// runs appear under their class, and a drained class leaves no sample.
 func TestQueueDepthGauge(t *testing.T) {
 	svc := newService(t, Config{Jobs: 1, Queue: 4})
 	blocked := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: 3333}},
@@ -308,21 +308,23 @@ func TestQueueDepthGauge(t *testing.T) {
 	}
 	second := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: 4444}},
 		Backend: "blocksim"}
-	if _, err := svc.SubmitIn("probe", second); err != nil {
+	queued, err := svc.SubmitIn("probe", second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := svc.metrics.reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `atlahs_service_queue_depth{class="probe"} 1`) {
-		t.Fatalf("queue gauge missing:\n%s", buf.String())
+	if text := scrapeMetrics(t, svc, false); !bytes.Contains(text, []byte(`atlahs_service_queue_depth{class="probe"} 1`)) {
+		t.Fatalf("queue gauge missing:\n%s", text)
 	}
 	blockGate <- struct{}{}
 	blockGate <- struct{}{}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := svc.Wait(ctx, first.ID); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{first.ID, queued.ID} {
+		if _, err := svc.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if text := scrapeMetrics(t, svc, false); bytes.Contains(text, []byte("atlahs_service_queue_depth")) {
+		t.Fatalf("drained queue still scrapes a depth:\n%s", text)
 	}
 }

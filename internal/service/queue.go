@@ -1,10 +1,6 @@
 package service
 
-import (
-	"sync"
-
-	"atlahs/internal/telemetry"
-)
+import "sync"
 
 // DefaultClass is the admission class of plain Submit calls and of HTTP
 // submissions that name no submitter — the "interactive" share of the
@@ -31,13 +27,10 @@ type jobQueue struct {
 	ring    []string
 	next    int
 	closed  bool
-	// gauge mirrors per-class depth into the metrics registry; nil when
-	// the queue runs without one (tests).
-	gauge *telemetry.GaugeVec
 }
 
-func newJobQueue(capacity int, gauge *telemetry.GaugeVec) *jobQueue {
-	q := &jobQueue{capacity: capacity, classes: make(map[string][]*run), gauge: gauge}
+func newJobQueue(capacity int) *jobQueue {
+	q := &jobQueue{capacity: capacity, classes: make(map[string][]*run)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -47,6 +40,17 @@ func (q *jobQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size
+}
+
+// depths returns the queued-run count of every class with queued runs.
+func (q *jobQueue) depths() map[string]int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make(map[string]int, len(q.classes))
+	for class, fifo := range q.classes {
+		out[class] = len(fifo)
+	}
+	return out
 }
 
 // push admits runs into the named class atomically: either every run is
@@ -69,9 +73,6 @@ func (q *jobQueue) push(class string, rs ...*run) error {
 	}
 	q.classes[class] = append(q.classes[class], rs...)
 	q.size += len(rs)
-	if q.gauge != nil {
-		q.gauge.With(class).Add(int64(len(rs)))
-	}
 	q.cond.Broadcast()
 	return nil
 }
@@ -97,9 +98,6 @@ func (q *jobQueue) pop() (*run, bool) {
 	fifo := q.classes[class]
 	r := fifo[0]
 	q.size--
-	if q.gauge != nil {
-		q.gauge.With(class).Dec()
-	}
 	if len(fifo) == 1 {
 		delete(q.classes, class)
 		q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)

@@ -191,13 +191,12 @@ type Service struct {
 // a broken artifact directory.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	metrics := newServiceMetrics()
 	s := &Service{
 		cfg:        cfg,
 		log:        cfg.Logger,
-		metrics:    metrics,
+		metrics:    newServiceMetrics(),
 		started:    time.Now(),
-		sched:      newJobQueue(cfg.Queue, metrics.queueDepth),
+		sched:      newJobQueue(cfg.Queue),
 		runs:       make(map[string]*run),
 		lookaside:  make(map[string]string),
 		batches:    make(map[string]*batch),
@@ -292,7 +291,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 		admitted
 		id, fp, lookKey string
 		pinned          sim.Spec
-		verdict         string // the cache verdict counted for this member
+		verdict         *telemetry.Counter // the cache-verdict counter this member bumps
 	}
 	var members []*member
 	byID := make(map[string]*member, len(specs))
@@ -311,7 +310,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 			s.mu.Lock()
 			if r, ok := s.runs[s.lookaside[m.lookKey]]; ok {
 				if snap := r.snapshot(); snap.Status != StatusFailed {
-					m.id, m.run, m.snap, m.verdict = r.id, r, snap, "lookaside"
+					m.id, m.run, m.snap, m.verdict = r.id, r, snap, &s.metrics.cacheLookaside
 				}
 			}
 			s.mu.Unlock()
@@ -355,7 +354,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 		}
 		if r, ok := s.runs[m.id]; ok {
 			if snap := r.snapshot(); snap.Status != StatusFailed {
-				m.run, m.snap, m.verdict = r, snap, "hit"
+				m.run, m.snap, m.verdict = r, snap, &s.metrics.cacheHit
 				s.indexLocked(m.lookKey, r)
 				continue
 			}
@@ -364,7 +363,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 			// does not poison the content address forever.
 			s.dropLocked(m.id)
 		}
-		m.run, m.verdict = newRun(m.id, m.fp, m.pinned), "miss"
+		m.run, m.verdict = newRun(m.id, m.fp, m.pinned), &s.metrics.cacheMiss
 		m.run.class = class
 		m.run.mx = s.metrics
 		m.snap = m.run.snapshot()
@@ -375,7 +374,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 		return nil, -1, err
 	}
 	for _, m := range members {
-		if m.verdict == "miss" {
+		if m.verdict == &s.metrics.cacheMiss {
 			s.runs[m.id] = m.run
 			s.indexLocked(m.lookKey, m.run)
 		}
@@ -383,8 +382,8 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 	s.mu.Unlock()
 	out := make([]admitted, len(members))
 	for i, m := range members {
-		s.metrics.cacheRequests.With(m.verdict).Inc()
-		if m.verdict != "miss" {
+		m.verdict.Inc()
+		if m.verdict != &s.metrics.cacheMiss {
 			m.snap.Cached = true
 			if !m.snap.Status.Terminal() {
 				s.metrics.singleflight.Inc()
@@ -604,7 +603,7 @@ func (s *Service) simulate(spec sim.Spec) (res *sim.Result, err error) {
 // time a re-submission drops it to retry.
 func (s *Service) finishRun(r *run, wall time.Duration, res *sim.Result, artifact []byte, err error) {
 	if err != nil {
-		s.metrics.runs.With(string(StatusFailed)).Inc()
+		s.metrics.runsFailed.Inc()
 		attrs := []any{"run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "err", err}
 		var p *runPanic
 		if errors.As(err, &p) {
@@ -612,7 +611,7 @@ func (s *Service) finishRun(r *run, wall time.Duration, res *sim.Result, artifac
 		}
 		s.log.Warn("service: run failed", attrs...)
 	} else {
-		s.metrics.runs.With(string(StatusDone)).Inc()
+		s.metrics.runsDone.Inc()
 		s.log.Info("service: run finished", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "dropped_events", r.drops.Load())
 	}
 	s.noteDone(r.id)
@@ -638,7 +637,7 @@ func (s *Service) noteDone(id string) {
 				delete(s.lookaside, key)
 			}
 			delete(s.runs, evict)
-			s.metrics.evictions.With("run").Inc()
+			s.metrics.evictedRuns.Inc()
 		}
 	}
 	// Retried failures re-enter doneOrder; the dropLocked in admit keeps

@@ -572,7 +572,7 @@ func TestRunPanicFailsTheRunNotTheDaemon(t *testing.T) {
 		if !strings.Contains(log, "run failed") || !strings.Contains(log, "stack=") || !strings.Contains(log, c.frame) {
 			t.Fatalf("%s: the run-failed log line carries no stack through %s:\n%s", c.name, c.frame, log)
 		}
-		if got := svc.metrics.runs.With(string(StatusFailed)).Value(); got != 1 {
+		if got := svc.metrics.runsFailed.Value(); got != 1 {
 			t.Fatalf("%s: %d failed runs counted, want 1", c.name, got)
 		}
 		if next := submitAndWait(t, svc, countSpec(5000)); next.Status != StatusDone {
@@ -817,7 +817,7 @@ func TestWaitCancelledContext(t *testing.T) {
 // exhaustion.
 func TestJobQueueFairShare(t *testing.T) {
 	mk := func(id string) *run { return &run{id: id} }
-	q := newJobQueue(10, nil)
+	q := newJobQueue(10)
 	if err := q.push("batch", mk("a1"), mk("a2"), mk("a3")); err != nil {
 		t.Fatal(err)
 	}
@@ -836,7 +836,7 @@ func TestJobQueueFairShare(t *testing.T) {
 		t.Fatalf("drain order %v, want round-robin %v", order, want)
 	}
 
-	q2 := newJobQueue(2, nil)
+	q2 := newJobQueue(2)
 	if err := q2.push("c", mk("x1"), mk("x2"), mk("x3")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("oversized atomic push: %v, want ErrQueueFull", err)
 	}

@@ -119,7 +119,7 @@ func (s *Service) noteBatchLocked(b *batch) {
 		evict := s.batchOrder[0]
 		s.batchOrder = s.batchOrder[1:]
 		delete(s.batches, evict)
-		s.metrics.evictions.With("sweep").Inc()
+		s.metrics.evictedSweeps.Inc()
 	}
 }
 

@@ -1,27 +1,29 @@
-// Package telemetry is ATLAHS's dependency-free observability layer: a
-// typed metrics registry (Counter, Gauge, Histogram) with atomic
-// hot-path increments and a deterministic snapshot/exposition API, plus
-// a Timeline recorder that captures a run's execution spans as Chrome
-// trace-event JSON loadable in Perfetto.
+// Package telemetry is ATLAHS's dependency-free observability layer:
+// typed instruments (Counter, Gauge, Histogram) with atomic hot-path
+// updates, a Prometheus text renderer for a list of results.Metric
+// samples, plus a Timeline recorder that captures a run's execution spans
+// as Chrome trace-event JSON loadable in Perfetto.
 //
 // The package deliberately has no third-party dependencies and no
 // background goroutines. Instruments are cheap enough to leave wired in
 // permanently (one atomic add on the paths they count), and everything
-// off the hot path — snapshotting, Prometheus text rendering, timeline
+// off the hot path — reading samples, Prometheus text rendering, timeline
 // encoding — is pull-based: it costs nothing until somebody asks.
 //
-// Determinism: a Registry snapshot lists metric families in
-// registration order and labelled children in sorted label order, so
-// the same sequence of increments always renders the same bytes — the
-// property the /metrics scrape tests and the golden timeline pin.
+// There is no registry. Whoever owns instruments lists their samples as
+// one literal []results.Metric in a fixed order (sim's per-run snapshot,
+// the service's /metrics), so the same state always renders the same
+// bytes — the property the /metrics scrape tests and the golden timeline
+// pin — and the list is the catalogue of what is exported.
 package telemetry
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
+
+	"atlahs/results"
 )
 
 // Counter is a monotonically increasing counter. The zero value is
@@ -110,16 +112,20 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// cumulative returns the cumulative per-bound counts (excluding +Inf)
-// plus the total.
-func (h *Histogram) cumulative() ([]uint64, uint64) {
-	out := make([]uint64, len(h.bounds))
+// Sample reads the histogram as one results.Metric: buckets cumulative
+// over the finite bounds, and Count the total including the implicit
+// +Inf bucket. Count is summed from the buckets it is read with, so the
+// two always agree; Sum may be a concurrent observation ahead or behind.
+func (h *Histogram) Sample(name, help string) results.Metric {
+	m := results.Metric{Name: name, Type: "histogram", Help: help, Sum: h.Sum(),
+		Buckets: make([]results.MetricBucket, len(h.bounds))}
 	var cum uint64
-	for i := range h.bounds {
+	for i, le := range h.bounds {
 		cum += h.buckets[i].Load()
-		out[i] = cum
+		m.Buckets[i] = results.MetricBucket{LE: le, Count: cum}
 	}
-	return out, cum + h.buckets[len(h.bounds)].Load()
+	m.Count = cum + h.buckets[len(h.bounds)].Load()
+	return m
 }
 
 // ExpBuckets returns n strictly ascending bounds starting at start and
@@ -136,66 +142,4 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 		v *= factor
 	}
 	return out
-}
-
-// CounterVec is a family of counters keyed by one label value.
-type CounterVec struct {
-	fam *family
-}
-
-// With returns (creating on first use) the child counter for the label
-// value. Children persist for the registry's lifetime, so callers may
-// cache the result of With on hot paths.
-func (v *CounterVec) With(value string) *Counter {
-	return v.fam.child(value, func() any { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a family of gauges keyed by one label value.
-type GaugeVec struct {
-	fam *family
-}
-
-// With returns (creating on first use) the child gauge for the label value.
-func (v *GaugeVec) With(value string) *Gauge {
-	return v.fam.child(value, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// family is one registered metric family: an unlabelled solo instrument
-// or a label-keyed set of children.
-type family struct {
-	name  string
-	help  string
-	typ   string // "counter", "gauge" or "histogram"
-	label string // label key; "" for unlabelled families
-
-	solo any // the single instrument of an unlabelled family
-
-	mu       sync.Mutex
-	children map[string]any
-}
-
-// child returns (creating under the family lock) the instrument for one
-// label value.
-func (f *family) child(value string, mk func() any) any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.children[value]; ok {
-		return c
-	}
-	c := mk()
-	f.children[value] = c
-	return c
-}
-
-// sortedValues returns the child label values, sorted — the snapshot
-// order within a family.
-func (f *family) sortedValues() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	vals := make([]string, 0, len(f.children))
-	for v := range f.children {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	return vals
 }

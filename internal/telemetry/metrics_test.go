@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"atlahs/results"
 )
 
 func TestCounterGaugeSemantics(t *testing.T) {
@@ -34,10 +37,11 @@ func TestHistogramBuckets(t *testing.T) {
 	if got := h.Sum(); got != 4.75 {
 		t.Fatalf("sum = %v, want 4.75", got)
 	}
-	cum, total := h.cumulative()
+	m := h.Sample("h", "")
 	// An observation equal to a bound lands in that bucket (le semantics).
-	if cum[0] != 2 || cum[1] != 2 || total != 3 {
-		t.Fatalf("cumulative = %v total %d, want [2 2] total 3", cum, total)
+	want := []results.MetricBucket{{LE: 0.5, Count: 2}, {LE: 2, Count: 2}}
+	if !reflect.DeepEqual(m.Buckets, want) || m.Count != 3 || m.Sum != 4.75 || m.Type != "histogram" {
+		t.Fatalf("sample = %+v, want buckets %v count 3 sum 4.75", m, want)
 	}
 }
 
@@ -52,29 +56,24 @@ func TestExpBuckets(t *testing.T) {
 }
 
 // TestConcurrentIncrements is the -race gate on the hot-path
-// instruments: four goroutines (the satellite's worker count) hammer a
-// counter, a gauge, a histogram and a labelled vec concurrently; the
-// totals must be exact.
+// instruments: four goroutines hammer a counter, a gauge and a histogram
+// concurrently; the totals must be exact.
 func TestConcurrentIncrements(t *testing.T) {
 	const workers, perWorker = 4, 10000
-	reg := NewRegistry()
-	c := reg.Counter("c_total", "")
-	g := reg.Gauge("g", "")
-	h := reg.Histogram("h", "", []float64{1, 10})
-	vec := reg.CounterVec("v_total", "", "class")
+	var c Counter
+	var g Gauge
+	h := NewHistogram([]float64{1, 10})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			class := string(rune('a' + w%2))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i % 20))
-				vec.With(class).Inc()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
@@ -86,39 +85,38 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	var vecTotal uint64
-	for _, p := range reg.Snapshot() {
-		if p.Name == "v_total" {
-			vecTotal += uint64(p.Value)
-		}
-	}
-	if vecTotal != workers*perWorker {
-		t.Fatalf("vec total = %d, want %d", vecTotal, workers*perWorker)
+	if got := h.Sample("h", "").Count; got != workers*perWorker {
+		t.Fatalf("histogram sample count = %d, want %d", got, workers*perWorker)
 	}
 }
 
 // TestWritePrometheusDeterministic pins the exact exposition bytes for
-// a fixed registry: families in registration order, labelled samples in
-// sorted label order, histogram buckets cumulative with the +Inf row.
+// a fixed sample list: families in list order with one HELP/TYPE pair
+// each, labelled samples as given, histogram buckets cumulative with the
+// +Inf row.
 func TestWritePrometheusDeterministic(t *testing.T) {
-	build := func() *Registry {
-		reg := NewRegistry()
-		c := reg.Counter("atlahs_test_total", "a counter")
-		gv := reg.GaugeVec("atlahs_depth", "a gauge vec", "class")
-		h := reg.Histogram("atlahs_wall_seconds", "a histogram", []float64{0.5, 2})
+	build := func() []results.Metric {
+		var c Counter
+		var a, b Gauge
+		h := NewHistogram([]float64{0.5, 2})
 		c.Add(3)
-		gv.With("b").Set(2)
-		gv.With("a").Set(1)
+		b.Set(2)
+		a.Set(1)
 		for _, v := range []float64{0.25, 0.5, 4} {
 			h.Observe(v)
 		}
-		return reg
+		return []results.Metric{
+			{Name: "atlahs_test_total", Type: "counter", Help: "a counter", Value: float64(c.Value())},
+			{Name: "atlahs_depth", Type: "gauge", Help: "a labelled gauge", Label: "class", LabelValue: "a", Value: float64(a.Value())},
+			{Name: "atlahs_depth", Type: "gauge", Help: "a labelled gauge", Label: "class", LabelValue: "b", Value: float64(b.Value())},
+			h.Sample("atlahs_wall_seconds", "a histogram"),
+		}
 	}
 	want := strings.Join([]string{
 		"# HELP atlahs_test_total a counter",
 		"# TYPE atlahs_test_total counter",
 		"atlahs_test_total 3",
-		"# HELP atlahs_depth a gauge vec",
+		"# HELP atlahs_depth a labelled gauge",
 		"# TYPE atlahs_depth gauge",
 		`atlahs_depth{class="a"} 1`,
 		`atlahs_depth{class="b"} 2`,
@@ -133,32 +131,11 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}, "\n")
 	for i := 0; i < 3; i++ {
 		var b strings.Builder
-		if err := build().WritePrometheus(&b); err != nil {
+		if err := WritePrometheus(&b, build()); err != nil {
 			t.Fatal(err)
 		}
 		if b.String() != want {
 			t.Fatalf("scrape %d:\ngot:\n%s\nwant:\n%s", i, b.String(), want)
 		}
 	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("dup_total", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	reg.Gauge("dup_total", "")
-}
-
-func TestRegistryBadNamePanics(t *testing.T) {
-	reg := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid metric name did not panic")
-		}
-	}()
-	reg.Counter("Bad-Name", "")
 }

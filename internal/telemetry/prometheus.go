@@ -5,17 +5,19 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"atlahs/results"
 )
 
-// WritePrometheus renders the registry snapshot in the Prometheus text
-// exposition format (version 0.0.4): one # HELP / # TYPE pair per
-// family followed by its samples, families in registration order,
-// labelled samples in sorted label order — deterministic for a given
-// sequence of increments, which is what the scrape tests pin.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// WritePrometheus renders samples in the Prometheus text exposition
+// format (version 0.0.4), in the order given: one # HELP / # TYPE pair
+// where a family's samples begin, then the samples. A family's samples
+// must sit together for the output to be valid exposition; the caller's
+// list fixes the order, so the same samples always render the same bytes.
+func WritePrometheus(w io.Writer, samples []results.Metric) error {
 	var b strings.Builder
 	lastFamily := ""
-	for _, p := range r.Snapshot() {
+	for _, p := range samples {
 		if p.Name != lastFamily {
 			if p.Help != "" {
 				fmt.Fprintf(&b, "# HELP %s %s\n", p.Name, escapeHelp(p.Help))

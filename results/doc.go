@@ -127,11 +127,12 @@
 //
 // # Metrics-snapshot schema (atlahs.metrics/v1)
 //
-// A MetricsSnapshot is a one-shot reading of an internal/telemetry
-// metrics registry: the document a run's engine/scheduler counters
-// travel in (sim.Result.Metrics) and the body of the service's
-// GET /v1/runs/{id}/metrics. EncodeMetricsJSON writes one snapshot as a
-// single JSON object:
+// A MetricsSnapshot is a one-shot reading of a set of instruments: the
+// document a run's engine/scheduler counters travel in
+// (sim.Result.Metrics), the body of the service's GET
+// /v1/runs/{id}/metrics, and GET /metrics?format=json, the same samples
+// as the service's Prometheus text. EncodeMetricsJSON writes one
+// snapshot as a single JSON object:
 //
 //	{
 //	  "schema":  "atlahs.metrics/v1",
@@ -146,11 +147,12 @@
 //	  ]
 //	}
 //
-// Samples appear in the registry's deterministic snapshot order:
-// families in registration order, labelled children sorted by label
-// value. Histogram buckets are cumulative over finite upper bounds;
-// JSON cannot encode +Inf, so — unlike the Prometheus text exposition —
-// the +Inf bucket is omitted and "count" carries the total observation
+// Samples appear in the fixed order their producer lists them (each
+// producer's list is a literal, and is its metric catalogue): a
+// family's samples together, labelled children sorted by label value.
+// Histogram buckets are cumulative over finite upper bounds; JSON
+// cannot encode +Inf, so — unlike the Prometheus text exposition — the
+// +Inf bucket is omitted and "count" carries the total observation
 // count. Like the other schemas, atlahs.metrics/v1 is append-only:
 // metric names may be added between releases but keep their meaning and
 // units once released, and consumers should select samples by name.

@@ -5,25 +5,22 @@ import (
 	"io"
 	"math"
 	"regexp"
-
-	"atlahs/internal/telemetry"
 )
 
 // MetricsSchema identifies the one-shot metrics snapshot document this
-// package reads and writes — the wire form of an internal/telemetry
-// registry snapshot, attached to sim.Result and served by the simulation
-// service at GET /v1/runs/{id}/metrics. Like the other schemas in this
-// package it is append-only.
+// package reads and writes — a list of metric samples, attached to
+// sim.Result and served by the simulation service at GET
+// /v1/runs/{id}/metrics and GET /metrics?format=json. Like the other
+// schemas in this package it is append-only.
 const MetricsSchema = "atlahs.metrics/v1"
 
-// metricNameRE matches Prometheus-compatible metric names, the same
-// grammar internal/telemetry enforces at registration time.
+// metricNameRE matches Prometheus-compatible metric names: the safe
+// common subset of the Prometheus data model.
 var metricNameRE = regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
 
-// MetricsSnapshot is a point-in-time reading of a metrics registry: one
-// Metric per sample, in the registry's deterministic snapshot order
-// (families in registration order, labelled children sorted by label
-// value).
+// MetricsSnapshot is a point-in-time reading of a set of instruments:
+// one Metric per sample, in the fixed order its producer lists them, a
+// family's samples together (labelled ones sorted by label value).
 type MetricsSnapshot struct {
 	// Schema is always MetricsSchema; set by NewMetricsSnapshot and
 	// checked by DecodeMetricsJSON.
@@ -64,34 +61,6 @@ type MetricBucket struct {
 // snapshot document.
 func NewMetricsSnapshot(metrics []Metric) *MetricsSnapshot {
 	return &MetricsSnapshot{Schema: MetricsSchema, Metrics: metrics}
-}
-
-// MetricsFromPoints converts a telemetry registry snapshot
-// (telemetry.Registry.Snapshot) into the wire snapshot, preserving the
-// registry's deterministic sample order. Registry snapshots already
-// exclude the implicit +Inf histogram bucket, matching this schema.
-func MetricsFromPoints(points []telemetry.Point) *MetricsSnapshot {
-	metrics := make([]Metric, len(points))
-	for i, p := range points {
-		m := Metric{
-			Name:       p.Name,
-			Type:       p.Type,
-			Help:       p.Help,
-			Label:      p.Label,
-			LabelValue: p.LabelValue,
-			Value:      p.Value,
-			Count:      p.Count,
-			Sum:        p.Sum,
-		}
-		if len(p.Buckets) > 0 {
-			m.Buckets = make([]MetricBucket, len(p.Buckets))
-			for j, b := range p.Buckets {
-				m.Buckets[j] = MetricBucket{LE: b.LE, Count: b.Count}
-			}
-		}
-		metrics[i] = m
-	}
-	return NewMetricsSnapshot(metrics)
 }
 
 // Validate checks the snapshot's schema string and every sample's shape.
