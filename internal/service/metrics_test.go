@@ -97,34 +97,30 @@ func TestMetricsDoNotGrowWithClasses(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil)) // thousands of runs
 	svc, ts := testServer(t, Config{Jobs: 2, Cache: 8, Logger: quiet})
 	before := scrapeMetrics(t, svc, false)
-	client := ts.Client()
-	for i := range 2000 {
-		req, err := http.NewRequest("POST", ts.URL+"/v1/runs?wait=1", bytes.NewReader(wireSpec(t, int64(100000+i))))
+	post := func(path, submitter string, body []byte) {
+		req, err := http.NewRequest("POST", ts.URL+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("X-Submitter", fmt.Sprintf("client-%d", i))
-		resp, err := client.Do(req)
+		if submitter != "" {
+			req.Header.Set("X-Submitter", submitter)
+		}
+		resp, err := ts.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submission %d: %d", i, resp.StatusCode)
+			t.Fatalf("POST %s as %q: %d", path, submitter, resp.StatusCode)
 		}
 	}
+	for i := range 2000 {
+		post("/v1/runs?wait=1", fmt.Sprintf("client-%d", i), wireSpec(t, int64(100000+i)))
+	}
 	for i := range 3 {
-		payload := `{"schema":"atlahs.sweep/v1","specs":[` + string(wireSpec(t, int64(200000+2*i))) + `,` + string(wireSpec(t, int64(200001+2*i))) + `]}`
-		resp, err := client.Post(ts.URL+"/v1/sweeps?wait=1", "application/json", strings.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("sweep %d: %d", i, resp.StatusCode)
-		}
+		specs := string(wireSpec(t, int64(200000+2*i))) + `,` + string(wireSpec(t, int64(200001+2*i)))
+		post("/v1/sweeps?wait=1", "", []byte(`{"schema":"atlahs.sweep/v1","specs":[`+specs+`]}`))
 	}
 	after := scrapeMetrics(t, svc, false)
 	if bytes.Contains(after, []byte("atlahs_service_queue_depth")) {
