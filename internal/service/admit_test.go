@@ -181,7 +181,11 @@ func TestSweepSurvivesEvictionDuringAdmission(t *testing.T) {
 	}()
 	cached := countSpec(9200)
 	probed := uint64(0)
-	for round := 0; round < 60; round++ {
+	// At least 60 rounds; past that, keep going until the probe has
+	// answered once. On a loaded machine the churn can evict the cached
+	// run before every one of the first 60 sweeps probes it. 600 rounds
+	// keep the sweeps' seeds (10000+16·round+i) below the churn's.
+	for round := 0; round < 60 || (probed == 0 && round < 600); round++ {
 		snap, err := svc.Submit(cached)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
