@@ -58,7 +58,7 @@ func TestQuickArtifacts(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			rep, err := computers[name](Quick, 1)
+			rep, err := compute(name, Quick, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestFullArtifacts(t *testing.T) {
 	}
 	for _, name := range fullGoldens {
 		t.Run(name, func(t *testing.T) {
-			rep, err := computers[name](Full, 1)
+			rep, err := compute(name, Full, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

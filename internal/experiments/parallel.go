@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,11 +59,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// Names lists every experiment RunAll understands, in paper order.
-func Names() []string {
-	return []string{"fig1c", "table1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
-}
-
 // Report is one computed experiment: every figure/table separates
 // computation (ComputeFigX, returning the typed result) from presentation,
 // and the result renders either as the paper-style text report or as a
@@ -76,18 +71,33 @@ type Report interface {
 	Sweep() *results.Sweep
 }
 
-// computers maps experiment names to their compute functions. Every
+// experiment is one figure or table and its compute function. Every
 // function takes the sweep budget for its own configuration-point
 // fan-out, so no worker state lives outside the call stack.
-var computers = map[string]func(Mode, int) (Report, error){
-	"fig1c":  func(m Mode, workers int) (Report, error) { return ComputeFig1C(m, workers) },
-	"table1": func(m Mode, workers int) (Report, error) { return ComputeTable1(m, workers) },
-	"fig8":   func(m Mode, workers int) (Report, error) { return ComputeFig8(m, workers) },
-	"fig9":   func(m Mode, workers int) (Report, error) { return ComputeFig9(m, workers) },
-	"fig10":  func(m Mode, workers int) (Report, error) { return ComputeFig10(m, workers) },
-	"fig11":  func(m Mode, workers int) (Report, error) { return ComputeFig11(m, workers) },
-	"fig12":  func(m Mode, workers int) (Report, error) { return ComputeFig12(m, workers) },
-	"fig13":  func(m Mode, workers int) (Report, error) { return ComputeFig13(m, workers) },
+type experiment struct {
+	name    string
+	compute func(Mode, int) (Report, error)
+}
+
+// catalogue is every experiment, in paper order.
+var catalogue = []experiment{
+	{"fig1c", func(m Mode, workers int) (Report, error) { return ComputeFig1C(m, workers) }},
+	{"table1", func(m Mode, workers int) (Report, error) { return ComputeTable1(m, workers) }},
+	{"fig8", func(m Mode, workers int) (Report, error) { return ComputeFig8(m, workers) }},
+	{"fig9", func(m Mode, workers int) (Report, error) { return ComputeFig9(m, workers) }},
+	{"fig10", func(m Mode, workers int) (Report, error) { return ComputeFig10(m, workers) }},
+	{"fig11", func(m Mode, workers int) (Report, error) { return ComputeFig11(m, workers) }},
+	{"fig12", func(m Mode, workers int) (Report, error) { return ComputeFig12(m, workers) }},
+	{"fig13", func(m Mode, workers int) (Report, error) { return ComputeFig13(m, workers) }},
+}
+
+// Names lists every experiment RunAll understands, in paper order.
+func Names() []string {
+	names := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		names[i] = e.name
+	}
+	return names
 }
 
 // RunAll regenerates the named experiments (all of them when names is
@@ -99,82 +109,28 @@ var computers = map[string]func(Mode, int) (Report, error){
 // RunAll is reentrant: concurrent evaluations in one process do not
 // interfere.
 //
-// With one outer worker, each experiment's report streams to w as soon as
-// that experiment finishes computing; with more, each experiment renders
-// into its own buffer and buffers flush in request order. Simulated
-// results are identical either way — only wall-clock columns (the host
-// measurements some figures print) vary run to run, and under concurrency
-// they additionally measure core contention from sibling simulations.
+// Each report streams to w in request order as soon as it and every one
+// before it are computed, and output stops at the first failed
+// experiment. Simulated results are identical for any worker count — only
+// wall-clock columns (the host measurements some figures print) vary run
+// to run, and under concurrency they additionally measure core contention
+// from sibling simulations.
 func RunAll(w io.Writer, mode Mode, workers int, names []string) error {
-	names, outer, inner, err := resolve(workers, names)
-	if err != nil {
-		return err
-	}
-	if outer <= 1 {
-		// Serial outer level: stream incrementally, as the CLI always has.
-		for _, name := range names {
-			rep, err := computers[name](mode, inner)
-			if err != nil {
-				return fmt.Errorf("experiment %s failed: %w", name, err)
-			}
-			if err := RenderTo(w, rep); err != nil {
-				return fmt.Errorf("experiments: writing %s output: %w", name, err)
-			}
-		}
-		return nil
-	}
-	bufs := make([]bytes.Buffer, len(names))
-	flushed := 0
-	var mu sync.Mutex
-	var writeErr error
-	flush := func(done []bool) { // caller holds mu
-		for writeErr == nil && flushed < len(names) && done[flushed] {
-			if _, err := io.Copy(w, &bufs[flushed]); err != nil {
-				writeErr = fmt.Errorf("experiments: writing %s output: %w", names[flushed], err)
-				return
-			}
-			flushed++
-		}
-	}
-	done := make([]bool, len(names))
-	err = ForEach(outer, len(names), func(i int) error {
-		rep, ferr := computers[names[i]](mode, inner)
-		if ferr == nil {
-			rep.Render(&bufs[i])
-		}
-		mu.Lock()
-		done[i] = true
-		flush(done)
-		mu.Unlock()
-		if ferr != nil {
-			return fmt.Errorf("experiment %s failed: %w", names[i], ferr)
+	return fanOut(mode, workers, names, func(name string, rep Report) error {
+		if err := RenderTo(w, rep); err != nil {
+			return fmt.Errorf("experiments: writing %s output: %w", name, err)
 		}
 		return nil
 	})
-	mu.Lock()
-	flush(done)
-	mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return writeErr
 }
 
 // Reports computes the named experiments (all of them when names is empty)
 // and returns their Reports in request order, fanning out across the
 // worker budget exactly like RunAll.
 func Reports(mode Mode, workers int, names []string) ([]Report, error) {
-	names, outer, inner, err := resolve(workers, names)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]Report, len(names))
-	err = ForEach(outer, len(names), func(i int) error {
-		rep, ferr := computers[names[i]](mode, inner)
-		if ferr != nil {
-			return fmt.Errorf("experiment %s failed: %w", names[i], ferr)
-		}
-		reps[i] = rep
+	var reps []Report
+	err := fanOut(mode, workers, names, func(_ string, rep Report) error {
+		reps = append(reps, rep)
 		return nil
 	})
 	if err != nil {
@@ -183,31 +139,59 @@ func Reports(mode Mode, workers int, names []string) ([]Report, error) {
 	return reps, nil
 }
 
-// resolve validates names (defaulting to all experiments) and splits the
+// fanOut computes the named experiments across the worker budget and hands
+// each report to emit, one call at a time, in request order: a report goes
+// as soon as it and every one before it are computed. The first failure —
+// an experiment's or emit's — stops new experiments from starting, and no
+// report after a failed experiment is handed on.
+func fanOut(mode Mode, workers int, names []string, emit func(name string, rep Report) error) error {
+	exps, outer, inner, err := resolve(workers, names)
+	if err != nil {
+		return err
+	}
+	reps := make([]Report, len(exps))
+	done := make([]bool, len(exps))
+	next := 0 // the first report not yet handed on
+	var mu sync.Mutex
+	var emitErr error
+	return ForEach(outer, len(exps), func(i int) error {
+		rep, err := exps[i].compute(mode, inner)
+		if err != nil {
+			return fmt.Errorf("experiment %s failed: %w", exps[i].name, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		reps[i], done[i] = rep, true
+		for emitErr == nil && next < len(exps) && done[next] {
+			emitErr = emit(exps[next].name, reps[next])
+			reps[next] = nil
+			next++
+		}
+		return emitErr
+	})
+}
+
+// resolve looks names up (defaulting to all experiments) and splits the
 // worker budget between the two fan-out levels — experiments at the outer
 // level, configuration points inside each — so total concurrency stays
 // near `workers` instead of multiplying.
-func resolve(workers int, names []string) (resolved []string, outer, inner int, err error) {
+func resolve(workers int, names []string) (exps []experiment, outer, inner int, err error) {
 	if len(names) == 0 {
-		names = Names()
+		exps = catalogue
 	}
 	for _, name := range names {
-		if _, ok := computers[name]; !ok {
+		i := slices.IndexFunc(catalogue, func(e experiment) bool { return e.name == name })
+		if i < 0 {
 			return nil, 0, 0, fmt.Errorf("experiments: unknown experiment %q", name)
 		}
+		exps = append(exps, catalogue[i])
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	outer = workers
-	if outer > len(names) {
-		outer = len(names)
-	}
-	inner = workers / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return names, outer, inner, nil
+	outer = min(workers, len(exps))
+	inner = max(workers/outer, 1)
+	return exps, outer, inner, nil
 }
 
 // RenderTo renders rep's text report to w and surfaces writer failures

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"atlahs/results"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -187,7 +190,7 @@ func TestFannedFiguresParallelPoints(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			render := func(workers int) string {
-				rep, err := computers[name](Quick, workers)
+				rep, err := compute(name, Quick, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,3 +206,33 @@ func TestFannedFiguresParallelPoints(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAllStopsAtFirstFailure: reports stream in request order up to
+// the first failed experiment and none after it, for any worker count.
+func TestRunAllStopsAtFirstFailure(t *testing.T) {
+	saved := catalogue
+	t.Cleanup(func() { catalogue = saved })
+	fail := errors.New("no fabric")
+	catalogue = []experiment{
+		{"first", func(Mode, int) (Report, error) { return textReport("first\n"), nil }},
+		{"broken", func(Mode, int) (Report, error) { return nil, fail }},
+		{"third", func(Mode, int) (Report, error) { return textReport("third\n"), nil }},
+	}
+	for _, workers := range []int{1, 3} {
+		var out bytes.Buffer
+		err := RunAll(&out, Quick, workers, nil)
+		if !errors.Is(err, fail) || !strings.Contains(err.Error(), "broken") {
+			t.Errorf("workers=%d: RunAll returned %v, want the failure of experiment broken", workers, err)
+		}
+		if out.String() != "first\n" {
+			t.Errorf("workers=%d: RunAll wrote %q, want only the report before the failure", workers, out.String())
+		}
+	}
+}
+
+// textReport is a Report that renders fixed text.
+type textReport string
+
+func (r textReport) Render(w io.Writer) { io.WriteString(w, string(r)) }
+
+func (r textReport) Sweep() *results.Sweep { return nil }

@@ -12,3 +12,13 @@ func mustScheduleForComputeTest() *goal.Schedule {
 	r.CalcOn(7, 1)
 	return b.MustBuild()
 }
+
+// compute runs the named experiment alone, with the whole worker budget
+// for its configuration points.
+func compute(name string, mode Mode, workers int) (Report, error) {
+	reps, err := Reports(mode, workers, []string{name})
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}

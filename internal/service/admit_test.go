@@ -211,3 +211,94 @@ func TestSweepSurvivesEvictionDuringAdmission(t *testing.T) {
 		t.Fatal("the cached member was never answered by the lookaside probe; the test did not exercise the race")
 	}
 }
+
+// TestJoinedSubmissionsIndexLookasideKeyOnce: two identical submissions
+// resolve at the same time; the first to reach the second phase creates
+// the run and the other joins it there. Both file the same lookaside key
+// under the run, which must keep it once: the keys are written to the
+// run's sidecar as they stand.
+func TestJoinedSubmissionsIndexLookasideKeyOnce(t *testing.T) {
+	svc := newService(t, Config{Jobs: 2})
+	spec := gatedSpec(9400)
+	var wg sync.WaitGroup
+	ids := make([]string, 2)
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snap, err := svc.Submit(spec)
+			if err != nil {
+				t.Errorf("submission %d: %v", i, err)
+			}
+			ids[i] = snap.ID
+		}()
+	}
+	<-genEntered
+	<-genEntered
+	genRelease <- struct{}{}
+	genRelease <- struct{}{}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("identical submissions admitted as %s and %s", ids[0], ids[1])
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := svc.Wait(ctx, ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	keys := append([]string(nil), svc.runs[ids[0]].lookKeys...)
+	svc.mu.Unlock()
+	if len(keys) != 1 {
+		t.Fatalf("the run holds lookaside keys %q, want its one key once", keys)
+	}
+}
+
+// TestSweepKeepsProbedRunEvictedDuringAdmission: with Cache: 1, a sweep
+// of {cached, gated} is held while its gated member resolves, after the
+// lookaside probe has answered the cached one. Another run finishes
+// meanwhile and evicts the cached run. Released, the sweep is admitted
+// with the run it probed as member 0, Cached: admission holds the *run,
+// so eviction in between cannot take the member away.
+func TestSweepKeepsProbedRunEvictedDuringAdmission(t *testing.T) {
+	svc := newService(t, Config{Jobs: 2, Cache: 1})
+	cached := submitAndWait(t, svc, countSpec(9500))
+	before := svc.metrics.cacheLookaside.Value()
+	type outcome struct {
+		batch BatchSnapshot
+		err   error
+	}
+	admitted := make(chan outcome, 1)
+	go func() {
+		b, err := svc.SubmitSweep("", []sim.Spec{countSpec(9500), gatedSpec(9501)})
+		admitted <- outcome{b, err}
+	}()
+	<-genEntered
+	submitAndWait(t, svc, countSpec(9502))
+	if _, ok := svc.Get(cached.ID); ok {
+		genRelease <- struct{}{}
+		t.Fatalf("run %s still indexed after a later run finished with Cache: 1", cached.ID)
+	}
+	genRelease <- struct{}{}
+	got := <-admitted
+	if got.err != nil {
+		t.Fatalf("sweep rejected: %v", got.err)
+	}
+	if got.batch.Total() != 2 {
+		t.Fatalf("sweep admitted %d runs, want 2", got.batch.Total())
+	}
+	if m := got.batch.Runs[0]; m.ID != cached.ID || !m.Cached {
+		t.Fatalf("member 0 is %s (cached %v), want the probed run %s, cached", m.ID, m.Cached, cached.ID)
+	}
+	if moved := svc.metrics.cacheLookaside.Value() - before; moved != 1 {
+		t.Fatalf("lookaside counter moved by %d, want 1", moved)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := svc.WaitSweep(ctx, got.batch.ID); err != nil {
+		t.Fatal(err)
+	}
+}

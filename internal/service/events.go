@@ -24,7 +24,7 @@ const (
 // Event is one streamed run event, bridged from a sim.Observer callback or,
 // for "netstats" and the terminal event, from the run's outcome. Data
 // holds the per-type payload (StartedData, OpData, ProgressData,
-// NetStatsData, DoneData, FailedData).
+// JSONNet, DoneData, FailedData).
 type Event struct {
 	Type string `json:"type"`
 	Run  string `json:"run"`
@@ -53,14 +53,6 @@ type ProgressData struct {
 	Done  int64 `json:"done"`
 	Total int64 `json:"total"`
 	AtPs  int64 `json:"at_ps"`
-}
-
-// NetStatsData mirrors the packet-level fabric counters.
-type NetStatsData struct {
-	PktsSent    uint64 `json:"pkts_sent"`
-	Drops       uint64 `json:"drops"`
-	Trims       uint64 `json:"trims"`
-	Retransmits uint64 `json:"retransmits"`
 }
 
 // DoneData carries the finished run's result, plus the total number of
@@ -248,13 +240,8 @@ func (r *run) setStatus(st Status) {
 // publish the fabric counters of a backend that tracks them and then the
 // terminal event, close every subscription, release waiters.
 func (r *run) complete(res *sim.Result, artifact []byte) {
-	if ns := res.Net; ns != nil {
-		r.publish(Event{Type: EventNetStats, Run: r.id, Data: NetStatsData{
-			PktsSent:    ns.PktsSent,
-			Drops:       ns.Drops,
-			Trims:       ns.Trims,
-			Retransmits: ns.Retransmits,
-		}}, false)
+	if net := newJSONNet(res.Net); net != nil {
+		r.publish(Event{Type: EventNetStats, Run: r.id, Data: *net}, false)
 	}
 	r.mu.Lock()
 	r.status = StatusDone

@@ -47,7 +47,7 @@ type JSONTally struct {
 }
 
 // JSONNet is the packet-level fabric counters, present only for backends
-// that track them.
+// that track them: the result's "net" and the SSE "netstats" payload.
 type JSONNet struct {
 	PktsSent    uint64 `json:"pkts_sent"`
 	Drops       uint64 `json:"drops"`
@@ -57,7 +57,7 @@ type JSONNet struct {
 
 // NewJSONResult renders a result into its wire shape.
 func NewJSONResult(res *sim.Result) *JSONResult {
-	out := &JSONResult{
+	return &JSONResult{
 		Backend:   res.Backend,
 		Runtime:   res.Runtime.String(),
 		RuntimePs: int64(res.Runtime),
@@ -76,16 +76,16 @@ func NewJSONResult(res *sim.Result) *JSONResult {
 		},
 		Done:     JSONTally{Calcs: res.Done.Calcs, Sends: res.Done.Sends, Recvs: res.Done.Recvs},
 		JobNodes: res.JobNodes,
+		Net:      newJSONNet(res.Net),
 	}
-	if res.Net != nil {
-		out.Net = &JSONNet{
-			PktsSent:    res.Net.PktsSent,
-			Drops:       res.Net.Drops,
-			Trims:       res.Net.Trims,
-			Retransmits: res.Net.Retransmits,
-		}
+}
+
+// newJSONNet renders a backend's fabric counters, nil when it tracks none.
+func newJSONNet(ns *sim.NetStats) *JSONNet {
+	if ns == nil {
+		return nil
 	}
-	return out
+	return &JSONNet{PktsSent: ns.PktsSent, Drops: ns.Drops, Trims: ns.Trims, Retransmits: ns.Retransmits}
 }
 
 // WriteResultJSON writes the result as one JSON object followed by a

@@ -67,7 +67,6 @@ func (s *Service) rebuild() {
 	// Oldest artifacts first, so doneOrder evicts the stalest runs once
 	// new completions push the index past the cache bound.
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].ModTime.Before(entries[j].ModTime) })
-	restored := 0
 	for _, e := range entries {
 		if !runIDRE.MatchString(e.Name) {
 			continue // not a service run artifact (e.g. an experiment sweep)
@@ -83,24 +82,12 @@ func (s *Service) rebuild() {
 		for _, key := range r.lookKeys {
 			s.lookaside[key] = e.Name
 		}
-		restored++
 	}
 	// The in-memory index keeps at most Cache runs; older artifacts stay
 	// on disk (the store is the durable record) but are re-admitted like
 	// cold submissions.
-	for len(s.doneOrder) > s.cfg.Cache {
-		evict := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		if r, ok := s.runs[evict]; ok {
-			for _, key := range r.lookKeys {
-				delete(s.lookaside, key)
-			}
-			delete(s.runs, evict)
-			s.metrics.evictedRuns.Inc()
-		}
-		restored--
-	}
-	if restored > 0 {
+	s.evictLocked()
+	if restored := len(s.runs); restored > 0 {
 		s.log.Info("service: rebuilt run index", "dir", s.store.Dir(), "restored", restored)
 	}
 }

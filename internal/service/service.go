@@ -395,25 +395,49 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 }
 
 // indexLocked files a run under a lookaside key (no-op for the empty key
-// of a file-backed spec). The caller holds s.mu.
+// of a file-backed spec, and for a key already filed under this run: the
+// submissions that join a run in admit's second phase all bring its key).
+// The caller holds s.mu.
 func (s *Service) indexLocked(key string, r *run) {
-	if key != "" {
+	if key != "" && s.lookaside[key] != r.id {
 		s.lookaside[key] = r.id
 		r.lookKeys = append(r.lookKeys, key)
+	}
+}
+
+// forgetLocked removes a run from the index: its address and the lookaside
+// keys filed under it. It reports whether the run was indexed. The caller
+// holds s.mu and keeps doneOrder.
+func (s *Service) forgetLocked(id string) bool {
+	r, ok := s.runs[id]
+	if !ok {
+		return false
+	}
+	for _, key := range r.lookKeys {
+		delete(s.lookaside, key)
+	}
+	delete(s.runs, id)
+	return true
+}
+
+// evictLocked forgets the oldest terminal runs until at most Cache remain.
+// The caller holds s.mu.
+func (s *Service) evictLocked() {
+	for len(s.doneOrder) > s.cfg.Cache {
+		evict := s.doneOrder[0]
+		s.doneOrder = s.doneOrder[1:]
+		if s.forgetLocked(evict) {
+			s.metrics.evictedRuns.Inc()
+		}
 	}
 }
 
 // dropLocked forgets a terminal run: its address, lookaside keys and
 // eviction-order entry. The caller holds s.mu.
 func (s *Service) dropLocked(id string) {
-	r, ok := s.runs[id]
-	if !ok {
+	if !s.forgetLocked(id) {
 		return
 	}
-	for _, key := range r.lookKeys {
-		delete(s.lookaside, key)
-	}
-	delete(s.runs, id)
 	for i, done := range s.doneOrder {
 		if done == id {
 			s.doneOrder = append(s.doneOrder[:i], s.doneOrder[i+1:]...)
@@ -629,17 +653,7 @@ func (s *Service) noteDone(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.doneOrder = append(s.doneOrder, id)
-	for len(s.doneOrder) > s.cfg.Cache {
-		evict := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		if r, ok := s.runs[evict]; ok {
-			for _, key := range r.lookKeys {
-				delete(s.lookaside, key)
-			}
-			delete(s.runs, evict)
-			s.metrics.evictedRuns.Inc()
-		}
-	}
+	s.evictLocked()
 	// Retried failures re-enter doneOrder; the dropLocked in admit keeps
 	// at most one entry per id, so no double-eviction bookkeeping is
 	// needed here.

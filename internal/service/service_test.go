@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"atlahs/internal/backend"
+	"atlahs/internal/workload/micro"
 	"atlahs/results"
 	"atlahs/sim"
 )
@@ -28,16 +29,27 @@ import (
 // lets tests hold a run mid-flight deterministically, gateEntered /
 // gateRelease signal entry into (and control exit from) a gated factory,
 // and orderSeen records the execution order of ordersim runs by seed.
+// The "gated" generator does for admission what gatesim does for a run:
+// it runs inside sim.ResolveSpec on the submitter's goroutine, signals
+// genEntered and waits for genRelease, so a test can act while a
+// submission is held between its lookaside probe and its second phase.
 var (
 	simCount    atomic.Int64
 	blockGate   = make(chan struct{})
 	gateEntered = make(chan struct{})
 	gateRelease = make(chan struct{})
+	genEntered  = make(chan struct{})
+	genRelease  = make(chan struct{})
 	orderMu     sync.Mutex
 	orderSeen   []uint64
 )
 
 func init() {
+	sim.RegisterGenerator(sim.GeneratorDef{Name: "gated", New: func(req sim.GenRequest) (*sim.Schedule, error) {
+		genEntered <- struct{}{}
+		<-genRelease
+		return micro.Ring(req.Ranks, req.Synthetic.Bytes), nil
+	}})
 	sim.Register(sim.Definition{
 		Name:     "countsim",
 		Parallel: true,
@@ -110,6 +122,13 @@ func (b *panicBackend) Calc(ev sim.CalcEvent) {
 // countSpec builds a countsim spec whose fingerprint varies with tag.
 func countSpec(tag int64) sim.Spec {
 	return sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 4, Bytes: 1024 + tag, Phases: 2}},
+		Backend: "countsim"}
+}
+
+// gatedSpec is a countsim spec whose resolution blocks in the gated
+// generator; its fingerprint varies with tag.
+func gatedSpec(tag int64) sim.Spec {
+	return sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "gated", Ranks: 4, Bytes: 1024 + tag}},
 		Backend: "countsim"}
 }
 
@@ -351,7 +370,7 @@ func TestEventStreamNetStats(t *testing.T) {
 		t.Fatalf("netstats at %v of %d events (last %q), want exactly one, just before done", at, n, evs[n-1].Type)
 	}
 	ns := done.Result.Net
-	want := NetStatsData{PktsSent: ns.PktsSent, Drops: ns.Drops, Trims: ns.Trims, Retransmits: ns.Retransmits}
+	want := JSONNet{PktsSent: ns.PktsSent, Drops: ns.Drops, Trims: ns.Trims, Retransmits: ns.Retransmits}
 	if got := evs[at[0]].Data; got != want || want.PktsSent == 0 {
 		t.Fatalf("netstats event %+v, want Result.Net's %+v", got, want)
 	}

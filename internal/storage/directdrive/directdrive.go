@@ -21,18 +21,19 @@
 // proprietary; like the paper, the model follows Microsoft's public
 // description, and every assumption is a configurable parameter.
 //
-// Generate builds the schedule on goal.Builder's counted, in-order path
-// (goal.Builder states the contract). A command's choreography is a fixed
-// number of ops and edges per component, so one pass over the trace that
-// only routes commands counts every rank's ops and edges exactly, and
-// every Requires call follows the add of the op it names, so every table
-// is written in its final form: a rank's arrays are allocated once, at
-// their final size, and Build hands them over.
+// Generate runs the one choreography twice, emitting onto one
+// collective.Emitter per rank: first onto collective.Count counters, which
+// size every rank exactly, then onto the rank builders, each grown to what
+// its counter saw. Every Require call follows the add of the op it names,
+// so every table is written in its final form on goal.Builder's counted,
+// in-order path (goal.Builder states the contract): a rank's arrays are
+// allocated once, at their final size, and Build hands them over.
 package directdrive
 
 import (
 	"fmt"
 
+	"atlahs/internal/collective"
 	"atlahs/internal/goal"
 	"atlahs/internal/trace/spc"
 )
@@ -178,41 +179,55 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 		return nil, nil, err
 	}
 	l := NewLayout(cfg)
-	b := goal.NewBuilder(l.NumRanks())
-	ops, edges := count(tr, cfg, l)
-	for r := range ops {
-		b.Rank(r).Grow(ops[r], edges[r], 0)
+	counts := make([]collective.Count, l.NumRanks())
+	es := make([]collective.Emitter, l.NumRanks())
+	for r := range counts {
+		es[r] = &counts[r]
 	}
+	choreograph(es, tr, cfg, l)
+	b := goal.NewBuilder(l.NumRanks())
+	for r := range es {
+		rb := b.Rank(r)
+		rb.Grow(counts[r].Ops, counts[r].Edges, 0)
+		es[r] = rb
+	}
+	choreograph(es, tr, cfg, l)
 
+	s := b.Build()
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return s, &l, nil
+}
+
+// choreograph emits the whole trace's traffic onto es, one emitter per
+// rank of l.
+func choreograph(es []collective.Emitter, tr *spc.Trace, cfg Config, l Layout) {
 	// per-host session setup through SLB and GS (once per host)
 	sessionDone := make([]goal.OpID, cfg.Hosts)
 	var slbChain, gsChain goal.OpID = -1, -1
-	slb := b.Rank(l.SLB())
-	gs := b.Rank(l.GS())
+	slb := es[l.SLB()]
+	gs := es[l.GS()]
 	for h := 0; h < cfg.Hosts; h++ {
-		host := b.Rank(l.Host(h))
+		host := es[l.Host(h)]
 		tag := sessTag(h)
-		syn := host.Send(cfg.CtrlBytes, l.SLB(), tag)
+		syn := host.SendOn(cfg.CtrlBytes, l.SLB(), tag, 0)
 		// SLB forwards to the gateway
-		srecv := slb.Recv(cfg.CtrlBytes, l.Host(h), tag)
-		if slbChain >= 0 {
-			slb.Requires(srecv, slbChain)
-		}
-		fwd := slb.Send(cfg.CtrlBytes, l.GS(), tag)
-		slb.Requires(fwd, srecv)
+		srecv := slb.RecvOn(cfg.CtrlBytes, l.Host(h), tag, 0)
+		chain(slb, srecv, slbChain)
+		fwd := slb.SendOn(cfg.CtrlBytes, l.GS(), tag, 0)
+		slb.Require(fwd, srecv)
 		slbChain = fwd
 		// gateway sets up the session and answers the host directly
-		grecv := gs.Recv(cfg.CtrlBytes, l.SLB(), tag)
-		if gsChain >= 0 {
-			gs.Requires(grecv, gsChain)
-		}
-		gcalc := gs.Calc(cfg.GSSessionNs)
-		gs.Requires(gcalc, grecv)
-		gresp := gs.Send(cfg.CtrlBytes, l.Host(h), tag)
-		gs.Requires(gresp, gcalc)
+		grecv := gs.RecvOn(cfg.CtrlBytes, l.SLB(), tag, 0)
+		chain(gs, grecv, gsChain)
+		gcalc := gs.CalcOn(cfg.GSSessionNs, 0)
+		gs.Require(gcalc, grecv)
+		gresp := gs.SendOn(cfg.CtrlBytes, l.Host(h), tag, 0)
+		gs.Require(gresp, gcalc)
 		gsChain = gresp
-		ack := host.Recv(cfg.CtrlBytes, l.GS(), tag)
-		host.Requires(ack, syn)
+		ack := host.RecvOn(cfg.CtrlBytes, l.GS(), tag, 0)
+		host.Require(ack, syn)
 		sessionDone[h] = ack
 	}
 
@@ -227,84 +242,80 @@ func Generate(tr *spc.Trace, cfg Config) (*goal.Schedule, *Layout, error) {
 		bssChain[i] = -1
 	}
 	var mdsChain goal.OpID = -1
-	mds := b.Rank(l.MDS())
+	mds := es[l.MDS()]
+	acks := make([]goal.OpID, cfg.Replicas-1) // genWrite's scratch
 
 	// per (host, stream) chains with traced think time
 	type streamState struct {
 		head     goal.OpID
 		lastTime float64 // of the stream's previous command; 0: none yet
 	}
-	streams := make([][]streamState, cfg.Hosts)
-	for h := range streams {
-		streams[h] = make([]streamState, cfg.StreamsPerHost)
-		for s := range streams[h] {
-			streams[h][s] = streamState{head: sessionDone[h]}
-		}
+	streams := make([]streamState, cfg.Hosts*cfg.StreamsPerHost)
+	for i := range streams {
+		streams[i].head = sessionDone[i/cfg.StreamsPerHost]
 	}
 
 	for opIdx, op := range tr.Ops {
 		h := op.ASU % cfg.Hosts
 		strm := (op.ASU / cfg.Hosts) % cfg.StreamsPerHost
-		st := &streams[h][strm]
-		host := b.Rank(l.Host(h))
+		st := &streams[h*cfg.StreamsPerHost+strm]
+		host := es[l.Host(h)]
 		cpu := int32(strm)
 		tag := opTag(opIdx)
 
 		// traced inter-arrival gap becomes host-side computation
 		if gap := gapNs(st.lastTime, op.Time); gap > 0 {
 			c := host.CalcOn(gap, cpu)
-			host.Requires(c, st.head)
+			host.Require(c, st.head)
 			st.head = c
 		}
 		st.lastTime = op.Time
 
 		ccsIdx := int(op.LBA>>3) % cfg.CCS
 		bssIdx := int(op.LBA) % cfg.BSS
-		ccs := b.Rank(l.CCSRank(ccsIdx))
 		ccsRank := l.CCSRank(ccsIdx)
+		ccs := es[ccsRank]
 
 		// 1. host asks the CCS which BSS owns the block (st.head is at
 		// least the host's session ack)
 		req := host.SendOn(cfg.CtrlBytes, ccsRank, tag, cpu)
-		host.Requires(req, st.head)
-		crecv := ccs.Recv(cfg.CtrlBytes, l.Host(h), tag)
-		if ccsChain[ccsIdx] >= 0 {
-			ccs.Requires(crecv, ccsChain[ccsIdx])
-		}
-		clook := ccs.Calc(cfg.CCSLookupNs)
-		ccs.Requires(clook, crecv)
-		cresp := ccs.Send(cfg.CtrlBytes, l.Host(h), tag)
-		ccs.Requires(cresp, clook)
+		host.Require(req, st.head)
+		crecv := ccs.RecvOn(cfg.CtrlBytes, l.Host(h), tag, 0)
+		chain(ccs, crecv, ccsChain[ccsIdx])
+		clook := ccs.CalcOn(cfg.CCSLookupNs, 0)
+		ccs.Require(clook, crecv)
+		cresp := ccs.SendOn(cfg.CtrlBytes, l.Host(h), tag, 0)
+		ccs.Require(cresp, clook)
 		ccsChain[ccsIdx] = cresp
 		loc := host.RecvOn(cfg.CtrlBytes, ccsRank, tag, cpu)
-		host.Requires(loc, req)
+		host.Require(loc, req)
 
 		var done goal.OpID
 		if !op.Write {
-			done = genRead(b, l, cfg, h, bssIdx, op.Bytes, tag, cpu, loc, &bssChain[bssIdx])
+			done = genRead(es, l, cfg, h, bssIdx, op.Bytes, tag, cpu, loc, &bssChain[bssIdx])
 		} else {
-			done = genWrite(b, l, cfg, h, bssIdx, op.Bytes, tag, cpu, loc, bssChain)
+			done = genWrite(es, l, cfg, h, bssIdx, op.Bytes, tag, cpu, loc, bssChain, acks)
 			// CCS notifies the metadata service asynchronously
-			note := ccs.Send(cfg.CtrlBytes, l.MDS(), tag)
-			ccs.Requires(note, clook)
-			mrecv := mds.Recv(cfg.CtrlBytes, ccsRank, tag)
-			if mdsChain >= 0 {
-				mds.Requires(mrecv, mdsChain)
-			}
-			mupd := mds.Calc(cfg.MDSUpdateNs)
-			mds.Requires(mupd, mrecv)
+			note := ccs.SendOn(cfg.CtrlBytes, l.MDS(), tag, 0)
+			ccs.Require(note, clook)
+			mrecv := mds.RecvOn(cfg.CtrlBytes, ccsRank, tag, 0)
+			chain(mds, mrecv, mdsChain)
+			mupd := mds.CalcOn(cfg.MDSUpdateNs, 0)
+			mds.Require(mupd, mrecv)
 			mdsChain = mupd
 		}
 		think := host.CalcOn(cfg.HostThinkNs, cpu)
-		host.Requires(think, done)
+		host.Require(think, done)
 		st.head = think
 	}
+}
 
-	s := b.Build()
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
+// chain makes op require dep, the previous request of op's service
+// instance, unless dep is -1: the instance has handled nothing yet.
+func chain(e collective.Emitter, op, dep goal.OpID) {
+	if dep >= 0 {
+		e.Require(op, dep)
 	}
-	return s, &l, nil
 }
 
 // gapNs is the traced think time, in nanoseconds, before a command issued
@@ -316,122 +327,62 @@ func gapNs(last, t float64) int64 {
 	return 0
 }
 
-// count returns how many ops and requires edges Generate emits on every
-// rank, so each rank's arrays are allocated once at their final size. The
-// choreography's per-command counts are constants (read them off the
-// session loop, the command loop, genRead and genWrite); the only things
-// that depend on the trace are where a command is routed, whether it is
-// preceded by a think-time gap, and that the first request a service
-// instance handles has no predecessor to chain to.
-func count(tr *spc.Trace, cfg Config, l Layout) (ops, edges []int) {
-	ops, edges = make([]int, l.NumRanks()), make([]int, l.NumRanks())
-	// emit books n ops and their edges on a rank. A service's edge counts
-	// include the chain edge to its previous request; see the end.
-	emit := func(rank, n, e int) {
-		ops[rank] += n
-		edges[rank] += e
-	}
-	for h := 0; h < cfg.Hosts; h++ {
-		emit(l.Host(h), 2, 1) // syn; ack <- syn
-		emit(l.SLB(), 2, 2)   // recv <- chain; fwd <- recv
-		emit(l.GS(), 3, 3)    // recv <- chain; calc <- recv; resp <- calc
-	}
-	lastTime := make([]float64, cfg.Hosts*cfg.StreamsPerHost)
-	for _, op := range tr.Ops {
-		h := op.ASU % cfg.Hosts
-		last := &lastTime[h*cfg.StreamsPerHost+(op.ASU/cfg.Hosts)%cfg.StreamsPerHost]
-		if gapNs(*last, op.Time) > 0 {
-			emit(l.Host(h), 1, 1)
-		}
-		*last = op.Time
-		emit(l.Host(h), 5, 5) // CCS request and reply, BSS request/data and reply/ack, think
-		ccs := l.CCSRank(int(op.LBA>>3) % cfg.CCS)
-		emit(ccs, 3, 3) // recv <- chain; lookup <- recv; resp <- lookup
-		primary := int(op.LBA) % cfg.BSS
-		if !op.Write {
-			emit(l.BSSRank(primary), 3, 3) // recv <- chain; read <- recv; data <- read
-			continue
-		}
-		emit(ccs, 1, 1)     // note <- lookup
-		emit(l.MDS(), 2, 2) // recv <- chain; update <- recv
-		// primary: recv <- chain; write <- recv; per secondary fw <- recv
-		// and pack <- recv; ack <- write and every pack
-		emit(l.BSSRank(primary), 3+2*(cfg.Replicas-1), 3+3*(cfg.Replicas-1))
-		for r := 1; r < cfg.Replicas; r++ {
-			emit(l.BSSRank((primary+r)%cfg.BSS), 3, 3) // recv <- chain; write <- recv; ack <- write
-		}
-	}
-	for r := cfg.Hosts; r < len(ops); r++ {
-		if ops[r] > 0 {
-			edges[r]-- // a service's first request chains to nothing
-		}
-	}
-	return ops, edges
-}
-
 // genRead: host -> BSS request, BSS media read, BSS -> host data.
-func genRead(b *goal.Builder, l Layout, cfg Config, h, bssIdx int, bytes int64, tag, cpu int32, after goal.OpID, bssChain *goal.OpID) goal.OpID {
-	host := b.Rank(l.Host(h))
-	bss := b.Rank(l.BSSRank(bssIdx))
+func genRead(es []collective.Emitter, l Layout, cfg Config, h, bssIdx int, bytes int64, tag, cpu int32, after goal.OpID, bssChain *goal.OpID) goal.OpID {
+	host := es[l.Host(h)]
+	bss := es[l.BSSRank(bssIdx)]
 	req := host.SendOn(cfg.CtrlBytes, l.BSSRank(bssIdx), tag, cpu)
-	host.Requires(req, after)
-	brecv := bss.Recv(cfg.CtrlBytes, l.Host(h), tag)
-	if *bssChain >= 0 {
-		bss.Requires(brecv, *bssChain)
-	}
-	bread := bss.Calc(cfg.BSSReadNs)
-	bss.Requires(bread, brecv)
-	bdata := bss.Send(bytes, l.Host(h), tag)
-	bss.Requires(bdata, bread)
+	host.Require(req, after)
+	brecv := bss.RecvOn(cfg.CtrlBytes, l.Host(h), tag, 0)
+	chain(bss, brecv, *bssChain)
+	bread := bss.CalcOn(cfg.BSSReadNs, 0)
+	bss.Require(bread, brecv)
+	bdata := bss.SendOn(bytes, l.Host(h), tag, 0)
+	bss.Require(bdata, bread)
 	*bssChain = bdata
 	data := host.RecvOn(bytes, l.BSSRank(bssIdx), tag, cpu)
-	host.Requires(data, req)
+	host.Require(data, req)
 	return data
 }
 
 // genWrite: host streams data to the primary BSS, which forwards to
 // Replicas-1 secondaries; secondaries ack the primary, the primary acks
-// the host.
-func genWrite(b *goal.Builder, l Layout, cfg Config, h, primary int, bytes int64, tag, cpu int32, after goal.OpID, bssChain []goal.OpID) goal.OpID {
-	host := b.Rank(l.Host(h))
-	prim := b.Rank(l.BSSRank(primary))
+// the host. acks is scratch space of length Replicas-1.
+func genWrite(es []collective.Emitter, l Layout, cfg Config, h, primary int, bytes int64, tag, cpu int32, after goal.OpID, bssChain, acks []goal.OpID) goal.OpID {
+	host := es[l.Host(h)]
+	prim := es[l.BSSRank(primary)]
 	data := host.SendOn(bytes, l.BSSRank(primary), tag, cpu)
-	host.Requires(data, after)
-	precv := prim.Recv(bytes, l.Host(h), tag)
-	if bssChain[primary] >= 0 {
-		prim.Requires(precv, bssChain[primary])
-	}
-	pwrite := prim.Calc(cfg.BSSWriteNs)
-	prim.Requires(pwrite, precv)
+	host.Require(data, after)
+	precv := prim.RecvOn(bytes, l.Host(h), tag, 0)
+	chain(prim, precv, bssChain[primary])
+	pwrite := prim.CalcOn(cfg.BSSWriteNs, 0)
+	prim.Require(pwrite, precv)
 	// replicate to the next Replicas-1 BSS instances
-	acks := make([]goal.OpID, 0, cfg.Replicas-1)
 	for r := 1; r < cfg.Replicas; r++ {
 		sec := (primary + r) % cfg.BSS
 		secRank := l.BSSRank(sec)
-		fw := prim.Send(bytes, secRank, tag)
-		prim.Requires(fw, precv)
-		sb := b.Rank(secRank)
-		srecv := sb.Recv(bytes, l.BSSRank(primary), tag)
-		if bssChain[sec] >= 0 {
-			sb.Requires(srecv, bssChain[sec])
-		}
-		swrite := sb.Calc(cfg.BSSWriteNs)
-		sb.Requires(swrite, srecv)
-		sack := sb.Send(cfg.CtrlBytes, l.BSSRank(primary), tag)
-		sb.Requires(sack, swrite)
+		fw := prim.SendOn(bytes, secRank, tag, 0)
+		prim.Require(fw, precv)
+		sb := es[secRank]
+		srecv := sb.RecvOn(bytes, l.BSSRank(primary), tag, 0)
+		chain(sb, srecv, bssChain[sec])
+		swrite := sb.CalcOn(cfg.BSSWriteNs, 0)
+		sb.Require(swrite, srecv)
+		sack := sb.SendOn(cfg.CtrlBytes, l.BSSRank(primary), tag, 0)
+		sb.Require(sack, swrite)
 		bssChain[sec] = sack
-		pack := prim.Recv(cfg.CtrlBytes, secRank, tag)
-		prim.Requires(pack, precv)
-		acks = append(acks, pack)
+		pack := prim.RecvOn(cfg.CtrlBytes, secRank, tag, 0)
+		prim.Require(pack, precv)
+		acks[r-1] = pack
 	}
-	ack := prim.Send(cfg.CtrlBytes, l.Host(h), tag)
-	prim.Requires(ack, pwrite)
+	ack := prim.SendOn(cfg.CtrlBytes, l.Host(h), tag, 0)
+	prim.Require(ack, pwrite)
 	for _, a := range acks {
-		prim.Requires(ack, a)
+		prim.Require(ack, a)
 	}
 	bssChain[primary] = ack
 	hack := host.RecvOn(cfg.CtrlBytes, l.BSSRank(primary), tag, cpu)
-	host.Requires(hack, data)
+	host.Require(hack, data)
 	return hack
 }
 

@@ -168,3 +168,21 @@ func TestGenerateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGenerateAllocsIndependentOfTraceLength: both passes keep their state
+// in per-rank and per-stream tables, and every rank's arrays are allocated
+// once at their counted size, so the number of allocations does not grow
+// with the trace.
+func TestGenerateAllocsIndependentOfTraceLength(t *testing.T) {
+	allocs := func(ops int) float64 {
+		tr := oltp.GenerateFinancial(oltp.FinancialConfig{Ops: ops, Seed: 1})
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := Generate(tr, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(100), allocs(20000); short != long {
+		t.Fatalf("Generate made %v allocations on 100 operations and %v on 20 000", short, long)
+	}
+}

@@ -52,9 +52,10 @@ func spare(s *goal.Schedule) (n int) {
 // is; Schedgen's figure is mostly the parsed trace, whose 64-byte events
 // outnumber the ops here, and the NCCL pipeline's is the schedule, the
 // parsed report (about a third) and the plan pass's per-record and
-// per-transfer tables. Direct Drive and the NCCL pipeline count exactly —
-// the plan pass counts by running stages 2-3 through counting emitters —
-// which the spare-capacity check proves.
+// per-transfer tables. Direct Drive and the NCCL pipeline count exactly,
+// both by emitting onto counting emitters first — Direct Drive runs its
+// choreography once onto them, the plan pass runs stages 2-3 — which the
+// spare-capacity check proves.
 func TestConvertAllocation(t *testing.T) {
 	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
 	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 32, Steps: 4, Seed: 3})
