@@ -2,6 +2,8 @@ package e2e
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -202,5 +204,34 @@ func TestAnalyzeGatesARealArtifact(t *testing.T) {
 	}
 	if !strings.Contains("\n"+string(stderr), "\nREGRESSION measured at configuration=") {
 		t.Errorf("stderr does not name the regressed records:\n%s", stderr)
+	}
+}
+
+// exampleDigests maps each program under examples/ to the SHA-256 of the
+// stdout it prints. Every example is deterministic, so a changed digest
+// is a changed simulation result.
+var exampleDigests = map[string]string{
+	"hpc-mpi":       "ddca421f6ded44682cdbd018a663d5bae926e45accc27a737a8ddbcb1373125c",
+	"job-placement": "010078e664f42af106cef30a52b733c20e7bf262acd0d735287a8db57d706fbe",
+	"llm-training":  "8013f4511f4b0a450a61e6f1b906c46518fc1620e57931f31117d882368d64e6",
+	"multi-job":     "2c46292250757164d78bb036a96db555d8595f57dda4d38335fbd668e2a9cdd9",
+	"quickstart":    "ab3eac3faa599107a91676db58fb5ac626d9103195f9eb4d2c54b5e1c6e91eca",
+	"scaling-study": "190fbc6800b3bfc39aa8808edad9acca0231268e5bc6bdb6d6c502064beb3085",
+	"storage-cc":    "cf57befccbd7350151d9f13df84432ed895ca9aec251ad15d1290a946afffde5",
+}
+
+// TestExamples: every example exits 0, writes nothing to stderr, and
+// prints byte for byte what it printed when its digest was recorded.
+func TestExamples(t *testing.T) {
+	t.Parallel()
+	for name, want := range exampleDigests {
+		stdout, stderr, code := runStatus(t, name)
+		if code != 0 || len(stderr) != 0 {
+			t.Errorf("%s: exit %d, stderr:\n%s", name, code, stderr)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout)); got != want {
+			t.Errorf("%s: stdout SHA-256 %s, want %s\n%s", name, got, want, stdout)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package e2e drives the toolchain's binaries end to end. TestMain builds
-// atlahs, atlahsd, atlahs-analyze, atlahs-synth, experiments and tracegen
-// once; each test then runs them as a user would — over real files,
+// atlahs, atlahsd, atlahs-analyze, atlahs-synth, experiments and tracegen,
+// and the programs under examples/, once; each test then runs them as a
+// user would — over real files,
 // processes, signals and loopback sockets — and reads what they write
 // through the decoders the toolchain itself uses. The package holds tests
 // only. It is skipped under -short and where no go binary is on PATH.
@@ -56,6 +57,9 @@ func buildAndRun(m *testing.M) int {
 	args := []string{"build", "-o", dir + string(os.PathSeparator)}
 	for _, c := range commands {
 		args = append(args, "atlahs/cmd/"+c)
+	}
+	for name := range exampleDigests {
+		args = append(args, "atlahs/examples/"+name)
 	}
 	if out, err := exec.Command(goBin, args...).CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "e2e: go %s: %v\n%s", strings.Join(args, " "), err, out)
