@@ -29,10 +29,6 @@ import (
 	"atlahs/sim"
 )
 
-func astraSimulate(tr *chakra.Trace) (*astra.Result, error) {
-	return astra.Simulate(tr, astra.Config{})
-}
-
 // --- one benchmark per paper table/figure -----------------------------------
 
 // benchExperiment computes and renders one quick-sized experiment per
@@ -338,7 +334,7 @@ func BenchmarkSimRuntimeLGSvsAstra(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := astraSimulate(loaded); err != nil {
+			if _, err := astra.Simulate(loaded); err != nil {
 				b.Fatal(err)
 			}
 		}

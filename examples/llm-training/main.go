@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum := llm.Summarize(rep, cfg.Iterations)
+	sum := llm.Summarize(rep)
 	fmt.Printf("traced %s on %d GPUs: %d records, %d communicators, %.1f MiB collectives, %.1f KiB P2P\n",
 		cfg.Model.Name, sum.GPUs, sum.Records, sum.Comms,
 		float64(sum.CollBytes)/(1<<20), float64(sum.P2PBytes)/1024)

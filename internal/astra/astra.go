@@ -24,35 +24,14 @@ import (
 	"atlahs/internal/trace/chakra"
 )
 
-// Config parameterises the analytical network.
-type Config struct {
-	// Latency per hop (default 3.7 us, matching the LGS calibration).
-	Latency simtime.Duration
-	// PsPerByte is the per-byte cost (default 40 ps/B = 25 GB/s).
-	PsPerByte simtime.Duration
-	// ChunkBytes is the system-layer chunk size for collective phases
-	// (default 64 KiB).
-	ChunkBytes int64
-	// WorldGroup is the comm_group name treated as the full world
-	// (default "world").
-	WorldGroup string
-}
-
-func (c Config) withDefaults() Config {
-	if c.Latency == 0 {
-		c.Latency = 3700 * simtime.Nanosecond
-	}
-	if c.PsPerByte == 0 {
-		c.PsPerByte = 40 * simtime.Picosecond
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = 64 * 1024
-	}
-	if c.WorldGroup == "" {
-		c.WorldGroup = "world"
-	}
-	return c
-}
+// The analytical network's costs, calibrated like LGS (§5.2): 3.7 us per
+// hop and 40 ps/B (25 GB/s), with collective phases cut into 64 KiB
+// system-layer chunks.
+const (
+	latency    = 3700 * simtime.Nanosecond
+	psPerByte  = 40 * simtime.Picosecond
+	chunkBytes = 64 * 1024
+)
 
 // Result summarises a baseline simulation.
 type Result struct {
@@ -63,11 +42,10 @@ type Result struct {
 }
 
 // Simulate runs the baseline on a Chakra trace.
-func Simulate(t *chakra.Trace, cfg Config) (*Result, error) {
+func Simulate(t *chakra.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	n := t.NumRanks()
 	if n == 0 {
 		return nil, fmt.Errorf("astra: empty trace")
@@ -94,7 +72,7 @@ func Simulate(t *chakra.Trace, cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("astra: rank %d node %d: point-to-point %s nodes are not supported by the real-trace feeder (pipeline/expert parallelism)",
 					r, nd.ID, nd.Type)
 			case chakra.NodeCollComm:
-				if g := nd.StrAttrOr("comm_group", cfg.WorldGroup); g != cfg.WorldGroup {
+				if g := nd.StrAttrOr("comm_group", chakra.WorldGroup); g != chakra.WorldGroup {
 					return nil, fmt.Errorf("astra: rank %d node %d: collective over subgroup %q unsupported — only the world group maps onto the 1-D topology",
 						r, nd.ID, g)
 				}
@@ -154,7 +132,7 @@ func Simulate(t *chakra.Trace, cfg Config) (*Result, error) {
 				start = ranks[r].clock
 			}
 		}
-		dur := r2.collectiveTime(ref, n, cfg, eng, res)
+		dur := collectiveTime(ref, n, eng, res)
 		end := start.Add(dur)
 		for r := range ranks {
 			nd := &ranks[r].nodes[collSeq[r][ci]]
@@ -176,16 +154,11 @@ func Simulate(t *chakra.Trace, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// r2 namespaces the system-layer helpers.
-var r2 sysLayer
-
-type sysLayer struct{}
-
 // collectiveTime decomposes one collective into chunked ring phases and
 // simulates the phases through an event queue (chunk pipelining included),
 // faithful to AstraSim's system-layer behaviour while staying congestion
 // unaware: each phase costs latency + chunk/bandwidth, no queueing.
-func (sysLayer) collectiveTime(nd *chakra.Node, n int, cfg Config, eng *engine.Engine, res *Result) simtime.Duration {
+func collectiveTime(nd *chakra.Node, n int, eng *engine.Engine, res *Result) simtime.Duration {
 	bytes := nd.IntAttrOr("comm_size", 0)
 	if n <= 1 || bytes == 0 {
 		return 0
@@ -211,9 +184,9 @@ func (sysLayer) collectiveTime(nd *chakra.Node, n int, cfg Config, eng *engine.E
 	if perStepBytes <= 0 {
 		perStepBytes = 1
 	}
-	nchunks := (perStepBytes + cfg.ChunkBytes - 1) / cfg.ChunkBytes
+	nchunks := (perStepBytes + chunkBytes - 1) / chunkBytes
 	chunk := (perStepBytes + nchunks - 1) / nchunks
-	phase := cfg.Latency + simtime.Duration(chunk)*cfg.PsPerByte
+	phase := latency + simtime.Duration(chunk)*psPerByte
 
 	// chunk-pipelined ring: phases run through the event engine, one event
 	// per (step, chunk) — this is where the baseline burns its time, like

@@ -25,7 +25,7 @@ func dpTrace(ranks int, iters int, compNs, gradBytes int64) *chakra.Trace {
 
 func TestSimulateDP(t *testing.T) {
 	tr := dpTrace(4, 2, 1_000_000, 1<<20)
-	res, err := Simulate(tr, Config{})
+	res, err := Simulate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestSimulateDP(t *testing.T) {
 }
 
 func TestCollectiveCostScalesWithBytes(t *testing.T) {
-	small, err := Simulate(dpTrace(4, 1, 0, 1<<16), Config{})
+	small, err := Simulate(dpTrace(4, 1, 0, 1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Simulate(dpTrace(4, 1, 0, 1<<24), Config{})
+	big, err := Simulate(dpTrace(4, 1, 0, 1<<24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRejectsP2P(t *testing.T) {
 	var b1 chakra.Builder
 	b1.AddRecv(4096, 0, 0)
 	tr.Ranks[1] = b1.Nodes()
-	_, err := Simulate(tr, Config{})
+	_, err := Simulate(tr)
 	if err == nil || !strings.Contains(err.Error(), "point-to-point") {
 		t.Fatalf("P2P not rejected: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestRejectsSubgroupCollectives(t *testing.T) {
 		b.AddColl(chakra.CollAllReduce, 1024, "tp0")
 		tr.Ranks[r] = b.Nodes()
 	}
-	_, err := Simulate(tr, Config{})
+	_, err := Simulate(tr)
 	if err == nil || !strings.Contains(err.Error(), "subgroup") {
 		t.Fatalf("subgroup not rejected: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestCollectiveCountMismatch(t *testing.T) {
 	var b1 chakra.Builder
 	b1.AddComp("only_compute", 10)
 	tr.Ranks[1] = b1.Nodes()
-	if _, err := Simulate(tr, Config{}); err == nil {
+	if _, err := Simulate(tr); err == nil {
 		t.Fatal("mismatched collective counts accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestStragglerGatesCollective(t *testing.T) {
 	b.AddComp("straggler", 50_000_000) // 50 ms
 	b.AddColl(chakra.CollAllReduce, 1<<20, "world")
 	tr.Ranks[3] = b.Nodes()
-	res, err := Simulate(tr, Config{})
+	res, err := Simulate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestAllCollectiveTypes(t *testing.T) {
 			b.AddColl(ct, 1<<18, "world")
 			tr.Ranks[r] = b.Nodes()
 		}
-		if _, err := Simulate(tr, Config{}); err != nil {
+		if _, err := Simulate(tr); err != nil {
 			t.Fatalf("%s: %v", ct, err)
 		}
 	}
 }
 
 func TestEmptyTrace(t *testing.T) {
-	if _, err := Simulate(&chakra.Trace{}, Config{}); err == nil {
+	if _, err := Simulate(&chakra.Trace{}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }

@@ -273,6 +273,6 @@ func FatTreeFor(nranks, hostsPerToR, cores int, spec topo.LinkSpec) (*topo.Topol
 	}
 	return topo.NewFatTree(topo.FatTreeConfig{
 		Hosts: hosts, HostsPerToR: hostsPerToR, Cores: cores,
-		HostLink: spec, UplinkLink: spec,
+		Link: spec,
 	})
 }

@@ -62,7 +62,6 @@ type Params struct {
 	MTU     int64            // packet payload size in bytes
 	BaseRTT simtime.Duration // unloaded round-trip time of the path
 	BDP     int64            // bandwidth-delay product in bytes
-	MaxWin  int64            // window cap; 0 means 4*BDP
 }
 
 // startPkts is the initial window in packets: one BDP, at least one packet.
@@ -74,10 +73,8 @@ func (p Params) startPkts() float64 {
 	return start
 }
 
+// maxWin is the window cap: four BDPs, or 256 packets without a BDP.
 func (p Params) maxWin() int64 {
-	if p.MaxWin > 0 {
-		return p.MaxWin
-	}
 	if p.BDP > 0 {
 		return 4 * p.BDP
 	}

@@ -177,10 +177,6 @@ func TestMaxWinDefault(t *testing.T) {
 	if p.maxWin() != 40000 {
 		t.Fatalf("default maxWin with BDP = %d", p.maxWin())
 	}
-	p.MaxWin = 123456
-	if p.maxWin() != 123456 {
-		t.Fatalf("explicit maxWin = %d", p.maxWin())
-	}
 }
 
 func TestControllerNames(t *testing.T) {

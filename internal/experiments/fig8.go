@@ -144,7 +144,7 @@ func ComputeFig8(mode Mode, workers int) (*Fig8Result, error) {
 		ctrLoaded, aerr := chakra.ParseBytes(chakraBin.Bytes())
 		var ares *astra.Result
 		if aerr == nil {
-			ares, aerr = astra.Simulate(ctrLoaded, astra.Config{})
+			ares, aerr = astra.Simulate(ctrLoaded)
 		}
 		row.AstraWall = time.Since(aStart)
 		if aerr != nil {

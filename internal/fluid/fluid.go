@@ -97,9 +97,6 @@ func (n *Network) pathsOf(src, dst int) [][]int {
 	return row[dst]
 }
 
-// Engine returns the event engine the network runs on.
-func (n *Network) Engine() *engine.Engine { return n.eng }
-
 // Send injects a message from host src to host dst; onDelivered fires at
 // the simulated delivery time of the last byte.
 func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time)) {
@@ -119,7 +116,7 @@ func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time))
 		remaining: float64(size),
 		onDone:    onDelivered,
 	}
-	f.links = paths[topo.FlowHashECMP{}.Pick(len(paths), f.id, 0)]
+	f.links = paths[topo.ECMP(len(paths), f.id)]
 	var prop simtime.Duration
 	for _, lid := range f.links {
 		prop += n.topo.Links[lid].Latency

@@ -15,7 +15,7 @@ func testTopo(t testing.TB, hosts, perTor, cores int) *topo.Topology {
 	t.Helper()
 	tp, err := topo.NewFatTree(topo.FatTreeConfig{
 		Hosts: hosts, HostsPerToR: perTor, Cores: cores,
-		HostLink: topo.DefaultLinkSpec(), UplinkLink: topo.DefaultLinkSpec(),
+		Link: topo.DefaultLinkSpec(),
 	})
 	if err != nil {
 		t.Fatal(err)

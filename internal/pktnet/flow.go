@@ -88,7 +88,7 @@ func (n *Network) newFlow(id uint64, src, dst int, size int64, onDone func(simti
 	f.born = n.eng.Now()
 	f.pair, f.rev = n.flowPair(src, dst)
 	f.refs = 1
-	f.npkts = int((size + n.cfg.MTU - 1) / n.cfg.MTU)
+	f.npkts = int((size + mtu - 1) / mtu)
 	if cap(f.pk) < f.npkts {
 		f.pk = make([]pktState, f.npkts)
 	} else {
@@ -119,20 +119,20 @@ func (f *flow) unref() {
 
 func (f *flow) payloadOf(seq int) int64 {
 	if seq == f.npkts-1 {
-		if rem := f.size - int64(seq)*f.net.cfg.MTU; rem > 0 {
+		if rem := f.size - int64(seq)*mtu; rem > 0 {
 			return rem
 		}
 	}
-	return f.net.cfg.MTU
+	return mtu
 }
 
 func (f *flow) start() {
 	if f.net.ndp {
-		f.grants = max(int(f.pair.bdp/f.net.cfg.MTU), 1)
+		f.grants = max(int(f.pair.bdp/mtu), 1)
 		f.pumpNDP()
 		return
 	}
-	params := cc.Params{MTU: f.net.cfg.MTU, BaseRTT: f.pair.baseRTT, BDP: f.pair.bdp}
+	params := cc.Params{MTU: mtu, BaseRTT: f.pair.baseRTT, BDP: f.pair.bdp}
 	if f.ctrl == nil {
 		ctrl, err := cc.New(f.net.cfg.CC, params)
 		if err != nil {
@@ -167,7 +167,7 @@ func (f *flow) nextWork() int {
 func (f *flow) sendData(seq int) {
 	f.pk[seq].epoch++
 	payload := f.payloadOf(seq)
-	p := f.net.newPacket(f, pktData, seq, payload+f.net.cfg.Header)
+	p := f.net.newPacket(f, pktData, seq, payload+header)
 	p.payload = payload
 	p.sent = f.net.eng.Now()
 	f.net.inject(f.pair.paths, p, f.pathCounter)
@@ -276,9 +276,9 @@ func (h *hostRx) init(n *Network, host int) {
 	h.paceFn = h.paceDone
 	// Pull spacing = serialisation time of a full MTU on the host access
 	// link, so granted packets arrive at most at link rate.
-	h.spacing = simtime.Duration(n.cfg.MTU+n.cfg.Header) * 40
+	h.spacing = (mtu + header) * 40
 	if out := n.topo.OutLinks(n.topo.HostDevice(host)); len(out) > 0 {
-		h.spacing = simtime.Duration(n.cfg.MTU+n.cfg.Header) * n.topo.Links[out[0]].PsPerByte
+		h.spacing = (mtu + header) * n.topo.Links[out[0]].PsPerByte
 	}
 }
 
@@ -288,7 +288,7 @@ func (h *hostRx) onData(p *packet) {
 	n, f := h.net, p.flow
 	if p.trimmed {
 		// NDP: payload was trimmed in the fabric; NACK it and request more.
-		n.inject(f.rev, n.newPacket(f, pktNack, p.seq, n.cfg.Header), f.pathCounter)
+		n.inject(f.rev, n.newPacket(f, pktNack, p.seq, header), f.pathCounter)
 		f.pathCounter++
 		if !f.delivered {
 			h.requestPull(f)
@@ -309,7 +309,7 @@ func (h *hostRx) onData(p *packet) {
 	} else {
 		// ACK every arrival (duplicates included) so spurious
 		// retransmissions still converge; sender dedups.
-		ack := n.newPacket(f, pktAck, p.seq, n.cfg.Header)
+		ack := n.newPacket(f, pktAck, p.seq, header)
 		ack.ecn, ack.sent = p.ecn, p.sent
 		n.inject(f.rev, ack, f.pathCounter)
 		f.pathCounter++
@@ -339,7 +339,7 @@ func (h *hostRx) pump() {
 		return
 	}
 	f := h.pullQ.Pop()
-	h.net.inject(f.rev, h.net.newPacket(f, pktPull, 0, h.net.cfg.Header), f.pathCounter)
+	h.net.inject(f.rev, h.net.newPacket(f, pktPull, 0, header), f.pathCounter)
 	f.pathCounter++
 	f.unref() // the token; the pull packet holds its own reference
 	h.pacing = true

@@ -68,42 +68,20 @@ import (
 
 // Config parameterises a Network.
 type Config struct {
-	Topo     *topo.Topology
-	MTU      int64             // payload bytes per packet (default 4096)
-	Header   int64             // per-packet header bytes (default 64)
-	CC       string            // "mprdma", "swift", "dctcp" or "ndp" (default "mprdma")
-	KminFrac float64           // ECN mark start, fraction of buffer (default 0.2)
-	KmaxFrac float64           // ECN mark certain, fraction of buffer (default 0.8)
-	Selector topo.PathSelector // default: flow-hash ECMP; NDP defaults to spraying
-	Seed     uint64
-	RTO      simtime.Duration // retransmission timeout (default 4x worst-case base RTT)
+	Topo *topo.Topology
+	CC   string // "mprdma", "swift", "dctcp" or "ndp" (default "mprdma")
+	Seed uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MTU == 0 {
-		c.MTU = 4096
-	}
-	if c.Header == 0 {
-		c.Header = 64
-	}
-	if c.CC == "" {
-		c.CC = "mprdma"
-	}
-	if c.KminFrac == 0 {
-		c.KminFrac = 0.2
-	}
-	if c.KmaxFrac == 0 {
-		c.KmaxFrac = 0.8
-	}
-	if c.Selector == nil {
-		if cc.IsReceiverDriven(c.CC) {
-			c.Selector = topo.PacketSpray{}
-		} else {
-			c.Selector = topo.FlowHashECMP{}
-		}
-	}
-	return c
-}
+// The packet format and the ECN thresholds of the paper's packet backend
+// (§5.1): 4 KiB payloads behind 64-byte headers, marking from 20% of a
+// port's buffer and certain from 80%.
+const (
+	mtu      = 4096 // payload bytes per packet
+	header   = 64   // header bytes per packet
+	kminFrac = 0.2  // ECN marking starts, fraction of the port buffer
+	kmaxFrac = 0.8  // ECN marking certain, fraction of the port buffer
+)
 
 // Stats aggregates network-wide counters.
 type Stats struct {
@@ -145,7 +123,9 @@ type Network struct {
 // New creates a packet network over the topology in cfg, scheduling all
 // events on eng.
 func New(eng *engine.Engine, cfg Config) (*Network, error) {
-	cfg = cfg.withDefaults()
+	if cfg.CC == "" {
+		cfg.CC = "mprdma"
+	}
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("pktnet: nil topology")
 	}
@@ -157,7 +137,7 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 	}
 	if !n.ndp {
 		// validate the algorithm name here: flows may then ignore the error
-		if _, err := cc.New(cfg.CC, cc.Params{MTU: cfg.MTU}); err != nil {
+		if _, err := cc.New(cfg.CC, cc.Params{MTU: mtu}); err != nil {
 			return nil, err
 		}
 	}
@@ -169,8 +149,8 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 		*pt = port{
 			net:  n,
 			link: link,
-			kmin: int64(cfg.KminFrac * float64(link.BufBytes)),
-			kmax: int64(cfg.KmaxFrac * float64(link.BufBytes)),
+			kmin: int64(kminFrac * float64(link.BufBytes)),
+			kmax: int64(kmaxFrac * float64(link.BufBytes)),
 			rng:  rng.Split(),
 		}
 		pt.txDoneFn, pt.pipeOutFn = pt.txDone, pt.pipeOut
@@ -215,12 +195,6 @@ func (n *Network) Drained() error {
 	}
 	return nil
 }
-
-// Engine returns the event engine the network runs on.
-func (n *Network) Engine() *engine.Engine { return n.eng }
-
-// MTU returns the configured packet payload size.
-func (n *Network) MTU() int64 { return n.cfg.MTU }
 
 // Send injects a message from host src to host dst. onDelivered fires once
 // at the simulated time the final payload byte arrives.
@@ -278,24 +252,21 @@ func (n *Network) flowPair(src, dst int) (fwd *pair, rev [][]int) {
 	var rtt, slowest simtime.Duration
 	for _, lid := range fwd.paths[0] {
 		l := &n.topo.Links[lid]
-		rtt += l.Latency + simtime.Duration(n.cfg.MTU+n.cfg.Header)*l.PsPerByte
+		rtt += l.Latency + (mtu+header)*l.PsPerByte
 		if l.PsPerByte > slowest {
 			slowest = l.PsPerByte
 		}
 	}
 	for _, lid := range rev[0] {
 		l := &n.topo.Links[lid]
-		rtt += l.Latency + simtime.Duration(n.cfg.Header)*l.PsPerByte
+		rtt += l.Latency + header*l.PsPerByte
 	}
 	if slowest == 0 {
 		slowest = 1
 	}
 	fwd.baseRTT = rtt
 	fwd.bdp = int64(rtt) / int64(slowest)
-	fwd.rto = n.cfg.RTO
-	if fwd.rto <= 0 {
-		fwd.rto = max(4*rtt, 20*simtime.Microsecond)
-	}
+	fwd.rto = max(4*rtt, 20*simtime.Microsecond)
 	return fwd, rev
 }
 
@@ -383,7 +354,7 @@ func (pt *port) enqueue(p *packet) {
 		if pt.net.ndp {
 			// NDP: trim payload, forward header in priority queue
 			p.trimmed = true
-			p.wire = pt.net.cfg.Header
+			p.wire = header
 			p.payload = 0
 			pt.net.Stats.Trims++
 			pt.hq.Push(p)
@@ -464,11 +435,16 @@ func (n *Network) arrive(p *packet) {
 	n.freePacket(p)
 }
 
-// inject starts a packet from a host along one of paths, picked by the
-// selector. The first port may drop (and recycle) p: callers do not touch
+// inject starts a packet from a host along one of paths: NDP sprays a
+// flow's packets over all of them, the window transports hash each flow
+// onto one. The first port may drop (and recycle) p: callers do not touch
 // it afterwards.
 func (n *Network) inject(paths [][]int, p *packet, pathChoice uint64) {
-	p.path = paths[n.cfg.Selector.Pick(len(paths), p.flow.id, pathChoice)]
+	if n.ndp {
+		p.path = paths[topo.Spray(len(paths), p.flow.id, pathChoice)]
+	} else {
+		p.path = paths[topo.ECMP(len(paths), p.flow.id)]
+	}
 	p.hop = 1
 	if p.kind == pktData {
 		n.Stats.PktsSent++

@@ -18,7 +18,7 @@ func testTopo(t testing.TB, hosts, perTor, cores int, buf int64) *topo.Topology 
 	}
 	tp, err := topo.NewFatTree(topo.FatTreeConfig{
 		Hosts: hosts, HostsPerToR: perTor, Cores: cores,
-		HostLink: spec, UplinkLink: spec,
+		Link: spec,
 	})
 	if err != nil {
 		t.Fatal(err)

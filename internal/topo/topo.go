@@ -5,11 +5,11 @@
 //
 // A topology is a directed graph of devices (hosts and switches) connected
 // by unidirectional links; every full-duplex cable is two Links.
-// Paths(src, dst) enumerates all shortest paths as link-index sequences,
-// and an ECMP selector picks among them by flow hash or per-packet
-// spraying. A Topology is read-only once its constructor returns, so any
-// number of concurrent simulations may share one; each network keeps the
-// paths it has asked for in a table of its own.
+// Paths(src, dst) enumerates all shortest paths as link-index sequences;
+// ECMP picks among them by flow hash, Spray per packet. A Topology is
+// read-only once its constructor returns, so any number of concurrent
+// simulations may share one; each network keeps the paths it has asked
+// for in a table of its own.
 package topo
 
 import (
@@ -157,35 +157,23 @@ func (t *Topology) computePaths(srcDev, dstDev int) [][]int {
 	return paths
 }
 
-// PathSelector picks one of the shortest paths for a packet.
-type PathSelector interface {
-	// Pick returns an index into the paths slice for a packet of the given
-	// flow and sequence number.
-	Pick(npaths int, flowID uint64, pktSeq uint64) int
-}
-
-// FlowHashECMP pins every packet of a flow to the same path (standard
-// ECMP 5-tuple hashing).
-type FlowHashECMP struct{}
-
-// Pick implements PathSelector.
-func (FlowHashECMP) Pick(npaths int, flowID uint64, _ uint64) int {
+// ECMP picks, among npaths shortest paths, the one every packet of a flow
+// takes: standard ECMP 5-tuple hashing.
+func ECMP(npaths int, flowID uint64) int {
 	if npaths <= 1 {
 		return 0
 	}
 	return int(xrand.Hash64(flowID) % uint64(npaths))
 }
 
-// PacketSpray spreads consecutive packets of a flow over all paths
-// (NDP-style per-packet load balancing).
-type PacketSpray struct{}
-
-// Pick implements PathSelector.
-func (PacketSpray) Pick(npaths int, flowID, pktSeq uint64) int {
+// Spray picks, among npaths shortest paths, the one packet seq of a flow
+// takes, spreading consecutive packets over all of them (NDP-style
+// per-packet load balancing).
+func Spray(npaths int, flowID, seq uint64) int {
 	if npaths <= 1 {
 		return 0
 	}
-	return int(xrand.Hash64(flowID^(pktSeq*0x9e3779b97f4a7c15)) % uint64(npaths))
+	return int(xrand.Hash64(flowID^(seq*0x9e3779b97f4a7c15)) % uint64(npaths))
 }
 
 // FatTreeConfig describes a two-level fat tree: Hosts are distributed over
@@ -195,15 +183,13 @@ func (PacketSpray) Pick(npaths int, flowID, pktSeq uint64) int {
 type FatTreeConfig struct {
 	Hosts       int
 	HostsPerToR int
-	Cores       int // number of core switches (= uplinks per ToR)
-	HostLink    LinkSpec
-	UplinkLink  LinkSpec // ToR<->Core links
-	Name        string
+	Cores       int      // number of core switches (= uplinks per ToR)
+	Link        LinkSpec // every link: host<->ToR and ToR<->core
 }
 
 // NewFatTree builds the two-level fat tree. Every ToR connects to every
-// core switch, so with HostsPerToR hosts and Cores uplinks of equal speed
-// the oversubscription ratio is HostsPerToR:Cores.
+// core switch, and every link is the same, so the oversubscription ratio
+// is HostsPerToR:Cores.
 func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 	if cfg.Hosts <= 0 || cfg.HostsPerToR <= 0 || cfg.Cores <= 0 {
 		return nil, fmt.Errorf("topo: fat tree needs positive hosts, hostsPerToR, cores")
@@ -212,11 +198,7 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 		return nil, fmt.Errorf("topo: %d hosts not divisible by %d hosts/ToR", cfg.Hosts, cfg.HostsPerToR)
 	}
 	nToR := cfg.Hosts / cfg.HostsPerToR
-	name := cfg.Name
-	if name == "" {
-		name = fmt.Sprintf("fattree-%dh-%dtor-%dcore", cfg.Hosts, nToR, cfg.Cores)
-	}
-	t := &Topology{Name: name}
+	t := &Topology{Name: fmt.Sprintf("fattree-%dh-%dtor-%dcore", cfg.Hosts, nToR, cfg.Cores)}
 	hosts := make([]int, cfg.Hosts)
 	for i := range hosts {
 		hosts[i] = t.addDevice(Host, fmt.Sprintf("h%d", i))
@@ -230,11 +212,11 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 		cores[i] = t.addDevice(Switch, fmt.Sprintf("core%d", i))
 	}
 	for i, h := range hosts {
-		t.addDuplex(h, tors[i/cfg.HostsPerToR], cfg.HostLink)
+		t.addDuplex(h, tors[i/cfg.HostsPerToR], cfg.Link)
 	}
 	for _, tor := range tors {
 		for _, core := range cores {
-			t.addDuplex(tor, core, cfg.UplinkLink)
+			t.addDuplex(tor, core, cfg.Link)
 		}
 	}
 	return t, nil

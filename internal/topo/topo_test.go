@@ -13,7 +13,7 @@ func mkFatTree(t *testing.T, hosts, perTor, cores int) *Topology {
 	t.Helper()
 	tp, err := NewFatTree(FatTreeConfig{
 		Hosts: hosts, HostsPerToR: perTor, Cores: cores,
-		HostLink: DefaultLinkSpec(), UplinkLink: DefaultLinkSpec(),
+		Link: DefaultLinkSpec(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,22 +122,20 @@ func TestPathsComputesWithoutStoring(t *testing.T) {
 }
 
 func TestECMPSelectors(t *testing.T) {
-	var fh FlowHashECMP
 	// same flow always picks the same path
-	p := fh.Pick(7, 42, 0)
-	for seq := uint64(1); seq < 100; seq++ {
-		if fh.Pick(7, 42, seq) != p {
-			t.Fatal("FlowHashECMP not stable per flow")
+	p := ECMP(7, 42)
+	for i := 0; i < 100; i++ {
+		if ECMP(7, 42) != p {
+			t.Fatal("ECMP not stable per flow")
 		}
 	}
-	if fh.Pick(1, 99, 0) != 0 {
+	if ECMP(1, 99) != 0 || Spray(1, 99, 5) != 0 {
 		t.Fatal("single path must pick 0")
 	}
 	// spraying covers all paths eventually
-	var ps PacketSpray
 	seen := map[int]bool{}
 	for seq := uint64(0); seq < 200; seq++ {
-		seen[ps.Pick(4, 42, seq)] = true
+		seen[Spray(4, 42, seq)] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("spray covered %d/4 paths", len(seen))
@@ -147,8 +145,8 @@ func TestECMPSelectors(t *testing.T) {
 func TestSelectorsInRangeProperty(t *testing.T) {
 	f := func(flow, seq uint64, n uint8) bool {
 		np := int(n%16) + 1
-		a := FlowHashECMP{}.Pick(np, flow, seq)
-		b := PacketSpray{}.Pick(np, flow, seq)
+		a := ECMP(np, flow)
+		b := Spray(np, flow, seq)
 		return a >= 0 && a < np && b >= 0 && b < np
 	}
 	if err := quick.Check(f, nil); err != nil {

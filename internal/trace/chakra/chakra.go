@@ -36,6 +36,9 @@ const (
 	CollBroadcast     = "BROADCAST"
 )
 
+// WorldGroup is the comm_group name that means every rank of the trace.
+const WorldGroup = "world"
+
 // Attr is one named attribute; exactly one value field is set.
 type Attr struct {
 	Name      string  `json:"name"`

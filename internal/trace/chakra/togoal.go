@@ -11,7 +11,7 @@ import (
 // ConvertConfig parameterises Chakra-to-GOAL conversion.
 type ConvertConfig struct {
 	// WorldGroup is the comm_group name treated as the full rank set
-	// (default "world").
+	// (default chakra.WorldGroup, "world").
 	WorldGroup string
 	// Groups maps subgroup names to their member ranks (in communicator
 	// rank order). Chakra traces carry only group names on collective
@@ -26,7 +26,7 @@ type ConvertConfig struct {
 
 func (c ConvertConfig) withDefaults() ConvertConfig {
 	if c.WorldGroup == "" {
-		c.WorldGroup = "world"
+		c.WorldGroup = WorldGroup
 	}
 	return c
 }

@@ -49,13 +49,11 @@ type Parallelism struct {
 // GPUs returns the total GPU count.
 func (p Parallelism) GPUs() int { return p.TP * p.PP * p.DP }
 
-// Config is a full workload specification.
+// Config is a full workload specification. A workload traces one
+// training iteration.
 type Config struct {
-	Model       Model
-	Par         Parallelism
-	Iterations  int     // training iterations to trace (default 1)
-	GPUTflops   float64 // effective throughput for kernel times (default 300)
-	BytesPerElt int64   // activation/gradient element size (default 2, bf16)
+	Model Model
+	Par   Parallelism
 	// Scale multiplies every byte count and compute time (default 1). The
 	// experiments use < 1 to shrink paper-sized runs to tractable
 	// simulations; the factor is recorded in experiment output.
@@ -63,16 +61,13 @@ type Config struct {
 	Seed  uint64
 }
 
+// The hardware the kernel times and byte counts assume.
+const (
+	gpuTflops   = 300 // effective throughput for kernel times
+	bytesPerElt = 2   // activation/gradient element size (bf16)
+)
+
 func (c Config) withDefaults() Config {
-	if c.Iterations <= 0 {
-		c.Iterations = 1
-	}
-	if c.GPUTflops <= 0 {
-		c.GPUTflops = 300
-	}
-	if c.BytesPerElt <= 0 {
-		c.BytesPerElt = 2
-	}
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
@@ -272,14 +267,14 @@ func build(cfg Config) (*program, error) {
 		nMicro = 1
 	}
 	tokens := int64(micro * m.SeqLen)
-	actBytes := scale(float64(tokens * int64(m.Hidden) * cfg.BytesPerElt))
+	actBytes := scale(float64(tokens * int64(m.Hidden) * bytesPerElt))
 	// fwd time of one layer shard: ~2*P_layer/TP flops per token
 	paramsPerLayer := m.ParamsB * 1e9 / float64(m.Layers)
-	fwdNsLayer := int64(2 * paramsPerLayer / float64(par.TP) * float64(tokens) / (cfg.GPUTflops * 1e3) * cfg.Scale)
+	fwdNsLayer := int64(2 * paramsPerLayer / float64(par.TP) * float64(tokens) / (gpuTflops * 1e3) * cfg.Scale)
 	if fwdNsLayer < 1000 {
 		fwdNsLayer = 1000
 	}
-	gradBytes := scale(m.ParamsB * 1e9 / float64(par.PP) / float64(par.TP) * float64(cfg.BytesPerElt))
+	gradBytes := scale(m.ParamsB * 1e9 / float64(par.PP) / float64(par.TP) * bytesPerElt)
 
 	for dp := 0; dp < par.DP; dp++ {
 		for pp := 0; pp < par.PP; pp++ {
@@ -287,72 +282,70 @@ func build(cfg Config) (*program, error) {
 				g := gpuOf(dp, pp, tp, par)
 				var ops []lop
 				jit := 1 + 0.02*rng.Float64()
-				for it := 0; it < cfg.Iterations; it++ {
-					for mb := 0; mb < nMicro; mb++ {
-						// ---- forward ----
-						if pp > 0 {
-							ops = append(ops, lop{kind: opRecv, stream: streamPP, name: "pp_recv_fwd",
-								bytes: actBytes, comm: ppComm(dp, tp), peer: pp - 1})
+				for mb := 0; mb < nMicro; mb++ {
+					// ---- forward ----
+					if pp > 0 {
+						ops = append(ops, lop{kind: opRecv, stream: streamPP, name: "pp_recv_fwd",
+							bytes: actBytes, comm: ppComm(dp, tp), peer: pp - 1})
+					}
+					for l := 0; l < layersPerStage; l++ {
+						ops = append(ops, lop{kind: opComp, stream: streamCompute, name: "fwd_layer",
+							durNs: int64(float64(fwdNsLayer) * jit)})
+						if par.TP > 1 {
+							// Megatron: two allreduces per layer forward
+							for k := 0; k < 2; k++ {
+								ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "tp_allreduce_fwd",
+									coll: nsys.CollAllReduce, bytes: actBytes, comm: tpComm(dp, pp)})
+							}
 						}
-						for l := 0; l < layersPerStage; l++ {
-							ops = append(ops, lop{kind: opComp, stream: streamCompute, name: "fwd_layer",
-								durNs: int64(float64(fwdNsLayer) * jit)})
-							if par.TP > 1 {
-								// Megatron: two allreduces per layer forward
+						if m.Experts > 0 {
+							// MoE dispatch + combine over the EP group
+							epBytes := actBytes
+							if par.EP > 1 {
 								for k := 0; k < 2; k++ {
-									ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "tp_allreduce_fwd",
-										coll: nsys.CollAllReduce, bytes: actBytes, comm: tpComm(dp, pp)})
+									ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "ep_alltoall_fwd",
+										coll: nsys.CollAllToAll, bytes: epBytes / int64(par.EP), comm: epComm(dp, pp, tp)})
 								}
 							}
-							if m.Experts > 0 {
-								// MoE dispatch + combine over the EP group
-								epBytes := actBytes
-								if par.EP > 1 {
-									for k := 0; k < 2; k++ {
-										ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "ep_alltoall_fwd",
-											coll: nsys.CollAllToAll, bytes: epBytes / int64(par.EP), comm: epComm(dp, pp, tp)})
-									}
-								}
-							}
-						}
-						if pp < par.PP-1 {
-							ops = append(ops, lop{kind: opSend, stream: streamPP, name: "pp_send_fwd",
-								bytes: actBytes, comm: ppComm(dp, tp), peer: pp + 1})
-						}
-						// ---- backward ----
-						if pp < par.PP-1 {
-							ops = append(ops, lop{kind: opRecv, stream: streamPP, name: "pp_recv_bwd",
-								bytes: actBytes, comm: ppComm(dp, tp), peer: pp + 1})
-						}
-						for l := 0; l < layersPerStage; l++ {
-							ops = append(ops, lop{kind: opComp, stream: streamCompute, name: "bwd_layer",
-								durNs: int64(2 * float64(fwdNsLayer) * jit)})
-							if par.TP > 1 {
-								for k := 0; k < 2; k++ {
-									ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "tp_allreduce_bwd",
-										coll: nsys.CollAllReduce, bytes: actBytes, comm: tpComm(dp, pp)})
-								}
-							}
-							if m.Experts > 0 && par.EP > 1 {
-								for k := 0; k < 2; k++ {
-									ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "ep_alltoall_bwd",
-										coll: nsys.CollAllToAll, bytes: actBytes / int64(par.EP), comm: epComm(dp, pp, tp)})
-								}
-							}
-						}
-						if pp > 0 {
-							ops = append(ops, lop{kind: opSend, stream: streamPP, name: "pp_send_bwd",
-								bytes: actBytes, comm: ppComm(dp, tp), peer: pp - 1})
 						}
 					}
-					// ---- gradient sync + optimiser ----
-					if par.DP > 1 {
-						ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "dp_grad_allreduce",
-							coll: nsys.CollAllReduce, bytes: gradBytes, comm: dpComm(pp, tp)})
+					if pp < par.PP-1 {
+						ops = append(ops, lop{kind: opSend, stream: streamPP, name: "pp_send_fwd",
+							bytes: actBytes, comm: ppComm(dp, tp), peer: pp + 1})
 					}
-					ops = append(ops, lop{kind: opComp, stream: streamCompute, name: "optimizer_step",
-						durNs: int64(float64(fwdNsLayer) * float64(layersPerStage) / 4)})
+					// ---- backward ----
+					if pp < par.PP-1 {
+						ops = append(ops, lop{kind: opRecv, stream: streamPP, name: "pp_recv_bwd",
+							bytes: actBytes, comm: ppComm(dp, tp), peer: pp + 1})
+					}
+					for l := 0; l < layersPerStage; l++ {
+						ops = append(ops, lop{kind: opComp, stream: streamCompute, name: "bwd_layer",
+							durNs: int64(2 * float64(fwdNsLayer) * jit)})
+						if par.TP > 1 {
+							for k := 0; k < 2; k++ {
+								ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "tp_allreduce_bwd",
+									coll: nsys.CollAllReduce, bytes: actBytes, comm: tpComm(dp, pp)})
+							}
+						}
+						if m.Experts > 0 && par.EP > 1 {
+							for k := 0; k < 2; k++ {
+								ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "ep_alltoall_bwd",
+									coll: nsys.CollAllToAll, bytes: actBytes / int64(par.EP), comm: epComm(dp, pp, tp)})
+							}
+						}
+					}
+					if pp > 0 {
+						ops = append(ops, lop{kind: opSend, stream: streamPP, name: "pp_send_bwd",
+							bytes: actBytes, comm: ppComm(dp, tp), peer: pp - 1})
+					}
 				}
+				// ---- gradient sync + optimiser ----
+				if par.DP > 1 {
+					ops = append(ops, lop{kind: opColl, stream: streamCompute, name: "dp_grad_allreduce",
+						coll: nsys.CollAllReduce, bytes: gradBytes, comm: dpComm(pp, tp)})
+				}
+				ops = append(ops, lop{kind: opComp, stream: streamCompute, name: "optimizer_step",
+					durNs: int64(float64(fwdNsLayer) * float64(layersPerStage) / 4)})
 				p.ops[g] = ops
 			}
 		}
@@ -371,25 +364,21 @@ func buildDLRM(p *program, rng *xrand.RNG) {
 		}
 		return s
 	}
-	embBytes := scale(float64(int64(cfg.Par.GlobalBatch) * int64(cfg.Model.Hidden) * cfg.BytesPerElt))
-	gradBytes := scale(cfg.Model.ParamsB * 1e9 * float64(cfg.BytesPerElt) / 8)
+	embBytes := scale(float64(int64(cfg.Par.GlobalBatch) * int64(cfg.Model.Hidden) * bytesPerElt))
+	gradBytes := scale(cfg.Model.ParamsB * 1e9 * bytesPerElt / 8)
 	compNs := int64(1_500_000 * cfg.Scale)
 	if compNs < 1000 {
 		compNs = 1000
 	}
 	for g := 0; g < p.ngpus; g++ {
-		var ops []lop
 		jit := 1 + 0.02*rng.Float64()
-		for it := 0; it < cfg.Iterations; it++ {
-			ops = append(ops,
-				lop{kind: opComp, stream: streamCompute, name: "embedding_lookup", durNs: int64(float64(compNs) * jit / 4)},
-				lop{kind: opColl, stream: streamCompute, name: "emb_alltoall", coll: nsys.CollAllToAll, bytes: embBytes / int64(p.ngpus), comm: "world"},
-				lop{kind: opComp, stream: streamCompute, name: "mlp_fwd", durNs: int64(float64(compNs) * jit)},
-				lop{kind: opComp, stream: streamCompute, name: "mlp_bwd", durNs: int64(2 * float64(compNs) * jit)},
-				lop{kind: opColl, stream: streamCompute, name: "emb_alltoall_bwd", coll: nsys.CollAllToAll, bytes: embBytes / int64(p.ngpus), comm: "world"},
-				lop{kind: opColl, stream: streamCompute, name: "dp_grad_allreduce", coll: nsys.CollAllReduce, bytes: gradBytes, comm: "world"},
-			)
+		p.ops[g] = []lop{
+			{kind: opComp, stream: streamCompute, name: "embedding_lookup", durNs: int64(float64(compNs) * jit / 4)},
+			{kind: opColl, stream: streamCompute, name: "emb_alltoall", coll: nsys.CollAllToAll, bytes: embBytes / int64(p.ngpus), comm: "world"},
+			{kind: opComp, stream: streamCompute, name: "mlp_fwd", durNs: int64(float64(compNs) * jit)},
+			{kind: opComp, stream: streamCompute, name: "mlp_bwd", durNs: int64(2 * float64(compNs) * jit)},
+			{kind: opColl, stream: streamCompute, name: "emb_alltoall_bwd", coll: nsys.CollAllToAll, bytes: embBytes / int64(p.ngpus), comm: "world"},
+			{kind: opColl, stream: streamCompute, name: "dp_grad_allreduce", coll: nsys.CollAllReduce, bytes: gradBytes, comm: "world"},
 		}
-		p.ops[g] = ops
 	}
 }

@@ -145,7 +145,7 @@ func TestChakraDPPassesAstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := astra.Simulate(tr, astra.Config{}); err != nil {
+	if _, err := astra.Simulate(tr); err != nil {
 		t.Fatalf("pure-DP chakra trace must run on astra-lite: %v", err)
 	}
 }
@@ -158,7 +158,7 @@ func TestChakraPPFailsAstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := astra.Simulate(tr, astra.Config{}); err == nil {
+	if _, err := astra.Simulate(tr); err == nil {
 		t.Fatal("PP chakra trace should fail on astra-lite")
 	}
 	cfgTP := Config{Model: MoE8x13B(), Par: Parallelism{TP: 4, PP: 4, DP: 8, EP: 4, GlobalBatch: 128}, Scale: 1e-4}
@@ -166,7 +166,7 @@ func TestChakraPPFailsAstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := astra.Simulate(trTP, astra.Config{}); err == nil {
+	if _, err := astra.Simulate(trTP); err == nil {
 		t.Fatal("TP/EP chakra trace should fail on astra-lite")
 	}
 }
@@ -201,8 +201,8 @@ func TestScaleShrinksBytes(t *testing.T) {
 	small.Scale = 1e-3
 	rb, _ := Generate(big)
 	rs, _ := Generate(small)
-	sb := Summarize(rb, 1)
-	ss := Summarize(rs, 1)
+	sb := Summarize(rb)
+	ss := Summarize(rs)
 	if ss.CollBytes >= sb.CollBytes {
 		t.Fatalf("scale did not shrink collective bytes: %d vs %d", ss.CollBytes, sb.CollBytes)
 	}
@@ -211,7 +211,7 @@ func TestScaleShrinksBytes(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	cfg := Config{Model: Llama7B(), Par: Parallelism{TP: 1, PP: 2, DP: 2, EP: 1, GlobalBatch: 8}, Scale: 1e-3}
 	rep, _ := Generate(cfg)
-	s := Summarize(rep, 1)
+	s := Summarize(rep)
 	if s.GPUs != 4 || s.Records == 0 || s.ComputeNs == 0 || s.CollBytes == 0 || s.P2PBytes == 0 {
 		t.Fatalf("summary incomplete: %+v", s)
 	}

@@ -117,18 +117,17 @@ func (p *program) toChakra() (*chakra.Trace, error) {
 
 // Summary describes a generated workload for reports.
 type Summary struct {
-	GPUs       int
-	Records    int
-	Comms      int
-	CollBytes  int64
-	P2PBytes   int64
-	ComputeNs  int64
-	Iterations int
+	GPUs      int
+	Records   int
+	Comms     int
+	CollBytes int64
+	P2PBytes  int64
+	ComputeNs int64
 }
 
 // Summarize builds a Summary from a generated report.
-func Summarize(rep *nsys.Report, iterations int) Summary {
-	s := Summary{GPUs: rep.NGPUs, Records: len(rep.Records), Comms: len(rep.Comms), Iterations: iterations}
+func Summarize(rep *nsys.Report) Summary {
+	s := Summary{GPUs: rep.NGPUs, Records: len(rep.Records), Comms: len(rep.Comms)}
 	for i := range rep.Records {
 		r := &rep.Records[i]
 		switch {

@@ -35,9 +35,10 @@
 // that is); per-frontend conversion knobs ride in Spec.FrontendConfig.
 // On the generation side, the generator registry (RegisterGenerator) resolves
 // Synthetic.Pattern by name — the built-in patterns ("ring", "alltoall",
-// "incast", "permutation", "uniform", "bsp") self-register, as does the
-// "model" generator behind the model workload source — so third-party
-// traffic patterns plug in exactly like third-party frontends. On the
+// "incast", "permutation", "uniform", "bsp") self-register, and every
+// registered name is a pattern — so third-party traffic patterns plug in
+// exactly like third-party frontends. The model workload source is not a
+// generator: it samples through GenerateFromModel. On the
 // backend side, the registry built in PR 2 resolves Spec.Backend ("lgs",
 // "pkt", "fluid", or third-party). The three registries are one
 // implementation (internal/registry) behind three sets of exported names,

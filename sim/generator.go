@@ -6,20 +6,14 @@ import (
 
 	"atlahs/internal/registry"
 	"atlahs/internal/workload/micro"
-	"atlahs/internal/workload/synth"
 )
 
 // GenRequest is the input to a registered workload generator: the
-// normalised synthetic declaration (for pattern generators), the decoded
-// statistical model (for model-backed generators), the requested rank
-// count, and the resolved seed (never zero).
+// normalised synthetic declaration, the requested rank count, and the
+// resolved seed (never zero).
 type GenRequest struct {
 	// Synthetic is the declared pattern with its Seed already resolved.
-	// Only meaningful to pattern generators.
 	Synthetic Synthetic
-	// Model is the decoded workload model. Only meaningful to generators
-	// registered with FromModel.
-	Model *WorkloadModel
 	// Ranks is the requested rank count.
 	Ranks int
 	// Seed is the resolved deterministic seed.
@@ -28,15 +22,11 @@ type GenRequest struct {
 
 // GeneratorDef describes one registered workload generator. The built-in
 // microbenchmark patterns (ring, alltoall, incast, permutation, uniform,
-// bsp) and the statistical model sampler register themselves; third-party
-// generators join through RegisterGenerator and become valid
-// Synthetic.Pattern names.
+// bsp) register themselves; third-party generators join through
+// RegisterGenerator. Every registered name is a valid Synthetic.Pattern.
 type GeneratorDef struct {
-	// Name is the registry key (Synthetic.Pattern for pattern generators).
+	// Name is the registry key and the Synthetic.Pattern that selects it.
 	Name string
-	// FromModel marks a generator that samples GenRequest.Model instead of
-	// a Synthetic pattern; it is excluded from SyntheticPatterns.
-	FromModel bool
 	// New builds the schedule for one request.
 	New func(GenRequest) (*Schedule, error)
 }
@@ -56,34 +46,20 @@ func RegisterGenerator(def GeneratorDef) {
 // LookupGenerator returns the registered generator definition.
 func LookupGenerator(name string) (GeneratorDef, bool) { return generators.Lookup(name) }
 
-// Generators lists every registered generator name, sorted.
+// Generators lists every registered generator name, sorted: the pattern
+// names Synthetic understands.
 func Generators() []string { return generators.Names() }
-
-// SyntheticPatterns lists the generator names Synthetic understands
-// (every registered generator that is not model-backed), sorted.
-func SyntheticPatterns() []string {
-	var names []string
-	for _, name := range Generators() {
-		if def, ok := LookupGenerator(name); ok && !def.FromModel {
-			names = append(names, name)
-		}
-	}
-	return names
-}
 
 // patternGenerator resolves a Synthetic.Pattern name, producing the one
 // unknown-pattern error shared by validation and generation.
 func patternGenerator(name string) (GeneratorDef, error) {
 	def, ok := LookupGenerator(name)
-	if !ok || def.FromModel {
+	if !ok {
 		return GeneratorDef{}, fmt.Errorf("sim: unknown synthetic pattern %q (want one of %s)",
-			name, strings.Join(SyntheticPatterns(), ", "))
+			name, strings.Join(Generators(), ", "))
 	}
 	return def, nil
 }
-
-// modelGeneratorName is the registry key of the statistical model sampler.
-const modelGeneratorName = "model"
 
 func init() {
 	RegisterGenerator(GeneratorDef{Name: "ring", New: func(req GenRequest) (*Schedule, error) {
@@ -119,8 +95,5 @@ func init() {
 			calc = 1000
 		}
 		return micro.BulkSynchronous(req.Ranks, phases, req.Synthetic.Bytes, calc), nil
-	}})
-	RegisterGenerator(GeneratorDef{Name: modelGeneratorName, FromModel: true, New: func(req GenRequest) (*Schedule, error) {
-		return synth.Generate(req.Model, req.Ranks, req.Seed)
 	}})
 }

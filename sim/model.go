@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"io"
 
 	"atlahs/internal/workload/synth"
@@ -34,16 +33,12 @@ func DecodeModel(r io.Reader) (*WorkloadModel, error) {
 }
 
 // GenerateFromModel samples a model into a schedule with the given rank
-// count (ranks <= 0 means the model's source rank count) through the
-// registered model generator. Deterministic: the same (model, ranks,
-// seed) always yields a bit-identical schedule.
+// count (ranks <= 0 means the model's source rank count). Deterministic:
+// the same (model, ranks, seed) always yields a bit-identical schedule; a
+// zero seed means 1.
 func GenerateFromModel(m *WorkloadModel, ranks int, seed uint64) (*Schedule, error) {
-	def, ok := LookupGenerator(modelGeneratorName)
-	if !ok {
-		return nil, fmt.Errorf("sim: no %q generator registered", modelGeneratorName)
-	}
 	if seed == 0 {
 		seed = 1
 	}
-	return def.New(GenRequest{Model: m, Ranks: ranks, Seed: seed})
+	return synth.Generate(m, ranks, seed)
 }

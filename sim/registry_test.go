@@ -184,7 +184,7 @@ func (b *instantBackend) Calc(ev core.CalcEvent) {
 // already resolving names, on any of the three registries (backends,
 // frontends, generators — one implementation). Run under -race. The
 // registrations outlive the test, so they are well-behaved: other tests
-// range over SyntheticPatterns and run what they find.
+// range over Generators and run what they find.
 func TestRegistriesConcurrentUse(t *testing.T) {
 	const writers, perWriter = 4, 10
 	var wg sync.WaitGroup
@@ -214,7 +214,7 @@ func TestRegistriesConcurrentUse(t *testing.T) {
 				if !be || !fe || !gen {
 					t.Errorf("built-ins during concurrent registration: backend lgs %v, frontend goal %v, generator ring %v", be, fe, gen)
 				}
-				_, _, _, _ = Backends(), Frontends(), Generators(), SyntheticPatterns()
+				_, _, _ = Backends(), Frontends(), Generators()
 			}
 		}()
 	}

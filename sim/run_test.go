@@ -68,7 +68,7 @@ func TestWorkloadSourcesAgree(t *testing.T) {
 }
 
 func TestSyntheticPatterns(t *testing.T) {
-	for _, pattern := range SyntheticPatterns() {
+	for _, pattern := range Generators() {
 		res, err := Run(context.Background(), Spec{Workload: Workload{Synthetic: &Synthetic{Pattern: pattern, Ranks: 6, Bytes: 1024}},
 			Seed: 9})
 		if err != nil {

@@ -164,7 +164,7 @@ func (w *Workload) schedule(topSeed uint64) (*goal.Schedule, error) {
 }
 
 // modelSchedule loads the model document, decodes it, and samples it into
-// a schedule through the registered model generator.
+// a schedule.
 func (w *Workload) modelSchedule(topSeed uint64) (*goal.Schedule, error) {
 	doc := []byte(nil)
 	if w.Model != nil {
@@ -188,12 +188,5 @@ func (w *Workload) modelSchedule(topSeed uint64) (*goal.Schedule, error) {
 	if seed == 0 {
 		seed = topSeed
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	def, ok := LookupGenerator(modelGeneratorName)
-	if !ok {
-		return nil, fmt.Errorf("sim: no %q generator registered", modelGeneratorName)
-	}
-	return def.New(GenRequest{Model: m, Ranks: ranks, Seed: seed})
+	return GenerateFromModel(m, ranks, seed)
 }
