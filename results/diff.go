@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 )
 
 // DiffSchema identifies the sweep-comparison document this package reads
@@ -194,6 +195,9 @@ func (d *SweepDiff) Validate() error {
 		if !c.Kind.valid() {
 			return fmt.Errorf("results: diff %s vs %s: key column %q has unknown kind %q", d.A, d.B, c.Name, c.Kind)
 		}
+		if err := checkUnit(c); err != nil {
+			return fmt.Errorf("results: diff %s vs %s: key %w", d.A, d.B, err)
+		}
 		if _, dup := keyCols[c.Name]; dup {
 			return fmt.Errorf("results: diff %s vs %s: duplicate key column %q", d.A, d.B, c.Name)
 		}
@@ -242,6 +246,9 @@ func (d *SweepDiff) Validate() error {
 	for _, p := range d.Params {
 		if !nameRE.MatchString(p.Key) {
 			return fmt.Errorf("results: diff %s vs %s: param key %q is not a snake_case identifier", d.A, d.B, p.Key)
+		}
+		if strings.ContainsAny(p.A+p.B, "\n\r") {
+			return fmt.Errorf("results: diff %s vs %s: param %q value spans multiple lines", d.A, d.B, p.Key)
 		}
 	}
 	for _, s := range d.Derived {
@@ -295,6 +302,9 @@ func (f *FieldDelta) validate() error {
 		return fmt.Errorf("column %q has unknown kind %q", f.Column, f.Kind)
 	}
 	col := Column{Name: f.Column, Kind: f.Kind, Unit: f.Unit}
+	if err := checkUnit(col); err != nil {
+		return err
+	}
 	if err := checkCell(col, f.A); err != nil {
 		return fmt.Errorf("side a: %w", err)
 	}
@@ -323,13 +333,18 @@ func (f *FieldDelta) validate() error {
 	return nil
 }
 
-// checkCell verifies one canonical cell value against its column, the
-// same contract Sweep.Validate enforces on rows.
+// checkCell verifies one canonical cell value against its column: the
+// contract Sweep.Validate enforces on rows and SweepDiff.Validate on key
+// cells and deltas.
 func checkCell(c Column, cell any) error {
 	switch c.Kind {
 	case String:
-		if _, ok := cell.(string); !ok {
+		v, ok := cell.(string)
+		if !ok {
 			return fmt.Errorf("column %q: %T is not a string", c.Name, cell)
+		}
+		if strings.ContainsAny(v, "\n\r") {
+			return fmt.Errorf("column %q spans multiple lines", c.Name)
 		}
 	case Int, Duration:
 		if _, ok := cell.(int64); !ok {
@@ -343,6 +358,15 @@ func checkCell(c Column, cell any) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("column %q is %v", c.Name, v)
 		}
+	}
+	return nil
+}
+
+// checkUnit refuses a column unit the CSV header's "name:unit" cells
+// cannot hold.
+func checkUnit(c Column) error {
+	if strings.ContainsAny(c.Unit, ":,\n\r") {
+		return fmt.Errorf("column %q unit %q contains reserved characters", c.Name, c.Unit)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package results
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -151,5 +152,42 @@ func TestDiffPositionalKeysRejectKeyCells(t *testing.T) {
 	d.Rows[0].Key = nil
 	if err := d.Validate(); err != nil {
 		t.Errorf("positional diff must validate: %v", err)
+	}
+}
+
+// TestDiffRefusesWhatSweepsRefuse: a diff carries cells, params and units
+// from sweeps, so it refuses what a sweep refuses — a multi-line string
+// cell in a delta or a key, a multi-line param value, and a unit with a
+// reserved character — on the way out and, hand-edited into the JSON, on
+// the way in.
+func TestDiffRefusesWhatSweepsRefuse(t *testing.T) {
+	var wire bytes.Buffer
+	if err := EncodeDiffJSON(&wire, testDiff()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		mutate   func(*SweepDiff)
+		old, new string // the same mutation, made to the encoded JSON
+	}{
+		{"multi-line field cell", func(d *SweepDiff) { d.Rows[0].Fields[2].B = "para\nllel" }, `"parallel"`, `"para\nllel"`},
+		{"multi-line key cell", func(d *SweepDiff) { d.Rows[0].Key["configuration"] = "llama\r7b" }, `"llama7b"`, `"llama\r7b"`},
+		{"multi-line param value", func(d *SweepDiff) { d.Params[0].B = "fu\nll" }, `"full"`, `"fu\nll"`},
+		{"unit with a comma", func(d *SweepDiff) { d.Rows[0].Fields[0].Unit = "p,s" }, `"ps"`, `"p,s"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := testDiff()
+			tc.mutate(d)
+			if err := EncodeDiffJSON(io.Discard, d); err == nil {
+				t.Error("encoder accepted the mutated diff")
+			}
+			edited := bytes.Replace(wire.Bytes(), []byte(tc.old), []byte(tc.new), 1)
+			if bytes.Equal(edited, wire.Bytes()) {
+				t.Fatalf("%s does not occur in the encoded diff", tc.old)
+			}
+			if _, err := DecodeDiffJSON(bytes.NewReader(edited)); err == nil {
+				t.Errorf("decoder accepted the edited document:\n%s", edited)
+			}
+		})
 	}
 }

@@ -212,8 +212,8 @@ func (s *Sweep) Validate() error {
 		if !c.Kind.valid() {
 			return fmt.Errorf("results: sweep %q: column %q has unknown kind %q", s.Name, c.Name, c.Kind)
 		}
-		if strings.ContainsAny(c.Unit, ":,\n\r") {
-			return fmt.Errorf("results: sweep %q: column %q unit %q contains reserved characters", s.Name, c.Name, c.Unit)
+		if err := checkUnit(c); err != nil {
+			return fmt.Errorf("results: sweep %q: %w", s.Name, err)
 		}
 	}
 	for key := range s.Params {
@@ -237,28 +237,8 @@ func (s *Sweep) Validate() error {
 			return fmt.Errorf("results: sweep %q: row %d has %d cells, schema has %d columns", s.Name, i, len(rec), len(s.Columns))
 		}
 		for j, cell := range rec {
-			c := s.Columns[j]
-			switch c.Kind {
-			case String:
-				v, ok := cell.(string)
-				if !ok {
-					return fmt.Errorf("results: sweep %q: row %d column %q: %T is not a string", s.Name, i, c.Name, cell)
-				}
-				if strings.ContainsAny(v, "\n\r") {
-					return fmt.Errorf("results: sweep %q: row %d column %q spans multiple lines", s.Name, i, c.Name)
-				}
-			case Int, Duration:
-				if _, ok := cell.(int64); !ok {
-					return fmt.Errorf("results: sweep %q: row %d column %q: %T is not an int64", s.Name, i, c.Name, cell)
-				}
-			case Float:
-				v, ok := cell.(float64)
-				if !ok {
-					return fmt.Errorf("results: sweep %q: row %d column %q: %T is not a float64", s.Name, i, c.Name, cell)
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("results: sweep %q: row %d column %q is %v", s.Name, i, c.Name, v)
-				}
+			if err := checkCell(s.Columns[j], cell); err != nil {
+				return fmt.Errorf("results: sweep %q: row %d %w", s.Name, i, err)
 			}
 		}
 	}
