@@ -88,7 +88,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	calcScale := flag.Float64("calc-scale", 1.0, "hardware adaptation factor for calc times")
 	workers := flag.Int("workers", 1, "worker goroutines for the parallel engine (lgs only; 0 = GOMAXPROCS)")
-	progress := flag.Int64("progress", 0, "print progress every N completed ops (0 = off)")
+	progress := flag.Int64("progress", 0, "print progress every N completed ops of a local run without -json (0 = off)")
 	jsonOut := flag.Bool("json", false, "print the result as one JSON object on stdout")
 	submitURL := flag.String("submit", "", "submit the spec to a running atlahsd server at this base URL")
 	sweepMode := flag.Bool("sweep", false, "with -submit: batch-submit the spec files given as positional arguments as one sweep")
@@ -107,13 +107,25 @@ func main() {
 	profileStop = stop
 	defer profileStop()
 
+	// A flag the chosen mode would ignore is refused before any I/O.
+	switch {
+	case set["timeline"] && *submitURL != "":
+		// The simulation happens server-side; its recorder does too (see
+		// atlahsd -timeline and GET /v1/runs/{id}/trace).
+		fail(fmt.Errorf("-timeline records local runs; the server's trace endpoint covers -submit"))
+	case set["progress"] && *submitURL != "":
+		fail(fmt.Errorf("-progress reports a local run's completions; drop it with -submit"))
+	case set["progress"] && *jsonOut:
+		fail(fmt.Errorf("-progress prints console lines; drop it with -json, which prints one JSON object"))
+	}
+
 	if *sweepMode {
 		// A sweep is a batch of authoritative spec files, so the same flags
 		// that conflict with -spec conflict here, plus -spec itself.
 		if *submitURL == "" {
 			fail(fmt.Errorf("-sweep batch-submits to a server; set -submit URL"))
 		}
-		for _, name := range []string{"goal", "trace", "frontend", "spec", "backend", "params", "hosts-per-tor", "oversub", "cc", "seed", "calc-scale", "progress", "workers"} {
+		for _, name := range []string{"goal", "trace", "frontend", "spec", "backend", "params", "hosts-per-tor", "oversub", "cc", "seed", "calc-scale", "workers"} {
 			if set[name] {
 				fail(fmt.Errorf("-sweep takes spec files as arguments; drop -%s (set it inside the spec files)", name))
 			}
@@ -200,11 +212,6 @@ func main() {
 	}
 
 	if *submitURL != "" {
-		if set["timeline"] {
-			// The simulation happens server-side; its recorder does too (see
-			// atlahsd -timeline and GET /v1/runs/{id}/trace).
-			fail(fmt.Errorf("-timeline records local runs; the server's trace endpoint covers -submit"))
-		}
 		if err := submit(*submitURL, spec, *jsonOut); err != nil {
 			fail(err)
 		}

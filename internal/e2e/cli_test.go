@@ -235,3 +235,38 @@ func TestExamples(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIRefusesIgnoredFlags: atlahs refuses a flag its mode would
+// silently ignore, naming it before any network I/O (the server URL is
+// unreachable, so reaching the network would fail differently).
+func TestCLIRefusesIgnoredFlags(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	goalPath := filepath.Join(dir, "pair.goal")
+	goalText := "num_ranks 2\nrank 0 {\nl1: send 64b to 1 tag 0\n}\nrank 1 {\nl1: recv 64b from 0 tag 0\n}\n"
+	if err := os.WriteFile(goalPath, []byte(goalText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := sim.MarshalSpec(sim.Spec{Workload: sim.Workload{GoalPath: goalPath}, Backend: "lgs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specPath := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(specPath, wire, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const unreachable = "http://127.0.0.1:1"
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-timeline", []string{"-submit", unreachable, "-sweep", "-timeline", filepath.Join(dir, "tl.json"), specPath}},
+		{"-progress", []string{"-goal", goalPath, "-progress", "1", "-json"}},
+		{"-progress", []string{"-submit", unreachable, "-goal", goalPath, "-progress", "1"}},
+	} {
+		_, stderr, code := runStatus(t, "atlahs", tc.args...)
+		if code != 1 || !strings.Contains(string(stderr), tc.flag) {
+			t.Errorf("atlahs %s: exit %d, want 1 naming %s; stderr:\n%s", strings.Join(tc.args, " "), code, tc.flag, stderr)
+		}
+	}
+}
