@@ -6,7 +6,9 @@
 //     phases (the reason AstraSim's runtime grows with trace size), and
 //   - a congestion-unaware analytical network: every transfer takes
 //     latency + bytes/bandwidth on a one-dimensional ring topology,
-//     regardless of what else is in flight.
+//     regardless of what else is in flight. Latency and bandwidth are the
+//     LGS calibration (3.7 us, 25 GB/s) and phases move in 64 KiB chunks,
+//     so Simulate takes nothing but the trace.
 //
 // The baseline shares AstraSim's real-trace limitations deliberately and
 // honestly: the trace feeder supports collective nodes over the full world
@@ -24,9 +26,7 @@ import (
 	"atlahs/internal/trace/chakra"
 )
 
-// The analytical network's costs, calibrated like LGS (§5.2): 3.7 us per
-// hop and 40 ps/B (25 GB/s), with collective phases cut into 64 KiB
-// system-layer chunks.
+// The analytical network's costs: the LGS calibration of §5.2.
 const (
 	latency    = 3700 * simtime.Nanosecond
 	psPerByte  = 40 * simtime.Picosecond

@@ -1,10 +1,16 @@
 // Package pktnet is the packet-level network simulator of ATLAHS — the
-// htsim-equivalent backend. It models MTU packetisation, per-port output
-// queues with finite byte capacity, RED-style ECN marking between Kmin and
-// Kmax (paper §5.1: 1 MiB buffers, 20%/80% thresholds), store-and-forward
-// switching with per-hop serialisation and propagation delays, packet drops,
-// NDP packet trimming, and per-packet window- or receiver-driven transports
-// built on the congestion-control algorithms in internal/cc.
+// htsim-equivalent backend. It models packetisation into 4 KiB payloads
+// behind 64-byte headers, per-port output queues with finite byte capacity,
+// RED-style ECN marking between Kmin and Kmax (paper §5.1: 1 MiB buffers,
+// 20%/80% thresholds), store-and-forward switching with per-hop
+// serialisation and propagation delays, packet drops, NDP packet trimming,
+// and per-packet window- or receiver-driven transports built on the
+// congestion-control algorithms in internal/cc. These parameters are the
+// paper's and are constants; a Network is configured only by its topology,
+// its congestion control and its seed. NDP sprays a flow's packets over all
+// shortest paths, the window transports hash each flow onto one (ECMP), and
+// the retransmission timeout is max(4 RTT, 20 µs) of the pair's unloaded
+// round trip.
 //
 // The simulator exposes a message API: Send(src, dst, bytes, onDelivered)
 // injects one message as an independent flow; the callback fires at the
@@ -74,8 +80,7 @@ type Config struct {
 }
 
 // The packet format and the ECN thresholds of the paper's packet backend
-// (§5.1): 4 KiB payloads behind 64-byte headers, marking from 20% of a
-// port's buffer and certain from 80%.
+// (§5.1).
 const (
 	mtu      = 4096 // payload bytes per packet
 	header   = 64   // header bytes per packet

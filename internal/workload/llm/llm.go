@@ -16,9 +16,10 @@
 // Byte counts and compute times follow the usual Megatron accounting
 // (activations = microbatch*seq*hidden*elem, two TP allreduces per layer
 // and direction, gradient ring allreduce of the stage's parameter shard,
-// MoE dispatch/combine all-to-alls over the EP group), scaled by
-// Config.Scale so packet-level simulation of large configurations stays
-// tractable.
+// MoE dispatch/combine all-to-alls over the EP group) with bf16 elements
+// and 300 TFLOP/s per GPU, scaled by Config.Scale so packet-level
+// simulation of large configurations stays tractable. A workload is one
+// training iteration.
 package llm
 
 import (
