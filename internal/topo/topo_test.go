@@ -122,23 +122,17 @@ func TestPathsComputesWithoutStoring(t *testing.T) {
 }
 
 func TestECMPSelectors(t *testing.T) {
-	// same flow always picks the same path
-	p := ECMP(7, 42)
-	for i := 0; i < 100; i++ {
-		if ECMP(7, 42) != p {
-			t.Fatal("ECMP not stable per flow")
-		}
-	}
 	if ECMP(1, 99) != 0 || Spray(1, 99, 5) != 0 {
 		t.Fatal("single path must pick 0")
 	}
-	// spraying covers all paths eventually
-	seen := map[int]bool{}
-	for seq := uint64(0); seq < 200; seq++ {
-		seen[Spray(4, 42, seq)] = true
+	// ECMP spreads flows over all paths, Spray one flow's packets
+	flows, pkts := map[int]bool{}, map[int]bool{}
+	for i := uint64(0); i < 200; i++ {
+		flows[ECMP(4, i)] = true
+		pkts[Spray(4, 42, i)] = true
 	}
-	if len(seen) != 4 {
-		t.Fatalf("spray covered %d/4 paths", len(seen))
+	if len(flows) != 4 || len(pkts) != 4 {
+		t.Fatalf("ECMP covered %d/4 paths, spray %d/4", len(flows), len(pkts))
 	}
 }
 
