@@ -14,6 +14,8 @@ import (
 var encoderPins = map[string]string{
 	"sweep":            "d0662af90d8e5ef40477fdd6a8ecbb16ca01f829d46fb5ec59abe28941e3e064",
 	"sweep-bare":       "3a80bc3711e8e55a272d2c80744310fb299fc3f006c5678de4ca1c2298759e54",
+	"sweep-csv":        "bf51f45a69cd3bc54aad06b0ee28064d511301c2bd420ac123980562ffe4f4f7",
+	"sweep-csv-bare":   "3bfd496cfc550040a875f95fd2195926e33771b638614c5b22a341e2d4bbaa87",
 	"sweep-list":       "78e0e258ec63025c975ff2ffab4af03d4faf24c859db8f37dad629e726716b9c",
 	"sweep-list-empty": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
 	"diff":             "d3ac81b63840bb2e201ac077bb0559907ee81a5caf0849220a3a1e73fced95a9",
@@ -33,8 +35,10 @@ func TestEncodersPinned(t *testing.T) {
 	bare.AddColumn("n", Int, "")
 	bare.MustAddRow(int64(1))
 	encoders := map[string]func(io.Writer) error{
-		"sweep":      func(w io.Writer) error { return EncodeJSON(w, sample()) },
-		"sweep-bare": func(w io.Writer) error { return EncodeJSON(w, bare) },
+		"sweep":          func(w io.Writer) error { return EncodeJSON(w, sample()) },
+		"sweep-bare":     func(w io.Writer) error { return EncodeJSON(w, bare) },
+		"sweep-csv":      func(w io.Writer) error { return EncodeCSV(w, sample()) },
+		"sweep-csv-bare": func(w io.Writer) error { return EncodeCSV(w, bare) },
 		"sweep-list": func(w io.Writer) error {
 			return EncodeJSONList(w, []*Sweep{sample(), storeSweep("r_0a1b2c3d4e5f6789")})
 		},
