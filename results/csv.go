@@ -1,7 +1,6 @@
 package results
 
 import (
-	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -70,138 +69,4 @@ func EncodeCSV(w io.Writer, s *Sweep) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// DecodeCSV reads one Sweep written by EncodeCSV. The returned sweep is
-// validated and compares equal (DeepEqual) to the encoded one.
-func DecodeCSV(r io.Reader) (*Sweep, error) {
-	s := &Sweep{}
-	sawSchema := false
-	// The preamble is strictly a prefix block: the first line not starting
-	// with "# " (the CSV header) ends it, and every later line is body —
-	// so a data row whose first cell happens to start with "# " can never
-	// be mistaken for metadata.
-	inPreamble := true
-	var body strings.Builder
-	br := bufio.NewReader(r)
-	for {
-		line, err := br.ReadString('\n')
-		if line != "" {
-			if rest, ok := strings.CutPrefix(line, "# "); ok && inPreamble {
-				if merr := applyMeta(s, &sawSchema, strings.TrimRight(rest, "\n")); merr != nil {
-					return nil, merr
-				}
-			} else {
-				inPreamble = false
-				body.WriteString(line)
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("results: decoding CSV sweep: %w", err)
-		}
-	}
-	if !sawSchema {
-		return nil, fmt.Errorf("results: CSV sweep misses the '# schema %s' preamble", Schema)
-	}
-	cr := csv.NewReader(strings.NewReader(body.String()))
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("results: decoding CSV sweep %q: %w", s.Name, err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("results: CSV sweep %q has no header record", s.Name)
-	}
-	for _, cell := range records[0] {
-		parts := strings.SplitN(cell, ":", 3)
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("results: sweep %q: header cell %q is not name:kind[:unit]", s.Name, cell)
-		}
-		col := Column{Name: parts[0], Kind: Kind(parts[1])}
-		if len(parts) == 3 {
-			col.Unit = parts[2]
-		}
-		s.Columns = append(s.Columns, col)
-	}
-	for i, rec := range records[1:] {
-		if len(rec) != len(s.Columns) {
-			return nil, fmt.Errorf("results: sweep %q: row %d has %d cells, header has %d columns", s.Name, i, len(rec), len(s.Columns))
-		}
-		row := make(Record, len(rec))
-		for j, raw := range rec {
-			cell, err := cellFromCSV(s.Columns[j], raw)
-			if err != nil {
-				return nil, fmt.Errorf("results: sweep %q: row %d: %w", s.Name, i, err)
-			}
-			row[j] = cell
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// applyMeta folds one "# key rest" preamble line into the sweep.
-func applyMeta(s *Sweep, sawSchema *bool, line string) error {
-	key, rest, _ := strings.Cut(line, " ")
-	switch key {
-	case "schema":
-		if rest != Schema {
-			return fmt.Errorf("results: unknown schema %q (want %q)", rest, Schema)
-		}
-		*sawSchema = true
-	case "name":
-		s.Name = rest
-	case "title":
-		s.Title = rest
-	case "mode":
-		s.Mode = rest
-	case "param":
-		k, v, ok := strings.Cut(rest, " ")
-		if !ok {
-			return fmt.Errorf("results: sweep %q: malformed param line %q", s.Name, line)
-		}
-		s.SetParam(k, v)
-	case "derived":
-		k, raw, ok := strings.Cut(rest, " ")
-		if !ok {
-			return fmt.Errorf("results: sweep %q: malformed derived line %q", s.Name, line)
-		}
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return fmt.Errorf("results: sweep %q: derived %q: %w", s.Name, k, err)
-		}
-		s.SetDerived(k, v)
-	case "note":
-		s.Note(rest)
-	default:
-		return fmt.Errorf("results: unknown preamble line %q", line)
-	}
-	return nil
-}
-
-// cellFromCSV parses one CSV cell into the column's canonical type.
-func cellFromCSV(c Column, raw string) (any, error) {
-	switch c.Kind {
-	case String:
-		return raw, nil
-	case Int, Duration:
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %q is not an int64", c.Name, raw)
-		}
-		return v, nil
-	case Float:
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %q is not a float64", c.Name, raw)
-		}
-		return v, nil
-	}
-	return nil, fmt.Errorf("column %q has unknown kind %q", c.Name, c.Kind)
 }

@@ -32,10 +32,13 @@
 // integral JSON numbers (int64 range), "float" cells are finite JSON
 // numbers. EncodeJSONList writes a JSON array of such objects.
 //
-// # CSV schema
+// # CSV export
 //
-// EncodeCSV writes the same sweep as a comment preamble plus an RFC-4180
-// body. Preamble lines start with "# " and carry the non-tabular fields:
+// EncodeCSV writes the same sweep for spreadsheets and plotting scripts
+// (`experiments -format csv`). It is an export only: no reader in the
+// toolchain takes CSV back, so JSON is the one form a sweep is read
+// from. The layout is a comment preamble plus an RFC-4180 body.
+// Preamble lines start with "# " and carry the non-tabular fields:
 //
 //	# schema atlahs.results/v1
 //	# name fig8
@@ -46,7 +49,7 @@
 //	# note paper: ...
 //
 // The first CSV record is the header; each cell is "name:kind" or
-// "name:kind:unit" so the column schema survives the round trip. Data
+// "name:kind:unit", so the column schema travels with the table. Data
 // cells format as raw strings, decimal int64, or shortest-round-trip
 // floats (strconv 'g', precision -1).
 //
@@ -169,12 +172,12 @@
 // is a promise about writers: released field names, column kinds, cell
 // encodings and units keep their meaning, new fields may be added, and
 // renaming or retyping a field or changing a unit requires a new schema
-// version string. Readers are strict: every reader in the toolchain goes through DecodeDoc, which
-// refuses an unknown schema string, any field its version does not
-// declare, and anything after the document but white space; DecodeCSV
-// holds the CSV preamble to the same rule. A reader older than the writer
-// therefore refuses the newer document instead of silently dropping what
-// it cannot see: an atlahsd rolled back to an older release skips the
+// version string. Readers are strict: every reader in the toolchain goes
+// through DecodeDoc, which refuses an unknown schema string, any field
+// its version does not declare, and anything after the document but
+// white space (the CSV export has no reader). A reader older than the
+// writer therefore refuses the newer document instead of silently
+// dropping what it cannot see: an atlahsd rolled back to an older release skips the
 // newer runs' sidecars with a logged warning and re-simulates those runs
 // on demand. Column sets of individual experiments may grow new columns
 // between releases — that changes the row schema a sweep carries, not the
@@ -183,7 +186,7 @@
 // EncodeDoc or MarshalDoc, in one canonical form: JSON indented by two
 // spaces, followed by a newline.
 //
-// Encode→decode is lossless for both encodings: DecodeJSON(EncodeJSON(s))
-// and DecodeCSV(EncodeCSV(s)) reproduce the Sweep exactly (the round-trip
-// suite pins this).
+// Encode→decode is lossless: DecodeJSON(EncodeJSON(s)) reproduces the
+// Sweep exactly (the round-trip suite pins this). Every encoder's bytes,
+// the CSV export's included, are SHA-256-pinned on fixtures.
 package results

@@ -10,8 +10,8 @@ import (
 
 // These tests pin the codec edge cases the diff engine leans on: every
 // decoded sweep holds finite numeric cells, rows that exactly match their
-// column schema, and empty sweeps survive both encodings — so
-// analyze.Diff never has to re-check what the codecs guarantee.
+// column schema, and empty sweeps round-trip through JSON and export as
+// CSV — so analyze.Diff never has to re-check what the codecs guarantee.
 
 // nonFinite builds a sweep carrying one non-finite float cell.
 func nonFinite(v float64) *Sweep {
@@ -41,14 +41,6 @@ func TestEncodeRejectsNonFinite(t *testing.T) {
 }
 
 func TestDecodeRejectsNonFinite(t *testing.T) {
-	// CSV cells parse through strconv.ParseFloat, which accepts NaN and
-	// infinity spellings — validation must still reject them.
-	for _, cell := range []string{"NaN", "+Inf", "-Inf", "Infinity"} {
-		csv := "# schema " + Schema + "\n# name edge\n" + "v:float\n" + cell + "\n"
-		if _, err := DecodeCSV(strings.NewReader(csv)); err == nil {
-			t.Errorf("DecodeCSV must reject %q float cells", cell)
-		}
-	}
 	// JSON has no NaN/Inf literal; the closest attack is a number too
 	// large for float64, which must fail the cell conversion rather than
 	// silently becoming +Inf.
@@ -67,25 +59,19 @@ func TestEmptySweepRoundTrips(t *testing.T) {
 	// sweeps is empty, not an error.
 	s := NewSweep("empty", "no rows", "test")
 	s.AddColumn("v", Int, "")
-	var js, cs bytes.Buffer
+	var js bytes.Buffer
 	if err := EncodeJSON(&js, s); err != nil {
 		t.Fatalf("EncodeJSON: %v", err)
 	}
-	if err := EncodeCSV(&cs, s); err != nil {
+	if err := EncodeCSV(&bytes.Buffer{}, s); err != nil {
 		t.Fatalf("EncodeCSV: %v", err)
 	}
-	fromJSON, err := DecodeJSON(&js)
+	got, err := DecodeJSON(&js)
 	if err != nil {
 		t.Fatalf("DecodeJSON: %v", err)
 	}
-	fromCSV, err := DecodeCSV(&cs)
-	if err != nil {
-		t.Fatalf("DecodeCSV: %v", err)
-	}
-	for _, got := range []*Sweep{fromJSON, fromCSV} {
-		if !reflect.DeepEqual(got, s) {
-			t.Errorf("empty sweep round trip diverged:\ngot  %#v\nwant %#v", got, s)
-		}
+	if !reflect.DeepEqual(got, s) {
+		t.Errorf("empty sweep round trip diverged:\ngot  %#v\nwant %#v", got, s)
 	}
 	// No columns at all is not: the schema requires at least one.
 	bare := NewSweep("bare", "no columns", "test")
@@ -107,13 +93,5 @@ func TestDecodeRejectsMismatchedColumns(t *testing.T) {
 		if _, err := DecodeJSON(strings.NewReader(doc)); err == nil {
 			t.Errorf("DecodeJSON must reject: %s", name)
 		}
-	}
-	csvShort := "# schema " + Schema + "\n# name edge\n" + "a:int,b:int\n1\n"
-	if _, err := DecodeCSV(strings.NewReader(csvShort)); err == nil {
-		t.Error("DecodeCSV must reject rows with missing cells")
-	}
-	csvLong := "# schema " + Schema + "\n# name edge\n" + "a:int,b:int\n1,2,3\n"
-	if _, err := DecodeCSV(strings.NewReader(csvLong)); err == nil {
-		t.Error("DecodeCSV must reject rows with extra cells")
 	}
 }

@@ -102,46 +102,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	s := sample()
-	var buf bytes.Buffer
-	if err := EncodeCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("CSV round trip diverged (encoded:\n%s)\ngot  %#v\nwant %#v", buf.String(), got, s)
-	}
-}
-
 func TestRoundTripWithoutOptionalFields(t *testing.T) {
 	s := NewSweep("bare", "", "")
 	s.AddColumn("n", Int, "")
 	s.MustAddRow(int64(1))
-	for _, codec := range []struct {
-		name   string
-		encode func(*bytes.Buffer) error
-		decode func(*bytes.Buffer) (*Sweep, error)
-	}{
-		{"json", func(b *bytes.Buffer) error { return EncodeJSON(b, s) },
-			func(b *bytes.Buffer) (*Sweep, error) { return DecodeJSON(b) }},
-		{"csv", func(b *bytes.Buffer) error { return EncodeCSV(b, s) },
-			func(b *bytes.Buffer) (*Sweep, error) { return DecodeCSV(b) }},
-	} {
-		var buf bytes.Buffer
-		if err := codec.encode(&buf); err != nil {
-			t.Fatalf("%s: %v", codec.name, err)
-		}
-		got, err := codec.decode(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", codec.name, err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("%s round trip diverged: %#v vs %#v", codec.name, got, s)
-		}
+	var buf bytes.Buffer
+	if err := EncodeJSON(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("JSON round trip diverged: %#v vs %#v", got, s)
 	}
 }
 
@@ -161,26 +135,6 @@ func TestDecodeJSONRejectsMalformedInput(t *testing.T) {
 	for name, in := range cases {
 		if _, err := DecodeJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: DecodeJSON accepted malformed input", name)
-		}
-	}
-}
-
-func TestDecodeCSVRejectsMalformedInput(t *testing.T) {
-	var good bytes.Buffer
-	if err := EncodeCSV(&good, sample()); err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]string{
-		"no schema line": strings.Replace(good.String(), "# schema", "# skema", 1),
-		"wrong schema":   strings.Replace(good.String(), Schema, "atlahs.results/v0", 1),
-		"bad header":     strings.Replace(good.String(), "count:int", "count", 1),
-		"bad kind":       strings.Replace(good.String(), "count:int", "count:decimal", 1),
-		"bad int cell":   strings.Replace(good.String(), ",42,", ",4x2,", 1),
-		"bad preamble":   strings.Replace(good.String(), "# name", "# nick", 1),
-	}
-	for name, in := range cases {
-		if _, err := DecodeCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: DecodeCSV accepted malformed input", name)
 		}
 	}
 }
