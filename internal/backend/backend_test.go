@@ -168,13 +168,30 @@ func TestCalcScale(t *testing.T) {
 	}
 }
 
+// mkTopo builds a fat tree of hosts hosts (a multiple of 4), 4 per ToR,
+// with 4 cores.
 func mkTopo(t testing.TB, hosts int) *topo.Topology {
 	t.Helper()
-	tp, err := FatTreeFor(hosts, 4, 4, topo.DefaultLinkSpec())
+	tp, err := topo.NewFatTree(topo.FatTreeConfig{Hosts: hosts, HostsPerToR: 4, Cores: 4, Link: topo.DefaultLinkSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tp
+}
+
+// newPkt builds the packet-level backend over cfg.Net, as sim's "pkt"
+// factory does.
+func newPkt(cfg pktnet.Config) *NetBackend {
+	return NewNet("pkt", DefaultNetParams(), func(eng *engine.Engine) (MessageNet, error) {
+		return pktnet.New(eng, cfg)
+	})
+}
+
+// newFluid builds the fluid backend over tp, as sim's "fluid" factory does.
+func newFluid(tp *topo.Topology) *NetBackend {
+	return NewNet("fluid", DefaultNetParams(), func(eng *engine.Engine) (MessageNet, error) {
+		return fluid.New(eng, fluid.Config{Topo: tp})
+	})
 }
 
 // ringSchedule builds a neighbour-exchange ring with per-rank calcs.
@@ -198,10 +215,7 @@ func TestAllBackendsRunRing(t *testing.T) {
 		t.Fatalf("lgs: %v", err)
 	}
 	// Pkt
-	pb := NewPkt(PktConfig{
-		Net:    pktnet.Config{Topo: mkTopo(t, 8), Seed: 1},
-		Params: DefaultNetParams(),
-	})
+	pb := newPkt(pktnet.Config{Topo: mkTopo(t, 8), Seed: 1})
 	resPkt, err := sched.Run(engine.New(), s, pb, sched.Options{})
 	if err != nil {
 		t.Fatalf("pkt: %v", err)
@@ -210,11 +224,7 @@ func TestAllBackendsRunRing(t *testing.T) {
 		t.Fatalf("pkt delivered %d messages, want 8", pb.NetStats().MsgsCompleted)
 	}
 	// Fluid
-	fb := NewFluid(FluidConfig{
-		Net:    fluid.Config{Topo: mkTopo(t, 8)},
-		Params: DefaultNetParams(),
-	})
-	resFluid, err := sched.Run(engine.New(), s, fb, sched.Options{})
+	resFluid, err := sched.Run(engine.New(), s, newFluid(mkTopo(t, 8)), sched.Options{})
 	if err != nil {
 		t.Fatalf("fluid: %v", err)
 	}
@@ -226,15 +236,16 @@ func TestAllBackendsRunRing(t *testing.T) {
 	}
 }
 
+// TestPktBackendTopologyTooSmall: a fabric with fewer hosts than the
+// schedule has ranks is refused at Setup, naming both counts, on either
+// network.
 func TestPktBackendTopologyTooSmall(t *testing.T) {
-	pb := NewPkt(PktConfig{Net: pktnet.Config{Topo: mkTopo(t, 4)}})
 	s := ringSchedule(32, 1024)
-	if _, err := sched.Run(engine.New(), s, pb, sched.Options{}); err == nil {
-		t.Fatal("undersized topology accepted")
-	}
-	fb := NewFluid(FluidConfig{Net: fluid.Config{Topo: mkTopo(t, 4)}})
-	if _, err := sched.Run(engine.New(), s, fb, sched.Options{}); err == nil {
-		t.Fatal("undersized topology accepted (fluid)")
+	for _, b := range []*NetBackend{newPkt(pktnet.Config{Topo: mkTopo(t, 4)}), newFluid(mkTopo(t, 4))} {
+		_, err := sched.Run(engine.New(), s, b, sched.Options{})
+		if err == nil || !strings.Contains(err.Error(), b.Name()+" backend: topology has 4 hosts for 32 ranks") {
+			t.Errorf("%s: undersized topology: %v", b.Name(), err)
+		}
 	}
 }
 
@@ -286,7 +297,7 @@ func TestLGSvsPktCloseOnProvisionedFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := NewPkt(PktConfig{Net: pktnet.Config{Topo: mkTopo(t, 8), Seed: 3}, Params: DefaultNetParams()})
+	pb := newPkt(pktnet.Config{Topo: mkTopo(t, 8), Seed: 3})
 	resPkt, err := sched.Run(engine.New(), s, pb, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +318,7 @@ func TestLGSvsPktCloseOnProvisionedFatTree(t *testing.T) {
 // the matcher's queues; the packet path itself allocates nothing).
 func TestNetBackendSteadyStateAllocs(t *testing.T) {
 	for _, cc := range []string{"mprdma", "ndp"} {
-		b := NewPkt(PktConfig{Net: pktnet.Config{Topo: mkTopo(t, 8), CC: cc}, Params: DefaultNetParams()})
+		b := newPkt(pktnet.Config{Topo: mkTopo(t, 8), CC: cc})
 		eng := engine.New()
 		completed := 0
 		if err := b.Setup(8, eng, func(core.Handle, simtime.Time) { completed++ }); err != nil {

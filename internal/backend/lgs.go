@@ -1,8 +1,11 @@
 // Package backend provides the ATLAHS network-simulation backends: the
-// LogGOPSim-style message-level backend ("lgs"), the packet-level backend
-// ("pkt") wrapping internal/pktnet, and the fluid flow-level backend
-// ("fluid") wrapping internal/fluid. All three implement core.Backend and
-// are interchangeable from the scheduler's point of view — selecting the
+// LogGOPSim-style message-level backend ("lgs", NewLGS) and NetBackend,
+// which runs a schedule over a congestion-aware MessageNet. NewNet is the
+// one constructor of a NetBackend: sim's registry factories call it with
+// a closure that builds the packet-level network ("pkt", internal/pktnet)
+// or the fluid flow-level one ("fluid", internal/fluid) from the config
+// they have already resolved. Every backend implements core.Backend and
+// is interchangeable from the scheduler's point of view — selecting the
 // backend trades simulation speed against fidelity, exactly the choice the
 // paper gives its users (message-level for speed, packet-level for
 // accuracy under congestion; §6.2).

@@ -5,11 +5,8 @@ import (
 
 	"atlahs/internal/core"
 	"atlahs/internal/engine"
-	"atlahs/internal/fluid"
 	"atlahs/internal/pktnet"
 	"atlahs/internal/simtime"
-	"atlahs/internal/stats"
-	"atlahs/internal/topo"
 )
 
 // MessageNet is the transport contract shared by the congestion-aware
@@ -19,6 +16,8 @@ type MessageNet interface {
 	// Send transfers size bytes from host src to host dst and calls
 	// onDelivered at the simulated arrival time of the last byte.
 	Send(src, dst int, size int64, onDelivered func(simtime.Time))
+	// Hosts is the number of hosts the fabric connects.
+	Hosts() int
 }
 
 // NetParams are the host-side overheads applied by the generic
@@ -51,7 +50,7 @@ type netRecv struct {
 type NetBackend struct {
 	name   string
 	params NetParams
-	mkNet  func(eng *engine.Engine, nranks int) (MessageNet, error)
+	mkNet  func(*engine.Engine) (MessageNet, error)
 
 	net   MessageNet
 	eng   *engine.Engine
@@ -75,9 +74,12 @@ func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc)
 	if !ok {
 		return fmt.Errorf("%s backend: shared network state requires the serial engine (no lookahead bound); run it with one worker", b.name)
 	}
-	net, err := b.mkNet(serial, nranks)
+	net, err := b.mkNet(serial)
 	if err != nil {
 		return err
+	}
+	if h := net.Hosts(); h < nranks {
+		return fmt.Errorf("%s backend: topology has %d hosts for %d ranks", b.name, h, nranks)
 	}
 	b.net = net
 	b.eng = serial
@@ -177,14 +179,6 @@ func (b *NetBackend) completeRecv(rv netRecv, arrival simtime.Time) {
 	st.Complete(rv.ev.Handle, end)
 }
 
-// --- packet-level backend ---------------------------------------------------
-
-// PktConfig configures the packet-level backend.
-type PktConfig struct {
-	Net    pktnet.Config // Topo must cover the schedule's rank count
-	Params NetParams
-}
-
 // DefaultNetParams mirrors the LGS AI overhead (o = 200 ns) so backends
 // are comparable out of the box.
 func DefaultNetParams() NetParams {
@@ -194,85 +188,21 @@ func DefaultNetParams() NetParams {
 	}
 }
 
-// NewPkt creates the packet-level ("ATLAHS htsim") backend. Stats gives
-// access to drop/trim counters after the run.
-func NewPkt(cfg PktConfig) *Pkt {
-	b := &Pkt{}
-	b.name = "pkt"
-	b.params = cfg.Params
-	b.mkNet = func(eng *engine.Engine, nranks int) (MessageNet, error) {
-		if cfg.Net.Topo == nil {
-			return nil, fmt.Errorf("pkt backend: nil topology")
-		}
-		if cfg.Net.Topo.NumHosts() < nranks {
-			return nil, fmt.Errorf("pkt backend: topology has %d hosts for %d ranks", cfg.Net.Topo.NumHosts(), nranks)
-		}
-		n, err := pktnet.New(eng, cfg.Net)
-		if err != nil {
-			return nil, err
-		}
-		n.MCT = b.mct
-		b.pn = n
-		return n, nil
-	}
-	return b
+// NewNet creates the backend named name over the network mkNet builds on
+// the run's serial engine: the packet-level ("pkt", a *pktnet.Network) or
+// the fluid flow-level ("fluid", a *fluid.Network) one.
+func NewNet(name string, params NetParams, mkNet func(*engine.Engine) (MessageNet, error)) *NetBackend {
+	return &NetBackend{name: name, params: params, mkNet: mkNet}
 }
-
-// Pkt is the packet-level backend (NetBackend over pktnet).
-type Pkt struct {
-	NetBackend
-	pn  *pktnet.Network
-	mct *stats.Sample
-}
-
-// AttachMCT makes the underlying network record every message's completion
-// time into sample (paper Fig 11's metric). Call before the scheduler's
-// Setup runs.
-func (b *Pkt) AttachMCT(sample *stats.Sample) { b.mct = sample }
 
 // NetStats returns the packet-level counters (drops, trims, ...) after a
-// run — the paper's point in Fig 12: only packet-level backends can report
-// these.
-func (b *Pkt) NetStats() pktnet.Stats {
-	if b.pn == nil {
-		return pktnet.Stats{}
+// run, or nil when the network is not packet-level — the paper's point in
+// Fig 12: only packet-level backends can report these.
+func (b *NetBackend) NetStats() *pktnet.Stats {
+	pn, ok := b.net.(*pktnet.Network)
+	if !ok {
+		return nil
 	}
-	return b.pn.Stats
-}
-
-// --- fluid backend -----------------------------------------------------------
-
-// FluidConfig configures the fluid backend.
-type FluidConfig struct {
-	Net    fluid.Config
-	Params NetParams
-}
-
-// NewFluid creates the fluid flow-level backend.
-func NewFluid(cfg FluidConfig) *NetBackend {
-	b := &NetBackend{name: "fluid", params: cfg.Params}
-	b.mkNet = func(eng *engine.Engine, nranks int) (MessageNet, error) {
-		if cfg.Net.Topo == nil {
-			return nil, fmt.Errorf("fluid backend: nil topology")
-		}
-		if cfg.Net.Topo.NumHosts() < nranks {
-			return nil, fmt.Errorf("fluid backend: topology has %d hosts for %d ranks", cfg.Net.Topo.NumHosts(), nranks)
-		}
-		return fluid.New(eng, cfg.Net)
-	}
-	return b
-}
-
-// FatTreeFor builds a two-level fat tree with at least nranks hosts,
-// hostsPerToR hosts per ToR and the given number of core switches —
-// convenience used by experiments and examples.
-func FatTreeFor(nranks, hostsPerToR, cores int, spec topo.LinkSpec) (*topo.Topology, error) {
-	hosts := nranks
-	if rem := hosts % hostsPerToR; rem != 0 {
-		hosts += hostsPerToR - rem
-	}
-	return topo.NewFatTree(topo.FatTreeConfig{
-		Hosts: hosts, HostsPerToR: hostsPerToR, Cores: cores,
-		Link: spec,
-	})
+	st := pn.Stats
+	return &st
 }

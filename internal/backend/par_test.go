@@ -9,7 +9,6 @@ import (
 	"atlahs/internal/pktnet"
 	"atlahs/internal/sched"
 	"atlahs/internal/simtime"
-	"atlahs/internal/topo"
 	"atlahs/internal/workload/micro"
 )
 
@@ -115,16 +114,9 @@ func TestParallelCalcScaleMatchesSerial(t *testing.T) {
 // sim.Run, which refuses the worker request before it gets this far.)
 func TestSharedFabricBackendRejectsParallelEngine(t *testing.T) {
 	s := micro.Ring(8, 4096)
-	tp, err := FatTreeFor(8, 4, 1, topo.DefaultLinkSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := PktConfig{
-		Net:    pktnet.Config{Topo: tp, CC: "mprdma", Seed: 3},
-		Params: DefaultNetParams(),
-	}
+	pb := newPkt(pktnet.Config{Topo: mkTopo(t, 8), CC: "mprdma", Seed: 3})
 	pe := engine.NewParallel(8, 4, simtime.Microsecond)
-	if _, err := sched.Run(pe, s, NewPkt(cfg), sched.Options{}); err == nil {
+	if _, err := sched.Run(pe, s, pb, sched.Options{}); err == nil {
 		t.Fatal("pkt backend accepted a parallel engine")
 	}
 }

@@ -97,6 +97,9 @@ func (n *Network) pathsOf(src, dst int) [][]int {
 	return row[dst]
 }
 
+// Hosts is the number of hosts the topology connects.
+func (n *Network) Hosts() int { return n.topo.NumHosts() }
+
 // Send injects a message from host src to host dst; onDelivered fires at
 // the simulated delivery time of the last byte.
 func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time)) {

@@ -201,6 +201,9 @@ func (n *Network) Drained() error {
 	return nil
 }
 
+// Hosts is the number of hosts the topology connects.
+func (n *Network) Hosts() int { return n.topo.NumHosts() }
+
 // Send injects a message from host src to host dst. onDelivered fires once
 // at the simulated time the final payload byte arrives.
 func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time)) {

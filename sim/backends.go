@@ -5,8 +5,10 @@ import (
 
 	"atlahs/internal/backend"
 	"atlahs/internal/core"
+	"atlahs/internal/engine"
 	"atlahs/internal/fluid"
 	"atlahs/internal/pktnet"
+	"atlahs/internal/topo"
 )
 
 // LGSConfig configures the message-level LogGOPS backend. The zero value
@@ -98,7 +100,11 @@ func FatTree(ranks, hostsPerToR, oversub, cores int, link LinkSpec) (*Topology, 
 	if link == (LinkSpec{}) {
 		link = DefaultLinkSpec()
 	}
-	return backend.FatTreeFor(ranks, hostsPerToR, cores, link)
+	hosts := ranks
+	if rem := hosts % hostsPerToR; rem != 0 {
+		hosts += hostsPerToR - rem
+	}
+	return topo.NewFatTree(topo.FatTreeConfig{Hosts: hosts, HostsPerToR: hostsPerToR, Cores: cores, Link: link})
 }
 
 // fabricTopo resolves the shared topology fields of PktConfig/FluidConfig.
@@ -147,14 +153,14 @@ func newPkt(cfg any, env Env) (core.Backend, error) {
 	if c.Params == (NetParams{}) {
 		c.Params = DefaultNetParams()
 	}
-	b := backend.NewPkt(backend.PktConfig{
-		Net:    pktnet.Config{Topo: tp, CC: c.CC, Seed: c.Seed},
-		Params: c.Params,
-	})
-	if c.MCT != nil {
-		b.AttachMCT(c.MCT)
-	}
-	return b, nil
+	return backend.NewNet("pkt", c.Params, func(eng *engine.Engine) (backend.MessageNet, error) {
+		n, err := pktnet.New(eng, pktnet.Config{Topo: tp, CC: c.CC, Seed: c.Seed})
+		if err != nil {
+			return nil, err
+		}
+		n.MCT = c.MCT
+		return n, nil
+	}), nil
 }
 
 func newFluid(cfg any, env Env) (core.Backend, error) {
@@ -172,13 +178,7 @@ func newFluid(cfg any, env Env) (core.Backend, error) {
 	if c.Params == (NetParams{}) {
 		c.Params = DefaultNetParams()
 	}
-	return backend.NewFluid(backend.FluidConfig{
-		Net: fluid.Config{
-			Topo:       tp,
-			Overhead:   c.Overhead,
-			JitterFrac: c.JitterFrac,
-			Seed:       c.Seed,
-		},
-		Params: c.Params,
+	return backend.NewNet("fluid", c.Params, func(eng *engine.Engine) (backend.MessageNet, error) {
+		return fluid.New(eng, fluid.Config{Topo: tp, Overhead: c.Overhead, JitterFrac: c.JitterFrac, Seed: c.Seed})
 	}), nil
 }

@@ -96,17 +96,24 @@ func TestGoldenLGSParallel(t *testing.T) {
 	}
 }
 
+// fatTree8 hand-builds the fabric that PktConfig/FluidConfig{HostsPerToR:
+// 4, Oversub: 1} size for 8 ranks: two ToRs, four cores, default links.
+func fatTree8(t *testing.T) *Topology {
+	t.Helper()
+	tp, err := topo.NewFatTree(topo.FatTreeConfig{Hosts: 8, HostsPerToR: 4, Cores: 4, Link: topo.DefaultLinkSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
 // TestGoldenPkt: sim.Run on "pkt" with declarative fat-tree sizing must be
 // bit-identical to hand-wiring the topology, backend and serial engine.
 func TestGoldenPkt(t *testing.T) {
 	s := micro.AllToAll(8, 32768)
-	tp, err := backend.FatTreeFor(s.NumRanks(), 4, 4, topo.DefaultLinkSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := backend.NewPkt(backend.PktConfig{
-		Net:    pktnet.Config{Topo: tp, CC: "mprdma", Seed: 3},
-		Params: backend.DefaultNetParams(),
+	tp := fatTree8(t)
+	pb := backend.NewNet("pkt", backend.DefaultNetParams(), func(eng *engine.Engine) (backend.MessageNet, error) {
+		return pktnet.New(eng, pktnet.Config{Topo: tp, CC: "mprdma", Seed: 3})
 	})
 	want, err := sched.Run(engine.New(), s, pb, sched.Options{})
 	if err != nil {
@@ -122,8 +129,8 @@ func TestGoldenPkt(t *testing.T) {
 	if got.Net == nil {
 		t.Fatal("pkt run lost its fabric counters")
 	}
-	if got.Net.PktsSent == 0 || got.Net.PktsSent != pb.NetStats().PktsSent {
-		t.Fatalf("pkt counters diverged: %d vs %d", got.Net.PktsSent, pb.NetStats().PktsSent)
+	if got.Net.PktsSent == 0 || *got.Net != *pb.NetStats() {
+		t.Fatalf("pkt counters diverged: %+v vs %+v", *got.Net, *pb.NetStats())
 	}
 }
 
@@ -131,13 +138,9 @@ func TestGoldenPkt(t *testing.T) {
 // the hand-wired path.
 func TestGoldenFluid(t *testing.T) {
 	s := micro.BulkSynchronous(8, 3, 32768, 2000)
-	tp, err := backend.FatTreeFor(s.NumRanks(), 4, 4, topo.DefaultLinkSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := backend.NewFluid(backend.FluidConfig{
-		Net:    fluid.Config{Topo: tp, Overhead: 1500, JitterFrac: 0.03, Seed: 6},
-		Params: backend.DefaultNetParams(),
+	tp := fatTree8(t)
+	fb := backend.NewNet("fluid", backend.DefaultNetParams(), func(eng *engine.Engine) (backend.MessageNet, error) {
+		return fluid.New(eng, fluid.Config{Topo: tp, Overhead: 1500, JitterFrac: 0.03, Seed: 6})
 	})
 	want, err := sched.Run(engine.New(), s, fb, sched.Options{})
 	if err != nil {

@@ -202,9 +202,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		Wall:     wall,
 		Metrics:  runMetrics(eng, res),
 	}
-	if sp, ok := be.(interface{ NetStats() pktnet.Stats }); ok {
-		ns := sp.NetStats()
-		out.Net = &ns
+	if sp, ok := be.(interface{ NetStats() *pktnet.Stats }); ok {
+		out.Net = sp.NetStats()
 	}
 	if lgs != nil && lgs.Drained() == nil {
 		lgs.Unbind()
