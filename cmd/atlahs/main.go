@@ -49,7 +49,9 @@
 // printed per run (or as the raw combined JSON with -json).
 //
 // The lgs backend is topology-oblivious; pkt and fluid build a two-level
-// fat tree sized to the schedule. -workers > 1 runs the lgs backend on the
+// fat tree sized to the schedule. A backend flag the chosen backend does
+// not read (-hosts-per-tor, -oversub or -cc on lgs, -params on pkt or
+// fluid, -cc on fluid) is refused, as is a -params other than ai or hpc. -workers > 1 runs the lgs backend on the
 // sharded parallel engine (results bit-identical to serial); pkt and fluid
 // share fabric state, so asking them for workers is an error, not a
 // silent fallback.
@@ -171,6 +173,14 @@ func main() {
 		if *frontendName != "" && *tracePath == "" {
 			fail(fmt.Errorf("-frontend only applies to -trace"))
 		}
+		if *params != "ai" && *params != "hpc" {
+			fail(fmt.Errorf("-params %q: want ai or hpc", *params))
+		}
+		for _, name := range backendIgnores[*be] {
+			if set[name] {
+				fail(fmt.Errorf("-backend %s does not read -%s; drop it", *be, name))
+			}
+		}
 		spec = sim.Spec{
 			Workload: sim.Workload{
 				GoalPath:  *goalPath,
@@ -258,6 +268,15 @@ func main() {
 		return
 	}
 	fmt.Printf("backend %s: simulated runtime %s\n", res.Backend, res.Runtime)
+}
+
+// backendIgnores names, per backend, the backend flags it does not read:
+// lgs models no fabric, and pkt and fluid take host overheads, not a
+// LogGOPS set; fluid has no congestion control.
+var backendIgnores = map[string][]string{
+	"lgs":   {"hosts-per-tor", "oversub", "cc"},
+	"pkt":   {"params"},
+	"fluid": {"params", "cc"},
 }
 
 // writeTimeline persists the recorded timeline as one trace-event JSON

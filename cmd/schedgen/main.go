@@ -10,7 +10,8 @@
 // The input format is auto-detected (content sniffing, extension
 // fallback) unless -frontend names one. -gpus-per-node/-channels tune the
 // nsys conversion, -hosts the spc conversion; other frontends use their
-// defaults (the sim library exposes every knob).
+// defaults (the sim library exposes every knob). A conversion flag for a
+// frontend other than the resolved one is refused, not ignored.
 package main
 
 import (
@@ -56,6 +57,14 @@ func run(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if fe, ok := frontendOf[f.Name]; ok && fe != def.Name && err == nil {
+			err = fmt.Errorf("-%s tunes the %s frontend, and %s resolved to %s; drop it", f.Name, fe, *in, def.Name)
+		}
+	})
+	if err != nil {
+		return err
+	}
 	s, err := sim.ConvertTrace(b, def.Name, map[string]any{
 		"nsys": sim.NsysConfig{GPUsPerNode: *gpusPerNode, Channels: *channels},
 		"spc":  sim.SPCConfig{Hosts: *hosts},
@@ -70,6 +79,9 @@ func run(args []string, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "schedgen: %s frontend: wrote %d ranks, %d ops to %s\n", def.Name, st.Ranks, st.Ops, *out)
 	return nil
 }
+
+// frontendOf names the one frontend each conversion flag tunes.
+var frontendOf = map[string]string{"gpus-per-node": "nsys", "channels": "nsys", "hosts": "spc"}
 
 // write emits the schedule, propagating the close error (a full disk
 // surfaces on Close for buffered writes).

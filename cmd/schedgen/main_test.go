@@ -26,8 +26,10 @@ const (
 type fixture struct {
 	frontend, ext  string
 	raw, unsniffed string
-	// cfg is the config the test's flag values mean for this frontend.
-	cfg any
+	// flags are the conversion flags this frontend reads, set to the
+	// test's values, and cfg is the config they mean for it.
+	flags []string
+	cfg   any
 }
 
 func fixtures() []fixture {
@@ -48,12 +50,14 @@ func fixtures() []fixture {
 			`{"id":0,"name":"fwd","type":"COMP_NODE","attrs":[{"name":"runtime","int64_val":1000}]},`+
 			`{"id":1,"name":"ALL_REDUCE","type":"COMM_COLL_NODE","ctrl_deps":[0],"attrs":[{"name":"comm_type","string_val":"ALL_REDUCE"},{"name":"comm_size","int64_val":65536},{"name":"comm_group","string_val":"world"}]}]}`+"\n", rank)
 	}
+	spcFlags := []string{"-hosts", strconv.Itoa(testHosts)}
+	nsysFlags := []string{"-gpus-per-node", strconv.Itoa(testGPUsPerNode), "-channels", strconv.Itoa(testChannels)}
 	return []fixture{
-		{"goal", ".goal", goalText, "// " + pad + goalText, nil},
-		{"mpi", ".mpi", mpi, "# " + pad + mpi, nil},
-		{"spc", ".spc", spc, "# " + pad + spc, sim.SPCConfig{Hosts: testHosts}},
-		{"nsys", ".nsys", nsys, "\n" + nsys, sim.NsysConfig{GPUsPerNode: testGPUsPerNode, Channels: testChannels}},
-		{"chakra", ".et", chakra, "\n" + chakra, nil},
+		{"goal", ".goal", goalText, "// " + pad + goalText, nil, nil},
+		{"mpi", ".mpi", mpi, "# " + pad + mpi, nil, nil},
+		{"spc", ".spc", spc, "# " + pad + spc, spcFlags, sim.SPCConfig{Hosts: testHosts}},
+		{"nsys", ".nsys", nsys, "\n" + nsys, nsysFlags, sim.NsysConfig{GPUsPerNode: testGPUsPerNode, Channels: testChannels}},
+		{"chakra", ".et", chakra, "\n" + chakra, nil, nil},
 	}
 }
 
@@ -100,9 +104,7 @@ func TestConvertsEveryFrontendThreeWays(t *testing.T) {
 				t.Fatal(err)
 			}
 			var stderr bytes.Buffer
-			args := append([]string{"-in", in, "-out", out,
-				"-gpus-per-node", strconv.Itoa(testGPUsPerNode), "-channels", strconv.Itoa(testChannels),
-				"-hosts", strconv.Itoa(testHosts)}, w.extra...)
+			args := append(append([]string{"-in", in, "-out", out}, fx.flags...), w.extra...)
 			if err := run(args, &stderr); err != nil {
 				t.Errorf("%s/%s: %v", fx.frontend, w.label, err)
 				continue
@@ -154,14 +156,22 @@ func TestFailures(t *testing.T) {
 	if err := os.WriteFile(good, []byte(fixtures()[2].raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	mpi := filepath.Join(dir, "x.mpi")
+	if err := os.WriteFile(mpi, []byte(fixtures()[1].raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for label, tc := range map[string]struct {
 		args []string
 		want string
 	}{
-		"unreadable input":  {[]string{"-in", filepath.Join(dir, "missing.nsys")}, "no such file"},
-		"undetectable file": {[]string{"-in", garbage}, "cannot detect trace format"},
-		"unknown frontend":  {[]string{"-in", good, "-frontend", "nope"}, "unknown frontend"},
-		"wrong frontend":    {[]string{"-in", good, "-frontend", "nsys"}, good},
+		"unreadable input":       {[]string{"-in", filepath.Join(dir, "missing.nsys")}, "no such file"},
+		"undetectable file":      {[]string{"-in", garbage}, "cannot detect trace format"},
+		"unknown frontend":       {[]string{"-in", good, "-frontend", "nope"}, "unknown frontend"},
+		"wrong frontend":         {[]string{"-in", good, "-frontend", "nsys"}, good},
+		"nsys flag on mpi":       {[]string{"-in", mpi, "-gpus-per-node", "8"}, "-gpus-per-node"},
+		"spc flag on mpi":        {[]string{"-in", mpi, "-hosts", "2"}, "-hosts"},
+		"nsys flag on spc":       {[]string{"-in", good, "-channels", "2"}, "-channels"},
+		"nsys flag beside spc's": {[]string{"-in", good, "-hosts", "2", "-gpus-per-node", "8"}, "-gpus-per-node"},
 	} {
 		out := filepath.Join(dir, "out.bin")
 		err := run(append(tc.args, "-out", out), new(bytes.Buffer))

@@ -9,6 +9,9 @@
 //	tracegen -kind llm -model llama7b -tp 1 -pp 1 -dp 8 -batch 16 -out trace.nsys
 //	tracegen -kind hpc -app lulesh -ranks 64 -steps 10 -out trace.mpi
 //	tracegen -kind storage -ops 5000 -out trace.spc
+//
+// A flag of another kind (say -ranks with -kind storage) is refused, not
+// ignored.
 package main
 
 import (
@@ -45,6 +48,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *kind != "llm" && *kind != "hpc" && *kind != "storage" {
+		fail(fmt.Errorf("unknown kind %q", *kind))
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if k, ok := kindOf[f.Name]; ok && k != *kind {
+			fail(fmt.Errorf("-%s applies to -kind %s, not -kind %s; drop it", f.Name, k, *kind))
+		}
+	})
 
 	var write func(io.Writer) error
 	switch *kind {
@@ -83,12 +94,18 @@ func main() {
 		write = func(w io.Writer) error { _, err := tr.WriteTo(w); return err }
 		st := tr.ComputeStats()
 		defer fmt.Fprintf(os.Stderr, "tracegen: %d ops (%.0f%% writes) -> %s\n", st.Ops, 100*st.WriteRatio, *out)
-	default:
-		fail(fmt.Errorf("unknown kind %q", *kind))
 	}
 	if err := emit(*out, write); err != nil {
 		fail(err)
 	}
+}
+
+// kindOf names the one kind that reads each kind-specific flag; -kind,
+// -out and -seed apply to every kind.
+var kindOf = map[string]string{
+	"model": "llm", "tp": "llm", "pp": "llm", "dp": "llm", "ep": "llm", "batch": "llm", "scale": "llm",
+	"app": "hpc", "ranks": "hpc", "steps": "hpc",
+	"ops": "storage",
 }
 
 // emit writes the trace to path, propagating the file's close error: a

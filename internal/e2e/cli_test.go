@@ -236,9 +236,10 @@ func TestExamples(t *testing.T) {
 	}
 }
 
-// TestCLIRefusesIgnoredFlags: atlahs refuses a flag its mode would
-// silently ignore, naming it before any network I/O (the server URL is
-// unreachable, so reaching the network would fail differently).
+// TestCLIRefusesIgnoredFlags: atlahs and tracegen refuse a flag their
+// mode would silently ignore, naming it, exiting 1 and writing nothing:
+// no stdout and no output file. The server URL is unreachable, so a run
+// that reached the network would fail differently.
 func TestCLIRefusesIgnoredFlags(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -256,17 +257,32 @@ func TestCLIRefusesIgnoredFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	const unreachable = "http://127.0.0.1:1"
+	out := filepath.Join(dir, "trace.out")
 	for _, tc := range []struct {
-		flag string
-		args []string
+		bin, flag string
+		args      []string
 	}{
-		{"-timeline", []string{"-submit", unreachable, "-sweep", "-timeline", filepath.Join(dir, "tl.json"), specPath}},
-		{"-progress", []string{"-goal", goalPath, "-progress", "1", "-json"}},
-		{"-progress", []string{"-submit", unreachable, "-goal", goalPath, "-progress", "1"}},
+		{"atlahs", "-timeline", []string{"-submit", unreachable, "-sweep", "-timeline", filepath.Join(dir, "tl.json"), specPath}},
+		{"atlahs", "-progress", []string{"-goal", goalPath, "-progress", "1", "-json"}},
+		{"atlahs", "-progress", []string{"-submit", unreachable, "-goal", goalPath, "-progress", "1"}},
+		{"atlahs", "-params", []string{"-goal", goalPath, "-params", "foo"}},
+		{"atlahs", "-cc", []string{"-goal", goalPath, "-cc", "swift"}},
+		{"atlahs", "-oversub", []string{"-goal", goalPath, "-oversub", "2"}},
+		{"atlahs", "-hosts-per-tor", []string{"-goal", goalPath, "-hosts-per-tor", "8"}},
+		{"atlahs", "-params", []string{"-goal", goalPath, "-backend", "pkt", "-params", "hpc"}},
+		{"atlahs", "-cc", []string{"-goal", goalPath, "-backend", "fluid", "-cc", "ndp"}},
+		{"atlahs", "-cc", []string{"-submit", unreachable, "-goal", goalPath, "-cc", "ndp"}},
+		{"tracegen", "-ranks", []string{"-kind", "storage", "-ranks", "64", "-out", out}},
+		{"tracegen", "-model", []string{"-kind", "hpc", "-model", "llama70b", "-out", out}},
+		{"tracegen", "-ops", []string{"-kind", "llm", "-ops", "10", "-out", out}},
 	} {
-		_, stderr, code := runStatus(t, "atlahs", tc.args...)
-		if code != 1 || !strings.Contains(string(stderr), tc.flag) {
-			t.Errorf("atlahs %s: exit %d, want 1 naming %s; stderr:\n%s", strings.Join(tc.args, " "), code, tc.flag, stderr)
+		stdout, stderr, code := runStatus(t, tc.bin, tc.args...)
+		if code != 1 || !strings.Contains(string(stderr), tc.flag) || len(stdout) != 0 {
+			t.Errorf("%s %s: exit %d, want 1 naming %s and no stdout; stdout:\n%s\nstderr:\n%s", tc.bin, strings.Join(tc.args, " "), code, tc.flag, stdout, stderr)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s %s wrote %s", tc.bin, strings.Join(tc.args, " "), out)
+			os.Remove(out)
 		}
 	}
 }
