@@ -16,8 +16,8 @@
 // Byte counts and compute times follow the usual Megatron accounting
 // (activations = microbatch*seq*hidden*elem, two TP allreduces per layer
 // and direction, gradient ring allreduce of the stage's parameter shard,
-// MoE dispatch/combine all-to-alls over the EP group) with bf16 elements
-// and 300 TFLOP/s per GPU, scaled by Config.Scale so packet-level
+// MoE dispatch/combine all-to-alls over the EP group) with one-sample
+// microbatches, bf16 elements and 300 TFLOP/s per GPU, scaled by Config.Scale so packet-level
 // simulation of large configurations stays tractable. A workload is one
 // training iteration.
 package llm
@@ -40,11 +40,12 @@ type Model struct {
 	DLRM    bool    // recommendation-model structure instead of transformer
 }
 
-// Parallelism is the TP/PP/DP/EP decomposition. GPUs = TP*PP*DP.
+// Parallelism is the TP/PP/DP/EP decomposition. GPUs = TP*PP*DP. Each
+// pipeline step carries one sample (a microbatch of 1), so a data-parallel
+// replica runs GlobalBatch/DP microbatches.
 type Parallelism struct {
 	TP, PP, DP, EP int
 	GlobalBatch    int
-	MicroBatch     int // default 1
 }
 
 // GPUs returns the total GPU count.
@@ -72,9 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
-	if c.Par.MicroBatch <= 0 {
-		c.Par.MicroBatch = 1
-	}
 	return c
 }
 
@@ -93,8 +91,8 @@ func (c Config) Validate() error {
 	if c.Model.Layers%p.PP != 0 {
 		return fmt.Errorf("llm: %d layers not divisible by PP=%d", c.Model.Layers, p.PP)
 	}
-	if p.GlobalBatch < p.DP*p.MicroBatch {
-		return fmt.Errorf("llm: global batch %d below DP*microbatch=%d", p.GlobalBatch, p.DP*p.MicroBatch)
+	if p.GlobalBatch < p.DP {
+		return fmt.Errorf("llm: global batch %d below DP=%d", p.GlobalBatch, p.DP)
 	}
 	if c.Model.Experts == 0 && p.EP > 1 {
 		return fmt.Errorf("llm: EP>1 requires an MoE model")
@@ -262,12 +260,11 @@ func build(cfg Config) (*program, error) {
 	}
 	m := cfg.Model
 	layersPerStage := m.Layers / par.PP
-	micro := par.MicroBatch
-	nMicro := par.GlobalBatch / (par.DP * micro)
+	nMicro := par.GlobalBatch / par.DP
 	if nMicro < 1 {
 		nMicro = 1
 	}
-	tokens := int64(micro * m.SeqLen)
+	tokens := int64(m.SeqLen) // one sample per microbatch
 	actBytes := scale(float64(tokens * int64(m.Hidden) * bytesPerElt))
 	// fwd time of one layer shard: ~2*P_layer/TP flops per token
 	paramsPerLayer := m.ParamsB * 1e9 / float64(m.Layers)

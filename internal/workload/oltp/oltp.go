@@ -13,50 +13,34 @@ import (
 	"atlahs/internal/xrand"
 )
 
-// FinancialConfig tunes the synthetic Financial-distribution generator.
-// The defaults reproduce the published profile of the UMass Financial1
-// OLTP trace: write-heavy (~77%), 512-byte-multiple transfers dominated by
-// small requests, skewed block reuse, bursty arrivals.
+// FinancialConfig sizes and seeds the synthetic Financial-distribution
+// generator.
 type FinancialConfig struct {
-	Ops           int
-	ASUs          int     // application storage units (default 24)
-	WriteFraction float64 // default 0.77
-	MeanGapUs     float64 // mean inter-arrival in microseconds (default 30)
-	BurstProb     float64 // probability the next op arrives immediately (default 0.35)
-	HotBlocks     int     // size of the skewed block working set (default 1<<16)
-	Seed          uint64
+	Ops  int
+	Seed uint64
 }
 
-func (c FinancialConfig) withDefaults() FinancialConfig {
-	if c.ASUs <= 0 {
-		c.ASUs = 24
-	}
-	if c.WriteFraction == 0 {
-		c.WriteFraction = 0.77
-	}
-	if c.MeanGapUs == 0 {
-		c.MeanGapUs = 30
-	}
-	if c.BurstProb == 0 {
-		c.BurstProb = 0.35
-	}
-	if c.HotBlocks <= 0 {
-		c.HotBlocks = 1 << 16
-	}
-	return c
-}
+// The published profile of the UMass Financial1 OLTP trace: write-heavy,
+// 512-byte-multiple transfers dominated by small requests, skewed block
+// reuse, bursty arrivals.
+const (
+	asus          = 24      // application storage units
+	writeFraction = 0.77    // share of writes
+	meanGapUs     = 30      // mean inter-arrival in microseconds
+	burstProb     = 0.35    // probability the next op arrives immediately
+	hotBlocks     = 1 << 16 // size of the skewed block working set
+)
 
 // GenerateFinancial synthesises an OLTP-like trace with the Financial
 // profile. Output is sorted by timestamp and validates.
 func GenerateFinancial(cfg FinancialConfig) *spc.Trace {
-	cfg = cfg.withDefaults()
 	rng := xrand.New(cfg.Seed ^ 0x46494e31) // "FIN1"
-	zip := xrand.NewZipf(rng, cfg.HotBlocks, 1.1)
+	zip := xrand.NewZipf(rng, hotBlocks, 1.1)
 	t := &spc.Trace{Ops: make([]spc.Op, 0, cfg.Ops)}
 	now := 0.0
 	for i := 0; i < cfg.Ops; i++ {
-		if !rng.Bool(cfg.BurstProb) {
-			now += rng.Exp(cfg.MeanGapUs) * 1e-6
+		if !rng.Bool(burstProb) {
+			now += rng.Exp(meanGapUs) * 1e-6
 		}
 		// transfer sizes: 512 B blocks, geometric-ish mix peaking small
 		blocks := int64(1)
@@ -64,10 +48,10 @@ func GenerateFinancial(cfg FinancialConfig) *spc.Trace {
 			blocks *= 2
 		}
 		t.Ops = append(t.Ops, spc.Op{
-			ASU:   rng.Intn(cfg.ASUs),
+			ASU:   rng.Intn(asus),
 			LBA:   int64(zip.Next()) * 8, // 8 blocks per hot-set slot
 			Bytes: blocks * 512,
-			Write: rng.Bool(cfg.WriteFraction),
+			Write: rng.Bool(writeFraction),
 			Time:  now,
 		})
 	}
