@@ -51,10 +51,10 @@
 // The lgs backend is topology-oblivious; pkt and fluid build a two-level
 // fat tree sized to the schedule. A backend flag the chosen backend does
 // not read (-hosts-per-tor, -oversub or -cc on lgs, -params on pkt or
-// fluid, -cc on fluid) is refused, as is a -params other than ai or hpc. -workers > 1 runs the lgs backend on the
-// sharded parallel engine (results bit-identical to serial); pkt and fluid
-// share fabric state, so asking them for workers is an error, not a
-// silent fallback.
+// fluid, -cc on fluid) is refused, as is a -params other than ai or hpc.
+// -workers > 1 runs the lgs backend on the sharded parallel engine
+// (results bit-identical to serial); pkt and fluid share fabric state, so
+// asking them for workers is an error, not a silent fallback.
 package main
 
 import (
