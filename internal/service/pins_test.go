@@ -70,3 +70,37 @@ func TestSweepArtifactPinned(t *testing.T) {
 		t.Errorf("sweepset SHA-256 %x, pinned %s; bytes:\n%s", sum, pin, body)
 	}
 }
+
+// TestComposedRunArtifactPinned: GET /v1/runs/{id}/artifact, the
+// atlahs.results/v1 sweep of one run, writes the pinned bytes for a
+// composed run of two jobs (the artifact's "jobs" param is set).
+func TestComposedRunArtifactPinned(t *testing.T) {
+	_, ts := testServer(t, Config{Jobs: 1})
+	spec, err := sim.MarshalSpec(sim.Spec{Jobs: []sim.JobSpec{
+		{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: 4096}}},
+		{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 2, Bytes: 2048, Phases: 2}}},
+	}, Backend: "lgs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, rr := postSpec(t, ts.URL, spec)
+	if resp.StatusCode != http.StatusOK || rr.Status != StatusDone {
+		t.Fatalf("two-job submit: %d, %+v", resp.StatusCode, rr)
+	}
+	resp, err = http.Get(ts.URL + "/v1/runs/" + rr.ID + "/artifact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("run artifact GET: %d, %v", resp.StatusCode, err)
+	}
+	if !bytes.Contains(body, []byte(`"jobs"`)) {
+		t.Fatalf("composed run artifact carries no jobs param:\n%s", body)
+	}
+	const pin = "df6c54ab4a5f94b98ada1c5bf1a7d830787606a23f31205d1f483f4d7c667594"
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != pin {
+		t.Errorf("run artifact SHA-256 %x, pinned %s; bytes:\n%s", sum, pin, body)
+	}
+}
