@@ -18,9 +18,6 @@
 //	POST /v1/sweeps              batch-submit N specs as one sweep
 //	GET  /v1/sweeps/{id}         combined status of a batch
 //	GET  /v1/sweeps/{id}/artifact combined per-run artifact view
-//	GET  /v1/analyze/diff        diff two runs' artifacts, gated for
-//	                             regressions (?a=RUN&b=RUN[&keys=cols]
-//	                             [&threshold=F][&format=html])
 //	GET  /v1/runs/{id}/metrics   the run's atlahs.metrics/v1 engine
 //	                             counters, once done
 //	GET  /v1/runs/{id}/trace     the run's Perfetto timeline (-timeline

@@ -1,6 +1,7 @@
 package atlahs
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -24,34 +25,92 @@ func TestFacadeBoundary(t *testing.T) {
 		"examples": append(facade, "atlahs/internal/trace", "atlahs/internal/goal"),
 	}
 	for root, pkgs := range banned {
-		files := 0
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
-				return err
+		checkImports(t, root, pkgs, "goes through the sim facade")
+	}
+}
+
+// TestServiceDoesNotDiff: the service stores and serves run artifacts;
+// diffing two of them is atlahs-analyze's job, over the downloaded files.
+func TestServiceDoesNotDiff(t *testing.T) {
+	checkImports(t, "internal/service", []string{"atlahs/internal/analyze"}, "diffs runs through atlahs-analyze")
+}
+
+// TestEventSourcesNotClosures: the packet and LGS models schedule through
+// handlers bound once on long-lived records, so no non-test Schedule,
+// ScheduleOn or After call in internal/pktnet or internal/backend takes a
+// func literal.
+func TestEventSourcesNotClosures(t *testing.T) {
+	for _, root := range []string{"internal/pktnet", "internal/backend"} {
+		calls := 0
+		walkGo(t, root, 0, func(path string, fset *token.FileSet, f *ast.File) {
+			if strings.HasSuffix(path, "_test.go") {
+				return
 			}
-			files++
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, imp := range f.Imports {
-				got, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
-					return err
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-				for _, p := range pkgs {
-					if got == p || strings.HasPrefix(got, p+"/") {
-						t.Errorf("%s imports %s: %s/ goes through the sim facade", path, got, root)
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Schedule" && sel.Sel.Name != "ScheduleOn" && sel.Sel.Name != "After") {
+					return true
+				}
+				calls++
+				for _, arg := range call.Args {
+					if _, lit := arg.(*ast.FuncLit); lit {
+						t.Errorf("%s: %s takes a func literal; bind a handler on a long-lived record", fset.Position(arg.Pos()), sel.Sel.Name)
 					}
 				}
-			}
-			return nil
+				return true
+			})
 		})
+		if calls == 0 {
+			t.Errorf("no Schedule, ScheduleOn or After call under %s/: the check matches nothing", root)
+		}
+	}
+}
+
+// checkImports fails the test for every Go file under root, tests
+// included, that imports one of pkgs or a package below it.
+func checkImports(t *testing.T, root string, pkgs []string, why string) {
+	t.Helper()
+	walkGo(t, root, parser.ImportsOnly, func(path string, _ *token.FileSet, f *ast.File) {
+		for _, imp := range f.Imports {
+			got, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkgs {
+				if got == p || strings.HasPrefix(got, p+"/") {
+					t.Errorf("%s imports %s: %s/ %s", path, got, root, why)
+				}
+			}
+		}
+	})
+}
+
+// walkGo parses every Go file under root with mode and hands it to visit.
+// A root without Go files fails the test.
+func walkGo(t *testing.T, root string, mode parser.Mode, visit func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
+			return err
+		}
+		files++
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if files == 0 {
-			t.Fatalf("no Go files under %s/", root)
-		}
+		visit(path, fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatalf("no Go files under %s/", root)
 	}
 }

@@ -15,8 +15,8 @@
 //     a diff and its regressions; its output is byte-pinned by a golden
 //     test.
 //
-// cmd/atlahs-analyze exposes the engines on the command line (exiting
-// non-zero when the gate trips, so CI can block on regressions), and
-// internal/service exposes them to a running fleet as
-// GET /v1/analyze/diff.
+// cmd/atlahs-analyze is their one front end (exiting non-zero when the
+// gate trips, so CI can block on regressions). Two service runs are
+// diffed the same way: download each one's GET /v1/runs/{id}/artifact
+// and pass both files to atlahs-analyze diff.
 package analyze

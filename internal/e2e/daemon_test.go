@@ -209,8 +209,8 @@ func (d *daemon) submitSweep(t *testing.T, sweep []byte, verdict string) sweepDo
 // TestServiceCacheSurvivesRestart: identical submissions are answered from
 // the content-addressed cache — runs and sweeps, before and after a
 // SIGTERM and a restart over the same artifact directory — with
-// byte-identical artifacts, and the diff endpoint reads the rebuilt
-// state.
+// byte-identical artifacts; a rebuilt run's downloaded artifact diffs
+// clean against itself with atlahs-analyze.
 func TestServiceCacheSurvivesRestart(t *testing.T) {
 	t.Parallel()
 	store := t.TempDir()
@@ -287,17 +287,26 @@ func TestServiceCacheSurvivesRestart(t *testing.T) {
 	if _, stderr, code := runStatus(t, "atlahs-analyze", "history", "-store", store); code != 2 || !bytes.Contains(stderr, []byte("unknown subcommand")) {
 		t.Errorf("atlahs-analyze history: exit %d, want 2 with \"unknown subcommand\"\n%s", code, stderr)
 	}
-	var self struct {
-		Regressed bool            `json:"regressed"`
-		Diff      json.RawMessage `json:"diff"`
-	}
-	decode(t, d.get(t, "/v1/analyze/diff?a="+id+"&b="+id), &self)
-	diff, err := results.DecodeDiffJSON(bytes.NewReader(self.Diff))
+	// Runs are diffed by atlahs-analyze over their downloaded artifacts,
+	// not by the daemon.
+	resp, err = client.Get(d.url + "/v1/analyze/diff?a=" + id + "&b=" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if self.Regressed || diff.Changed != 0 {
-		t.Errorf("self-diff: regressed %v, %d changed rows", self.Regressed, diff.Changed)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/analyze/diff: %s, want 404", resp.Status)
+	}
+	path := filepath.Join(t.TempDir(), id+".json")
+	if err := os.WriteFile(path, d.get(t, "/v1/runs/"+id+"/artifact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	diff, err := results.DecodeDiffJSON(bytes.NewReader(run(t, "atlahs-analyze", "diff", "-json", path, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff.Changed != 0 || diff.RowsA == 0 || diff.Matched != diff.RowsA {
+		t.Errorf("self-diff: changed %d, matched %d of %d rows", diff.Changed, diff.Matched, diff.RowsA)
 	}
 
 	d.stop(t)

@@ -28,8 +28,6 @@ import (
 //	                         ?wait=1 blocks until every run finishes
 //	GET  /v1/sweeps/{id}             combined status of a batch
 //	GET  /v1/sweeps/{id}/artifact    combined per-run artifact view
-//	GET  /v1/analyze/diff        field-by-field diff of two runs'
-//	                             artifacts (?a=RUN&b=RUN; see analyze.go)
 //	GET  /v1/runs/{id}/metrics   the run's atlahs.metrics/v1 engine-counter
 //	                             snapshot, once done
 //	GET  /v1/runs/{id}/trace     the run's Chrome trace-event timeline
@@ -119,7 +117,6 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /v1/sweeps", svc.handleSweepSubmit)
 	mux.HandleFunc("GET /v1/sweeps/{id}", svc.handleSweepGet)
 	mux.HandleFunc("GET /v1/sweeps/{id}/artifact", svc.handleSweepArtifact)
-	mux.HandleFunc("GET /v1/analyze/diff", svc.handleAnalyzeDiff)
 	mux.HandleFunc("GET /v1/runs/{id}/metrics", svc.handleRunMetrics)
 	mux.HandleFunc("GET /v1/runs/{id}/trace", svc.handleRunTrace)
 	mux.HandleFunc("GET /metrics", svc.handleMetrics)

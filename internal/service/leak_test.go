@@ -53,9 +53,7 @@ func gatedServer(t *testing.T, tag int64, wait bool) (svc *Service, ts *httptest
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, err = RunID(sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: tag}}, Backend: "gatesim"}); err != nil {
-		t.Fatal(err)
-	}
+	id = specRunID(t, sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: tag}}, Backend: "gatesim"})
 	base = runtime.NumGoroutine()
 	if !wait {
 		resp, err := client.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))

@@ -55,8 +55,9 @@ func (s *Service) saveMeta(r *run, res *sim.Result) error {
 // the store — the cure for cache amnesia: a restarted service answers
 // GET /v1/runs/{id}, artifact reads and identical re-submissions with
 // cache hits instead of re-simulating. Artifacts that fail any validation
-// (missing or corrupt sidecar, undecodable sweep, address mismatch) are
-// skipped with a logged warning and left on disk; they are never trusted.
+// (missing or corrupt sidecar, address mismatch, an artifact other than
+// the one the sidecar's result encodes to) are skipped with a logged
+// warning and left on disk; they are never trusted.
 // Called from New before the service is shared, so it needs no locking.
 func (s *Service) rebuild() {
 	entries, err := s.store.List()
@@ -98,9 +99,8 @@ func (s *Service) rebuild() {
 // document (a sidecar written by a newer version, with fields this one
 // does not know, is skipped like a corrupt one), names this run, carries
 // a result whose metrics snapshot validates, its fingerprint re-derives
-// the run id, the artifact bytes decode as a valid atlahs.results/v1
-// sweep under the same name, and artifact and sidecar agree on the
-// headline result.
+// the run id, and the stored artifact is byte for byte the one the
+// sidecar's result encodes to.
 func (s *Service) restoreRun(id string) (*run, error) {
 	var meta runMeta
 	if err := s.store.LoadMeta(id, &meta); err != nil {
@@ -117,22 +117,19 @@ func (s *Service) restoreRun(id string) (*run, error) {
 			return nil, fmt.Errorf("metadata sidecar: %w", err)
 		}
 	}
-	if len(meta.Fingerprint) < 16 || "r_"+meta.Fingerprint[:16] != id {
+	if len(meta.Fingerprint) < 16 || runID(meta.Fingerprint) != id {
 		return nil, fmt.Errorf("fingerprint %q does not derive run id %s", meta.Fingerprint, id)
 	}
 	artifact, err := os.ReadFile(s.store.Path(id))
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	sweep, err := results.DecodeJSON(bytes.NewReader(artifact))
-	if err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
+	var want bytes.Buffer
+	if err := results.EncodeJSON(&want, runSweep(id, meta.Result)); err != nil {
+		return nil, fmt.Errorf("metadata sidecar: %w", err)
 	}
-	if sweep.Name != id {
-		return nil, fmt.Errorf("artifact holds sweep %q", sweep.Name)
-	}
-	if got, want := sweep.Derived["runtime_ps"], float64(meta.Result.Runtime); got != want {
-		return nil, fmt.Errorf("artifact runtime %v disagrees with sidecar %v", got, want)
+	if !bytes.Equal(artifact, want.Bytes()) {
+		return nil, fmt.Errorf("artifact disagrees with the sidecar's result")
 	}
 	return newDoneRun(id, meta.Fingerprint, meta.Result, artifact, meta.LookKeys), nil
 }

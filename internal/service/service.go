@@ -233,14 +233,9 @@ func New(cfg Config) (*Service, error) {
 // Store returns the artifact store, nil when no ArtifactDir is configured.
 func (s *Service) Store() *results.Store { return s.store }
 
-// RunID computes the content address Submit would file the spec under.
-func RunID(spec sim.Spec) (string, error) {
-	fp, err := sim.Fingerprint(spec)
-	if err != nil {
-		return "", err
-	}
-	return "r_" + fp[:16], nil
-}
+// runID is the content address a run with fingerprint fp is filed
+// under: "r_" plus the fingerprint's leading 16 hex digits.
+func runID(fp string) string { return "r_" + fp[:16] }
 
 // Submit admits one spec: it validates, computes the run's content
 // address, and either returns the existing run at that address (Cached
@@ -325,7 +320,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 			if err != nil {
 				return nil, i, err
 			}
-			m.id, m.fp, m.pinned = "r_"+fp[:16], fp, pinned
+			m.id, m.fp, m.pinned = runID(fp), fp, pinned
 		}
 		if _, dup := byID[m.id]; !dup {
 			byID[m.id] = m
@@ -570,7 +565,7 @@ func (s *Service) execute(r *run) {
 		return
 	}
 	s.metrics.foldRun(res.Metrics)
-	sweep := runSweep(r.id, &spec, res)
+	sweep := runSweep(r.id, res)
 	var buf bytes.Buffer
 	if err := results.EncodeJSON(&buf, sweep); err != nil {
 		s.finishRun(r, wall, nil, nil, fmt.Errorf("service: encoding run artifact: %w", err))
@@ -664,12 +659,12 @@ func (s *Service) noteDone(id string) {
 // run id, with the headline scalars as derived values. Wall-clock and
 // worker-count measurements are deliberately absent — the artifact must
 // be byte-identical across re-simulations of the same fingerprint.
-func runSweep(id string, spec *sim.Spec, res *sim.Result) *results.Sweep {
+func runSweep(id string, res *sim.Result) *results.Sweep {
 	sw := results.NewSweep(id, "atlahs service run "+id, "service")
 	sw.SetParam("backend", res.Backend)
 	sw.SetParam("ranks", strconv.Itoa(res.Ranks))
-	if len(spec.Jobs) > 0 {
-		sw.SetParam("jobs", strconv.Itoa(len(spec.Jobs)))
+	if len(res.JobNodes) > 0 {
+		sw.SetParam("jobs", strconv.Itoa(len(res.JobNodes)))
 	}
 	sw.AddColumn("rank", results.Int, "")
 	sw.AddColumn("end", results.Duration, "ps")

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,16 @@ func (b *panicBackend) Calc(ev sim.CalcEvent) {
 func countSpec(tag int64) sim.Spec {
 	return sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 4, Bytes: 1024 + tag, Phases: 2}},
 		Backend: "countsim"}
+}
+
+// specRunID is the run id Submit files spec under.
+func specRunID(t *testing.T, spec sim.Spec) string {
+	t.Helper()
+	fp, err := sim.Fingerprint(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runID(fp)
 }
 
 // gatedSpec is a countsim spec whose resolution blocks in the gated
@@ -735,9 +746,23 @@ func TestRestartSkipsCorruptArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A sidecar that decodes but disagrees with its artifact would serve a
+	// result the artifact does not hold.
+	// replaceFirst rewrites the number of re's first match (its last
+	// submatch) to 1: the result's own Ops, not Sched's after it.
+	replaceFirst := func(re string) []byte {
+		loc := regexp.MustCompile(re).FindSubmatchIndex(good)
+		if loc == nil {
+			return good
+		}
+		n := len(loc)
+		return append(append(append([]byte(nil), good[:loc[n-2]]...), '1'), good[loc[n-1]:]...)
+	}
 	for name, bad := range map[string][]byte{
 		"metric of unknown type": bytes.Replace(good, []byte(`"type": "counter"`), []byte(`"type": "bogus"`), 1),
 		"trailing garbage":       append(append([]byte(nil), good...), "garbage"...),
+		"ops rewritten to 1":     replaceFirst(`"Ops": ([0-9]+)`),
+		"a rank end changed":     replaceFirst(`"RankEnd": \[\s*([0-9]+)`),
 	} {
 		if bytes.Equal(bad, good) {
 			t.Fatalf("%s: the corruption did not apply", name)
@@ -770,6 +795,23 @@ func TestRestartSkipsCorruptArtifacts(t *testing.T) {
 // byte as pinned, so a codec rewrite keeps what a restarted service reads.
 func TestSidecarEncodingPinned(t *testing.T) {
 	svc := newService(t, Config{Jobs: 1, ArtifactDir: t.TempDir()})
+	r, res := sidecarFixture()
+	if err := svc.saveMeta(r, res); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(svc.Store().MetaPath(r.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pin = "a7225edb1bb86a11800f95be803efeba818d3c0b47ffa21914ba1c02bdc19902"
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != pin {
+		t.Errorf("sidecar SHA-256 %x, pinned %s", sum, pin)
+	}
+}
+
+// sidecarFixture is a finished run and its result, with every part the
+// sidecar carries set.
+func sidecarFixture() (*run, *sim.Result) {
 	r := &run{id: "r_0123456789abcdef", fp: "0123456789abcdef" + strings.Repeat("e", 48), lookKeys: []string{"k_one", "k_two"}}
 	res := &sim.Result{
 		Runtime: 12345,
@@ -784,17 +826,57 @@ func TestSidecarEncodingPinned(t *testing.T) {
 		Metrics: results.NewMetricsSnapshot([]results.Metric{{Name: "atlahs_engine_events_total", Type: "counter", Help: "events <&>", Value: 21}}),
 		Wall:    1500,
 	}
-	if err := svc.saveMeta(r, res); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(svc.Store().MetaPath(r.id))
+	return r, res
+}
+
+// FuzzRestoreRun feeds restoreRun the artifact directory a crash can
+// leave: any sidecar and artifact bytes for one run id. It never panics,
+// and a run it accepts is one whose result re-encodes to exactly the
+// artifact it was given, which is also what it serves.
+func FuzzRestoreRun(f *testing.F) {
+	st, err := results.NewStore(f.TempDir())
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	const pin = "a7225edb1bb86a11800f95be803efeba818d3c0b47ffa21914ba1c02bdc19902"
-	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != pin {
-		t.Errorf("sidecar SHA-256 %x, pinned %s", sum, pin)
+	svc := &Service{store: st}
+	r, res := sidecarFixture()
+	if err := svc.saveMeta(r, res); err != nil {
+		f.Fatal(err)
 	}
+	meta, err := os.ReadFile(st.MetaPath(r.id))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var artifact bytes.Buffer
+	if err := results.EncodeJSON(&artifact, runSweep(r.id, res)); err != nil {
+		f.Fatal(err)
+	}
+	if err := os.WriteFile(st.Path(r.id), artifact.Bytes(), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := svc.restoreRun(r.id); err != nil {
+		f.Fatalf("the seed run is not restored: %v", err)
+	}
+	f.Add(meta, artifact.Bytes())
+	f.Fuzz(func(t *testing.T, meta, artifact []byte) {
+		if err := os.WriteFile(st.MetaPath(r.id), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.Path(r.id), artifact, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := svc.restoreRun(r.id)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := results.EncodeJSON(&again, runSweep(got.id, got.result)); err != nil {
+			t.Fatalf("restored result does not encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), artifact) || !bytes.Equal(got.artifact, artifact) {
+			t.Fatalf("restored run re-encodes to\n%s\nserves\n%s\nfrom artifact\n%s", again.Bytes(), got.artifact, artifact)
+		}
+	})
 }
 
 // TestWaitCancelledContext pins Wait's ordering guarantee: a finished run
@@ -998,10 +1080,7 @@ func TestSubmitSweepQueueFullAtomic(t *testing.T) {
 		t.Fatalf("two-spec sweep into a one-slot queue: %v, want ErrQueueFull", err)
 	}
 	for _, spec := range specs {
-		id, err := RunID(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := specRunID(t, spec)
 		if _, ok := svc.Get(id); ok {
 			t.Fatalf("rejected sweep left member %s admitted", id)
 		}

@@ -13,10 +13,10 @@ import (
 const DiffSchema = "atlahs.diff/v1"
 
 // SweepDiff is the field-by-field comparison of two atlahs.results/v1
-// sweeps — the document behind `atlahs-analyze diff` and the service's
-// GET /v1/analyze/diff. It is sparse: only changed rows, params and
-// derived values are recorded, so two identical sweeps diff to a document
-// with no rows and Changed == 0.
+// sweeps — the document behind `atlahs-analyze diff -json`, whether the
+// sweeps are experiment exports or service run artifacts. It is sparse:
+// only changed rows, params and derived values are recorded, so two
+// identical sweeps diff to a document with no rows and Changed == 0.
 type SweepDiff struct {
 	// A and B name the compared sweeps (Sweep.Name), in that order; every
 	// delta is B relative to A ("how did B move away from A").

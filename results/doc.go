@@ -56,9 +56,8 @@
 // # Diff schema (atlahs.diff/v1)
 //
 // A SweepDiff is the field-by-field comparison of two sweeps, the
-// document behind `atlahs-analyze diff` and the service's
-// GET /v1/analyze/diff. EncodeDiffJSON writes one SweepDiff as a single
-// JSON object:
+// document behind `atlahs-analyze diff -json`. EncodeDiffJSON writes one
+// SweepDiff as a single JSON object:
 //
 //	{
 //	  "schema":  "atlahs.diff/v1",

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"atlahs/internal/goal"
@@ -237,17 +236,3 @@ func placementPolicy(name string) (goal.Placement, error) {
 	}
 	return 0, fmt.Errorf("sim: unknown placement %q (want one of %s)", name, strings.Join(Placements(), ", "))
 }
-
-// LoadGOAL reads a GOAL schedule file, textual or binary (auto-detected by
-// the binary magic; see DecodeGOAL).
-func LoadGOAL(path string) (*Schedule, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return goal.Decode(b)
-}
-
-// DecodeGOAL parses a serialised GOAL schedule, textual or binary
-// (auto-detected). Binary input is decoded in place: b is not copied.
-func DecodeGOAL(b []byte) (*Schedule, error) { return goal.Decode(b) }

@@ -14,10 +14,11 @@ import (
 // path; exactly one source must be set.
 type Workload struct {
 	// GoalPath names a GOAL schedule file, textual or binary (auto-detected
-	// by the binary magic).
+	// by the binary magic). It is TracePath with the "goal" frontend.
 	GoalPath string
 	// GoalBytes holds a serialised GOAL schedule, textual or binary
-	// (auto-detected).
+	// (auto-detected). It is Trace with the "goal" frontend: a binary
+	// schedule is decoded in place, not copied.
 	GoalBytes []byte
 	// Schedule is an in-memory GOAL schedule (e.g. from sim.NewBuilder or a
 	// trace converter).
@@ -147,9 +148,9 @@ func (w *Workload) schedule(topSeed uint64) (*goal.Schedule, error) {
 	}
 	switch {
 	case w.GoalPath != "":
-		return LoadGOAL(w.GoalPath)
+		return ConvertTraceFile(w.GoalPath, "goal", nil)
 	case len(w.GoalBytes) > 0:
-		return DecodeGOAL(w.GoalBytes)
+		return ConvertTrace(w.GoalBytes, "goal", nil)
 	case w.Schedule != nil:
 		return w.Schedule, nil
 	case w.Synthetic != nil:
