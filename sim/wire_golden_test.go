@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -14,8 +15,8 @@ import (
 	"atlahs/internal/workload/oltp"
 )
 
-// convertCase is one named input of a trace frontend. pinnedAt315b2a9 holds
-// what the parent of the parser and builder rewrite made of it.
+// convertCase is one named input of a trace frontend. pinnedConversions
+// holds what the code made of it when the case was added.
 type convertCase struct {
 	name, frontend string
 	raw            []byte
@@ -68,6 +69,17 @@ const (
 	chakraR1  = `{"rank":1,"nodes":[{"id":0,"name":"f","type":"COMP_NODE","ctrl_deps":null,"data_deps":null,"attrs":[{"name":"runtime","int64_val":200}]},{"id":1,"name":"ALL_REDUCE","type":"COMM_COLL_NODE","ctrl_deps":[0],"data_deps":null,"attrs":[{"name":"comm_type","string_val":"ALL_REDUCE"},{"name":"comm_size","int64_val":4096}]}]}` + "\n"
 )
 
+// nested is an array nested depth deep: as a record's field value, depth
+// 9 999 is as deep as encoding/json reads, the record itself being one.
+func nested(depth int) string {
+	return strings.Repeat("[", depth) + strings.Repeat("]", depth)
+}
+
+// broadcast turns an nsys allreduce record into a broadcast from root.
+func broadcast(allreduce string, root int) string {
+	return strings.Replace(strings.Replace(allreduce, `"allreduce"`, `"broadcast"`, 1), `"comm":"c"`, fmt.Sprintf(`"comm":"c","root":%d`, root), 1)
+}
+
 // handWrittenCases is the malformed-and-odd input list: one property of
 // the accepted language per entry. The fuzzers seed their corpora from it.
 func handWrittenCases() []convertCase {
@@ -111,6 +123,25 @@ func handWrittenCases() []convertCase {
 			`{"gpu":1,"stream":0,"kind":"nccl","start_ns":1,"end_ns":2,"coll":"recv","bytes":512,"comm":"c","peer":0}` + "\n")},
 		{name: "nsys/wrong-format", frontend: "nsys", raw: []byte(strings.Replace(nsysHdr, "v1", "v2", 1) + nsysK0)},
 		{name: "nsys/zero-gpus", frontend: "nsys", raw: []byte(strings.Replace(nsysHdr, `"ngpus":2`, `"ngpus":0`, 1))},
+		// recorded at df4c324: the record grammar at its edges
+		{name: "nsys/escaped-key", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"\u0067pu":1`, 1))},
+		{name: "nsys/unicode-folded-keys", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(strings.Replace(nsysK0, `"start_ns":0`, `"ſtart_ns":3`, 1), `"kind"`, `"\u212aind"`, 1))},
+		{name: "nsys/nothing-between-values", frontend: "nsys", raw: []byte(strings.TrimSuffix(nsysHdr, "\n") + strings.TrimSuffix(nsysK0, "\n") + strings.TrimSuffix(nsysAR0, "\n") + nsysAR1)},
+		{name: "nsys/negative-zero-int", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"start_ns":0`, `"start_ns":-0`, 1))},
+		{name: "nsys/leading-zero-int", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"end_ns":10`, `"end_ns":010`, 1))},
+		{name: "nsys/int64-max", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"end_ns":10`, `"end_ns":9223372036854775807`, 1))},
+		{name: "nsys/int64-min", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"stream":0`, `"stream":-9223372036854775808`, 1))},
+		{name: "nsys/int64-overflow", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"end_ns":10`, `"end_ns":9223372036854775808`, 1))},
+		{name: "nsys/bad-literal-for-int", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":tru`, 1))},
+		{name: "nsys/control-byte-in-string", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"name":"k"`, "\"name\":\"k\x01\"", 1))},
+		{name: "nsys/invalid-escape", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"name":"k"`, `"name":"k\x"`, 1))},
+		{name: "nsys/bom-before-record", frontend: "nsys", raw: []byte(nsysHdr + "\xef\xbb\xbf" + nsysK0)},
+		{name: "nsys/unknown-field-at-depth-limit", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":0,"sm":`+nested(9999), 1))},
+		{name: "nsys/unknown-field-past-depth-limit", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":0,"sm":`+nested(10000), 1))},
+		// recorded at df4c324: members of one collective that disagree
+		{name: "nsys/collective-bytes-disagree", frontend: "nsys", raw: []byte(nsysHdr + nsysAR0 + strings.Replace(nsysAR1, `"bytes":4096`, `"bytes":8192`, 1))},
+		{name: "nsys/broadcast-roots-disagree", frontend: "nsys", raw: []byte(nsysHdr + broadcast(nsysAR0, 0) + broadcast(nsysAR1, 1))},
+		{name: "nsys/broadcast-root-outside-comm", frontend: "nsys", raw: []byte(nsysHdr + broadcast(nsysAR0, 2) + broadcast(nsysAR1, 2))},
 
 		// mpi: line-oriented text
 		{name: "mpi/minimal", frontend: "mpi", raw: []byte(mpiHdr + mpiR0 + mpiR1)},
@@ -212,11 +243,12 @@ func handWrittenCases() []convertCase {
 
 // TestConvertedSchedulesEncodeAsBefore pins what every trace frontend
 // makes of its input — accepted or rejected and, when accepted, the binary
-// GOAL encoding — to what commit 315b2a9 made of it. The first three rows
-// are the schedules the repo benchmark converts (bench/replay.go, full
-// scale, seed 1), whose digests go back to commit 65f5b2e, the last one
-// with per-op [][]int32 dependency lists; then two seeds of a generated
-// fixture per format, then the hand-written list. The encoding writes
+// GOAL encoding — to what the code made of it when it was recorded
+// (pinnedConversions says at which commit). The first three rows are the
+// schedules the repo benchmark converts (bench/replay.go, full scale, seed
+// 1), whose digests go back to commit 65f5b2e, the last one with per-op
+// [][]int32 dependency lists; then two seeds of a generated fixture per
+// format, then the hand-written list. The encoding writes
 // every op's dependencies in list order, so a digest moves if a parser, a
 // converter or the builder reorders, drops or duplicates a single edge —
 // which is also what would move every spec fingerprint and
@@ -244,7 +276,7 @@ func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
 			t.Fatalf("duplicate case name %q", c.name)
 		}
 		seen[c.name] = true
-		want := pinnedAt315b2a9[c.name]
+		want := pinnedConversions[c.name]
 		t.Run(c.name, func(t *testing.T) {
 			got := ""
 			s, err := ConvertTrace(c.raw, c.frontend, c.cfg)
@@ -259,9 +291,9 @@ func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
 			switch {
 			case got == want:
 			case want == "":
-				t.Errorf("accepted (sha256 %s); 315b2a9 rejected it", got)
+				t.Errorf("accepted (sha256 %s); recorded as rejected", got)
 			case got == "":
-				t.Errorf("rejected (%v); 315b2a9 accepted it as %s", err, want)
+				t.Errorf("rejected (%v); recorded as accepted as %s", err, want)
 			default:
 				t.Errorf("sha256 %s; recorded %s", got, want)
 			}
