@@ -9,6 +9,11 @@
 // rendering keeps the same information content while staying dependency-
 // free, and — like the real reports in paper Table 1 — is much larger
 // than the GOAL files generated from it.
+//
+// ParseBytes reads a report: encoding/json decodes the header, and a
+// scanner of this package's own reads the records in place, in one walk
+// over the bytes, accepting exactly the record grammar encoding/json does
+// and reading the same values.
 package nsys
 
 import (
@@ -18,8 +23,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"slices"
+	"strconv"
 
 	"atlahs/internal/goal"
 )
@@ -225,14 +230,36 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ParseBytes parses a JSON-lines report held in memory. Records is sized
-// once from the line count, every record is decoded in place, and the
-// record strings — a handful of distinct kinds, collectives, communicators
-// and kernel names — are interned, so a report of N lines costs its N
-// Records and a constant number of allocations more. Like the encoding/json
-// decoder it runs on, it takes any stream of JSON values, not only one per
-// line; what is not one per line merely regrows Records.
+// ParseBytes parses a JSON-lines report held in memory and validates it.
+//
+// The header is decoded by encoding/json. The records after it are read
+// by one scanner that walks the slice once and accepts what encoding/json
+// would decode into a Record, with the same values: a stream of JSON
+// objects (or nulls, which leave a record zero) separated by any run of
+// JSON whitespace or by nothing; keys matched exactly or else
+// case-insensitively, under Unicode folding, once unescaped; the int
+// fields take an integer literal that fits their type and the string
+// fields a string, null leaving either as it was; unknown keys take any
+// JSON value nested at most 10 000 deep, the record being one; and the
+// last of a repeated key wins. Records is sized once from the line count,
+// every record is filled in place, and the record strings — a handful of
+// distinct kinds, collectives, communicators and kernel names — are
+// interned, so a report of N lines costs its N Records and a constant
+// number of allocations more. What is not one record per line merely
+// regrows Records.
 func ParseBytes(b []byte) (*Report, error) {
+	rep, err := parse(b)
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.Validate(); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// parse is ParseBytes without the validation.
+func parse(b []byte) (*Report, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	var hdr header
 	if err := dec.Decode(&hdr); err != nil {
@@ -246,54 +273,352 @@ func ParseBytes(b []byte) (*Report, error) {
 	const minRecord = 16
 	lines := min(bytes.Count(b, []byte{'\n'}), len(b)/minRecord)
 	rep := &Report{NGPUs: hdr.NGPUs, Comms: hdr.Comms, Records: make([]Record, 0, lines)}
-	var w wireRecord
+	s := scanner{b: b, off: int(dec.InputOffset())}
 	strs := interned{}
 	for {
+		s.space()
+		if s.off == len(b) {
+			return rep, nil
+		}
 		n := len(rep.Records)
 		rep.Records = append(rep.Records, Record{})
 		rec := &rep.Records[n]
-		w = wireRecord{Record: rec, Kind: w.Kind[:0], Name: w.Name[:0], Coll: w.Coll[:0], Comm: w.Comm[:0]}
-		if err := dec.Decode(&w); err == io.EOF {
-			rep.Records = rep.Records[:n]
-			break
-		} else if err != nil {
+		var raw recordStrings
+		if err := s.record(rec, &raw); err != nil {
 			return nil, fmt.Errorf("nsys: reading record %d: %w", n, err)
 		}
-		rec.Kind, rec.Name, rec.Coll, rec.Comm = strs.of(w.Kind), strs.of(w.Name), strs.of(w.Coll), strs.of(w.Comm)
+		rec.Kind, rec.Name, rec.Coll, rec.Comm = strs.of(raw.kind), strs.of(raw.name), strs.of(raw.coll), strs.of(raw.comm)
 	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
-// wireRecord decodes one record in place. The numeric fields go straight
-// into the embedded Record; its four string fields are shadowed by the
-// ones declared here (encoding/json prefers the shallower of two fields
-// with one name), which keep the raw JSON in buffers reused from record to
-// record for interned to turn into shared strings.
-type wireRecord struct {
-	*Record
-	Kind rawString `json:"kind"`
-	Name rawString `json:"name"`
-	Coll rawString `json:"coll"`
-	Comm rawString `json:"comm"`
+// maxDepth is how deeply encoding/json lets JSON values nest.
+const maxDepth = 10000
+
+// recordKeys are the JSON keys of a Record.
+var recordKeys = [...]string{"gpu", "stream", "kind", "name", "start_ns", "end_ns", "coll", "bytes", "comm", "root", "peer"}
+
+// recordStrings holds a record's string fields as the JSON string tokens
+// read for them, quotes and escapes included, or nil.
+type recordStrings struct {
+	kind, name, coll, comm []byte
 }
 
-// rawString is a JSON string token, quotes and escapes included, decoded
-// the way encoding/json decodes into a string field: null leaves it as it
-// is, any other JSON type is an error.
-type rawString []byte
+// scanner reads JSON values from b, starting at off.
+type scanner struct {
+	b   []byte
+	off int
+}
 
-func (r *rawString) UnmarshalJSON(b []byte) error {
-	switch b[0] {
-	case 'n':
-	case '"':
-		*r = append((*r)[:0], b...)
-	default:
-		return &json.UnmarshalTypeError{Value: "non-string", Type: reflect.TypeFor[string]()}
+// record reads one record into rec, and its string tokens into raw.
+func (s *scanner) record(rec *Record, raw *recordStrings) error {
+	if s.peek() == 'n' {
+		return s.literal("null")
+	}
+	if s.peek() != '{' {
+		return s.fail("looking for the beginning of a record")
+	}
+	s.off++
+	for more := s.first('}'); more; {
+		tok, err := s.key()
+		if err != nil {
+			return err
+		}
+		switch field(tok) {
+		case "gpu":
+			err = s.int(&rec.GPU)
+		case "stream":
+			err = s.int(&rec.Stream)
+		case "kind":
+			err = s.string(&raw.kind)
+		case "name":
+			err = s.string(&raw.name)
+		case "start_ns":
+			err = s.int64(&rec.StartNs)
+		case "end_ns":
+			err = s.int64(&rec.EndNs)
+		case "coll":
+			err = s.string(&raw.coll)
+		case "bytes":
+			err = s.int64(&rec.Bytes)
+		case "comm":
+			err = s.string(&raw.comm)
+		case "root":
+			err = s.int(&rec.Root)
+		case "peer":
+			err = s.int(&rec.Peer)
+		default:
+			err = s.skip(2)
+		}
+		if err != nil {
+			return err
+		}
+		if more, err = s.next('}'); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// key reads an object key and the colon after it, and returns the key's
+// token.
+func (s *scanner) key() ([]byte, error) {
+	tok, err := s.token()
+	if err != nil {
+		return nil, err
+	}
+	s.space()
+	if s.peek() != ':' {
+		return nil, s.fail("after an object key")
+	}
+	s.off++
+	s.space()
+	return tok, nil
+}
+
+// field returns the record key that the key token tok names, or "" for
+// none: the key spelt exactly, else the first that equals it under Unicode
+// case folding, which is how encoding/json matches a key to a field.
+func field(tok []byte) string {
+	name := tok[1 : len(tok)-1]
+	if bytes.IndexByte(name, '\\') >= 0 {
+		var unescaped string
+		_ = json.Unmarshal(tok, &unescaped) // token has checked the escapes
+		name = []byte(unescaped)
+	}
+	for _, k := range recordKeys {
+		if string(name) == k {
+			return k
+		}
+	}
+	for _, k := range recordKeys {
+		if bytes.EqualFold(name, []byte(k)) {
+			return k
+		}
+	}
+	return ""
+}
+
+// int64 reads an integer literal into v, or null, which leaves v as it
+// is; any other value is an error, as it is for encoding/json.
+func (s *scanner) int64(v *int64) error {
+	switch c := s.peek(); {
+	case c == 'n':
+		return s.literal("null")
+	case c != '-' && (c < '0' || c > '9'):
+		return s.fail("where an integer was expected")
+	}
+	start := s.off
+	if err := s.number(); err != nil {
+		return err
+	}
+	n, err := strconv.ParseInt(string(s.b[start:s.off]), 10, 64)
+	if err != nil {
+		return fmt.Errorf("cannot read number %s into an int64", s.b[start:s.off])
+	}
+	*v = n
+	return nil
+}
+
+// int is int64 for an int field.
+func (s *scanner) int(v *int) error {
+	n := int64(*v)
+	if err := s.int64(&n); err != nil {
+		return err
+	}
+	if int64(int(n)) != n {
+		return fmt.Errorf("number %d overflows an int", n)
+	}
+	*v = int(n)
+	return nil
+}
+
+// string reads a string token into v, or null, which leaves v as it is;
+// any other value is an error, as it is for encoding/json.
+func (s *scanner) string(v *[]byte) error {
+	switch s.peek() {
+	case 'n':
+		return s.literal("null")
+	case '"':
+		tok, err := s.token()
+		*v = tok
+		return err
+	}
+	return s.fail("where a string was expected")
+}
+
+// skip reads any JSON value, nested depth deep.
+func (s *scanner) skip(depth int) error {
+	switch c := s.peek(); c {
+	case '{', '[':
+		if depth > maxDepth {
+			return s.fail("exceeding the maximum nesting depth")
+		}
+		end := byte('}')
+		if c == '[' {
+			end = ']'
+		}
+		s.off++
+		for more := s.first(end); more; {
+			if c == '{' {
+				if _, err := s.key(); err != nil {
+					return err
+				}
+			}
+			if err := s.skip(depth + 1); err != nil {
+				return err
+			}
+			var err error
+			if more, err = s.next(end); err != nil {
+				return err
+			}
+		}
+		return nil
+	case '"':
+		_, err := s.token()
+		return err
+	case 't':
+		return s.literal("true")
+	case 'f':
+		return s.literal("false")
+	case 'n':
+		return s.literal("null")
+	}
+	return s.number()
+}
+
+// first steps into a container just opened: it reports whether a member
+// follows, or steps past end if the container is empty.
+func (s *scanner) first(end byte) bool {
+	s.space()
+	if s.peek() == end {
+		s.off++
+		return false
+	}
+	return true
+}
+
+// next steps past what follows a container's member: a comma, when it
+// reports that another member follows, or the container's end.
+func (s *scanner) next(end byte) (bool, error) {
+	s.space()
+	switch s.peek() {
+	case ',':
+		s.off++
+		s.space()
+		return true, nil
+	case end:
+		s.off++
+		return false, nil
+	}
+	return false, s.fail("after a member")
+}
+
+// token reads a string and returns its token, quotes included.
+func (s *scanner) token() ([]byte, error) {
+	start := s.off
+	if s.peek() != '"' {
+		return nil, s.fail("where a string was expected")
+	}
+	for s.off++; s.off < len(s.b); s.off++ {
+		switch c := s.b[s.off]; {
+		case c == '"':
+			s.off++
+			return s.b[start:s.off], nil
+		case c < ' ':
+			return nil, s.fail("in a string")
+		case c == '\\':
+			s.off++
+			switch s.peek() {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				for range 4 {
+					s.off++
+					if c := s.peek(); !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+						return nil, s.fail("in a \\u escape")
+					}
+				}
+			default:
+				return nil, s.fail("in a string escape")
+			}
+		}
+	}
+	return nil, s.fail("in a string")
+}
+
+// number reads a number.
+func (s *scanner) number() error {
+	if s.peek() == '-' {
+		s.off++
+	}
+	switch c := s.peek(); {
+	case c == '0':
+		s.off++
+	case '1' <= c && c <= '9':
+		s.digits()
+	default:
+		return s.fail("looking for the beginning of a value")
+	}
+	if s.peek() == '.' {
+		s.off++
+		if !s.digits() {
+			return s.fail("after a decimal point")
+		}
+	}
+	if c := s.peek(); c == 'e' || c == 'E' {
+		s.off++
+		if c := s.peek(); c == '+' || c == '-' {
+			s.off++
+		}
+		if !s.digits() {
+			return s.fail("in an exponent")
+		}
+	}
+	return nil
+}
+
+// digits reads a run of decimal digits and reports whether there was one.
+func (s *scanner) digits() bool {
+	start := s.off
+	for c := s.peek(); '0' <= c && c <= '9'; c = s.peek() {
+		s.off++
+	}
+	return s.off > start
+}
+
+// literal reads the literal word.
+func (s *scanner) literal(word string) error {
+	for i := range len(word) {
+		if s.peek() != word[i] {
+			return s.fail("in literal " + word)
+		}
+		s.off++
+	}
+	return nil
+}
+
+// space steps over JSON whitespace.
+func (s *scanner) space() {
+	for ; s.off < len(s.b); s.off++ {
+		if c := s.b[s.off]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return
+		}
+	}
+}
+
+// peek returns the byte at off, or 0 at the end of the input, which no
+// JSON value may contain outside a string.
+func (s *scanner) peek() byte {
+	if s.off < len(s.b) {
+		return s.b[s.off]
+	}
+	return 0
+}
+
+func (s *scanner) fail(context string) error {
+	if s.off >= len(s.b) {
+		return fmt.Errorf("unexpected end of input %s", context)
+	}
+	return fmt.Errorf("offset %d: invalid character %q %s", s.off, s.b[s.off], context)
 }
 
 // interned maps JSON string tokens to their decoded strings, so every
@@ -308,7 +633,7 @@ func (in interned) of(raw []byte) string {
 		return s
 	}
 	var s string
-	// raw is a string token the decoder has already accepted.
+	// raw is a string token the scanner has already accepted.
 	_ = json.Unmarshal(raw, &s)
 	in[string(raw)] = s
 	return s

@@ -2,6 +2,9 @@ package nsys
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -180,4 +183,82 @@ func TestParseSizesRecordsOnce(t *testing.T) {
 	if large > small+2 || large > 100 {
 		t.Fatalf("parsing allocated %.0f times for 500 records and %.0f for 8000; want a constant", small, large)
 	}
+}
+
+// decodeReference is the record reader the scanner replaced, kept as the
+// reference FuzzParseBytesMatchesDecoder holds the scanner to: parse with
+// each record decoded by encoding/json's Decoder.
+func decodeReference(b []byte) (*Report, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	var hdr header
+	if err := dec.Decode(&hdr); err != nil {
+		return nil, err
+	}
+	if hdr.Format != formatName {
+		return nil, fmt.Errorf("unknown format %q", hdr.Format)
+	}
+	rep := &Report{NGPUs: hdr.NGPUs, Comms: hdr.Comms, Records: []Record{}}
+	strs := interned{}
+	for {
+		var rec Record
+		w := wireRecord{Record: &rec}
+		if err := dec.Decode(&w); err == io.EOF {
+			return rep, nil
+		} else if err != nil {
+			return nil, err
+		}
+		rec.Kind, rec.Name, rec.Coll, rec.Comm = strs.of(w.Kind), strs.of(w.Name), strs.of(w.Coll), strs.of(w.Comm)
+		rep.Records = append(rep.Records, rec)
+	}
+}
+
+// wireRecord decodes one record in place. The numeric fields go straight
+// into the embedded Record; its four string fields are shadowed by the
+// ones declared here (encoding/json prefers the shallower of two fields
+// with one name), which keep the raw JSON for interned to decode.
+type wireRecord struct {
+	*Record
+	Kind rawString `json:"kind"`
+	Name rawString `json:"name"`
+	Coll rawString `json:"coll"`
+	Comm rawString `json:"comm"`
+}
+
+// rawString is a JSON string token, quotes and escapes included, decoded
+// the way encoding/json decodes into a string field: null leaves it as it
+// is, any other JSON type is an error.
+type rawString []byte
+
+func (r *rawString) UnmarshalJSON(b []byte) error {
+	switch b[0] {
+	case 'n':
+	case '"':
+		*r = append((*r)[:0], b...)
+	default:
+		return &json.UnmarshalTypeError{Value: "non-string", Type: reflect.TypeFor[string]()}
+	}
+	return nil
+}
+
+// FuzzParseBytesMatchesDecoder: whatever the bytes, the scanner and
+// encoding/json either both reject them or both read the same report.
+// The seed corpus in testdata holds the nsys rows of
+// sim.TestConvertedSchedulesEncodeAsBefore's hand-written list, which
+// sim.TestNsysRowsSeedParseFuzzer keeps in step with the list.
+func FuzzParseBytesMatchesDecoder(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := sampleReport().WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := parse(b)
+		want, wantErr := decodeReference(b)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("scanner: %v; encoding/json: %v", err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner read %+v; encoding/json %+v", got, want)
+		}
+	})
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -298,5 +300,22 @@ func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
 				t.Errorf("sha256 %s; recorded %s", got, want)
 			}
 		})
+	}
+}
+
+// TestNsysRowsSeedParseFuzzer: every nsys row of the hand-written list is
+// a file of nsys.FuzzParseBytesMatchesDecoder's seed corpus, named after
+// the row, so the scanner is held to encoding/json on each of them.
+func TestNsysRowsSeedParseFuzzer(t *testing.T) {
+	dir := filepath.Join("..", "internal", "trace", "nsys", "testdata", "fuzz", "FuzzParseBytesMatchesDecoder")
+	for _, c := range handWrittenCases() {
+		name, ok := strings.CutPrefix(c.name, "nsys/")
+		if !ok {
+			continue
+		}
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", c.raw)
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
+			t.Errorf("%s: %s/%s should hold the row (%v); want:\n%s", c.name, dir, name, err, want)
+		}
 	}
 }
