@@ -400,6 +400,15 @@ func (p *plan) lockstep(st *cursors, name string, comm int32, ops []int32) error
 				return fmt.Errorf("ncclgoal: comm %q: GPU %d launches %s while GPU %d launches %s",
 					name, po.rec.GPU, po.rec.Coll, ref.rec.GPU, ref.rec.Coll)
 			}
+			// every member decomposes ref's record, so all must agree on it
+			if po.rec.Bytes != ref.rec.Bytes {
+				return fmt.Errorf("ncclgoal: comm %q: GPU %d's %s #%d moves %d bytes while GPU %d's moves %d",
+					name, po.rec.GPU, po.rec.Coll, st.idx[g], po.rec.Bytes, ref.rec.GPU, ref.rec.Bytes)
+			}
+			if po.rec.Coll == nsys.CollBroadcast && po.rec.Root != ref.rec.Root {
+				return fmt.Errorf("ncclgoal: comm %q: GPU %d's broadcast #%d has root %d while GPU %d's has root %d",
+					name, po.rec.GPU, st.idx[g], po.rec.Root, ref.rec.GPU, ref.rec.Root)
+			}
 		}
 		if _, ok := collToKind[ref.rec.Coll]; !ok {
 			return fmt.Errorf("ncclgoal: unsupported collective %q", ref.rec.Coll)

@@ -166,20 +166,24 @@ func TestWhatIfRegrouping(t *testing.T) {
 }
 
 func TestMismatchedCollectiveDetected(t *testing.T) {
-	rep := &nsys.Report{NGPUs: 2, Comms: map[string][]int{"w": {0, 1}}}
-	rep.Records = append(rep.Records,
-		nsys.Record{GPU: 0, Stream: 1, Kind: nsys.KindNCCL, Coll: nsys.CollAllReduce, Bytes: 64, Comm: "w", StartNs: 0, EndNs: 1},
-		nsys.Record{GPU: 1, Stream: 1, Kind: nsys.KindNCCL, Coll: nsys.CollBroadcast, Bytes: 64, Comm: "w", StartNs: 0, EndNs: 1},
-	)
-	if _, err := Generate(rep, Config{}); err == nil || !strings.Contains(err.Error(), "launches") {
-		t.Fatalf("collective mismatch not detected: %v", err)
+	member := func(gpu int, coll string, bytes int64, root int) nsys.Record {
+		return nsys.Record{GPU: gpu, Stream: 1, Kind: nsys.KindNCCL, Coll: coll, Bytes: bytes, Comm: "w", Root: root, StartNs: 0, EndNs: 1}
 	}
-	rep2 := &nsys.Report{NGPUs: 2, Comms: map[string][]int{"w": {0, 1}}}
-	rep2.Records = append(rep2.Records,
-		nsys.Record{GPU: 0, Stream: 1, Kind: nsys.KindNCCL, Coll: nsys.CollAllReduce, Bytes: 64, Comm: "w", StartNs: 0, EndNs: 1},
-	)
-	if _, err := Generate(rep2, Config{}); err == nil || !strings.Contains(err.Error(), "missing collective") {
-		t.Fatalf("missing collective not detected: %v", err)
+	for _, c := range []struct {
+		name    string
+		records []nsys.Record
+		want    string
+	}{
+		{"collectives differ", []nsys.Record{member(0, nsys.CollAllReduce, 64, 0), member(1, nsys.CollBroadcast, 64, 0)}, "launches"},
+		{"collective missing", []nsys.Record{member(0, nsys.CollAllReduce, 64, 0)}, "missing collective"},
+		{"bytes differ", []nsys.Record{member(0, nsys.CollAllReduce, 4096, 0), member(1, nsys.CollAllReduce, 8192, 0)}, "moves 8192 bytes while GPU 0's moves 4096"},
+		{"broadcast roots differ", []nsys.Record{member(0, nsys.CollBroadcast, 64, 0), member(1, nsys.CollBroadcast, 64, 1)}, "has root 1 while GPU 0's has root 0"},
+		{"broadcast root outside communicator", []nsys.Record{member(0, nsys.CollBroadcast, 64, 2), member(1, nsys.CollBroadcast, 64, 2)}, "root 2 out of communicator range"},
+	} {
+		rep := &nsys.Report{NGPUs: 2, Comms: map[string][]int{"w": {0, 1}}, Records: c.records}
+		if _, err := Generate(rep, Config{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

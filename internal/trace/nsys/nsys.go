@@ -133,7 +133,11 @@ func (r *Report) Validate() error {
 				return fmt.Errorf("nsys: record %d: GPU %d not in communicator %q", i, rec.GPU, rec.Comm)
 			}
 			switch rec.Coll {
-			case CollAllReduce, CollBroadcast, CollAllGather, CollReduceScatter, CollAllToAll:
+			case CollAllReduce, CollAllGather, CollReduceScatter, CollAllToAll:
+			case CollBroadcast:
+				if rec.Root < 0 || rec.Root >= len(comm) {
+					return fmt.Errorf("nsys: record %d: root %d out of communicator range", i, rec.Root)
+				}
 			case CollSend, CollRecv:
 				if rec.Peer < 0 || rec.Peer >= len(comm) {
 					return fmt.Errorf("nsys: record %d: peer %d out of communicator range", i, rec.Peer)

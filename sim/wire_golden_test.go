@@ -140,7 +140,8 @@ func handWrittenCases() []convertCase {
 		{name: "nsys/bom-before-record", frontend: "nsys", raw: []byte(nsysHdr + "\xef\xbb\xbf" + nsysK0)},
 		{name: "nsys/unknown-field-at-depth-limit", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":0,"sm":`+nested(9999), 1))},
 		{name: "nsys/unknown-field-past-depth-limit", frontend: "nsys", raw: []byte(nsysHdr + strings.Replace(nsysK0, `"gpu":0`, `"gpu":0,"sm":`+nested(10000), 1))},
-		// recorded at df4c324: members of one collective that disagree
+		// members of one collective that disagree: accepted at df4c324,
+		// rejected since
 		{name: "nsys/collective-bytes-disagree", frontend: "nsys", raw: []byte(nsysHdr + nsysAR0 + strings.Replace(nsysAR1, `"bytes":4096`, `"bytes":8192`, 1))},
 		{name: "nsys/broadcast-roots-disagree", frontend: "nsys", raw: []byte(nsysHdr + broadcast(nsysAR0, 0) + broadcast(nsysAR1, 1))},
 		{name: "nsys/broadcast-root-outside-comm", frontend: "nsys", raw: []byte(nsysHdr + broadcast(nsysAR0, 2) + broadcast(nsysAR1, 2))},
