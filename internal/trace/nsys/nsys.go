@@ -329,27 +329,27 @@ func (s *scanner) record(rec *Record, raw *recordStrings) error {
 		}
 		switch field(tok) {
 		case "gpu":
-			err = s.int(&rec.GPU)
+			err = s.intValue(&rec.GPU)
 		case "stream":
-			err = s.int(&rec.Stream)
+			err = s.intValue(&rec.Stream)
 		case "kind":
-			err = s.string(&raw.kind)
+			err = s.stringValue(&raw.kind)
 		case "name":
-			err = s.string(&raw.name)
+			err = s.stringValue(&raw.name)
 		case "start_ns":
-			err = s.int64(&rec.StartNs)
+			err = s.int64Value(&rec.StartNs)
 		case "end_ns":
-			err = s.int64(&rec.EndNs)
+			err = s.int64Value(&rec.EndNs)
 		case "coll":
-			err = s.string(&raw.coll)
+			err = s.stringValue(&raw.coll)
 		case "bytes":
-			err = s.int64(&rec.Bytes)
+			err = s.int64Value(&rec.Bytes)
 		case "comm":
-			err = s.string(&raw.comm)
+			err = s.stringValue(&raw.comm)
 		case "root":
-			err = s.int(&rec.Root)
+			err = s.intValue(&rec.Root)
 		case "peer":
-			err = s.int(&rec.Peer)
+			err = s.intValue(&rec.Peer)
 		default:
 			err = s.skip(2)
 		}
@@ -402,9 +402,9 @@ func field(tok []byte) string {
 	return ""
 }
 
-// int64 reads an integer literal into v, or null, which leaves v as it
+// int64Value reads an integer literal into v, or null, which leaves v as it
 // is; any other value is an error, as it is for encoding/json.
-func (s *scanner) int64(v *int64) error {
+func (s *scanner) int64Value(v *int64) error {
 	switch c := s.peek(); {
 	case c == 'n':
 		return s.literal("null")
@@ -423,10 +423,10 @@ func (s *scanner) int64(v *int64) error {
 	return nil
 }
 
-// int is int64 for an int field.
-func (s *scanner) int(v *int) error {
+// intValue is int64Value for an int field.
+func (s *scanner) intValue(v *int) error {
 	n := int64(*v)
-	if err := s.int64(&n); err != nil {
+	if err := s.int64Value(&n); err != nil {
 		return err
 	}
 	if int64(int(n)) != n {
@@ -436,9 +436,9 @@ func (s *scanner) int(v *int) error {
 	return nil
 }
 
-// string reads a string token into v, or null, which leaves v as it is;
+// stringValue reads a string token into v, or null, which leaves v as it is;
 // any other value is an error, as it is for encoding/json.
-func (s *scanner) string(v *[]byte) error {
+func (s *scanner) stringValue(v *[]byte) error {
 	switch s.peek() {
 	case 'n':
 		return s.literal("null")
