@@ -24,7 +24,8 @@
 //
 //   - The plan pass runs stages 2-3 through a counting emitter per GPU
 //     and stores no ops. It checks that every communicator's members
-//     launch the same collectives in the same order (decomposing each
+//     launch the same collectives in the same order, each of the same size
+//     and, for a broadcast, from the same root (decomposing each
 //     collective per member, in lockstep), and yields each GPU's exact op
 //     and edge counts, the GPU op every stage-2 exit waits for (the last
 //     op of the record's stage-3 communication), the intra-node transfers
