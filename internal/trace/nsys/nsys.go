@@ -316,7 +316,7 @@ type scanner struct {
 // record reads one record into rec, and its string tokens into raw.
 func (s *scanner) record(rec *Record, raw *recordStrings) error {
 	if s.peek() == 'n' {
-		return s.literal("null")
+		return s.literal("null") // as encoding/json leaves a struct: zero
 	}
 	if s.peek() != '{' {
 		return s.fail("looking for the beginning of a record")
@@ -618,6 +618,7 @@ func (s *scanner) peek() byte {
 	return 0
 }
 
+// fail reports the byte at off as invalid in context.
 func (s *scanner) fail(context string) error {
 	if s.off >= len(s.b) {
 		return fmt.Errorf("unexpected end of input %s", context)
