@@ -224,8 +224,12 @@ func TestAllBackendsRunRing(t *testing.T) {
 		t.Fatalf("pkt delivered %d messages, want 8", pb.NetStats().MsgsCompleted)
 	}
 	// Fluid
-	resFluid, err := sched.Run(engine.New(), s, newFluid(mkTopo(t, 8)), sched.Options{})
+	fb := newFluid(mkTopo(t, 8))
+	resFluid, err := sched.Run(engine.New(), s, fb, sched.Options{})
 	if err != nil {
+		t.Fatalf("fluid: %v", err)
+	}
+	if err := fb.Drained(); err != nil {
 		t.Fatalf("fluid: %v", err)
 	}
 	// All three should be in the same ballpark: calc 10us + ~128KiB transfer

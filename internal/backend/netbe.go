@@ -18,6 +18,9 @@ type MessageNet interface {
 	Send(src, dst int, size int64, onDelivered func(simtime.Time))
 	// Hosts is the number of hosts the fabric connects.
 	Hosts() int
+	// Drained reports the first flow, packet or record the network still
+	// holds once the engine has run dry.
+	core.Drainer
 }
 
 // NetParams are the host-side overheads applied by the generic
@@ -94,8 +97,9 @@ func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc)
 
 // Drained implements core.Drainer: no compute stream has a completion
 // pending, the matcher holds neither a message nor a receive, every send
-// record is back on the free list, and the network is drained if it can
-// say so (pktnet's can; the fluid model keeps no records).
+// record is back on the free list, and the network holds nothing either:
+// pktnet no packet or flow record off its free lists, fluid no active flow
+// and no message it has not completed.
 func (b *NetBackend) Drained() error {
 	for i := range b.cpus {
 		if n := b.cpus[i].Pending(); n != 0 {
@@ -110,10 +114,10 @@ func (b *NetBackend) Drained() error {
 	if len(b.freeSends) != b.sendsMade {
 		return fmt.Errorf("%s backend: %d of %d send records on the free list", b.name, len(b.freeSends), b.sendsMade)
 	}
-	if d, ok := b.net.(core.Drainer); ok {
-		return d.Drained()
+	if b.net == nil {
+		return nil
 	}
-	return nil
+	return b.net.Drained()
 }
 
 // netSend is one message from the moment its send is issued until the

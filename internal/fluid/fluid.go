@@ -19,6 +19,17 @@
 // link saturates, flows on saturated links freeze, and filling continues.
 // An optional per-message overhead and deterministic jitter emulate
 // software-stack latency and system noise.
+//
+// The filling works over live links only. Every link keeps the list of
+// active flows that cross it, maintained as flows start and complete, so
+// a round walks just the links still carrying an unfrozen flow, and only
+// the member lists of the links that saturated in that round. The result
+// is the same to the bit as filling by walking every link and every
+// unfrozen flow's path each round: the links a round subtracts from and
+// the smallest share it finds do not depend on the order they are
+// visited, and a flow's rate, the shares of the rounds it stayed unfrozen
+// summed from zero in round order, is exactly the running sum of the
+// shares at the round it froze.
 package fluid
 
 import (
@@ -53,7 +64,24 @@ type Network struct {
 	epoch  uint64 // invalidates stale wake events
 	last   simtime.Time
 	rng    *xrand.RNG
-	nextID uint64
+	nextID uint64 // messages sent
+
+	// members[l] lists the active flows that cross link l, in no order;
+	// a flow is at members[f.links[i]][f.slot[i]].
+	members [][]*flow
+	// Progressive-filling scratch, reused by every recompute: per link,
+	// the capacity left and the count of unfrozen flows crossing it; the
+	// live links (those still carrying an unfrozen flow) and the links
+	// that saturated in the current round.
+	avail []float64
+	cnt   []int
+	live  []int
+	sat   []int
+
+	// filled, when set, sees every recompute that filled, with the wake it
+	// scheduled. Only the package's tests set it, to hold the filling to
+	// its reference.
+	filled func(wake simtime.Time)
 
 	// MsgsCompleted counts delivered messages.
 	MsgsCompleted uint64
@@ -64,6 +92,8 @@ type flow struct {
 	remaining float64 // bytes
 	rate      float64 // bytes per picosecond
 	links     []int
+	slot      []int            // the flow's index in each of its links' member lists
+	frozen    uint64           // epoch of the last recompute that froze the flow
 	tail      simtime.Duration // propagation + overhead + jitter, applied at completion
 	onDone    func(simtime.Time)
 }
@@ -73,13 +103,40 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("fluid: nil topology")
 	}
+	if cfg.Overhead < 0 {
+		return nil, fmt.Errorf("fluid: negative overhead %v", cfg.Overhead)
+	}
+	if !(cfg.JitterFrac >= 0 && cfg.JitterFrac <= 1) {
+		return nil, fmt.Errorf("fluid: jitter fraction %v outside [0, 1]", cfg.JitterFrac)
+	}
+	nl := len(cfg.Topo.Links)
 	return &Network{
-		eng:   eng,
-		cfg:   cfg,
-		topo:  cfg.Topo,
-		paths: make([][][][]int, cfg.Topo.NumHosts()),
-		rng:   xrand.New(cfg.Seed ^ 0x464c554944), // "FLUID"
+		eng:     eng,
+		cfg:     cfg,
+		topo:    cfg.Topo,
+		paths:   make([][][][]int, cfg.Topo.NumHosts()),
+		rng:     xrand.New(cfg.Seed ^ 0x464c554944), // "FLUID"
+		members: make([][]*flow, nl),
+		avail:   make([]float64, nl),
+		cnt:     make([]int, nl),
 	}, nil
+}
+
+// Drained implements core.Drainer once the engine has run dry: no flow is
+// active, no link lists a member, and every message sent was completed.
+func (n *Network) Drained() error {
+	if len(n.active) != 0 {
+		return fmt.Errorf("fluid: %d flows still active", len(n.active))
+	}
+	for l, m := range n.members {
+		if len(m) != 0 {
+			return fmt.Errorf("fluid: link %d still lists %d flows", l, len(m))
+		}
+	}
+	if n.nextID != n.MsgsCompleted {
+		return fmt.Errorf("fluid: %d messages sent, %d completed", n.nextID, n.MsgsCompleted)
+	}
+	return nil
 }
 
 // pathsOf returns the shortest paths src->dst from the network's own
@@ -132,7 +189,32 @@ func (n *Network) Send(src, dst int, size int64, onDelivered func(simtime.Time))
 	}
 	n.advance()
 	n.active = append(n.active, f)
+	f.slot = make([]int, len(f.links))
+	for i, lid := range f.links {
+		f.slot[i] = len(n.members[lid])
+		n.members[lid] = append(n.members[lid], f)
+	}
 	n.recompute()
+}
+
+// leave swap-removes f from the member lists of its links.
+func (n *Network) leave(f *flow) {
+	for i, lid := range f.links {
+		m := n.members[lid]
+		last := len(m) - 1
+		if j := f.slot[i]; j != last {
+			g := m[last]
+			m[j] = g
+			for k, gl := range g.links {
+				if gl == lid {
+					g.slot[k] = j
+					break
+				}
+			}
+		}
+		m[last] = nil
+		n.members[lid] = m[:last]
+	}
 }
 
 func (n *Network) slowestLink(links []int) simtime.Duration {
@@ -160,8 +242,8 @@ func (n *Network) advance() {
 	n.last = now
 }
 
-// recompute performs progressive filling over all active flows, completes
-// any that have drained, and schedules the next wake-up.
+// recompute completes any flows that have drained, performs progressive
+// filling over the rest, and schedules the next wake-up.
 func (n *Network) recompute() {
 	n.epoch++
 	// complete drained flows (in insertion order for determinism)
@@ -169,6 +251,7 @@ func (n *Network) recompute() {
 	for _, f := range n.active {
 		if f.remaining <= 0.5 {
 			n.MsgsCompleted++
+			n.leave(f)
 			if f.onDone != nil {
 				done := f.onDone
 				at := n.eng.Now().Add(f.tail)
@@ -178,65 +261,12 @@ func (n *Network) recompute() {
 			kept = append(kept, f)
 		}
 	}
+	clear(n.active[len(kept):])
 	n.active = kept
 	if len(n.active) == 0 {
 		return
 	}
-
-	// progressive filling
-	nl := len(n.topo.Links)
-	avail := make([]float64, nl)
-	cnt := make([]int, nl)
-	for i := range avail {
-		avail[i] = 1 / float64(n.topo.Links[i].PsPerByte)
-	}
-	for _, f := range n.active {
-		f.rate = 0
-		for _, lid := range f.links {
-			cnt[lid]++
-		}
-	}
-	frozen := make([]bool, len(n.active))
-	unfrozen := len(n.active)
-	for unfrozen > 0 {
-		share := math.Inf(1)
-		for l := 0; l < nl; l++ {
-			if cnt[l] > 0 {
-				if s := avail[l] / float64(cnt[l]); s < share {
-					share = s
-				}
-			}
-		}
-		if math.IsInf(share, 1) || share < 1e-15 {
-			share = 0
-		}
-		for l := 0; l < nl; l++ {
-			if cnt[l] > 0 {
-				avail[l] -= share * float64(cnt[l])
-			}
-		}
-		// freeze flows crossing any saturated link
-		for i, f := range n.active {
-			if frozen[i] {
-				continue
-			}
-			f.rate += share
-			saturated := share == 0
-			for _, lid := range f.links {
-				if avail[lid] <= 1e-12 {
-					saturated = true
-					break
-				}
-			}
-			if saturated {
-				frozen[i] = true
-				unfrozen--
-				for _, lid := range f.links {
-					cnt[lid]--
-				}
-			}
-		}
-	}
+	n.fill()
 
 	// schedule wake at the earliest completion
 	soonest := math.Inf(1)
@@ -260,4 +290,79 @@ func (n *Network) recompute() {
 		n.advance()
 		n.recompute()
 	})
+	if n.filled != nil {
+		n.filled(wake)
+	}
+}
+
+// fill sets every active flow's max-min fair rate by progressive filling
+// over the live links. Each round raises the unfrozen flows by the
+// smallest fair share a live link offers, takes what they now use from
+// every live link, and freezes the members of the links that saturated.
+func (n *Network) fill() {
+	epoch := n.epoch
+	avail, cnt := n.avail, n.cnt
+	live := n.live[:0]
+	share := math.Inf(1)
+	for l, m := range n.members {
+		if len(m) == 0 {
+			continue
+		}
+		avail[l] = 1 / float64(n.topo.Links[l].PsPerByte)
+		cnt[l] = len(m)
+		live = append(live, l)
+		if s := avail[l] / float64(cnt[l]); s < share {
+			share = s
+		}
+	}
+	level := 0.0 // the summed shares: the rate of a flow frozen this round
+	unfrozen := len(n.active)
+	for {
+		if math.IsInf(share, 1) || share < 1e-15 {
+			share = 0
+		}
+		level += share
+		sat := n.sat[:0]
+		for _, l := range live {
+			avail[l] -= share * float64(cnt[l])
+			if avail[l] <= 1e-12 {
+				sat = append(sat, l)
+			}
+		}
+		n.sat = sat
+		if share == 0 {
+			sat = live // no link has room left for anyone
+		}
+		for _, l := range sat {
+			for _, f := range n.members[l] {
+				if f.frozen == epoch {
+					continue
+				}
+				f.frozen = epoch
+				f.rate = level
+				unfrozen--
+				for _, lid := range f.links {
+					cnt[lid]--
+				}
+			}
+		}
+		if unfrozen == 0 {
+			break
+		}
+		// keep the links that still carry an unfrozen flow, and find the
+		// next round's share among them
+		share = math.Inf(1)
+		k := 0
+		for _, l := range live {
+			if c := cnt[l]; c > 0 {
+				live[k] = l
+				k++
+				if s := avail[l] / float64(c); s < share {
+					share = s
+				}
+			}
+		}
+		live = live[:k]
+	}
+	n.live = live
 }

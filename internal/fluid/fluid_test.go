@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -229,22 +230,225 @@ func TestOversubscribedCoreContention(t *testing.T) {
 	}
 }
 
+// referenceFill is the progressive filling this package ran before the
+// per-link member lists (commit 636aba8): every round walks every link,
+// then every unfrozen flow's whole path. It returns the rate it gives each
+// flow of active, in order, and leaves the flows alone.
+func referenceFill(active []*flow, links []topo.Link) []float64 {
+	nl := len(links)
+	avail := make([]float64, nl)
+	cnt := make([]int, nl)
+	for i := range avail {
+		avail[i] = 1 / float64(links[i].PsPerByte)
+	}
+	rate := make([]float64, len(active))
+	for _, f := range active {
+		for _, lid := range f.links {
+			cnt[lid]++
+		}
+	}
+	frozen := make([]bool, len(active))
+	unfrozen := len(active)
+	for unfrozen > 0 {
+		share := math.Inf(1)
+		for l := 0; l < nl; l++ {
+			if cnt[l] > 0 {
+				if s := avail[l] / float64(cnt[l]); s < share {
+					share = s
+				}
+			}
+		}
+		if math.IsInf(share, 1) || share < 1e-15 {
+			share = 0
+		}
+		for l := 0; l < nl; l++ {
+			if cnt[l] > 0 {
+				avail[l] -= share * float64(cnt[l])
+			}
+		}
+		// freeze flows crossing any saturated link
+		for i, f := range active {
+			if frozen[i] {
+				continue
+			}
+			rate[i] += share
+			saturated := share == 0
+			for _, lid := range f.links {
+				if avail[lid] <= 1e-12 {
+					saturated = true
+					break
+				}
+			}
+			if saturated {
+				frozen[i] = true
+				unfrozen--
+				for _, lid := range f.links {
+					cnt[lid]--
+				}
+			}
+		}
+	}
+	return rate
+}
+
+// referenceWake is when the reference wakes after filling at now: at the
+// earliest completion at the rates it gave.
+func referenceWake(now simtime.Time, active []*flow, rate []float64) simtime.Time {
+	soonest := math.Inf(1)
+	for i, f := range active {
+		if rate[i] > 0 {
+			if t := f.remaining / rate[i]; t < soonest {
+				soonest = t
+			}
+		}
+	}
+	return now.Add(simtime.Duration(math.Ceil(soonest)))
+}
+
+// FuzzFillingMatchesReference drives random traffic over random fat trees,
+// oversubscribed ones included, and holds every recompute to the reference
+// filling on the same active flows: every rate equal to the bit, and the
+// same wake-up. Messages start in bursts at shared instants and in
+// between, from 1 B to 1 MiB; afterwards every message was delivered once
+// and the network is drained.
+func FuzzFillingMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(4), uint8(4), uint8(64), false)
+	f.Add(uint64(2), uint8(2), uint8(8), uint8(1), uint8(120), true)
+	f.Add(uint64(3), uint8(4), uint8(16), uint8(1), uint8(200), false)
+	f.Add(uint64(4), uint8(4), uint8(16), uint8(16), uint8(255), true)
+	f.Add(uint64(5), uint8(1), uint8(3), uint8(2), uint8(12), false)
+	f.Fuzz(func(t *testing.T, seed uint64, tors, perTor, cores, msgs uint8, noisy bool) {
+		nTors, nPer, nCores := 1+int(tors)%4, 1+int(perTor)%16, 1+int(cores)%16
+		hosts := nTors * nPer
+		if hosts < 2 {
+			t.Skip("one host sends to no one")
+		}
+		tp := testTopo(t, hosts, nPer, nCores)
+		cfg := Config{Topo: tp, Seed: seed}
+		if noisy {
+			cfg.Overhead, cfg.JitterFrac = 500*simtime.Nanosecond, 0.03
+		}
+		eng := engine.New()
+		n, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fills := 0
+		n.filled = func(wake simtime.Time) {
+			fills++
+			want := referenceFill(n.active, tp.Links)
+			for i, fl := range n.active {
+				if math.Float64bits(fl.rate) != math.Float64bits(want[i]) {
+					t.Fatalf("fill %d at %v: flow %d of %d: rate %v, reference %v", fills, eng.Now(), i, len(n.active), fl.rate, want[i])
+				}
+			}
+			if w := referenceWake(eng.Now(), n.active, want); w != wake {
+				t.Fatalf("fill %d at %v: wake at %v, reference %v", fills, eng.Now(), wake, w)
+			}
+		}
+		rng := xrand.New(seed)
+		k := 1 + int(msgs)
+		delivered := make([]int, k)
+		for i := 0; i < k; i++ {
+			src := rng.Intn(hosts)
+			dst := rng.Intn(hosts - 1)
+			if dst >= src {
+				dst++
+			}
+			var size int64
+			switch rng.Intn(4) {
+			case 0:
+				size = 1
+			case 1:
+				size = 1 << 20
+			default:
+				size = 1 + rng.Int63n(1<<20)
+			}
+			at := simtime.Time(rng.Intn(8)) * simtime.Time(25*simtime.Microsecond)
+			if rng.Intn(2) == 0 {
+				at += simtime.Time(rng.Int63n(int64(25 * simtime.Microsecond)))
+			}
+			eng.Schedule(at, func() {
+				n.Send(src, dst, size, func(simtime.Time) { delivered[i]++ })
+			})
+		}
+		eng.Run()
+		for i, d := range delivered {
+			if d != 1 {
+				t.Fatalf("message %d delivered %d times", i, d)
+			}
+		}
+		if fills < k {
+			t.Fatalf("%d fills for %d messages", fills, k)
+		}
+		if err := n.Drained(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Drained finds what a run left behind: a flow still listed on a link, a
+// flow still active, a message sent and never completed.
+func TestDrainedReportsLeftovers(t *testing.T) {
+	run := func() *Network {
+		eng := engine.New()
+		n, _ := New(eng, Config{Topo: testTopo(t, 8, 4, 2)})
+		for src := 1; src < 8; src++ {
+			n.Send(src, 0, 1<<16, nil)
+		}
+		eng.Run()
+		if err := n.Drained(); err != nil {
+			t.Fatalf("a finished run: %v", err)
+		}
+		return n
+	}
+	for leftover, seed := range map[string]func(n *Network){
+		"link 3 still lists 1 flows": func(n *Network) {
+			n.members[3] = append(n.members[3], &flow{links: []int{3}, slot: []int{0}})
+		},
+		"1 flows still active": func(n *Network) {
+			n.active = append(n.active, &flow{})
+		},
+		"8 messages sent, 7 completed": func(n *Network) {
+			n.nextID++
+		},
+	} {
+		n := run()
+		seed(n)
+		if err := n.Drained(); err == nil || !strings.Contains(err.Error(), leftover) {
+			t.Errorf("seeded %q: Drained said %v", leftover, err)
+		}
+	}
+}
+
+// BenchmarkFluidRecompute holds about 500 flows in flight on the
+// benchmark's HPC accuracy fabric (64 hosts, 16 per ToR, 16 cores: 256
+// links), as the fluid run of that fixture does. Each operation starts one
+// message and runs until one completes, so it times about two recomputes
+// at that population.
 func BenchmarkFluidRecompute(b *testing.B) {
-	tp := testTopo(b, 64, 8, 8)
+	const inFlight = 500
+	tp := testTopo(b, 64, 16, 16)
 	eng := engine.New()
 	n, _ := New(eng, Config{Topo: tp})
 	rng := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	stop := func(simtime.Time) { eng.Stop() }
+	send := func() {
 		src := rng.Intn(64)
 		dst := rng.Intn(63)
 		if dst >= src {
 			dst++
 		}
-		n.Send(src, dst, 1<<16, nil)
-		if i%64 == 63 {
-			eng.Run()
-		}
+		n.Send(src, dst, 64<<10+rng.Int63n(1<<20), stop)
 	}
-	eng.Run()
+	for i := 0; i < inFlight; i++ {
+		send()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+		eng.Run()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(n.active)), "flows")
 }

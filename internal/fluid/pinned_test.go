@@ -166,7 +166,10 @@ func TestFluidOutcomesPinned(t *testing.T) {
 			for c := range pinnedConfigs {
 				name := fab.name + "/" + pinnedPatterns[p].name + "/" + pinnedConfigs[c].name
 				t.Run(name, func(t *testing.T) {
-					got, _ := pinnedFluidRun(t, fab, p, c)
+					got, n := pinnedFluidRun(t, fab, p, c)
+					if err := n.Drained(); err != nil {
+						t.Error(err)
+					}
 					want, ok := pinned[name]
 					if !ok {
 						t.Errorf("no pin: %q: {%q, %d, %d, %d},", name, got.deliveries, got.end, got.completed, got.events)

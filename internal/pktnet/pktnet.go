@@ -134,6 +134,11 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("pktnet: nil topology")
 	}
+	for i, l := range cfg.Topo.Links {
+		if l.BufBytes < mtu+header {
+			return nil, fmt.Errorf("pktnet: link %d buffers %d B, less than one %d B packet", i, l.BufBytes, mtu+header)
+		}
+	}
 	n := &Network{
 		eng:  eng,
 		cfg:  cfg,

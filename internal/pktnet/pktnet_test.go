@@ -44,6 +44,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(eng, Config{Topo: testTopo(t, 4, 2, 2, 0), CC: "bogus"}); err == nil {
 		t.Fatal("unknown CC accepted")
 	}
+	// A port that cannot hold one whole packet never forwards one: a
+	// sender would retransmit into it forever.
+	for buf, ok := range map[int64]bool{1: false, mtu + header - 1: false, mtu + header: true} {
+		_, err := New(eng, Config{Topo: testTopo(t, 4, 2, 2, buf)})
+		if (err == nil) != ok {
+			t.Errorf("buffer %d B: error %v, accepted %v", buf, err, ok)
+		}
+	}
 }
 
 func TestSingleMessageTiming(t *testing.T) {

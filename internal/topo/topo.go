@@ -197,6 +197,12 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 	if cfg.Hosts%cfg.HostsPerToR != 0 {
 		return nil, fmt.Errorf("topo: %d hosts not divisible by %d hosts/ToR", cfg.Hosts, cfg.HostsPerToR)
 	}
+	if cfg.Link.PsPerByte <= 0 {
+		return nil, fmt.Errorf("topo: link serialisation %v per byte is not positive", cfg.Link.PsPerByte)
+	}
+	if cfg.Link.Latency < 0 {
+		return nil, fmt.Errorf("topo: negative link latency %v", cfg.Link.Latency)
+	}
 	nToR := cfg.Hosts / cfg.HostsPerToR
 	t := &Topology{Name: fmt.Sprintf("fattree-%dh-%dtor-%dcore", cfg.Hosts, nToR, cfg.Cores)}
 	hosts := make([]int, cfg.Hosts)

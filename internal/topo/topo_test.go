@@ -43,6 +43,22 @@ func TestFatTreeErrors(t *testing.T) {
 	if _, err := NewFatTree(FatTreeConfig{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
+	// A link that serialises in no time or sends bytes back in time would
+	// give a flow an infinite or negative rate and a packet a departure in
+	// the past.
+	for _, link := range []LinkSpec{
+		{Latency: 500 * simtime.Nanosecond, PsPerByte: 0, BufBytes: 1 << 20},
+		{Latency: 500 * simtime.Nanosecond, PsPerByte: -40, BufBytes: 1 << 20},
+		{Latency: -1, PsPerByte: 40, BufBytes: 1 << 20},
+	} {
+		if _, err := NewFatTree(FatTreeConfig{Hosts: 4, HostsPerToR: 2, Cores: 2, Link: link}); err == nil {
+			t.Errorf("link %+v accepted", link)
+		}
+	}
+	zeroLatency := LinkSpec{PsPerByte: 40, BufBytes: 1 << 20}
+	if _, err := NewFatTree(FatTreeConfig{Hosts: 4, HostsPerToR: 2, Cores: 2, Link: zeroLatency}); err != nil {
+		t.Errorf("zero latency refused: %v", err)
+	}
 }
 
 func TestSameToRPathIsTwoHops(t *testing.T) {

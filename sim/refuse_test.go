@@ -1,0 +1,100 @@
+package sim
+
+import (
+	"context"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"atlahs/internal/simtime"
+)
+
+// TestFabricConfigsRefused runs network configurations that used to
+// panic the engine, hang or silently simulate something else, through
+// Run and, where JSON can carry them, through the wire: each must be an
+// error naming what is wrong. A row that hangs fails at its deadline
+// instead of stalling the suite.
+func TestFabricConfigsRefused(t *testing.T) {
+	link := DefaultLinkSpec()
+	withLink := func(f func(*LinkSpec)) LinkSpec {
+		l := link
+		f(&l)
+		return l
+	}
+	cases := map[string]struct {
+		backend string
+		config  any
+		want    string // "" accepts the config
+	}{
+		"fluid/jitter-1e300":      {"fluid", FluidConfig{JitterFrac: 1e300}, "jitter fraction"},
+		"fluid/jitter-above-1":    {"fluid", FluidConfig{JitterFrac: 1.5}, "jitter fraction"},
+		"fluid/jitter-negative":   {"fluid", FluidConfig{JitterFrac: -0.1}, "jitter fraction"},
+		"fluid/jitter-nan":        {"fluid", FluidConfig{JitterFrac: math.NaN()}, "jitter fraction"},
+		"fluid/jitter-1":          {"fluid", FluidConfig{JitterFrac: 1}, ""},
+		"fluid/overhead-negative": {"fluid", FluidConfig{Overhead: -simtime.Microsecond}, "negative overhead"},
+		"fluid/ps-per-byte-negative": {"fluid", FluidConfig{Link: withLink(func(l *LinkSpec) { l.PsPerByte = -40 })},
+			"serialisation"},
+		"fluid/ps-per-byte-zero": {"fluid", FluidConfig{Link: withLink(func(l *LinkSpec) { l.PsPerByte = 0 })},
+			"serialisation"},
+		"fluid/latency-negative": {"fluid", FluidConfig{Link: withLink(func(l *LinkSpec) { l.Latency = -1 })},
+			"negative link latency"},
+		"pkt/ps-per-byte-negative": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.PsPerByte = -40 })},
+			"serialisation"},
+		"pkt/latency-negative": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.Latency = -1 })},
+			"negative link latency"},
+		"pkt/buffer-0":    {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 0 })}, "less than one"},
+		"pkt/buffer-1":    {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 1 })}, "less than one"},
+		"pkt/buffer-1000": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 1000 })}, "less than one"},
+		"pkt/buffer-4096": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4096 })}, "less than one"},
+		"pkt/buffer-4159": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4159 })}, "less than one"},
+		"pkt/buffer-4160": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4160 })}, ""},
+		"pkt/buffer-4200": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4200 })}, ""},
+	}
+	ring := &Synthetic{Pattern: "ring", Ranks: 8, Bytes: 4096}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			spec := Spec{Workload: Workload{Synthetic: ring}, Backend: c.backend, Config: c.config}
+			check := func(how string, err error) {
+				t.Helper()
+				if c.want == "" && err != nil {
+					t.Errorf("%s: %v, want the run to succeed", how, err)
+				}
+				if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+					t.Errorf("%s: error %v, want it to contain %q", how, err, c.want)
+				}
+			}
+			check("Run", runWithin(t, spec))
+			if name == "fluid/jitter-nan" {
+				return // JSON has no NaN
+			}
+			wire, err := MarshalSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := UnmarshalSpec(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("UnmarshalSpec then Run", runWithin(t, back))
+		})
+	}
+}
+
+// runWithin runs spec and fails the test if it has not returned within
+// ten seconds.
+func runWithin(t *testing.T, spec Spec) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), spec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run still going after 10 s")
+		return nil
+	}
+}
