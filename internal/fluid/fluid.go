@@ -45,11 +45,13 @@ import (
 // Config parameterises the emulator.
 type Config struct {
 	Topo *topo.Topology
-	// Overhead is a fixed software latency added to every message.
+	// Overhead is a fixed software latency added to every message; New
+	// refuses a negative one.
 	Overhead simtime.Duration
 	// JitterFrac adds a deterministic pseudo-random extra delay per message
 	// uniform in [0, JitterFrac] of the message's transfer time, emulating
-	// system noise. 0 disables jitter.
+	// system noise. 0 disables jitter; New refuses a fraction outside
+	// [0, 1].
 	JitterFrac float64
 	Seed       uint64
 }
@@ -261,7 +263,6 @@ func (n *Network) recompute() {
 			kept = append(kept, f)
 		}
 	}
-	clear(n.active[len(kept):])
 	n.active = kept
 	if len(n.active) == 0 {
 		return

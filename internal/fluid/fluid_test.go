@@ -444,11 +444,9 @@ func BenchmarkFluidRecompute(b *testing.B) {
 	for i := 0; i < inFlight; i++ {
 		send()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		send()
 		eng.Run()
 	}
-	b.StopTimer()
 	b.ReportMetric(float64(len(n.active)), "flows")
 }

@@ -46,7 +46,8 @@ type Link struct {
 	BufBytes int64
 }
 
-// Bandwidth parameters shared by topology constructors.
+// Bandwidth parameters shared by topology constructors. NewFatTree
+// refuses a PsPerByte that is not positive and a negative Latency.
 type LinkSpec struct {
 	Latency   simtime.Duration
 	PsPerByte simtime.Duration

@@ -36,6 +36,8 @@ type PktConfig struct {
 	// overrides Oversub.
 	Cores int
 	// Link parameterises every fabric link; zero means DefaultLinkSpec().
+	// PsPerByte must be positive, Latency not negative, and BufBytes must
+	// hold one whole packet (4 160 B: 4 096 of payload and a 64 B header).
 	Link LinkSpec
 	// CC selects congestion control: "mprdma", "swift", "dctcp" or "ndp"
 	// (default "mprdma").
@@ -65,11 +67,14 @@ type FluidConfig struct {
 	// Cores, when positive, overrides Oversub with a direct core count.
 	Cores int
 	// Link parameterises every fabric link; zero means DefaultLinkSpec().
+	// PsPerByte must be positive and Latency not negative.
 	Link LinkSpec
-	// Overhead is a fixed software latency added to every message.
+	// Overhead is a fixed software latency added to every message; a
+	// negative one is an error.
 	Overhead Duration
 	// JitterFrac adds deterministic pseudo-random per-message delay in
-	// [0, JitterFrac] of the transfer time (0 disables).
+	// [0, JitterFrac] of the transfer time (0 disables); a fraction
+	// outside [0, 1] is an error.
 	JitterFrac float64
 	// Seed seeds the jitter; 0 inherits Spec.Seed.
 	Seed uint64
