@@ -332,7 +332,7 @@ func (n *Network) fill() {
 		}
 		n.sat = sat
 		if share == 0 {
-			sat = live // no link has room left for anyone
+			sat = live // a zero share freezes every unfrozen flow
 		}
 		for _, l := range sat {
 			for _, f := range n.members[l] {

@@ -99,7 +99,7 @@ var pinnedConfigs = []struct {
 }
 
 // pinnedFluidRun runs one case of the pinned table.
-func pinnedFluidRun(t testing.TB, fab pinnedFabric, pattern int, cfgIdx int) (fluidOutcome, *Network) {
+func pinnedFluidRun(t testing.TB, fab pinnedFabric, pattern, cfgIdx int) (fluidOutcome, *Network) {
 	cfg := pinnedConfigs[cfgIdx].cfg
 	cfg.Topo = testTopo(t, fab.hosts, fab.perTor, fab.cores)
 	eng := engine.New()
