@@ -19,6 +19,12 @@ func writeSweep(t *testing.T, path string, measured []int64) {
 	for i, m := range measured {
 		s.MustAddRow(configs[i], m)
 	}
+	saveSweep(t, path, s)
+}
+
+// saveSweep writes s as an atlahs.results/v1 artifact at path.
+func saveSweep(t *testing.T, path string, s *results.Sweep) {
+	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -37,12 +43,34 @@ func TestDiffExitCodes(t *testing.T) {
 	writeSweep(t, base, []int64{100, 200, 300})
 	writeSweep(t, same, []int64{100, 200, 300})
 	writeSweep(t, worse, []int64{100, 240, 300}) // cfg_b +20%
+	// Two valid artifacts whose float cell moves so far that the delta
+	// overflows: every output mode refuses the diff alike.
+	floatArtifact := func(name string, v float64) string {
+		s := results.NewSweep("fig8_quick", "Fig 8", "quick")
+		s.AddColumn("ratio", results.Float, "")
+		s.MustAddRow(v)
+		path := filepath.Join(dir, name)
+		saveSweep(t, path, s)
+		return path
+	}
+	tiny, subnormal, lowest := floatArtifact("tiny.json", 1e-310), floatArtifact("subnormal.json", 5e-324), floatArtifact("lowest.json", -1.7e308)
+	one, two, highest := floatArtifact("one.json", 1), floatArtifact("two.json", 2), floatArtifact("highest.json", 1.7e308)
+	report := filepath.Join(dir, "report.html")
 
 	cases := []struct {
 		name string
 		args []string
 		want int
 	}{
+		{"relative overflow", []string{"diff", tiny, one}, 2},
+		{"relative overflow json", []string{"diff", "-json", tiny, one}, 2},
+		{"relative overflow html", []string{"diff", "-html", report, tiny, one}, 2},
+		{"subnormal baseline", []string{"diff", subnormal, two}, 2},
+		{"subnormal baseline json", []string{"diff", "-json", subnormal, two}, 2},
+		{"subnormal baseline html", []string{"diff", "-html", report, subnormal, two}, 2},
+		{"absolute overflow", []string{"diff", lowest, highest}, 2},
+		{"absolute overflow json", []string{"diff", "-json", lowest, highest}, 2},
+		{"absolute overflow html", []string{"diff", "-html", report, lowest, highest}, 2},
 		{"identical", []string{"diff", "-keys", "configuration", base, same}, 0},
 		{"regression", []string{"diff", "-keys", "configuration", base, worse}, 1},
 		{"below threshold", []string{"diff", "-keys", "configuration", "-threshold", "0.5", base, worse}, 0},

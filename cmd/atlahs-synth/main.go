@@ -37,6 +37,7 @@ import (
 	"os"
 
 	"atlahs/internal/profiling"
+	"atlahs/results"
 	"atlahs/sim"
 )
 
@@ -111,7 +112,7 @@ func mine(args []string) error {
 	if err != nil {
 		return err
 	}
-	return writeTo(*out, func(w io.Writer) error { return sim.EncodeModel(w, model) })
+	return writeTo(*out, func(w io.Writer) error { return results.EncodeModelJSON(w, model) })
 }
 
 // gen samples the model into a schedule and writes it as GOAL.
@@ -147,7 +148,7 @@ func gen(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, err := sim.DecodeModel(f)
+	model, err := results.DecodeModelJSON(f)
 	f.Close()
 	if err != nil {
 		return err

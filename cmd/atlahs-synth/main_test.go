@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"atlahs/results"
 	"atlahs/sim"
 )
 
@@ -82,7 +83,7 @@ func TestMineEveryFrontendThreeWays(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want bytes.Buffer
-			if err := sim.EncodeModel(&want, model); err != nil {
+			if err := results.EncodeModelJSON(&want, model); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want.Bytes()) {

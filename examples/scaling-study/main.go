@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"atlahs/results"
 	"atlahs/sim"
 )
 
@@ -40,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var doc bytes.Buffer
-	if err := sim.EncodeModel(&doc, model); err != nil {
+	if err := results.EncodeModelJSON(&doc, model); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("mined model: %d source ranks, %d source ops, %d phases (%d-byte atlahs.model/v1 doc)\n",

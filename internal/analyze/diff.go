@@ -85,9 +85,13 @@ func Diff(a, b *results.Sweep, opts DiffOptions) (*results.SweepDiff, error) {
 			continue
 		}
 		d.Matched++
-		fields := diffFields(a, b, shared, rec, b.Rows[j])
+		key := keyCells(a, d.Keys, rec)
+		fields, err := diffFields(a, b, shared, rec, b.Rows[j])
+		if err != nil {
+			return nil, fmt.Errorf("analyze: %s: %w", rowWhere(i, key), err)
+		}
 		if len(fields) > 0 {
-			d.Rows = append(d.Rows, results.RowDiff{Row: i, Key: keyCells(a, d.Keys, rec), Fields: fields})
+			d.Rows = append(d.Rows, results.RowDiff{Row: i, Key: key, Fields: fields})
 		}
 	}
 	for j, rec := range b.Rows {
@@ -114,7 +118,11 @@ func Diff(a, b *results.Sweep, opts DiffOptions) (*results.SweepDiff, error) {
 		case bok && !aok:
 			d.DerivedOnlyB = append(d.DerivedOnlyB, key)
 		case av != bv:
-			d.Derived = append(d.Derived, results.ScalarDelta{Key: key, A: av, B: bv, Abs: bv - av, Rel: relDelta(av, bv)})
+			sd := results.ScalarDelta{Key: key, A: av, B: bv, Abs: bv - av, Rel: relDelta(av, bv)}
+			if err := checkDeltas(av, bv, sd.Abs, sd.Rel); err != nil {
+				return nil, fmt.Errorf("analyze: derived %q %w", key, err)
+			}
+			d.Derived = append(d.Derived, sd)
 		}
 	}
 	return d, nil
@@ -162,7 +170,7 @@ func matchRows(a, b *results.Sweep, keys []results.Column) (matchA, matchB map[i
 // diffFields compares one matched row pair over the shared columns,
 // returning a delta per differing cell. Key columns are compared too —
 // by construction their cells are equal, so they simply never differ.
-func diffFields(a, b *results.Sweep, shared []results.Column, ra, rb results.Record) []results.FieldDelta {
+func diffFields(a, b *results.Sweep, shared []results.Column, ra, rb results.Record) ([]results.FieldDelta, error) {
 	var fields []results.FieldDelta
 	for _, c := range shared {
 		av := ra[a.ColumnIndex(c.Name)]
@@ -176,10 +184,36 @@ func diffFields(a, b *results.Sweep, shared []results.Column, ra, rb results.Rec
 			abs := bf - af
 			f.Abs = &abs
 			f.Rel = relDelta(af, bf)
+			if err := checkDeltas(av, bv, abs, f.Rel); err != nil {
+				return nil, fmt.Errorf("column %q %w", c.Name, err)
+			}
 		}
 		fields = append(fields, f)
 	}
-	return fields
+	return fields, nil
+}
+
+// checkDeltas refuses a move from a to b whose absolute or relative delta
+// overflows float64: finite cells can be far enough apart (-1.7e308 to
+// 1.7e308) or start close enough to zero (1e-310 to 1) that the delta is
+// infinite, and an atlahs.diff/v1 document holds finite numbers only.
+func checkDeltas(a, b any, abs float64, rel *float64) error {
+	if math.IsInf(abs, 0) {
+		return fmt.Errorf("moves %v -> %v: absolute delta is %v", a, b, abs)
+	}
+	if rel != nil && math.IsInf(*rel, 0) {
+		return fmt.Errorf("moves %v -> %v: relative delta is %v", a, b, *rel)
+	}
+	return nil
+}
+
+// rowWhere locates a row for error, report and CLI text: its key cells,
+// or its index under positional matching.
+func rowWhere(row int, key map[string]any) string {
+	if key == nil {
+		return fmt.Sprintf("row %d", row)
+	}
+	return FormatKey(key)
 }
 
 // keyCells extracts one row's key cells, nil under positional matching.

@@ -23,6 +23,48 @@ func pairSweep(t testing.TB, name string, measured []int64) *results.Sweep {
 	return s
 }
 
+// floatSweep builds a one-row sweep whose float cell and derived value
+// are both v.
+func floatSweep(t testing.TB, name string, v float64) *results.Sweep {
+	t.Helper()
+	s := results.NewSweep(name, "Float", "test")
+	s.AddColumn("ratio", results.Float, "")
+	s.MustAddRow(v)
+	s.SetDerived("ratio_sum", v)
+	return s
+}
+
+// nonFiniteMoves are finite cell moves whose delta overflows float64:
+// a relative delta from a baseline near zero, and an absolute one across
+// the whole float range.
+var nonFiniteMoves = []struct {
+	a, b float64
+	want string
+}{
+	{1e-310, 1, "1e-310 -> 1: relative delta is +Inf"},
+	{5e-324, 2, "5e-324 -> 2: relative delta is +Inf"},
+	{-1.7e308, 1.7e308, "-1.7e+308 -> 1.7e+308: absolute delta is +Inf"},
+}
+
+// TestDiffRefusesNonFiniteDeltas: a move whose delta overflows is an
+// error naming the column or derived key and both values, never a diff
+// that the atlahs.diff/v1 encoder would refuse.
+func TestDiffRefusesNonFiniteDeltas(t *testing.T) {
+	for _, c := range nonFiniteMoves {
+		a, b := floatSweep(t, "a", c.a), floatSweep(t, "b", c.b)
+		_, err := Diff(a, b, DiffOptions{})
+		if want := `analyze: row 0: column "ratio" moves ` + c.want; err == nil || err.Error() != want {
+			t.Errorf("%v -> %v: err = %v, want %q", c.a, c.b, err, want)
+		}
+		// With equal rows, only the derived value moves.
+		b.Rows[0][0] = c.a
+		_, err = Diff(a, b, DiffOptions{})
+		if want := `analyze: derived "ratio_sum" moves ` + c.want; err == nil || err.Error() != want {
+			t.Errorf("derived %v -> %v: err = %v, want %q", c.a, c.b, err, want)
+		}
+	}
+}
+
 func TestDiffIdenticalSweeps(t *testing.T) {
 	a := pairSweep(t, "sweep", []int64{100, 200, 300})
 	b := pairSweep(t, "sweep", []int64{100, 200, 300})

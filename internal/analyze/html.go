@@ -24,7 +24,7 @@ type Report struct {
 
 // RenderHTML writes the report as one self-contained HTML document: no
 // external scripts, styles or fonts, so it renders identically from a
-// file, a CI artifact or the service endpoint. Output is deterministic —
+// file or a CI artifact (`atlahs-analyze diff -html`). Output is deterministic —
 // byte-pinned by the golden test.
 func RenderHTML(w io.Writer, r *Report) error {
 	return reportTmpl.Execute(w, r)

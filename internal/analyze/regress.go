@@ -73,10 +73,7 @@ func (g Gate) relTrips(a, b float64) bool {
 func (g Gate) Diff(d *results.SweepDiff) []Regression {
 	var regs []Regression
 	for _, row := range d.Rows {
-		where := FormatKey(row.Key)
-		if row.Key == nil {
-			where = fmt.Sprintf("row %d", row.Row)
-		}
+		where := rowWhere(row.Row, row.Key)
 		for _, f := range row.Fields {
 			if f.Kind == results.String || f.Rel == nil || !g.metricAllowed(f.Column) {
 				continue

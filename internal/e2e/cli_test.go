@@ -113,7 +113,7 @@ func TestSynthesisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := results.DecodeModelBytes(b)
+	m, err := results.DecodeModelJSON(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,7 @@ func TestAnalyzeGatesARealArtifact(t *testing.T) {
 	if err := os.WriteFile(same, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := results.DecodeDiffJSON(bytes.NewReader(run(t, "atlahs-analyze", "diff", "-keys", "configuration", "-json", base, same)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Changed != 0 || d.RowsA == 0 || d.Matched != d.RowsA {
+	if d := diffJSON(t, "configuration", base, same); d.Changed != 0 || d.RowsA == 0 || d.Matched != d.RowsA {
 		t.Fatalf("identical artifacts: changed %d, matched %d of %d rows", d.Changed, d.Matched, d.RowsA)
 	}
 

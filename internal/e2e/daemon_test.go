@@ -301,11 +301,7 @@ func TestServiceCacheSurvivesRestart(t *testing.T) {
 	if err := os.WriteFile(path, d.get(t, "/v1/runs/"+id+"/artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diff, err := results.DecodeDiffJSON(bytes.NewReader(run(t, "atlahs-analyze", "diff", "-json", path, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.Changed != 0 || diff.RowsA == 0 || diff.Matched != diff.RowsA {
+	if diff := diffJSON(t, "", path, path); diff.Changed != 0 || diff.RowsA == 0 || diff.Matched != diff.RowsA {
 		t.Errorf("self-diff: changed %d, matched %d of %d rows", diff.Changed, diff.Matched, diff.RowsA)
 	}
 

@@ -3,7 +3,9 @@
 // and the programs under examples/, once; each test then runs them as a
 // user would — over real files,
 // processes, signals and loopback sockets — and reads what they write
-// through the decoders the toolchain itself uses. The package holds tests
+// through the decoders the toolchain itself uses, or, for a write-only
+// export such as atlahs.diff/v1, compares it byte for byte with the
+// in-process encoder's output. The package holds tests
 // only. It is skipped under -short and where no go binary is on PATH.
 package e2e
 
@@ -19,6 +21,7 @@ import (
 	"strings"
 	"testing"
 
+	"atlahs/internal/analyze"
 	"atlahs/internal/service"
 	"atlahs/results"
 )
@@ -129,6 +132,43 @@ func replay(t *testing.T, args ...string) service.JSONResult {
 		t.Fatalf("atlahs %s: degenerate run: %+v", strings.Join(args, " "), res)
 	}
 	return res
+}
+
+// diffJSON runs `atlahs-analyze diff -json` on the artifacts a and b,
+// matching rows on the comma-separated keys (positionally when empty),
+// requires its stdout to equal, byte for byte, EncodeDiffJSON of
+// analyze.Diff on the same two files, and returns that diff.
+func diffJSON(t *testing.T, keys, a, b string) *results.SweepDiff {
+	t.Helper()
+	args := []string{"diff", "-json"}
+	var opts analyze.DiffOptions
+	if keys != "" {
+		args = append(args, "-keys", keys)
+		opts.Keys = strings.Split(keys, ",")
+	}
+	got := run(t, "atlahs-analyze", append(args, a, b)...)
+	var sweeps [2]*results.Sweep
+	for i, path := range []string{a, b} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sweeps[i], err = results.DecodeJSON(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	d, err := analyze.Diff(sweeps[0], sweeps[1], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := results.EncodeDiffJSON(&want, d); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("atlahs-analyze %s wrote\n%s\nwant\n%s", strings.Join(args, " "), got, want.Bytes())
+	}
+	return d
 }
 
 // artifacts checks every *.json file in dir is one atlahs.results/v1

@@ -79,16 +79,10 @@ const subBuffer = 1024
 // call Close to detach early.
 type Subscription struct {
 	// C delivers events in publish order.
-	C       <-chan Event
-	ch      chan Event
-	r       *run
-	dropped atomic.Int64
+	C  <-chan Event
+	ch chan Event
+	r  *run
 }
-
-// Dropped counts op/progress events discarded because the subscriber's
-// buffer was full — the stream favours liveness over completeness, and
-// the terminal result is never dropped.
-func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
 
 // Close detaches the subscription. Safe to call at any time, including
 // after the stream already closed.
@@ -134,10 +128,10 @@ func (sub *Subscription) deliver(ev Event, droppable bool) {
 	}
 }
 
-// drop books one discarded event on the subscription, the run and the
-// service metrics.
+// drop books one discarded event on the run and the service metrics.
+// The stream favours liveness over completeness: the terminal result is
+// never dropped.
 func (sub *Subscription) drop() {
-	sub.dropped.Add(1)
 	sub.r.drops.Add(1)
 	if sub.r.mx != nil {
 		sub.r.mx.sseDropped.Inc()

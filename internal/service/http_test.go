@@ -120,7 +120,7 @@ func TestHTTPSubmitModelTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc bytes.Buffer
-	if err := sim.EncodeModel(&doc, model); err != nil {
+	if err := results.EncodeModelJSON(&doc, model); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := sim.MarshalSpec(sim.Spec{

@@ -39,7 +39,7 @@ func FuzzModelRoundTrip(f *testing.F) {
 		`"sends_per_rank":{"count":0,"mean":0,"std":0,"min":0,"max":0},"sizes":{"count":0,"mean":0,"std":0,"min":0,"max":0,"hist":[]},` +
 		`"classes":[],"calc_comm_ratio":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := results.DecodeModelBytes(data)
+		m, err := results.DecodeModelJSON(bytes.NewReader(data))
 		if err != nil {
 			return // invalid input is allowed to be rejected
 		}
@@ -47,7 +47,7 @@ func FuzzModelRoundTrip(f *testing.F) {
 		if err := results.EncodeModelJSON(&enc, m); err != nil {
 			t.Fatalf("decoded model does not re-encode: %v", err)
 		}
-		m2, err := results.DecodeModelBytes(enc.Bytes())
+		m2, err := results.DecodeModelJSON(bytes.NewReader(enc.Bytes()))
 		if err != nil {
 			t.Fatalf("encoded model does not re-decode: %v", err)
 		}

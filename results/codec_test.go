@@ -68,15 +68,12 @@ func TestReadersRejectMalformedDocuments(t *testing.T) {
 		{"sweep", Schema, encoded(func(b *bytes.Buffer) error { return EncodeJSON(b, sample()) }),
 			[2]string{`"kind": "string"`, `"kind": "string", "bogus": 1`},
 			func(in string) error { _, err := DecodeJSON(strings.NewReader(in)); return err }},
-		{"diff", DiffSchema, encoded(func(b *bytes.Buffer) error { return EncodeDiffJSON(b, testDiff()) }),
-			[2]string{`"column": "measured"`, `"column": "measured", "bogus": 1`},
-			func(in string) error { _, err := DecodeDiffJSON(strings.NewReader(in)); return err }},
 		{"metrics", MetricsSchema, encoded(func(b *bytes.Buffer) error { return EncodeMetricsJSON(b, sampleSnapshot()) }),
 			[2]string{`"type": "counter"`, `"type": "counter", "bogus": 1`},
 			func(in string) error { _, err := DecodeMetricsJSON(strings.NewReader(in)); return err }},
 		{"model", ModelSchema, encoded(func(b *bytes.Buffer) error { return EncodeModelJSON(b, testModel()) }),
 			[2]string{`"calc": {`, `"calc": {"bogus": 1,`},
-			func(in string) error { _, err := DecodeModelBytes([]byte(in)); return err }},
+			func(in string) error { _, err := DecodeModelJSON(strings.NewReader(in)); return err }},
 		{"run metadata", "atlahs.runmeta/v1", string(metaDoc),
 			[2]string{`"runtime": 5`, `"runtime": 5, "bogus": 1`},
 			func(in string) error {

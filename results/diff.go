@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// DiffSchema identifies the sweep-comparison document this package reads
-// and writes. Like the results schema it is append-only: released field
+// DiffSchema identifies the sweep-comparison document this package
+// writes. Like the results schema it is append-only: released field
 // names and meanings never change (see the package documentation).
 const DiffSchema = "atlahs.diff/v1"
 
@@ -23,7 +23,7 @@ type SweepDiff struct {
 	A string `json:"a"`
 	B string `json:"b"`
 	// Keys are the columns rows were matched on, carried with their kinds
-	// so key cells survive the JSON round trip. Empty means positional
+	// so the export says how to read its key cells. Empty means positional
 	// matching: row i of A against row i of B.
 	Keys []Column `json:"keys,omitempty"`
 	// RowsA and RowsB are the compared sweeps' row counts; Matched is how
@@ -104,8 +104,8 @@ type ParamDelta struct {
 // jsonDiff is the wire form of a SweepDiff: the diff's own json tags plus
 // the schema discriminator. Cells are encoded exactly like sweep rows —
 // strings as JSON strings, int and duration cells as integral numbers,
-// floats as finite numbers — and decoded back through the same kind-aware
-// conversion, so DecodeDiffJSON(EncodeDiffJSON(d)) reproduces d.
+// floats as finite numbers. The document is a write-only export, like
+// CSV: nothing in the toolchain reads it back.
 type jsonDiff struct {
 	Schema string `json:"schema"`
 	SweepDiff
@@ -119,68 +119,10 @@ func EncodeDiffJSON(w io.Writer, d *SweepDiff) error {
 	return EncodeDoc(w, jsonDiff{Schema: DiffSchema, SweepDiff: *d})
 }
 
-// DecodeDiffJSON reads one SweepDiff written by EncodeDiffJSON through
-// DecodeDoc, rejecting cells of the wrong type. The returned diff is
-// validated and compares equal (DeepEqual) to the encoded one.
-func DecodeDiffJSON(r io.Reader) (*SweepDiff, error) {
-	var jd jsonDiff
-	if err := DecodeDoc(r, "diff", DiffSchema, &jd); err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
-	d := &jd.SweepDiff
-	d.Keys, d.Rows, d.Params, d.Derived = orNil(d.Keys), orNil(d.Rows), orNil(d.Params), orNil(d.Derived)
-	d.ColumnsOnlyA, d.ColumnsOnlyB = orNil(d.ColumnsOnlyA), orNil(d.ColumnsOnlyB)
-	d.RowsOnlyA, d.RowsOnlyB = orNil(d.RowsOnlyA), orNil(d.RowsOnlyB)
-	d.DerivedOnlyA, d.DerivedOnlyB = orNil(d.DerivedOnlyA), orNil(d.DerivedOnlyB)
-	for _, ref := range append(append([]RowRef(nil), d.RowsOnlyA...), d.RowsOnlyB...) {
-		if err := keyFromJSON(d.Keys, ref.Key); err != nil {
-			return nil, fmt.Errorf("results: diff %s vs %s: unmatched row %d: %w", d.A, d.B, ref.Row, err)
-		}
-	}
-	for _, row := range d.Rows {
-		if err := keyFromJSON(d.Keys, row.Key); err != nil {
-			return nil, fmt.Errorf("results: diff %s vs %s: row %d: %w", d.A, d.B, row.Row, err)
-		}
-		for i := range row.Fields {
-			f := &row.Fields[i]
-			col := Column{Name: f.Column, Kind: f.Kind, Unit: f.Unit}
-			var err error
-			if f.A, err = cellFromJSON(col, f.A); err != nil {
-				return nil, fmt.Errorf("results: diff %s vs %s: row %d: side a: %w", d.A, d.B, row.Row, err)
-			}
-			if f.B, err = cellFromJSON(col, f.B); err != nil {
-				return nil, fmt.Errorf("results: diff %s vs %s: row %d: side b: %w", d.A, d.B, row.Row, err)
-			}
-		}
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// keyFromJSON converts, in place, the decoded cells of a row key that
-// name key columns to those columns' canonical cell types. Validate then
-// rejects keys with missing or extra cells.
-func keyFromJSON(keys []Column, key map[string]any) error {
-	for _, c := range keys {
-		raw, ok := key[c.Name]
-		if !ok {
-			continue
-		}
-		cell, err := cellFromJSON(c, raw)
-		if err != nil {
-			return err
-		}
-		key[c.Name] = cell
-	}
-	return nil
-}
-
 // Validate checks the diff against the schema contract: snake_case names,
 // valid column kinds, canonical finite cell values, deltas consistent
-// with their cells, and bookkeeping counts that add up. Both the encoder
-// and the decoder validate, mirroring the sweep codec.
+// with their cells, and bookkeeping counts that add up. The encoder
+// validates before it writes.
 func (d *SweepDiff) Validate() error {
 	for _, name := range []string{d.A, d.B} {
 		if !nameRE.MatchString(name) {

@@ -3,8 +3,8 @@ package results
 import (
 	"bytes"
 	"io"
-	"reflect"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -51,49 +51,42 @@ func testDiff() *SweepDiff {
 	}
 }
 
+// TestDiffJSONRoundTrip: the encoder writes testDiff as the document in
+// testdata/diff.json — cells kind by kind as the sweep codec writes them,
+// no relative delta on a zero baseline.
 func TestDiffJSONRoundTrip(t *testing.T) {
-	d := testDiff()
+	want, err := os.ReadFile(filepath.Join("testdata", "diff.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := EncodeDiffJSON(&buf, d); err != nil {
+	if err := EncodeDiffJSON(&buf, testDiff()); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeDiffJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, d) {
-		t.Errorf("round trip diverged:\ngot  %#v\nwant %#v", got, d)
-	}
-	// The encoding is deterministic: encoding again yields the same bytes.
-	var again bytes.Buffer
-	if err := EncodeDiffJSON(&again, got); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Errorf("re-encoded bytes differ from the original encoding")
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoding differs from testdata/diff.json:\n%s", buf.Bytes())
 	}
 }
 
+// TestDiffEmptyRoundTrip: identical sweeps diff to a document with no
+// rows, which still validates and encodes with every list omitted.
 func TestDiffEmptyRoundTrip(t *testing.T) {
-	// Identical sweeps diff to a document with no rows; it still round
-	// trips and validates.
-	d := &SweepDiff{A: "a1", B: "b1", RowsA: 2, RowsB: 2, Matched: 2}
 	var buf bytes.Buffer
-	if err := EncodeDiffJSON(&buf, d); err != nil {
+	if err := EncodeDiffJSON(&buf, &SweepDiff{A: "a1", B: "b1", RowsA: 2, RowsB: 2, Matched: 2}); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeDiffJSON(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, d) {
-		t.Errorf("round trip diverged:\ngot  %#v\nwant %#v", got, d)
-	}
+	const want = `{
+  "schema": "atlahs.diff/v1",
+  "a": "a1",
+  "b": "b1",
+  "rows_a": 2,
+  "rows_b": 2,
+  "matched": 2,
+  "changed": 0
 }
-
-func TestDiffSchemaRejected(t *testing.T) {
-	if _, err := DecodeDiffJSON(strings.NewReader(`{"schema":"atlahs.diff/v2","a":"x","b":"y"}`)); err == nil {
-		t.Error("unknown diff schema must be rejected")
+`
+	if got := buf.String(); got != want {
+		t.Errorf("empty diff encodes as\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -156,37 +149,24 @@ func TestDiffPositionalKeysRejectKeyCells(t *testing.T) {
 }
 
 // TestDiffRefusesWhatSweepsRefuse: a diff carries cells, params and units
-// from sweeps, so it refuses what a sweep refuses — a multi-line string
-// cell in a delta or a key, a multi-line param value, and a unit with a
-// reserved character — on the way out and, hand-edited into the JSON, on
-// the way in.
+// from sweeps, so its encoder refuses what a sweep refuses — a multi-line
+// string cell in a delta or a key, a multi-line param value, and a unit
+// with a reserved character.
 func TestDiffRefusesWhatSweepsRefuse(t *testing.T) {
-	var wire bytes.Buffer
-	if err := EncodeDiffJSON(&wire, testDiff()); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name     string
-		mutate   func(*SweepDiff)
-		old, new string // the same mutation, made to the encoded JSON
+		name   string
+		mutate func(*SweepDiff)
 	}{
-		{"multi-line field cell", func(d *SweepDiff) { d.Rows[0].Fields[2].B = "para\nllel" }, `"parallel"`, `"para\nllel"`},
-		{"multi-line key cell", func(d *SweepDiff) { d.Rows[0].Key["configuration"] = "llama\r7b" }, `"llama7b"`, `"llama\r7b"`},
-		{"multi-line param value", func(d *SweepDiff) { d.Params[0].B = "fu\nll" }, `"full"`, `"fu\nll"`},
-		{"unit with a comma", func(d *SweepDiff) { d.Rows[0].Fields[0].Unit = "p,s" }, `"ps"`, `"p,s"`},
+		{"multi-line field cell", func(d *SweepDiff) { d.Rows[0].Fields[2].B = "para\nllel" }},
+		{"multi-line key cell", func(d *SweepDiff) { d.Rows[0].Key["configuration"] = "llama\r7b" }},
+		{"multi-line param value", func(d *SweepDiff) { d.Params[0].B = "fu\nll" }},
+		{"unit with a comma", func(d *SweepDiff) { d.Rows[0].Fields[0].Unit = "p,s" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := testDiff()
 			tc.mutate(d)
 			if err := EncodeDiffJSON(io.Discard, d); err == nil {
 				t.Error("encoder accepted the mutated diff")
-			}
-			edited := bytes.Replace(wire.Bytes(), []byte(tc.old), []byte(tc.new), 1)
-			if bytes.Equal(edited, wire.Bytes()) {
-				t.Fatalf("%s does not occur in the encoded diff", tc.old)
-			}
-			if _, err := DecodeDiffJSON(bytes.NewReader(edited)); err == nil {
-				t.Errorf("decoder accepted the edited document:\n%s", edited)
 			}
 		})
 	}

@@ -56,8 +56,9 @@
 // # Diff schema (atlahs.diff/v1)
 //
 // A SweepDiff is the field-by-field comparison of two sweeps, the
-// document behind `atlahs-analyze diff -json`. EncodeDiffJSON writes one
-// SweepDiff as a single JSON object:
+// document behind `atlahs-analyze diff -json`. It is a write-only export
+// like CSV. EncodeDiffJSON validates one SweepDiff and writes it as a
+// single JSON object:
 //
 //	{
 //	  "schema":  "atlahs.diff/v1",
@@ -163,6 +164,25 @@
 // not a results schema; a Store keeps them as opaque documents under
 // traces/ via SaveTrace/LoadTrace, outside the sweep namespace.
 //
+// # One reader per document
+//
+// A document keeps a reader only while a non-test caller reads it back,
+// and then exactly one:
+//
+//	atlahs.results/v1   DecodeJSON (atlahs-analyze diff)
+//	atlahs.model/v1     DecodeModelJSON (atlahs-synth gen, sim's model source)
+//	atlahs.metrics/v1   DecodeMetricsJSON (the benchmark's service client)
+//	atlahs.runmeta/v1   Store.LoadMeta (atlahsd's restore)
+//	atlahs.spec/v1      sim.UnmarshalSpec (atlahs -spec, atlahsd)
+//	atlahs.sweep/v1     atlahsd's POST /v1/sweeps handler
+//
+// Three outputs are write-only exports that nothing in the toolchain
+// reads back: the CSV export, atlahs.diff/v1 (`atlahs-analyze diff
+// -json`) and atlahs.sweepset/v1 (atlahsd's sweep responses). Their tests
+// compare encoded bytes instead of decoding them. A Store writes
+// artifacts; atlahsd reads a stored artifact's bytes back and requires
+// them to equal the artifact it rebuilds.
+//
 // # Stability guarantee
 //
 // One rule covers all eight versioned documents — atlahs.spec/v1,
@@ -174,7 +194,7 @@
 // version string. Readers are strict: every reader in the toolchain goes
 // through DecodeDoc, which refuses an unknown schema string, any field
 // its version does not declare, and anything after the document but
-// white space (the CSV export has no reader). A reader older than the
+// white space (the write-only exports have no reader). A reader older than the
 // writer therefore refuses the newer document instead of silently
 // dropping what it cannot see: an atlahsd rolled back to an older release skips the
 // newer runs' sidecars with a logged warning and re-simulates those runs
@@ -185,7 +205,8 @@
 // EncodeDoc or MarshalDoc, in one canonical form: JSON indented by two
 // spaces, followed by a newline.
 //
-// Encode→decode is lossless: DecodeJSON(EncodeJSON(s)) reproduces the
-// Sweep exactly (the round-trip suite pins this). Every encoder's bytes,
-// the CSV export's included, are SHA-256-pinned on fixtures.
+// Encode→decode is lossless for every document with a reader:
+// DecodeJSON(EncodeJSON(s)) reproduces the Sweep exactly (the round-trip
+// suite pins this). Every encoder's bytes, the write-only exports'
+// included, are SHA-256-pinned on fixtures.
 package results

@@ -29,25 +29,6 @@ func FuzzSweepRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDiffRoundTrip is FuzzSweepRoundTrip for DecodeDiffJSON, the reader
-// of atlahs.diff/v1 documents.
-func FuzzDiffRoundTrip(f *testing.F) {
-	for _, d := range []*SweepDiff{testDiff(), {A: "a1", B: "b1", RowsA: 2, RowsB: 2, Matched: 2}} {
-		var buf bytes.Buffer
-		if err := EncodeDiffJSON(&buf, d); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte(`{"schema":"atlahs.diff/v1","a":"a","b":"b","keys":[],"rows_a":0,"rows_b":0,"matched":0,"changed":0,` +
-		`"columns_only_a":[],"columns_only_b":[],"rows_only_a":[],"rows_only_b":[],"rows":[],"params":[],"derived":[],"derived_only_a":[],"derived_only_b":[]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		roundTrip(t, data,
-			func(b []byte) (*SweepDiff, error) { return DecodeDiffJSON(bytes.NewReader(b)) },
-			func(b *bytes.Buffer, d *SweepDiff) error { return EncodeDiffJSON(b, d) })
-	})
-}
-
 // roundTrip checks one fuzz input against a codec: rejected input just
 // has to fail cleanly; accepted input decodes, encodes and decodes again
 // to an equal value, and its canonical encoding is stable.

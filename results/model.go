@@ -1,7 +1,6 @@
 package results
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -246,9 +245,4 @@ func DecodeModelJSON(r io.Reader) (*WorkloadModel, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-// DecodeModelBytes decodes one serialised atlahs.model/v1 document.
-func DecodeModelBytes(b []byte) (*WorkloadModel, error) {
-	return DecodeModelJSON(bytes.NewReader(b))
 }

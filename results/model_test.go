@@ -124,9 +124,9 @@ func TestDecodeModelRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeModelBytes([]byte(tc.in))
+			_, err := DecodeModelJSON(strings.NewReader(tc.in))
 			if err == nil {
-				t.Fatal("DecodeModelBytes accepted invalid input")
+				t.Fatal("DecodeModelJSON accepted invalid input")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)

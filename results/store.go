@@ -86,27 +86,6 @@ func saveErr(label, name string, err error) error {
 	return fmt.Errorf("results: saving %s %q: %w", label, name, err)
 }
 
-// Load reads and validates the named sweep, rejecting an artifact whose
-// embedded name disagrees with its file name.
-func (st *Store) Load(name string) (*Sweep, error) {
-	if err := st.checkName(name); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(st.Path(name))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := DecodeJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("results: loading sweep %q: %w", name, err)
-	}
-	if s.Name != name {
-		return nil, fmt.Errorf("results: artifact %s holds sweep %q", st.Path(name), s.Name)
-	}
-	return s, nil
-}
-
 // Names lists the sweeps stored in the directory, sorted.
 func (st *Store) Names() ([]string, error) {
 	paths, err := filepath.Glob(filepath.Join(st.dir, "*.json"))

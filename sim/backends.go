@@ -26,14 +26,14 @@ type PktConfig struct {
 	// Topo is an explicit fabric; when nil a two-level fat tree is sized to
 	// the schedule from the fields below.
 	Topo *Topology
-	// HostsPerToR is the fat-tree radix (default 4).
+	// HostsPerToR is the fat-tree radix (default 4, at most 4096).
 	HostsPerToR int
 	// Oversub is the ToR:core oversubscription ratio (default 1). It is an
 	// error for Oversub to exceed HostsPerToR — that would need fewer than
 	// one core switch.
 	Oversub int
 	// Cores, when positive, sets the core-switch count directly and
-	// overrides Oversub.
+	// overrides Oversub; it may not exceed HostsPerToR.
 	Cores int
 	// Link parameterises every fabric link; zero means DefaultLinkSpec().
 	// PsPerByte must be positive, Latency not negative, and BufBytes must
@@ -59,12 +59,13 @@ type FluidConfig struct {
 	// Topo is an explicit fabric; when nil a two-level fat tree is sized to
 	// the schedule from the fields below.
 	Topo *Topology
-	// HostsPerToR is the fat-tree radix (default 4).
+	// HostsPerToR is the fat-tree radix (default 4, at most 4096).
 	HostsPerToR int
 	// Oversub is the ToR:core oversubscription ratio (default 1); it may
 	// not exceed HostsPerToR.
 	Oversub int
-	// Cores, when positive, overrides Oversub with a direct core count.
+	// Cores, when positive, overrides Oversub with a direct core count; it
+	// may not exceed HostsPerToR.
 	Cores int
 	// Link parameterises every fabric link; zero means DefaultLinkSpec().
 	// PsPerByte must be positive and Latency not negative.
@@ -83,15 +84,28 @@ type FluidConfig struct {
 	Params NetParams
 }
 
+// maxHostsPerToR bounds a fat tree's radix. The fabric's hosts, links and
+// per-link state grow with HostsPerToR whatever the schedule's rank
+// count, so an unbounded radix lets a 200-byte wire spec allocate
+// gigabytes; the largest radix this repository configures is 16.
+const maxHostsPerToR = 4096
+
 // FatTree builds a two-level fat tree covering ranks hosts: hostsPerToR
-// hosts per ToR (0 = 4) and either an explicit core-switch count (cores >
-// 0) or one derived from the ToR:core oversubscription ratio (oversub, 0 =
-// 1). An oversubscription ratio higher than hostsPerToR is rejected — it
-// would call for less than one core switch — instead of being clamped to a
-// topology the caller did not ask for.
+// hosts per ToR (0 = 4, at most 4096) and either an explicit core-switch
+// count (0 < cores <= hostsPerToR) or one derived from the ToR:core
+// oversubscription ratio (oversub, 0 = 1). An oversubscription ratio
+// higher than hostsPerToR is rejected — it would call for less than one
+// core switch — instead of being clamped to a topology the caller did
+// not ask for. With both bounds the fabric stays proportional to ranks.
 func FatTree(ranks, hostsPerToR, oversub, cores int, link LinkSpec) (*Topology, error) {
 	if hostsPerToR <= 0 {
 		hostsPerToR = 4
+	}
+	if hostsPerToR > maxHostsPerToR {
+		return nil, fmt.Errorf("sim: %d hosts per ToR exceeds the fat-tree radix limit of %d", hostsPerToR, maxHostsPerToR)
+	}
+	if cores > hostsPerToR {
+		return nil, fmt.Errorf("sim: %d core switches exceed %d hosts per ToR (oversubscription below 1:1); lower Cores or raise HostsPerToR", cores, hostsPerToR)
 	}
 	if cores <= 0 {
 		if oversub <= 0 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"atlahs/internal/workload/micro"
+	"atlahs/results"
 )
 
 // codecSpecs is one wire-worthy spec per built-in backend and frontend —
@@ -74,7 +75,7 @@ func testModelDoc() []byte {
 		panic(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeModel(&buf, m); err != nil {
+	if err := results.EncodeModelJSON(&buf, m); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

@@ -50,8 +50,9 @@
 // (message-size and per-rank message-count distributions, compute/
 // communication structure, traffic classes with destination-offset
 // histograms, and the dependency-depth profile), serialised under the
-// append-only atlahs.model/v1 schema (EncodeModel/DecodeModel; the
-// concrete types live in the results package). GenerateFromModel — or a
+// append-only atlahs.model/v1 schema (the concrete types and the codec
+// live in the results package: results.EncodeModelJSON writes a model and
+// results.DecodeModelJSON is its one reader). GenerateFromModel — or a
 // Spec with Model/ModelPath set — samples a model back into a schedule at
 // an arbitrary rank count, deterministically for (model, ranks, seed), so
 // an 8-rank instrumented run can drive simulations at 100k ranks and the
@@ -82,7 +83,10 @@
 // Specs also cross process boundaries: MarshalSpec/UnmarshalSpec give
 // every Spec a canonical wire form under the append-only atlahs.spec/v1
 // schema (config payloads resolved by backend/frontend name through the
-// registries' NewConfig hooks), Validate rejects invalid specs with the
+// registries' NewConfig hooks; UnmarshalSpec is the one reader of a spec,
+// as results.DecodeModelJSON is of a model — the results package lists
+// the one reader of each document and the write-only exports, CSV,
+// atlahs.diff/v1 and atlahs.sweepset/v1, that have none), Validate rejects invalid specs with the
 // same error text at every entry point, and Fingerprint assigns each
 // spec a content address — equal fingerprints imply bit-identical
 // Results, the property the simulation service's run cache is built on.

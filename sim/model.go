@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"io"
-
 	"atlahs/internal/workload/synth"
 	"atlahs/results"
 )
@@ -11,7 +9,9 @@ import (
 // per-rank message-count, message-size and compute distributions mined
 // from a resolved schedule, sampled back into schedules at arbitrary rank
 // counts. The concrete type lives in atlahs/results alongside the other
-// wire schemas.
+// wire schemas, and its codec is the one every caller uses:
+// results.EncodeModelJSON writes the document and results.DecodeModelJSON
+// is its one reader.
 type WorkloadModel = results.WorkloadModel
 
 // MineModel extracts a statistical workload model from a resolved
@@ -19,17 +19,6 @@ type WorkloadModel = results.WorkloadModel
 // generated pattern). The comment is stored as provenance.
 func MineModel(s *Schedule, comment string) (*WorkloadModel, error) {
 	return synth.Mine(s, comment)
-}
-
-// EncodeModel writes a model as one canonical atlahs.model/v1 JSON
-// document.
-func EncodeModel(w io.Writer, m *WorkloadModel) error {
-	return results.EncodeModelJSON(w, m)
-}
-
-// DecodeModel reads one atlahs.model/v1 JSON document.
-func DecodeModel(r io.Reader) (*WorkloadModel, error) {
-	return results.DecodeModelJSON(r)
 }
 
 // GenerateFromModel samples a model into a schedule with the given rank

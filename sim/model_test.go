@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"atlahs/internal/workload/micro"
+	"atlahs/results"
 )
 
 // minedDoc mines a model from an 8-rank recorded workload and returns the
@@ -22,7 +23,7 @@ func minedDoc(t *testing.T) (*WorkloadModel, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeModel(&buf, m); err != nil {
+	if err := results.EncodeModelJSON(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	return m, buf.Bytes()

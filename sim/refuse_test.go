@@ -50,6 +50,18 @@ func TestFabricConfigsRefused(t *testing.T) {
 		"pkt/buffer-4159": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4159 })}, "less than one"},
 		"pkt/buffer-4160": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4160 })}, ""},
 		"pkt/buffer-4200": {"pkt", PktConfig{Link: withLink(func(l *LinkSpec) { l.BufBytes = 4200 })}, ""},
+		// The radix bounds the fabric whatever the schedule: at the cap an
+		// 8-rank ring builds one 4096-host ToR, above it nothing is built.
+		"pkt/hosts-per-tor-4096":   {"pkt", PktConfig{HostsPerToR: 4096}, ""},
+		"fluid/hosts-per-tor-4096": {"fluid", FluidConfig{HostsPerToR: 4096}, ""},
+		"pkt/hosts-per-tor-4097":   {"pkt", PktConfig{HostsPerToR: 4097}, "radix limit"},
+		"fluid/hosts-per-tor-4097": {"fluid", FluidConfig{HostsPerToR: 4097}, "radix limit"},
+		"pkt/hosts-per-tor-2^16":   {"pkt", PktConfig{HostsPerToR: 1 << 16}, "radix limit"},
+		"fluid/hosts-per-tor-2^16": {"fluid", FluidConfig{HostsPerToR: 1 << 16}, "radix limit"},
+		"pkt/cores-4":              {"pkt", PktConfig{HostsPerToR: 4, Cores: 4}, ""},
+		"pkt/cores-5":              {"pkt", PktConfig{HostsPerToR: 4, Cores: 5}, "exceed 4 hosts per ToR"},
+		"fluid/cores-5":            {"fluid", FluidConfig{HostsPerToR: 4, Cores: 5}, "exceed 4 hosts per ToR"},
+		"pkt/cores-2^16":           {"pkt", PktConfig{Cores: 1 << 16}, "exceed 4 hosts per ToR"},
 	}
 	ring := &Synthetic{Pattern: "ring", Ranks: 8, Bytes: 4096}
 	for name, c := range cases {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -178,7 +179,7 @@ func (w *Workload) modelSchedule(topSeed uint64) (*goal.Schedule, error) {
 		}
 		doc = b
 	}
-	m, err := results.DecodeModelBytes(doc)
+	m, err := results.DecodeModelJSON(bytes.NewReader(doc))
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
