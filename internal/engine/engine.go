@@ -1,16 +1,19 @@
 // Package engine implements the deterministic discrete-event core that
 // drives every ATLAHS simulation backend.
 //
-// The engine maintains a 4-ary min-heap of pending events ordered by
-// (timestamp, sequence number). Ties in timestamp are broken by insertion
-// order, which makes every simulation fully deterministic: identical inputs
-// produce identical event interleavings and therefore identical results.
-// All backends (LogGOPS message-level, packet-level, fluid-flow) schedule
-// their work through a single Engine instance per simulation.
+// The serial Engine keeps its pending events in a monotone radix heap and
+// runs them in timestamp order, breaking ties by the order they were
+// scheduled in. That makes every simulation fully deterministic: identical
+// inputs produce identical event interleavings and therefore identical
+// results. All backends (LogGOPS
+// message-level, packet-level, fluid-flow) schedule their work through a
+// single Engine instance per simulation.
 package engine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"atlahs/internal/simtime"
 )
@@ -53,86 +56,43 @@ type Sim interface {
 	EventsProcessed() uint64
 }
 
-type event struct {
-	at  simtime.Time
-	seq uint64
-	fn  Handler
+// slot is one pending event in the engine's slab. next links it into its
+// bucket's FIFO list, or into the free list once it has run.
+type slot struct {
+	at   simtime.Time
+	fn   Handler
+	next int32
 }
 
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a typed 4-ary min-heap ordered by (at, seq), the same shape
-// as the parallel engine's peventHeap: no container/heap interface{}
-// boxing on push (which allocated on every Schedule) and half the tree
-// depth of a binary heap. Keys are unique — seq strictly increases — so
-// pop order is a total order and identical to the old container/heap
-// implementation.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !q[i].before(q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if n > 0 {
-		i := 0
-		for {
-			c := i*4 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		q[i] = last
-	}
-	return top
-}
+// buckets is one more than the highest bit at^now can have: the clock
+// never goes below zero, so bit 63 of a time is always clear.
+const buckets = 64
 
 // Engine is a single-threaded discrete-event simulator clock and queue.
 // The zero value is not usable; create one with New.
+//
+// The queue is a monotone radix heap. A pending event at time at sits in
+// bucket bits.Len64(at^now), so bucket 0 holds the events at now and
+// bucket b those that first differ from now at bit b-1. Each bucket is a
+// FIFO list linked through one slab of 24-byte slots, and freed slots go
+// on a free list, so the slab grows only when more events are pending than ever
+// before, whatever the clock reads. When bucket 0 runs dry, Run takes the
+// lowest non-empty bucket, moves the clock to its earliest event and
+// relinks the bucket's events, in list order, into the buckets below it,
+// which are empty; no other bucket changes, since its events still first
+// differ from the new now at the same bit. Events at one time always
+// share a bucket, and every move keeps their order, so they run in the
+// order they were scheduled.
 type Engine struct {
-	now     simtime.Time
-	seq     uint64
-	queue   eventHeap
-	stopped bool
-	// peak is the queue-depth high-water mark, sampled before each pop
-	// (see Stats).
+	now        simtime.Time
+	slots      []slot
+	free       int32 // head of the free list, -1 when empty
+	head, tail [buckets]int32
+	full       uint64 // bit b set when bucket b holds an event
+	pending    int
+	stopped    bool
+	// peak is the queue-depth high-water mark, sampled before each event
+	// runs (see Stats).
 	peak int
 
 	// Processed counts events executed so far (for stats/benchmarks).
@@ -141,7 +101,7 @@ type Engine struct {
 
 // New returns an empty engine with the clock at time zero.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{free: -1}
 }
 
 // Now returns the current simulated time.
@@ -153,17 +113,31 @@ func (e *Engine) Schedule(at simtime.Time, fn Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("engine: scheduling event at %v before now %v", at, e.now))
 	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
+	i := e.free
+	if i >= 0 {
+		e.free = e.slots[i].next
+		e.slots[i] = slot{at: at, fn: fn}
+	} else {
+		if len(e.slots) == math.MaxInt32 {
+			panic("engine: more than 2^31-1 events pending")
+		}
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{at: at, fn: fn})
+	}
+	e.link(bits.Len64(uint64(at^e.now)), i)
+	e.pending++
 }
 
-// Reserve makes room for n pending events ahead of a burst of Schedule
-// calls whose size the caller knows (the scheduler's seeding pass), in
-// one allocation instead of append's dozen regrowths.
-func (e *Engine) Reserve(n int) {
-	if cap(e.queue) < n {
-		e.queue = append(make(eventHeap, 0, n), e.queue...)
+// link appends slot i to bucket b's list. A list ends at its tail, so the
+// tail's next is never read.
+func (e *Engine) link(b int, i int32) {
+	if e.full&(1<<b) == 0 {
+		e.full |= 1 << b
+		e.head[b] = i
+	} else {
+		e.slots[e.tail[b]].next = i
 	}
+	e.tail[b] = i
 }
 
 // ScheduleOn implements Sim. The serial engine has a single event queue, so
@@ -190,25 +164,60 @@ func (e *Engine) Stop() { e.stopped = true }
 // called, and returns the time of the last executed event.
 func (e *Engine) Run() simtime.Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if n := len(e.queue); n > e.peak {
-			e.peak = n
+	for e.pending > 0 && !e.stopped {
+		if e.pending > e.peak {
+			e.peak = e.pending
 		}
-		ev := e.queue.pop()
-		e.now = ev.at
+		if e.full&1 == 0 {
+			e.advance()
+		}
+		i := e.head[0]
+		s := &e.slots[i]
+		if i == e.tail[0] {
+			e.full &^= 1
+		} else {
+			e.head[0] = s.next
+		}
+		fn := s.fn
+		s.fn = nil
+		s.next = e.free
+		e.free = i
+		e.pending--
 		e.Processed++
-		ev.fn()
+		fn()
 	}
 	return e.now
 }
 
+// advance moves the clock to the earliest pending event, with bucket 0
+// empty: it scans the lowest non-empty bucket for its earliest time and
+// relinks the bucket's events, in order, into the buckets that time puts
+// them in, all of them lower.
+func (e *Engine) advance() {
+	b := bits.TrailingZeros64(e.full)
+	e.full &^= 1 << b
+	i, last := e.head[b], e.tail[b]
+	now := e.slots[i].at
+	for j := i; j != last; {
+		j = e.slots[j].next
+		now = min(now, e.slots[j].at)
+	}
+	e.now = now
+	for {
+		s := &e.slots[i]
+		next := s.next
+		e.link(bits.Len64(uint64(s.at^now)), i)
+		if i == last {
+			return
+		}
+		i = next
+	}
+}
+
 // Reset discards all pending events and rewinds the clock to zero so the
-// engine can be reused for another simulation.
+// engine can be reused for another simulation. The slab keeps its
+// capacity.
 func (e *Engine) Reset() {
-	e.now = 0
-	e.seq = 0
-	e.queue = e.queue[:0]
-	e.stopped = false
-	e.peak = 0
-	e.Processed = 0
+	clear(e.slots)
+	*e = Engine{slots: e.slots[:0], free: -1}
 }

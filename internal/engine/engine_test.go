@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -85,22 +87,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-// TestReserveKeepsQueuedEvents: Reserve after events were scheduled (a
-// backend's Setup may have) moves them to the larger queue in order.
-func TestReserveKeepsQueuedEvents(t *testing.T) {
-	e := New()
-	var fired []simtime.Time
-	for _, at := range []simtime.Time{7, 3, 5} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	e.Reserve(64)
-	e.Run()
-	if len(fired) != 3 || fired[0] != 3 || fired[1] != 5 || fired[2] != 7 {
-		t.Fatalf("fired %v, want [3 5 7]", fired)
-	}
-}
-
 func TestReset(t *testing.T) {
 	e := New()
 	stale := false
@@ -147,20 +133,147 @@ func TestMonotonicProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineThroughput(b *testing.B) {
-	e := New()
-	rng := xrand.New(42)
-	b.ReportAllocs()
-	// self-perpetuating event chain with fan-out 1, random future offsets
-	var step func()
-	remaining := b.N
-	step = func() {
-		remaining--
-		if remaining > 0 {
-			e.After(simtime.Duration(rng.Int63n(100)+1), step)
+// mallocs counts the heap objects f allocates exactly (AllocsPerRun
+// truncates a mean to an integer), on one P, as AllocsPerRun does.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// hold is the hold model: every event schedules one successor, at the
+// next offset of a fixed cycle, so as many events stay pending as were
+// seeded. Its one handler is bound once, so the model allocates nothing.
+type hold struct {
+	e       *Engine
+	offsets []simtime.Duration
+	k       int // next offset
+	left    int // events to run before Stop
+	fn      Handler
+}
+
+func newHold(e *Engine, offsets []simtime.Duration) *hold {
+	h := &hold{e: e, offsets: offsets}
+	h.fn = h.step
+	return h
+}
+
+func (h *hold) after() {
+	h.e.After(h.offsets[h.k], h.fn)
+	h.k = (h.k + 1) % len(h.offsets)
+}
+
+func (h *hold) step() {
+	h.after()
+	if h.left--; h.left == 0 {
+		h.e.Stop()
+	}
+}
+
+// seed starts the cycle again and schedules n events from now.
+func (h *hold) seed(n int) {
+	h.k = 0
+	for range n {
+		h.after()
+	}
+}
+
+// run executes n events and returns with as many pending as before.
+func (h *hold) run(n int) simtime.Time {
+	h.left = n
+	return h.e.Run()
+}
+
+// packetOffsets are a packet flow's fixed offsets: a 4 160-byte packet's
+// and a 64-byte ack's serialisation at 40 ps/B, a 500 ns link, a packet
+// and a link together, and a 20 µs retransmission timer.
+var packetOffsets = []simtime.Duration{166_400, 500_000, 2_560, 666_400, 500_000, 20_000_000, 166_400, 2_560}
+
+// hpcOffsets are an LGS run's: 37% of events at now, the rest spread
+// over 2 µs.
+func hpcOffsets() []simtime.Duration {
+	rng := xrand.New(7)
+	offs := make([]simtime.Duration, 4096)
+	for i := range offs {
+		if !rng.Bool(0.37) {
+			offs[i] = simtime.Duration(rng.Int63n(2_000_000)) + 1
 		}
 	}
-	e.Schedule(0, step)
-	b.ResetTimer()
-	e.Run()
+	return offs
+}
+
+// TestEngineAllocsWhateverTheClock: once the slab has held the peak, an
+// engine that runs on allocates nothing while its clock climbs through
+// power after power of two, and neither does a Reset engine replaying
+// the same schedule.
+func TestEngineAllocsWhateverTheClock(t *testing.T) {
+	const pending, events = 64, 200_000
+	e := New()
+	h := newHold(e, packetOffsets)
+	h.seed(pending)
+	from := h.run(16 * pending)
+	var to simtime.Time
+	if n := mallocs(func() { to = h.run(events) }); n != 0 {
+		t.Errorf("running on from %v to %v: %d mallocs, want 0", from, to, n)
+	}
+	if crossed := bits.Len64(uint64(to)) - bits.Len64(uint64(from)); crossed < 6 {
+		t.Fatalf("clock went from %v to %v: %d powers of two, want at least 6", from, to, crossed)
+	}
+	if n := mallocs(func() {
+		e.Reset()
+		h.seed(pending)
+		h.run(16*pending + events)
+	}); n != 0 {
+		t.Errorf("replaying after Reset: %d mallocs, want 0", n)
+	}
+	if got := e.Stats().PeakPending; got != pending {
+		t.Fatalf("PeakPending %d, want %d", got, pending)
+	}
+}
+
+// BenchmarkEngineQueue runs the serial engine's queue at the depths the
+// benchmark workloads reach (atlahs_engine_peak_pending): a packet run's
+// 64 pending events at fixed offsets, an LGS run's 2 849 with 37% at now,
+// and the service's all-to-all, which seeds 1 355 events at t = 0 and
+// runs each one's successor.
+func BenchmarkEngineQueue(b *testing.B) {
+	const batch = 1000
+	for _, c := range []struct {
+		name    string
+		pending int
+		offsets []simtime.Duration
+	}{
+		{"storage-64", 64, packetOffsets},
+		{"hpc-2849", 2849, hpcOffsets()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := newHold(New(), c.offsets)
+			h.seed(c.pending)
+			h.run(c.pending)
+			b.ReportAllocs()
+			for b.Loop() {
+				h.run(batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
+		})
+	}
+	b.Run("svc-burst-1355", func(b *testing.B) {
+		const burst = 1355
+		e := New()
+		k := 0
+		done := func() {}
+		first := func() { e.After(packetOffsets[k%len(packetOffsets)], done); k++ }
+		b.ReportAllocs()
+		for b.Loop() {
+			e.Reset()
+			for range burst {
+				e.Schedule(0, first)
+			}
+			e.Run()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*burst), "ns/event")
+	})
 }

@@ -7,9 +7,10 @@ import (
 	"atlahs/internal/xrand"
 )
 
-// refEvent and refHeap are the serial engine's order as a typed 4-ary
-// min-heap keyed on (at, seq): seq strictly increases, so keys are unique
-// and pop order is a total order, the one every pin was recorded under.
+// refEvent and refHeap are the typed 4-ary min-heap the serial engine kept
+// its events in before the radix heap, keyed on (at, seq): seq strictly
+// increases, so keys are unique and pop order is a total order, the one
+// every pin was recorded under.
 type refEvent struct {
 	at  simtime.Time
 	seq uint64

@@ -1,6 +1,7 @@
 package pktnet
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -221,29 +222,48 @@ func TestStaleRecordUsePanics(t *testing.T) {
 }
 
 // TestPktSteadyStateAllocs is the allocation gate: once a Network has
-// carried a message, carrying another allocates nothing — whatever its
-// length, because ports, pipes, timers, packets and the flow record are
-// all reused.
+// carried a message over every path, carrying another allocates nothing —
+// whatever its length, because ports, pipes, timers, packets and the flow
+// record are all reused. A window transport hashes each new flow onto one
+// of the fabric's paths, and a port's ring grows the first time a flow
+// reaches it, so a round of one-packet messages as long as the measured
+// one warms the paths first. Mallocs are counted exactly: AllocsPerRun
+// truncates its mean, so 16 mallocs over 20 messages read as 0.
 func TestPktSteadyStateAllocs(t *testing.T) {
+	const runs = 20
 	for _, alg := range []string{"mprdma", "ndp"} {
 		eng, n := newNet(t, testTopo(t, 16, 4, 4, 0), alg)
 		delivered := 0
 		done := func(simtime.Time) { delivered++ }
-		carry := func(size int64) func() {
+		carry := func(size int64, messages int) func() {
 			return func() {
-				n.Send(0, 15, size, done)
-				eng.Run()
+				for range messages {
+					n.Send(0, 15, size, done)
+					eng.Run()
+				}
 			}
 		}
-		carry(256 * 4096)() // warm: ring depths, packet pool, per-packet flags
-		one := testing.AllocsPerRun(20, carry(870))
-		long := testing.AllocsPerRun(20, carry(256*4096))
-		if one != 0 || long > one {
-			t.Errorf("%s: %v allocations per 1-packet message, %v per 256-packet message; want 0 and no more", alg, one, long)
+		carry(256*4096, 1)() // warm: ring depths, packet pool, per-packet flags
+		carry(870, runs+1)() // warm: every port the measured flows' paths reach
+		one := mallocs(carry(870, runs))
+		long := mallocs(carry(256*4096, runs))
+		if one != 0 || long != 0 {
+			t.Errorf("%s: %d mallocs over %d 1-packet messages, %d over %d 256-packet messages; want 0", alg, one, runs, long, runs)
 		}
-		if delivered != 43 { // warm-up + 2 x (AllocsPerRun's own warm-up + 20)
-			t.Fatalf("%s: %d/43 messages delivered", alg, delivered)
+		if want := 1 + 3*runs + 1; delivered != want {
+			t.Fatalf("%s: %d/%d messages delivered", alg, delivered, want)
 		}
 		checkDrained(t, n)
 	}
+}
+
+// mallocs counts the heap objects f allocates exactly, on one P, as
+// AllocsPerRun does.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

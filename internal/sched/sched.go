@@ -179,7 +179,6 @@ func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts 
 	if err := be.Setup(s.NumRanks(), eng, r.over); err != nil {
 		return nil, err
 	}
-	seeds := 0 // ops with no dependencies
 	var budget simtime.Duration
 	for rank := range s.Ranks {
 		rp := &s.Ranks[rank]
@@ -191,23 +190,8 @@ func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts 
 				return nil, err
 			}
 			st.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
-			if st.pending[i] == 0 {
-				seeds++
-			}
 		}
 		r.total += int64(n)
-	}
-	// The seeding loop below issues every dependency-free op back to back,
-	// before the first event runs, and a send or calc schedules one or two:
-	// the size of that burst is the one thing about queue depth the
-	// scheduler knows rather than guesses. Room for it keeps a
-	// burst-seeded schedule (an all-to-all: every op at t = 0) from
-	// regrowing the heap a dozen times (alloc_mb_per_op +9% on
-	// svc-mixed-http without) and costs a chain-heavy one next to nothing.
-	// ParEngine lanes grow by append: no ledger workload shows a lane
-	// reservation paying.
-	if e, ok := eng.(*engine.Engine); ok {
-		e.Reserve(seeds)
 	}
 	// seed: issue all ops with no dependencies
 	for rank := range s.Ranks {
