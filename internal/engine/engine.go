@@ -5,9 +5,8 @@
 // runs them in timestamp order, breaking ties by the order they were
 // scheduled in. That makes every simulation fully deterministic: identical
 // inputs produce identical event interleavings and therefore identical
-// results. All backends (LogGOPS
-// message-level, packet-level, fluid-flow) schedule their work through a
-// single Engine instance per simulation.
+// results. All backends (LogGOPS message-level, packet-level, fluid-flow)
+// schedule their work through a single Engine instance per simulation.
 package engine
 
 import (
@@ -75,12 +74,12 @@ const buckets = 64
 // bucket bits.Len64(at^now), so bucket 0 holds the events at now and
 // bucket b those that first differ from now at bit b-1. Each bucket is a
 // FIFO list linked through one slab of 24-byte slots, and freed slots go
-// on a free list, so the slab grows only when more events are pending than ever
-// before, whatever the clock reads. When bucket 0 runs dry, Run takes the
-// lowest non-empty bucket, moves the clock to its earliest event and
-// relinks the bucket's events, in list order, into the buckets below it,
-// which are empty; no other bucket changes, since its events still first
-// differ from the new now at the same bit. Events at one time always
+// on a free list, so the slab grows only when more events are pending
+// than ever before, whatever the clock reads. When bucket 0 runs dry, Run
+// takes the lowest non-empty bucket, moves the clock to its earliest event
+// and relinks the bucket's events, in list order, into the buckets below
+// it, which are empty; no other bucket changes, since its events still
+// first differ from the new now at the same bit. Events at one time always
 // share a bucket, and every move keeps their order, so they run in the
 // order they were scheduled.
 type Engine struct {

@@ -162,8 +162,9 @@ func (p *program) offset() simtime.Duration {
 	}
 }
 
-// step is one executed handler (id > 0, at = Now() inside it) or one
-// return from Run (id 0, at = its result, with the engine's Stats).
+// step is one executed handler (at = Now() inside it; id > 0 in a tree,
+// -1 for one scheduled at an absolute time) or one return from Run (id 0,
+// at = its result, with the engine's Stats).
 type step struct {
 	id     int
 	at     simtime.Time

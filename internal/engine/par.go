@@ -71,10 +71,11 @@ import (
 // suite compares every ParEngine run against, and the performance ledger
 // shows no winner between the two (engine.par_speedup 0.65–0.82 at 2
 // workers on 2 cores, while ParEngine at 1 worker beats Engine on some
-// schedules). Each engine also keeps its own typed heap: one generic 4-ary
-// heap for both cost 25-30% more per pop+push in a hold-model
-// micro-benchmark (4 096 pending events, Go 1.24, Xeon), because the
-// comparison called through the type parameter is not inlined.
+// schedules). The two engines keep different queues. The serial Engine's
+// radix heap breaks ties by arrival, which is scheduling order only
+// because one clock schedules everything. A lane here must break ties by
+// the full key, and events from other lanes reach it at the barrier out of
+// key order, so each lane keeps a typed 4-ary heap (peventHeap).
 type ParEngine struct {
 	workers   int
 	lookahead simtime.Duration

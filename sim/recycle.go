@@ -9,9 +9,10 @@ import (
 )
 
 // runState is what a run that succeeded leaves for a later one: the
-// scheduler's per-rank arrays, the serial engine with its heap, and, when
-// the run was on LGS and Drained has proven it clean, the LGS with its
-// streams, NICs, message records and matcher queues, unbound from the run.
+// scheduler's per-rank arrays, the serial engine with its event slab,
+// and, when the run was on LGS and Drained has proven it clean, the LGS
+// with its streams, NICs, message records and matcher queues, unbound
+// from the run.
 // With it, a warm process allocates for a run its input, its Result and
 // little else. None of it names the schedule, the backend's callback or an
 // Observer of the run that left it. Run is the only code that can tell a

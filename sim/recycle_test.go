@@ -269,7 +269,7 @@ func TestRecycledRunsMatchFreshConcurrently(t *testing.T) {
 
 // TestWarmRunAllocs is the allocation gate for a warm process: a second
 // identical LGS run allocates the same number of objects whatever its op
-// count, because the scheduler's arrays, the engine's heap and LGS's
+// count, because the scheduler's arrays, the engine's event slab and LGS's
 // streams, records and matcher queues are the first run's. What is left is
 // the run's own: its Result and RankEnd, the backend object the registry
 // builds, and the metrics snapshot, 8 in all.

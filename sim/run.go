@@ -97,7 +97,7 @@ func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 // wall-clock conditions.
 //
 // A run that succeeds leaves its working state — the scheduler's arrays,
-// the serial engine's heap and, once Drained proves it clean, LGS's
+// the serial engine's event slab and, once Drained proves it clean, LGS's
 // state — for a later run (runState), which is why a warm
 // process allocates little beyond a run's input and Result. Nothing
 // carried over can change a result.
