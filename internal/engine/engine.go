@@ -75,19 +75,21 @@ const buckets = 64
 // bucket b those that first differ from now at bit b-1. Each bucket is a
 // FIFO list linked through one slab of 24-byte slots, and freed slots go
 // on a free list, so the slab grows only when more events are pending
-// than ever before, whatever the clock reads. When bucket 0 runs dry, Run
-// takes the lowest non-empty bucket, moves the clock to its earliest event
-// and relinks the bucket's events, in list order, into the buckets below
-// it, which are empty; no other bucket changes, since its events still
-// first differ from the new now at the same bit. Events at one time always
-// share a bucket, and every move keeps their order, so they run in the
-// order they were scheduled.
+// than ever before, whatever the clock reads. Each bucket also keeps its
+// earliest time. When bucket 0 runs dry, Run takes the lowest non-empty
+// bucket, moves the clock to its earliest time and relinks the bucket's
+// events, in list order, into the buckets below it, which are empty; no
+// other bucket changes, since its events still first differ from the new
+// now at the same bit. Events at one time always share a bucket, and
+// every move keeps their order, so they run in the order they were
+// scheduled.
 type Engine struct {
 	now        simtime.Time
 	slots      []slot
 	free       int32 // head of the free list, -1 when empty
 	head, tail [buckets]int32
-	full       uint64 // bit b set when bucket b holds an event
+	low        [buckets]simtime.Time // earliest time in bucket b
+	full       uint64                // bit b set when bucket b holds an event
 	pending    int
 	stopped    bool
 	// peak is the queue-depth high-water mark, sampled before each event
@@ -123,18 +125,20 @@ func (e *Engine) Schedule(at simtime.Time, fn Handler) {
 		i = int32(len(e.slots))
 		e.slots = append(e.slots, slot{at: at, fn: fn})
 	}
-	e.link(bits.Len64(uint64(at^e.now)), i)
+	e.link(bits.Len64(uint64(at^e.now)), i, at)
 	e.pending++
 }
 
-// link appends slot i to bucket b's list. A list ends at its tail, so the
-// tail's next is never read.
-func (e *Engine) link(b int, i int32) {
+// link appends slot i, an event at at, to bucket b's list. A list ends at
+// its tail, so the tail's next is never read.
+func (e *Engine) link(b int, i int32, at simtime.Time) {
 	if e.full&(1<<b) == 0 {
 		e.full |= 1 << b
 		e.head[b] = i
+		e.low[b] = at
 	} else {
 		e.slots[e.tail[b]].next = i
+		e.low[b] = min(e.low[b], at)
 	}
 	e.tail[b] = i
 }
@@ -189,23 +193,19 @@ func (e *Engine) Run() simtime.Time {
 }
 
 // advance moves the clock to the earliest pending event, with bucket 0
-// empty: it scans the lowest non-empty bucket for its earliest time and
-// relinks the bucket's events, in order, into the buckets that time puts
-// them in, all of them lower.
+// empty: to the earliest time of the lowest non-empty bucket, whose events
+// it relinks, in order, into the buckets that time puts them in, all of
+// them lower.
 func (e *Engine) advance() {
 	b := bits.TrailingZeros64(e.full)
 	e.full &^= 1 << b
 	i, last := e.head[b], e.tail[b]
-	now := e.slots[i].at
-	for j := i; j != last; {
-		j = e.slots[j].next
-		now = min(now, e.slots[j].at)
-	}
+	now := e.low[b]
 	e.now = now
 	for {
 		s := &e.slots[i]
 		next := s.next
-		e.link(bits.Len64(uint64(s.at^now)), i)
+		e.link(bits.Len64(uint64(s.at^now)), i, s.at)
 		if i == last {
 			return
 		}
