@@ -1,8 +1,8 @@
 // Paired perf benchmarks: each pins one off/on pair (cold-vs-hit style)
 // so one `go test -bench` run measures both sides of the trade. The shared
 // workload is a 64-rank, multi-hundred-thousand-op seeded schedule — big
-// enough that allocation and barrier behaviour dominate, small enough for
-// CI's -benchtime 3x.
+// enough that allocation behaviour dominates, small enough for CI's
+// -benchtime 3x.
 package atlahs
 
 import (
@@ -30,12 +30,13 @@ var perfWorkload = sync.OnceValue(func() (w struct {
 // schedule through the sim facade with telemetry off (the default — the
 // per-run metrics snapshot is always assembled, so "off" carries it)
 // versus with a timeline recorder attached, which touches every op
-// completion and every parallel window. The off side must stay on the
-// allocation-lean hot path; the on side bounds what -timeline and the
-// service's trace recording cost.
+// completion. Both sides run serially, so the pair times the recorder,
+// not the lane engine. The off side must stay on the allocation-lean hot
+// path; the on side bounds what -timeline and the service's trace
+// recording cost.
 func BenchmarkTelemetryOffVsOn(b *testing.B) {
 	w := perfWorkload()
-	base := sim.Spec{Workload: sim.Workload{Schedule: w.s}, Backend: "lgs", Workers: 4}
+	base := sim.Spec{Workload: sim.Workload{Schedule: w.s}, Backend: "lgs"}
 	run := func(b *testing.B, tl *sim.Timeline) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -12,7 +12,7 @@
 //	atlahs -submit URL -sweep a.json b.json   # batch-submit specs as one sweep
 //
 // Flags: [-backend lgs|pkt|fluid] [-params ai|hpc] [-hosts-per-tor 4]
-// [-oversub 1] [-cc mprdma] [-seed 1] [-workers 1] [-progress 0] [-json]
+// [-oversub 1] [-cc mprdma] [-seed 1] [-progress 0] [-json]
 // [-cpuprofile FILE] [-memprofile FILE] [-timeline FILE]
 //
 // -cpuprofile writes a CPU profile of the whole invocation and
@@ -21,8 +21,9 @@
 // patched binary. Profiles are flushed on error exits too.
 //
 // -timeline records a local run's execution — per-rank op completions
-// and, on parallel runs, per-lane conservative windows — and writes it
-// as Chrome trace-event JSON, loadable in Perfetto (or chrome://tracing).
+// and, when a spec file asks for workers, per-lane conservative windows
+// — and writes it as Chrome trace-event JSON, loadable in Perfetto (or
+// chrome://tracing).
 // Timestamps are simulated time, so the file is as deterministic as the
 // result.
 //
@@ -34,7 +35,7 @@
 // frontend's defaults (use the sim library for tuned conversion). -spec
 // takes a marshalled sim.Spec (sim.MarshalSpec, schema atlahs.spec/v1) —
 // including multi-job compositions — and is authoritative: workload and
-// backend flags may not be combined with it (-workers still overrides).
+// backend flags may not be combined with it.
 // -json prints the run's result — runtime, schedule accounting,
 // executed-op tallies, per-job node sets, fabric counters — as one JSON
 // object on stdout.
@@ -52,9 +53,9 @@
 // fat tree sized to the schedule. A backend flag the chosen backend does
 // not read (-hosts-per-tor, -oversub or -cc on lgs, -params on pkt or
 // fluid, -cc on fluid) is refused, as is a -params other than ai or hpc.
-// -workers > 1 runs the lgs backend on the sharded parallel engine
-// (results bit-identical to serial); pkt and fluid share fabric state, so
-// asking them for workers is an error, not a silent fallback.
+// Runs built from flags are serial. A spec file's "workers" still runs an
+// lgs spec on the sharded parallel engine (results bit-identical to
+// serial), though it measures slower; there is no -workers flag.
 package main
 
 import (
@@ -89,7 +90,6 @@ func main() {
 	ccName := flag.String("cc", "mprdma", "congestion control (pkt): mprdma, swift, dctcp, ndp")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	calcScale := flag.Float64("calc-scale", 1.0, "hardware adaptation factor for calc times")
-	workers := flag.Int("workers", 1, "worker goroutines for the parallel engine (lgs only; 0 = GOMAXPROCS)")
 	progress := flag.Int64("progress", 0, "print progress every N completed ops of a local run without -json (0 = off)")
 	jsonOut := flag.Bool("json", false, "print the result as one JSON object on stdout")
 	submitURL := flag.String("submit", "", "submit the spec to a running atlahsd server at this base URL")
@@ -127,7 +127,7 @@ func main() {
 		if *submitURL == "" {
 			fail(fmt.Errorf("-sweep batch-submits to a server; set -submit URL"))
 		}
-		for _, name := range []string{"goal", "trace", "frontend", "spec", "backend", "params", "hosts-per-tor", "oversub", "cc", "seed", "calc-scale", "workers"} {
+		for _, name := range []string{"goal", "trace", "frontend", "spec", "backend", "params", "hosts-per-tor", "oversub", "cc", "seed", "calc-scale"} {
 			if set[name] {
 				fail(fmt.Errorf("-sweep takes spec files as arguments; drop -%s (set it inside the spec files)", name))
 			}
@@ -161,9 +161,6 @@ func main() {
 		if spec, err = sim.UnmarshalSpec(b); err != nil {
 			fail(err)
 		}
-		if set["workers"] {
-			spec.Workers = cliWorkers(*workers)
-		}
 	} else {
 		if (*goalPath == "") == (*tracePath == "") {
 			fmt.Fprintln(os.Stderr, "atlahs: set exactly one of -goal, -trace or -spec")
@@ -190,13 +187,6 @@ func main() {
 			Backend:   *be,
 			CalcScale: *calcScale,
 			Seed:      *seed,
-		}
-		spec.Workers = cliWorkers(*workers)
-		// Reject any non-serial worker request on a backend that cannot
-		// shard, regardless of how many cores this host happens to have
-		// (sim.Run only errors once the resolved count exceeds 1).
-		if def, ok := sim.Lookup(*be); ok && !def.Parallel && *workers != 1 {
-			fail(fmt.Errorf("backend %q shares fabric state and always runs serially; -workers %d is not available (use -workers 1)", *be, *workers))
 		}
 		switch *be {
 		case "lgs":
@@ -291,15 +281,6 @@ func writeTimeline(path string, tl *sim.Timeline) error {
 		return err
 	}
 	return f.Close()
-}
-
-// cliWorkers maps the CLI convention (-workers 0 = all cores) onto the
-// library convention (Workers < 0 = GOMAXPROCS, 0 = serial).
-func cliWorkers(w int) int {
-	if w == 0 {
-		return -1
-	}
-	return w
 }
 
 // submit sends the spec to a running server, waits for the run to finish,

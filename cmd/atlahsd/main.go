@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	atlahsd [-addr :8080] [-jobs 2] [-workers 0] [-queue 64] [-cache 256]
+//	atlahsd [-addr :8080] [-jobs 2] [-queue 64] [-cache 256]
 //	        [-artifacts DIR] [-pprof ADDR] [-timeline]
 //	        [-log-format text|json]
 //
@@ -27,9 +27,10 @@
 //	GET  /v1/healthz             readiness probe (queue depth, executor
 //	                             occupancy, store writability, uptime)
 //
-// -jobs bounds how many simulations run concurrently and -workers is the
-// total engine-worker budget they share (0 = all cores); -queue bounds
-// the submission backlog, past which submissions fail fast with 503 and
+// -jobs bounds how many simulations run concurrently, each on the serial
+// engine (a spec's "workers" is clamped to one): parallelism is across
+// runs, which measures faster than sharding one run. -queue bounds the
+// submission backlog, past which submissions fail fast with 503 and
 // a Retry-After header. Admission is fair-share: each submitter class
 // (X-Submitter header, or one per batch sweep) drains round-robin, FIFO
 // within a class, so a giant sweep cannot starve interactive runs.
@@ -60,7 +61,7 @@
 // Submit a spec from the shell:
 //
 //	echo '{"schema":"atlahs.spec/v1","synthetic":{"pattern":"alltoall",
-//	  "ranks":16,"bytes":65536},"backend":"lgs","workers":-1}' |
+//	  "ranks":16,"bytes":65536},"backend":"lgs"}' |
 //	  curl -s --data-binary @- localhost:8080/v1/runs?wait=1
 //
 // or use the bundled client: atlahs -submit http://localhost:8080 -spec f.json
@@ -80,7 +81,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("jobs", 2, "concurrent simulations")
-	workers := flag.Int("workers", 0, "total engine-worker budget shared across jobs (0 = all cores)")
 	queue := flag.Int("queue", 64, "submission backlog bound")
 	cache := flag.Int("cache", 256, "completed runs kept addressable")
 	artifacts := flag.String("artifacts", "", "directory to persist per-run result artifacts (optional)")
@@ -115,7 +115,6 @@ func main() {
 	svc, err := service.New(service.Config{
 		Queue:       *queue,
 		Jobs:        *jobs,
-		Workers:     *workers,
 		Cache:       *cache,
 		ArtifactDir: *artifacts,
 		Timeline:    *timeline,

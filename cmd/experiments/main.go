@@ -16,7 +16,11 @@
 // unwritable output — exits non-zero.
 //
 // Independent experiments — and independent configuration points inside
-// each experiment — fan out across -workers goroutines (0 = GOMAXPROCS).
+// each experiment — fan out across -workers goroutines (0 = GOMAXPROCS),
+// each simulation itself serial. The flag stays where atlahs and atlahsd
+// lost theirs because it fans out whole runs, which measured faster than
+// sharding one run over the same cores (README, "The parallel simulation
+// subsystem").
 // Simulated results are identical for any worker count; the wall-clock
 // columns some figures print measure this host and are only meaningful at
 // -workers 1 (the default).

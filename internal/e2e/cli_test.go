@@ -282,3 +282,55 @@ func TestCLIRefusesIgnoredFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestNoWorkersFlag: neither atlahs nor atlahsd has a -workers flag, so
+// asking for one is a usage error (exit 2), not a silent serial run. A
+// spec file's "workers" still decodes and runs, with the runtime of the
+// same spec without it.
+func TestNoWorkersFlag(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	goalPath := filepath.Join(dir, "pair.goal")
+	goalText := "num_ranks 2\nrank 0 {\nl1: send 64b to 1 tag 0\n}\nrank 1 {\nl1: recv 64b from 0 tag 0\n}\n"
+	if err := os.WriteFile(goalPath, []byte(goalText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		bin  string
+		args []string
+	}{
+		{"atlahs", []string{"-goal", goalPath, "-workers", "2"}},
+		// The unusable address makes a daemon that accepted the flag exit
+		// instead of serving.
+		{"atlahsd", []string{"-addr", "127.0.0.1:-1", "-workers", "2"}},
+	} {
+		stdout, stderr, code := runStatus(t, tc.bin, tc.args...)
+		if code != 2 || !strings.Contains(string(stderr), "flag provided but not defined: -workers") || len(stdout) != 0 {
+			t.Errorf("%s %s: exit %d, want 2 with an undefined-flag error and no stdout; stdout:\n%s\nstderr:\n%s",
+				tc.bin, strings.Join(tc.args, " "), code, stdout, stderr)
+		}
+	}
+
+	runtimePs := map[int]int64{}
+	for _, workers := range []int{0, 2} {
+		wire, err := sim.MarshalSpec(sim.Spec{
+			Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 8, Bytes: 4096, Phases: 3}},
+			Backend:  "lgs", Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specPath := filepath.Join(dir, fmt.Sprintf("workers-%d.json", workers))
+		if err := os.WriteFile(specPath, wire, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res := replay(t, "-spec", specPath)
+		if res.Parallel != (workers == 2) {
+			t.Errorf("spec with workers %d ran parallel=%v", workers, res.Parallel)
+		}
+		runtimePs[workers] = res.RuntimePs
+	}
+	if runtimePs[2] != runtimePs[0] {
+		t.Errorf("runtime_ps %d with \"workers\": 2, %d without", runtimePs[2], runtimePs[0])
+	}
+}

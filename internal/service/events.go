@@ -241,7 +241,7 @@ func (r *run) complete(res *sim.Result, artifact []byte) {
 	r.status = StatusDone
 	r.result = res
 	r.artifact = artifact
-	r.finishLocked(Event{Type: EventDone, Run: r.id, Data: DoneData{Result: NewJSONResult(res), DroppedEvents: r.drops.Load()}})
+	r.finishLocked(r.terminalEventLocked())
 	r.mu.Unlock()
 }
 
@@ -250,7 +250,7 @@ func (r *run) fail(err error) {
 	r.mu.Lock()
 	r.status = StatusFailed
 	r.err = err
-	r.finishLocked(Event{Type: EventFailed, Run: r.id, Data: FailedData{Error: err.Error(), DroppedEvents: r.drops.Load()}})
+	r.finishLocked(r.terminalEventLocked())
 	r.mu.Unlock()
 }
 
@@ -269,8 +269,9 @@ func (r *run) finishLocked(ev Event) {
 	close(r.done)
 }
 
-// terminalEventLocked rebuilds the terminal event for late subscribers;
-// the caller holds r.mu and has checked the status is terminal.
+// terminalEventLocked builds the terminal event from the run's final
+// state, for live subscribers as the run finishes and for late ones
+// after; the caller holds r.mu and the status is terminal.
 func (r *run) terminalEventLocked() Event {
 	if r.status == StatusFailed {
 		return Event{Type: EventFailed, Run: r.id, Data: FailedData{Error: r.err.Error(), DroppedEvents: r.drops.Load()}}

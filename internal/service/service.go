@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -45,8 +44,8 @@ import (
 )
 
 // Config sizes a Service. The zero value is usable: a 64-deep queue, 2
-// concurrent jobs, a GOMAXPROCS engine-worker budget, 256 cached runs,
-// and no artifact directory.
+// concurrent jobs, serial runs, 256 cached runs, and no artifact
+// directory.
 type Config struct {
 	// Queue bounds how many submitted-but-not-started jobs the service
 	// holds; past it, Submit fails fast with ErrQueueFull instead of
@@ -56,9 +55,10 @@ type Config struct {
 	Jobs int
 	// Workers is the total engine-worker budget shared across the Jobs
 	// executor slots (each slot gets Workers/Jobs, at least 1). <= 0 means
-	// GOMAXPROCS. A spec asking for fewer workers than its slot's share
+	// 1, so by default every run is serial and the service's parallelism
+	// is its Jobs. A spec asking for fewer workers than its slot's share
 	// keeps its own request; asking for more (or for -1, "as many as
-	// allowed") is clamped to the share.
+	// allowed") is clamped to the share. atlahsd does not set it.
 	Workers int
 	// Cache bounds how many completed runs stay addressable; the oldest
 	// completed runs are evicted first, and queued or running jobs are
@@ -90,7 +90,7 @@ func (c Config) withDefaults() Config {
 		c.Jobs = 2
 	}
 	if c.Workers <= 0 {
-		c.Workers = -1 // resolved per spec via sim's GOMAXPROCS convention
+		c.Workers = 1
 	}
 	if c.Cache <= 0 {
 		c.Cache = 256
@@ -515,21 +515,10 @@ func (s *Service) Close() {
 
 // shareWorkers resolves the engine-worker count one job runs with: the
 // spec's own request, clamped to this service's per-slot share of the
-// worker budget. Backends that cannot shard always run serially (their
-// specs were validated to ask for at most one worker).
+// worker budget. A backend that cannot shard was validated to ask for 0
+// or 1, which no share changes.
 func (s *Service) shareWorkers(spec sim.Spec) int {
-	def, ok := sim.Lookup(spec.BackendName())
-	if !ok || !def.Parallel {
-		return spec.Workers
-	}
-	budget := s.cfg.Workers
-	if budget < 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	share := budget / s.cfg.Jobs
-	if share < 1 {
-		share = 1
-	}
+	share := max(s.cfg.Workers/s.cfg.Jobs, 1)
 	w := spec.Workers
 	if w == 0 {
 		return 0 // the spec asked for serial; honour it

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -488,7 +489,8 @@ func TestLookasideIgnoresExecutionKnobs(t *testing.T) {
 }
 
 // TestShareWorkers pins how the engine-worker budget is split across
-// executor slots.
+// executor slots, and that a default Config runs every spec serially,
+// whatever GOMAXPROCS reads.
 func TestShareWorkers(t *testing.T) {
 	svc := newService(t, Config{Jobs: 2, Workers: 8})
 	lgs := func(w int) sim.Spec {
@@ -511,6 +513,10 @@ func TestShareWorkers(t *testing.T) {
 		if got := svc.shareWorkers(c.spec); got != c.want {
 			t.Fatalf("%s: shareWorkers = %d, want %d", c.name, got, c.want)
 		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if got := newService(t, Config{}).shareWorkers(lgs(-1)); got != 1 {
+		t.Fatalf("default Config at GOMAXPROCS 4: shareWorkers(lgs(-1)) = %d, want 1 (serial)", got)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,6 +284,47 @@ func TestValidateSharedErrorText(t *testing.T) {
 				t.Fatalf("MarshalSpec error %q, Validate error %q — entry points disagree", merr, verr)
 			}
 		})
+	}
+}
+
+// TestWorkerRuleIgnoresTheHost: whether a worker request is refused
+// depends on the spec alone, not on GOMAXPROCS. A -1 ("as many as
+// GOMAXPROCS") on a backend that cannot shard is refused with one error
+// text by Validate, MarshalSpec and UnmarshalSpec at GOMAXPROCS 1 and 2,
+// so a spec file decodes on every host or on none; lgs takes -1, and
+// pkt takes 0 and 1, at both.
+func TestWorkerRuleIgnoresTheHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ring := Workload{Synthetic: &Synthetic{Pattern: "ring", Ranks: 2}}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, backend := range []string{"pkt", "fluid"} {
+			spec := Spec{Workload: ring, Backend: backend, Workers: -1}
+			verr := spec.Validate()
+			if verr == nil {
+				t.Fatalf("GOMAXPROCS %d: Validate accepted %s with Workers -1", procs, backend)
+			}
+			want := fmt.Sprintf("sim: backend %q shares fabric state across ranks and cannot run on the parallel engine; drop the worker request (got -1)", backend)
+			if verr.Error() != want {
+				t.Fatalf("GOMAXPROCS %d: Validate error %q, want %q", procs, verr, want)
+			}
+			if _, err := MarshalSpec(spec); err == nil || err.Error() != want {
+				t.Fatalf("GOMAXPROCS %d: MarshalSpec error %v, want %q", procs, err, want)
+			}
+			wire := `{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"` + backend + `","workers":-1}`
+			if _, err := UnmarshalSpec([]byte(wire)); err == nil || err.Error() != want {
+				t.Fatalf("GOMAXPROCS %d: UnmarshalSpec error %v, want %q", procs, err, want)
+			}
+		}
+		for _, ok := range []Spec{
+			{Workload: ring, Backend: "lgs", Workers: -1},
+			{Workload: ring, Backend: "pkt", Workers: 0},
+			{Workload: ring, Backend: "pkt", Workers: 1},
+		} {
+			if err := ok.Validate(); err != nil {
+				t.Fatalf("GOMAXPROCS %d: %s with Workers %d: %v", procs, ok.Backend, ok.Workers, err)
+			}
+		}
 	}
 }
 

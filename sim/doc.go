@@ -100,8 +100,9 @@
 // schedules its events on internal/engine (the serial and parallel
 // discrete-event cores — Run owns the one rule that picks between them:
 // the lane engine when more than one worker is asked of a backend with a
-// positive lookahead on more than one rank, the serial engine otherwise,
-// and an error when workers are asked of a backend that cannot shard).
+// positive lookahead on more than one rank, the serial engine otherwise;
+// Validate refuses any request but 0 or 1 workers of a backend that
+// cannot shard).
 // Commands and examples program exclusively
 // against sim (or internal/service above it); nothing above this package
 // touches the scheduler, the engines, or the trace converters directly
@@ -112,7 +113,6 @@
 //	res, err := sim.Run(ctx, sim.Spec{
 //		Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "alltoall", Ranks: 64, Bytes: 1 << 16}},
 //		Backend:  "lgs",
-//		Workers:  4,
 //	})
 //
 // Direct trace replay, model-based synthesis and scenario composition:

@@ -26,8 +26,9 @@ type Definition struct {
 	Name string
 	// Parallel declares that the backend partitions its state per rank and
 	// provides a cross-rank lookahead bound, so it can run on the parallel
-	// engine. Backends with shared fabric state must leave it false; Run
-	// rejects Workers > 1 for them instead of silently running serially.
+	// engine. Backends with shared fabric state must leave it false;
+	// Spec.Validate rejects any Workers other than 0 or 1 for them instead
+	// of silently running serially.
 	Parallel bool
 	// New builds a single-run backend instance. cfg is Spec.Config, still
 	// untyped: the factory owns the type check and must return a descriptive

@@ -39,9 +39,13 @@ type Spec struct {
 
 	// Workers is the goroutine budget for the sharded parallel engine:
 	// 0 and 1 run serially, > 1 runs parallel when the backend supports it
-	// (a declared positive lookahead), and < 0 means GOMAXPROCS. Asking for
-	// Workers > 1 on a backend that cannot shard (pkt, fluid) is an error.
-	// Results never depend on Workers.
+	// (a declared positive lookahead), and < 0 means GOMAXPROCS. Any value
+	// other than 0 or 1 on a backend that cannot shard (pkt, fluid) is an
+	// error, whatever GOMAXPROCS reads. Results never depend on Workers.
+	// It is the only way into in-run parallelism, which measures slower
+	// than the serial engine (README, "The parallel simulation
+	// subsystem"); no command-line flag sets it. Commands parallelise
+	// across runs instead (experiments -workers, atlahsd -jobs).
 	Workers int
 	// CalcScale multiplies every calc duration (hardware adaptation factor,
 	// paper §7). 0 means 1.0.
@@ -172,8 +176,8 @@ func (sp *Spec) Validate() error {
 	if !ok {
 		return fmt.Errorf("sim: unknown backend %q (registered: %s)", name, strings.Join(Backends(), ", "))
 	}
-	if workers := resolveWorkers(sp.Workers); workers > 1 && !def.Parallel {
-		return fmt.Errorf("sim: backend %q shares fabric state across ranks and cannot run on the parallel engine; drop the worker request (got %d)", name, workers)
+	if sp.Workers != 0 && sp.Workers != 1 && !def.Parallel {
+		return fmt.Errorf("sim: backend %q shares fabric state across ranks and cannot run on the parallel engine; drop the worker request (got %d)", name, sp.Workers)
 	}
 	return nil
 }
