@@ -1,11 +1,11 @@
 package goal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Binary GOAL format ("GOAL schedules are stored and executed in a compact
@@ -30,26 +30,51 @@ import (
 
 const binaryMagic = "GOALB1\n"
 
+// encodeChunk is the size of the chunks WriteBinary encodes into, and
+// chunkSlack the most one op or one dependency edge encodes to (a flag
+// byte and four varints): a chunk is written out once fewer than that
+// many bytes are left in it.
+const (
+	encodeChunk = 1 << 16
+	chunkSlack  = 1 + 4*binary.MaxVarintLen64
+)
+
+// chunks holds WriteBinary's chunks between calls, so that a caller
+// encoding schedule after schedule (the service digests one per request)
+// does not allocate a buffer per call.
+var chunks = sync.Pool{New: func() any { b := make([]byte, 0, encodeChunk); return &b }}
+
 // WriteBinary encodes the schedule in compact binary format.
 func WriteBinary(w io.Writer, s *Schedule) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		bw.Write(buf[:n])
-	}
-	putS := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		bw.Write(buf[:n])
-	}
-	putU(uint64(s.NumRanks()))
+	chunk := chunks.Get().(*[]byte)
+	e := binaryEncoder{w: w, buf: (*chunk)[:0]}
+	err := e.schedule(s)
+	*chunk = e.buf[:0]
+	chunks.Put(chunk)
+	return err
+}
+
+// binaryEncoder appends a schedule's encoding to buf, writing buf out to
+// w and starting over whenever room finds it nearly full.
+type binaryEncoder struct {
+	w   io.Writer
+	buf []byte
+}
+
+// schedule encodes s and writes out what is left in buf.
+func (e *binaryEncoder) schedule(s *Schedule) error {
+	e.buf = append(e.buf, binaryMagic...)
+	e.buf = binary.AppendUvarint(e.buf, uint64(s.NumRanks()))
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
-		putU(uint64(len(rp.Ops)))
+		if err := e.room(); err != nil {
+			return err
+		}
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(rp.Ops)))
 		for i := range rp.Ops {
+			if err := e.room(); err != nil {
+				return err
+			}
 			op := &rp.Ops[i]
 			flags := byte(op.Kind)
 			if op.Tag != 0 {
@@ -58,30 +83,56 @@ func WriteBinary(w io.Writer, s *Schedule) error {
 			if op.CPU != 0 {
 				flags |= 1 << 3
 			}
-			bw.WriteByte(flags)
-			putU(uint64(op.Size))
+			e.buf = append(e.buf, flags)
+			e.buf = binary.AppendUvarint(e.buf, uint64(op.Size))
 			if op.Kind != KindCalc {
-				putU(uint64(op.Peer))
+				e.buf = binary.AppendUvarint(e.buf, uint64(op.Peer))
 				if flags&(1<<2) != 0 {
-					putS(int64(op.Tag))
+					e.buf = binary.AppendVarint(e.buf, int64(op.Tag))
 				}
 			}
 			if flags&(1<<3) != 0 {
-				putU(uint64(op.CPU))
+				e.buf = binary.AppendUvarint(e.buf, uint64(op.CPU))
 			}
 		}
-		writeDeps := func(deps Deps) {
-			for i := 0; i < deps.Len(); i++ {
-				putU(uint64(len(deps.Of(i))))
-				for _, d := range deps.Of(i) {
-					putS(int64(int32(i) - d))
-				}
-			}
+		if err := e.deps(rp.Requires); err != nil {
+			return err
 		}
-		writeDeps(rp.Requires)
-		writeDeps(rp.IRequires)
+		if err := e.deps(rp.IRequires); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
+	_, err := e.w.Write(e.buf)
+	return err
+}
+
+// room makes sure at least chunkSlack bytes are free in buf.
+func (e *binaryEncoder) room() error {
+	if cap(e.buf)-len(e.buf) >= chunkSlack {
+		return nil
+	}
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return err
+}
+
+// deps encodes one dependency table: per op its list length, then each
+// edge as the distance back from the op.
+func (e *binaryEncoder) deps(d Deps) error {
+	for i := 0; i < d.Len(); i++ {
+		if err := e.room(); err != nil {
+			return err
+		}
+		list := d.Of(i)
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(list)))
+		for _, dep := range list {
+			if err := e.room(); err != nil {
+				return err
+			}
+			e.buf = binary.AppendVarint(e.buf, int64(int32(i)-dep))
+		}
+	}
+	return nil
 }
 
 // IsBinary reports whether data starts with the binary GOAL magic — the

@@ -79,7 +79,8 @@ func binarySeed(s *Schedule) []byte {
 // no panics, no over-allocation — and any schedule the decoder accepts
 // must survive a parse -> encode -> parse round trip with the two decoded
 // schedules structurally identical (every op, every dependency edge, in
-// order), not merely stats-equal. The seed corpus covers every op kind
+// order), not merely stats-equal, and the encoding must be
+// writeBinaryRef's byte for byte. The seed corpus covers every op kind
 // and attribute the encoder's flag byte can express, both dependency
 // kinds, multi-rank programs, and truncated/corrupted headers.
 func FuzzBinaryRoundTrip(f *testing.F) {
@@ -139,6 +140,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("encoding not canonical: second encode differs from first")
+		}
+		if _, want := encodings(t, s); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("WriteBinary wrote %x, the reference encoder %x", buf.Bytes(), want)
 		}
 	})
 }

@@ -313,7 +313,8 @@ func sameList(a, b []int32) bool {
 	return true
 }
 
-// Property: binary encode/decode is the identity on valid schedules.
+// Property: binary encode/decode is the identity on valid schedules, and
+// the encoding is writeBinaryRef's.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := randomSchedule(xrand.New(seed), 6, 40)
@@ -322,6 +323,9 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		if WriteBinary(&buf, s) != nil {
+			return false
+		}
+		if _, want := encodings(t, s); !bytes.Equal(buf.Bytes(), want) {
 			return false
 		}
 		got, err := ReadBinary(&buf)
