@@ -33,7 +33,9 @@ type OpID int32
 //   - What is handed over: every rank's Ops, and the offset and edge
 //     arrays of every table that stayed in order, with whatever spare
 //     capacity growth left (none after an exact Grow). Spilled tables are
-//     freshly allocated at their exact size.
+//     freshly allocated at their exact size. A table without edges has
+//     neither array — its offsets are nil exactly when its edges are
+//     (see newDeps) — so it costs nothing per op.
 type Builder struct {
 	ranks   []RankBuilder
 	comment string
@@ -134,8 +136,8 @@ func reserve[T any](s []T, n int) []T {
 }
 
 // grow reserves for a rank that will have nops ops and edges more edges
-// in this table. A table that is to stay empty reserves nothing: Build
-// makes its offset array.
+// in this table. A table that is to stay empty reserves nothing, and
+// Build gives it no arrays.
 func (t *depTable) grow(nops, edges int) {
 	switch {
 	case edges == 0:
@@ -280,17 +282,18 @@ func (b *Builder) Build() *Schedule {
 }
 
 // build finishes the table for a rank of n ops, keeping what newDeps
-// promises: off is never nil and has n+1 entries, edges is nil when empty.
+// promises: a table without edges is its list count alone, and otherwise
+// off has n+1 entries.
 func (t *depTable) build(n int) Deps {
-	if t.spilled() {
+	switch {
+	case t.spilled():
 		return tableOf(n, t.log)
+	case len(t.edges) == 0:
+		return Deps{n: n}
 	}
-	d := Deps{off: reserve(t.off, n+1-len(t.off))}
+	d := Deps{n: n, off: reserve(t.off, n+1-len(t.off)), edges: t.edges}
 	for len(d.off) <= n {
 		d.off = append(d.off, int32(len(t.edges)))
-	}
-	if len(t.edges) > 0 {
-		d.edges = t.edges
 	}
 	return d
 }
@@ -302,6 +305,9 @@ func (t *depTable) build(n int) Deps {
 // depends on.
 func tableOf(n int, log []depEdge) Deps {
 	d := newDeps(n, len(log))
+	if len(log) == 0 {
+		return d
+	}
 	off := d.off[:n+2]
 	for _, e := range log {
 		off[e.op+2]++

@@ -10,42 +10,44 @@ package goal
 // data across both tables. A slice-per-op table spends two 24-byte slice
 // headers per op on that (48 B/op, ten times the data), and because a
 // header holds a pointer the collector has to scan every one of them. CSR
-// spends 8 B/op of offsets, and both arrays are pointer-free, so the
-// runtime allocates them noscan and a table costs the collector nothing
-// however many ops it covers.
+// spends 4 B/op of offsets on each table that has edges, and both arrays
+// are pointer-free, so the runtime allocates them noscan and a table costs
+// the collector nothing however many ops it covers. A table without edges
+// (`irequires`, on most schedules) records only its list count and has
+// neither array, so it costs nothing per op.
 //
 // The zero Deps is an empty table (Len() == 0).
 type Deps struct {
-	off   []int32 // op i's list is edges[off[i]:off[i+1]]
+	n     int     // the number of lists
+	off   []int32 // op i's list is edges[off[i]:off[i+1]]; nil when edges is
 	edges []int32
 }
 
 // newDeps allocates a table of n lists over edges edge slots. Every
-// producer goes through it, so equal tables are also reflect.DeepEqual:
-// off is never nil, edges is nil when there are none. off has one spare
-// slot of capacity for the counting sorts (see Invert).
+// producer goes through it or keeps its rule, so equal tables are also
+// reflect.DeepEqual: off and edges are nil exactly when the table has no
+// edges, and otherwise off has n+1 entries and one spare slot of capacity
+// for the counting sorts (see Invert).
 func newDeps(n, edges int) Deps {
-	d := Deps{off: make([]int32, n+1, n+2)}
-	if edges > 0 {
-		d.edges = make([]int32, edges)
+	if edges == 0 {
+		return Deps{n: n}
 	}
-	return d
+	return Deps{n: n, off: make([]int32, n+1, n+2), edges: make([]int32, edges)}
 }
 
 // Len returns the number of lists, one per op of the rank program.
-func (d Deps) Len() int {
-	if len(d.off) == 0 {
-		return 0
-	}
-	return len(d.off) - 1
-}
+func (d Deps) Len() int { return d.n }
 
 // NumEdges returns the total length of all lists.
 func (d Deps) NumEdges() int { return len(d.edges) }
 
-// Of returns op i's list, in the order its edges were added. The slice is
-// a view into the table, capped so an append cannot reach the next list.
+// Of returns op i's list, in the order its edges were added: nil in a
+// table without edges. The slice is a view into the table, capped so an
+// append cannot reach the next list.
 func (d Deps) Of(i int) []int32 {
+	if d.off == nil {
+		return nil
+	}
 	lo, hi := d.off[i], d.off[i+1]
 	return d.edges[lo:hi:hi]
 }
@@ -75,9 +77,14 @@ func (d Deps) Invert() Deps { return d.InvertInto(Deps{}) }
 // enough, so that a caller inverting table after table (the scheduler, run
 // after run) allocates only when a table outgrows the last. dst must not
 // share an array with d, and no view of dst's lists may outlive the call.
+// A table without edges inverts to one without edges, leaving dst's arrays
+// unused.
 func (d Deps) InvertInto(dst Deps) Deps {
 	n := d.Len()
-	inv := dst
+	if len(d.edges) == 0 {
+		return Deps{n: n}
+	}
+	inv := Deps{n: n, off: dst.off, edges: dst.edges}
 	if cap(inv.off) < n+2 {
 		inv.off = make([]int32, n+1, n+2)
 	} else {

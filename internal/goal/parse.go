@@ -170,6 +170,9 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 		return Deps{}, fmt.Errorf("%d dependencies exceed the table's 32-bit offsets", total)
 	}
 	d := newDeps(nops, total)
+	if total == 0 {
+		return d, nil // the sizing pass read every count
+	}
 	c.off = mark
 	at := int32(0)
 	for i := 0; i < nops; i++ {

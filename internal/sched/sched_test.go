@@ -371,11 +371,12 @@ func (quietBackend) Calc(core.CalcEvent)                              {}
 // layout: the bytes allocated to decode a binary schedule and run it, per
 // GOAL op, on a fixed 64-rank chain-heavy schedule, in a first run (a warm
 // process reuses everything but the decode: sim.TestWarmRunAllocs). The count is exact
-// for a given toolchain (one goroutine); the ceiling sits about 10% above
-// it: 104.1 B/op measured with the engine's event slab grown to the
+// for a given toolchain (one goroutine); the ceiling sits about 8% above
+// it: 99.7 B/op measured with the engine's event slab grown to the
 // pending peak (181 slots), LGS's completions on stream rings, one
-// recycled record per message, one dependency counter per op and no
-// successor table for the schedule's empty `irequires` side, against 111.8
+// recycled record per message, one dependency counter per op and neither
+// an offset array nor a successor table for the schedule's empty
+// `irequires` side, against 104.1 with that offset array, 111.8
 // with the event heap reserved for the seeding burst (this schedule
 // pre-posts its 20 000 receives: 20 064 slots), 169.9 with a closure per
 // LGS event and two counters per op, 185.8 with one heap slot reserved per
@@ -401,7 +402,7 @@ func TestDecodeAndRunBytesPerOp(t *testing.T) {
 	}
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 	t.Logf("%.1f B/op over %d ops", perOp, ops)
-	if perOp > 115 {
-		t.Fatalf("decode + run allocated %.1f B per op, ceiling 115", perOp)
+	if perOp > 108 {
+		t.Fatalf("decode + run allocated %.1f B per op, ceiling 108", perOp)
 	}
 }
