@@ -3,6 +3,10 @@
 // ATLAHS argues these under-represent real workloads — the Fig 1C
 // experiment contrasts them against replayed LLM training traffic, so the
 // toolchain ships both.
+//
+// Every generator knows each rank's op and dependency counts before it
+// emits, and tells the builder (goal.RankBuilder.Grow), so a schedule's
+// arrays are allocated once at their final size.
 package micro
 
 import (
@@ -13,10 +17,12 @@ import (
 // Incast builds a schedule where fanin senders each transmit bytes to rank
 // 0 simultaneously (the canonical congestion microbenchmark).
 func Incast(n, fanin int, bytes int64) *goal.Schedule {
-	if fanin >= n {
-		fanin = n - 1
-	}
+	fanin = max(min(fanin, n-1), 0)
 	b := goal.NewBuilder(n)
+	b.Rank(0).Grow(fanin, 0, 0)
+	for s := 1; s <= fanin; s++ {
+		b.Rank(s).Grow(1, 0, 0)
+	}
 	for s := 1; s <= fanin; s++ {
 		b.Rank(s).Send(bytes, 0, int32(s))
 		b.Rank(0).Recv(bytes, s, int32(s))
@@ -37,6 +43,9 @@ func Permutation(n int, bytes int64, seed uint64) *goal.Schedule {
 		}
 	}
 	b := goal.NewBuilder(n)
+	for r := 0; r < n; r++ {
+		b.Rank(r).Grow(2, 0, 0) // one send, one receive
+	}
 	for src, dst := range perm {
 		b.Rank(src).Send(bytes, dst, 0)
 		b.Rank(dst).Recv(bytes, src, 0)
@@ -48,6 +57,9 @@ func Permutation(n int, bytes int64, seed uint64) *goal.Schedule {
 func Ring(n int, bytes int64) *goal.Schedule {
 	b := goal.NewBuilder(n)
 	for r := 0; r < n; r++ {
+		b.Rank(r).Grow(2, 0, 0)
+	}
+	for r := 0; r < n; r++ {
 		b.Rank(r).Send(bytes, (r+1)%n, 0)
 		b.Rank(r).Recv(bytes, (r+n-1)%n, 0)
 	}
@@ -58,6 +70,9 @@ func Ring(n int, bytes int64) *goal.Schedule {
 // rank, all flows released at once.
 func AllToAll(n int, bytes int64) *goal.Schedule {
 	b := goal.NewBuilder(n)
+	for r := 0; r < n; r++ {
+		b.Rank(r).Grow(2*(n-1), 0, 0)
+	}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
@@ -73,18 +88,32 @@ func AllToAll(n int, bytes int64) *goal.Schedule {
 // UniformRandom builds msgs random point-to-point messages with
 // exponential think time between a rank's consecutive sends.
 func UniformRandom(n, msgs int, bytes int64, seed uint64) *goal.Schedule {
-	rng := xrand.New(seed)
 	b := goal.NewBuilder(n)
+	// Count by drawing the same messages first: a source gets a gap and a
+	// send, the send requiring the gap and the gap the source's last send,
+	// and a destination a receive.
+	ops, requires := make([]int, n), make([]int, n)
+	rng := xrand.New(seed)
+	for m := 0; m < msgs; m++ {
+		src, dst := pair(rng, n)
+		rng.Int63n(10_000)
+		if requires[src] > 0 { // src has sent before
+			requires[src]++
+		}
+		ops[src] += 2
+		requires[src]++
+		ops[dst]++
+	}
+	for r := 0; r < n; r++ {
+		b.Rank(r).Grow(ops[r], requires[r], 0)
+	}
+	rng = xrand.New(seed)
 	heads := make([]goal.OpID, n)
 	for i := range heads {
 		heads[i] = -1
 	}
 	for m := 0; m < msgs; m++ {
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
-		if dst >= src {
-			dst++
-		}
+		src, dst := pair(rng, n)
 		tag := int32(m)
 		rb := b.Rank(src)
 		gap := rb.Calc(rng.Int63n(10_000))
@@ -99,6 +128,17 @@ func UniformRandom(n, msgs int, bytes int64, seed uint64) *goal.Schedule {
 	return b.MustBuild()
 }
 
+// pair draws a message's source and, uniformly among the other ranks, its
+// destination.
+func pair(rng *xrand.RNG, n int) (src, dst int) {
+	src = rng.Intn(n)
+	dst = rng.Intn(n - 1)
+	if dst >= src {
+		dst++
+	}
+	return src, dst
+}
+
 // BulkSynchronous builds a BSP-style workload: `phases` rounds in which
 // every rank computes for calcNanos, then exchanges bytes with every other
 // rank (a full all-to-all), with each rank's round depending on its
@@ -106,14 +146,26 @@ func UniformRandom(n, msgs int, bytes int64, seed uint64) *goal.Schedule {
 // lookahead window, which makes it the reference workload for the parallel
 // engine's determinism tests and serial-vs-parallel benchmarks.
 func BulkSynchronous(n, phases int, bytes int64, calcNanos int64) *goal.Schedule {
+	phases = max(phases, 0)
 	b := goal.NewBuilder(n)
-	prev := make([][]goal.OpID, n)
+	// A rank's round is a calc, n-1 sends that require it and n-1
+	// receives; every round after the first has its calc require the
+	// previous round's calc and receives.
+	for r := 0; r < n; r++ {
+		b.Rank(r).Grow(phases*(2*n-1), phases*(n-1)+max(phases-1, 0)*n, 0)
+	}
+	// Row r of a round's table is what rank r's next calc requires, in
+	// sender order: the receive from each rank s at column s and rank r's
+	// own calc at column r. Every round writes every cell, so two tables
+	// serve all rounds.
+	prev, next := make([]goal.OpID, n*n), make([]goal.OpID, n*n)
 	for p := 0; p < phases; p++ {
-		next := make([][]goal.OpID, n)
 		for r := 0; r < n; r++ {
 			rb := b.Rank(r)
 			c := rb.Calc(calcNanos)
-			rb.Requires(c, prev[r]...)
+			if p > 0 {
+				rb.Requires(c, prev[r*n:(r+1)*n]...)
+			}
 			for d := 0; d < n; d++ {
 				if d == r {
 					continue
@@ -121,12 +173,11 @@ func BulkSynchronous(n, phases int, bytes int64, calcNanos int64) *goal.Schedule
 				tag := int32(p*n + r)
 				s := rb.Send(bytes, d, tag)
 				rb.Requires(s, c)
-				rv := b.Rank(d).Recv(bytes, r, tag)
-				next[d] = append(next[d], rv)
+				next[d*n+r] = b.Rank(d).Recv(bytes, r, tag)
 			}
-			next[r] = append(next[r], c)
+			next[r*n+r] = c
 		}
-		prev = next
+		prev, next = next, prev
 	}
 	return b.MustBuild()
 }

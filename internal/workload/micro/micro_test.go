@@ -108,3 +108,28 @@ func TestUniformRandom(t *testing.T) {
 		t.Fatalf("sends=%d", st.Sends)
 	}
 }
+
+// TestGeneratorsBuildAtFinalSize: every generator counts each rank's ops
+// before emitting them, so every rank's Ops array comes out with no spare
+// capacity.
+func TestGeneratorsBuildAtFinalSize(t *testing.T) {
+	for _, n := range []int{2, 5, 16} {
+		for name, s := range map[string]*goal.Schedule{
+			"incast":      Incast(n, n-1, 64),
+			"incast/1":    Incast(n, 1, 64),
+			"permutation": Permutation(n, 64, 3),
+			"ring":        Ring(n, 64),
+			"alltoall":    AllToAll(n, 64),
+			"uniform/1":   UniformRandom(n, 1, 64, 2),
+			"uniform/100": UniformRandom(n, 100, 64, 2),
+			"bsp/1":       BulkSynchronous(n, 1, 64, 1000),
+			"bsp/4":       BulkSynchronous(n, 4, 64, 1000),
+		} {
+			for r := range s.Ranks {
+				if ops := s.Ranks[r].Ops; cap(ops) != len(ops) {
+					t.Errorf("%s n=%d: rank %d holds %d ops in an array of %d", name, n, r, len(ops), cap(ops))
+				}
+			}
+		}
+	}
+}

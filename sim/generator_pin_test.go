@@ -47,7 +47,9 @@ func generatorCases() map[string]Spec {
 // schedules it made when pinnedGenerators was recorded: per case, the
 // SHA-256 of the binary GOAL encoding and the spec's Fingerprint. A
 // rewrite of a generator, of the builder or of the encoder that moves
-// either value changes what a cached run is filed under.
+// either value changes what a cached run is filed under. Each generator
+// counts before it emits, so every array of the schedule is also held to
+// its exact size.
 func TestGeneratorsEncodeAsBefore(t *testing.T) {
 	for _, name := range builtinGenerators {
 		if _, ok := LookupGenerator(name); !ok {
@@ -70,6 +72,9 @@ func TestGeneratorsEncodeAsBefore(t *testing.T) {
 		sum := sha256.Sum256(bin.Bytes())
 		if got := [2]string{hex.EncodeToString(sum[:]), fp}; got != pinnedGenerators[name] {
 			t.Errorf("%s: got %q, recorded %q", name, got, pinnedGenerators[name])
+		}
+		if n := spare(resolved.resolved.sched); n != 0 {
+			t.Errorf("%s: %d elements of spare capacity; the generator's counts are off", name, n)
 		}
 	}
 }
