@@ -304,10 +304,7 @@ func (t *depTable) build(n int) Deps {
 // order the binary encoding, and with it every schedule fingerprint,
 // depends on.
 func tableOf(n int, log []depEdge) Deps {
-	d := newDeps(n, len(log))
-	if len(log) == 0 {
-		return d
-	}
+	d := newDeps(n, len(log)) // a table spills on an edge, so the log has one
 	off := d.off[:n+2]
 	for _, e := range log {
 		off[e.op+2]++
