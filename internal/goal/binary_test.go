@@ -67,17 +67,14 @@ func writeBinaryRef(w io.Writer, s *Schedule) error {
 	return bw.Flush()
 }
 
-// encodings returns what WriteBinary and writeBinaryRef make of s.
-func encodings(t testing.TB, s *Schedule) (got, want []byte) {
+// refBytes returns writeBinaryRef's encoding of s.
+func refBytes(t testing.TB, s *Schedule) []byte {
 	t.Helper()
-	var a, b bytes.Buffer
-	if err := WriteBinary(&a, s); err != nil {
-		t.Fatal(err)
-	}
+	var b bytes.Buffer
 	if err := writeBinaryRef(&b, s); err != nil {
 		t.Fatal(err)
 	}
-	return a.Bytes(), b.Bytes()
+	return b.Bytes()
 }
 
 // TestWriteBinaryAllocs: with a chunk in the pool, encoding a schedule
@@ -132,10 +129,7 @@ func TestWriteBinaryChunks(t *testing.T) {
 		rb.Recv(1<<40, 1-r, -7)
 	}
 	s := b.MustBuild()
-	got, want := encodings(t, s)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("WriteBinary wrote %d bytes unlike the reference's %d", len(got), len(want))
-	}
+	want := refBytes(t, s)
 	var c chunkCounter
 	if err := WriteBinary(&c, s); err != nil {
 		t.Fatal(err)
