@@ -2,6 +2,7 @@ package goal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -282,6 +283,58 @@ func TestParseBinaryRoundTrip(t *testing.T) {
 
 // magic builds a binary-GOAL input: the header followed by tail.
 func magic(tail ...byte) []byte { return append([]byte(binaryMagic), tail...) }
+
+// wideSend is a binary GOAL schedule of two ranks: rank 0 sends 8 bytes to
+// the rank peer names, with the cpu and, when tag is not 0, the tag given,
+// and rank 1 receives them from rank 0 with tag 0. Fields are written as
+// the varints the encoder would write for values of any width.
+func wideSend(peer, cpu uint64, tag int64) []byte {
+	flags := byte(KindSend) | 1<<3
+	if tag != 0 {
+		flags |= 1 << 2
+	}
+	b := magic(2, 1, flags, 8)
+	b = binary.AppendUvarint(b, peer)
+	if tag != 0 {
+		b = binary.AppendVarint(b, tag)
+	}
+	b = binary.AppendUvarint(b, cpu)
+	return append(b, 0, 0, 1, byte(KindRecv), 8, 0, 0, 0)
+}
+
+// TestParseBinaryRefusesWideFields: a peer, cpu or tag varint outside
+// int32, or a dependency delta that is, is refused and named, where the
+// decoder used to keep its low 32 bits: wideSend(1<<32+1, 1<<32-3, 0) read
+// as a send of cpu -3 to peer 1, which the text parser and Validate refuse.
+func TestParseBinaryRefusesWideFields(t *testing.T) {
+	if _, err := ParseBinary(wideSend(1, 2, 0)); err != nil {
+		t.Fatalf("the narrow form of the fixture: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"peer and cpu", wideSend(1<<32+1, 1<<32-3, 0), "peer"},
+		{"peer", wideSend(1<<31, 2, 0), "peer"},
+		{"cpu", wideSend(1, 1<<32-3, 0), "cpu"},
+		{"cpu 2^31", wideSend(1, 1<<31, 0), "cpu"},
+		{"tag", wideSend(1, 2, 1<<32+5), "tag"},
+		{"negative tag", wideSend(1, 2, -1<<31-1), "tag"},
+		// one rank: a calc, then a calc requiring delta 2^32+1 (op 0 in 32 bits)
+		{"dependency delta", append(binary.AppendVarint(magic(1, 2, 0, 1, 0, 1, 0, 1), 1<<32+1), 0, 0), "delta"},
+	} {
+		_, err := ParseBinary(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming the %s", c.name, err, c.want)
+		}
+	}
+	b := NewBuilder(1)
+	b.Rank(0).CalcOn(10, -1)
+	if err := b.Build().Validate(); err == nil || !strings.Contains(err.Error(), "cpu") {
+		t.Errorf("Validate of a calc on cpu -1: %v, want an error naming the cpu", err)
+	}
+}
 
 // TestBinaryDecodeErrors feeds corrupt input through every entry point of
 // the one decoder — ParseBinary, ReadBinary, and Decode for inputs that

@@ -112,6 +112,8 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		[]byte("num_ranks 1\n"),                              // text format fed to the binary reader
 		{0x47, 0x4f, 0x41, 0x4c},                             // partial magic
 		append([]byte("GOALB1\n"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), // absurd rank count
+		wideSend(1<<32+1, 1<<32-3, 0), // peer and cpu wider than 32 bits
+		wideSend(1, 2, 1<<32+5),       // tag wider than 32 bits
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -169,6 +169,9 @@ func (s *Schedule) Validate() error {
 			if op.Size < 0 {
 				return fmt.Errorf("goal: rank %d op %d: negative size %d", r, i, op.Size)
 			}
+			if op.CPU < 0 {
+				return fmt.Errorf("goal: rank %d op %d: negative cpu %d", r, i, op.CPU)
+			}
 			switch op.Kind {
 			case KindSend, KindRecv:
 				if op.Peer < 0 || op.Peer >= n {

@@ -111,12 +111,18 @@ func ParseBinary(data []byte) (*Schedule, error) {
 			op.Peer = -1
 			if op.Kind != KindCalc {
 				peer, err := c.uvarint()
+				if err == nil && peer > math.MaxInt32 {
+					err = fmt.Errorf("%d out of range", peer)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("goal: rank %d op %d peer: %w", r, i, err)
 				}
 				op.Peer = int32(peer)
 				if flags&(1<<2) != 0 {
 					tag, err := c.varint()
+					if err == nil && int64(int32(tag)) != tag {
+						err = fmt.Errorf("%d out of range", tag)
+					}
 					if err != nil {
 						return nil, fmt.Errorf("goal: rank %d op %d tag: %w", r, i, err)
 					}
@@ -125,6 +131,9 @@ func ParseBinary(data []byte) (*Schedule, error) {
 			}
 			if flags&(1<<3) != 0 {
 				cpu, err := c.uvarint()
+				if err == nil && cpu > math.MaxInt32 {
+					err = fmt.Errorf("%d out of range", cpu)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
 				}
@@ -161,8 +170,12 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 		}
 		total += int(n)
 		for j := uint64(0); j < n; j++ {
-			if _, err := c.varint(); err != nil {
+			delta, err := c.varint()
+			if err != nil {
 				return Deps{}, err
+			}
+			if int64(int32(delta)) != delta {
+				return Deps{}, fmt.Errorf("op %d: dependency delta %d out of range", i, delta)
 			}
 		}
 	}

@@ -302,3 +302,41 @@ func TestSweepKeepsProbedRunEvictedDuringAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPanickingResolutionFreesItsSlot: a generator that panics inside
+// sim.ResolveSpec (the HTTP server recovers the panic per request) gives
+// its admission slot back. Jobs such submissions used to take every slot
+// for good, so the next submission waited forever.
+func TestPanickingResolutionFreesItsSlot(t *testing.T) {
+	const jobs = 2
+	svc, err := New(Config{Jobs: jobs, Queue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	bad := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "panicgen", Ranks: 4, Bytes: 64}}, Backend: "countsim"}
+	good := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: 64}}, Backend: "countsim"}
+	done := make(chan error, 1)
+	go func() {
+		for i := range jobs + 1 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("submission %d: the generator's panic did not reach the submitter", i)
+					}
+				}()
+				_, _ = svc.Submit(bad)
+			}()
+		}
+		_, err := svc.Submit(good)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a valid spec was not admitted within 5 s of panicking resolutions")
+	}
+}

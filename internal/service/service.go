@@ -314,9 +314,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 			// Resolve the workload once, under the admission bound: the
 			// pinned spec carries its resolved schedule into the executor,
 			// so a cold run converts its traces exactly once.
-			s.resolveSem <- struct{}{}
-			pinned, fp, err := sim.ResolveSpec(specs[i])
-			<-s.resolveSem
+			pinned, fp, err := s.resolve(specs[i])
 			if err != nil {
 				return nil, i, err
 			}
@@ -387,6 +385,15 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 		out[i] = m.admitted
 	}
 	return out, -1, nil
+}
+
+// resolve resolves one spec under the admission bound. The slot is
+// released however resolution ends: a generator that panics (which the
+// HTTP server recovers per request) must not take it for good.
+func (s *Service) resolve(spec sim.Spec) (sim.Spec, string, error) {
+	s.resolveSem <- struct{}{}
+	defer func() { <-s.resolveSem }()
+	return sim.ResolveSpec(spec)
 }
 
 // indexLocked files a run under a lookaside key (no-op for the empty key

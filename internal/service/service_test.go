@@ -35,6 +35,7 @@ import (
 // it runs inside sim.ResolveSpec on the submitter's goroutine, signals
 // genEntered and waits for genRelease, so a test can act while a
 // submission is held between its lookaside probe and its second phase.
+// The "panicgen" generator panics inside sim.ResolveSpec.
 var (
 	simCount    atomic.Int64
 	blockGate   = make(chan struct{})
@@ -47,6 +48,9 @@ var (
 )
 
 func init() {
+	sim.RegisterGenerator(sim.GeneratorDef{Name: "panicgen", New: func(req sim.GenRequest) (*sim.Schedule, error) {
+		panic("panicgen")
+	}})
 	sim.RegisterGenerator(sim.GeneratorDef{Name: "gated", New: func(req sim.GenRequest) (*sim.Schedule, error) {
 		genEntered <- struct{}{}
 		<-genRelease

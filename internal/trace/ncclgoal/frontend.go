@@ -5,7 +5,6 @@ import (
 
 	"atlahs/internal/goal"
 	"atlahs/internal/trace/frontend"
-	"atlahs/internal/trace/nsys"
 )
 
 func convert(b []byte, cfg any) (*goal.Schedule, error) {
@@ -13,11 +12,12 @@ func convert(b []byte, cfg any) (*goal.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := nsys.ParseBytes(b)
-	if err != nil {
+	s := takeScratch()
+	defer s.release()
+	if err := s.rep.Parse(b); err != nil {
 		return nil, err
 	}
-	return Generate(rep, c)
+	return s.plan.generate(&s.rep, c)
 }
 
 func init() {

@@ -97,15 +97,15 @@ const (
 )
 
 // Generate runs the pipeline: nsys report -> node-level GOAL schedule.
+// Its tables live in a kept scratch (see takeScratch), and the schedule
+// shares nothing with them or with rep.
 func Generate(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := newPlan(rep, cfg.withDefaults(rep.NGPUs))
-	if err != nil {
-		return nil, err
-	}
-	return p.emit()
+	s := takeScratch()
+	defer s.release()
+	return s.plan.generate(rep, cfg)
 }
 
 // pendingOp is one NCCL record. Stage 2 brackets it with an entry and an
@@ -123,28 +123,47 @@ type pendingOp struct {
 }
 
 // plan is what the plan pass learns about the report, and all the emit
-// pass needs besides it.
+// pass needs besides it. Its arrays are a scratch's, sized for the
+// largest report the scratch has served and resliced for each; every
+// element a conversion reads it has written first, or cleared.
 type plan struct {
 	rep     *nsys.Report
 	cfg     Config
-	streams [][]nsys.Stream
 	t0      int64 // the earliest record start: cross-GPU launch skew becomes leading computation
-	ncclCPU int32 // the first of the GPU's NCCL streams (see newPlan)
+	ncclCPU int32 // the first of the GPU's NCCL streams (see build)
+
+	// Stage 1: byStream holds the positions in rep.Records sorted by
+	// (GPU, stream, start time), file order on ties. Stream s is
+	// byStream[streamLo[s]:streamLo[s+1]], and GPU g's streams, by
+	// ascending id, are those from gpuLo[g] to gpuLo[g+1].
+	byStream, streamLo, gpuLo []int32
+
+	// the communicators NCCL records use, in name order, and their index
+	names   []string
 	comms   [][]int
+	commIdx map[string]int32
 
 	// GPU g's NCCL records are pending[lo[g]:lo[g+1]] in stream order;
-	// order[lo[g]:lo[g+1]] indexes them in stage-3 order.
-	pending []pendingOp
-	lo      []int32
-	order   []int32
+	// order[lo[g]:lo[g+1]] indexes them in stage-3 order. byComm lists
+	// them communicator by communicator, communicator c's from commLo[c]
+	// on; fill and cur are the plan pass's working arrays.
+	pending        []pendingOp
+	lo             []int32
+	order          []int32
+	byComm, commLo []int32
+	fill, cur      []int32
 
 	gpus   []planner
 	stride int32 // compute streams per GPU on its node
 
 	// Stage 4: base[g] is the node op of GPU g's op 0, sendOf[k] the node
-	// op of the send the k-th intra-node receive (in emit order) pairs with.
-	base   []goal.OpID
-	sendOf []goal.OpID
+	// op of the send the k-th intra-node receive (in emit order) pairs
+	// with; sends and recvs are the intra-node transfers pair collects,
+	// and tags the emit pass's dense cross-node tags.
+	base         []goal.OpID
+	sendOf       []goal.OpID
+	sends, recvs []xfer
+	tags         map[pairKey]int32
 }
 
 func (p *plan) nodeOf(g int) int { return g / p.cfg.GPUsPerNode }
@@ -152,9 +171,57 @@ func (p *plan) nodeOf(g int) int { return g / p.cfg.GPUsPerNode }
 // intra reports whether a transfer between GPUs g and h stays in a node.
 func (p *plan) intra(g, h int) bool { return p.nodeOf(g) == p.nodeOf(h) }
 
-// newPlan runs the plan pass.
-func newPlan(rep *nsys.Report, cfg Config) (*plan, error) {
-	p := &plan{rep: rep, cfg: cfg, streams: rep.ByStream(), stride: 1}
+// generate runs both passes over a valid report.
+func (p *plan) generate(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
+	if err := p.build(rep, cfg.withDefaults(rep.NGPUs)); err != nil {
+		return nil, err
+	}
+	return p.emit()
+}
+
+// resize returns s with length n, on its own array when that is large
+// enough. The elements are whatever the array held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// index runs stage 1: one stable sort of all the records by stream.
+func (p *plan) index() {
+	recs := p.rep.Records
+	p.byStream = resize(p.byStream, len(recs))
+	for i := range p.byStream {
+		p.byStream[i] = int32(i)
+	}
+	slices.SortStableFunc(p.byStream, func(a, b int32) int {
+		x, y := &recs[a], &recs[b]
+		return cmp.Or(cmp.Compare(x.GPU, y.GPU), cmp.Compare(x.Stream, y.Stream), cmp.Compare(x.StartNs, y.StartNs))
+	})
+	p.streamLo = p.streamLo[:0]
+	p.gpuLo = resize(p.gpuLo, p.rep.NGPUs+1)
+	clear(p.gpuLo)
+	for k, ri := range p.byStream {
+		rec := &recs[ri]
+		if k == 0 || recs[p.byStream[k-1]].GPU != rec.GPU || recs[p.byStream[k-1]].Stream != rec.Stream {
+			p.streamLo = append(p.streamLo, int32(k))
+			p.gpuLo[rec.GPU+1]++
+		}
+	}
+	p.streamLo = append(p.streamLo, int32(len(p.byStream)))
+	for g := range p.rep.NGPUs {
+		p.gpuLo[g+1] += p.gpuLo[g]
+	}
+}
+
+// stream returns the positions of stream s's records in time order.
+func (p *plan) stream(s int32) []int32 { return p.byStream[p.streamLo[s]:p.streamLo[s+1]] }
+
+// build runs the plan pass.
+func (p *plan) build(rep *nsys.Report, cfg Config) error {
+	p.rep, p.cfg, p.t0, p.ncclCPU, p.stride = rep, cfg, 0, 0, 1
+	p.index()
 	if len(rep.Records) > 0 {
 		p.t0 = rep.Records[0].StartNs
 		for i := range rep.Records {
@@ -165,27 +232,31 @@ func newPlan(rep *nsys.Report, cfg Config) (*plan, error) {
 	// own compute stream per GPU (NCCL runs on its own SM, paper Fig 4),
 	// so comm never falsely serialises with compute kernels. With
 	// ChannelStreams each channel gets ncclCPU + channel.
-	for _, st := range p.streams {
-		p.ncclCPU = max(p.ncclCPU, int32(len(st)))
+	for g := range rep.NGPUs {
+		p.ncclCPU = max(p.ncclCPU, p.gpuLo[g+1]-p.gpuLo[g])
 	}
 
 	// the communicators NCCL records use, indexed in name order
-	commIdx := make(map[string]int32, len(rep.Comms))
-	p.lo = make([]int32, rep.NGPUs+1)
+	if p.commIdx == nil {
+		p.commIdx = make(map[string]int32, len(rep.Comms))
+	}
+	clear(p.commIdx)
+	p.lo = resize(p.lo, rep.NGPUs+1)
+	clear(p.lo)
 	for i := range rep.Records {
 		if rec := &rep.Records[i]; rec.Kind == nsys.KindNCCL {
-			commIdx[rec.Comm] = 0
+			p.commIdx[rec.Comm] = 0
 			p.lo[rec.GPU+1]++
 		}
 	}
-	names := make([]string, 0, len(commIdx))
-	for name := range commIdx {
-		names = append(names, name)
+	p.names = p.names[:0]
+	for name := range p.commIdx {
+		p.names = append(p.names, name)
 	}
-	slices.Sort(names)
-	p.comms = make([][]int, len(names))
-	for i, name := range names {
-		commIdx[name] = int32(i)
+	slices.Sort(p.names)
+	p.comms = resize(p.comms, len(p.names))
+	for i, name := range p.names {
+		p.commIdx[name] = int32(i)
 		p.comms[i] = rep.Comms[name]
 	}
 	for g := range rep.NGPUs {
@@ -193,8 +264,8 @@ func newPlan(rep *nsys.Report, cfg Config) (*plan, error) {
 	}
 
 	// stages 1+2
-	p.pending = make([]pendingOp, p.lo[rep.NGPUs])
-	p.gpus = make([]planner, rep.NGPUs)
+	p.pending = resize(p.pending, int(p.lo[rep.NGPUs]))
+	p.gpus = resize(p.gpus, rep.NGPUs)
 	for g := range p.gpus {
 		pg := &p.gpus[g]
 		*pg = planner{pl: p, gpu: int32(g), neg: -1}
@@ -205,38 +276,41 @@ func newPlan(rep *nsys.Report, cfg Config) (*plan, error) {
 	// stage 3, communicator by communicator: each communicator's records
 	// grouped by member, each member's in launch order (start time, then
 	// stream), which a stable sort of the stream-ordered records gives
-	byComm := make([]int32, len(p.pending))
-	commLo := make([]int32, len(names)+1)
+	p.byComm = resize(p.byComm, len(p.pending))
+	p.commLo = resize(p.commLo, len(p.names)+1)
+	clear(p.commLo)
 	for k := range p.pending {
-		c := commIdx[p.pending[k].rec.Comm]
+		c := p.commIdx[p.pending[k].rec.Comm]
 		p.pending[k].comm = c
-		commLo[c+1]++
+		p.commLo[c+1]++
 	}
-	for c := range names {
-		commLo[c+1] += commLo[c]
+	for c := range p.names {
+		p.commLo[c+1] += p.commLo[c]
 	}
-	fill := slices.Clone(commLo[:len(names)])
+	p.fill = append(p.fill[:0], p.commLo[:len(p.names)]...)
 	for k := range p.pending {
 		c := p.pending[k].comm
-		byComm[fill[c]] = int32(k)
-		fill[c]++
+		p.byComm[p.fill[c]] = int32(k)
+		p.fill[c]++
 	}
-	p.order = make([]int32, len(p.pending))
-	scratch := make([]int32, 4*rep.NGPUs)
-	st := cursors{pos: scratch[:rep.NGPUs], first: scratch[rep.NGPUs : 2*rep.NGPUs], n: scratch[2*rep.NGPUs : 3*rep.NGPUs], idx: scratch[3*rep.NGPUs:]}
-	for c, name := range names {
-		if err := p.lockstep(&st, name, int32(c), byComm[commLo[c]:commLo[c+1]]); err != nil {
-			return nil, err
+	p.order = resize(p.order, len(p.pending))
+	p.cur = resize(p.cur, 4*rep.NGPUs)
+	clear(p.cur)
+	n := rep.NGPUs
+	st := cursors{pos: p.cur[:n], first: p.cur[n : 2*n], n: p.cur[2*n : 3*n], idx: p.cur[3*n:]}
+	for c, name := range p.names {
+		if err := p.lockstep(&st, name, int32(c), p.byComm[p.commLo[c]:p.commLo[c+1]]); err != nil {
+			return err
 		}
 	}
 
 	// what the GPU-level schedule's validation used to reject
 	for g := range p.gpus {
 		if pg := &p.gpus[g]; pg.neg >= 0 {
-			return nil, fmt.Errorf("goal: rank %d op %d: negative size %d", g, pg.neg, pg.negSize)
+			return fmt.Errorf("goal: rank %d op %d: negative size %d", g, pg.neg, pg.negSize)
 		}
 	}
-	return p, p.pair()
+	return p.pair()
 }
 
 // chains emits GPU g's stages 1-2 onto e: one op chain per CUDA stream, on
@@ -246,8 +320,8 @@ func newPlan(rep *nsys.Report, cfg Config) (*plan, error) {
 // op — not known yet on the plan pass, whose emitter only counts the edge.
 func (p *plan) chains(e collective.Emitter, g int) {
 	k := p.lo[g]
-	for li, stream := range p.streams[g] {
-		cpu := int32(li)
+	for si := p.gpuLo[g]; si < p.gpuLo[g+1]; si++ {
+		cpu := si - p.gpuLo[g]
 		head := goal.OpID(-1)
 		lastEnd := p.t0
 		chain := func(id goal.OpID) {
@@ -256,7 +330,7 @@ func (p *plan) chains(e collective.Emitter, g int) {
 			}
 			head = id
 		}
-		for _, ri := range stream.Records {
+		for _, ri := range p.stream(si) {
 			rec := &p.rep.Records[ri]
 			if gap := rec.StartNs - lastEnd; gap > 0 {
 				chain(e.CalcOn(gap, cpu))
@@ -318,7 +392,8 @@ func (p *plan) communicate(e collective.Emitter, po *pendingOp) (goal.OpID, erro
 // cursors is the plan pass's scratch for one communicator, indexed by
 // GPU: pos[g]-1 is g's position in it (0: not a member), and g's records
 // in the communicator's list are the n[g] from first[g] on, of which idx[g]
-// are planned. It is allocated once and left zero between communicators.
+// are planned. It is cleared once per plan and left zero between
+// communicators.
 type cursors struct {
 	pos, first, n, idx []int32
 	inst               int32 // collectives planned so far, over all communicators

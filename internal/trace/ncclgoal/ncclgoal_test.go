@@ -1,6 +1,7 @@
 package ncclgoal
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -342,5 +343,84 @@ func TestGenerateAllocationsDoNotScale(t *testing.T) {
 	t.Logf("allocations per conversion: DP4 %.0f (%d nodes), DP8 %.0f (%d nodes)", dp4, nodes4, dp8, nodes8)
 	if limit := dp4 + float64(perNode*(nodes8-nodes4)+4); dp8 > limit {
 		t.Errorf("DP8 allocated %.0f times, more than DP4's %.0f plus %d per extra node rank: the pipeline allocates per record, collective or op", dp8, dp4, perNode)
+	}
+}
+
+// TestByStream: stage 1 files every record under its GPU and stream, in
+// (start, file) order, GPU by GPU and stream by ascending id, on a plan
+// whose arrays a larger report left behind.
+func TestByStream(t *testing.T) {
+	p := &plan{}
+	big := fourGPUReport()
+	big.NGPUs = 6
+	for i := range 3 * len(big.Records) {
+		big.Records = append(big.Records, nsys.Record{GPU: i % 6, Stream: i % 5, Kind: nsys.KindKernel, StartNs: int64(i)})
+	}
+	p.rep = big
+	p.index()
+
+	r := fourGPUReport()
+	// a late-filed record that starts before everything else on its stream
+	r.Records = append(r.Records, nsys.Record{GPU: 0, Stream: 7, Kind: nsys.KindKernel, StartNs: -1, EndNs: 0})
+	p.rep = r
+	p.index()
+	if len(p.gpuLo) != r.NGPUs+1 {
+		t.Fatalf("%d GPUs indexed, want %d", len(p.gpuLo)-1, r.NGPUs)
+	}
+	id := func(s int32) int { return r.Records[p.stream(s)[0]].Stream }
+	if lo, hi := p.gpuLo[0], p.gpuLo[1]; hi-lo != 2 || id(lo) != 7 || id(lo+1) != 9 {
+		t.Fatalf("GPU 0 has streams %d to %d, want two: ids 7 and 9", lo, hi)
+	}
+	seen := 0
+	for gpu := range r.NGPUs {
+		for s := p.gpuLo[gpu]; s < p.gpuLo[gpu+1]; s++ {
+			recs := p.stream(s)
+			for k, ri := range recs {
+				rec := r.Records[ri]
+				if rec.GPU != gpu || rec.Stream != id(s) {
+					t.Fatalf("record %d filed under gpu %d stream %d", ri, gpu, id(s))
+				}
+				if k > 0 {
+					prev := r.Records[recs[k-1]]
+					if prev.StartNs > rec.StartNs || (prev.StartNs == rec.StartNs && recs[k-1] > ri) {
+						t.Fatalf("gpu %d stream %d not in (start, file) order: %v", gpu, id(s), recs)
+					}
+				}
+				seen++
+			}
+		}
+	}
+	if seen != len(r.Records) {
+		t.Fatalf("index covers %d of %d records", seen, len(r.Records))
+	}
+	recs := p.stream(p.gpuLo[0])
+	if len(recs) != 4 || int(recs[0]) != len(r.Records)-1 || r.Records[recs[1]].Kind != nsys.KindKernel || r.Records[recs[2]].Coll != nsys.CollAllReduce {
+		t.Fatalf("gpu 0 stream 7 = %v", recs)
+	}
+}
+
+// BenchmarkConvert converts the Llama-7B trace of sim.TestConvertAllocation
+// (TP 2, PP 2, DP 4, scale 1e-3, seed 3, two GPUs per node) through the
+// frontend, warm: the first conversion, outside the timer, leaves the
+// scratch every later one reuses.
+func BenchmarkConvert(b *testing.B) {
+	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rep.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{GPUsPerNode: 2}
+	if _, err := convert(buf.Bytes(), cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := convert(buf.Bytes(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -50,7 +50,7 @@ func (c *collector) RecvOn(size int64, src int, tag, cpu int32) goal.OpID {
 // the intra-node transfers, so that the emit pass can give each intra-node
 // receive its pair edge as it goes.
 func (p *plan) pair() error {
-	p.base = make([]goal.OpID, len(p.gpus))
+	p.base = resize(p.base, len(p.gpus))
 	var nodeOps goal.OpID
 	nsends, nrecvs := 0, 0
 	for g := range p.gpus {
@@ -62,7 +62,7 @@ func (p *plan) pair() error {
 		nsends += p.gpus[g].sends
 		nrecvs += p.gpus[g].recvs
 	}
-	c := &collector{pl: p, sends: make([]xfer, 0, nsends), recvs: make([]xfer, 0, nrecvs)}
+	c := &collector{pl: p, sends: resize(p.sends, nsends)[:0], recvs: resize(p.recvs, nrecvs)[:0]}
 	for g := range p.gpus {
 		c.gpu, c.Count = g, collective.Count{Ops: int(p.gpus[g].stage3)}
 		for _, k := range p.order[p.lo[g]:p.lo[g+1]] {
@@ -74,10 +74,11 @@ func (p *plan) pair() error {
 	// stream, sends (all on one GPU) and receives (likewise) stay in op
 	// order: the id breaks ties.
 	sends, recvs := c.sends, c.recvs
+	p.sends, p.recvs = sends, recvs
 	byStream := func(x, y xfer) int { return cmp.Or(x.stream(y), cmp.Compare(x.id, y.id)) }
 	slices.SortFunc(sends, byStream)
 	slices.SortFunc(recvs, byStream)
-	p.sendOf = make([]goal.OpID, len(recvs))
+	p.sendOf = resize(p.sendOf, len(recvs))
 	for k := 0; k < max(len(sends), len(recvs)); k++ {
 		if k < len(sends) && k < len(recvs) && sends[k].stream(recvs[k]) == 0 {
 			p.sendOf[recvs[k].id] = goal.OpID(sends[k].id)
@@ -108,7 +109,11 @@ func (p *plan) emit() (*goal.Schedule, error) {
 		}
 		b.Rank(p.nodeOf(g)).Grow(ops, edges, 0)
 	}
-	e := &nodeEmitter{pl: p, pair: -1, tags: map[pairKey]int32{}}
+	if p.tags == nil {
+		p.tags = map[pairKey]int32{}
+	}
+	clear(p.tags)
+	e := &nodeEmitter{pl: p, pair: -1, tags: p.tags}
 	for g := range p.gpus {
 		e.rb, e.gpu, e.base, e.cpu = b.Rank(p.nodeOf(g)), g, p.base[g], int32(g%gpn)*p.stride
 		p.chains(e, g)

@@ -10,16 +10,15 @@
 // free, and — like the real reports in paper Table 1 — is much larger
 // than the GOAL files generated from it.
 //
-// ParseBytes reads a report: encoding/json decodes the header, and a
-// scanner of this package's own reads the records in place, in one walk
-// over the bytes, accepting exactly the record grammar encoding/json does
-// and reading the same values.
+// Parse and ParseBytes read a report: encoding/json decodes the header,
+// and a scanner of this package's own reads the records in place, in one
+// walk over the bytes, accepting exactly the record grammar encoding/json
+// does and reading the same values.
 package nsys
 
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -158,58 +157,6 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// Stream is one CUDA stream of one GPU: the positions in Report.Records
-// of its records, sorted by start time (launch order on ties).
-type Stream struct {
-	ID      int
-	Records []int
-}
-
-// ByStream indexes the records by (gpu, stream) with one sort over all of
-// them (stage 1 of the GOAL pipeline): element g lists GPU g's streams by
-// ascending id. The report must be valid (GPU ids in range).
-func (r *Report) ByStream() [][]Stream {
-	order := make([]int, len(r.Records))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		x, y := &r.Records[a], &r.Records[b]
-		return cmp.Or(cmp.Compare(x.GPU, y.GPU), cmp.Compare(x.Stream, y.Stream), cmp.Compare(x.StartNs, y.StartNs))
-	})
-	same := func(a, b int) bool {
-		x, y := &r.Records[order[a]], &r.Records[order[b]]
-		return x.GPU == y.GPU && x.Stream == y.Stream
-	}
-	nstreams := 0
-	for i := range order {
-		if i == 0 || !same(i-1, i) {
-			nstreams++
-		}
-	}
-	// every GPU's streams are a window of one array
-	all := make([]Stream, 0, nstreams)
-	for lo := 0; lo < len(order); {
-		hi := lo + 1
-		for hi < len(order) && same(lo, hi) {
-			hi++
-		}
-		all = append(all, Stream{ID: r.Records[order[lo]].Stream, Records: order[lo:hi:hi]})
-		lo = hi
-	}
-	gpu := func(st Stream) int { return r.Records[st.Records[0]].GPU }
-	out := make([][]Stream, r.NGPUs)
-	for lo := 0; lo < len(all); {
-		hi := lo + 1
-		for hi < len(all) && gpu(all[hi]) == gpu(all[lo]) {
-			hi++
-		}
-		out[gpu(all[lo])] = all[lo:hi:hi]
-		lo = hi
-	}
-	return out
-}
-
 // WriteTo serialises the report as JSON lines.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -235,6 +182,20 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ParseBytes parses a JSON-lines report held in memory and validates it.
+// It is Parse on a new report.
+func ParseBytes(b []byte) (*Report, error) {
+	rep := new(Report)
+	if err := rep.Parse(b); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// Parse reads a JSON-lines report held in memory into r, replacing what r
+// held, and validates it. r's Records array is reused when it is large
+// enough, so a caller that parses one report after another into the same
+// Report allocates its records once. After an error what r holds is
+// unspecified.
 //
 // The header is decoded by encoding/json. The records after it are read
 // by one scanner that walks the slice once and accepts what encoding/json
@@ -248,48 +209,48 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 // last of a repeated key wins. Records is sized once from the line count,
 // every record is filled in place, and the record strings — a handful of
 // distinct kinds, collectives, communicators and kernel names — are
-// interned, so a report of N lines costs its N Records and a constant
-// number of allocations more. What is not one record per line merely
-// regrows Records.
-func ParseBytes(b []byte) (*Report, error) {
-	rep, err := parse(b)
-	if err != nil {
-		return nil, err
+// interned, so a report of N lines costs its N Records, or nothing when r
+// already has room for them, and a constant number of allocations more.
+// What is not one record per line merely regrows Records.
+func (r *Report) Parse(b []byte) error {
+	if err := parse(r, b); err != nil {
+		return err
 	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return r.Validate()
 }
 
-// parse is ParseBytes without the validation.
-func parse(b []byte) (*Report, error) {
+// parse is Parse without the validation.
+func parse(rep *Report, b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	var hdr header
 	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("nsys: reading header: %w", err)
+		return fmt.Errorf("nsys: reading header: %w", err)
 	}
 	if hdr.Format != formatName {
-		return nil, fmt.Errorf("nsys: unknown format %q", hdr.Format)
+		return fmt.Errorf("nsys: unknown format %q", hdr.Format)
 	}
 	// A record that names its kind is longer than minRecord bytes, which
 	// keeps an input of nothing but newlines from reserving 120 bytes each.
 	const minRecord = 16
 	lines := min(bytes.Count(b, []byte{'\n'}), len(b)/minRecord)
-	rep := &Report{NGPUs: hdr.NGPUs, Comms: hdr.Comms, Records: make([]Record, 0, lines)}
+	rep.NGPUs, rep.Comms = hdr.NGPUs, hdr.Comms
+	if rep.Records == nil || cap(rep.Records) < lines {
+		rep.Records = make([]Record, 0, lines)
+	}
+	rep.Records = rep.Records[:0]
 	s := scanner{b: b, off: int(dec.InputOffset())}
 	strs := interned{}
 	for {
 		s.space()
 		if s.off == len(b) {
-			return rep, nil
+			return nil
 		}
 		n := len(rep.Records)
 		rep.Records = append(rep.Records, Record{})
 		rec := &rep.Records[n]
 		var raw recordStrings
 		if err := s.record(rec, &raw); err != nil {
-			return nil, fmt.Errorf("nsys: reading record %d: %w", n, err)
+			return fmt.Errorf("nsys: reading record %d: %w", n, err)
 		}
 		rec.Kind, rec.Name, rec.Coll, rec.Comm = strs.of(raw.kind), strs.of(raw.name), strs.of(raw.coll), strs.of(raw.comm)
 	}

@@ -82,47 +82,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestByStream(t *testing.T) {
-	r := sampleReport()
-	// a late-filed record that starts before everything else on its stream
-	r.Records = append(r.Records, Record{GPU: 0, Stream: 7, Kind: KindKernel, StartNs: -1, EndNs: 0})
-	idx := r.ByStream()
-	if len(idx) != r.NGPUs {
-		t.Fatalf("%d GPUs indexed, want %d", len(idx), r.NGPUs)
-	}
-	if got := idx[0]; len(got) != 2 || got[0].ID != 7 || got[1].ID != 9 {
-		t.Fatalf("GPU 0 streams = %+v, want ids 7 and 9", got)
-	}
-	seen := 0
-	for gpu, streams := range idx {
-		if cap(streams) != len(streams) {
-			t.Fatalf("gpu %d: %d streams with capacity for %d: appending would overwrite the next GPU's", gpu, len(streams), cap(streams))
-		}
-		for _, st := range streams {
-			for k, ri := range st.Records {
-				rec := r.Records[ri]
-				if rec.GPU != gpu || rec.Stream != st.ID {
-					t.Fatalf("record %d filed under gpu %d stream %d", ri, gpu, st.ID)
-				}
-				if k > 0 {
-					prev := r.Records[st.Records[k-1]]
-					if prev.StartNs > rec.StartNs || (prev.StartNs == rec.StartNs && st.Records[k-1] > ri) {
-						t.Fatalf("gpu %d stream %d not in (start, file) order: %v", gpu, st.ID, st.Records)
-					}
-				}
-				seen++
-			}
-		}
-	}
-	if seen != len(r.Records) {
-		t.Fatalf("index covers %d of %d records", seen, len(r.Records))
-	}
-	recs := idx[0][0].Records
-	if len(recs) != 3 || recs[0] != len(r.Records)-1 || r.Records[recs[1]].Kind != KindKernel || r.Records[recs[2]].Coll != CollAllReduce {
-		t.Fatalf("gpu 0 stream 7 = %v", recs)
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	r := sampleReport()
 	var buf bytes.Buffer
@@ -183,6 +142,15 @@ func TestParseSizesRecordsOnce(t *testing.T) {
 	if large > small+2 || large > 100 {
 		t.Fatalf("parsing allocated %.0f times for 500 records and %.0f for 8000; want a constant", small, large)
 	}
+	// a report held from a larger parse keeps its array for a smaller one
+	var rep Report
+	if err := rep.Parse(report(8000)); err != nil {
+		t.Fatal(err)
+	}
+	array := &rep.Records[0]
+	if err := rep.Parse(report(500)); err != nil || len(rep.Records) != 500 || &rep.Records[0] != array {
+		t.Fatalf("reparsing 500 records into a report of 8000: %d records, array kept %v, %v", len(rep.Records), &rep.Records[0] == array, err)
+	}
 }
 
 // decodeReference is the record reader the scanner replaced, kept as the
@@ -241,7 +209,8 @@ func (r *rawString) UnmarshalJSON(b []byte) error {
 }
 
 // FuzzParseBytesMatchesDecoder: whatever the bytes, the scanner and
-// encoding/json either both reject them or both read the same report.
+// encoding/json either both reject them or both read the same report, and
+// parsing into a report that held another gives what ParseBytes gives.
 // The seed corpus in testdata holds the nsys rows of
 // sim.TestConvertedSchedulesEncodeAsBefore's hand-written list, which
 // sim.TestNsysRowsSeedParseFuzzer keeps in step with the list.
@@ -250,15 +219,28 @@ func FuzzParseBytesMatchesDecoder(f *testing.F) {
 	if _, err := sampleReport().WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	fixture := buf.Bytes()
+	f.Add(fixture)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := parse(b)
+		got := new(Report)
+		err := parse(got, b)
 		want, wantErr := decodeReference(b)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("scanner: %v; encoding/json: %v", err, wantErr)
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("scanner read %+v; encoding/json %+v", got, want)
+		}
+		fresh, err := ParseBytes(b)
+		var dirty Report
+		if err := dirty.Parse(fixture); err != nil {
+			t.Fatal(err)
+		}
+		if reuseErr := dirty.Parse(b); (err == nil) != (reuseErr == nil) || err != nil && err.Error() != reuseErr.Error() {
+			t.Fatalf("ParseBytes: %v; Parse into a held report: %v", err, reuseErr)
+		}
+		if err == nil && !reflect.DeepEqual(&dirty, fresh) {
+			t.Fatalf("Parse into a held report read %+v; ParseBytes %+v", dirty, *fresh)
 		}
 	})
 }

@@ -44,18 +44,24 @@ func spare(s *goal.Schedule) (n int) {
 // TestConvertAllocation gates what trace → GOAL conversion allocates per
 // GOAL op it produces, for the three frontends whose producers were
 // rewritten to count first: spc → Direct Drive, mpi → Schedgen, nsys → the
-// NCCL pipeline. Ceilings are about 1.3 times what the code achieved when
-// they were set (40.2, 163.5 and 98.9 B/op; the parsers and builders they
-// replaced: 164.1, 646.5 and 624.6, and 224.2 for the NCCL pipeline that
-// built a GPU-level schedule before the node-level one). A schedule is
-// 24 B per op plus about 12 B of tables, which is where Direct Drive now
-// is; Schedgen's figure is mostly the parsed trace, whose 64-byte events
-// outnumber the ops here, and the NCCL pipeline's is the schedule, the
-// parsed report (about a third) and the plan pass's per-record and
-// per-transfer tables. Direct Drive and the NCCL pipeline count exactly,
-// both by emitting onto counting emitters first — Direct Drive runs its
-// choreography once onto them, the plan pass runs stages 2-3 — which the
-// spare-capacity check proves.
+// NCCL pipeline. Each frontend's second conversion of its fixture is
+// measured, as a process that converts more than once meets it. Ceilings
+// for spc and mpi are about 1.3 times what the code achieved when they
+// were set (40.2 and 163.5 B/op; the parsers and builders they replaced:
+// 164.1 and 646.5). A schedule is 24 B per op plus about 12 B of tables,
+// which is where Direct Drive now is; Schedgen's figure is mostly the
+// parsed trace, whose 64-byte events outnumber the ops here. The NCCL
+// pipeline parses and plans in a kept scratch, so a warm conversion
+// allocates 39.3 B/op against a ceiling of 40: the schedule's arrays
+// (35.6), the schedule validation's acyclicity scratch (2.0), and the
+// header, interned strings and communicator tables of the parse (1.7). It
+// allocated 88.1 with the report and the plan's tables made for every
+// conversion, 98.9 before that, 224.2 when it built a GPU-level schedule
+// before the node-level one and 624.6 with the parser it replaced. Direct
+// Drive and the NCCL pipeline count exactly, both by emitting onto
+// counting emitters first — Direct Drive runs its choreography once onto
+// them, the plan pass runs stages 2-3 — which the spare-capacity check
+// proves.
 func TestConvertAllocation(t *testing.T) {
 	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
 	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 32, Steps: 4, Seed: 3})
@@ -68,8 +74,13 @@ func TestConvertAllocation(t *testing.T) {
 	}{
 		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 52, true},
 		{"mpi", traceBytes(t, tr, err2), nil, 213, false},
-		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 129, true},
+		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 40, true},
 	} {
+		// the second conversion is measured: the first leaves what a
+		// producer keeps from one conversion to the next (nsys's scratch)
+		if _, err := ConvertTrace(c.raw, c.frontend, c.cfg); err != nil {
+			t.Fatalf("%s: %v", c.frontend, err)
+		}
 		var s *Schedule
 		bytes := allocatedBy(func() {
 			var err error

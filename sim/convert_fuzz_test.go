@@ -85,8 +85,9 @@ func convertAllocBudget(inputLen int) uint64 {
 // The corpus is seeded with the generated fixtures, every hand-written
 // case of TestConvertedSchedulesEncodeAsBefore for the format, the
 // hostile headers, and lines longer than the 64 KiB the old
-// bufio.Scanner-based parsers started from.
-func fuzzConvert(f *testing.F, frontend string, fixtures ...[]byte) {
+// bufio.Scanner-based parsers started from. When then is not nil, it runs
+// on each input after those checks, with the conversion's result.
+func fuzzConvert(f *testing.F, frontend string, then func(t *testing.T, raw []byte, s *Schedule, err error), fixtures ...[]byte) {
 	for _, b := range fixtures {
 		f.Add(b)
 	}
@@ -109,25 +110,43 @@ func fuzzConvert(f *testing.F, frontend string, fixtures ...[]byte) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, convertAllocBudget(len(raw)); got > limit {
 			t.Fatalf("converting %d bytes allocated %d bytes, budget %d", len(raw), got, limit)
 		}
-		if err != nil {
-			return // rejected inputs just need to fail cleanly
+		if err == nil {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("accepted input converts to an invalid schedule: %v", err)
+			}
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("accepted input converts to an invalid schedule: %v", err)
+		if then != nil {
+			then(t, raw, s, err)
 		}
 	})
 }
 
+// FuzzConvertNsys also converts every input a second time, after a
+// generated fixture, on the scratch that fixture left behind: both
+// conversions must give the same encoding or the same error.
 func FuzzConvertNsys(f *testing.F) {
 	long := strings.Repeat("x", 70<<10)
-	fuzzConvert(f, "nsys", nsysFixture(f, 1), nsysFixture(f, 2),
+	other := nsysFixture(f, 2)
+	again := func(t *testing.T, raw []byte, s *Schedule, err error) {
+		if _, err := ConvertTrace(other, "nsys", nil); err != nil {
+			t.Fatal(err)
+		}
+		s2, err2 := ConvertTrace(raw, "nsys", nil)
+		if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
+			t.Fatalf("first conversion: %v; second: %v", err, err2)
+		}
+		if err == nil && encodingSum(s) != encodingSum(s2) {
+			t.Fatal("a second conversion encodes differently from the first")
+		}
+	}
+	fuzzConvert(f, "nsys", again, nsysFixture(f, 1), other,
 		[]byte(nsysHdr+strings.Replace(nsysK0, `"name":"k"`, `"name":"`+long+`"`, 1)),
 		[]byte(nsysHdr+strings.Repeat(" ", 70<<10)+nsysK0))
 }
 
 func FuzzConvertMPI(f *testing.F) {
 	long := strings.Repeat("x", 70<<10)
-	fuzzConvert(f, "mpi", mpiFixture(f, 1), mpiFixture(f, 2),
+	fuzzConvert(f, "mpi", nil, mpiFixture(f, 1), mpiFixture(f, 2),
 		[]byte("# "+long+"\n"+mpiHdr+mpiR0+mpiR1),
 		[]byte(mpiHdr+strings.Replace(mpiR0, "MPI_Init", "MPI_"+long, 1)+mpiR1),
 		[]byte(mpiHdr+strings.Replace(mpiR0, "tag=3", "tag=3"+strings.Repeat(" tag=3", 12<<10), 1)+mpiR1))
@@ -135,7 +154,7 @@ func FuzzConvertMPI(f *testing.F) {
 
 func FuzzConvertSPC(f *testing.F) {
 	long := strings.Repeat("9", 70<<10)
-	fuzzConvert(f, "spc", spcFixture(f, 1), spcFixture(f, 2),
+	fuzzConvert(f, "spc", nil, spcFixture(f, 1), spcFixture(f, 2),
 		[]byte("# "+long+"\n0,100,4096,R,0.5\n"),
 		[]byte("0,"+long+",4096,R,0.5\n"),
 		[]byte("0,100,4096,R,0.5"+strings.Repeat(",x", 35<<10)+"\n"))
@@ -143,6 +162,6 @@ func FuzzConvertSPC(f *testing.F) {
 
 func FuzzConvertChakra(f *testing.F) {
 	long := strings.Repeat("x", 70<<10)
-	fuzzConvert(f, "chakra", chakraLLMFixture(f, 1), chakraLLMFixture(f, 2),
+	fuzzConvert(f, "chakra", nil, chakraLLMFixture(f, 1), chakraLLMFixture(f, 2),
 		[]byte(chakraHdr+strings.Replace(chakraR0, `"name":"f"`, `"name":"`+long+`"`, 1)+chakraR1))
 }

@@ -61,8 +61,20 @@ func patternGenerator(name string) (GeneratorDef, error) {
 	return def, nil
 }
 
+// twoRanks refuses a rank count below 2 for a pattern in which every rank
+// sends to another.
+func twoRanks(pattern string, ranks int) error {
+	if ranks < 2 {
+		return fmt.Errorf("sim: pattern %q needs at least 2 ranks, got %d", pattern, ranks)
+	}
+	return nil
+}
+
 func init() {
 	RegisterGenerator(GeneratorDef{Name: "ring", New: func(req GenRequest) (*Schedule, error) {
+		if err := twoRanks("ring", req.Ranks); err != nil {
+			return nil, err
+		}
 		return micro.Ring(req.Ranks, req.Synthetic.Bytes), nil
 	}})
 	RegisterGenerator(GeneratorDef{Name: "alltoall", New: func(req GenRequest) (*Schedule, error) {
@@ -76,9 +88,15 @@ func init() {
 		return micro.Incast(req.Ranks, fanin, req.Synthetic.Bytes), nil
 	}})
 	RegisterGenerator(GeneratorDef{Name: "permutation", New: func(req GenRequest) (*Schedule, error) {
+		if err := twoRanks("permutation", req.Ranks); err != nil {
+			return nil, err
+		}
 		return micro.Permutation(req.Ranks, req.Synthetic.Bytes, req.Seed), nil
 	}})
 	RegisterGenerator(GeneratorDef{Name: "uniform", New: func(req GenRequest) (*Schedule, error) {
+		if err := twoRanks("uniform", req.Ranks); err != nil {
+			return nil, err
+		}
 		msgs := req.Synthetic.Msgs
 		if msgs <= 0 {
 			msgs = 100

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -75,6 +76,42 @@ func TestGeneratorsEncodeAsBefore(t *testing.T) {
 		}
 		if n := spare(resolved.resolved.sched); n != 0 {
 			t.Errorf("%s: %d elements of spare capacity; the generator's counts are off", name, n)
+		}
+	}
+}
+
+// TestOneRankPatterns: ring, permutation and uniform send from every rank
+// to another, so one rank is an error from every entry point, not a panic
+// (a self-send in the builder, a random peer among none); alltoall, incast
+// and bsp have nothing to send and build a valid schedule.
+func TestOneRankPatterns(t *testing.T) {
+	noPanic := func(pattern, entry string, f func() error) (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Errorf("%s: %s panicked: %v", pattern, entry, v)
+			}
+		}()
+		return f()
+	}
+	for _, pattern := range builtinGenerators {
+		spec := Spec{Workload: Workload{Synthetic: &Synthetic{Pattern: pattern, Ranks: 1, Bytes: 64}}, Backend: "lgs"}
+		entries := map[string]func() error{
+			"Fingerprint": func() error { _, err := Fingerprint(spec); return err },
+			"ResolveSpec": func() error { _, _, err := ResolveSpec(spec); return err },
+			"Run":         func() error { _, err := Run(context.Background(), spec); return err },
+		}
+		for entry, f := range entries {
+			err := noPanic(pattern, entry, f)
+			switch pattern {
+			case "ring", "permutation", "uniform":
+				if want := fmt.Sprintf("sim: pattern %q needs at least 2 ranks, got 1", pattern); err == nil || err.Error() != want {
+					t.Errorf("%s: %s: %v, want %q", pattern, entry, err, want)
+				}
+			default:
+				if err != nil {
+					t.Errorf("%s: %s: %v", pattern, entry, err)
+				}
+			}
 		}
 	}
 }

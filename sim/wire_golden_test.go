@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"atlahs/internal/goal"
@@ -256,12 +257,15 @@ func handWrittenCases() []convertCase {
 // converter or the builder reorders, drops or duplicates a single edge —
 // which is also what would move every spec fingerprint and
 // goal_bytes_per_op.
+//
+// The nsys rows run a second time in reverse order, each on the scratch
+// the conversion of the row after it left behind: a larger, a smaller or a
+// failing input's.
 func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
-	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 8, EP: 1, GlobalBatch: 32}, Scale: 1e-3, Seed: 1})
-	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 128, Steps: 9, Seed: 1})
+	tr, err := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 128, Steps: 9, Seed: 1})
 	cases := []convertCase{
-		{"bench/llm", "nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}},
-		{"bench/hpcapps", "mpi", traceBytes(t, tr, err2), nil},
+		benchLLMCase(t),
+		{"bench/hpcapps", "mpi", traceBytes(t, tr, err), nil},
 		{"bench/oltp", "spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 3400, Seed: 1}), nil), nil},
 		{"fixture/nsys-1", "nsys", nsysFixture(t, 1), nil},
 		{"fixture/nsys-2", "nsys", nsysFixture(t, 2), NsysConfig{GPUsPerNode: 2}},
@@ -279,28 +283,82 @@ func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
 			t.Fatalf("duplicate case name %q", c.name)
 		}
 		seen[c.name] = true
-		want := pinnedConversions[c.name]
-		t.Run(c.name, func(t *testing.T) {
-			got := ""
-			s, err := ConvertTrace(c.raw, c.frontend, c.cfg)
-			if err == nil {
-				var bin bytes.Buffer
-				if err := goal.WriteBinary(&bin, s); err != nil {
-					t.Fatal(err)
+		t.Run(c.name, func(t *testing.T) { checkPinned(t, c) })
+	}
+	for i := len(cases) - 1; i >= 0; i-- {
+		if c := cases[i]; c.frontend == "nsys" {
+			t.Run("reverse/"+c.name, func(t *testing.T) { checkPinned(t, c) })
+		}
+	}
+}
+
+// benchLLMCase is the nsys trace the repo benchmark's ai-replay-lgs
+// converts (bench/replay.go, full scale, seed 1).
+func benchLLMCase(t testing.TB) convertCase {
+	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 8, EP: 1, GlobalBatch: 32}, Scale: 1e-3, Seed: 1})
+	return convertCase{"bench/llm", "nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}}
+}
+
+// TestConvertConcurrently: four goroutines convert every nsys row of the
+// pinned table at once, each from another row on, so conversions in
+// flight together take scratches from the kept stock and return them in
+// every order, and every verdict and digest holds.
+func TestConvertConcurrently(t *testing.T) {
+	rows := []convertCase{
+		benchLLMCase(t),
+		{"fixture/nsys-1", "nsys", nsysFixture(t, 1), nil},
+		{"fixture/nsys-2", "nsys", nsysFixture(t, 2), NsysConfig{GPUsPerNode: 2}},
+	}
+	for _, c := range handWrittenCases() {
+		if c.frontend == "nsys" {
+			rows = append(rows, c)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rows {
+				c := rows[(i+w*len(rows)/4)%len(rows)]
+				if got, err := digest(c); got != pinnedConversions[c.name] {
+					t.Errorf("%s: sha256 %q (%v); recorded %q", c.name, got, err, pinnedConversions[c.name])
 				}
-				sum := sha256.Sum256(bin.Bytes())
-				got = hex.EncodeToString(sum[:])
 			}
-			switch {
-			case got == want:
-			case want == "":
-				t.Errorf("accepted (sha256 %s); recorded as rejected", got)
-			case got == "":
-				t.Errorf("rejected (%v); recorded as accepted as %s", err, want)
-			default:
-				t.Errorf("sha256 %s; recorded %s", got, want)
-			}
-		})
+		}()
+	}
+	wg.Wait()
+}
+
+// digest returns the SHA-256 of the binary GOAL encoding of what c
+// converts to, or "" and the error if it does not convert.
+func digest(c convertCase) (string, error) {
+	s, err := ConvertTrace(c.raw, c.frontend, c.cfg)
+	if err != nil {
+		return "", err
+	}
+	return encodingSum(s), nil
+}
+
+// encodingSum returns the SHA-256 of the binary GOAL encoding of s.
+func encodingSum(s *Schedule) string {
+	var bin bytes.Buffer
+	_ = goal.WriteBinary(&bin, s) // a bytes.Buffer takes every write
+	sum := sha256.Sum256(bin.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// checkPinned converts c and compares the outcome with its pin.
+func checkPinned(t *testing.T, c convertCase) {
+	got, err := digest(c)
+	switch want := pinnedConversions[c.name]; {
+	case got == want:
+	case want == "":
+		t.Errorf("accepted (sha256 %s); recorded as rejected", got)
+	case got == "":
+		t.Errorf("rejected (%v); recorded as accepted as %s", err, want)
+	default:
+		t.Errorf("sha256 %s; recorded %s", got, want)
 	}
 }
 
