@@ -2,9 +2,12 @@ package ncclgoal
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"atlahs/internal/backend"
 	"atlahs/internal/engine"
@@ -422,5 +425,40 @@ func BenchmarkConvert(b *testing.B) {
 		if _, err := convert(buf.Bytes(), cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestKeptScratch holds the retention rule: a sequence of conversions
+// shares one kept scratch, and the scratch Generate returns keeps nothing
+// of the caller's report alive.
+func TestKeptScratch(t *testing.T) {
+	kept.Lock()
+	kept.free = nil
+	kept.Unlock()
+	var gone atomic.Int32
+	func() {
+		rep := fourGPUReport()
+		runtime.AddCleanup(rep, func(int) { gone.Add(1) }, 0)
+		runtime.AddCleanup(&rep.Records[0], func(int) { gone.Add(1) }, 0)
+		for _, per := range []int{1, 2, 4} {
+			if _, err := Generate(rep, Config{GPUsPerNode: per}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	kept.Lock()
+	n := len(kept.free)
+	kept.Unlock()
+	if n != 1 {
+		t.Fatalf("three conversions in sequence left %d scratches, want 1", n)
+	}
+	// Cleanups run on a goroutine of their own after the cycle that frees
+	// their object.
+	for i := 0; i < 50 && gone.Load() < 2; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := gone.Load(); n != 2 {
+		t.Fatalf("%d of the report and its records collected after Generate returned, want 2", n)
 	}
 }
