@@ -150,8 +150,17 @@ func (s *Schedule) ComputeStats() Stats {
 // sizes, dependency indices in range, and per-rank acyclicity over
 // requires+irequires edges. It returns the first violation found.
 func (s *Schedule) Validate() error {
+	var scratch []int32
+	return s.ValidateIn(&scratch)
+}
+
+// ValidateIn is Validate with the acyclicity check's arrays in *scratch,
+// which it grows when a rank needs more: a caller that keeps scratch from
+// one validation to the next (sched's State, the nsys converter's)
+// validates a schedule no larger than the last without allocating. What
+// *scratch holds on entry is never read.
+func (s *Schedule) ValidateIn(scratch *[]int32) error {
 	n := int32(s.NumRanks())
-	var scratch []int32 // checkAcyclic's, shared by all ranks
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		nops := int32(len(rp.Ops))
@@ -198,7 +207,7 @@ func (s *Schedule) Validate() error {
 			}
 		}
 		if !ordered {
-			if err := checkAcyclic(rp, &scratch); err != nil {
+			if err := checkAcyclic(rp, scratch); err != nil {
 				return fmt.Errorf("goal: rank %d: %w", r, err)
 			}
 		}

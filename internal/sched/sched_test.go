@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -329,20 +330,17 @@ func chains(nranks, nops int) *goal.Schedule {
 // State that has served the schedule allocates none of them again.
 // quietBackend never completes an op, so the run ends in the deadlock
 // report straight after set-up and seeding. Growing the ranks tenfold in
-// ops must add nothing; the slack of four is for the report's fmt call,
-// whose sync.Pool drops buffers at random under -race.
+// ops must add nothing. Each count is the least of several rounds
+// (leastAllocs), since under -race the report's fmt call allocates a
+// printer and its buffer again whenever its sync.Pool drops them, which
+// it does at random; the slack of four is for the same printer.
 func TestSchedSetupAllocsPerRank(t *testing.T) {
 	const nranks = 8
 	setup := func(nops int) (first, warm float64) {
 		s := chains(nranks, nops)
-		run := func(st *State) {
-			if _, err := st.Run(engine.New(), s, quietBackend{}, Options{}); err == nil {
-				t.Fatal("quietBackend completed a run")
-			}
-		}
-		first = testing.AllocsPerRun(5, func() { run(new(State)) })
+		first = leastAllocs(func() { quietRun(t, new(State), s) })
 		st := new(State)
-		warm = testing.AllocsPerRun(5, func() { run(st) })
+		warm = leastAllocs(func() { quietRun(t, st, s) })
 		return first, warm
 	}
 	small, smallWarm := setup(100)
@@ -356,6 +354,65 @@ func TestSchedSetupAllocsPerRank(t *testing.T) {
 	if smallWarm > 12 || largeWarm > 12 {
 		t.Fatalf("set-up on a warm State allocated %.0f (100 ops/rank) and %.0f (1000) times, want at most 12", smallWarm, largeWarm)
 	}
+}
+
+// TestWarmRunValidatesInKeptScratch: a State keeps the schedule's
+// validation scratch, so a warm run of a schedule whose dependencies
+// point forward, which Validate must check for cycles, allocates no more
+// than a warm run of the same chains pointing backward does, which it need
+// not: less, by far, than the check's two int32 arrays per op. Bytes are
+// compared, not counts, so that the deadlock report's printer, which
+// -race's sync.Pool drops at random, cannot hide or fake the arrays.
+func TestWarmRunValidatesInKeptScratch(t *testing.T) {
+	const nranks, nops = 8, 1000
+	b := goal.NewBuilder(nranks)
+	for r := 0; r < nranks; r++ {
+		rb := b.Rank(r)
+		next := rb.Calc(1)
+		for i := 1; i < nops; i++ {
+			cur := rb.Calc(1)
+			rb.Requires(next, cur) // each op waits for the one after it
+			next = cur
+		}
+	}
+	forward := b.MustBuild()
+	warm := func(s *goal.Schedule) uint64 {
+		st := new(State)
+		quietRun(t, st, s)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			quietRun(t, st, s)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	got, want := warm(forward), warm(chains(nranks, nops))
+	if arrays := uint64(2 * nops * 4); got >= want+arrays/2 {
+		t.Fatalf("a warm run of forward chains allocated %d B, of backward chains %d B: the cycle check's %d B arrays were not kept", got, want, arrays)
+	}
+}
+
+// quietRun runs s on st with quietBackend, which ends every run in the
+// deadlock report.
+func quietRun(t *testing.T, st *State, s *goal.Schedule) {
+	t.Helper()
+	if _, err := st.Run(engine.New(), s, quietBackend{}, Options{}); err == nil {
+		t.Fatal("quietBackend completed a run")
+	}
+}
+
+// leastAllocs is the least of five testing.AllocsPerRun rounds of f. A
+// sync.Pool under -race drops what it is given at random, and each drop
+// costs the next Get an allocation that f does not otherwise make.
+func leastAllocs(f func()) float64 {
+	least := testing.AllocsPerRun(5, f)
+	for range 4 {
+		least = min(least, testing.AllocsPerRun(5, f))
+	}
+	return least
 }
 
 // quietBackend accepts every op and completes none.

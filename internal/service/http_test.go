@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,6 +108,45 @@ func TestHTTPSubmitTwice(t *testing.T) {
 	}
 	if sweep.Name != rr1.ID {
 		t.Fatalf("artifact sweep %q, want %q", sweep.Name, rr1.ID)
+	}
+}
+
+// TestArtifactEncodedOnce: a run's artifact is encoded once, by execute,
+// and that one encoding is what GET /v1/runs/{id}/artifact serves, what
+// the store holds as <id>.json, and what EncodeJSON writes for the run's
+// sweep, byte for byte.
+func TestArtifactEncodedOnce(t *testing.T) {
+	svc, ts := testServer(t, Config{Jobs: 1, ArtifactDir: t.TempDir()})
+	resp, rr := postSpec(t, ts.URL, wireSpec(t, 41))
+	if resp.StatusCode != http.StatusOK || rr.Status != StatusDone {
+		t.Fatalf("POST: %d (%+v)", resp.StatusCode, rr)
+	}
+	aresp, err := http.Get(ts.URL + "/v1/runs/" + rr.ID + "/artifact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := io.ReadAll(aresp.Body)
+	aresp.Body.Close()
+	if err != nil || aresp.StatusCode != http.StatusOK {
+		t.Fatalf("artifact GET: %d, %v", aresp.StatusCode, err)
+	}
+	stored, err := os.ReadFile(svc.Store().Path(rr.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := svc.Get(rr.ID)
+	if !ok || snap.Result == nil {
+		t.Fatalf("run %s has no result: %+v", rr.ID, snap)
+	}
+	var want bytes.Buffer
+	if err := results.EncodeJSON(&want, runSweep(rr.ID, snap.Result)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want.Bytes()) {
+		t.Fatalf("served artifact differs from EncodeJSON of the run's sweep:\n%s\nvs\n%s", served, want.Bytes())
+	}
+	if !bytes.Equal(stored, want.Bytes()) {
+		t.Fatalf("stored artifact differs from EncodeJSON of the run's sweep:\n%s\nvs\n%s", stored, want.Bytes())
 	}
 }
 

@@ -26,7 +26,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -561,14 +560,14 @@ func (s *Service) execute(r *run) {
 		return
 	}
 	s.metrics.foldRun(res.Metrics)
-	sweep := runSweep(r.id, res)
-	var buf bytes.Buffer
-	if err := results.EncodeJSON(&buf, sweep); err != nil {
+	// The artifact is encoded once: the store writes the bytes it serves.
+	artifact, err := results.AppendJSON(nil, runSweep(r.id, res))
+	if err != nil {
 		s.finishRun(r, wall, nil, nil, fmt.Errorf("service: encoding run artifact: %w", err))
 		return
 	}
 	if s.store != nil {
-		if err := s.store.Save(sweep); err != nil {
+		if err := s.store.SaveJSON(r.id, artifact); err != nil {
 			s.finishRun(r, wall, nil, nil, err)
 			return
 		}
@@ -587,7 +586,7 @@ func (s *Service) execute(r *run) {
 			}
 		}
 	}
-	s.finishRun(r, wall, res, buf.Bytes(), nil)
+	s.finishRun(r, wall, res, artifact, nil)
 }
 
 // runPanic is the error of a run that panicked: a model bug, a violated

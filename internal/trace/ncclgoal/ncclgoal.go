@@ -159,11 +159,13 @@ type plan struct {
 	// Stage 4: base[g] is the node op of GPU g's op 0, sendOf[k] the node
 	// op of the send the k-th intra-node receive (in emit order) pairs
 	// with; sends and recvs are the intra-node transfers pair collects,
-	// and tags the emit pass's dense cross-node tags.
+	// and tags the emit pass's dense cross-node tags. acyclic is the
+	// built schedule's validation scratch (goal.Schedule.ValidateIn).
 	base         []goal.OpID
 	sendOf       []goal.OpID
 	sends, recvs []xfer
 	tags         map[pairKey]int32
+	acyclic      []int32
 }
 
 func (p *plan) nodeOf(g int) int { return g / p.cfg.GPUsPerNode }

@@ -9,8 +9,9 @@ import (
 
 // Every versioned JSON document of the toolchain — the atlahs.*/v1 schemas
 // of this package, sim, internal/service and internal/analyze — is read by
-// DecodeDoc and written by EncodeDoc or MarshalDoc, so all of them follow
-// one strictness rule and one canonical form.
+// DecodeDoc and written by EncodeDoc or MarshalDoc (a sweep by AppendJSON,
+// which writes MarshalDoc's form without encoding/json), so all of them
+// follow one strictness rule and one canonical form.
 
 // DecodeStrict reads exactly one JSON value from r into v. Numbers land in
 // untyped (any) fields as json.Number, an object field that v's type does

@@ -125,13 +125,13 @@ func EncodeDiffJSON(w io.Writer, d *SweepDiff) error {
 // validates before it writes.
 func (d *SweepDiff) Validate() error {
 	for _, name := range []string{d.A, d.B} {
-		if !nameRE.MatchString(name) {
+		if !isName(name) {
 			return fmt.Errorf("results: diff sweep name %q is not a snake_case identifier", name)
 		}
 	}
 	keyCols := map[string]Column{}
 	for _, c := range d.Keys {
-		if !nameRE.MatchString(c.Name) {
+		if !isName(c.Name) {
 			return fmt.Errorf("results: diff %s vs %s: key column %q is not a snake_case identifier", d.A, d.B, c.Name)
 		}
 		if !c.Kind.valid() {
@@ -159,7 +159,7 @@ func (d *SweepDiff) Validate() error {
 	}
 	for _, names := range [][]string{d.ColumnsOnlyA, d.ColumnsOnlyB, d.DerivedOnlyA, d.DerivedOnlyB} {
 		for _, name := range names {
-			if !nameRE.MatchString(name) {
+			if !isName(name) {
 				return fmt.Errorf("results: diff %s vs %s: name %q is not a snake_case identifier", d.A, d.B, name)
 			}
 		}
@@ -186,7 +186,7 @@ func (d *SweepDiff) Validate() error {
 		}
 	}
 	for _, p := range d.Params {
-		if !nameRE.MatchString(p.Key) {
+		if !isName(p.Key) {
 			return fmt.Errorf("results: diff %s vs %s: param key %q is not a snake_case identifier", d.A, d.B, p.Key)
 		}
 		if strings.ContainsAny(p.A+p.B, "\n\r") {
@@ -194,7 +194,7 @@ func (d *SweepDiff) Validate() error {
 		}
 	}
 	for _, s := range d.Derived {
-		if !nameRE.MatchString(s.Key) {
+		if !isName(s.Key) {
 			return fmt.Errorf("results: diff %s vs %s: derived key %q is not a snake_case identifier", d.A, d.B, s.Key)
 		}
 		for _, v := range []float64{s.A, s.B, s.Abs} {
@@ -237,7 +237,7 @@ func (d *SweepDiff) validateKey(key map[string]any) error {
 
 // validate checks one field delta's internal consistency.
 func (f *FieldDelta) validate() error {
-	if !nameRE.MatchString(f.Column) {
+	if !isName(f.Column) {
 		return fmt.Errorf("column %q is not a snake_case identifier", f.Column)
 	}
 	if !f.Kind.valid() {

@@ -32,6 +32,20 @@
 // integral JSON numbers (int64 range), "float" cells are finite JSON
 // numbers. EncodeJSONList writes a JSON array of such objects.
 //
+// One writer produces these bytes: AppendJSON, which EncodeJSON,
+// EncodeJSONList and Store.Save call. It validates the sweep and appends
+// the document in one pass, with no map per row, into a buffer sized up
+// front to about the document's length, so a stored artifact holds little
+// spare capacity. Its output is the bytes encoding/json's
+// MarshalIndent gives the wire form. Row cells and params and derived
+// keys appear in sorted key order. Floats use encoding/json's ES6 form.
+// Strings are escaped as encoding/json escapes them, HTML characters and
+// U+2028/U+2029 included. The encoding/json writer it replaced is kept in
+// the tests as encodeJSONRef, and FuzzSweepRoundTrip holds AppendJSON to
+// it byte for byte. A caller that already holds a sweep's encoding (the
+// simulation service) stores it with Store.SaveJSON instead of encoding
+// the sweep again.
+//
 // # CSV export
 //
 // EncodeCSV writes the same sweep for spreadsheets and plotting scripts
@@ -203,7 +217,8 @@
 // document layout, so consumers should select columns by name, not by
 // position. Documents written to files and standard output go through
 // EncodeDoc or MarshalDoc, in one canonical form: JSON indented by two
-// spaces, followed by a newline.
+// spaces, followed by a newline. Sweeps go through AppendJSON, which
+// writes that form byte for byte.
 //
 // Encode→decode is lossless for every document with a reader:
 // DecodeJSON(EncodeJSON(s)) reproduces the Sweep exactly (the round-trip

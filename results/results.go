@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"regexp"
 	"strings"
 )
 
@@ -179,8 +178,20 @@ func coerce(c Column, cell any) (any, error) {
 	return nil, fmt.Errorf("column %q (%s): cannot hold %T value", c.Name, c.Kind, cell)
 }
 
-// nameRE constrains names that become JSON keys and CSV header cells.
-var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+// isName reports whether s is a snake_case identifier, a lower-case
+// letter followed by lower-case letters, digits and underscores: the
+// names that become JSON keys, CSV header cells and store file names.
+func isName(s string) bool {
+	if s == "" || s[0] < 'a' || s[0] > 'z' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if c := s[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+			return false
+		}
+	}
+	return true
+}
 
 // Validate checks the sweep against the schema contract: identifying
 // metadata present and single-line, snake_case column and key names, cells
@@ -189,26 +200,31 @@ var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // writing; CI's artifact check is DecodeJSON, which validates after
 // reading.
 func (s *Sweep) Validate() error {
-	if !nameRE.MatchString(s.Name) {
+	if !isName(s.Name) {
 		return fmt.Errorf("results: sweep name %q is not a snake_case identifier", s.Name)
 	}
-	for _, line := range append([]string{s.Title, s.Mode}, s.Notes...) {
-		if strings.ContainsAny(line, "\n\r") {
-			return fmt.Errorf("results: sweep %q: metadata line %q spans multiple lines", s.Name, line)
+	if err := s.checkLine(s.Title); err != nil {
+		return err
+	}
+	if err := s.checkLine(s.Mode); err != nil {
+		return err
+	}
+	for _, line := range s.Notes {
+		if err := s.checkLine(line); err != nil {
+			return err
 		}
 	}
 	if len(s.Columns) == 0 {
 		return fmt.Errorf("results: sweep %q has no columns", s.Name)
 	}
-	seen := map[string]bool{}
-	for _, c := range s.Columns {
-		if !nameRE.MatchString(c.Name) {
+	for j, c := range s.Columns {
+		if !isName(c.Name) {
 			return fmt.Errorf("results: sweep %q: column name %q is not a snake_case identifier", s.Name, c.Name)
 		}
-		if seen[c.Name] {
+		// a sweep has a handful of columns: a scan costs less than a set
+		if s.ColumnIndex(c.Name) != j {
 			return fmt.Errorf("results: sweep %q: duplicate column %q", s.Name, c.Name)
 		}
-		seen[c.Name] = true
 		if !c.Kind.valid() {
 			return fmt.Errorf("results: sweep %q: column %q has unknown kind %q", s.Name, c.Name, c.Kind)
 		}
@@ -217,7 +233,7 @@ func (s *Sweep) Validate() error {
 		}
 	}
 	for key := range s.Params {
-		if !nameRE.MatchString(key) {
+		if !isName(key) {
 			return fmt.Errorf("results: sweep %q: param key %q is not a snake_case identifier", s.Name, key)
 		}
 		if strings.ContainsAny(s.Params[key], "\n\r") {
@@ -225,7 +241,7 @@ func (s *Sweep) Validate() error {
 		}
 	}
 	for key, v := range s.Derived {
-		if !nameRE.MatchString(key) {
+		if !isName(key) {
 			return fmt.Errorf("results: sweep %q: derived key %q is not a snake_case identifier", s.Name, key)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -241,6 +257,15 @@ func (s *Sweep) Validate() error {
 				return fmt.Errorf("results: sweep %q: row %d %w", s.Name, i, err)
 			}
 		}
+	}
+	return nil
+}
+
+// checkLine refuses a metadata line (title, mode or note) that spans
+// multiple lines.
+func (s *Sweep) checkLine(line string) error {
+	if strings.ContainsAny(line, "\n\r") {
+		return fmt.Errorf("results: sweep %q: metadata line %q spans multiple lines", s.Name, line)
 	}
 	return nil
 }

@@ -45,19 +45,35 @@ func (st *Store) Path(name string) string {
 // keeps externally-supplied lookups (an HTTP run id, say) from escaping
 // the store directory.
 func (st *Store) checkName(name string) error {
-	if !nameRE.MatchString(name) {
+	if !isName(name) {
 		return fmt.Errorf("results: store name %q is not a snake_case identifier", name)
 	}
 	return nil
 }
 
 // Save validates the sweep and writes its artifact atomically (temp file
-// plus rename), so a reader never observes a half-written artifact.
+// plus rename), so a reader never observes a half-written artifact: it
+// encodes the sweep with AppendJSON and writes the bytes as SaveJSON does.
 func (st *Store) Save(s *Sweep) error {
-	if err := st.checkName(s.Name); err != nil {
+	artifact, err := AppendJSON(nil, s)
+	if err != nil {
 		return err
 	}
-	return writeAtomic(st.dir, s.Name, "sweep", func(w io.Writer) error { return EncodeJSON(w, s) })
+	return st.SaveJSON(s.Name, artifact)
+}
+
+// SaveJSON writes artifact, the document AppendJSON encoded for the sweep
+// called name, as that sweep's artifact, atomically like Save. A caller
+// that holds a sweep's encoding already stores it without encoding the
+// sweep a second time.
+func (st *Store) SaveJSON(name string, artifact []byte) error {
+	if err := st.checkName(name); err != nil {
+		return err
+	}
+	return writeAtomic(st.dir, name, "sweep", func(w io.Writer) error {
+		_, err := w.Write(artifact)
+		return err
+	})
 }
 
 // writeAtomic writes <dir>/<name>.json through a temp file in dir and a
@@ -95,7 +111,7 @@ func (st *Store) Names() ([]string, error) {
 	names := make([]string, 0, len(paths))
 	for _, p := range paths {
 		name := strings.TrimSuffix(filepath.Base(p), ".json")
-		if nameRE.MatchString(name) {
+		if isName(name) {
 			names = append(names, name)
 		}
 	}
