@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
+
+	"atlahs/internal/registry"
 )
 
 // Binary GOAL format ("GOAL schedules are stored and executed in a compact
@@ -39,14 +40,17 @@ const (
 	chunkSlack  = 1 + 4*binary.MaxVarintLen64
 )
 
-// chunks holds WriteBinary's chunks between calls, so that a caller
+// chunks keeps WriteBinary's chunks between calls, so that a caller
 // encoding schedule after schedule (the service digests one per request)
 // does not allocate a buffer per call.
-var chunks = sync.Pool{New: func() any { b := make([]byte, 0, encodeChunk); return &b }}
+var chunks registry.Stock[[]byte]
 
 // WriteBinary encodes the schedule in compact binary format.
 func WriteBinary(w io.Writer, s *Schedule) error {
-	chunk := chunks.Get().(*[]byte)
+	chunk := chunks.Take()
+	if *chunk == nil {
+		*chunk = make([]byte, 0, encodeChunk)
+	}
 	e := binaryEncoder{w: w, buf: (*chunk)[:0]}
 	err := e.schedule(s)
 	*chunk = e.buf[:0]

@@ -32,6 +32,7 @@ package goal
 import (
 	"fmt"
 
+	"atlahs/internal/registry"
 	"atlahs/internal/simtime"
 )
 
@@ -148,18 +149,11 @@ func (s *Schedule) ComputeStats() Stats {
 
 // Validate checks structural invariants: peer ranks in range, non-negative
 // sizes, dependency indices in range, and per-rank acyclicity over
-// requires+irequires edges. It returns the first violation found.
+// requires+irequires edges. It returns the first violation found. The
+// acyclicity check works in arrays kept from one call to the next, so
+// validating a schedule no larger than one validated before allocates
+// nothing, whoever calls it.
 func (s *Schedule) Validate() error {
-	var scratch []int32
-	return s.ValidateIn(&scratch)
-}
-
-// ValidateIn is Validate with the acyclicity check's arrays in *scratch,
-// which it grows when a rank needs more: a caller that keeps scratch from
-// one validation to the next (sched's State, the nsys converter's)
-// validates a schedule no larger than the last without allocating. What
-// *scratch holds on entry is never read.
-func (s *Schedule) ValidateIn(scratch *[]int32) error {
 	n := int32(s.NumRanks())
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
@@ -207,7 +201,7 @@ func (s *Schedule) ValidateIn(scratch *[]int32) error {
 			}
 		}
 		if !ordered {
-			if err := checkAcyclic(rp, scratch); err != nil {
+			if err := checkAcyclic(rp); err != nil {
 				return fmt.Errorf("goal: rank %d: %w", r, err)
 			}
 		}
@@ -215,13 +209,19 @@ func (s *Schedule) ValidateIn(scratch *[]int32) error {
 	return nil
 }
 
+// acyclicScratch keeps checkAcyclic's arrays from one check to the next.
+var acyclicScratch registry.Stock[[]int32]
+
 // checkAcyclic runs Kahn's algorithm on the transposed graph: it peels ops
 // that no unpeeled op depends on, walking the dependency lists themselves,
 // so it needs no successor table. A graph has a cycle exactly when its
-// transpose does. Its two arrays of one int32 per op live in *scratch,
-// which it grows when the rank needs more, so a Validate call allocates
-// for its largest unordered rank once instead of for every rank.
-func checkAcyclic(rp *RankProgram, scratch *[]int32) error {
+// transpose does. Its two arrays of one int32 per op are taken from
+// acyclicScratch, grown when the rank needs more and put back, so the
+// process allocates them for its largest unordered rank once. What the
+// arrays hold on entry is never read.
+func checkAcyclic(rp *RankProgram) error {
+	scratch := acyclicScratch.Take()
+	defer acyclicScratch.Put(scratch)
 	n := len(rp.Ops)
 	if len(*scratch) < 2*n {
 		*scratch = make([]int32, 2*n)

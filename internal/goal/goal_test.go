@@ -65,6 +65,32 @@ func TestValidateCatchesCycle(t *testing.T) {
 	}
 }
 
+// TestWarmValidateAllocs: the cycle check's arrays are kept between
+// calls, so validating again a schedule whose dependencies point forward,
+// which Validate must check for cycles, allocates nothing, whoever calls
+// it.
+func TestWarmValidateAllocs(t *testing.T) {
+	const nranks, nops = 4, 1000
+	b := NewBuilder(nranks)
+	for r := 0; r < nranks; r++ {
+		rb := b.Rank(r)
+		next := rb.Calc(1)
+		for i := 1; i < nops; i++ {
+			cur := rb.Calc(1)
+			rb.Requires(next, cur) // each op waits for the one after it
+			next = cur
+		}
+	}
+	s := b.MustBuild()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Validate of forward chains allocated %.1f times per call", allocs)
+	}
+}
+
 func TestValidateCatchesBadPeer(t *testing.T) {
 	b := NewBuilder(2)
 	b.Rank(0).Send(8, 5, 0)

@@ -1,10 +1,16 @@
-// Package registry is the one name → definition table behind the
-// toolchain's three plug-in points: simulation backends (sim.Register),
-// workload frontends (frontend.Register) and workload generators
-// (sim.RegisterGenerator). Each owns a Registry of its own definition
-// type and keeps its exported functions; what they share — the lock, the
-// wiring-time panics, sorted listing and config coercion — is written
-// here once.
+// Package registry holds the toolchain's two process-wide generic kinds,
+// each written once and instantiated by every owner.
+//
+// Registry is the one name → definition table behind the three plug-in
+// points: simulation backends (sim.Register), workload frontends
+// (frontend.Register) and workload generators (sim.RegisterGenerator).
+// Each owns a Registry of its own definition type and keeps its exported
+// functions; what they share — the lock, the wiring-time panics, sorted
+// listing and config coercion — is written here.
+//
+// Stock is the one kind of kept scratch: memory a call works in and gives
+// back for the next call in the same process (sim's run states, the nsys
+// converter's scratches, goal's encode chunks and cycle-check arrays).
 package registry
 
 import (
@@ -83,4 +89,47 @@ func ConfigAs[T any](what, name string, cfg any) (T, error) {
 		return *v, nil
 	}
 	return zero, fmt.Errorf("%s %q wants a %T config, got %T", what, name, zero, cfg)
+}
+
+// Stock keeps values of type T from one call to the next: a call takes
+// the value put back last, or a new zero one, and puts it back when it is
+// done with it. So the process never holds more values than it once had
+// calls in flight at the same time, and a sequence of calls shares one,
+// as large as the largest call it served. (sync.Pool's per-P slots and
+// victim cache kept several alive for a sequence of calls, which raised
+// the collector's heap target: 92 MB of peak RSS against 74 with a stock
+// like this one on the hpc-goal-lgs benchmark workload, and it drops what
+// it holds at a collection, so a call after one allocates again.) The
+// zero Stock is ready, and its methods are safe for concurrent use.
+type Stock[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Take returns the value put back last, or a new zero one.
+func (s *Stock[T]) Take() *T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := len(s.free)
+	if k == 0 {
+		return new(T)
+	}
+	v := s.free[k-1]
+	s.free[k-1] = nil
+	s.free = s.free[:k-1]
+	return v
+}
+
+// Put keeps v for a later Take.
+func (s *Stock[T]) Put(v *T) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.free = append(s.free, v)
+}
+
+// Len is how many values the stock holds.
+func (s *Stock[T]) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.free)
 }

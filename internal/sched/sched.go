@@ -131,15 +131,13 @@ type runner struct {
 }
 
 // State is the scheduler's working state — per rank, the dependency
-// counters, the issued and completed flags and the successor tables, and
-// the schedule's validation scratch — kept from one run to the next. A run
-// sizes it to its schedule, reusing every array that is large enough, so a
-// State that has served a schedule serves the same one again without
-// allocating. A State serves one run at a time; the next run rewrites
+// counters, the issued and completed flags and the successor tables —
+// kept from one run to the next. A run sizes it to its schedule, reusing
+// every array that is large enough, so a State that has served a schedule
+// serves the same one again without allocating. A State serves one run at a time; the next run rewrites
 // everything it reads. The zero State is ready.
 type State struct {
-	ranks   []rankState
-	acyclic []int32 // goal.Schedule.ValidateIn's
+	ranks []rankState
 }
 
 // Run simulates schedule s on backend be using eng. It returns an error if
@@ -152,7 +150,7 @@ func Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Resu
 
 // Run is sched.Run on state's arrays.
 func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
-	if err := s.ValidateIn(&state.acyclic); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if pe, ok := eng.(*engine.ParEngine); ok && pe.Lanes() < s.NumRanks() {

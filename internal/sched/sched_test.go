@@ -356,8 +356,8 @@ func TestSchedSetupAllocsPerRank(t *testing.T) {
 	}
 }
 
-// TestWarmRunValidatesInKeptScratch: a State keeps the schedule's
-// validation scratch, so a warm run of a schedule whose dependencies
+// TestWarmRunValidatesInKeptScratch: goal keeps Validate's cycle-check
+// arrays between calls, so a warm run of a schedule whose dependencies
 // point forward, which Validate must check for cycles, allocates no more
 // than a warm run of the same chains pointing backward does, which it need
 // not: less, by far, than the check's two int32 arrays per op. Bytes are

@@ -54,7 +54,8 @@ func TestServiceMetricsPinned(t *testing.T) {
 	m.evictedRuns.Add(2)
 	m.evictedSweeps.Inc()
 	m.singleflight.Inc()
-	m.sseSubscribers.Add(2)
+	m.sseSubscribers.Inc()
+	m.sseSubscribers.Inc()
 	m.sseDropped.Add(7)
 	m.execBusy.Inc()
 	for _, v := range []float64{0.0005, 0.002, 0.03, 0.5, 42} {

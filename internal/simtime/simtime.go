@@ -84,14 +84,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PsPerByte returns the per-byte serialisation gap for a link of the given
 // bandwidth in gigabits per second. E.g. 200 Gb/s -> 40 ps/B.
 func PsPerByte(gbps float64) Duration {

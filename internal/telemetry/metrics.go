@@ -47,12 +47,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

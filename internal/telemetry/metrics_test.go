@@ -17,10 +17,12 @@ func TestCounterGaugeSemantics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	g.Inc()
-	g.Dec()
+	for range 10 {
+		g.Inc()
+	}
+	for range 3 {
+		g.Dec()
+	}
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
@@ -70,7 +72,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(float64(i % 20))
 			}
 		}()
@@ -100,8 +102,9 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		var a, b Gauge
 		h := NewHistogram([]float64{0.5, 2})
 		c.Add(3)
-		b.Set(2)
-		a.Set(1)
+		b.Inc()
+		b.Inc()
+		a.Inc()
 		for _, v := range []float64{0.25, 0.5, 4} {
 			h.Observe(v)
 		}

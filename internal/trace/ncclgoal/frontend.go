@@ -12,7 +12,7 @@ func convert(b []byte, cfg any) (*goal.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := takeScratch()
+	s := kept.Take()
 	defer s.release()
 	if err := s.rep.Parse(b); err != nil {
 		return nil, err

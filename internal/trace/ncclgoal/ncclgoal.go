@@ -97,13 +97,13 @@ const (
 )
 
 // Generate runs the pipeline: nsys report -> node-level GOAL schedule.
-// Its tables live in a kept scratch (see takeScratch), and the schedule
+// Its tables live in a kept scratch (see kept), and the schedule
 // shares nothing with them or with rep.
 func Generate(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}
-	s := takeScratch()
+	s := kept.Take()
 	defer s.release()
 	return s.plan.generate(rep, cfg)
 }
@@ -159,13 +159,11 @@ type plan struct {
 	// Stage 4: base[g] is the node op of GPU g's op 0, sendOf[k] the node
 	// op of the send the k-th intra-node receive (in emit order) pairs
 	// with; sends and recvs are the intra-node transfers pair collects,
-	// and tags the emit pass's dense cross-node tags. acyclic is the
-	// built schedule's validation scratch (goal.Schedule.ValidateIn).
+	// and tags the emit pass's dense cross-node tags.
 	base         []goal.OpID
 	sendOf       []goal.OpID
 	sends, recvs []xfer
 	tags         map[pairKey]int32
-	acyclic      []int32
 }
 
 func (p *plan) nodeOf(g int) int { return g / p.cfg.GPUsPerNode }

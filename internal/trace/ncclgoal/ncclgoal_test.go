@@ -432,9 +432,9 @@ func BenchmarkConvert(b *testing.B) {
 // shares one kept scratch, and the scratch Generate returns keeps nothing
 // of the caller's report alive.
 func TestKeptScratch(t *testing.T) {
-	kept.Lock()
-	kept.free = nil
-	kept.Unlock()
+	for kept.Len() > 0 {
+		kept.Take()
+	}
 	var gone atomic.Int32
 	func() {
 		rep := fourGPUReport()
@@ -446,9 +446,7 @@ func TestKeptScratch(t *testing.T) {
 			}
 		}
 	}()
-	kept.Lock()
-	n := len(kept.free)
-	kept.Unlock()
+	n := kept.Len()
 	if n != 1 {
 		t.Fatalf("three conversions in sequence left %d scratches, want 1", n)
 	}

@@ -124,7 +124,7 @@ func (p *plan) emit() (*goal.Schedule, error) {
 		e.flush()
 	}
 	sch := b.Build()
-	if err := sch.ValidateIn(&p.acyclic); err != nil {
+	if err := sch.Validate(); err != nil {
 		return nil, err
 	}
 	return sch, nil

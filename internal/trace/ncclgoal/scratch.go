@@ -1,8 +1,7 @@
 package ncclgoal
 
 import (
-	"sync"
-
+	"atlahs/internal/registry"
 	"atlahs/internal/trace/nsys"
 )
 
@@ -16,30 +15,8 @@ type scratch struct {
 	plan plan
 }
 
-// kept is the process's stock of scratches, under the rule sim keeps its
-// run states by: a conversion takes the scratch returned last or makes
-// one, so the process never holds more scratches than it once had
-// conversions in flight at the same time, and a sequence of conversions
-// shares one, as large as the largest conversion it served.
-var kept struct {
-	sync.Mutex
-	free []*scratch
-}
-
-// takeScratch starts a conversion on the scratch returned last, or on a
-// new one.
-func takeScratch() *scratch {
-	kept.Lock()
-	defer kept.Unlock()
-	k := len(kept.free)
-	if k == 0 {
-		return new(scratch)
-	}
-	s := kept.free[k-1]
-	kept.free[k-1] = nil
-	kept.free = kept.free[:k-1]
-	return s
-}
+// kept is the process's stock of scratches.
+var kept registry.Stock[scratch]
 
 // release returns s to the stock, without the references its plan holds
 // into the report it served (a caller's, for Generate).
@@ -50,7 +27,5 @@ func (s *scratch) release() {
 	clear(p.names)
 	clear(p.comms)
 	clear(p.commIdx)
-	kept.Lock()
-	defer kept.Unlock()
-	kept.free = append(kept.free, s)
+	kept.Put(s)
 }

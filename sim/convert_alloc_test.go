@@ -52,11 +52,11 @@ func spare(s *goal.Schedule) (n int) {
 // which is where Direct Drive now is; Schedgen's figure is mostly the
 // parsed trace, whose 64-byte events outnumber the ops here. The NCCL
 // pipeline parses and plans in a kept scratch, so a warm conversion
-// allocates 39.3 B/op against a ceiling of 40: the schedule's arrays
-// (35.6), the schedule validation's acyclicity scratch (2.0), and the
-// header, interned strings and communicator tables of the parse (1.7). It
-// allocated 88.1 with the report and the plan's tables made for every
-// conversion, 98.9 before that, 224.2 when it built a GPU-level schedule
+// allocates 37.2 B/op against a ceiling of 40: the schedule's arrays
+// (35.6) and the header, interned strings and communicator tables of the
+// parse (1.7). It allocated 39.3 with the schedule validation's
+// acyclicity arrays made for every conversion, 88.1 with the report and
+// the plan's tables made for every conversion too, 98.9 before that, 224.2 when it built a GPU-level schedule
 // before the node-level one and 624.6 with the parser it replaced. Direct
 // Drive and the NCCL pipeline count exactly, both by emitting onto
 // counting emitters first — Direct Drive runs its choreography once onto

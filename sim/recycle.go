@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"sync"
-
 	"atlahs/internal/backend"
 	"atlahs/internal/engine"
+	"atlahs/internal/registry"
 	"atlahs/internal/sched"
 )
 
@@ -24,37 +23,7 @@ type runState struct {
 	lgs   *backend.LGS   // nil unless the last run was on LGS and drained
 }
 
-// recycled is the process's stock of run states. A run takes the state
-// returned last or makes one, so the process never holds more states than
-// it once had runs in flight at the same time: executors whose runs
-// overlap each find one, and a sequence of runs shares one. A state is as
-// large as the largest run it served, which the process held at that run's
-// peak anyway. (sync.Pool's per-P slots and victim cache kept several alive
-// for a sequence of runs, which raised the collector's heap target: 92 MB
-// of peak RSS against 74 with this list on the hpc-goal-lgs benchmark
-// workload.)
-var recycled struct {
-	sync.Mutex
-	free []*runState
-}
-
-// takeRunState starts a run on the state returned last, or on a new one.
-func takeRunState() *runState {
-	recycled.Lock()
-	defer recycled.Unlock()
-	k := len(recycled.free)
-	if k == 0 {
-		return new(runState)
-	}
-	rs := recycled.free[k-1]
-	recycled.free[k-1] = nil
-	recycled.free = recycled.free[:k-1]
-	return rs
-}
-
-// returnRunState keeps the state of a run that succeeded.
-func returnRunState(rs *runState) {
-	recycled.Lock()
-	defer recycled.Unlock()
-	recycled.free = append(recycled.free, rs)
-}
+// runStates is the process's stock of run states. A state is as large as
+// the largest run it served, which the process held at that run's peak
+// anyway.
+var runStates registry.Stock[runState]

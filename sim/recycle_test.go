@@ -14,6 +14,7 @@ import (
 	"atlahs/internal/backend"
 	"atlahs/internal/engine"
 	"atlahs/internal/goal"
+	"atlahs/internal/registry"
 	"atlahs/internal/sched"
 	"atlahs/internal/workload/micro"
 )
@@ -337,9 +338,8 @@ func TestKeptStateHoldsNoRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}()
-		recycled.Lock()
-		kept := len(recycled.free) > 0 && recycled.free[len(recycled.free)-1].lgs != nil
-		recycled.Unlock()
+		held := stocked(&runStates)
+		kept := len(held) > 0 && held[len(held)-1].lgs != nil
 		if !kept {
 			t.Fatalf("workers %d: the run kept no LGS state", workers)
 		}
@@ -372,14 +372,10 @@ func (o barrierObserver) RunStarted(RunInfo) {
 // large one left; the stock grows only to as many states as there were
 // runs in flight at once, and stays there.
 func TestRunStateStock(t *testing.T) {
-	recycled.Lock()
-	recycled.free = nil
-	recycled.Unlock()
-	stock := func() []*runState {
-		recycled.Lock()
-		defer recycled.Unlock()
-		return append([]*runState(nil), recycled.free...)
+	for runStates.Len() > 0 {
+		runStates.Take()
 	}
+	stock := func() []*runState { return stocked(&runStates) }
 	run := func(spec Spec) {
 		t.Helper()
 		if _, err := Run(context.Background(), spec); err != nil {
@@ -423,4 +419,18 @@ func TestRunStateStock(t *testing.T) {
 	if got := len(stock()); got != inFlight {
 		t.Fatalf("a sequence after %d runs in flight left %d states", inFlight, got)
 	}
+}
+
+// stocked drains s and puts back what it held, in the same order: it
+// returns the values from the one put back first to the one Take would
+// return next.
+func stocked[T any](s *registry.Stock[T]) []*T {
+	held := make([]*T, s.Len())
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i] = s.Take()
+	}
+	for _, v := range held {
+		s.Put(v)
+	}
+	return held
 }

@@ -137,7 +137,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	// From here the run works in a recycled state, which it gives back for
 	// the next run only if it succeeds; a run that fails, is cancelled or
 	// panics gives back nothing (see recycle.go).
-	rs := takeRunState()
+	rs := runStates.Take()
 	lgs, _ := be.(*backend.LGS)
 	if lgs != nil && rs.lgs != nil {
 		lgs.Adopt(rs.lgs)
@@ -209,7 +209,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		lgs.Unbind()
 		rs.lgs = lgs
 	}
-	returnRunState(rs)
+	runStates.Put(rs)
 	return out, nil
 }
 
