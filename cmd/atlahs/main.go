@@ -20,12 +20,11 @@
 // format `go tool pprof` reads — so profiling a simulation needs no
 // patched binary. Profiles are flushed on error exits too.
 //
-// -timeline records a local run's execution — per-rank op completions
-// and, when a spec file asks for workers, per-lane conservative windows
-// — and writes it as Chrome trace-event JSON, loadable in Perfetto (or
-// chrome://tracing).
-// Timestamps are simulated time, so the file is as deterministic as the
-// result.
+// -timeline records a local run's op completions, one instant per op on
+// its rank's row, and writes them as Chrome trace-event JSON, loadable in
+// Perfetto (or chrome://tracing). Timestamps are simulated time, so the
+// file is as deterministic as the result and the same bytes whatever a
+// spec file's "workers" asks for.
 //
 // -goal takes a GOAL file, textual or binary (auto-detected). -trace takes
 // a raw application trace (nsys report, MPI trace, SPC block-I/O trace,
@@ -96,7 +95,7 @@ func main() {
 	sweepMode := flag.Bool("sweep", false, "with -submit: batch-submit the spec files given as positional arguments as one sweep")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to FILE (go tool pprof format)")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to FILE (go tool pprof format)")
-	timelinePath := flag.String("timeline", "", "write the run's execution timeline to FILE as Chrome trace-event JSON (local runs only; open in Perfetto)")
+	timelinePath := flag.String("timeline", "", "write the run's op completions to FILE as Chrome trace-event JSON (local runs only; open in Perfetto)")
 	flag.Parse()
 
 	set := map[string]bool{}

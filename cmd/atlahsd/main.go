@@ -28,12 +28,13 @@
 //	                             occupancy, store writability, uptime)
 //
 // -jobs bounds how many simulations run concurrently, each on the serial
-// engine (a spec's "workers" is clamped to one): parallelism is across
-// runs, which measures faster than sharding one run. -queue bounds the
+// engine (a spec's "workers" is ignored): parallelism is across runs,
+// which measures faster than sharding one run. -queue bounds the
 // submission backlog, past which submissions fail fast with 503 and
 // a Retry-After header. Admission is fair-share: each submitter class
-// (X-Submitter header, or one per batch sweep) drains round-robin, FIFO
-// within a class, so a giant sweep cannot starve interactive runs.
+// (X-Submitter header, which must be printable UTF-8, or one per batch
+// sweep) drains round-robin, FIFO within a class, so a giant sweep cannot
+// starve interactive runs.
 // With -artifacts every completed run's artifact is also persisted to
 // DIR/<run id>.json (one atlahs.results/v1 sweep named after the run), plus
 // a metadata sidecar under DIR/meta/ — and the content-addressed run
@@ -48,7 +49,7 @@
 // `go tool pprof http://localhost:6060/debug/pprof/profile?seconds=30`
 // without exposing the profiling endpoints on the API address.
 //
-// -timeline records every executed run's execution timeline (Chrome
+// -timeline records every executed run's op completions (Chrome
 // trace-event JSON; simulated-time timestamps) and serves it at
 // GET /v1/runs/{id}/trace; with -artifacts the traces also persist under
 // DIR/traces/. Off by default: recording touches every op completion.
@@ -85,7 +86,7 @@ func main() {
 	cache := flag.Int("cache", 256, "completed runs kept addressable")
 	artifacts := flag.String("artifacts", "", "directory to persist per-run result artifacts (optional)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; off when empty)")
-	timeline := flag.Bool("timeline", false, "record every run's execution timeline and serve it at GET /v1/runs/{id}/trace")
+	timeline := flag.Bool("timeline", false, "record every run's op completions and serve them at GET /v1/runs/{id}/trace")
 	logFormat := flag.String("log-format", "text", "structured log handler: text or json")
 	flag.Parse()
 

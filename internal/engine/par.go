@@ -86,8 +86,6 @@ type ParEngine struct {
 	// stats accumulates the coordinator-side window counters (see
 	// RunStats); all writes happen on the coordinating goroutine.
 	stats RunStats
-	// tracer, when non-nil, receives per-lane window spans (SetTracer).
-	tracer Tracer
 }
 
 // pevent is a parallel-engine event with its deterministic ordering key.
@@ -191,12 +189,6 @@ type lane struct {
 	// end is this window's per-lane execution bound, set by the
 	// coordinator before dispatch (see Run for the bound).
 	end simtime.Time
-	// openAt/openDone snapshot the lane's head time and processed count
-	// at window open; only written when a Tracer is attached, so traced
-	// runs pay two coordinator-side stores per active lane per window and
-	// untraced runs pay nothing.
-	openAt   simtime.Time
-	openDone uint64
 }
 
 // NewParallel creates a parallel engine with `lanes` lanes advancing under
@@ -352,22 +344,7 @@ func (p *ParEngine) Run() simtime.Time {
 		if len(active) > p.stats.MaxActiveLanes {
 			p.stats.MaxActiveLanes = len(active)
 		}
-		if p.tracer != nil {
-			for _, l := range active {
-				l.openAt = l.queue[0].at
-				l.openDone = l.processed
-			}
-		}
 		p.runWindow(pool, active)
-		if p.tracer != nil {
-			// The pool's barrier has joined the workers, so reading each
-			// lane's clock and counter here is race-free.
-			for _, l := range active {
-				if n := l.processed - l.openDone; n > 0 {
-					p.tracer.LaneWindow(l.id, l.openAt, l.now, n)
-				}
-			}
-		}
 		// Barrier: deliver buffered cross-lane events. Heap order is fully
 		// determined by the per-event keys, so delivery order is irrelevant.
 		// An event stamped before its destination's clock means that lane

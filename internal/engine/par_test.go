@@ -130,6 +130,33 @@ func TestParEngineSchedulingInPastPanics(t *testing.T) {
 	eng.Run()
 }
 
+// TestParEngineRethrowsWorkerPanic: a handler panic on a pool worker
+// reaches Run's caller with its own value. Eight lanes at time 0 are more
+// than batchLanes, so two workers take the window rather than the
+// coordinator running it inline.
+func TestParEngineRethrowsWorkerPanic(t *testing.T) {
+	type boom struct{ lane int }
+	eng := NewParallel(8, 2, simtime.Microsecond)
+	for ln := range 8 {
+		eng.ScheduleOn(ln, 0, func() {
+			if ln == 5 {
+				panic(boom{ln})
+			}
+		})
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != (boom{5}) {
+				t.Fatalf("Run panicked with %v, want the handler's boom{5}", r)
+			}
+		}()
+		eng.Run()
+	}()
+	if st := eng.Stats(); st.DispatchedWindows < 1 {
+		t.Fatalf("stats %+v: the window ran inline, not on the pool", st)
+	}
+}
+
 func TestParEngineStopAndReset(t *testing.T) {
 	eng := NewParallel(4, 4, simtime.Microsecond)
 	var fired atomic.Int64

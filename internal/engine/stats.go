@@ -1,19 +1,5 @@
 package engine
 
-import "atlahs/internal/simtime"
-
-// Tracer receives execution spans from the engine: one LaneWindow call
-// per (window, active lane) pair that executed at least one event,
-// spanning the lane's first to last executed event of that window. The
-// engine calls it from the coordinating goroutine between window
-// dispatches, never concurrently with itself. The interface is defined
-// here and satisfied structurally (telemetry.Timeline implements it),
-// so the engine stays free of telemetry imports and — with no tracer
-// attached — free of any per-event or per-window recording cost.
-type Tracer interface {
-	LaneWindow(lane int, from, to simtime.Time, events uint64)
-}
-
 // RunStats are an engine's execution counters, accumulated across Run
 // calls until Reset. All fields are deterministic for a given schedule
 // and engine configuration except the execution-strategy counters
@@ -59,13 +45,4 @@ func (p *ParEngine) Stats() RunStats {
 	st := p.stats
 	st.Events = p.EventsProcessed()
 	return st
-}
-
-// SetTracer attaches (or, with nil, detaches) the execution tracer.
-// Only valid outside Run.
-func (p *ParEngine) SetTracer(t Tracer) {
-	if p.running {
-		panic("engine: SetTracer during Run")
-	}
-	p.tracer = t
 }

@@ -65,8 +65,8 @@ func TestSubmitAndSweepOfOneAgree(t *testing.T) {
 			if err != nil {
 				return "", false, err
 			}
-			if b.Total() != 1 || b.Specs != 1 {
-				t.Errorf("sweep of one admitted as %d specs / %d runs", b.Specs, b.Total())
+			if len(b.Runs) != 1 || b.Specs != 1 {
+				t.Errorf("sweep of one admitted as %d specs / %d runs", b.Specs, len(b.Runs))
 			}
 			return b.Runs[0].ID, b.Runs[0].Cached, nil
 		},
@@ -200,8 +200,8 @@ func TestSweepSurvivesEvictionDuringAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: sweep rejected: %v", round, err)
 		}
-		if batch.Total() != len(specs) {
-			t.Fatalf("round %d: sweep admitted %d runs, want %d", round, batch.Total(), len(specs))
+		if len(batch.Runs) != len(specs) {
+			t.Fatalf("round %d: sweep admitted %d runs, want %d", round, len(batch.Runs), len(specs))
 		}
 		probed += svc.metrics.cacheLookaside.Value() - before
 	}
@@ -287,8 +287,8 @@ func TestSweepKeepsProbedRunEvictedDuringAdmission(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("sweep rejected: %v", got.err)
 	}
-	if got.batch.Total() != 2 {
-		t.Fatalf("sweep admitted %d runs, want 2", got.batch.Total())
+	if len(got.batch.Runs) != 2 {
+		t.Fatalf("sweep admitted %d runs, want 2", len(got.batch.Runs))
 	}
 	if m := got.batch.Runs[0]; m.ID != cached.ID || !m.Cached {
 		t.Fatalf("member 0 is %s (cached %v), want the probed run %s, cached", m.ID, m.Cached, cached.ID)

@@ -293,9 +293,9 @@ func (r *run) publish(ev Event, droppable bool) {
 	r.mu.Unlock()
 }
 
-// The run itself is the sim.Observer its simulation streams through; with
-// Workers > 1 the op-level callbacks arrive concurrently, which the
-// per-run mutex serialises.
+// The run itself is the sim.Observer its simulation streams through; the
+// per-run mutex serialises its callbacks with subscribers attaching and
+// detaching on HTTP goroutines.
 
 // RunStarted implements sim.Observer.
 func (r *run) RunStarted(info sim.RunInfo) {

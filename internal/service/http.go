@@ -10,8 +10,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"atlahs/results"
 	"atlahs/sim"
@@ -47,6 +50,7 @@ import (
 // server) carry a Retry-After header. An optional X-Submitter request
 // header names the submission's fairness class; submissions without one
 // share the interactive class, and each sweep defaults to its own class.
+// A submitter that is not printable UTF-8 is a 400.
 
 // maxSpecBytes bounds a POST /v1/runs or /v1/sweeps body: far above any
 // reasonable payload (workloads travel inline), far below a
@@ -141,15 +145,27 @@ func (s *Service) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bo
 
 // submitClass maps the optional X-Submitter header onto an admission
 // class; absent means the shared interactive class (for /v1/runs) or the
-// sweep's own class (for /v1/sweeps).
-func submitClass(req *http.Request) string {
-	if v := req.Header.Get("X-Submitter"); v != "" {
-		return "submitter:" + v
+// sweep's own class (for /v1/sweeps). The class is a label value on
+// /metrics, whose text format escapes only backslash, quote and newline,
+// so a submitter is refused unless it is valid UTF-8 made only of
+// strconv.IsPrint runes. net/http lets a tab and bytes >= 0x80 through.
+func submitClass(req *http.Request) (string, error) {
+	v := req.Header.Get("X-Submitter")
+	if v == "" {
+		return "", nil
 	}
-	return ""
+	if !utf8.ValidString(v) || strings.ContainsFunc(v, func(r rune) bool { return !strconv.IsPrint(r) }) {
+		return "", fmt.Errorf("X-Submitter %q is not printable UTF-8", v)
+	}
+	return "submitter:" + v, nil
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
+	class, err := submitClass(req)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	body, ok := s.readBody(w, req)
 	if !ok {
 		return
@@ -159,7 +175,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap, err := s.SubmitIn(submitClass(req), spec)
+	snap, err := s.SubmitIn(class, spec)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -281,6 +297,11 @@ type sweepArtifactResponse struct {
 const SweepSetSchema = "atlahs.sweepset/v1"
 
 func (s *Service) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
+	class, err := submitClass(req)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	body, ok := s.readBody(w, req)
 	if !ok {
 		return
@@ -299,7 +320,7 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		specs[i] = spec
 	}
-	snap, err := s.SubmitSweep(submitClass(req), specs)
+	snap, err := s.SubmitSweep(class, specs)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", retryAfterSeconds)

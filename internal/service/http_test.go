@@ -130,7 +130,7 @@ func TestArtifactEncodedOnce(t *testing.T) {
 	if err != nil || aresp.StatusCode != http.StatusOK {
 		t.Fatalf("artifact GET: %d, %v", aresp.StatusCode, err)
 	}
-	stored, err := os.ReadFile(svc.Store().Path(rr.ID))
+	stored, err := os.ReadFile(svc.store.Path(rr.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +257,48 @@ func TestHTTPErrors(t *testing.T) {
 				t.Fatalf("error %q, want it to contain %q", er.Error, c.want)
 			}
 		})
+	}
+}
+
+// TestHTTPRefusesUnprintableSubmitter: net/http admits a tab and bytes
+// >= 0x80 in a header value, and the admission class becomes a /metrics
+// label value, which the text format cannot escape past backslash, quote
+// and newline. Both submit endpoints answer such an X-Submitter 400 and
+// admit nothing; a printable non-ASCII submitter is accepted.
+func TestHTTPRefusesUnprintableSubmitter(t *testing.T) {
+	svc, ts := testServer(t, Config{Jobs: 1})
+	post := func(path, submitter string, body []byte) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest("POST", ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Submitter", submitter)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er.Error
+	}
+	sweep := []byte(`{"schema":"atlahs.sweep/v1","specs":[` + string(wireSpec(t, 7)) + `]}`)
+	for _, submitter := range []string{"a\tb", "a\xffb"} {
+		for path, body := range map[string][]byte{"/v1/runs": wireSpec(t, 7), "/v1/sweeps": sweep} {
+			if code, msg := post(path, submitter, body); code != http.StatusBadRequest || !strings.Contains(msg, "X-Submitter") {
+				t.Fatalf("POST %s as %q: %d %q, want 400 naming X-Submitter", path, submitter, code, msg)
+			}
+		}
+	}
+	svc.mu.Lock()
+	admitted := len(svc.runs)
+	svc.mu.Unlock()
+	if admitted != 0 {
+		t.Fatalf("refused submissions admitted %d runs", admitted)
+	}
+	if code, msg := post("/v1/runs?wait=1", "équipe α", wireSpec(t, 7)); code != http.StatusOK {
+		t.Fatalf("printable UTF-8 submitter: %d %q", code, msg)
 	}
 }
 

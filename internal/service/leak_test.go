@@ -147,16 +147,16 @@ func TestNoGoroutineLeakOnEventsDisconnect(t *testing.T) {
 // goroutine the service started.
 func TestNoGoroutineLeakOnCloseWithQueuedRuns(t *testing.T) {
 	base := runtime.NumGoroutine()
-	svc, err := New(Config{Jobs: 1, Queue: 8, Workers: 2})
+	svc, err := New(Config{Jobs: 1, Queue: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
 	for tag := range int64(6) {
 		// big enough that Close finds the first one running and the rest
-		// queued; Workers: -1 runs them on the lane engine's worker pool
+		// queued
 		snap, err := svc.Submit(sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "alltoall", Ranks: 96, Bytes: 4096 + tag}},
-			Backend: "countsim", Workers: -1})
+			Backend: "countsim"})
 		if err != nil {
 			t.Fatal(err)
 		}

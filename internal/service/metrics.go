@@ -9,9 +9,9 @@ import (
 )
 
 // serviceMetrics holds the service's instruments: admission, cache,
-// executor, streaming and run-outcome counters, plus process-lifetime
-// aggregates of the per-run engine counters. One instance lives for the
-// service's lifetime; snapshot lists them for GET /metrics.
+// executor, streaming and run-outcome counters, plus the engine events
+// its runs executed. One instance lives for the service's lifetime;
+// snapshot lists them for GET /metrics.
 type serviceMetrics struct {
 	// runsDone and runsFailed count terminal runs by outcome.
 	runsDone, runsFailed telemetry.Counter
@@ -34,47 +34,14 @@ type serviceMetrics struct {
 	execBusy telemetry.Gauge
 	// runWall observes each executed run's wall clock, in seconds.
 	runWall *telemetry.Histogram
-	// engineAgg folds each completed run's engine counters
-	// (sim.Result.Metrics) into process-lifetime totals, one per
-	// engineAggregates entry.
-	engineAgg [len(engineAggregates)]telemetry.Counter
-}
-
-// engineAggregates lists the per-run engine/scheduler counters the
-// service accumulates across runs. Gauges (peaks, maxima) are per-run
-// readings and do not sum meaningfully, so only the counters aggregate.
-var engineAggregates = [...]struct{ name, help string }{
-	{"atlahs_engine_events_total", "engine events executed across runs"},
-	{"atlahs_engine_windows_total", "conservative windows executed across runs"},
-	{"atlahs_engine_windows_widened_total", "adaptively widened windows across runs"},
-	{"atlahs_engine_windows_inline_total", "inline-executed windows across runs"},
-	{"atlahs_engine_windows_dispatched_total", "pool-dispatched windows across runs"},
-	{"atlahs_engine_worker_wakeups_total", "worker wakeups across runs"},
-	{"atlahs_engine_active_lanes_total", "active-lane window sum across runs"},
+	// engineEvents sums sim.Result.Events over completed runs.
+	engineEvents telemetry.Counter
 }
 
 // newServiceMetrics returns zeroed instruments, the run-wall histogram
 // over 1 ms to 1 000 s decades.
 func newServiceMetrics() *serviceMetrics {
 	return &serviceMetrics{runWall: telemetry.NewHistogram(telemetry.ExpBuckets(0.001, 10, 7))}
-}
-
-// foldRun accumulates one completed run's engine counters into the
-// process-lifetime aggregates.
-func (m *serviceMetrics) foldRun(ms *results.MetricsSnapshot) {
-	if ms == nil {
-		return
-	}
-	for _, sample := range ms.Metrics {
-		if sample.Type != "counter" {
-			continue
-		}
-		for i, a := range engineAggregates {
-			if a.name == sample.Name {
-				m.engineAgg[i].Add(uint64(sample.Value))
-			}
-		}
-	}
 }
 
 // snapshot lists every family GET /metrics serves, in scrape order: the
@@ -112,9 +79,7 @@ func (m *serviceMetrics) snapshot(q *jobQueue) []results.Metric {
 		results.Metric{Name: "atlahs_service_sse_dropped_events_total", Type: "counter", Help: "op/progress events dropped to lagging subscribers", Value: float64(m.sseDropped.Value())},
 		results.Metric{Name: "atlahs_service_executors_busy", Type: "gauge", Help: "executor slots currently simulating", Value: float64(m.execBusy.Value())},
 		m.runWall.Sample("atlahs_service_run_wall_seconds", "wall clock per executed run"),
+		results.Metric{Name: "atlahs_engine_events_total", Type: "counter", Help: "engine events executed across runs", Value: float64(m.engineEvents.Value())},
 	)
-	for i, a := range engineAggregates {
-		out = append(out, results.Metric{Name: a.name, Type: "counter", Help: a.help, Value: float64(m.engineAgg[i].Value())})
-	}
 	return out
 }

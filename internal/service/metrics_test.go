@@ -41,7 +41,7 @@ func scrapeMetrics(t *testing.T, svc *Service, json bool) []byte {
 // TestServiceMetricsPinned pins both forms of the /metrics scrape byte for
 // byte at a fixed state: every label value of the run, cache and eviction
 // counters touched, no class ever queued, fixed run-wall observations and
-// engine aggregates. A rewrite of how the scrape is built must reproduce
+// engine events. A rewrite of how the scrape is built must reproduce
 // both documents.
 func TestServiceMetricsPinned(t *testing.T) {
 	svc := newService(t, Config{Jobs: 1})
@@ -61,22 +61,13 @@ func TestServiceMetricsPinned(t *testing.T) {
 	for _, v := range []float64{0.0005, 0.002, 0.03, 0.5, 42} {
 		m.runWall.Observe(v)
 	}
-	m.foldRun(results.NewMetricsSnapshot([]results.Metric{
-		{Name: "atlahs_engine_events_total", Type: "counter", Value: 240000},
-		{Name: "atlahs_engine_peak_pending", Type: "gauge", Value: 99},
-		{Name: "atlahs_engine_windows_total", Type: "counter", Value: 12},
-		{Name: "atlahs_engine_windows_widened_total", Type: "counter", Value: 3},
-		{Name: "atlahs_engine_windows_inline_total", Type: "counter", Value: 4},
-		{Name: "atlahs_engine_windows_dispatched_total", Type: "counter", Value: 8},
-		{Name: "atlahs_engine_worker_wakeups_total", Type: "counter", Value: 16},
-		{Name: "atlahs_engine_active_lanes_total", Type: "counter", Value: 24},
-	}))
+	m.engineEvents.Add(240000)
 	for _, c := range []struct {
 		json bool
 		pin  string
 	}{
-		{false, "48988f9eb57550b47e6a31a4fd74a616bf322e37a9bff44a1769401399e8ff29"},
-		{true, "ca00fec080fcb3b3c5d3cf372c7aeb32a6c20e9619a74c000d09c6b07790bbaf"},
+		{false, "e26a438498e52fae1dd166092a11ecf4923690ccccf3926bbe66d81d77e21251"},
+		{true, "c25e156d8260db5483ec50d0e82b6f8ae0eeeb8eb9ba1582ff4432324ad92575"},
 	} {
 		sum := sha256.Sum256(scrapeMetrics(t, svc, c.json))
 		if got := hex.EncodeToString(sum[:]); got != c.pin {
@@ -148,12 +139,6 @@ var catalogue = []struct{ name, typ, label, help string }{
 	{"atlahs_service_executors_busy", "gauge", "", "executor slots currently simulating"},
 	{"atlahs_service_run_wall_seconds", "histogram", "", "wall clock per executed run"},
 	{"atlahs_engine_events_total", "counter", "", "engine events executed across runs"},
-	{"atlahs_engine_windows_total", "counter", "", "conservative windows executed across runs"},
-	{"atlahs_engine_windows_widened_total", "counter", "", "adaptively widened windows across runs"},
-	{"atlahs_engine_windows_inline_total", "counter", "", "inline-executed windows across runs"},
-	{"atlahs_engine_windows_dispatched_total", "counter", "", "pool-dispatched windows across runs"},
-	{"atlahs_engine_worker_wakeups_total", "counter", "", "worker wakeups across runs"},
-	{"atlahs_engine_active_lanes_total", "counter", "", "active-lane window sum across runs"},
 }
 
 // TestMetricCatalogue pins the families a fresh service scrapes, with one

@@ -52,7 +52,7 @@ func (s *Service) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleRunTrace serves one finished run's execution timeline as Chrome
+// handleRunTrace serves one finished run's op-completion timeline as Chrome
 // trace-event JSON (loadable in Perfetto). The in-memory recorder answers
 // for runs executed by this process with Config.Timeline on; the artifact
 // store's traces/ directory answers for runs that predate the process.

@@ -15,9 +15,8 @@
 // restarts (corrupt or partial artifacts are skipped with a logged
 // warning, never trusted). A bounded admission queue — fair-share across
 // submitter classes, FIFO within one — feeds a fixed pool of executor
-// slots, and the service's engine-worker budget is divided across those
-// slots the way experiments.ForEach divides a sweep budget, so concurrent
-// jobs share the host instead of multiplying across it. Batch sweeps
+// slots, each running its job on the serial engine, so the service's
+// parallelism is across runs, as experiments.ForEach's is. Batch sweeps
 // (SubmitSweep, POST /v1/sweeps) admit N specs as one unit, deduplicated
 // against each other and the cache, each sweep its own fairness class so
 // a giant batch cannot starve interactive submissions. Every run streams
@@ -52,12 +51,9 @@ type Config struct {
 	Queue int
 	// Jobs is how many simulations execute concurrently. Default 2.
 	Jobs int
-	// Workers is the total engine-worker budget shared across the Jobs
-	// executor slots (each slot gets Workers/Jobs, at least 1). <= 0 means
-	// 1, so by default every run is serial and the service's parallelism
-	// is its Jobs. A spec asking for fewer workers than its slot's share
-	// keeps its own request; asking for more (or for -1, "as many as
-	// allowed") is clamped to the share. atlahsd does not set it.
+	// Workers may be 0 or 1 and changes nothing: the service runs every
+	// job serially, whatever the spec's own Workers, so its parallelism
+	// is its Jobs. New refuses any other value. atlahsd does not set it.
 	Workers int
 	// Cache bounds how many completed runs stay addressable; the oldest
 	// completed runs are evicted first, and queued or running jobs are
@@ -87,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Jobs <= 0 {
 		c.Jobs = 2
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.Cache <= 0 {
 		c.Cache = 256
@@ -186,9 +179,12 @@ type Service struct {
 // New starts a service: cfg.Jobs executor goroutines consuming the
 // fair-share admission queue. With an ArtifactDir the run index is first
 // rebuilt from the store's surviving artifacts, so the content-addressed
-// cache answers re-submissions from before the restart. The only error is
-// a broken artifact directory.
+// cache answers re-submissions from before the restart. The errors are a
+// Workers other than 0 or 1 and a broken artifact directory.
 func New(cfg Config) (*Service, error) {
+	if cfg.Workers != 0 && cfg.Workers != 1 {
+		return nil, fmt.Errorf("service: Workers %d: every job runs serially, so Workers must be 0 or 1", cfg.Workers)
+	}
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:        cfg,
@@ -228,9 +224,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Store returns the artifact store, nil when no ArtifactDir is configured.
-func (s *Service) Store() *results.Store { return s.store }
 
 // runID is the content address a run with fingerprint fp is filed
 // under: "r_" plus the fingerprint's leading 16 hex digits.
@@ -519,23 +512,7 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// shareWorkers resolves the engine-worker count one job runs with: the
-// spec's own request, clamped to this service's per-slot share of the
-// worker budget. A backend that cannot shard was validated to ask for 0
-// or 1, which no share changes.
-func (s *Service) shareWorkers(spec sim.Spec) int {
-	share := max(s.cfg.Workers/s.cfg.Jobs, 1)
-	w := spec.Workers
-	if w == 0 {
-		return 0 // the spec asked for serial; honour it
-	}
-	if w < 0 || w > share {
-		return share
-	}
-	return w
-}
-
-// execute runs one job on an executor slot.
+// execute runs one job on an executor slot, on the serial engine.
 func (s *Service) execute(r *run) {
 	s.metrics.execBusy.Inc()
 	defer s.metrics.execBusy.Dec()
@@ -545,7 +522,7 @@ func (s *Service) execute(r *run) {
 	// that stays cached holds its result, not its input.
 	spec := r.spec
 	r.spec = sim.Spec{}
-	spec.Workers = s.shareWorkers(spec)
+	spec.Workers = 0
 	spec.Observer = r
 	if s.cfg.Timeline {
 		r.timeline = telemetry.NewTimeline(0)
@@ -559,7 +536,7 @@ func (s *Service) execute(r *run) {
 		s.finishRun(r, wall, nil, nil, err)
 		return
 	}
-	s.metrics.foldRun(res.Metrics)
+	s.metrics.engineEvents.Add(res.Events)
 	// The artifact is encoded once: the store writes the bytes it serves.
 	artifact, err := results.AppendJSON(nil, runSweep(r.id, res))
 	if err != nil {
@@ -589,8 +566,8 @@ func (s *Service) execute(r *run) {
 	s.finishRun(r, wall, res, artifact, nil)
 }
 
-// runPanic is the error of a run that panicked: a model bug, a violated
-// assertion, or a worker-lane panic the parallel engine rethrows.
+// runPanic is the error of a run that panicked: a model bug or a violated
+// assertion.
 type runPanic struct {
 	value any
 	stack []byte

@@ -402,7 +402,7 @@ func TestArtifactStore(t *testing.T) {
 	if snap.Status != StatusDone {
 		t.Fatalf("run failed: %+v", snap)
 	}
-	stored, err := os.ReadFile(svc.Store().Path(snap.ID))
+	stored, err := os.ReadFile(svc.store.Path(snap.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,35 +492,23 @@ func TestLookasideIgnoresExecutionKnobs(t *testing.T) {
 	}
 }
 
-// TestShareWorkers pins how the engine-worker budget is split across
-// executor slots, and that a default Config runs every spec serially,
-// whatever GOMAXPROCS reads.
-func TestShareWorkers(t *testing.T) {
-	svc := newService(t, Config{Jobs: 2, Workers: 8})
-	lgs := func(w int) sim.Spec {
-		return sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4}},
-			Workers: w}
-	}
-	for _, c := range []struct {
-		name string
-		spec sim.Spec
-		want int
-	}{
-		{"all-you-have", lgs(-1), 4},
-		{"above-share", lgs(100), 4},
-		{"below-share", lgs(2), 2},
-		{"explicit-serial", lgs(0), 0},
-		{"pkt-serial", sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4}},
-			Backend: "pkt",
-			Workers: 1}, 1},
-	} {
-		if got := svc.shareWorkers(c.spec); got != c.want {
-			t.Fatalf("%s: shareWorkers = %d, want %d", c.name, got, c.want)
+// TestServiceRunsEveryJobSerially: New refuses a Workers other than 0 or
+// 1, and a spec asking for lanes (-1, "as many as allowed", or 4) runs
+// on the serial engine, whatever GOMAXPROCS reads.
+func TestServiceRunsEveryJobSerially(t *testing.T) {
+	for _, w := range []int{-1, 2, 8} {
+		if _, err := New(Config{Workers: w}); err == nil || !strings.Contains(err.Error(), "Workers") {
+			t.Fatalf("New(Config{Workers: %d}) = %v, want a refusal", w, err)
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	if got := newService(t, Config{}).shareWorkers(lgs(-1)); got != 1 {
-		t.Fatalf("default Config at GOMAXPROCS 4: shareWorkers(lgs(-1)) = %d, want 1 (serial)", got)
+	svc := newService(t, Config{Jobs: 1, Workers: 1})
+	for _, w := range []int{-1, 4} {
+		done := submitAndWait(t, svc, sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "ring", Ranks: 4, Bytes: 1000 + int64(w)}},
+			Workers: w})
+		if done.Status != StatusDone || done.Result.Parallel || done.Result.Workers != 1 {
+			t.Fatalf("spec at Workers %d ran %+v, want a serial run", w, done.Result)
+		}
 	}
 }
 
@@ -584,40 +572,24 @@ func TestFailedRunReportsError(t *testing.T) {
 // TestRunPanicFailsTheRunNotTheDaemon: a backend that panics mid-run fails
 // its run — status failed, the panic value in the error, the stack in the
 // "run failed" log line, counted as a failed run — and the executor serves
-// the next submission. On the lane engine the panic happens on a worker
-// goroutine and reaches the executor through the engine's rethrow.
+// the next submission.
 func TestRunPanicFailsTheRunNotTheDaemon(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		cfg     Config
-		workers int
-		frame   string // a function the logged stack must name
-	}{
-		{"serial", Config{Jobs: 1}, 0, "panicBackend"},
-		{"lanes", Config{Jobs: 1, Workers: 2}, 2, "winPool"},
-	} {
-		var logs bytes.Buffer
-		c.cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
-		svc := newService(t, c.cfg)
-		spec := sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 8, Bytes: 1024, Phases: 2}},
-			Backend: "panicsim", Workers: c.workers}
-		if got := svc.shareWorkers(spec); got != c.workers {
-			t.Fatalf("%s: shareWorkers = %d, want %d", c.name, got, c.workers)
-		}
-		done := submitAndWait(t, svc, spec)
-		if done.Status != StatusFailed || !strings.Contains(done.Err, "service: run panicked: panicsim: rank") {
-			t.Fatalf("%s: panicking run ended %+v, want failed with the panic value", c.name, done)
-		}
-		log := logs.String()
-		if !strings.Contains(log, "run failed") || !strings.Contains(log, "stack=") || !strings.Contains(log, c.frame) {
-			t.Fatalf("%s: the run-failed log line carries no stack through %s:\n%s", c.name, c.frame, log)
-		}
-		if got := svc.metrics.runsFailed.Value(); got != 1 {
-			t.Fatalf("%s: %d failed runs counted, want 1", c.name, got)
-		}
-		if next := submitAndWait(t, svc, countSpec(5000)); next.Status != StatusDone {
-			t.Fatalf("%s: the submission after the panic ended %+v", c.name, next)
-		}
+	var logs bytes.Buffer
+	svc := newService(t, Config{Jobs: 1, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	done := submitAndWait(t, svc, sim.Spec{Workload: sim.Workload{Synthetic: &sim.Synthetic{Pattern: "bsp", Ranks: 8, Bytes: 1024, Phases: 2}},
+		Backend: "panicsim"})
+	if done.Status != StatusFailed || !strings.Contains(done.Err, "service: run panicked: panicsim: rank") {
+		t.Fatalf("panicking run ended %+v, want failed with the panic value", done)
+	}
+	log := logs.String()
+	if !strings.Contains(log, "run failed") || !strings.Contains(log, "stack=") || !strings.Contains(log, "panicBackend") {
+		t.Fatalf("the run-failed log line carries no stack through panicBackend:\n%s", log)
+	}
+	if got := svc.metrics.runsFailed.Value(); got != 1 {
+		t.Fatalf("%d failed runs counted, want 1", got)
+	}
+	if next := submitAndWait(t, svc, countSpec(5000)); next.Status != StatusDone {
+		t.Fatalf("the submission after the panic ended %+v", next)
 	}
 }
 
@@ -724,7 +696,7 @@ func TestRestartSkipsCorruptArtifacts(t *testing.T) {
 	svc.Close()
 
 	// Corrupt the artifact itself.
-	if err := os.WriteFile(svc.Store().Path(snap.ID), []byte(`{"schema":"broken`), 0o644); err != nil {
+	if err := os.WriteFile(svc.store.Path(snap.ID), []byte(`{"schema":"broken`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var logs bytes.Buffer
@@ -809,7 +781,7 @@ func TestSidecarEncodingPinned(t *testing.T) {
 	if err := svc.saveMeta(r, res); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(svc.Store().MetaPath(r.id))
+	b, err := os.ReadFile(svc.store.MetaPath(r.id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1036,8 +1008,8 @@ func TestSubmitSweepDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Specs != 3 || batch.Total() != 2 {
-		t.Fatalf("3 specs with one duplicate admitted as %d specs / %d runs", batch.Specs, batch.Total())
+	if batch.Specs != 3 || len(batch.Runs) != 2 {
+		t.Fatalf("3 specs with one duplicate admitted as %d specs / %d runs", batch.Specs, len(batch.Runs))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

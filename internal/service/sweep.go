@@ -52,9 +52,6 @@ type BatchSnapshot struct {
 	Done, Failed, Cached int
 }
 
-// Total returns the number of unique runs in the sweep.
-func (b BatchSnapshot) Total() int { return len(b.Runs) }
-
 // Terminal reports whether every member run reached a terminal state.
 func (b BatchSnapshot) Terminal() bool { return b.Done+b.Failed == len(b.Runs) }
 

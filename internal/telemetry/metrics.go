@@ -1,7 +1,7 @@
 // Package telemetry is ATLAHS's dependency-free observability layer:
 // typed instruments (Counter, Gauge, Histogram) with atomic hot-path
 // updates, a Prometheus text renderer for a list of results.Metric
-// samples, plus a Timeline recorder that captures a run's execution spans
+// samples, plus a Timeline recorder that captures a run's op completions
 // as Chrome trace-event JSON loadable in Perfetto.
 //
 // The package deliberately has no third-party dependencies and no
@@ -64,8 +64,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1; the last is the +Inf overflow
-	count   atomic.Uint64
-	sum     atomic.Uint64 // float64 bits
+	sum     atomic.Uint64   // float64 bits
 }
 
 // NewHistogram builds a histogram over the given strictly ascending
@@ -90,7 +89,6 @@ func NewHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -99,9 +97,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }

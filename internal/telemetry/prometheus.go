@@ -35,8 +35,13 @@ func WritePrometheus(w io.Writer, samples []results.Metric) error {
 			fmt.Fprintf(&b, "%s_count %d\n", p.Name, p.Count)
 		default:
 			if p.Label != "" {
-				// %q escaping (backslash, quote, \n) matches the exposition
-				// format's label escaping.
+				// %q matches the exposition format's label escaping
+				// (backslash, quote, \n) only for a value of valid UTF-8
+				// made of strconv.IsPrint runes, plus newlines; a tab or
+				// an invalid byte would come out as an escape the format
+				// lacks. Label values are fixed strings or admission
+				// classes, and atlahsd refuses an X-Submitter that is not
+				// printable UTF-8.
 				fmt.Fprintf(&b, "%s{%s=%q} %s\n", p.Name, p.Label, p.LabelValue, formatFloat(p.Value))
 			} else {
 				fmt.Fprintf(&b, "%s %s\n", p.Name, formatFloat(p.Value))

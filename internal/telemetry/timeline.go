@@ -10,25 +10,24 @@ import (
 	"atlahs/internal/simtime"
 )
 
-// DefaultTimelineEvents is the recorder's default event capacity. A
-// window span or op instant is a few dozen bytes, so the default bounds
-// a runaway trace at tens of megabytes; events past the cap are dropped
-// and counted rather than grown without bound.
+// DefaultTimelineEvents is the recorder's default event capacity. An
+// op instant is 32 bytes held and about 65 encoded, so the default
+// bounds a runaway trace at tens of megabytes; events past the cap are
+// dropped and counted rather than grown without bound.
 const DefaultTimelineEvents = 1 << 18
 
-// Timeline records a run's execution spans — per-lane engine windows
-// and per-op completion instants — and encodes them as Chrome
-// trace-event JSON, the format Perfetto and chrome://tracing load
-// directly. Timestamps are *simulated* time (GOAL picoseconds rendered
-// as trace microseconds), so the same spec always encodes the same
-// timeline bytes, independent of worker count or host speed: the
-// timeline shows where simulated time goes, which is the question
-// ATLAHS answers.
+// Timeline records a run's op completions, one instant per GOAL op on
+// its rank's row, and encodes them as Chrome trace-event JSON, the
+// format Perfetto and chrome://tracing load directly. Timestamps are
+// *simulated* time (GOAL picoseconds rendered as trace microseconds),
+// so the same spec always encodes the same timeline bytes, whichever
+// engine ran it and however fast the host: the timeline shows where
+// simulated time goes, which is the question ATLAHS answers.
 //
-// A Timeline is safe for concurrent use: on parallel runs the engine's
-// lanes and the observer bridge append from worker goroutines. The
-// append path takes one mutex and copies a small struct; recording is
-// opt-in, so runs without a Timeline pay nothing.
+// A Timeline is safe for concurrent use: on the lane engine ops
+// complete on worker goroutines. The append path takes one mutex and
+// copies a small struct; recording is opt-in, so runs without a
+// Timeline pay nothing.
 type Timeline struct {
 	mu      sync.Mutex
 	cap     int
@@ -36,15 +35,12 @@ type Timeline struct {
 	dropped uint64
 }
 
-// traceEvent is one recorded span or instant, kept in compact
-// pre-encoding form (timestamps in simulated picoseconds).
+// traceEvent is one recorded op instant, kept in compact pre-encoding
+// form.
 type traceEvent struct {
 	name string
-	ph   byte // 'X' complete span, 'i' instant
 	tid  int32
-	ts   int64  // simulated ps
-	dur  int64  // simulated ps, spans only
-	n    uint64 // events inside a window span
+	ts   int64 // simulated ps
 }
 
 // NewTimeline returns a recorder holding at most maxEvents events
@@ -71,18 +67,9 @@ func (t *Timeline) record(ev traceEvent) {
 	t.mu.Unlock()
 }
 
-// LaneWindow records one engine window executed on a lane: the span
-// from the lane's first to its last executed event of the window, with
-// the event count as an argument. It implements the engine's Tracer
-// hook (the engine package defines the interface structurally, so it
-// never imports telemetry).
-func (t *Timeline) LaneWindow(lane int, from, to simtime.Time, events uint64) {
-	t.record(traceEvent{name: "window", ph: 'X', tid: int32(lane), ts: int64(from), dur: int64(to) - int64(from), n: events})
-}
-
 // Op records one GOAL op completion as an instant on the op's rank row.
 func (t *Timeline) Op(rank int, kind string, at simtime.Time) {
-	t.record(traceEvent{name: kind, ph: 'i', tid: int32(rank), ts: int64(at)})
+	t.record(traceEvent{name: kind, tid: int32(rank), ts: int64(at)})
 }
 
 // Len reports the number of recorded events.
@@ -107,23 +94,21 @@ func (t *Timeline) Reset() {
 	t.mu.Unlock()
 }
 
-// jsonTraceEvent is the Chrome trace-event wire shape (ts and dur in
-// trace microseconds).
+// jsonTraceEvent is the Chrome trace-event wire shape (ts in trace
+// microseconds).
 type jsonTraceEvent struct {
 	Name string     `json:"name"`
 	Ph   string     `json:"ph"`
 	Pid  int        `json:"pid"`
 	Tid  int32      `json:"tid"`
 	Ts   float64    `json:"ts"`
-	Dur  *float64   `json:"dur,omitempty"`
 	S    string     `json:"s,omitempty"`
 	Args *traceArgs `json:"args,omitempty"`
 }
 
-// traceArgs carries the per-event argument payload.
+// traceArgs carries a metadata event's name.
 type traceArgs struct {
-	Name   string `json:"name,omitempty"`
-	Events uint64 `json:"events,omitempty"`
+	Name string `json:"name,omitempty"`
 }
 
 // psToUs converts simulated picoseconds to trace microseconds.
@@ -131,9 +116,9 @@ func psToUs(ps int64) float64 { return float64(ps) / 1e6 }
 
 // Encode writes the timeline as one Chrome trace-event JSON document:
 // process/thread metadata first, then every recorded event sorted by
-// its full content (timestamp, thread, phase, name, duration, count) —
-// a total order over distinct events, so the bytes are deterministic
-// even when concurrent recording interleaved the appends differently.
+// its full content (timestamp, thread, name) — a total order over
+// distinct events, so the bytes are deterministic even when concurrent
+// recording interleaved the appends differently.
 func (t *Timeline) Encode(w io.Writer) error {
 	t.mu.Lock()
 	events := append([]traceEvent(nil), t.events...)
@@ -148,16 +133,7 @@ func (t *Timeline) Encode(w io.Writer) error {
 		if a.tid != b.tid {
 			return a.tid < b.tid
 		}
-		if a.ph != b.ph {
-			return a.ph < b.ph
-		}
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		if a.dur != b.dur {
-			return a.dur < b.dur
-		}
-		return a.n < b.n
+		return a.name < b.name
 	})
 
 	// Thread metadata for every row that appears, sorted by tid.
@@ -200,16 +176,7 @@ func (t *Timeline) Encode(w io.Writer) error {
 		}
 	}
 	for _, ev := range events {
-		je := jsonTraceEvent{Name: ev.name, Ph: string(ev.ph), Tid: ev.tid, Ts: psToUs(ev.ts)}
-		switch ev.ph {
-		case 'X':
-			dur := psToUs(ev.dur)
-			je.Dur = &dur
-			je.Args = &traceArgs{Events: ev.n}
-		case 'i':
-			je.S = "t"
-		}
-		if err := emit(je); err != nil {
+		if err := emit(jsonTraceEvent{Name: ev.name, Ph: "i", Tid: ev.tid, Ts: psToUs(ev.ts), S: "t"}); err != nil {
 			return err
 		}
 	}

@@ -10,15 +10,15 @@ import (
 )
 
 // TestTimelineEncodeDeterministic pins the exact trace bytes for a
-// small recording, with events recorded out of timestamp order: Encode
-// sorts by full event content, so the bytes never depend on append
-// order.
+// small recording, with events recorded out of timestamp order and two
+// tied on time and rank: Encode sorts by full event content, so the
+// bytes never depend on append order.
 func TestTimelineEncodeDeterministic(t *testing.T) {
 	encode := func(reversed bool) string {
 		tl := NewTimeline(0)
 		us := func(n int64) simtime.Time { return simtime.Time(0).Add(simtime.Duration(n) * simtime.Microsecond) }
 		rec := []func(){
-			func() { tl.LaneWindow(0, 0, us(3), 5) },
+			func() { tl.Op(0, "send", us(1)) },
 			func() { tl.Op(0, "calc", us(1)) },
 			func() { tl.Op(1, "send", us(2)) },
 		}
@@ -42,8 +42,8 @@ func TestTimelineEncodeDeterministic(t *testing.T) {
 		`{"name":"process_name","ph":"M","pid":0,"tid":0,"ts":0,"args":{"name":"atlahs"}},`,
 		`{"name":"thread_name","ph":"M","pid":0,"tid":0,"ts":0,"args":{"name":"rank 0"}},`,
 		`{"name":"thread_name","ph":"M","pid":0,"tid":1,"ts":0,"args":{"name":"rank 1"}},`,
-		`{"name":"window","ph":"X","pid":0,"tid":0,"ts":0,"dur":3,"args":{"events":5}},`,
 		`{"name":"calc","ph":"i","pid":0,"tid":0,"ts":1,"s":"t"},`,
+		`{"name":"send","ph":"i","pid":0,"tid":0,"ts":1,"s":"t"},`,
 		`{"name":"send","ph":"i","pid":0,"tid":1,"ts":2,"s":"t"}`,
 		`]}`,
 		``,
@@ -62,7 +62,7 @@ func TestTimelineEncodeDeterministic(t *testing.T) {
 func TestTimelineShape(t *testing.T) {
 	tl := NewTimeline(0)
 	us := func(n int64) simtime.Time { return simtime.Time(0).Add(simtime.Duration(n) * simtime.Microsecond) }
-	tl.LaneWindow(2, us(1), us(4), 7)
+	tl.Op(2, "calc", us(1))
 	tl.Op(2, "recv", us(2))
 	var b bytes.Buffer
 	if err := tl.Encode(&b); err != nil {
@@ -80,7 +80,7 @@ func TestTimelineShape(t *testing.T) {
 	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 4 { // process_name + thread_name + window + op
+	if len(doc.TraceEvents) != 4 { // process_name + thread_name + two ops
 		t.Fatalf("got %d trace events, want 4", len(doc.TraceEvents))
 	}
 	for _, ev := range doc.TraceEvents {

@@ -73,12 +73,12 @@
 // package) of the engine's and scheduler's execution counters —
 // conservative windows, adaptive widenings, peak queue depths, worker
 // wakeups — and Spec.Timeline optionally attaches a bounded recorder
-// (NewTimeline) that captures op completions and per-lane window spans
-// as Chrome trace-event JSON loadable in Perfetto. Timeline timestamps
-// are simulated time, so the recorded document is as deterministic as
-// the run itself. Like Observer, a Timeline is a process-local hook:
-// MarshalSpec rejects specs carrying one, and neither participates in
-// Fingerprint.
+// (NewTimeline) that captures op completions as Chrome trace-event JSON
+// loadable in Perfetto. Timeline timestamps are simulated time, so the
+// recorded document is as deterministic as the run itself and encodes
+// to the same bytes on either engine. Like Observer, a Timeline is a
+// process-local hook: MarshalSpec rejects specs carrying one, and
+// neither participates in Fingerprint.
 //
 // Specs also cross process boundaries: MarshalSpec/UnmarshalSpec give
 // every Spec a canonical wire form under the append-only atlahs.spec/v1

@@ -154,11 +154,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		eng = rs.eng
 	}
 
-	if spec.Timeline != nil {
-		if pe, ok := eng.(*engine.ParEngine); ok {
-			pe.SetTracer(spec.Timeline)
-		}
-	}
 	st := sch.ComputeStats()
 	runBE := be
 	if spec.Observer != nil || spec.Timeline != nil || ctx.Done() != nil {

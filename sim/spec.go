@@ -60,11 +60,11 @@ type Spec struct {
 	Observer Observer
 	// ProgressEvery emits Observer.Progress every N completed ops (0 = off).
 	ProgressEvery int64
-	// Timeline, when non-nil, records the run's execution timeline into
-	// the given recorder (see NewTimeline): one instant per op completion
-	// and — on the parallel engine — one span per executed conservative
-	// window. Like Observer it is a process-local hook: it never crosses
-	// the wire and does not participate in fingerprints.
+	// Timeline, when non-nil, records the run's op completions into the
+	// given recorder (see NewTimeline), one instant each, so it encodes
+	// to the same bytes whatever Workers asks for. Like Observer it is a
+	// process-local hook: it never crosses the wire and does not
+	// participate in fingerprints.
 	Timeline *Timeline
 
 	// resolved pins the outcome of one workload resolution (ResolveSpec):

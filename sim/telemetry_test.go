@@ -148,31 +148,38 @@ func (sp Spec) withWorkers(n int) Spec {
 	return sp
 }
 
-// TestRunTimelineParallel: a parallel run with a recorder attached emits
-// both op instants and per-lane window spans, and the document parses.
-func TestRunTimelineParallel(t *testing.T) {
-	tl := NewTimeline(0)
-	res := runResult(t, Spec{
-		Workload: Workload{Synthetic: &Synthetic{Pattern: "ring", Ranks: 8, Bytes: 4096}},
-		Workers:  4,
-		Timeline: tl,
-	})
-	if !res.Parallel {
-		t.Fatal("wanted the parallel engine")
-	}
-	if int64(tl.Len()) <= res.Ops {
-		t.Fatalf("timeline holds %d events for %d ops; window spans missing", tl.Len(), res.Ops)
-	}
-	var buf bytes.Buffer
-	if err := tl.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc := buf.String()
-	if !strings.Contains(doc, `"name":"window","ph":"X"`) {
-		t.Fatal("trace carries no window spans")
-	}
-	if !strings.Contains(doc, `"ph":"i"`) {
-		t.Fatal("trace carries no op instants")
+// TestTimelineIndependentOfEngine: a timeline holds one instant per op
+// completion and nothing else, so an lgs spec encodes to the same bytes
+// on the serial engine and on the lane engine at any worker count.
+func TestTimelineIndependentOfEngine(t *testing.T) {
+	for _, syn := range []Synthetic{
+		{Pattern: "ring", Ranks: 8, Bytes: 4096},
+		{Pattern: "alltoall", Ranks: 8, Bytes: 4096},
+		{Pattern: "bsp", Ranks: 16, Bytes: 65536, Phases: 5, CalcNanos: 2000},
+	} {
+		var serial []byte
+		for _, workers := range []int{0, 2, 4} {
+			tl := NewTimeline(0)
+			res := runResult(t, Spec{Workload: Workload{Synthetic: &syn}, Workers: workers, Timeline: tl})
+			if res.Parallel != (workers > 1) {
+				t.Fatalf("%s, workers %d: Parallel = %v", syn.Pattern, workers, res.Parallel)
+			}
+			if int64(tl.Len()) != res.Ops || tl.Dropped() != 0 {
+				t.Fatalf("%s, workers %d: timeline holds %d events (%d dropped) for %d ops", syn.Pattern, workers, tl.Len(), tl.Dropped(), res.Ops)
+			}
+			var buf bytes.Buffer
+			if err := tl.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if workers == 0 {
+				serial = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), serial) {
+				t.Errorf("%s: the timeline at %d workers (%d B) differs from the serial one (%d B)", syn.Pattern, workers, buf.Len(), len(serial))
+			}
+		}
+		if !strings.Contains(string(serial), `"ph":"i"`) {
+			t.Fatalf("%s: trace carries no op instants", syn.Pattern)
+		}
 	}
 }
 
