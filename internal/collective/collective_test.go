@@ -127,10 +127,10 @@ func TestRingBcastFig4(t *testing.T) {
 	root := &s.Ranks[0]
 	var sends int
 	for i := range root.Ops {
-		if root.Ops[i].Kind == goal.KindSend {
+		if root.Ops[i].Kind() == goal.KindSend {
 			sends++
-			if root.Ops[i].Size != 512*1024 {
-				t.Fatalf("root chunk %d bytes, want 512 KiB", root.Ops[i].Size)
+			if root.Ops[i].Size() != 512*1024 {
+				t.Fatalf("root chunk %d bytes, want 512 KiB", root.Ops[i].Size())
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func TestRingBcastFig4(t *testing.T) {
 	// last ring position only receives
 	tail := &s.Ranks[n-1]
 	for i := range tail.Ops {
-		if tail.Ops[i].Kind == goal.KindSend {
+		if tail.Ops[i].Kind() == goal.KindSend {
 			t.Fatal("last ring rank must not forward")
 		}
 	}

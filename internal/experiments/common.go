@@ -207,10 +207,9 @@ func ComputeOnlyRuntime(s *goal.Schedule) simtime.Duration {
 	var max simtime.Duration
 	for r := range s.Ranks {
 		perStream := map[int32]simtime.Duration{}
-		for i := range s.Ranks[r].Ops {
-			op := &s.Ranks[r].Ops[i]
-			if op.Kind == goal.KindCalc {
-				perStream[op.CPU] += op.CalcDuration(1.0)
+		for _, op := range s.Ranks[r].Ops {
+			if op.Kind() == goal.KindCalc {
+				perStream[op.CPU()] += op.CalcDuration(1.0)
 			}
 		}
 		for _, d := range perStream {

@@ -79,24 +79,25 @@ func (e *binaryEncoder) schedule(s *Schedule) error {
 			if err := e.room(); err != nil {
 				return err
 			}
-			op := &rp.Ops[i]
-			flags := byte(op.Kind)
-			if op.Tag != 0 {
+			op := rp.Ops[i]
+			kind, tag, cpu := op.Kind(), op.Tag(), op.CPU()
+			flags := byte(kind)
+			if tag != 0 {
 				flags |= 1 << 2
 			}
-			if op.CPU != 0 {
+			if cpu != 0 {
 				flags |= 1 << 3
 			}
 			e.buf = append(e.buf, flags)
-			e.buf = binary.AppendUvarint(e.buf, uint64(op.Size))
-			if op.Kind != KindCalc {
-				e.buf = binary.AppendUvarint(e.buf, uint64(op.Peer))
+			e.buf = binary.AppendUvarint(e.buf, uint64(op.Size()))
+			if kind != KindCalc {
+				e.buf = binary.AppendUvarint(e.buf, uint64(op.Peer()))
 				if flags&(1<<2) != 0 {
-					e.buf = binary.AppendVarint(e.buf, int64(op.Tag))
+					e.buf = binary.AppendVarint(e.buf, int64(tag))
 				}
 			}
 			if flags&(1<<3) != 0 {
-				e.buf = binary.AppendUvarint(e.buf, uint64(op.CPU))
+				e.buf = binary.AppendUvarint(e.buf, uint64(cpu))
 			}
 		}
 		if err := e.deps(rp.Requires); err != nil {

@@ -34,26 +34,10 @@ func writeBinaryRef(w io.Writer, s *Schedule) error {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		putU(uint64(len(rp.Ops)))
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
-			flags := byte(op.Kind)
-			if op.Tag != 0 {
-				flags |= 1 << 2
-			}
-			if op.CPU != 0 {
-				flags |= 1 << 3
-			}
-			bw.WriteByte(flags)
-			putU(uint64(op.Size))
-			if op.Kind != KindCalc {
-				putU(uint64(op.Peer))
-				if flags&(1<<2) != 0 {
-					putS(int64(op.Tag))
-				}
-			}
-			if flags&(1<<3) != 0 {
-				putU(uint64(op.CPU))
-			}
+		var opBuf []byte
+		for _, op := range rp.Ops {
+			opBuf = appendRefOp(opBuf[:0], fieldsOf(op))
+			bw.Write(opBuf)
 		}
 		writeDeps := func(deps Deps) {
 			for i := 0; i < deps.Len(); i++ {
@@ -67,6 +51,29 @@ func writeBinaryRef(w io.Writer, s *Schedule) error {
 		writeDeps(rp.IRequires)
 	}
 	return bw.Flush()
+}
+
+// appendRefOp appends the encoding of one op, given by its fields.
+func appendRefOp(b []byte, op refOp) []byte {
+	flags := byte(op.Kind)
+	if op.Tag != 0 {
+		flags |= 1 << 2
+	}
+	if op.CPU != 0 {
+		flags |= 1 << 3
+	}
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, uint64(op.Size))
+	if op.Kind != KindCalc {
+		b = binary.AppendUvarint(b, uint64(op.Peer))
+		if flags&(1<<2) != 0 {
+			b = binary.AppendVarint(b, int64(op.Tag))
+		}
+	}
+	if flags&(1<<3) != 0 {
+		b = binary.AppendUvarint(b, uint64(op.CPU))
+	}
+	return b
 }
 
 // refBytes returns writeBinaryRef's encoding of s.

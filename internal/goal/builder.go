@@ -74,9 +74,11 @@ func (b *Builder) Rank(r int) *RankBuilder {
 const spentMsg = "goal: Builder used after Build"
 
 // RankBuilder adds ops and dependencies to one rank: ops to one array,
-// dependencies to one depTable per kind. An op costs its 24 bytes and an
+// dependencies to one depTable per kind. An op costs its 16 bytes and an
 // edge 4 (8 once its table has spilled) while building, plus 4 bytes per
-// op for each table that has any edges.
+// op for each table that has any edges. An op with a value the packed
+// form cannot hold (see Op) is added in its reserved form, which Validate
+// refuses, naming the field.
 type RankBuilder struct {
 	r         int
 	spent     bool
@@ -159,32 +161,32 @@ func (rb *RankBuilder) add(op Op) OpID {
 
 // Calc appends a computation of the given nanoseconds on stream 0.
 func (rb *RankBuilder) Calc(nanos int64) OpID {
-	return rb.add(Op{Kind: KindCalc, Peer: -1, Size: nanos})
+	return rb.add(makeOp(KindCalc, nanos, -1, 0, 0))
 }
 
 // CalcOn appends a computation on the given compute stream.
 func (rb *RankBuilder) CalcOn(nanos int64, cpu int32) OpID {
-	return rb.add(Op{Kind: KindCalc, Peer: -1, Size: nanos, CPU: cpu})
+	return rb.add(makeOp(KindCalc, nanos, -1, 0, cpu))
 }
 
 // Send appends a send of size bytes to rank dst with the given tag.
 func (rb *RankBuilder) Send(size int64, dst int, tag int32) OpID {
-	return rb.add(Op{Kind: KindSend, Peer: int32(dst), Tag: tag, Size: size})
+	return rb.add(makeOp(KindSend, size, int32(dst), tag, 0))
 }
 
 // SendOn appends a send issued from the given compute stream.
 func (rb *RankBuilder) SendOn(size int64, dst int, tag int32, cpu int32) OpID {
-	return rb.add(Op{Kind: KindSend, Peer: int32(dst), Tag: tag, Size: size, CPU: cpu})
+	return rb.add(makeOp(KindSend, size, int32(dst), tag, cpu))
 }
 
 // Recv appends a receive of size bytes from rank src with the given tag.
 func (rb *RankBuilder) Recv(size int64, src int, tag int32) OpID {
-	return rb.add(Op{Kind: KindRecv, Peer: int32(src), Tag: tag, Size: size})
+	return rb.add(makeOp(KindRecv, size, int32(src), tag, 0))
 }
 
 // RecvOn appends a receive posted on the given compute stream.
 func (rb *RankBuilder) RecvOn(size int64, src int, tag int32, cpu int32) OpID {
-	return rb.add(Op{Kind: KindRecv, Peer: int32(src), Tag: tag, Size: size, CPU: cpu})
+	return rb.add(makeOp(KindRecv, size, int32(src), tag, cpu))
 }
 
 // Requires adds completion dependencies: op starts only after each dep has

@@ -21,7 +21,7 @@ func randomDAG(rng *rand.Rand, n int) ([]Op, []depCall) {
 	ops := make([]Op, n)
 	var calls []depCall
 	for i := range ops {
-		ops[i] = Op{Kind: KindCalc, Peer: -1, Size: int64(rng.Intn(1000)), CPU: int32(rng.Intn(3))}
+		ops[i] = makeOp(KindCalc, int64(rng.Intn(1000)), -1, 0, int32(rng.Intn(3)))
 		if i == 0 {
 			continue
 		}

@@ -119,9 +119,9 @@ func Compose(nodes [][]int, jobs ...*Schedule) (*Schedule, error) {
 			rp := &job.Ranks[r]
 			dst := &out.Ranks[nodes[j][r]]
 			dst.Ops = append([]Op(nil), rp.Ops...)
-			for i := range dst.Ops {
-				if dst.Ops[i].Kind != KindCalc {
-					dst.Ops[i].Peer = int32(nodes[j][dst.Ops[i].Peer])
+			for i, op := range dst.Ops {
+				if op.Kind() != KindCalc {
+					dst.Ops[i] = op.WithPeer(int32(nodes[j][op.Peer()]))
 				}
 			}
 			dst.Requires = rp.Requires.Clone()

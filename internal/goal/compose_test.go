@@ -49,7 +49,7 @@ func TestComposePacked(t *testing.T) {
 		t.Fatalf("merged ranks %d, want 4", merged.NumRanks())
 	}
 	// Job 1's send landed on node 2 and points at node 3.
-	if op := merged.Ranks[2].Ops[1]; op.Kind != KindSend || op.Peer != 3 || op.Size != 128 {
+	if op := merged.Ranks[2].Ops[1]; op.Kind() != KindSend || op.Peer() != 3 || op.Size() != 128 {
 		t.Fatalf("job 1 send misplaced: %+v", op)
 	}
 	if err := merged.CheckMatched(); err != nil {
@@ -75,8 +75,8 @@ func TestComposeInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Job 0's send runs on node 0 and targets its own rank 1 = node 3.
-	if op := merged.Ranks[0].Ops[1]; op.Kind != KindSend || op.Peer != 3 {
-		t.Fatalf("job 0 send peer %d, want 3", op.Peer)
+	if op := merged.Ranks[0].Ops[1]; op.Kind() != KindSend || op.Peer() != 3 {
+		t.Fatalf("job 0 send peer %d, want 3", op.Peer())
 	}
 	if err := merged.CheckMatched(); err != nil {
 		t.Fatal(err)
@@ -138,9 +138,9 @@ func TestComposeDoesNotAliasInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged.Ranks[0].Ops[0].Size = 999999
+	merged.Ranks[0].Ops[0] = makeOp(KindCalc, 999999, -1, 0, 0)
 	merged.Ranks[0].Requires.Of(1)[0] = 1
-	if a.Ranks[0].Ops[0].Size == 999999 {
+	if a.Ranks[0].Ops[0].Size() == 999999 {
 		t.Fatal("merged ops alias the input schedule")
 	}
 	if a.Ranks[0].Requires.Of(1)[0] != 0 {

@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"atlahs/internal/registry"
-	"atlahs/internal/simtime"
 )
 
 // Kind identifies the task type of an Op.
@@ -61,27 +60,6 @@ func (k Kind) String() string {
 
 // AnyTag is a wildcard recv tag matching any message tag from the source.
 const AnyTag int32 = -1
-
-// Op is one GOAL task. For sends and receives Size is a byte count and
-// Peer/Tag identify the matching endpoint; for calcs Size is a duration in
-// nanoseconds and Peer/Tag are unused.
-type Op struct {
-	Kind Kind
-	CPU  int32 // compute stream; 0 is the default stream
-	Peer int32 // destination (send) or source (recv); -1 for calc
-	Tag  int32
-	Size int64 // bytes (send/recv) or nanoseconds (calc)
-}
-
-// CalcDuration returns the simulated duration of a calc op after applying
-// the hardware-adaptation scale factor (paper §7). scale 1.0 means the op
-// runs for exactly Size nanoseconds.
-func (o Op) CalcDuration(scale float64) simtime.Duration {
-	if scale == 1.0 {
-		return simtime.FromNanos(o.Size)
-	}
-	return simtime.FromNanosF(float64(o.Size) * scale)
-}
 
 // RankProgram is the task DAG of a single rank. Dependency lists hold
 // indices into Ops; all dependencies are rank-local (cross-rank ordering
@@ -124,19 +102,18 @@ func (s *Schedule) ComputeStats() Stats {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		streams := map[int32]struct{}{}
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
+		for _, op := range rp.Ops {
 			st.Ops++
-			streams[op.CPU] = struct{}{}
-			switch op.Kind {
+			streams[op.CPU()] = struct{}{}
+			switch op.Kind() {
 			case KindSend:
 				st.Sends++
-				st.SendBytes += op.Size
+				st.SendBytes += op.Size()
 			case KindRecv:
 				st.Recvs++
 			case KindCalc:
 				st.Calcs++
-				st.CalcNanos += op.Size
+				st.CalcNanos += op.Size()
 			}
 		}
 		st.DepEdges += int64(rp.Requires.NumEdges() + rp.IRequires.NumEdges())
@@ -147,8 +124,10 @@ func (s *Schedule) ComputeStats() Stats {
 	return st
 }
 
-// Validate checks structural invariants: peer ranks in range, non-negative
-// sizes, dependency indices in range, and per-rank acyclicity over
+// Validate checks structural invariants: every op one the packed form
+// holds (see Op: sizes non-negative, messages within 1 TiB and on a cpu the
+// layout holds), calc cpus non-negative, peer ranks in range, dependency
+// indices in range, and per-rank acyclicity over
 // requires+irequires edges. It returns the first violation found. The
 // acyclicity check works in arrays kept from one call to the next, so
 // validating a schedule no larger than one validated before allocates
@@ -167,25 +146,18 @@ func (s *Schedule) Validate() error {
 		// then a topological order and the rank is acyclic without
 		// looking further.
 		ordered := true
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
-			if op.Size < 0 {
-				return fmt.Errorf("goal: rank %d op %d: negative size %d", r, i, op.Size)
+		for i, op := range rp.Ops {
+			if err := op.heldErr(); err != nil {
+				return fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
 			}
-			if op.CPU < 0 {
-				return fmt.Errorf("goal: rank %d op %d: negative cpu %d", r, i, op.CPU)
-			}
-			switch op.Kind {
-			case KindSend, KindRecv:
-				if op.Peer < 0 || op.Peer >= n {
-					return fmt.Errorf("goal: rank %d op %d: peer %d out of range [0,%d)", r, i, op.Peer, n)
+			if op.isCalc() {
+				if cpu := op.CPU(); cpu < 0 {
+					return fmt.Errorf("goal: rank %d op %d: negative cpu %d", r, i, cpu)
 				}
-				if int(op.Peer) == r {
-					return fmt.Errorf("goal: rank %d op %d: self-%s not allowed", r, i, op.Kind)
-				}
-			case KindCalc:
-			default:
-				return fmt.Errorf("goal: rank %d op %d: unknown kind %d", r, i, op.Kind)
+			} else if peer := op.Peer(); peer < 0 || peer >= n {
+				return fmt.Errorf("goal: rank %d op %d: peer %d out of range [0,%d)", r, i, peer, n)
+			} else if int(peer) == r {
+				return fmt.Errorf("goal: rank %d op %d: self-%s not allowed", r, i, op.Kind())
 			}
 			for _, d := range rp.Requires.Of(i) {
 				if d < 0 || d >= nops {
@@ -274,16 +246,15 @@ func (s *Schedule) CheckMatched() error {
 	wildcards := map[[2]int32]int64{}
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
-			switch op.Kind {
+		for _, op := range rp.Ops {
+			switch op.Kind() {
 			case KindSend:
-				sends[key{int32(r), op.Peer, op.Tag}]++
+				sends[key{int32(r), op.Peer(), op.Tag()}]++
 			case KindRecv:
-				if op.Tag == AnyTag {
-					wildcards[[2]int32{op.Peer, int32(r)}]++
+				if op.Tag() == AnyTag {
+					wildcards[[2]int32{op.Peer(), int32(r)}]++
 				} else {
-					recvs[key{op.Peer, int32(r), op.Tag}]++
+					recvs[key{op.Peer(), int32(r), op.Tag()}]++
 				}
 			}
 		}

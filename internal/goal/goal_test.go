@@ -35,8 +35,8 @@ func TestBuilderPaperExample(t *testing.T) {
 	if len(rp.Ops) != 4 {
 		t.Fatalf("ops=%d", len(rp.Ops))
 	}
-	if rp.Ops[2].CPU != 1 {
-		t.Fatalf("l3 cpu=%d, want 1", rp.Ops[2].CPU)
+	if rp.Ops[2].CPU() != 1 {
+		t.Fatalf("l3 cpu=%d, want 1", rp.Ops[2].CPU())
 	}
 	if got := rp.Requires.Of(3); len(got) != 2 {
 		t.Fatalf("l4 deps=%v", got)
@@ -184,7 +184,7 @@ r: recv 10b from 0
 	if s.NumRanks() != 2 || len(s.Ranks[0].Ops) != 4 {
 		t.Fatalf("parsed wrong shape: %+v", s.ComputeStats())
 	}
-	if s.Ranks[0].Ops[2].CPU != 1 {
+	if s.Ranks[0].Ops[2].CPU() != 1 {
 		t.Fatal("cpu attribute lost")
 	}
 	if len(s.Ranks[0].Requires.Of(3)) != 2 {
@@ -415,7 +415,7 @@ func TestBinarySmallerThanText(t *testing.T) {
 }
 
 func TestCalcDuration(t *testing.T) {
-	op := Op{Kind: KindCalc, Size: 100}
+	op := makeOp(KindCalc, 100, -1, 0, 0)
 	if op.CalcDuration(1.0) != 100000 {
 		t.Fatalf("CalcDuration(1.0)=%d ps", op.CalcDuration(1.0))
 	}

@@ -96,48 +96,9 @@ func ParseBinary(data []byte) (*Schedule, error) {
 			return nil, fmt.Errorf("goal: rank %d: op count %d exceeds remaining input (%d bytes)", r, nops, c.remaining())
 		}
 		rp.Ops = make([]Op, nops)
-		for i := 0; i < int(nops); i++ {
-			op := &rp.Ops[i]
-			flags, err := c.byte()
-			if err != nil {
-				return nil, fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
-			}
-			op.Kind = Kind(flags & 0x3)
-			sz, err := c.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("goal: rank %d op %d size: %w", r, i, err)
-			}
-			op.Size = int64(sz)
-			op.Peer = -1
-			if op.Kind != KindCalc {
-				peer, err := c.uvarint()
-				if err == nil && peer > math.MaxInt32 {
-					err = fmt.Errorf("%d out of range", peer)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("goal: rank %d op %d peer: %w", r, i, err)
-				}
-				op.Peer = int32(peer)
-				if flags&(1<<2) != 0 {
-					tag, err := c.varint()
-					if err == nil && int64(int32(tag)) != tag {
-						err = fmt.Errorf("%d out of range", tag)
-					}
-					if err != nil {
-						return nil, fmt.Errorf("goal: rank %d op %d tag: %w", r, i, err)
-					}
-					op.Tag = int32(tag)
-				}
-			}
-			if flags&(1<<3) != 0 {
-				cpu, err := c.uvarint()
-				if err == nil && cpu > math.MaxInt32 {
-					err = fmt.Errorf("%d out of range", cpu)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
-				}
-				op.CPU = int32(cpu)
+		for i := range rp.Ops {
+			if rp.Ops[i], err = parseOp(c); err != nil {
+				return nil, fmt.Errorf("goal: rank %d op %d %w", r, i, err)
 			}
 		}
 		if rp.Requires, err = parseDeps(c, int(nops)); err != nil {
@@ -151,6 +112,64 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// parseOp decodes one op. A value the packed form cannot hold is refused
+// here. Every error starts with the field it is about.
+func parseOp(c *byteCursor) (Op, error) {
+	flags, err := c.byte()
+	if err != nil {
+		return Op{}, fmt.Errorf("kind: %w", err)
+	}
+	kind := Kind(flags & 0x3)
+	if kind > KindRecv {
+		return Op{}, fmt.Errorf("kind: %w", fieldKind.err(kind, int64(kind)))
+	}
+	sz, err := c.uvarint()
+	if err == nil && sz > math.MaxInt64 {
+		err = fmt.Errorf("%d out of range", sz)
+	}
+	if err == nil {
+		err = checkOp(kind, int64(sz), 0)
+	}
+	if err != nil {
+		return Op{}, fmt.Errorf("size: %w", err)
+	}
+	peer, tag, cpu := int32(-1), int32(0), int32(0)
+	if kind != KindCalc {
+		p, err := c.uvarint()
+		if err == nil && p > math.MaxInt32 {
+			err = fmt.Errorf("%d out of range", p)
+		}
+		if err != nil {
+			return Op{}, fmt.Errorf("peer: %w", err)
+		}
+		peer = int32(p)
+		if flags&(1<<2) != 0 {
+			t, err := c.varint()
+			if err == nil && int64(int32(t)) != t {
+				err = fmt.Errorf("%d out of range", t)
+			}
+			if err != nil {
+				return Op{}, fmt.Errorf("tag: %w", err)
+			}
+			tag = int32(t)
+		}
+	}
+	if flags&(1<<3) != 0 {
+		v, err := c.uvarint()
+		if err == nil && v > math.MaxInt32 {
+			err = fmt.Errorf("%d out of range", v)
+		}
+		if err == nil {
+			err = checkOp(kind, int64(sz), int32(v))
+		}
+		if err != nil {
+			return Op{}, fmt.Errorf("cpu: %w", err)
+		}
+		cpu = int32(v)
+	}
+	return makeOp(kind, int64(sz), peer, tag, cpu), nil
 }
 
 // parseDeps decodes one dependency table in two passes over the same

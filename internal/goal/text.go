@@ -42,18 +42,17 @@ func WriteText(w io.Writer, s *Schedule) error {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		fmt.Fprintf(bw, "rank %d {\n", r)
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
-			switch op.Kind {
+		for i, op := range rp.Ops {
+			switch op.Kind() {
 			case KindCalc:
-				fmt.Fprintf(bw, "l%d: calc %d", i+1, op.Size)
+				fmt.Fprintf(bw, "l%d: calc %d", i+1, op.Size())
 			case KindSend:
-				fmt.Fprintf(bw, "l%d: send %db to %d tag %d", i+1, op.Size, op.Peer, op.Tag)
+				fmt.Fprintf(bw, "l%d: send %db to %d tag %d", i+1, op.Size(), op.Peer(), op.Tag())
 			case KindRecv:
-				fmt.Fprintf(bw, "l%d: recv %db from %d tag %d", i+1, op.Size, op.Peer, op.Tag)
+				fmt.Fprintf(bw, "l%d: recv %db from %d tag %d", i+1, op.Size(), op.Peer(), op.Tag())
 			}
-			if op.CPU != 0 {
-				fmt.Fprintf(bw, " cpu %d", op.CPU)
+			if cpu := op.CPU(); cpu != 0 {
+				fmt.Fprintf(bw, " cpu %d", cpu)
 			}
 			bw.WriteByte('\n')
 		}
@@ -268,6 +267,9 @@ func (p *textParser) parseOp(fields []string) (OpID, error) {
 		default:
 			return 0, fmt.Errorf("unknown attribute %q", fields[0])
 		}
+	}
+	if err := checkOp(kind, size, cpu); err != nil {
+		return 0, err
 	}
 	switch kind {
 	case KindCalc:

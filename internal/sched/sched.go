@@ -55,15 +55,14 @@ type Result struct {
 
 // The simulated clock is an int64 count of picoseconds, about 106 days.
 // Run refuses, before any event is scheduled, a schedule that could carry
-// a backend's arithmetic past it: one op alone (a 2^55-byte send times a
-// per-byte gap, a 2^63-1 ns calc times 1000 ps) or the sum of all of them
-// down one dependency chain. Backends therefore only ever see non-negative
-// durations and times that add without wrapping — which the FIFO order of
-// their completion queues relies on — and a hostile GOAL file is an error
-// from Run, not a panic out of Engine.Schedule or a wrapped-around runtime.
+// a backend's arithmetic past it: one op alone (a 2^63-1 ns calc times
+// 1000 ps) or the sum of all of them down one dependency chain. A message
+// is at most 1 TiB, which Validate enforces, so one message alone cannot.
+// Backends therefore only ever see non-negative durations and times that
+// add without wrapping — which the FIFO order of their completion queues
+// relies on — and a hostile GOAL file is an error, not a panic out of
+// Engine.Schedule or a wrapped-around runtime.
 const (
-	// maxMessageBytes bounds one send or receive (1 TiB).
-	maxMessageBytes = 1 << 40
 	// horizon bounds the simulated time a schedule may ask for (about 53
 	// days): every scaled calc duration plus every message byte at
 	// nominalPsPerByte. It is half the clock's range; the other half is
@@ -80,20 +79,17 @@ const (
 
 // charge adds op's demand on the simulated clock to *budget and reports an
 // error if the op alone or the running sum is out of range.
-func charge(budget *simtime.Duration, rank, i int, op *goal.Op, scale float64) error {
+func charge(budget *simtime.Duration, rank, i int, op goal.Op, scale float64) error {
 	var d simtime.Duration
-	if op.Kind == goal.KindCalc {
+	if op.Kind() == goal.KindCalc {
 		// Compared as float64 nanoseconds: CalcDuration's own ns -> ps
 		// conversion is what overflows.
-		if ns := float64(op.Size) * scale; !(ns <= horizon.Nanoseconds()) {
-			return fmt.Errorf("sched: rank %d op %d: calc of %d ns (scale %g) is beyond the simulated clock's range (%v)", rank, i, op.Size, scale, horizon)
+		if ns := float64(op.Size()) * scale; !(ns <= horizon.Nanoseconds()) {
+			return fmt.Errorf("sched: rank %d op %d: calc of %d ns (scale %g) is beyond the simulated clock's range (%v)", rank, i, op.Size(), scale, horizon)
 		}
 		d = op.CalcDuration(scale)
 	} else {
-		if op.Size > maxMessageBytes {
-			return fmt.Errorf("sched: rank %d op %d: %s of %d bytes exceeds the %d-byte message bound", rank, i, op.Kind, op.Size, int64(maxMessageBytes))
-		}
-		d = simtime.Duration(op.Size) * nominalPsPerByte
+		d = simtime.Duration(op.Size()) * nominalPsPerByte
 	}
 	if *budget += d; *budget > horizon {
 		return fmt.Errorf("sched: schedule asks for more simulated time than the clock holds (%v of calcs and message bytes by rank %d op %d)", horizon, rank, i)
@@ -186,7 +182,7 @@ func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts 
 		n := len(rp.Ops)
 		st.reset(rp)
 		for i := 0; i < n; i++ {
-			if err := charge(&budget, rank, i, &rp.Ops[i], scale); err != nil {
+			if err := charge(&budget, rank, i, rp.Ops[i], scale); err != nil {
 				return nil, err
 			}
 			st.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
@@ -247,15 +243,15 @@ func (r *runner) issue(rank int, op int32) {
 			}
 		}
 	}
-	o := &r.s.Ranks[rank].Ops[op]
+	o := r.s.Ranks[rank].Ops[op]
 	h := core.MakeHandle(rank, op)
-	switch o.Kind {
+	switch o.Kind() {
 	case goal.KindCalc:
-		r.be.Calc(core.CalcEvent{Handle: h, Rank: rank, CPU: o.CPU, Duration: o.CalcDuration(r.scale)})
+		r.be.Calc(core.CalcEvent{Handle: h, Rank: rank, CPU: o.CPU(), Duration: o.CalcDuration(r.scale)})
 	case goal.KindSend:
-		r.be.Send(core.SendEvent{Handle: h, Src: rank, Dst: int(o.Peer), Size: o.Size, Tag: o.Tag, CPU: o.CPU})
+		r.be.Send(core.SendEvent{Handle: h, Src: rank, Dst: int(o.Peer()), Size: o.Size(), Tag: o.Tag(), CPU: o.CPU()})
 	case goal.KindRecv:
-		r.be.Recv(core.RecvEvent{Handle: h, Dst: rank, Src: int(o.Peer), Size: o.Size, Tag: o.Tag, CPU: o.CPU})
+		r.be.Recv(core.RecvEvent{Handle: h, Dst: rank, Src: int(o.Peer()), Size: o.Size(), Tag: o.Tag(), CPU: o.CPU()})
 	}
 }
 
@@ -268,7 +264,7 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	}
 	st.completed[op] = true
 	st.outstanding--
-	st.done[r.s.Ranks[rank].Ops[op].Kind]++
+	st.done[r.s.Ranks[rank].Ops[op].Kind()]++
 	if at > st.end {
 		st.end = at
 	}

@@ -428,17 +428,17 @@ func (quietBackend) Calc(core.CalcEvent)                              {}
 // layout: the bytes allocated to decode a binary schedule and run it, per
 // GOAL op, on a fixed 64-rank chain-heavy schedule, in a first run (a warm
 // process reuses everything but the decode: sim.TestWarmRunAllocs). The count is exact
-// for a given toolchain (one goroutine); the ceiling sits about 8% above
-// it: 99.7 B/op measured with the engine's event slab grown to the
-// pending peak (181 slots), LGS's completions on stream rings, one
-// recycled record per message, one dependency counter per op and neither
-// an offset array nor a successor table for the schedule's empty
-// `irequires` side, against 104.1 with that offset array, 111.8
-// with the event heap reserved for the seeding burst (this schedule
-// pre-posts its 20 000 receives: 20 064 slots), 169.9 with a closure per
-// LGS event and two counters per op, 185.8 with one heap slot reserved per
-// op on top of that, and 319.5 with [][]int32 tables and a second
-// inversion inside Validate.
+// for a given toolchain (one goroutine); the ceiling sits about 3% above
+// it: 91.3 B/op measured with 16-byte packed ops, the engine's event slab
+// grown to the pending peak (181 slots), LGS's completions on stream
+// rings, one recycled record per message, one dependency counter per op
+// and neither an offset array nor a successor table for the schedule's
+// empty `irequires` side, against 99.7 with 24-byte ops, 104.1 with that
+// offset array, 111.8 with the event heap reserved for the seeding burst
+// (this schedule pre-posts its 20 000 receives: 20 064 slots), 169.9 with
+// a closure per LGS event and two counters per op, 185.8 with one heap
+// slot reserved per op on top of that, and 319.5 with [][]int32 tables and
+// a second inversion inside Validate.
 func TestDecodeAndRunBytesPerOp(t *testing.T) {
 	s := micro.UniformRandom(64, 20_000, 4096, 7)
 	var bin bytes.Buffer
@@ -459,7 +459,7 @@ func TestDecodeAndRunBytesPerOp(t *testing.T) {
 	}
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 	t.Logf("%.1f B/op over %d ops", perOp, ops)
-	if perOp > 108 {
-		t.Fatalf("decode + run allocated %.1f B per op, ceiling 108", perOp)
+	if perOp > 94 {
+		t.Fatalf("decode + run allocated %.1f B per op, ceiling 94", perOp)
 	}
 }

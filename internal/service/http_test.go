@@ -710,15 +710,21 @@ func TestHTTPSweepRejectsMalformedDocuments(t *testing.T) {
 // whose one op overflows the simulated clock used to panic inside the
 // engine, and nothing on the run path recovers — one request ended the
 // process. It must come back as a failed run, on every backend, and the
-// next request must be served.
+// next request must be served. A message over 1 TiB, which the scheduler
+// used to refuse, is refused with the request (400) now: GOAL's decoder
+// does not read it.
 func TestHTTPOutOfRangeGoalFailsTheRunNotTheDaemon(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1})
-	for _, text := range []string{
-		"num_ranks 2\nrank 0 {\nl1: send 51240955760304320b to 1 tag 0\n}\nrank 1 {\nl1: recv 51240955760304320b from 0 tag 0\n}\n",
-		"num_ranks 1\nrank 0 {\nl1: calc 9223372036854775807\n}\n",
+	for _, tc := range []struct {
+		text, want string
+		status     int
+	}{
+		{"num_ranks 2\nrank 0 {\nl1: send 51240955760304320b to 1 tag 0\n}\nrank 1 {\nl1: recv 51240955760304320b from 0 tag 0\n}\n",
+			"send size 51240955760304320 exceeds the 1099511627776-byte message bound", http.StatusBadRequest},
+		{"num_ranks 1\nrank 0 {\nl1: calc 9223372036854775807\n}\n", "sched: ", http.StatusOK},
 	} {
 		for _, be := range []string{"lgs", "pkt", "fluid"} {
-			spec := sim.Spec{Workload: sim.Workload{GoalBytes: []byte(text)}, Backend: be}
+			spec := sim.Spec{Workload: sim.Workload{GoalBytes: []byte(tc.text)}, Backend: be}
 			if be == "lgs" {
 				spec.Config = sim.LGSConfig{Params: sim.HPCParams()}
 			}
@@ -726,9 +732,12 @@ func TestHTTPOutOfRangeGoalFailsTheRunNotTheDaemon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rr := postSpec(t, ts.URL, body)
-			if rr.Status != StatusFailed || !strings.Contains(rr.Error, "sched: ") {
-				t.Fatalf("%s: out-of-range op answered %+v, want a failed run carrying the scheduler's error", be, rr)
+			resp, rr := postSpec(t, ts.URL, body)
+			if resp.StatusCode != tc.status || rr.Status == StatusDone || !strings.Contains(rr.Error, tc.want) {
+				t.Fatalf("%s: out-of-range op answered %d %+v, want %d and an error carrying %q", be, resp.StatusCode, rr, tc.status, tc.want)
+			}
+			if tc.status == http.StatusOK && rr.Status != StatusFailed {
+				t.Fatalf("%s: out-of-range op answered %+v, want a failed run", be, rr)
 			}
 		}
 	}

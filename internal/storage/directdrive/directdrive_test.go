@@ -90,7 +90,7 @@ func TestWriteReplication(t *testing.T) {
 	for r := range s.Ranks {
 		for i := range s.Ranks[r].Ops {
 			op := s.Ranks[r].Ops[i]
-			if op.Kind == goal.KindSend && op.Size == 4096 {
+			if op.Kind() == goal.KindSend && op.Size() == 4096 {
 				dataSends++
 			}
 		}
@@ -112,7 +112,7 @@ func TestReadPath(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for j := range s.Ranks[l.BSSRank(i)].Ops {
 			op := s.Ranks[l.BSSRank(i)].Ops[j]
-			if op.Kind == goal.KindSend && op.Size == 16384 && op.Peer == int32(l.Host(0)) {
+			if op.Kind() == goal.KindSend && op.Size() == 16384 && op.Peer() == int32(l.Host(0)) {
 				found++
 				bss = int32(l.BSSRank(i))
 			}
@@ -140,8 +140,8 @@ func TestThinkTimeFromTimestamps(t *testing.T) {
 	var maxCalc int64
 	for i := range s.Ranks[l.Host(0)].Ops {
 		op := s.Ranks[l.Host(0)].Ops[i]
-		if op.Kind == goal.KindCalc && op.Size > maxCalc {
-			maxCalc = op.Size
+		if op.Kind() == goal.KindCalc && op.Size() > maxCalc {
+			maxCalc = op.Size()
 		}
 	}
 	if maxCalc < 900_000 || maxCalc > 1_100_000 {

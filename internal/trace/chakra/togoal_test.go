@@ -166,7 +166,7 @@ func TestToGOALP2POnly(t *testing.T) {
 	}
 	var found bool
 	for _, op := range s.Ranks[0].Ops {
-		if op.Kind == goal.KindSend && op.Size == 2048 && op.Peer == 1 && op.Tag == 3 {
+		if op.Kind() == goal.KindSend && op.Size() == 2048 && op.Peer() == 1 && op.Tag() == 3 {
 			found = true
 		}
 	}

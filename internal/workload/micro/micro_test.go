@@ -29,7 +29,7 @@ func TestIncast(t *testing.T) {
 	// all messages target rank 0
 	for r := 1; r < 9; r++ {
 		for i := range s.Ranks[r].Ops {
-			if op := s.Ranks[r].Ops[i]; op.Kind == goal.KindSend && op.Peer != 0 {
+			if op := s.Ranks[r].Ops[i]; op.Kind() == goal.KindSend && op.Peer() != 0 {
 				t.Fatal("incast send not to rank 0")
 			}
 		}
@@ -57,7 +57,7 @@ func TestPermutationIsDerangement(t *testing.T) {
 		for r := 0; r < m; r++ {
 			sends, recvs := 0, 0
 			for i := range s.Ranks[r].Ops {
-				switch s.Ranks[r].Ops[i].Kind {
+				switch s.Ranks[r].Ops[i].Kind() {
 				case goal.KindSend:
 					sends++
 				case goal.KindRecv:
@@ -79,7 +79,7 @@ func TestPermutationDeterministic(t *testing.T) {
 	a := Permutation(16, 100, 7)
 	b := Permutation(16, 100, 7)
 	for r := range a.Ranks {
-		if a.Ranks[r].Ops[0].Peer != b.Ranks[r].Ops[0].Peer {
+		if a.Ranks[r].Ops[0].Peer() != b.Ranks[r].Ops[0].Peer() {
 			t.Fatal("permutation not deterministic")
 		}
 	}

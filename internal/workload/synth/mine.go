@@ -61,19 +61,19 @@ func Mine(s *goal.Schedule, comment string) (*results.WorkloadModel, error) {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		totalOps += int64(len(rp.Ops))
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
-			switch op.Kind {
+		for _, op := range rp.Ops {
+			size := op.Size()
+			switch op.Kind() {
 			case goal.KindCalc:
-				calcs = append(calcs, op.Size)
-				calcByRank[r] += op.Size
-				totalCalc += op.Size
+				calcs = append(calcs, size)
+				calcByRank[r] += size
+				totalCalc += size
 			case goal.KindSend:
-				sizes = append(sizes, op.Size)
+				sizes = append(sizes, size)
 				sendByRank[r]++
-				totalBytes += op.Size
-				off := (int64(op.Peer) - int64(r) + int64(n)) % int64(n)
-				samples = append(samples, classSample{size: op.Size, off: off})
+				totalBytes += size
+				off := (int64(op.Peer()) - int64(r) + int64(n)) % int64(n)
+				samples = append(samples, classSample{size: size, off: off})
 			}
 		}
 	}

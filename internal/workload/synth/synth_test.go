@@ -188,10 +188,10 @@ func TestGenerateOffsetsScale(t *testing.T) {
 	}
 	for r := range g.Ranks {
 		for _, op := range g.Ranks[r].Ops {
-			if op.Kind != goal.KindSend {
+			if op.Kind() != goal.KindSend {
 				continue
 			}
-			off := (int64(op.Peer) - int64(r) + 1024) % 1024
+			off := (int64(op.Peer()) - int64(r) + 1024) % 1024
 			if off < 128 || off > 159 {
 				t.Fatalf("rank %d sends at offset %d, want [128,159] (scaled ring bin)", r, off)
 			}

@@ -397,7 +397,8 @@ func TestConcurrentRunsShareOneTopology(t *testing.T) {
 // "completes" 4 EiB in microseconds, a calc whose ns → ps conversion wraps —
 // or whose ops do so summed down one chain, is refused with an error on
 // every backend: never a panic out of Engine.Schedule, never a wrapped
-// runtime.
+// runtime. The sends are over GOAL's 1 TiB message bound, so the decoder
+// refuses them; the calcs reach the scheduler, which refuses them.
 func TestOutOfRangeOpsAreErrorsNotPanics(t *testing.T) {
 	ping := func(size string) string {
 		return "num_ranks 2\nrank 0 {\nl1: send " + size + "b to 1 tag 0\n}\nrank 1 {\nl1: recv " + size + "b from 0 tag 0\n}\n"
@@ -407,22 +408,23 @@ func TestOutOfRangeOpsAreErrorsNotPanics(t *testing.T) {
 		chain += fmt.Sprintf("l%d: calc 4000000000000000\nl%d requires l%d\n", i, i, i-1)
 	}
 	chain += "}\n"
-	for name, text := range map[string]string{
-		"send-overflows-negative": ping("51240955760304320"),
-		"send-wraps-to-zero":      ping("4611686018427387904"),
-		"calc-overflows-ns-to-ps": "num_ranks 1\nrank 0 {\nl1: calc 9223372036854775807\n}\n",
-		"calc-chain-sums-past":    chain,
+	const sizeErr, schedErr = "exceeds the 1099511627776-byte message bound", "sched: "
+	for name, tc := range map[string]struct{ text, want string }{
+		"send-overflows-negative": {ping("51240955760304320"), sizeErr},
+		"send-wraps-to-zero":      {ping("4611686018427387904"), sizeErr},
+		"calc-overflows-ns-to-ps": {"num_ranks 1\nrank 0 {\nl1: calc 9223372036854775807\n}\n", schedErr},
+		"calc-chain-sums-past":    {chain, schedErr},
 	} {
 		for _, be := range []string{"lgs", "pkt", "fluid"} {
-			spec := Spec{Workload: Workload{GoalBytes: []byte(text)}, Backend: be}
+			spec := Spec{Workload: Workload{GoalBytes: []byte(tc.text)}, Backend: be}
 			if be == "lgs" {
 				spec.Config = LGSConfig{Params: HPCParams()}
 			}
 			res, err := Run(context.Background(), spec)
 			if err == nil {
 				t.Errorf("%s on %s: ran to %v, want an error", name, be, res.Runtime)
-			} else if !strings.Contains(err.Error(), "sched: ") {
-				t.Errorf("%s on %s: %v, want the scheduler's range error", name, be, err)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s on %s: %v, want an error with %q", name, be, err, tc.want)
 			}
 		}
 	}
