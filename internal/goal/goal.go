@@ -21,6 +21,14 @@
 // textual format (paper Fig 3), and a compact binary codec used for
 // storage-efficiency comparisons against Chakra (paper Fig 9).
 //
+// An op is 16 bytes, two words read through accessor methods (the Op doc
+// comment has the bit layout). A calc holds any non-negative int64
+// nanoseconds and an int32 cpu. A send or receive holds 0 to 2^40 bytes
+// (1 TiB), a cpu of 0 to 2^21 − 2, and an int32 peer and tag. Both
+// decoders refuse any other value where they read it, naming the field,
+// and an op the Builder is given with such a value is one that Validate
+// refuses.
+//
 // Dependency edges have one in-memory layout, Deps: a flat offset array
 // plus a flat edge array per table, both pointer-free. The builder and
 // both decoders produce it, Compose copies it; Validate, the codecs,
@@ -124,10 +132,10 @@ func (s *Schedule) ComputeStats() Stats {
 	return st
 }
 
-// Validate checks structural invariants: every op one the packed form
-// holds (see Op: sizes non-negative, messages within 1 TiB and on a cpu the
-// layout holds), calc cpus non-negative, peer ranks in range, dependency
-// indices in range, and per-rank acyclicity over
+// Validate checks structural invariants: no op in the reserved form of
+// values the packed layout cannot hold (see Op: a negative size, a message
+// over 1 TiB or on a cpu beyond it), calc cpus non-negative, peer ranks in
+// range, dependency indices in range, and per-rank acyclicity over
 // requires+irequires edges. It returns the first violation found. The
 // acyclicity check works in arrays kept from one call to the next, so
 // validating a schedule no larger than one validated before allocates
@@ -147,8 +155,8 @@ func (s *Schedule) Validate() error {
 		// looking further.
 		ordered := true
 		for i, op := range rp.Ops {
-			if err := op.heldErr(); err != nil {
-				return fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
+			if !op.held() {
+				return fmt.Errorf("goal: rank %d op %d: %w", r, i, op.unheldErr())
 			}
 			if op.isCalc() {
 				if cpu := op.CPU(); cpu < 0 {

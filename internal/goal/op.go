@@ -115,6 +115,11 @@ func makeOp(k Kind, size int64, peer, tag, cpu int32) Op {
 	if f, v := unheld(k, size, cpu); f != fieldNone {
 		return Op{w1: unheldMark | uint64(f)<<2 | uint64(k&3), w2: uint64(v)}
 	}
+	return pack(k, size, peer, tag, cpu)
+}
+
+// pack packs an op whose values it holds (unheld finds none).
+func pack(k Kind, size int64, peer, tag, cpu int32) Op {
 	if k == KindCalc {
 		return Op{w1: uint64(size), w2: uint64(uint32(cpu))}
 	}
@@ -188,11 +193,12 @@ func (o Op) CalcDuration(scale float64) simtime.Duration {
 	return simtime.FromNanosF(float64(o.Size()) * scale)
 }
 
-// heldErr is nil for an op the packed form holds, and otherwise the error
-// naming the field that Validate reports.
-func (o Op) heldErr() error {
-	if o.w1&unheldMark != unheldMark {
-		return nil
-	}
+// held reports whether o is an op, not the reserved form of values the
+// packed form cannot hold.
+func (o Op) held() bool { return o.w1&unheldMark != unheldMark }
+
+// unheldErr is the error naming the field an op in the reserved form
+// could not hold.
+func (o Op) unheldErr() error {
 	return opField(o.w1>>2&3).err(Kind(o.w1&3), int64(o.w2))
 }

@@ -139,8 +139,8 @@ func FuzzOpMatchesFields(f *testing.F) {
 			op.Peer, op.Tag = -1, 0
 		}
 		refuse := op.Size < 0 || op.Kind > KindRecv || op.beyondPacked() || op.Kind != KindCalc && op.CPU < 0
-		if err := packed.heldErr(); refuse != (err != nil) {
-			t.Fatalf("%+v packed with error %v, want refused %v", op, err, refuse)
+		if refuse == packed.held() {
+			t.Fatalf("%+v packed as held %v, want refused %v", op, packed.held(), refuse)
 		}
 		if !refuse && fieldsOf(packed) != op {
 			t.Fatalf("%+v packed reads back %+v", op, fieldsOf(packed))

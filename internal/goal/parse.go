@@ -61,7 +61,8 @@ func (c *byteCursor) byte() (byte, error) {
 
 // ParseBinary decodes a schedule from an in-memory compact binary buffer
 // and validates it, allocating each rank's ops and dependency tables
-// exactly once. data is read in place and not retained.
+// exactly once. data is read in place and not retained. A value an Op
+// cannot hold (see Op) is refused where it is read, naming its field.
 func ParseBinary(data []byte) (*Schedule, error) {
 	if !IsBinary(data) {
 		n := len(data)
@@ -97,9 +98,61 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		}
 		rp.Ops = make([]Op, nops)
 		for i := range rp.Ops {
-			if rp.Ops[i], err = parseOp(c); err != nil {
-				return nil, fmt.Errorf("goal: rank %d op %d %w", r, i, err)
+			flags, err := c.byte()
+			if err != nil {
+				return nil, fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
 			}
+			kind := Kind(flags & 0x3)
+			if kind > KindRecv {
+				return nil, fmt.Errorf("goal: rank %d op %d kind: %w", r, i, fieldKind.err(kind, int64(kind)))
+			}
+			msg := kind != KindCalc
+			sz, err := c.uvarint()
+			switch {
+			case err != nil:
+			case sz > math.MaxInt64:
+				err = fmt.Errorf("%d out of range", sz)
+			case msg && sz > maxMessageBytes:
+				err = fieldSize.err(kind, int64(sz))
+			}
+			if err != nil {
+				return nil, fmt.Errorf("goal: rank %d op %d size: %w", r, i, err)
+			}
+			peer, tag, cpu := int32(-1), int32(0), uint64(0)
+			if msg {
+				p, err := c.uvarint()
+				if err == nil && p > math.MaxInt32 {
+					err = fmt.Errorf("%d out of range", p)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("goal: rank %d op %d peer: %w", r, i, err)
+				}
+				peer = int32(p)
+				if flags&(1<<2) != 0 {
+					t, err := c.varint()
+					if err == nil && int64(int32(t)) != t {
+						err = fmt.Errorf("%d out of range", t)
+					}
+					if err != nil {
+						return nil, fmt.Errorf("goal: rank %d op %d tag: %w", r, i, err)
+					}
+					tag = int32(t)
+				}
+			}
+			if flags&(1<<3) != 0 {
+				cpu, err = c.uvarint()
+				switch {
+				case err != nil:
+				case cpu > math.MaxInt32:
+					err = fmt.Errorf("%d out of range", cpu)
+				case msg && cpu > maxMessageCPU:
+					err = fieldCPU.err(kind, int64(cpu))
+				}
+				if err != nil {
+					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
+				}
+			}
+			rp.Ops[i] = pack(kind, int64(sz), peer, tag, int32(cpu))
 		}
 		if rp.Requires, err = parseDeps(c, int(nops)); err != nil {
 			return nil, fmt.Errorf("goal: rank %d requires: %w", r, err)
@@ -112,64 +165,6 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// parseOp decodes one op. A value the packed form cannot hold is refused
-// here. Every error starts with the field it is about.
-func parseOp(c *byteCursor) (Op, error) {
-	flags, err := c.byte()
-	if err != nil {
-		return Op{}, fmt.Errorf("kind: %w", err)
-	}
-	kind := Kind(flags & 0x3)
-	if kind > KindRecv {
-		return Op{}, fmt.Errorf("kind: %w", fieldKind.err(kind, int64(kind)))
-	}
-	sz, err := c.uvarint()
-	if err == nil && sz > math.MaxInt64 {
-		err = fmt.Errorf("%d out of range", sz)
-	}
-	if err == nil {
-		err = checkOp(kind, int64(sz), 0)
-	}
-	if err != nil {
-		return Op{}, fmt.Errorf("size: %w", err)
-	}
-	peer, tag, cpu := int32(-1), int32(0), int32(0)
-	if kind != KindCalc {
-		p, err := c.uvarint()
-		if err == nil && p > math.MaxInt32 {
-			err = fmt.Errorf("%d out of range", p)
-		}
-		if err != nil {
-			return Op{}, fmt.Errorf("peer: %w", err)
-		}
-		peer = int32(p)
-		if flags&(1<<2) != 0 {
-			t, err := c.varint()
-			if err == nil && int64(int32(t)) != t {
-				err = fmt.Errorf("%d out of range", t)
-			}
-			if err != nil {
-				return Op{}, fmt.Errorf("tag: %w", err)
-			}
-			tag = int32(t)
-		}
-	}
-	if flags&(1<<3) != 0 {
-		v, err := c.uvarint()
-		if err == nil && v > math.MaxInt32 {
-			err = fmt.Errorf("%d out of range", v)
-		}
-		if err == nil {
-			err = checkOp(kind, int64(sz), int32(v))
-		}
-		if err != nil {
-			return Op{}, fmt.Errorf("cpu: %w", err)
-		}
-		cpu = int32(v)
-	}
-	return makeOp(kind, int64(sz), peer, tag, cpu), nil
 }
 
 // parseDeps decodes one dependency table in two passes over the same
