@@ -22,8 +22,8 @@ import (
 //	               maxMessageBytes)
 //	           w2: peer as an int32 in bits 0-31, tag as an int32 in 32-63
 //
-// The one cpu code above maxMessageCPU marks an op the packed form cannot
-// hold: a negative size, a message over maxMessageBytes or on a cpu
+// The one cpu code above maxMessageCPU marks the reserved form, which
+// stands for an op the packed form cannot hold: a negative size, a message over maxMessageBytes or on a cpu
 // outside [0, maxMessageCPU], or a kind other than the three. The two
 // decoders refuse such values where they read them; the Builder stores
 // them in that reserved form (w1 keeps which field and the kind, w2 the
@@ -47,8 +47,8 @@ const (
 	cpuShift = 41
 	cpuMask  = 1<<21 - 1
 	sizeMask = 1<<cpuShift - 1
-	// unheldMark is w1's message bit and reserved cpu code: the op is a
-	// field the packed form cannot hold.
+	// unheldMark is w1's message bit and reserved cpu code, which mark
+	// the reserved form.
 	unheldMark = msgBit | cpuMask<<cpuShift
 )
 
@@ -63,9 +63,10 @@ const (
 )
 
 // unheld reports the first field of an op of kind k, size and cpu that an
-// Op cannot hold, and its value; fieldNone when it holds them all. A
-// negative size or cpu comes before a bound, and within each the size
-// before the cpu, which is the order Validate has always reported them in.
+// Op cannot hold, and its value; fieldNone when it holds them all. After
+// an unknown kind, a negative size or cpu comes before a bound, and within
+// each the size before the cpu: the order Validate has always reported
+// them in.
 func unheld(k Kind, size int64, cpu int32) (opField, int64) {
 	msg := k != KindCalc
 	switch {
@@ -97,16 +98,6 @@ func (f opField) err(k Kind, v int64) error {
 	default:
 		return fmt.Errorf("%s cpu %d exceeds the largest message cpu %d", k, v, maxMessageCPU)
 	}
-}
-
-// checkOp is nil when an Op holds an op of kind k, size and cpu, and
-// otherwise the error naming the field it cannot hold: what the decoders
-// refuse as they read.
-func checkOp(k Kind, size int64, cpu int32) error {
-	if f, v := unheld(k, size, cpu); f != fieldNone {
-		return f.err(k, v)
-	}
-	return nil
 }
 
 // makeOp packs an op. Values it cannot hold give the reserved form, which

@@ -268,8 +268,8 @@ func (p *textParser) parseOp(fields []string) (OpID, error) {
 			return 0, fmt.Errorf("unknown attribute %q", fields[0])
 		}
 	}
-	if err := checkOp(kind, size, cpu); err != nil {
-		return 0, err
+	if f, v := unheld(kind, size, cpu); f != fieldNone {
+		return 0, f.err(kind, v)
 	}
 	switch kind {
 	case KindCalc:
