@@ -107,15 +107,15 @@ func ParseBinary(data []byte) (*Schedule, error) {
 				return nil, fmt.Errorf("goal: rank %d op %d kind: %w", r, i, fieldKind.err(kind, int64(kind)))
 			}
 			msg := kind != KindCalc
-			sz, err := c.uvarint()
-			switch {
-			case err != nil:
-			case sz > math.MaxInt64:
-				err = fmt.Errorf("%d out of range", sz)
-			case msg && sz > maxMessageBytes:
-				err = fieldSize.err(kind, int64(sz))
+			maxSize, maxCPU := uint64(math.MaxInt64), uint64(math.MaxInt32)
+			if msg {
+				maxSize, maxCPU = maxMessageBytes, maxMessageCPU
 			}
-			if err != nil {
+			sz, err := c.uvarint()
+			if err != nil || sz > maxSize {
+				if err == nil {
+					err = rangeErr(kind, fieldSize, sz)
+				}
 				return nil, fmt.Errorf("goal: rank %d op %d size: %w", r, i, err)
 			}
 			peer, tag, cpu := int32(-1), int32(0), uint64(0)
@@ -141,14 +141,10 @@ func ParseBinary(data []byte) (*Schedule, error) {
 			}
 			if flags&(1<<3) != 0 {
 				cpu, err = c.uvarint()
-				switch {
-				case err != nil:
-				case cpu > math.MaxInt32:
-					err = fmt.Errorf("%d out of range", cpu)
-				case msg && cpu > maxMessageCPU:
-					err = fieldCPU.err(kind, int64(cpu))
-				}
-				if err != nil {
+				if err != nil || cpu > maxCPU {
+					if err == nil {
+						err = rangeErr(kind, fieldCPU, cpu)
+					}
 					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
 				}
 			}
@@ -165,6 +161,16 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// rangeErr describes a decoded value v of field f that an op of kind k
+// cannot hold: beyond int64 (a size) or int32 (a cpu), or beyond a
+// message's bound.
+func rangeErr(k Kind, f opField, v uint64) error {
+	if v > math.MaxInt64 || f == fieldCPU && v > math.MaxInt32 {
+		return fmt.Errorf("%d out of range", v)
+	}
+	return f.err(k, int64(v))
 }
 
 // parseDeps decodes one dependency table in two passes over the same
