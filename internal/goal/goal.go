@@ -133,10 +133,10 @@ func (s *Schedule) ComputeStats() Stats {
 }
 
 // Validate checks structural invariants: no op in the reserved form of
-// values the packed layout cannot hold (see Op: a negative size, a message
-// over 1 TiB or on a cpu beyond it), calc cpus non-negative, peer ranks in
-// range, dependency indices in range, and per-rank acyclicity over
-// requires+irequires edges. It returns the first violation found. The
+// values the packed layout cannot hold (see Op: a negative size, a
+// message over 1 TiB or on a cpu above 2^21 − 2), calc cpus non-negative,
+// peer ranks in range, dependency indices in range, and per-rank
+// acyclicity over requires+irequires edges. It returns the first violation found. The
 // acyclicity check works in arrays kept from one call to the next, so
 // validating a schedule no larger than one validated before allocates
 // nothing, whoever calls it.

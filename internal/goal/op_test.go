@@ -149,12 +149,10 @@ func FuzzOpMatchesFields(f *testing.F) {
 	})
 }
 
-// TestMessageBoundsRefused: the two refusals the packed layout adds. A
-// message over 1 TiB, which only the scheduler refused before, and a
-// message on a cpu of 2^21 − 1 or more, which nothing refused, are refused
-// by the Builder with Validate, by ParseBinary and by ParseText, each
-// error naming the field; the largest message on the largest cpu is
-// still accepted.
+// TestMessageBoundsRefused: a message over 1 TiB and a message on a cpu
+// of 2^21 − 1 or more are refused by the Builder with Validate, by
+// ParseBinary and by ParseText, each error naming the field; the largest
+// message on the largest cpu is accepted.
 func TestMessageBoundsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		op    refOp

@@ -710,9 +710,8 @@ func TestHTTPSweepRejectsMalformedDocuments(t *testing.T) {
 // whose one op overflows the simulated clock used to panic inside the
 // engine, and nothing on the run path recovers — one request ended the
 // process. It must come back as a failed run, on every backend, and the
-// next request must be served. A message over 1 TiB, which the scheduler
-// used to refuse, is refused with the request (400) now: GOAL's decoder
-// does not read it.
+// next request must be served. A message over 1 TiB is refused with the
+// request (400): GOAL's decoder does not read it.
 func TestHTTPOutOfRangeGoalFailsTheRunNotTheDaemon(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1})
 	for _, tc := range []struct {
