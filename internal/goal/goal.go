@@ -136,10 +136,10 @@ func (s *Schedule) ComputeStats() Stats {
 // values the packed layout cannot hold (see Op: a negative size, a
 // message over 1 TiB or on a cpu above 2^21 − 2), calc cpus non-negative,
 // peer ranks in range, dependency indices in range, and per-rank
-// acyclicity over requires+irequires edges. It returns the first violation found. The
-// acyclicity check works in arrays kept from one call to the next, so
-// validating a schedule no larger than one validated before allocates
-// nothing, whoever calls it.
+// acyclicity over requires+irequires edges. It returns the first
+// violation found. The acyclicity check works in arrays kept from one
+// call to the next, so validating a schedule no larger than one validated
+// before allocates nothing, whoever calls it.
 func (s *Schedule) Validate() error {
 	n := int32(s.NumRanks())
 	for r := range s.Ranks {

@@ -23,13 +23,13 @@ import (
 //	           w2: peer as an int32 in bits 0-31, tag as an int32 in 32-63
 //
 // The one cpu code above maxMessageCPU marks the reserved form, which
-// stands for an op the packed form cannot hold: a negative size, a message over maxMessageBytes or on a cpu
-// outside [0, maxMessageCPU], or a kind other than the three. The two
-// decoders refuse such values where they read them; the Builder stores
-// them in that reserved form (w1 keeps which field and the kind, w2 the
-// value) and Validate refuses the op, naming the field. Ops are built by
-// the RankBuilder methods and the decoders, and read through the accessor
-// methods.
+// stands for an op the packed form cannot hold: a negative size, a
+// message over maxMessageBytes or on a cpu outside [0, maxMessageCPU], or
+// a kind other than the three. The two decoders refuse such values where
+// they read them; the Builder stores them in the reserved form (w1 keeps
+// which field and the kind, w2 the value) and Validate refuses the op,
+// naming the field. Ops are built by the RankBuilder methods, the
+// decoders and Compose (WithPeer), and read through the accessor methods.
 type Op struct {
 	w1, w2 uint64
 }
