@@ -488,9 +488,6 @@ func (consoleObserver) RunStarted(info sim.RunInfo) {
 	st := info.Stats
 	fmt.Printf("schedule: %d ranks, %d ops (%d sends, %d recvs, %d calcs), %.2f MiB on the wire\n",
 		st.Ranks, st.Ops, st.Sends, st.Recvs, st.Calcs, float64(st.SendBytes)/(1<<20))
-	if info.Parallel {
-		fmt.Printf("engine: parallel, %d workers\n", info.Workers)
-	}
 }
 
 func (consoleObserver) Progress(ev sim.ProgressEvent) {

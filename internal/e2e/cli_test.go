@@ -285,8 +285,9 @@ func TestCLIRefusesIgnoredFlags(t *testing.T) {
 
 // TestNoWorkersFlag: neither atlahs nor atlahsd has a -workers flag, so
 // asking for one is a usage error (exit 2), not a silent serial run. A
-// spec file's "workers" still decodes and runs, with the runtime of the
-// same spec without it.
+// spec file's "workers" still decodes and runs, serially, since atlahs
+// watches every run it makes, with the runtime of the same spec without
+// it.
 func TestNoWorkersFlag(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -325,8 +326,8 @@ func TestNoWorkersFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := replay(t, "-spec", specPath)
-		if res.Parallel != (workers == 2) {
-			t.Errorf("spec with workers %d ran parallel=%v", workers, res.Parallel)
+		if res.Parallel || res.Workers != 1 {
+			t.Errorf("spec with workers %d ran parallel=%v on %d workers, want serial", workers, res.Parallel, res.Workers)
 		}
 		runtimePs[workers] = res.RuntimePs
 	}

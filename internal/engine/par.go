@@ -81,7 +81,6 @@ type ParEngine struct {
 	lookahead simtime.Duration
 	lanes     []*lane
 	running   bool
-	stop      atomic.Bool
 	now       simtime.Time
 	// stats accumulates the coordinator-side window counters (see
 	// RunStats); all writes happen on the coordinating goroutine.
@@ -248,30 +247,13 @@ func (p *ParEngine) EventsProcessed() uint64 {
 	return n
 }
 
-// Stop makes Run return after the events currently executing complete.
-func (p *ParEngine) Stop() { p.stop.Store(true) }
-
-// Reset discards all pending events and rewinds every lane to time zero.
-func (p *ParEngine) Reset() {
-	for _, l := range p.lanes {
-		l.now, l.seq, l.processed = 0, 0, 0
-		l.queue = l.queue[:0]
-		l.out = l.out[:0]
-	}
-	p.now = 0
-	p.stats = RunStats{}
-	p.stop.Store(false)
-}
-
 // Run implements Sim: windowed conservative parallel execution until every
-// lane drains or Stop is called. Returns the time of the last executed
-// event. Worker goroutines are spawned once here and fed windows through a
+// lane drains. Returns the time of the last executed event. Worker goroutines are spawned once here and fed windows through a
 // channel, rather than spawned per window: long simulations with a small
 // lookahead execute many thousands of windows, and the per-window
 // spawn/join overhead was measurable (see BenchmarkParEngineVsSerial).
 func (p *ParEngine) Run() simtime.Time {
 	p.running = true
-	p.stop.Store(false)
 	defer func() { p.running = false }()
 	var pool *winPool
 	if p.workers > 1 && len(p.lanes) > 1 {
@@ -279,7 +261,7 @@ func (p *ParEngine) Run() simtime.Time {
 		defer pool.close()
 	}
 	active := make([]*lane, 0, len(p.lanes))
-	for !p.stop.Load() {
+	for {
 		// The window base is the earliest pending event anywhere; every
 		// event executed this window is >= T, so cross-lane events (>= its
 		// lane's now + lookahead) land at or beyond the window end. The
@@ -487,7 +469,7 @@ func (wp *winPool) close() { close(wp.jobs) }
 
 // runTo executes the lane's events with timestamps strictly before end.
 func (l *lane) runTo(end simtime.Time) {
-	for len(l.queue) > 0 && l.queue[0].at < end && !l.eng.stop.Load() {
+	for len(l.queue) > 0 && l.queue[0].at < end {
 		ev := l.queue.pop()
 		l.now = ev.at
 		l.processed++

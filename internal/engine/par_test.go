@@ -3,8 +3,9 @@ package engine
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
+	"runtime"
 	"testing"
+	"time"
 
 	"atlahs/internal/simtime"
 )
@@ -157,29 +158,24 @@ func TestParEngineRethrowsWorkerPanic(t *testing.T) {
 	}
 }
 
-func TestParEngineStopAndReset(t *testing.T) {
-	eng := NewParallel(4, 4, simtime.Microsecond)
-	var fired atomic.Int64
-	for l := 0; l < 4; l++ {
-		ln := eng.Lane(l)
-		ln.Schedule(0, func() {
-			fired.Add(1)
-			eng.Stop()
-		})
-		ln.Schedule(simtime.Time(simtime.Second), func() { fired.Add(1) })
+// TestParEngineWorkerPoolExits: the worker pool Run starts for a window
+// it dispatches is gone once Run returns. Eight lanes at time 0 are more
+// than batchLanes, so two workers take the window.
+func TestParEngineWorkerPoolExits(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewParallel(8, 2, simtime.Microsecond)
+	for ln := range 8 {
+		eng.ScheduleOn(ln, 0, func() {})
 	}
 	eng.Run()
-	stopped := fired.Load()
-	if stopped > 4 {
-		t.Fatalf("%d events fired: Stop should leave the far-future events queued", stopped)
+	if st := eng.Stats(); st.DispatchedWindows < 1 {
+		t.Fatalf("stats %+v: the window ran inline, not on the pool", st)
 	}
-	eng.Reset()
-	if eng.Now() != 0 || eng.EventsProcessed() != 0 {
-		t.Fatalf("Reset left state behind: now=%v processed=%d", eng.Now(), eng.EventsProcessed())
-	}
-	eng.Run()
-	if got := fired.Load(); got != stopped {
-		t.Fatalf("%d events fired after Reset and Run: Reset should discard what was queued", got-stopped)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5 s after Run returned, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

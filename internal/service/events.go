@@ -31,7 +31,9 @@ type Event struct {
 	Data any    `json:"data,omitempty"`
 }
 
-// StartedData mirrors sim.RunInfo: the resolved run shape.
+// StartedData mirrors sim.RunInfo: the resolved run shape. Every service
+// run is serial, so Workers reads 1 and Parallel false; the keys stay for
+// clients that read them.
 type StartedData struct {
 	Backend  string `json:"backend"`
 	Ranks    int    `json:"ranks"`
@@ -300,11 +302,10 @@ func (r *run) publish(ev Event, droppable bool) {
 // RunStarted implements sim.Observer.
 func (r *run) RunStarted(info sim.RunInfo) {
 	r.publish(Event{Type: EventStarted, Run: r.id, Data: StartedData{
-		Backend:  info.Backend,
-		Ranks:    info.Stats.Ranks,
-		Ops:      info.Stats.Ops,
-		Workers:  info.Workers,
-		Parallel: info.Parallel,
+		Backend: info.Backend,
+		Ranks:   info.Stats.Ranks,
+		Ops:     info.Stats.Ops,
+		Workers: 1,
 	}}, false)
 }
 

@@ -522,7 +522,6 @@ func (s *Service) execute(r *run) {
 	// that stays cached holds its result, not its input.
 	spec := r.spec
 	r.spec = sim.Spec{}
-	spec.Workers = 0
 	spec.Observer = r
 	if s.cfg.Timeline {
 		r.timeline = telemetry.NewTimeline(0)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"atlahs/internal/simtime"
 )
@@ -20,16 +19,15 @@ const DefaultTimelineEvents = 1 << 18
 // its rank's row, and encodes them as Chrome trace-event JSON, the
 // format Perfetto and chrome://tracing load directly. Timestamps are
 // *simulated* time (GOAL picoseconds rendered as trace microseconds),
-// so the same spec always encodes the same timeline bytes, whichever
-// engine ran it and however fast the host: the timeline shows where
-// simulated time goes, which is the question ATLAHS answers.
+// so the same spec always encodes the same timeline bytes however fast
+// the host: the timeline shows where simulated time goes, which is the
+// question ATLAHS answers.
 //
-// A Timeline is safe for concurrent use: on the lane engine ops
-// complete on worker goroutines. The append path takes one mutex and
-// copies a small struct; recording is opt-in, so runs without a
-// Timeline pay nothing.
+// A Timeline is written by one goroutine, the one that runs the run:
+// recording appends a small struct, and it is opt-in, so runs without a
+// Timeline pay nothing. Encode only reads, so once the run is over any
+// number of goroutines may encode the same Timeline at once.
 type Timeline struct {
-	mu      sync.Mutex
 	cap     int
 	events  []traceEvent
 	dropped uint64
@@ -45,9 +43,8 @@ type traceEvent struct {
 
 // NewTimeline returns a recorder holding at most maxEvents events
 // (<= 0 means DefaultTimelineEvents). Events recorded past the cap are
-// dropped and counted (Dropped); which events drop under concurrent
-// recording is unspecified, so deterministic traces need a cap above
-// the run's event volume.
+// dropped and counted (Dropped), so a capped recorder keeps the first
+// maxEvents events in recording order.
 func NewTimeline(maxEvents int) *Timeline {
 	if maxEvents <= 0 {
 		maxEvents = DefaultTimelineEvents
@@ -57,14 +54,11 @@ func NewTimeline(maxEvents int) *Timeline {
 
 // record appends one event under the cap.
 func (t *Timeline) record(ev traceEvent) {
-	t.mu.Lock()
 	if len(t.events) >= t.cap {
 		t.dropped++
-		t.mu.Unlock()
 		return
 	}
 	t.events = append(t.events, ev)
-	t.mu.Unlock()
 }
 
 // Op records one GOAL op completion as an instant on the op's rank row.
@@ -73,25 +67,15 @@ func (t *Timeline) Op(rank int, kind string, at simtime.Time) {
 }
 
 // Len reports the number of recorded events.
-func (t *Timeline) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
+func (t *Timeline) Len() int { return len(t.events) }
 
 // Dropped reports how many events the cap discarded.
-func (t *Timeline) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
+func (t *Timeline) Dropped() uint64 { return t.dropped }
 
 // Reset discards all recorded events.
 func (t *Timeline) Reset() {
-	t.mu.Lock()
 	t.events = t.events[:0]
 	t.dropped = 0
-	t.mu.Unlock()
 }
 
 // jsonTraceEvent is the Chrome trace-event wire shape (ts in trace
@@ -116,14 +100,10 @@ func psToUs(ps int64) float64 { return float64(ps) / 1e6 }
 
 // Encode writes the timeline as one Chrome trace-event JSON document:
 // process/thread metadata first, then every recorded event sorted by
-// its full content (timestamp, thread, name) — a total order over
-// distinct events, so the bytes are deterministic even when concurrent
-// recording interleaved the appends differently.
+// its full content (timestamp, thread, name), a total order over
+// distinct events. It sorts a copy and leaves the recorder untouched.
 func (t *Timeline) Encode(w io.Writer) error {
-	t.mu.Lock()
 	events := append([]traceEvent(nil), t.events...)
-	dropped := t.dropped
-	t.mu.Unlock()
 
 	sort.Slice(events, func(i, j int) bool {
 		a, b := events[i], events[j]
@@ -183,8 +163,8 @@ func (t *Timeline) Encode(w io.Writer) error {
 	if _, err := io.WriteString(w, "\n]"); err != nil {
 		return err
 	}
-	if dropped > 0 {
-		if _, err := fmt.Fprintf(w, ",\"otherData\":{\"droppedEvents\":\"%d\"}", dropped); err != nil {
+	if t.dropped > 0 {
+		if _, err := fmt.Fprintf(w, ",\"otherData\":{\"droppedEvents\":\"%d\"}", t.dropped); err != nil {
 			return err
 		}
 	}

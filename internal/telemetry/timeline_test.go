@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"atlahs/internal/simtime"
@@ -114,5 +115,37 @@ func TestTimelineCapDrops(t *testing.T) {
 	tl.Reset()
 	if tl.Len() != 0 || tl.Dropped() != 0 {
 		t.Fatal("Reset did not clear the recorder")
+	}
+}
+
+// TestTimelineConcurrentEncodes: Encode only reads the recorder, so once
+// recording is over several goroutines may encode one Timeline at once
+// (atlahsd serves a finished run's trace to every client that asks), and
+// each gets the same bytes. CI runs this under -race.
+func TestTimelineConcurrentEncodes(t *testing.T) {
+	tl := NewTimeline(0)
+	for i := int64(0); i < 64; i++ {
+		tl.Op(int(i%4), "send", simtime.Time(0).Add(simtime.Duration(64-i)*simtime.Microsecond))
+	}
+	var want bytes.Buffer
+	if err := tl.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]bytes.Buffer, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := tl.Encode(&got[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !bytes.Equal(got[i].Bytes(), want.Bytes()) {
+			t.Errorf("encode %d: %d B, differs from the first encode's %d B", i, got[i].Len(), want.Len())
+		}
 	}
 }

@@ -10,11 +10,6 @@ type RunInfo struct {
 	// Stats is the schedule's size accounting (ranks, ops, bytes on the
 	// wire, ...).
 	Stats ScheduleStats
-	// Workers is the resolved worker count (1 when running serially).
-	Workers int
-	// Parallel reports whether the run executes on the sharded parallel
-	// engine.
-	Parallel bool
 }
 
 // OpEvent reports one GOAL op's semantic completion.
@@ -47,10 +42,9 @@ type NetStats = pktnet.Stats
 // replacing ad-hoc printing: commands and services render the run's start,
 // op completions and progress however they like; what a run measured as a
 // whole (makespan, tallies, fabric counters) is reported once, in the
-// Result. With Spec.Workers > 1, OpCompleted and Progress are invoked
-// concurrently from engine worker goroutines; implementations must be safe
-// for concurrent use. All callbacks happen before Run returns. Embed
-// NopObserver to implement only the methods you care about.
+// Result. A run with an Observer is serial whatever Spec.Workers says, so
+// every callback comes from the goroutine that called Run, before Run
+// returns. Embed NopObserver to implement only the methods you care about.
 type Observer interface {
 	// RunStarted fires once, before the first event executes.
 	RunStarted(RunInfo)

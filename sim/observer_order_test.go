@@ -2,31 +2,25 @@ package sim
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"atlahs/internal/workload/micro"
 )
 
 // orderingObserver records the interleaved callback stream as one ordered
-// log. Op-level callbacks arrive concurrently under Workers > 1, so every
-// append holds the mutex — the recorded order is the order callbacks
-// actually happened-before each other.
+// log. It holds no lock: a run with an Observer is serial, so every
+// callback comes from the goroutine that called Run, and CI's -race pass
+// over this test would report any that did not.
 type orderingObserver struct {
-	mu    sync.Mutex
 	kinds []string // "started", "op", "progress" in arrival order
 	tally Tally
 }
 
 func (o *orderingObserver) RunStarted(RunInfo) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.kinds = append(o.kinds, "started")
 }
 
 func (o *orderingObserver) OpCompleted(ev OpEvent) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.kinds = append(o.kinds, "op")
 	switch ev.Kind {
 	case OpCalc:
@@ -39,17 +33,15 @@ func (o *orderingObserver) OpCompleted(ev OpEvent) {
 }
 
 func (o *orderingObserver) Progress(ProgressEvent) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.kinds = append(o.kinds, "progress")
 }
 
 // TestObserverEventOrdering pins the stream contract the service's SSE
-// bridge relies on, at 1 worker and on the sharded engine at 4 workers:
-// RunStarted fires exactly once and strictly before the first Progress
-// (and before any op completion), and the OpCompleted tallies equal
-// Result.Done — every executed op is observed exactly once, regardless of
-// worker count.
+// bridge relies on, at 1 worker and at 4: a run with an Observer is
+// serial whatever Workers asks for, RunStarted fires exactly once and
+// strictly before the first Progress (and before any op completion), and
+// the OpCompleted tallies equal Result.Done — every executed op is
+// observed exactly once.
 func TestObserverEventOrdering(t *testing.T) {
 	s := micro.BulkSynchronous(8, 4, 16384, 1500)
 	for _, workers := range []int{1, 4} {
@@ -61,8 +53,8 @@ func TestObserverEventOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if workers > 1 && !res.Parallel {
-			t.Fatalf("workers=%d did not engage the parallel engine", workers)
+		if res.Parallel || res.Workers != 1 {
+			t.Fatalf("workers=%d: a run with an Observer ran parallel=%v on %d workers, want serial", workers, res.Parallel, res.Workers)
 		}
 		var started, firstProgress, firstOp int = -1, -1, -1
 		startedCount := 0

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"atlahs/internal/backend"
@@ -91,10 +90,15 @@ type Tally struct {
 func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 
 // Run executes the spec: resolve the workload, build the backend through
-// the registry, pick the serial or parallel engine from the backend's
-// declared lookahead, simulate, and stream callbacks to the spec's
-// Observer. Results are deterministic: they never depend on Workers or on
-// wall-clock conditions.
+// the registry, pick the engine, simulate, and stream callbacks to the
+// spec's Observer. Results are deterministic: they never depend on the
+// engine, on Workers or on wall-clock conditions.
+//
+// A run is watched when it has an Observer, a Timeline or a ctx that can
+// be cancelled. A watched run is serial whatever Workers says, so every
+// callback and every timeline instant comes from the goroutine that called
+// Run. Only an unwatched run with Workers > 1 on a backend that declares a
+// lookahead runs on the lane engine.
 //
 // A run that succeeds leaves its working state — the scheduler's arrays,
 // the serial engine's event slab and, once Drained proves it clean, LGS's
@@ -104,8 +108,8 @@ func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 //
 // Cancellation is cooperative at op granularity: when ctx is cancellable,
 // the run stops near the next op completion after ctx ends and Run returns
-// ctx's error. A run with no Observer, no Timeline and a ctx that cannot be
-// cancelled hands the registry's backend to the scheduler unwrapped.
+// ctx's error. An unwatched run hands the registry's backend to the
+// scheduler unwrapped.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -124,9 +128,10 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 
+	watched := spec.Observer != nil || spec.Timeline != nil || ctx.Done() != nil
 	workers := resolveWorkers(spec.Workers)
 	lookahead := core.LookaheadOf(be)
-	parallel := workers > 1 && lookahead > 0 && sch.NumRanks() > 1
+	parallel := !watched && workers > 1 && lookahead > 0 && sch.NumRanks() > 1
 	if !parallel {
 		workers = 1
 	}
@@ -156,7 +161,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 	st := sch.ComputeStats()
 	runBE := be
-	if spec.Observer != nil || spec.Timeline != nil || ctx.Done() != nil {
+	if watched {
 		runBE = &streamed{
 			Backend: be,
 			sch:     sch,
@@ -165,11 +170,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			every:   spec.ProgressEvery,
 			total:   st.Ops,
 			ctx:     ctx,
-			stop:    eng.(interface{ Stop() }),
+			eng:     rs.eng,
 		}
 	}
 	if spec.Observer != nil {
-		spec.Observer.RunStarted(RunInfo{Backend: name, Stats: st, Workers: workers, Parallel: parallel})
+		spec.Observer.RunStarted(RunInfo{Backend: name, Stats: st})
 	}
 
 	start := time.Now()
@@ -208,12 +213,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	return out, nil
 }
 
-// streamed wraps a run's backend when someone watches it: the completion
-// callback records a timeline instant, streams OpCompleted and Progress to
-// the Observer, and polls a cancellable ctx. It adds no engine events and
-// leaves the completion delivery order untouched, so the wrapping never
-// changes simulated results. Counting completions is sched.Run's job; the
-// shared atomic here only numbers them for Progress and the ctx poll.
+// streamed wraps a watched run's backend: the completion callback records
+// a timeline instant, streams OpCompleted and Progress to the Observer,
+// and polls a cancellable ctx, stopping the serial engine once it ends. It
+// adds no engine events and leaves the completion delivery order
+// untouched, so the wrapping never changes simulated results. Counting
+// completions is sched.Run's job; done only numbers them for Progress and
+// the ctx poll.
 type streamed struct {
 	core.Backend
 	sch   *goal.Schedule
@@ -222,8 +228,8 @@ type streamed struct {
 	every int64
 	total int64
 	ctx   context.Context
-	stop  interface{ Stop() }
-	done  atomic.Int64
+	eng   *engine.Engine
+	done  int64
 }
 
 // ctxCheckMask throttles ctx polling to every 1024 op completions.
@@ -237,7 +243,8 @@ func (s *streamed) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) e
 		if s.tl != nil {
 			s.tl.Op(h.Rank(), kind.String(), at)
 		}
-		n := s.done.Add(1)
+		s.done++
+		n := s.done
 		if s.obs != nil {
 			s.obs.OpCompleted(OpEvent{Rank: h.Rank(), Op: h.Op(), Kind: kind, At: at})
 			if s.every > 0 && n%s.every == 0 {
@@ -245,7 +252,7 @@ func (s *streamed) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) e
 			}
 		}
 		if n&ctxCheckMask == 0 && s.ctx.Err() != nil {
-			s.stop.Stop()
+			s.eng.Stop()
 		}
 		over(h, at)
 	})

@@ -157,30 +157,16 @@ func TestOversubscriptionBeyondToRRadixErrors(t *testing.T) {
 	}
 }
 
-// recordingObserver counts callbacks; op-level methods may run
-// concurrently under Workers > 1.
+// recordingObserver records callbacks.
 type recordingObserver struct {
-	mu       sync.Mutex
 	started  []RunInfo
 	ops      []OpEvent
 	progress []ProgressEvent
 }
 
-func (r *recordingObserver) RunStarted(info RunInfo) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.started = append(r.started, info)
-}
-func (r *recordingObserver) OpCompleted(ev OpEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ops = append(r.ops, ev)
-}
-func (r *recordingObserver) Progress(ev ProgressEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.progress = append(r.progress, ev)
-}
+func (r *recordingObserver) RunStarted(info RunInfo)   { r.started = append(r.started, info) }
+func (r *recordingObserver) OpCompleted(ev OpEvent)    { r.ops = append(r.ops, ev) }
+func (r *recordingObserver) Progress(ev ProgressEvent) { r.progress = append(r.progress, ev) }
 
 func TestObserverStreamsRun(t *testing.T) {
 	s := micro.AllToAll(8, 4096)
@@ -196,7 +182,7 @@ func TestObserverStreamsRun(t *testing.T) {
 		t.Fatalf("RunStarted fired %d times", len(obs.started))
 	}
 	info := obs.started[0]
-	if info.Backend != "pkt" || info.Stats.Ranks != 8 || info.Parallel {
+	if info.Backend != "pkt" || info.Stats.Ranks != 8 {
 		t.Fatalf("RunInfo %+v", info)
 	}
 	if int64(len(obs.ops)) != res.Ops {
@@ -226,7 +212,8 @@ func TestObserverStreamsRun(t *testing.T) {
 }
 
 // TestObserverDoesNotPerturbResult: runs with and without an observer must
-// be bit-identical.
+// be bit-identical (at Workers 4 the plain run is on lanes, the observed
+// one serial).
 func TestObserverDoesNotPerturbResult(t *testing.T) {
 	s := micro.BulkSynchronous(8, 4, 16384, 1500)
 	plain, err := Run(context.Background(), Spec{Workload: Workload{Schedule: s},
@@ -305,12 +292,9 @@ type cancelAfter struct {
 	n      int64
 	seen   int64
 	cancel context.CancelFunc
-	mu     sync.Mutex
 }
 
 func (c *cancelAfter) OpCompleted(OpEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.seen++
 	if c.seen == c.n {
 		c.cancel()
@@ -330,9 +314,10 @@ func TestRunCancelsMidSimulation(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeakOnCancelledRun: a run cancelled mid-simulation —
-// serial, and on the lane engine with its worker pool — returns with every
-// goroutine it started gone.
+// TestNoGoroutineLeakOnCancelledRun: a run cancelled mid-simulation
+// returns with every goroutine it started gone, at any Workers (a run with
+// a cancellable ctx is serial; engine's TestParEngineWorkerPoolExits covers
+// the lane engine's pool).
 func TestNoGoroutineLeakOnCancelledRun(t *testing.T) {
 	s := micro.AllToAll(64, 1024)
 	for _, workers := range []int{0, 2} {
@@ -349,6 +334,43 @@ func TestNoGoroutineLeakOnCancelledRun(t *testing.T) {
 				buf := make([]byte, 1<<20)
 				t.Fatalf("workers %d: %d goroutines 5 s after the cancelled run, %d before:\n%s", workers, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 			}
+		}
+	}
+}
+
+// TestWatchedRunsAreSerial: a run with an Observer, a Timeline or a
+// cancellable ctx runs on the serial engine whatever Workers asks for, and
+// simulates exactly what the unwatched run on the lane engine does.
+func TestWatchedRunsAreSerial(t *testing.T) {
+	spec := Spec{Workload: Workload{Synthetic: &Synthetic{Pattern: "bsp", Ranks: 16, Bytes: 65536, Phases: 3}},
+		Backend: "lgs", Workers: 4}
+	lanes := runResult(t, spec)
+	if !lanes.Parallel || lanes.Workers != 4 {
+		t.Fatalf("unwatched run: parallel=%v on %d workers, want the 4-worker lane engine", lanes.Parallel, lanes.Workers)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		spec Spec
+	}{
+		{"observer", context.Background(), Spec{Observer: NopObserver{}}},
+		{"timeline", context.Background(), Spec{Timeline: NewTimeline(0)}},
+		{"cancellable ctx", ctx, Spec{}},
+	} {
+		watched := spec
+		watched.Observer, watched.Timeline = c.spec.Observer, c.spec.Timeline
+		res, err := Run(c.ctx, watched)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Parallel || res.Workers != 1 {
+			t.Errorf("%s: parallel=%v on %d workers, want serial", c.name, res.Parallel, res.Workers)
+		}
+		if res.Runtime != lanes.Runtime || !reflect.DeepEqual(res.RankEnd, lanes.RankEnd) || res.Events != lanes.Events || res.Done != lanes.Done {
+			t.Errorf("%s: runtime %v, %d events, done %+v; the lane engine's run: %v, %d events, done %+v",
+				c.name, res.Runtime, res.Events, res.Done, lanes.Runtime, lanes.Events, lanes.Done)
 		}
 	}
 }

@@ -39,13 +39,15 @@ type Spec struct {
 
 	// Workers is the goroutine budget for the sharded parallel engine:
 	// 0 and 1 run serially, > 1 runs parallel when the backend supports it
-	// (a declared positive lookahead), and < 0 means GOMAXPROCS. Any value
-	// other than 0 or 1 on a backend that cannot shard (pkt, fluid) is an
-	// error, whatever GOMAXPROCS reads. Results never depend on Workers.
-	// It is the only way into in-run parallelism, which measures slower
-	// than the serial engine (README, "The parallel simulation
-	// subsystem"); no command-line flag sets it. Commands parallelise
-	// across runs instead (experiments -workers, atlahsd -jobs).
+	// (a declared positive lookahead) and the run is unwatched (no
+	// Observer, no Timeline, a ctx that cannot be cancelled; see Run), and
+	// < 0 means GOMAXPROCS. Any value other than 0 or 1 on a backend that
+	// cannot shard (pkt, fluid) is an error, whatever GOMAXPROCS reads.
+	// Results never depend on Workers. It is the only way into in-run
+	// parallelism, which measures slower than the serial engine (README,
+	// "The parallel simulation subsystem"); no command reaches it, since
+	// every command watches its runs. Commands parallelise across runs
+	// instead (experiments -workers, atlahsd -jobs).
 	Workers int
 	// CalcScale multiplies every calc duration (hardware adaptation factor,
 	// paper §7). 0 means 1.0.
@@ -54,17 +56,18 @@ type Spec struct {
 	// that leave their own seed zero.
 	Seed uint64
 
-	// Observer, when non-nil, receives streaming run callbacks. With
-	// Workers > 1 its op-level methods are called from multiple goroutines
-	// and must be safe for concurrent use.
+	// Observer, when non-nil, receives streaming run callbacks, all from
+	// the goroutine that calls Run: a run with an Observer is serial.
 	Observer Observer
 	// ProgressEvery emits Observer.Progress every N completed ops (0 = off).
 	ProgressEvery int64
 	// Timeline, when non-nil, records the run's op completions into the
-	// given recorder (see NewTimeline), one instant each, so it encodes
-	// to the same bytes whatever Workers asks for. Like Observer it is a
-	// process-local hook: it never crosses the wire and does not
-	// participate in fingerprints.
+	// given recorder (see NewTimeline), one instant each. A run with a
+	// Timeline is serial, so the recorder is written by the goroutine that
+	// calls Run, in one deterministic order: the same spec records the same
+	// events, a capped recorder the same prefix, whatever Workers asks
+	// for. Like Observer it is a process-local hook: it never crosses the
+	// wire and does not participate in fingerprints.
 	Timeline *Timeline
 
 	// resolved pins the outcome of one workload resolution (ResolveSpec):

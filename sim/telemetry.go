@@ -7,17 +7,20 @@ import (
 	"atlahs/results"
 )
 
-// Timeline is a bounded, concurrency-safe run-timeline recorder whose
-// Encode emits Chrome trace-event JSON loadable in Perfetto
-// (ui.perfetto.dev). Attach one via Spec.Timeline; timestamps are
-// simulated time, so the document is deterministic for a deterministic
-// run. The alias re-exports internal/telemetry's recorder so callers
-// outside the module can construct and drain one.
+// Timeline is a bounded run-timeline recorder whose Encode emits Chrome
+// trace-event JSON loadable in Perfetto (ui.perfetto.dev). Attach one via
+// Spec.Timeline; a run with a Timeline is serial and timestamps are
+// simulated time, so the document is deterministic. The recorder is
+// written by the goroutine that runs the run; once Run returns, any
+// number of goroutines may Encode it at once. The alias re-exports
+// internal/telemetry's recorder so callers outside the module can
+// construct and drain one.
 type Timeline = telemetry.Timeline
 
 // NewTimeline returns a timeline recorder bounded to maxEvents recorded
 // events (<= 0 selects the default bound); events past the bound are
-// dropped and counted in the encoded document.
+// dropped and counted in the encoded document, so a capped recorder keeps
+// the first maxEvents completions of the run, the same ones every time.
 func NewTimeline(maxEvents int) *Timeline { return telemetry.NewTimeline(maxEvents) }
 
 // runMetrics folds the engine's and the scheduler's execution counters

@@ -148,36 +148,51 @@ func (sp Spec) withWorkers(n int) Spec {
 	return sp
 }
 
-// TestTimelineIndependentOfEngine: a timeline holds one instant per op
+// TestTimelineIndependentOfEngine: a run with a Timeline is serial
+// whatever Workers asks for, and its timeline holds one instant per op
 // completion and nothing else, so an lgs spec encodes to the same bytes
-// on the serial engine and on the lane engine at any worker count.
+// at any worker count. A recorder capped below the op count keeps the
+// same prefix of the run every time, so it too encodes to the same bytes
+// at every worker count and on every repeat.
 func TestTimelineIndependentOfEngine(t *testing.T) {
 	for _, syn := range []Synthetic{
 		{Pattern: "ring", Ranks: 8, Bytes: 4096},
 		{Pattern: "alltoall", Ranks: 8, Bytes: 4096},
 		{Pattern: "bsp", Ranks: 16, Bytes: 65536, Phases: 5, CalcNanos: 2000},
 	} {
-		var serial []byte
-		for _, workers := range []int{0, 2, 4} {
+		var full, capped []byte
+		for _, workers := range []int{0, 2, 4, 0, 2, 4} {
 			tl := NewTimeline(0)
 			res := runResult(t, Spec{Workload: Workload{Synthetic: &syn}, Workers: workers, Timeline: tl})
-			if res.Parallel != (workers > 1) {
-				t.Fatalf("%s, workers %d: Parallel = %v", syn.Pattern, workers, res.Parallel)
+			if res.Parallel || res.Workers != 1 {
+				t.Fatalf("%s, workers %d: a run with a Timeline ran parallel=%v on %d workers, want serial", syn.Pattern, workers, res.Parallel, res.Workers)
 			}
 			if int64(tl.Len()) != res.Ops || tl.Dropped() != 0 {
 				t.Fatalf("%s, workers %d: timeline holds %d events (%d dropped) for %d ops", syn.Pattern, workers, tl.Len(), tl.Dropped(), res.Ops)
 			}
-			var buf bytes.Buffer
-			if err := tl.Encode(&buf); err != nil {
-				t.Fatal(err)
+			limit := res.Ops / 3
+			ctl := NewTimeline(int(limit))
+			runResult(t, Spec{Workload: Workload{Synthetic: &syn}, Workers: workers, Timeline: ctl})
+			if int64(ctl.Len()) != limit || int64(ctl.Dropped()) != res.Ops-limit {
+				t.Fatalf("%s, workers %d: capped timeline holds %d events (%d dropped) for %d ops under a cap of %d", syn.Pattern, workers, ctl.Len(), ctl.Dropped(), res.Ops, limit)
 			}
-			if workers == 0 {
-				serial = buf.Bytes()
-			} else if !bytes.Equal(buf.Bytes(), serial) {
-				t.Errorf("%s: the timeline at %d workers (%d B) differs from the serial one (%d B)", syn.Pattern, workers, buf.Len(), len(serial))
+			for _, c := range []struct {
+				name string
+				tl   *Timeline
+				want *[]byte
+			}{{"full", tl, &full}, {"capped", ctl, &capped}} {
+				var buf bytes.Buffer
+				if err := c.tl.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if *c.want == nil {
+					*c.want = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), *c.want) {
+					t.Errorf("%s: the %s timeline at %d workers (%d B) differs from the first run's (%d B)", syn.Pattern, c.name, workers, buf.Len(), len(*c.want))
+				}
 			}
 		}
-		if !strings.Contains(string(serial), `"ph":"i"`) {
+		if !strings.Contains(string(full), `"ph":"i"`) {
 			t.Fatalf("%s: trace carries no op instants", syn.Pattern)
 		}
 	}
