@@ -19,12 +19,12 @@ import (
 //	               refuses it)
 //	send/recv  w1: bit 63 set, bit 62 set for a recv, cpu in bits 41-61
 //	               (0 to maxMessageCPU), size in bits 0-40 (0 to
-//	               maxMessageBytes)
+//	               MaxMessageBytes)
 //	           w2: peer as an int32 in bits 0-31, tag as an int32 in 32-63
 //
 // The one cpu code above maxMessageCPU marks the reserved form, which
 // stands for an op the packed form cannot hold: a negative size, a
-// message over maxMessageBytes or on a cpu outside [0, maxMessageCPU], or
+// message over MaxMessageBytes or on a cpu outside [0, maxMessageCPU], or
 // a kind other than the three. The two decoders refuse such values where
 // they read them; the Builder stores them in the reserved form (w1 keeps
 // which field and the kind, w2 the value) and Validate refuses the op,
@@ -34,10 +34,11 @@ type Op struct {
 	w1, w2 uint64
 }
 
+// MaxMessageBytes bounds one send or receive (1 TiB), the one bound on a
+// message's size: Validate and both decoders refuse a larger one.
+const MaxMessageBytes = 1 << 40
+
 const (
-	// maxMessageBytes bounds one send or receive (1 TiB), the one bound
-	// on a message's size: Validate and both decoders refuse a larger one.
-	maxMessageBytes = 1 << 40
 	// maxMessageCPU is the largest compute stream a send or receive may
 	// be posted on; the cpu code above it is reserved.
 	maxMessageCPU = cpuMask - 1
@@ -76,7 +77,7 @@ func unheld(k Kind, size int64, cpu int32) (opField, int64) {
 		return fieldSize, size
 	case msg && cpu < 0:
 		return fieldCPU, int64(cpu)
-	case msg && size > maxMessageBytes:
+	case msg && size > MaxMessageBytes:
 		return fieldSize, size
 	case msg && cpu > maxMessageCPU:
 		return fieldCPU, int64(cpu)
@@ -92,7 +93,7 @@ func (f opField) err(k Kind, v int64) error {
 	case f == fieldSize && v < 0:
 		return fmt.Errorf("negative size %d", v)
 	case f == fieldSize:
-		return fmt.Errorf("%s size %d exceeds the %d-byte message bound", k, v, int64(maxMessageBytes))
+		return fmt.Errorf("%s size %d exceeds the %d-byte message bound", k, v, int64(MaxMessageBytes))
 	case v < 0:
 		return fmt.Errorf("negative cpu %d", v)
 	default:

@@ -34,7 +34,7 @@ func (op refOp) refusedBefore() bool {
 // beyondPacked reports whether op lies beyond the ranges only the packed
 // layout has: a message over 1 TiB or on a cpu above maxMessageCPU.
 func (op refOp) beyondPacked() bool {
-	return op.Kind != KindCalc && (op.Size > maxMessageBytes || op.CPU > maxMessageCPU)
+	return op.Kind != KindCalc && (op.Size > MaxMessageBytes || op.CPU > maxMessageCPU)
 }
 
 func TestOpSize(t *testing.T) {
@@ -121,9 +121,9 @@ func FuzzOpMatchesFields(f *testing.F) {
 		{KindCalc, -1, -1, 0, 5},
 		{KindCalc, 0, -1, 0, -5},
 		{KindSend, 0, 1, 42, 64},
-		{KindSend, maxMessageCPU, 1, math.MinInt32, maxMessageBytes},
+		{KindSend, maxMessageCPU, 1, math.MinInt32, MaxMessageBytes},
 		{KindSend, maxMessageCPU + 1, 1, 0, 8},
-		{KindSend, 0, 1, 0, maxMessageBytes + 1},
+		{KindSend, 0, 1, 0, MaxMessageBytes + 1},
 		{KindSend, -1, 1, 0, 8},
 		{KindRecv, 2, 1, AnyTag, 8192},
 		{KindRecv, 0, math.MaxInt32, math.MaxInt32, 1},
@@ -158,7 +158,7 @@ func TestMessageBoundsRefused(t *testing.T) {
 		op    refOp
 		field string
 	}{
-		{refOp{KindSend, 0, 1, 0, maxMessageBytes + 1}, "size 1099511627777 exceeds the 1099511627776-byte message bound"},
+		{refOp{KindSend, 0, 1, 0, MaxMessageBytes + 1}, "size 1099511627777 exceeds the 1099511627776-byte message bound"},
 		{refOp{KindRecv, 0, 1, 0, math.MaxInt64}, "recv size 9223372036854775807 exceeds"},
 		{refOp{KindSend, 1<<21 - 1, 1, 0, 8}, "send cpu 2097151 exceeds the largest message cpu 2097150"},
 		{refOp{KindRecv, math.MaxInt32, 1, 0, 8}, "recv cpu 2147483647 exceeds"},
@@ -169,8 +169,8 @@ func TestMessageBoundsRefused(t *testing.T) {
 			}
 		}
 	}
-	checkDecodings(t, refOp{KindSend, maxMessageCPU, 1, 7, maxMessageBytes})
-	checkDecodings(t, refOp{KindRecv, maxMessageCPU, 1, 7, maxMessageBytes})
+	checkDecodings(t, refOp{KindSend, maxMessageCPU, 1, 7, MaxMessageBytes})
+	checkDecodings(t, refOp{KindRecv, maxMessageCPU, 1, 7, MaxMessageBytes})
 }
 
 // TestUnheldOpsKeepValidateOrder: an op the packed form cannot hold

@@ -109,7 +109,7 @@ func ParseBinary(data []byte) (*Schedule, error) {
 			msg := kind != KindCalc
 			maxSize, maxCPU := uint64(math.MaxInt64), uint64(math.MaxInt32)
 			if msg {
-				maxSize, maxCPU = maxMessageBytes, maxMessageCPU
+				maxSize, maxCPU = MaxMessageBytes, maxMessageCPU
 			}
 			sz, err := c.uvarint()
 			if err != nil || sz > maxSize {

@@ -229,6 +229,17 @@ func TestHTTPErrors(t *testing.T) {
 		{"invalid-spec", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"schema":"atlahs.spec/v1"}`))
 		}, http.StatusBadRequest, "no workload"},
+		// Each of the next three once validated and then panicked the
+		// admission goroutine or allocated until the daemon died.
+		{"unheld-bytes", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":4,"bytes":-1}}`))
+		}, http.StatusBadRequest, "Bytes in"},
+		{"too-many-ranks", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"incast","ranks":1073741824,"bytes":64}}`))
+		}, http.StatusBadRequest, "Ranks in"},
+		{"too-many-ops", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"alltoall","ranks":100000,"bytes":64}}`))
+		}, http.StatusBadRequest, "more than 67108864 ops"},
 		{"unknown-run", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/runs/r_0000000000000000")
 		}, http.StatusNotFound, "unknown run"},

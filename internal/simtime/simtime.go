@@ -24,9 +24,6 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Never is a sentinel Time later than any reachable simulation time.
-const Never Time = 1<<63 - 1
-
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

@@ -97,21 +97,13 @@ func init() {
 		if err := twoRanks("uniform", req.Ranks); err != nil {
 			return nil, err
 		}
-		msgs := req.Synthetic.Msgs
-		if msgs <= 0 {
-			msgs = 100
-		}
-		return micro.UniformRandom(req.Ranks, msgs, req.Synthetic.Bytes, req.Seed), nil
+		return micro.UniformRandom(req.Ranks, req.Synthetic.msgs(), req.Synthetic.Bytes, req.Seed), nil
 	}})
 	RegisterGenerator(GeneratorDef{Name: "bsp", New: func(req GenRequest) (*Schedule, error) {
-		phases := req.Synthetic.Phases
-		if phases <= 0 {
-			phases = 4
-		}
 		calc := req.Synthetic.CalcNanos
 		if calc <= 0 {
 			calc = 1000
 		}
-		return micro.BulkSynchronous(req.Ranks, phases, req.Synthetic.Bytes, calc), nil
+		return micro.BulkSynchronous(req.Ranks, req.Synthetic.phases(), req.Synthetic.Bytes, calc), nil
 	}})
 }

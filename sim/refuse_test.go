@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -108,5 +109,65 @@ func runWithin(t *testing.T, spec Spec) error {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("run still going after 10 s")
 		return nil
+	}
+}
+
+// TestSyntheticBoundsRefused: a synthetic pattern whose messages no GOAL
+// op can hold, or whose rank or op count would have Run (or atlahsd's
+// admission) allocate without limit, is refused by Validate and by
+// UnmarshalSpec before anything is generated. Each refused row used to
+// validate and then panic in the generator's MustBuild or allocate until
+// the process died. The accepted rows sit on each bound and are only
+// validated, never generated.
+func TestSyntheticBoundsRefused(t *testing.T) {
+	const (
+		bytesErr = "needs Bytes in [0, 1099511627776]"
+		ranksErr = "needs Ranks in [1, 1048576]"
+		opsErr   = "would generate more than 67108864 ops"
+	)
+	for name, c := range map[string]struct {
+		syn  Synthetic
+		want string // "" accepts the pattern
+	}{
+		"ring/bytes-negative":      {Synthetic{Pattern: "ring", Ranks: 4, Bytes: -1}, bytesErr},
+		"alltoall/bytes-2TiB":      {Synthetic{Pattern: "alltoall", Ranks: 4, Bytes: 2 << 40}, bytesErr},
+		"ring/bytes-1TiB":          {Synthetic{Pattern: "ring", Ranks: 4, Bytes: 1 << 40}, ""},
+		"ring/bytes-1TiB+1":        {Synthetic{Pattern: "ring", Ranks: 4, Bytes: 1<<40 + 1}, bytesErr},
+		"incast/ranks-2^30":        {Synthetic{Pattern: "incast", Ranks: 1 << 30, Bytes: 64}, ranksErr},
+		"ring/ranks-2^20":          {Synthetic{Pattern: "ring", Ranks: 1 << 20, Bytes: 64}, ""},
+		"ring/ranks-2^20+1":        {Synthetic{Pattern: "ring", Ranks: 1<<20 + 1, Bytes: 64}, ranksErr},
+		"alltoall/ranks-100000":    {Synthetic{Pattern: "alltoall", Ranks: 100000, Bytes: 64}, opsErr},
+		"alltoall/ranks-5793":      {Synthetic{Pattern: "alltoall", Ranks: 5793, Bytes: 64}, ""},
+		"alltoall/ranks-5794":      {Synthetic{Pattern: "alltoall", Ranks: 5794, Bytes: 64}, opsErr},
+		"alltoall/ranks-2^20":      {Synthetic{Pattern: "alltoall", Ranks: 1 << 20, Bytes: 64}, opsErr},
+		"bsp/phases-2e9":           {Synthetic{Pattern: "bsp", Ranks: 16, Bytes: 64, Phases: 2_000_000_000}, opsErr},
+		"bsp/phases-135300":        {Synthetic{Pattern: "bsp", Ranks: 16, Bytes: 64, Phases: 135300}, ""},
+		"bsp/phases-135301":        {Synthetic{Pattern: "bsp", Ranks: 16, Bytes: 64, Phases: 135301}, opsErr},
+		"bsp/phases-max-ranks-max": {Synthetic{Pattern: "bsp", Ranks: 1 << 20, Bytes: 64, Phases: math.MaxInt}, opsErr},
+		"uniform/msgs-2e9":         {Synthetic{Pattern: "uniform", Ranks: 16, Bytes: 64, Msgs: 2_000_000_000}, opsErr},
+		"uniform/msgs-22369621":    {Synthetic{Pattern: "uniform", Ranks: 16, Bytes: 64, Msgs: 22369621}, ""},
+		"uniform/msgs-22369622":    {Synthetic{Pattern: "uniform", Ranks: 16, Bytes: 64, Msgs: 22369622}, opsErr},
+	} {
+		t.Run(name, func(t *testing.T) {
+			check := func(how string, err error) {
+				t.Helper()
+				if c.want == "" && err != nil {
+					t.Errorf("%s: %v, want the spec accepted", how, err)
+				}
+				if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+					t.Errorf("%s: error %v, want it to contain %q", how, err, c.want)
+				}
+			}
+			spec := Spec{Workload: Workload{Synthetic: &c.syn}}
+			check("Validate", spec.Validate())
+			job := Spec{Jobs: []JobSpec{{Workload: Workload{Synthetic: &c.syn}}}}
+			check("Validate of a job", job.Validate())
+			syn, err := json.Marshal(c.syn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = UnmarshalSpec([]byte(`{"schema":"atlahs.spec/v1","synthetic":` + string(syn) + `}`))
+			check("UnmarshalSpec", err)
+		})
 	}
 }

@@ -97,7 +97,8 @@ type Synthetic struct {
 	Bytes int64 `json:"bytes,omitempty"`
 	// Fanin is the incast fan-in (default Ranks-1).
 	Fanin int `json:"fanin,omitempty"`
-	// Msgs is the per-rank message count for "uniform" (default 100).
+	// Msgs is the total message count for "uniform", over all ranks
+	// (default 100).
 	Msgs int `json:"msgs,omitempty"`
 	// Phases is the superstep count for "bsp" (default 4).
 	Phases int `json:"phases,omitempty"`
@@ -107,13 +108,71 @@ type Synthetic struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// validate checks the pattern declaration without generating anything.
+const (
+	// maxSyntheticRanks bounds a synthetic pattern's rank count, as the
+	// text GOAL header and synth.Generate bound theirs.
+	maxSyntheticRanks = goal.MaxTextRanks
+	// maxSyntheticOps bounds the ops a built-in pattern may generate
+	// (1 GiB of 16-byte ops), so that one short spec cannot make Run or
+	// atlahsd allocate without limit.
+	maxSyntheticOps = 1 << 26
+)
+
+// validate checks the pattern declaration without generating anything:
+// a rank count and a message size the generators and an op can hold, a
+// registered pattern and, for a built-in one, an op count under
+// maxSyntheticOps.
 func (sy *Synthetic) validate() error {
-	if sy.Ranks <= 0 {
-		return fmt.Errorf("sim: synthetic workload needs Ranks > 0, got %d", sy.Ranks)
+	if sy.Ranks <= 0 || sy.Ranks > maxSyntheticRanks {
+		return fmt.Errorf("sim: synthetic workload needs Ranks in [1, %d], got %d", maxSyntheticRanks, sy.Ranks)
 	}
-	_, err := patternGenerator(sy.Pattern)
-	return err
+	if sy.Bytes < 0 || sy.Bytes > goal.MaxMessageBytes {
+		return fmt.Errorf("sim: synthetic workload needs Bytes in [0, %d] (one GOAL message), got %d", int64(goal.MaxMessageBytes), sy.Bytes)
+	}
+	if _, err := patternGenerator(sy.Pattern); err != nil {
+		return err
+	}
+	if sy.tooManyOps() {
+		return fmt.Errorf("sim: synthetic pattern %q on %d ranks would generate more than %d ops", sy.Pattern, sy.Ranks, maxSyntheticOps)
+	}
+	return nil
+}
+
+// tooManyOps reports whether a built-in pattern would generate more than
+// maxSyntheticOps ops, counted from its parameters as micro's generators
+// count them, without overflow (Ranks is at most maxSyntheticRanks).
+// "ring", "permutation" and "incast" generate at most 2·Ranks ops, which
+// the rank bound keeps under it; a third-party pattern is not counted.
+func (sy *Synthetic) tooManyOps() bool {
+	n := int64(sy.Ranks)
+	var perUnit, units int64
+	switch sy.Pattern {
+	case "alltoall":
+		perUnit, units = 2*n*(n-1), 1
+	case "uniform": // a gap and a send on the source, a receive on the destination
+		perUnit, units = 3, int64(sy.msgs())
+	case "bsp": // per phase, each rank's calc, n-1 sends and n-1 receives
+		perUnit, units = n*(2*n-1), int64(sy.phases())
+	default:
+		return false
+	}
+	return perUnit > 0 && units > maxSyntheticOps/perUnit
+}
+
+// msgs is the "uniform" message count, Msgs or its default.
+func (sy Synthetic) msgs() int {
+	if sy.Msgs <= 0 {
+		return 100
+	}
+	return sy.Msgs
+}
+
+// phases is the "bsp" superstep count, Phases or its default.
+func (sy Synthetic) phases() int {
+	if sy.Phases <= 0 {
+		return 4
+	}
+	return sy.Phases
 }
 
 // generate builds the schedule for the pattern through the registry.
