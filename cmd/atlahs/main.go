@@ -22,9 +22,9 @@
 //
 // -timeline records a local run's op completions, one instant per op on
 // its rank's row, and writes them as Chrome trace-event JSON, loadable in
-// Perfetto (or chrome://tracing). Timestamps are simulated time, so the
-// file is as deterministic as the result and the same bytes whatever a
-// spec file's "workers" asks for.
+// Perfetto (or chrome://tracing). Timestamps are simulated time and every
+// local run is serial, so the file is as deterministic as the result and
+// the same bytes whatever a spec file's "workers" asks for.
 //
 // -goal takes a GOAL file, textual or binary (auto-detected). -trace takes
 // a raw application trace (nsys report, MPI trace, SPC block-I/O trace,
@@ -52,9 +52,10 @@
 // fat tree sized to the schedule. A backend flag the chosen backend does
 // not read (-hosts-per-tor, -oversub or -cc on lgs, -params on pkt or
 // fluid, -cc on fluid) is refused, as is a -params other than ai or hpc.
-// Runs built from flags are serial. A spec file's "workers" still runs an
-// lgs spec on the sharded parallel engine (results bit-identical to
-// serial), though it measures slower; there is no -workers flag.
+// Every local run is serial: atlahs runs it with a context that an
+// interrupt cancels, and a cancellable run never takes the sharded
+// parallel engine, so a spec file's "workers" decodes and changes
+// nothing. There is no -workers flag.
 package main
 
 import (

@@ -28,7 +28,8 @@
 //	                             occupancy, store writability, uptime)
 //
 // -jobs bounds how many simulations run concurrently, each on the serial
-// engine (a spec's "workers" is ignored): parallelism is across runs,
+// engine, since the service observes every run it makes (a spec's
+// "workers" decodes and changes nothing): parallelism is across runs,
 // which measures faster than sharding one run. -queue bounds the
 // submission backlog, past which submissions fail fast with 503 and
 // a Retry-After header. Admission is fair-share: each submitter class

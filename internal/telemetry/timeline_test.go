@@ -121,7 +121,7 @@ func TestTimelineCapDrops(t *testing.T) {
 // TestTimelineConcurrentEncodes: Encode only reads the recorder, so once
 // recording is over several goroutines may encode one Timeline at once
 // (atlahsd serves a finished run's trace to every client that asks), and
-// each gets the same bytes. CI runs this under -race.
+// each gets the same bytes.
 func TestTimelineConcurrentEncodes(t *testing.T) {
 	tl := NewTimeline(0)
 	for i := int64(0); i < 64; i++ {

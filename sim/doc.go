@@ -3,8 +3,9 @@
 // (resolved through a registry that third-party simulators can join via
 // Register), and the execution knobs (worker budget, calc scaling, seed).
 // Run executes the spec, picking the serial or sharded parallel engine
-// from the backend's declared lookahead, streams op completions and
-// periodic progress to an optional Observer while it runs, and returns a
+// (the parallel one only for an unwatched run, see below), streams op
+// completions and periodic progress to an optional Observer while it
+// runs, all from the caller's goroutine, and returns a
 // typed Result — the one carrier of what the run measured: makespan,
 // per-rank completion times, the schedule's size accounting, the
 // scheduler's executed-op tallies and the backend's fabric counters when
@@ -74,9 +75,10 @@
 // conservative windows, adaptive widenings, peak queue depths, worker
 // wakeups — and Spec.Timeline optionally attaches a bounded recorder
 // (NewTimeline) that captures op completions as Chrome trace-event JSON
-// loadable in Perfetto. Timeline timestamps are simulated time, so the
-// recorded document is as deterministic as the run itself and encodes
-// to the same bytes on either engine. Like Observer, a Timeline is a
+// loadable in Perfetto. Timeline timestamps are simulated time, and a
+// run with a Timeline is serial, so the recorded document is as
+// deterministic as the run itself, and a recorder capped below the op
+// count keeps the same prefix every time. Like Observer, a Timeline is a
 // process-local hook: MarshalSpec rejects specs carrying one, and
 // neither participates in Fingerprint.
 //
@@ -99,10 +101,11 @@
 // dependency scheduler), which drives any internal/core.Backend, which
 // schedules its events on internal/engine (the serial and parallel
 // discrete-event cores — Run owns the one rule that picks between them:
-// the lane engine when more than one worker is asked of a backend with a
-// positive lookahead on more than one rank, the serial engine otherwise;
-// Validate refuses any request but 0 or 1 workers of a backend that
-// cannot shard).
+// the lane engine when an unwatched run (no Observer, no Timeline, a ctx
+// that cannot be cancelled) asks more than one worker of a backend with
+// a positive lookahead on more than one rank, the serial engine
+// otherwise; Validate refuses any request but 0 or 1 workers of a
+// backend that cannot shard).
 // Commands and examples program exclusively
 // against sim (or internal/service above it); nothing above this package
 // touches the scheduler, the engines, or the trace converters directly
