@@ -248,10 +248,11 @@ func (p *ParEngine) EventsProcessed() uint64 {
 }
 
 // Run implements Sim: windowed conservative parallel execution until every
-// lane drains. Returns the time of the last executed event. Worker goroutines are spawned once here and fed windows through a
-// channel, rather than spawned per window: long simulations with a small
-// lookahead execute many thousands of windows, and the per-window
-// spawn/join overhead was measurable (see BenchmarkParEngineVsSerial).
+// lane drains. Returns the time of the last executed event. Worker
+// goroutines are spawned once here and fed windows through a channel,
+// rather than spawned per window: long simulations with a small lookahead
+// execute many thousands of windows, and the per-window spawn/join
+// overhead was measurable (see BenchmarkParEngineVsSerial).
 func (p *ParEngine) Run() simtime.Time {
 	p.running = true
 	defer func() { p.running = false }()
