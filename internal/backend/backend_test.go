@@ -182,14 +182,14 @@ func mkTopo(t testing.TB, hosts int) *topo.Topology {
 // newPkt builds the packet-level backend over cfg.Net, as sim's "pkt"
 // factory does.
 func newPkt(cfg pktnet.Config) *NetBackend {
-	return NewNet("pkt", DefaultNetParams(), func(eng *engine.Engine) (MessageNet, error) {
+	return NewNet("pkt", DefaultNetParams(), Fabric{}, func(eng *engine.Engine, _ MessageNet) (MessageNet, error) {
 		return pktnet.New(eng, cfg)
 	})
 }
 
 // newFluid builds the fluid backend over tp, as sim's "fluid" factory does.
 func newFluid(tp *topo.Topology) *NetBackend {
-	return NewNet("fluid", DefaultNetParams(), func(eng *engine.Engine) (MessageNet, error) {
+	return NewNet("fluid", DefaultNetParams(), Fabric{}, func(eng *engine.Engine, _ MessageNet) (MessageNet, error) {
 		return fluid.New(eng, fluid.Config{Topo: tp})
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"atlahs/internal/engine"
 	"atlahs/internal/pktnet"
 	"atlahs/internal/simtime"
+	"atlahs/internal/topo"
 )
 
 // MessageNet is the transport contract shared by the congestion-aware
@@ -50,10 +51,23 @@ type netRecv struct {
 // handler, as in LGS); what a message has to remember between its send and
 // its delivery lives in a pooled record whose handlers were bound when the
 // record was made, so scheduling it creates no closure.
+//
+// # Across runs
+//
+// As LGS's, a NetBackend's state outlives the run that made it. Once a pkt
+// run has succeeded and its backend has drained, sim.Run unbinds that
+// backend (Unbind) and hands it to the next pkt run's (Adopt), whose Setup
+// rebinds the per-rank compute streams, resets the matcher in place and
+// points the free send records at itself. The network goes along only to
+// a backend on the same fabric (see NewNet), and only a packet-level one:
+// mkNet rebinds it (pktnet.Network.Rebind) instead of building a network.
+// A run like one before it then allocates nothing here, in the network or
+// in its fabric.
 type NetBackend struct {
 	name   string
 	params NetParams
-	mkNet  func(*engine.Engine) (MessageNet, error)
+	fabric Fabric
+	mkNet  func(eng *engine.Engine, kept MessageNet) (MessageNet, error)
 
 	net   MessageNet
 	eng   *engine.Engine
@@ -71,13 +85,15 @@ func (b *NetBackend) Name() string { return b.name }
 // Setup implements core.Backend. The congestion-aware networks share fabric
 // state across all ranks (queues, flows), so they cannot declare a
 // lookahead and run only on the serial engine; a parallel engine is
-// rejected here rather than racing later.
+// rejected here rather than racing later. Streams, send records, matcher
+// queues and network taken over by Adopt are rebound to eng and over;
+// whatever they lack for nranks ranks is made here.
 func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error {
 	serial, ok := eng.(*engine.Engine)
 	if !ok {
 		return fmt.Errorf("%s backend: shared network state requires the serial engine (no lookahead bound); run it with one worker", b.name)
 	}
-	net, err := b.mkNet(serial)
+	net, err := b.mkNet(serial, b.net)
 	if err != nil {
 		return err
 	}
@@ -87,12 +103,62 @@ func (b *NetBackend) Setup(nranks int, eng engine.Sim, over core.CompletionFunc)
 	b.net = net
 	b.eng = serial
 	b.over = over
-	b.cpus = make([]core.Streams, nranks)
-	for i := range b.cpus {
-		b.cpus[i] = core.NewStreams(serial, over)
+	if nranks > cap(b.cpus) {
+		// Ranks past this run's count keep their streams for a later run.
+		grown := make([]core.Streams, nranks)
+		for i := copy(grown, b.cpus[:cap(b.cpus)]); i < nranks; i++ {
+			grown[i] = core.NewStreams(serial, over)
+		}
+		b.cpus = grown
 	}
-	b.match = core.NewMatcher[netMsg, netRecv](nranks)
+	b.cpus = b.cpus[:nranks]
+	for i := range b.cpus {
+		b.cpus[i].Rebind(serial, over)
+	}
+	for _, s := range b.freeSends {
+		s.b = b
+	}
+	if b.match == nil {
+		b.match = core.NewMatcher[netMsg, netRecv](nranks)
+	} else {
+		b.match.Reset(nranks)
+	}
 	return nil
+}
+
+// Adopt, called before Setup, takes over the streams, send records and
+// matcher queues of prev, a backend whose run drained and that will not
+// be used again, and its network when both backends name the same fabric;
+// prev is left with none of them.
+func (b *NetBackend) Adopt(prev *NetBackend) {
+	if prev == b {
+		return
+	}
+	b.cpus, b.match, b.freeSends, b.sendsMade = prev.cpus, prev.match, prev.freeSends, prev.sendsMade
+	if b.fabric != (Fabric{}) && prev.fabric == b.fabric {
+		b.net = prev.net
+	}
+	prev.cpus, prev.match, prev.freeSends, prev.sendsMade, prev.net = nil, nil, nil, 0, nil
+}
+
+// Unbind drops the engine and the completion callback — the backend's and
+// every stream's, ranks past the last run's count included — and mkNet, so
+// that a backend kept for a later run holds nothing of the runs before it:
+// not their engines, not the callbacks that reach their schedules and
+// observers, and not the config mkNet captured. A packet-level network is
+// unbound too (pktnet.Network.Unbind) and kept for Adopt; any other is
+// dropped. The adopting backend's Setup binds them again.
+func (b *NetBackend) Unbind() {
+	b.eng, b.over, b.mkNet = nil, nil, nil
+	all := b.cpus[:cap(b.cpus)]
+	for i := range all {
+		all[i].Rebind(nil, nil)
+	}
+	if pn, ok := b.net.(*pktnet.Network); ok {
+		pn.Unbind()
+	} else {
+		b.net = nil
+	}
 }
 
 // Drained implements core.Drainer: no compute stream has a completion
@@ -192,11 +258,23 @@ func DefaultNetParams() NetParams {
 	}
 }
 
-// NewNet creates the backend named name over the network mkNet builds on
+// Fabric names the fabric a backend's network runs on: an explicit
+// topology, which is the same fabric only as the same pointer (a Topology
+// is read-only once built), or, when Topo is nil, the fat tree FatTree
+// configures, since equal configs build equal fabrics. The zero Fabric
+// names none.
+type Fabric struct {
+	Topo    *topo.Topology
+	FatTree topo.FatTreeConfig
+}
+
+// NewNet creates the backend named name over the network mkNet returns for
 // the run's serial engine: the packet-level ("pkt", a *pktnet.Network) or
-// the fluid flow-level ("fluid", a *fluid.Network) one.
-func NewNet(name string, params NetParams, mkNet func(*engine.Engine) (MessageNet, error)) *NetBackend {
-	return &NetBackend{name: name, params: params, mkNet: mkNet}
+// the fluid flow-level ("fluid", a *fluid.Network) one. A backend adopts
+// the network of one on an equal fabric that is not the zero Fabric, and
+// mkNet gets it as kept, to rebind and return (nil when there is none).
+func NewNet(name string, params NetParams, fabric Fabric, mkNet func(eng *engine.Engine, kept MessageNet) (MessageNet, error)) *NetBackend {
+	return &NetBackend{name: name, params: params, fabric: fabric, mkNet: mkNet}
 }
 
 // NetStats returns the packet-level counters (drops, trims, ...) after a

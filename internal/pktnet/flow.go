@@ -134,9 +134,9 @@ func (f *flow) start() {
 	}
 	params := cc.Params{MTU: mtu, BaseRTT: f.pair.baseRTT, BDP: f.pair.bdp}
 	if f.ctrl == nil {
-		ctrl, err := cc.New(f.net.cfg.CC, params)
+		ctrl, err := cc.New(f.net.cc, params)
 		if err != nil {
-			panic(err) // validated at Network construction
+			panic(err) // validated by New and Rebind
 		}
 		f.ctrl = ctrl
 	} else {

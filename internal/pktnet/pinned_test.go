@@ -1,6 +1,7 @@
 package pktnet
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -30,16 +31,32 @@ const (
 // pinnedRun drives three waves of mixed traffic — fifteen 64-packet
 // messages plus forty-eight one-packet messages each, the later waves
 // arriving while records of the earlier ones are being recycled — and
-// returns the outcome.
-func pinnedRun(t testing.TB, alg, fabric string) (pktOutcome, *Network) {
+// returns the outcome. With kept not nil, the run rebinds the network kept
+// there for its fabric, if there is one, and leaves its own network there,
+// unbound, for the next.
+func pinnedRun(t testing.TB, alg, fabric string, kept map[string]*Network) (pktOutcome, *Network) {
 	cores, buf := 8, int64(0)
 	if fabric == fabOversub {
 		cores, buf = 1, 16*1024
 	}
+	key := fmt.Sprintf("%d cores, %d B buffers", cores, buf)
 	eng := engine.New()
-	n, err := New(eng, Config{Topo: testTopo(t, 16, 8, cores, buf), CC: alg, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	n := kept[key]
+	if n != nil {
+		if err := n.Rebind(eng, alg, 7); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		var err error
+		if n, err = New(eng, Config{Topo: testTopo(t, 16, 8, cores, buf), CC: alg, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kept != nil {
+		defer func() {
+			n.Unbind()
+			kept[key] = n
+		}()
 	}
 	n.MCT = &stats.Sample{}
 	var out pktOutcome
@@ -78,7 +95,10 @@ func pinnedRun(t testing.TB, alg, fabric string) (pktOutcome, *Network) {
 // TestPktOutcomesPinned holds the simulator to outcomes recorded at commit
 // 4199d84, before ports, pipes and timers became event sources and packets
 // and flow records were recycled: the same events must fire in the same
-// order, so every number is equal, not close.
+// order, so every number is equal, not close. Every row then runs a second
+// time, in reverse order, on one network per fabric that each row rebinds
+// (Rebind) after the one before it: a kept network must give every row the
+// outcome a new one gives it.
 func TestPktOutcomesPinned(t *testing.T) {
 	pinned := []struct {
 		alg, fabric string
@@ -99,12 +119,26 @@ func TestPktOutcomesPinned(t *testing.T) {
 	}
 	for _, c := range pinned {
 		t.Run(c.alg+"/"+c.fabric, func(t *testing.T) {
-			got, n := pinnedRun(t, c.alg, c.fabric)
+			got, n := pinnedRun(t, c.alg, c.fabric, nil)
 			if got != c.want {
 				t.Errorf("outcome moved:\n got  %+v\n want %+v", got, c.want)
 			}
 			checkDrained(t, n)
 		})
+	}
+	kept := map[string]*Network{}
+	for i := len(pinned) - 1; i >= 0; i-- {
+		c := pinned[i]
+		t.Run("rebound/"+c.alg+"/"+c.fabric, func(t *testing.T) {
+			got, n := pinnedRun(t, c.alg, c.fabric, kept)
+			if got != c.want {
+				t.Errorf("outcome on a rebound network moved:\n got  %+v\n want %+v", got, c.want)
+			}
+			checkDrained(t, n)
+		})
+	}
+	if len(kept) != 2 {
+		t.Fatalf("the rebound rows ran on %d networks, want one per fabric", len(kept))
 	}
 }
 

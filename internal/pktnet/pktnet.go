@@ -59,6 +59,14 @@
 // record has nil paths and an empty flag slice, so stale use panics.
 // TestLossyDeliveryAndRecycling checks, under drops and trims, that every
 // record is back on its free list exactly once when the engine drains.
+//
+// # Across runs
+//
+// A Network that has drained can serve another run on its topology:
+// Unbind drops the engine and the MCT sample, and Rebind sets again what
+// New sets for a congestion control and a seed, keeping the ports, the
+// per-pair paths and the free records. TestPktOutcomesPinned runs its
+// rows a second time on rebound networks.
 package pktnet
 
 import (
@@ -102,7 +110,7 @@ type Stats struct {
 // Network is one packet-level simulation instance bound to an Engine.
 type Network struct {
 	eng    *engine.Engine
-	cfg    Config
+	cc     string // the congestion control's name, "mprdma" when configured empty
 	topo   *topo.Topology
 	ports  []port
 	hosts  []hostRx // per host receiver state, indexed by host rank
@@ -128,9 +136,6 @@ type Network struct {
 // New creates a packet network over the topology in cfg, scheduling all
 // events on eng.
 func New(eng *engine.Engine, cfg Config) (*Network, error) {
-	if cfg.CC == "" {
-		cfg.CC = "mprdma"
-	}
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("pktnet: nil topology")
 	}
@@ -139,19 +144,10 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("pktnet: link %d buffers %d B, less than one %d B packet", i, l.BufBytes, mtu+header)
 		}
 	}
-	n := &Network{
-		eng:  eng,
-		cfg:  cfg,
-		topo: cfg.Topo,
-		ndp:  cc.IsReceiverDriven(cfg.CC),
+	if err := checkCC(cfg.CC); err != nil {
+		return nil, err
 	}
-	if !n.ndp {
-		// validate the algorithm name here: flows may then ignore the error
-		if _, err := cc.New(cfg.CC, cc.Params{MTU: mtu}); err != nil {
-			return nil, err
-		}
-	}
-	rng := xrand.New(cfg.Seed ^ 0x41544c414853) // "ATLAHS"
+	n := &Network{topo: cfg.Topo}
 	n.ports = make([]port, len(cfg.Topo.Links))
 	for i := range n.ports {
 		pt := &n.ports[i]
@@ -161,7 +157,6 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 			link: link,
 			kmin: int64(kminFrac * float64(link.BufBytes)),
 			kmax: int64(kmaxFrac * float64(link.BufBytes)),
-			rng:  rng.Split(),
 		}
 		pt.txDoneFn, pt.pipeOutFn = pt.txDone, pt.pipeOut
 	}
@@ -170,8 +165,63 @@ func New(eng *engine.Engine, cfg Config) (*Network, error) {
 		n.hosts[h].init(n, h)
 	}
 	n.pairs = make([][]pair, cfg.Topo.NumHosts())
+	n.bind(eng, cfg.CC, cfg.Seed)
 	return n, nil
 }
+
+// checkCC validates a congestion-control name once, so that flows may
+// ignore cc.New's error.
+func checkCC(name string) error {
+	if name == "" || cc.IsReceiverDriven(name) {
+		return nil
+	}
+	_, err := cc.New(name, cc.Params{MTU: mtu})
+	return err
+}
+
+// Rebind makes a network that has drained (Drained returns nil) a new
+// run's, on the same topology: events go to eng, flows run congestion
+// control ccName (default "mprdma") and the ports' ECN coins are seeded
+// from seed, exactly as New leaves a network for that config. What a run
+// cannot tell from a new network's is kept: the ports' queues, the pull
+// pacers, the per-pair paths and timing constants (functions of the
+// topology alone) and the packet and flow records on the free lists. A
+// record's congestion controller is kept only for the same ccName.
+func (n *Network) Rebind(eng *engine.Engine, ccName string, seed uint64) error {
+	if ccName != n.cc {
+		if err := checkCC(ccName); err != nil {
+			return err
+		}
+	}
+	n.bind(eng, ccName, seed)
+	return nil
+}
+
+// bind sets what New sets beyond the topology's own state: the engine, the
+// congestion control, the port coins, the flow ids (which feed ECMP) and
+// the counters.
+func (n *Network) bind(eng *engine.Engine, ccName string, seed uint64) {
+	if ccName == "" {
+		ccName = "mprdma"
+	}
+	if ccName != n.cc {
+		for _, f := range n.freeFlows {
+			f.ctrl = nil
+		}
+	}
+	n.eng, n.cc, n.ndp = eng, ccName, cc.IsReceiverDriven(ccName)
+	n.nextID, n.Stats = 0, Stats{}
+	var base xrand.RNG
+	base.Seed(seed ^ 0x41544c414853) // "ATLAHS"
+	for i := range n.ports {
+		base.SplitTo(&n.ports[i].rng)
+	}
+}
+
+// Unbind drops the engine and the MCT sample, so that a network kept for
+// a later run (Rebind) holds nothing of the run that used it: its flow
+// records hold no delivery callback once they are back on the free list.
+func (n *Network) Unbind() { n.eng, n.MCT = nil, nil }
 
 // Drained implements core.Drainer once the engine has run dry: every packet
 // and flow record ever allocated is on its free list and cleared, and no
@@ -349,7 +399,7 @@ type port struct {
 	pipe  engine.FIFO[*packet] // propagating on the link, oldest first
 	kmin  int64
 	kmax  int64
-	rng   *xrand.RNG
+	rng   xrand.RNG // the ECN coin
 
 	txDoneFn  engine.Handler // pt.txDone
 	pipeOutFn engine.Handler // pt.pipeOut

@@ -188,21 +188,31 @@ type FatTreeConfig struct {
 	Link        LinkSpec // every link: host<->ToR and ToR<->core
 }
 
-// NewFatTree builds the two-level fat tree. Every ToR connects to every
-// core switch, and every link is the same, so the oversubscription ratio
-// is HostsPerToR:Cores.
-func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
+// Validate reports why NewFatTree would refuse cfg, or nil, without
+// building anything.
+func (cfg FatTreeConfig) Validate() error {
 	if cfg.Hosts <= 0 || cfg.HostsPerToR <= 0 || cfg.Cores <= 0 {
-		return nil, fmt.Errorf("topo: fat tree needs positive hosts, hostsPerToR, cores")
+		return fmt.Errorf("topo: fat tree needs positive hosts, hostsPerToR, cores")
 	}
 	if cfg.Hosts%cfg.HostsPerToR != 0 {
-		return nil, fmt.Errorf("topo: %d hosts not divisible by %d hosts/ToR", cfg.Hosts, cfg.HostsPerToR)
+		return fmt.Errorf("topo: %d hosts not divisible by %d hosts/ToR", cfg.Hosts, cfg.HostsPerToR)
 	}
 	if cfg.Link.PsPerByte <= 0 {
-		return nil, fmt.Errorf("topo: link serialisation %v per byte is not positive", cfg.Link.PsPerByte)
+		return fmt.Errorf("topo: link serialisation %v per byte is not positive", cfg.Link.PsPerByte)
 	}
 	if cfg.Link.Latency < 0 {
-		return nil, fmt.Errorf("topo: negative link latency %v", cfg.Link.Latency)
+		return fmt.Errorf("topo: negative link latency %v", cfg.Link.Latency)
+	}
+	return nil
+}
+
+// NewFatTree builds the two-level fat tree. Every ToR connects to every
+// core switch, and every link is the same, so the oversubscription ratio
+// is HostsPerToR:Cores. Two calls with equal configs build equal
+// topologies.
+func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	nToR := cfg.Hosts / cfg.HostsPerToR
 	t := &Topology{Name: fmt.Sprintf("fattree-%dh-%dtor-%dcore", cfg.Hosts, nToR, cfg.Cores)}

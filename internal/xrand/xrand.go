@@ -28,18 +28,29 @@ func splitmix64(x *uint64) uint64 {
 // seed produce identical streams.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed puts r in the state New(seed) returns a generator in.
+func (r *RNG) Seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
 	}
-	return r
 }
 
 // Split derives an independent child generator; handy for giving each
 // component (e.g. each switch port) its own stream without correlation.
 func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xa3ec647659359acd)
+	c := &RNG{}
+	r.SplitTo(c)
+	return c
 }
+
+// SplitTo puts child in the state of the generator Split would return,
+// so a component that holds its generator by value reseeds it in place.
+func (r *RNG) SplitTo(child *RNG) { child.Seed(r.Uint64() ^ 0xa3ec647659359acd) }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

@@ -98,21 +98,31 @@ const maxHostsPerToR = 4096
 // core switch — instead of being clamped to a topology the caller did
 // not ask for. With both bounds the fabric stays proportional to ranks.
 func FatTree(ranks, hostsPerToR, oversub, cores int, link LinkSpec) (*Topology, error) {
+	cfg, err := fatTreeConfig(ranks, hostsPerToR, oversub, cores, link)
+	if err != nil {
+		return nil, err
+	}
+	return topo.NewFatTree(cfg)
+}
+
+// fatTreeConfig resolves FatTree's arguments to the config it builds and
+// refuses, with FatTree's errors, what FatTree refuses.
+func fatTreeConfig(ranks, hostsPerToR, oversub, cores int, link LinkSpec) (topo.FatTreeConfig, error) {
 	if hostsPerToR <= 0 {
 		hostsPerToR = 4
 	}
 	if hostsPerToR > maxHostsPerToR {
-		return nil, fmt.Errorf("sim: %d hosts per ToR exceeds the fat-tree radix limit of %d", hostsPerToR, maxHostsPerToR)
+		return topo.FatTreeConfig{}, fmt.Errorf("sim: %d hosts per ToR exceeds the fat-tree radix limit of %d", hostsPerToR, maxHostsPerToR)
 	}
 	if cores > hostsPerToR {
-		return nil, fmt.Errorf("sim: %d core switches exceed %d hosts per ToR (oversubscription below 1:1); lower Cores or raise HostsPerToR", cores, hostsPerToR)
+		return topo.FatTreeConfig{}, fmt.Errorf("sim: %d core switches exceed %d hosts per ToR (oversubscription below 1:1); lower Cores or raise HostsPerToR", cores, hostsPerToR)
 	}
 	if cores <= 0 {
 		if oversub <= 0 {
 			oversub = 1
 		}
 		if oversub > hostsPerToR {
-			return nil, fmt.Errorf("sim: oversubscription %d:1 exceeds %d hosts per ToR (fewer than one core switch); lower -oversub or raise -hosts-per-tor", oversub, hostsPerToR)
+			return topo.FatTreeConfig{}, fmt.Errorf("sim: oversubscription %d:1 exceeds %d hosts per ToR (fewer than one core switch); lower -oversub or raise -hosts-per-tor", oversub, hostsPerToR)
 		}
 		cores = hostsPerToR / oversub
 	}
@@ -123,7 +133,8 @@ func FatTree(ranks, hostsPerToR, oversub, cores int, link LinkSpec) (*Topology, 
 	if rem := hosts % hostsPerToR; rem != 0 {
 		hosts += hostsPerToR - rem
 	}
-	return topo.NewFatTree(topo.FatTreeConfig{Hosts: hosts, HostsPerToR: hostsPerToR, Cores: cores, Link: link})
+	cfg := topo.FatTreeConfig{Hosts: hosts, HostsPerToR: hostsPerToR, Cores: cores, Link: link}
+	return cfg, cfg.Validate()
 }
 
 // fabricTopo resolves the shared topology fields of PktConfig/FluidConfig.
@@ -154,14 +165,20 @@ func newLGS(cfg any, _ Env) (core.Backend, error) {
 	return backend.NewLGS(c.Params), nil
 }
 
+// newPkt resolves and checks the fabric here, as a run's spec is
+// refused before anything is built, but builds it in Setup and only when
+// the backend has adopted no network on the same fabric: a fat tree of an
+// equal config, or the same explicit Topology (read-only once built).
 func newPkt(cfg any, env Env) (core.Backend, error) {
 	c, err := ConfigAs[PktConfig]("pkt", cfg)
 	if err != nil {
 		return nil, err
 	}
-	tp, err := fabricTopo(c.Topo, env.Ranks, c.HostsPerToR, c.Oversub, c.Cores, c.Link)
-	if err != nil {
-		return nil, err
+	fabric := backend.Fabric{Topo: c.Topo}
+	if c.Topo == nil {
+		if fabric.FatTree, err = fatTreeConfig(env.Ranks, c.HostsPerToR, c.Oversub, c.Cores, c.Link); err != nil {
+			return nil, err
+		}
 	}
 	if c.CC == "" {
 		c.CC = "mprdma"
@@ -172,8 +189,20 @@ func newPkt(cfg any, env Env) (core.Backend, error) {
 	if c.Params == (NetParams{}) {
 		c.Params = DefaultNetParams()
 	}
-	return backend.NewNet("pkt", c.Params, func(eng *engine.Engine) (backend.MessageNet, error) {
-		n, err := pktnet.New(eng, pktnet.Config{Topo: tp, CC: c.CC, Seed: c.Seed})
+	return backend.NewNet("pkt", c.Params, fabric, func(eng *engine.Engine, kept backend.MessageNet) (backend.MessageNet, error) {
+		n, ok := kept.(*pktnet.Network)
+		var err error
+		switch {
+		case ok:
+			err = n.Rebind(eng, c.CC, c.Seed)
+		case c.Topo != nil:
+			n, err = pktnet.New(eng, pktnet.Config{Topo: c.Topo, CC: c.CC, Seed: c.Seed})
+		default:
+			var tp *topo.Topology
+			if tp, err = topo.NewFatTree(fabric.FatTree); err == nil {
+				n, err = pktnet.New(eng, pktnet.Config{Topo: tp, CC: c.CC, Seed: c.Seed})
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +226,7 @@ func newFluid(cfg any, env Env) (core.Backend, error) {
 	if c.Params == (NetParams{}) {
 		c.Params = DefaultNetParams()
 	}
-	return backend.NewNet("fluid", c.Params, func(eng *engine.Engine) (backend.MessageNet, error) {
+	return backend.NewNet("fluid", c.Params, backend.Fabric{}, func(eng *engine.Engine, _ backend.MessageNet) (backend.MessageNet, error) {
 		return fluid.New(eng, fluid.Config{Topo: tp, Overhead: c.Overhead, JitterFrac: c.JitterFrac, Seed: c.Seed})
 	}), nil
 }

@@ -112,7 +112,7 @@ func fatTree8(t *testing.T) *Topology {
 func TestGoldenPkt(t *testing.T) {
 	s := micro.AllToAll(8, 32768)
 	tp := fatTree8(t)
-	pb := backend.NewNet("pkt", backend.DefaultNetParams(), func(eng *engine.Engine) (backend.MessageNet, error) {
+	pb := backend.NewNet("pkt", backend.DefaultNetParams(), backend.Fabric{}, func(eng *engine.Engine, _ backend.MessageNet) (backend.MessageNet, error) {
 		return pktnet.New(eng, pktnet.Config{Topo: tp, CC: "mprdma", Seed: 3})
 	})
 	want, err := sched.Run(engine.New(), s, pb, sched.Options{})
@@ -139,7 +139,7 @@ func TestGoldenPkt(t *testing.T) {
 func TestGoldenFluid(t *testing.T) {
 	s := micro.BulkSynchronous(8, 3, 32768, 2000)
 	tp := fatTree8(t)
-	fb := backend.NewNet("fluid", backend.DefaultNetParams(), func(eng *engine.Engine) (backend.MessageNet, error) {
+	fb := backend.NewNet("fluid", backend.DefaultNetParams(), backend.Fabric{}, func(eng *engine.Engine, _ backend.MessageNet) (backend.MessageNet, error) {
 		return fluid.New(eng, fluid.Config{Topo: tp, Overhead: 1500, JitterFrac: 0.03, Seed: 6})
 	})
 	want, err := sched.Run(engine.New(), s, fb, sched.Options{})

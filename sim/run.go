@@ -101,10 +101,12 @@ func (t Tally) Total() int64 { return t.Calcs + t.Sends + t.Recvs }
 // lookahead runs on the lane engine.
 //
 // A run that succeeds leaves its working state — the scheduler's arrays,
-// the serial engine's event slab and, once Drained proves it clean, LGS's
-// state — for a later run (runState), which is why a warm
-// process allocates little beyond a run's input and Result. Nothing
-// carried over can change a result.
+// the serial engine's event slab and, once Drained proves it clean, the
+// backend's: LGS's, or the packet backend's with its network, which a
+// later run on the same fabric rebinds instead of building the fabric
+// again — for a later run (runState), which is why a warm process
+// allocates little beyond a run's input and Result. Nothing carried over
+// can change a result.
 //
 // Cancellation is cooperative at op granularity: when ctx is cancellable,
 // the run stops near the next op completion after ctx ends and Run returns
@@ -147,6 +149,14 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if lgs != nil && rs.lgs != nil {
 		lgs.Adopt(rs.lgs)
 		rs.lgs = nil
+	}
+	pkt, _ := be.(*backend.NetBackend)
+	if pkt != nil && pkt.Name() != "pkt" {
+		pkt = nil // fluid: see runState
+	}
+	if pkt != nil && rs.pkt != nil {
+		pkt.Adopt(rs.pkt)
+		rs.pkt = nil
 	}
 	var eng engine.Sim
 	if parallel {
@@ -208,6 +218,10 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if lgs != nil && lgs.Drained() == nil {
 		lgs.Unbind()
 		rs.lgs = lgs
+	}
+	if pkt != nil && pkt.Drained() == nil {
+		pkt.Unbind()
+		rs.pkt = pkt
 	}
 	runStates.Put(rs)
 	return out, nil
