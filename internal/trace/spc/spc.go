@@ -71,15 +71,31 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ParseBytes parses an SPC CSV trace held in memory. Opcode matching is
-// case-insensitive; blank lines and lines starting with '#' are skipped,
-// as are fields after the fifth. Lines are tokenised in place and Ops is
-// sized once from the line count, so parsing allocates the commands and
-// nothing per line.
+// ParseBytes parses an SPC CSV trace held in memory into a new Trace (see
+// Parse).
 func ParseBytes(b []byte) (*Trace, error) {
+	t := new(Trace)
+	if err := t.Parse(b); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Parse parses an SPC CSV trace held in memory into t, replacing its
+// commands. Opcode matching is case-insensitive; blank lines and lines
+// starting with '#' are skipped, as are fields after the fifth. Lines are
+// tokenised in place and Ops is sized once from the line count, reusing
+// its storage when that is large enough, so parsing allocates nothing per
+// line, and nothing at all into a trace that has held a larger one. After
+// an error, Ops holds what was parsed before it.
+func (t *Trace) Parse(b []byte) error {
 	// The shortest record, "0,0,1,R,0", has nine bytes and a newline.
 	const minRecord = 10
-	t := &Trace{Ops: make([]Op, 0, min(bytes.Count(b, []byte{'\n'})+1, len(b)/minRecord+1))}
+	if n := min(bytes.Count(b, []byte{'\n'})+1, len(b)/minRecord+1); cap(t.Ops) < n {
+		t.Ops = make([]Op, 0, n)
+	} else {
+		t.Ops = t.Ops[:0]
+	}
 	for lineno := 1; len(b) > 0; lineno++ {
 		var line []byte
 		line, b, _ = bytes.Cut(b, []byte{'\n'})
@@ -94,19 +110,19 @@ func ParseBytes(b []byte) (*Trace, error) {
 			f[n] = bytes.TrimSpace(f[n])
 		}
 		if n < len(f) {
-			return nil, fmt.Errorf("spc: line %d: want 5 fields, got %d", lineno, n)
+			return fmt.Errorf("spc: line %d: want 5 fields, got %d", lineno, n)
 		}
 		asu, err := strconv.Atoi(string(f[0]))
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad ASU %q", lineno, f[0])
+			return fmt.Errorf("spc: line %d: bad ASU %q", lineno, f[0])
 		}
 		lba, err := strconv.ParseInt(string(f[1]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad LBA %q", lineno, f[1])
+			return fmt.Errorf("spc: line %d: bad LBA %q", lineno, f[1])
 		}
 		size, err := strconv.ParseInt(string(f[2]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad size %q", lineno, f[2])
+			return fmt.Errorf("spc: line %d: bad size %q", lineno, f[2])
 		}
 		var write bool
 		switch string(f[3]) {
@@ -114,18 +130,15 @@ func ParseBytes(b []byte) (*Trace, error) {
 			write = true
 		case "R", "r":
 		default:
-			return nil, fmt.Errorf("spc: line %d: bad opcode %q", lineno, f[3])
+			return fmt.Errorf("spc: line %d: bad opcode %q", lineno, f[3])
 		}
 		ts, err := strconv.ParseFloat(string(f[4]), 64)
 		if err != nil {
-			return nil, fmt.Errorf("spc: line %d: bad timestamp %q", lineno, f[4])
+			return fmt.Errorf("spc: line %d: bad timestamp %q", lineno, f[4])
 		}
 		t.Ops = append(t.Ops, Op{ASU: asu, LBA: lba, Bytes: size, Write: write, Time: ts})
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.Validate()
 }
 
 // Stats summarises a trace for reporting.

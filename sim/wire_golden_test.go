@@ -258,9 +258,9 @@ func handWrittenCases() []convertCase {
 // which is also what would move every spec fingerprint and
 // goal_bytes_per_op.
 //
-// The nsys rows run a second time in reverse order, each on the scratch
-// the conversion of the row after it left behind: a larger, a smaller or a
-// failing input's.
+// The nsys and spc rows run a second time in reverse order, each on the
+// scratch (nsys) or the trace (spc) the conversion of the row after it
+// left behind: a larger, a smaller or a failing input's.
 func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
 	tr, err := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 128, Steps: 9, Seed: 1})
 	cases := []convertCase{
@@ -286,7 +286,7 @@ func TestConvertedSchedulesEncodeAsBefore(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { checkPinned(t, c) })
 	}
 	for i := len(cases) - 1; i >= 0; i-- {
-		if c := cases[i]; c.frontend == "nsys" {
+		if c := cases[i]; c.frontend == "nsys" || c.frontend == "spc" {
 			t.Run("reverse/"+c.name, func(t *testing.T) { checkPinned(t, c) })
 		}
 	}
