@@ -61,12 +61,16 @@ func pinnedSchedules() map[string]*goal.Schedule {
 		// first receive to the first message whichever protocol carries it,
 		// and the NIC serialises the eager payload with the rendezvous data.
 		"eager-then-rendezvous": pair(func(src, dst *goal.RankBuilder) {
-			src.Chain(src.Send(1000, 1, 0), src.Send(rendezvousBytes, 1, 0))
-			dst.Chain(dst.Recv(1000, 0, 0), dst.Recv(rendezvousBytes, 0, 0))
+			first := src.Send(1000, 1, 0)
+			src.Requires(src.Send(rendezvousBytes, 1, 0), first)
+			first = dst.Recv(1000, 0, 0)
+			dst.Requires(dst.Recv(rendezvousBytes, 0, 0), first)
 		}),
 		"rendezvous-then-eager": pair(func(src, dst *goal.RankBuilder) {
-			src.Chain(src.Send(rendezvousBytes, 1, 0), src.Send(1000, 1, 0))
-			dst.Chain(dst.Recv(rendezvousBytes, 0, 0), dst.Recv(1000, 0, 0))
+			first := src.Send(rendezvousBytes, 1, 0)
+			src.Requires(src.Send(1000, 1, 0), first)
+			first = dst.Recv(rendezvousBytes, 0, 0)
+			dst.Requires(dst.Recv(1000, 0, 0), first)
 		}),
 		// A wildcard receive posted between two exact ones.
 		"wildcard-recv": pair(func(src, dst *goal.RankBuilder) {

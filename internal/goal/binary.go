@@ -27,7 +27,9 @@ import (
 // Dependency targets are encoded as deltas from the dependent op index,
 // which are small for the chain-heavy graphs trace conversion produces —
 // this is what makes GOAL files several times smaller than Chakra ETs
-// (paper Fig 9).
+// (paper Fig 9). The two dependency sections of a rank are also the form
+// its tables are held and run in (Deps), so WriteBinary writes them as
+// they are.
 
 const binaryMagic = "GOALB1\n"
 
@@ -121,21 +123,28 @@ func (e *binaryEncoder) room() error {
 	return err
 }
 
-// deps encodes one dependency table: per op its list length, then each
-// edge as the distance back from the op.
+// deps writes one dependency table: its bytes as they are held, or one
+// zero count per op for a table without edges.
 func (e *binaryEncoder) deps(d Deps) error {
-	for i := 0; i < d.Len(); i++ {
-		if err := e.room(); err != nil {
-			return err
-		}
-		list := d.Of(i)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(list)))
-		for _, dep := range list {
+	if d.enc == nil {
+		for left := d.n; left > 0; {
 			if err := e.room(); err != nil {
 				return err
 			}
-			e.buf = binary.AppendVarint(e.buf, int64(int32(i)-dep))
+			k := min(left, cap(e.buf)-len(e.buf))
+			e.buf = e.buf[:len(e.buf)+k]
+			clear(e.buf[len(e.buf)-k:])
+			left -= k
 		}
+		return nil
+	}
+	for rest := d.enc; len(rest) > 0; {
+		if err := e.room(); err != nil {
+			return err
+		}
+		k := copy(e.buf[len(e.buf):cap(e.buf)], rest)
+		e.buf = e.buf[:len(e.buf)+k]
+		rest = rest[k:]
 	}
 	return nil
 }

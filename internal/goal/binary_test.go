@@ -40,9 +40,9 @@ func writeBinaryRef(w io.Writer, s *Schedule) error {
 			bw.Write(opBuf)
 		}
 		writeDeps := func(deps Deps) {
-			for i := 0; i < deps.Len(); i++ {
-				putU(uint64(len(deps.Of(i))))
-				for _, d := range deps.Of(i) {
+			for i, list := range lists(deps) {
+				putU(uint64(len(list)))
+				for _, d := range list {
 					putS(int64(int32(i) - d))
 				}
 			}

@@ -1,6 +1,13 @@
 package goal
 
-import "fmt"
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"atlahs/internal/registry"
+)
 
 // OpID identifies an op within one rank's program during construction.
 type OpID int32
@@ -12,30 +19,29 @@ type OpID int32
 // The contract, in four parts:
 //
 //   - Counted or grown. A producer that knows how many ops and edges a rank
-//     gets says so with RankBuilder.Grow, and that rank's arrays are
+//     gets says so with RankBuilder.Grow, and that rank's op array is
 //     allocated once, at exactly that size. A producer that does not know
-//     just adds: the same arrays grow the way append grows them. A count
+//     just adds: the same array grows the way append grows it. A count
 //     that turns out too small is not an error, only a regrowth.
 //   - In order or spilled. Each of a rank's two dependency tables is
-//     written directly in its final CSR form (Deps: 4 B per op, 4 B per
-//     edge) for as long as successive Requires / IRequires calls name
+//     encoded directly in its final form (Deps: the binary encoding's
+//     own, a byte or two per list and per edge) into scratch the package
+//     keeps, for as long as successive Requires / IRequires calls name
 //     non-decreasing ops — which is what a producer does that wires each
 //     op up right after adding it. The first call that names an op older
-//     than the last one named spills that table of that rank to an
-//     (op, dep) log (8 B per edge) that Build counting-sorts into CSR.
-//     Both paths give an op its dependencies in the order they were added,
-//     so they produce identical schedules; which one runs is decided by
-//     the order the producer's calls arrive in, per rank and per table.
-//   - One Build. Build hands the op arrays and the in-order tables to the
-//     Schedule instead of copying them, so it may be called once, last:
-//     the builder and its RankBuilder handles are spent afterwards and any
-//     further use panics.
-//   - What is handed over: every rank's Ops, and the offset and edge
-//     arrays of every table that stayed in order, with whatever spare
-//     capacity growth left (none after an exact Grow). Spilled tables are
-//     freshly allocated at their exact size. A table without edges has
-//     neither array — its offsets are nil exactly when its edges are
-//     (see newDeps) — so it costs nothing per op.
+//     than the last one named spills that table of that rank to an (op,
+//     dep) log (8 B per edge) that Build sorts by op and encodes. Both
+//     paths give an op its dependencies in the order they were added, so
+//     they produce identical schedules; which one runs is decided by the
+//     order the producer's calls arrive in, per rank and per table.
+//   - One Build. Build hands the op arrays to the Schedule instead of
+//     copying them, so it may be called once, last: the builder and its
+//     RankBuilder handles are spent afterwards and any further use panics.
+//   - What is handed over: every rank's Ops, with whatever spare capacity
+//     growth left (none after an exact Grow), and each table's bytes,
+//     copied out of the scratch at their exact length, which is the one
+//     allocation a table costs. A table without edges has no bytes, so it
+//     costs nothing per op.
 type Builder struct {
 	ranks   []RankBuilder
 	comment string
@@ -75,10 +81,10 @@ const spentMsg = "goal: Builder used after Build"
 
 // RankBuilder adds ops and dependencies to one rank: ops to one array,
 // dependencies to one depTable per kind. An op costs its 16 bytes and an
-// edge 4 (8 once its table has spilled) while building, plus 4 bytes per
-// op for each table that has any edges. An op with a value the packed
-// form cannot hold (see Op) is added in its reserved form, which Validate
-// refuses, naming the field.
+// edge a byte or two (8 once its table has spilled) while building, plus
+// a byte per op for each table that has any edges. An op with a value the
+// packed form cannot hold (see Op) is added in its reserved form, which
+// Validate refuses, naming the field.
 type RankBuilder struct {
 	r         int
 	spent     bool
@@ -90,16 +96,25 @@ type RankBuilder struct {
 // depTable is one dependency table under construction (see Builder for
 // the two states).
 type depTable struct {
-	// In order: off[i] is where op i's list starts in edges, for every op
-	// up to the last one a call has named (op len(off)-1, whose list runs
-	// to the end of edges). Build pads off to the op count and these two
-	// arrays are the table.
-	off   []int32
-	edges []int32
+	// In order: enc holds the lists of ops 0 to lists-2, encoded, and the
+	// open list of op lists-1, which starts at open with one byte kept for
+	// its count (count edges so far); close writes the count there. enc is
+	// *scratch, taken from encScratch at the first edge or Grow.
+	scratch *[]byte
+	enc     []byte
+	lists   int
+	open    int
+	count   int
+	edges   int
 	// Spilled (log is non-nil): every edge in call order, the in-order
 	// ones first.
 	log []depEdge
 }
+
+// encScratch keeps the buffers that tables are encoded into while they
+// are built, so that a process building schedule after schedule allocates
+// for each table only the copy Build hands over.
+var encScratch registry.Stock[[]byte]
 
 func (t *depTable) spilled() bool { return t.log != nil }
 
@@ -108,9 +123,6 @@ type depEdge struct{ op, dep int32 }
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
-
-// NumOps returns the number of ops added to this rank so far.
-func (rb *RankBuilder) NumOps() int { return len(rb.ops) }
 
 // Grow reserves room for exactly ops more ops and requires / irequires
 // more dependency edges on this rank. Callers count first and Grow once;
@@ -138,16 +150,25 @@ func reserve[T any](s []T, n int) []T {
 }
 
 // grow reserves for a rank that will have nops ops and edges more edges
-// in this table. A table that is to stay empty reserves nothing, and
-// Build gives it no arrays.
+// in this table: a byte per list not yet begun and two per edge, enough
+// unless edges reach more than 8 191 ops away. A table that is to stay
+// empty reserves nothing, and Build gives it no bytes.
 func (t *depTable) grow(nops, edges int) {
 	switch {
 	case edges == 0:
 	case t.spilled():
 		t.log = reserve(t.log, edges)
 	default:
-		t.off = reserve(t.off, nops+1-len(t.off))
-		t.edges = reserve(t.edges, edges)
+		t.take()
+		t.enc = reserve(t.enc, max(nops-t.lists, 0)+2*edges)
+	}
+}
+
+// take takes the table's scratch from encScratch, if it has none yet.
+func (t *depTable) take() {
+	if t.scratch == nil {
+		t.scratch = encScratch.Take()
+		t.enc = (*t.scratch)[:0]
 	}
 }
 
@@ -218,7 +239,7 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 	if len(deps) == 0 {
 		return
 	}
-	if !t.spilled() && int(op) < len(t.off)-1 {
+	if !t.spilled() && int(op) < t.lists-1 {
 		t.spill()
 	}
 	if t.spilled() {
@@ -227,44 +248,65 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 		}
 		return
 	}
-	for len(t.off) <= int(op) {
-		t.off = append(t.off, int32(len(t.edges)))
+	t.add(int32(op), deps)
+}
+
+// add appends deps to op's list, op being no older than the open list's.
+func (t *depTable) add(op int32, deps []OpID) {
+	if int(op) >= t.lists {
+		t.take()
+		t.pad(int(op))
+		t.open, t.count, t.lists = len(t.enc), 0, int(op)+1
+		t.enc = append(t.enc, 0)
 	}
 	for _, d := range deps {
-		t.edges = append(t.edges, int32(d))
+		t.enc = appendDelta(t.enc, op, int32(d))
+	}
+	t.count += len(deps)
+	t.edges += len(deps)
+}
+
+// pad closes the open list and begins every list before op's empty.
+func (t *depTable) pad(op int) {
+	t.close()
+	for ; t.lists < op; t.lists++ {
+		t.enc = append(t.enc, 0)
 	}
 }
 
-// spill rewrites the in-order arrays as the head of the log, which takes
-// over whatever edge capacity Grow reserved.
+// close writes the open list's count into the byte kept for it, moving
+// the list's edges right when the count needs more than one byte.
+func (t *depTable) close() {
+	if t.lists == 0 {
+		return
+	}
+	if t.count < 0x80 {
+		t.enc[t.open] = byte(t.count)
+		return
+	}
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], uint64(t.count))
+	t.enc = append(t.enc, count[1:k]...)
+	copy(t.enc[t.open+k:], t.enc[t.open+1:len(t.enc)-(k-1)])
+	copy(t.enc[t.open:], count[:k])
+}
+
+// spill rewrites the in-order lists as the head of the log; the scratch
+// stays with the table for Build.
 func (t *depTable) spill() {
-	t.log = make([]depEdge, 0, max(cap(t.edges), 2*len(t.edges)))
-	for i := range t.off {
-		hi := len(t.edges)
-		if i+1 < len(t.off) {
-			hi = int(t.off[i+1])
-		}
-		for _, d := range t.edges[t.off[i]:hi] {
-			t.log = append(t.log, depEdge{int32(i), d})
+	t.close()
+	t.log = make([]depEdge, 0, 2*t.edges)
+	c := DepCursor{enc: t.enc, op: -1}
+	for i := 0; i < t.lists; i++ {
+		for k := c.Next(); k > 0; k-- {
+			t.log = append(t.log, depEdge{int32(i), c.Dep()})
 		}
 	}
-	t.off, t.edges = nil, nil
-}
-
-// Chain links ops into a sequential requires chain (each op requires its
-// predecessor) and returns the last op, or -1 for an empty argument list.
-func (rb *RankBuilder) Chain(ops ...OpID) OpID {
-	if len(ops) == 0 {
-		return -1
-	}
-	for i := 1; i < len(ops); i++ {
-		rb.Requires(ops[i], ops[i-1])
-	}
-	return ops[len(ops)-1]
+	t.enc, t.lists, t.open, t.count, t.edges = t.enc[:0], 0, 0, 0, 0
 }
 
 // Build assembles the final Schedule and leaves the builder spent: the
-// schedule owns the arrays the builder filled (see Builder).
+// schedule owns the op arrays the builder filled (see Builder).
 func (b *Builder) Build() *Schedule {
 	if b.ranks == nil {
 		panic(spentMsg)
@@ -274,49 +316,47 @@ func (b *Builder) Build() *Schedule {
 		rb := &b.ranks[r]
 		n := len(rb.ops)
 		if n == 0 {
-			rb.ops = nil // as the tables' edges: nil when empty, Grow or not
+			rb.ops = nil // as a table's bytes: nil when empty, Grow or not
 		}
 		s.Ranks[r] = RankProgram{Ops: rb.ops, Requires: rb.requires.build(n), IRequires: rb.irequires.build(n)}
+	}
+	// The scratch goes back in the reverse of the order a producer that
+	// works rank by rank takes it, so that the next such producer's rank r
+	// gets the buffer rank r had, already the size it needs.
+	for r := len(b.ranks) - 1; r >= 0; r-- {
+		rb := &b.ranks[r]
+		rb.irequires.putBack()
+		rb.requires.putBack()
 		*rb = RankBuilder{r: r, spent: true}
 	}
 	b.ranks = nil
 	return s
 }
 
-// build finishes the table for a rank of n ops, keeping what newDeps
-// promises: a table without edges is its list count alone, and otherwise
-// off has n+1 entries.
-func (t *depTable) build(n int) Deps {
-	switch {
-	case t.spilled():
-		return tableOf(n, t.log)
-	case len(t.edges) == 0:
-		return Deps{n: n}
+// putBack gives the table's scratch back to encScratch.
+func (t *depTable) putBack() {
+	if t.scratch != nil {
+		*t.scratch = t.enc[:0]
+		encScratch.Put(t.scratch)
 	}
-	d := Deps{n: n, off: reserve(t.off, n+1-len(t.off)), edges: t.edges}
-	for len(d.off) <= n {
-		d.off = append(d.off, int32(len(t.edges)))
-	}
-	return d
 }
 
-// tableOf counting-sorts an edge log by op into a table of n lists (the
-// shifted-count fill is explained in Invert). The sort is stable, so each
-// op's list holds its dependencies in the order they were added — the
-// order the binary encoding, and with it every schedule fingerprint,
-// depends on.
-func tableOf(n int, log []depEdge) Deps {
-	d := newDeps(n, len(log)) // a table spills on an edge, so the log has one
-	off := d.off[:n+2]
-	for _, e := range log {
-		off[e.op+2]++
+// build finishes the table for a rank of n ops. A spilled table's log is
+// sorted by op — stably, so each op's list holds its dependencies in the
+// order they were added, the order the binary encoding, and with it every
+// schedule fingerprint, depends on — and encoded as an in-order one would
+// have been.
+func (t *depTable) build(n int) Deps {
+	if t.spilled() {
+		slices.SortStableFunc(t.log, func(a, b depEdge) int { return cmp.Compare(a.op, b.op) })
+		for _, e := range t.log {
+			t.add(e.op, []OpID{OpID(e.dep)})
+		}
 	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	for _, e := range log {
-		d.edges[off[e.op+1]] = e.dep
-		off[e.op+1]++
+	d := Deps{n: n, edges: t.edges}
+	if t.edges > 0 {
+		t.pad(n)
+		d.enc = append(make([]byte, 0, len(t.enc)), t.enc...)
 	}
 	return d
 }

@@ -1,119 +1,216 @@
 package goal
 
+import "encoding/binary"
+
 // Deps is one dependency table of a rank program — for every op, the list
-// of ops it depends on — in compressed-sparse-row form: an offset array of
-// Len()+1 entries and one edge array holding every list back to back.
+// of ops it depends on — held in the binary encoding's own form: the
+// table's section of a GOAL file (see binary.go), per op a uvarint list
+// length followed by one zigzag varint of i − dep per edge, in the order
+// the edges were added.
 //
-// This is the only layout dependency tables have, from the builder and the
-// decoders through to the scheduler's successor tables (Invert). GOAL
-// graphs are chain-heavy: an op has about one dependency, ~4.6 B of edge
-// data across both tables. A slice-per-op table spends two 24-byte slice
-// headers per op on that (48 B/op, ten times the data), and because a
-// header holds a pointer the collector has to scan every one of them. CSR
-// spends 4 B/op of offsets on each table that has edges, and both arrays
-// are pointer-free, so the runtime allocates them noscan and a table costs
-// the collector nothing however many ops it covers. A table without edges
-// (`irequires`, on most schedules) records only its list count and has
-// neither array, so it costs nothing per op.
+// This is the layout dependency tables have from the builder and the
+// decoders through Validate, the codecs and the scheduler's pending
+// counts; the scheduler's successor tables are Succ, which Invert makes.
+// GOAL graphs are chain-heavy and their edges short: an op has about one
+// dependency, a few ops back, so a list costs a byte for its length and
+// about a byte per edge. LULESH's 145 152 ops and 212 992 edges take
+// 0.36 MB this way, against 1.43 MB in compressed-sparse-row form (4 B of
+// offset per op plus 4 B per edge) and ten times that with a slice
+// header per op. The bytes are pointer-free, so the collector never
+// scans them, and they are the file's: ParseBinary copies a section it
+// has checked, WriteBinary (and so every fingerprint) writes it back.
+// Reading them in op order is a DepCursor; the one reader that needs an
+// op's list out of order, the acyclicity check, indexes the lists in
+// kept scratch of its own.
+//
+// A table without edges (`irequires`, on most schedules) records only its
+// list count and has no bytes, so it costs nothing per op.
 //
 // The zero Deps is an empty table (Len() == 0).
 type Deps struct {
-	n     int     // the number of lists
-	off   []int32 // op i's list is edges[off[i]:off[i+1]]; nil when edges is
-	edges []int32
-}
-
-// newDeps allocates a table of n lists over edges edge slots. Every
-// producer goes through it or keeps its rule, so equal tables are also
-// reflect.DeepEqual: off and edges are nil exactly when the table has no
-// edges, and otherwise off has n+1 entries and one spare slot of capacity
-// for the counting sorts (see Invert).
-func newDeps(n, edges int) Deps {
-	if edges == 0 {
-		return Deps{n: n}
-	}
-	return Deps{n: n, off: make([]int32, n+1, n+2), edges: make([]int32, edges)}
+	n     int    // the number of lists
+	edges int    // the total length of all lists
+	enc   []byte // the lists, encoded; nil exactly when edges is 0
 }
 
 // Len returns the number of lists, one per op of the rank program.
 func (d Deps) Len() int { return d.n }
 
 // NumEdges returns the total length of all lists.
-func (d Deps) NumEdges() int { return len(d.edges) }
-
-// Of returns op i's list, in the order its edges were added: nil in a
-// table without edges. The slice is a view into the table, capped so an
-// append cannot reach the next list.
-func (d Deps) Of(i int) []int32 {
-	if d.off == nil {
-		return nil
-	}
-	lo, hi := d.off[i], d.off[i+1]
-	return d.edges[lo:hi:hi]
-}
+func (d Deps) NumEdges() int { return d.edges }
 
 // Clone returns a deep copy of d, sharing no array with it: what Compose
 // gives each placed rank, so the merged schedule never aliases its inputs.
 func (d Deps) Clone() Deps {
-	c := newDeps(d.Len(), len(d.edges))
-	copy(c.off, d.off)
-	copy(c.edges, d.edges)
-	return c
+	if d.enc != nil {
+		d.enc = append([]byte(nil), d.enc...)
+	}
+	return d
 }
 
-// Cleared returns an empty table (Len() 0, like the zero Deps) on d's
-// arrays, for a later InvertInto to reuse.
-func (d Deps) Cleared() Deps { return Deps{off: d.off[:0], edges: d.edges[:0]} }
+// Cursor returns a cursor before the table's first list.
+func (d Deps) Cursor() DepCursor { return DepCursor{enc: d.enc, op: -1} }
 
-// Invert returns the transposed table: list j of the result holds, in
-// ascending order, every i whose list in d contains j — the successors of
-// j when d lists dependencies. It is the one inversion in the tree: the
-// scheduler's successor tables and the synthesis miner's depth profile
-// are its results, and Validate needs none. Every edge must lie in
-// [0, Len()), which Validate establishes first.
-func (d Deps) Invert() Deps { return d.InvertInto(Deps{}) }
+// DepCursor reads a dependency table's lists in op order: Next moves to
+// the next op's list and Dep reads its edges one by one. It is a value
+// that decodes the table's bytes in place, so a reader allocates nothing
+// however many tables it walks. Edges a reader does not want are skipped
+// by the next call to Next.
+type DepCursor struct {
+	enc  []byte
+	off  int   // the next byte to decode
+	op   int32 // the op whose list Next moved to last
+	left int   // the edges of op's list not yet read
+}
+
+// Next moves to the next op's list and returns its length. It must not be
+// called more often than the table has lists.
+func (c *DepCursor) Next() int {
+	for ; c.left > 0; c.left-- {
+		_, c.off = uvarintAt(c.enc, c.off)
+	}
+	c.op++
+	if c.enc == nil {
+		return 0
+	}
+	n, off := uvarintAt(c.enc, c.off)
+	c.off, c.left = off, int(n)
+	return c.left
+}
+
+// Dep returns the next edge of the current list: the op it depends on.
+// It must not be called more often than Next's count.
+func (c *DepCursor) Dep() int32 {
+	u, off := uvarintAt(c.enc, c.off)
+	c.off = off
+	c.left--
+	return c.op - unzigzag(u)
+}
+
+// uvarintAt decodes the uvarint at enc[off]: its value and the offset
+// after it. It decodes in a loop of its own, with no call, so that it
+// inlines into the readers' loops and keeps the offset in a register:
+// most counts and deltas are one byte.
+func uvarintAt(enc []byte, off int) (uint64, int) {
+	if b := enc[off]; b < 0x80 {
+		return uint64(b), off + 1
+	}
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		b := enc[off]
+		off++
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v, off
+		}
+	}
+}
+
+// unzigzag returns the delta a zigzag varint's value u encodes. Every
+// delta a table holds fits in 32 bits.
+func unzigzag(u uint64) int32 { return int32(u>>1) ^ -int32(u&1) }
+
+// cursorAt returns a cursor that the next call to Next moves to op's list,
+// which starts at byte off of the encoding.
+func (d Deps) cursorAt(op, off int32) DepCursor {
+	return DepCursor{enc: d.enc, off: int(off), op: op - 1}
+}
+
+// appendDelta appends the encoding of edge op → dep. The delta is taken
+// in 32 bits, as Dep undoes it, so any pair of int32s round-trips.
+func appendDelta(b []byte, op, dep int32) []byte {
+	return binary.AppendVarint(b, int64(op-dep))
+}
+
+// Succ is a successor table in compressed-sparse-row form — an offset
+// array of Len()+1 entries and one edge array holding every list back to
+// back — which Invert makes of a dependency table: list j holds, in
+// ascending order, every op whose dependency list names j. The scheduler
+// reads an op's successors at each completion, in whatever order ops
+// complete, so they are indexed: O(1) to find, with both arrays
+// pointer-free. A table without edges has neither array.
+type Succ struct {
+	n     int
+	off   []int32 // op j's list is edges[off[j]:off[j+1]]; nil when edges is
+	edges []int32
+}
+
+// Len returns the number of lists.
+func (s Succ) Len() int { return s.n }
+
+// NumEdges returns the total length of all lists.
+func (s Succ) NumEdges() int { return len(s.edges) }
+
+// Of returns op j's list: nil in a table without edges. The slice is a
+// view into the table, capped so an append cannot reach the next list.
+func (s Succ) Of(j int) []int32 {
+	if s.off == nil {
+		return nil
+	}
+	lo, hi := s.off[j], s.off[j+1]
+	return s.edges[lo:hi:hi]
+}
+
+// Cleared returns an empty table (Len() 0) on s's arrays, for a later
+// InvertInto to reuse.
+func (s Succ) Cleared() Succ { return Succ{off: s.off[:0], edges: s.edges[:0]} }
+
+// Invert returns the successor table of d: list j holds, in ascending
+// order, every i whose list in d contains j. It is the one inversion in
+// the tree: the scheduler's successor tables and the synthesis miner's
+// depth profile are its results, and Validate needs none. Every edge must
+// lie in [0, Len()), which Validate establishes first.
+func (d Deps) Invert() Succ { return d.InvertInto(Succ{}) }
 
 // InvertInto is Invert writing into dst's arrays where they are large
 // enough, so that a caller inverting table after table (the scheduler, run
-// after run) allocates only when a table outgrows the last. dst must not
-// share an array with d, and no view of dst's lists may outlive the call.
-// A table without edges inverts to one without edges, leaving dst's arrays
-// unused.
-func (d Deps) InvertInto(dst Deps) Deps {
-	n := d.Len()
-	if len(d.edges) == 0 {
-		return Deps{n: n}
+// after run) allocates only when a table outgrows the last. No view of
+// dst's lists may outlive the call. A table without edges inverts to one
+// without edges, leaving dst's arrays unused.
+func (d Deps) InvertInto(dst Succ) Succ {
+	n := d.n
+	if d.edges == 0 {
+		return Succ{n: n}
 	}
-	inv := Deps{n: n, off: dst.off, edges: dst.edges}
+	inv := Succ{n: n, off: dst.off, edges: dst.edges}
 	if cap(inv.off) < n+2 {
 		inv.off = make([]int32, n+1, n+2)
 	} else {
 		inv.off = inv.off[:n+1]
 		clear(inv.off[:n+2])
 	}
-	if cap(inv.edges) < len(d.edges) {
-		inv.edges = make([]int32, len(d.edges))
+	if cap(inv.edges) < d.edges {
+		inv.edges = make([]int32, d.edges)
 	} else {
-		inv.edges = inv.edges[:len(d.edges)]
+		inv.edges = inv.edges[:d.edges]
 	}
 	// Counting sort with the counts two slots right of their list: after
 	// the prefix sum off[j+1] is the start of list j, so it serves as j's
 	// fill cursor, and once list j is full it has advanced to the start of
 	// list j+1 — the offset array is finished without a cursor array.
 	off := inv.off[:n+2]
-	for _, e := range d.edges {
-		off[e+2]++
+	pos := 0
+	for i := int32(0); i < int32(n); i++ {
+		k, next := uvarintAt(d.enc, pos)
+		for pos = next; k > 0; k-- {
+			var u uint64
+			u, pos = uvarintAt(d.enc, pos)
+			off[i-unzigzag(u)+2]++
+		}
 	}
 	for j := 2; j < len(off); j++ {
 		off[j] += off[j-1]
 	}
-	i := int32(0) // the list edge k belongs to
-	for k, e := range d.edges {
-		for int32(k) >= d.off[i+1] {
-			i++
+	pos = 0
+	for i := int32(0); i < int32(n); i++ {
+		k, next := uvarintAt(d.enc, pos)
+		for pos = next; k > 0; k-- {
+			var u uint64
+			u, pos = uvarintAt(d.enc, pos)
+			e := i - unzigzag(u)
+			inv.edges[off[e+1]] = i
+			off[e+1]++
 		}
-		inv.edges[off[e+1]] = i
-		off[e+1]++
 	}
 	return inv
 }

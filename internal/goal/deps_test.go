@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -34,10 +34,94 @@ func depsFixture() *Schedule {
 	return b.MustBuild()
 }
 
-// lists spells a table out as one slice per op, the model the CSR layout
-// is checked against.
+// lists spells a table out as one slice per op, read through its cursor.
 func lists(d Deps) [][]int32 {
 	out := make([][]int32, d.Len())
+	c := d.Cursor()
+	for i := range out {
+		out[i] = []int32{}
+		for k := c.Next(); k > 0; k-- {
+			out[i] = append(out[i], c.Dep())
+		}
+	}
+	return out
+}
+
+// of returns op i's list of d, or nil when it is empty.
+func (d Deps) of(i int) []int32 {
+	if l := lists(d)[i]; len(l) > 0 {
+		return l
+	}
+	return nil
+}
+
+// succLists spells a successor table out as one slice per op.
+func succLists(s Succ) [][]int32 {
+	out := make([][]int32, s.Len())
+	for j := range out {
+		out[j] = append([]int32{}, s.Of(j)...)
+	}
+	return out
+}
+
+// csrDeps is the layout Deps had before it held the binary encoding's own
+// bytes: compressed sparse rows, an offset array of n+1 entries and one
+// edge array holding every list back to back (4 B per op and 4 B per
+// edge). It is the reference FuzzDepsMatchCSR holds the encoded tables,
+// their cursor, their encoding and their inversion to.
+type csrDeps struct {
+	n     int
+	off   []int32
+	edges []int32
+}
+
+// csrOf lays a per-op model out as compressed sparse rows.
+func csrOf(model [][]int32) csrDeps {
+	d := csrDeps{n: len(model), off: make([]int32, len(model)+1)}
+	for i, l := range model {
+		d.edges = append(d.edges, l...)
+		d.off[i+1] = int32(len(d.edges))
+	}
+	return d
+}
+
+func (d csrDeps) Of(i int) []int32 { return d.edges[d.off[i]:d.off[i+1]] }
+
+// encode appends the table as the binary format spells it: per op its
+// list length, then each edge as the distance back from the op.
+func (d csrDeps) encode(b []byte) []byte {
+	for i := 0; i < d.n; i++ {
+		b = binary.AppendUvarint(b, uint64(len(d.Of(i))))
+		for _, dep := range d.Of(i) {
+			b = binary.AppendVarint(b, int64(int32(i)-dep))
+		}
+	}
+	return b
+}
+
+// invert is the counting sort Deps.Invert ran on this layout: list j of
+// the result holds, ascending, every i whose list contains j.
+func (d csrDeps) invert() csrDeps {
+	inv := csrDeps{n: d.n, off: make([]int32, d.n+2), edges: make([]int32, len(d.edges))}
+	for _, e := range d.edges {
+		inv.off[e+2]++
+	}
+	for j := 2; j < len(inv.off); j++ {
+		inv.off[j] += inv.off[j-1]
+	}
+	for i := 0; i < d.n; i++ {
+		for _, e := range d.Of(i) {
+			inv.edges[inv.off[e+1]] = int32(i)
+			inv.off[e+1]++
+		}
+	}
+	inv.off = inv.off[:d.n+1]
+	return inv
+}
+
+// model spells a CSR table out as one slice per op.
+func (d csrDeps) model() [][]int32 {
+	out := make([][]int32, d.n)
 	for i := range out {
 		out[i] = append([]int32{}, d.Of(i)...)
 	}
@@ -94,8 +178,10 @@ func TestBuilderMatchesPerOpAppendModel(t *testing.T) {
 		if rp.Requires.NumEdges()+rp.IRequires.NumEdges() != int(s.ComputeStats().DepEdges) {
 			t.Fatalf("trial %d: NumEdges disagrees with ComputeStats", trial)
 		}
-		if inv := rp.Requires.Invert().Invert(); !reflect.DeepEqual(lists(inv), sorted(req)) {
-			t.Fatalf("trial %d: double inversion %v, want each list of %v sorted", trial, lists(inv), req)
+		if err := modelInRange(req); err == nil {
+			if inv := rp.Requires.Invert(); !reflect.DeepEqual(succLists(inv), csrOf(req).invert().model()) {
+				t.Fatalf("trial %d: inversion %v, want that of %v", trial, succLists(inv), req)
+			}
 		}
 		// Random edges may form a cycle. Validate proves most ranks acyclic
 		// from index order alone and searches the rest on the transposed
@@ -153,26 +239,29 @@ func modelHasCycle(req, ireq [][]int32) bool {
 	return false
 }
 
-// sorted returns a copy of a per-op model with every list ascending: what
-// inverting a table twice yields.
-func sorted(model [][]int32) [][]int32 {
-	out := make([][]int32, len(model))
+// modelInRange reports whether every edge of a model names one of its ops.
+func modelInRange(model [][]int32) error {
 	for i, l := range model {
-		out[i] = append([]int32{}, l...)
-		slices.Sort(out[i])
+		for _, d := range l {
+			if d < 0 || int(d) >= len(model) {
+				return fmt.Errorf("op %d depends on op %d of %d", i, d, len(model))
+			}
+		}
 	}
-	return out
+	return nil
 }
 
+// TestDepsViewsAreCapped: a successor list is a view into its table that
+// an append cannot write past.
 func TestDepsViewsAreCapped(t *testing.T) {
 	s := depsFixture()
-	d := s.Ranks[0].Requires // op 3 requires ops 0 and 2
-	_ = append(d.Of(2), 99)
-	if got := d.Of(3); !reflect.DeepEqual(got, []int32{0, 2}) {
+	inv := s.Ranks[0].Requires.Invert() // ops 0 and 2 precede op 3
+	_ = append(inv.Of(1), 99)
+	if got := inv.Of(2); !reflect.DeepEqual(got, []int32{3}) {
 		t.Fatalf("append through an empty list's view overwrote its neighbour: %v", got)
 	}
-	if (Deps{}).Len() != 0 || (Deps{}).NumEdges() != 0 {
-		t.Fatal("the zero Deps must be an empty table")
+	if (Deps{}).Len() != 0 || (Deps{}).NumEdges() != 0 || (Succ{}).Len() != 0 {
+		t.Fatal("the zero Deps and Succ must be empty tables")
 	}
 }
 
@@ -184,8 +273,8 @@ func TestDepsClone(t *testing.T) {
 	if !reflect.DeepEqual(c, src) {
 		t.Fatalf("Clone built %v, want %v", lists(c), lists(src))
 	}
-	c.Of(3)[0] = 1
-	if got := src.Of(3); !reflect.DeepEqual(got, []int32{0, 2}) {
+	c.enc[len(c.enc)-1] = 0 // op 3's last edge now names op 3
+	if got := src.of(3); !reflect.DeepEqual(got, []int32{0, 2}) {
 		t.Fatalf("writing the clone changed the source: %v", got)
 	}
 	if z := (Deps{}).Clone(); z.Len() != 0 || z.NumEdges() != 0 {
@@ -194,9 +283,10 @@ func TestDepsClone(t *testing.T) {
 }
 
 // TestEdgelessTablesCarryNoOffsets: a table without edges is its list
-// count alone — no offset or edge array — whichever producer made it (the
-// builder with or without a Grow, the decoder, Clone, Invert), so equal
-// tables stay reflect.DeepEqual, and each of its lists is nil.
+// count alone — no bytes — whichever producer made it (the builder with
+// or without a Grow, the decoder, Clone), so equal tables stay
+// reflect.DeepEqual, each of its lists is empty, and it inverts to a
+// successor table without arrays.
 func TestEdgelessTablesCarryNoOffsets(t *testing.T) {
 	b := NewBuilder(2)
 	b.Rank(0).Grow(3, 0, 0)
@@ -224,17 +314,20 @@ func TestEdgelessTablesCarryNoOffsets(t *testing.T) {
 			"decoded requires":  decoded.Ranks[r].Requires,
 			"decoded irequires": decoded.Ranks[r].IRequires,
 			"clone":             rp.Requires.Clone(),
-			"inverse":           rp.Requires.InvertInto(depsFixture().Ranks[0].Requires.Invert()),
-			"newDeps":           newDeps(n, 0),
 		} {
 			if !reflect.DeepEqual(d, want) {
 				t.Errorf("rank %d %s: %#v, want %#v", r, name, d, want)
 			}
+			c := d.Cursor()
 			for i := 0; i < d.Len(); i++ {
-				if d.Of(i) != nil {
-					t.Errorf("rank %d %s: list %d is %v, want nil", r, name, i, d.Of(i))
+				if k := c.Next(); k != 0 {
+					t.Errorf("rank %d %s: list %d has %d edges, want none", r, name, i, k)
 				}
 			}
+		}
+		inv := rp.Requires.InvertInto(depsFixture().Ranks[0].Requires.Invert())
+		if !reflect.DeepEqual(inv, Succ{n: n}) {
+			t.Errorf("rank %d: inverse %#v, want %#v", r, inv, Succ{n: n})
 		}
 	}
 }
@@ -245,7 +338,7 @@ func TestValidateRejectsTableLengthMismatch(t *testing.T) {
 	for name, edit := range map[string]func(*RankProgram){
 		"requires short":  func(rp *RankProgram) { rp.Requires = Deps{} },
 		"irequires short": func(rp *RankProgram) { rp.IRequires = Deps{} },
-		"requires long":   func(rp *RankProgram) { rp.Requires = newDeps(len(rp.Ops)+1, 0) },
+		"requires long":   func(rp *RankProgram) { rp.Requires = Deps{n: len(rp.Ops) + 1} },
 		"ops short":       func(rp *RankProgram) { rp.Ops = rp.Ops[:1] },
 	} {
 		s := depsFixture()
@@ -449,11 +542,12 @@ func TestReadBinaryReaderErrors(t *testing.T) {
 
 // TestBuildAllocsPerRank pins the flat layout and the hand-over: a counted
 // rank costs a constant number of allocations from NewBuilder to Build
-// regardless of op count — the builder's ranks, the ops, the Requires
-// offset and edge arrays (Grow), the schedule and its ranks (Build) — and
-// Build copies none of them. The IRequires table has no edges and so no
-// arrays, and the Builder itself stays on the stack here (NewBuilder is
-// inlined). Handles come out of the builder, so Rank allocates nothing.
+// regardless of op count — the builder's ranks, the ops (Grow), the
+// Requires table's bytes, the schedule and its ranks (Build) — and Build
+// copies no op array. The table is encoded in scratch kept from the last
+// build, the IRequires table has no edges and so no bytes, and the
+// Builder itself stays on the stack here (NewBuilder is inlined). Handles
+// come out of the builder, so Rank allocates nothing.
 func TestBuildAllocsPerRank(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		allocs := testing.AllocsPerRun(10, func() {
@@ -468,8 +562,176 @@ func TestBuildAllocsPerRank(t *testing.T) {
 			}
 			_ = b.Build()
 		})
-		if allocs > 6 {
-			t.Fatalf("building a counted %d-op rank allocated %.0f times; the CSR layout needs 6", n, allocs)
+		if allocs > 5 {
+			t.Fatalf("building a counted %d-op rank allocated %.0f times; the layout needs 5", n, allocs)
+		}
+	}
+}
+
+// randomModel draws one rank's dependency table of nops lists as a per-op
+// model. Most edges point a few ops back; shape adds what a chain-heavy
+// table rarely has: bit 0 forward edges, bit 1 an op with at least 128
+// dependencies (a two-byte count), bit 2 deltas beyond ±63 (two-byte and
+// longer edges), bit 3 a table without edges.
+func randomModel(rng *rand.Rand, nops int, shape byte) [][]int32 {
+	model := make([][]int32, nops)
+	if shape&8 != 0 {
+		return model
+	}
+	wide := -1
+	if shape&2 != 0 && nops > 0 {
+		wide = rng.Intn(nops)
+	}
+	for i := range model {
+		k := rng.Intn(3)
+		if i == wide {
+			k = 128 + rng.Intn(200)
+		}
+		for j := 0; j < k; j++ {
+			d := i - 1 - rng.Intn(4)
+			switch {
+			case shape&1 != 0 && rng.Intn(6) == 0:
+				d = i + 1 + rng.Intn(nops)
+			case shape&4 != 0 && rng.Intn(3) == 0:
+				d = i - 64 - rng.Intn(20000)
+			}
+			if d < 0 || d >= nops {
+				d = rng.Intn(nops)
+			}
+			model[i] = append(model[i], int32(d))
+		}
+	}
+	return model
+}
+
+// FuzzDepsMatchCSR holds the encoded tables to the CSR layout they
+// replaced (csrDeps): random tables — forward edges, lists of 128 and
+// more, deltas beyond ±63, tables without edges — built through the
+// Builder in op order (each list in one or two calls) and out of order
+// (the spill path) read back the model's lists through the cursor, encode
+// to the bytes the CSR tables encode to, decode to themselves, invert to
+// the CSR inversion's successor lists, and are valid exactly when the
+// model has no cycle.
+func FuzzDepsMatchCSR(f *testing.F) {
+	for _, seed := range []struct {
+		seed  int64
+		nops  uint16
+		shape byte
+	}{{1, 0, 0}, {2, 1, 0}, {3, 40, 0}, {4, 300, 1}, {5, 300, 2}, {6, 3000, 4}, {7, 50, 8}, {8, 400, 7}, {9, 2, 1}} {
+		f.Add(seed.seed, seed.nops, seed.shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nops uint16, shape byte) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nops % 4096)
+		req, ireq := randomModel(rng, n, shape), randomModel(rng, n, shape>>4)
+		build := func(inOrder bool) *Schedule {
+			b := NewBuilder(1)
+			rb := b.Rank(0)
+			for i := 0; i < n; i++ {
+				rb.Calc(int64(i))
+			}
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+				if !inOrder {
+					order[i] = n - 1 - i
+				}
+			}
+			for _, i := range order {
+				for t, model := range [2][][]int32{req, ireq} {
+					add := rb.Requires
+					if t == 1 {
+						add = rb.IRequires
+					}
+					deps := make([]OpID, len(model[i]))
+					for k, d := range model[i] {
+						deps[k] = OpID(d)
+					}
+					half := rng.Intn(len(deps) + 1)
+					add(OpID(i), deps[:half]...)
+					add(OpID(i), deps[half:]...)
+				}
+			}
+			return b.Build()
+		}
+		s := build(true)
+		rp := &s.Ranks[0]
+		if got := lists(rp.Requires); !reflect.DeepEqual(got, csrOf(req).model()) {
+			t.Fatalf("requires %v, model %v", got, req)
+		}
+		if got := lists(rp.IRequires); !reflect.DeepEqual(got, csrOf(ireq).model()) {
+			t.Fatalf("irequires %v, model %v", got, ireq)
+		}
+		if spilled := build(false); !reflect.DeepEqual(spilled, s) {
+			t.Fatal("the spill path built other tables than the in-order one")
+		}
+		want := binary.AppendUvarint(magic(1), uint64(n))
+		for _, op := range rp.Ops {
+			want = appendRefOp(want, fieldsOf(op))
+		}
+		want = csrOf(ireq).encode(csrOf(req).encode(want))
+		var got bytes.Buffer
+		if err := WriteBinary(&got, s); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("WriteBinary wrote %x, the CSR tables encode to %x", got.Bytes(), want)
+		}
+		for name, m := range map[string][][]int32{"requires": req, "irequires": ireq} {
+			d := rp.Requires
+			if name == "irequires" {
+				d = rp.IRequires
+			}
+			if inv := d.Invert(); !reflect.DeepEqual(succLists(inv), csrOf(m).invert().model()) {
+				t.Fatalf("%s inverts to %v, the CSR table to %v", name, succLists(inv), csrOf(m).invert().model())
+			}
+		}
+		err := s.Validate()
+		if cyclic := modelHasCycle(req, ireq); (err != nil) != cyclic {
+			t.Fatalf("Validate = %v, model cyclic = %v", err, cyclic)
+		}
+		if err != nil {
+			return
+		}
+		decoded, err := ParseBinary(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decoded.Ranks[0]; !reflect.DeepEqual(got.Requires, rp.Requires) || !reflect.DeepEqual(got.IRequires, rp.IRequires) {
+			t.Fatal("decoding the CSR tables' bytes built other tables")
+		}
+	})
+}
+
+// TestDecoderCanonicalisesLongVarints: a file that spells a dependency
+// count or delta in more bytes than it needs (a varint with trailing zero
+// groups, which binary.Uvarint accepts) decodes to the table of the
+// shortest spelling, held at its exact length, and encodes again to the
+// canonical file's bytes — which are what a schedule's fingerprint
+// digests (sim.TestLongVarintsFingerprintAsCanonical).
+func TestDecoderCanonicalisesLongVarints(t *testing.T) {
+	canonical := binarySeed(depsFixture())
+	// Rank 0's requires section is 0 0 0 2 6 2: op 3 needs ops 0 and 2.
+	sec := []byte{0, 0, 0, 2, 6, 2}
+	at := bytes.Index(canonical, append(sec, 0, 0, 0, 1)) // irequires: op 3 needs op 1
+	if at < 0 {
+		t.Fatalf("fixture encoding %x has no section %x", canonical, sec)
+	}
+	for name, long := range map[string][]byte{
+		"count": {0, 0, 0, 0x82, 0x00, 6, 2},
+		"delta": {0, 0, 0, 2, 0x86, 0x80, 0x00, 2},
+		"both":  {0x80, 0x00, 0, 0, 0x82, 0x80, 0x80, 0x00, 6, 0x82, 0x00},
+	} {
+		file := append(append(append([]byte{}, canonical[:at]...), long...), canonical[at+len(sec):]...)
+		s, err := ParseBinary(file)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := s.Ranks[0].Requires.enc; !bytes.Equal(got, sec) || cap(got) != len(sec) {
+			t.Errorf("%s: table holds %x (cap %d), want %x at its exact length", name, got, cap(got), sec)
+		}
+		if got := binarySeed(s); !bytes.Equal(got, canonical) {
+			t.Errorf("%s: encodes to %x, want the canonical %x", name, got, canonical)
 		}
 	}
 }

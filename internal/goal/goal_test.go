@@ -38,7 +38,7 @@ func TestBuilderPaperExample(t *testing.T) {
 	if rp.Ops[2].CPU() != 1 {
 		t.Fatalf("l3 cpu=%d, want 1", rp.Ops[2].CPU())
 	}
-	if got := rp.Requires.Of(3); len(got) != 2 {
+	if got := rp.Requires.of(3); len(got) != 2 {
 		t.Fatalf("l4 deps=%v", got)
 	}
 	st := s.ComputeStats()
@@ -129,20 +129,6 @@ func TestCheckMatchedWildcard(t *testing.T) {
 	}
 }
 
-func TestChain(t *testing.T) {
-	b := NewBuilder(1)
-	r := b.Rank(0)
-	a, c, d := r.Calc(1), r.Calc(2), r.Calc(3)
-	last := r.Chain(a, c, d)
-	if last != d {
-		t.Fatalf("Chain returned %d, want %d", last, d)
-	}
-	s := b.MustBuild()
-	if !reflect.DeepEqual(s.Ranks[0].Requires.Of(int(c)), []int32{int32(a)}) {
-		t.Fatalf("chain deps wrong: %v", s.Ranks[0].Requires)
-	}
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	s := buildPaperExample()
 	var buf bytes.Buffer
@@ -187,7 +173,7 @@ r: recv 10b from 0
 	if s.Ranks[0].Ops[2].CPU() != 1 {
 		t.Fatal("cpu attribute lost")
 	}
-	if len(s.Ranks[0].Requires.Of(3)) != 2 {
+	if len(s.Ranks[0].Requires.of(3)) != 2 {
 		t.Fatal("multi requires lost")
 	}
 }
@@ -207,7 +193,7 @@ b: calc 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Ranks[0].Requires.Of(0)) != 1 {
+	if len(s.Ranks[0].Requires.of(0)) != 1 {
 		t.Fatal("forward dependency lost")
 	}
 }
@@ -318,21 +304,7 @@ func schedulesEqual(a, b *Schedule) bool {
 				return false
 			}
 		}
-		for i := range x.Ops {
-			if !sameList(x.Requires.Of(i), y.Requires.Of(i)) || !sameList(x.IRequires.Of(i), y.IRequires.Of(i)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func sameList(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		if !reflect.DeepEqual(lists(x.Requires), lists(y.Requires)) || !reflect.DeepEqual(lists(x.IRequires), lists(y.IRequires)) {
 			return false
 		}
 	}

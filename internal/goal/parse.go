@@ -173,23 +173,30 @@ func rangeErr(k Kind, f opField, v uint64) error {
 	return f.err(k, int64(v))
 }
 
-// parseDeps decodes one dependency table in two passes over the same
-// bytes: the first sizes (and bounds-checks) the table, the second fills
-// it. Varint scanning is cheap enough that the extra pass costs less than
-// even one slice grow-and-copy.
+// parseDeps decodes one dependency table. One pass over its section
+// bounds and counts it, and checks that every varint is minimal: then the
+// section is the table's own encoding, and it is copied once, at its exact
+// length. A section with a longer form of some value than it needs (which
+// WriteBinary never writes, but a decoder accepts) is encoded again in
+// the canonical form, so a table's bytes, and every encoding and
+// fingerprint of the schedule, are the same however its file spelt it.
 func parseDeps(c *byteCursor, nops int) (Deps, error) {
 	mark := c.off
 	total := 0
+	minimal := true
 	for i := 0; i < nops; i++ {
+		at := c.off
 		n, err := c.uvarint()
 		if err != nil {
 			return Deps{}, err
 		}
+		minimal = minimal && (c.off-at == 1 || c.data[c.off-1] != 0)
 		if n > uint64(c.remaining()) {
 			return Deps{}, fmt.Errorf("op %d: dependency count %d exceeds remaining input (%d bytes)", i, n, c.remaining())
 		}
 		total += int(n)
 		for j := uint64(0); j < n; j++ {
+			at := c.off
 			delta, err := c.varint()
 			if err != nil {
 				return Deps{}, err
@@ -197,25 +204,38 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 			if int64(int32(delta)) != delta {
 				return Deps{}, fmt.Errorf("op %d: dependency delta %d out of range", i, delta)
 			}
+			minimal = minimal && (c.off-at == 1 || c.data[c.off-1] != 0)
 		}
 	}
-	if total > math.MaxInt32 {
-		return Deps{}, fmt.Errorf("%d dependencies exceed the table's 32-bit offsets", total)
+	if c.off-mark > math.MaxInt32 {
+		return Deps{}, fmt.Errorf("%d bytes of dependencies exceed a table's 32-bit offsets", c.off-mark)
 	}
-	d := newDeps(nops, total)
-	if total == 0 {
-		return d, nil // the sizing pass read every count
-	}
-	c.off = mark
-	at := int32(0)
-	for i := 0; i < nops; i++ {
-		n, _ := c.uvarint() // validated by the sizing pass
-		for ; n > 0; n-- {
-			delta, _ := c.varint()
-			d.edges[at] = int32(i) - int32(delta)
-			at++
-		}
-		d.off[i+1] = at
+	d := Deps{n: nops, edges: total}
+	switch {
+	case total == 0:
+	case minimal:
+		d.enc = append([]byte(nil), c.data[mark:c.off]...)
+	default:
+		d.enc = canonical(c.data[mark:c.off])
 	}
 	return d, nil
+}
+
+// canonical re-encodes a dependency section checked by parseDeps with
+// every varint in its shortest form. A zigzag varint is the uvarint of
+// its zigzag value, so the section is a run of uvarints, each re-encoded
+// as it is.
+func canonical(sec []byte) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	size := 0
+	for c := (byteCursor{data: sec}); c.remaining() > 0; {
+		u, _ := c.uvarint()
+		size += len(binary.AppendUvarint(tmp[:0], u))
+	}
+	out := make([]byte, 0, size)
+	for c := (byteCursor{data: sec}); c.remaining() > 0; {
+		u, _ := c.uvarint()
+		out = binary.AppendUvarint(out, u)
+	}
+	return out
 }

@@ -56,12 +56,13 @@ func WriteText(w io.Writer, s *Schedule) error {
 			}
 			bw.WriteByte('\n')
 		}
+		req, ireq := rp.Requires.Cursor(), rp.IRequires.Cursor()
 		for i := range rp.Ops {
-			for _, d := range rp.Requires.Of(i) {
-				fmt.Fprintf(bw, "l%d requires l%d\n", i+1, d+1)
+			for k := req.Next(); k > 0; k-- {
+				fmt.Fprintf(bw, "l%d requires l%d\n", i+1, req.Dep()+1)
 			}
-			for _, d := range rp.IRequires.Of(i) {
-				fmt.Fprintf(bw, "l%d irequires l%d\n", i+1, d+1)
+			for k := ireq.Next(); k > 0; k-- {
+				fmt.Fprintf(bw, "l%d irequires l%d\n", i+1, ireq.Dep()+1)
 			}
 		}
 		fmt.Fprintln(bw, "}")

@@ -11,10 +11,10 @@
 // occupancy depends on the backend's cost model.
 //
 // What a run needs per op — a dependency counter, issued and completed
-// flags, the successor tables that Deps.InvertInto fills — lives in a
-// State, which sim.Run keeps from one successful run to the next: a warm
-// process allocates for the scheduler only the Result and its RankEnd.
-// Run itself starts from a new State.
+// flags, the successor tables (goal.Succ) that Deps.InvertInto fills —
+// lives in a State, which sim.Run keeps from one successful run to the
+// next: a warm process allocates for the scheduler only the Result and its
+// RankEnd. Run itself starts from a new State.
 package sched
 
 import (
@@ -102,8 +102,8 @@ type rankState struct {
 	// not yet completed plus `irequires` not yet started. An op is eligible
 	// when the sum reaches zero, whichever side takes it there.
 	pending   []int32
-	reqSucc   goal.Deps // ops whose `requires` name this op
-	ireqSucc  goal.Deps // ops whose `irequires` name this op
+	reqSucc   goal.Succ // ops whose `requires` name this op
+	ireqSucc  goal.Succ // ops whose `irequires` name this op
 	issued    []bool
 	completed []bool
 	// outstanding/peakOut track issued-but-incomplete ops, done counts
@@ -149,6 +149,15 @@ func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts 
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return state.RunValidated(eng, s, be, opts)
+}
+
+// RunValidated is Run for a schedule that has passed Schedule.Validate and
+// not changed since: it skips the check, a walk of every op and edge that
+// the schedule's producer has already made (sim.Run's resolution builds
+// such schedules). A schedule that would fail the check is not refused:
+// the run may panic, deadlock or simulate nonsense.
+func (state *State) RunValidated(eng engine.Sim, s *goal.Schedule, be core.Backend, opts Options) (*Result, error) {
 	if pe, ok := eng.(*engine.ParEngine); ok && pe.Lanes() < s.NumRanks() {
 		return nil, fmt.Errorf("sched: parallel engine has %d lanes for %d ranks", pe.Lanes(), s.NumRanks())
 	}
@@ -185,7 +194,6 @@ func (state *State) Run(eng engine.Sim, s *goal.Schedule, be core.Backend, opts 
 			if err := charge(&budget, rank, i, rp.Ops[i], scale); err != nil {
 				return nil, err
 			}
-			st.pending[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
 		}
 		r.total += int64(n)
 	}
@@ -278,15 +286,28 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	}
 }
 
-// reset readies the rank's state for program rp: the counters (which the
-// seeding pass then fills), cleared flags, zeroed tallies and both successor
-// tables, each in the last run's arrays where they are large enough.
+// reset readies the rank's state for program rp: both successor tables,
+// the counters, cleared flags and zeroed tallies, each in the last run's
+// arrays where they are large enough. An op's counter starts at the
+// length of its two dependency lists, which is how often it appears in
+// the successor lists: counted there, from flat arrays, it costs no
+// second decoding of the tables.
 func (st *rankState) reset(rp *goal.RankProgram) {
 	n := len(rp.Ops)
+	st.reqSucc = successors(st.reqSucc, rp.Requires)
+	st.ireqSucc = successors(st.ireqSucc, rp.IRequires)
 	if cap(st.pending) < n {
 		st.pending = make([]int32, n)
 	}
 	st.pending = st.pending[:n]
+	clear(st.pending)
+	for _, succ := range [2]goal.Succ{st.reqSucc, st.ireqSucc} {
+		for j := 0; j < succ.Len(); j++ {
+			for _, i := range succ.Of(j) {
+				st.pending[i]++
+			}
+		}
+	}
 	// One array for both flag slices; issued keeps its capacity, which is
 	// how the next reset finds the whole array.
 	flags := st.issued[:cap(st.issued)]
@@ -297,8 +318,6 @@ func (st *rankState) reset(rp *goal.RankProgram) {
 	}
 	st.issued = flags[:n]
 	st.completed = flags[n : 2*n]
-	st.reqSucc = successors(st.reqSucc, rp.Requires)
-	st.ireqSucc = successors(st.ireqSucc, rp.IRequires)
 	st.outstanding, st.peakOut, st.done, st.end = 0, 0, [3]int64{}, 0
 }
 
@@ -306,7 +325,7 @@ func (st *rankState) reset(rp *goal.RankProgram) {
 // successors, in dst's arrays. A table without edges (`irequires`, on most
 // schedules) is not inverted: its successor table is empty, and dst's
 // arrays stay with it for a later run.
-func successors(dst, deps goal.Deps) goal.Deps {
+func successors(dst goal.Succ, deps goal.Deps) goal.Succ {
 	if deps.NumEdges() == 0 {
 		return dst.Cleared()
 	}

@@ -29,11 +29,6 @@ const (
 	CloverLeaf App = "cloverleaf"
 )
 
-// Apps lists all supported applications.
-func Apps() []App {
-	return []App{HPCG, LULESH, LAMMPS, ICON, OpenMX, CloverLeaf}
-}
-
 // Config parameterises a trace generation run.
 type Config struct {
 	App   App

@@ -154,17 +154,25 @@ func BulkSynchronous(n, phases int, bytes int64, calcNanos int64) *goal.Schedule
 	for r := 0; r < n; r++ {
 		b.Rank(r).Grow(phases*(2*n-1), phases*(n-1)+max(phases-1, 0)*n, 0)
 	}
-	// Row r of a round's table is what rank r's next calc requires, in
-	// sender order: the receive from each rank s at column s and rank r's
-	// own calc at column r. Every round writes every cell, so two tables
-	// serve all rounds.
-	prev, next := make([]goal.OpID, n*n), make([]goal.OpID, n*n)
+	// Senders take turns within a round, so rank r's 2n-1 ops of round p
+	// start at p*(2n-1) and are the receives from ranks 0..r-1, the calc,
+	// the n-1 sends, then the receives from ranks r+1..n-1. Its next calc
+	// requires, in sender order, the receive from each rank s (op s of the
+	// round for s < r, op n-1+s for s > r) and its own calc (op r).
 	for p := 0; p < phases; p++ {
+		base := p * (2*n - 1)
 		for r := 0; r < n; r++ {
 			rb := b.Rank(r)
 			c := rb.Calc(calcNanos)
 			if p > 0 {
-				rb.Requires(c, prev[r*n:(r+1)*n]...)
+				prev := base - (2*n - 1)
+				for s := 0; s < n; s++ {
+					dep := prev + s
+					if s > r {
+						dep += n - 1
+					}
+					rb.Require(c, goal.OpID(dep))
+				}
 			}
 			for d := 0; d < n; d++ {
 				if d == r {
@@ -173,11 +181,9 @@ func BulkSynchronous(n, phases int, bytes int64, calcNanos int64) *goal.Schedule
 				tag := int32(p*n + r)
 				s := rb.Send(bytes, d, tag)
 				rb.Requires(s, c)
-				next[d*n+r] = b.Rank(d).Recv(bytes, r, tag)
+				b.Rank(d).Recv(bytes, r, tag)
 			}
-			next[r*n+r] = c
 		}
-		prev, next = next, prev
 	}
 	return b.MustBuild()
 }

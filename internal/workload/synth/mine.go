@@ -200,8 +200,9 @@ func rankDepth(rp *goal.RankProgram) int {
 	indeg := make([]int32, n)
 	depth := make([]int32, n)
 	queue := make([]int32, 0, n)
+	req, ireq := rp.Requires.Cursor(), rp.IRequires.Cursor()
 	for i := 0; i < n; i++ {
-		indeg[i] = int32(len(rp.Requires.Of(i)) + len(rp.IRequires.Of(i)))
+		indeg[i] = int32(req.Next() + ireq.Next())
 		if indeg[i] == 0 {
 			depth[i] = 1
 			queue = append(queue, int32(i))

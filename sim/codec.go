@@ -394,10 +394,11 @@ func ResolveSpec(sp Spec) (Spec, string, error) {
 	if err := sp.Validate(); err != nil {
 		return Spec{}, "", err
 	}
-	sch, jobNodes, err := sp.resolve()
+	rw, err := sp.resolve()
 	if err != nil {
 		return Spec{}, "", err
 	}
+	sch, jobNodes := rw.sched, rw.jobNodes
 	name := sp.BackendName()
 	def, _ := Lookup(name)
 	cfgRaw, err := encodePayload("backend", name, def.NewConfig, sp.Config)
@@ -436,6 +437,6 @@ func ResolveSpec(sp Spec) (Spec, string, error) {
 		}
 	}
 	h.Write(jb)
-	sp.resolved = &resolvedWorkload{sched: sch, jobNodes: jobNodes}
+	sp.resolved = &rw
 	return sp, hex.EncodeToString(h.Sum(nil)), nil
 }

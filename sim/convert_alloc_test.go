@@ -22,20 +22,16 @@ func allocatedBy(f func()) uint64 {
 }
 
 // spare returns how many elements of capacity beyond their length a
-// schedule's arrays hold, over all ranks: ops, and the offset and edge
-// arrays of both dependency tables. Zero means every array was allocated
-// once at its final size — the producer's count was right, nothing regrew
-// and no table went through the spill path's sort (whose offset arrays
-// carry a spare slot).
+// schedule's arrays hold, over all ranks: ops, and the encoded bytes of
+// both dependency tables. Zero means every array was allocated once at its
+// final size — the producer's count was right and nothing regrew.
 func spare(s *goal.Schedule) (n int) {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		n += cap(rp.Ops) - len(rp.Ops)
 		for _, d := range []goal.Deps{rp.Requires, rp.IRequires} {
-			v := reflect.ValueOf(d)
-			for _, f := range []string{"off", "edges"} {
-				n += v.FieldByName(f).Cap() - v.FieldByName(f).Len()
-			}
+			enc := reflect.ValueOf(d).FieldByName("enc")
+			n += enc.Cap() - enc.Len()
 		}
 	}
 	return n
@@ -46,29 +42,32 @@ func spare(s *goal.Schedule) (n int) {
 // rewritten to count first: spc → Direct Drive, mpi → Schedgen, nsys → the
 // NCCL pipeline, and for chakra, whose producer does not count. Each
 // frontend's second conversion of its fixture is measured, as a process
-// that converts more than once meets it. Ceilings for mpi and chakra are
-// about 1.3 times what the code achieved when they were set (163.5 and
-// 968.8 B/op; the parser and builder mpi's replaced: 646.5). Chakra's
-// figure is mostly the JSON records of a 572-op fixture. A schedule is
-// 16 B per op (one packed goal.Op) plus about 12 B of tables, which is
-// where the NCCL pipeline now is: 27.7 B/op, against a ceiling of 30.
-// Direct Drive parses into a kept trace (spc.Trace.Parse), so a warm
-// conversion allocates the schedule and Generate's counters: 25.7 B/op,
-// against a ceiling of 26.5; it read 27.7 with a trace parsed for every
-// conversion. They read 35.8 and 37.2 while an op was 24
-// bytes. Schedgen's figure is mostly the parsed trace, whose 64-byte
-// events outnumber the ops here. The NCCL pipeline parses and plans in a
-// kept scratch, so a warm conversion allocates the schedule's arrays and
-// the header, interned strings and communicator tables of the parse (1.7
-// B/op). With 24-byte ops it allocated 39.3 with the schedule
-// validation's acyclicity arrays made for every conversion, 88.1 with the
-// report and the plan's tables made for every conversion too, 98.9 before
-// that, 224.2 when it built a GPU-level schedule before the node-level one
-// and 624.6 with the parser it replaced. Direct Drive and the NCCL
-// pipeline count exactly, both by emitting onto counting emitters first —
-// Direct Drive runs its choreography once onto them, the plan pass runs
-// stages 2-3 — which the spare-capacity check proves; Schedgen and the
-// Chakra converter leave spare capacity.
+// that converts more than once meets it. The ceiling for chakra is about
+// 1.3 times what the code achieved when it was set (968.8 B/op), mostly
+// the JSON records of a 572-op fixture. A schedule is 16 B per op (one
+// packed goal.Op) plus its dependency tables, which the builder encodes
+// in kept scratch and hands over at their exact length, about a byte per
+// op and per edge: the NCCL pipeline is at 21.1 B/op, Direct Drive at
+// 19.2 and Schedgen at 113.4, against ceilings of 22, 20 and 118. With
+// the tables in CSR form (4 B per op and per edge) they read 27.7, 25.7
+// and 135.0; with 24-byte ops, 35.8 and 37.2 for the first two, and
+// Schedgen 163.5, or 646.5 with the parser and builder it replaced. Direct
+// Drive parses into a kept trace (spc.Trace.Parse), so a warm conversion
+// allocates the schedule and Generate's counters; it read 27.7 with a
+// trace parsed for every conversion. Schedgen's figure is mostly the
+// parsed trace, whose 64-byte events outnumber the ops here. The NCCL
+// pipeline parses and plans in a kept scratch, so a warm conversion
+// allocates the schedule's arrays and the header, interned strings and
+// communicator tables of the parse (1.7 B/op). With 24-byte ops it
+// allocated 39.3 with the schedule validation's acyclicity arrays made
+// for every conversion, 88.1 with the report and the plan's tables made
+// for every conversion too, 98.9 before that, 224.2 when it built a
+// GPU-level schedule before the node-level one and 624.6 with the parser
+// it replaced. Direct Drive and the NCCL pipeline count exactly, both by
+// emitting onto counting emitters first — Direct Drive runs its
+// choreography once onto them, the plan pass runs stages 2-3 — which the
+// spare-capacity check proves; Schedgen and the Chakra converter leave
+// spare capacity.
 func TestConvertAllocation(t *testing.T) {
 	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
 	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 32, Steps: 4, Seed: 3})
@@ -79,9 +78,9 @@ func TestConvertAllocation(t *testing.T) {
 		ceiling   float64 // bytes allocated per GOAL op
 		wantExact bool
 	}{
-		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 26.5, true},
-		{"mpi", traceBytes(t, tr, err2), nil, 213, false},
-		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 30, true},
+		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 20, true},
+		{"mpi", traceBytes(t, tr, err2), nil, 118, false},
+		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 22, true},
 		{"chakra", chakraLLMFixture(t, 3), nil, 1260, false},
 	} {
 		// the second conversion is measured: the first leaves what a

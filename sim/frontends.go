@@ -103,9 +103,16 @@ func FrontendConfigAs[T any](frontendName string, cfg any) (T, error) {
 // detection additionally falls back to the file's extension when no
 // sniffer claims the content.
 func ConvertTraceFile(path, frontendName string, cfg any) (*Schedule, error) {
+	s, _, err := convertTraceFile(path, frontendName, cfg)
+	return s, err
+}
+
+// convertTraceFile is ConvertTraceFile, also naming the frontend that
+// converted the trace.
+func convertTraceFile(path, frontendName string, cfg any) (*Schedule, string, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	return convertTrace(b, path, frontendName, cfg)
 }
@@ -117,13 +124,16 @@ func ConvertTraceFile(path, frontendName string, cfg any) (*Schedule, error) {
 // (nil = defaults). The frontend is handed b itself, so a binary GOAL
 // schedule is never copied.
 func ConvertTrace(b []byte, frontendName string, cfg any) (*Schedule, error) {
-	return convertTrace(b, "", frontendName, cfg)
+	s, _, err := convertTrace(b, "", frontendName, cfg)
+	return s, err
 }
 
-func convertTrace(b []byte, path, frontendName string, cfg any) (*Schedule, error) {
+// convertTrace converts b, read from path ("" for a trace in memory), and
+// names the frontend that converted it.
+func convertTrace(b []byte, path, frontendName string, cfg any) (*Schedule, string, error) {
 	def, err := ResolveFrontend(frontendName, b, path)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	s, err := def.Convert(b, cfg)
 	if err != nil {
@@ -131,9 +141,9 @@ func convertTrace(b []byte, path, frontendName string, cfg any) (*Schedule, erro
 		if path != "" {
 			what = path
 		}
-		return nil, fmt.Errorf("sim: converting %s via %q frontend: %w", what, def.Name, err)
+		return nil, "", fmt.Errorf("sim: converting %s via %q frontend: %w", what, def.Name, err)
 	}
-	return s, nil
+	return s, def.Name, nil
 }
 
 // ResolveFrontend reports which frontend converts the trace b: the named

@@ -55,10 +55,11 @@ func outcomeOf(res *Result, spec Spec) runOutcome {
 func freshOutcome(t testing.TB, spec Spec) runOutcome {
 	t.Helper()
 	spec = sampled(spec)
-	sch, _, err := spec.resolve()
+	rw, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sch := rw.sched
 	def, _ := Lookup(spec.BackendName())
 	be, err := def.New(spec.Config, Env{Ranks: sch.NumRanks(), Seed: spec.Seed})
 	if err != nil {
@@ -114,12 +115,16 @@ func lgsPinnedCases() []Spec {
 		"eager-ping":      ping(8),
 		"rendezvous-ping": ping(rdv),
 		"eager-then-rendezvous": pair(func(src, dst *goal.RankBuilder) {
-			src.Chain(src.Send(1000, 1, 0), src.Send(rdv, 1, 0))
-			dst.Chain(dst.Recv(1000, 0, 0), dst.Recv(rdv, 0, 0))
+			first := src.Send(1000, 1, 0)
+			src.Requires(src.Send(rdv, 1, 0), first)
+			first = dst.Recv(1000, 0, 0)
+			dst.Requires(dst.Recv(rdv, 0, 0), first)
 		}),
 		"rendezvous-then-eager": pair(func(src, dst *goal.RankBuilder) {
-			src.Chain(src.Send(rdv, 1, 0), src.Send(1000, 1, 0))
-			dst.Chain(dst.Recv(rdv, 0, 0), dst.Recv(1000, 0, 0))
+			first := src.Send(rdv, 1, 0)
+			src.Requires(src.Send(1000, 1, 0), first)
+			first = dst.Recv(rdv, 0, 0)
+			dst.Requires(dst.Recv(1000, 0, 0), first)
 		}),
 		"wildcard-recv": pair(func(src, dst *goal.RankBuilder) {
 			src.Send(64, 1, 41)

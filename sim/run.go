@@ -119,10 +119,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sch, jobNodes, err := spec.resolve()
+	rw, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
+	sch, jobNodes := rw.sched, rw.jobNodes
 	name := spec.BackendName()
 	def, _ := Lookup(name)
 	be, err := def.New(spec.Config, Env{Ranks: sch.NumRanks(), Seed: spec.Seed})
@@ -188,7 +189,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 
 	start := time.Now()
-	res, err := rs.sched.Run(eng, sch, runBE, sched.Options{CalcScale: spec.CalcScale})
+	var res *sched.Result
+	if !rw.validated {
+		err = validate(sch)
+	}
+	if err == nil {
+		res, err = rs.sched.RunValidated(eng, sch, runBE, sched.Options{CalcScale: spec.CalcScale})
+	}
 	wall := time.Since(start)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -226,6 +233,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	runStates.Put(rs)
 	return out, nil
 }
+
+// validate is Schedule.Validate: the check Run makes of a schedule its
+// resolution did not validate (see resolvedWorkload), held in a variable
+// so that tests can count the checks.
+var validate = (*goal.Schedule).Validate
 
 // streamed wraps a watched run's backend: the completion callback records
 // a timeline instant, streams OpCompleted and Progress to the Observer,

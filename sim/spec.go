@@ -81,6 +81,12 @@ type Spec struct {
 type resolvedWorkload struct {
 	sched    *goal.Schedule
 	jobNodes [][]int
+	// validated: sched passed Schedule.Validate where it was made, by a
+	// producer of this module, and only the resolution holds it, so Run
+	// does not check it again. A caller's Workload.Schedule (which the
+	// caller may change at any time) and a third-party producer's
+	// schedule are checked by Run.
+	validated bool
 }
 
 // Synthetic declares a generated traffic pattern, resolved by name
@@ -257,36 +263,37 @@ func (sp *Spec) BackendName() string {
 // job's node set (nil for single workloads). The caller has validated.
 // A spec pinned by ResolveSpec returns its resolution without touching
 // the sources again.
-func (sp *Spec) resolve() (*goal.Schedule, [][]int, error) {
+func (sp *Spec) resolve() (resolvedWorkload, error) {
 	if sp.resolved != nil {
-		return sp.resolved.sched, sp.resolved.jobNodes, nil
+		return *sp.resolved, nil
 	}
 	if len(sp.Jobs) == 0 {
-		s, err := sp.Workload.schedule(sp.Seed)
-		return s, nil, err
+		s, validated, err := sp.Workload.schedule(sp.Seed)
+		return resolvedWorkload{sched: s, validated: validated}, err
 	}
 	policy, err := placementPolicy(sp.Placement)
 	if err != nil {
-		return nil, nil, err
+		return resolvedWorkload{}, err
 	}
 	scheds := make([]*goal.Schedule, len(sp.Jobs))
 	sizes := make([]int, len(sp.Jobs))
 	for i := range sp.Jobs {
-		s, err := sp.Jobs[i].schedule(sp.Seed)
+		s, _, err := sp.Jobs[i].schedule(sp.Seed)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sim: job %d: %w", i, err)
+			return resolvedWorkload{}, fmt.Errorf("sim: job %d: %w", i, err)
 		}
 		scheds[i], sizes[i] = s, s.NumRanks()
 	}
 	nodes, err := policy.Nodes(sizes)
 	if err != nil {
-		return nil, nil, err
+		return resolvedWorkload{}, err
 	}
+	// Compose validates the merged schedule, which it alone holds.
 	merged, err := goal.Compose(nodes, scheds...)
 	if err != nil {
-		return nil, nil, err
+		return resolvedWorkload{}, err
 	}
-	return merged, nodes, nil
+	return resolvedWorkload{sched: merged, jobNodes: nodes, validated: true}, nil
 }
 
 // Placements lists the job placement policy names Spec.Placement accepts.

@@ -142,27 +142,51 @@ func (w *Workload) validate() error {
 	return nil
 }
 
-// schedule resolves the workload source into a GOAL schedule.
-func (w *Workload) schedule(topSeed uint64) (*goal.Schedule, error) {
+// schedule resolves the workload source into a GOAL schedule, and reports
+// whether it is validated in the sense of resolvedWorkload: made and
+// checked by one of this module's producers, and held by no one else.
+func (w *Workload) schedule(topSeed uint64) (*goal.Schedule, bool, error) {
 	if err := w.validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	var (
+		s        *goal.Schedule
+		producer string
+		err      error
+	)
 	switch {
 	case w.GoalPath != "":
-		return ConvertTraceFile(w.GoalPath, "goal", nil)
+		s, producer, err = convertTraceFile(w.GoalPath, "goal", nil)
 	case len(w.GoalBytes) > 0:
-		return ConvertTrace(w.GoalBytes, "goal", nil)
+		s, producer, err = convertTrace(w.GoalBytes, "", "goal", nil)
 	case w.Schedule != nil:
-		return w.Schedule, nil
+		return w.Schedule, false, nil
 	case w.Synthetic != nil:
-		return w.Synthetic.generate(topSeed)
+		s, err = w.Synthetic.generate(topSeed)
+		producer = "generator " + w.Synthetic.Pattern
 	case w.TracePath != "":
-		return ConvertTraceFile(w.TracePath, w.Frontend, w.FrontendConfig)
+		s, producer, err = convertTraceFile(w.TracePath, w.Frontend, w.FrontendConfig)
 	case len(w.Trace) > 0:
-		return ConvertTrace(w.Trace, w.Frontend, w.FrontendConfig)
+		s, producer, err = convertTrace(w.Trace, "", w.Frontend, w.FrontendConfig)
 	default:
-		return w.modelSchedule(topSeed)
+		s, err = w.modelSchedule(topSeed)
+		producer = "model" // synth.Generate
 	}
+	return s, err == nil && validatingProducers[producer], err
+}
+
+// validatingProducers names the producers of this module, each of which
+// validates the schedule it makes (goal.ParseBinary and ParseText, the
+// NCCL pipeline, Schedgen, Direct Drive, the Chakra converter, the micro
+// generators' MustBuild and synth.Generate): the frontends by their
+// registered names and the generators as "generator " and their pattern.
+// Registered names are unique and these register first, so no third-party
+// producer can take one.
+var validatingProducers = map[string]bool{
+	"goal": true, "nsys": true, "mpi": true, "spc": true, "chakra": true,
+	"generator ring": true, "generator alltoall": true, "generator incast": true,
+	"generator permutation": true, "generator uniform": true, "generator bsp": true,
+	"model": true,
 }
 
 // modelSchedule loads the model document, decodes it, and samples it into
