@@ -9,8 +9,9 @@ import "encoding/binary"
 // the edges were added.
 //
 // This is the layout dependency tables have from the builder and the
-// decoders through Validate, the codecs and the scheduler's pending
-// counts; the scheduler's successor tables are Succ, which Invert makes.
+// decoders through Validate and the codecs; the scheduler's successor
+// tables are Succ, which Invert makes, and it counts each op's
+// dependencies from them.
 // GOAL graphs are chain-heavy and their edges short: an op has about one
 // dependency, a few ops back, so a list costs a byte for its length and
 // about a byte per edge. LULESH's 145 152 ops and 212 992 edges take
@@ -19,9 +20,10 @@ import "encoding/binary"
 // header per op. The bytes are pointer-free, so the collector never
 // scans them, and they are the file's: ParseBinary copies a section it
 // has checked, WriteBinary (and so every fingerprint) writes it back.
-// Reading them in op order is a DepCursor; the one reader that needs an
-// op's list out of order, the acyclicity check, indexes the lists in
-// kept scratch of its own.
+// A reader takes the lists in op order through a DepCursor; Validate and
+// Invert, which run on every decoded schedule, decode with uvarintAt into
+// locals of their own, and the one reader that needs an op's list out of
+// order, the acyclicity check, indexes the lists in kept scratch.
 //
 // A table without edges (`irequires`, on most schedules) records only its
 // list count and has no bytes, so it costs nothing per op.
@@ -109,12 +111,6 @@ func uvarintAt(enc []byte, off int) (uint64, int) {
 // unzigzag returns the delta a zigzag varint's value u encodes. Every
 // delta a table holds fits in 32 bits.
 func unzigzag(u uint64) int32 { return int32(u>>1) ^ -int32(u&1) }
-
-// cursorAt returns a cursor that the next call to Next moves to op's list,
-// which starts at byte off of the encoding.
-func (d Deps) cursorAt(op, off int32) DepCursor {
-	return DepCursor{enc: d.enc, off: int(off), op: op - 1}
-}
 
 // appendDelta appends the encoding of edge op → dep. The delta is taken
 // in 32 bits, as Dep undoes it, so any pair of int32s round-trips.
