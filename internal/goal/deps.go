@@ -134,9 +134,6 @@ type Succ struct {
 // Len returns the number of lists.
 func (s Succ) Len() int { return s.n }
 
-// NumEdges returns the total length of all lists.
-func (s Succ) NumEdges() int { return len(s.edges) }
-
 // Of returns op j's list: nil in a table without edges. The slice is a
 // view into the table, capped so an append cannot reach the next list.
 func (s Succ) Of(j int) []int32 {

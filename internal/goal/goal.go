@@ -171,9 +171,9 @@ func (s *Schedule) Validate() error {
 			} else if int(peer) == r {
 				return fmt.Errorf("goal: rank %d op %d: self-%s not allowed", r, i, op.Kind())
 			}
-			// The lists are decoded here rather than through a DepCursor,
-			// whose fields live in memory: this loop runs once per
-			// decoded schedule and is a third of Validate's time.
+			// The lists are decoded into locals rather than through a
+			// DepCursor, whose fields live in memory: Validate runs on
+			// every decoded schedule.
 			for t := range encs {
 				if encs[t] == nil {
 					continue

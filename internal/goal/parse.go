@@ -50,6 +50,10 @@ func (c *byteCursor) varint() (int64, error) {
 	return v, nil
 }
 
+// minimal reports whether the varint that ended at the cursor and began
+// at at is in its shortest form: one byte, or a last byte that is not 0.
+func (c *byteCursor) minimal(at int) bool { return c.off-at == 1 || c.data[c.off-1] != 0 }
+
 func (c *byteCursor) byte() (byte, error) {
 	if c.off >= len(c.data) {
 		return 0, fmt.Errorf("unexpected end of input at offset %d", c.off)
@@ -190,7 +194,7 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 		if err != nil {
 			return Deps{}, err
 		}
-		minimal = minimal && (c.off-at == 1 || c.data[c.off-1] != 0)
+		minimal = minimal && c.minimal(at)
 		if n > uint64(c.remaining()) {
 			return Deps{}, fmt.Errorf("op %d: dependency count %d exceeds remaining input (%d bytes)", i, n, c.remaining())
 		}
@@ -204,7 +208,7 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 			if int64(int32(delta)) != delta {
 				return Deps{}, fmt.Errorf("op %d: dependency delta %d out of range", i, delta)
 			}
-			minimal = minimal && (c.off-at == 1 || c.data[c.off-1] != 0)
+			minimal = minimal && c.minimal(at)
 		}
 	}
 	if c.off-mark > math.MaxInt32 {
