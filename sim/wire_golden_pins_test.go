@@ -6,8 +6,10 @@ package sim
 // "nsys/zero-gpus" were recorded at commit df4c324, the parent of the
 // in-place nsys record scanner; every other case at commit 315b2a9, the
 // parent of the commit that replaced the bufio.Scanner / strings.Fields
-// trace parsers and the log-only goal.Builder. Three cases have moved on
-// purpose since they were recorded; they are noted where they were.
+// trace parsers and the log-only goal.Builder, but for the five cases
+// at the end, recorded at commit 6b3bf46, the parent of the commit that
+// removed the builder's spill log. Three cases have moved on purpose
+// since they were recorded; they are noted where they were.
 var pinnedConversions = map[string]string{
 	"bench/llm":                         "e69645122b4f182cc2ff3b8828e1b7c76e2891e4b38b30e11086937b434be33e",
 	"bench/hpcapps":                     "cb99ab2fae34855e01efa1d7197cf58adac7eeec86a7593b67769731892086a2",
@@ -84,4 +86,9 @@ var pinnedConversions = map[string]string{
 	"chakra/crlf-blank":                 "f8d511d82fa1db61c115e29c60a1fec31ef8cca22379d5cc00389064d9dba117",
 	"chakra/rank-twice-last-wins":       "f8d511d82fa1db61c115e29c60a1fec31ef8cca22379d5cc00389064d9dba117",
 	"chakra/unknown-field":              "f8d511d82fa1db61c115e29c60a1fec31ef8cca22379d5cc00389064d9dba117",
+	"chakra/subgroups-and-data-deps":    "9f185d04a663c291e9b91fd766a53398321740ebc164d93be4f41e012ac8d01f",
+	"goal/deps-before-labels":           "eac9f1aced1d362091eb0c01ecad8599d063686a9649bcb81b93c5d26d804b2f",
+	"goal/older-op-after-newer":         "e71b076384deb7de6e358a78deaae571a42be7bb0158aeacbaa4e59bf9696600",
+	"goal/irequires-interleaved":        "3a0ced5be75eec4f1139945fc5e2e81b10056aceb7e39042a0ce006001987b63",
+	"goal/rank-block-twice":             "99ef61c2cacdda34a0b0fbda1707f33c1ceb29d035eeaf38ff59b86353132576",
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"atlahs/internal/goal"
+	"atlahs/internal/trace/chakra"
 	"atlahs/internal/workload/hpcapps"
 	"atlahs/internal/workload/llm"
 	"atlahs/internal/workload/oltp"
@@ -242,7 +243,55 @@ func handWrittenCases() []convertCase {
 		{name: "chakra/dependency-not-found", frontend: "chakra", raw: []byte(chakraHdr + strings.Replace(chakraR0, `"ctrl_deps":[0]`, `"ctrl_deps":[5]`, 1) + chakraR1)},
 		{name: "chakra/unknown-node-type", frontend: "chakra", raw: []byte(chakraHdr + strings.Replace(chakraR0, "COMP_NODE", "comp_node", 1) + chakraR1)},
 		{name: "chakra/missing-collective-on-rank1", frontend: "chakra", raw: []byte(chakraHdr + chakraR0)},
+		{name: "chakra/subgroups-and-data-deps", frontend: "chakra", raw: chakraGroups(), cfg: ChakraConfig{
+			Groups:          map[string][]int{"lo": {0, 1}, "hi": {3, 2}, "s0": {0}, "s1": {1}, "s2": {2}, "s3": {3}},
+			ReduceNsPerByte: 0.25,
+		}},
+
+		// goal: textual GOAL orders its dependency lines any way it likes
+		{name: "goal/deps-before-labels", frontend: "goal", raw: []byte("num_ranks 2\nrank 0 {\nl2 requires l1\nl3 irequires l1\nl1: calc 100\nl2: send 64b to 1 tag 7\nl3: calc 5 cpu 1\n}\nrank 1 {\nl2 requires l1\nl1: recv 64b from 0 tag 7\nl2: calc 9\n}\n")},
+		{name: "goal/older-op-after-newer", frontend: "goal", raw: []byte("num_ranks 1\nrank 0 {\nl1: calc 1\nl2: calc 2\nl3: calc 3\nl4: calc 4\nl4 requires l3\nl4 requires l1\nl2 requires l1\nl3 requires l2\nl3 requires l1\n}\n")},
+		{name: "goal/irequires-interleaved", frontend: "goal", raw: []byte("num_ranks 1\nrank 0 {\nl1: calc 1\nl2: calc 2\nl3: calc 3\nl3 irequires l1\nl2 requires l1\nl3 requires l2\nl2 irequires l1\nl3 irequires l2\nl3 requires l1\n}\n")},
+		{name: "goal/rank-block-twice", frontend: "goal", raw: []byte("num_ranks 2\nrank 0 {\nl1: calc 10\nl2: send 8b to 1 tag 1\nl2 requires l1\n}\nrank 1 {\nl1: recv 8b from 0 tag 1\n}\nrank 0 {\nl3 requires l1\nl2 requires l1\nl1: calc 20\nl2: calc 30\nl3: calc 40\nl3 requires l2\n}\n")},
 	}
+}
+
+// chakraGroups is a four-rank Chakra trace whose collectives run over the
+// world, two two-rank subgroups ("lo" and "hi") and one-member groups
+// ("s0" to "s3"), with control and data dependencies and a point-to-point
+// pair between the subgroups.
+func chakraGroups() []byte {
+	tr := &chakra.Trace{Ranks: make([][]chakra.Node, 4)}
+	for r := range tr.Ranks {
+		var b chakra.Builder
+		fwd := b.AddComp("fwd", int64(100*(r+1)))
+		world := b.AddColl(chakra.CollAllReduce, 4096, "world")
+		group := "hi"
+		if r < 2 {
+			group = "lo"
+		}
+		pair := b.AddColl(chakra.CollAllGather, 1024, group)
+		solo := b.AddColl(chakra.CollAllReduce, 65536, fmt.Sprintf("s%d", r))
+		last := b.AddComp("bwd", 300, solo)
+		switch r {
+		case 0:
+			last = b.AddSend(512, 3, 5, last)
+		case 3:
+			last = b.AddRecv(512, 0, 5, last)
+		}
+		rs := b.AddColl(chakra.CollReduceScatter, 8192, "world", last)
+		b.AddComp("opt", 50, rs)
+		nodes := b.Nodes()
+		nodes[last].DataDeps = []int64{world}
+		nodes[rs].DataDeps = []int64{fwd, pair}
+		nodes[len(nodes)-1].DataDeps = []int64{solo, pair}
+		tr.Ranks[r] = nodes
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // TestConvertedSchedulesEncodeAsBefore pins what every trace frontend
