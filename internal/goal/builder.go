@@ -1,10 +1,8 @@
 package goal
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"atlahs/internal/registry"
 )
@@ -13,8 +11,8 @@ import (
 type OpID int32
 
 // Builder incrementally constructs a Schedule. It is the API used by every
-// trace converter (Schedgen, the NCCL 4-stage pipeline, Direct Drive) and
-// workload generator. Builders are not safe for concurrent use.
+// trace converter (Schedgen, the NCCL 4-stage pipeline, Direct Drive,
+// Chakra) and workload generator. Builders are not safe for concurrent use.
 //
 // The contract, in four parts:
 //
@@ -23,17 +21,17 @@ type OpID int32
 //     allocated once, at exactly that size. A producer that does not know
 //     just adds: the same array grows the way append grows it. A count
 //     that turns out too small is not an error, only a regrowth.
-//   - In order or spilled. Each of a rank's two dependency tables is
-//     encoded directly in its final form (Deps: the binary encoding's
-//     own, a byte or two per list and per edge) into scratch the package
-//     keeps, for as long as successive Requires / IRequires calls name
-//     non-decreasing ops — which is what a producer does that wires each
-//     op up right after adding it. The first call that names an op older
-//     than the last one named spills that table of that rank to an (op,
-//     dep) log (8 B per edge) that Build sorts by op and encodes. Both
-//     paths give an op its dependencies in the order they were added, so
-//     they produce identical schedules; which one runs is decided by the
-//     order the producer's calls arrive in, per rank and per table.
+//   - In order. Each of a rank's two dependency tables is encoded directly
+//     in its final form (Deps: the binary encoding's own, a byte or two
+//     per list and per edge) into scratch the package keeps, so successive
+//     Requires / IRequires calls on one table name non-decreasing ops: a
+//     producer wires each op after adding it, and may add to the list of
+//     the last op it named as often as it likes. An op's dependencies are
+//     listed in the order they were added. A call that names an op older
+//     than the last one named on that table panics, as a spent builder
+//     does. A producer that cannot order its calls sorts them by op first
+//     (the text parser, whose lines come in any order); one that learns
+//     an edge only later counts first (the Chakra converter).
 //   - One Build. Build hands the op arrays to the Schedule instead of
 //     copying them, so it may be called once, last: the builder and its
 //     RankBuilder handles are spent afterwards and any further use panics.
@@ -81,10 +79,10 @@ const spentMsg = "goal: Builder used after Build"
 
 // RankBuilder adds ops and dependencies to one rank: ops to one array,
 // dependencies to one depTable per kind. An op costs its 16 bytes and an
-// edge a byte or two (8 once its table has spilled) while building, plus
-// a byte per op for each table that has any edges. An op with a value the
-// packed form cannot hold (see Op) is added in its reserved form, which
-// Validate refuses, naming the field.
+// edge a byte or two while building, plus a byte per op for each table
+// that has any edges. An op with a value the packed form cannot hold (see
+// Op) is added in its reserved form, which Validate refuses, naming the
+// field.
 type RankBuilder struct {
 	r         int
 	spent     bool
@@ -93,33 +91,24 @@ type RankBuilder struct {
 	irequires depTable
 }
 
-// depTable is one dependency table under construction (see Builder for
-// the two states).
+// depTable is one dependency table under construction: enc holds the
+// lists of ops 0 to lists-2, encoded, and the open list of op lists-1,
+// which starts at open with one byte kept for its count (count edges so
+// far); close writes the count there. enc is *scratch, taken from
+// encScratch at the first edge or Grow.
 type depTable struct {
-	// In order: enc holds the lists of ops 0 to lists-2, encoded, and the
-	// open list of op lists-1, which starts at open with one byte kept for
-	// its count (count edges so far); close writes the count there. enc is
-	// *scratch, taken from encScratch at the first edge or Grow.
 	scratch *[]byte
 	enc     []byte
 	lists   int
 	open    int
 	count   int
 	edges   int
-	// Spilled (log is non-nil): every edge in call order, the in-order
-	// ones first.
-	log []depEdge
 }
 
 // encScratch keeps the buffers that tables are encoded into while they
 // are built, so that a process building schedule after schedule allocates
 // for each table only the copy Build hands over.
 var encScratch registry.Stock[[]byte]
-
-func (t *depTable) spilled() bool { return t.log != nil }
-
-// depEdge is one logged dependency: op depends on dep.
-type depEdge struct{ op, dep int32 }
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
@@ -154,11 +143,7 @@ func reserve[T any](s []T, n int) []T {
 // unless edges reach more than 8 191 ops away. A table that is to stay
 // empty reserves nothing, and Build gives it no bytes.
 func (t *depTable) grow(nops, edges int) {
-	switch {
-	case edges == 0:
-	case t.spilled():
-		t.log = reserve(t.log, edges)
-	default:
+	if edges > 0 {
 		t.take()
 		t.enc = reserve(t.enc, max(nops-t.lists, 0)+2*edges)
 	}
@@ -239,14 +224,8 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 	if len(deps) == 0 {
 		return
 	}
-	if !t.spilled() && int(op) < t.lists-1 {
-		t.spill()
-	}
-	if t.spilled() {
-		for _, d := range deps {
-			t.log = append(t.log, depEdge{int32(op), int32(d)})
-		}
-		return
+	if int(op) < t.lists-1 {
+		panic(fmt.Sprintf("goal: rank %d: dependency added to op %d after one to op %d; a table's dependencies must be added in op order (see Builder)", rb.r, op, t.lists-1))
 	}
 	t.add(int32(op), deps)
 }
@@ -291,20 +270,6 @@ func (t *depTable) close() {
 	copy(t.enc[t.open:], count[:k])
 }
 
-// spill rewrites the in-order lists as the head of the log; the scratch
-// stays with the table for Build.
-func (t *depTable) spill() {
-	t.close()
-	t.log = make([]depEdge, 0, 2*t.edges)
-	c := DepCursor{enc: t.enc, op: -1}
-	for i := 0; i < t.lists; i++ {
-		for k := c.Next(); k > 0; k-- {
-			t.log = append(t.log, depEdge{int32(i), c.Dep()})
-		}
-	}
-	t.enc, t.lists, t.open, t.count, t.edges = t.enc[:0], 0, 0, 0, 0
-}
-
 // Build assembles the final Schedule and leaves the builder spent: the
 // schedule owns the op arrays the builder filled (see Builder).
 func (b *Builder) Build() *Schedule {
@@ -341,18 +306,8 @@ func (t *depTable) putBack() {
 	}
 }
 
-// build finishes the table for a rank of n ops. A spilled table's log is
-// sorted by op — stably, so each op's list holds its dependencies in the
-// order they were added, the order the binary encoding, and with it every
-// schedule fingerprint, depends on — and encoded as an in-order one would
-// have been.
+// build finishes the table for a rank of n ops.
 func (t *depTable) build(n int) Deps {
-	if t.spilled() {
-		slices.SortStableFunc(t.log, func(a, b depEdge) int { return cmp.Compare(a.op, b.op) })
-		for _, e := range t.log {
-			t.add(e.op, []OpID{OpID(e.dep)})
-		}
-	}
 	d := Deps{n: n, edges: t.edges}
 	if t.edges > 0 {
 		t.pad(n)

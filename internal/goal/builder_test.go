@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,10 +102,9 @@ func buildRank(ops []Op, calls []depCall, interleave bool, grow int) (*Schedule,
 }
 
 // TestBuilderPathsAgree: one random DAG, fed to the builder with its
-// dependency calls in op order or shuffled, interleaved with the ops or
-// after them, uncounted, exactly counted and under-counted, always builds
-// the same schedule — reflect.DeepEqual and byte-identical when encoded.
-// In-order input never spills, shuffled input does, an exact Grow leaves
+// dependency calls interleaved with the ops or after them, uncounted,
+// exactly counted and under-counted, always builds the same schedule —
+// reflect.DeepEqual and byte-identical when encoded. An exact Grow leaves
 // no spare capacity in the op array handed over, and no table has any.
 func TestBuilderPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -115,23 +115,17 @@ func TestBuilderPathsAgree(t *testing.T) {
 		if err := WriteBinary(&wantBytes, want); err != nil {
 			t.Fatal(err)
 		}
-		shuffled := shuffledKeepingPerOpOrder(rng, calls)
 		for _, v := range []struct {
 			name       string
-			calls      []depCall
 			interleave bool
 			grow       int
-			inOrder    bool
 		}{
-			{"in order, interleaved, exact Grow", calls, true, 100, true},
-			{"in order, interleaved, Grow too small", calls, true, 40, true},
-			{"in order, after the ops", calls, false, -1, true},
-			{"in order, after the ops, exact Grow", calls, false, 100, true},
-			{"shuffled", shuffled, false, -1, false},
-			{"shuffled, exact Grow", shuffled, false, 100, false},
-			{"shuffled, Grow too small", shuffled, false, 40, false},
+			{"interleaved, exact Grow", true, 100},
+			{"interleaved, Grow too small", true, 40},
+			{"after the ops", false, -1},
+			{"after the ops, exact Grow", false, 100},
 		} {
-			got, rb := buildRank(ops, v.calls, v.interleave, v.grow)
+			got, rb := buildRank(ops, calls, v.interleave, v.grow)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %s: schedule differs\ngot  %+v\nwant %+v", trial, v.name, got.Ranks[0], want.Ranks[0])
 			}
@@ -142,11 +136,8 @@ func TestBuilderPathsAgree(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), wantBytes.Bytes()) {
 				t.Fatalf("trial %d, %s: encoding differs", trial, v.name)
 			}
-			if v.inOrder && (rb.requires.spilled() || rb.irequires.spilled()) {
-				t.Fatalf("trial %d, %s: a table spilled", trial, v.name)
-			}
 			rp := &got.Ranks[0]
-			if v.inOrder && v.grow == 100 {
+			if v.grow == 100 {
 				for name, c := range map[string][2]int{
 					"Ops":           {len(rp.Ops), cap(rp.Ops)},
 					"Requires.enc":  {len(rp.Requires.enc), cap(rp.Requires.enc)},
@@ -161,10 +152,161 @@ func TestBuilderPathsAgree(t *testing.T) {
 				}
 			}
 		}
-		if _, rb := buildRank(ops, shuffled, false, -1); len(calls) > 20 && !rb.requires.spilled() {
-			t.Fatalf("trial %d: %d shuffled calls did not spill", trial, len(calls))
+	}
+}
+
+// TestBuilderRefusesOutOfOrderDependencies: each of a rank's two tables
+// takes its Requires / IRequires calls in op order. A call that names an
+// op older than the last one named on its table panics, naming the rule;
+// calls that name the open op again, name any dependency (later ops
+// too), or alternate between the two tables do not. A random DAG's calls,
+// shuffled, panic exactly when some table sees an older op after a newer
+// one.
+func TestBuilderRefusesOutOfOrderDependencies(t *testing.T) {
+	const rule = "a table's dependencies must be added in op order"
+	replay := func(ops []Op, calls []depCall) (msg string) {
+		b := NewBuilder(1)
+		rb := b.Rank(0)
+		for _, op := range ops {
+			rb.add(op)
+		}
+		defer func() { msg, _ = recover().(string) }()
+		for _, c := range calls {
+			if c.start {
+				rb.IRequires(c.op, c.deps...)
+			} else {
+				rb.Requires(c.op, c.deps...)
+			}
+		}
+		b.Build()
+		return ""
+	}
+	req := func(op OpID, deps ...OpID) depCall { return depCall{op: op, deps: deps} }
+	ireq := func(op OpID, deps ...OpID) depCall { return depCall{start: true, op: op, deps: deps} }
+	ops := make([]Op, 4)
+	for _, c := range []struct {
+		name   string
+		calls  []depCall
+		panics bool
+	}{
+		{"requires names an older op", []depCall{req(3, 0), req(2, 0)}, true},
+		{"irequires names an older op", []depCall{ireq(2, 1), ireq(3, 2), ireq(1, 0)}, true},
+		{"the open op again", []depCall{req(1, 0), req(2, 0), req(2, 1), req(2), req(3, 2), req(3, 0, 1)}, false},
+		{"the tables are independent", []depCall{req(3, 2), ireq(1, 0), req(3, 1), ireq(2, 1), ireq(3, 0)}, false},
+		{"forward dependencies", []depCall{req(0, 3), req(1, 2), req(3, 0)}, false},
+	} {
+		if msg := replay(ops, c.calls); c.panics != (msg != "") || c.panics && !strings.Contains(msg, rule) {
+			t.Errorf("%s: recovered %q; want a panic naming the rule: %v", c.name, msg, c.panics)
 		}
 	}
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 100; trial++ {
+		ops, calls := randomDAG(rng, 2+rng.Intn(40))
+		shuffled := shuffledKeepingPerOpOrder(rng, calls)
+		last, outOfOrder := [2]OpID{}, false
+		for _, c := range shuffled {
+			k := 0
+			if c.start {
+				k = 1
+			}
+			outOfOrder = outOfOrder || len(c.deps) > 0 && c.op < last[k]
+			if len(c.deps) > 0 {
+				last[k] = c.op
+			}
+		}
+		if msg := replay(ops, shuffled); outOfOrder != (msg != "") || outOfOrder && !strings.Contains(msg, rule) {
+			t.Fatalf("trial %d: recovered %q; out of order: %v", trial, msg, outOfOrder)
+		}
+		if msg := replay(ops, calls); msg != "" {
+			t.Fatalf("trial %d: calls in op order panicked: %s", trial, msg)
+		}
+	}
+}
+
+// TestParseTextSortsDependencyLines: the text format lets a rank block
+// give its dependency lines in any order and anywhere among its op lines.
+// A random schedule's WriteText, with each block's dependency lines
+// shuffled (each op's lines of one kind keeping their order, which fixes
+// its list) and scattered among the op lines, parses to the same binary
+// encoding.
+func TestParseTextSortsDependencyLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 50; trial++ {
+		b := NewBuilder(1 + rng.Intn(3))
+		for r := range b.NumRanks() {
+			ops, calls := randomDAG(rng, 1+rng.Intn(60))
+			rb := b.Rank(r)
+			for _, op := range ops {
+				rb.add(op)
+			}
+			for _, c := range calls {
+				if c.start {
+					rb.IRequires(c.op, c.deps...)
+				} else {
+					rb.Requires(c.op, c.deps...)
+				}
+			}
+		}
+		s := b.Build()
+		var text bytes.Buffer
+		if err := WriteText(&text, s); err != nil {
+			t.Fatal(err)
+		}
+		var shuffled strings.Builder
+		var opLines, depLines []string
+		for _, line := range strings.SplitAfter(text.String(), "\n") {
+			switch f := strings.Fields(line); {
+			case len(f) == 3 && (f[1] == "requires" || f[1] == "irequires"):
+				depLines = append(depLines, line)
+			case len(f) > 0 && strings.HasSuffix(f[0], ":"):
+				opLines = append(opLines, line)
+			case len(f) == 1 && f[0] == "}":
+				shuffled.WriteString(scatter(rng, opLines, shuffledLines(rng, depLines)))
+				opLines, depLines = opLines[:0], depLines[:0]
+				fallthrough
+			default:
+				shuffled.WriteString(line)
+			}
+		}
+		got, err := ParseText(strings.NewReader(shuffled.String()))
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, shuffled.String())
+		}
+		if !bytes.Equal(binarySeed(got), binarySeed(s)) {
+			t.Fatalf("trial %d: the shuffled text encodes otherwise:\n%s", trial, shuffled.String())
+		}
+	}
+}
+
+// shuffledLines reorders a block's dependency lines arbitrarily except
+// that the lines of one op and kind keep their relative order.
+func shuffledLines(rng *rand.Rand, lines []string) []string {
+	calls := make([]depCall, len(lines))
+	for i, line := range lines {
+		f := strings.Fields(line)
+		op, _ := strconv.Atoi(strings.TrimPrefix(f[0], "l"))
+		calls[i] = depCall{start: f[1] == "irequires", op: OpID(op), deps: []OpID{OpID(i)}}
+	}
+	out := make([]string, 0, len(lines))
+	for _, c := range shuffledKeepingPerOpOrder(rng, calls) {
+		out = append(out, lines[c.deps[0]])
+	}
+	return out
+}
+
+// scatter merges two line lists at random, each keeping its order.
+func scatter(rng *rand.Rand, a, b []string) string {
+	var out strings.Builder
+	for len(a)+len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && rng.Intn(2) == 0 {
+			out.WriteString(a[0])
+			a = a[1:]
+		} else {
+			out.WriteString(b[0])
+			b = b[1:]
+		}
+	}
+	return out.String()
 }
 
 // TestOverCountedGrowBuildsTheSame: reserving more than is added — down to

@@ -128,11 +128,13 @@ func (d csrDeps) model() [][]int32 {
 	return out
 }
 
-// TestBuilderMatchesPerOpAppendModel: whatever order ops and edges arrive
-// in — dependencies added to old ops after newer ones exist, duplicates,
-// forward references — the built tables equal a naive one-slice-per-op
-// append model, and the tables come out the same through the binary
-// encoding, a Compose copy and a double inversion.
+// TestBuilderMatchesPerOpAppendModel: however ops and edges interleave —
+// dependencies added to an op after newer ones exist, an op's list in
+// several calls, duplicates, forward references — as long as each table's
+// calls name ops in non-decreasing order (the Builder's contract), the
+// built tables equal a naive one-slice-per-op append model, and the
+// tables come out the same through the binary encoding, a Compose copy
+// and a double inversion.
 func TestBuilderMatchesPerOpAppendModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 200; trial++ {
@@ -141,6 +143,7 @@ func TestBuilderMatchesPerOpAppendModel(t *testing.T) {
 		b.Rank(1).Calc(0)
 		rb := b.Rank(rng.Intn(2))
 		req, ireq := [][]int32{{}}, [][]int32{{}}
+		var last [2]int // the op each table last took a call for
 		for step, steps := 0, rng.Intn(60); step < steps; step++ {
 			if len(req) < 2 || rng.Intn(3) == 0 {
 				rb.Calc(int64(step))
@@ -148,15 +151,19 @@ func TestBuilderMatchesPerOpAppendModel(t *testing.T) {
 				continue
 			}
 			// Mostly an op depends on earlier ones; one call in thirty picks
-			// both ends anywhere (forward edges, self edges, cycles).
-			anywhere := rng.Intn(30) == 0
-			op, deps := rng.Intn(len(req)), make([]OpID, rng.Intn(3))
-			if !anywhere {
-				op = 1 + rng.Intn(len(req)-1)
-			}
-			model, add := &req, rb.Requires
+			// its dependencies anywhere (forward edges, self edges, cycles).
+			k, model, add := 0, &req, rb.Requires
 			if rng.Intn(4) == 0 {
-				model, add = &ireq, rb.IRequires
+				k, model, add = 1, &ireq, rb.IRequires
+			}
+			anywhere := rng.Intn(30) == 0
+			lo := last[k]
+			if !anywhere {
+				lo = max(lo, 1)
+			}
+			op, deps := lo+rng.Intn(len(req)-lo), make([]OpID, rng.Intn(3))
+			if len(deps) > 0 {
+				last[k] = op
 			}
 			for k := range deps {
 				deps[k] = OpID(rng.Intn(len(req)))
@@ -607,11 +614,10 @@ func randomModel(rng *rand.Rand, nops int, shape byte) [][]int32 {
 // FuzzDepsMatchCSR holds the encoded tables to the CSR layout they
 // replaced (csrDeps): random tables — forward edges, lists of 128 and
 // more, deltas beyond ±63, tables without edges — built through the
-// Builder in op order (each list in one or two calls) and out of order
-// (the spill path) read back the model's lists through the cursor, encode
-// to the bytes the CSR tables encode to, decode to themselves, invert to
-// the CSR inversion's successor lists, and are valid exactly when the
-// model has no cycle.
+// Builder in op order (each list in one or two calls) read back the
+// model's lists through the cursor, encode to the bytes the CSR tables
+// encode to, decode to themselves, invert to the CSR inversion's
+// successor lists, and are valid exactly when the model has no cycle.
 func FuzzDepsMatchCSR(f *testing.F) {
 	for _, seed := range []struct {
 		seed  int64
@@ -624,46 +630,33 @@ func FuzzDepsMatchCSR(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nops % 4096)
 		req, ireq := randomModel(rng, n, shape), randomModel(rng, n, shape>>4)
-		build := func(inOrder bool) *Schedule {
-			b := NewBuilder(1)
-			rb := b.Rank(0)
-			for i := 0; i < n; i++ {
-				rb.Calc(int64(i))
-			}
-			order := make([]int, n)
-			for i := range order {
-				order[i] = i
-				if !inOrder {
-					order[i] = n - 1 - i
-				}
-			}
-			for _, i := range order {
-				for t, model := range [2][][]int32{req, ireq} {
-					add := rb.Requires
-					if t == 1 {
-						add = rb.IRequires
-					}
-					deps := make([]OpID, len(model[i]))
-					for k, d := range model[i] {
-						deps[k] = OpID(d)
-					}
-					half := rng.Intn(len(deps) + 1)
-					add(OpID(i), deps[:half]...)
-					add(OpID(i), deps[half:]...)
-				}
-			}
-			return b.Build()
+		b := NewBuilder(1)
+		rb := b.Rank(0)
+		for i := 0; i < n; i++ {
+			rb.Calc(int64(i))
 		}
-		s := build(true)
+		for i := 0; i < n; i++ {
+			for t, model := range [2][][]int32{req, ireq} {
+				add := rb.Requires
+				if t == 1 {
+					add = rb.IRequires
+				}
+				deps := make([]OpID, len(model[i]))
+				for k, d := range model[i] {
+					deps[k] = OpID(d)
+				}
+				half := rng.Intn(len(deps) + 1)
+				add(OpID(i), deps[:half]...)
+				add(OpID(i), deps[half:]...)
+			}
+		}
+		s := b.Build()
 		rp := &s.Ranks[0]
 		if got := lists(rp.Requires); !reflect.DeepEqual(got, csrOf(req).model()) {
 			t.Fatalf("requires %v, model %v", got, req)
 		}
 		if got := lists(rp.IRequires); !reflect.DeepEqual(got, csrOf(ireq).model()) {
 			t.Fatalf("irequires %v, model %v", got, ireq)
-		}
-		if spilled := build(false); !reflect.DeepEqual(spilled, s) {
-			t.Fatal("the spill path built other tables than the in-order one")
 		}
 		want := binary.AppendUvarint(magic(1), uint64(n))
 		for _, op := range rp.Ops {

@@ -2,8 +2,10 @@ package goal
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -99,7 +101,14 @@ type textParser struct {
 	b       *Builder
 	curRank *RankBuilder
 	labels  map[string]OpID // labels of the current rank block
-	pending [][3]string     // deferred dependency lines: label, kind, dep
+	pending []textDep       // deferred dependency lines
+}
+
+// textDep is a dependency line, "<label> requires|irequires <on>"; op and
+// dep are the ops its labels name, resolved at the block's }.
+type textDep struct {
+	label, kind, on string
+	op, dep         OpID
 }
 
 func (p *textParser) line(line string) error {
@@ -143,19 +152,24 @@ func (p *textParser) line(line string) error {
 		if p.curRank == nil {
 			return fmt.Errorf("unexpected }")
 		}
-		for _, dep := range p.pending {
-			a, ok := p.labels[dep[0]]
-			if !ok {
-				return fmt.Errorf("unknown label %q in dependency", dep[0])
+		for i := range p.pending {
+			d := &p.pending[i]
+			var ok bool
+			if d.op, ok = p.labels[d.label]; !ok {
+				return fmt.Errorf("unknown label %q in dependency", d.label)
 			}
-			d, ok := p.labels[dep[2]]
-			if !ok {
-				return fmt.Errorf("unknown label %q in dependency", dep[2])
+			if d.dep, ok = p.labels[d.on]; !ok {
+				return fmt.Errorf("unknown label %q in dependency", d.on)
 			}
-			if dep[1] == "requires" {
-				p.curRank.Requires(a, d)
+		}
+		// Dependency lines come in any order and the builder takes them in
+		// op order: a stable sort keeps each op's lines in written order.
+		slices.SortStableFunc(p.pending, func(x, y textDep) int { return cmp.Compare(x.op, y.op) })
+		for _, d := range p.pending {
+			if d.kind == "requires" {
+				p.curRank.Requires(d.op, d.dep)
 			} else {
-				p.curRank.IRequires(a, d)
+				p.curRank.IRequires(d.op, d.dep)
 			}
 		}
 		p.curRank = nil
@@ -167,7 +181,7 @@ func (p *textParser) line(line string) error {
 	}
 	// dependency line: "<label> requires <label>" / "<label> irequires <label>"
 	if len(fields) == 3 && (fields[1] == "requires" || fields[1] == "irequires") {
-		p.pending = append(p.pending, [3]string{fields[0], fields[1], fields[2]})
+		p.pending = append(p.pending, textDep{label: fields[0], kind: fields[1], on: fields[2]})
 		return nil
 	}
 	// op line: "<label>: <op> ..."

@@ -274,7 +274,7 @@ func TestRunRejectsInvalidSchedules(t *testing.T) {
 	}{
 		{"cycle", "dependency cycle", build(func(r0 *goal.RankBuilder) { r0.IRequires(0, 1) })},
 		{"self edge", "dependency cycle", build(func(r0 *goal.RankBuilder) { r0.Requires(1, 1) })},
-		{"requires out of range", "requires index 7 out of range", build(func(r0 *goal.RankBuilder) { r0.Requires(0, 7) })},
+		{"requires out of range", "requires index 7 out of range", build(func(r0 *goal.RankBuilder) { r0.Requires(1, 7) })},
 		{"irequires negative", "irequires index -1 out of range", build(func(r0 *goal.RankBuilder) { r0.IRequires(1, -1) })},
 		{"bad peer", "peer 2 out of range", build(func(r0 *goal.RankBuilder) { r0.Send(8, 2, 0) })},
 		{"self send", "self-send", build(func(r0 *goal.RankBuilder) { r0.Send(8, 0, 0) })},

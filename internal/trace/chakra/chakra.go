@@ -99,7 +99,7 @@ func (t *Trace) NumRanks() int { return len(t.Ranks) }
 // Validate checks IDs and dependency references.
 func (t *Trace) Validate() error {
 	for r, nodes := range t.Ranks {
-		ids := map[int64]bool{}
+		ids := make(map[int64]bool, len(nodes))
 		for i := range nodes {
 			n := &nodes[i]
 			if ids[n.ID] {
@@ -108,9 +108,11 @@ func (t *Trace) Validate() error {
 			ids[n.ID] = true
 		}
 		for i := range nodes {
-			for _, d := range append(append([]int64{}, nodes[i].CtrlDeps...), nodes[i].DataDeps...) {
-				if !ids[d] {
-					return fmt.Errorf("chakra: rank %d node %d: dependency %d not found", r, nodes[i].ID, d)
+			for _, deps := range [2][]int64{nodes[i].CtrlDeps, nodes[i].DataDeps} {
+				for _, d := range deps {
+					if !ids[d] {
+						return fmt.Errorf("chakra: rank %d node %d: dependency %d not found", r, nodes[i].ID, d)
+					}
 				}
 			}
 		}

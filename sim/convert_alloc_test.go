@@ -38,24 +38,27 @@ func spare(s *goal.Schedule) (n int) {
 }
 
 // TestConvertAllocation gates what trace → GOAL conversion allocates per
-// GOAL op it produces, for the three frontends whose producers were
-// rewritten to count first: spc → Direct Drive, mpi → Schedgen, nsys → the
-// NCCL pipeline, and for chakra, whose producer does not count. Each
+// GOAL op it produces, for four frontends: spc → Direct Drive, mpi →
+// Schedgen, nsys → the NCCL pipeline and chakra → its converter. Each
 // frontend's second conversion of its fixture is measured, as a process
-// that converts more than once meets it. The ceiling for chakra is about
-// 1.3 times what the code achieved when it was set (968.8 B/op), mostly
-// the JSON records of a 572-op fixture. A schedule is 16 B per op (one
-// packed goal.Op) plus its dependency tables, which the builder encodes
-// in kept scratch and hands over at their exact length, about a byte per
-// op and per edge: the NCCL pipeline is at 21.1 B/op, Direct Drive at
-// 19.2 and Schedgen at 113.4, against ceilings of 22, 20 and 118. With
-// the tables in CSR form (4 B per op and per edge) they read 27.7, 25.7
-// and 135.0; with 24-byte ops, 35.8 and 37.2 for the first two, and
-// Schedgen 163.5, or 646.5 with the parser and builder it replaced. Direct
-// Drive parses into a kept trace (spc.Trace.Parse), so a warm conversion
-// allocates the schedule and Generate's counters; it read 27.7 with a
-// trace parsed for every conversion. Schedgen's figure is mostly the
-// parsed trace, whose 64-byte events outnumber the ops here. The NCCL
+// that converts more than once meets it. Chakra is at 753.8 B/op, and
+// 797.3 under the race detector (1 006.2 before), against a ceiling of
+// 810, mostly the JSON records of a 572-op fixture. It read 940.9 when its
+// converter did not count and wired each collective's exit after the
+// decomposition, out of op order, so that the builder logged those
+// tables' edges and sorted them in Build; 864.1 with that converter once
+// the trace check stopped allocating a slice per node. A schedule is
+// 16 B per op (one packed goal.Op) plus its dependency tables, which the
+// builder encodes in kept scratch and hands over at their exact length,
+// about a byte per op and per edge: the NCCL pipeline is at 21.1 B/op,
+// Direct Drive at 19.2 and Schedgen at 113.4, against ceilings of 22, 20
+// and 118. With the tables in CSR form (4 B per op and per edge) they
+// read 27.7, 25.7 and 135.0; with 24-byte ops, 35.8 and 37.2 for the
+// first two, and Schedgen 163.5, or 646.5 with the parser and builder it
+// replaced. Direct Drive parses into a kept trace (spc.Trace.Parse), so
+// a warm conversion allocates the schedule and Generate's counters; it
+// read 27.7 with a trace parsed for every conversion. Schedgen's figure is
+// mostly the parsed trace, whose 64-byte events outnumber the ops here. The NCCL
 // pipeline parses and plans in a kept scratch, so a warm conversion
 // allocates the schedule's arrays and the header, interned strings and
 // communicator tables of the parse (1.7 B/op). With 24-byte ops it
@@ -63,11 +66,11 @@ func spare(s *goal.Schedule) (n int) {
 // for every conversion, 88.1 with the report and the plan's tables made
 // for every conversion too, 98.9 before that, 224.2 when it built a
 // GPU-level schedule before the node-level one and 624.6 with the parser
-// it replaced. Direct Drive and the NCCL pipeline count exactly, both by
-// emitting onto counting emitters first — Direct Drive runs its
-// choreography once onto them, the plan pass runs stages 2-3 — which the
-// spare-capacity check proves; Schedgen and the Chakra converter leave
-// spare capacity.
+// it replaced. Direct Drive, the NCCL pipeline and the Chakra converter
+// count exactly, all by emitting onto counting emitters first — Direct
+// Drive runs its choreography once onto them, the plan pass runs stages
+// 2-3, the Chakra converter its node walk and decomposition — which the
+// spare-capacity check proves; Schedgen leaves spare capacity.
 func TestConvertAllocation(t *testing.T) {
 	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
 	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 32, Steps: 4, Seed: 3})
@@ -81,7 +84,7 @@ func TestConvertAllocation(t *testing.T) {
 		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 20, true},
 		{"mpi", traceBytes(t, tr, err2), nil, 118, false},
 		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 22, true},
-		{"chakra", chakraLLMFixture(t, 3), nil, 1260, false},
+		{"chakra", chakraLLMFixture(t, 3), nil, 810, true},
 	} {
 		// the second conversion is measured: the first leaves what a
 		// producer keeps from one conversion to the next (nsys's scratch,

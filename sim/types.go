@@ -64,13 +64,15 @@ type (
 type (
 	// Builder incrementally constructs a Schedule.
 	Builder = goal.Builder
-	// RankBuilder adds ops and dependencies to one rank.
+	// RankBuilder adds ops and dependencies to one rank. Requires and
+	// IRequires panic on an op older than the last one named in that table.
 	RankBuilder = goal.RankBuilder
 	// OpID identifies an op within one rank's program during construction.
 	OpID = goal.OpID
 )
 
-// NewBuilder creates a schedule builder for nranks ranks.
+// NewBuilder creates a schedule builder for nranks ranks. Producers keep
+// goal.Builder's contract: each table's dependencies in op order.
 func NewBuilder(nranks int) *Builder { return goal.NewBuilder(nranks) }
 
 // GOAL op kinds.
