@@ -43,8 +43,8 @@ var chakraToKind = map[string]collective.Kind{
 // matching the other converters' convention.
 const collTagBase = 1 << 24
 
-// pendingColl is one collective node awaiting lockstep decomposition,
-// the k-th of the trace, from its entry dummy in the owning rank's chain.
+// pendingColl is the k-th collective node of the trace, awaiting lockstep
+// decomposition from its entry dummy in the owning rank's chain.
 type pendingColl struct {
 	rank  int
 	node  *Node
