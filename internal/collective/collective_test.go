@@ -126,11 +126,11 @@ func TestRingBcastFig4(t *testing.T) {
 	s := b.MustBuild()
 	root := &s.Ranks[0]
 	var sends int
-	for i := range root.Ops {
-		if root.Ops[i].Kind() == goal.KindSend {
+	for i := range root.Len() {
+		if root.Op(i).Kind() == goal.KindSend {
 			sends++
-			if root.Ops[i].Size() != 512*1024 {
-				t.Fatalf("root chunk %d bytes, want 512 KiB", root.Ops[i].Size())
+			if root.Op(i).Size() != 512*1024 {
+				t.Fatalf("root chunk %d bytes, want 512 KiB", root.Op(i).Size())
 			}
 		}
 	}
@@ -139,8 +139,8 @@ func TestRingBcastFig4(t *testing.T) {
 	}
 	// last ring position only receives
 	tail := &s.Ranks[n-1]
-	for i := range tail.Ops {
-		if tail.Ops[i].Kind() == goal.KindSend {
+	for i := range tail.Len() {
+		if tail.Op(i).Kind() == goal.KindSend {
 			t.Fatal("last ring rank must not forward")
 		}
 	}

@@ -207,8 +207,10 @@ func ComputeOnlyRuntime(s *goal.Schedule) simtime.Duration {
 	var max simtime.Duration
 	for r := range s.Ranks {
 		perStream := map[int32]simtime.Duration{}
-		for _, op := range s.Ranks[r].Ops {
-			if op.Kind() == goal.KindCalc {
+		rp := &s.Ranks[r]
+		ops := rp.Cursor()
+		for range rp.Len() {
+			if op := ops.Next(); op.Kind() == goal.KindCalc {
 				perStream[op.CPU()] += op.CalcDuration(1.0)
 			}
 		}

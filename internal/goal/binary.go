@@ -76,12 +76,19 @@ func (e *binaryEncoder) schedule(s *Schedule) error {
 		if err := e.room(); err != nil {
 			return err
 		}
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(rp.Ops)))
-		for i := range rp.Ops {
+		e.buf = binary.AppendUvarint(e.buf, uint64(rp.Len()))
+		// OpCursor's walk, in locals: a cursor's fields live in memory,
+		// and every fingerprint runs this loop.
+		words, side, next := rp.words, rp.side, rp.sideStart()
+		for _, w := range words {
 			if err := e.room(); err != nil {
 				return err
 			}
-			op := rp.Ops[i]
+			op := Op{w1: w}
+			if w >= sideMark {
+				op.w2 = side[next]
+				next++
+			}
 			kind, tag, cpu := op.Kind(), op.Tag(), op.CPU()
 			flags := byte(kind)
 			if tag != 0 {
@@ -126,8 +133,8 @@ func (e *binaryEncoder) room() error {
 // deps writes one dependency table: its bytes as they are held, or one
 // zero count per op for a table without edges.
 func (e *binaryEncoder) deps(d Deps) error {
-	if d.enc == nil {
-		for left := d.n; left > 0; {
+	if d.enc == "" {
+		for left := d.Len(); left > 0; {
 			if err := e.room(); err != nil {
 				return err
 			}

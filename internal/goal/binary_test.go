@@ -33,9 +33,10 @@ func writeBinaryRef(w io.Writer, s *Schedule) error {
 	putU(uint64(s.NumRanks()))
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
-		putU(uint64(len(rp.Ops)))
+		putU(uint64(rp.Len()))
 		var opBuf []byte
-		for _, op := range rp.Ops {
+		for i := range rp.Len() {
+			op := rp.Op(i)
 			opBuf = appendRefOp(opBuf[:0], fieldsOf(op))
 			bw.Write(opBuf)
 		}

@@ -17,10 +17,10 @@ type OpID int32
 // The contract, in four parts:
 //
 //   - Counted or grown. A producer that knows how many ops and edges a rank
-//     gets says so with RankBuilder.Grow, and that rank's op array is
-//     allocated once, at exactly that size. A producer that does not know
-//     just adds: the same array grows the way append grows it. A count
-//     that turns out too small is not an error, only a regrowth.
+//     gets says so with RankBuilder.Grow, and that rank's array of first
+//     words is allocated once, at exactly that size. A producer that does
+//     not know just adds: the same array grows the way append grows it. A
+//     count that turns out too small is not an error, only a regrowth.
 //   - In order. Each of a rank's two dependency tables is encoded directly
 //     in its final form (Deps: the binary encoding's own, a byte or two
 //     per list and per edge) into scratch the package keeps, so successive
@@ -32,14 +32,15 @@ type OpID int32
 //     does. A producer that cannot order its calls sorts them by op first
 //     (the text parser, whose lines come in any order); one that learns
 //     an edge only later counts first (the Chakra converter).
-//   - One Build. Build hands the op arrays to the Schedule instead of
-//     copying them, so it may be called once, last: the builder and its
+//   - One Build. Build hands the first-word arrays to the Schedule instead
+//     of copying them, so it may be called once, last: the builder and its
 //     RankBuilder handles are spent afterwards and any further use panics.
-//   - What is handed over: every rank's Ops, with whatever spare capacity
-//     growth left (none after an exact Grow), and each table's bytes,
-//     copied out of the scratch at their exact length, which is the one
-//     allocation a table costs. A table without edges has no bytes, so it
-//     costs nothing per op.
+//   - What is handed over: every rank's first words (see RankProgram),
+//     with whatever spare capacity growth left (none after an exact Grow),
+//     and its side array and each table's bytes, made from scratch at
+//     their exact length, which is the one allocation each costs. A rank
+//     without second words has no side array and a table without edges
+//     no bytes, so neither costs anything per op.
 type Builder struct {
 	ranks   []RankBuilder
 	comment string
@@ -77,18 +78,27 @@ func (b *Builder) Rank(r int) *RankBuilder {
 
 const spentMsg = "goal: Builder used after Build"
 
-// RankBuilder adds ops and dependencies to one rank: ops to one array,
-// dependencies to one depTable per kind. An op costs its 16 bytes and an
-// edge a byte or two while building, plus a byte per op for each table
-// that has any edges. An op with a value the packed form cannot hold (see
-// Op) is added in its reserved form, which Validate refuses, naming the
-// field.
+// RankBuilder adds ops and dependencies to one rank: each op's first word
+// to one array and its second word, where it has one (see RankProgram), to
+// kept scratch, and dependencies to one depTable per kind. An op costs 8
+// bytes, or 16 with a second word, and an edge a byte or two while
+// building, plus a byte per op for each table that has any edges. An op
+// with a value the packed form cannot hold (see Op) is added in its
+// reserved form, which Validate refuses, naming the field.
 type RankBuilder struct {
 	r         int
 	spent     bool
-	ops       []Op
+	words     []uint64
+	side      sideWords
 	requires  depTable
 	irequires depTable
+}
+
+// sideWords is a rank's second words under construction, in op order:
+// vals is *scratch, taken from sideScratch at Grow or at the first one.
+type sideWords struct {
+	scratch *[]uint64
+	vals    []uint64
 }
 
 // depTable is one dependency table under construction: enc holds the
@@ -99,24 +109,28 @@ type RankBuilder struct {
 type depTable struct {
 	scratch *[]byte
 	enc     []byte
-	lists   int
-	open    int
-	count   int
-	edges   int
+	lists   int32
+	open    int32
+	count   int32
+	edges   int32
 }
 
 // encScratch keeps the buffers that tables are encoded into while they
-// are built, so that a process building schedule after schedule allocates
-// for each table only the copy Build hands over.
-var encScratch registry.Stock[[]byte]
+// are built, and sideScratch those that second words are gathered in, so
+// that a process building schedule after schedule allocates for each
+// table and side array only the copy Build hands over.
+var (
+	encScratch  registry.Stock[[]byte]
+	sideScratch registry.Stock[[]uint64]
+)
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
 
 // Grow reserves room for exactly ops more ops and requires / irequires
-// more dependency edges on this rank. Callers count first and Grow once;
-// adding more than was reserved grows the arrays as if Grow had not been
-// called.
+// more dependency edges on this rank, and room in kept scratch for a
+// second word per op. Callers count first and Grow once; adding more than
+// was reserved grows the arrays as if Grow had not been called.
 func (rb *RankBuilder) Grow(ops, requires, irequires int) {
 	if rb.spent {
 		panic(spentMsg)
@@ -124,9 +138,13 @@ func (rb *RankBuilder) Grow(ops, requires, irequires int) {
 	if ops < 0 || requires < 0 || irequires < 0 {
 		panic("goal: Grow with a negative count")
 	}
-	rb.ops = reserve(rb.ops, ops)
-	rb.requires.grow(len(rb.ops)+ops, requires)
-	rb.irequires.grow(len(rb.ops)+ops, irequires)
+	rb.words = reserve(rb.words, ops)
+	if ops > 0 {
+		rb.side.take()
+		rb.side.vals = reserve(rb.side.vals, ops)
+	}
+	rb.requires.grow(len(rb.words)+ops, requires)
+	rb.irequires.grow(len(rb.words)+ops, irequires)
 }
 
 // reserve returns s with room for exactly n more elements when it has
@@ -145,7 +163,7 @@ func reserve[T any](s []T, n int) []T {
 func (t *depTable) grow(nops, edges int) {
 	if edges > 0 {
 		t.take()
-		t.enc = reserve(t.enc, max(nops-t.lists, 0)+2*edges)
+		t.enc = reserve(t.enc, max(nops-int(t.lists), 0)+2*edges)
 	}
 }
 
@@ -161,8 +179,29 @@ func (rb *RankBuilder) add(op Op) OpID {
 	if rb.spent {
 		panic(spentMsg)
 	}
-	rb.ops = append(rb.ops, op)
-	return OpID(len(rb.ops) - 1)
+	rb.words = append(rb.words, op.w1)
+	if op.w1 >= sideMark {
+		rb.side.add(op.w2)
+	}
+	return OpID(len(rb.words) - 1)
+}
+
+// add appends a second word.
+func (s *sideWords) add(w uint64) {
+	s.take()
+	s.vals = append(s.vals, w)
+}
+
+// take takes the scratch from sideScratch, if it has none yet. Grow takes
+// it, with room for a second word per op it reserves, so that a counted
+// producer adds ops without allocating, takes the scratch in rank order
+// whatever order its ranks' first messages come in, and gets back, build
+// after build, the scratch its rank had.
+func (s *sideWords) take() {
+	if s.scratch == nil {
+		s.scratch = sideScratch.Take()
+		s.vals = (*s.scratch)[:0]
+	}
 }
 
 // Calc appends a computation of the given nanoseconds on stream 0.
@@ -218,13 +257,13 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 	if rb.spent {
 		panic(spentMsg)
 	}
-	if op < 0 || int(op) >= len(rb.ops) {
-		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.ops)))
+	if op < 0 || int(op) >= len(rb.words) {
+		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.words)))
 	}
 	if len(deps) == 0 {
 		return
 	}
-	if int(op) < t.lists-1 {
+	if int32(op) < t.lists-1 {
 		panic(fmt.Sprintf("goal: rank %d: dependency added to op %d after one to op %d; a table's dependencies must be added in op order (see Builder)", rb.r, op, t.lists-1))
 	}
 	t.add(int32(op), deps)
@@ -232,21 +271,21 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 
 // add appends deps to op's list, op being no older than the open list's.
 func (t *depTable) add(op int32, deps []OpID) {
-	if int(op) >= t.lists {
+	if op >= t.lists {
 		t.take()
-		t.pad(int(op))
-		t.open, t.count, t.lists = len(t.enc), 0, int(op)+1
+		t.pad(op)
+		t.open, t.count, t.lists = int32(len(t.enc)), 0, op+1
 		t.enc = append(t.enc, 0)
 	}
 	for _, d := range deps {
 		t.enc = appendDelta(t.enc, op, int32(d))
 	}
-	t.count += len(deps)
-	t.edges += len(deps)
+	t.count += int32(len(deps))
+	t.edges += int32(len(deps))
 }
 
 // pad closes the open list and begins every list before op's empty.
-func (t *depTable) pad(op int) {
+func (t *depTable) pad(op int32) {
 	t.close()
 	for ; t.lists < op; t.lists++ {
 		t.enc = append(t.enc, 0)
@@ -265,13 +304,14 @@ func (t *depTable) close() {
 	}
 	var count [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(count[:], uint64(t.count))
+	open := int(t.open)
 	t.enc = append(t.enc, count[1:k]...)
-	copy(t.enc[t.open+k:], t.enc[t.open+1:len(t.enc)-(k-1)])
-	copy(t.enc[t.open:], count[:k])
+	copy(t.enc[open+k:], t.enc[open+1:len(t.enc)-(k-1)])
+	copy(t.enc[open:], count[:k])
 }
 
 // Build assembles the final Schedule and leaves the builder spent: the
-// schedule owns the op arrays the builder filled (see Builder).
+// schedule owns the first-word arrays the builder filled (see Builder).
 func (b *Builder) Build() *Schedule {
 	if b.ranks == nil {
 		panic(spentMsg)
@@ -279,11 +319,16 @@ func (b *Builder) Build() *Schedule {
 	s := &Schedule{Comment: b.comment, Ranks: make([]RankProgram, len(b.ranks))}
 	for r := range b.ranks {
 		rb := &b.ranks[r]
-		n := len(rb.ops)
+		n := int32(len(rb.words))
 		if n == 0 {
-			rb.ops = nil // as a table's bytes: nil when empty, Grow or not
+			rb.words = nil // as a side array: nil when empty, Grow or not
 		}
-		s.Ranks[r] = RankProgram{Ops: rb.ops, Requires: rb.requires.build(n), IRequires: rb.irequires.build(n)}
+		s.Ranks[r] = RankProgram{
+			words:     rb.words,
+			side:      sideTable(rb.words, rb.side.vals),
+			Requires:  rb.requires.build(n),
+			IRequires: rb.irequires.build(n),
+		}
 	}
 	// The scratch goes back in the reverse of the order a producer that
 	// works rank by rank takes it, so that the next such producer's rank r
@@ -292,6 +337,7 @@ func (b *Builder) Build() *Schedule {
 		rb := &b.ranks[r]
 		rb.irequires.putBack()
 		rb.requires.putBack()
+		rb.side.putBack()
 		*rb = RankBuilder{r: r, spent: true}
 	}
 	b.ranks = nil
@@ -306,12 +352,20 @@ func (t *depTable) putBack() {
 	}
 }
 
+// putBack gives the second words' scratch back to sideScratch.
+func (s *sideWords) putBack() {
+	if s.scratch != nil {
+		*s.scratch = s.vals[:0]
+		sideScratch.Put(s.scratch)
+	}
+}
+
 // build finishes the table for a rank of n ops.
-func (t *depTable) build(n int) Deps {
+func (t *depTable) build(n int32) Deps {
 	d := Deps{n: n, edges: t.edges}
 	if t.edges > 0 {
 		t.pad(n)
-		d.enc = append(make([]byte, 0, len(t.enc)), t.enc...)
+		d.enc = string(t.enc)
 	}
 	return d
 }

@@ -105,7 +105,7 @@ func buildRank(ops []Op, calls []depCall, interleave bool, grow int) (*Schedule,
 // dependency calls interleaved with the ops or after them, uncounted,
 // exactly counted and under-counted, always builds the same schedule —
 // reflect.DeepEqual and byte-identical when encoded. An exact Grow leaves
-// no spare capacity in the op array handed over, and no table has any.
+// no spare capacity in the arrays handed over.
 func TestBuilderPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 100; trial++ {
@@ -139,15 +139,14 @@ func TestBuilderPathsAgree(t *testing.T) {
 			rp := &got.Ranks[0]
 			if v.grow == 100 {
 				for name, c := range map[string][2]int{
-					"Ops":           {len(rp.Ops), cap(rp.Ops)},
-					"Requires.enc":  {len(rp.Requires.enc), cap(rp.Requires.enc)},
-					"IRequires.enc": {len(rp.IRequires.enc), cap(rp.IRequires.enc)},
+					"words": {len(rp.words), cap(rp.words)},
+					"side":  {len(rp.side), cap(rp.side)},
 				} {
 					if c[0] != c[1] {
 						t.Fatalf("trial %d, %s: %s has len %d, cap %d after an exact Grow", trial, v.name, name, c[0], c[1])
 					}
 				}
-				if &rp.Ops[0] != &rb.ops[0] {
+				if &rp.words[0] != &rb.words[0] {
 					t.Fatalf("trial %d, %s: Build copied instead of handing over", trial, v.name)
 				}
 			}
@@ -361,7 +360,7 @@ func TestSpentBuilderPanics(t *testing.T) {
 			use()
 		}()
 	}
-	if n := len(s.Ranks[1].Ops); n != 2 {
+	if n := s.Ranks[1].Len(); n != 2 {
 		t.Fatalf("schedule has %d ops after the spent builder was poked, want 2", n)
 	}
 }

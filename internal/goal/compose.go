@@ -1,6 +1,9 @@
 package goal
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Placement selects how composed jobs' ranks are laid out on the shared
 // fabric. A policy only produces node sets (Nodes); Compose places them.
@@ -118,14 +121,17 @@ func Compose(nodes [][]int, jobs ...*Schedule) (*Schedule, error) {
 		for r := range job.Ranks {
 			rp := &job.Ranks[r]
 			dst := &out.Ranks[nodes[j][r]]
-			dst.Ops = append([]Op(nil), rp.Ops...)
-			for i, op := range dst.Ops {
-				if op.Kind() != KindCalc {
-					dst.Ops[i] = op.WithPeer(int32(nodes[j][op.Peer()]))
+			dst.words = slices.Clone(rp.words)
+			dst.side = slices.Clone(rp.side)
+			for i := range dst.Len() {
+				if op := dst.Op(i); op.Kind() != KindCalc {
+					dst.side[dst.sideAt(i)] = op.WithPeer(int32(nodes[j][op.Peer()])).w2
 				}
 			}
-			dst.Requires = rp.Requires.Clone()
-			dst.IRequires = rp.IRequires.Clone()
+			// Tables' bytes are immutable, so the merged schedule shares
+			// them with its inputs.
+			dst.Requires = rp.Requires
+			dst.IRequires = rp.IRequires
 		}
 	}
 	if err := out.Validate(); err != nil {

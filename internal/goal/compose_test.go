@@ -49,7 +49,7 @@ func TestComposePacked(t *testing.T) {
 		t.Fatalf("merged ranks %d, want 4", merged.NumRanks())
 	}
 	// Job 1's send landed on node 2 and points at node 3.
-	if op := merged.Ranks[2].Ops[1]; op.Kind() != KindSend || op.Peer() != 3 || op.Size() != 128 {
+	if op := merged.Ranks[2].Op(1); op.Kind() != KindSend || op.Peer() != 3 || op.Size() != 128 {
 		t.Fatalf("job 1 send misplaced: %+v", op)
 	}
 	if err := merged.CheckMatched(); err != nil {
@@ -75,7 +75,7 @@ func TestComposeInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Job 0's send runs on node 0 and targets its own rank 1 = node 3.
-	if op := merged.Ranks[0].Ops[1]; op.Kind() != KindSend || op.Peer() != 3 {
+	if op := merged.Ranks[0].Op(1); op.Kind() != KindSend || op.Peer() != 3 {
 		t.Fatalf("job 0 send peer %d, want 3", op.Peer())
 	}
 	if err := merged.CheckMatched(); err != nil {
@@ -130,21 +130,24 @@ func micro4() *Schedule {
 	return b.MustBuild()
 }
 
-// TestComposeDoesNotAliasInputs: mutating the merged schedule must not
-// write through to the source schedules.
+// TestComposeDoesNotAliasInputs: mutating the merged schedule's op arrays
+// must not write through to the source schedules. (Dependency tables are
+// strings, which nothing mutates, so the two share them.)
 func TestComposeDoesNotAliasInputs(t *testing.T) {
 	a := twoRankExchange(64, 1)
+	want := a.Ranks[0].Op(0)
 	merged, err := Compose([][]int{{0, 1}, {2, 3}}, a, twoRankExchange(64, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged.Ranks[0].Ops[0] = makeOp(KindCalc, 999999, -1, 0, 0)
-	merged.Ranks[0].Requires.enc[len(merged.Ranks[0].Requires.enc)-1]++ // op 1 now needs another op
-	if a.Ranks[0].Ops[0].Size() == 999999 {
-		t.Fatal("merged ops alias the input schedule")
+	rp := &merged.Ranks[0]
+	if rp.side == nil {
+		t.Fatal("fixture rank 0 has no second words")
 	}
-	if a.Ranks[0].Requires.of(1)[0] != 0 {
-		t.Fatal("merged dependency table aliases the input schedule")
+	rp.words[0]++
+	rp.side[len(rp.side)-1]++
+	if a.Ranks[0].Op(0) != want || a.Ranks[0].Op(a.Ranks[0].Len()-1).Peer() != 1 {
+		t.Fatal("merged ops alias the input schedule")
 	}
 }
 
@@ -210,10 +213,14 @@ func TestComposeProperty(t *testing.T) {
 		for j := range jobs {
 			n := rng.Intn(6) + 2
 			b := NewBuilder(n)
+			sizes := make([]int64, n) // rank r sends sizes[r] to rank r+1
+			for r := range sizes {
+				sizes[r] = rng.Int63n(4096) + 1
+			}
 			for r := 0; r < n; r++ {
 				rb := b.Rank(r)
-				s := rb.Send(rng.Int63n(4096)+1, (r+1)%n, int32(j))
-				rb.Requires(rb.Recv(1, (r+n-1)%n, int32(j)), s)
+				s := rb.Send(sizes[r], (r+1)%n, int32(j))
+				rb.Requires(rb.Recv(sizes[(r+n-1)%n], (r+n-1)%n, int32(j)), s)
 			}
 			jobs[j] = b.MustBuild()
 			st := jobs[j].ComputeStats()

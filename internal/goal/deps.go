@@ -17,9 +17,10 @@ import "encoding/binary"
 // about a byte per edge. LULESH's 145 152 ops and 212 992 edges take
 // 0.36 MB this way, against 1.43 MB in compressed-sparse-row form (4 B of
 // offset per op plus 4 B per edge) and ten times that with a slice
-// header per op. The bytes are pointer-free, so the collector never
-// scans them, and they are the file's: ParseBinary copies a section it
-// has checked, WriteBinary (and so every fingerprint) writes it back.
+// header per op. The bytes are a string: pointer-free, so the collector
+// never scans them, immutable, so schedules share them (Compose does),
+// and the file's: ParseBinary copies a section it has checked,
+// WriteBinary (and so every fingerprint) writes it back.
 // A reader takes the lists in op order through a DepCursor; Validate and
 // Invert, which run on every decoded schedule, decode with uvarintAt into
 // locals of their own, and the one reader that needs an op's list out of
@@ -30,25 +31,16 @@ import "encoding/binary"
 //
 // The zero Deps is an empty table (Len() == 0).
 type Deps struct {
-	n     int    // the number of lists
-	edges int    // the total length of all lists
-	enc   []byte // the lists, encoded; nil exactly when edges is 0
+	enc   string // the lists, encoded; empty exactly when edges is 0
+	n     int32  // the number of lists
+	edges int32  // the total length of all lists
 }
 
 // Len returns the number of lists, one per op of the rank program.
-func (d Deps) Len() int { return d.n }
+func (d Deps) Len() int { return int(d.n) }
 
 // NumEdges returns the total length of all lists.
-func (d Deps) NumEdges() int { return d.edges }
-
-// Clone returns a deep copy of d, sharing no array with it: what Compose
-// gives each placed rank, so the merged schedule never aliases its inputs.
-func (d Deps) Clone() Deps {
-	if d.enc != nil {
-		d.enc = append([]byte(nil), d.enc...)
-	}
-	return d
-}
+func (d Deps) NumEdges() int { return int(d.edges) }
 
 // Cursor returns a cursor before the table's first list.
 func (d Deps) Cursor() DepCursor { return DepCursor{enc: d.enc, op: -1} }
@@ -59,7 +51,7 @@ func (d Deps) Cursor() DepCursor { return DepCursor{enc: d.enc, op: -1} }
 // however many tables it walks. Edges a reader does not want are skipped
 // by the next call to Next.
 type DepCursor struct {
-	enc  []byte
+	enc  string
 	off  int   // the next byte to decode
 	op   int32 // the op whose list Next moved to last
 	left int   // the edges of op's list not yet read
@@ -72,7 +64,7 @@ func (c *DepCursor) Next() int {
 		_, c.off = uvarintAt(c.enc, c.off)
 	}
 	c.op++
-	if c.enc == nil {
+	if c.enc == "" {
 		return 0
 	}
 	n, off := uvarintAt(c.enc, c.off)
@@ -93,7 +85,7 @@ func (c *DepCursor) Dep() int32 {
 // after it. It decodes in a loop of its own, with no call, so that it
 // inlines into the readers' loops and keeps the offset in a register:
 // most counts and deltas are one byte.
-func uvarintAt(enc []byte, off int) (uint64, int) {
+func uvarintAt(enc string, off int) (uint64, int) {
 	if b := enc[off]; b < 0x80 {
 		return uint64(b), off + 1
 	}
@@ -161,7 +153,7 @@ func (d Deps) Invert() Succ { return d.InvertInto(Succ{}) }
 // dst's lists may outlive the call. A table without edges inverts to one
 // without edges, leaving dst's arrays unused.
 func (d Deps) InvertInto(dst Succ) Succ {
-	n := d.n
+	n := int(d.n)
 	if d.edges == 0 {
 		return Succ{n: n}
 	}
@@ -172,7 +164,7 @@ func (d Deps) InvertInto(dst Succ) Succ {
 		inv.off = inv.off[:n+1]
 		clear(inv.off[:n+2])
 	}
-	if cap(inv.edges) < d.edges {
+	if cap(inv.edges) < int(d.edges) {
 		inv.edges = make([]int32, d.edges)
 	} else {
 		inv.edges = inv.edges[:d.edges]

@@ -272,26 +272,9 @@ func TestDepsViewsAreCapped(t *testing.T) {
 	}
 }
 
-// TestDepsClone: a clone equals its source, shares no array with it, and
-// the zero Deps clones to an empty table.
-func TestDepsClone(t *testing.T) {
-	src := depsFixture().Ranks[0].Requires
-	c := src.Clone()
-	if !reflect.DeepEqual(c, src) {
-		t.Fatalf("Clone built %v, want %v", lists(c), lists(src))
-	}
-	c.enc[len(c.enc)-1] = 0 // op 3's last edge now names op 3
-	if got := src.of(3); !reflect.DeepEqual(got, []int32{0, 2}) {
-		t.Fatalf("writing the clone changed the source: %v", got)
-	}
-	if z := (Deps{}).Clone(); z.Len() != 0 || z.NumEdges() != 0 {
-		t.Fatalf("clone of the zero Deps has %d lists, %d edges", z.Len(), z.NumEdges())
-	}
-}
-
 // TestEdgelessTablesCarryNoOffsets: a table without edges is its list
 // count alone — no bytes — whichever producer made it (the builder with
-// or without a Grow, the decoder, Clone), so equal tables stay
+// or without a Grow, the decoder), so equal tables stay
 // reflect.DeepEqual, each of its lists is empty, and it inverts to a
 // successor table without arrays.
 func TestEdgelessTablesCarryNoOffsets(t *testing.T) {
@@ -313,14 +296,13 @@ func TestEdgelessTablesCarryNoOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r, rp := range s.Ranks {
-		n := len(rp.Ops)
-		want := Deps{n: n}
+		n := rp.Len()
+		want := Deps{n: int32(n)}
 		for name, d := range map[string]Deps{
 			"built requires":    rp.Requires,
 			"built irequires":   rp.IRequires,
 			"decoded requires":  decoded.Ranks[r].Requires,
 			"decoded irequires": decoded.Ranks[r].IRequires,
-			"clone":             rp.Requires.Clone(),
 		} {
 			if !reflect.DeepEqual(d, want) {
 				t.Errorf("rank %d %s: %#v, want %#v", r, name, d, want)
@@ -345,8 +327,8 @@ func TestValidateRejectsTableLengthMismatch(t *testing.T) {
 	for name, edit := range map[string]func(*RankProgram){
 		"requires short":  func(rp *RankProgram) { rp.Requires = Deps{} },
 		"irequires short": func(rp *RankProgram) { rp.IRequires = Deps{} },
-		"requires long":   func(rp *RankProgram) { rp.Requires = Deps{n: len(rp.Ops) + 1} },
-		"ops short":       func(rp *RankProgram) { rp.Ops = rp.Ops[:1] },
+		"requires long":   func(rp *RankProgram) { rp.Requires = Deps{n: int32(rp.Len() + 1)} },
+		"ops short":       func(rp *RankProgram) { rp.words = rp.words[:1] },
 	} {
 		s := depsFixture()
 		edit(&s.Ranks[0])
@@ -659,7 +641,8 @@ func FuzzDepsMatchCSR(f *testing.F) {
 			t.Fatalf("irequires %v, model %v", got, ireq)
 		}
 		want := binary.AppendUvarint(magic(1), uint64(n))
-		for _, op := range rp.Ops {
+		for i := range rp.Len() {
+			op := rp.Op(i)
 			want = appendRefOp(want, fieldsOf(op))
 		}
 		want = csrOf(ireq).encode(csrOf(req).encode(want))
@@ -720,8 +703,8 @@ func TestDecoderCanonicalisesLongVarints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := s.Ranks[0].Requires.enc; !bytes.Equal(got, sec) || cap(got) != len(sec) {
-			t.Errorf("%s: table holds %x (cap %d), want %x at its exact length", name, got, cap(got), sec)
+		if got := s.Ranks[0].Requires.enc; got != string(sec) {
+			t.Errorf("%s: table holds %x, want %x", name, got, sec)
 		}
 		if got := binarySeed(s); !bytes.Equal(got, canonical) {
 			t.Errorf("%s: encodes to %x, want the canonical %x", name, got, canonical)

@@ -21,13 +21,19 @@
 // textual format (paper Fig 3), and a compact binary codec used for
 // storage-efficiency comparisons against Chakra (paper Fig 9).
 //
-// An op is 16 bytes, two words read through accessor methods (the Op doc
-// comment has the bit layout). A calc holds any non-negative int64
-// nanoseconds and an int32 cpu. A send or receive holds 0 to 2^40 bytes
-// (1 TiB), a cpu of 0 to 2^21 − 2, and an int32 peer and tag. Both
+// An op is a 16-byte value of two words read through accessor methods
+// (the Op doc comment has the bit layout). A calc holds any non-negative
+// int64 nanoseconds and an int32 cpu. A send or receive holds 0 to 2^40
+// bytes (1 TiB), a cpu of 0 to 2^21 − 2, and an int32 peer and tag. Both
 // decoders refuse any other value where they read it, naming the field,
 // and an op the Builder is given with such a value is one that Validate
-// refuses.
+// refuses. A rank stores an op in 8 bytes, its first word, and keeps the
+// second only for a message (its peer and tag) and for a calc of 2^42 ns
+// or more or on a cpu outside [0, 2^21 − 2]: a calc-heavy rank, such as a
+// converted training trace's, costs about 8 bytes an op, and a rank of
+// messages about 16.25, the second words being found by rank/select (the
+// RankProgram doc comment has the layout). A rank's ops are read through
+// RankProgram's Len, Op and Kind, or in op order through an OpCursor.
 //
 // Dependency edges have one in-memory layout, Deps: each table is the
 // binary encoding's own dependency section — a byte or two per op and
@@ -43,7 +49,10 @@
 package goal
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"atlahs/internal/registry"
 )
@@ -74,13 +83,103 @@ func (k Kind) String() string {
 // AnyTag is a wildcard recv tag matching any message tag from the source.
 const AnyTag int32 = -1
 
-// RankProgram is the task DAG of a single rank. Dependency lists hold
-// indices into Ops; all dependencies are rank-local (cross-rank ordering
-// emerges from send/recv matching during simulation).
+// RankProgram is the task DAG of a single rank. Dependency lists hold op
+// indices; all dependencies are rank-local (cross-rank ordering emerges
+// from send/recv matching during simulation).
+//
+// Ops are read through Len, Op and Kind, or in op order through Cursor.
+// A rank stores each op's first word (see Op) in one array, 8 bytes an
+// op, and the second words only of the ops that need one — sends,
+// receives and spilled calcs — in op order in a second array, side. Op
+// i's second word is found by rank/select: side begins with two words per
+// block of 64 ops, a bitmap of the block's ops that have a second word and
+// the index in side of the block's first second word, so op i's is at
+// that index plus the bitmap's count of ops before i in its block. A
+// calc-heavy rank costs about 8 bytes an op, a rank of messages about
+// 16.25; a rank with no second words has no side array at all.
 type RankProgram struct {
-	Ops       []Op
-	Requires  Deps // list i: ops that must complete before op i starts
-	IRequires Deps // list i: ops that must have started before op i starts
+	words     []uint64 // op i's first word
+	side      []uint64 // nil, or the block index and then the second words
+	Requires  Deps     // list i: ops that must complete before op i starts
+	IRequires Deps     // list i: ops that must have started before op i starts
+}
+
+// Len returns the number of ops.
+func (rp *RankProgram) Len() int { return len(rp.words) }
+
+// Op returns op i.
+func (rp *RankProgram) Op(i int) Op {
+	w := rp.words[i]
+	if w < sideMark {
+		return Op{w1: w}
+	}
+	return Op{w1: w, w2: rp.side[rp.sideAt(i)]}
+}
+
+// Kind returns op i's kind, which its first word alone holds.
+func (rp *RankProgram) Kind(i int) Kind { return kindOf(rp.words[i]) }
+
+// Cursor returns a cursor before the rank's first op.
+func (rp *RankProgram) Cursor() OpCursor {
+	return OpCursor{words: rp.words, side: rp.side, next: rp.sideStart()}
+}
+
+// sideStart returns where the first second word is in side: after the
+// block index.
+func (rp *RankProgram) sideStart() int { return 2 * ((len(rp.words) + 63) >> 6) }
+
+// OpCursor reads a rank's ops in op order. It takes the second words from
+// the side array one after another, so a walk over every op (the text
+// writer, the scheduler's set-up) costs no rank/select. It is a value, so
+// a reader allocates nothing however many ranks it walks. Validate and
+// WriteBinary, which run on every decoded schedule and every fingerprint,
+// walk the same way in locals of their own.
+type OpCursor struct {
+	words, side []uint64
+	i, next     int // the next op, and where its second word would be
+}
+
+// Next returns the next op. It must not be called more often than the
+// rank has ops.
+func (c *OpCursor) Next() Op {
+	w := c.words[c.i]
+	c.i++
+	if w < sideMark {
+		return Op{w1: w}
+	}
+	op := Op{w1: w, w2: c.side[c.next]}
+	c.next++
+	return op
+}
+
+// sideAt returns where op i's second word is in side; op i must have one.
+func (rp *RankProgram) sideAt(i int) int {
+	b := i >> 6 << 1
+	return int(rp.side[b+1]) + bits.OnesCount64(rp.side[b]&(1<<(i&63)-1))
+}
+
+// sideTable returns the side array of a rank whose first words are words
+// and whose second words, in op order, are vals: nil when there are none.
+func sideTable(words, vals []uint64) []uint64 {
+	if len(vals) == 0 {
+		return nil
+	}
+	nb := (len(words) + 63) >> 6
+	side := make([]uint64, 2*nb+len(vals))
+	at := 2 * nb
+	for b := 0; b < nb; b++ {
+		var set uint64
+		for j, w := range words[b<<6 : min(b<<6+64, len(words))] {
+			// w >= sideMark without a branch: sends, receives and calcs
+			// interleave, so a branch here is mispredicted often.
+			_, below := bits.Sub64(w, sideMark, 0)
+			set |= (below ^ 1) << j
+		}
+		side[2*b], side[2*b+1] = set, uint64(at)
+		at += bits.OnesCount64(set)
+	}
+	copy(side[2*nb:], vals)
+	return side
 }
 
 // Schedule is a complete GOAL schedule for NRanks ranks.
@@ -112,7 +211,9 @@ func (s *Schedule) ComputeStats() Stats {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		streams := map[int32]struct{}{}
-		for _, op := range rp.Ops {
+		ops := rp.Cursor()
+		for range rp.Len() {
+			op := ops.Next()
 			st.Ops++
 			streams[op.CPU()] = struct{}{}
 			switch op.Kind() {
@@ -146,7 +247,7 @@ func (s *Schedule) Validate() error {
 	n := int32(s.NumRanks())
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
-		nops := int32(len(rp.Ops))
+		nops := int32(rp.Len())
 		if rp.Requires.Len() != int(nops) || rp.IRequires.Len() != int(nops) {
 			return fmt.Errorf("goal: rank %d: dependency table length mismatch (%d ops, %d requires, %d irequires)",
 				r, nops, rp.Requires.Len(), rp.IRequires.Len())
@@ -156,9 +257,16 @@ func (s *Schedule) Validate() error {
 		// then a topological order and the rank is acyclic without
 		// looking further.
 		ordered := true
-		encs := [2][]byte{rp.Requires.enc, rp.IRequires.enc}
+		encs := [2]string{rp.Requires.enc, rp.IRequires.enc}
 		var at [2]int // where op i's list starts in each table's bytes
-		for i, op := range rp.Ops {
+		// OpCursor's walk, in locals, as the lists' below.
+		side, next := rp.side, rp.sideStart()
+		for i, w := range rp.words {
+			op := Op{w1: w}
+			if w >= sideMark {
+				op.w2 = side[next]
+				next++
+			}
 			if !op.held() {
 				return fmt.Errorf("goal: rank %d op %d: %w", r, i, op.unheldErr())
 			}
@@ -175,7 +283,7 @@ func (s *Schedule) Validate() error {
 			// DepCursor, whose fields live in memory: Validate runs on
 			// every decoded schedule.
 			for t := range encs {
-				if encs[t] == nil {
+				if encs[t] == "" {
 					continue
 				}
 				k, off := uvarintAt(encs[t], at[t])
@@ -219,16 +327,16 @@ var depKinds = [2]string{"requires", "irequires"}
 func checkAcyclic(rp *RankProgram) error {
 	scratch := acyclicScratch.Take()
 	defer acyclicScratch.Put(scratch)
-	n := len(rp.Ops)
+	n := rp.Len()
 	if len(*scratch) < 4*n {
 		*scratch = make([]int32, 4*n)
 	}
 	dependents := (*scratch)[:n] // unpeeled ops that depend on op i
 	clear(dependents)
-	encs := [2][]byte{rp.Requires.enc, rp.IRequires.enc}
+	encs := [2]string{rp.Requires.enc, rp.IRequires.enc}
 	var starts [2][]int32 // where op i's list starts in each table's bytes
 	for t, enc := range encs {
-		if enc == nil {
+		if enc == "" {
 			continue
 		}
 		starts[t] = (*scratch)[(2+t)*n : (3+t)*n]
@@ -255,7 +363,7 @@ func checkAcyclic(rp *RankProgram) error {
 		queue = queue[:len(queue)-1]
 		seen++
 		for t := range encs {
-			if encs[t] == nil {
+			if encs[t] == "" {
 				continue
 			}
 			k, off := uvarintAt(encs[t], int(starts[t][v]))
@@ -278,50 +386,79 @@ func checkAcyclic(rp *RankProgram) error {
 
 // CheckMatched verifies that every send has a compatible recv and vice
 // versa: for each (src, dst, tag) the number and total bytes of sends equal
-// those of recvs (wildcard-tag receives are counted per (src,dst) pair).
-// This is a debugging aid for generators; simulation does its own dynamic
-// matching.
+// those of recvs. Wildcard-tag receives are pooled per (src, dst) pair:
+// they take up, key by key, the sends that tagged receives leave, and
+// once a pair's pool is used up its bytes must equal the bytes it took.
+// Keys are checked in (src, dst, tag) order and the first mismatch is
+// reported. This is a debugging aid for generators; simulation does its
+// own dynamic matching.
 func (s *Schedule) CheckMatched() error {
 	type key struct {
 		src, dst, tag int32
 	}
-	sends := map[key]int64{}
-	recvs := map[key]int64{}
-	wildcards := map[[2]int32]int64{}
+	type tally struct {
+		n, bytes int64
+	}
+	sends := map[key]tally{}
+	recvs := map[key]tally{}
+	wildcards := map[[2]int32]tally{}
+	var keys []key
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
-		for _, op := range rp.Ops {
+		ops := rp.Cursor()
+		for range rp.Len() {
+			op := ops.Next()
+			var k key
 			switch op.Kind() {
 			case KindSend:
-				sends[key{int32(r), op.Peer(), op.Tag()}]++
+				k = key{int32(r), op.Peer(), op.Tag()}
+				t := sends[k]
+				sends[k] = tally{t.n + 1, t.bytes + op.Size()}
 			case KindRecv:
 				if op.Tag() == AnyTag {
-					wildcards[[2]int32{op.Peer(), int32(r)}]++
-				} else {
-					recvs[key{op.Peer(), int32(r), op.Tag()}]++
+					pair := [2]int32{op.Peer(), int32(r)}
+					t := wildcards[pair]
+					wildcards[pair] = tally{t.n + 1, t.bytes + op.Size()}
+					continue
 				}
-			}
-		}
-	}
-	for k, ns := range sends {
-		nr := recvs[k]
-		if nr < ns {
-			// try wildcard absorption
-			w := wildcards[[2]int32{k.src, k.dst}]
-			need := ns - nr
-			if w >= need {
-				wildcards[[2]int32{k.src, k.dst}] = w - need
+				k = key{op.Peer(), int32(r), op.Tag()}
+				t := recvs[k]
+				recvs[k] = tally{t.n + 1, t.bytes + op.Size()}
+			default:
 				continue
 			}
-			return fmt.Errorf("goal: %d unmatched send(s) %d->%d tag %d", ns-nr-w, k.src, k.dst, k.tag)
-		}
-		if nr > ns {
-			return fmt.Errorf("goal: %d unmatched recv(s) %d->%d tag %d", nr-ns, k.src, k.dst, k.tag)
+			if sends[k].n+recvs[k].n == 1 {
+				keys = append(keys, k)
+			}
 		}
 	}
-	for k, nr := range recvs {
-		if sends[k] == 0 && nr > 0 {
-			return fmt.Errorf("goal: %d recv(s) with no send %d->%d tag %d", nr, k.src, k.dst, k.tag)
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.tag, b.tag))
+	})
+	taken := map[[2]int32]int64{} // the bytes each pool took
+	for _, k := range keys {
+		st, rt := sends[k], recvs[k]
+		switch {
+		case st.n == 0:
+			return fmt.Errorf("goal: %d recv(s) with no send %d->%d tag %d", rt.n, k.src, k.dst, k.tag)
+		case rt.n > st.n:
+			return fmt.Errorf("goal: %d unmatched recv(s) %d->%d tag %d", rt.n-st.n, k.src, k.dst, k.tag)
+		case rt.n == st.n && rt.bytes != st.bytes:
+			return fmt.Errorf("goal: %d->%d tag %d: %d bytes sent, %d bytes received", k.src, k.dst, k.tag, st.bytes, rt.bytes)
+		case rt.n < st.n:
+			pair := [2]int32{k.src, k.dst}
+			w := wildcards[pair]
+			if need := st.n - rt.n; w.n < need {
+				return fmt.Errorf("goal: %d unmatched send(s) %d->%d tag %d", need-w.n, k.src, k.dst, k.tag)
+			}
+			wildcards[pair] = tally{w.n - (st.n - rt.n), w.bytes}
+			taken[pair] += st.bytes - rt.bytes
+		}
+	}
+	for _, k := range keys {
+		pair := [2]int32{k.src, k.dst}
+		if w, ok := wildcards[pair]; ok && w.n == 0 && w.bytes != taken[pair] {
+			return fmt.Errorf("goal: %d->%d any tag: %d bytes sent, %d bytes received", k.src, k.dst, taken[pair], w.bytes)
 		}
 	}
 	return nil

@@ -32,11 +32,11 @@ func TestBuilderPaperExample(t *testing.T) {
 		t.Fatalf("ranks=%d", s.NumRanks())
 	}
 	rp := &s.Ranks[0]
-	if len(rp.Ops) != 4 {
-		t.Fatalf("ops=%d", len(rp.Ops))
+	if rp.Len() != 4 {
+		t.Fatalf("ops=%d", rp.Len())
 	}
-	if rp.Ops[2].CPU() != 1 {
-		t.Fatalf("l3 cpu=%d, want 1", rp.Ops[2].CPU())
+	if rp.Op(2).CPU() != 1 {
+		t.Fatalf("l3 cpu=%d, want 1", rp.Op(2).CPU())
 	}
 	if got := rp.Requires.of(3); len(got) != 2 {
 		t.Fatalf("l4 deps=%v", got)
@@ -129,6 +129,36 @@ func TestCheckMatchedWildcard(t *testing.T) {
 	}
 }
 
+// TestCheckMatchedComparesBytes: a 4 KiB send matched by an 8 KiB receive
+// is a mismatch, tagged or through a wildcard, and of several mismatches
+// the first in (src, dst, tag) order is reported, whatever the map order.
+func TestCheckMatchedComparesBytes(t *testing.T) {
+	b := NewBuilder(2)
+	b.Rank(0).Send(4096, 1, 3)
+	b.Rank(1).Recv(8192, 0, 3)
+	if err := b.Build().CheckMatched(); err == nil || err.Error() != "goal: 0->1 tag 3: 4096 bytes sent, 8192 bytes received" {
+		t.Fatalf("CheckMatched = %v, want a byte mismatch", err)
+	}
+	b = NewBuilder(2)
+	b.Rank(0).Send(4096, 1, 3)
+	b.Rank(1).Recv(8192, 0, AnyTag)
+	if err := b.Build().CheckMatched(); err == nil || err.Error() != "goal: 0->1 any tag: 4096 bytes sent, 8192 bytes received" {
+		t.Fatalf("CheckMatched = %v, want a wildcard byte mismatch", err)
+	}
+	for range 20 {
+		b = NewBuilder(3)
+		for tag := int32(9); tag >= 0; tag-- {
+			b.Rank(2).Send(64, 1, tag)
+			b.Rank(1).Recv(32, 2, tag)
+			b.Rank(1).Send(64, 0, tag)
+			b.Rank(0).Recv(64+int64(tag), 1, tag)
+		}
+		if err := b.Build().CheckMatched(); err == nil || err.Error() != "goal: 1->0 tag 1: 64 bytes sent, 65 bytes received" {
+			t.Fatalf("CheckMatched = %v, want the mismatch of 1->0 tag 1", err)
+		}
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	s := buildPaperExample()
 	var buf bytes.Buffer
@@ -167,10 +197,10 @@ r: recv 10b from 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumRanks() != 2 || len(s.Ranks[0].Ops) != 4 {
+	if s.NumRanks() != 2 || s.Ranks[0].Len() != 4 {
 		t.Fatalf("parsed wrong shape: %+v", s.ComputeStats())
 	}
-	if s.Ranks[0].Ops[2].CPU() != 1 {
+	if s.Ranks[0].Op(2).CPU() != 1 {
 		t.Fatal("cpu attribute lost")
 	}
 	if len(s.Ranks[0].Requires.of(3)) != 2 {
@@ -296,11 +326,11 @@ func schedulesEqual(a, b *Schedule) bool {
 	}
 	for r := range a.Ranks {
 		x, y := &a.Ranks[r], &b.Ranks[r]
-		if len(x.Ops) != len(y.Ops) {
+		if x.Len() != y.Len() {
 			return false
 		}
-		for i := range x.Ops {
-			if x.Ops[i] != y.Ops[i] {
+		for i := range x.Len() {
+			if x.Op(i) != y.Op(i) {
 				return false
 			}
 		}

@@ -10,26 +10,35 @@ import (
 // Size is a byte count and Peer/Tag identify the matching endpoint; for
 // calcs Size is a duration in nanoseconds, Peer reads -1 and Tag 0.
 //
-// An op is two 8-byte words with nothing between them (16 bytes; a
-// schedule holds one per task, and the scheduler reads it on every issue
-// and completion):
+// An op is two 8-byte words, the value every reader gets (RankProgram.Op)
+// and reads through the accessor methods. A rank stores the first word of
+// every op and the second only for the ops that need one (see
+// RankProgram), so the words are laid out for that:
 //
-//	calc       w1: bit 63 clear, size in bits 0-62 (any non-negative int64)
-//	           w2: cpu as an int32 (a negative cpu is held, and Validate
-//	               refuses it)
+//	calc       w1: bit 63 clear, cpu in bits 42-62, size in bits 0-41
+//	           w2: 0
+//	spilled    w1: bit 63 clear, bits 42-62 set, size bits 0-41 in 0-41
+//	calc       w2: cpu as an int32 in bits 0-31 (a negative cpu is held,
+//	               and Validate refuses it), size bits 42-62 in 32-52
 //	send/recv  w1: bit 63 set, bit 62 set for a recv, cpu in bits 41-61
 //	               (0 to maxMessageCPU), size in bits 0-40 (0 to
 //	               MaxMessageBytes)
 //	           w2: peer as an int32 in bits 0-31, tag as an int32 in 32-63
 //
-// The one cpu code above maxMessageCPU marks the reserved form, which
-// stands for an op the packed form cannot hold: a negative size, a
+// A calc spills when it lasts 2^42 ns or more or is on a cpu outside
+// [0, maxMessageCPU]; otherwise its cpu and size fit in w1. So a calc
+// holds any non-negative int64 nanoseconds and any int32 cpu. An op whose
+// w1 is at least sideMark — a send, a receive, a spilled calc or the
+// reserved form — keeps its w2; every other op's w2 is 0.
+//
+// The one message cpu code above maxMessageCPU marks the reserved form,
+// which stands for an op the packed form cannot hold: a negative size, a
 // message over MaxMessageBytes or on a cpu outside [0, maxMessageCPU], or
 // a kind other than the three. The two decoders refuse such values where
 // they read them; the Builder stores them in the reserved form (w1 keeps
 // which field and the kind, w2 the value) and Validate refuses the op,
 // naming the field. Ops are built by the RankBuilder methods, the
-// decoders and Compose (WithPeer), and read through the accessor methods.
+// decoders and Compose (WithPeer).
 type Op struct {
 	w1, w2 uint64
 }
@@ -51,6 +60,15 @@ const (
 	// unheldMark is w1's message bit and reserved cpu code, which mark
 	// the reserved form.
 	unheldMark = msgBit | cpuMask<<cpuShift
+
+	// A calc's cpu sits one bit higher than a message's, above 42 bits
+	// of size.
+	calcCPUShift = 42
+	calcSizeMask = 1<<calcCPUShift - 1
+	// sideMark is the least first word of an op that keeps its second:
+	// a spilled calc's, whose cpu bits are all set. Every message's
+	// first word is larger still.
+	sideMark = cpuMask << calcCPUShift
 )
 
 // opField names the field of an op the packed form cannot hold.
@@ -113,7 +131,10 @@ func makeOp(k Kind, size int64, peer, tag, cpu int32) Op {
 // pack packs an op whose values it holds (unheld finds none).
 func pack(k Kind, size int64, peer, tag, cpu int32) Op {
 	if k == KindCalc {
-		return Op{w1: uint64(size), w2: uint64(uint32(cpu))}
+		if size > calcSizeMask || uint32(cpu) > maxMessageCPU {
+			return Op{w1: sideMark | uint64(size)&calcSizeMask, w2: uint64(uint32(cpu)) | uint64(size)>>calcCPUShift<<32}
+		}
+		return Op{w1: uint64(cpu)<<calcCPUShift | uint64(size)}
 	}
 	w1 := msgBit | uint64(cpu)<<cpuShift | uint64(size)
 	if k == KindRecv {
@@ -123,8 +144,11 @@ func pack(k Kind, size int64, peer, tag, cpu int32) Op {
 }
 
 // Kind returns the task type.
-func (o Op) Kind() Kind {
-	k := o.w1 >> 62 // 0 and 1: calc, 2: send, 3: recv
+func (o Op) Kind() Kind { return kindOf(o.w1) }
+
+// kindOf returns the kind of the op whose first word is w1.
+func kindOf(w1 uint64) Kind {
+	k := w1 >> 62 // 0 and 1: calc, 2: send, 3: recv
 	return Kind(k>>1 + k>>1&k)
 }
 
@@ -135,7 +159,7 @@ func (o Op) isCalc() bool { return o.w1&msgBit == 0 }
 // a calc.
 func (o Op) Size() int64 {
 	if o.isCalc() {
-		return int64(o.w1)
+		return int64(o.w1&calcSizeMask | o.w2>>32<<calcCPUShift)
 	}
 	return int64(o.w1 & sizeMask)
 }
@@ -143,6 +167,9 @@ func (o Op) Size() int64 {
 // CPU returns the compute stream; 0 is the default stream.
 func (o Op) CPU() int32 {
 	if o.isCalc() {
+		if cpu := o.w1 >> calcCPUShift; cpu != cpuMask {
+			return int32(cpu)
+		}
 		return int32(o.w2)
 	}
 	return int32(o.w1 >> cpuShift & cpuMask)

@@ -1,12 +1,16 @@
 package goal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"atlahs/internal/xrand"
 )
 
 // refOp is the 24-byte struct Op replaced, one field per value, kept as
@@ -40,6 +44,22 @@ func (op refOp) beyondPacked() bool {
 func TestOpSize(t *testing.T) {
 	if n := unsafe.Sizeof(Op{}); n != 16 {
 		t.Fatalf("an Op is %d bytes, want 16", n)
+	}
+}
+
+// TestRankTypesDoNotGrow: a cold schedule costs one RankBuilder per rank
+// to build and one RankProgram per rank to hold, so neither may grow past
+// its size before ops were stored as first and second words: 168 and 104
+// bytes on a 64-bit platform.
+func TestRankTypesDoNotGrow(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(RankBuilder{}); n > 168 {
+		t.Errorf("a RankBuilder is %d bytes, want at most 168", n)
+	}
+	if n := unsafe.Sizeof(RankProgram{}); n > 104 {
+		t.Errorf("a RankProgram is %d bytes, want at most 104", n)
 	}
 }
 
@@ -102,8 +122,8 @@ func checkDecodings(t *testing.T, op refOp) {
 			t.Fatalf("%s accepted %+v", way, op)
 		case !refuse && err != nil:
 			t.Fatalf("%s refused %+v: %v", way, op, err)
-		case err == nil && fieldsOf(s.Ranks[0].Ops[0]) != op:
-			t.Fatalf("%s read %+v back as %+v", way, op, fieldsOf(s.Ranks[0].Ops[0]))
+		case err == nil && fieldsOf(s.Ranks[0].Op(0)) != op:
+			t.Fatalf("%s read %+v back as %+v", way, op, fieldsOf(s.Ranks[0].Op(0)))
 		}
 	}
 }
@@ -199,4 +219,182 @@ func TestUnheldOpsKeepValidateOrder(t *testing.T) {
 	if _, err := ParseBinary(raw); err == nil || err.Error() != "goal: rank 0 op 0 kind: unknown kind 3" {
 		t.Errorf("kind 3: %v", err)
 	}
+}
+
+// refRank is the layout RankProgram replaced, kept as the reference its
+// storage is held to: one 16-byte Op per op, in one array.
+type refRank []Op
+
+// drawRank draws a rank of nops ops for rank r of nranks, in op order.
+// shape picks what the rank may hold beyond plain calcs and messages:
+// bit 0 no messages, bit 1 calcs of 2^42 ns and more (up to 2^63 − 1),
+// bit 2 calcs on a negative or large cpu, bit 3 ops in the reserved form.
+// (FuzzProgramMatchesOps reads bit 4 as a dependency chain and bit 5 as an
+// exact Grow.)
+// Messages name peer 0 and tag 0 often.
+func drawRank(rng *xrand.RNG, r, nranks, nops int, shape uint8) refRank {
+	ops := make(refRank, nops)
+	for i := range ops {
+		cpu := int32(rng.Intn(4))
+		if rng.Intn(8) == 0 {
+			cpu = maxMessageCPU
+		}
+		k := Kind(rng.Intn(3))
+		if shape&1 != 0 || nranks < 2 {
+			k = KindCalc
+		}
+		switch {
+		case shape&8 != 0 && rng.Intn(8) == 0:
+			ops[i] = makeOp([]Kind{KindCalc, KindSend, KindRecv, 3}[rng.Intn(4)], -1-rng.Int63n(1<<40), 1, 0, cpu)
+		case k == KindCalc:
+			size := rng.Int63n(1 << 20)
+			if shape&2 != 0 && rng.Intn(3) == 0 {
+				size = []int64{calcSizeMask, calcSizeMask + 1, math.MaxInt64, int64(rng.Uint64() >> 1)}[rng.Intn(4)]
+			}
+			if shape&4 != 0 && rng.Intn(3) == 0 {
+				cpu = []int32{-1, math.MinInt32, maxMessageCPU + 1, math.MaxInt32, int32(rng.Uint64())}[rng.Intn(5)]
+			}
+			ops[i] = makeOp(KindCalc, size, -1, 0, cpu)
+		default:
+			peer := (r + 1 + rng.Intn(nranks-1)) % nranks
+			if r != 0 && rng.Intn(2) == 0 {
+				peer = 0
+			}
+			var tag int32
+			if rng.Intn(2) == 0 {
+				tag = []int32{AnyTag, 7, math.MaxInt32, math.MinInt32}[rng.Intn(4)]
+			}
+			ops[i] = makeOp(k, rng.Int63n(MaxMessageBytes+1), int32(peer), tag, cpu)
+		}
+	}
+	return ops
+}
+
+// build adds ref's ops to rb through the public methods, each requiring
+// the op before it when chain is set.
+func (ref refRank) build(rb *RankBuilder, chain bool) {
+	for i, op := range ref {
+		var id OpID
+		switch {
+		case !op.held():
+			id = rb.add(op)
+		case op.Kind() == KindCalc:
+			id = rb.CalcOn(op.Size(), op.CPU())
+		case op.Kind() == KindSend:
+			id = rb.SendOn(op.Size(), int(op.Peer()), op.Tag(), op.CPU())
+		default:
+			id = rb.RecvOn(op.Size(), int(op.Peer()), op.Tag(), op.CPU())
+		}
+		if chain && i > 0 {
+			rb.Require(id, id-1)
+		}
+	}
+}
+
+// check requires rp to read back ref accessor for accessor, by index and
+// through a cursor, and to hold no side array when no op has a second
+// word.
+func (ref refRank) check(t *testing.T, way string, r int, rp *RankProgram) {
+	t.Helper()
+	if rp.Len() != len(ref) {
+		t.Fatalf("%s: rank %d has %d ops, want %d", way, r, rp.Len(), len(ref))
+	}
+	seconds := 0
+	ops := rp.Cursor()
+	for i, want := range ref {
+		if got := rp.Op(i); got != want || fieldsOf(got) != fieldsOf(want) || rp.Kind(i) != want.Kind() {
+			t.Fatalf("%s: rank %d op %d reads %+v (kind %v), want %+v", way, r, i, fieldsOf(got), rp.Kind(i), fieldsOf(want))
+		}
+		if got := ops.Next(); got != want {
+			t.Fatalf("%s: rank %d op %d reads %+v through the cursor, want %+v", way, r, i, fieldsOf(got), fieldsOf(want))
+		}
+		if want.w1 >= sideMark {
+			seconds++
+		} else if want.w2 != 0 {
+			t.Fatalf("%s: rank %d op %d: an op without a second word has w2 %#x", way, r, i, want.w2)
+		}
+	}
+	if (seconds == 0) != (rp.side == nil) {
+		t.Fatalf("%s: rank %d has %d second words and side array %v", way, r, seconds, rp.side)
+	}
+	if rp.side != nil && len(rp.side) != 2*((len(ref)+63)/64)+seconds {
+		t.Fatalf("%s: rank %d side array of %d words for %d ops and %d second words", way, r, len(rp.side), len(ref), seconds)
+	}
+}
+
+// FuzzProgramMatchesOps holds a rank's storage — first words, and second
+// words found by rank/select or read in order by an OpCursor — to one Op
+// per op (refRank): random ranks,
+// with calcs up to 2^63 − 1 ns, negative and large cpus, ops in the
+// reserved form, messages to peer 0 with tag 0, ranks with no messages and
+// op counts either side of a 64-op block edge, read back every op's
+// accessors from the Builder and, when valid, from WriteBinary →
+// ParseBinary, WriteText → ParseText and Compose (onto a permutation of
+// the nodes, peers renumbered), and the three decodings equal the built
+// schedule under reflect.DeepEqual.
+func FuzzProgramMatchesOps(f *testing.F) {
+	for shape := uint8(0); shape < 64; shape++ {
+		for _, n := range []uint16{0, 1, 64, 129} {
+			f.Add(uint64(shape)*1000+uint64(n), n, shape)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nops uint16, shape uint8) {
+		rng := xrand.New(seed)
+		nranks := 1 + rng.Intn(4)
+		chain := shape&16 != 0
+		refs := make([]refRank, nranks)
+		b := NewBuilder(nranks)
+		for r := range refs {
+			n := int(nops%300) + rng.Intn(3) - 1 // either side of the count drawn
+			refs[r] = drawRank(rng, r, nranks, max(n, 0), shape)
+			if shape&32 != 0 {
+				b.Rank(r).Grow(len(refs[r]), len(refs[r]), 0)
+			}
+			refs[r].build(b.Rank(r), chain)
+		}
+		s := b.Build()
+		for r, ref := range refs {
+			ref.check(t, "builder", r, &s.Ranks[r])
+		}
+		if s.Validate() != nil {
+			return
+		}
+		var bin, text bytes.Buffer
+		if err := WriteBinary(&bin, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteText(&text, s); err != nil {
+			t.Fatal(err)
+		}
+		fromBin, err := ParseBinary(bin.Bytes())
+		if err != nil {
+			t.Fatalf("ParseBinary: %v", err)
+		}
+		fromText, err := ParseText(&text)
+		if err != nil {
+			t.Fatalf("ParseText: %v", err)
+		}
+		perm := rng.Perm(nranks)
+		composed, err := Compose([][]int{perm}, s)
+		if err != nil {
+			t.Fatalf("Compose: %v", err)
+		}
+		for r, ref := range refs {
+			ref.check(t, "binary", r, &fromBin.Ranks[r])
+			ref.check(t, "text", r, &fromText.Ranks[r])
+			moved := make(refRank, len(ref))
+			for i, op := range ref {
+				if op.Kind() != KindCalc {
+					op = op.WithPeer(int32(perm[op.Peer()]))
+				}
+				moved[i] = op
+			}
+			moved.check(t, "compose", perm[r], &composed.Ranks[perm[r]])
+		}
+		for way, got := range map[string]*Schedule{"binary": fromBin, "text": fromText} {
+			if !reflect.DeepEqual(got.Ranks, s.Ranks) {
+				t.Fatalf("%s: decoded ranks differ from the built ones", way)
+			}
+		}
+	})
 }

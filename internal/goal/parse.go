@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // The binary decoder. ParseBinary walks one in-memory buffer with a
@@ -90,6 +91,10 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		return nil, fmt.Errorf("goal: rank count %d exceeds remaining input (%d bytes)", nranks, c.remaining())
 	}
 	s := &Schedule{Ranks: make([]RankProgram, nranks)}
+	// Second words are gathered in kept scratch and copied out per rank at
+	// their exact length (sideTable).
+	scratch := sideScratch.Take()
+	defer sideScratch.Put(scratch)
 	for r := 0; r < int(nranks); r++ {
 		rp := &s.Ranks[r]
 		nops, err := c.uvarint()
@@ -100,8 +105,8 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		if nops > uint64(c.remaining())/2 {
 			return nil, fmt.Errorf("goal: rank %d: op count %d exceeds remaining input (%d bytes)", r, nops, c.remaining())
 		}
-		rp.Ops = make([]Op, nops)
-		for i := range rp.Ops {
+		words, vals := make([]uint64, nops), (*scratch)[:0]
+		for i := range words {
 			flags, err := c.byte()
 			if err != nil {
 				return nil, fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
@@ -152,8 +157,17 @@ func ParseBinary(data []byte) (*Schedule, error) {
 					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
 				}
 			}
-			rp.Ops[i] = pack(kind, int64(sz), peer, tag, int32(cpu))
+			op := pack(kind, int64(sz), peer, tag, int32(cpu))
+			words[i] = op.w1
+			if op.w1 >= sideMark {
+				vals = append(vals, op.w2)
+			}
 		}
+		*scratch = vals[:0]
+		if nops == 0 {
+			words = nil // as the Builder hands an empty rank over
+		}
+		rp.words, rp.side = words, sideTable(words, vals)
 		if rp.Requires, err = parseDeps(c, int(nops)); err != nil {
 			return nil, fmt.Errorf("goal: rank %d requires: %w", r, err)
 		}
@@ -214,11 +228,11 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 	if c.off-mark > math.MaxInt32 {
 		return Deps{}, fmt.Errorf("%d bytes of dependencies exceed a table's 32-bit offsets", c.off-mark)
 	}
-	d := Deps{n: nops, edges: total}
+	d := Deps{n: int32(nops), edges: int32(total)}
 	switch {
 	case total == 0:
 	case minimal:
-		d.enc = append([]byte(nil), c.data[mark:c.off]...)
+		d.enc = string(c.data[mark:c.off])
 	default:
 		d.enc = canonical(c.data[mark:c.off])
 	}
@@ -229,17 +243,18 @@ func parseDeps(c *byteCursor, nops int) (Deps, error) {
 // every varint in its shortest form. A zigzag varint is the uvarint of
 // its zigzag value, so the section is a run of uvarints, each re-encoded
 // as it is.
-func canonical(sec []byte) []byte {
+func canonical(sec []byte) string {
 	var tmp [binary.MaxVarintLen64]byte
 	size := 0
 	for c := (byteCursor{data: sec}); c.remaining() > 0; {
 		u, _ := c.uvarint()
 		size += len(binary.AppendUvarint(tmp[:0], u))
 	}
-	out := make([]byte, 0, size)
+	var out strings.Builder
+	out.Grow(size)
 	for c := (byteCursor{data: sec}); c.remaining() > 0; {
 		u, _ := c.uvarint()
-		out = binary.AppendUvarint(out, u)
+		out.Write(binary.AppendUvarint(tmp[:0], u))
 	}
-	return out
+	return out.String()
 }

@@ -44,7 +44,9 @@ func WriteText(w io.Writer, s *Schedule) error {
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
 		fmt.Fprintf(bw, "rank %d {\n", r)
-		for i, op := range rp.Ops {
+		ops := rp.Cursor()
+		for i := range rp.Len() {
+			op := ops.Next()
 			switch op.Kind() {
 			case KindCalc:
 				fmt.Fprintf(bw, "l%d: calc %d", i+1, op.Size())
@@ -59,7 +61,7 @@ func WriteText(w io.Writer, s *Schedule) error {
 			bw.WriteByte('\n')
 		}
 		req, ireq := rp.Requires.Cursor(), rp.IRequires.Cursor()
-		for i := range rp.Ops {
+		for i := range rp.Len() {
 			for k := req.Next(); k > 0; k-- {
 				fmt.Fprintf(bw, "l%d requires l%d\n", i+1, req.Dep()+1)
 			}

@@ -188,10 +188,11 @@ func (state *State) RunValidated(eng engine.Sim, s *goal.Schedule, be core.Backe
 	for rank := range s.Ranks {
 		rp := &s.Ranks[rank]
 		st := &r.ranks[rank]
-		n := len(rp.Ops)
+		n := rp.Len()
 		st.reset(rp)
+		ops := rp.Cursor()
 		for i := 0; i < n; i++ {
-			if err := charge(&budget, rank, i, rp.Ops[i], scale); err != nil {
+			if err := charge(&budget, rank, i, ops.Next(), scale); err != nil {
 				return nil, err
 			}
 		}
@@ -200,7 +201,7 @@ func (state *State) RunValidated(eng engine.Sim, s *goal.Schedule, be core.Backe
 	// seed: issue all ops with no dependencies
 	for rank := range s.Ranks {
 		st := &r.ranks[rank]
-		for i := range s.Ranks[rank].Ops {
+		for i := range s.Ranks[rank].Len() {
 			// an earlier seed issue may have already cascaded here via an
 			// irequires edge
 			if st.pending[i] == 0 && !st.issued[i] {
@@ -251,7 +252,7 @@ func (r *runner) issue(rank int, op int32) {
 			}
 		}
 	}
-	o := r.s.Ranks[rank].Ops[op]
+	o := r.s.Ranks[rank].Op(int(op))
 	h := core.MakeHandle(rank, op)
 	switch o.Kind() {
 	case goal.KindCalc:
@@ -272,7 +273,7 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 	}
 	st.completed[op] = true
 	st.outstanding--
-	st.done[r.s.Ranks[rank].Ops[op].Kind()]++
+	st.done[r.s.Ranks[rank].Kind(int(op))]++
 	if at > st.end {
 		st.end = at
 	}
@@ -293,7 +294,7 @@ func (r *runner) over(h core.Handle, at simtime.Time) {
 // the successor lists: counted there, from flat arrays, it costs no
 // second decoding of the tables.
 func (st *rankState) reset(rp *goal.RankProgram) {
-	n := len(rp.Ops)
+	n := rp.Len()
 	st.reqSucc = successors(st.reqSucc, rp.Requires)
 	st.ireqSucc = successors(st.ireqSucc, rp.IRequires)
 	if cap(st.pending) < n {

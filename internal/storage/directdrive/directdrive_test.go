@@ -56,9 +56,9 @@ func TestGenerateStructure(t *testing.T) {
 		t.Fatalf("too few messages for 4 ops + sessions: %d", st.Sends)
 	}
 	// every component participates
-	mdsOps := len(s.Ranks[l.MDS()].Ops)
-	gsOps := len(s.Ranks[l.GS()].Ops)
-	slbOps := len(s.Ranks[l.SLB()].Ops)
+	mdsOps := s.Ranks[l.MDS()].Len()
+	gsOps := s.Ranks[l.GS()].Len()
+	slbOps := s.Ranks[l.SLB()].Len()
 	if mdsOps == 0 || gsOps == 0 || slbOps == 0 {
 		t.Fatalf("idle service components: mds=%d gs=%d slb=%d", mdsOps, gsOps, slbOps)
 	}
@@ -88,8 +88,8 @@ func TestWriteReplication(t *testing.T) {
 	}
 	dataSends := 0
 	for r := range s.Ranks {
-		for i := range s.Ranks[r].Ops {
-			op := s.Ranks[r].Ops[i]
+		for i := range s.Ranks[r].Len() {
+			op := s.Ranks[r].Op(i)
 			if op.Kind() == goal.KindSend && op.Size() == 4096 {
 				dataSends++
 			}
@@ -110,8 +110,8 @@ func TestReadPath(t *testing.T) {
 	found := 0
 	bss := int32(-1)
 	for i := 0; i < 2; i++ {
-		for j := range s.Ranks[l.BSSRank(i)].Ops {
-			op := s.Ranks[l.BSSRank(i)].Ops[j]
+		for j := range s.Ranks[l.BSSRank(i)].Len() {
+			op := s.Ranks[l.BSSRank(i)].Op(j)
 			if op.Kind() == goal.KindSend && op.Size() == 16384 && op.Peer() == int32(l.Host(0)) {
 				found++
 				bss = int32(l.BSSRank(i))
@@ -122,7 +122,7 @@ func TestReadPath(t *testing.T) {
 		t.Fatalf("read data sends = %d, want 1", found)
 	}
 	// MDS must not be involved in a pure read
-	if got := len(s.Ranks[l.MDS()].Ops); got != 0 {
+	if got := s.Ranks[l.MDS()].Len(); got != 0 {
 		t.Fatalf("MDS has %d ops for a read-only trace", got)
 	}
 }
@@ -138,8 +138,8 @@ func TestThinkTimeFromTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var maxCalc int64
-	for i := range s.Ranks[l.Host(0)].Ops {
-		op := s.Ranks[l.Host(0)].Ops[i]
+	for i := range s.Ranks[l.Host(0)].Len() {
+		op := s.Ranks[l.Host(0)].Op(i)
 		if op.Kind() == goal.KindCalc && op.Size() > maxCalc {
 			maxCalc = op.Size()
 		}

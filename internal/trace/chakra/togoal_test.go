@@ -165,7 +165,8 @@ func TestToGOALP2POnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, op := range s.Ranks[0].Ops {
+	for i := range s.Ranks[0].Len() {
+		op := s.Ranks[0].Op(i)
 		if op.Kind() == goal.KindSend && op.Size() == 2048 && op.Peer() == 1 && op.Tag() == 3 {
 			found = true
 		}

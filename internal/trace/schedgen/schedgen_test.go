@@ -40,9 +40,9 @@ func TestPingPongConversion(t *testing.T) {
 	}
 	// rank 0 gap before its send: 10000 ns of compute
 	var calcNs int64
-	for i := range s.Ranks[0].Ops {
-		if s.Ranks[0].Ops[i].Kind() == goal.KindCalc {
-			calcNs += s.Ranks[0].Ops[i].Size()
+	for i := range s.Ranks[0].Len() {
+		if s.Ranks[0].Op(i).Kind() == goal.KindCalc {
+			calcNs += s.Ranks[0].Op(i).Size()
 		}
 	}
 	if calcNs != 10000+100 {

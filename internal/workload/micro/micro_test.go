@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -28,8 +29,8 @@ func TestIncast(t *testing.T) {
 	}
 	// all messages target rank 0
 	for r := 1; r < 9; r++ {
-		for i := range s.Ranks[r].Ops {
-			if op := s.Ranks[r].Ops[i]; op.Kind() == goal.KindSend && op.Peer() != 0 {
+		for i := range s.Ranks[r].Len() {
+			if op := s.Ranks[r].Op(i); op.Kind() == goal.KindSend && op.Peer() != 0 {
 				t.Fatal("incast send not to rank 0")
 			}
 		}
@@ -56,8 +57,8 @@ func TestPermutationIsDerangement(t *testing.T) {
 		// goal.Validate inside MustBuild), and each rank receives once
 		for r := 0; r < m; r++ {
 			sends, recvs := 0, 0
-			for i := range s.Ranks[r].Ops {
-				switch s.Ranks[r].Ops[i].Kind() {
+			for i := range s.Ranks[r].Len() {
+				switch s.Ranks[r].Op(i).Kind() {
 				case goal.KindSend:
 					sends++
 				case goal.KindRecv:
@@ -79,7 +80,7 @@ func TestPermutationDeterministic(t *testing.T) {
 	a := Permutation(16, 100, 7)
 	b := Permutation(16, 100, 7)
 	for r := range a.Ranks {
-		if a.Ranks[r].Ops[0].Peer() != b.Ranks[r].Ops[0].Peer() {
+		if a.Ranks[r].Op(0).Peer() != b.Ranks[r].Op(0).Peer() {
 			t.Fatal("permutation not deterministic")
 		}
 	}
@@ -126,8 +127,9 @@ func TestGeneratorsBuildAtFinalSize(t *testing.T) {
 			"bsp/4":       BulkSynchronous(n, 4, 64, 1000),
 		} {
 			for r := range s.Ranks {
-				if ops := s.Ranks[r].Ops; cap(ops) != len(ops) {
-					t.Errorf("%s n=%d: rank %d holds %d ops in an array of %d", name, n, r, len(ops), cap(ops))
+				// the ops' first words, an unexported array
+				if words := reflect.ValueOf(&s.Ranks[r]).Elem().FieldByName("words"); words.Cap() != words.Len() {
+					t.Errorf("%s n=%d: rank %d holds %d ops in an array of %d", name, n, r, words.Len(), words.Cap())
 				}
 			}
 		}

@@ -60,8 +60,10 @@ func Mine(s *goal.Schedule, comment string) (*results.WorkloadModel, error) {
 	var samples []classSample
 	for r := range s.Ranks {
 		rp := &s.Ranks[r]
-		totalOps += int64(len(rp.Ops))
-		for _, op := range rp.Ops {
+		totalOps += int64(rp.Len())
+		ops := rp.Cursor()
+		for range rp.Len() {
+			op := ops.Next()
 			size := op.Size()
 			switch op.Kind() {
 			case goal.KindCalc:
@@ -192,7 +194,7 @@ func depthProfile(s *goal.Schedule) (mean float64, max int) {
 // rankDepth returns the longest dependency chain of one rank program,
 // measured in ops.
 func rankDepth(rp *goal.RankProgram) int {
-	n := len(rp.Ops)
+	n := rp.Len()
 	if n == 0 {
 		return 0
 	}

@@ -187,7 +187,8 @@ func TestGenerateOffsetsScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range g.Ranks {
-		for _, op := range g.Ranks[r].Ops {
+		for i := range g.Ranks[r].Len() {
+			op := g.Ranks[r].Op(i)
 			if op.Kind() != goal.KindSend {
 				continue
 			}

@@ -22,16 +22,17 @@ func allocatedBy(f func()) uint64 {
 }
 
 // spare returns how many elements of capacity beyond their length a
-// schedule's arrays hold, over all ranks: ops, and the encoded bytes of
-// both dependency tables. Zero means every array was allocated once at its
-// final size — the producer's count was right and nothing regrew.
+// schedule's arrays hold, over all ranks: the ops' first words and the
+// side array of their second words. (A dependency table's bytes are a
+// string, made at their exact length.) Zero means every array was
+// allocated once at its final size — the producer's count was right and
+// nothing regrew.
 func spare(s *goal.Schedule) (n int) {
 	for r := range s.Ranks {
-		rp := &s.Ranks[r]
-		n += cap(rp.Ops) - len(rp.Ops)
-		for _, d := range []goal.Deps{rp.Requires, rp.IRequires} {
-			enc := reflect.ValueOf(d).FieldByName("enc")
-			n += enc.Cap() - enc.Len()
+		rp := reflect.ValueOf(&s.Ranks[r]).Elem()
+		for _, name := range []string{"words", "side"} {
+			a := rp.FieldByName(name)
+			n += a.Cap() - a.Len()
 		}
 	}
 	return n
@@ -41,21 +42,24 @@ func spare(s *goal.Schedule) (n int) {
 // GOAL op it produces, for four frontends: spc → Direct Drive, mpi →
 // Schedgen, nsys → the NCCL pipeline and chakra → its converter. Each
 // frontend's second conversion of its fixture is measured, as a process
-// that converts more than once meets it. Chakra is at 753.8 B/op, and
-// 797.3 under the race detector (1 006.2 before), against a ceiling of
-// 810, mostly the JSON records of a 572-op fixture. It read 940.9 when its
-// converter did not count and wired each collective's exit after the
-// decomposition, out of op order, so that the builder logged those
-// tables' edges and sorted them in Build; 864.1 with that converter once
-// the trace check stopped allocating a slice per node. A schedule is
-// 16 B per op (one packed goal.Op) plus its dependency tables, which the
-// builder encodes in kept scratch and hands over at their exact length,
-// about a byte per op and per edge: the NCCL pipeline is at 21.1 B/op,
-// Direct Drive at 19.2 and Schedgen at 113.4, against ceilings of 22, 20
-// and 118. With the tables in CSR form (4 B per op and per edge) they
-// read 27.7, 25.7 and 135.0; with 24-byte ops, 35.8 and 37.2 for the
-// first two, and Schedgen 163.5, or 646.5 with the parser and builder it
-// replaced. Direct Drive parses into a kept trace (spc.Trace.Parse), so
+// that converts more than once meets it. Chakra is at 746.6 B/op, and
+// 790.3 under the race detector (1 006.2 before), against a ceiling of
+// 810, mostly the JSON records of a 572-op fixture. It read 753.8 with a
+// 16-byte op stored per op, 940.9 when its converter did not count and
+// wired each collective's exit after the decomposition, out of op order,
+// so that the builder logged those tables' edges and sorted them in
+// Build, and 864.1 with that converter once the trace check stopped
+// allocating a slice per node. A schedule is 8 B per op, its first word;
+// 8 B more per op with a second word (a send or a receive) and 0.25 B per
+// op of rank/select index on a rank that has any; and its dependency
+// tables, about a byte per op and per edge. The builder gathers second
+// words and encodes tables in kept scratch and hands each over at its
+// exact length: the NCCL pipeline is at 13.1 B/op, Direct Drive at 16.7
+// and Schedgen at 93.4, against ceilings of 13.6, 17.4 and 118. With a
+// 16-byte op stored per op they read 21.1, 19.2 and 113.4; with that and
+// the tables in CSR form (4 B per op and per edge), 27.7, 25.7 and 135.0;
+// with 24-byte ops, 35.8 and 37.2 for the first two, and Schedgen 163.5,
+// or 646.5 with the parser and builder it replaced. Direct Drive parses into a kept trace (spc.Trace.Parse), so
 // a warm conversion allocates the schedule and Generate's counters; it
 // read 27.7 with a trace parsed for every conversion. Schedgen's figure is
 // mostly the parsed trace, whose 64-byte events outnumber the ops here. The NCCL
@@ -81,9 +85,9 @@ func TestConvertAllocation(t *testing.T) {
 		ceiling   float64 // bytes allocated per GOAL op
 		wantExact bool
 	}{
-		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 20, true},
+		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 17.4, true},
 		{"mpi", traceBytes(t, tr, err2), nil, 118, false},
-		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 22, true},
+		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 13.6, true},
 		{"chakra", chakraLLMFixture(t, 3), nil, 810, true},
 	} {
 		// the second conversion is measured: the first leaves what a

@@ -265,7 +265,7 @@ const ctxCheckMask = 1<<10 - 1
 // callback.
 func (s *streamed) Setup(nranks int, eng engine.Sim, over core.CompletionFunc) error {
 	return s.Backend.Setup(nranks, eng, func(h core.Handle, at simtime.Time) {
-		kind := s.sch.Ranks[h.Rank()].Ops[h.Op()].Kind()
+		kind := s.sch.Ranks[h.Rank()].Kind(int(h.Op()))
 		if s.tl != nil {
 			s.tl.Op(h.Rank(), kind.String(), at)
 		}

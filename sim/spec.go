@@ -119,7 +119,8 @@ const (
 	// text GOAL header and synth.Generate bound theirs.
 	maxSyntheticRanks = goal.MaxTextRanks
 	// maxSyntheticOps bounds the ops a built-in pattern may generate
-	// (1 GiB of 16-byte ops), so that one short spec cannot make Run or
+	// (about 1 GiB of stored ops: a rank stores a message in about 16.25
+	// bytes and a calc in 8), so that one short spec cannot make Run or
 	// atlahsd allocate without limit.
 	maxSyntheticOps = 1 << 26
 )
