@@ -79,16 +79,18 @@ func (e *binaryEncoder) schedule(s *Schedule) error {
 		e.buf = binary.AppendUvarint(e.buf, uint64(rp.Len()))
 		// OpCursor's walk, in locals: a cursor's fields live in memory,
 		// and every fingerprint runs this loop.
-		words, side, next := rp.words, rp.side, rp.sideStart()
-		for _, w := range words {
+		ops, next := rp.ops, rp.sideStart()
+		for i := range rp.n {
 			if err := e.room(); err != nil {
 				return err
 			}
-			op := Op{w1: w}
-			if w >= sideMark {
-				op.w2 = side[next]
-				next++
+			op, k := Op{}, 0
+			if s := shortAt(ops, i); s < shortSide {
+				op = calcOf(s)
+			} else {
+				op, k = expandSide(s, ops, next)
 			}
+			next += k
 			kind, tag, cpu := op.Kind(), op.Tag(), op.CPU()
 			flags := byte(kind)
 			if tag != 0 {

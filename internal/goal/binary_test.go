@@ -125,6 +125,35 @@ func TestWriteBinaryAllocs(t *testing.T) {
 	}
 }
 
+// TestParseBinaryAllocsPerRank: ParseBinary gathers a rank's ops in kept
+// scratch and copies them out once, so beside the schedule and its ranks
+// a decoded rank of messages and calcs with a dependency chain costs two
+// allocations, its one array of ops and its requires table's bytes (three
+// with the first words and the second words in arrays of their own).
+func TestParseBinaryAllocsPerRank(t *testing.T) {
+	const nranks = 16
+	b := NewBuilder(nranks)
+	for r := range nranks {
+		rb := b.Rank(r)
+		prev := rb.Calc(100)
+		for i := range 100 {
+			cur := rb.Send(4096, (r+1)%nranks, int32(i))
+			rb.Require(cur, prev)
+			prev = rb.Recv(4096, (r+nranks-1)%nranks, int32(i))
+			rb.Require(prev, cur)
+		}
+	}
+	raw := binarySeed(b.MustBuild())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParseBinary(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 2 + 2*nranks; allocs != float64(want) {
+		t.Fatalf("ParseBinary of %d ranks allocated %.0f times, want %d: the schedule, its ranks and two per rank", nranks, allocs, want)
+	}
+}
+
 // chunkCounter counts the writes it takes and fails the one numbered
 // failAt (from 1; 0 never fails).
 type chunkCounter struct {

@@ -17,10 +17,13 @@ type OpID int32
 // The contract, in four parts:
 //
 //   - Counted or grown. A producer that knows how many ops and edges a rank
-//     gets says so with RankBuilder.Grow, and that rank's array of first
-//     words is allocated once, at exactly that size. A producer that does
-//     not know just adds: the same array grows the way append grows it. A
-//     count that turns out too small is not an error, only a regrowth.
+//     gets says so with RankBuilder.Grow, which takes that rank's scratch
+//     with room for them. A producer that does not know just adds: the
+//     scratch grows the way append grows it. A count that turns out too
+//     small is not an error, only a regrowth. Either way the scratch is
+//     kept from one build to the next, so a process that builds schedule
+//     after schedule regrows it only while it is smaller than any rank
+//     it built before.
 //   - In order. Each of a rank's two dependency tables is encoded directly
 //     in its final form (Deps: the binary encoding's own, a byte or two
 //     per list and per edge) into scratch the package keeps, so successive
@@ -32,15 +35,13 @@ type OpID int32
 //     does. A producer that cannot order its calls sorts them by op first
 //     (the text parser, whose lines come in any order); one that learns
 //     an edge only later counts first (the Chakra converter).
-//   - One Build. Build hands the first-word arrays to the Schedule instead
-//     of copying them, so it may be called once, last: the builder and its
+//   - One Build. Build may be called once, last: the builder and its
 //     RankBuilder handles are spent afterwards and any further use panics.
-//   - What is handed over: every rank's first words (see RankProgram),
-//     with whatever spare capacity growth left (none after an exact Grow),
-//     and its side array and each table's bytes, made from scratch at
-//     their exact length, which is the one allocation each costs. A rank
-//     without second words has no side array and a table without edges
-//     no bytes, so neither costs anything per op.
+//   - What is handed over: every rank's one array of short words, index
+//     and side words (see RankProgram) and each table's bytes, made from
+//     scratch at their exact length, which is the one allocation each
+//     costs. A table without edges has no bytes, so it costs nothing per
+//     op.
 type Builder struct {
 	ranks   []RankBuilder
 	comment string
@@ -78,27 +79,33 @@ func (b *Builder) Rank(r int) *RankBuilder {
 
 const spentMsg = "goal: Builder used after Build"
 
-// RankBuilder adds ops and dependencies to one rank: each op's first word
-// to one array and its second word, where it has one (see RankProgram), to
-// kept scratch, and dependencies to one depTable per kind. An op costs 8
-// bytes, or 16 with a second word, and an edge a byte or two while
-// building, plus a byte per op for each table that has any edges. An op
-// with a value the packed form cannot hold (see Op) is added in its
-// reserved form, which Validate refuses, naming the field.
+// RankBuilder adds ops and dependencies to one rank: each op's short word
+// and side words (see RankProgram) to kept scratch, and dependencies to
+// one depTable per kind. An op costs 4 bytes while building, or 12 with
+// one side word and 20 with two, and an edge a byte or two, plus a byte
+// per op for each table that has any edges. An op with a value the packed
+// form cannot hold (see Op) is added in its reserved form, which Validate
+// refuses, naming the field.
 type RankBuilder struct {
 	r         int
 	spent     bool
-	words     []uint64
-	side      sideWords
+	ops       opWords
 	requires  depTable
 	irequires depTable
 }
 
-// sideWords is a rank's second words under construction, in op order:
-// vals is *scratch, taken from sideScratch at Grow or at the first one.
-type sideWords struct {
-	scratch *[]uint64
-	vals    []uint64
+// opWords is a rank's ops under construction, in op order: shorts and side
+// are *scratch's, taken from opScratch at Grow or at the first op.
+type opWords struct {
+	scratch *rankOps
+	shorts  []uint32
+	side    []uint64
+}
+
+// rankOps is the scratch one rank's ops are gathered in.
+type rankOps struct {
+	shorts []uint32
+	side   []uint64
 }
 
 // depTable is one dependency table under construction: enc holds the
@@ -116,21 +123,22 @@ type depTable struct {
 }
 
 // encScratch keeps the buffers that tables are encoded into while they
-// are built, and sideScratch those that second words are gathered in, so
-// that a process building schedule after schedule allocates for each
-// table and side array only the copy Build hands over.
+// are built, and opScratch those that ops are gathered in (by the
+// builder, and by ParseBinary), so that a process building schedule after
+// schedule allocates for each table and each rank's ops only the copy
+// Build hands over.
 var (
-	encScratch  registry.Stock[[]byte]
-	sideScratch registry.Stock[[]uint64]
+	encScratch registry.Stock[[]byte]
+	opScratch  registry.Stock[rankOps]
 )
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
 
 // Grow reserves room for exactly ops more ops and requires / irequires
-// more dependency edges on this rank, and room in kept scratch for a
-// second word per op. Callers count first and Grow once; adding more than
-// was reserved grows the arrays as if Grow had not been called.
+// more dependency edges on this rank, in kept scratch, with a side word
+// per op. Callers count first and Grow once; adding more than was
+// reserved grows the scratch as if Grow had not been called.
 func (rb *RankBuilder) Grow(ops, requires, irequires int) {
 	if rb.spent {
 		panic(spentMsg)
@@ -138,13 +146,14 @@ func (rb *RankBuilder) Grow(ops, requires, irequires int) {
 	if ops < 0 || requires < 0 || irequires < 0 {
 		panic("goal: Grow with a negative count")
 	}
-	rb.words = reserve(rb.words, ops)
 	if ops > 0 {
-		rb.side.take()
-		rb.side.vals = reserve(rb.side.vals, ops)
+		rb.ops.take()
+		rb.ops.shorts = reserve(rb.ops.shorts, ops)
+		rb.ops.side = reserve(rb.ops.side, ops)
 	}
-	rb.requires.grow(len(rb.words)+ops, requires)
-	rb.irequires.grow(len(rb.words)+ops, irequires)
+	n := len(rb.ops.shorts)
+	rb.requires.grow(n+ops, requires)
+	rb.irequires.grow(n+ops, irequires)
 }
 
 // reserve returns s with room for exactly n more elements when it has
@@ -179,28 +188,25 @@ func (rb *RankBuilder) add(op Op) OpID {
 	if rb.spent {
 		panic(spentMsg)
 	}
-	rb.words = append(rb.words, op.w1)
-	if op.w1 >= sideMark {
-		rb.side.add(op.w2)
+	o := &rb.ops
+	if o.scratch == nil {
+		o.take()
 	}
-	return OpID(len(rb.words) - 1)
+	var s uint32
+	s, o.side = appendSide(o.side, op)
+	o.shorts = append(o.shorts, s)
+	return OpID(len(o.shorts) - 1)
 }
 
-// add appends a second word.
-func (s *sideWords) add(w uint64) {
-	s.take()
-	s.vals = append(s.vals, w)
-}
-
-// take takes the scratch from sideScratch, if it has none yet. Grow takes
-// it, with room for a second word per op it reserves, so that a counted
-// producer adds ops without allocating, takes the scratch in rank order
-// whatever order its ranks' first messages come in, and gets back, build
-// after build, the scratch its rank had.
-func (s *sideWords) take() {
-	if s.scratch == nil {
-		s.scratch = sideScratch.Take()
-		s.vals = (*s.scratch)[:0]
+// take takes the scratch from opScratch, if it has none yet. Grow takes
+// it, with room for the ops it reserves, so that a counted producer adds
+// ops without allocating, takes the scratch in rank order whatever order
+// its ranks' ops come in, and gets back, build after build, the scratch
+// its rank had.
+func (o *opWords) take() {
+	if o.scratch == nil {
+		o.scratch = opScratch.Take()
+		o.shorts, o.side = o.scratch.shorts[:0], o.scratch.side[:0]
 	}
 }
 
@@ -257,8 +263,8 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 	if rb.spent {
 		panic(spentMsg)
 	}
-	if op < 0 || int(op) >= len(rb.words) {
-		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.words)))
+	if op < 0 || int(op) >= len(rb.ops.shorts) {
+		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.ops.shorts)))
 	}
 	if len(deps) == 0 {
 		return
@@ -310,8 +316,8 @@ func (t *depTable) close() {
 	copy(t.enc[open:], count[:k])
 }
 
-// Build assembles the final Schedule and leaves the builder spent: the
-// schedule owns the first-word arrays the builder filled (see Builder).
+// Build assembles the final Schedule and leaves the builder spent (see
+// Builder).
 func (b *Builder) Build() *Schedule {
 	if b.ranks == nil {
 		panic(spentMsg)
@@ -319,15 +325,12 @@ func (b *Builder) Build() *Schedule {
 	s := &Schedule{Comment: b.comment, Ranks: make([]RankProgram, len(b.ranks))}
 	for r := range b.ranks {
 		rb := &b.ranks[r]
-		n := int32(len(rb.words))
-		if n == 0 {
-			rb.words = nil // as a side array: nil when empty, Grow or not
-		}
+		n := len(rb.ops.shorts)
 		s.Ranks[r] = RankProgram{
-			words:     rb.words,
-			side:      sideTable(rb.words, rb.side.vals),
-			Requires:  rb.requires.build(n),
-			IRequires: rb.irequires.build(n),
+			ops:       packRank(rb.ops.shorts, rb.ops.side),
+			n:         n,
+			Requires:  rb.requires.build(int32(n)),
+			IRequires: rb.irequires.build(int32(n)),
 		}
 	}
 	// The scratch goes back in the reverse of the order a producer that
@@ -337,7 +340,7 @@ func (b *Builder) Build() *Schedule {
 		rb := &b.ranks[r]
 		rb.irequires.putBack()
 		rb.requires.putBack()
-		rb.side.putBack()
+		rb.ops.putBack()
 		*rb = RankBuilder{r: r, spent: true}
 	}
 	b.ranks = nil
@@ -352,11 +355,11 @@ func (t *depTable) putBack() {
 	}
 }
 
-// putBack gives the second words' scratch back to sideScratch.
-func (s *sideWords) putBack() {
-	if s.scratch != nil {
-		*s.scratch = s.vals[:0]
-		sideScratch.Put(s.scratch)
+// putBack gives the ops' scratch back to opScratch.
+func (o *opWords) putBack() {
+	if o.scratch != nil {
+		o.scratch.shorts, o.scratch.side = o.shorts[:0], o.side[:0]
+		opScratch.Put(o.scratch)
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"atlahs/internal/xrand"
 )
 
 // depCall is one Requires (or IRequires) call of a recorded build.
@@ -104,8 +107,8 @@ func buildRank(ops []Op, calls []depCall, interleave bool, grow int) (*Schedule,
 // TestBuilderPathsAgree: one random DAG, fed to the builder with its
 // dependency calls interleaved with the ops or after them, uncounted,
 // exactly counted and under-counted, always builds the same schedule —
-// reflect.DeepEqual and byte-identical when encoded. An exact Grow leaves
-// no spare capacity in the arrays handed over.
+// reflect.DeepEqual and byte-identical when encoded — and hands over one
+// array per rank at exactly the length its layout needs.
 func TestBuilderPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 100; trial++ {
@@ -125,7 +128,7 @@ func TestBuilderPathsAgree(t *testing.T) {
 			{"after the ops", false, -1},
 			{"after the ops, exact Grow", false, 100},
 		} {
-			got, rb := buildRank(ops, calls, v.interleave, v.grow)
+			got, _ := buildRank(ops, calls, v.interleave, v.grow)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %s: schedule differs\ngot  %+v\nwant %+v", trial, v.name, got.Ranks[0], want.Ranks[0])
 			}
@@ -136,22 +139,111 @@ func TestBuilderPathsAgree(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), wantBytes.Bytes()) {
 				t.Fatalf("trial %d, %s: encoding differs", trial, v.name)
 			}
-			rp := &got.Ranks[0]
-			if v.grow == 100 {
-				for name, c := range map[string][2]int{
-					"words": {len(rp.words), cap(rp.words)},
-					"side":  {len(rp.side), cap(rp.side)},
-				} {
-					if c[0] != c[1] {
-						t.Fatalf("trial %d, %s: %s has len %d, cap %d after an exact Grow", trial, v.name, name, c[0], c[1])
-					}
-				}
-				if &rp.words[0] != &rb.words[0] {
-					t.Fatalf("trial %d, %s: Build copied instead of handing over", trial, v.name)
-				}
+			if rp := &got.Ranks[0]; len(rp.ops) != cap(rp.ops) || len(rp.ops) != layoutWords(ops) {
+				t.Fatalf("trial %d, %s: one array of len %d, cap %d, want %d exactly", trial, v.name, len(rp.ops), cap(rp.ops), layoutWords(ops))
 			}
 		}
 	}
+}
+
+// layoutWords returns the length of the one array a rank of ops needs,
+// counted from the ops' fields (see RankProgram): a short word per op, and
+// when any op keeps side words, three index words per 64-op block and its
+// side words.
+func layoutWords(ops []Op) int {
+	sides := 0
+	for _, op := range ops {
+		sides += sideWordsOf(op)
+	}
+	n := (len(ops) + 1) / 2
+	if sides > 0 {
+		n += 3*((len(ops)+63)/64) + sides
+	}
+	return n
+}
+
+// sideWordsOf returns how many side words op keeps, from its fields: none
+// for a calc under 2^27 ns on cpu 0 to 14, one for a message under 2^26
+// bytes on cpu 0 to 14 (its peer and tag), and otherwise its first word
+// and, if it has one, its second: a message, a calc of 2^42 ns or more or
+// on a cpu outside [0, maxMessageCPU], or an op in the reserved form.
+func sideWordsOf(op Op) int {
+	cpu, size := op.CPU(), op.Size()
+	switch {
+	case !op.held():
+		return 2
+	case op.Kind() == KindCalc && cpu >= 0 && cpu < 15 && size < 1<<27:
+		return 0
+	case op.Kind() != KindCalc && cpu < 15 && size < 1<<26:
+		return 1
+	case op.Kind() == KindCalc && cpu >= 0 && cpu <= maxMessageCPU && size < 1<<42:
+		return 1
+	}
+	return 2
+}
+
+// TestConcurrentBuildsShareOpScratch: builders and ParseBinary calls on
+// several goroutines take and give back the kept op scratch (opScratch)
+// at once, counted and uncounted, and every schedule they make equals the
+// one built serially.
+func TestConcurrentBuildsShareOpScratch(t *testing.T) {
+	fixtures := make([]scratchFixture, 6)
+	for k := range fixtures {
+		rng := xrand.New(uint64(k))
+		f := &fixtures[k]
+		f.refs = make([]refRank, 1+rng.Intn(4))
+		for r := range f.refs {
+			f.refs[r] = drawRank(rng, r, len(f.refs), 1+rng.Intn(300), uint8(k&1)<<6|uint8(k&2)<<6)
+		}
+		f.grow = k%3 == 0
+		f.want = f.build()
+		if err := f.want.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		f.bytes = binarySeed(f.want)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				f := &fixtures[(g+i)%len(fixtures)]
+				got, err := f.build(), error(nil)
+				if i%2 != 0 {
+					got, err = ParseBinary(f.bytes)
+				}
+				if err != nil || !reflect.DeepEqual(got, f.want) {
+					t.Errorf("goroutine %d, round %d: schedule differs from the serial build (%v)", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// scratchFixture is one schedule TestConcurrentBuildsShareOpScratch
+// makes: its ranks' ops, whether it is built counted, and the schedule
+// and encoding a serial build gives.
+type scratchFixture struct {
+	refs  []refRank
+	grow  bool
+	want  *Schedule
+	bytes []byte
+}
+
+// build builds the fixture's ranks, each chained, with an exact Grow when
+// grow is set.
+func (f *scratchFixture) build() *Schedule {
+	b := NewBuilder(len(f.refs))
+	for r, ref := range f.refs {
+		if f.grow {
+			b.Rank(r).Grow(len(ref), len(ref), 0)
+		}
+		ref.build(b.Rank(r), true)
+	}
+	return b.Build()
 }
 
 // TestBuilderRefusesOutOfOrderDependencies: each of a rank's two tables

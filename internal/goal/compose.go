@@ -1,9 +1,6 @@
 package goal
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Placement selects how composed jobs' ranks are laid out on the shared
 // fabric. A policy only produces node sets (Nodes); Compose places them.
@@ -121,11 +118,18 @@ func Compose(nodes [][]int, jobs ...*Schedule) (*Schedule, error) {
 		for r := range job.Ranks {
 			rp := &job.Ranks[r]
 			dst := &out.Ranks[nodes[j][r]]
-			dst.words = slices.Clone(rp.words)
-			dst.side = slices.Clone(rp.side)
-			for i := range dst.Len() {
-				if op := dst.Op(i); op.Kind() != KindCalc {
-					dst.side[dst.sideAt(i)] = op.WithPeer(int32(nodes[j][op.Peer()])).w2
+			dst.n = rp.n
+			if rp.ops != nil {
+				dst.ops = make([]uint64, len(rp.ops))
+				copy(dst.ops, rp.ops)
+			}
+			// A message's second word is its last side word.
+			for i, next := 0, dst.sideStart(); i < dst.n; i++ {
+				if s := dst.short(i); s >= shortSide {
+					op, k := expandSide(s, dst.ops, next)
+					if next += k; op.Kind() != KindCalc {
+						dst.ops[next-1] = op.WithPeer(int32(nodes[j][op.Peer()])).w2
+					}
 				}
 			}
 			// Tables' bytes are immutable, so the merged schedule shares

@@ -141,11 +141,11 @@ func TestComposeDoesNotAliasInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := &merged.Ranks[0]
-	if rp.side == nil {
-		t.Fatal("fixture rank 0 has no second words")
+	if len(rp.ops) == shortWords(rp.n) {
+		t.Fatal("fixture rank 0 has no side words")
 	}
-	rp.words[0]++
-	rp.side[len(rp.side)-1]++
+	rp.ops[0]++
+	rp.ops[len(rp.ops)-1]++
 	if a.Ranks[0].Op(0) != want || a.Ranks[0].Op(a.Ranks[0].Len()-1).Peer() != 1 {
 		t.Fatal("merged ops alias the input schedule")
 	}

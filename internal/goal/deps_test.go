@@ -328,7 +328,7 @@ func TestValidateRejectsTableLengthMismatch(t *testing.T) {
 		"requires short":  func(rp *RankProgram) { rp.Requires = Deps{} },
 		"irequires short": func(rp *RankProgram) { rp.IRequires = Deps{} },
 		"requires long":   func(rp *RankProgram) { rp.Requires = Deps{n: int32(rp.Len() + 1)} },
-		"ops short":       func(rp *RankProgram) { rp.words = rp.words[:1] },
+		"ops short":       func(rp *RankProgram) { rp.n = 1 },
 	} {
 		s := depsFixture()
 		edit(&s.Ranks[0])
@@ -531,12 +531,12 @@ func TestReadBinaryReaderErrors(t *testing.T) {
 
 // TestBuildAllocsPerRank pins the flat layout and the hand-over: a counted
 // rank costs a constant number of allocations from NewBuilder to Build
-// regardless of op count — the builder's ranks, the ops (Grow), the
-// Requires table's bytes, the schedule and its ranks (Build) — and Build
-// copies no op array. The table is encoded in scratch kept from the last
-// build, the IRequires table has no edges and so no bytes, and the
-// Builder itself stays on the stack here (NewBuilder is inlined). Handles
-// come out of the builder, so Rank allocates nothing.
+// regardless of op count — the builder's ranks, then in Build the rank's
+// one array of ops, the Requires table's bytes, the schedule and its
+// ranks. The ops are gathered and the table encoded in scratch kept from
+// the last build, the IRequires table has no edges and so no bytes, and
+// the Builder itself stays on the stack here (NewBuilder is inlined).
+// Handles come out of the builder, so Rank allocates nothing.
 func TestBuildAllocsPerRank(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		allocs := testing.AllocsPerRun(10, func() {

@@ -27,11 +27,14 @@
 // bytes (1 TiB), a cpu of 0 to 2^21 − 2, and an int32 peer and tag. Both
 // decoders refuse any other value where they read it, naming the field,
 // and an op the Builder is given with such a value is one that Validate
-// refuses. A rank stores an op in 8 bytes, its first word, and keeps the
-// second only for a message (its peer and tag) and for a calc of 2^42 ns
-// or more or on a cpu outside [0, 2^21 − 2]: a calc-heavy rank, such as a
-// converted training trace's, costs about 8 bytes an op, and a rank of
-// messages about 16.25, the second words being found by rank/select (the
+// refuses. A rank stores an op in a 4-byte short word, which holds a calc
+// under 2^27 ns (about 134 ms) or a message under 2^26 bytes (64 MiB) on
+// cpu 0 to 14, and keeps side words only where the short word cannot
+// hold the op: a message's peer and tag, and the whole op of a long one.
+// A calc-heavy rank, such as a converted training trace's, costs about 4
+// bytes an op, and a rank of messages about 12.4, the side words being
+// found by rank/select; a long calc costs 12 bytes and a long message 20.
+// Short words, index and side words are one array per rank (the
 // RankProgram doc comment has the layout). A rank's ops are read through
 // RankProgram's Len, Op and Kind, or in op order through an OpCursor.
 //
@@ -51,6 +54,7 @@ package goal
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 
@@ -88,98 +92,160 @@ const AnyTag int32 = -1
 // from send/recv matching during simulation).
 //
 // Ops are read through Len, Op and Kind, or in op order through Cursor.
-// A rank stores each op's first word (see Op) in one array, 8 bytes an
-// op, and the second words only of the ops that need one — sends,
-// receives and spilled calcs — in op order in a second array, side. Op
-// i's second word is found by rank/select: side begins with two words per
-// block of 64 ops, a bitmap of the block's ops that have a second word and
-// the index in side of the block's first second word, so op i's is at
-// that index plus the bitmap's count of ops before i in its block. A
-// calc-heavy rank costs about 8 bytes an op, a rank of messages about
-// 16.25; a rank with no second words has no side array at all.
+// A rank holds its ops in one array of exactly the length they need:
+//
+//   - each op's 4-byte short word (see appendSide), two to a word
+//     (shortAt);
+//   - then, only if any op has side words, a rank/select index of three
+//     words per block of 64 ops: a bitmap of the block's ops that have
+//     side words, a bitmap of those that have two, and the index in the
+//     array of the block's first side word;
+//   - then the side words in op order: a short message's second word, a
+//     long op's first word and then its second, if it has one.
+//
+// Op i's side words are at its block's index plus the two bitmaps' counts
+// of ops before i in the block. A rank of short calcs costs 4 bytes an
+// op, a rank of short messages about 12.4, a long calc 12 and a long
+// message 20 bytes, plus the index.
 type RankProgram struct {
-	words     []uint64 // op i's first word
-	side      []uint64 // nil, or the block index and then the second words
+	ops       []uint64 // short words, then index and side words if any
+	n         int      // the number of ops
 	Requires  Deps     // list i: ops that must complete before op i starts
 	IRequires Deps     // list i: ops that must have started before op i starts
 }
 
 // Len returns the number of ops.
-func (rp *RankProgram) Len() int { return len(rp.words) }
+func (rp *RankProgram) Len() int { return rp.n }
+
+// short returns op i's short word.
+func (rp *RankProgram) short(i int) uint32 {
+	if uint(i) >= uint(rp.n) {
+		panic(opRange{i, rp.n})
+	}
+	return shortAt(rp.ops, i)
+}
+
+// shortAt returns op i's short word from a rank's array: op 2k's is the
+// low half of word k, op 2k+1's the high half.
+func shortAt(ops []uint64, i int) uint32 { return uint32(ops[i>>1] >> (i & 1 << 5)) }
+
+// opRange is the panic of an op index out of range: a value, formatted
+// only when the panic is printed, so that short stays small enough to be
+// inlined into every reader.
+type opRange struct{ i, n int }
+
+func (e opRange) Error() string { return fmt.Sprintf("goal: op %d out of range [0,%d)", e.i, e.n) }
 
 // Op returns op i.
 func (rp *RankProgram) Op(i int) Op {
-	w := rp.words[i]
-	if w < sideMark {
-		return Op{w1: w}
+	s := rp.short(i)
+	if s < shortSide {
+		return calcOf(s)
 	}
-	return Op{w1: w, w2: rp.side[rp.sideAt(i)]}
+	op, _ := expandSide(s, rp.ops, rp.sideAt(i))
+	return op
 }
 
-// Kind returns op i's kind, which its first word alone holds.
-func (rp *RankProgram) Kind(i int) Kind { return kindOf(rp.words[i]) }
+// Kind returns op i's kind, which its short word alone holds.
+func (rp *RankProgram) Kind(i int) Kind { return kindOf(uint64(rp.short(i) >> 30)) }
 
 // Cursor returns a cursor before the rank's first op.
 func (rp *RankProgram) Cursor() OpCursor {
-	return OpCursor{words: rp.words, side: rp.side, next: rp.sideStart()}
+	return OpCursor{ops: rp.ops, next: rp.sideStart()}
 }
 
-// sideStart returns where the first second word is in side: after the
-// block index.
-func (rp *RankProgram) sideStart() int { return 2 * ((len(rp.words) + 63) >> 6) }
+// shortWords returns how many words the rank's short words fill.
+func shortWords(n int) int { return (n + 1) >> 1 }
 
-// OpCursor reads a rank's ops in op order. It takes the second words from
-// the side array one after another, so a walk over every op (the text
-// writer, the scheduler's set-up) costs no rank/select. It is a value, so
-// a reader allocates nothing however many ranks it walks. Validate and
+// sideStart returns where the first side word is in ops: after the short
+// words and the index.
+func (rp *RankProgram) sideStart() int { return shortWords(rp.n) + 3*((rp.n+63)>>6) }
+
+// OpCursor reads a rank's ops in op order. It takes the side words one
+// after another, so a walk over every op (the text writer, the
+// scheduler's set-up) costs no rank/select. It is a value, so a reader
+// allocates nothing however many ranks it walks. Validate and
 // WriteBinary, which run on every decoded schedule and every fingerprint,
 // walk the same way in locals of their own.
 type OpCursor struct {
-	words, side []uint64
-	i, next     int // the next op, and where its second word would be
+	ops     []uint64
+	i, next int // the next op, and where its side words would be
 }
 
 // Next returns the next op. It must not be called more often than the
 // rank has ops.
 func (c *OpCursor) Next() Op {
-	w := c.words[c.i]
+	s := shortAt(c.ops, c.i)
 	c.i++
-	if w < sideMark {
-		return Op{w1: w}
+	if s < shortSide {
+		return calcOf(s)
 	}
-	op := Op{w1: w, w2: c.side[c.next]}
-	c.next++
+	op, k := expandSide(s, c.ops, c.next)
+	c.next += k
 	return op
 }
 
-// sideAt returns where op i's second word is in side; op i must have one.
+// sideAt returns where op i's first side word is in ops; op i must have
+// one.
 func (rp *RankProgram) sideAt(i int) int {
-	b := i >> 6 << 1
-	return int(rp.side[b+1]) + bits.OnesCount64(rp.side[b]&(1<<(i&63)-1))
+	b := shortWords(rp.n) + 3*(i>>6)
+	below := uint64(1)<<(i&63) - 1
+	return int(rp.ops[b+2]) + bits.OnesCount64(rp.ops[b]&below) + bits.OnesCount64(rp.ops[b+1]&below)
 }
 
-// sideTable returns the side array of a rank whose first words are words
-// and whose second words, in op order, are vals: nil when there are none.
-func sideTable(words, vals []uint64) []uint64 {
-	if len(vals) == 0 {
+// packRank returns the one array of a rank whose short words are shorts
+// and whose side words, in op order, are side (see RankProgram): nil for
+// a rank without ops, and no index when there are no side words.
+func packRank(shorts []uint32, side []uint64) []uint64 {
+	n := len(shorts)
+	if n == 0 {
 		return nil
 	}
-	nb := (len(words) + 63) >> 6
-	side := make([]uint64, 2*nb+len(vals))
-	at := 2 * nb
-	for b := 0; b < nb; b++ {
-		var set uint64
-		for j, w := range words[b<<6 : min(b<<6+64, len(words))] {
-			// w >= sideMark without a branch: sends, receives and calcs
-			// interleave, so a branch here is mispredicted often.
-			_, below := bits.Sub64(w, sideMark, 0)
-			set |= (below ^ 1) << j
-		}
-		side[2*b], side[2*b+1] = set, uint64(at)
-		at += bits.OnesCount64(set)
+	half, nb := shortWords(n), (n+63)>>6
+	size := half
+	if len(side) > 0 {
+		size += 3*nb + len(side)
 	}
-	copy(side[2*nb:], vals)
-	return side
+	ops := make([]uint64, size)
+	for k := range n >> 1 {
+		ops[k] = uint64(shorts[2*k]) | uint64(shorts[2*k+1])<<32
+	}
+	if n&1 != 0 {
+		ops[half-1] = uint64(shorts[n-1])
+	}
+	if len(side) == 0 {
+		return ops
+	}
+	at := uint64(half + 3*nb)
+	for b := range nb {
+		var one uint64
+		for j, s := range shorts[b<<6 : min(b<<6+64, n)] {
+			// s >= shortSide without a branch: calcs and messages
+			// interleave, so a branch here is mispredicted often.
+			_, below := bits.Sub32(s, shortSide, 0)
+			one |= uint64(below^1) << j
+		}
+		idx := ops[half+3*b : half+3*b+3]
+		idx[0], idx[2] = one, at
+		at += uint64(bits.OnesCount64(one))
+	}
+	if at != uint64(size) {
+		// Some op has two side words, so the blocks' second bitmaps
+		// are not all empty and their first side words lie further on.
+		at = uint64(half + 3*nb)
+		for b := range nb {
+			idx := ops[half+3*b : half+3*b+3]
+			for j, s := range shorts[b<<6 : min(b<<6+64, n)] {
+				if twoSides(s) {
+					idx[1] |= 1 << j
+				}
+			}
+			idx[2] = at
+			at += uint64(bits.OnesCount64(idx[0]) + bits.OnesCount64(idx[1]))
+		}
+	}
+	copy(ops[half+3*nb:], side)
+	return ops
 }
 
 // Schedule is a complete GOAL schedule for NRanks ranks.
@@ -260,13 +326,15 @@ func (s *Schedule) Validate() error {
 		encs := [2]string{rp.Requires.enc, rp.IRequires.enc}
 		var at [2]int // where op i's list starts in each table's bytes
 		// OpCursor's walk, in locals, as the lists' below.
-		side, next := rp.side, rp.sideStart()
-		for i, w := range rp.words {
-			op := Op{w1: w}
-			if w >= sideMark {
-				op.w2 = side[next]
-				next++
+		ops, next := rp.ops, rp.sideStart()
+		for i := range int(nops) {
+			op, k := Op{}, 0
+			if s := shortAt(ops, i); s < shortSide {
+				op = calcOf(s)
+			} else {
+				op, k = expandSide(s, ops, next)
 			}
+			next += k
 			if !op.held() {
 				return fmt.Errorf("goal: rank %d op %d: %w", r, i, op.unheldErr())
 			}
@@ -387,10 +455,10 @@ func checkAcyclic(rp *RankProgram) error {
 // CheckMatched verifies that every send has a compatible recv and vice
 // versa: for each (src, dst, tag) the number and total bytes of sends equal
 // those of recvs. Wildcard-tag receives are pooled per (src, dst) pair:
-// they take up, key by key, the sends that tagged receives leave, and
-// once a pair's pool is used up its bytes must equal the bytes it took.
-// Keys are checked in (src, dst, tag) order and the first mismatch is
-// reported. This is a debugging aid for generators; simulation does its
+// they take up, key by key, the sends that tagged receives leave; then
+// every pool must be used up, its bytes equal to the bytes it took. Keys
+// are checked in (src, dst, tag) order, then pools in (src, dst) order,
+// and the first mismatch is reported. This is a debugging aid for generators; simulation does its
 // own dynamic matching.
 func (s *Schedule) CheckMatched() error {
 	type key struct {
@@ -455,10 +523,15 @@ func (s *Schedule) CheckMatched() error {
 			taken[pair] += st.bytes - rt.bytes
 		}
 	}
-	for _, k := range keys {
-		pair := [2]int32{k.src, k.dst}
-		if w, ok := wildcards[pair]; ok && w.n == 0 && w.bytes != taken[pair] {
-			return fmt.Errorf("goal: %d->%d any tag: %d bytes sent, %d bytes received", k.src, k.dst, taken[pair], w.bytes)
+	pairs := slices.SortedFunc(maps.Keys(wildcards), func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, pair := range pairs {
+		switch w := wildcards[pair]; {
+		case w.n > 0:
+			return fmt.Errorf("goal: %d unmatched any-tag recv(s) %d->%d", w.n, pair[0], pair[1])
+		case w.bytes != taken[pair]:
+			return fmt.Errorf("goal: %d->%d any tag: %d bytes sent, %d bytes received", pair[0], pair[1], taken[pair], w.bytes)
 		}
 	}
 	return nil

@@ -129,6 +129,39 @@ func TestCheckMatchedWildcard(t *testing.T) {
 	}
 }
 
+// TestCheckMatchedReportsLeftoverWildcards: a wildcard receive that no
+// send can match is unmatched, alone on its pair or beside tagged traffic,
+// and pools with receives left over are reported in (src, dst) order,
+// whatever the map order.
+func TestCheckMatchedReportsLeftoverWildcards(t *testing.T) {
+	for name, c := range map[string]struct {
+		build func(b *Builder)
+		want  string
+	}{
+		"lone": {func(b *Builder) { b.Rank(1).Recv(4096, 0, AnyTag) }, "goal: 1 unmatched any-tag recv(s) 0->1"},
+		"one send, two receives": {func(b *Builder) {
+			b.Rank(0).Send(8, 1, 5)
+			b.Rank(1).Recv(8, 0, AnyTag)
+			b.Rank(1).Recv(8, 0, AnyTag)
+		}, "goal: 1 unmatched any-tag recv(s) 0->1"},
+		"several pairs": {func(b *Builder) {
+			b.Rank(0).Recv(8, 2, AnyTag)
+			b.Rank(2).Send(8, 0, 1)
+			b.Rank(0).Recv(8, 1, AnyTag)
+			b.Rank(2).Recv(8, 1, AnyTag)
+			b.Rank(2).Recv(8, 1, AnyTag)
+		}, "goal: 1 unmatched any-tag recv(s) 1->0"},
+	} {
+		for range 20 {
+			b := NewBuilder(3)
+			c.build(b)
+			if err := b.Build().CheckMatched(); err == nil || err.Error() != c.want {
+				t.Fatalf("%s: CheckMatched = %v, want %q", name, err, c.want)
+			}
+		}
+	}
+}
+
 // TestCheckMatchedComparesBytes: a 4 KiB send matched by an 8 KiB receive
 // is a mismatch, tagged or through a wildcard, and of several mismatches
 // the first in (src, dst, tag) order is reported, whatever the map order.

@@ -11,9 +11,7 @@ import (
 // calcs Size is a duration in nanoseconds, Peer reads -1 and Tag 0.
 //
 // An op is two 8-byte words, the value every reader gets (RankProgram.Op)
-// and reads through the accessor methods. A rank stores the first word of
-// every op and the second only for the ops that need one (see
-// RankProgram), so the words are laid out for that:
+// and reads through the accessor methods:
 //
 //	calc       w1: bit 63 clear, cpu in bits 42-62, size in bits 0-41
 //	           w2: 0
@@ -29,7 +27,11 @@ import (
 // [0, maxMessageCPU]; otherwise its cpu and size fit in w1. So a calc
 // holds any non-negative int64 nanoseconds and any int32 cpu. An op whose
 // w1 is at least sideMark — a send, a receive, a spilled calc or the
-// reserved form — keeps its w2; every other op's w2 is 0.
+// reserved form — has a w2; every other op's w2 is 0.
+//
+// A rank does not store these words as they are: it stores each op as a
+// 4-byte short word (see appendSide) and keeps w1 and w2 only where the short
+// word cannot hold them (see RankProgram).
 //
 // The one message cpu code above maxMessageCPU marks the reserved form,
 // which stands for an op the packed form cannot hold: a negative size, a
@@ -144,12 +146,99 @@ func pack(k Kind, size int64, peer, tag, cpu int32) Op {
 }
 
 // Kind returns the task type.
-func (o Op) Kind() Kind { return kindOf(o.w1) }
+func (o Op) Kind() Kind { return kindOf(o.w1 >> 62) }
 
-// kindOf returns the kind of the op whose first word is w1.
-func kindOf(w1 uint64) Kind {
-	k := w1 >> 62 // 0 and 1: calc, 2: send, 3: recv
-	return Kind(k>>1 + k>>1&k)
+// kindOf returns the kind of an op from the top two bits of its first
+// word, or of its short word: 0 and 1 a calc, 2 a send, 3 a receive.
+func kindOf(k uint64) Kind { return Kind(k>>1 + k>>1&k) }
+
+// A rank stores op i as a 4-byte short word, laid out so that its top two
+// bits are an op's kind bits as kindOf reads them:
+//
+//	calc     bit 31 clear, cpu in bits 27-30, size in bits 0-26
+//	send     bit 31 set, bit 30 clear, cpu in bits 26-29, size in 0-25
+//	recv     bit 31 set, bit 30 set, cpu in bits 26-29, size in 0-25
+//
+// So a short word holds a calc of less than 2^27 ns (about 134 ms) or a
+// message of less than 2^26 bytes (64 MiB), on cpu 0 to 14. The cpu code
+// 15 marks a long op of that kind: an op the short word cannot hold,
+// whose w1 the rank keeps whole, and its w2 too where it has one (a long
+// message, a spilled calc, the reserved form), bit 0 then set in the
+// short word. A short calc keeps nothing more; a short message keeps its
+// w2, its peer and tag. These are an op's side words, and a short word is
+// at least shortSide exactly when its op has any.
+const (
+	shortMsg      = 1 << 31
+	shortCPUs     = 15 // the cpu code that marks a long op
+	calcCPUAt     = 27
+	calcSizeShort = 1<<calcCPUAt - 1
+	msgCPUAt      = 26
+	msgSizeShort  = 1<<msgCPUAt - 1
+	// msgLong is a long message's cpu code in place.
+	msgLong = shortCPUs << msgCPUAt
+	// shortSide is the least short word of an op with side words: a long
+	// calc's. Every message's is larger still.
+	shortSide = shortCPUs << calcCPUAt
+	// shortTwo marks a long op with two side words.
+	shortTwo = 1
+)
+
+// shortCalc returns the short word of a calc of size ns on cpu, which
+// the short word holds (cpu < shortCPUs, size <= calcSizeShort).
+func shortCalc(size, cpu uint64) uint32 { return uint32(cpu<<calcCPUAt | size) }
+
+// shortMessage returns the short word of a send (recv 0) or a receive
+// (recv 1) of size bytes on cpu, which the short word holds (cpu <
+// shortCPUs, size <= msgSizeShort).
+func shortMessage(recv, size, cpu uint64) uint32 {
+	return uint32(shortMsg | recv<<30 | cpu<<msgCPUAt | size)
+}
+
+// appendSide returns o's short word, appending its side words to side.
+func appendSide(side []uint64, o Op) (uint32, []uint64) {
+	w := o.w1
+	if w&msgBit == 0 {
+		if cpu, size := w>>calcCPUShift, w&calcSizeMask; cpu < shortCPUs && size <= calcSizeShort {
+			return shortCalc(size, cpu), side
+		}
+	} else if cpu, size := w>>cpuShift&cpuMask, w&sizeMask; cpu < shortCPUs && size <= msgSizeShort {
+		return shortMessage(w>>62&1, size, cpu), append(side, o.w2)
+	}
+	// A long op: its kind bits and cpu code 15, and its whole words.
+	s := uint32(shortSide)
+	if w&msgBit != 0 {
+		s = uint32(w>>62<<30) | msgLong
+	}
+	if w >= sideMark {
+		return s | shortTwo, append(side, w, o.w2)
+	}
+	return s, append(side, w)
+}
+
+// calcOf returns the op whose short word s is a short calc's (s <
+// shortSide); expandSide reads every other op. Readers test s themselves,
+// so that both are inlined into their loops.
+func calcOf(s uint32) Op {
+	return Op{w1: uint64(s>>calcCPUAt)<<calcCPUShift | uint64(s&calcSizeShort)}
+}
+
+// expandSide returns the op whose short word is s, an op with side words
+// (s >= shortSide) that begin at ops[at], and how many side words it has.
+func expandSide(s uint32, ops []uint64, at int) (Op, int) {
+	switch {
+	case s >= shortMsg && s&msgLong != msgLong:
+		return Op{w1: uint64(s>>30)<<62 | uint64(s>>msgCPUAt&shortCPUs)<<cpuShift | uint64(s&msgSizeShort), w2: ops[at]}, 1
+	case s&shortTwo == 0:
+		return Op{w1: ops[at]}, 1
+	}
+	return Op{w1: ops[at], w2: ops[at+1]}, 2
+}
+
+// twoSides reports whether the op whose short word is s has two side
+// words: a long op with shortTwo set.
+func twoSides(s uint32) bool {
+	long := s >= shortSide && s < shortMsg || s >= shortMsg && s&msgLong == msgLong
+	return long && s&shortTwo != 0
 }
 
 // isCalc reports whether o is a calc.

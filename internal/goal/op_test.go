@@ -48,9 +48,10 @@ func TestOpSize(t *testing.T) {
 }
 
 // TestRankTypesDoNotGrow: a cold schedule costs one RankBuilder per rank
-// to build and one RankProgram per rank to hold, so neither may grow past
-// its size before ops were stored as first and second words: 168 and 104
-// bytes on a 64-bit platform.
+// to build and one RankProgram per rank to hold. A RankProgram is one
+// array, an op count and two tables: 80 bytes on a 64-bit platform (104
+// with 24-byte ops, 96 with first words and a side array). A RankBuilder
+// may not grow past its 168 bytes.
 func TestRankTypesDoNotGrow(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -58,8 +59,8 @@ func TestRankTypesDoNotGrow(t *testing.T) {
 	if n := unsafe.Sizeof(RankBuilder{}); n > 168 {
 		t.Errorf("a RankBuilder is %d bytes, want at most 168", n)
 	}
-	if n := unsafe.Sizeof(RankProgram{}); n > 104 {
-		t.Errorf("a RankProgram is %d bytes, want at most 104", n)
+	if n := unsafe.Sizeof(RankProgram{}); n != 80 {
+		t.Errorf("a RankProgram is %d bytes, want 80", n)
 	}
 }
 
@@ -226,46 +227,74 @@ func TestUnheldOpsKeepValidateOrder(t *testing.T) {
 type refRank []Op
 
 // drawRank draws a rank of nops ops for rank r of nranks, in op order.
-// shape picks what the rank may hold beyond plain calcs and messages:
-// bit 0 no messages, bit 1 calcs of 2^42 ns and more (up to 2^63 − 1),
-// bit 2 calcs on a negative or large cpu, bit 3 ops in the reserved form.
-// (FuzzProgramMatchesOps reads bit 4 as a dependency chain and bit 5 as an
-// exact Grow.)
-// Messages name peer 0 and tag 0 often.
+// shape picks what the rank may hold beyond short calcs and messages (see
+// appendSide): bit 0 no messages, bit 1 calcs of 2^42 ns and more (up to
+// 2^63 − 1) and messages up to 1 TiB, bit 2 ops on a negative or large
+// cpu, bit 3 ops in the reserved form, bit 6 sizes and cpus either side
+// of every short-form width, and bit 7 only long ops. A rank drawn with
+// bit 0 alone (or with bits 4 and 5 too) keeps no side words. Messages
+// name peer 0 and tag 0 often. (FuzzProgramMatchesOps reads bit 4 as a
+// dependency chain and bit 5 as an exact Grow.)
 func drawRank(rng *xrand.RNG, r, nranks, nops int, shape uint8) refRank {
 	ops := make(refRank, nops)
 	for i := range ops {
 		cpu := int32(rng.Intn(4))
-		if rng.Intn(8) == 0 {
+		if shape&4 != 0 && rng.Intn(8) == 0 {
 			cpu = maxMessageCPU
+		}
+		if shape&64 != 0 && rng.Intn(2) == 0 {
+			cpu = shortCPUs - 1 + int32(rng.Intn(2))
 		}
 		k := Kind(rng.Intn(3))
 		if shape&1 != 0 || nranks < 2 {
 			k = KindCalc
 		}
+		size := rng.Int63n(1 << 20)
+		switch {
+		case shape&64 != 0 && rng.Intn(2) == 0 && k == KindCalc:
+			size = calcSizeShort + rng.Int63n(2)
+		case shape&64 != 0 && rng.Intn(2) == 0:
+			size = msgSizeShort + rng.Int63n(2)
+		}
 		switch {
 		case shape&8 != 0 && rng.Intn(8) == 0:
 			ops[i] = makeOp([]Kind{KindCalc, KindSend, KindRecv, 3}[rng.Intn(4)], -1-rng.Int63n(1<<40), 1, 0, cpu)
+			continue
 		case k == KindCalc:
-			size := rng.Int63n(1 << 20)
 			if shape&2 != 0 && rng.Intn(3) == 0 {
 				size = []int64{calcSizeMask, calcSizeMask + 1, math.MaxInt64, int64(rng.Uint64() >> 1)}[rng.Intn(4)]
 			}
 			if shape&4 != 0 && rng.Intn(3) == 0 {
 				cpu = []int32{-1, math.MinInt32, maxMessageCPU + 1, math.MaxInt32, int32(rng.Uint64())}[rng.Intn(5)]
 			}
+			if shape&128 != 0 && cpu >= 0 && cpu < shortCPUs && size <= calcSizeShort {
+				if rng.Intn(2) == 0 {
+					size += calcSizeShort + 1
+				} else {
+					cpu += shortCPUs
+				}
+			}
 			ops[i] = makeOp(KindCalc, size, -1, 0, cpu)
-		default:
-			peer := (r + 1 + rng.Intn(nranks-1)) % nranks
-			if r != 0 && rng.Intn(2) == 0 {
-				peer = 0
-			}
-			var tag int32
-			if rng.Intn(2) == 0 {
-				tag = []int32{AnyTag, 7, math.MaxInt32, math.MinInt32}[rng.Intn(4)]
-			}
-			ops[i] = makeOp(k, rng.Int63n(MaxMessageBytes+1), int32(peer), tag, cpu)
+			continue
+		case shape&2 != 0 && rng.Intn(3) == 0:
+			size = rng.Int63n(MaxMessageBytes + 1)
 		}
+		if shape&128 != 0 && cpu < shortCPUs && size <= msgSizeShort {
+			if rng.Intn(2) == 0 {
+				size += msgSizeShort + 1
+			} else {
+				cpu += shortCPUs
+			}
+		}
+		peer := (r + 1 + rng.Intn(nranks-1)) % nranks
+		if r != 0 && rng.Intn(2) == 0 {
+			peer = 0
+		}
+		var tag int32
+		if rng.Intn(2) == 0 {
+			tag = []int32{AnyTag, 7, math.MaxInt32, math.MinInt32}[rng.Intn(4)]
+		}
+		ops[i] = makeOp(k, size, int32(peer), tag, cpu)
 	}
 	return ops
 }
@@ -292,14 +321,14 @@ func (ref refRank) build(rb *RankBuilder, chain bool) {
 }
 
 // check requires rp to read back ref accessor for accessor, by index and
-// through a cursor, and to hold no side array when no op has a second
-// word.
+// through a cursor, and to hold them in one array of exactly the length
+// the layout needs (layoutWords): no index or side words when no op
+// keeps any.
 func (ref refRank) check(t *testing.T, way string, r int, rp *RankProgram) {
 	t.Helper()
 	if rp.Len() != len(ref) {
 		t.Fatalf("%s: rank %d has %d ops, want %d", way, r, rp.Len(), len(ref))
 	}
-	seconds := 0
 	ops := rp.Cursor()
 	for i, want := range ref {
 		if got := rp.Op(i); got != want || fieldsOf(got) != fieldsOf(want) || rp.Kind(i) != want.Kind() {
@@ -308,34 +337,31 @@ func (ref refRank) check(t *testing.T, way string, r int, rp *RankProgram) {
 		if got := ops.Next(); got != want {
 			t.Fatalf("%s: rank %d op %d reads %+v through the cursor, want %+v", way, r, i, fieldsOf(got), fieldsOf(want))
 		}
-		if want.w1 >= sideMark {
-			seconds++
-		} else if want.w2 != 0 {
+		if want.w1 < sideMark && want.w2 != 0 {
 			t.Fatalf("%s: rank %d op %d: an op without a second word has w2 %#x", way, r, i, want.w2)
 		}
 	}
-	if (seconds == 0) != (rp.side == nil) {
-		t.Fatalf("%s: rank %d has %d second words and side array %v", way, r, seconds, rp.side)
-	}
-	if rp.side != nil && len(rp.side) != 2*((len(ref)+63)/64)+seconds {
-		t.Fatalf("%s: rank %d side array of %d words for %d ops and %d second words", way, r, len(rp.side), len(ref), seconds)
+	if n := layoutWords(ref); len(rp.ops) != n || cap(rp.ops) != n {
+		t.Fatalf("%s: rank %d holds %d ops in an array of len %d, cap %d; the layout needs %d", way, r, len(ref), len(rp.ops), cap(rp.ops), n)
 	}
 }
 
-// FuzzProgramMatchesOps holds a rank's storage — first words, and second
+// FuzzProgramMatchesOps holds a rank's storage — short words, and side
 // words found by rank/select or read in order by an OpCursor — to one Op
-// per op (refRank): random ranks,
-// with calcs up to 2^63 − 1 ns, negative and large cpus, ops in the
-// reserved form, messages to peer 0 with tag 0, ranks with no messages and
-// op counts either side of a 64-op block edge, read back every op's
+// per op (refRank): random ranks, with sizes and cpus either side of every
+// short-form width, long calcs, sends and receives, spilled calcs up to
+// 2^63 − 1 ns, negative and large cpus, ops in the reserved form,
+// messages to peer 0 with tag 0, ranks of long ops only, ranks with no
+// side words and op counts either side of a 64-op block edge, read back
+// every op's
 // accessors from the Builder and, when valid, from WriteBinary →
 // ParseBinary, WriteText → ParseText and Compose (onto a permutation of
 // the nodes, peers renumbered), and the three decodings equal the built
 // schedule under reflect.DeepEqual.
 func FuzzProgramMatchesOps(f *testing.F) {
-	for shape := uint8(0); shape < 64; shape++ {
+	for shape := range 256 {
 		for _, n := range []uint16{0, 1, 64, 129} {
-			f.Add(uint64(shape)*1000+uint64(n), n, shape)
+			f.Add(uint64(shape)*1000+uint64(n), n, uint8(shape))
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, nops uint16, shape uint8) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -91,10 +92,10 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		return nil, fmt.Errorf("goal: rank count %d exceeds remaining input (%d bytes)", nranks, c.remaining())
 	}
 	s := &Schedule{Ranks: make([]RankProgram, nranks)}
-	// Second words are gathered in kept scratch and copied out per rank at
-	// their exact length (sideTable).
-	scratch := sideScratch.Take()
-	defer sideScratch.Put(scratch)
+	// Each rank's ops are gathered in kept scratch and copied out into its
+	// one array at its exact length (packRank).
+	scratch := opScratch.Take()
+	defer opScratch.Put(scratch)
 	for r := 0; r < int(nranks); r++ {
 		rp := &s.Ranks[r]
 		nops, err := c.uvarint()
@@ -105,8 +106,8 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		if nops > uint64(c.remaining())/2 {
 			return nil, fmt.Errorf("goal: rank %d: op count %d exceeds remaining input (%d bytes)", r, nops, c.remaining())
 		}
-		words, vals := make([]uint64, nops), (*scratch)[:0]
-		for i := range words {
+		shorts, side := slices.Grow(scratch.shorts[:0], int(nops))[:nops], scratch.side[:0]
+		for i := range shorts {
 			flags, err := c.byte()
 			if err != nil {
 				return nil, fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
@@ -157,17 +158,21 @@ func ParseBinary(data []byte) (*Schedule, error) {
 					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
 				}
 			}
-			op := pack(kind, int64(sz), peer, tag, int32(cpu))
-			words[i] = op.w1
-			if op.w1 >= sideMark {
-				vals = append(vals, op.w2)
+			// The ops a short word holds, inline; the rest through an Op.
+			switch {
+			case cpu >= shortCPUs:
+			case !msg && sz <= calcSizeShort:
+				shorts[i] = shortCalc(sz, cpu)
+				continue
+			case msg && sz <= msgSizeShort:
+				shorts[i] = shortMessage(uint64(kind-KindSend), sz, cpu)
+				side = append(side, uint64(uint32(peer))|uint64(uint32(tag))<<32) // as pack
+				continue
 			}
+			shorts[i], side = appendSide(side, pack(kind, int64(sz), peer, tag, int32(cpu)))
 		}
-		*scratch = vals[:0]
-		if nops == 0 {
-			words = nil // as the Builder hands an empty rank over
-		}
-		rp.words, rp.side = words, sideTable(words, vals)
+		scratch.shorts, scratch.side = shorts[:0], side[:0]
+		rp.ops, rp.n = packRank(shorts, side), int(nops)
 		if rp.Requires, err = parseDeps(c, int(nops)); err != nil {
 			return nil, fmt.Errorf("goal: rank %d requires: %w", r, err)
 		}

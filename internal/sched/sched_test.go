@@ -428,12 +428,14 @@ func (quietBackend) Calc(core.CalcEvent)                              {}
 // layout: the bytes allocated to decode a binary schedule and run it, per
 // GOAL op, on a fixed 64-rank chain-heavy schedule, in a first run (a warm
 // process reuses everything but the decode: sim.TestWarmRunAllocs). The count is exact
-// for a given toolchain (one goroutine); the ceiling sits about 6% above
-// it: 83.5 B/op measured with each op stored as its 8-byte first word and,
-// for the two thirds that are messages, its 8-byte second word (a third
-// of the ops are calcs, which have none), and the dependency tables held
-// as the binary encoding's bytes (a byte per op and per edge, copied out
-// of the file); 85.9 with a 16-byte op stored per op, and 91.3 with that
+// for a given toolchain (one goroutine); the ceiling sits about 3% above
+// it: 79.1 B/op measured with each op stored as its 4-byte short word and,
+// for the two thirds that are messages, an 8-byte side word (a third of
+// the ops are calcs, which have none) and 0.375 B of index, all in one
+// array per rank, and the dependency tables held as the binary encoding's
+// bytes (a byte per op and per edge, copied out of the file); 83.5 with
+// an 8-byte first word per op and the second words in an array of their
+// own, 85.9 with a 16-byte op stored per op, and 91.3 with that
 // and the tables in CSR form (4 B per op and per edge); all with the
 // engine's event slab
 // grown to the pending peak (181 slots), LGS's completions on stream
@@ -465,18 +467,19 @@ func TestDecodeAndRunBytesPerOp(t *testing.T) {
 	}
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 	t.Logf("%.1f B/op over %d ops", perOp, ops)
-	if perOp > 88.5 {
-		t.Fatalf("decode + run allocated %.1f B per op, ceiling 88.5", perOp)
+	if perOp > 81.5 {
+		t.Fatalf("decode + run allocated %.1f B per op, ceiling 81.5", perOp)
 	}
 }
 
 // TestDecodeBytesPerCalcOp gates what decoding a calc-heavy binary schedule
 // allocates per GOAL op: 64 ranks of 2 000 chained calcs, the shape of a
 // converted training trace, whose ops are almost all calcs. A calc under
-// 2^42 ns on a cpu below 2^21 − 1 is one 8-byte word, and its rank has no
-// second words at all, so a decoded op costs its word plus its
-// dependency list's two bytes: 10.29 B/op measured, against a ceiling of
-// 10.6, and 18.49 with a 16-byte op stored per op.
+// 2^27 ns on cpu 0 to 14 is one 4-byte short word, and its rank has no
+// side words and no index at all, so a decoded op costs its short word
+// plus its dependency list's two bytes: 6.19 B/op measured, against a
+// ceiling of 6.4; 10.29 with an 8-byte first word per op, and 18.49 with
+// a 16-byte op stored per op.
 func TestDecodeBytesPerCalcOp(t *testing.T) {
 	s := chains(64, 2_000)
 	var bin bytes.Buffer
@@ -493,7 +496,7 @@ func TestDecodeBytesPerCalcOp(t *testing.T) {
 	}
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 	t.Logf("%.2f B/op over %d ops", perOp, ops)
-	if perOp > 10.6 {
-		t.Fatalf("decoding allocated %.2f B per op, ceiling 10.6", perOp)
+	if perOp > 6.4 {
+		t.Fatalf("decoding allocated %.2f B per op, ceiling 6.4", perOp)
 	}
 }

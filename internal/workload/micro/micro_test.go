@@ -110,8 +110,8 @@ func TestUniformRandom(t *testing.T) {
 	}
 }
 
-// TestGeneratorsBuildAtFinalSize: every generator counts each rank's ops
-// before emitting them, so every rank's Ops array comes out with no spare
+// TestGeneratorsBuildAtFinalSize: every rank a generator builds holds its
+// ops in one array (short words, index and side words) with no spare
 // capacity.
 func TestGeneratorsBuildAtFinalSize(t *testing.T) {
 	for _, n := range []int{2, 5, 16} {
@@ -127,9 +127,9 @@ func TestGeneratorsBuildAtFinalSize(t *testing.T) {
 			"bsp/4":       BulkSynchronous(n, 4, 64, 1000),
 		} {
 			for r := range s.Ranks {
-				// the ops' first words, an unexported array
-				if words := reflect.ValueOf(&s.Ranks[r]).Elem().FieldByName("words"); words.Cap() != words.Len() {
-					t.Errorf("%s n=%d: rank %d holds %d ops in an array of %d", name, n, r, words.Len(), words.Cap())
+				// the rank's one array, unexported
+				if ops := reflect.ValueOf(&s.Ranks[r]).Elem().FieldByName("ops"); ops.Cap() != ops.Len() {
+					t.Errorf("%s n=%d: rank %d holds %d ops in an array of len %d, cap %d", name, n, r, s.Ranks[r].Len(), ops.Len(), ops.Cap())
 				}
 			}
 		}

@@ -22,18 +22,13 @@ func allocatedBy(f func()) uint64 {
 }
 
 // spare returns how many elements of capacity beyond their length a
-// schedule's arrays hold, over all ranks: the ops' first words and the
-// side array of their second words. (A dependency table's bytes are a
-// string, made at their exact length.) Zero means every array was
-// allocated once at its final size — the producer's count was right and
-// nothing regrew.
+// schedule's arrays hold, over all ranks: each rank's one array of ops.
+// (A dependency table's bytes are a string, made at their exact length.)
+// Zero means every rank's ops were handed over at their final size.
 func spare(s *goal.Schedule) (n int) {
 	for r := range s.Ranks {
-		rp := reflect.ValueOf(&s.Ranks[r]).Elem()
-		for _, name := range []string{"words", "side"} {
-			a := rp.FieldByName(name)
-			n += a.Cap() - a.Len()
-		}
+		a := reflect.ValueOf(&s.Ranks[r]).Elem().FieldByName("ops")
+		n += a.Cap() - a.Len()
 	}
 	return n
 }
@@ -42,21 +37,27 @@ func spare(s *goal.Schedule) (n int) {
 // GOAL op it produces, for four frontends: spc → Direct Drive, mpi →
 // Schedgen, nsys → the NCCL pipeline and chakra → its converter. Each
 // frontend's second conversion of its fixture is measured, as a process
-// that converts more than once meets it. Chakra is at 746.6 B/op, and
-// 790.3 under the race detector (1 006.2 before), against a ceiling of
-// 810, mostly the JSON records of a 572-op fixture. It read 753.8 with a
-// 16-byte op stored per op, 940.9 when its converter did not count and
-// wired each collective's exit after the decomposition, out of op order,
-// so that the builder logged those tables' edges and sorted them in
-// Build, and 864.1 with that converter once the trace check stopped
-// allocating a slice per node. A schedule is 8 B per op, its first word;
-// 8 B more per op with a second word (a send or a receive) and 0.25 B per
-// op of rank/select index on a rank that has any; and its dependency
-// tables, about a byte per op and per edge. The builder gathers second
-// words and encodes tables in kept scratch and hands each over at its
-// exact length: the NCCL pipeline is at 13.1 B/op, Direct Drive at 16.7
-// and Schedgen at 93.4, against ceilings of 13.6, 17.4 and 118. With a
-// 16-byte op stored per op they read 21.1, 19.2 and 113.4; with that and
+// that converts more than once meets it. Chakra is at 742.9 B/op, and
+// 786.4 under the race detector (1 006.2 before), against a ceiling of
+// 810, mostly the JSON records of a 572-op fixture. It read 746.6 (790.3)
+// with an 8-byte first word per op, 753.8 with a 16-byte op stored per
+// op, 940.9 when its converter did not count and wired each collective's
+// exit after the decomposition, out of op order, so that the builder
+// logged those tables' edges and sorted them in Build, and 864.1 with
+// that converter once the trace check stopped allocating a slice per
+// node. A schedule is 4 B per op, its short word;
+// 8 B more per op with a side word (a send's or a receive's peer and tag)
+// and 0.375 B per op of rank/select index on a rank that has any; and its
+// dependency tables, about a byte per op and per edge. The builder
+// gathers ops and encodes tables in kept scratch and hands each rank's
+// ops and each table over at their exact length, so a producer that does
+// not count (Schedgen) regrows only the scratch, and only while it is
+// smaller than a rank it built before: the NCCL pipeline is at 9.1 B/op,
+// Direct Drive at 13.4 and Schedgen at 73.6, against ceilings of 9.5, 14
+// and 77. With an 8-byte first word per op and the second words in an
+// array of their own they read 13.1, 16.7 and 93.4 (ceilings 13.6, 17.4
+// and 118, Schedgen regrowing its first words on every conversion). With
+// a 16-byte op stored per op they read 21.1, 19.2 and 113.4; with that and
 // the tables in CSR form (4 B per op and per edge), 27.7, 25.7 and 135.0;
 // with 24-byte ops, 35.8 and 37.2 for the first two, and Schedgen 163.5,
 // or 646.5 with the parser and builder it replaced. Direct Drive parses into a kept trace (spc.Trace.Parse), so
@@ -73,8 +74,10 @@ func spare(s *goal.Schedule) (n int) {
 // it replaced. Direct Drive, the NCCL pipeline and the Chakra converter
 // count exactly, all by emitting onto counting emitters first — Direct
 // Drive runs its choreography once onto them, the plan pass runs stages
-// 2-3, the Chakra converter its node walk and decomposition — which the
-// spare-capacity check proves; Schedgen leaves spare capacity.
+// 2-3, the Chakra converter its node walk and decomposition. Every
+// producer's ranks come out with no spare capacity, which the
+// spare-capacity check proves; Schedgen's did not while its first words
+// were handed over as they had grown.
 func TestConvertAllocation(t *testing.T) {
 	rep, err := llm.Generate(llm.Config{Model: llm.Llama7B(), Par: llm.Parallelism{TP: 2, PP: 2, DP: 4, EP: 1, GlobalBatch: 16}, Scale: 1e-3, Seed: 3})
 	tr, err2 := hpcapps.Generate(hpcapps.Config{App: hpcapps.LULESH, Ranks: 32, Steps: 4, Seed: 3})
@@ -85,9 +88,9 @@ func TestConvertAllocation(t *testing.T) {
 		ceiling   float64 // bytes allocated per GOAL op
 		wantExact bool
 	}{
-		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 17.4, true},
-		{"mpi", traceBytes(t, tr, err2), nil, 118, false},
-		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 13.6, true},
+		{"spc", traceBytes(t, oltp.GenerateFinancial(oltp.FinancialConfig{Ops: 1500, Seed: 3}), nil), nil, 14, true},
+		{"mpi", traceBytes(t, tr, err2), nil, 77, true},
+		{"nsys", traceBytes(t, rep, err), NsysConfig{GPUsPerNode: 2}, 9.5, true},
 		{"chakra", chakraLLMFixture(t, 3), nil, 810, true},
 	} {
 		// the second conversion is measured: the first leaves what a

@@ -119,8 +119,9 @@ const (
 	// text GOAL header and synth.Generate bound theirs.
 	maxSyntheticRanks = goal.MaxTextRanks
 	// maxSyntheticOps bounds the ops a built-in pattern may generate
-	// (about 1 GiB of stored ops: a rank stores a message in about 16.25
-	// bytes and a calc in 8), so that one short spec cannot make Run or
+	// (about 830 MB of stored ops: a rank stores a message under 64 MiB
+	// in about 12.4 bytes and a calc in 4; 1.4 GB if every message is a
+	// larger one, at 20.4), so that one short spec cannot make Run or
 	// atlahsd allocate without limit.
 	maxSyntheticOps = 1 << 26
 )
