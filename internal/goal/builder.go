@@ -3,6 +3,7 @@ package goal
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"atlahs/internal/registry"
 )
@@ -21,9 +22,10 @@ type OpID int32
 //     with room for them. A producer that does not know just adds: the
 //     scratch grows the way append grows it. A count that turns out too
 //     small is not an error, only a regrowth. Either way the scratch is
-//     kept from one build to the next, so a process that builds schedule
-//     after schedule regrows it only while it is smaller than any rank
-//     it built before.
+//     kept from one build to the next, up to opKeep bytes of op scratch
+//     in all, so a process that builds schedule after schedule regrows
+//     it only while it is smaller than any rank it built before, or
+//     where its ranks' ops need more than opKeep.
 //   - In order. Each of a rank's two dependency tables is encoded directly
 //     in its final form (Deps: the binary encoding's own, a byte or two
 //     per list and per edge) into scratch the package keeps, so successive
@@ -126,11 +128,40 @@ type depTable struct {
 // are built, and opScratch those that ops are gathered in (by the
 // builder, and by ParseBinary), so that a process building schedule after
 // schedule allocates for each table and each rank's ops only the copy
-// Build hands over.
+// Build hands over. opKept counts the bytes opScratch holds; it never
+// reads less than that.
 var (
 	encScratch registry.Stock[[]byte]
 	opScratch  registry.Stock[rankOps]
+	opKept     atomic.Int64
 )
+
+// opKeep bounds the bytes of op scratch opScratch keeps: about 1.4 M ops
+// at 12 bytes each. Without it a process would keep, for good, a rank's
+// scratch for every rank it ever built at once, as large as the largest
+// it served (about 12 bytes per op of the largest schedule built, some
+// 800 MB for a synthetic spec at its op bound).
+const opKeep = 16 << 20
+
+// takeOps takes op scratch from opScratch.
+func takeOps() *rankOps {
+	o := opScratch.Take()
+	opKept.Add(-o.bytes())
+	return o
+}
+
+// putOps gives op scratch back to opScratch, unless it would hold more
+// than opKeep bytes: then the scratch is dropped.
+func putOps(o *rankOps) {
+	if n := o.bytes(); opKept.Add(n) > opKeep {
+		opKept.Add(-n)
+		return
+	}
+	opScratch.Put(o)
+}
+
+// bytes returns the bytes the scratch holds.
+func (o *rankOps) bytes() int64 { return int64(cap(o.shorts))*4 + int64(cap(o.side))*8 }
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
@@ -205,7 +236,7 @@ func (rb *RankBuilder) add(op Op) OpID {
 // its rank had.
 func (o *opWords) take() {
 	if o.scratch == nil {
-		o.scratch = opScratch.Take()
+		o.scratch = takeOps()
 		o.shorts, o.side = o.scratch.shorts[:0], o.scratch.side[:0]
 	}
 }
@@ -359,7 +390,7 @@ func (t *depTable) putBack() {
 func (o *opWords) putBack() {
 	if o.scratch != nil {
 		o.scratch.shorts, o.scratch.side = o.shorts[:0], o.side[:0]
-		opScratch.Put(o.scratch)
+		putOps(o.scratch)
 	}
 }
 

@@ -246,6 +246,34 @@ func (f *scratchFixture) build() *Schedule {
 	return b.Build()
 }
 
+// TestKeptOpScratchIsBounded: a build whose ranks' scratch adds up to more
+// than opKeep bytes leaves opScratch holding at most opKeep bytes, and
+// opKept counts them.
+func TestKeptOpScratchIsBounded(t *testing.T) {
+	const ranks, per = 4, opKeep / 12 / 3 // Grow takes 12 bytes an op
+	b := NewBuilder(ranks)
+	for r := range ranks {
+		rb := b.Rank(r)
+		rb.Grow(per, 0, 0)
+		for range per {
+			rb.Calc(1)
+		}
+	}
+	b.Build()
+	held := make([]*rankOps, opScratch.Len())
+	var sum int64
+	for k := range held {
+		held[k] = opScratch.Take()
+		sum += held[k].bytes()
+	}
+	for k := len(held) - 1; k >= 0; k-- {
+		opScratch.Put(held[k])
+	}
+	if sum > opKeep || sum != opKept.Load() {
+		t.Fatalf("opScratch holds %d bytes in %d scratches, opKept reads %d; want at most %d and equal", sum, len(held), opKept.Load(), opKeep)
+	}
+}
+
 // TestBuilderRefusesOutOfOrderDependencies: each of a rank's two tables
 // takes its Requires / IRequires calls in op order. A call that names an
 // op older than the last one named on its table panics, naming the rule;

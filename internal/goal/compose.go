@@ -124,12 +124,10 @@ func Compose(nodes [][]int, jobs ...*Schedule) (*Schedule, error) {
 				copy(dst.ops, rp.ops)
 			}
 			// A message's second word is its last side word.
-			for i, next := 0, dst.sideStart(); i < dst.n; i++ {
-				if s := dst.short(i); s >= shortSide {
-					op, k := expandSide(s, dst.ops, next)
-					if next += k; op.Kind() != KindCalc {
-						dst.ops[next-1] = op.WithPeer(int32(nodes[j][op.Peer()])).w2
-					}
+			c := dst.Cursor()
+			for range dst.n {
+				if op := c.Next(); op.Kind() != KindCalc {
+					dst.ops[c.next-1] = op.WithPeer(int32(nodes[j][op.Peer()])).w2
 				}
 			}
 			// Tables' bytes are immutable, so the merged schedule shares

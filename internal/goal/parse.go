@@ -94,8 +94,8 @@ func ParseBinary(data []byte) (*Schedule, error) {
 	s := &Schedule{Ranks: make([]RankProgram, nranks)}
 	// Each rank's ops are gathered in kept scratch and copied out into its
 	// one array at its exact length (packRank).
-	scratch := opScratch.Take()
-	defer opScratch.Put(scratch)
+	scratch := takeOps()
+	defer putOps(scratch)
 	for r := 0; r < int(nranks); r++ {
 		rp := &s.Ranks[r]
 		nops, err := c.uvarint()
@@ -157,17 +157,6 @@ func ParseBinary(data []byte) (*Schedule, error) {
 					}
 					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
 				}
-			}
-			// The ops a short word holds, inline; the rest through an Op.
-			switch {
-			case cpu >= shortCPUs:
-			case !msg && sz <= calcSizeShort:
-				shorts[i] = shortCalc(sz, cpu)
-				continue
-			case msg && sz <= msgSizeShort:
-				shorts[i] = shortMessage(uint64(kind-KindSend), sz, cpu)
-				side = append(side, uint64(uint32(peer))|uint64(uint32(tag))<<32) // as pack
-				continue
 			}
 			shorts[i], side = appendSide(side, pack(kind, int64(sz), peer, tag, int32(cpu)))
 		}

@@ -121,8 +121,10 @@ const (
 	// maxSyntheticOps bounds the ops a built-in pattern may generate
 	// (about 830 MB of stored ops: a rank stores a message under 64 MiB
 	// in about 12.4 bytes and a calc in 4; 1.4 GB if every message is a
-	// larger one, at 20.4), so that one short spec cannot make Run or
-	// atlahsd allocate without limit.
+	// larger one, at 20.4; and up to about 12 bytes an op of builder
+	// scratch while it is built, of which goal keeps at most 16 MiB
+	// afterwards), so that one short spec cannot make Run or atlahsd
+	// allocate without limit.
 	maxSyntheticOps = 1 << 26
 )
 
