@@ -3,6 +3,7 @@ package goal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"atlahs/internal/registry"
@@ -39,11 +40,17 @@ type OpID int32
 //     an edge only later counts first (the Chakra converter).
 //   - One Build. Build may be called once, last: the builder and its
 //     RankBuilder handles are spent afterwards and any further use panics.
+//     Every builder has handles of its own, never reused, so a spent
+//     handle cannot reach a later builder's ranks.
 //   - What is handed over: every rank's one array of short words, index
 //     and side words (see RankProgram) and each table's bytes, made from
 //     scratch at their exact length, which is the one allocation each
 //     costs. A table without edges has no bytes, so it costs nothing per
 //     op.
+//
+// So a cold build with warm scratch costs, per rank, a 32-byte
+// RankBuilder, the rank's array and the bytes of each table with edges,
+// and the schedule's 80-byte RankProgram.
 type Builder struct {
 	ranks   []RankBuilder
 	comment string
@@ -51,12 +58,12 @@ type Builder struct {
 
 // NewBuilder creates a builder for a schedule with nranks ranks.
 func NewBuilder(nranks int) *Builder {
-	if nranks <= 0 {
-		panic("goal: NewBuilder with non-positive rank count")
+	if nranks <= 0 || nranks > math.MaxInt32 {
+		panic("goal: NewBuilder with a rank count outside [1, 2^31)")
 	}
 	b := &Builder{ranks: make([]RankBuilder, nranks)}
 	for r := range b.ranks {
-		b.ranks[r].r = r
+		b.ranks[r].r = int32(r)
 	}
 	return b
 }
@@ -88,23 +95,20 @@ const spentMsg = "goal: Builder used after Build"
 // per op for each table that has any edges. An op with a value the packed
 // form cannot hold (see Op) is added in its reserved form, which Validate
 // refuses, naming the field.
+//
+// A RankBuilder is a 32-byte handle: its rank, whether it is spent, and
+// pointers to the scratch its ops and its two tables are gathered in,
+// taken from the stocks at Grow or at the first op or edge. So a cold
+// build costs NewBuilder 32 bytes per rank, whatever the rank holds.
 type RankBuilder struct {
-	r         int
+	r         int32
 	spent     bool
-	ops       opWords
-	requires  depTable
-	irequires depTable
+	ops       *rankOps
+	requires  *depTable
+	irequires *depTable
 }
 
-// opWords is a rank's ops under construction, in op order: shorts and side
-// are *scratch's, taken from opScratch at Grow or at the first op.
-type opWords struct {
-	scratch *rankOps
-	shorts  []uint32
-	side    []uint64
-}
-
-// rankOps is the scratch one rank's ops are gathered in.
+// rankOps is the scratch one rank's ops are gathered in, in op order.
 type rankOps struct {
 	shorts []uint32
 	side   []uint64
@@ -113,15 +117,13 @@ type rankOps struct {
 // depTable is one dependency table under construction: enc holds the
 // lists of ops 0 to lists-2, encoded, and the open list of op lists-1,
 // which starts at open with one byte kept for its count (count edges so
-// far); close writes the count there. enc is *scratch, taken from
-// encScratch at the first edge or Grow.
+// far); close writes the count there.
 type depTable struct {
-	scratch *[]byte
-	enc     []byte
-	lists   int32
-	open    int32
-	count   int32
-	edges   int32
+	enc   []byte
+	lists int32
+	open  int32
+	count int32
+	edges int32
 }
 
 // encScratch keeps the buffers that tables are encoded into while they
@@ -131,7 +133,7 @@ type depTable struct {
 // Build hands over. opKept counts the bytes opScratch holds; it never
 // reads less than that.
 var (
-	encScratch registry.Stock[[]byte]
+	encScratch registry.Stock[depTable]
 	opScratch  registry.Stock[rankOps]
 	opKept     atomic.Int64
 )
@@ -143,10 +145,11 @@ var (
 // 800 MB for a synthetic spec at its op bound).
 const opKeep = 16 << 20
 
-// takeOps takes op scratch from opScratch.
+// takeOps takes op scratch from opScratch, empty.
 func takeOps() *rankOps {
 	o := opScratch.Take()
 	opKept.Add(-o.bytes())
+	o.shorts, o.side = o.shorts[:0], o.side[:0]
 	return o
 }
 
@@ -164,7 +167,7 @@ func putOps(o *rankOps) {
 func (o *rankOps) bytes() int64 { return int64(cap(o.shorts))*4 + int64(cap(o.side))*8 }
 
 // Rank returns the rank index this builder appends to.
-func (rb *RankBuilder) Rank() int { return rb.r }
+func (rb *RankBuilder) Rank() int { return int(rb.r) }
 
 // Grow reserves room for exactly ops more ops and requires / irequires
 // more dependency edges on this rank, in kept scratch, with a side word
@@ -178,13 +181,17 @@ func (rb *RankBuilder) Grow(ops, requires, irequires int) {
 		panic("goal: Grow with a negative count")
 	}
 	if ops > 0 {
-		rb.ops.take()
-		rb.ops.shorts = reserve(rb.ops.shorts, ops)
-		rb.ops.side = reserve(rb.ops.side, ops)
+		o := rb.takeOps()
+		o.shorts = reserve(o.shorts, ops)
+		o.side = reserve(o.side, ops)
 	}
-	n := len(rb.ops.shorts)
-	rb.requires.grow(n+ops, requires)
-	rb.irequires.grow(n+ops, irequires)
+	n := rb.nops()
+	if requires > 0 {
+		rb.requires = grow(rb.requires, n+ops, requires)
+	}
+	if irequires > 0 {
+		rb.irequires = grow(rb.irequires, n+ops, irequires)
+	}
 }
 
 // reserve returns s with room for exactly n more elements when it has
@@ -196,49 +203,57 @@ func reserve[T any](s []T, n int) []T {
 	return append(make([]T, 0, len(s)+n), s...)
 }
 
-// grow reserves for a rank that will have nops ops and edges more edges
-// in this table: a byte per list not yet begun and two per edge, enough
-// unless edges reach more than 8 191 ops away. A table that is to stay
-// empty reserves nothing, and Build gives it no bytes.
-func (t *depTable) grow(nops, edges int) {
-	if edges > 0 {
-		t.take()
-		t.enc = reserve(t.enc, max(nops-int(t.lists), 0)+2*edges)
+// grow reserves in t, taken if nil, for a rank that will have nops ops
+// and edges (at least one) more edges in the table: a byte per list not
+// yet begun and two per edge, enough unless edges reach more than 8 191
+// ops away. A table that is to stay empty is never taken, and Build gives
+// it no bytes.
+func grow(t *depTable, nops, edges int) *depTable {
+	if t == nil {
+		t = takeTable()
 	}
+	t.enc = reserve(t.enc, max(nops-int(t.lists), 0)+2*edges)
+	return t
 }
 
-// take takes the table's scratch from encScratch, if it has none yet.
-func (t *depTable) take() {
-	if t.scratch == nil {
-		t.scratch = encScratch.Take()
-		t.enc = (*t.scratch)[:0]
-	}
+// takeTable takes a table's scratch from encScratch, empty.
+func takeTable() *depTable {
+	t := encScratch.Take()
+	*t = depTable{enc: t.enc[:0]}
+	return t
 }
 
 func (rb *RankBuilder) add(op Op) OpID {
-	if rb.spent {
-		panic(spentMsg)
+	o := rb.ops
+	if o == nil {
+		o = rb.takeOps()
 	}
-	o := &rb.ops
-	if o.scratch == nil {
-		o.take()
-	}
-	var s uint32
-	s, o.side = appendSide(o.side, op)
-	o.shorts = append(o.shorts, s)
+	o.add(op)
 	return OpID(len(o.shorts) - 1)
 }
 
-// take takes the scratch from opScratch, if it has none yet. Grow takes
-// it, with room for the ops it reserves, so that a counted producer adds
-// ops without allocating, takes the scratch in rank order whatever order
-// its ranks' ops come in, and gets back, build after build, the scratch
-// its rank had.
-func (o *opWords) take() {
-	if o.scratch == nil {
-		o.scratch = takeOps()
-		o.shorts, o.side = o.scratch.shorts[:0], o.scratch.side[:0]
+// takeOps returns the rank's op scratch, taking it from opScratch if it
+// has none yet, and panics if the builder is spent. Grow takes it, with
+// room for the ops it reserves, so that a counted producer adds ops
+// without allocating, takes the scratch in rank order whatever order its
+// ranks' ops come in, and gets back, build after build, the scratch its
+// rank had.
+func (rb *RankBuilder) takeOps() *rankOps {
+	if rb.spent {
+		panic(spentMsg)
 	}
+	if rb.ops == nil {
+		rb.ops = takeOps()
+	}
+	return rb.ops
+}
+
+// nops returns how many ops the rank has.
+func (rb *RankBuilder) nops() int {
+	if rb.ops == nil {
+		return 0
+	}
+	return len(rb.ops.shorts)
 }
 
 // Calc appends a computation of the given nanoseconds on stream 0.
@@ -290,15 +305,20 @@ func (rb *RankBuilder) IRequires(op OpID, deps ...OpID) {
 	rb.depend(&rb.irequires, op, deps)
 }
 
-func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
+func (rb *RankBuilder) depend(tp **depTable, op OpID, deps []OpID) {
 	if rb.spent {
 		panic(spentMsg)
 	}
-	if op < 0 || int(op) >= len(rb.ops.shorts) {
-		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, len(rb.ops.shorts)))
+	if n := rb.nops(); op < 0 || int(op) >= n {
+		panic(fmt.Sprintf("goal: rank %d: dependency on op %d, which has not been added (%d ops)", rb.r, op, n))
 	}
 	if len(deps) == 0 {
 		return
+	}
+	t := *tp
+	if t == nil {
+		t = takeTable()
+		*tp = t
 	}
 	if int32(op) < t.lists-1 {
 		panic(fmt.Sprintf("goal: rank %d: dependency added to op %d after one to op %d; a table's dependencies must be added in op order (see Builder)", rb.r, op, t.lists-1))
@@ -309,7 +329,6 @@ func (rb *RankBuilder) depend(t *depTable, op OpID, deps []OpID) {
 // add appends deps to op's list, op being no older than the open list's.
 func (t *depTable) add(op int32, deps []OpID) {
 	if op >= t.lists {
-		t.take()
 		t.pad(op)
 		t.open, t.count, t.lists = int32(len(t.enc)), 0, op+1
 		t.enc = append(t.enc, 0)
@@ -356,46 +375,42 @@ func (b *Builder) Build() *Schedule {
 	s := &Schedule{Comment: b.comment, Ranks: make([]RankProgram, len(b.ranks))}
 	for r := range b.ranks {
 		rb := &b.ranks[r]
-		n := len(rb.ops.shorts)
-		s.Ranks[r] = RankProgram{
-			ops:       packRank(rb.ops.shorts, rb.ops.side),
-			n:         n,
-			Requires:  rb.requires.build(int32(n)),
-			IRequires: rb.irequires.build(int32(n)),
+		rp := &s.Ranks[r]
+		if o := rb.ops; o != nil {
+			rp.ops, rp.n = packRank(o.shorts, o.side), len(o.shorts)
 		}
+		rp.Requires = rb.requires.build(int32(rp.n))
+		rp.IRequires = rb.irequires.build(int32(rp.n))
 	}
 	// The scratch goes back in the reverse of the order a producer that
 	// works rank by rank takes it, so that the next such producer's rank r
-	// gets the buffer rank r had, already the size it needs.
+	// gets the buffer rank r had, already the size it needs. Each handle
+	// is left spent, its pointers nil.
 	for r := len(b.ranks) - 1; r >= 0; r-- {
 		rb := &b.ranks[r]
-		rb.irequires.putBack()
-		rb.requires.putBack()
-		rb.ops.putBack()
-		*rb = RankBuilder{r: r, spent: true}
+		putTable(rb.irequires)
+		putTable(rb.requires)
+		if rb.ops != nil {
+			putOps(rb.ops)
+		}
+		*rb = RankBuilder{r: rb.r, spent: true}
 	}
 	b.ranks = nil
 	return s
 }
 
-// putBack gives the table's scratch back to encScratch.
-func (t *depTable) putBack() {
-	if t.scratch != nil {
-		*t.scratch = t.enc[:0]
-		encScratch.Put(t.scratch)
+// putTable gives a table's scratch, if it was taken, back to encScratch.
+func putTable(t *depTable) {
+	if t != nil {
+		encScratch.Put(t)
 	}
 }
 
-// putBack gives the ops' scratch back to opScratch.
-func (o *opWords) putBack() {
-	if o.scratch != nil {
-		o.scratch.shorts, o.scratch.side = o.shorts[:0], o.side[:0]
-		putOps(o.scratch)
-	}
-}
-
-// build finishes the table for a rank of n ops.
+// build finishes the table, nil if never taken, for a rank of n ops.
 func (t *depTable) build(n int32) Deps {
+	if t == nil {
+		return Deps{n: n}
+	}
 	d := Deps{n: n, edges: t.edges}
 	if t.edges > 0 {
 		t.pad(n)

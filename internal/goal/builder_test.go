@@ -452,7 +452,7 @@ func TestOverCountedGrowBuildsTheSame(t *testing.T) {
 // must not silently write into (or beside) a schedule someone holds.
 func TestSpentBuilderPanics(t *testing.T) {
 	b := NewBuilder(2)
-	rb := b.Rank(1)
+	rb0, rb := b.Rank(0), b.Rank(1)
 	a := rb.Calc(1)
 	c := rb.Calc(2)
 	rb.Requires(c, a)
@@ -482,5 +482,49 @@ func TestSpentBuilderPanics(t *testing.T) {
 	}
 	if n := s.Ranks[1].Len(); n != 2 {
 		t.Fatalf("schedule has %d ops after the spent builder was poked, want 2", n)
+	}
+
+	// A second builder of the same rank count, built while every handle
+	// of the first is poked, takes the scratch the first gave back: the
+	// stale handles must stay spent and leave its schedule as it would be
+	// unpoked.
+	old := []*RankBuilder{rb0, rb}
+	build := func(poke bool) *Schedule {
+		nb := NewBuilder(2)
+		for r := 0; r < 2; r++ {
+			h := nb.Rank(r)
+			h.Grow(3, 2, 1)
+			x := h.Calc(int64(5 + r))
+			y := h.Send(64, 1-r, int32(r))
+			z := h.Recv(64, 1-r, int32(1-r))
+			if poke {
+				for k, stale := range old {
+					for name, use := range map[string]func(){
+						"Calc":      func() { stale.Calc(9) },
+						"Recv":      func() { stale.Recv(8, 0, 0) },
+						"Requires":  func() { stale.Requires(0, 0) },
+						"IRequires": func() { stale.IRequires(0, 0) },
+						"Grow":      func() { stale.Grow(1, 1, 1) },
+					} {
+						func() {
+							defer func() {
+								if msg, _ := recover().(string); !strings.Contains(msg, "used after Build") {
+									t.Errorf("old handle %d: %s while a new builder builds: recovered %q, want a used-after-Build panic", k, name, msg)
+								}
+							}()
+							use()
+						}()
+					}
+				}
+			}
+			h.Requires(y, x)
+			h.Requires(z, x, y)
+			h.IRequires(z, y)
+		}
+		return nb.MustBuild()
+	}
+	poked, clean := build(true), build(false)
+	if !reflect.DeepEqual(poked, clean) {
+		t.Fatalf("a schedule built while a spent builder's handles were poked differs from one built without:\n%+v\nvs\n%+v", poked, clean)
 	}
 }

@@ -94,7 +94,7 @@ const AnyTag int32 = -1
 // Ops are read through Len, Op and Kind, or in op order through Cursor.
 // A rank holds its ops in one array of exactly the length they need:
 //
-//   - each op's 4-byte short word (see appendSide), two to a word
+//   - each op's 4-byte short word (see rankOps.add), two to a word
 //     (shortAt);
 //   - then, only if any op has side words, a rank/select index of three
 //     words per block of 64 ops: a bitmap of the block's ops that have

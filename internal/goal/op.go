@@ -30,7 +30,7 @@ import (
 // reserved form — has a w2; every other op's w2 is 0.
 //
 // A rank does not store these words as they are: it stores each op as a
-// 4-byte short word (see appendSide) and keeps w1 and w2 only where the short
+// 4-byte short word (see rankOps.add) and keeps w1 and w2 only where the short
 // word cannot hold them (see RankProgram).
 //
 // The one message cpu code above maxMessageCPU marks the reserved form,
@@ -194,15 +194,21 @@ func shortMessage(recv, size, cpu uint64) uint32 {
 	return uint32(shortMsg | recv<<30 | cpu<<msgCPUAt | size)
 }
 
-// appendSide returns o's short word, appending its side words to side.
-func appendSide(side []uint64, o Op) (uint32, []uint64) {
+// add appends o's short word to r.shorts and its side words to r.side:
+// the one writer of the short-word layout, for the builder and
+// ParseBinary alike. Both slices are appended to in place, so an op that
+// fits their capacity stores only their lengths.
+func (r *rankOps) add(o Op) {
 	w := o.w1
 	if w&msgBit == 0 {
 		if cpu, size := w>>calcCPUShift, w&calcSizeMask; cpu < shortCPUs && size <= calcSizeShort {
-			return shortCalc(size, cpu), side
+			r.shorts = append(r.shorts, shortCalc(size, cpu))
+			return
 		}
 	} else if cpu, size := w>>cpuShift&cpuMask, w&sizeMask; cpu < shortCPUs && size <= msgSizeShort {
-		return shortMessage(w>>62&1, size, cpu), append(side, o.w2)
+		r.shorts = append(r.shorts, shortMessage(w>>62&1, size, cpu))
+		r.side = append(r.side, o.w2)
+		return
 	}
 	// A long op: its kind bits and cpu code 15, and its whole words.
 	s := uint32(shortSide)
@@ -210,9 +216,12 @@ func appendSide(side []uint64, o Op) (uint32, []uint64) {
 		s = uint32(w>>62<<30) | msgLong
 	}
 	if w >= sideMark {
-		return s | shortTwo, append(side, w, o.w2)
+		r.shorts = append(r.shorts, s|shortTwo)
+		r.side = append(r.side, w, o.w2)
+		return
 	}
-	return s, append(side, w)
+	r.shorts = append(r.shorts, s)
+	r.side = append(r.side, w)
 }
 
 // calcOf returns the op whose short word s is a short calc's (s <

@@ -51,13 +51,14 @@ func TestOpSize(t *testing.T) {
 // to build and one RankProgram per rank to hold. A RankProgram is one
 // array, an op count and two tables: 80 bytes on a 64-bit platform (104
 // with 24-byte ops, 96 with first words and a side array). A RankBuilder
-// may not grow past its 168 bytes.
+// is a handle of its rank, the spent flag and three pointers to scratch:
+// 32 bytes (168 when it held its ops' and tables' state itself).
 func TestRankTypesDoNotGrow(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if n := unsafe.Sizeof(RankBuilder{}); n > 168 {
-		t.Errorf("a RankBuilder is %d bytes, want at most 168", n)
+	if n := unsafe.Sizeof(RankBuilder{}); n > 32 {
+		t.Errorf("a RankBuilder is %d bytes, want at most 32", n)
 	}
 	if n := unsafe.Sizeof(RankProgram{}); n != 80 {
 		t.Errorf("a RankProgram is %d bytes, want 80", n)
@@ -228,7 +229,7 @@ type refRank []Op
 
 // drawRank draws a rank of nops ops for rank r of nranks, in op order.
 // shape picks what the rank may hold beyond short calcs and messages (see
-// appendSide): bit 0 no messages, bit 1 calcs of 2^42 ns and more (up to
+// rankOps.add): bit 0 no messages, bit 1 calcs of 2^42 ns and more (up to
 // 2^63 − 1) and messages up to 1 TiB, bit 2 ops on a negative or large
 // cpu, bit 3 ops in the reserved form, bit 6 sizes and cpus either side
 // of every short-form width, and bit 7 only long ops. A rank drawn with

@@ -106,8 +106,8 @@ func ParseBinary(data []byte) (*Schedule, error) {
 		if nops > uint64(c.remaining())/2 {
 			return nil, fmt.Errorf("goal: rank %d: op count %d exceeds remaining input (%d bytes)", r, nops, c.remaining())
 		}
-		shorts, side := slices.Grow(scratch.shorts[:0], int(nops))[:nops], scratch.side[:0]
-		for i := range shorts {
+		ops := rankOps{shorts: slices.Grow(scratch.shorts[:0], int(nops)), side: scratch.side[:0]}
+		for i := range int(nops) {
 			flags, err := c.byte()
 			if err != nil {
 				return nil, fmt.Errorf("goal: rank %d op %d: %w", r, i, err)
@@ -158,10 +158,10 @@ func ParseBinary(data []byte) (*Schedule, error) {
 					return nil, fmt.Errorf("goal: rank %d op %d cpu: %w", r, i, err)
 				}
 			}
-			shorts[i], side = appendSide(side, pack(kind, int64(sz), peer, tag, int32(cpu)))
+			ops.add(pack(kind, int64(sz), peer, tag, int32(cpu)))
 		}
-		scratch.shorts, scratch.side = shorts[:0], side[:0]
-		rp.ops, rp.n = packRank(shorts, side), int(nops)
+		scratch.shorts, scratch.side = ops.shorts[:0], ops.side[:0]
+		rp.ops, rp.n = packRank(ops.shorts, ops.side), int(nops)
 		if rp.Requires, err = parseDeps(c, int(nops)); err != nil {
 			return nil, fmt.Errorf("goal: rank %d requires: %w", r, err)
 		}

@@ -10,7 +10,8 @@
 //
 // Stock is the one kind of kept scratch: memory a call works in and gives
 // back for the next call in the same process (sim's run states, the nsys
-// converter's scratches, goal's encode chunks and cycle-check arrays).
+// converter's scratches, goal's encode chunks, cycle-check arrays and
+// builder scratch, results' document encoders).
 package registry
 
 import (

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -307,7 +306,7 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var sr SweepRequest
-	if err := results.DecodeDoc(bytes.NewReader(body), "sweep", SweepSchema, &sr); err != nil {
+	if err := results.DecodeDoc(body, "sweep", SweepSchema, &sr); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -639,6 +639,7 @@ func runSweep(id string, res *sim.Result) *results.Sweep {
 	}
 	sw.AddColumn("rank", results.Int, "")
 	sw.AddColumn("end", results.Duration, "ps")
+	sw.Rows = make([]results.Record, 0, len(res.RankEnd))
 	for rank, end := range res.RankEnd {
 		sw.MustAddRow(int64(rank), int64(end))
 	}

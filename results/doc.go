@@ -217,8 +217,14 @@
 // document layout, so consumers should select columns by name, not by
 // position. Documents written to files and standard output go through
 // EncodeDoc or MarshalDoc, in one canonical form: JSON indented by two
-// spaces, followed by a newline. Sweeps go through AppendJSON, which
-// writes that form byte for byte.
+// spaces, followed by a newline. Both render through the one kept
+// json.Encoder (a registry.Stock of encoders, each keeping the buffer it
+// indents into, up to 1 MiB), so every document writer — the sidecar,
+// metrics, model, diff and spec documents — is encoding/json's and
+// allocates no buffer of its own; MarshalDoc allocates only the copy it
+// returns. Sweeps go through AppendJSON, which writes that form byte for
+// byte. DecodeDoc checks what follows the document in the bytes it was
+// given, so reading one allocates no second buffer.
 //
 // Encode→decode is lossless for every document with a reader:
 // DecodeJSON(EncodeJSON(s)) reproduces the Sweep exactly (the round-trip

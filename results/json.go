@@ -329,7 +329,7 @@ const hexDigits = "0123456789abcdef"
 // encoded one.
 func DecodeJSON(r io.Reader) (*Sweep, error) {
 	var js jsonSweep
-	if err := DecodeDoc(r, "sweep", Schema, &js); err != nil {
+	if err := readDoc(r, "sweep", Schema, &js); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
 	s := &Sweep{

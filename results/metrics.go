@@ -120,7 +120,7 @@ func EncodeMetricsJSON(w io.Writer, ms *MetricsSnapshot) error {
 // EncodeMetricsJSON through DecodeDoc, rejecting malformed samples.
 func DecodeMetricsJSON(r io.Reader) (*MetricsSnapshot, error) {
 	var ms MetricsSnapshot
-	if err := DecodeDoc(r, "metrics", MetricsSchema, &ms); err != nil {
+	if err := readDoc(r, "metrics", MetricsSchema, &ms); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
 	if err := ms.Validate(); err != nil {

@@ -230,7 +230,7 @@ func EncodeModelJSON(w io.Writer, m *WorkloadModel) error {
 // model compares equal (DeepEqual) to the encoded one.
 func DecodeModelJSON(r io.Reader) (*WorkloadModel, error) {
 	var jm jsonModel
-	if err := DecodeDoc(r, "model", ModelSchema, &jm); err != nil {
+	if err := readDoc(r, "model", ModelSchema, &jm); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
 	m := jm.WorkloadModel

@@ -1,7 +1,6 @@
 package results
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -234,7 +233,7 @@ func (st *Store) LoadMeta(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := DecodeDoc(bytes.NewReader(b), "run metadata", MetaSchema, v); err != nil {
+	if err := DecodeDoc(b, "run metadata", MetaSchema, v); err != nil {
 		return fmt.Errorf("results: loading meta for %q: %w", name, err)
 	}
 	return nil

@@ -157,7 +157,7 @@ func encodeWorkload(j *Workload) (*wireJob, error) {
 // time like any other Spec.
 func UnmarshalSpec(b []byte) (Spec, error) {
 	var ws wireSpec
-	if err := results.DecodeDoc(bytes.NewReader(b), "spec", SpecSchema, &ws); err != nil {
+	if err := results.DecodeDoc(b, "spec", SpecSchema, &ws); err != nil {
 		return Spec{}, fmt.Errorf("sim: %w", err)
 	}
 	single, err := decodeWorkload(&ws.wireJob)
@@ -279,7 +279,7 @@ func decodePayload(kind, name string, proto func() any, raw json.RawMessage) (an
 		return nil, fmt.Errorf("sim: %s %q declares no wire config type; drop the config payload", kind, name)
 	}
 	p := proto()
-	if err := results.DecodeStrict(bytes.NewReader(raw), p); err != nil {
+	if err := results.DecodeStrict(raw, p); err != nil {
 		return nil, fmt.Errorf("sim: decoding %s %q config: %w", kind, name, err)
 	}
 	cfg := reflect.ValueOf(p).Elem().Interface()
