@@ -46,20 +46,16 @@ func allocSpec(t *testing.T, i int) []byte {
 // rendered by json.MarshalIndent and the spec's strict decoder refilling
 // its buffer for the trailing-data check; 38.2 to 39.2 kB (GOMAXPROCS 1
 // to 16, on 2 cores) with a 32-byte handle, the kept document encoder and
-// the check made on the spec's bytes.
+// the check made on the spec's bytes; 34.3 to 35.0 kB with a re-submission
+// probed by its bytes, the look-aside key hashed as it is encoded, the body
+// read at its length and the artifact rendered from a kept sweep.
 func TestRequestAllocation(t *testing.T) {
 	const warm, measured = 20, 30
 	svc := newService(t, Config{Jobs: 1, ArtifactDir: t.TempDir()})
 	h := NewHandler(svc)
 	post := func(body []byte, want string) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("submit: %d\n%s", rec.Code, rec.Body.String())
-		}
-		if got := rec.Header().Get("Cache-Status"); got != want {
-			t.Fatalf("Cache-Status %q, want %q", got, want)
+		if code, status := postRun(h, body); code != http.StatusOK || status != want {
+			t.Fatalf("submit: %d, Cache-Status %q, want %q", code, status, want)
 		}
 	}
 	bodies := make([][]byte, warm+measured)
@@ -84,7 +80,68 @@ func TestRequestAllocation(t *testing.T) {
 	}
 }
 
+// TestResubmissionAllocation holds what a re-submission allocates: the
+// canonical bytes of specs the service has run, posted again, each
+// answered from the look-aside index. A body that hashes to a filed key is
+// neither decoded nor encoded again to be keyed, so a re-submission costs
+// reading its body, the probe's snapshot and the response. It measured
+// 10.8 kB and 55 allocations per request with each body decoded and its
+// key re-encoded from the decoded spec; 7.73 to 7.79 kB and 31
+// allocations (GOMAXPROCS 1 to 16, on 2 cores) with the body probed as it
+// arrived. About 4 kB of it is httptest.NewRequest's reader.
+func TestResubmissionAllocation(t *testing.T) {
+	const specs, rounds = 30, 4
+	svc := newService(t, Config{Jobs: 1})
+	h := NewHandler(svc)
+	bodies := make([][]byte, specs)
+	for i := range bodies {
+		bodies[i] = allocSpec(t, i)
+		if code, status := postRun(h, bodies[i]); code != http.StatusOK || status != "miss" {
+			t.Fatalf("cold submission: %d, Cache-Status %q", code, status)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		for _, b := range bodies {
+			if code, status := postRun(h, b); code != http.StatusOK || status != "hit" {
+				t.Fatalf("re-submission: %d, Cache-Status %q", code, status)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(specs * rounds)
+	perRequest := float64(after.TotalAlloc-before.TotalAlloc) / n
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.0f bytes and %.1f allocations per re-submission over %.0f requests", perRequest, mallocs, n)
+	if raceEnabled {
+		return
+	}
+	if perRequest > resubmitAllocCeiling {
+		t.Errorf("a re-submission allocated %.0f bytes, ceiling %d", perRequest, resubmitAllocCeiling)
+	}
+	if mallocs > resubmitMallocCeiling {
+		t.Errorf("a re-submission made %.1f allocations, ceiling %d", mallocs, resubmitMallocCeiling)
+	}
+}
+
+// postRun posts one spec body to POST /v1/runs?wait=1 without a socket and
+// returns the status code and the Cache-Status header.
+func postRun(h http.Handler, body []byte) (int, string) {
+	rec := serve(h, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
+	return rec.Code, rec.Header().Get("Cache-Status")
+}
+
+// resubmitAllocCeiling and resubmitMallocCeiling are
+// TestResubmissionAllocation's bounds per request: above the readings at
+// every GOMAXPROCS, below the 10.8 kB and 55 allocations of the costs they
+// hold down.
+const (
+	resubmitAllocCeiling  = 8000
+	resubmitMallocCeiling = 33
+)
+
 // requestAllocCeiling is TestRequestAllocation's bound in bytes per
-// request: above the readings at every GOMAXPROCS, below the 46.9 kB of
+// request: above the readings at every GOMAXPROCS, below the 38.2 kB of
 // the costs it holds down.
-const requestAllocCeiling = 40500
+const requestAllocCeiling = 35600

@@ -127,10 +127,23 @@ func NewHandler(svc *Service) http.Handler {
 	return mux
 }
 
-// readBody drains one bounded request body, rendering the error responses
-// itself; ok=false means a response was already written.
+// readBody reads one bounded request body, rendering the error responses
+// itself; ok=false means a response was already written. A body declared
+// over maxSpecBytes is refused unread, one of known length is read by
+// readLength, and one of unknown length (chunked) is read to its end, up to
+// one byte past the bound.
 func (s *Service) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxSpecBytes+1))
+	if req.ContentLength > maxSpecBytes {
+		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxSpecBytes))
+		return nil, false
+	}
+	var body []byte
+	var err error
+	if req.ContentLength < 0 {
+		body, err = io.ReadAll(io.LimitReader(req.Body, maxSpecBytes+1))
+	} else {
+		body, err = readLength(req.Body, req.ContentLength)
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return nil, false
@@ -140,6 +153,33 @@ func (s *Service) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bo
 		return nil, false
 	}
 	return body, true
+}
+
+// bodyPresize is as far as readLength trusts a declared length before
+// any of the body has arrived: a client that declares a large body and
+// sends none of it holds no more than this.
+const bodyPresize = 64 << 10
+
+// readLength reads a body of declared length n. A body of up to
+// bodyPresize bytes is read into one slice of its length; a longer one
+// grows by doubling as its bytes arrive. A body that ends short is
+// io.ErrUnexpectedEOF.
+func readLength(r io.Reader, n int64) ([]byte, error) {
+	body := make([]byte, min(n, bodyPresize))
+	for read := 0; ; {
+		k, err := io.ReadFull(r, body[read:])
+		read += k
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if int64(read) == n {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(n-int64(read), int64(read)))...)
+	}
 }
 
 // submitClass maps the optional X-Submitter header onto an admission
@@ -169,12 +209,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := sim.UnmarshalSpec(body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	snap, err := s.SubmitIn(class, spec)
+	// The spec is admitted as its bytes: a re-submission of a spec's
+	// canonical encoding is answered without decoding it.
+	snap, err := s.submit(class, submission{wire: body})
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", retryAfterSeconds)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -147,6 +148,41 @@ func TestArtifactEncodedOnce(t *testing.T) {
 	}
 	if !bytes.Equal(stored, want.Bytes()) {
 		t.Fatalf("stored artifact differs from EncodeJSON of the run's sweep:\n%s\nvs\n%s", stored, want.Bytes())
+	}
+}
+
+// TestKeptSweepRendersAsFresh: execute renders each artifact from a kept
+// sweep. Whatever that sweep held, the artifact is the one a fresh sweep
+// of the run encodes to: a run with more ranks and a jobs param, then one
+// with fewer and none, then the first again. A sweep of more than
+// sweepKeep rows is not kept.
+func TestKeptSweepRendersAsFresh(t *testing.T) {
+	big := &sim.Result{Backend: "pkt", Ranks: 6, RankEnd: []sim.Time{5, 600, 70000, 8, 9, 1000000},
+		JobNodes: [][]int{{0, 1, 2}, {3, 4, 5}}, Runtime: 1000000, Ops: 40, Events: 90,
+		Done: sim.Tally{Calcs: 20, Sends: 10, Recvs: 10}}
+	small := &sim.Result{Backend: "lgs", Ranks: 2, RankEnd: []sim.Time{300, 4000},
+		Runtime: 4000, Ops: 4, Events: 7, Done: sim.Tally{Calcs: 2, Sends: 1, Recvs: 1}}
+	for i, res := range []*sim.Result{big, small, big} {
+		id := fmt.Sprintf("r_%016x", i)
+		got, err := renderArtifact(id, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := results.AppendJSON(nil, runSweep(id, res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: the kept sweep rendered\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	kept := runSweeps.Len()
+	huge := &sim.Result{Backend: "lgs", Ranks: sweepKeep + 1, RankEnd: make([]sim.Time, sweepKeep+1)}
+	if _, err := renderArtifact("r_huge", huge); err != nil {
+		t.Fatal(err)
+	}
+	if got := runSweeps.Len(); got != kept-1 {
+		t.Fatalf("after a run of %d ranks the stock holds %d sweeps, want %d", sweepKeep+1, got, kept-1)
 	}
 }
 

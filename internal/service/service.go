@@ -8,7 +8,12 @@
 // atlahs.results/v1 artifact without simulating again, and concurrent
 // duplicates collapse onto the in-flight run (single-flight). This is
 // sound because Results are deterministic: equal fingerprints imply
-// bit-identical results. With an ArtifactDir the cache is also durable:
+// bit-identical results. A self-contained spec is also filed under a
+// lookaside key, the SHA-256 of its canonical wire encoding, which answers
+// its re-submissions without resolving the workload; a POST /v1/runs body
+// that is that encoding (what sim.MarshalSpec writes) is hashed as it
+// arrived, so such a re-submission is neither decoded nor encoded again.
+// With an ArtifactDir the cache is also durable:
 // every completed run persists its artifact plus a metadata sidecar to
 // the results.Store, and a restarted service rebuilds its run index from
 // those artifacts on boot, so re-submissions keep hitting across process
@@ -32,10 +37,12 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"atlahs/internal/registry"
 	"atlahs/internal/telemetry"
 	"atlahs/results"
 	"atlahs/sim"
@@ -161,11 +168,14 @@ type Service struct {
 	closed bool
 	runs   map[string]*run
 	// lookaside short-circuits re-submissions of self-contained specs: it
-	// maps the SHA-256 of a spec's canonical wire encoding (execution
-	// knobs normalised away) to the run id, skipping workload resolution
-	// entirely. Sound because a self-contained spec's wire encoding alone
-	// determines its Fingerprint (see sim.Spec.SelfContained); file-backed
-	// specs never enter it.
+	// maps the hex SHA-256 of a spec's canonical wire encoding (MarshalSpec
+	// with the execution knobs normalised away) to the run id, skipping
+	// workload resolution entirely. Sound because a self-contained spec's
+	// wire encoding alone determines its Fingerprint (see
+	// sim.Spec.SelfContained); file-backed specs never enter it. Only
+	// canonical keys are filed, so admit probes a body's own hash first: a
+	// body that is the canonical encoding finds its run undecoded, and any
+	// other body is decoded and keyed from the decoded spec.
 	lookaside map[string]string
 	// doneOrder lists completed run ids oldest-first — the cache's
 	// eviction order.
@@ -246,17 +256,30 @@ func (s *Service) Submit(spec sim.Spec) (Snapshot, error) {
 // starve the others. An empty class means DefaultClass. A run is admitted
 // as a sweep of one: the same admit call, the same rules.
 func (s *Service) SubmitIn(class string, spec sim.Spec) (Snapshot, error) {
-	if class == "" {
-		class = DefaultClass
-	}
 	if spec.Observer != nil {
 		return Snapshot{}, fmt.Errorf("service: specs may not carry an Observer; use Subscribe on the returned run id")
 	}
-	adm, _, err := s.admit(class, []sim.Spec{spec})
+	return s.submit(class, submission{spec: spec})
+}
+
+// submit admits one submission in class, DefaultClass when empty.
+func (s *Service) submit(class string, sub submission) (Snapshot, error) {
+	if class == "" {
+		class = DefaultClass
+	}
+	adm, _, err := s.admit(class, []submission{sub})
 	if err != nil {
 		return Snapshot{}, err
 	}
 	return adm[0].snap, nil
+}
+
+// submission is one spec offered to admit: the body POST /v1/runs read,
+// or the decoded spec when wire is nil. admit decodes, and
+// then pins, each spec in place.
+type submission struct {
+	wire []byte
+	spec sim.Spec
 }
 
 // admitted is one unique run behind an admitted set of specs, with the
@@ -266,61 +289,79 @@ type admitted struct {
 	snap Snapshot
 }
 
-// admit is the one admission path: Submit hands it one spec, SubmitSweep
-// N. It returns the unique runs behind the specs in first-appearance
-// order (duplicates collapse — against each other and against the cache).
-// Admission is all or none: on any error nothing was enqueued or counted;
-// when one spec is to blame (it does not resolve) its index comes back,
-// otherwise -1. An empty class queues the cold runs under a class of the
-// set's own, derived from its content like the sweep id.
-func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error) {
-	type member struct {
-		admitted
-		id, fp, lookKey string
-		pinned          sim.Spec
-		verdict         *telemetry.Counter // the cache-verdict counter this member bumps
-	}
-	var members []*member
-	byID := make(map[string]*member, len(specs))
-	// Phase 1, without holding the service lock across resolution: find
-	// every spec's run id, collapsing duplicates as they surface.
-	for i := range specs {
-		m := &member{lookKey: s.lookasideKey(specs[i])}
-		if m.lookKey != "" {
-			// Fast path: a self-contained re-submission is recognised by its
-			// canonical wire bytes alone, without regenerating and digesting
-			// the workload. The member keeps the *run the probe found and is
-			// joined to it whatever the cache does to its address while the
-			// rest of the set resolves — eviction in between cannot leave a
-			// sweep with a member it knows only by name. Failed runs fall
-			// through to the full path, which retries them.
-			s.mu.Lock()
-			if r, ok := s.runs[s.lookaside[m.lookKey]]; ok {
-				if snap := r.snapshot(); snap.Status != StatusFailed {
-					m.id, m.run, m.snap, m.verdict = r.id, r, snap, &s.metrics.cacheLookaside
-				}
-			}
-			s.mu.Unlock()
+// member is admit's record of one submission: the run it joined or will
+// start, and how the cache answered it.
+type member struct {
+	admitted
+	id, fp string
+	key    lookKey
+	// sub indexes the submission whose pinned spec a cold member runs.
+	sub     int
+	verdict *telemetry.Counter // the cache-verdict counter this member bumps
+}
+
+// admit is the one admission path: Submit hands it one submission,
+// SubmitSweep N. It returns the unique runs behind the submissions in
+// first-appearance order (duplicates collapse — against each other and
+// against the cache). Admission is all or none: on any error nothing was
+// enqueued or counted; when one submission is to blame (it does not decode
+// or resolve) its index comes back, otherwise -1. An empty class queues the
+// cold runs under a class of the set's own, derived from its content like
+// the sweep id.
+func (s *Service) admit(class string, subs []submission) ([]admitted, int, error) {
+	members := make([]member, len(subs))
+	// Phase 1, without holding the service lock across decoding and
+	// resolution. Wire bytes are probed first: a body that is a spec's
+	// canonical encoding (what MarshalSpec writes) hashes to exactly the
+	// key filed for that spec, so its re-submission joins the run here,
+	// undecoded. Every other body is decoded before any member resolves.
+	for i := range subs {
+		if subs[i].wire == nil || s.probe(&members[i], keyOf(subs[i].wire)) {
+			continue
 		}
+		spec, err := sim.UnmarshalSpec(subs[i].wire)
+		if err != nil {
+			return nil, i, err
+		}
+		subs[i].spec = spec
+	}
+	// Then find every other spec's run id, collapsing duplicates as they
+	// surface.
+	seen := make(map[string]bool, len(subs))
+	unique := members[:0]
+	for i := range members {
+		m := members[i]
+		m.sub = i
 		if m.run == nil {
-			// Resolve the workload once, under the admission bound: the
-			// pinned spec carries its resolved schedule into the executor,
-			// so a cold run converts its traces exactly once.
-			pinned, fp, err := s.resolve(specs[i])
-			if err != nil {
-				return nil, i, err
+			// A decoded self-contained spec is recognised by its canonical
+			// wire bytes alone, without regenerating and digesting the
+			// workload. A member keeps the *run the probe found and is joined
+			// to it whatever the cache does to its address while the rest of
+			// the set resolves: eviction in between cannot leave a sweep with
+			// a member it knows only by name.
+			m.key = lookasideKey(subs[i].spec)
+			if !m.key.ok() || !s.probe(&m, m.key) {
+				// Resolve the workload once, under the admission bound: the
+				// pinned spec carries its resolved schedule into the
+				// executor, so a cold run converts its traces exactly once.
+				pinned, fp, err := s.resolve(subs[i].spec)
+				if err != nil {
+					return nil, i, err
+				}
+				subs[i].spec = pinned
+				m.id, m.fp = runID(fp), fp
 			}
-			m.id, m.fp, m.pinned = runID(fp), fp, pinned
 		}
-		if _, dup := byID[m.id]; !dup {
-			byID[m.id] = m
-			members = append(members, m)
+		if !seen[m.id] {
+			seen[m.id] = true
+			unique = append(unique, m)
 		}
 	}
+	members = unique
 	if class == "" {
 		ids := make([]string, len(members))
-		for i, m := range members {
-			ids[i] = m.id
+		for i := range members {
+			ids[i] = members[i].id
 		}
 		class = "sweep:" + sweepID(ids)
 	}
@@ -333,14 +374,15 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 		return nil, -1, ErrClosed
 	}
 	var cold []*run
-	for _, m := range members {
+	for i := range members {
+		m := &members[i]
 		if m.run != nil {
-			continue // joined at the probe
+			continue // joined at a probe
 		}
 		if r, ok := s.runs[m.id]; ok {
 			if snap := r.snapshot(); snap.Status != StatusFailed {
 				m.run, m.snap, m.verdict = r, snap, &s.metrics.cacheHit
-				s.indexLocked(m.lookKey, r)
+				s.indexLocked(m.key, r)
 				continue
 			}
 			// A failure is not a result: drop the terminal failed run and
@@ -348,7 +390,7 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 			// does not poison the content address forever.
 			s.dropLocked(m.id)
 		}
-		m.run, m.verdict = newRun(m.id, m.fp, m.pinned), &s.metrics.cacheMiss
+		m.run, m.verdict = newRun(m.id, m.fp, subs[m.sub].spec), &s.metrics.cacheMiss
 		m.run.class = class
 		m.run.mx = s.metrics
 		m.snap = m.run.snapshot()
@@ -358,15 +400,16 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 		s.mu.Unlock()
 		return nil, -1, err
 	}
-	for _, m := range members {
-		if m.verdict == &s.metrics.cacheMiss {
+	for i := range members {
+		if m := &members[i]; m.verdict == &s.metrics.cacheMiss {
 			s.runs[m.id] = m.run
-			s.indexLocked(m.lookKey, m.run)
+			s.indexLocked(m.key, m.run)
 		}
 	}
 	s.mu.Unlock()
 	out := make([]admitted, len(members))
-	for i, m := range members {
+	for i := range members {
+		m := &members[i]
 		m.verdict.Inc()
 		if m.verdict != &s.metrics.cacheMiss {
 			m.snap.Cached = true
@@ -379,6 +422,23 @@ func (s *Service) admit(class string, specs []sim.Spec) ([]admitted, int, error)
 	return out, -1, nil
 }
 
+// probe joins m to the run filed under a lookaside key and reports
+// whether it did. A failed run is not joined: the full path retries it.
+func (s *Service) probe(m *member, key lookKey) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.runs[s.lookaside[string(key[:])]]
+	if !ok {
+		return false
+	}
+	snap := r.snapshot()
+	if snap.Status == StatusFailed {
+		return false
+	}
+	m.id, m.run, m.snap, m.verdict = r.id, r, snap, &s.metrics.cacheLookaside
+	return true
+}
+
 // resolve resolves one spec under the admission bound. The slot is
 // released however resolution ends: a generator that panics (which the
 // HTTP server recovers per request) must not take it for good.
@@ -388,14 +448,15 @@ func (s *Service) resolve(spec sim.Spec) (sim.Spec, string, error) {
 	return sim.ResolveSpec(spec)
 }
 
-// indexLocked files a run under a lookaside key (no-op for the empty key
+// indexLocked files a run under a lookaside key (no-op for the zero key
 // of a file-backed spec, and for a key already filed under this run: the
 // submissions that join a run in admit's second phase all bring its key).
 // The caller holds s.mu.
-func (s *Service) indexLocked(key string, r *run) {
-	if key != "" && s.lookaside[key] != r.id {
-		s.lookaside[key] = r.id
-		r.lookKeys = append(r.lookKeys, key)
+func (s *Service) indexLocked(key lookKey, r *run) {
+	if key.ok() && s.lookaside[string(key[:])] != r.id {
+		k := string(key[:])
+		s.lookaside[k] = r.id
+		r.lookKeys = append(r.lookKeys, k)
 	}
 }
 
@@ -440,23 +501,40 @@ func (s *Service) dropLocked(id string) {
 	}
 }
 
+// lookKey is a lookaside key: the hex SHA-256 of a spec's canonical wire
+// encoding. It is an array, so that a probe builds and looks it up without
+// allocating; the zero key is no key.
+type lookKey [2 * sha256.Size]byte
+
+// ok reports whether k is a key (hex digits are never zero bytes).
+func (k lookKey) ok() bool { return k[0] != 0 }
+
+// keyOf is the lookaside key that wire bytes hash to.
+func keyOf(wire []byte) (k lookKey) {
+	sum := sha256.Sum256(wire)
+	hex.Encode(k[:], sum[:])
+	return k
+}
+
 // lookasideKey computes the fast-path cache key: the SHA-256 of the
 // spec's canonical wire encoding with the result-neutral execution knobs
-// normalised away. Empty when the spec is file-backed (the key would go
-// stale with the file) or cannot be marshalled (third-party config
-// without a wire type) — those take the full fingerprint path.
-func (s *Service) lookasideKey(spec sim.Spec) string {
+// normalised away, hashed as sim.EncodeSpec writes it. The zero key when
+// the spec is file-backed (the key would go stale with the file) or cannot
+// be encoded (third-party config without a wire type) — those take the
+// full fingerprint path.
+func lookasideKey(spec sim.Spec) (k lookKey) {
 	if !spec.SelfContained() {
-		return ""
+		return k
 	}
 	spec.Workers = 0
 	spec.ProgressEvery = 0
-	b, err := sim.MarshalSpec(spec)
-	if err != nil {
-		return ""
+	h := sha256.New()
+	if err := sim.EncodeSpec(h, spec); err != nil {
+		return k
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var sum [sha256.Size]byte
+	hex.Encode(k[:], h.Sum(sum[:0]))
+	return k
 }
 
 // Get returns the run at a content address.
@@ -537,7 +615,7 @@ func (s *Service) execute(r *run) {
 	}
 	s.metrics.engineEvents.Add(res.Events)
 	// The artifact is encoded once: the store writes the bytes it serves.
-	artifact, err := results.AppendJSON(nil, runSweep(r.id, res))
+	artifact, err := renderArtifact(r.id, res)
 	if err != nil {
 		s.finishRun(r, wall, nil, nil, fmt.Errorf("service: encoding run artifact: %w", err))
 		return
@@ -629,25 +707,65 @@ func (s *Service) noteDone(id string) {
 // atlahs.results/v1 artifact: a per-rank completion table named by the
 // run id, with the headline scalars as derived values. Wall-clock and
 // worker-count measurements are deliberately absent — the artifact must
-// be byte-identical across re-simulations of the same fingerprint.
+// be byte-identical across re-simulations of the same fingerprint. It
+// fills a fresh sweep through fillRunSweep, the function execute renders
+// every artifact through.
 func runSweep(id string, res *sim.Result) *results.Sweep {
-	sw := results.NewSweep(id, "atlahs service run "+id, "service")
+	sw := new(results.Sweep)
+	fillRunSweep(sw, id, res)
+	return sw
+}
+
+// runSweeps keeps the sweeps execute renders artifacts from, one per run
+// rendered at the same time, so that a cold run does not build its table
+// again row by row. A sweep that held more than sweepKeep rows is dropped
+// rather than kept.
+var runSweeps registry.Stock[results.Sweep]
+
+// sweepKeep bounds the rows a kept sweep holds, about 1 MiB of them.
+const sweepKeep = 1 << 14
+
+// renderArtifact encodes one run's artifact from a kept sweep.
+func renderArtifact(id string, res *sim.Result) ([]byte, error) {
+	sw := runSweeps.Take()
+	fillRunSweep(sw, id, res)
+	artifact, err := results.AppendJSON(nil, sw)
+	if cap(sw.Rows) <= sweepKeep {
+		runSweeps.Put(sw)
+	}
+	return artifact, err
+}
+
+// fillRunSweep writes runSweep's sweep into sw, reusing the rows, cells
+// and maps sw holds: every field, row and cell is written before the sweep
+// is read, so nothing of an earlier run shows.
+func fillRunSweep(sw *results.Sweep, id string, res *sim.Result) {
+	sw.Name, sw.Title, sw.Mode = id, "atlahs service run "+id, "service"
+	clear(sw.Params)
 	sw.SetParam("backend", res.Backend)
 	sw.SetParam("ranks", strconv.Itoa(res.Ranks))
 	if len(res.JobNodes) > 0 {
 		sw.SetParam("jobs", strconv.Itoa(len(res.JobNodes)))
 	}
+	sw.Columns = sw.Columns[:0]
 	sw.AddColumn("rank", results.Int, "")
 	sw.AddColumn("end", results.Duration, "ps")
-	sw.Rows = make([]results.Record, 0, len(res.RankEnd))
+	sw.Rows = slices.Grow(sw.Rows[:0], len(res.RankEnd))[:len(res.RankEnd)]
 	for rank, end := range res.RankEnd {
-		sw.MustAddRow(int64(rank), int64(end))
+		rec := sw.Rows[rank]
+		if cap(rec) < 2 {
+			rec = make(results.Record, 2)
+		}
+		rec = rec[:2]
+		rec[0], rec[1] = int64(rank), int64(end)
+		sw.Rows[rank] = rec
 	}
+	clear(sw.Derived)
 	sw.SetDerived("runtime_ps", float64(res.Runtime))
 	sw.SetDerived("ops", float64(res.Ops))
 	sw.SetDerived("events", float64(res.Events))
 	sw.SetDerived("done_calcs", float64(res.Done.Calcs))
 	sw.SetDerived("done_sends", float64(res.Done.Sends))
 	sw.SetDerived("done_recvs", float64(res.Done.Recvs))
-	return sw
+	sw.Notes = sw.Notes[:0]
 }

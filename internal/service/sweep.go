@@ -71,12 +71,14 @@ func (s *Service) SubmitSweep(class string, specs []sim.Spec) (BatchSnapshot, er
 	if len(specs) > maxSweepSpecs {
 		return BatchSnapshot{}, fmt.Errorf("service: sweep has %d specs, the limit is %d", len(specs), maxSweepSpecs)
 	}
+	subs := make([]submission, len(specs))
 	for i := range specs {
 		if specs[i].Observer != nil {
 			return BatchSnapshot{}, fmt.Errorf("service: sweep spec %d: specs may not carry an Observer; use Subscribe on the returned run ids", i)
 		}
+		subs[i].spec = specs[i]
 	}
-	adm, at, err := s.admit(class, specs)
+	adm, at, err := s.admit(class, subs)
 	if err != nil {
 		if at >= 0 {
 			err = fmt.Errorf("service: sweep spec %d: %w", at, err)

@@ -76,25 +76,26 @@ func (st *Store) SaveJSON(name string, artifact []byte) error {
 }
 
 // writeAtomic writes <dir>/<name>.json through a temp file in dir and a
-// rename, removing the temp file on any failure. write's own error is
-// returned as is; the file operations around it are labelled.
+// rename, removing the temp file on any failure; after the rename there
+// is nothing left to remove. write's own error is returned as is; the
+// file operations around it are labelled.
 func writeAtomic(dir, name, label string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
 	if err != nil {
 		return saveErr(label, name, err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil && cerr != nil {
+		err = saveErr(label, name, cerr)
 	}
-	if err := tmp.Close(); err != nil {
-		return saveErr(label, name, err)
+	if err == nil {
+		if err = os.Rename(tmp.Name(), filepath.Join(dir, name+".json")); err == nil {
+			return nil
+		}
+		err = saveErr(label, name, err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name+".json")); err != nil {
-		return saveErr(label, name, err)
-	}
-	return nil
+	os.Remove(tmp.Name())
+	return err
 }
 
 func saveErr(label, name string, err error) error {

@@ -2,6 +2,8 @@ package results
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,5 +148,52 @@ func TestStoreMeta(t *testing.T) {
 	}
 	if err := st.LoadMeta("run_one", &got); err == nil {
 		t.Fatal("LoadMeta decoded a document with unknown fields")
+	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestWriteAtomicLeavesNoTempFile: a save that succeeds leaves only
+// <name>.json behind, and one that fails — in the write, or in the rename
+// onto a directory — leaves no temp file.
+func TestWriteAtomicLeavesNoTempFile(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(storeSweep("r_ok")); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirNames(t, st.Dir()); !reflect.DeepEqual(got, []string{"r_ok.json"}) {
+		t.Fatalf("a save left %q, want only r_ok.json", got)
+	}
+	failed := errors.New("write failed")
+	err = writeAtomic(st.Dir(), "r_write", "sweep", func(w io.Writer) error {
+		w.Write([]byte("{"))
+		return failed
+	})
+	if err != failed {
+		t.Fatalf("failed write returned %v, want its own error", err)
+	}
+	if err := os.MkdirAll(filepath.Join(st.Dir(), "r_dir.json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(storeSweep("r_dir")); err == nil {
+		t.Fatal("a save renamed over a directory")
+	}
+	if got := dirNames(t, st.Dir()); !reflect.DeepEqual(got, []string{"r_dir.json", "r_ok.json"}) {
+		t.Fatalf("failed saves left %q", got)
 	}
 }

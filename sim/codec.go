@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 
@@ -74,6 +75,27 @@ type wireJob struct {
 // cannot carry a config payload. In-memory Schedules travel as the
 // canonical binary GOAL encoding.
 func MarshalSpec(sp Spec) ([]byte, error) {
+	ws, err := wireForm(&sp)
+	if err != nil {
+		return nil, err
+	}
+	return results.MarshalDoc(ws)
+}
+
+// EncodeSpec writes the document MarshalSpec returns to w, in one Write
+// and without a copy of its own: what a caller that only hashes or sends
+// the encoding uses.
+func EncodeSpec(w io.Writer, sp Spec) error {
+	ws, err := wireForm(&sp)
+	if err != nil {
+		return err
+	}
+	return results.EncodeDoc(w, ws)
+}
+
+// wireForm checks that sp can cross the wire and builds its wire form,
+// the one builder of MarshalSpec and EncodeSpec.
+func wireForm(sp *Spec) (*wireSpec, error) {
 	if sp.Observer != nil {
 		return nil, fmt.Errorf("sim: a spec with a streaming Observer cannot cross the wire; attach observers on the serving side")
 	}
@@ -87,9 +109,9 @@ func MarshalSpec(sp Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := wireSpec{
+	ws := &wireSpec{
 		Schema:        SpecSchema,
-		wireJob:       *wj,
+		wireJob:       wj,
 		Placement:     sp.Placement,
 		Backend:       sp.Backend,
 		Workers:       sp.Workers,
@@ -102,20 +124,20 @@ func MarshalSpec(sp Spec) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: job %d: %w", i, err)
 		}
-		ws.Jobs = append(ws.Jobs, *j)
+		ws.Jobs = append(ws.Jobs, j)
 	}
 	name := sp.BackendName()
 	def, _ := Lookup(name)
 	if ws.Config, err = encodePayload("backend", name, def.NewConfig, sp.Config); err != nil {
 		return nil, err
 	}
-	return results.MarshalDoc(ws)
+	return ws, nil
 }
 
 // encodeWorkload renders one workload declaration (the top-level fields
 // or one composed job's) into its wire form.
-func encodeWorkload(j *Workload) (*wireJob, error) {
-	w := &wireJob{
+func encodeWorkload(j *Workload) (wireJob, error) {
+	w := wireJob{
 		GoalPath:  j.GoalPath,
 		GoalBytes: j.GoalBytes,
 		Synthetic: j.Synthetic,
@@ -128,18 +150,18 @@ func encodeWorkload(j *Workload) (*wireJob, error) {
 	if j.Schedule != nil {
 		var buf bytes.Buffer
 		if err := goal.WriteBinary(&buf, j.Schedule); err != nil {
-			return nil, fmt.Errorf("sim: encoding in-memory schedule: %w", err)
+			return wireJob{}, fmt.Errorf("sim: encoding in-memory schedule: %w", err)
 		}
 		w.Schedule = buf.Bytes()
 	}
 	if j.FrontendConfig != nil {
 		if j.Frontend == "" {
-			return nil, fmt.Errorf("sim: a wire spec needs Frontend named explicitly to carry a FrontendConfig; content sniffing cannot resolve the config type")
+			return wireJob{}, fmt.Errorf("sim: a wire spec needs Frontend named explicitly to carry a FrontendConfig; content sniffing cannot resolve the config type")
 		}
 		def, _ := frontend.Lookup(j.Frontend)
 		raw, err := encodePayload("frontend", j.Frontend, def.NewConfig, j.FrontendConfig)
 		if err != nil {
-			return nil, err
+			return wireJob{}, err
 		}
 		w.FrontendConfig = raw
 	}

@@ -92,6 +92,7 @@
 // same error text at every entry point, and Fingerprint assigns each
 // spec a content address — equal fingerprints imply bit-identical
 // Results, the property the simulation service's run cache is built on.
+// EncodeSpec writes MarshalSpec's bytes to a writer.
 //
 // The layering is strict: internal/service (the resident simulation
 // server behind atlahsd — content-addressed run cache, bounded job
